@@ -18,7 +18,7 @@
 //! `--scale 0.1`.
 
 use ses_bench::datasets::Datasets;
-use ses_core::{MatcherOptions, MatcherSnapshot, StreamMatcher};
+use ses_core::{MatcherOptions, MatcherSnapshot, PatternBank};
 use ses_event::{Event, Relation, Timestamp};
 use ses_metrics::Stopwatch;
 use ses_store::{CheckpointStore, EventLog, LogConfig, MatchLog};
@@ -65,7 +65,7 @@ fn parse_args() -> Result<Options, String> {
 /// Streams `events`, checkpointing every `every` pushes when a store is
 /// given; returns (matches, checkpoints, bytes).
 fn stream_once(
-    matcher_of: &impl Fn() -> StreamMatcher,
+    matcher_of: &impl Fn() -> PatternBank,
     events: &[Event],
     dur: Option<(&mut CheckpointStore, &mut MatchLog, usize)>,
 ) -> (usize, u64, u64) {
@@ -90,7 +90,7 @@ fn stream_once(
                 if since >= every {
                     since = 0;
                     sink.sync().unwrap();
-                    let info = store.save(&MatcherSnapshot::Stream(sm.snapshot())).unwrap();
+                    let info = store.save(&MatcherSnapshot::Bank(sm.snapshot())).unwrap();
                     ckpts += 1;
                     bytes += info.bytes;
                 }
@@ -125,10 +125,13 @@ fn main() {
     let d1: &Relation = datasets.d1();
     let events: Vec<Event> = d1.iter().map(|(_, e)| e.clone()).collect();
     let q1 = paper::query_q1();
+    // A bank of one: the unit `ses-cli stream` runs and checkpoints.
+    let specs = [("q1".to_string(), q1, MatcherOptions::default())];
     let matcher_of = || {
-        StreamMatcher::with_options(&q1, d1.schema(), MatcherOptions::default())
+        PatternBank::builder(d1.schema())
+            .register("q1", &specs[0].1, specs[0].2.clone())
             .expect("Q1 compiles")
-            .with_eviction(true)
+            .build()
     };
     let scratch = std::env::temp_dir().join(format!("ses-bench-dur-{}", std::process::id()));
     std::fs::remove_dir_all(&scratch).ok();
@@ -178,7 +181,7 @@ fn main() {
         for e in prefix {
             emitted += sm.push(e.ts(), e.values().to_vec()).unwrap().len();
         }
-        store.save(&MatcherSnapshot::Stream(sm.snapshot())).unwrap();
+        store.save(&MatcherSnapshot::Bank(sm.snapshot())).unwrap();
         drop(sm); // the crash
 
         let reference = {
@@ -187,11 +190,8 @@ fn main() {
         };
         let (secs, (matches, replayed)) = best_secs(opts.iters, || {
             let loaded = store.load_latest().unwrap().expect("just saved");
-            let MatcherSnapshot::Stream(ref s) = loaded.snapshot else {
-                panic!("global snapshot expected");
-            };
-            let mut sm =
-                StreamMatcher::restore(&q1, d1.schema(), MatcherOptions::default(), s).unwrap();
+            let MatcherSnapshot::Bank(ref s) = loaded.snapshot;
+            let mut sm = PatternBank::restore(&specs, d1.schema(), s).unwrap();
             let replay = match loaded.snapshot.replay_from() {
                 Some(from) => log.scan_range(from, Timestamp::MAX).unwrap(),
                 None => log.scan().unwrap(),

@@ -42,7 +42,6 @@ const VALUED: &[&str] = &[
     "checkpoint-every",
     "keep",
     "columnar",
-    "batch",
     "listen",
     "event-log",
     "queue",

@@ -7,7 +7,7 @@ use std::io::Write;
 
 use ses_core::{
     EventSelection, FilterMode, MatchSemantics, Matcher, MatcherOptions, MatcherSnapshot,
-    MultiMatcher, PartitionMode, PartitionStrategy, Probe, ShardedStreamMatcher, StreamMatcher,
+    PartitionMode, PartitionStrategy, PatternBank, Probe,
 };
 use ses_event::{Duration, Relation, Timestamp};
 use ses_metrics::{CountingProbe, Stopwatch, Table};
@@ -41,53 +41,44 @@ USAGE:
                     lanes once per batch; auto engages it when the
                     pattern has constant conditions and the input is
                     large enough to amortize the pass)
-  ses-cli stream   --query <file-or-text> (--data <file.csv> | --from-log <dir>)
+  ses-cli stream   (--query <file-or-text> | --patterns <file-or-dir>)
+                   (--data <file.csv> | --from-log <dir>)
                    [--no-evict] [--limit N] [--stats]
                    [--partition auto|ATTR|off] [--shards N]
-                   [--columnar auto|on|off] [--batch N]
-                   [--checkpoint <dir> [--checkpoint-every N] [--keep K]]
-                   (replays the data as a stream: matches are finalized
-                    eagerly at the watermark and old events are evicted
-                    unless --no-evict. --partition hash-routes events by
-                    the partition key to N independent shards.
-                    --batch N replays in micro-batches of N events so
-                    the columnar admission layer evaluates constant
-                    conditions once per batch — matches are identical
-                    to per-event pushes, emitted at batch boundaries.
-                    --from-log replays a binary event log (see `import`);
-                    with --checkpoint the matcher state is snapshotted
-                    every N events (default 1000, keeping the last K
-                    checkpoints) and matches are also appended to
-                    <dir>/matches.log — `recover` resumes from there)
-  ses-cli recover  --query <file-or-text> --from-log <dir> --checkpoint <dir>
-                   [--checkpoint-every N] [--keep K] [--limit N] [--stats]
-                   [--partition auto|ATTR|off] [--shards N]
-                   (restores the newest valid checkpoint — skipping
-                    corrupt ones — replays the event log from the
-                    snapshot's watermark, and suppresses matches already
-                    durably written to <dir>/matches.log, so emission is
-                    exactly-once across a crash)
-  ses-cli bank     --patterns <file-or-dir> (--data <file.csv> | --from-log <dir>)
-                   [--share] [--no-index] [--no-evict] [--limit N] [--stats]
+                   [--share] [--no-index]
                    [--semantics …] [--selection …] [--filter …]
                    [--checkpoint <dir> [--checkpoint-every N] [--keep K]]
                    [--recover]
-                   (runs many queries over one pass of the stream:
-                    --patterns is a directory of query files or a single
-                    `;`-separated multi-query file; each event is pushed
-                    once and a predicate index built from the patterns'
-                    constant conditions routes it only to the patterns it
-                    could advance — the rest receive a watermark
-                    heartbeat. --no-index pushes every event to every
-                    pattern; output is identical either way. --share
-                    deduplicates provably equivalent patterns and
-                    evaluates shared sequencing prefixes once per routed
-                    event (preview with `check --patterns`); matches are
-                    unchanged. --checkpoint snapshots the whole bank
-                    every N events when replaying --from-log, and
-                    --recover resumes from the newest valid checkpoint
-                    with exactly-once emission. --stats adds a
-                    per-pattern routing table, see docs/patternbank.md)
+                   (replays the data as a stream through one pattern
+                    bank: each event is pushed once, matches are
+                    finalized eagerly at the watermark and old events
+                    are evicted unless --no-evict. --query is inline
+                    text or a (`;`-separated) query file; --patterns is
+                    a directory of query files or a single multi-query
+                    file. A predicate index built from the patterns'
+                    constant conditions routes each event only to the
+                    patterns it could advance — the rest receive a
+                    watermark heartbeat; --no-index pushes every event
+                    to every pattern, output is identical either way.
+                    --partition hash-routes events by the partition key
+                    to N lanes of every pattern that proves one.
+                    --share deduplicates provably equivalent patterns
+                    and evaluates shared sequencing prefixes once per
+                    routed event (preview with `check --patterns`);
+                    matches are unchanged.
+                    --from-log replays a binary event log (see `import`);
+                    with --checkpoint the bank is snapshotted every N
+                    events (default 1000, keeping the last K
+                    checkpoints) and matches are also appended to
+                    <dir>/matches.log. --recover restores the newest
+                    valid checkpoint — skipping corrupt ones — replays
+                    the event log from the snapshot's watermark, and
+                    suppresses matches already durably written, so
+                    emission is exactly-once across a crash. --stats
+                    adds a per-pattern routing table, see
+                    docs/patternbank.md)
+  ses-cli bank     … (the same command as `stream`)
+  ses-cli recover  … (the same command as `stream --recover`)
   ses-cli check    (--query <file-or-text> | --patterns <file-or-dir>)
                    [--schema \"NAME:TYPE,...\"] [--data <file.csv>]
                    [--format human|json] [--tick hour]
@@ -131,14 +122,14 @@ USAGE:
                     prints matches as they arrive — --cursor resumes a
                     durable subscription exactly-once after a crash)
 
-`run`, `stream`, and `bank` accept --format json with --stats to emit
-the statistics as one JSON object (same shape as the server's `stats`
+`run` and `stream` accept --format json with --stats to emit the
+statistics as one JSON object (same shape as the server's `stats`
 verb) instead of human-readable tables.
 
 --data accepts either a CSV file or a binary event-log directory
 (created with `import`). --query accepts inline text, a single-query
 file, or a `;`-separated multi-query file with optional `name:` prefixes
-(evaluated together in one pass over the data).
+(`stream` evaluates them together in one pass over the data).
 
 The query language (THEN NOT x adds a gap constraint):
   PATTERN PERMUTE(c, p+, d) THEN b
@@ -152,9 +143,7 @@ pub fn dispatch(args: &Args, out: &mut dyn Write) -> i32 {
     let result = match args.command.as_deref() {
         Some("run") => cmd_run(args, out),
         Some("check") => cmd_check(args, out),
-        Some("stream") => cmd_stream(args, out),
-        Some("recover") => cmd_recover(args, out),
-        Some("bank") => cmd_bank(args, out),
+        Some("stream") | Some("bank") | Some("recover") => cmd_stream(args, out),
         Some("explain") => cmd_explain(args, out),
         Some("generate") => cmd_generate(args, out),
         Some("import") => cmd_import(args, out),
@@ -820,6 +809,7 @@ fn cmd_check_bank(args: &Args, out: &mut dyn Write) -> Result<(), String> {
             .iter()
             .map(|&i| ShareConstraint {
                 compat: 0,
+                allow_dedup: true,
                 allow_prefix: lints[i].satisfiable,
             })
             .collect();
@@ -926,114 +916,11 @@ fn cmd_check_bank(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     Ok(())
 }
 
-/// Either stream-matcher flavor behind one push/snapshot/finish surface,
-/// so `stream` and `recover` share a single replay loop. Boxed: the
-/// global matcher is much larger than the sharded handle.
-enum AnyStream {
-    Global(Box<StreamMatcher>),
-    Sharded(ShardedStreamMatcher),
-}
-
-/// End-of-run counters captured *before* `finish` consumes the matcher.
-enum StreamReport {
-    Global {
-        retained: usize,
-        evicted: usize,
-    },
-    Sharded {
-        key: ses_event::AttrId,
-        sizes: Vec<usize>,
-        peaks: Vec<usize>,
-        retained: usize,
-        evicted: usize,
-    },
-}
-
-impl AnyStream {
-    fn push_with_probe(
-        &mut self,
-        ts: Timestamp,
-        values: Vec<ses_event::Value>,
-        probe: &mut CountingProbe,
-    ) -> Result<Vec<ses_core::Match>, String> {
-        match self {
-            AnyStream::Global(sm) => sm.push_with_probe(ts, values, probe),
-            AnyStream::Sharded(sm) => sm.push_with_probe(ts, values, probe),
-        }
-        .map_err(|e| e.to_string())
-    }
-
-    fn snapshot(&mut self) -> MatcherSnapshot {
-        match self {
-            AnyStream::Global(sm) => MatcherSnapshot::Stream(sm.snapshot()),
-            AnyStream::Sharded(sm) => MatcherSnapshot::Sharded(sm.snapshot()),
-        }
-    }
-
-    /// Already-consumed events at the snapshot's replay timestamp — the
-    /// prefix of the replay scan to skip.
-    /// Pushes a micro-batch. The global matcher takes the columnar
-    /// batch path; the sharded matcher routes per event (its shards
-    /// each see only a subsequence, so batch admission would have to be
-    /// re-split anyway).
-    fn push_batch_with_probe(
-        &mut self,
-        events: Vec<ses_event::Event>,
-        probe: &mut CountingProbe,
-    ) -> Result<Vec<ses_core::Match>, String> {
-        match self {
-            AnyStream::Global(sm) => sm
-                .push_batch_with_probe(events, probe)
-                .map_err(|e| e.to_string()),
-            AnyStream::Sharded(sm) => {
-                let mut out = Vec::new();
-                for e in events {
-                    out.extend(
-                        sm.push_with_probe(e.ts(), e.values().to_vec(), probe)
-                            .map_err(|e| e.to_string())?,
-                    );
-                }
-                Ok(out)
-            }
-        }
-    }
-
-    fn ties_at_watermark(&self) -> usize {
-        match self {
-            AnyStream::Global(sm) => sm.ties_at_watermark(),
-            AnyStream::Sharded(sm) => sm.ties_at_watermark(),
-        }
-    }
-
-    fn report(&self) -> StreamReport {
-        match self {
-            AnyStream::Global(sm) => StreamReport::Global {
-                retained: sm.retained_events(),
-                evicted: sm.evicted_events(),
-            },
-            AnyStream::Sharded(sm) => StreamReport::Sharded {
-                key: sm.partition_key(),
-                sizes: sm.shard_sizes(),
-                peaks: sm.shard_peak_omega(),
-                retained: sm.retained_events(),
-                evicted: sm.evicted_events(),
-            },
-        }
-    }
-
-    fn finish(self) -> Vec<ses_core::Match> {
-        match self {
-            AnyStream::Global(sm) => sm.finish(),
-            AnyStream::Sharded(sm) => sm.finish(),
-        }
-    }
-}
-
-/// The `--checkpoint` machinery shared by `stream` and `recover`: the
-/// checkpoint store, the durable match sink, and the every-N-events
-/// cadence. The sink is synced *before* each snapshot is saved, so its
-/// line count is always ≥ the checkpoint's emitted high-water mark —
-/// the invariant exactly-once suppression relies on.
+/// The `--checkpoint` machinery: the checkpoint store, the durable
+/// match sink, and the every-N-events cadence. The sink is synced
+/// *before* each snapshot is saved, so its line count is always ≥ the
+/// checkpoint's emitted high-water mark — the invariant exactly-once
+/// suppression relies on.
 struct Durability {
     store: CheckpointStore,
     sink: MatchLog,
@@ -1077,235 +964,48 @@ impl Durability {
     }
 
     /// Counts one pushed event; saves a checkpoint at the cadence.
-    fn tick(&mut self, sm: &mut AnyStream, probe: &mut CountingProbe) -> Result<(), String> {
+    fn tick(&mut self, bank: &mut PatternBank, probe: &mut CountingProbe) -> Result<(), String> {
         self.since += 1;
         if self.since >= self.every {
-            self.save_now(sm, probe)?;
+            self.save_now(bank, probe)?;
         }
         Ok(())
     }
 
     /// Syncs the sink, then atomically saves a snapshot.
-    fn save_now(&mut self, sm: &mut AnyStream, probe: &mut CountingProbe) -> Result<(), String> {
-        self.save_snap(probe, sm.snapshot())
-    }
-
-    /// [`Durability::tick`] for a pattern bank.
-    fn tick_bank(
+    fn save_now(
         &mut self,
-        bank: &mut ses_core::PatternBank,
+        bank: &mut PatternBank,
         probe: &mut CountingProbe,
-    ) -> Result<(), String> {
-        self.since += 1;
-        if self.since >= self.every {
-            self.save_bank_now(bank, probe)?;
-        }
-        Ok(())
-    }
-
-    /// [`Durability::save_now`] for a pattern bank.
-    fn save_bank_now(
-        &mut self,
-        bank: &mut ses_core::PatternBank,
-        probe: &mut CountingProbe,
-    ) -> Result<(), String> {
-        self.save_snap(probe, MatcherSnapshot::Bank(bank.snapshot()))
-    }
-
-    fn save_snap(
-        &mut self,
-        probe: &mut CountingProbe,
-        snap: MatcherSnapshot,
     ) -> Result<(), String> {
         self.since = 0;
         let sw = Stopwatch::start();
         self.sink.sync().map_err(|e| e.to_string())?;
+        let snap = MatcherSnapshot::Bank(bank.snapshot());
         let info = self.store.save(&snap).map_err(|e| e.to_string())?;
         probe.checkpoint_saved(info.bytes, sw.elapsed().as_nanos() as u64);
         Ok(())
     }
 }
 
-/// The event source for `stream`: `--data` (CSV or log directory) or
-/// `--from-log` (binary event log replay — the durable source
-/// checkpointing requires).
-fn load_stream_source(args: &Args) -> Result<Relation, String> {
+/// The event source: `--data` (CSV or log directory) or `--from-log`
+/// (binary event log replay — the durable source checkpointing
+/// requires). A recovery reads the log from `from`, the checkpoint's
+/// last consumed timestamp, not from its first event.
+fn load_stream_source(args: &Args, from: Option<Timestamp>) -> Result<Relation, String> {
     match (args.get("from-log"), args.get("data")) {
         (Some(_), Some(_)) => Err("give either --data or --from-log, not both".to_string()),
         (Some(dir), None) => {
             let log = EventLog::open(dir, LogConfig::default()).map_err(|e| e.to_string())?;
-            log.scan().map_err(|e| e.to_string())
+            match from {
+                Some(from) => log.scan_range(from, Timestamp::MAX),
+                None => log.scan(),
+            }
+            .map_err(|e| e.to_string())
         }
         (None, Some(path)) => Ok(load_store(path)?.relation().clone()),
         (None, None) => Err("--data or --from-log is required".to_string()),
     }
-}
-
-/// Builds the stream matcher `stream`/`recover` cold-starts run:
-/// sharded when `--partition` proves a key, global otherwise.
-fn build_stream_matcher(
-    args: &Args,
-    out: &mut dyn Write,
-    pattern: &ses_pattern::Pattern,
-    schema: &ses_event::Schema,
-    options: MatcherOptions,
-    evict: bool,
-) -> Result<AnyStream, String> {
-    if options.partition != PartitionMode::Off {
-        let shards: usize = args.get_parsed("shards", 4)?;
-        if shards == 0 {
-            return Err("--shards must be positive".to_string());
-        }
-        match ShardedStreamMatcher::with_options(pattern, schema, options.clone(), shards) {
-            Ok(sm) => return Ok(AnyStream::Sharded(sm.with_eviction(evict))),
-            // Auto/time degrade to a global stream when nothing is provable
-            // (time slicing is batch-only); an explicit key the analyzer
-            // rejects is a hard error.
-            Err(e)
-                if matches!(
-                    options.partition,
-                    PartitionMode::Auto | PartitionMode::TimeAuto
-                ) =>
-            {
-                writeln!(out, "note: {e}; streaming globally").map_err(io_err)?;
-            }
-            Err(e) => return Err(e.to_string()),
-        }
-    }
-    Ok(AnyStream::Global(Box::new(
-        StreamMatcher::with_options(pattern, schema, options)
-            .map_err(|e| e.to_string())?
-            .with_eviction(evict),
-    )))
-}
-
-/// Replays `--data` or `--from-log` through the streaming matcher:
-/// matches print as the watermark finalizes them, `--stats` reports the
-/// eviction counters that demonstrate bounded-memory operation, and
-/// `--checkpoint` snapshots the matcher for `recover`.
-fn cmd_stream(args: &Args, out: &mut dyn Write) -> Result<(), String> {
-    let relation = load_stream_source(args)?;
-    let (_, pattern) = load_patterns(args)?
-        .into_iter()
-        .next()
-        .ok_or_else(|| "no query given".to_string())?;
-    let evict = !args.has_flag("no-evict");
-    let schema = relation.schema().clone();
-    let options = matcher_options(args, &schema)?;
-    let sm = build_stream_matcher(args, out, &pattern, &schema, options, evict)?;
-    let mut dur = Durability::from_args(args)?;
-    run_stream(
-        args,
-        out,
-        &relation,
-        &pattern,
-        sm,
-        evict,
-        dur.as_mut(),
-        0,
-        0,
-        0,
-    )
-}
-
-/// Restores the newest valid checkpoint, replays the log suffix, and
-/// suppresses matches already durably emitted — exactly-once output
-/// across a crash. Without a valid checkpoint it cold-starts from the
-/// beginning of the log (replay covers everything).
-fn cmd_recover(args: &Args, out: &mut dyn Write) -> Result<(), String> {
-    let log_dir = args.require("from-log")?;
-    args.require("checkpoint")?;
-    let (_, pattern) = load_patterns(args)?
-        .into_iter()
-        .next()
-        .ok_or_else(|| "no query given".to_string())?;
-    let log = EventLog::open(log_dir, LogConfig::default()).map_err(|e| e.to_string())?;
-    let schema = log.schema().clone();
-    let options = matcher_options(args, &schema)?;
-    let evict = !args.has_flag("no-evict");
-    let mut dur = Durability::from_args(args)?.expect("--checkpoint was required above");
-
-    let loaded = dur.store.load_latest().map_err(|e| e.to_string())?;
-    let (sm, replay, skip, emitted_at_ckpt) = match &loaded {
-        Some(l) => {
-            if l.skipped > 0 {
-                writeln!(
-                    out,
-                    "note: skipped {} corrupt checkpoint(s); falling back to seq {}",
-                    l.skipped, l.info.seq
-                )
-                .map_err(io_err)?;
-            }
-            let sm = match &l.snapshot {
-                MatcherSnapshot::Stream(s) => AnyStream::Global(Box::new(
-                    StreamMatcher::restore(&pattern, &schema, options, s)
-                        .map_err(|e| e.to_string())?,
-                )),
-                MatcherSnapshot::Sharded(s) => AnyStream::Sharded(
-                    ShardedStreamMatcher::restore(&pattern, &schema, options, s)
-                        .map_err(|e| e.to_string())?,
-                ),
-                MatcherSnapshot::Bank(b) => {
-                    let mut names: Vec<&str> =
-                        b.patterns.iter().take(3).map(|p| p.name.as_str()).collect();
-                    if b.patterns.len() > 3 {
-                        names.push("…");
-                    }
-                    return Err(format!(
-                        "checkpoint seq {} holds a pattern-bank snapshot ({} pattern(s): {}), \
-                         not a single-query stream; resume it with \
-                         `ses-cli bank --patterns … --from-log {log_dir} --checkpoint … --recover`",
-                        l.info.seq,
-                        b.patterns.len(),
-                        names.join(", "),
-                    ));
-                }
-            };
-            let replay = match l.snapshot.replay_from() {
-                Some(from) => log
-                    .scan_range(from, Timestamp::MAX)
-                    .map_err(|e| e.to_string())?,
-                None => log.scan().map_err(|e| e.to_string())?,
-            };
-            // Events at the snapshot's last timestamp that were already
-            // consumed reappear at the head of the range scan.
-            let skip = sm.ties_at_watermark();
-            (sm, replay, skip, l.snapshot.emitted())
-        }
-        None => {
-            writeln!(
-                out,
-                "note: no valid checkpoint; cold-starting from the beginning of the log"
-            )
-            .map_err(io_err)?;
-            let sm = build_stream_matcher(args, out, &pattern, &schema, options, evict)?;
-            let replay = log.scan().map_err(|e| e.to_string())?;
-            (sm, replay, 0, 0)
-        }
-    };
-
-    // Deterministic replay re-emits the sink's post-checkpoint lines
-    // first; suppressing exactly that many makes emission exactly-once.
-    let suppress = dur.sink.lines().saturating_sub(emitted_at_ckpt);
-    let start_total = dur.sink.lines() as usize;
-    writeln!(
-        out,
-        "recovering: replaying {} event(s), suppressing {suppress} already-emitted match(es)",
-        replay.len().saturating_sub(skip)
-    )
-    .map_err(io_err)?;
-    run_stream(
-        args,
-        out,
-        &replay,
-        &pattern,
-        sm,
-        evict,
-        Some(&mut dur),
-        skip,
-        suppress,
-        start_total,
-    )
 }
 
 /// Loads a `--patterns` spec as `(source name, text)` pairs: a directory
@@ -1350,14 +1050,21 @@ fn default_pattern_name(stem: &str, i: usize, solo: bool) -> String {
     }
 }
 
-/// Loads `--patterns` as named patterns: a directory of query files
-/// (each optionally `;`-separated with `name:` prefixes) read in
-/// file-name order, or a single multi-query file / inline text.
-fn load_bank_patterns(args: &Args) -> Result<Vec<(String, ses_pattern::Pattern)>, String> {
-    let spec = args
-        .get("patterns")
-        .or_else(|| args.get("query"))
-        .ok_or("--patterns is required (a query file or a directory of query files)".to_string())?;
+/// Loads the streaming commands' patterns: `--patterns`, a directory of
+/// query files (each optionally `;`-separated with `name:` prefixes)
+/// read in file-name order or a single multi-query file / inline text
+/// — or `--query`, named `query-N` (see [`load_patterns`]).
+fn load_stream_patterns(args: &Args) -> Result<Vec<(String, ses_pattern::Pattern)>, String> {
+    let Some(spec) = args.get("patterns") else {
+        if args.get("query").is_some() {
+            return load_patterns(args);
+        }
+        return Err(
+            "--query or --patterns is required (query text, a query file, or a directory of \
+             query files)"
+                .to_string(),
+        );
+    };
     let tick = parse_tick(args)?;
     let mut patterns = Vec::new();
     for (stem, text) in load_pattern_sources(spec)? {
@@ -1381,103 +1088,123 @@ fn index_class_name(class: ses_pattern::IndexClass) -> &'static str {
     }
 }
 
-/// Evaluates many queries in one streaming pass over the data: each
-/// event is pushed once and the predicate index routes it only to the
-/// patterns it could advance (see `docs/patternbank.md`). `--share`
-/// additionally deduplicates equivalent patterns and evaluates shared
-/// sequencing prefixes once (run `check --patterns` to preview the
-/// plan). With `--from-log` + `--checkpoint` the bank state is
-/// snapshotted at the configured cadence, and `--recover` resumes from
-/// the newest valid checkpoint with exactly-once emission.
-fn cmd_bank(args: &Args, out: &mut dyn Write) -> Result<(), String> {
-    let relation = load_stream_source(args)?;
-    let patterns = load_bank_patterns(args)?;
-    let schema = relation.schema().clone();
-    let options = MatcherOptions {
-        // The bank runs one stream matcher per pattern; sharding is the
-        // single-query `stream` path's concern.
-        partition: PartitionMode::Off,
-        ..matcher_options(args, &schema)?
-    };
-    let evict = !args.has_flag("no-evict");
-    let mut dur = Durability::from_args(args)?;
-
-    let build_fresh = || -> Result<ses_core::PatternBank, String> {
-        let mut builder = ses_core::PatternBank::builder(&schema)
-            .with_eviction(evict)
-            .with_index(!args.has_flag("no-index"))
-            .with_sharing(args.has_flag("share"));
-        for (name, p) in &patterns {
-            builder = builder
-                .register(name.clone(), p, options.clone())
-                .map_err(|e| format!("{name}: {e}"))?;
-        }
-        Ok(builder.build())
-    };
-
-    // `--recover`: restore the newest valid bank checkpoint and replay
-    // the log suffix, suppressing matches already durably emitted —
-    // the bank counterpart of `ses-cli recover`.
-    let (mut bank, skip, mut suppress, start_total) = if args.has_flag("recover") {
-        let Some(d) = dur.as_mut() else {
-            return Err("--recover requires --checkpoint and --from-log".to_string());
-        };
-        match d.store.load_latest().map_err(|e| e.to_string())? {
-            Some(l) => {
-                if l.skipped > 0 {
-                    writeln!(
-                        out,
-                        "note: skipped {} corrupt checkpoint(s); falling back to seq {}",
-                        l.skipped, l.info.seq
-                    )
-                    .map_err(io_err)?;
+/// Builds the bank a cold start runs: every pattern registered once,
+/// on `--shards` hash lanes when `--partition` proves it a key.
+fn build_bank(
+    args: &Args,
+    out: &mut dyn Write,
+    specs: &[(String, ses_pattern::Pattern, MatcherOptions)],
+    schema: &ses_event::Schema,
+) -> Result<PatternBank, String> {
+    let lanes: usize = args.get_parsed("shards", 4)?;
+    if lanes == 0 {
+        return Err("--shards must be positive".to_string());
+    }
+    let mut builder = PatternBank::builder(schema)
+        .with_eviction(!args.has_flag("no-evict"))
+        .with_index(!args.has_flag("no-index"))
+        .with_sharing(args.has_flag("share"));
+    for (name, p, options) in specs {
+        let sharded = match options.partition {
+            PartitionMode::Off => false,
+            mode => match PatternBank::lane_key(p, schema, options) {
+                Ok(_) => true,
+                // Auto/time degrade to a global stream when nothing is
+                // provable (time slicing is batch-only); an explicit key
+                // the analyzer rejects is a hard error.
+                Err(e) if matches!(mode, PartitionMode::Auto | PartitionMode::TimeAuto) => {
+                    writeln!(out, "note: {name}: {e}; streaming globally").map_err(io_err)?;
+                    false
                 }
-                let snap = match &l.snapshot {
-                    MatcherSnapshot::Bank(b) => b,
-                    other => {
-                        let kind = match other {
-                            MatcherSnapshot::Stream(_) => "single-query stream",
-                            MatcherSnapshot::Sharded(_) => "sharded stream",
-                            MatcherSnapshot::Bank(_) => unreachable!(),
-                        };
-                        return Err(format!(
-                            "checkpoint seq {} holds a {kind} snapshot, not a pattern bank; \
-                             resume it with `ses-cli recover`",
-                            l.info.seq
-                        ));
-                    }
-                };
-                let specs: Vec<(String, ses_pattern::Pattern, MatcherOptions)> = patterns
-                    .iter()
-                    .map(|(n, p)| (n.clone(), p.clone(), options.clone()))
-                    .collect();
-                let bank = ses_core::PatternBank::restore(&specs, &schema, snap)
-                    .map_err(|e| e.to_string())?;
-                // The bank consumes the log in one total order, so the
-                // replay point is simply the consumed-event count.
-                let skip = bank.consumed_events();
-                let suppress = d.sink.lines().saturating_sub(l.snapshot.emitted());
-                let start_total = d.sink.lines() as usize;
+                Err(e) => return Err(format!("{name}: {e}")),
+            },
+        };
+        builder = if sharded {
+            builder.register_lanes(name.clone(), p, options.clone(), lanes)
+        } else {
+            builder.register(name.clone(), p, options.clone())
+        }
+        .map_err(|e| format!("{name}: {e}"))?;
+    }
+    Ok(builder.build())
+}
+
+/// `stream`, `bank`, and `recover` (≡ `stream --recover`): replays
+/// `--data` or `--from-log` through one [`PatternBank`] — of one
+/// `--query`, of many `--patterns` — pushing each event once. The
+/// predicate index routes it only to the patterns it could advance (see
+/// `docs/patternbank.md`), `--partition` shards the patterns that prove
+/// a key over `--shards` hash lanes, and `--share` deduplicates
+/// equivalent patterns and evaluates shared sequencing prefixes once
+/// (run `check --patterns` to preview the plan). Matches print as the
+/// watermark finalizes them. With `--from-log` + `--checkpoint` the bank
+/// is snapshotted at the configured cadence and matches also go to
+/// `<dir>/matches.log`; `--recover` restores the newest valid
+/// checkpoint, replays the log suffix, and suppresses matches already
+/// durably emitted — exactly-once output across a crash. Without a
+/// valid checkpoint it cold-starts from the beginning of the log.
+fn cmd_stream(args: &Args, out: &mut dyn Write) -> Result<(), String> {
+    let recover = args.command.as_deref() == Some("recover") || args.has_flag("recover");
+    let mut dur = Durability::from_args(args)?;
+    let loaded = match (recover, dur.as_ref()) {
+        (false, _) => None,
+        (true, None) => return Err("--recover requires --checkpoint and --from-log".to_string()),
+        (true, Some(d)) => d.store.load_latest().map_err(|e| e.to_string())?,
+    };
+    let relation =
+        load_stream_source(args, loaded.as_ref().and_then(|l| l.snapshot.replay_from()))?;
+    let patterns = load_stream_patterns(args)?;
+    let schema = relation.schema().clone();
+    let options = matcher_options(args, &schema)?;
+    let specs: Vec<(String, ses_pattern::Pattern, MatcherOptions)> = patterns
+        .iter()
+        .map(|(n, p)| (n.clone(), p.clone(), options.clone()))
+        .collect();
+
+    let (mut bank, skip) = match &loaded {
+        Some(l) => {
+            if l.skipped > 0 {
                 writeln!(
                     out,
-                    "recovering: replaying {} event(s), suppressing {suppress} \
-                     already-emitted match(es)",
-                    relation.len().saturating_sub(skip)
+                    "note: skipped {} corrupt checkpoint(s); falling back to seq {}",
+                    l.skipped, l.info.seq
                 )
                 .map_err(io_err)?;
-                (bank, skip, suppress, start_total)
             }
-            None => {
+            let MatcherSnapshot::Bank(snap) = &l.snapshot;
+            let bank = PatternBank::restore(&specs, &schema, snap).map_err(|e| e.to_string())?;
+            // Events at the snapshot's last timestamp that were already
+            // consumed reappear at the head of the range scan.
+            let skip = bank.ties_at_watermark();
+            (bank, skip)
+        }
+        None => {
+            if recover {
                 writeln!(
                     out,
                     "note: no valid checkpoint; cold-starting from the beginning of the log"
                 )
                 .map_err(io_err)?;
-                (build_fresh()?, 0, 0, 0)
             }
+            (build_bank(args, out, &specs, &schema)?, 0)
         }
-    } else {
-        (build_fresh()?, 0, 0, 0)
+    };
+    // Deterministic replay re-emits the sink's post-checkpoint lines
+    // first; suppressing exactly that many makes emission exactly-once.
+    let (mut suppress, start_total) = match dur.as_ref().filter(|_| recover) {
+        Some(d) => {
+            let at_ckpt = loaded.as_ref().map_or(0, |l| l.snapshot.emitted());
+            let suppress = d.sink.lines().saturating_sub(at_ckpt);
+            writeln!(
+                out,
+                "recovering: replaying {} event(s), suppressing {suppress} already-emitted \
+                 match(es)",
+                relation.len().saturating_sub(skip)
+            )
+            .map_err(io_err)?;
+            (suppress, d.sink.lines() as usize)
+        }
+        None => (0, 0),
     };
 
     let index_on = bank.index_enabled();
@@ -1488,8 +1215,7 @@ fn cmd_bank(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     let mut probe = CountingProbe::new();
     let mut total = start_total;
 
-    let mut emit = |name: &str,
-                    pattern: &ses_pattern::Pattern,
+    let mut emit = |i: usize,
                     m: &ses_core::Match,
                     at: &str,
                     total: &mut usize,
@@ -1501,6 +1227,7 @@ fn cmd_bank(args: &Args, out: &mut dyn Write) -> Result<(), String> {
             return Ok(());
         }
         *total += 1;
+        let (name, pattern) = &patterns[i];
         let line = format!("{name}: {}", m.display_with(pattern));
         if let Some(d) = dur.as_mut() {
             d.record(&line)?;
@@ -1511,6 +1238,9 @@ fn cmd_bank(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         Ok(())
     };
 
+    // Graceful shutdown: SIGINT/SIGTERM breaks out of the replay loop;
+    // the tail then takes the final checkpoint and syncs the sink, so an
+    // interrupted stream resumes exactly-once.
     ses_server::signal::install();
     let mut interrupted = false;
     for (_, e) in relation.iter().skip(skip) {
@@ -1523,28 +1253,27 @@ fn cmd_bank(args: &Args, out: &mut dyn Write) -> Result<(), String> {
             .map_err(|x| x.to_string())?;
         let at = format!("t={}", e.ts());
         for (i, m) in emitted {
-            let (name, pattern) = &patterns[i];
-            emit(name, pattern, &m, &at, &mut total, &mut dur, out)?;
+            emit(i, &m, &at, &mut total, &mut dur, out)?;
         }
         if let Some(d) = dur.as_mut() {
-            d.tick_bank(&mut bank, &mut probe)?;
+            d.tick(&mut bank, &mut probe)?;
         }
     }
     // Final checkpoint before `finish` consumes the bank: a crash
     // during/after the flush replays only the flush itself.
     if let Some(d) = dur.as_mut() {
-        d.save_bank_now(&mut bank, &mut probe)?;
+        d.save_now(&mut bank, &mut probe)?;
     }
     if interrupted {
-        // Graceful interrupt: checkpoint taken, sink synced, no
-        // premature `finish` flush (see run_stream).
+        // Checkpoint taken, sink synced, but no `finish` — flushing
+        // unexpired partial matches would pollute the durable log
+        // recovery resumes from.
         if let Some(d) = dur.as_mut() {
             d.sink.sync().map_err(|e| e.to_string())?;
         }
         writeln!(
             out,
-            "interrupted after {total} match(es); state checkpointed — resume with \
-             `ses-cli bank --recover`"
+            "interrupted after {total} match(es); state checkpointed — resume with `--recover`"
         )
         .map_err(io_err)?;
         return Ok(());
@@ -1555,9 +1284,8 @@ fn cmd_bank(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     let consumed = bank.consumed_events();
     let mut emitted_by: Vec<usize> = stats.iter().map(|s| s.emitted).collect();
     for (i, m) in bank.finish() {
-        let (name, pattern) = &patterns[i];
         emitted_by[i] += 1;
-        emit(name, pattern, &m, "finish", &mut total, &mut dur, out)?;
+        emit(i, &m, "finish", &mut total, &mut dur, out)?;
     }
     if let Some(d) = dur.as_mut() {
         d.sink.sync().map_err(|e| e.to_string())?;
@@ -1581,6 +1309,7 @@ fn cmd_bank(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         let mut t = Table::new([
             "pattern",
             "class",
+            "lanes",
             "hits",
             "skips",
             "matches",
@@ -1592,6 +1321,7 @@ fn cmd_bank(args: &Args, out: &mut dyn Write) -> Result<(), String> {
             t.row([
                 s.name.clone(),
                 index_class_name(s.class).to_string(),
+                s.lanes.to_string(),
                 s.hits.to_string(),
                 s.skips.to_string(),
                 emitted.to_string(),
@@ -1612,235 +1342,50 @@ fn cmd_bank(args: &Args, out: &mut dyn Write) -> Result<(), String> {
             "pushes without index".to_string(),
             (consumed * patterns.len()).to_string(),
         ]);
+        let evict = !args.has_flag("no-evict");
+        totals.row(["eviction", if evict { "on" } else { "off" }]);
+        totals.row(["events evicted", &probe.events_evicted.to_string()]);
+        totals.row(["peak retained", &probe.retained_max.to_string()]);
+        totals.row(["max |Ω|", &probe.omega_max.to_string()]);
+        totals.row(["instances expired", &probe.instances_expired.to_string()]);
+        if patterns.len() == 1 {
+            // One pattern, one filter verdict; with more the probe only
+            // remembers the last matcher's (`check` reports each).
+            totals.row(["filter requested", filter_mode_name(probe.filter_requested)]);
+            totals.row(["filter effective", filter_mode_name(probe.filter_effective)]);
+            if probe.filter_downgraded() {
+                totals.row(["filter downgraded", "yes (SES003: run `ses-cli check`)"]);
+            }
+        }
         if probe.checkpoints > 0 {
             totals.row(["checkpoints saved", &probe.checkpoints.to_string()]);
             totals.row(["checkpoint bytes", &probe.checkpoint_bytes.to_string()]);
+            totals.row([
+                "checkpoint time",
+                &format!("{:.3}s", probe.checkpoint_nanos as f64 / 1e9),
+            ]);
         }
         emit_stats_tables(args, out, &[("patterns", &t), ("totals", &totals)])?;
     }
     Ok(())
 }
 
-/// The shared push loop: replays `relation` (skipping the first `skip`
-/// already-consumed events), suppresses the first `suppress` emissions,
-/// records new matches in the durable sink, and checkpoints at the
-/// configured cadence. `start_total` continues the match numbering of a
-/// run being recovered.
-#[allow(clippy::too_many_arguments)]
-fn run_stream(
-    args: &Args,
-    out: &mut dyn Write,
-    relation: &Relation,
-    pattern: &ses_pattern::Pattern,
-    mut sm: AnyStream,
-    evict: bool,
-    mut dur: Option<&mut Durability>,
-    skip: usize,
-    mut suppress: u64,
-    start_total: usize,
-) -> Result<(), String> {
-    let limit: usize = args.get_parsed("limit", usize::MAX)?;
-    // Graceful shutdown: SIGINT/SIGTERM breaks out of the replay loop
-    // below; the normal tail then takes the final checkpoint and syncs
-    // the sink, so an interrupted stream resumes exactly-once.
-    ses_server::signal::install();
-    let mut interrupted = false;
-    let sw = Stopwatch::start();
-    let mut probe = CountingProbe::new();
-    let mut total = start_total;
-
-    let emit = |m: &ses_core::Match,
-                at: &str,
-                total: &mut usize,
-                suppress: &mut u64,
-                dur: &mut Option<&mut Durability>,
-                out: &mut dyn Write|
-     -> Result<(), String> {
-        if *suppress > 0 {
-            *suppress -= 1;
-            return Ok(());
-        }
-        *total += 1;
-        let line = m.display_with(pattern).to_string();
-        if let Some(d) = dur.as_deref_mut() {
-            d.record(&line)?;
-        }
-        if *total - start_total <= limit {
-            writeln!(out, "[{at}] match {total}: {line}").map_err(io_err)?;
-        }
-        Ok(())
-    };
-
-    let batch: usize = args.get_parsed("batch", 1usize)?;
-    if batch == 0 {
-        return Err("--batch: expected a positive micro-batch size".into());
-    }
-    if batch > 1 {
-        // Micro-batched replay: each chunk takes the columnar admission
-        // path in one `push_batch`; emissions are labeled with the
-        // chunk's closing timestamp.
-        let events: Vec<ses_event::Event> =
-            relation.iter().skip(skip).map(|(_, e)| e.clone()).collect();
-        for chunk in events.chunks(batch) {
-            if ses_server::signal::requested() {
-                interrupted = true;
-                break;
-            }
-            let at = format!("t={}", chunk.last().expect("chunks are non-empty").ts());
-            let emitted = sm.push_batch_with_probe(chunk.to_vec(), &mut probe)?;
-            for m in &emitted {
-                emit(m, &at, &mut total, &mut suppress, &mut dur, out)?;
-            }
-            if let Some(d) = dur.as_deref_mut() {
-                d.tick(&mut sm, &mut probe)?;
-            }
-        }
-    } else {
-        for (_, e) in relation.iter().skip(skip) {
-            if ses_server::signal::requested() {
-                interrupted = true;
-                break;
-            }
-            let emitted = sm.push_with_probe(e.ts(), e.values().to_vec(), &mut probe)?;
-            let at = format!("t={}", e.ts());
-            for m in &emitted {
-                emit(m, &at, &mut total, &mut suppress, &mut dur, out)?;
-            }
-            if let Some(d) = dur.as_deref_mut() {
-                d.tick(&mut sm, &mut probe)?;
-            }
-        }
-    }
-    // Final checkpoint before `finish` consumes the matcher: a crash
-    // during/after the flush replays only the flush itself.
-    if let Some(d) = dur.as_deref_mut() {
-        d.save_now(&mut sm, &mut probe)?;
-    }
-    if interrupted {
-        // Graceful interrupt: checkpoint taken, sink synced, but no
-        // `finish` — flushing unexpired partial matches would pollute
-        // the durable log `recover` resumes from.
-        if let Some(d) = dur {
-            d.sink.sync().map_err(|e| e.to_string())?;
-        }
-        writeln!(
-            out,
-            "interrupted after {total} match(es); state checkpointed — resume with `ses-cli recover`"
-        )
-        .map_err(io_err)?;
-        return Ok(());
-    }
-    let report = sm.report();
-    for m in &sm.finish() {
-        emit(m, "finish", &mut total, &mut suppress, &mut dur, out)?;
-    }
-    if let Some(d) = dur {
-        d.sink.sync().map_err(|e| e.to_string())?;
-    }
-    let elapsed = sw.elapsed_secs();
-    let printed = total - start_total;
-    if printed > limit {
-        writeln!(out, "… {} more matches (raise --limit)", printed - limit).map_err(io_err)?;
-    }
-    match &report {
-        StreamReport::Global { .. } => {
-            writeln!(out, "{total} match(es) streamed in {elapsed:.3}s").map_err(io_err)?;
-        }
-        StreamReport::Sharded { sizes, .. } => {
-            writeln!(
-                out,
-                "{total} match(es) streamed in {elapsed:.3}s across {} shard(s)",
-                sizes.len()
-            )
-            .map_err(io_err)?;
-        }
-    }
-
-    if args.has_flag("stats") {
-        let mut t = Table::new(["metric", "value"]);
-        t.row(["events pushed", &probe.events_read.to_string()]);
-        match &report {
-            StreamReport::Global { retained, evicted } => {
-                t.row(["events evicted", &probe.events_evicted.to_string()]);
-                t.row(["retained at end", &retained.to_string()]);
-                t.row(["evicted at end", &evicted.to_string()]);
-                t.row(["peak retained", &probe.retained_max.to_string()]);
-                t.row(["max |Ω|", &probe.omega_max.to_string()]);
-                t.row(["instances expired", &probe.instances_expired.to_string()]);
-                t.row(["eviction", if evict { "on" } else { "off" }]);
-                t.row(["filter requested", filter_mode_name(probe.filter_requested)]);
-                t.row(["filter effective", filter_mode_name(probe.filter_effective)]);
-                let mode = parse_columnar(args)?;
-                t.row(["columnar mode", columnar_mode_name(mode)]);
-                t.row(["micro-batch", &batch.to_string()]);
-                if let Ok(cp) = pattern.compile(relation.schema()) {
-                    let lanes = ses_pattern::AdmissionLanes::of(&cp);
-                    t.row(["columnar lanes", &lanes.lanes().len().to_string()]);
-                    t.row([
-                        "columnar active",
-                        if mode.active(lanes.lanes().len(), batch) {
-                            "yes"
-                        } else {
-                            "no"
-                        },
-                    ]);
-                }
-                if probe.filter_downgraded() {
-                    t.row(["filter downgraded", "yes (SES003: run `ses-cli check`)"]);
-                }
-            }
-            StreamReport::Sharded {
-                key,
-                sizes,
-                peaks,
-                retained,
-                evicted,
-            } => {
-                let fmt_list =
-                    |v: &[usize]| v.iter().map(usize::to_string).collect::<Vec<_>>().join(" ");
-                t.row(["sharded by", relation.schema().attr_name(*key)]);
-                t.row(["shards", &sizes.len().to_string()]);
-                t.row(["shard events", &fmt_list(sizes)]);
-                t.row(["per-shard peak |Ω|", &fmt_list(peaks)]);
-                t.row(["events evicted", &evicted.to_string()]);
-                t.row(["retained at end", &retained.to_string()]);
-                t.row(["eviction", if evict { "on" } else { "off" }]);
-            }
-        }
-        if probe.checkpoints > 0 {
-            t.row(["checkpoints saved", &probe.checkpoints.to_string()]);
-            t.row(["checkpoint bytes", &probe.checkpoint_bytes.to_string()]);
-            t.row([
-                "checkpoint time",
-                &format!("{:.3}s", probe.checkpoint_nanos as f64 / 1e9),
-            ]);
-        }
-        emit_stats_tables(args, out, &[("stats", &t)])?;
-    }
-    Ok(())
-}
-
-/// Evaluates a multi-query file in a single pass over the data.
+/// Evaluates a multi-query file: every query through its own
+/// [`Matcher::find`] (so `--partition` applies to each).
 fn cmd_run_multi(
     args: &Args,
     out: &mut dyn Write,
     store: &EventStore,
     patterns: Vec<(String, ses_pattern::Pattern)>,
 ) -> Result<(), String> {
-    let options = matcher_options(args, store.relation().schema())?;
-    let mut multi = MultiMatcher::new();
-    let mut by_name = Vec::new();
-    for (name, pattern) in patterns {
-        let matcher = Matcher::with_options(&pattern, store.relation().schema(), options.clone())
-            .map_err(|e| format!("{name}: {e}"))?;
-        multi = multi.with(name.clone(), matcher);
-        by_name.push((name, pattern));
-    }
-    let sw = Stopwatch::start();
-    let results = multi.find_all(store.relation());
-    let elapsed = sw.elapsed_secs();
+    let schema = store.relation().schema();
+    let options = matcher_options(args, schema)?;
     let limit: usize = args.get_parsed("limit", usize::MAX)?;
-    for ((name, matches), (_, pattern)) in results.iter().zip(&by_name) {
+    let sw = Stopwatch::start();
+    for (name, pattern) in &patterns {
+        let matches = Matcher::with_options(pattern, schema, options.clone())
+            .map_err(|e| format!("{name}: {e}"))?
+            .find(store.relation());
         writeln!(out, "== {name}: {} match(es)", matches.len()).map_err(io_err)?;
         for m in matches.iter().take(limit) {
             writeln!(out, "  {}", m.display_with(pattern)).map_err(io_err)?;
@@ -1851,9 +1396,10 @@ fn cmd_run_multi(
     }
     writeln!(
         out,
-        "{} quer(ies) over {} events in {elapsed:.3}s (single pass)",
-        results.len(),
-        store.len()
+        "{} quer(ies) over {} events in {:.3}s",
+        patterns.len(),
+        store.len(),
+        sw.elapsed_secs()
     )
     .map_err(io_err)?;
     Ok(())
@@ -2010,7 +1556,13 @@ mod tests {
     fn figure1_csv() -> String {
         let dir = std::env::temp_dir().join("ses-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("figure1-{}.csv", std::process::id()));
+        // One file per test thread: tests run in parallel and each
+        // removes its copy when done.
+        let path = dir.join(format!(
+            "figure1-{}-{:?}.csv",
+            std::process::id(),
+            std::thread::current().id()
+        ));
         let store = EventStore::new("figure1", ses_workload::paper::figure1());
         store.save_csv(&path).unwrap();
         path.to_string_lossy().into_owned()
@@ -2036,10 +1588,11 @@ mod tests {
             assert_eq!(code, 0, "{out}");
             let json_line = out.lines().last().unwrap();
             let v = ses_server::protocol::parse_json(json_line).expect(json_line);
-            let stats = v.as_object().unwrap().get("stats").unwrap();
+            let o = v.as_object().unwrap();
+            let table = o.get("stats").or(o.get("totals")).expect(json_line);
             assert!(
-                stats.as_object().unwrap().get("raw_matches").is_some()
-                    || stats.as_object().unwrap().get("events_pushed").is_some(),
+                table.as_object().unwrap().get("raw_matches").is_some()
+                    || table.as_object().unwrap().get("events_evicted").is_some(),
                 "{json_line}"
             );
         }
@@ -2122,21 +1675,25 @@ mod tests {
         let data = figure1_csv();
         let (code, out) = run(&["stream", "--query", Q1, "--data", &data, "--stats"]);
         assert_eq!(code, 0, "{out}");
-        assert!(out.contains("2 match(es) streamed"), "{out}");
+        assert!(out.contains("2 match(es) from 1 pattern(s)"), "{out}");
         assert!(out.contains("events evicted"), "{out}");
         assert!(out.contains("peak retained"), "{out}");
         // Same answer with eviction disabled.
         let (code, out) = run(&["stream", "--query", Q1, "--data", &data, "--no-evict"]);
         assert_eq!(code, 0, "{out}");
-        assert!(out.contains("2 match(es) streamed"), "{out}");
+        assert!(out.contains("2 match(es) from 1 pattern(s)"), "{out}");
         assert!(out.contains("c/e1"), "{out}");
         std::fs::remove_file(&data).ok();
     }
 
-    /// Match lines of a `bank` run — the `[t=…] name: {…}` and
+    /// Match lines of a streaming run — the `[t=…] name: {…}` and
     /// `[finish] name: {…}` lines, minus timing/stat noise.
     fn match_lines(out: &str) -> Vec<&str> {
-        out.lines().filter(|l| l.starts_with('[')).collect()
+        match_lines_of(out, "[")
+    }
+
+    fn match_lines_of<'a>(out: &'a str, prefix: &str) -> Vec<&'a str> {
+        out.lines().filter(|l| l.starts_with(prefix)).collect()
     }
 
     #[test]
@@ -2162,44 +1719,6 @@ mod tests {
         let (code, bad) = run(&["run", "--query", Q1, "--data", &data, "--columnar", "x"]);
         assert_eq!(code, 1);
         assert!(bad.contains("--columnar"), "{bad}");
-        std::fs::remove_file(&data).ok();
-    }
-
-    #[test]
-    fn stream_batched_replay_matches_per_event() {
-        let data = figure1_csv();
-        let (code, per_event) = run(&["stream", "--query", Q1, "--data", &data]);
-        assert_eq!(code, 0, "{per_event}");
-        for batch in ["3", "64"] {
-            let (code, batched) = run(&[
-                "stream",
-                "--query",
-                Q1,
-                "--data",
-                &data,
-                "--batch",
-                batch,
-                "--columnar",
-                "on",
-            ]);
-            assert_eq!(code, 0, "{batched}");
-            assert!(batched.contains("2 match(es) streamed"), "{batched}");
-            // The same match buffers appear (batching may shift the
-            // emission label to the chunk's closing timestamp).
-            let bufs = |s: &str| {
-                let mut v: Vec<String> = s
-                    .lines()
-                    .filter_map(|l| l.split_once(": ").map(|(_, b)| b.to_string()))
-                    .filter(|b| b.starts_with('{'))
-                    .collect();
-                v.sort();
-                v
-            };
-            assert_eq!(bufs(&per_event), bufs(&batched), "batch {batch}");
-        }
-        let (code, bad) = run(&["stream", "--query", Q1, "--data", &data, "--batch", "0"]);
-        assert_eq!(code, 1);
-        assert!(bad.contains("--batch"), "{bad}");
         std::fs::remove_file(&data).ok();
     }
 
@@ -2468,8 +1987,22 @@ mod tests {
         assert!(match_lines(&again).is_empty(), "{again}");
         assert_eq!(sink_lines(&ckpt_dir), durable);
 
-        // `recover` refuses the bank checkpoint, naming what it found and
-        // where to take it.
+        // One command behind three names: `recover --patterns` resumes
+        // the same checkpoint, and a different pattern set is refused by
+        // the restore, not by the checkpoint's kind.
+        let (code, same) = run(&[
+            "recover",
+            "--patterns",
+            &qdir_s,
+            "--from-log",
+            &log_dir,
+            "--checkpoint",
+            &ckpt_dir,
+            "--share",
+        ]);
+        assert_eq!(code, 0, "{same}");
+        assert!(match_lines(&same).is_empty(), "{same}");
+        assert_eq!(sink_lines(&ckpt_dir), durable);
         let (code, refusal) = run(&[
             "recover",
             "--query",
@@ -2480,36 +2013,10 @@ mod tests {
             &ckpt_dir,
         ]);
         assert_eq!(code, 1, "{refusal}");
-        assert!(refusal.contains("pattern-bank snapshot"), "{refusal}");
-        assert!(refusal.contains("2 pattern(s): cb, cd"), "{refusal}");
-        assert!(refusal.contains("bank --patterns"), "{refusal}");
-
-        // And the mirror image: `bank --recover` refuses a single-query
-        // stream checkpoint.
-        let (_, ckpt2) = durability_dirs("bankrec2");
-        let (code, out) = run(&[
-            "stream",
-            "--query",
-            Q1,
-            "--from-log",
-            &log_dir,
-            "--checkpoint",
-            &ckpt2,
-        ]);
-        assert_eq!(code, 0, "{out}");
-        let (code, out) = run(&[
-            "bank",
-            "--patterns",
-            &qdir_s,
-            "--from-log",
-            &log_dir,
-            "--checkpoint",
-            &ckpt2,
-            "--recover",
-        ]);
-        assert_eq!(code, 1, "{out}");
-        assert!(out.contains("single-query stream"), "{out}");
-        assert!(out.contains("`ses-cli recover`"), "{out}");
+        assert!(
+            refusal.contains("snapshot holds 2 patterns, but 1 were registered"),
+            "{refusal}"
+        );
 
         std::fs::remove_dir_all(&qdir).ok();
     }
@@ -2543,7 +2050,7 @@ mod tests {
         let (log_dir, _ckpt) = durability_dirs("fromlog");
         let (code, out) = run(&["stream", "--query", Q1, "--from-log", &log_dir]);
         assert_eq!(code, 0, "{out}");
-        assert!(out.contains("2 match(es) streamed"), "{out}");
+        assert!(out.contains("2 match(es) from 1 pattern(s)"), "{out}");
         assert!(out.contains("c/e1"), "{out}");
         // --data and --from-log are mutually exclusive.
         let (code, out) = run(&[
@@ -2575,7 +2082,7 @@ mod tests {
             "--stats",
         ]);
         assert_eq!(code, 0, "{out}");
-        assert!(out.contains("2 match(es) streamed"), "{out}");
+        assert!(out.contains("2 match(es) from 1 pattern(s)"), "{out}");
         assert!(out.contains("checkpoints saved"), "{out}");
         let ckpts: Vec<_> = std::fs::read_dir(&ckpt_dir)
             .unwrap()
@@ -2635,7 +2142,7 @@ mod tests {
         ]);
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("recovering:"), "{out}");
-        assert!(out.contains("2 match(es) streamed"), "{out}");
+        assert!(out.contains("2 match(es) from 1 pattern(s)"), "{out}");
         assert_eq!(sink_lines(&ckpt_dir), reference, "no duplicates, no loss");
     }
 
@@ -2653,7 +2160,7 @@ mod tests {
         ]);
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("no valid checkpoint"), "{out}");
-        assert!(out.contains("2 match(es) streamed"), "{out}");
+        assert!(out.contains("2 match(es) from 1 pattern(s)"), "{out}");
         assert_eq!(sink_lines(&ckpt_dir).len(), 2);
     }
 
@@ -2701,7 +2208,7 @@ mod tests {
         ]);
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("skipped 1 corrupt checkpoint(s)"), "{out}");
-        assert!(out.contains("2 match(es) streamed"), "{out}");
+        assert!(out.contains("2 match(es) from 1 pattern(s)"), "{out}");
         assert_eq!(sink_lines(&ckpt_dir), reference, "no duplicates, no loss");
     }
 
@@ -2772,7 +2279,7 @@ mod tests {
     }
 
     #[test]
-    fn multi_query_file_single_pass() {
+    fn multi_query_file_runs_every_query() {
         let data = figure1_csv();
         let file = std::env::temp_dir().join(format!("ses-multi-{}.ses", std::process::id()));
         std::fs::write(
@@ -2784,13 +2291,85 @@ mod tests {
              bloodcounts: PATTERN bc WHERE bc.L = 'B';",
         )
         .unwrap();
-        let (code, out) = run(&["run", "--query", &file.to_string_lossy(), "--data", &data]);
+        let file = file.to_string_lossy().into_owned();
+        let (code, out) = run(&["run", "--query", &file, "--data", &data]);
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("== protocol: 2 match(es)"), "{out}");
         assert!(out.contains("== bloodcounts: 5 match(es)"), "{out}");
-        assert!(out.contains("single pass"), "{out}");
+        assert!(out.contains("2 quer(ies) over 14 events"), "{out}");
+        // --partition applies to every query of the file: same answers,
+        // and an explicit key one of them cannot prove is refused.
+        let (code, auto) = run(&[
+            "run",
+            "--query",
+            &file,
+            "--data",
+            &data,
+            "--partition",
+            "auto",
+        ]);
+        assert_eq!(code, 0, "{auto}");
+        assert_eq!(match_lines_of(&auto, "  {"), match_lines_of(&out, "  {"));
+        let (code, refused) = run(&["run", "--query", &file, "--data", &data, "--partition", "L"]);
+        assert_eq!(code, 1, "{refused}");
+        assert!(
+            refused.contains("protocol: ") && refused.contains("not a proven partition key"),
+            "{refused}"
+        );
         std::fs::remove_file(&file).ok();
         std::fs::remove_file(&data).ok();
+    }
+
+    /// `stream`/`recover` used to run only the first query of a
+    /// multi-query `--query` file; every query must be registered, and
+    /// both must reach the output and the durable sink.
+    #[test]
+    fn stream_runs_every_query_of_a_multi_query_file() {
+        let (log_dir, ckpt_dir) = durability_dirs("multiquery");
+        let file = std::env::temp_dir().join(format!(
+            "ses-stream-multi-{}-{:?}.ses",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::write(
+            &file,
+            format!("protocol: {Q1};\nbloodcounts: PATTERN bc WHERE bc.L = 'B' WITHIN 1 HOURS;"),
+        )
+        .unwrap();
+        let file_s = file.to_string_lossy().into_owned();
+        let (code, out) = run(&[
+            "stream",
+            "--query",
+            &file_s,
+            "--from-log",
+            &log_dir,
+            "--checkpoint",
+            &ckpt_dir,
+            "--checkpoint-every",
+            "4",
+        ]);
+        assert_eq!(code, 0, "{out}");
+        assert!(out.contains("] protocol: {"), "{out}");
+        assert!(out.contains("] bloodcounts: {"), "{out}");
+        assert!(out.contains("7 match(es) from 2 pattern(s)"), "{out}");
+        let durable = sink_lines(&ckpt_dir);
+        assert_eq!(durable.len(), 7);
+        assert!(durable.iter().any(|l| l.starts_with("protocol: ")));
+        assert!(durable.iter().any(|l| l.starts_with("bloodcounts: ")));
+        // `recover` restores both and adds nothing.
+        let (code, out) = run(&[
+            "recover",
+            "--query",
+            &file_s,
+            "--from-log",
+            &log_dir,
+            "--checkpoint",
+            &ckpt_dir,
+        ]);
+        assert_eq!(code, 0, "{out}");
+        assert!(out.contains("7 match(es) from 2 pattern(s)"), "{out}");
+        assert_eq!(sink_lines(&ckpt_dir), durable);
+        std::fs::remove_file(&file).ok();
     }
 
     #[test]
@@ -3090,10 +2669,12 @@ mod tests {
             "--stats",
         ]);
         assert_eq!(code, 0, "{out}");
-        assert!(out.contains("2 match(es) streamed"), "{out}");
-        assert!(out.contains("3 shard(s)"), "{out}");
-        assert!(out.contains("sharded by"), "{out}");
-        assert!(out.contains("per-shard peak |Ω|"), "{out}");
+        assert!(out.contains("2 match(es) from 1 pattern(s)"), "{out}");
+        // The `lanes` column of the per-pattern table; every event
+        // binds on exactly one of them.
+        let row = out.lines().find(|l| l.starts_with("query-1")).expect(&out);
+        let cells: Vec<&str> = row.split_whitespace().collect();
+        assert_eq!(&cells[2..5], ["3", "14", "0"], "{out}");
         // Unproven explicit key aborts; auto on a keyless query degrades
         // to a global stream with a notice.
         let (code, out) = run(&["stream", "--query", Q1, "--data", &data, "--partition", "L"]);

@@ -6,8 +6,7 @@
 //! patterns' analyzer-derived constant constraints routes it to the
 //! patterns it could possibly advance, and every other pattern receives
 //! only a watermark heartbeat ([`StreamMatcher::advance_watermark`]) so
-//! its pending matches finalize and its window evicts on time — the
-//! same mechanism the sharded matcher uses for idle shards.
+//! its pending matches finalize and its window evicts on time.
 //!
 //! # Why skipping is sound
 //!
@@ -59,21 +58,46 @@
 //! hits include lockstep pushes; a dedup member reports its leader's
 //! matcher counters).
 //!
+//! # Key sharding
+//!
+//! A pattern that proves a partition key (see
+//! [`ses_pattern::CompiledPattern::partition_keys`]) can be registered
+//! on N hash *lanes* ([`PatternBankBuilder::register_lanes`]): N entries
+//! running the same compiled pattern and reporting one pattern id, each
+//! admitted only the events whose `hash(key) % N` is its lane — ANDed
+//! with the index's verdict — and heartbeat on every other push, so a
+//! match on an idle key still finalizes on time. No match spans two key
+//! values, adjudication verdicts only compare matches sharing a first
+//! binding, and skip-till-next-match swap candidates must satisfy the
+//! key equality, so every lane's answer is exact on its own and the
+//! union is the unsharded answer, push for push (`docs/parallel.md`).
+//! Per-lane `|Ω|` shrinks to the lane's own keys, which is the point:
+//! the per-event instance loop is what a push costs. Lanes take no part
+//! in the sharing plan — they are evaluation-identical by construction
+//! and would be deduplicated back into one matcher.
+//!
 //! # Event ids
 //!
 //! Matches are reported in **global** event ids (arrival order across
-//! the whole stream), even though each pattern's relation holds only
-//! the events admitted to it — the same local→global id remap the
-//! sharded matcher uses.
+//! the whole stream), even though each entry's relation holds only the
+//! events admitted to it.
 
-use ses_event::{Event, EventError, EventId, Schema, Timestamp, Value};
+use std::cmp::Ordering;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
+
+use ses_event::{AttrId, Event, EventError, EventId, PartitionKey, Schema, Timestamp, Value};
 use ses_pattern::{IndexClass, Pattern, PatternIndex, ShareConstraint, ShareRole, SharingPlan};
 
+use crate::automaton::Automaton;
 use crate::buffer::Buffer;
 use crate::error::CoreError;
-use crate::matcher::MatcherOptions;
+use crate::matcher::{
+    compile_pattern, resolve_partition, MatcherOptions, PartitionMode, PartitionStrategy,
+};
 use crate::matches::Match;
 use crate::probe::{NoProbe, Probe};
+use crate::semantics::group_key;
 use crate::snapshot::{options_compat, BankPatternSnapshot, BankRole, BankSnapshot};
 use crate::state::{StateId, StateSet};
 use crate::stream::StreamMatcher;
@@ -89,11 +113,15 @@ enum Exec {
     Dedup { leader: usize },
 }
 
-/// One registered pattern: its execution mode plus the map from its
-/// local event ids back to global ones, and the routing counters.
+/// One registered pattern — or one hash lane of a key-sharded one: its
+/// execution mode plus the map from its local event ids back to global
+/// ones, and the routing counters.
 #[derive(Debug)]
 struct Entry {
     name: String,
+    /// The pattern id this entry's matches are reported under; the
+    /// lanes of one sharded pattern share it.
+    pattern: usize,
     exec: Exec,
     /// Global ids of the events admitted to this pattern, indexed by
     /// `local - base`. Empty for a dedup member.
@@ -126,6 +154,52 @@ struct Pool {
     /// The boundary state in each member's automaton, aligned with
     /// `members`.
     member_boundary: Vec<StateId>,
+}
+
+/// The consecutive entries `first..first + of` are the hash lanes of one
+/// key-sharded pattern.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LaneGroup {
+    first: usize,
+    of: usize,
+    /// The pattern id the lanes report under.
+    pattern: usize,
+    /// The proven partition key events are hash-routed by.
+    key: AttrId,
+}
+
+impl LaneGroup {
+    /// The lane (`0..of`) `event` belongs to. `DefaultHasher::new()` is
+    /// keyed with constants, so a restored bank routes replayed events
+    /// to the lanes that hold their keys' state.
+    fn lane_of(&self, event: &Event) -> usize {
+        let mut h = DefaultHasher::new();
+        PartitionKey::of(event.value(self.key)).hash(&mut h);
+        (h.finish() as usize) % self.of
+    }
+}
+
+/// The order one stream matcher emits a push's matches in: adjudication
+/// groups ascending by first binding, each group in canonical order.
+/// Lanes partition the groups, so sorting their concatenated output by
+/// this restores exactly what the unsharded matcher would have emitted.
+fn emission_order(a: &Match, b: &Match) -> Ordering {
+    group_key(a).cmp(&group_key(b)).then_with(|| a.cmp(b))
+}
+
+/// Puts each sharded pattern's matches — its lanes' outputs, one after
+/// the other in the pattern-ordered `out` — into `order`: the lanes
+/// then report as the one pattern they are.
+fn sort_lane_output(
+    lanes: &[LaneGroup],
+    out: &mut [(usize, Match)],
+    order: fn(&Match, &Match) -> Ordering,
+) {
+    for g in lanes {
+        let lo = out.partition_point(|(p, _)| *p < g.pattern);
+        let hi = out.partition_point(|(p, _)| *p <= g.pattern);
+        out[lo..hi].sort_by(|a, b| order(&a.1, &b.1));
+    }
 }
 
 /// Rewrites a pattern-local match into global event ids.
@@ -232,13 +306,16 @@ impl Entry {
 /// Point-in-time routing and matching statistics for one registered
 /// pattern — the rows `ses-cli bank --stats` prints. A dedup member
 /// reports its leader's matcher counters (they share one matcher) with
-/// its own hit/skip routing counts.
+/// its own hit/skip routing counts; a key-sharded pattern reports the
+/// sums over its lanes (peak `|Ω|`: the largest lane's).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PatternStats {
     /// The name the pattern was registered under.
     pub name: String,
     /// How the predicate index routes events to this pattern.
     pub class: IndexClass,
+    /// Hash lanes the pattern runs on (1 unless key-sharded).
+    pub lanes: usize,
     /// Events pushed into the pattern's matcher by its own index
     /// admission.
     pub hits: u64,
@@ -258,29 +335,39 @@ pub struct PatternStats {
     pub evicted_events: usize,
 }
 
+/// A compiled registration awaiting [`assemble`]: one per entry.
+#[derive(Debug)]
+struct Built {
+    name: String,
+    pattern: usize,
+    sm: StreamMatcher,
+}
+
 /// Computes the sharing plan for a set of built matchers: the pattern
 /// the engine actually evaluates (after analyzer rewrites), constrained
-/// by options compatibility and compile-time satisfiability.
-fn compute_plan(matchers: &[(String, StreamMatcher)]) -> SharingPlan {
-    let patterns: Vec<&Pattern> = matchers
+/// by options compatibility and compile-time satisfiability. Lanes
+/// share nothing: the plan would deduplicate them back into one matcher.
+fn compute_plan(built: &[Built], lanes: &[LaneGroup]) -> SharingPlan {
+    let patterns: Vec<&Pattern> = built.iter().map(|b| b.sm.compiled().pattern()).collect();
+    let laned = |i: usize| lanes.iter().any(|g| (g.first..g.first + g.of).contains(&i));
+    let constraints: Vec<ShareConstraint> = built
         .iter()
-        .map(|(_, sm)| sm.compiled().pattern())
-        .collect();
-    let constraints: Vec<ShareConstraint> = matchers
-        .iter()
-        .map(|(_, sm)| ShareConstraint {
-            compat: options_compat(sm.options()),
+        .enumerate()
+        .map(|(i, b)| ShareConstraint {
+            compat: options_compat(b.sm.options()),
+            allow_dedup: !laned(i),
             // The stream matcher short-circuits unsatisfiable patterns
             // (no engine runs), so they must not anchor a prefix pool.
-            allow_prefix: sm.compiled().is_satisfiable(),
+            allow_prefix: !laned(i) && b.sm.compiled().is_satisfiable(),
         })
         .collect();
     SharingPlan::compute(&patterns, &constraints)
 }
 
-/// The per-pattern roles a snapshot records, derived from a plan.
-fn derive_roles(plan: &SharingPlan, n: usize) -> Vec<BankRole> {
-    (0..n)
+/// The per-entry roles a snapshot records, derived from a plan and the
+/// lane groups.
+fn derive_roles(plan: &SharingPlan, lanes: &[LaneGroup], n: usize) -> Vec<BankRole> {
+    let mut roles: Vec<BankRole> = (0..n)
         .map(|i| match plan.roles[i] {
             ShareRole::DedupMember { leader } => BankRole::DedupMember {
                 leader: leader as u32,
@@ -290,33 +377,39 @@ fn derive_roles(plan: &SharingPlan, n: usize) -> Vec<BankRole> {
                 None => BankRole::Plain,
             },
         })
-        .collect()
+        .collect();
+    for g in lanes {
+        for lane in 0..g.of {
+            roles[g.first + lane] = BankRole::Lane {
+                key: g.key,
+                lane: lane as u32,
+                of: g.of as u32,
+            };
+        }
+    }
+    roles
 }
 
 /// Builds the predicate index. A dedup member is indexed by its
 /// *leader's* compiled pattern — the one whose emissions it re-emits —
 /// so its routing statistics describe the automaton answering for it.
-fn build_index(matchers: &[(String, StreamMatcher)], plan: &SharingPlan) -> PatternIndex {
-    PatternIndex::build((0..matchers.len()).map(|i| {
+fn build_index(built: &[Built], plan: &SharingPlan) -> PatternIndex {
+    PatternIndex::build((0..built.len()).map(|i| {
         let src = match plan.roles[i] {
             ShareRole::DedupMember { leader } => leader,
             _ => i,
         };
-        matchers[src].1.compiled()
+        built[src].sm.compiled()
     }))
 }
 
 /// Turns built matchers plus a plan into runtime entries and pools:
 /// dedup members drop their matcher, prefix members stop spawning, and
 /// each prefix group gets a pool cloned from its leader's automaton.
-fn assemble(
-    matchers: Vec<(String, StreamMatcher)>,
-    plan: &SharingPlan,
-    evict: bool,
-) -> (Vec<Entry>, Vec<Pool>) {
-    let mut sms: Vec<(String, Option<StreamMatcher>)> = matchers
+fn assemble(built: Vec<Built>, plan: &SharingPlan, evict: bool) -> (Vec<Entry>, Vec<Pool>) {
+    let mut sms: Vec<(String, usize, Option<StreamMatcher>)> = built
         .into_iter()
-        .map(|(name, sm)| (name, Some(sm)))
+        .map(|b| (b.name, b.pattern, Some(b.sm)))
         .collect();
     let mut pools = Vec::with_capacity(plan.prefix_groups.len());
     for group in &plan.prefix_groups {
@@ -326,7 +419,7 @@ fn assemble(
         debug_assert!(group.vars < 64, "a proper prefix leaves a suffix variable");
         let boundary_set = StateSet::from_bits((1u64 << group.vars) - 1);
         let leader = sms[group.leader]
-            .1
+            .2
             .as_ref()
             .expect("prefix leader runs its own automaton");
         let sm =
@@ -341,7 +434,7 @@ fn assemble(
             .iter()
             .map(|&m| {
                 sms[m]
-                    .1
+                    .2
                     .as_ref()
                     .expect("prefix members run their own automata")
                     .automaton()
@@ -350,7 +443,7 @@ fn assemble(
             })
             .collect();
         for &m in &group.members {
-            sms[m].1.as_mut().unwrap().set_spawn(false);
+            sms[m].2.as_mut().unwrap().set_spawn(false);
         }
         pools.push(Pool {
             sm,
@@ -362,13 +455,14 @@ fn assemble(
     let entries = sms
         .into_iter()
         .zip(&plan.roles)
-        .map(|((name, sm), role)| {
+        .map(|((name, pattern, sm), role)| {
             let exec = match role {
                 ShareRole::DedupMember { leader } => Exec::Dedup { leader: *leader },
                 _ => Exec::Own(Box::new(sm.expect("non-dedup patterns keep their matcher"))),
             };
             Entry {
                 name,
+                pattern,
                 exec,
                 ids: Vec::new(),
                 base: 0,
@@ -381,11 +475,42 @@ fn assemble(
     (entries, pools)
 }
 
+/// The proven key a pattern's lanes are hash-routed by, or why there is
+/// none: a sharded stream over an unproven key would silently lose
+/// cross-partition matches, and time slicing is batch-only — a stream
+/// has no slice-end flush point, and every lane would need every event.
+fn resolve_lane_key(
+    compiled: &ses_pattern::CompiledPattern,
+    options: &MatcherOptions,
+) -> Result<AttrId, CoreError> {
+    if let PartitionStrategy::Key(key) = resolve_partition(compiled, options)? {
+        return Ok(key);
+    }
+    let reason = match options.partition {
+        PartitionMode::Off => {
+            "partition mode is `Off`; lanes need a key — use `register` for a global stream"
+        }
+        PartitionMode::Auto | PartitionMode::TimeAuto if !options.flush_at_end => {
+            "partitioned execution requires `flush_at_end`"
+        }
+        PartitionMode::TimeAuto => {
+            "the pattern proves no partition key, and time-sliced execution is batch-only — \
+             a stream has no slice-end flush point"
+        }
+        _ => "the pattern proves no partition key",
+    };
+    Err(CoreError::UnprovenPartitionKey {
+        attr: "<auto>".to_string(),
+        reason: reason.to_string(),
+    })
+}
+
 /// Builder for a [`PatternBank`]; see [`PatternBank::builder`].
 #[derive(Debug)]
 pub struct PatternBankBuilder {
     schema: Schema,
-    entries: Vec<(String, StreamMatcher)>,
+    entries: Vec<Built>,
+    lanes: Vec<LaneGroup>,
     evict: bool,
     use_index: bool,
     share: bool,
@@ -402,8 +527,55 @@ impl PatternBankBuilder {
         options: MatcherOptions,
     ) -> Result<PatternBankBuilder, CoreError> {
         let sm = StreamMatcher::with_options(pattern, &self.schema, options)?;
-        self.entries.push((name.into(), sm));
+        self.entries.push(Built {
+            name: name.into(),
+            pattern: self.next_pattern(),
+            sm,
+        });
         Ok(self)
+    }
+
+    /// As [`PatternBankBuilder::register`], but key-sharded: the
+    /// pattern runs on `lanes` hash lanes (clamped to at least one),
+    /// each seeing only the events whose partition key hashes to it
+    /// (see the module docs). The key is the one
+    /// [`MatcherOptions::partition`] resolves to — `Auto`/`TimeAuto`
+    /// with a provable key, or a proven explicit `Key`; fails with
+    /// [`CoreError::UnprovenPartitionKey`] otherwise
+    /// ([`PatternBank::lane_key`] asks without registering).
+    pub fn register_lanes(
+        mut self,
+        name: impl Into<String>,
+        pattern: &Pattern,
+        options: MatcherOptions,
+        lanes: usize,
+    ) -> Result<PatternBankBuilder, CoreError> {
+        let compiled = compile_pattern(pattern, &self.schema, &options)?;
+        let key = resolve_lane_key(&compiled, &options)?;
+        let automaton = Automaton::build_with_limit(compiled, options.max_states)?;
+        let name = name.into();
+        let pattern = self.next_pattern();
+        let of = lanes.max(1);
+        self.lanes.push(LaneGroup {
+            first: self.entries.len(),
+            of,
+            pattern,
+            key,
+        });
+        for _ in 0..of {
+            self.entries.push(Built {
+                name: name.clone(),
+                pattern,
+                sm: StreamMatcher::from_automaton(automaton.clone(), options.clone()),
+            });
+        }
+        Ok(self)
+    }
+
+    /// The id the next registered pattern reports under (the lanes of
+    /// one pattern count once).
+    fn next_pattern(&self) -> usize {
+        self.entries.last().map_or(0, |b| b.pattern + 1)
     }
 
     /// Enables or disables watermark eviction on every pattern (on by
@@ -436,20 +608,24 @@ impl PatternBankBuilder {
     /// the predicate index from the compiled patterns exactly as the
     /// matchers will run them (after any analyzer rewrites).
     pub fn build(self) -> PatternBank {
-        let matchers: Vec<(String, StreamMatcher)> = self
+        let built: Vec<Built> = self
             .entries
             .into_iter()
-            .map(|(name, sm)| (name, sm.with_eviction(self.evict)))
+            .map(|b| Built {
+                sm: b.sm.with_eviction(self.evict),
+                ..b
+            })
             .collect();
-        let plan = if self.share && matchers.len() > 1 {
-            compute_plan(&matchers)
+        let plan = if self.share && built.len() > 1 {
+            compute_plan(&built, &self.lanes)
         } else {
-            SharingPlan::trivial(matchers.len())
+            SharingPlan::trivial(built.len())
         };
-        let index = build_index(&matchers, &plan);
-        let (entries, pools) = assemble(matchers, &plan, self.evict);
+        let index = build_index(&built, &plan);
+        let (entries, pools) = assemble(built, &plan, self.evict);
         PatternBank {
             entries,
+            lanes: self.lanes,
             pools,
             plan,
             index,
@@ -500,6 +676,9 @@ impl PatternBankBuilder {
 #[derive(Debug)]
 pub struct PatternBank {
     entries: Vec<Entry>,
+    /// Which runs of `entries` are the hash lanes of one pattern (empty
+    /// for an unsharded bank).
+    lanes: Vec<LaneGroup>,
     /// Shared-prefix pools, aligned with `plan.prefix_groups`.
     pools: Vec<Pool>,
     /// The structural-sharing plan the bank executes (trivial when
@@ -531,15 +710,26 @@ impl PatternBank {
         PatternBankBuilder {
             schema: schema.clone(),
             entries: Vec::new(),
+            lanes: Vec::new(),
             evict: true,
             use_index: true,
             share: false,
         }
     }
 
-    /// Number of registered patterns.
+    /// The partition key [`PatternBankBuilder::register_lanes`] would
+    /// shard `pattern` by under `options`, or its reason for refusing.
+    pub fn lane_key(
+        pattern: &Pattern,
+        schema: &Schema,
+        options: &MatcherOptions,
+    ) -> Result<AttrId, CoreError> {
+        resolve_lane_key(&compile_pattern(pattern, schema, options)?, options)
+    }
+
+    /// Number of registered patterns (the lanes of one count once).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.last().map_or(0, |e| e.pattern + 1)
     }
 
     /// `true` iff no pattern is registered.
@@ -547,9 +737,18 @@ impl PatternBank {
         self.entries.is_empty()
     }
 
+    /// The first entry of every pattern, in id order (a sharded
+    /// pattern's lanes follow its first entry).
+    fn firsts(&self) -> impl Iterator<Item = (usize, &Entry)> {
+        self.entries
+            .iter()
+            .enumerate()
+            .filter(|&(i, e)| i == 0 || self.entries[i - 1].pattern != e.pattern)
+    }
+
     /// The names the patterns were registered under, in id order.
     pub fn names(&self) -> Vec<&str> {
-        self.entries.iter().map(|e| e.name.as_str()).collect()
+        self.firsts().map(|(_, e)| e.name.as_str()).collect()
     }
 
     /// Whether the predicate index is consulted on pushes.
@@ -559,7 +758,8 @@ impl PatternBank {
 
     /// How the predicate index routes events to pattern `id`.
     pub fn index_class(&self, id: usize) -> IndexClass {
-        self.index.class(id)
+        let (first, _) = self.firsts().nth(id).expect("pattern id in range");
+        self.index.class(first)
     }
 
     /// The structural-sharing plan the bank executes. Trivial unless
@@ -612,12 +812,24 @@ impl PatternBank {
         } else {
             (0..n).collect()
         };
-        probe.index_hits(admitted.len());
-        probe.index_skips(n - admitted.len());
+        let mut hits = admitted.len();
         let mut routed = vec![false; n];
         for &i in &admitted {
             routed[i] = true;
         }
+        // Key sharding: of a sharded pattern's lanes, only the one the
+        // event's key hashes to may receive it.
+        for g in &self.lanes {
+            let lane = g.lane_of(&event);
+            for (i, r) in routed[g.first..g.first + g.of].iter_mut().enumerate() {
+                if *r && i != lane {
+                    *r = false;
+                    hits -= 1;
+                }
+            }
+        }
+        probe.index_hits(hits);
+        probe.index_skips(n - hits);
         // A prefix group advances in lockstep: an event admitted to any
         // member is pushed to the pool and to every member, keeping
         // their local event ids aligned so harvested prefix buffers
@@ -663,7 +875,7 @@ impl PatternBank {
             }
         }
         let mut out = Vec::new();
-        // Per-pattern deltas in registration order; a dedup member
+        // Per-entry deltas in registration order; a dedup member
         // clones its leader's (the plan guarantees leader < member).
         let mut deltas: Vec<Vec<Match>> = Vec::with_capacity(n);
         for i in 0..n {
@@ -700,7 +912,8 @@ impl PatternBank {
                     }
                 }
             };
-            out.extend(delta.iter().cloned().map(|m| (i, m)));
+            let id = self.entries[i].pattern;
+            out.extend(delta.iter().cloned().map(|m| (id, m)));
             deltas.push(delta);
         }
         // Inject the boundary forks *after* the members' own pushes: an
@@ -727,6 +940,7 @@ impl PatternBank {
         self.watermark = Some(ts);
         self.last_ts = Some(ts);
         self.next_id += 1;
+        sort_lane_output(&self.lanes, &mut out, emission_order);
         self.emitted += out.len();
         Ok(out)
     }
@@ -750,12 +964,14 @@ impl PatternBank {
                 Some(leader) => deltas[leader].clone(),
                 None => self.entries[i].beat_own(ts, &mut NoProbe),
             };
-            out.extend(delta.iter().cloned().map(|m| (i, m)));
+            let id = self.entries[i].pattern;
+            out.extend(delta.iter().cloned().map(|m| (id, m)));
             deltas.push(delta);
         }
         if self.watermark.is_some_and(|w| ts > w) {
             self.watermark = Some(ts);
         }
+        sort_lane_output(&self.lanes, &mut out, emission_order);
         self.emitted += out.len();
         out
     }
@@ -764,27 +980,37 @@ impl PatternBank {
     /// remaining state and returns the matches not already emitted by
     /// pushes — together with those, each pattern's exact batch answer.
     pub fn finish(self) -> Vec<(usize, Match)> {
-        let PatternBank { entries, pools, .. } = self;
+        let PatternBank {
+            entries,
+            lanes,
+            pools,
+            ..
+        } = self;
         for pool in pools {
             let leftovers = pool.sm.finish();
             debug_assert!(leftovers.is_empty(), "prefix pool emitted a match");
         }
+        let mut out = Vec::new();
         let mut finished: Vec<Vec<Match>> = Vec::with_capacity(entries.len());
         for entry in entries {
             let Entry {
-                exec, ids, base, ..
+                pattern,
+                exec,
+                ids,
+                base,
+                ..
             } = entry;
             let fin: Vec<Match> = match exec {
                 Exec::Own(sm) => sm.finish().iter().map(|m| remap(&ids, base, m)).collect(),
                 Exec::Dedup { leader } => finished[leader].clone(),
             };
+            out.extend(fin.iter().cloned().map(|m| (pattern, m)));
             finished.push(fin);
         }
-        finished
-            .into_iter()
-            .enumerate()
-            .flat_map(|(i, fin)| fin.into_iter().map(move |m| (i, m)))
-            .collect()
+        // A matcher's flush is in canonical match order, so the lanes'
+        // merged flush is too.
+        sort_lane_output(&lanes, &mut out, Match::cmp);
+        out
     }
 
     /// The bank's clock: the latest pushed or heartbeat timestamp.
@@ -858,34 +1084,33 @@ impl PatternBank {
 
     /// Routing and matching statistics per pattern, in id order.
     pub fn stats(&self) -> Vec<PatternStats> {
-        (0..self.entries.len())
-            .map(|i| {
-                let e = &self.entries[i];
+        self.firsts()
+            .map(|(i, e)| {
+                let lanes = self.lanes.iter().find(|g| g.first == i).map_or(1, |g| g.of);
                 // A dedup member's matcher-derived numbers come from the
-                // automaton answering for it.
-                let (sm, peak) = match e.leader() {
-                    Some(leader) => {
-                        let l = &self.entries[leader];
-                        (
-                            l.own().expect("dedup leaders run their own automata"),
-                            l.peak_omega,
-                        )
-                    }
-                    None => (
-                        e.own().expect("non-dedup patterns run their own automata"),
-                        e.peak_omega,
-                    ),
+                // automaton answering for it (lanes never deduplicate).
+                let runs = match e.leader() {
+                    Some(leader) => &self.entries[leader..=leader],
+                    None => &self.entries[i..i + lanes],
                 };
+                let sms = || {
+                    runs.iter()
+                        .map(|r| r.own().expect("leaders and lanes run their own automata"))
+                };
+                // Every lane sees every event as a hit or a skip, so any
+                // one lane's total is the events the pattern has seen.
+                let hits: u64 = self.entries[i..i + lanes].iter().map(|l| l.hits).sum();
                 PatternStats {
                     name: e.name.clone(),
                     class: self.index.class(i),
-                    hits: e.hits,
-                    skips: e.skips,
-                    emitted: sm.emitted_so_far(),
-                    active_instances: sm.active_instances(),
-                    peak_omega: peak,
-                    retained_events: sm.retained_events(),
-                    evicted_events: sm.evicted_events(),
+                    lanes,
+                    hits,
+                    skips: e.hits + e.skips - hits,
+                    emitted: sms().map(StreamMatcher::emitted_so_far).sum(),
+                    active_instances: sms().map(StreamMatcher::active_instances).sum(),
+                    peak_omega: runs.iter().map(|r| r.peak_omega).max().unwrap_or(0),
+                    retained_events: sms().map(StreamMatcher::retained_events).sum(),
+                    evicted_events: sms().map(StreamMatcher::evicted_events).sum(),
                 }
             })
             .collect()
@@ -896,7 +1121,7 @@ impl PatternBank {
     /// Unshared banks record all-`Plain` roles and no pools, keeping
     /// their serialized layout unchanged.
     pub fn snapshot(&mut self) -> BankSnapshot {
-        let roles = derive_roles(&self.plan, self.entries.len());
+        let roles = derive_roles(&self.plan, &self.lanes, self.entries.len());
         BankSnapshot {
             watermark: self.watermark,
             last_ts: self.last_ts,
@@ -928,25 +1153,19 @@ impl PatternBank {
     /// Rebuilds a bank from the `(name, pattern, options)` specs it was
     /// built with and a [`BankSnapshot`] taken from it. Specs must match
     /// the snapshot in count, order, and name; each pattern's
-    /// fingerprint must agree; and for a snapshot taken under sharing,
-    /// the plan recomputed from the specs must reproduce the recorded
-    /// roles and pool count. Fails with [`CoreError::SnapshotMismatch`]
-    /// on any disagreement. The index on/off setting is restored from
-    /// the snapshot; sharing is re-enabled iff the snapshot recorded any
-    /// shared structure.
+    /// fingerprint must agree; and the lanes and sharing plan recomputed
+    /// from the specs must reproduce the recorded roles and pool count.
+    /// Fails with [`CoreError::SnapshotMismatch`] on any disagreement.
+    /// The index on/off setting and each pattern's lane count are
+    /// restored from the snapshot (a sharded pattern's options must
+    /// still resolve to the key it was sharded by); sharing is
+    /// re-enabled iff the snapshot recorded any shared structure.
     pub fn restore(
         specs: &[(String, Pattern, MatcherOptions)],
         schema: &Schema,
         snapshot: &BankSnapshot,
     ) -> Result<PatternBank, CoreError> {
         let mismatch = |reason: String| CoreError::SnapshotMismatch { reason };
-        if specs.len() != snapshot.patterns.len() {
-            return Err(mismatch(format!(
-                "snapshot holds {} patterns, but {} were registered",
-                snapshot.patterns.len(),
-                specs.len()
-            )));
-        }
         if !snapshot.roles.is_empty() && snapshot.roles.len() != snapshot.patterns.len() {
             return Err(mismatch(format!(
                 "snapshot carries {} sharing roles for {} patterns",
@@ -954,35 +1173,65 @@ impl PatternBank {
                 snapshot.patterns.len()
             )));
         }
-        let mut matchers = Vec::with_capacity(specs.len());
-        for (i, ((name, pattern, options), ps)) in specs.iter().zip(&snapshot.patterns).enumerate()
-        {
-            if *name != ps.name {
+        let mut builder = PatternBank::builder(schema);
+        for (name, pattern, options) in specs {
+            // The next unclaimed snapshot entry says how this spec ran.
+            let at = builder.entries.len();
+            builder = match snapshot.roles.get(at) {
+                Some(&BankRole::Lane { of, .. }) => {
+                    // Bound the count before compiling that many lanes.
+                    if of as usize > snapshot.patterns.len() - at {
+                        return Err(mismatch(format!(
+                            "pattern `{name}`: snapshot claims {of} lanes but holds only {} \
+                             more entries",
+                            snapshot.patterns.len() - at
+                        )));
+                    }
+                    builder.register_lanes(name.clone(), pattern, options.clone(), of as usize)?
+                }
+                _ => builder.register(name.clone(), pattern, options.clone())?,
+            };
+        }
+        let PatternBankBuilder {
+            entries: built,
+            lanes,
+            ..
+        } = builder;
+        if built.len() != snapshot.patterns.len() {
+            return Err(mismatch(format!(
+                "snapshot holds {} patterns, but {} were registered",
+                snapshot.patterns.len(),
+                built.len()
+            )));
+        }
+        for (i, (b, ps)) in built.iter().zip(&snapshot.patterns).enumerate() {
+            if b.name != ps.name {
                 return Err(mismatch(format!(
-                    "pattern {i} is registered as `{name}`, but the snapshot calls it `{}`",
-                    ps.name
+                    "pattern {i} is registered as `{}`, but the snapshot calls it `{}`",
+                    b.name, ps.name
                 )));
             }
-            matchers.push((
-                name.clone(),
-                StreamMatcher::with_options(pattern, schema, options.clone())?,
-            ));
         }
         let shared = !snapshot.pools.is_empty()
-            || snapshot.roles.iter().any(|r| !matches!(r, BankRole::Plain));
-        let plan = if shared && matchers.len() > 1 {
-            compute_plan(&matchers)
+            || snapshot.roles.iter().any(|r| {
+                matches!(
+                    r,
+                    BankRole::DedupMember { .. } | BankRole::PrefixMember { .. }
+                )
+            });
+        let plan = if shared && built.len() > 1 {
+            compute_plan(&built, &lanes)
         } else {
-            SharingPlan::trivial(matchers.len())
+            SharingPlan::trivial(built.len())
         };
         // The dynamic state only makes sense under the roles it was
         // captured in; the plan is deterministic, so recomputing it from
         // the same specs must reproduce them.
-        let expected = derive_roles(&plan, matchers.len());
+        let expected = derive_roles(&plan, &lanes, built.len());
         if !snapshot.roles.is_empty() && snapshot.roles != expected {
             return Err(mismatch(
-                "snapshot sharing roles disagree with the plan recomputed from the \
-                 registered patterns"
+                "snapshot roles disagree with the lanes and sharing plan recomputed from \
+                 the registered patterns"
                     .to_string(),
             ));
         }
@@ -1000,8 +1249,8 @@ impl PatternBank {
                 plan.prefix_groups.len()
             )));
         }
-        let index = build_index(&matchers, &plan);
-        let (mut entries, mut pools) = assemble(matchers, &plan, true);
+        let index = build_index(&built, &plan);
+        let (mut entries, mut pools) = assemble(built, &plan, true);
         for (entry, ps) in entries.iter_mut().zip(&snapshot.patterns) {
             let name = &entry.name;
             match (&mut entry.exec, &ps.matcher) {
@@ -1056,6 +1305,7 @@ impl PatternBank {
             .unwrap_or(true);
         Ok(PatternBank {
             entries,
+            lanes,
             pools,
             plan,
             index,
@@ -1110,8 +1360,10 @@ impl PatternBank {
             let beat = sm.advance_watermark(w);
             debug_assert!(beat.is_empty(), "a fresh matcher emitted on heartbeat");
         }
+        let id = self.len();
         self.entries.push(Entry {
             name,
+            pattern: id,
             exec: Exec::Own(Box::new(sm)),
             ids: Vec::new(),
             base: 0,
@@ -1125,7 +1377,7 @@ impl PatternBank {
                 .expect("trivial plans run every pattern's own matcher")
                 .compiled()
         }));
-        Ok(self.entries.len() - 1)
+        Ok(id)
     }
 }
 
@@ -1744,5 +1996,201 @@ mod tests {
         ];
         let err = PatternBank::restore(&broken, &schema(), &snap).unwrap_err();
         assert!(err.to_string().contains("roles"), "{err}");
+    }
+
+    // ---- key sharding ------------------------------------------------
+
+    /// `{a, b} ; {c}` fully correlated on ID — every attribute-ID chain
+    /// connects all three variables, so ID is a proven partition key.
+    fn keyed() -> Pattern {
+        Pattern::builder()
+            .set(|s| s.var("a").var("b"))
+            .set(|s| s.var("c"))
+            .cond_const("a", "L", CmpOp::Eq, "A")
+            .cond_const("b", "L", CmpOp::Eq, "B")
+            .cond_const("c", "L", CmpOp::Eq, "C")
+            .cond_vars("a", "ID", CmpOp::Eq, "b", "ID")
+            .cond_vars("a", "ID", CmpOp::Eq, "c", "ID")
+            .within(Duration::ticks(10))
+            .build()
+            .unwrap()
+    }
+
+    fn auto() -> MatcherOptions {
+        MatcherOptions {
+            partition: PartitionMode::Auto,
+            ..MatcherOptions::default()
+        }
+    }
+
+    fn laned_bank(lanes: usize) -> PatternBank {
+        PatternBank::builder(&schema())
+            .register_lanes("k", &keyed(), auto(), lanes)
+            .unwrap()
+            .build()
+    }
+
+    fn row(key: i64, l: &str) -> [Value; 2] {
+        [Value::from(key), Value::from(l)]
+    }
+
+    #[test]
+    fn lanes_refuse_without_a_proven_key() {
+        let keyless = pair("A", "B");
+        let refuse = |p: &Pattern, partition: PartitionMode| {
+            PatternBank::builder(&schema())
+                .register_lanes(
+                    "x",
+                    p,
+                    MatcherOptions {
+                        partition,
+                        ..MatcherOptions::default()
+                    },
+                    4,
+                )
+                .unwrap_err()
+                .to_string()
+        };
+        assert!(refuse(&keyed(), PartitionMode::Off).contains("Off"));
+        assert!(refuse(&keyless, PartitionMode::Auto).contains("no partition key"));
+        // Time slicing is batch-only: a keyless stream must refuse it
+        // loudly rather than run every lane on every event.
+        assert!(refuse(&keyless, PartitionMode::TimeAuto).contains("batch-only"));
+        let l = schema().attr_id("L").unwrap();
+        assert!(refuse(&keyed(), PartitionMode::Key(l)).contains("does not connect"));
+        // With a proven key, TimeAuto shards exactly like Auto.
+        let id = schema().attr_id("ID").unwrap();
+        for partition in [PartitionMode::TimeAuto, PartitionMode::Key(id)] {
+            let options = MatcherOptions {
+                partition,
+                ..MatcherOptions::default()
+            };
+            assert_eq!(PatternBank::lane_key(&keyed(), &schema(), &options), Ok(id));
+        }
+    }
+
+    #[test]
+    fn lanes_report_one_pattern_and_route_each_event_once() {
+        let mut bank = PatternBank::builder(&schema())
+            .register_lanes("k", &keyed(), auto(), 3)
+            .unwrap()
+            .register("ab", &pair("A", "B"), MatcherOptions::default())
+            .unwrap()
+            .build();
+        assert_eq!(bank.len(), 2);
+        assert_eq!(bank.names(), vec!["k", "ab"]);
+        let mut probe = RouteProbe::default();
+        let mut n = 0u64;
+        let mut out = Vec::new();
+        for step in ["A", "B", "C"] {
+            for key in 0..5i64 {
+                out.extend(
+                    bank.push_with_probe(Timestamp::new(n as i64), row(key, step), &mut probe)
+                        .unwrap(),
+                );
+                n += 1;
+            }
+        }
+        let stats = bank.stats();
+        assert_eq!(stats.len(), 2);
+        assert_eq!((stats[0].lanes, stats[1].lanes), (3, 1));
+        // Every event binds in the keyed pattern, on exactly one lane.
+        assert_eq!((stats[0].hits, stats[0].skips), (n, 0));
+        assert_eq!(stats[1].hits + stats[1].skips, n);
+        assert_eq!(probe.hits as u64, stats[0].hits + stats[1].hits);
+        assert_eq!(probe.hits + probe.skips, 4 * n as usize);
+        out.extend(bank.finish());
+        assert_eq!(out.iter().filter(|(i, _)| *i == 0).count(), 5);
+        assert!(out.iter().all(|(i, _)| *i < 2));
+    }
+
+    #[test]
+    fn lanes_are_excluded_from_the_sharing_plan() {
+        // Two registrations of one pattern would deduplicate; its lanes
+        // are the same pattern N times and must not.
+        let bank = PatternBank::builder(&schema())
+            .register_lanes("k", &keyed(), auto(), 3)
+            .unwrap()
+            .register("twin-1", &keyed(), auto())
+            .unwrap()
+            .register("twin-2", &keyed(), auto())
+            .unwrap()
+            .with_sharing(true)
+            .build();
+        let plan = bank.sharing_plan();
+        assert!(plan.roles[..3].iter().all(|r| *r == ShareRole::Independent));
+        assert_eq!(plan.roles[4], ShareRole::DedupMember { leader: 3 });
+        assert!(plan.prefix_groups.is_empty());
+    }
+
+    #[test]
+    fn lane_restore_takes_the_count_from_the_snapshot_and_checks_the_key() {
+        let mut bank = laned_bank(3);
+        bank.push(Timestamp::new(0), row(1, "A")).unwrap();
+        let snap = bank.snapshot();
+        assert!(matches!(
+            snap.roles[2],
+            BankRole::Lane { lane: 2, of: 3, .. }
+        ));
+        let spec = |o: MatcherOptions| vec![("k".to_string(), keyed(), o)];
+        let restored = PatternBank::restore(&spec(auto()), &schema(), &snap).unwrap();
+        assert_eq!(restored.stats()[0].lanes, 3);
+        // Options that no longer resolve to a key cannot resurrect lanes.
+        let err =
+            PatternBank::restore(&spec(MatcherOptions::default()), &schema(), &snap).unwrap_err();
+        assert!(
+            matches!(err, CoreError::UnprovenPartitionKey { .. }),
+            "{err}"
+        );
+        // Nor can a snapshot routed by another attribute: replayed
+        // events would hash to lanes that do not hold their keys' state.
+        let mut foreign = snap.clone();
+        for role in &mut foreign.roles {
+            if let BankRole::Lane { key, .. } = role {
+                *key = schema().attr_id("L").unwrap();
+            }
+        }
+        let err = PatternBank::restore(&spec(auto()), &schema(), &foreign).unwrap_err();
+        assert!(err.to_string().contains("roles disagree"), "{err}");
+        // A hostile lane count fails before anything is compiled for it.
+        let mut hostile = snap;
+        hostile.roles[0] = BankRole::Lane {
+            key: schema().attr_id("ID").unwrap(),
+            lane: 0,
+            of: u32::MAX,
+        };
+        let err = PatternBank::restore(&spec(auto()), &schema(), &hostile).unwrap_err();
+        assert!(err.to_string().contains("lanes"), "{err}");
+    }
+
+    #[test]
+    fn eviction_keeps_lane_id_maps_bounded() {
+        let mut bank = PatternBank::builder(&schema())
+            .register_lanes(
+                "k",
+                &keyed(),
+                MatcherOptions {
+                    semantics: crate::MatchSemantics::AllRuns,
+                    ..auto()
+                },
+                2,
+            )
+            .unwrap()
+            .build();
+        let labels = ["A", "B", "C"];
+        for i in 0..3000i64 {
+            bank.push(Timestamp::new(i), row(i % 4, labels[(i % 3) as usize]))
+                .unwrap();
+        }
+        let stats = &bank.stats()[0];
+        assert!(stats.evicted_events > 0, "eviction never ran");
+        let mapped: usize = bank.entries.iter().map(|e| e.ids.len()).sum();
+        // The id maps track the retained window, not the whole stream.
+        assert!(
+            mapped <= stats.retained_events + 64,
+            "id maps not pruned: {mapped} mapped vs {} retained",
+            stats.retained_events
+        );
+        assert_eq!(stats.hits, 3000);
     }
 }

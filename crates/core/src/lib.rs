@@ -61,13 +61,11 @@ mod filter;
 mod matcher;
 mod matches;
 mod measures;
-mod multi;
 mod negation;
 pub mod parallel;
 mod probe;
 mod reference;
 mod semantics;
-mod shard;
 mod snapshot;
 mod state;
 mod stream;
@@ -83,15 +81,12 @@ pub use filter::{EventFilter, FilterMode};
 pub use matcher::{Matcher, MatcherOptions, PartitionMode, PartitionStrategy};
 pub use matches::Match;
 pub use measures::{aggregate, Aggregate};
-pub use multi::MultiMatcher;
 pub use negation::{filter_negations, passes_negations};
 pub use probe::{NoProbe, Probe};
 pub use reference::{enumerate_candidates, satisfies_conditions_1_3};
 pub use semantics::{select, select_with, AdjudicationMode, MatchSemantics};
-pub use shard::ShardedStreamMatcher;
 pub use snapshot::{
-    BankPatternSnapshot, BankRole, BankSnapshot, InstanceSnapshot, MatcherSnapshot, ShardSnapshot,
-    ShardedSnapshot, StreamSnapshot,
+    BankPatternSnapshot, BankRole, BankSnapshot, InstanceSnapshot, MatcherSnapshot, StreamSnapshot,
 };
 pub use state::{StateId, StateSet};
 pub use stream::StreamMatcher;

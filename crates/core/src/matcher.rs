@@ -72,7 +72,8 @@ pub enum PartitionMode {
     /// `τ`-overlapping time ranges cover every match even when nothing
     /// confines matches to one key value. Requires `flush_at_end` like
     /// every split mode (falls back to a global scan without it). Never
-    /// an error. Batch-only: [`crate::ShardedStreamMatcher`] refuses it.
+    /// an error. Batch-only: [`crate::PatternBankBuilder::register_lanes`]
+    /// refuses it.
     TimeAuto,
 }
 
@@ -179,9 +180,9 @@ pub struct Matcher {
 /// Compiles `pattern` against `schema`, honoring the analyzer-rewrite
 /// options: full constant propagation, the equality closure, or the
 /// paper-faithful Θ verbatim. The single compile path shared by
-/// [`Matcher`], [`crate::StreamMatcher`], [`crate::ShardedStreamMatcher`],
-/// and [`crate::PatternBank`] — the bank relies on it to build its
-/// predicate index from the *same* compiled pattern its matchers run.
+/// [`Matcher`], [`crate::StreamMatcher`], and [`crate::PatternBank`] —
+/// the bank relies on it to build its predicate index from the *same*
+/// compiled pattern its matchers run.
 pub(crate) fn compile_pattern(
     pattern: &Pattern,
     schema: &Schema,
@@ -199,7 +200,7 @@ pub(crate) fn compile_pattern(
 }
 
 /// Resolves a [`PartitionMode`] against a compiled pattern's proven
-/// keys. Shared by [`Matcher`] and [`crate::ShardedStreamMatcher`].
+/// keys. Shared by [`Matcher`] and the bank's lane registration.
 pub(crate) fn resolve_partition(
     compiled: &CompiledPattern,
     options: &MatcherOptions,

@@ -11,7 +11,7 @@
 //!    counter (greedy LPT scheduling, which bounds the makespan under
 //!    key skew) and run the engine on each view;
 //! 3. per-partition raw matches are remapped to global event ids and a
-//!    **single** global [`select`] adjudicates the union, so the output
+//!    **single** global [`crate::select`] adjudicates the union, so the output
 //!    is exactly the global scan's answer — adjudication verdicts only
 //!    compare matches sharing a first binding and swap candidates that
 //!    satisfy the key equality, both of which are partition-local.
@@ -31,7 +31,7 @@
 //! the unique slice whose own region contains its first event. The
 //! merged raw set is exactly the global scan's (see `docs/parallel.md`
 //! for the argument), and the same single global negation-filter +
-//! [`select`] adjudicates it. Unlike key partitioning this re-scans the
+//! [`crate::select`] adjudicates it. Unlike key partitioning this re-scans the
 //! overlaps, so it is the fallback axis, not the preferred one.
 
 use std::sync::atomic::{AtomicUsize, Ordering};

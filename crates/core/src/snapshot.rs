@@ -10,11 +10,11 @@
 //! snapshot rejects restores against a different pattern, schema, or
 //! semantics (see [`CoreError::SnapshotMismatch`]).
 //!
-//! [`ShardedSnapshot`] composes per-shard stream snapshots plus the
-//! router bookkeeping (global id counter, id maps, global watermark)
-//! under a single manifest, and [`MatcherSnapshot`] unifies both for a
-//! kind-agnostic checkpoint store (`ses-store`'s `CheckpointStore`
-//! serializes it with a versioned, checksummed binary codec).
+//! [`BankSnapshot`] composes per-pattern (and per-lane) stream snapshots
+//! plus the bank's routing bookkeeping (global id counter, id maps,
+//! clock) under a single manifest, and [`MatcherSnapshot`] is the unit
+//! `ses-store`'s `CheckpointStore` serializes with a versioned,
+//! checksummed binary codec.
 //!
 //! The snapshot types hold plain values with public fields so the codec
 //! lives outside `ses-core` (the dependency points `ses-store →
@@ -72,55 +72,12 @@ pub struct StreamSnapshot {
     pub emitted: u64,
 }
 
-impl StreamSnapshot {
-    /// Number of events the matcher had consumed when the snapshot was
-    /// taken (evicted + retained).
-    pub fn consumed_events(&self) -> u64 {
-        self.evicted + self.events.len() as u64
-    }
-}
-
-/// One shard of a [`crate::ShardedStreamMatcher`]: its stream matcher
-/// snapshot plus the local→global event id map.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardSnapshot {
-    /// The shard's stream matcher state.
-    pub matcher: StreamSnapshot,
-    /// Global ids of the shard's retained events, indexed by
-    /// `local_id - base`.
-    pub ids: Vec<EventId>,
-    /// First retained local index (the shard relation's eviction base).
-    pub base: u64,
-    /// Peak `|Ω|` observed on the shard.
-    pub peak_omega: u64,
-}
-
-/// Complete dynamic state of a [`crate::ShardedStreamMatcher`]: the
-/// per-shard snapshots under one manifest, plus the router state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardedSnapshot {
-    /// Shared per-shard fingerprint (every shard runs the same automaton
-    /// and options).
-    pub fingerprint: u64,
-    /// The attribute events are hash-routed by.
-    pub key: AttrId,
-    /// The global watermark: timestamp of the last pushed event.
-    pub last_ts: Option<Timestamp>,
-    /// Next global event id to assign (= total events consumed).
-    pub next_id: u64,
-    /// Matches emitted across all shards by pushes so far.
-    pub emitted: u64,
-    /// The shards, in routing order. Restore preserves the shard count —
-    /// the hash router is deterministic, so events replay to the same
-    /// shards.
-    pub shards: Vec<ShardSnapshot>,
-}
-
-/// How one registered pattern participates in the structural-sharing
-/// plan a [`crate::PatternBank`] snapshot was taken under. Restore
-/// recomputes the plan from the registration specs and refuses a
+/// How one bank entry participates in the structural-sharing plan and
+/// key sharding a [`crate::PatternBank`] snapshot was taken under.
+/// Restore recomputes both from the registration specs and refuses a
 /// snapshot whose recorded roles disagree — the per-pattern payload
-/// layout depends on the role.
+/// layout depends on the role, and events replayed after a restore must
+/// hash to the lanes that hold their keys' state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BankRole {
     /// Runs its own matcher and belongs to no prefix group.
@@ -138,11 +95,23 @@ pub enum BankRole {
         /// Index into [`BankSnapshot::pools`].
         pool: u32,
     },
+    /// Hash lane `lane` of the `of` lanes one key-sharded pattern runs
+    /// on (consecutive entries carrying the pattern's name): a plain
+    /// matcher that receives only the events whose `key` attribute
+    /// hashes to it.
+    Lane {
+        /// The proven partition key events are hash-routed by.
+        key: AttrId,
+        /// This lane's position, `0..of`.
+        lane: u32,
+        /// Number of lanes the pattern was registered with.
+        of: u32,
+    },
 }
 
-/// One registered pattern of a [`crate::PatternBank`]: its stream
-/// matcher snapshot plus the local→global event id map and the routing
-/// counters.
+/// One entry of a [`crate::PatternBank`] — a registered pattern, or one
+/// hash lane of a key-sharded one: its stream matcher snapshot plus the
+/// local→global event id map and the routing counters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BankPatternSnapshot {
     /// The name the pattern was registered under — restore refuses a
@@ -183,7 +152,8 @@ pub struct BankSnapshot {
     pub emitted: u64,
     /// Whether the predicate index was consulted on pushes.
     pub use_index: bool,
-    /// The registered patterns, in registration order.
+    /// The bank's entries, in registration order (a key-sharded
+    /// pattern contributes one entry per lane).
     pub patterns: Vec<BankPatternSnapshot>,
     /// Per-pattern sharing roles, indexed like `patterns`. All
     /// [`BankRole::Plain`] for a bank built without sharing — such
@@ -194,47 +164,37 @@ pub struct BankSnapshot {
     pub pools: Vec<StreamSnapshot>,
 }
 
-/// A snapshot of any stream matcher flavor — the unit the checkpoint
-/// store persists.
+/// The unit the checkpoint store persists: a snapshot of the one
+/// streaming executor, a [`crate::PatternBank`] (of one pattern, of
+/// many, with or without hash lanes).
 #[derive(Debug, Clone, PartialEq)]
 pub enum MatcherSnapshot {
-    /// A global (unsharded) stream matcher.
-    Stream(StreamSnapshot),
-    /// A hash-sharded stream matcher.
-    Sharded(ShardedSnapshot),
-    /// A multi-pattern bank.
+    /// A pattern bank.
     Bank(BankSnapshot),
 }
 
 impl MatcherSnapshot {
+    fn bank(&self) -> &BankSnapshot {
+        let MatcherSnapshot::Bank(s) = self;
+        s
+    }
+
     /// Timestamp of the last event consumed before the snapshot — where
     /// log replay resumes (see the recovery protocol in
     /// `docs/durability.md`). `None` means nothing was consumed: replay
     /// the whole log.
     pub fn replay_from(&self) -> Option<Timestamp> {
-        match self {
-            MatcherSnapshot::Stream(s) => s.last_ts,
-            MatcherSnapshot::Sharded(s) => s.last_ts,
-            MatcherSnapshot::Bank(s) => s.last_ts,
-        }
+        self.bank().last_ts
     }
 
     /// Matches already emitted by pushes when the snapshot was taken.
     pub fn emitted(&self) -> u64 {
-        match self {
-            MatcherSnapshot::Stream(s) => s.emitted,
-            MatcherSnapshot::Sharded(s) => s.emitted,
-            MatcherSnapshot::Bank(s) => s.emitted,
-        }
+        self.bank().emitted
     }
 
     /// Total events consumed when the snapshot was taken.
     pub fn consumed_events(&self) -> u64 {
-        match self {
-            MatcherSnapshot::Stream(s) => s.consumed_events(),
-            MatcherSnapshot::Sharded(s) => s.next_id,
-            MatcherSnapshot::Bank(s) => s.next_id,
-        }
+        self.bank().next_id
     }
 }
 

@@ -113,7 +113,7 @@ impl StreamMatcher {
     }
 
     /// Builds a stream matcher around an already constructed automaton —
-    /// the sharded matcher clones one automaton per shard through here.
+    /// the bank clones one automaton per hash lane through here.
     pub(crate) fn from_automaton(automaton: Automaton, options: MatcherOptions) -> StreamMatcher {
         let filter = EventFilter::new(automaton.pattern(), options.filter);
         let adjudicator = Adjudicator::new(options.semantics, options.adjudication);
@@ -412,8 +412,9 @@ impl StreamMatcher {
     /// Advances the watermark to `ts` *without* pushing an event and
     /// returns the matches that finalizes: expired runs are swept,
     /// decidable pending groups adjudicated, and old events evicted,
-    /// exactly as a push at `ts` would — the heartbeat a sharded stream
-    /// sends to idle shards so their matches emit on time. No-op (empty
+    /// exactly as a push at `ts` would — the heartbeat a bank sends to
+    /// the patterns and lanes an event was not routed to, so their
+    /// matches emit on time. No-op (empty
     /// result) when `ts` does not advance the watermark or the stream
     /// has seen no events yet. Subsequent pushes before `ts` are
     /// rejected as out of order.
@@ -585,8 +586,7 @@ impl StreamMatcher {
         self.automaton.pattern()
     }
 
-    /// The automaton itself — the bank clones it to build a prefix pool
-    /// the same way the sharded matcher clones one per shard.
+    /// The automaton itself — the bank clones it to build a prefix pool.
     pub(crate) fn automaton(&self) -> &Automaton {
         &self.automaton
     }
@@ -641,7 +641,7 @@ impl StreamMatcher {
     }
 
     /// Overwrites this matcher's dynamic state with `snap` — shared by
-    /// [`StreamMatcher::restore`] and the sharded manifest restore.
+    /// [`StreamMatcher::restore`] and the bank's manifest restore.
     pub(crate) fn apply_snapshot(&mut self, snap: &StreamSnapshot) -> Result<(), CoreError> {
         let mismatch = |reason: String| CoreError::SnapshotMismatch { reason };
         let expected = self.fingerprint();
@@ -1060,8 +1060,8 @@ mod tests {
             .unwrap();
         sm.push(Timestamp::new(1), [Value::from(1), Value::from("B")])
             .unwrap();
-        // No event arrives, but the clock (a sharded matcher's global
-        // watermark) moves on: the pending match finalizes and the old
+        // No event arrives, but the clock (a bank's global watermark)
+        // moves on: the pending match finalizes and the old
         // window is reclaimed.
         let out = sm.advance_watermark(Timestamp::new(100));
         assert_eq!(out.len(), 1);

@@ -602,6 +602,11 @@ pub struct ShareConstraint {
     /// Opaque execution-options compatibility class: only patterns
     /// with equal keys may share anything.
     pub compat: u64,
+    /// Whether this pattern may lead or join a dedup group. Callers
+    /// must clear this for patterns that are evaluation-identical on
+    /// purpose (a bank's hash lanes of one pattern: each sees a
+    /// different slice of the stream).
+    pub allow_dedup: bool,
     /// Whether this pattern may join a prefix group. Callers must
     /// clear this for patterns their engine short-circuits (e.g.
     /// compile-time unsatisfiable ones).
@@ -612,6 +617,7 @@ impl Default for ShareConstraint {
     fn default() -> Self {
         ShareConstraint {
             compat: 0,
+            allow_dedup: true,
             allow_prefix: true,
         }
     }
@@ -697,6 +703,9 @@ impl SharingPlan {
         let mut roles = vec![ShareRole::Independent; n];
         let mut first_of: BTreeMap<(u64, String), usize> = BTreeMap::new();
         for i in 0..n {
+            if !constraints[i].allow_dedup {
+                continue;
+            }
             let key = (constraints[i].compat, forms[i].inorder_key());
             match first_of.get(&key) {
                 Some(&leader) => {
@@ -1055,10 +1064,12 @@ mod tests {
             &[
                 ShareConstraint {
                     compat: 1,
+                    allow_dedup: true,
                     allow_prefix: true,
                 },
                 ShareConstraint {
                     compat: 2,
+                    allow_dedup: true,
                     allow_prefix: true,
                 },
             ],
@@ -1096,10 +1107,12 @@ mod tests {
             &[
                 ShareConstraint {
                     compat: 0,
+                    allow_dedup: true,
                     allow_prefix: true,
                 },
                 ShareConstraint {
                     compat: 0,
+                    allow_dedup: true,
                     allow_prefix: false,
                 },
             ],

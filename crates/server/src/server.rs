@@ -14,7 +14,7 @@
 //! queue; a subscriber that cannot keep up fills it and is disconnected
 //! — its durable cursor lets it resume exactly where it left off.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -210,6 +210,9 @@ fn accept_loop(
         }
         match listener.accept() {
             Ok((stream, _addr)) => {
+                // Replies are small lines a client waits on: without
+                // this, Nagle holds each until the peer's delayed ACK.
+                let _ = stream.set_nodelay(true);
                 let conn = conns
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner)
@@ -276,7 +279,7 @@ fn spawn_connection(
 }
 
 fn writer_loop(stream: TcpStream, conn: Arc<Conn>) {
-    let mut stream = stream;
+    let mut stream = BufWriter::new(stream);
     while let Some(line) = conn.out.pop() {
         if stream.write_all(line.as_bytes()).is_err() || stream.write_all(b"\n").is_err() {
             conn.disconnect();

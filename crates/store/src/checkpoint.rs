@@ -134,7 +134,9 @@ impl CheckpointStore {
 
     /// Loads the newest checkpoint that validates, skipping corrupt or
     /// truncated ones. Returns `None` when no checkpoint validates (or
-    /// none exists).
+    /// none exists). An intact checkpoint of a retired snapshot kind is
+    /// an error, not a skip: falling through to a cold start would
+    /// silently discard the state the operator believes is there.
     pub fn load_latest(&self) -> Result<Option<LoadedCheckpoint>, StoreError> {
         let mut skipped = 0;
         for info in self.list()?.into_iter().rev() {
@@ -146,6 +148,7 @@ impl CheckpointStore {
                         skipped,
                     }))
                 }
+                Err(e @ StoreError::RetiredSnapshot { .. }) => return Err(e),
                 Err(_) => skipped += 1,
             }
         }
@@ -297,7 +300,7 @@ impl MatchLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ses_core::StreamSnapshot;
+    use ses_core::{BankPatternSnapshot, BankRole, BankSnapshot, StreamSnapshot};
     use ses_event::{Event, Timestamp, Value};
 
     fn temp_dir(name: &str) -> PathBuf {
@@ -310,8 +313,9 @@ mod tests {
         dir
     }
 
+    /// A bank of one.
     fn snapshot(emitted: u64) -> MatcherSnapshot {
-        MatcherSnapshot::Stream(StreamSnapshot {
+        let matcher = StreamSnapshot {
             fingerprint: 7,
             watermark: Some(Timestamp::new(5)),
             evict: true,
@@ -322,6 +326,25 @@ mod tests {
             pending: Vec::new(),
             survivors: Vec::new(),
             emitted,
+        };
+        MatcherSnapshot::Bank(BankSnapshot {
+            watermark: matcher.watermark,
+            last_ts: matcher.last_ts,
+            next_id: 1,
+            ties: 1,
+            emitted,
+            use_index: true,
+            patterns: vec![BankPatternSnapshot {
+                name: "query-1".into(),
+                matcher: Some(matcher),
+                ids: vec![ses_event::EventId(0)],
+                base: 0,
+                peak_omega: 0,
+                hits: 1,
+                skips: 0,
+            }],
+            roles: vec![BankRole::Plain],
+            pools: Vec::new(),
         })
     }
 
@@ -371,6 +394,37 @@ mod tests {
         fs::write(&latest.path, &bytes[..10]).unwrap();
         assert_eq!(store.load_latest().unwrap().unwrap().info.seq, 0);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A checkpoint a single-query `stream` of an earlier release wrote
+    /// (payload kind 0 or 1, frame and checksum intact) is reported by
+    /// name — even behind a newer corrupt file — never skipped into a
+    /// silent cold start.
+    #[test]
+    fn retired_snapshot_kind_is_reported_not_skipped() {
+        for kind in [0u8, 1] {
+            let dir = temp_dir(&format!("retired{kind}"));
+            let store = CheckpointStore::open(&dir, 3).unwrap();
+            let payload = [kind, 1, 2, 3];
+            let mut frame = Vec::new();
+            frame.extend_from_slice(MAGIC);
+            frame.extend_from_slice(&VERSION.to_le_bytes());
+            frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            frame.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+            frame.extend_from_slice(&payload);
+            fs::write(store.path_of(0), &frame).unwrap();
+            fs::write(store.path_of(1), b"garbage").unwrap();
+            let err = store.load_latest().unwrap_err();
+            assert!(
+                matches!(err, StoreError::RetiredSnapshot { kind: k } if k == kind),
+                "{err}"
+            );
+            // A newer valid bank checkpoint is still found first.
+            let mut store = CheckpointStore::open(&dir, 3).unwrap();
+            store.save(&snapshot(3)).unwrap();
+            assert_eq!(store.load_latest().unwrap().unwrap().info.seq, 2);
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

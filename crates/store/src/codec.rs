@@ -11,8 +11,9 @@
 //! Layout of an encoded [`MatcherSnapshot`] (all integers little-endian):
 //!
 //! ```text
-//! u8 kind                     0 = Stream, 1 = Sharded, 2 = Bank,
-//!                             3 = Bank with structural sharing
+//! u8 kind                     2 = Bank, 3 = Bank with structural sharing
+//!                             or hash lanes (0 and 1 are retired, see
+//!                             [`StoreError::RetiredSnapshot`])
 //! stream  := u64 fingerprint | opt_ts watermark | u8 evict
 //!          | u64 evicted | opt_ts last_ts
 //!          | u32 n_events  event*      event   := i64 ts | u16 n | value*
@@ -20,9 +21,6 @@
 //!          | u32 n_pending match*      match   := u32 n | (u32 var, u32 event)*
 //!          | u32 n_survivors surv*     surv    := i64 minT | match
 //!          | u64 emitted               binding := u32 var | u32 event | i64 ts
-//! sharded := u64 fingerprint | u32 key | opt_ts last_ts | u64 next_id
-//!          | u64 emitted | u32 n_shards shard*
-//! shard   := stream | u32 n_ids u32* | u64 base | u64 peak_omega
 //! bank    := opt_ts watermark | opt_ts last_ts | u64 next_id | u64 ties
 //!          | u64 emitted | u8 use_index | u32 n_patterns bpat*
 //! bpat    := str name | stream | u32 n_ids u32* | u64 base
@@ -33,6 +31,7 @@
 //!          | u32 n_ids u32* | u64 base | u64 peak_omega
 //!          | u64 hits | u64 skips
 //! role    := 0u8 | 1u8 u32 leader | 2u8 u32 pool
+//!          | 3u8 u32 key u32 lane u32 of
 //! opt_ts  := 0u8 | 1u8 i64
 //! str     := u32 len | utf8 bytes
 //! value   := 0u8 i64 | 1u8 f64 | 2u8 u32 utf8 | 3u8 u8   (the log's tags)
@@ -42,8 +41,7 @@
 //! [`crate::CheckpointStore`]; this module only covers the payload.
 
 use ses_core::{
-    BankPatternSnapshot, BankRole, BankSnapshot, InstanceSnapshot, MatcherSnapshot, ShardSnapshot,
-    ShardedSnapshot, StreamSnapshot,
+    BankPatternSnapshot, BankRole, BankSnapshot, InstanceSnapshot, MatcherSnapshot, StreamSnapshot,
 };
 use ses_event::{AttrId, Event, EventId, Timestamp, Value};
 use ses_pattern::VarId;
@@ -286,87 +284,67 @@ fn checked_len(
 
 /// Serializes a snapshot to the payload layout in the module docs.
 pub fn encode_snapshot(snapshot: &MatcherSnapshot) -> Vec<u8> {
+    let MatcherSnapshot::Bank(s) = snapshot;
     let mut e = Encoder::new();
-    match snapshot {
-        MatcherSnapshot::Stream(s) => {
-            e.put_u8(0);
-            encode_stream(&mut e, s);
+    // A bank without shared structure or lanes keeps the original kind-2
+    // layout, byte for byte, so pre-sharing checkpoints and their
+    // readers stay interchangeable with new ones.
+    let shared = !s.pools.is_empty() || s.roles.iter().any(|r| !matches!(r, BankRole::Plain));
+    e.put_u8(if shared { 3 } else { 2 });
+    e.put_opt_ts(s.watermark);
+    e.put_opt_ts(s.last_ts);
+    e.put_u64(s.next_id);
+    e.put_u64(s.ties);
+    e.put_u64(s.emitted);
+    e.put_bool(s.use_index);
+    e.put_u32(s.patterns.len() as u32);
+    for (i, p) in s.patterns.iter().enumerate() {
+        e.put_str(&p.name);
+        if shared {
+            match s.roles.get(i).unwrap_or(&BankRole::Plain) {
+                BankRole::Plain => e.put_u8(0),
+                BankRole::DedupMember { leader } => {
+                    e.put_u8(1);
+                    e.put_u32(*leader);
+                }
+                BankRole::PrefixMember { pool } => {
+                    e.put_u8(2);
+                    e.put_u32(*pool);
+                }
+                BankRole::Lane { key, lane, of } => {
+                    e.put_u8(3);
+                    e.put_u32(u32::from(key.0));
+                    e.put_u32(*lane);
+                    e.put_u32(*of);
+                }
+            }
+            match &p.matcher {
+                Some(m) => {
+                    e.put_u8(1);
+                    encode_stream(&mut e, m);
+                }
+                None => e.put_u8(0),
+            }
+        } else {
+            // Every pattern of an unshared bank runs a matcher.
+            encode_stream(
+                &mut e,
+                p.matcher.as_ref().expect("unshared bank pattern matcher"),
+            );
         }
-        MatcherSnapshot::Sharded(s) => {
-            e.put_u8(1);
-            e.put_u64(s.fingerprint);
-            e.put_u32(u32::from(s.key.0));
-            e.put_opt_ts(s.last_ts);
-            e.put_u64(s.next_id);
-            e.put_u64(s.emitted);
-            e.put_u32(s.shards.len() as u32);
-            for shard in &s.shards {
-                encode_stream(&mut e, &shard.matcher);
-                e.put_u32(shard.ids.len() as u32);
-                for id in &shard.ids {
-                    e.put_u32(id.0);
-                }
-                e.put_u64(shard.base);
-                e.put_u64(shard.peak_omega);
-            }
+        e.put_u32(p.ids.len() as u32);
+        for id in &p.ids {
+            e.put_u32(id.0);
         }
-        MatcherSnapshot::Bank(s) => {
-            // A bank without shared structure keeps the original kind-2
-            // layout, byte for byte, so pre-sharing checkpoints and
-            // their readers stay interchangeable with new ones.
-            let shared =
-                !s.pools.is_empty() || s.roles.iter().any(|r| !matches!(r, BankRole::Plain));
-            e.put_u8(if shared { 3 } else { 2 });
-            e.put_opt_ts(s.watermark);
-            e.put_opt_ts(s.last_ts);
-            e.put_u64(s.next_id);
-            e.put_u64(s.ties);
-            e.put_u64(s.emitted);
-            e.put_bool(s.use_index);
-            e.put_u32(s.patterns.len() as u32);
-            for (i, p) in s.patterns.iter().enumerate() {
-                e.put_str(&p.name);
-                if shared {
-                    match s.roles.get(i).unwrap_or(&BankRole::Plain) {
-                        BankRole::Plain => e.put_u8(0),
-                        BankRole::DedupMember { leader } => {
-                            e.put_u8(1);
-                            e.put_u32(*leader);
-                        }
-                        BankRole::PrefixMember { pool } => {
-                            e.put_u8(2);
-                            e.put_u32(*pool);
-                        }
-                    }
-                    match &p.matcher {
-                        Some(m) => {
-                            e.put_u8(1);
-                            encode_stream(&mut e, m);
-                        }
-                        None => e.put_u8(0),
-                    }
-                } else {
-                    // Every pattern of an unshared bank runs a matcher.
-                    encode_stream(
-                        &mut e,
-                        p.matcher.as_ref().expect("unshared bank pattern matcher"),
-                    );
-                }
-                e.put_u32(p.ids.len() as u32);
-                for id in &p.ids {
-                    e.put_u32(id.0);
-                }
-                e.put_u64(p.base);
-                e.put_u64(p.peak_omega);
-                e.put_u64(p.hits);
-                e.put_u64(p.skips);
-            }
-            if shared {
-                e.put_u32(s.pools.len() as u32);
-                for pool in &s.pools {
-                    encode_stream(&mut e, pool);
-                }
-            }
+        e.put_u64(p.base);
+        e.put_u64(p.peak_omega);
+        e.put_u64(p.hits);
+        e.put_u64(p.skips);
+    }
+    if shared {
+        e.put_u32(s.pools.len() as u32);
+        for pool in &s.pools {
+            encode_stream(&mut e, pool);
         }
     }
     e.into_bytes()
@@ -419,135 +397,108 @@ fn encode_bindings(e: &mut Encoder, bindings: &[(VarId, EventId)]) {
 /// Deserializes a snapshot payload; every byte must be consumed.
 pub fn decode_snapshot(data: &[u8]) -> Result<MatcherSnapshot, StoreError> {
     let mut d = Decoder::new(data);
-    let snapshot = match d.get_u8()? {
-        0 => MatcherSnapshot::Stream(decode_stream(&mut d)?),
-        1 => {
-            let fingerprint = d.get_u64()?;
-            let key = d.get_u32()?;
-            if key > u32::from(u16::MAX) {
-                return Err(StoreError::Corrupt {
-                    message: format!("partition key attribute {key} out of range"),
-                });
-            }
-            let last_ts = d.get_opt_ts()?;
-            let next_id = d.get_u64()?;
-            let emitted = d.get_u64()?;
-            let n = checked_len(d.get_u32()?, d.remaining(), 1, "shards")?;
-            let mut shards = Vec::with_capacity(n);
-            for _ in 0..n {
-                let matcher = decode_stream(&mut d)?;
-                let n_ids = checked_len(d.get_u32()?, d.remaining(), 4, "shard ids")?;
-                let mut ids = Vec::with_capacity(n_ids);
-                for _ in 0..n_ids {
-                    ids.push(EventId(d.get_u32()?));
-                }
-                let base = d.get_u64()?;
-                let peak_omega = d.get_u64()?;
-                shards.push(ShardSnapshot {
-                    matcher,
-                    ids,
-                    base,
-                    peak_omega,
-                });
-            }
-            MatcherSnapshot::Sharded(ShardedSnapshot {
-                fingerprint,
-                key: AttrId(key as u16),
-                last_ts,
-                next_id,
-                emitted,
-                shards,
-            })
-        }
-        kind @ (2 | 3) => {
-            let shared = kind == 3;
-            let watermark = d.get_opt_ts()?;
-            let last_ts = d.get_opt_ts()?;
-            let next_id = d.get_u64()?;
-            let ties = d.get_u64()?;
-            let emitted = d.get_u64()?;
-            let use_index = d.get_bool()?;
-            let n = checked_len(d.get_u32()?, d.remaining(), 4, "bank patterns")?;
-            let mut patterns = Vec::with_capacity(n);
-            let mut roles = Vec::with_capacity(n);
-            for _ in 0..n {
-                let name = d.get_str()?;
-                let (role, matcher) = if shared {
-                    let role = match d.get_u8()? {
-                        0 => BankRole::Plain,
-                        1 => BankRole::DedupMember {
-                            leader: d.get_u32()?,
-                        },
-                        2 => BankRole::PrefixMember { pool: d.get_u32()? },
-                        tag => {
-                            return Err(StoreError::Corrupt {
-                                message: format!("unknown bank pattern role {tag}"),
-                            })
-                        }
-                    };
-                    let matcher = match d.get_u8()? {
-                        0 => None,
-                        1 => Some(decode_stream(&mut d)?),
-                        tag => {
-                            return Err(StoreError::Corrupt {
-                                message: format!("invalid option tag {tag}"),
-                            })
-                        }
-                    };
-                    (role, matcher)
-                } else {
-                    // Kind 2 predates sharing: every pattern is plain
-                    // and carries its matcher inline.
-                    (BankRole::Plain, Some(decode_stream(&mut d)?))
-                };
-                let n_ids = checked_len(d.get_u32()?, d.remaining(), 4, "bank pattern ids")?;
-                let mut ids = Vec::with_capacity(n_ids);
-                for _ in 0..n_ids {
-                    ids.push(EventId(d.get_u32()?));
-                }
-                let base = d.get_u64()?;
-                let peak_omega = d.get_u64()?;
-                let hits = d.get_u64()?;
-                let skips = d.get_u64()?;
-                roles.push(role);
-                patterns.push(BankPatternSnapshot {
-                    name,
-                    matcher,
-                    ids,
-                    base,
-                    peak_omega,
-                    hits,
-                    skips,
-                });
-            }
-            let mut pools = Vec::new();
-            if shared {
-                let n_pools = checked_len(d.get_u32()?, d.remaining(), 1, "prefix pools")?;
-                pools.reserve(n_pools);
-                for _ in 0..n_pools {
-                    pools.push(decode_stream(&mut d)?);
-                }
-            }
-            MatcherSnapshot::Bank(BankSnapshot {
-                watermark,
-                last_ts,
-                next_id,
-                ties,
-                emitted,
-                use_index,
-                patterns,
-                roles,
-                pools,
-            })
-        }
+    let shared = match d.get_u8()? {
+        2 => false,
+        3 => true,
+        kind @ (0 | 1) => return Err(StoreError::RetiredSnapshot { kind }),
         kind => {
             return Err(StoreError::Corrupt {
                 message: format!("unknown snapshot kind {kind}"),
             })
         }
     };
+    let watermark = d.get_opt_ts()?;
+    let last_ts = d.get_opt_ts()?;
+    let next_id = d.get_u64()?;
+    let ties = d.get_u64()?;
+    let emitted = d.get_u64()?;
+    let use_index = d.get_bool()?;
+    let n = checked_len(d.get_u32()?, d.remaining(), 4, "bank patterns")?;
+    let mut patterns = Vec::with_capacity(n);
+    let mut roles = Vec::with_capacity(n);
+    for _ in 0..n {
+        let name = d.get_str()?;
+        let (role, matcher) = if shared {
+            let role = match d.get_u8()? {
+                0 => BankRole::Plain,
+                1 => BankRole::DedupMember {
+                    leader: d.get_u32()?,
+                },
+                2 => BankRole::PrefixMember { pool: d.get_u32()? },
+                3 => {
+                    let key = d.get_u32()?;
+                    if key > u32::from(u16::MAX) {
+                        return Err(StoreError::Corrupt {
+                            message: format!("partition key attribute {key} out of range"),
+                        });
+                    }
+                    BankRole::Lane {
+                        key: AttrId(key as u16),
+                        lane: d.get_u32()?,
+                        of: d.get_u32()?,
+                    }
+                }
+                tag => {
+                    return Err(StoreError::Corrupt {
+                        message: format!("unknown bank pattern role {tag}"),
+                    })
+                }
+            };
+            let matcher = match d.get_u8()? {
+                0 => None,
+                1 => Some(decode_stream(&mut d)?),
+                tag => {
+                    return Err(StoreError::Corrupt {
+                        message: format!("invalid option tag {tag}"),
+                    })
+                }
+            };
+            (role, matcher)
+        } else {
+            // Kind 2 predates sharing: every pattern is plain and
+            // carries its matcher inline.
+            (BankRole::Plain, Some(decode_stream(&mut d)?))
+        };
+        let n_ids = checked_len(d.get_u32()?, d.remaining(), 4, "bank pattern ids")?;
+        let mut ids = Vec::with_capacity(n_ids);
+        for _ in 0..n_ids {
+            ids.push(EventId(d.get_u32()?));
+        }
+        let base = d.get_u64()?;
+        let peak_omega = d.get_u64()?;
+        let hits = d.get_u64()?;
+        let skips = d.get_u64()?;
+        roles.push(role);
+        patterns.push(BankPatternSnapshot {
+            name,
+            matcher,
+            ids,
+            base,
+            peak_omega,
+            hits,
+            skips,
+        });
+    }
+    let mut pools = Vec::new();
+    if shared {
+        let n_pools = checked_len(d.get_u32()?, d.remaining(), 1, "prefix pools")?;
+        pools.reserve(n_pools);
+        for _ in 0..n_pools {
+            pools.push(decode_stream(&mut d)?);
+        }
+    }
     d.finish()?;
-    Ok(snapshot)
+    Ok(MatcherSnapshot::Bank(BankSnapshot {
+        watermark,
+        last_ts,
+        next_id,
+        ties,
+        emitted,
+        use_index,
+        patterns,
+        roles,
+        pools,
+    }))
 }
 
 fn decode_stream(d: &mut Decoder<'_>) -> Result<StreamSnapshot, StoreError> {
@@ -665,51 +616,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn stream_snapshot_round_trips() {
-        let snap = MatcherSnapshot::Stream(sample_stream());
-        let bytes = encode_snapshot(&snap);
-        let back = decode_snapshot(&bytes).unwrap();
-        assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn sharded_snapshot_round_trips() {
-        let snap = MatcherSnapshot::Sharded(ShardedSnapshot {
-            fingerprint: 1,
-            key: AttrId(1),
-            last_ts: Some(Timestamp::new(100)),
-            next_id: 17,
-            emitted: 4,
-            shards: vec![
-                ShardSnapshot {
-                    matcher: sample_stream(),
-                    ids: vec![EventId(0), EventId(5), EventId(9)],
-                    base: 2,
-                    peak_omega: 11,
-                },
-                ShardSnapshot {
-                    matcher: StreamSnapshot {
-                        events: Vec::new(),
-                        instances: Vec::new(),
-                        pending: Vec::new(),
-                        survivors: Vec::new(),
-                        watermark: None,
-                        last_ts: None,
-                        evicted: 0,
-                        emitted: 0,
-                        ..sample_stream()
-                    },
-                    ids: Vec::new(),
-                    base: 0,
-                    peak_omega: 0,
-                },
-            ],
-        });
-        let bytes = encode_snapshot(&snap);
-        assert_eq!(decode_snapshot(&bytes).unwrap(), snap);
-    }
-
     fn sample_bank() -> MatcherSnapshot {
         MatcherSnapshot::Bank(BankSnapshot {
             watermark: Some(Timestamp::new(50)),
@@ -756,9 +662,7 @@ mod tests {
     /// A bank with every sharing role populated: a prefix member, a
     /// dedup member (no matcher of its own), and one prefix pool.
     fn sample_shared_bank() -> MatcherSnapshot {
-        let MatcherSnapshot::Bank(mut bank) = sample_bank() else {
-            unreachable!()
-        };
+        let MatcherSnapshot::Bank(mut bank) = sample_bank();
         bank.patterns[1].matcher = None;
         bank.roles = vec![
             BankRole::PrefixMember { pool: 0 },
@@ -828,25 +732,62 @@ mod tests {
     }
 
     #[test]
-    fn truncation_and_garbage_fail_cleanly() {
-        let bytes = encode_snapshot(&MatcherSnapshot::Stream(sample_stream()));
-        // Every strict prefix must error, never panic.
+    fn lane_roles_round_trip_in_the_roles_table() {
+        let MatcherSnapshot::Bank(mut bank) = sample_bank();
+        bank.roles = (0..2)
+            .map(|lane| BankRole::Lane {
+                key: AttrId(1),
+                lane,
+                of: 2,
+            })
+            .collect();
+        let snap = MatcherSnapshot::Bank(bank);
+        let bytes = encode_snapshot(&snap);
+        assert_eq!(bytes[0], 3);
+        assert_eq!(decode_snapshot(&bytes).unwrap(), snap);
         for cut in 0..bytes.len() {
             assert!(
                 decode_snapshot(&bytes[..cut]).is_err(),
                 "prefix {cut} accepted"
             );
         }
-        // Trailing garbage is rejected too.
-        let mut padded = bytes.clone();
-        padded.push(0);
-        assert!(decode_snapshot(&padded).is_err());
-        // A hostile length prefix fails fast instead of allocating.
-        let mut hostile = bytes;
-        // Stream layout: kind(1) fingerprint(8) watermark(9) evict(1)
-        // evicted(8) last_ts(9) → events count at offset 36.
-        hostile[36..40].copy_from_slice(&u32::MAX.to_le_bytes());
+    }
+
+    #[test]
+    fn hostile_nested_stream_length_fails_fast() {
+        // Bank header (44) + pattern count (4) + name length (4) + name,
+        // then the first pattern's stream: fingerprint(8) watermark(9)
+        // evict(1) evicted(8) last_ts(9) → events count at +35.
+        let mut hostile = encode_snapshot(&sample_bank());
+        let at = 44 + 4 + 4 + "q-with a space, punctuation…".len() + 35;
+        hostile[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(decode_snapshot(&hostile).is_err());
+    }
+
+    /// Kinds 0 and 1 — the single-query `stream`'s global and sharded
+    /// snapshots of earlier releases — are refused by name, not as
+    /// corruption, whatever follows the kind byte.
+    #[test]
+    fn retired_kinds_are_refused_by_name() {
+        let mut global = Encoder::new();
+        global.put_u8(0);
+        encode_stream(&mut global, &sample_stream());
+        let mut sharded = Encoder::new();
+        sharded.put_u8(1);
+        sharded.put_u64(0xdead_beef); // fingerprint
+        sharded.put_u32(1); // key
+        for (kind, bytes) in [(0, global.into_bytes()), (1, sharded.into_bytes())] {
+            let err = decode_snapshot(&bytes).unwrap_err();
+            assert!(
+                matches!(err, StoreError::RetiredSnapshot { kind: k } if k == kind),
+                "{err}"
+            );
+            assert!(
+                err.to_string()
+                    .contains("written by a single-query `stream` of an earlier release"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

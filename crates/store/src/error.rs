@@ -26,10 +26,17 @@ pub enum StoreError {
         /// Explanation.
         message: String,
     },
+    /// A structurally plausible checkpoint of a snapshot kind this
+    /// release no longer reads: kinds 0 (global) and 1 (sharded) were
+    /// written by the single-query `stream` before it became a pattern
+    /// bank. Unlike [`StoreError::Corrupt`] this is not skipped on
+    /// load — silently cold-starting would hide the format break.
+    RetiredSnapshot {
+        /// The payload's kind byte.
+        kind: u8,
+    },
     /// Event-model violation while assembling the relation.
     Event(ses_event::EventError),
-    /// A named store was not found in the catalog.
-    NotFound(String),
 }
 
 impl fmt::Display for StoreError {
@@ -41,8 +48,13 @@ impl fmt::Display for StoreError {
                 write!(f, "schema mismatch: expected {expected}, found {found}")
             }
             StoreError::Corrupt { message } => write!(f, "corrupt snapshot: {message}"),
+            StoreError::RetiredSnapshot { kind } => write!(
+                f,
+                "snapshot kind {kind} was written by a single-query `stream` of an earlier \
+                 release; this release checkpoints pattern banks only — move the checkpoint \
+                 directory away to cold-start from the event log"
+            ),
             StoreError::Event(e) => write!(f, "event error: {e}"),
-            StoreError::NotFound(name) => write!(f, "no store named `{name}`"),
         }
     }
 }
@@ -80,6 +92,8 @@ mod tests {
             message: "bad int".into(),
         };
         assert_eq!(e.to_string(), "line 3: bad int");
-        assert!(StoreError::NotFound("x".into()).to_string().contains("`x`"));
+        assert!(StoreError::RetiredSnapshot { kind: 1 }
+            .to_string()
+            .contains("earlier release"));
     }
 }

@@ -11,8 +11,6 @@
 //!   D1…D5 duplication scheme;
 //! * [`EventStore::partition_by`] — per-key sub-stores (e.g. one per
 //!   patient), used by the partitioning ablation;
-//! * [`Catalog`] — a thread-safe name → store registry for the experiment
-//!   harness;
 //! * [`EventLog`] — an append-only, segmented, checksummed binary log
 //!   with torn-tail recovery and time-range pruning, for workloads that
 //!   outgrow CSV;
@@ -28,7 +26,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod catalog;
 mod checkpoint;
 pub mod codec;
 mod csv;
@@ -37,7 +34,6 @@ mod log;
 mod shared;
 mod store;
 
-pub use catalog::Catalog;
 pub use checkpoint::{CheckpointInfo, CheckpointStore, LoadedCheckpoint, MatchLog};
 pub use codec::{decode_snapshot, encode_snapshot};
 pub use csv::{parse_header, read_csv, write_csv};

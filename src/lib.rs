@@ -65,10 +65,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod parallel;
-
 pub use ses_baseline as baseline;
 pub use ses_core as core;
+pub use ses_core::parallel;
 pub use ses_event as event;
 pub use ses_metrics as metrics;
 pub use ses_pattern as pattern;
@@ -81,9 +80,8 @@ pub mod prelude {
     pub use ses_baseline::BruteForce;
     pub use ses_core::{
         AdjudicationMode, ColumnarMode, CoreError, EventSelection, FilterMode, Match,
-        MatchSemantics, Matcher, MatcherOptions, MatcherSnapshot, MultiMatcher, NoProbe,
-        PartitionMode, PartitionStrategy, PatternBank, PatternBankBuilder, PatternStats, Probe,
-        ShardedStreamMatcher, StreamMatcher,
+        MatchSemantics, Matcher, MatcherOptions, MatcherSnapshot, NoProbe, PartitionMode,
+        PartitionStrategy, PatternBank, PatternBankBuilder, PatternStats, Probe, StreamMatcher,
     };
     pub use ses_event::{
         AttrType, CmpOp, Duration, Event, EventId, Relation, Schema, Timestamp, Value,

@@ -9,7 +9,7 @@
 //! compare the push-for-push **emission schedule**, so the indexed
 //! backend may not even reorder or delay an emission. Coverage spans
 //! semantics × selection strategy × eviction × batch/stream ×
-//! global/sharded execution × the multi-pattern bank, on both the
+//! global/key-sharded execution × the multi-pattern bank, on both the
 //! oracle-shared generators (`common/`) and dense same-group workloads
 //! (group variables under skip-till-any-match: nested containment
 //! chains, duplicate timestamps, equal start/end intervals — routinely
@@ -77,24 +77,28 @@ fn stream_schedule(
     schedule
 }
 
-/// As [`stream_schedule`] but through a sharded matcher; `None` when the
-/// pattern proves no partition key (sharded construction refuses).
-fn sharded_schedule(
+/// As [`stream_schedule`] but through `lanes` hash lanes of a bank;
+/// `None` when the pattern proves no partition key (lane registration
+/// refuses).
+fn lanes_schedule(
     pat: &Pattern,
     rel: &Relation,
     opts: MatcherOptions,
-    shards: usize,
-) -> Option<Vec<Vec<Match>>> {
+    lanes: usize,
+) -> Option<Vec<Vec<(usize, Match)>>> {
     let opts = MatcherOptions {
         partition: PartitionMode::Auto,
         ..opts
     };
-    let mut sm = ShardedStreamMatcher::with_options(pat, &schema(), opts, shards).ok()?;
+    let mut bank = PatternBank::builder(&schema())
+        .register_lanes("p", pat, opts, lanes)
+        .ok()?
+        .build();
     let mut schedule = Vec::new();
     for e in rel.events() {
-        schedule.push(sm.push(e.ts(), e.values().to_vec()).unwrap());
+        schedule.push(bank.push(e.ts(), e.values().to_vec()).unwrap());
     }
-    schedule.push(sm.finish());
+    schedule.push(bank.finish());
     Some(schedule)
 }
 
@@ -229,25 +233,25 @@ proptest! {
         }
     }
 
-    /// Sharded streaming (1–3 shards): per-shard adjudication plus the
-    /// post-merge global pass both run indexed; the whole pipeline must
-    /// still reproduce the pairwise schedule. Patterns proving no
-    /// partition key are skipped (sharded construction refuses them).
+    /// Key-sharded streaming (1–3 bank lanes): every lane adjudicates
+    /// its own groups indexed; the merged schedule must still reproduce
+    /// the pairwise one. Patterns proving no partition key are skipped
+    /// (lane registration refuses them).
     #[test]
-    fn sharded_indexed_equals_pairwise(
+    fn lanes_indexed_equals_pairwise(
         rel in relation_strategy_with(2..8, 0..4),
         pat in pattern_strategy(),
-        shards in 1usize..4,
+        lanes in 1usize..4,
     ) {
         for semantics in [MatchSemantics::Maximal, MatchSemantics::Definition2] {
             let selection = EventSelection::SkipTillNextMatch;
-            let indexed = sharded_schedule(
-                &pat, &rel, options(semantics, selection, AdjudicationMode::Indexed), shards);
-            let pairwise = sharded_schedule(
-                &pat, &rel, options(semantics, selection, AdjudicationMode::Pairwise), shards);
+            let indexed = lanes_schedule(
+                &pat, &rel, options(semantics, selection, AdjudicationMode::Indexed), lanes);
+            let pairwise = lanes_schedule(
+                &pat, &rel, options(semantics, selection, AdjudicationMode::Pairwise), lanes);
             prop_assert_eq!(
                 &indexed, &pairwise,
-                "{:?} shards={}: sharded schedules diverged", semantics, shards
+                "{:?} lanes={}: lane schedules diverged", semantics, lanes
             );
         }
     }
@@ -414,9 +418,7 @@ fn bank_checkpoint_roundtrips_survivors() {
             "sharing={sharing}: snapshot carries no live survivor — the round-trip is vacuous"
         );
         let bytes = encode_snapshot(&MatcherSnapshot::Bank(snap));
-        let MatcherSnapshot::Bank(decoded) = decode_snapshot(&bytes).unwrap() else {
-            panic!("bank snapshot decoded to a different kind");
-        };
+        let MatcherSnapshot::Bank(decoded) = decode_snapshot(&bytes).unwrap();
         let mut restored = PatternBank::restore(&specs, &schema(), &decoded).unwrap();
         emissions.extend(push_rows(&mut restored, &rows[split..]));
         emissions.extend(restored.finish());

@@ -266,14 +266,16 @@ pub fn analyzer_pattern_strategy() -> impl Strategy<Value = Pattern> {
 }
 
 /// Small *sets* of correlated patterns for the multi-pattern bank
-/// suites: 2–4 patterns drawn from [`pattern_strategy`], so they share
+/// suites: 1–4 patterns drawn from [`pattern_strategy`] (a set of one
+/// makes bank-of-one ≡ a lone `StreamMatcher` part of every bank
+/// property), so they share
 /// event types from [`TYPES`] (overlapping routing), plus optionally
 /// one pattern pinned to a constant `ID` no generated relation carries
 /// (ids are `1..3`, the pin is `7`) — a pattern the predicate index
 /// may route nothing to, riding along with live ones.
 pub fn pattern_set_strategy() -> impl Strategy<Value = Vec<Pattern>> {
     (
-        proptest::collection::vec(pattern_strategy(), 2..4),
+        proptest::collection::vec(pattern_strategy(), 1..4),
         proptest::bool::ANY,
     )
         .prop_map(|(mut patterns, add_foreign)| {

@@ -9,8 +9,9 @@
 //! `sink_lines − snapshot.emitted()` re-emitted matches. The suite
 //! kills the run after *every* prefix length and asserts the recovered
 //! match stream equals the uninterrupted run line for line — no loss,
-//! no duplicates — for both matcher flavors, every semantics mode, and
-//! both selection strategies.
+//! no duplicates — for a bank of one, for 1–3 hash lanes, and for a
+//! multi-pattern bank, under every semantics mode and both selection
+//! strategies.
 //!
 //! The deterministic tests drive real `CheckpointStore`/`MatchLog`
 //! files (atomicity, pruning, corrupted-checkpoint fallback, torn
@@ -45,92 +46,48 @@ fn options(semantics: MatchSemantics, selection: EventSelection) -> MatcherOptio
     }
 }
 
-/// Either stream-matcher flavor behind the push/snapshot/finish surface
-/// the recovery protocol needs. Boxed: the global matcher is much
-/// larger than the sharded handle.
-enum AnyStream {
-    Global(Box<StreamMatcher>),
-    Sharded(ShardedStreamMatcher),
+/// The bank the single-pattern legs run: a bank of one, key-sharded over
+/// `lanes` hash lanes when given (lane registration refuses
+/// `PartitionMode::Off`, so those legs run under `Auto` — key proven by
+/// the analyzer or the case is skipped).
+fn build(
+    pat: &Pattern,
+    opts: &MatcherOptions,
+    evict: bool,
+    lanes: Option<usize>,
+) -> Result<PatternBank, ses::core::CoreError> {
+    let builder = PatternBank::builder(&schema()).with_eviction(evict);
+    Ok(match lanes {
+        None => builder.register("p", pat, opts.clone())?,
+        Some(n) => builder.register_lanes("p", pat, laned_opts(opts), n)?,
+    }
+    .build())
 }
 
-/// Sharded construction refuses `PartitionMode::Off`; the sharded legs
-/// run under `Auto` (key proven by the analyzer or the case is skipped).
-fn sharded_opts(opts: &MatcherOptions) -> MatcherOptions {
+fn laned_opts(opts: &MatcherOptions) -> MatcherOptions {
     MatcherOptions {
         partition: PartitionMode::Auto,
         ..opts.clone()
     }
 }
 
-impl AnyStream {
-    fn build(
-        pat: &Pattern,
-        opts: &MatcherOptions,
-        evict: bool,
-        shards: Option<usize>,
-    ) -> Result<AnyStream, ses::core::CoreError> {
-        Ok(match shards {
-            None => AnyStream::Global(Box::new(
-                StreamMatcher::with_options(pat, &schema(), opts.clone())?.with_eviction(evict),
-            )),
-            Some(n) => AnyStream::Sharded(
-                ShardedStreamMatcher::with_options(pat, &schema(), sharded_opts(opts), n)?
-                    .with_eviction(evict),
-            ),
-        })
-    }
+/// Restores [`build`]'s bank; the lane count comes from the snapshot.
+fn restore(pat: &Pattern, opts: &MatcherOptions, snap: &MatcherSnapshot) -> PatternBank {
+    let MatcherSnapshot::Bank(snap) = snap;
+    let specs = [("p".to_string(), pat.clone(), laned_opts(opts))];
+    PatternBank::restore(&specs, &schema(), snap).unwrap()
+}
 
-    fn restore(
-        pat: &Pattern,
-        opts: &MatcherOptions,
-        snap: &MatcherSnapshot,
-    ) -> Result<AnyStream, ses::core::CoreError> {
-        Ok(match snap {
-            MatcherSnapshot::Stream(s) => AnyStream::Global(Box::new(StreamMatcher::restore(
-                pat,
-                &schema(),
-                opts.clone(),
-                s,
-            )?)),
-            MatcherSnapshot::Sharded(s) => AnyStream::Sharded(ShardedStreamMatcher::restore(
-                pat,
-                &schema(),
-                sharded_opts(opts),
-                s,
-            )?),
-            MatcherSnapshot::Bank(_) => {
-                unreachable!("this harness checkpoints single-pattern matchers only")
-            }
-        })
-    }
+fn push(bank: &mut PatternBank, e: &Event) -> Vec<Match> {
+    bank.push(e.ts(), e.values().to_vec())
+        .unwrap()
+        .into_iter()
+        .map(|(_, m)| m)
+        .collect()
+}
 
-    fn push(&mut self, e: &Event) -> Vec<Match> {
-        match self {
-            AnyStream::Global(sm) => sm.push(e.ts(), e.values().to_vec()).unwrap(),
-            AnyStream::Sharded(sm) => sm.push(e.ts(), e.values().to_vec()).unwrap(),
-        }
-    }
-
-    fn snapshot(&mut self) -> MatcherSnapshot {
-        match self {
-            AnyStream::Global(sm) => MatcherSnapshot::Stream(sm.snapshot()),
-            AnyStream::Sharded(sm) => MatcherSnapshot::Sharded(sm.snapshot()),
-        }
-    }
-
-    fn ties_at_watermark(&self) -> usize {
-        match self {
-            AnyStream::Global(sm) => sm.ties_at_watermark(),
-            AnyStream::Sharded(sm) => sm.ties_at_watermark(),
-        }
-    }
-
-    fn finish(self) -> Vec<Match> {
-        match self {
-            AnyStream::Global(sm) => sm.finish(),
-            AnyStream::Sharded(sm) => sm.finish(),
-        }
-    }
+fn finish(bank: PatternBank) -> Vec<Match> {
+    bank.finish().into_iter().map(|(_, m)| m).collect()
 }
 
 /// The uninterrupted reference: every match line the stream emits, in
@@ -140,16 +97,16 @@ fn uninterrupted(
     rel: &Relation,
     opts: &MatcherOptions,
     evict: bool,
-    shards: Option<usize>,
+    lanes: Option<usize>,
 ) -> Vec<String> {
-    let mut sm = AnyStream::build(pat, opts, evict, shards).unwrap();
+    let mut bank = build(pat, opts, evict, lanes).unwrap();
     let mut lines = Vec::new();
     for (_, e) in rel.iter() {
-        for m in sm.push(e) {
+        for m in push(&mut bank, e) {
             lines.push(m.display_with(pat).to_string());
         }
     }
-    for m in sm.finish() {
+    for m in finish(bank) {
         lines.push(m.display_with(pat).to_string());
     }
     lines
@@ -172,7 +129,7 @@ fn crash_and_recover(
     rel: &Relation,
     opts: &MatcherOptions,
     evict: bool,
-    shards: Option<usize>,
+    lanes: Option<usize>,
     kill_after: usize,
     every: usize,
     durable_tail: bool,
@@ -180,12 +137,12 @@ fn crash_and_recover(
     let events: Vec<Event> = rel.iter().map(|(_, e)| e.clone()).collect();
 
     // Phase 1: the run that dies after `kill_after` pushes.
-    let mut sm = AnyStream::build(pat, opts, evict, shards).unwrap();
+    let mut sm = build(pat, opts, evict, lanes).unwrap();
     let mut sink: Vec<String> = Vec::new();
     let mut ckpt: Option<(Vec<u8>, u64)> = None; // (encoded snapshot, sink lines at save)
     let mut since = 0usize;
     for e in &events[..kill_after] {
-        for m in sm.push(e) {
+        for m in push(&mut sm, e) {
             sink.push(m.display_with(pat).to_string());
         }
         since += 1;
@@ -193,7 +150,8 @@ fn crash_and_recover(
             since = 0;
             // Sink syncs before the snapshot is saved — the invariant
             // suppression relies on.
-            ckpt = Some((encode_snapshot(&sm.snapshot()), sink.len() as u64));
+            let snap = MatcherSnapshot::Bank(sm.snapshot());
+            ckpt = Some((encode_snapshot(&snap), sink.len() as u64));
         }
     }
     drop(sm); // the crash
@@ -207,7 +165,7 @@ fn crash_and_recover(
     let (mut sm, replay, skip, emitted_at_ckpt) = match &ckpt {
         Some((bytes, _)) => {
             let snap = decode_snapshot(bytes).expect("checkpoint round-trips");
-            let sm = AnyStream::restore(pat, opts, &snap).unwrap();
+            let sm = restore(pat, opts, &snap);
             // The event-log replay: everything at or after the snapshot's
             // replay timestamp, in append order (`scan_range(from, MAX)`).
             let replay: Vec<Event> = match snap.replay_from() {
@@ -220,7 +178,7 @@ fn crash_and_recover(
         None => {
             // Killed before the first checkpoint: cold-start over the
             // whole log.
-            let sm = AnyStream::build(pat, opts, evict, shards).unwrap();
+            let sm = build(pat, opts, evict, lanes).unwrap();
             (sm, events.clone(), 0, 0)
         }
     };
@@ -234,11 +192,11 @@ fn crash_and_recover(
         }
     };
     for e in replay.iter().skip(skip) {
-        for m in sm.push(e) {
+        for m in push(&mut sm, e) {
             emit(&m, &mut sink);
         }
     }
-    for m in sm.finish() {
+    for m in finish(sm) {
         emit(&m, &mut sink);
     }
     sink
@@ -246,14 +204,9 @@ fn crash_and_recover(
 
 /// Every kill point, every cadence, both tail-durability outcomes:
 /// recovery reproduces the uninterrupted stream exactly.
-fn assert_exactly_once(
-    pat: &Pattern,
-    rel: &Relation,
-    opts: &MatcherOptions,
-    shards: Option<usize>,
-) {
+fn assert_exactly_once(pat: &Pattern, rel: &Relation, opts: &MatcherOptions, lanes: Option<usize>) {
     for evict in [true, false] {
-        let reference = uninterrupted(pat, rel, opts, evict, shards);
+        let reference = uninterrupted(pat, rel, opts, evict, lanes);
         for every in [1, 2, 4] {
             for kill_after in 0..=rel.len() {
                 for durable_tail in [true, false] {
@@ -262,7 +215,7 @@ fn assert_exactly_once(
                         rel,
                         opts,
                         evict,
-                        shards,
+                        lanes,
                         kill_after,
                         every,
                         durable_tail,
@@ -271,7 +224,7 @@ fn assert_exactly_once(
                         recovered, reference,
                         "divergence: evict={evict} every={every} \
                          kill_after={kill_after} durable_tail={durable_tail} \
-                         shards={shards:?}"
+                         lanes={lanes:?}"
                     );
                 }
             }
@@ -281,7 +234,7 @@ fn assert_exactly_once(
 
 /// A correlated two-set pattern over the shared test schema whose `ID`
 /// equality clique makes `ID` a provable partition key, so the same
-/// pattern exercises both matcher flavors.
+/// pattern runs unsharded and on lanes.
 fn correlated_pattern() -> Pattern {
     Pattern::builder()
         .set(|s| {
@@ -338,17 +291,16 @@ fn every_kill_point_recovers_exactly_once_global() {
 }
 
 #[test]
-fn every_kill_point_recovers_exactly_once_sharded() {
+fn every_kill_point_recovers_exactly_once_on_lanes() {
     let pat = correlated_pattern();
     let rel = tie_heavy_relation();
     for semantics in MODES {
-        for shards in [1, 2, 3] {
-            assert_exactly_once(
-                &pat,
-                &rel,
-                &options(semantics, EventSelection::SkipTillNextMatch),
-                Some(shards),
-            );
+        let opts = options(semantics, EventSelection::SkipTillNextMatch);
+        // Lanes change where work runs, never what is emitted when.
+        let global = uninterrupted(&pat, &rel, &opts, true, None);
+        for lanes in [1, 2, 3] {
+            assert_eq!(uninterrupted(&pat, &rel, &opts, true, Some(lanes)), global);
+            assert_exactly_once(&pat, &rel, &opts, Some(lanes));
         }
     }
 }
@@ -377,16 +329,14 @@ fn on_disk_checkpoints_recover_every_kill_point() {
         {
             let mut store = CheckpointStore::open(&dir, 2).unwrap();
             let mut sink = MatchLog::open(dir.join("matches.log")).unwrap();
-            let mut sm = StreamMatcher::with_options(&pat, &schema(), opts.clone())
-                .unwrap()
-                .with_eviction(true);
+            let mut sm = build(&pat, &opts, true, None).unwrap();
             for (i, e) in events[..kill_after].iter().enumerate() {
-                for m in sm.push(e.ts(), e.values().to_vec()).unwrap() {
+                for m in push(&mut sm, e) {
                     sink.append(&m.display_with(&pat).to_string()).unwrap();
                 }
                 if (i + 1) % 3 == 0 {
                     sink.sync().unwrap();
-                    store.save(&MatcherSnapshot::Stream(sm.snapshot())).unwrap();
+                    store.save(&MatcherSnapshot::Bank(sm.snapshot())).unwrap();
                 }
             }
             sink.sync().unwrap();
@@ -398,10 +348,7 @@ fn on_disk_checkpoints_recover_every_kill_point() {
         let mut sink = MatchLog::open(dir.join("matches.log")).unwrap();
         let (mut sm, replay, skip, emitted_at_ckpt) = match store.load_latest().unwrap() {
             Some(l) => {
-                let MatcherSnapshot::Stream(ref s) = l.snapshot else {
-                    panic!("global snapshot expected");
-                };
-                let sm = StreamMatcher::restore(&pat, &schema(), opts.clone(), s).unwrap();
+                let sm = restore(&pat, &opts, &l.snapshot);
                 let replay: Vec<Event> = match l.snapshot.replay_from() {
                     Some(from) => events.iter().filter(|e| e.ts() >= from).cloned().collect(),
                     None => events.clone(),
@@ -409,16 +356,16 @@ fn on_disk_checkpoints_recover_every_kill_point() {
                 let skip = sm.ties_at_watermark();
                 (sm, replay, skip, l.snapshot.emitted())
             }
-            None => {
-                let sm = StreamMatcher::with_options(&pat, &schema(), opts.clone())
-                    .unwrap()
-                    .with_eviction(true);
-                (sm, events.clone(), 0, 0)
-            }
+            None => (
+                build(&pat, &opts, true, None).unwrap(),
+                events.clone(),
+                0,
+                0,
+            ),
         };
         let mut suppress = sink.lines().saturating_sub(emitted_at_ckpt);
         for e in replay.iter().skip(skip) {
-            for m in sm.push(e.ts(), e.values().to_vec()).unwrap() {
+            for m in push(&mut sm, e) {
                 if suppress > 0 {
                     suppress -= 1;
                 } else {
@@ -426,7 +373,7 @@ fn on_disk_checkpoints_recover_every_kill_point() {
                 }
             }
         }
-        for m in sm.finish() {
+        for m in finish(sm) {
             if suppress > 0 {
                 suppress -= 1;
             } else {
@@ -462,16 +409,14 @@ fn corrupted_checkpoint_falls_back_and_replays_the_gap() {
 
     let mut store = CheckpointStore::open(&dir, 4).unwrap();
     let mut sink = MatchLog::open(dir.join("matches.log")).unwrap();
-    let mut sm = StreamMatcher::with_options(&pat, &schema(), opts.clone())
-        .unwrap()
-        .with_eviction(true);
+    let mut sm = build(&pat, &opts, true, None).unwrap();
     for (i, e) in events.iter().enumerate() {
-        for m in sm.push(e.ts(), e.values().to_vec()).unwrap() {
+        for m in push(&mut sm, e) {
             sink.append(&m.display_with(&pat).to_string()).unwrap();
         }
         if (i + 1) % 4 == 0 {
             sink.sync().unwrap();
-            store.save(&MatcherSnapshot::Stream(sm.snapshot())).unwrap();
+            store.save(&MatcherSnapshot::Bank(sm.snapshot())).unwrap();
         }
     }
     sink.sync().unwrap();
@@ -491,10 +436,7 @@ fn corrupted_checkpoint_falls_back_and_replays_the_gap() {
     assert_eq!(loaded.skipped, 1, "exactly the corrupt one skipped");
     assert!(loaded.info.seq < newest.seq);
 
-    let MatcherSnapshot::Stream(ref s) = loaded.snapshot else {
-        panic!("global snapshot expected");
-    };
-    let mut sm = StreamMatcher::restore(&pat, &schema(), opts, s).unwrap();
+    let mut sm = restore(&pat, &opts, &loaded.snapshot);
     let replay: Vec<Event> = match loaded.snapshot.replay_from() {
         Some(from) => events.iter().filter(|e| e.ts() >= from).cloned().collect(),
         None => events.clone(),
@@ -502,7 +444,7 @@ fn corrupted_checkpoint_falls_back_and_replays_the_gap() {
     let mut sink = MatchLog::open(dir.join("matches.log")).unwrap();
     let mut suppress = sink.lines().saturating_sub(loaded.snapshot.emitted());
     for e in replay.iter().skip(sm.ties_at_watermark()) {
-        for m in sm.push(e.ts(), e.values().to_vec()).unwrap() {
+        for m in push(&mut sm, e) {
             if suppress > 0 {
                 suppress -= 1;
             } else {
@@ -510,7 +452,7 @@ fn corrupted_checkpoint_falls_back_and_replays_the_gap() {
             }
         }
     }
-    for m in sm.finish() {
+    for m in finish(sm) {
         if suppress > 0 {
             suppress -= 1;
         } else {
@@ -612,9 +554,7 @@ fn bank_kill_points_recover_exactly_once_per_pattern() {
             let (mut bank, replay, skip, emitted_at_ckpt) = match &ckpt {
                 Some((bytes, _)) => {
                     let snap = decode_snapshot(bytes).expect("checkpoint round-trips");
-                    let MatcherSnapshot::Bank(ref s) = snap else {
-                        panic!("bank snapshot expected");
-                    };
+                    let MatcherSnapshot::Bank(ref s) = snap;
                     let bank = PatternBank::restore(&specs, &schema(), s).unwrap();
                     let replay: Vec<Event> = match snap.replay_from() {
                         Some(from) => events.iter().filter(|e| e.ts() >= from).cloned().collect(),
@@ -689,26 +629,25 @@ proptest! {
         }
     }
 
-    /// The sharded flavor, whenever the generated pattern proves a
-    /// partition key (fully-correlated cliques do); unprovable patterns
-    /// are skipped, not failed.
+    /// On 1–3 lanes, whenever the generated pattern proves a partition
+    /// key (fully-correlated cliques do); unprovable patterns are
+    /// skipped, not failed.
     #[test]
-    fn recovered_stream_equals_uninterrupted_sharded(
+    fn recovered_stream_equals_uninterrupted_on_lanes(
         pat in pattern_strategy(),
         rel in relation_strategy_with(2..7, 0i64..3),
         semantics_ix in 0usize..3,
-        shards in 1usize..4,
+        lanes in 1usize..4,
     ) {
         let opts = options(MODES[semantics_ix], EventSelection::SkipTillNextMatch);
         // Skip (don't fail) patterns the analyzer cannot shard by key.
-        if ShardedStreamMatcher::with_options(&pat, &schema(), sharded_opts(&opts), shards).is_err()
-        {
+        if build(&pat, &opts, true, Some(lanes)).is_err() {
             return Ok(());
         }
-        let reference = uninterrupted(&pat, &rel, &opts, true, Some(shards));
+        let reference = uninterrupted(&pat, &rel, &opts, true, Some(lanes));
         for kill_after in 0..=rel.len() {
             let recovered = crash_and_recover(
-                &pat, &rel, &opts, true, Some(shards), kill_after, 2, true,
+                &pat, &rel, &opts, true, Some(lanes), kill_after, 2, true,
             );
             prop_assert_eq!(&recovered, &reference, "kill_after={}", kill_after);
         }

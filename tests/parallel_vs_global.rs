@@ -129,7 +129,7 @@ proptest! {
     ) {
         let key = schema().attr_id("ID").unwrap();
         let mut seen = 0usize;
-        for (_, view) in ses::parallel::partition_views(&rel, key) {
+        for (_, view) in ses::event::partition_views(&rel, key) {
             for (local, event) in view.iter() {
                 prop_assert!(
                     std::ptr::eq(event, rel.event(view.global_id(local))),
@@ -140,4 +140,61 @@ proptest! {
         }
         prop_assert_eq!(seen, rel.len(), "views must cover the relation exactly");
     }
+}
+
+/// The paper's Q1 over a generated chemotherapy ward: the unchecked
+/// per-key primitive under `PartitionMode::Auto` returns the global
+/// scan's answer on a realistic, skewed key distribution.
+#[test]
+fn partitioned_equals_global_on_chemo_q1() {
+    let ward = ses::workload::chemo::generate(&ses::workload::chemo::ChemoConfig::small());
+    let q1 = ses::workload::paper::query_q1();
+    let matcher = Matcher::compile(&q1, ward.schema()).unwrap();
+    let key = ward.schema().attr_id("ID").unwrap();
+
+    let mut global = matcher.find(&ward);
+    global.sort();
+    let parallel = ses::parallel::find_partitioned(&matcher, &ward, key);
+    assert_eq!(parallel, global);
+    assert!(!parallel.is_empty());
+}
+
+/// A `Str` partition key exercises the refcount-bump path of
+/// `PartitionKey` (no per-event allocation).
+#[test]
+fn partitioned_equals_global_on_string_key() {
+    let schema = Schema::builder()
+        .attr("HOST", AttrType::Str)
+        .attr("KIND", AttrType::Str)
+        .build()
+        .unwrap();
+    let pattern = Pattern::builder()
+        .set(|s| s.var("d"))
+        .set(|s| s.var("e"))
+        .cond_const("d", "KIND", CmpOp::Eq, "deploy")
+        .cond_const("e", "KIND", CmpOp::Eq, "error")
+        .cond_vars("d", "HOST", CmpOp::Eq, "e", "HOST")
+        .within(Duration::ticks(10))
+        .build()
+        .unwrap();
+    let mut rel = Relation::new(schema.clone());
+    for (t, host, kind) in [
+        (0, "web-1", "deploy"),
+        (1, "web-2", "deploy"),
+        (3, "web-1", "error"),
+        (4, "web-2", "error"),
+        (20, "web-1", "deploy"),
+        (25, "web-1", "error"),
+    ] {
+        rel.push_values(Timestamp::new(t), [Value::from(host), Value::from(kind)])
+            .unwrap();
+    }
+    let matcher = Matcher::compile(&pattern, &schema).unwrap();
+    let key = schema.attr_id("HOST").unwrap();
+
+    let mut global = matcher.find(&rel);
+    global.sort();
+    let parallel = ses::parallel::find_partitioned(&matcher, &rel, key);
+    assert_eq!(parallel, global);
+    assert_eq!(parallel.len(), 3);
 }

@@ -158,3 +158,35 @@ proptest! {
         prop_assert_eq!(out, answer(&pat, &rel, base));
     }
 }
+
+/// Ward-wide drug-then-bloodcount with no patient correlation:
+/// `partition_keys()` proves nothing, so time slicing is the only
+/// parallel strategy that applies — checked on the generated
+/// chemotherapy ward at several slice counts.
+#[test]
+fn time_sliced_equals_global_on_a_keyless_chemo_query() {
+    let ward = ses::workload::chemo::generate(&ses::workload::chemo::ChemoConfig::small());
+    let pattern = Pattern::builder()
+        .set(|s| s.var("c"))
+        .set(|s| s.var("b"))
+        .cond_const("c", "L", CmpOp::Eq, "C")
+        .cond_const("b", "L", CmpOp::Eq, "B")
+        .within(Duration::ticks(48))
+        .build()
+        .unwrap();
+    assert!(pattern
+        .compile(ward.schema())
+        .unwrap()
+        .partition_keys()
+        .is_empty());
+    let matcher = Matcher::compile(&pattern, ward.schema()).unwrap();
+
+    let mut global = matcher.find(&ward);
+    global.sort();
+    for slices in [None, Some(1), Some(3), Some(16)] {
+        let mut sliced = ses::parallel::find_time_sliced(&matcher, &ward, slices);
+        sliced.sort();
+        assert_eq!(sliced, global, "slices={slices:?}");
+    }
+    assert!(!global.is_empty());
+}
