@@ -6,16 +6,22 @@
 //!     [--events N] [--iters N] [--quick] [--out FILE.json]
 //! ```
 //!
-//! For each bank size the same stream is pushed through a
-//! [`ses_core::PatternBank`] with the event→pattern predicate index
-//! enabled and disabled, and — on a correlated variant of the pattern
-//! set where 75% of the patterns open with one shared anchor set —
-//! with structural sharing enabled and disabled. Outputs are asserted
-//! identical before any number is reported; the committed report
-//! (`BENCH_patternbank.json`) tracks the routed-push reduction and the
-//! resulting `speedup` per size, plus the `shared_speedup` won by
-//! evaluating each shared prefix once. The CI smoke step runs this
-//! with `--quick`.
+//! For each bank size (4, 16, 64, 256 patterns) the same stream is
+//! pushed through a [`ses_core::PatternBank`] with the event→pattern
+//! predicate index enabled and disabled, and — on a correlated variant
+//! of the pattern set where 75% of the patterns open with one shared
+//! anchor set — with structural sharing enabled and disabled. Outputs
+//! are asserted identical before any number is reported; the committed
+//! report (`BENCH_patternbank.json`) names its machine and tracks the
+//! routed-push reduction, the heartbeats the index-on run executed, and
+//! the resulting `speedup` per size, plus the `shared_speedup` won by
+//! evaluating each shared prefix once. The clock covers the pushes and
+//! the final flush; banks are built before it starts.
+//!
+//! The CI smoke step runs this with `--quick`. Every run also holds the
+//! bank to its cost model without a timing assertion: each event is
+//! routed to one pattern, and all the others — 3 or 255 of them — must
+//! cost fewer than two executed heartbeats between them.
 
 use ses_core::{Match, MatcherOptions, PatternBank};
 use ses_event::Relation;
@@ -77,15 +83,18 @@ fn build_bank(named: &[(String, Pattern)], use_index: bool, share: bool) -> Patt
     builder.build()
 }
 
-/// One full pass; returns the complete per-pattern output and the
-/// routed-push count.
-fn run_once(
-    named: &[(String, Pattern)],
-    rel: &Relation,
-    use_index: bool,
-    share: bool,
-) -> (Vec<(usize, Match)>, u64) {
-    let mut bank = build_bank(named, use_index, share);
+/// What one full pass produced and what it cost in routing terms.
+struct Pass {
+    /// The complete per-pattern output, pushes then the final flush.
+    out: Vec<(usize, Match)>,
+    /// Events routed into matchers, summed over the patterns.
+    hits: u64,
+    /// Heartbeats the pushes executed, summed over the patterns.
+    heartbeats: u64,
+}
+
+/// One full pass of `rel` through `bank`.
+fn run_once(mut bank: PatternBank, rel: &Relation) -> Pass {
     let mut out = Vec::new();
     for (_, e) in rel.iter() {
         out.extend(
@@ -94,11 +103,17 @@ fn run_once(
         );
     }
     let hits = bank.total_hits();
+    let heartbeats = bank.stats().iter().map(|s| s.heartbeats).sum();
     out.extend(bank.finish());
-    (out, hits)
+    Pass {
+        out,
+        hits,
+        heartbeats,
+    }
 }
 
-/// Best-of-`iters` wall time of a full pass.
+/// Best-of-`iters` wall time of a full pass; each pass gets a fresh
+/// bank, built before its clock starts.
 fn best_secs(
     named: &[(String, Pattern)],
     rel: &Relation,
@@ -108,8 +123,9 @@ fn best_secs(
 ) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..iters {
+        let bank = build_bank(named, use_index, share);
         let sw = Stopwatch::start();
-        std::hint::black_box(run_once(named, rel, use_index, share));
+        std::hint::black_box(run_once(bank, rel));
         best = best.min(sw.elapsed_secs());
     }
     best
@@ -124,8 +140,10 @@ fn main() {
         }
     };
 
+    let machine = ses_bench::machine_info();
+    println!("machine: {} ({} cores)", machine.cpu, machine.cores);
     let mut rows = Vec::new();
-    for n in [4usize, 16, 64] {
+    for n in [4usize, 16, 64, 256] {
         let cfg = BankConfig::small()
             .with_patterns(n)
             .with_events(opts.events);
@@ -133,25 +151,31 @@ fn main() {
         let named = ses_workload::bank::patterns(&cfg);
 
         // Same answer first, then the clock.
-        let (with_index, hits_on) = run_once(&named, &rel, true, false);
-        let (without_index, hits_off) = run_once(&named, &rel, false, false);
-        assert_eq!(
-            with_index, without_index,
-            "index changed the answer at {n} patterns"
-        );
+        let on = run_once(build_bank(&named, true, false), &rel);
+        let off = run_once(build_bank(&named, false, false), &rel);
+        assert_eq!(on.out, off.out, "index changed the answer at {n} patterns");
+        let (hits_on, hits_off) = (on.hits, off.hits);
         assert_eq!(hits_off, (n * opts.events) as u64);
         assert!(
             hits_on < hits_off,
             "the index must strictly reduce per-pattern pushes ({hits_on} vs {hits_off})"
+        );
+        // The bank's cost model, counted not timed: a pattern an event
+        // is not routed to costs a heartbeat only when one is due.
+        let beats_per_event = on.heartbeats as f64 / opts.events as f64;
+        assert!(
+            beats_per_event < 2.0,
+            "{n} patterns executed {beats_per_event:.2} heartbeats per event"
         );
 
         let on_secs = best_secs(&named, &rel, true, false, opts.iters);
         let off_secs = best_secs(&named, &rel, false, false, opts.iters);
         let eps = |secs: f64| opts.events as f64 / secs.max(1e-12);
         println!(
-            "{n:>3} patterns: index on {:.1} ev/s ({hits_on} pushes) vs off {:.1} ev/s \
-             ({hits_off} pushes) — ×{:.2}",
+            "{n:>3} patterns: index on {:.1} ev/s ({hits_on} pushes, {} heartbeats) vs off \
+             {:.1} ev/s ({hits_off} pushes) — ×{:.2}",
             eps(on_secs),
+            on.heartbeats,
             eps(off_secs),
             off_secs / on_secs.max(1e-12),
         );
@@ -162,8 +186,8 @@ fn main() {
         let ccfg = cfg.clone().with_overlap(0.75).with_anchor_share(0.4);
         let crel = ses_workload::bank::generate(&ccfg);
         let cnamed = ses_workload::bank::patterns(&ccfg);
-        let (shared, _) = run_once(&cnamed, &crel, true, true);
-        let (unshared, _) = run_once(&cnamed, &crel, true, false);
+        let shared = run_once(build_bank(&cnamed, true, true), &crel).out;
+        let unshared = run_once(build_bank(&cnamed, true, false), &crel).out;
         assert_eq!(
             shared, unshared,
             "sharing changed the answer at {n} patterns"
@@ -180,7 +204,7 @@ fn main() {
         );
         rows.push(format!(
             "    {{ \"patterns\": {n}, \"events\": {}, \"matches\": {},\n      \
-             \"index_on\": {{ \"secs\": {:.6}, \"events_per_sec\": {:.1}, \"routed_pushes\": {hits_on} }},\n      \
+             \"index_on\": {{ \"secs\": {:.6}, \"events_per_sec\": {:.1}, \"routed_pushes\": {hits_on}, \"heartbeats\": {} }},\n      \
              \"index_off\": {{ \"secs\": {:.6}, \"events_per_sec\": {:.1}, \"routed_pushes\": {hits_off} }},\n      \
              \"push_reduction\": {:.3}, \"speedup\": {:.2},\n      \
              \"correlated\": {{ \"overlap\": {:.2}, \"overlapped_patterns\": {}, \"matches\": {},\n        \
@@ -188,9 +212,10 @@ fn main() {
              \"unshared\": {{ \"secs\": {:.6}, \"events_per_sec\": {:.1} }},\n        \
              \"shared_speedup\": {shared_speedup:.2} }} }}",
             opts.events,
-            with_index.len(),
+            on.out.len(),
             on_secs,
             eps(on_secs),
+            on.heartbeats,
             off_secs,
             eps(off_secs),
             1.0 - hits_on as f64 / hits_off as f64,
@@ -207,7 +232,11 @@ fn main() {
 
     let json = format!(
         "{{\n  \"workload\": \"bank (disjoint type pairs, ID-correlated; correlated axis shares one anchor prefix)\",\n  \
+         \"machine\": {{ \"cpu_model\": \"{}\", \"cores\": {} }},\n  \
+         \"timed\": \"pushes + finish, best of iters; banks built before the clock\",\n  \
          \"events\": {},\n  \"iters\": {},\n  \"sizes\": [\n{}\n  ]\n}}\n",
+        machine.cpu.replace('"', "'"),
+        machine.cores,
         opts.events,
         opts.iters,
         rows.join(",\n"),

@@ -46,6 +46,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use ses_bench::machine_info;
 use ses_core::{
     AdjudicationMode, ColumnarMode, Match, MatchSemantics, Matcher, MatcherOptions, Probe,
     StreamMatcher,
@@ -218,27 +219,6 @@ fn best_find_secs(a: &Matcher, b: &Matcher, rel: &Relation, iters: usize) -> (f6
         best.1 = best.1.min(sw.elapsed_secs());
     }
     best
-}
-
-struct MachineInfo {
-    cpu: String,
-    cores: usize,
-}
-
-fn machine_info() -> MachineInfo {
-    let cpu = std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split(':').nth(1))
-                .map(|v| v.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".into());
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    MachineInfo { cpu, cores }
 }
 
 /// Tier 1: whole-relation `find`, columnar vs. scalar.

@@ -1312,6 +1312,7 @@ fn cmd_stream(args: &Args, out: &mut dyn Write) -> Result<(), String> {
             "lanes",
             "hits",
             "skips",
+            "heartbeats",
             "matches",
             "peak |Ω|",
             "retained",
@@ -1324,6 +1325,7 @@ fn cmd_stream(args: &Args, out: &mut dyn Write) -> Result<(), String> {
                 s.lanes.to_string(),
                 s.hits.to_string(),
                 s.skips.to_string(),
+                s.heartbeats.to_string(),
                 emitted.to_string(),
                 s.peak_omega.to_string(),
                 s.retained_events.to_string(),
@@ -1337,7 +1339,11 @@ fn cmd_stream(args: &Args, out: &mut dyn Write) -> Result<(), String> {
             totals.row(["sharing plan", &plan_summary]);
         }
         totals.row(["routed pushes", &probe.index_hits.to_string()]);
-        totals.row(["skipped (heartbeat)", &probe.index_skips.to_string()]);
+        totals.row(["skipped", &probe.index_skips.to_string()]);
+        totals.row([
+            "heartbeats executed".to_string(),
+            stats.iter().map(|s| s.heartbeats).sum::<u64>().to_string(),
+        ]);
         totals.row([
             "pushes without index".to_string(),
             (consumed * patterns.len()).to_string(),

@@ -4,9 +4,14 @@
 //! event stream. Each event is pushed **once**; an event→pattern
 //! predicate index ([`ses_pattern::PatternIndex`]) built from the
 //! patterns' analyzer-derived constant constraints routes it to the
-//! patterns it could possibly advance, and every other pattern receives
-//! only a watermark heartbeat ([`StreamMatcher::advance_watermark`]) so
-//! its pending matches finalize and its window evicts on time.
+//! patterns it could possibly advance. Every other pattern only has to
+//! learn the time, and only at the instants that change anything for
+//! it: it receives a watermark heartbeat
+//! ([`StreamMatcher::advance_watermark`]) once the stream's clock
+//! reaches its [`StreamMatcher::next_deadline`], so its pending matches
+//! finalize and its window evicts on time. A push therefore costs what
+//! it admits plus what has come due, not the number of patterns
+//! registered.
 //!
 //! # Why skipping is sound
 //!
@@ -18,7 +23,9 @@
 //! thing the pattern must learn from it is the time: the heartbeat
 //! performs exactly the sweep/adjudicate/evict work a push at that
 //! timestamp would, and a push at a timestamp equal to the watermark is
-//! still accepted — admitted ties are never rejected. Per-pattern
+//! still accepted — admitted ties are never rejected. Below the
+//! matcher's deadline that work is provably empty, so withholding the
+//! heartbeat until then changes nothing either. Per-pattern
 //! output is therefore identical — matches *and* order — to N
 //! independent [`StreamMatcher`]s each fed every event, which is
 //! precisely what `tests/bank_vs_independent.rs` proves differentially.
@@ -65,7 +72,8 @@
 //! on N hash *lanes* ([`PatternBankBuilder::register_lanes`]): N entries
 //! running the same compiled pattern and reporting one pattern id, each
 //! admitted only the events whose `hash(key) % N` is its lane — ANDed
-//! with the index's verdict — and heartbeat on every other push, so a
+//! with the index's verdict — and heartbeat by the other pushes like
+//! any skipped pattern, so a
 //! match on an idle key still finalizes on time. No match spans two key
 //! values, adjudication verdicts only compare matches sharing a first
 //! binding, and skip-till-next-match swap candidates must satisfy the
@@ -82,8 +90,9 @@
 //! the whole stream), even though each entry's relation holds only the
 //! events admitted to it.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::hash_map::DefaultHasher;
+use std::collections::BinaryHeap;
 use std::hash::{Hash, Hasher};
 
 use ses_event::{AttrId, Event, EventError, EventId, PartitionKey, Schema, Timestamp, Value};
@@ -123,6 +132,11 @@ struct Entry {
     /// lanes of one sharded pattern share it.
     pattern: usize,
     exec: Exec,
+    /// Pattern ids of the dedup members re-emitting this entry's
+    /// matches.
+    followers: Vec<usize>,
+    /// The prefix pool this entry is a member of.
+    pool: Option<usize>,
     /// Global ids of the events admitted to this pattern, indexed by
     /// `local - base`. Empty for a dedup member.
     ids: Vec<EventId>,
@@ -134,8 +148,12 @@ struct Entry {
     /// Events routed into the matcher (for a dedup member: events the
     /// index admitted to it).
     hits: u64,
-    /// Events skipped (heartbeat only).
-    skips: u64,
+    /// Global id of the first event pushed after this entry registered
+    /// (see [`Entry::seen`]); what it saw and did not hit, it skipped.
+    since: usize,
+    /// Heartbeats pushes executed on this entry's matcher since the
+    /// bank was built or restored.
+    beats: u64,
 }
 
 /// A shared-prefix pool: one matcher simulating the common prefix for a
@@ -179,6 +197,105 @@ impl LaneGroup {
     }
 }
 
+/// What one push does with an entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Todo {
+    /// Nothing: not admitted, and below its heartbeat deadline.
+    Idle,
+    /// Admitted by the index (and, for a lane, by the key hash): push.
+    Routed,
+    /// Admitted to a sibling of its prefix group only: store the event
+    /// for id alignment without running the engine.
+    Aligned,
+    /// Its heartbeat deadline has come.
+    Beat,
+}
+
+/// Routing scratch the bank owns so that a push allocates none of it.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The entries the push touches.
+    work: Vec<usize>,
+    /// What the push does with each entry; all `Idle` between pushes.
+    todo: Vec<Todo>,
+    /// The prefix pools the push touches.
+    pool_work: Vec<usize>,
+    /// What the push does with each pool — `Routed`: store the event,
+    /// `Beat`: heartbeat; all `Idle` between pushes.
+    pool_todo: Vec<Todo>,
+}
+
+/// When each of a set of matchers next needs a heartbeat: a min-heap of
+/// alarms, so a push pays for the matchers that have come due and not
+/// for a look at each one registered.
+///
+/// A matcher's deadline moves with every push it receives — almost
+/// always later. Rather than re-key the heap each time, a matcher keeps
+/// at most one live *alarm*, never set later than its deadline: moving
+/// the deadline later leaves the alarm alone, and an alarm that rings
+/// early is simply re-set to the deadline of the day. Only a deadline
+/// moving *earlier* than the alarm (a fork injected into an idle prefix
+/// member, say) queues a second entry; the superseded one is recognized
+/// by its time when it surfaces and dropped. Ringing early is always
+/// safe — a heartbeat below the deadline does nothing — ringing late
+/// never happens.
+#[derive(Debug, Default)]
+struct Deadlines {
+    /// Matcher `i`'s [`StreamMatcher::next_deadline`] as of the last
+    /// time the bank touched it; `Timestamp::MAX` for none.
+    due: Vec<Timestamp>,
+    /// When matcher `i`'s live alarm rings (`<= due[i]`);
+    /// `Timestamp::MAX` for no alarm.
+    alarm: Vec<Timestamp>,
+    /// `(time, matcher)` alarms, earliest first — the live ones and the
+    /// superseded ones not yet surfaced.
+    heap: BinaryHeap<Reverse<(Timestamp, usize)>>,
+}
+
+impl Deadlines {
+    /// Replaces every deadline.
+    fn reset(&mut self, deadlines: impl Iterator<Item = Option<Timestamp>>) {
+        self.due.clear();
+        self.alarm.clear();
+        self.heap.clear();
+        for (i, deadline) in deadlines.enumerate() {
+            self.due.push(Timestamp::MAX);
+            self.alarm.push(Timestamp::MAX);
+            self.set(i, deadline);
+        }
+    }
+
+    /// Records matcher `i`'s new deadline.
+    fn set(&mut self, i: usize, deadline: Option<Timestamp>) {
+        let deadline = deadline.unwrap_or(Timestamp::MAX);
+        self.due[i] = deadline;
+        if deadline < self.alarm[i] {
+            self.alarm[i] = deadline;
+            self.heap.push(Reverse((deadline, i)));
+        }
+    }
+
+    /// Calls `beat` for every matcher whose deadline `ts` has reached.
+    /// The caller [`Deadlines::set`]s each one's new deadline afterwards.
+    fn for_each_due(&mut self, ts: Timestamp, mut beat: impl FnMut(usize)) {
+        while let Some(&Reverse((at, i))) = self.heap.peek() {
+            if at > ts {
+                break;
+            }
+            self.heap.pop();
+            if at != self.alarm[i] {
+                continue; // superseded by an earlier alarm
+            }
+            self.alarm[i] = Timestamp::MAX;
+            if self.due[i] <= ts {
+                beat(i);
+            } else {
+                self.set(i, Some(self.due[i]));
+            }
+        }
+    }
+}
+
 /// The order one stream matcher emits a push's matches in: adjudication
 /// groups ascending by first binding, each group in canonical order.
 /// Lanes partition the groups, so sorting their concatenated output by
@@ -213,6 +330,30 @@ fn remap(ids: &[EventId], base: usize, m: &Match) -> Match {
 }
 
 impl Entry {
+    /// An entry that has pushed nothing yet, registered when the bank
+    /// had consumed `since` events.
+    fn new(name: String, pattern: usize, exec: Exec, since: usize) -> Entry {
+        Entry {
+            name,
+            pattern,
+            exec,
+            followers: Vec::new(),
+            pool: None,
+            ids: Vec::new(),
+            base: 0,
+            peak_omega: 0,
+            hits: 0,
+            since,
+            beats: 0,
+        }
+    }
+
+    /// Events pushed since this entry registered, of the `consumed` the
+    /// bank has taken in all: its hits plus its skips.
+    fn seen(&self, consumed: usize) -> u64 {
+        (consumed - self.since) as u64
+    }
+
     /// `Some(leader)` iff this pattern is deduplicated into another.
     fn leader(&self) -> Option<usize> {
         match self.exec {
@@ -229,67 +370,68 @@ impl Entry {
         }
     }
 
-    /// Pushes the event into this entry's own matcher, remapping the
-    /// finalized matches to global ids.
+    /// The entry's own matcher, which the caller knows it runs.
+    fn own_mut(&mut self) -> &mut StreamMatcher {
+        match &mut self.exec {
+            Exec::Own(sm) => sm,
+            Exec::Dedup { .. } => unreachable!("a dedup member runs no matcher"),
+        }
+    }
+
+    /// Pushes the event — its row already checked against the bank's
+    /// schema — into this entry's own matcher and emits what that
+    /// finalizes.
     fn push_own<P: Probe>(
         &mut self,
-        ts: Timestamp,
-        values: Vec<Value>,
+        event: Event,
         global: usize,
         probe: &mut P,
-    ) -> Result<Vec<Match>, EventError> {
+        out: &mut Vec<(usize, Match)>,
+    ) -> Result<(), EventError> {
         self.ids.push(EventId::from(global));
-        let Exec::Own(sm) = &mut self.exec else {
-            unreachable!("push_own on a dedup member");
-        };
-        let emitted = sm.push_with_probe(ts, values, probe)?;
-        self.hits += 1;
-        self.peak_omega = self.peak_omega.max(sm.active_instances());
-        let out = emitted
-            .iter()
-            .map(|m| remap(&self.ids, self.base, m))
-            .collect();
-        self.prune();
-        Ok(out)
+        let sm = self.own_mut();
+        let emitted = sm.push_checked_event(event, probe)?;
+        let omega = sm.active_instances();
+        self.peak_omega = self.peak_omega.max(omega);
+        self.emit(emitted, out);
+        Ok(())
     }
 
     /// Pushes an event the bank's index proved cannot bind here —
     /// storing it so local event ids stay aligned with the entry's
-    /// prefix pool, advancing time, but never running the engine.
-    /// Remaps whatever that finalizes to global ids.
+    /// prefix pool, advancing time, but never running the engine — and
+    /// emits what that finalizes.
     fn skip_own<P: Probe>(
         &mut self,
-        ts: Timestamp,
-        values: Vec<Value>,
+        event: Event,
         global: usize,
         probe: &mut P,
-    ) -> Result<Vec<Match>, EventError> {
+        out: &mut Vec<(usize, Match)>,
+    ) -> Result<(), EventError> {
         self.ids.push(EventId::from(global));
-        let Exec::Own(sm) = &mut self.exec else {
-            unreachable!("skip_own on a dedup member");
-        };
-        let emitted = sm.skip_event_with_probe(ts, values, probe)?;
-        let out = emitted
-            .iter()
-            .map(|m| remap(&self.ids, self.base, m))
-            .collect();
-        self.prune();
-        Ok(out)
+        let emitted = self.own_mut().skip_checked_event(event, probe)?;
+        self.emit(emitted, out);
+        Ok(())
     }
 
-    /// Heartbeats this entry's own matcher, remapping whatever that
-    /// finalizes. Does not touch the hit/skip counters.
-    fn beat_own<P: Probe>(&mut self, ts: Timestamp, probe: &mut P) -> Vec<Match> {
-        let Exec::Own(sm) = &mut self.exec else {
-            unreachable!("beat_own on a dedup member");
-        };
-        let beat = sm.advance_watermark_with_probe(ts, probe);
-        let out = beat
-            .iter()
-            .map(|m| remap(&self.ids, self.base, m))
-            .collect();
+    /// Heartbeats this entry's own matcher and emits what that
+    /// finalizes. Does not touch the routing counters.
+    fn beat_own<P: Probe>(&mut self, ts: Timestamp, probe: &mut P, out: &mut Vec<(usize, Match)>) {
+        let emitted = self.own_mut().advance_watermark_with_probe(ts, probe);
+        self.emit(emitted, out);
+    }
+
+    /// Appends the matches this entry's matcher just `emitted` to `out`
+    /// in global event ids — under its own pattern id and under that of
+    /// every dedup member re-emitting them — and drops the id-map
+    /// entries of whatever the matcher evicted meanwhile.
+    fn emit(&mut self, emitted: Vec<Match>, out: &mut Vec<(usize, Match)>) {
+        for m in &emitted {
+            let m = remap(&self.ids, self.base, m);
+            out.extend(self.followers.iter().map(|&f| (f, m.clone())));
+            out.push((self.pattern, m));
+        }
         self.prune();
-        out
     }
 
     /// Drops id-map entries for events the matcher has evicted.
@@ -319,10 +461,17 @@ pub struct PatternStats {
     /// Events pushed into the pattern's matcher by its own index
     /// admission.
     pub hits: u64,
-    /// Events skipped: watermark heartbeat only, or — for prefix
-    /// members — an alignment push a sibling's admission forced, which
-    /// stores the event without running this pattern's engine.
+    /// Events skipped — everything the pattern has seen since it
+    /// registered that was not a hit: the pattern learned the time at
+    /// most (see `heartbeats`), or — for prefix members — took an
+    /// alignment push a sibling's admission forced, which stores the
+    /// event without running this pattern's engine.
     pub skips: u64,
+    /// Heartbeats pushes actually executed on the pattern's matcher
+    /// since the bank was built or restored: a skip costs one only once
+    /// the clock reaches the matcher's deadline, so this stays far below
+    /// `skips`.
+    pub heartbeats: u64,
     /// Matches finalized by pushes so far.
     pub emitted: usize,
     /// Current `|Ω|`.
@@ -452,7 +601,7 @@ fn assemble(built: Vec<Built>, plan: &SharingPlan, evict: bool) -> (Vec<Entry>, 
             member_boundary,
         });
     }
-    let entries = sms
+    let mut entries: Vec<Entry> = sms
         .into_iter()
         .zip(&plan.roles)
         .map(|((name, pattern, sm), role)| {
@@ -460,18 +609,20 @@ fn assemble(built: Vec<Built>, plan: &SharingPlan, evict: bool) -> (Vec<Entry>, 
                 ShareRole::DedupMember { leader } => Exec::Dedup { leader: *leader },
                 _ => Exec::Own(Box::new(sm.expect("non-dedup patterns keep their matcher"))),
             };
-            Entry {
-                name,
-                pattern,
-                exec,
-                ids: Vec::new(),
-                base: 0,
-                peak_omega: 0,
-                hits: 0,
-                skips: 0,
-            }
+            Entry::new(name, pattern, exec, 0)
         })
         .collect();
+    for (g, group) in plan.prefix_groups.iter().enumerate() {
+        for &m in &group.members {
+            entries[m].pool = Some(g);
+        }
+    }
+    for i in 0..entries.len() {
+        if let Some(leader) = entries[i].leader() {
+            let member = entries[i].pattern;
+            entries[leader].followers.push(member);
+        }
+    }
     (entries, pools)
 }
 
@@ -505,6 +656,15 @@ fn resolve_lane_key(
     })
 }
 
+/// Panics unless `sm` was compiled against `schema` — the invariant that
+/// lets the bank check a row once for all of its matchers.
+fn assert_shares_schema(sm: &StreamMatcher, schema: &Schema) {
+    assert!(
+        sm.compiled().schema() == schema,
+        "a bank's matchers are compiled against the bank's schema"
+    );
+}
+
 /// Builder for a [`PatternBank`]; see [`PatternBank::builder`].
 #[derive(Debug)]
 pub struct PatternBankBuilder {
@@ -527,12 +687,16 @@ impl PatternBankBuilder {
         options: MatcherOptions,
     ) -> Result<PatternBankBuilder, CoreError> {
         let sm = StreamMatcher::with_options(pattern, &self.schema, options)?;
-        self.entries.push(Built {
-            name: name.into(),
-            pattern: self.next_pattern(),
-            sm,
-        });
+        self.add(name.into(), self.next_pattern(), sm);
         Ok(self)
+    }
+
+    /// Queues one compiled entry. A push checks its row against the
+    /// bank's schema once and then trusts it in every matcher, so every
+    /// matcher must have been compiled against that very schema.
+    fn add(&mut self, name: String, pattern: usize, sm: StreamMatcher) {
+        assert_shares_schema(&sm, &self.schema);
+        self.entries.push(Built { name, pattern, sm });
     }
 
     /// As [`PatternBankBuilder::register`], but key-sharded: the
@@ -563,11 +727,8 @@ impl PatternBankBuilder {
             key,
         });
         for _ in 0..of {
-            self.entries.push(Built {
-                name: name.clone(),
-                pattern,
-                sm: StreamMatcher::from_automaton(automaton.clone(), options.clone()),
-            });
+            let sm = StreamMatcher::from_automaton(automaton.clone(), options.clone());
+            self.add(name.clone(), pattern, sm);
         }
         Ok(self)
     }
@@ -623,7 +784,7 @@ impl PatternBankBuilder {
         };
         let index = build_index(&built, &plan);
         let (entries, pools) = assemble(built, &plan, self.evict);
-        PatternBank {
+        let mut bank = PatternBank {
             entries,
             lanes: self.lanes,
             pools,
@@ -637,7 +798,12 @@ impl PatternBankBuilder {
             next_id: 0,
             ties: 0,
             emitted: 0,
-        }
+            scratch: Scratch::default(),
+            entry_due: Deadlines::default(),
+            pool_due: Deadlines::default(),
+        };
+        bank.reschedule();
+        bank
     }
 }
 
@@ -702,6 +868,12 @@ pub struct PatternBank {
     ties: usize,
     /// Matches emitted by pushes and heartbeats so far.
     emitted: usize,
+    scratch: Scratch,
+    /// Heartbeat deadlines of the entries' own matchers (none for a
+    /// dedup member), indexed like `entries`.
+    entry_due: Deadlines,
+    /// Heartbeat deadlines of the prefix pools, indexed like `pools`.
+    pool_due: Deadlines,
 }
 
 impl PatternBank {
@@ -805,133 +977,13 @@ impl PatternBank {
                 });
             }
         }
+        // The one copy of the row: every receiving matcher stores a
+        // clone of the event, which shares it.
         let event = Event::new(ts, values);
-        let n = self.entries.len();
-        let admitted: Vec<usize> = if self.use_index {
-            self.index.admitted(&event)
-        } else {
-            (0..n).collect()
-        };
-        let mut hits = admitted.len();
-        let mut routed = vec![false; n];
-        for &i in &admitted {
-            routed[i] = true;
-        }
-        // Key sharding: of a sharded pattern's lanes, only the one the
-        // event's key hashes to may receive it.
-        for g in &self.lanes {
-            let lane = g.lane_of(&event);
-            for (i, r) in routed[g.first..g.first + g.of].iter_mut().enumerate() {
-                if *r && i != lane {
-                    *r = false;
-                    hits -= 1;
-                }
-            }
-        }
-        probe.index_hits(hits);
-        probe.index_skips(n - hits);
-        // A prefix group advances in lockstep: an event admitted to any
-        // member is pushed to the pool and to every member, keeping
-        // their local event ids aligned so harvested prefix buffers
-        // transfer verbatim. For the members this is sound for the same
-        // reason skipping is: an event no member's index admits cannot
-        // bind anywhere in the group.
-        let mut pushed = routed.clone();
-        let mut pool_pushed = vec![false; self.pools.len()];
-        for (pi, pool) in self.pools.iter().enumerate() {
-            if pool.members.iter().any(|&m| routed[m]) {
-                pool_pushed[pi] = true;
-                for &m in &pool.members {
-                    pushed[m] = true;
-                }
-            }
-        }
-        // Pools run first: simulate the shared prefix, then harvest the
-        // instances that arrived at the boundary *before* the pool
-        // could evolve them further with its own suffix transitions.
-        // An event some member's index did *not* admit provably binds
-        // no variable of that member — in particular none of the
-        // shared prefix variables — so the pool only stores it for id
-        // alignment (`skip_event_with_probe`) instead of running its
-        // engine.
-        let mut forks: Vec<Vec<Buffer>> = Vec::with_capacity(self.pools.len());
-        for (pi, pool) in self.pools.iter_mut().enumerate() {
-            if pool_pushed[pi] {
-                // Cannot fail: the row was checked against the shared
-                // schema, and the pool's watermark never exceeds the
-                // bank's (pushes and heartbeats move them together).
-                let emitted = if pool.members.iter().all(|&m| routed[m]) {
-                    pool.sm.push(ts, event.values().to_vec())?
-                } else {
-                    pool.sm
-                        .skip_event_with_probe(ts, event.values().to_vec(), &mut NoProbe)?
-                };
-                debug_assert!(emitted.is_empty(), "prefix pool emitted a match");
-                forks.push(pool.sm.take_instances_at(pool.boundary));
-            } else {
-                let beat = pool.sm.advance_watermark(ts);
-                debug_assert!(beat.is_empty(), "prefix pool emitted a match");
-                forks.push(Vec::new());
-            }
-        }
-        let mut out = Vec::new();
-        // Per-entry deltas in registration order; a dedup member
-        // clones its leader's (the plan guarantees leader < member).
-        let mut deltas: Vec<Vec<Match>> = Vec::with_capacity(n);
-        for i in 0..n {
-            let delta = match self.entries[i].leader() {
-                Some(leader) => {
-                    let entry = &mut self.entries[i];
-                    if routed[i] {
-                        entry.hits += 1;
-                    } else {
-                        entry.skips += 1;
-                    }
-                    deltas[leader].clone()
-                }
-                None => {
-                    if routed[i] {
-                        self.entries[i].push_own(
-                            ts,
-                            event.values().to_vec(),
-                            self.next_id,
-                            &mut *probe,
-                        )?
-                    } else if pushed[i] {
-                        // Lockstep alignment only: a sibling's index
-                        // admission forced the push, but this entry's
-                        // own index proved the event binds nothing
-                        // here, so the engine need not run.
-                        let entry = &mut self.entries[i];
-                        entry.skips += 1;
-                        entry.skip_own(ts, event.values().to_vec(), self.next_id, &mut *probe)?
-                    } else {
-                        let entry = &mut self.entries[i];
-                        entry.skips += 1;
-                        entry.beat_own(ts, &mut *probe)
-                    }
-                }
-            };
-            let id = self.entries[i].pattern;
-            out.extend(delta.iter().cloned().map(|m| (id, m)));
-            deltas.push(delta);
-        }
-        // Inject the boundary forks *after* the members' own pushes: an
-        // injected run bound its last prefix variable to this event and
-        // must not consume it again.
-        for (pool, forkbuf) in self.pools.iter().zip(forks) {
-            if forkbuf.is_empty() {
-                continue;
-            }
-            for (&m, &mb) in pool.members.iter().zip(&pool.member_boundary) {
-                let entry = &mut self.entries[m];
-                let Exec::Own(sm) = &mut entry.exec else {
-                    unreachable!("prefix members run their own automata");
-                };
-                sm.inject_instances_at(mb, forkbuf.iter().cloned());
-                entry.peak_omega = entry.peak_omega.max(sm.active_instances());
-            }
-        }
+        self.route(&event, probe);
+        let pushed = self.execute(&event, probe);
+        self.settle();
+        let mut out = pushed?;
         self.ties = if self.last_ts == Some(ts) {
             self.ties + 1
         } else {
@@ -943,6 +995,203 @@ impl PatternBank {
         sort_lane_output(&self.lanes, &mut out, emission_order);
         self.emitted += out.len();
         Ok(out)
+    }
+
+    /// Decides what the push of `event` does with every entry it
+    /// touches, into the scratch: the index's admissions narrowed by the
+    /// key hash of sharded patterns, the prefix siblings those drag
+    /// along, and whoever's heartbeat deadline the event's timestamp
+    /// reaches. Everyone else is left alone.
+    fn route<P: Probe>(&mut self, event: &Event, probe: &mut P) {
+        let Scratch {
+            work,
+            todo,
+            pool_work,
+            pool_todo,
+        } = &mut self.scratch;
+        let ts = event.ts();
+        let n = self.entries.len();
+        if self.use_index {
+            self.index.admitted_into(event, work);
+        } else {
+            work.clear();
+            work.extend(0..n);
+        }
+        // Key sharding: of a sharded pattern's lanes — one compiled
+        // pattern, so the index admits all of them or none — only the
+        // one the event's key hashes to may receive it.
+        for g in &self.lanes {
+            let lo = work.partition_point(|&i| i < g.first);
+            let hi = work.partition_point(|&i| i < g.first + g.of);
+            if lo < hi {
+                debug_assert_eq!(hi - lo, g.of, "the index split a pattern's lanes");
+                work[lo] = g.first + g.lane_of(event);
+                work.drain(lo + 1..hi);
+            }
+        }
+        let hits = work.len();
+        probe.index_hits(hits);
+        probe.index_skips(n - hits);
+        for &i in work.iter() {
+            todo[i] = Todo::Routed;
+        }
+        // A prefix group advances in lockstep: an event admitted to any
+        // member is pushed to the pool and to every member, keeping
+        // their local event ids aligned so harvested prefix buffers
+        // transfer verbatim. For the members this is sound for the same
+        // reason skipping is: an event no member's index admits cannot
+        // bind anywhere in the group.
+        pool_work.clear();
+        for k in 0..hits {
+            let Some(p) = self.entries[work[k]].pool else {
+                continue;
+            };
+            if pool_todo[p] == Todo::Idle {
+                pool_todo[p] = Todo::Routed;
+                pool_work.push(p);
+                for &m in &self.pools[p].members {
+                    if todo[m] == Todo::Idle {
+                        todo[m] = Todo::Aligned;
+                        work.push(m);
+                    }
+                }
+            }
+        }
+        // Whoever the event is not stored in but whose deadline its
+        // timestamp reaches gets the heartbeat; a matcher that stores it
+        // learns the time from that.
+        self.pool_due.for_each_due(ts, |p| {
+            if pool_todo[p] == Todo::Idle {
+                pool_todo[p] = Todo::Beat;
+                pool_work.push(p);
+            }
+        });
+        self.entry_due.for_each_due(ts, |i| {
+            if todo[i] == Todo::Idle {
+                todo[i] = Todo::Beat;
+                work.push(i);
+            }
+        });
+    }
+
+    /// Carries out what [`PatternBank::route`] decided — the entries are
+    /// independent of each other, so in whatever order it listed them —
+    /// and returns what that finalizes, grouped by pattern in
+    /// registration order.
+    fn execute<P: Probe>(
+        &mut self,
+        event: &Event,
+        probe: &mut P,
+    ) -> Result<Vec<(usize, Match)>, EventError> {
+        let ts = event.ts();
+        let Scratch {
+            work,
+            todo,
+            pool_work,
+            pool_todo,
+        } = &self.scratch;
+        // Pools run first: simulate the shared prefix, then harvest the
+        // instances that arrived at the boundary *before* the pool
+        // could evolve them further with its own suffix transitions.
+        // An event some member's index did *not* admit provably binds
+        // no variable of that member — in particular none of the
+        // shared prefix variables — so the pool only stores it for id
+        // alignment (`skip_checked_event`) instead of running its
+        // engine.
+        let mut forks: Vec<(usize, Vec<Buffer>)> = Vec::new();
+        for &p in pool_work {
+            let pool = &mut self.pools[p];
+            if pool_todo[p] == Todo::Beat {
+                // Heartbeats never create boundary arrivals (the sweep
+                // only retires instances), so there is nothing to
+                // harvest.
+                let beat = pool.sm.advance_watermark(ts);
+                debug_assert!(beat.is_empty(), "prefix pool emitted a match");
+                continue;
+            }
+            // Cannot fail: the pool's watermark never exceeds the
+            // bank's (pushes and heartbeats only ever move it there).
+            let emitted = if pool.members.iter().all(|&m| todo[m] == Todo::Routed) {
+                pool.sm.push_checked_event(event.clone(), &mut NoProbe)?
+            } else {
+                pool.sm.skip_checked_event(event.clone(), &mut NoProbe)?
+            };
+            debug_assert!(emitted.is_empty(), "prefix pool emitted a match");
+            let harvest = pool.sm.take_instances_at(pool.boundary);
+            if !harvest.is_empty() {
+                forks.push((p, harvest));
+            }
+        }
+        let mut out = Vec::new();
+        for &i in work {
+            let entry = &mut self.entries[i];
+            match todo[i] {
+                Todo::Routed => {
+                    entry.hits += 1;
+                    if entry.leader().is_none() {
+                        entry.push_own(event.clone(), self.next_id, probe, &mut out)?;
+                    }
+                }
+                // Lockstep alignment only: a sibling's index admission
+                // forced the push, but this entry's own index proved
+                // the event binds nothing here, so the engine need not
+                // run.
+                Todo::Aligned => entry.skip_own(event.clone(), self.next_id, probe, &mut out)?,
+                Todo::Beat => {
+                    entry.beats += 1;
+                    entry.beat_own(ts, probe, &mut out);
+                }
+                Todo::Idle => unreachable!("routing lists only entries it gave work"),
+            }
+        }
+        // Inject the boundary forks *after* the members' own pushes: an
+        // injected run bound its last prefix variable to this event and
+        // must not consume it again.
+        for (p, harvest) in forks {
+            let pool = &self.pools[p];
+            for (&m, &mb) in pool.members.iter().zip(&pool.member_boundary) {
+                let entry = &mut self.entries[m];
+                let sm = entry.own_mut();
+                sm.inject_instances_at(mb, harvest.iter().cloned());
+                let omega = sm.active_instances();
+                entry.peak_omega = entry.peak_omega.max(omega);
+            }
+        }
+        // Stable, so each pattern keeps its emission order — and a dedup
+        // member, whose clones were emitted beside its leader's
+        // originals, the leader's.
+        out.sort_by_key(|&(pattern, _)| pattern);
+        Ok(out)
+    }
+
+    /// Re-reads the heartbeat deadline of every matcher the push
+    /// touched — after fork injection, which can lower a member's — and
+    /// returns the scratch to its between-pushes state.
+    fn settle(&mut self) {
+        for &i in &self.scratch.work {
+            self.scratch.todo[i] = Todo::Idle;
+            if let Some(sm) = self.entries[i].own() {
+                self.entry_due.set(i, sm.next_deadline());
+            }
+        }
+        for &p in &self.scratch.pool_work {
+            self.scratch.pool_todo[p] = Todo::Idle;
+            self.pool_due.set(p, self.pools[p].sm.next_deadline());
+        }
+    }
+
+    /// Sizes the routing scratch to the registered entries and re-reads
+    /// every matcher's heartbeat deadline.
+    fn reschedule(&mut self) {
+        self.scratch.todo.resize(self.entries.len(), Todo::Idle);
+        self.scratch.pool_todo.resize(self.pools.len(), Todo::Idle);
+        self.entry_due.reset(
+            self.entries
+                .iter()
+                .map(|e| e.own().and_then(StreamMatcher::next_deadline)),
+        );
+        self.pool_due
+            .reset(self.pools.iter().map(|p| p.sm.next_deadline()));
     }
 
     /// Advances every pattern's watermark to `ts` without pushing an
@@ -958,16 +1207,13 @@ impl PatternBank {
             debug_assert!(beat.is_empty(), "prefix pool emitted a match");
         }
         let mut out = Vec::new();
-        let mut deltas: Vec<Vec<Match>> = Vec::with_capacity(self.entries.len());
-        for i in 0..self.entries.len() {
-            let delta = match self.entries[i].leader() {
-                Some(leader) => deltas[leader].clone(),
-                None => self.entries[i].beat_own(ts, &mut NoProbe),
-            };
-            let id = self.entries[i].pattern;
-            out.extend(delta.iter().cloned().map(|m| (id, m)));
-            deltas.push(delta);
+        for entry in &mut self.entries {
+            if entry.leader().is_none() {
+                entry.beat_own(ts, &mut NoProbe, &mut out);
+            }
         }
+        out.sort_by_key(|&(pattern, _)| pattern);
+        self.reschedule();
         if self.watermark.is_some_and(|w| ts > w) {
             self.watermark = Some(ts);
         }
@@ -976,10 +1222,25 @@ impl PatternBank {
         out
     }
 
+    /// Brings every matcher whose heartbeats pushes have withheld to the
+    /// bank's clock, so that each one's recorded watermark is the
+    /// bank's. Below its deadline a heartbeat finalizes and evicts
+    /// nothing — which is why it could be withheld.
+    fn flush_deferred(&mut self) {
+        if let Some(w) = self.watermark {
+            let flushed = self.advance_watermark(w);
+            debug_assert!(
+                flushed.is_empty(),
+                "a heartbeat was withheld past its deadline"
+            );
+        }
+    }
+
     /// Ends the stream: flushes and adjudicates every pattern's
     /// remaining state and returns the matches not already emitted by
     /// pushes — together with those, each pattern's exact batch answer.
-    pub fn finish(self) -> Vec<(usize, Match)> {
+    pub fn finish(mut self) -> Vec<(usize, Match)> {
+        self.flush_deferred();
         let PatternBank {
             entries,
             lanes,
@@ -991,22 +1252,16 @@ impl PatternBank {
             debug_assert!(leftovers.is_empty(), "prefix pool emitted a match");
         }
         let mut out = Vec::new();
-        let mut finished: Vec<Vec<Match>> = Vec::with_capacity(entries.len());
         for entry in entries {
-            let Entry {
-                pattern,
-                exec,
-                ids,
-                base,
-                ..
-            } = entry;
-            let fin: Vec<Match> = match exec {
-                Exec::Own(sm) => sm.finish().iter().map(|m| remap(&ids, base, m)).collect(),
-                Exec::Dedup { leader } => finished[leader].clone(),
-            };
-            out.extend(fin.iter().cloned().map(|m| (pattern, m)));
-            finished.push(fin);
+            if let Exec::Own(sm) = entry.exec {
+                for m in &sm.finish() {
+                    let m = remap(&entry.ids, entry.base, m);
+                    out.extend(entry.followers.iter().map(|&f| (f, m.clone())));
+                    out.push((entry.pattern, m));
+                }
+            }
         }
+        out.sort_by_key(|&(pattern, _)| pattern);
         // A matcher's flush is in canonical match order, so the lanes'
         // merged flush is too.
         sort_lane_output(&lanes, &mut out, Match::cmp);
@@ -1077,9 +1332,12 @@ impl PatternBank {
         self.entries.iter().map(|e| e.hits).sum()
     }
 
-    /// Events skipped (heartbeat only), summed over all patterns.
+    /// Events skipped, summed over all patterns.
     pub fn total_skips(&self) -> u64 {
-        self.entries.iter().map(|e| e.skips).sum()
+        self.entries
+            .iter()
+            .map(|e| e.seen(self.next_id) - e.hits)
+            .sum()
     }
 
     /// Routing and matching statistics per pattern, in id order.
@@ -1097,15 +1355,15 @@ impl PatternBank {
                     runs.iter()
                         .map(|r| r.own().expect("leaders and lanes run their own automata"))
                 };
-                // Every lane sees every event as a hit or a skip, so any
-                // one lane's total is the events the pattern has seen.
+                // Each event the pattern has seen hit at most one lane.
                 let hits: u64 = self.entries[i..i + lanes].iter().map(|l| l.hits).sum();
                 PatternStats {
                     name: e.name.clone(),
                     class: self.index.class(i),
                     lanes,
                     hits,
-                    skips: e.hits + e.skips - hits,
+                    skips: e.seen(self.next_id) - hits,
+                    heartbeats: runs.iter().map(|r| r.beats).sum(),
                     emitted: sms().map(StreamMatcher::emitted_so_far).sum(),
                     active_instances: sms().map(StreamMatcher::active_instances).sum(),
                     peak_omega: runs.iter().map(|r| r.peak_omega).max().unwrap_or(0),
@@ -1120,8 +1378,14 @@ impl PatternBank {
     /// pool) plus the bank's routing bookkeeping under one manifest.
     /// Unshared banks record all-`Plain` roles and no pools, keeping
     /// their serialized layout unchanged.
+    ///
+    /// Heartbeats that pushes withheld are delivered first, so the
+    /// snapshot is the one a bank heartbeating every pattern on every
+    /// push would have taken.
     pub fn snapshot(&mut self) -> BankSnapshot {
+        self.flush_deferred();
         let roles = derive_roles(&self.plan, &self.lanes, self.entries.len());
+        let next_id = self.next_id;
         BankSnapshot {
             watermark: self.watermark,
             last_ts: self.last_ts,
@@ -1142,7 +1406,7 @@ impl PatternBank {
                     base: e.base as u64,
                     peak_omega: e.peak_omega as u64,
                     hits: e.hits,
-                    skips: e.skips,
+                    skips: e.seen(next_id) - e.hits,
                 })
                 .collect(),
             roles,
@@ -1288,7 +1552,17 @@ impl PatternBank {
             entry.base = ps.base as usize;
             entry.peak_omega = ps.peak_omega as usize;
             entry.hits = ps.hits;
-            entry.skips = ps.skips;
+            entry.since = ps
+                .hits
+                .checked_add(ps.skips)
+                .and_then(|seen| snapshot.next_id.checked_sub(seen))
+                .ok_or_else(|| {
+                    mismatch(format!(
+                        "pattern `{}` counts {} hits and {} skips, but the bank consumed \
+                         only {} events",
+                        entry.name, ps.hits, ps.skips, snapshot.next_id
+                    ))
+                })? as usize;
         }
         for (pool, ps) in pools.iter_mut().zip(&snapshot.pools) {
             pool.sm
@@ -1303,7 +1577,7 @@ impl PatternBank {
             .iter()
             .find_map(|p| p.matcher.as_ref().map(|m| m.evict))
             .unwrap_or(true);
-        Ok(PatternBank {
+        let mut bank = PatternBank {
             entries,
             lanes,
             pools,
@@ -1317,7 +1591,12 @@ impl PatternBank {
             next_id: snapshot.next_id as usize,
             ties: snapshot.ties as usize,
             emitted: snapshot.emitted as usize,
-        })
+            scratch: Scratch::default(),
+            entry_due: Deadlines::default(),
+            pool_due: Deadlines::default(),
+        };
+        bank.reschedule();
+        Ok(bank)
     }
 
     /// Registers a new pattern on a *running* bank — the subscription
@@ -1351,26 +1630,16 @@ impl PatternBank {
                 "a pattern named `{name}` is already registered"
             )));
         }
-        let mut sm =
+        // A matcher that has stored no event has no deadline and takes
+        // its clock from its first push, which the bank only accepts at
+        // or after its own watermark.
+        let sm =
             StreamMatcher::with_options(pattern, &self.schema, options)?.with_eviction(self.evict);
-        if let Some(w) = self.watermark {
-            // Bring the fresh matcher to the bank's clock so pushes at
-            // or after the watermark are in order for it. A matcher with
-            // no instances and no events finalizes nothing.
-            let beat = sm.advance_watermark(w);
-            debug_assert!(beat.is_empty(), "a fresh matcher emitted on heartbeat");
-        }
+        assert_shares_schema(&sm, &self.schema);
         let id = self.len();
-        self.entries.push(Entry {
-            name,
-            pattern: id,
-            exec: Exec::Own(Box::new(sm)),
-            ids: Vec::new(),
-            base: 0,
-            peak_omega: 0,
-            hits: 0,
-            skips: 0,
-        });
+        self.entries
+            .push(Entry::new(name, id, Exec::Own(Box::new(sm)), self.next_id));
+        self.reschedule();
         self.plan = SharingPlan::trivial(self.entries.len());
         self.index = PatternIndex::build(self.entries.iter().map(|e| {
             e.own()
@@ -1811,6 +2080,72 @@ mod tests {
         assert_eq!(stats[0].hits, 0, "dead pattern received events");
         let out = bank.finish();
         assert!(out.iter().all(|(i, _)| *i == 1));
+    }
+
+    // ---- heartbeat deadlines -----------------------------------------
+
+    /// The matchers `deadlines` reports due at `ts`.
+    fn due_at(deadlines: &mut Deadlines, ts: i64) -> Vec<usize> {
+        let mut due = Vec::new();
+        deadlines.for_each_due(Timestamp::new(ts), |i| due.push(i));
+        due
+    }
+
+    #[test]
+    fn deadlines_ring_at_the_deadline_of_the_day() {
+        let at = |t| Some(Timestamp::new(t));
+        let mut d = Deadlines::default();
+        d.reset([at(10), None, at(30)].into_iter());
+        assert!(due_at(&mut d, 9).is_empty());
+        // Moving a deadline later keeps the early alarm, which rings,
+        // finds nothing due, and re-sets itself.
+        d.set(0, at(20));
+        assert!(due_at(&mut d, 15).is_empty());
+        assert_eq!(d.alarm[0], Timestamp::new(20));
+        // Moving one earlier queues a second alarm; the first is
+        // superseded and must not ring a second heartbeat.
+        d.set(2, at(18));
+        assert_eq!(due_at(&mut d, 19), vec![2]);
+        d.set(2, at(40));
+        assert_eq!(due_at(&mut d, 30), vec![0]);
+        d.set(0, None);
+        // A matcher without a deadline is never due, however late.
+        assert_eq!(due_at(&mut d, 1_000), vec![2]);
+        d.set(2, None);
+        assert!(due_at(&mut d, i64::MAX - 1).is_empty());
+        assert!(d.heap.is_empty());
+    }
+
+    #[test]
+    fn idle_patterns_cost_heartbeats_only_when_due() {
+        // One A-B pair, then a long run of events only `cd` is admitted:
+        // `ab` is skipped every time, but heartbeat only for the sweep
+        // and adjudication, the eviction, and the killer prune.
+        let mut bank = bank(true);
+        let mut n = 0u64;
+        for (t, l) in [(0, "A"), (1, "B")] {
+            bank.push(Timestamp::new(t), [Value::from(1), Value::from(l)])
+                .unwrap();
+            n += 1;
+        }
+        let mut emitted = 0;
+        for t in 2..200 {
+            emitted += bank
+                .push(Timestamp::new(t), [Value::from(1), Value::from("C")])
+                .unwrap()
+                .len();
+            n += 1;
+        }
+        assert_eq!(emitted, 1, "the pair finalized on a heartbeat");
+        let ab = &bank.stats()[0];
+        assert_eq!((ab.hits, ab.skips), (2, n - 2));
+        assert!(
+            (1..=4).contains(&ab.heartbeats),
+            "{} heartbeats for {} skips",
+            ab.heartbeats,
+            ab.skips
+        );
+        assert_eq!((ab.retained_events, ab.evicted_events), (0, 2));
     }
 
     // ---- structural sharing ------------------------------------------

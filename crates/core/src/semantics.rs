@@ -300,6 +300,12 @@ impl Adjudicator {
         self.survivors.live().len()
     }
 
+    /// `minT` of the oldest retained killer — the next one
+    /// [`Adjudicator::prune_survivors`] will drop.
+    pub(crate) fn oldest_survivor(&self) -> Option<Timestamp> {
+        self.survivors.live().first().map(|&(min_ts, _)| min_ts)
+    }
+
     /// The retained killers with their `minT` — read by the streaming
     /// matcher's snapshot.
     pub(crate) fn survivors(&self) -> &[(Timestamp, Match)] {

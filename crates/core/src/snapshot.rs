@@ -130,7 +130,8 @@ pub struct BankPatternSnapshot {
     pub peak_omega: u64,
     /// Events routed into the pattern's matcher.
     pub hits: u64,
-    /// Events skipped (heartbeat only).
+    /// Events the pattern has seen since it registered without being
+    /// routed to it; with `hits`, when it registered.
     pub skips: u64,
 }
 

@@ -43,7 +43,7 @@
 
 use std::collections::BTreeMap;
 
-use ses_event::{Event, EventError, Relation, Schema, Timestamp, Value};
+use ses_event::{Duration, Event, EventError, Relation, Schema, Timestamp, Value};
 use ses_pattern::Pattern;
 
 use crate::columnar::{ColumnarBatch, ColumnarMode, ColumnarPlan};
@@ -248,9 +248,14 @@ impl StreamMatcher {
             probe,
         );
         // Any binding made at this push starts its window at `ts`; the
-        // floor only ever needs to reach down to it. (A stale, too-low
-        // floor is harmless: the next sweep recomputes it exactly.)
-        self.expiry_floor = Some(self.expiry_floor.map_or(ts, |f| f.min(ts)));
+        // floor only ever needs to reach down to it, and an empty Ω has
+        // no window at all. (A stale, too-low floor is harmless: the
+        // next sweep recomputes it exactly.)
+        self.expiry_floor = if self.omega.is_empty() {
+            None
+        } else {
+            Some(self.expiry_floor.map_or(ts, |f| f.min(ts)))
+        };
         self.queue_results();
         let out = self.drain_decidable(ts);
         let tau = self.automaton.tau();
@@ -269,18 +274,19 @@ impl StreamMatcher {
 
     /// Pushes an event the caller has *proved* cannot bind any
     /// variable of this pattern (e.g. an event the predicate index did
-    /// not admit): the event is stored — keeping local event ids
-    /// aligned with lockstep peers in a shared-prefix group — and time
-    /// advances exactly as a push would, but the transition engine
-    /// never runs. For such events this is observationally identical
-    /// to [`StreamMatcher::push`] at watermark-heartbeat cost; for any
+    /// not admit) and has already checked against this matcher's schema:
+    /// the event is stored — keeping local event ids aligned with
+    /// lockstep peers in a shared-prefix group — and time advances
+    /// exactly as a push would, but the transition engine never runs.
+    /// For such events this is observationally identical to
+    /// [`StreamMatcher::push`] at watermark-heartbeat cost; for any
     /// other event it is unsound.
-    pub(crate) fn skip_event_with_probe<P: Probe>(
+    pub(crate) fn skip_checked_event<P: Probe>(
         &mut self,
-        ts: Timestamp,
-        values: impl Into<Vec<Value>>,
+        event: Event,
         probe: &mut P,
     ) -> Result<Vec<Match>, EventError> {
+        let ts = event.ts();
         if let Some(w) = self.watermark {
             if ts < w {
                 return Err(EventError::OutOfOrder {
@@ -289,7 +295,7 @@ impl StreamMatcher {
                 });
             }
         }
-        self.relation.push_values(ts, values)?;
+        self.relation.push_event(event)?;
         if self.watermark.is_none() {
             probe.filter_mode(self.filter.requested_mode(), self.filter.effective_mode());
         }
@@ -328,6 +334,19 @@ impl StreamMatcher {
         event: Event,
         probe: &mut P,
     ) -> Result<Vec<Match>, EventError> {
+        self.relation.schema().check_row(event.values())?;
+        self.push_checked_event(event, probe)
+    }
+
+    /// [`StreamMatcher::push_event_with_probe`] for an event whose row
+    /// the caller has already checked against this matcher's schema —
+    /// the bank checks each row once, against the one schema all of its
+    /// matchers were compiled with.
+    pub(crate) fn push_checked_event<P: Probe>(
+        &mut self,
+        event: Event,
+        probe: &mut P,
+    ) -> Result<Vec<Match>, EventError> {
         if let Some(w) = self.watermark {
             if event.ts() < w {
                 return Err(EventError::OutOfOrder {
@@ -336,7 +355,6 @@ impl StreamMatcher {
                 });
             }
         }
-        self.relation.schema().check_row(event.values())?;
         let ts = event.ts();
         let id = self.relation.push_event(event)?;
         Ok(self.push_stored(id, ts, None, probe))
@@ -462,6 +480,56 @@ impl StreamMatcher {
         probe.retained_events(self.relation.len());
         self.emitted += out.len();
         out
+    }
+
+    /// The smallest watermark at which
+    /// [`StreamMatcher::advance_watermark`] would do more than move the
+    /// clock, or `None` when no heartbeat, however late, would. Below it
+    /// a heartbeat provably leaves the emitted matches, Ω, the pending
+    /// groups, the killer survivors and the retained window untouched,
+    /// so whoever drives this matcher's clock (the bank) may withhold
+    /// heartbeats until then without changing anything observable.
+    ///
+    /// The four things a heartbeat can do each name their instant:
+    ///
+    /// * **sweep** — `expiry_floor + τ + 1`, the first watermark more
+    ///   than `τ` past the earliest live window start;
+    /// * **adjudication** — the first pending group's `minT + τ + 1`
+    ///   (groups ascend with `minT`, so the first is the earliest);
+    /// * **killer prune** — the oldest survivor's `minT + 2τ + 1`;
+    /// * **eviction** — with eviction on, the timestamp of retained
+    ///   event `⌈len/2⌉ − 1` plus `τ + 1`: [`Relation::evict_before`]
+    ///   compacts only once half the window is evictable.
+    ///
+    /// The sweep instant may be early — `expiry_floor` is a lower bound,
+    /// and a heartbeat there only recomputes it — never late.
+    pub fn next_deadline(&self) -> Option<Timestamp> {
+        // A stream that has seen no event ignores heartbeats altogether.
+        self.watermark?;
+        debug_assert!(self.results.is_empty(), "results drain before push returns");
+        let tau = self.automaton.tau();
+        let one = Duration::ticks(1);
+        let past = |t: Timestamp, window: Duration| t.saturating_add(window).saturating_add(one);
+        let events = self.relation.events();
+        let evict = (self.evict && !events.is_empty())
+            .then(|| past(events[events.len().div_ceil(2) - 1].ts(), tau));
+        if !self.automaton.pattern().is_satisfiable() {
+            return evict;
+        }
+        let sweep = self.expiry_floor.map(|floor| past(floor, tau));
+        let adjudicate = self
+            .pending
+            .keys()
+            .next()
+            .map(|&(event, _)| past(self.relation.event(event).ts(), tau));
+        let prune = self
+            .adjudicator
+            .oldest_survivor()
+            .map(|min_ts| past(min_ts.saturating_add(tau), tau));
+        [evict, sweep, adjudicate, prune]
+            .into_iter()
+            .flatten()
+            .min()
     }
 
     /// The retained relation. With eviction on (the default) this holds
@@ -823,7 +891,7 @@ impl StreamMatcher {
 mod tests {
     use super::*;
     use crate::Matcher;
-    use ses_event::{AttrType, CmpOp, Duration};
+    use ses_event::{AttrType, CmpOp};
 
     fn schema() -> Schema {
         Schema::builder()
@@ -1196,6 +1264,142 @@ mod tests {
         sm.push(Timestamp::new(7), [Value::from(1), Value::from("B")])
             .unwrap();
         assert_eq!(sm.ties_at_watermark(), 1);
+    }
+
+    /// Patterns whose matchers exercise every deadline source: a plain
+    /// set, a group variable ahead of a sequenced set (pending groups
+    /// that outlive their instances, killer survivors under Maximal), a
+    /// correlated sequence, and a provably unsatisfiable Θ (eviction is
+    /// all its heartbeat ever does). All with τ = 5.
+    fn deadline_patterns() -> Vec<Pattern> {
+        let unsat = Pattern::builder()
+            .set(|s| s.var("a"))
+            .cond_const("a", "L", CmpOp::Eq, "A")
+            .cond_const("a", "ID", CmpOp::Gt, 10)
+            .cond_const("a", "ID", CmpOp::Lt, 5)
+            .within(Duration::ticks(5))
+            .build()
+            .unwrap();
+        let plus = Pattern::builder()
+            .set(|s| s.plus("p"))
+            .set(|s| s.var("b"))
+            .cond_const("p", "L", CmpOp::Eq, "A")
+            .cond_const("b", "L", CmpOp::Eq, "B")
+            .within(Duration::ticks(5))
+            .build()
+            .unwrap();
+        let correlated = Pattern::builder()
+            .set(|s| s.var("a"))
+            .set(|s| s.var("b"))
+            .cond_const("a", "L", CmpOp::Eq, "A")
+            .cond_const("b", "L", CmpOp::Eq, "B")
+            .cond_vars("a", "ID", CmpOp::Eq, "b", "ID")
+            .within(Duration::ticks(5))
+            .build()
+            .unwrap();
+        vec![ab_pattern(), plus, correlated, unsat]
+    }
+
+    /// `a` is never later than `b`, reading `None` as "never".
+    fn never_later(a: Option<Timestamp>, b: Option<Timestamp>) -> bool {
+        match (a, b) {
+            (Some(a), Some(b)) => a <= b,
+            (_, None) => true,
+            (None, Some(_)) => false,
+        }
+    }
+
+    /// Checks the [`StreamMatcher::next_deadline`] contract on `sm`'s
+    /// current state. Heartbeats are tried on copies restored from a
+    /// snapshot, whose `expiry_floor` is exact — so the deadline is too,
+    /// and a heartbeat *at* it must change something; the live matcher's
+    /// possibly stale floor may only make its deadline earlier.
+    fn assert_deadline_is_exact(sm: &mut StreamMatcher, pattern: &Pattern, opts: &MatcherOptions) {
+        let snap = sm.snapshot();
+        let copy = || StreamMatcher::restore(pattern, &schema(), opts.clone(), &snap).unwrap();
+        // Everything a heartbeat could touch, bar the clock itself.
+        let state = |sm: &mut StreamMatcher| StreamSnapshot {
+            watermark: None,
+            ..sm.snapshot()
+        };
+        let before = state(&mut copy());
+        let deadline = copy().next_deadline();
+        assert!(
+            never_later(sm.next_deadline(), deadline),
+            "the live deadline {:?} is later than the exact one {deadline:?}",
+            sm.next_deadline()
+        );
+        match deadline {
+            Some(d) => {
+                assert!(
+                    Some(d) > snap.watermark,
+                    "deadline {d} is not in the future"
+                );
+                let mut below = copy();
+                let emitted = below.advance_watermark(d - Duration::ticks(1));
+                assert!(emitted.is_empty(), "emitted below the deadline {d}");
+                assert_eq!(state(&mut below), before, "changed below the deadline {d}");
+                let mut at = copy();
+                at.advance_watermark(d);
+                assert_ne!(
+                    state(&mut at),
+                    before,
+                    "nothing happened at the deadline {d}"
+                );
+            }
+            None => {
+                let mut late = copy();
+                let far = snap.watermark.unwrap_or(Timestamp::new(0)) + Duration::ticks(1_000);
+                assert!(late.advance_watermark(far).is_empty());
+                assert_eq!(
+                    state(&mut late),
+                    before,
+                    "no deadline, yet a heartbeat acted"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// After every push of random streams — dense runs, ties, gaps of
+        /// exactly `τ`, `τ + 1`, `2τ + 1` and far beyond — a heartbeat
+        /// one tick below `next_deadline` leaves the matcher untouched,
+        /// one at it does not, and `None` means no heartbeat ever will.
+        #[test]
+        fn heartbeats_act_at_the_deadline_and_never_before(
+            which in 0usize..4,
+            mode in 0usize..3,
+            any_match in proptest::bool::ANY,
+            evict in proptest::bool::ANY,
+            rows in proptest::collection::vec((0usize..3, 1i64..3, 0usize..10), 1..16),
+        ) {
+            const GAPS: [i64; 10] = [0, 0, 1, 1, 2, 4, 5, 6, 11, 40];
+            let pattern = &deadline_patterns()[which];
+            let opts = MatcherOptions {
+                semantics: [
+                    crate::MatchSemantics::Maximal,
+                    crate::MatchSemantics::Definition2,
+                    crate::MatchSemantics::AllRuns,
+                ][mode],
+                selection: if any_match {
+                    crate::EventSelection::SkipTillAnyMatch
+                } else {
+                    crate::EventSelection::SkipTillNextMatch
+                },
+                ..MatcherOptions::default()
+            };
+            let mut sm = StreamMatcher::with_options(pattern, &schema(), opts.clone())
+                .unwrap()
+                .with_eviction(evict);
+            assert_deadline_is_exact(&mut sm, pattern, &opts);
+            let mut t = 0;
+            for (label, id, gap) in rows {
+                t += GAPS[gap];
+                sm.push(Timestamp::new(t), [Value::from(id), Value::from(["A", "B", "X"][label])])
+                    .unwrap();
+                assert_deadline_is_exact(&mut sm, pattern, &opts);
+            }
+        }
     }
 
     #[test]

@@ -138,7 +138,7 @@ enum Admission {
 /// An event→pattern predicate index over N compiled patterns sharing
 /// one schema.
 ///
-/// Built once at bank construction; [`PatternIndex::admitted`] returns
+/// Built once at bank construction; [`PatternIndex::admitted_into`] lists
 /// the ids of the patterns an event must reach, and
 /// [`PatternIndex::admits`] answers the per-pattern question directly.
 /// See the module docs for the admission criterion and its soundness.
@@ -222,11 +222,14 @@ impl PatternIndex {
         }
     }
 
-    /// Ids of every pattern `event` must reach, ascending and deduped:
-    /// the `Every` patterns, the scanned patterns whose predicate holds,
-    /// and the verified point-lookup candidates.
-    pub fn admitted(&self, event: &Event) -> Vec<usize> {
-        let mut out = self.every.clone();
+    /// Writes into `out` (cleared first) the ids of every pattern
+    /// `event` must reach, ascending and deduped: the `Every` patterns,
+    /// the scanned patterns whose predicate holds, and the verified
+    /// point-lookup candidates. The caller owns and reuses the buffer —
+    /// this runs once per pushed event.
+    pub fn admitted_into(&self, event: &Event, out: &mut Vec<usize>) {
+        out.clear();
+        out.extend_from_slice(&self.every);
         out.extend(self.scan.iter().copied().filter(|&i| self.admits(i, event)));
         for &attr in &self.point_attrs {
             let key = (attr, PartitionKey::of(event.value(attr)));
@@ -236,7 +239,6 @@ impl PatternIndex {
         }
         out.sort_unstable();
         out.dedup();
-        out
     }
 }
 
@@ -321,6 +323,13 @@ mod tests {
         Event::new(Timestamp::new(0), vec![Value::from(l), Value::from(id)])
     }
 
+    fn admitted(idx: &PatternIndex, event: &Event) -> Vec<usize> {
+        // Stale content must not leak into the answer.
+        let mut out = vec![usize::MAX];
+        idx.admitted_into(event, &mut out);
+        out
+    }
+
     fn typed(a: &str, b: &str) -> CompiledPattern {
         Pattern::builder()
             .set(|s| s.var("a").var("b"))
@@ -341,8 +350,8 @@ mod tests {
         assert_eq!(idx.class(0), IndexClass::Indexed);
         assert_eq!(idx.class(1), IndexClass::Indexed);
         assert_eq!(idx.point_subscriptions(), 4);
-        assert_eq!(idx.admitted(&event("A", 1)), vec![0]);
-        assert_eq!(idx.admitted(&event("D", 1)), vec![1]);
+        assert_eq!(admitted(&idx, &event("A", 1)), vec![0]);
+        assert_eq!(admitted(&idx, &event("D", 1)), vec![1]);
         assert!(idx.admits(0, &event("B", 1)));
         assert!(!idx.admits(0, &event("C", 1)));
     }
@@ -361,8 +370,8 @@ mod tests {
         let idx = PatternIndex::build([&p, &typed("C", "D")]);
         assert_eq!(idx.class(0), IndexClass::Every);
         // Even an event matching no constant of pattern 0 reaches it.
-        assert_eq!(idx.admitted(&event("Z", 9)), vec![0]);
-        assert_eq!(idx.admitted(&event("C", 9)), vec![0, 1]);
+        assert_eq!(admitted(&idx, &event("Z", 9)), vec![0]);
+        assert_eq!(admitted(&idx, &event("C", 9)), vec![0, 1]);
     }
 
     #[test]
@@ -370,16 +379,16 @@ mod tests {
         // Both patterns want A events for their first variable.
         let ps = [typed("A", "B"), typed("A", "C")];
         let idx = PatternIndex::build(&ps);
-        assert_eq!(idx.admitted(&event("A", 1)), vec![0, 1]);
-        assert_eq!(idx.admitted(&event("B", 1)), vec![0]);
-        assert_eq!(idx.admitted(&event("C", 1)), vec![1]);
+        assert_eq!(admitted(&idx, &event("A", 1)), vec![0, 1]);
+        assert_eq!(admitted(&idx, &event("B", 1)), vec![0]);
+        assert_eq!(admitted(&idx, &event("C", 1)), vec![1]);
     }
 
     #[test]
     fn foreign_event_types_route_nowhere() {
         let ps = [typed("A", "B"), typed("C", "D")];
         let idx = PatternIndex::build(&ps);
-        assert!(idx.admitted(&event("X", 1)).is_empty());
+        assert!(admitted(&idx, &event("X", 1)).is_empty());
     }
 
     #[test]
@@ -400,7 +409,7 @@ mod tests {
         assert_eq!(idx.class(0), IndexClass::Never);
         // The A event matches the dead pattern's constants, but routing
         // it would be wasted work: Θ can never be satisfied.
-        assert_eq!(idx.admitted(&event("A", 7)), vec![1]);
+        assert_eq!(admitted(&idx, &event("A", 7)), vec![1]);
         assert!(!idx.admits(0, &event("A", 7)));
     }
 
@@ -419,8 +428,8 @@ mod tests {
         let idx = PatternIndex::build([&p]);
         assert_eq!(idx.class(0), IndexClass::Scanned);
         assert_eq!(idx.point_subscriptions(), 0);
-        assert_eq!(idx.admitted(&event("A", 5)), vec![0]);
-        assert!(idx.admitted(&event("A", 2)).is_empty());
+        assert_eq!(admitted(&idx, &event("A", 5)), vec![0]);
+        assert!(admitted(&idx, &event("A", 2)).is_empty());
     }
 
     #[test]
@@ -439,8 +448,8 @@ mod tests {
             .unwrap();
         let idx = PatternIndex::build([&p]);
         assert_eq!(idx.class(0), IndexClass::Indexed);
-        assert_eq!(idx.admitted(&event("A", 5)), vec![0]);
-        assert!(idx.admitted(&event("A", 1)).is_empty());
+        assert_eq!(admitted(&idx, &event("A", 5)), vec![0]);
+        assert!(admitted(&idx, &event("A", 1)).is_empty());
     }
 
     #[test]
@@ -463,7 +472,7 @@ mod tests {
         let idx = PatternIndex::build([&p]);
         assert_eq!(idx.class(0), IndexClass::Indexed);
         assert!(idx.admits(0, &event("X", 1)));
-        assert!(idx.admitted(&event("Y", 1)).is_empty());
+        assert!(admitted(&idx, &event("Y", 1)).is_empty());
     }
 
     #[test]
@@ -539,8 +548,8 @@ mod tests {
         let neg = Event::new(Timestamp::new(0), vec![Value::from("A"), Value::from(-0.0)]);
         assert!(idx.admits(0, &pos));
         assert!(idx.admits(0, &neg));
-        assert_eq!(idx.admitted(&pos), vec![0]);
-        assert_eq!(idx.admitted(&neg), vec![0]);
+        assert_eq!(admitted(&idx, &pos), vec![0]);
+        assert_eq!(admitted(&idx, &neg), vec![0]);
 
         // With *only* the Float pin available the pattern must fall all
         // the way back to Scanned.
@@ -556,13 +565,13 @@ mod tests {
         assert_eq!(idx2.class(0), IndexClass::Scanned);
         assert_eq!(idx2.point_subscriptions(), 0);
         let neg_only = Event::new(Timestamp::new(0), vec![Value::from("Z"), Value::from(-0.0)]);
-        assert_eq!(idx2.admitted(&neg_only), vec![0]);
+        assert_eq!(admitted(&idx2, &neg_only), vec![0]);
     }
 
     #[test]
     fn empty_bank_admits_nothing() {
         let idx = PatternIndex::build(std::iter::empty::<&CompiledPattern>());
         assert!(idx.is_empty());
-        assert!(idx.admitted(&event("A", 1)).is_empty());
+        assert!(admitted(&idx, &event("A", 1)).is_empty());
     }
 }

@@ -17,13 +17,23 @@
 //! and sharing are. The soundness argument for why skipping cannot
 //! change any pattern's answer is in `docs/patternbank.md`; the one for
 //! lanes is in `docs/parallel.md`.
+//!
+//! The bank withholds a skipped pattern's heartbeat until the stream's
+//! clock reaches the matcher's deadline, so every property runs twice:
+//! over a dense relation (gaps of 0–2 ticks) and over one *paced by the
+//! patterns' own windows* (`common::paced_relation`) — ties exactly at,
+//! one tick before and one after `τ` and `2τ`, idle stretches of `7τ` —
+//! and the independent matchers, heartbeat by nobody but pushed every
+//! event, remain the oracle. Two more properties pin what deferral must
+//! not show: checkpoint bytes, and a pattern subscribed mid-stream.
 
 mod common;
 
 use proptest::prelude::*;
 
 use common::{
-    pattern_set_strategy, pattern_set_strategy_with_overlap, relation_strategy_with, schema,
+    paced_relation, paced_rows_strategy, pattern_set_strategy, pattern_set_strategy_with_overlap,
+    relation_strategy_with, schema,
 };
 use ses::prelude::*;
 
@@ -182,18 +192,21 @@ proptest! {
     fn bank_equals_independent_matchers(
         patterns in pattern_set_strategy(),
         rel in relation_strategy_with(2..10, 0i64..3),
+        pace in paced_rows_strategy(2..10),
         mode in 0usize..3,
         sel in 0usize..2,
     ) {
         let opts = options(MODES[mode], SELECTIONS[sel]);
-        for evict in [true, false] {
-            let want = independent_schedule(&patterns, &rel, &opts, evict);
-            for use_index in [true, false] {
-                let got = bank_schedule(&patterns, &rel, &opts, evict, use_index);
-                prop_assert_eq!(
-                    &got, &want,
-                    "schedules diverged (evict={}, index={})", evict, use_index
-                );
+        for rel in [&rel, &paced_relation(&patterns, &pace)] {
+            for evict in [true, false] {
+                let want = independent_schedule(&patterns, rel, &opts, evict);
+                for use_index in [true, false] {
+                    let got = bank_schedule(&patterns, rel, &opts, evict, use_index);
+                    prop_assert_eq!(
+                        &got, &want,
+                        "schedules diverged (evict={}, index={})", evict, use_index
+                    );
+                }
             }
         }
     }
@@ -207,23 +220,28 @@ proptest! {
     fn bank_sharing_equals_independent_matchers(
         patterns in pattern_set_strategy_with_overlap(75),
         rel in relation_strategy_with(2..10, 0i64..3),
+        pace in paced_rows_strategy(2..10),
         mode in 0usize..3,
         sel in 0usize..2,
     ) {
         let opts = options(MODES[mode], SELECTIONS[sel]);
-        for evict in [true, false] {
-            let want = independent_schedule(&patterns, &rel, &opts, evict);
-            for use_index in [true, false] {
-                let shared = bank_schedule_sharing(&patterns, &rel, &opts, evict, use_index, true);
-                prop_assert_eq!(
-                    &shared, &want,
-                    "sharing diverged from independent (evict={}, index={})", evict, use_index
-                );
-                let unshared = bank_schedule_sharing(&patterns, &rel, &opts, evict, use_index, false);
-                prop_assert_eq!(
-                    &shared, &unshared,
-                    "sharing on/off diverged (evict={}, index={})", evict, use_index
-                );
+        for rel in [&rel, &paced_relation(&patterns, &pace)] {
+            for evict in [true, false] {
+                let want = independent_schedule(&patterns, rel, &opts, evict);
+                for use_index in [true, false] {
+                    let shared =
+                        bank_schedule_sharing(&patterns, rel, &opts, evict, use_index, true);
+                    prop_assert_eq!(
+                        &shared, &want,
+                        "sharing diverged from independent (evict={}, index={})", evict, use_index
+                    );
+                    let unshared =
+                        bank_schedule_sharing(&patterns, rel, &opts, evict, use_index, false);
+                    prop_assert_eq!(
+                        &shared, &unshared,
+                        "sharing on/off diverged (evict={}, index={})", evict, use_index
+                    );
+                }
             }
         }
     }
@@ -238,34 +256,38 @@ proptest! {
     fn bank_lanes_equal_independent_matchers(
         patterns in pattern_set_strategy(),
         rel in relation_strategy_with(2..10, 0i64..3),
+        pace in paced_rows_strategy(2..10),
         mode in 0usize..3,
         lanes in 1usize..4,
         cut_pick in 0usize..1000,
     ) {
         let opts = options(MODES[mode], EventSelection::SkipTillNextMatch);
-        let cut = cut_pick % (rel.len() + 1);
-        for evict in [true, false] {
-            let want = independent_schedule(&patterns, &rel, &opts, evict);
-            for use_index in [true, false] {
-                let (mut bank, specs) = build_bank_lanes(&patterns, &opts, evict, use_index, lanes);
-                let mut got = Vec::new();
-                for (n, e) in rel.events().iter().enumerate() {
-                    if n == cut {
-                        let snap = MatcherSnapshot::Bank(bank.snapshot());
-                        let bytes = ses::store::encode_snapshot(&snap);
-                        let MatcherSnapshot::Bank(snap) =
-                            ses::store::decode_snapshot(&bytes).unwrap();
-                        bank = PatternBank::restore(&specs, &schema(), &snap).unwrap();
+        for rel in [&rel, &paced_relation(&patterns, &pace)] {
+            let cut = cut_pick % (rel.len() + 1);
+            for evict in [true, false] {
+                let want = independent_schedule(&patterns, rel, &opts, evict);
+                for use_index in [true, false] {
+                    let (mut bank, specs) =
+                        build_bank_lanes(&patterns, &opts, evict, use_index, lanes);
+                    let mut got = Vec::new();
+                    for (n, e) in rel.events().iter().enumerate() {
+                        if n == cut {
+                            let snap = MatcherSnapshot::Bank(bank.snapshot());
+                            let bytes = ses::store::encode_snapshot(&snap);
+                            let MatcherSnapshot::Bank(snap) =
+                                ses::store::decode_snapshot(&bytes).unwrap();
+                            bank = PatternBank::restore(&specs, &schema(), &snap).unwrap();
+                        }
+                        let emitted = bank.push(e.ts(), e.values().to_vec()).unwrap();
+                        got.push(bucket(patterns.len(), emitted));
                     }
-                    let emitted = bank.push(e.ts(), e.values().to_vec()).unwrap();
-                    got.push(bucket(patterns.len(), emitted));
+                    got.push(bucket(patterns.len(), bank.finish()));
+                    prop_assert_eq!(
+                        &got, &want,
+                        "lanes diverged (lanes={}, evict={}, index={}, cut={})",
+                        lanes, evict, use_index, cut
+                    );
                 }
-                got.push(bucket(patterns.len(), bank.finish()));
-                prop_assert_eq!(
-                    &got, &want,
-                    "lanes diverged (lanes={}, evict={}, index={}, cut={})",
-                    lanes, evict, use_index, cut
-                );
             }
         }
     }
@@ -278,42 +300,47 @@ proptest! {
     fn bank_checkpoint_restore_is_seamless(
         patterns in pattern_set_strategy(),
         rel in relation_strategy_with(3..10, 0i64..3),
+        pace in paced_rows_strategy(3..10),
         mode in 0usize..3,
         cut_pick in 0usize..1000,
     ) {
         let opts = options(MODES[mode], EventSelection::SkipTillNextMatch);
-        let cut = cut_pick % (rel.len() + 1);
         let specs: Vec<(String, Pattern, MatcherOptions)> = patterns
             .iter()
             .enumerate()
             .map(|(i, p)| (format!("p{i}"), p.clone(), opts.clone()))
             .collect();
 
-        let mut live = build_bank(&patterns, &opts, true, true);
-        let mut twin = build_bank(&patterns, &opts, true, true);
-        let mut live_out = Vec::new();
-        let mut twin_out = Vec::new();
-        for e in &rel.events()[..cut] {
-            live_out.extend(live.push(e.ts(), e.values().to_vec()).unwrap());
-            twin_out.extend(twin.push(e.ts(), e.values().to_vec()).unwrap());
-        }
+        // On the paced relation the cut routinely falls inside an idle
+        // stretch, with heartbeats withheld on either side of it.
+        for rel in [&rel, &paced_relation(&patterns, &pace)] {
+            let cut = cut_pick % (rel.len() + 1);
+            let mut live = build_bank(&patterns, &opts, true, true);
+            let mut twin = build_bank(&patterns, &opts, true, true);
+            let mut live_out = Vec::new();
+            let mut twin_out = Vec::new();
+            for e in &rel.events()[..cut] {
+                live_out.extend(live.push(e.ts(), e.values().to_vec()).unwrap());
+                twin_out.extend(twin.push(e.ts(), e.values().to_vec()).unwrap());
+            }
 
-        // Through the codec, as `recover` would see it.
-        let bytes = ses::store::encode_snapshot(&MatcherSnapshot::Bank(live.snapshot()));
-        drop(live);
-        let MatcherSnapshot::Bank(snap) = ses::store::decode_snapshot(&bytes).unwrap();
-        let mut restored = ses::core::PatternBank::restore(&specs, &schema(), &snap).unwrap();
-        prop_assert_eq!(restored.emitted_so_far(), twin.emitted_so_far());
-        prop_assert_eq!(restored.consumed_events(), twin.consumed_events());
-        prop_assert_eq!(restored.ties_at_watermark(), twin.ties_at_watermark());
+            // Through the codec, as `recover` would see it.
+            let bytes = ses::store::encode_snapshot(&MatcherSnapshot::Bank(live.snapshot()));
+            drop(live);
+            let MatcherSnapshot::Bank(snap) = ses::store::decode_snapshot(&bytes).unwrap();
+            let mut restored = ses::core::PatternBank::restore(&specs, &schema(), &snap).unwrap();
+            prop_assert_eq!(restored.emitted_so_far(), twin.emitted_so_far());
+            prop_assert_eq!(restored.consumed_events(), twin.consumed_events());
+            prop_assert_eq!(restored.ties_at_watermark(), twin.ties_at_watermark());
 
-        for e in &rel.events()[cut..] {
-            live_out.extend(restored.push(e.ts(), e.values().to_vec()).unwrap());
-            twin_out.extend(twin.push(e.ts(), e.values().to_vec()).unwrap());
+            for e in &rel.events()[cut..] {
+                live_out.extend(restored.push(e.ts(), e.values().to_vec()).unwrap());
+                twin_out.extend(twin.push(e.ts(), e.values().to_vec()).unwrap());
+            }
+            live_out.extend(restored.finish());
+            twin_out.extend(twin.finish());
+            prop_assert_eq!(live_out, twin_out, "divergence after restore at cut {}", cut);
         }
-        live_out.extend(restored.finish());
-        twin_out.extend(twin.finish());
-        prop_assert_eq!(live_out, twin_out, "divergence after restore at cut {}", cut);
     }
 
     /// The same seamless-restore property with structural sharing on,
@@ -327,46 +354,179 @@ proptest! {
     fn shared_bank_checkpoint_restore_is_seamless(
         patterns in pattern_set_strategy_with_overlap(75),
         rel in relation_strategy_with(3..10, 0i64..3),
+        pace in paced_rows_strategy(3..10),
         mode in 0usize..3,
         cut_pick in 0usize..1000,
     ) {
         let opts = options(MODES[mode], EventSelection::SkipTillNextMatch);
-        let cut = cut_pick % (rel.len() + 1);
         let specs: Vec<(String, Pattern, MatcherOptions)> = patterns
             .iter()
             .enumerate()
             .map(|(i, p)| (format!("p{i}"), p.clone(), opts.clone()))
             .collect();
 
-        let mut live = build_bank_sharing(&patterns, &opts, true, true, true);
-        let mut twin = build_bank_sharing(&patterns, &opts, true, true, true);
-        let shares = live.sharing_active();
-        let mut live_out = Vec::new();
-        let mut twin_out = Vec::new();
-        for e in &rel.events()[..cut] {
-            live_out.extend(live.push(e.ts(), e.values().to_vec()).unwrap());
-            twin_out.extend(twin.push(e.ts(), e.values().to_vec()).unwrap());
-        }
+        for rel in [&rel, &paced_relation(&patterns, &pace)] {
+            let cut = cut_pick % (rel.len() + 1);
+            let mut live = build_bank_sharing(&patterns, &opts, true, true, true);
+            let mut twin = build_bank_sharing(&patterns, &opts, true, true, true);
+            let shares = live.sharing_active();
+            let mut live_out = Vec::new();
+            let mut twin_out = Vec::new();
+            for e in &rel.events()[..cut] {
+                live_out.extend(live.push(e.ts(), e.values().to_vec()).unwrap());
+                twin_out.extend(twin.push(e.ts(), e.values().to_vec()).unwrap());
+            }
 
-        let plan = live.sharing_plan().clone();
-        let bytes = ses::store::encode_snapshot(&MatcherSnapshot::Bank(live.snapshot()));
-        drop(live);
-        // Shared structure serializes as the bumped kind; a plan that
-        // happens to share nothing keeps the legacy layout.
-        prop_assert_eq!(bytes[0], if shares { 3 } else { 2 });
-        let MatcherSnapshot::Bank(snap) = ses::store::decode_snapshot(&bytes).unwrap();
-        let mut restored = ses::core::PatternBank::restore(&specs, &schema(), &snap).unwrap();
-        prop_assert_eq!(restored.sharing_plan(), &plan);
-        prop_assert_eq!(restored.emitted_so_far(), twin.emitted_so_far());
-        prop_assert_eq!(restored.consumed_events(), twin.consumed_events());
+            let plan = live.sharing_plan().clone();
+            let bytes = ses::store::encode_snapshot(&MatcherSnapshot::Bank(live.snapshot()));
+            drop(live);
+            // Shared structure serializes as the bumped kind; a plan that
+            // happens to share nothing keeps the legacy layout.
+            prop_assert_eq!(bytes[0], if shares { 3 } else { 2 });
+            let MatcherSnapshot::Bank(snap) = ses::store::decode_snapshot(&bytes).unwrap();
+            let mut restored = ses::core::PatternBank::restore(&specs, &schema(), &snap).unwrap();
+            prop_assert_eq!(restored.sharing_plan(), &plan);
+            prop_assert_eq!(restored.emitted_so_far(), twin.emitted_so_far());
+            prop_assert_eq!(restored.consumed_events(), twin.consumed_events());
 
-        for e in &rel.events()[cut..] {
-            live_out.extend(restored.push(e.ts(), e.values().to_vec()).unwrap());
-            twin_out.extend(twin.push(e.ts(), e.values().to_vec()).unwrap());
+            for e in &rel.events()[cut..] {
+                live_out.extend(restored.push(e.ts(), e.values().to_vec()).unwrap());
+                twin_out.extend(twin.push(e.ts(), e.values().to_vec()).unwrap());
+            }
+            live_out.extend(restored.finish());
+            twin_out.extend(twin.finish());
+            prop_assert_eq!(live_out, twin_out, "shared divergence after restore at cut {}", cut);
         }
-        live_out.extend(restored.finish());
-        twin_out.extend(twin.finish());
-        prop_assert_eq!(live_out, twin_out, "shared divergence after restore at cut {}", cut);
+    }
+
+    /// Deferral leaves no trace in a checkpoint: at any cut, the bytes
+    /// `encode_snapshot` writes for the bank equal those of a twin that
+    /// was additionally handed `advance_watermark(ts)` after every push
+    /// — every pattern, lane and prefix pool heartbeat to the clock
+    /// every time, as the bank used to do — and restoring either and
+    /// finishing the stream emits one schedule. Plain, shared, and on
+    /// two hash lanes; dense and window-paced streams.
+    #[test]
+    fn checkpoint_bytes_do_not_show_deferred_heartbeats(
+        patterns in pattern_set_strategy_with_overlap(50),
+        rel in relation_strategy_with(3..10, 0i64..3),
+        pace in paced_rows_strategy(3..10),
+        mode in 0usize..3,
+        layout in 0usize..3,
+        cut_pick in 0usize..1000,
+    ) {
+        let opts = options(MODES[mode], EventSelection::SkipTillNextMatch);
+        let build = || match layout {
+            0 | 1 => {
+                let specs: Vec<(String, Pattern, MatcherOptions)> = patterns
+                    .iter()
+                    .enumerate()
+                    .map(|(i, p)| (format!("p{i}"), p.clone(), opts.clone()))
+                    .collect();
+                (build_bank_sharing(&patterns, &opts, true, true, layout == 1), specs)
+            }
+            _ => build_bank_lanes(&patterns, &opts, true, true, 2),
+        };
+        for rel in [&rel, &paced_relation(&patterns, &pace)] {
+            let cut = cut_pick % (rel.len() + 1);
+            let (mut deferred, specs) = build();
+            let (mut eager, _) = build();
+            for e in &rel.events()[..cut] {
+                let got = deferred.push(e.ts(), e.values().to_vec()).unwrap();
+                let mut want = eager.push(e.ts(), e.values().to_vec()).unwrap();
+                want.extend(eager.advance_watermark(e.ts()));
+                prop_assert_eq!(got, want, "schedules diverged before the cut {}", cut);
+            }
+            let bytes = ses::store::encode_snapshot(&MatcherSnapshot::Bank(deferred.snapshot()));
+            let eager_bytes = ses::store::encode_snapshot(&MatcherSnapshot::Bank(eager.snapshot()));
+            prop_assert_eq!(&bytes, &eager_bytes, "checkpoint bytes differ at cut {}", cut);
+
+            let MatcherSnapshot::Bank(snap) = ses::store::decode_snapshot(&bytes).unwrap();
+            let mut restored = PatternBank::restore(&specs, &schema(), &snap).unwrap();
+            let mut restored_out = Vec::new();
+            let mut eager_out = Vec::new();
+            for e in &rel.events()[cut..] {
+                restored_out.extend(restored.push(e.ts(), e.values().to_vec()).unwrap());
+                eager_out.extend(eager.push(e.ts(), e.values().to_vec()).unwrap());
+                eager_out.extend(eager.advance_watermark(e.ts()));
+            }
+            restored_out.extend(restored.finish());
+            eager_out.extend(eager.finish());
+            prop_assert_eq!(restored_out, eager_out, "divergence after the cut {}", cut);
+        }
+    }
+
+    /// `subscribe` in the middle of a stream — of idle stretches, of
+    /// withheld heartbeats — starts the new patterns at the bank's
+    /// clock: each emits, push for push and in global event ids, what
+    /// an independent matcher started at that moment and fed every
+    /// later event emits, and the patterns registered from the start are
+    /// not disturbed.
+    #[test]
+    fn subscribed_patterns_join_at_the_clock(
+        patterns in pattern_set_strategy(),
+        rel in relation_strategy_with(3..10, 0i64..3),
+        pace in paced_rows_strategy(3..10),
+        mode in 0usize..3,
+        early_pick in 0usize..1000,
+        cut_pick in 0usize..1000,
+    ) {
+        let opts = options(MODES[mode], EventSelection::SkipTillNextMatch);
+        // The first `early` patterns register up front, the rest at `cut`.
+        let early = early_pick % (patterns.len() + 1);
+        for rel in [&rel, &paced_relation(&patterns, &pace)] {
+            let cut = cut_pick % (rel.len() + 1);
+            let mut bank = build_bank(&patterns[..early], &opts, true, true);
+            let mut oracle: Vec<Option<StreamMatcher>> = patterns
+                .iter()
+                .enumerate()
+                .map(|(i, p)| {
+                    (i < early).then(|| StreamMatcher::with_options(p, &schema(), opts.clone()).unwrap())
+                })
+                .collect();
+            // A late oracle numbers its events from 0; the bank reports
+            // global ids.
+            let globalize = |i: usize, m: Match| {
+                let shift = if i < early { 0 } else { cut as u32 };
+                Match::from_bindings(
+                    m.bindings().iter().map(|&(v, e)| (v, EventId(e.0 + shift))).collect(),
+                )
+            };
+            for (n, e) in rel.events().iter().enumerate() {
+                if n == cut {
+                    for (i, p) in patterns.iter().enumerate().skip(early) {
+                        prop_assert_eq!(bank.subscribe(format!("p{i}"), p, opts.clone()), Ok(i));
+                        oracle[i] = Some(StreamMatcher::with_options(p, &schema(), opts.clone()).unwrap());
+                    }
+                }
+                let got = bucket(patterns.len(), bank.push(e.ts(), e.values().to_vec()).unwrap());
+                for (i, sm) in oracle.iter_mut().enumerate() {
+                    let want: Vec<Match> = match sm {
+                        Some(sm) => sm
+                            .push(e.ts(), e.values().to_vec())
+                            .unwrap()
+                            .into_iter()
+                            .map(|m| globalize(i, m))
+                            .collect(),
+                        None => Vec::new(),
+                    };
+                    prop_assert_eq!(&got[i], &want, "pattern {} diverged at push {}", i, n);
+                }
+            }
+            let seen = rel.len() as u64;
+            for (i, s) in bank.stats().iter().enumerate() {
+                let since = if i < early { 0 } else { cut as u64 };
+                prop_assert_eq!(s.hits + s.skips, seen - since, "pattern {} miscounts", i);
+                prop_assert!(s.heartbeats <= s.skips);
+            }
+            let got = bucket(patterns.len(), bank.finish());
+            for (i, sm) in oracle.into_iter().enumerate() {
+                let want: Vec<Match> = sm
+                    .map(|sm| sm.finish().into_iter().map(|m| globalize(i, m)).collect())
+                    .unwrap_or_default();
+                prop_assert_eq!(&got[i], &want, "pattern {} diverged at finish", i);
+            }
+        }
     }
 }
 

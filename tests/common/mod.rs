@@ -270,28 +270,87 @@ pub fn analyzer_pattern_strategy() -> impl Strategy<Value = Pattern> {
 /// makes bank-of-one ≡ a lone `StreamMatcher` part of every bank
 /// property), so they share
 /// event types from [`TYPES`] (overlapping routing), plus optionally
-/// one pattern pinned to a constant `ID` no generated relation carries
-/// (ids are `1..3`, the pin is `7`) — a pattern the predicate index
-/// may route nothing to, riding along with live ones.
+/// one pattern the predicate index routes nothing to, riding along with
+/// live ones: either pinned to a constant `ID` no generated relation
+/// carries (ids are `1..3`, the pin is `7`), or provably unsatisfiable
+/// (`ID > 10 ∧ ID < 5`) — a matcher that runs no engine and whose
+/// heartbeat could only ever evict.
 pub fn pattern_set_strategy() -> impl Strategy<Value = Vec<Pattern>> {
-    (
-        proptest::collection::vec(pattern_strategy(), 1..4),
-        proptest::bool::ANY,
-    )
-        .prop_map(|(mut patterns, add_foreign)| {
-            if add_foreign {
-                patterns.push(
-                    Pattern::builder()
-                        .set(|s| s.var("f"))
-                        .cond_const("f", "L", CmpOp::Eq, TYPES[0])
+    (proptest::collection::vec(pattern_strategy(), 1..4), 0u8..3).prop_map(
+        |(mut patterns, rider)| {
+            let typed = || {
+                Pattern::builder()
+                    .set(|s| s.var("f"))
+                    .cond_const("f", "L", CmpOp::Eq, TYPES[0])
+            };
+            match rider {
+                1 => patterns.push(
+                    typed()
                         .cond_const("f", "ID", CmpOp::Eq, 7)
                         .within(Duration::ticks(5))
                         .build()
                         .unwrap(),
-                );
+                ),
+                2 => patterns.push(
+                    typed()
+                        .cond_const("f", "ID", CmpOp::Gt, 10)
+                        .cond_const("f", "ID", CmpOp::Lt, 5)
+                        .within(Duration::ticks(5))
+                        .build()
+                        .unwrap(),
+                ),
+                _ => {}
             }
             patterns
-        })
+        },
+    )
+}
+
+/// Rows for [`paced_relation`]: `(type, id, pattern pick, pace pick)`.
+pub type PacedRows = Vec<(u8, i64, u8, u8)>;
+
+/// Random [`PacedRows`] of a length in `len`.
+pub fn paced_rows_strategy(len: std::ops::Range<usize>) -> impl Strategy<Value = PacedRows> {
+    proptest::collection::vec((0u8..3, 1i64..3, 0u8..8, 0u8..12), len)
+}
+
+/// A relation whose inter-event gaps are paced by the windows of the
+/// very `patterns` it will be matched against: each row advances the
+/// clock by nothing (a tie), a tick or two, or — measured in the window
+/// `τ` of the pattern it picks — `τ − 1`, `τ`, `τ + 1`, `2τ`, `2τ + 1`,
+/// `2τ + 2` or `7τ`. Those are the instants at which a matcher's
+/// watermark work comes due (sweep and adjudication one tick past `τ`,
+/// killer pruning one past `2τ`), so a bank that gates heartbeats on a
+/// deadline meets events tied exactly at, one before and one after each
+/// of them, and idle stretches far longer than any window.
+pub fn paced_relation(patterns: &[Pattern], rows: &PacedRows) -> Relation {
+    let mut rel = Relation::new(schema());
+    let mut t = 0i64;
+    for &(ty, id, which, pace) in rows {
+        let tau = patterns[which as usize % patterns.len()]
+            .within()
+            .as_ticks();
+        t += [
+            0,
+            0,
+            1,
+            1,
+            2,
+            tau - 1,
+            tau,
+            tau + 1,
+            2 * tau,
+            2 * tau + 1,
+            2 * tau + 2,
+            7 * tau,
+        ][pace as usize];
+        rel.push_values(
+            Timestamp::new(t),
+            [Value::from(TYPES[ty as usize]), Value::from(id)],
+        )
+        .unwrap();
+    }
+    rel
 }
 
 /// As [`pattern_set_strategy`], but with a tunable shared-prefix
