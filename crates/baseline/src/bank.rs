@@ -112,10 +112,8 @@ impl BruteForce {
             filter: self.options.filter,
             selection: self.options.selection,
             flush_at_end: self.options.flush_at_end,
-            type_precheck: self.options.type_precheck,
             max_instances: self.options.max_instances,
             spawn_start: true,
-            columnar: self.options.columnar,
         };
         let mut executions: Vec<Execution<'_>> = self
             .automata

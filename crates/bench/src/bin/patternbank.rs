@@ -1,5 +1,5 @@
 //! Multi-pattern bank benchmark: throughput vs. the number of
-//! registered patterns, predicate index on vs. off.
+//! registered patterns, structural sharing on vs. off.
 //!
 //! ```text
 //! cargo run -p ses-bench --release --bin patternbank -- \
@@ -7,15 +7,16 @@
 //! ```
 //!
 //! For each bank size (4, 16, 64, 256 patterns) the same stream is
-//! pushed through a [`ses_core::PatternBank`] with the event→pattern
-//! predicate index enabled and disabled, and — on a correlated variant
-//! of the pattern set where 75% of the patterns open with one shared
-//! anchor set — with structural sharing enabled and disabled. Outputs
-//! are asserted identical before any number is reported; the committed
-//! report (`BENCH_patternbank.json`) names its machine and tracks the
-//! routed-push reduction, the heartbeats the index-on run executed, and
-//! the resulting `speedup` per size, plus the `shared_speedup` won by
-//! evaluating each shared prefix once. The clock covers the pushes and
+//! pushed through a [`ses_core::PatternBank`], and — on a correlated
+//! variant of the pattern set where 75% of the patterns open with one
+//! shared anchor set — with structural sharing enabled and disabled.
+//! The shared and unshared outputs are asserted identical before either
+//! is timed (that a bank's output is that of independent matchers is
+//! `tests/bank_vs_independent.rs`' to prove); the committed report
+//! (`BENCH_patternbank.json`) names its machine and tracks the
+//! routed-push reduction against `patterns × events` and the heartbeats
+//! the run executed per size, plus the `shared_speedup` won by evaluating
+//! each shared prefix once. The clock covers the pushes and
 //! the final flush; banks are built before it starts.
 //!
 //! The CI smoke step runs this with `--quick`. Every run also holds the
@@ -71,10 +72,8 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
-fn build_bank(named: &[(String, Pattern)], use_index: bool, share: bool) -> PatternBank {
-    let mut builder = PatternBank::builder(&schema())
-        .with_index(use_index)
-        .with_sharing(share);
+fn build_bank(named: &[(String, Pattern)], share: bool) -> PatternBank {
+    let mut builder = PatternBank::builder(&schema()).with_sharing(share);
     for (name, p) in named {
         builder = builder
             .register(name.clone(), p, MatcherOptions::default())
@@ -114,16 +113,10 @@ fn run_once(mut bank: PatternBank, rel: &Relation) -> Pass {
 
 /// Best-of-`iters` wall time of a full pass; each pass gets a fresh
 /// bank, built before its clock starts.
-fn best_secs(
-    named: &[(String, Pattern)],
-    rel: &Relation,
-    use_index: bool,
-    share: bool,
-    iters: usize,
-) -> f64 {
+fn best_secs(named: &[(String, Pattern)], rel: &Relation, share: bool, iters: usize) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..iters {
-        let bank = build_bank(named, use_index, share);
+        let bank = build_bank(named, share);
         let sw = Stopwatch::start();
         std::hint::black_box(run_once(bank, rel));
         best = best.min(sw.elapsed_secs());
@@ -150,50 +143,43 @@ fn main() {
         let rel = ses_workload::bank::generate(&cfg);
         let named = ses_workload::bank::patterns(&cfg);
 
-        // Same answer first, then the clock.
-        let on = run_once(build_bank(&named, true, false), &rel);
-        let off = run_once(build_bank(&named, false, false), &rel);
-        assert_eq!(on.out, off.out, "index changed the answer at {n} patterns");
-        let (hits_on, hits_off) = (on.hits, off.hits);
-        assert_eq!(hits_off, (n * opts.events) as u64);
+        let pass = run_once(build_bank(&named, false), &rel);
+        let unrouted = (n * opts.events) as u64;
         assert!(
-            hits_on < hits_off,
-            "the index must strictly reduce per-pattern pushes ({hits_on} vs {hits_off})"
+            pass.hits < unrouted,
+            "the index must strictly reduce per-pattern pushes ({} vs {unrouted})",
+            pass.hits
         );
         // The bank's cost model, counted not timed: a pattern an event
         // is not routed to costs a heartbeat only when one is due.
-        let beats_per_event = on.heartbeats as f64 / opts.events as f64;
+        let beats_per_event = pass.heartbeats as f64 / opts.events as f64;
         assert!(
             beats_per_event < 2.0,
             "{n} patterns executed {beats_per_event:.2} heartbeats per event"
         );
 
-        let on_secs = best_secs(&named, &rel, true, false, opts.iters);
-        let off_secs = best_secs(&named, &rel, false, false, opts.iters);
+        let secs = best_secs(&named, &rel, false, opts.iters);
         let eps = |secs: f64| opts.events as f64 / secs.max(1e-12);
         println!(
-            "{n:>3} patterns: index on {:.1} ev/s ({hits_on} pushes, {} heartbeats) vs off \
-             {:.1} ev/s ({hits_off} pushes) — ×{:.2}",
-            eps(on_secs),
-            on.heartbeats,
-            eps(off_secs),
-            off_secs / on_secs.max(1e-12),
+            "{n:>3} patterns: {:.1} ev/s ({} pushes of {unrouted}, {} heartbeats)",
+            eps(secs),
+            pass.hits,
+            pass.heartbeats,
         );
         // Correlated variant: 75% of the patterns open with the same
         // anchor set, so `--share` folds them into one prefix pool.
-        // Identical answers first, then the clock (index on for both
-        // sides — the axis under test is sharing alone).
+        // Identical answers first, then the clock.
         let ccfg = cfg.clone().with_overlap(0.75).with_anchor_share(0.4);
         let crel = ses_workload::bank::generate(&ccfg);
         let cnamed = ses_workload::bank::patterns(&ccfg);
-        let shared = run_once(build_bank(&cnamed, true, true), &crel).out;
-        let unshared = run_once(build_bank(&cnamed, true, false), &crel).out;
+        let shared = run_once(build_bank(&cnamed, true), &crel).out;
+        let unshared = run_once(build_bank(&cnamed, false), &crel).out;
         assert_eq!(
             shared, unshared,
             "sharing changed the answer at {n} patterns"
         );
-        let sh_secs = best_secs(&cnamed, &crel, true, true, opts.iters);
-        let un_secs = best_secs(&cnamed, &crel, true, false, opts.iters);
+        let sh_secs = best_secs(&cnamed, &crel, true, opts.iters);
+        let un_secs = best_secs(&cnamed, &crel, false, opts.iters);
         let shared_speedup = un_secs / sh_secs.max(1e-12);
         println!(
             "{n:>3} patterns, {} sharing an anchor prefix: shared {:.1} ev/s vs \
@@ -204,22 +190,18 @@ fn main() {
         );
         rows.push(format!(
             "    {{ \"patterns\": {n}, \"events\": {}, \"matches\": {},\n      \
-             \"index_on\": {{ \"secs\": {:.6}, \"events_per_sec\": {:.1}, \"routed_pushes\": {hits_on}, \"heartbeats\": {} }},\n      \
-             \"index_off\": {{ \"secs\": {:.6}, \"events_per_sec\": {:.1}, \"routed_pushes\": {hits_off} }},\n      \
-             \"push_reduction\": {:.3}, \"speedup\": {:.2},\n      \
+             \"secs\": {secs:.6}, \"events_per_sec\": {:.1}, \"routed_pushes\": {}, \"heartbeats\": {},\n      \
+             \"push_reduction\": {:.3},\n      \
              \"correlated\": {{ \"overlap\": {:.2}, \"overlapped_patterns\": {}, \"matches\": {},\n        \
              \"shared\": {{ \"secs\": {:.6}, \"events_per_sec\": {:.1} }},\n        \
              \"unshared\": {{ \"secs\": {:.6}, \"events_per_sec\": {:.1} }},\n        \
              \"shared_speedup\": {shared_speedup:.2} }} }}",
             opts.events,
-            on.out.len(),
-            on_secs,
-            eps(on_secs),
-            on.heartbeats,
-            off_secs,
-            eps(off_secs),
-            1.0 - hits_on as f64 / hits_off as f64,
-            off_secs / on_secs.max(1e-12),
+            pass.out.len(),
+            eps(secs),
+            pass.hits,
+            pass.heartbeats,
+            1.0 - pass.hits as f64 / unrouted as f64,
             ccfg.overlap,
             ccfg.overlapped_patterns(),
             shared.len(),

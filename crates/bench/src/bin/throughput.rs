@@ -1,24 +1,24 @@
-//! Columnar hot-path throughput benchmark: batch bitmask admission vs.
-//! scalar, a 100M-event streaming tier, and per-push allocation counts.
+//! Hot-path throughput benchmark: batch `find`, a 100M-event streaming
+//! tier, the default Maximal semantics, and per-push allocation counts.
 //!
 //! ```text
 //! cargo run -p ses-bench --release --bin throughput -- \
 //!     [--quick] [--events N] [--iters N] [--out FILE.json]
 //! ```
 //!
-//! Three tiers, all on the chemotherapy workload (Q1's seven `Str`-Eq
-//! constant lanes over `L`), all asserting identical matches before any
-//! number is reported:
+//! All tiers run on the chemotherapy workload (Q1's seven `Str`-Eq
+//! constant lanes over `L`), and every timed answer is first checked
+//! against the same input taken the other way — batch against streamed:
 //!
 //! 1. **batch find** — whole-relation `Matcher::find` on a
 //!    constant-heavy D1-style relation (auxiliary clinical events
-//!    dominate, so admission cost dominates), columnar forced on vs.
-//!    off, interleaved best-of-`iters`.
+//!    dominate, so admission cost dominates), best-of-`iters`; the
+//!    answer must equal the union of per-event pushes.
 //! 2. **streaming** — 100M events by cyclic epoch replay of that
 //!    relation (each epoch time-shifted past `τ`, so eviction keeps
-//!    memory bounded), pushed in 512-event micro-batches through the
-//!    columnar path; a scalar per-event subset gives the normalized
-//!    comparison.
+//!    memory bounded), pushed in 512-event micro-batches (admitted
+//!    through the columnar lane pass); a per-event `push` subset
+//!    (admitted one by one) gives the normalized comparison.
 //! 3. **allocations** — a counting global allocator (local to this
 //!    binary: `ses-core` itself forbids unsafe code) measures per-push
 //!    heap allocations in steady state, categorized into idle
@@ -29,12 +29,9 @@
 //!
 //! The admission tiers (1, 2) run under `AllRuns` semantics to isolate
 //! the per-event admission cost from selection. A fourth tier measures
-//! the default **Maximal** semantics directly: batch `find` and a
-//! streaming run under the indexed adjudicator
-//! ([`ses_core::AdjudicationMode::Indexed`]) against the legacy pairwise
-//! scan, asserting identical match sets before any clock. (Before the
-//! indexed adjudicator, Maximal selection was the recorded `O(R²)` gap:
-//! 4.3 s of pairwise adjudication over a 0.03 s engine run.) The
+//! the default **Maximal** semantics directly: batch `find`, decomposed
+//! into engine and adjudication time by an interleaved `AllRuns` run,
+//! and a streaming run whose matches must be the batch answer. The
 //! allocation tier keeps the deployment-default `Maximal` path, so the
 //! allocation-free claim covers the adjudicator's no-op pushes too;
 //! pushes where the watermark drains a buffered adjudication group are
@@ -47,10 +44,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ses_bench::machine_info;
-use ses_core::{
-    AdjudicationMode, ColumnarMode, Match, MatchSemantics, Matcher, MatcherOptions, Probe,
-    StreamMatcher,
-};
+use ses_core::{Match, MatchSemantics, Matcher, MatcherOptions, Probe, StreamMatcher};
 use ses_event::{Event, Relation};
 use ses_metrics::{CountingProbe, Stopwatch};
 use ses_pattern::Pattern;
@@ -171,32 +165,30 @@ fn constant_heavy_d1(scale: f64, aux_per_day: f64) -> Relation {
     ses_workload::chemo::generate(&cfg)
 }
 
-fn matcher(columnar: ColumnarMode) -> Matcher {
+fn options(semantics: MatchSemantics) -> MatcherOptions {
+    MatcherOptions {
+        semantics,
+        ..MatcherOptions::default()
+    }
+}
+
+fn matcher(semantics: MatchSemantics) -> Matcher {
     Matcher::with_options(
         &bench_pattern(),
         &ses_workload::paper::schema(),
-        MatcherOptions {
-            columnar,
-            semantics: MatchSemantics::AllRuns,
-            ..MatcherOptions::default()
-        },
+        options(semantics),
     )
     .expect("benchmark pattern compiles")
 }
 
-/// A matcher under the deployment-default Maximal semantics with an
-/// explicit adjudicator implementation.
-fn maximal_matcher(adjudication: AdjudicationMode) -> Matcher {
-    Matcher::with_options(
+fn stream_matcher(semantics: MatchSemantics) -> StreamMatcher {
+    StreamMatcher::with_options(
         &bench_pattern(),
         &ses_workload::paper::schema(),
-        MatcherOptions {
-            adjudication,
-            semantics: MatchSemantics::Maximal,
-            ..MatcherOptions::default()
-        },
+        options(semantics),
     )
     .expect("benchmark pattern compiles")
+    .with_eviction(true)
 }
 
 fn sorted_find(m: &Matcher, rel: &Relation) -> Vec<Match> {
@@ -205,58 +197,62 @@ fn sorted_find(m: &Matcher, rel: &Relation) -> Vec<Match> {
     out
 }
 
-/// Best-of-`iters` wall time for both matchers, *interleaved* — each
-/// round times scalar and columnar back to back, so scheduler noise on
-/// a shared core hits both sides of the ratio alike.
-fn best_find_secs(a: &Matcher, b: &Matcher, rel: &Relation, iters: usize) -> (f64, f64) {
-    let mut best = (f64::INFINITY, f64::INFINITY);
+/// What streaming `events` in chunks of `batch` emits, pushes and final
+/// flush together, sorted — the batch answer, if all is well.
+fn sorted_stream(semantics: MatchSemantics, events: &[Event], batch: usize) -> Vec<Match> {
+    let mut sm = stream_matcher(semantics);
+    let mut out: Vec<Match> = Vec::new();
+    for chunk in events.chunks(batch) {
+        out.extend(sm.push_batch(chunk.to_vec()).expect("chronological"));
+    }
+    out.extend(sm.finish());
+    out.sort();
+    out
+}
+
+/// Best-of-`iters` wall time of `find` for each matcher, *interleaved* —
+/// each round times them back to back, so scheduler noise on a shared
+/// core hits every side of a comparison alike.
+fn best_find_secs<const N: usize>(ms: [&Matcher; N], rel: &Relation, iters: usize) -> [f64; N] {
+    let mut best = [f64::INFINITY; N];
     for _ in 0..iters {
-        let sw = Stopwatch::start();
-        std::hint::black_box(a.find(rel));
-        best.0 = best.0.min(sw.elapsed_secs());
-        let sw = Stopwatch::start();
-        std::hint::black_box(b.find(rel));
-        best.1 = best.1.min(sw.elapsed_secs());
+        for (slot, m) in ms.iter().enumerate() {
+            let sw = Stopwatch::start();
+            std::hint::black_box(m.find(rel));
+            best[slot] = best[slot].min(sw.elapsed_secs());
+        }
     }
     best
 }
 
-/// Tier 1: whole-relation `find`, columnar vs. scalar.
+/// Tier 1: whole-relation `find`.
 fn batch_find_tier(opts: &Options) -> (String, bool) {
     let rel = constant_heavy_d1(opts.find_scale, opts.aux_per_day);
-    let col = matcher(ColumnarMode::On);
-    let sca = matcher(ColumnarMode::Off);
+    let m = matcher(MatchSemantics::AllRuns);
 
-    // Identical answers first, then the clock.
-    let col_matches = sorted_find(&col, &rel);
-    let sca_matches = sorted_find(&sca, &rel);
-    let identical = col_matches == sca_matches;
-    assert!(identical, "columnar changed the batch-find answer");
+    // Identical answers first, then the clock: the batch answer is the
+    // union of what one-event pushes (admitted per event) emit.
+    let matches = sorted_find(&m, &rel);
+    let identical = matches == sorted_stream(MatchSemantics::AllRuns, rel.events(), 1);
+    assert!(identical, "batch find and per-event pushes disagree");
 
-    let (sca_secs, col_secs) = best_find_secs(&sca, &col, &rel, opts.iters);
-    let eps = |secs: f64| rel.len() as f64 / secs.max(1e-12);
-    let speedup = sca_secs / col_secs.max(1e-12);
+    let [secs] = best_find_secs([&m], &rel, opts.iters);
+    let eps = rel.len() as f64 / secs.max(1e-12);
     println!(
-        "batch find : {} events, {} matches — columnar {:.0} ev/s vs scalar {:.0} ev/s — ×{speedup:.2}",
+        "batch find : {} events, {} matches — {eps:.0} ev/s",
         rel.len(),
-        col_matches.len(),
-        eps(col_secs),
-        eps(sca_secs),
+        matches.len(),
     );
     let json = format!(
         "  \"batch_find\": {{\n    \
          \"workload\": \"chemo D1 ×{:.1}, aux_per_day={} (constant-heavy), exp1_p1(6): 7 Str-Eq lanes\",\n    \
          \"events\": {}, \"matches\": {}, \"iters\": {}, \"outputs_identical\": {identical},\n    \
-         \"columnar\": {{ \"secs\": {col_secs:.6}, \"events_per_sec\": {:.1} }},\n    \
-         \"scalar\": {{ \"secs\": {sca_secs:.6}, \"events_per_sec\": {:.1} }},\n    \
-         \"speedup\": {speedup:.2}\n  }}",
+         \"secs\": {secs:.6}, \"events_per_sec\": {eps:.1}\n  }}",
         opts.find_scale,
         opts.aux_per_day,
         rel.len(),
-        col_matches.len(),
+        matches.len(),
         opts.iters,
-        eps(col_secs),
-        eps(sca_secs),
     );
     (json, identical)
 }
@@ -268,13 +264,10 @@ fn replay<F: FnMut(&mut StreamMatcher, Vec<Event>, &mut CountingProbe) -> usize>
     base: &[Event],
     epoch_offset: i64,
     total: u64,
-    options: MatcherOptions,
+    semantics: MatchSemantics,
     mut push: F,
 ) -> (usize, CountingProbe) {
-    let mut sm =
-        StreamMatcher::with_options(&bench_pattern(), &ses_workload::paper::schema(), options)
-            .expect("benchmark pattern compiles")
-            .with_eviction(true);
+    let mut sm = stream_matcher(semantics);
     let mut probe = CountingProbe::new();
     let mut matches = 0usize;
     let mut pushed = 0u64;
@@ -297,16 +290,6 @@ fn replay<F: FnMut(&mut StreamMatcher, Vec<Event>, &mut CountingProbe) -> usize>
     (matches, probe)
 }
 
-/// Options for the admission tiers: `AllRuns` isolates the per-event
-/// admission cost from selection.
-fn stream_options(columnar: ColumnarMode) -> MatcherOptions {
-    MatcherOptions {
-        columnar,
-        semantics: MatchSemantics::AllRuns,
-        ..MatcherOptions::default()
-    }
-}
-
 /// Tier 2: the 100M-event streaming tier.
 fn streaming_tier(opts: &Options) -> (String, bool) {
     let rel = constant_heavy_d1(1.0, opts.aux_per_day);
@@ -316,14 +299,13 @@ fn streaming_tier(opts: &Options) -> (String, bool) {
     // and eviction keeps the retained relation flat.
     let epoch_offset = span + 264 + 1;
 
-    // Answer parity on one epoch: columnar micro-batches vs scalar
-    // per-event pushes.
+    // Answer parity on one epoch: micro-batches vs per-event pushes.
     let one_epoch = base.len() as u64;
     let (m_col, _) = replay(
         &base,
         epoch_offset,
         one_epoch,
-        stream_options(ColumnarMode::On),
+        MatchSemantics::AllRuns,
         |sm, chunk, p| {
             sm.push_batch_with_probe(chunk, p)
                 .expect("chronological")
@@ -334,7 +316,7 @@ fn streaming_tier(opts: &Options) -> (String, bool) {
         &base,
         epoch_offset,
         one_epoch,
-        stream_options(ColumnarMode::Off),
+        MatchSemantics::AllRuns,
         |sm, chunk, p| {
             chunk
                 .into_iter()
@@ -348,14 +330,14 @@ fn streaming_tier(opts: &Options) -> (String, bool) {
         "streaming parity broke: {m_col} vs {m_sca} matches"
     );
 
-    // The headline run: `total` events, columnar micro-batches.
+    // The headline run: `total` events in micro-batches.
     let total = opts.stream_events;
     let sw = Stopwatch::start();
     let (matches, probe) = replay(
         &base,
         epoch_offset,
         total,
-        stream_options(ColumnarMode::Auto),
+        MatchSemantics::AllRuns,
         |sm, chunk, p| {
             sm.push_batch_with_probe(chunk, p)
                 .expect("chronological")
@@ -365,8 +347,8 @@ fn streaming_tier(opts: &Options) -> (String, bool) {
     let col_secs = sw.elapsed_secs();
     let col_eps = total as f64 / col_secs.max(1e-12);
 
-    // Scalar comparison on a subset (per-event pushes are the
-    // pre-columnar deployment shape), normalized to events/sec. The
+    // Per-event pushes (the shape a caller without batches has) on a
+    // subset, normalized to events/sec. The
     // subset must itself be far past the steady-state retained size
     // (several epochs) for the rates to be comparable, so it is only
     // shrunk for truly long runs.
@@ -380,7 +362,7 @@ fn streaming_tier(opts: &Options) -> (String, bool) {
         &base,
         epoch_offset,
         subset,
-        stream_options(ColumnarMode::Off),
+        MatchSemantics::AllRuns,
         |sm, chunk, p| {
             chunk
                 .into_iter()
@@ -392,7 +374,7 @@ fn streaming_tier(opts: &Options) -> (String, bool) {
     let sca_eps = subset as f64 / sca_secs.max(1e-12);
 
     println!(
-        "streaming  : {total} events in {col_secs:.1}s — columnar {col_eps:.0} ev/s vs scalar {sca_eps:.0} ev/s \
+        "streaming  : {total} events in {col_secs:.1}s — batched {col_eps:.0} ev/s vs per-event {sca_eps:.0} ev/s \
          (subset of {subset}) — ×{:.2}, peak retained {}",
         col_eps / sca_eps.max(1e-12),
         probe.retained_max,
@@ -401,8 +383,8 @@ fn streaming_tier(opts: &Options) -> (String, bool) {
         "  \"streaming\": {{\n    \
          \"workload\": \"chemo D1 aux_per_day={} cyclic epoch replay (epoch offset {epoch_offset} ticks > τ), exp1_p1(6)\",\n    \
          \"events\": {total}, \"batch\": {BATCH}, \"matches\": {matches}, \"outputs_identical\": {identical},\n    \
-         \"columnar\": {{ \"secs\": {col_secs:.3}, \"events_per_sec\": {col_eps:.1} }},\n    \
-         \"scalar_subset\": {{ \"events\": {subset}, \"secs\": {sca_secs:.3}, \"events_per_sec\": {sca_eps:.1} }},\n    \
+         \"batched\": {{ \"secs\": {col_secs:.3}, \"events_per_sec\": {col_eps:.1} }},\n    \
+         \"per_event_subset\": {{ \"events\": {subset}, \"secs\": {sca_secs:.3}, \"events_per_sec\": {sca_eps:.1} }},\n    \
          \"speedup\": {:.2},\n    \
          \"peak_retained_events\": {}, \"events_evicted\": {}\n  }}",
         opts.aux_per_day,
@@ -413,144 +395,80 @@ fn streaming_tier(opts: &Options) -> (String, bool) {
     (json, identical)
 }
 
-/// Pushes `total` events through a Maximal stream matcher with the given
-/// adjudicator, collecting every per-push emission so two runs can be
-/// compared push for push. Returns `(total matches incl. finish, per-push
-/// emissions, secs)`.
-fn maximal_replay(
-    base: &[Event],
-    epoch_offset: i64,
-    total: u64,
-    adjudication: AdjudicationMode,
-) -> (usize, Vec<Match>, f64) {
-    let mut emitted: Vec<Match> = Vec::new();
-    let sw = Stopwatch::start();
-    let (matches, _) = replay(
-        base,
-        epoch_offset,
-        total,
-        MatcherOptions {
-            adjudication,
-            semantics: MatchSemantics::Maximal,
-            ..MatcherOptions::default()
-        },
-        |sm, chunk, p| {
-            let ms = sm.push_batch_with_probe(chunk, p).expect("chronological");
-            emitted.extend(ms.iter().cloned());
-            ms.len()
-        },
-    );
-    (matches, emitted, sw.elapsed_secs())
-}
-
-/// Tier 4: the deployment-default **Maximal** semantics, indexed
-/// adjudicator vs. the legacy pairwise scan.
+/// Tier 4: the deployment-default **Maximal** semantics.
 ///
 /// Batch: `Matcher::find` on the same constant-heavy relation as tier 1.
 /// An interleaved `AllRuns` run gives the selection-free engine time, so
-/// each Maximal time decomposes into engine + adjudication — the
-/// `adjudication_secs` figures are that difference. Streaming: one epoch
-/// is replayed under both adjudicators and the emission schedules are
-/// compared push for push, then a longer indexed-only run gives the
-/// headline events/sec. All clocks run after the equality asserts.
+/// the Maximal time decomposes into engine + adjudication —
+/// `adjudication_secs` is that difference. Streaming: one epoch is
+/// streamed and must yield the batch answer, then a longer run gives the
+/// headline events/sec. All clocks run after the equality assert.
 fn maximal_tier(opts: &Options) -> (String, bool) {
     let rel = constant_heavy_d1(opts.find_scale, opts.aux_per_day);
-    let indexed = maximal_matcher(AdjudicationMode::Indexed);
-    let pairwise = maximal_matcher(AdjudicationMode::Pairwise);
-    let allruns = matcher(ColumnarMode::Auto);
-
-    // Identical Maximal answers first, then the clock.
-    let m_idx = sorted_find(&indexed, &rel);
-    let m_pair = sorted_find(&pairwise, &rel);
-    let batch_identical = m_idx == m_pair;
-    assert!(
-        batch_identical,
-        "indexed adjudicator changed the Maximal batch answer"
-    );
+    let maximal = matcher(MatchSemantics::Maximal);
+    let allruns = matcher(MatchSemantics::AllRuns);
+    let matches = maximal.find(&rel).len();
     let raw_matches = allruns.find(&rel).len();
 
-    // Pairwise is timed once: at two-plus orders of magnitude slower
-    // (minutes per pass at full scale) the ±30% shared-core noise can't
-    // invert the comparison, and repeating it would dominate the whole
-    // benchmark's wall clock.
-    let mut best = [f64::INFINITY; 3];
-    for i in 0..opts.iters {
-        for (slot, m) in [(0usize, &allruns), (1, &indexed), (2, &pairwise)] {
-            if slot == 2 && i > 0 {
-                continue;
-            }
-            let sw = Stopwatch::start();
-            std::hint::black_box(m.find(&rel));
-            best[slot] = best[slot].min(sw.elapsed_secs());
-        }
-    }
-    let [all_secs, idx_secs, pair_secs] = best;
-    let adj_idx = (idx_secs - all_secs).max(0.0);
-    let adj_pair = (pair_secs - all_secs).max(0.0);
-    let batch_speedup = pair_secs / idx_secs.max(1e-12);
+    let [all_secs, secs] = best_find_secs([&allruns, &maximal], &rel, opts.iters);
+    let adjudication = (secs - all_secs).max(0.0);
     println!(
-        "maximal    : {} events, {raw_matches} raw → {} maximal — indexed {idx_secs:.3}s \
-         (adjudication {adj_idx:.3}s) vs pairwise {pair_secs:.3}s (adjudication {adj_pair:.3}s) — ×{batch_speedup:.1}",
+        "maximal    : {} events, {raw_matches} raw → {matches} maximal — {secs:.3}s \
+         (adjudication {adjudication:.3}s)",
         rel.len(),
-        m_idx.len(),
     );
 
-    // Streaming: emission-schedule parity over one epoch, then the
-    // headline indexed run.
     let srel = constant_heavy_d1(if opts.quick { 0.25 } else { 1.0 }, opts.aux_per_day);
     let base: Vec<Event> = srel.events().to_vec();
     let span = base.last().expect("non-empty").ts().ticks() - base[0].ts().ticks();
     let epoch_offset = span + 264 + 1;
-    let one_epoch = base.len() as u64;
 
-    let (n_idx, sched_idx, _) =
-        maximal_replay(&base, epoch_offset, one_epoch, AdjudicationMode::Indexed);
-    let (n_pair, sched_pair, epoch_pair_secs) =
-        maximal_replay(&base, epoch_offset, one_epoch, AdjudicationMode::Pairwise);
-    let stream_identical = n_idx == n_pair && sched_idx == sched_pair;
+    // Identical answers first, then the clock: one streamed epoch emits
+    // the batch answer.
+    let identical =
+        sorted_stream(MatchSemantics::Maximal, &base, BATCH) == sorted_find(&maximal, &srel);
     assert!(
-        stream_identical,
-        "indexed adjudicator changed the streaming Maximal schedule: {n_idx} vs {n_pair} matches"
+        identical,
+        "streamed Maximal matches are not the batch answer"
     );
-    let epoch_pair_eps = one_epoch as f64 / epoch_pair_secs.max(1e-12);
 
     let total = if opts.quick {
         opts.stream_events
     } else {
         opts.stream_events / 10
     };
-    let (stream_matches, _, stream_secs) =
-        maximal_replay(&base, epoch_offset, total, AdjudicationMode::Indexed);
-    let stream_eps = total as f64 / stream_secs.max(1e-12);
-    println!(
-        "maximal str: {total} events in {stream_secs:.1}s — indexed {stream_eps:.0} ev/s vs pairwise \
-         {epoch_pair_eps:.0} ev/s (epoch of {one_epoch}) — ×{:.1}",
-        stream_eps / epoch_pair_eps.max(1e-12),
+    let sw = Stopwatch::start();
+    let (stream_matches, _) = replay(
+        &base,
+        epoch_offset,
+        total,
+        MatchSemantics::Maximal,
+        |sm, chunk, p| {
+            sm.push_batch_with_probe(chunk, p)
+                .expect("chronological")
+                .len()
+        },
     );
+    let stream_secs = sw.elapsed_secs();
+    let stream_eps = total as f64 / stream_secs.max(1e-12);
+    println!("maximal str: {total} events in {stream_secs:.1}s — {stream_eps:.0} ev/s");
 
-    let ok = batch_identical && stream_identical;
     let json = format!(
         "  \"maximal\": {{\n    \
          \"workload\": \"chemo D1 ×{:.1}, aux_per_day={} (constant-heavy), exp1_p1(6), Maximal semantics\",\n    \
+         \"outputs_identical\": {identical},\n    \
          \"batch\": {{\n      \
-         \"events\": {}, \"raw_matches\": {raw_matches}, \"matches\": {}, \"iters\": {}, \"pairwise_iters\": 1, \"outputs_identical\": {batch_identical},\n      \
-         \"allruns_secs\": {all_secs:.6},\n      \
-         \"indexed\": {{ \"secs\": {idx_secs:.6}, \"adjudication_secs\": {adj_idx:.6} }},\n      \
-         \"pairwise\": {{ \"secs\": {pair_secs:.6}, \"adjudication_secs\": {adj_pair:.6} }},\n      \
-         \"speedup\": {batch_speedup:.2}\n    }},\n    \
+         \"events\": {}, \"raw_matches\": {raw_matches}, \"matches\": {matches}, \"iters\": {},\n      \
+         \"allruns_secs\": {all_secs:.6}, \"secs\": {secs:.6}, \"adjudication_secs\": {adjudication:.6}\n    }},\n    \
          \"streaming\": {{\n      \
-         \"events\": {total}, \"batch\": {BATCH}, \"matches\": {stream_matches}, \"outputs_identical\": {stream_identical},\n      \
-         \"indexed\": {{ \"secs\": {stream_secs:.3}, \"events_per_sec\": {stream_eps:.1} }},\n      \
-         \"pairwise_epoch\": {{ \"events\": {one_epoch}, \"secs\": {epoch_pair_secs:.3}, \"events_per_sec\": {epoch_pair_eps:.1} }},\n      \
-         \"speedup\": {:.2}\n    }}\n  }}",
+         \"events\": {total}, \"batch\": {BATCH}, \"matches\": {stream_matches},\n      \
+         \"secs\": {stream_secs:.3}, \"events_per_sec\": {stream_eps:.1}\n    }}\n  }}",
         opts.find_scale,
         opts.aux_per_day,
         rel.len(),
-        m_idx.len(),
         opts.iters,
-        stream_eps / epoch_pair_eps.max(1e-12),
     );
-    (json, ok)
+    (json, identical)
 }
 
 /// Tier 3: per-push allocation counts in steady state.
@@ -570,7 +488,7 @@ fn maximal_tier(opts: &Options) -> (String, bool) {
 ///   *or* the watermark crossing triggered adjudication of previously
 ///   buffered groups. Instance transitions may allocate (each binding
 ///   appends a persistent-buffer node — irreducible without changing
-///   the O(1) fork representation), and the indexed adjudicator builds
+///   the O(1) fork representation), and the adjudicator builds
 ///   per-group indexes when a group becomes decidable.
 /// * `emitting` — a match was returned *or* raw-emitted by the expiry
 ///   sweep (match materialization allocates by design).
@@ -584,13 +502,7 @@ fn allocation_tier(quick: bool) -> (String, bool) {
     let span = base.last().expect("non-empty").ts().ticks() - base[0].ts().ticks();
     let epoch_offset = span + 264 + 1;
 
-    let mut sm = StreamMatcher::with_options(
-        &bench_pattern(),
-        &ses_workload::paper::schema(),
-        MatcherOptions::default(),
-    )
-    .expect("benchmark pattern compiles")
-    .with_eviction(true);
+    let mut sm = stream_matcher(MatchSemantics::Maximal);
     let mut probe = CountingProbe::new();
 
     // Warm-up epoch: capacity growth happens here.

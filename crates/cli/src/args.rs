@@ -41,7 +41,6 @@ const VALUED: &[&str] = &[
     "checkpoint",
     "checkpoint-every",
     "keep",
-    "columnar",
     "listen",
     "event-log",
     "queue",

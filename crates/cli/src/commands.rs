@@ -27,7 +27,6 @@ USAGE:
                    [--selection next-match|any-match] [--closure]
                    [--propagate] [--limit N] [--stats]
                    [--partition auto|time|ATTR|off] [--threads N]
-                   [--columnar auto|on|off]
                    (--propagate runs the static analyzer first: derived
                     constants can rescue the §4.5 filter, see `check`.
                     --partition auto splits the scan per proven partition
@@ -36,16 +35,15 @@ USAGE:
                     --partition time also prefers a proven key but falls
                     back to τ-overlapping time slices when the pattern
                     proves none — sound for any windowed pattern.
-                    --columnar controls the batch admission layer:
-                    constant conditions are pre-evaluated into bitmask
-                    lanes once per batch; auto engages it when the
-                    pattern has constant conditions and the input is
-                    large enough to amortize the pass)
+                    Constant conditions are pre-evaluated into bitmask
+                    lanes once over the input when the pattern has any
+                    and the input is long enough to amortize the pass;
+                    --stats says which way a run went)
   ses-cli stream   (--query <file-or-text> | --patterns <file-or-dir>)
                    (--data <file.csv> | --from-log <dir>)
                    [--no-evict] [--limit N] [--stats]
                    [--partition auto|ATTR|off] [--shards N]
-                   [--share] [--no-index]
+                   [--share]
                    [--semantics …] [--selection …] [--filter …]
                    [--checkpoint <dir> [--checkpoint-every N] [--keep K]]
                    [--recover]
@@ -58,8 +56,7 @@ USAGE:
                     file. A predicate index built from the patterns'
                     constant conditions routes each event only to the
                     patterns it could advance — the rest receive a
-                    watermark heartbeat; --no-index pushes every event
-                    to every pattern, output is identical either way.
+                    watermark heartbeat when their deadline comes due.
                     --partition hash-routes events by the partition key
                     to N lanes of every pattern that proves one.
                     --share deduplicates provably equivalent patterns
@@ -212,16 +209,6 @@ fn parse_filter(args: &Args) -> Result<FilterMode, String> {
     })
 }
 
-/// Parses `--columnar auto|on|off` (the batch-admission deployment knob).
-fn parse_columnar(args: &Args) -> Result<ses_core::ColumnarMode, String> {
-    Ok(match args.get("columnar").unwrap_or("auto") {
-        "auto" => ses_core::ColumnarMode::Auto,
-        "on" => ses_core::ColumnarMode::On,
-        "off" => ses_core::ColumnarMode::Off,
-        other => return Err(format!("--columnar: expected auto|on|off, got `{other}`")),
-    })
-}
-
 /// Parses `--partition auto|time|ATTR|off` against the data's schema.
 fn parse_partition(args: &Args, schema: &ses_event::Schema) -> Result<PartitionMode, String> {
     Ok(match args.get("partition") {
@@ -252,7 +239,6 @@ fn matcher_options(args: &Args, schema: &ses_event::Schema) -> Result<MatcherOpt
         propagate_constants: args.has_flag("propagate"),
         partition: parse_partition(args, schema)?,
         threads,
-        columnar: parse_columnar(args)?,
         ..MatcherOptions::default()
     })
 }
@@ -402,12 +388,10 @@ fn cmd_run(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         t.row(["filter requested", filter_mode_name(probe.filter_requested)]);
         t.row(["filter effective", filter_mode_name(probe.filter_effective)]);
         let lanes = ses_pattern::AdmissionLanes::of(matcher.automaton().pattern());
-        let mode = matcher.options().columnar;
-        t.row(["columnar mode", columnar_mode_name(mode)]);
         t.row(["columnar lanes", &lanes.lanes().len().to_string()]);
         t.row([
             "columnar active",
-            if mode.active(lanes.lanes().len(), store.relation().len()) {
+            if ses_core::runs_columnar(lanes.lanes().len(), store.relation().len()) {
                 "yes"
             } else {
                 "no"
@@ -593,7 +577,7 @@ fn cmd_check(args: &Args, out: &mut dyn Write) -> Result<(), String> {
                 json_out.push(',');
             }
             json_out.push_str("{\"query\":\"");
-            json_out.push_str(&name.replace('\\', "\\\\").replace('"', "\\\""));
+            json_out.push_str(&ses_metrics::escape_json(&name));
             json_out.push_str("\",\"satisfiable\":");
             json_out.push_str(if analysis.satisfiable {
                 "true"
@@ -606,7 +590,7 @@ fn cmd_check(args: &Args, out: &mut dyn Write) -> Result<(), String> {
                     json_out.push(',');
                 }
                 json_out.push('"');
-                json_out.push_str(&k.replace('\\', "\\\\").replace('"', "\\\""));
+                json_out.push_str(&ses_metrics::escape_json(k));
                 json_out.push('"');
             }
             json_out.push(']');
@@ -854,7 +838,7 @@ fn cmd_check_bank(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         .count();
 
     if json {
-        let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
+        let esc = ses_metrics::escape_json;
         let mut j = String::from("{\"patterns\":[");
         for (i, l) in lints.iter().enumerate() {
             if i > 0 {
@@ -1102,7 +1086,6 @@ fn build_bank(
     }
     let mut builder = PatternBank::builder(schema)
         .with_eviction(!args.has_flag("no-evict"))
-        .with_index(!args.has_flag("no-index"))
         .with_sharing(args.has_flag("share"));
     for (name, p, options) in specs {
         let sharded = match options.partition {
@@ -1207,7 +1190,6 @@ fn cmd_stream(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         None => (0, 0),
     };
 
-    let index_on = bank.index_enabled();
     let sharing = bank.sharing_active();
     let plan_summary = bank.sharing_plan().describe();
     let limit: usize = args.get_parsed("limit", usize::MAX)?;
@@ -1298,9 +1280,8 @@ fn cmd_stream(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     writeln!(
         out,
         "{total} match(es) from {} pattern(s) over {consumed} event(s) in {elapsed:.3}s \
-         (index {}, sharing {})",
+         (sharing {})",
         patterns.len(),
-        if index_on { "on" } else { "off" },
         if sharing { "on" } else { "off" }
     )
     .map_err(io_err)?;
@@ -1333,7 +1314,6 @@ fn cmd_stream(args: &Args, out: &mut dyn Write) -> Result<(), String> {
             ]);
         }
         let mut totals = Table::new(["metric", "value"]);
-        totals.row(["index", if index_on { "on" } else { "off" }]);
         totals.row(["sharing", if sharing { "on" } else { "off" }]);
         if sharing {
             totals.row(["sharing plan", &plan_summary]);
@@ -1345,7 +1325,7 @@ fn cmd_stream(args: &Args, out: &mut dyn Write) -> Result<(), String> {
             stats.iter().map(|s| s.heartbeats).sum::<u64>().to_string(),
         ]);
         totals.row([
-            "pushes without index".to_string(),
+            "patterns × events".to_string(),
             (consumed * patterns.len()).to_string(),
         ]);
         let evict = !args.has_flag("no-evict");
@@ -1540,14 +1520,6 @@ fn filter_mode_name(m: Option<FilterMode>) -> &'static str {
     }
 }
 
-fn columnar_mode_name(m: ses_core::ColumnarMode) -> &'static str {
-    match m {
-        ses_core::ColumnarMode::Auto => "auto",
-        ses_core::ColumnarMode::On => "on",
-        ses_core::ColumnarMode::Off => "off",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1703,29 +1675,43 @@ mod tests {
     }
 
     #[test]
-    fn run_columnar_modes_agree_and_report() {
+    fn run_stats_report_which_admission_arm_ran() {
+        let active = |out: &str| {
+            let row = out.lines().find(|l| l.starts_with("columnar active"));
+            row.unwrap_or_else(|| panic!("no `columnar active` row: {out}"))
+                .ends_with("yes")
+        };
+        // Figure 1's 14 events are too few to amortize a lane pass …
         let data = figure1_csv();
-        let (code, on) = run(&[
-            "run",
-            "--query",
-            Q1,
-            "--data",
-            &data,
-            "--columnar",
-            "on",
-            "--stats",
-        ]);
-        assert_eq!(code, 0, "{on}");
-        assert!(on.contains("2 match(es)"), "{on}");
-        assert!(on.contains("columnar mode"), "{on}");
-        assert!(on.contains("columnar active"), "{on}");
-        let (code, off) = run(&["run", "--query", Q1, "--data", &data, "--columnar", "off"]);
-        assert_eq!(code, 0, "{off}");
-        assert!(off.contains("2 match(es)"), "{off}");
-        let (code, bad) = run(&["run", "--query", Q1, "--data", &data, "--columnar", "x"]);
-        assert_eq!(code, 1);
-        assert!(bad.contains("--columnar"), "{bad}");
+        let (code, out) = run(&["run", "--query", Q1, "--data", &data, "--stats"]);
+        assert_eq!(code, 0, "{out}");
+        assert!(out.contains("2 match(es)"), "{out}");
+        assert!(out.contains("columnar lanes"), "{out}");
+        assert!(!active(&out), "{out}");
         std::fs::remove_file(&data).ok();
+        // … a generated ward is not.
+        let ward = std::env::temp_dir()
+            .join(format!("ses-cli-ward-{}.csv", std::process::id()))
+            .to_string_lossy()
+            .into_owned();
+        let (code, out) = run(&[
+            "generate",
+            "--workload",
+            "chemo",
+            "--out",
+            &ward,
+            "--seed",
+            "7",
+            "--scale",
+            "0.01",
+        ]);
+        assert_eq!(code, 0, "{out}");
+        let (code, out) = run(&[
+            "run", "--query", Q1, "--data", &ward, "--tick", "hour", "--stats",
+        ]);
+        assert_eq!(code, 0, "{out}");
+        assert!(active(&out), "{out}");
+        std::fs::remove_file(&ward).ok();
     }
 
     #[test]
@@ -1746,30 +1732,25 @@ mod tests {
         .unwrap();
         let dir_s = dir.to_string_lossy().into_owned();
 
-        let (code, with_index) = run(&["bank", "--patterns", &dir_s, "--data", &data, "--stats"]);
-        assert_eq!(code, 0, "{with_index}");
+        let (code, out) = run(&["bank", "--patterns", &dir_s, "--data", &data, "--stats"]);
+        assert_eq!(code, 0, "{out}");
         // Names default to the file stems, in file-name order.
-        assert!(with_index.contains("] cd:"), "{with_index}");
-        assert!(with_index.contains("] protocol:"), "{with_index}");
-        assert!(
-            with_index.contains("(index on, sharing off)"),
-            "{with_index}"
-        );
-        assert!(with_index.contains("routed pushes"), "{with_index}");
+        assert!(out.contains("] cd:"), "{out}");
+        assert!(out.contains("] protocol:"), "{out}");
+        assert!(out.contains("(sharing off)"), "{out}");
+        assert!(out.contains("routed pushes"), "{out}");
 
-        // Index off: identical match lines, every push routed.
-        let (code, no_index) = run(&[
-            "bank",
-            "--patterns",
-            &dir_s,
-            "--data",
-            &data,
-            "--no-index",
-            "--stats",
-        ]);
-        assert_eq!(code, 0, "{no_index}");
-        assert_eq!(match_lines(&with_index), match_lines(&no_index));
-        assert!(no_index.contains("(index off, sharing off)"), "{no_index}");
+        // Each pattern's matches are those of a single-query `run`.
+        let (code, single) = run(&["run", "--query", Q1, "--data", &data]);
+        assert_eq!(code, 0, "{single}");
+        assert!(single.contains("2 match(es)"), "{single}");
+        assert_eq!(
+            match_lines(&out)
+                .iter()
+                .filter(|l| l.contains("] protocol:"))
+                .count(),
+            2
+        );
 
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_file(&data).ok();
@@ -1873,6 +1854,32 @@ mod tests {
         }
         assert!(json.contains("\"plan\":"), "{json}");
 
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn check_json_escapes_control_characters_in_names() {
+        // A file stem with a tab in it names the pattern; the document
+        // must stay parseable and carry the name back intact.
+        let dir = std::env::temp_dir().join(format!("ses-cli-lint-tab-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(
+            dir.join("a\tb.ses"),
+            "-- schema: ID:int,L:str\nPATTERN c THEN b WHERE c.L = 'C' AND b.L = 'B' WITHIN 48 HOURS",
+        )
+        .unwrap();
+        let dir_s = dir.to_string_lossy().into_owned();
+        let (code, json) = run(&["check", "--patterns", &dir_s, "--format", "json"]);
+        assert_eq!(code, 0, "{json}");
+        // Strict parsers refuse a raw control character inside a string
+        // (`parse_json` itself is lenient about them).
+        assert!(!json.trim_end().contains(char::is_control), "{json:?}");
+        let doc = ses_server::protocol::parse_json(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
+        let patterns = doc.as_object().and_then(|o| o.get("patterns"));
+        let patterns = patterns.and_then(|p| p.as_array()).expect("patterns array");
+        let name = patterns[0].as_object().and_then(|o| o.get("query"));
+        assert_eq!(name.and_then(|n| n.as_str()), Some("a\tb"), "{json}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,14 +1,15 @@
 //! Indexed adjudication structures — the O(R log R)-style formulation of
-//! conditions 4–5 and maximality behind [`crate::AdjudicationMode::Indexed`].
+//! conditions 4–5 and maximality behind [`crate::select`] and the
+//! streaming matcher.
 //!
-//! The pairwise adjudicator in [`crate::semantics`] re-derives every
+//! The reference filter [`crate::select_pairwise`] re-derives every
 //! quantifier of Definition 2 from scratch per candidate: condition 4
 //! scans the whole retained relation per binding, the prefix test
 //! re-materializes binding prefixes per (candidate × alternative), and
 //! condition 5 / maximality compare all candidate pairs. This module
 //! replaces those scans with three indexes, each *exact* — pre-filters
 //! narrow the witness space, and every surviving witness is verified
-//! against the very predicate the pairwise code evaluates:
+//! against the very predicate the reference evaluates:
 //!
 //! * [`ViableIndex`] — per-variable sorted lists of *viable* events
 //!   (events satisfying the variable's constant and self-conditions).
@@ -294,7 +295,7 @@ impl<'g> GroupIndex<'g> {
 
     /// Condition 4 for candidate `i`: no variable could have bound a
     /// strictly earlier in-extent event via a valid swap or an
-    /// agreeing-prefix candidate. Exact equivalent of the pairwise
+    /// agreeing-prefix candidate. Exact equivalent of the reference's
     /// `survives_condition_4` for candidates satisfying conditions 1–3
     /// (which engine-produced raw matches do by construction).
     pub(crate) fn survives_condition_4(
@@ -454,9 +455,8 @@ impl<'g> GroupIndex<'g> {
 ///
 /// Groups arrive in ascending first-binding order, so pushed `minT`s are
 /// non-decreasing and pruning at a cutoff is exactly a prefix drop; the
-/// live survivors stay one contiguous slice, which keeps the streaming
-/// snapshot format (`StreamSnapshot::survivors`) byte-identical to the
-/// pairwise adjudicator's.
+/// live survivors stay one contiguous slice — the order the streaming
+/// snapshot format (`StreamSnapshot::survivors`) stores them in.
 #[derive(Debug, Default)]
 pub(crate) struct SurvivorStore {
     items: Vec<(Timestamp, Match)>,
@@ -513,10 +513,10 @@ impl SurvivorStore {
         }
     }
 
-    /// Indexed kill query: is `m` a proper subset of a live survivor?
+    /// Kill query: is `m` a proper subset of a live survivor?
     /// Any binding absent from every survivor refutes it immediately;
     /// otherwise the least frequent binding's posting list is verified.
-    pub(crate) fn kills_indexed(&self, m: &Match) -> bool {
+    pub(crate) fn kills(&self, m: &Match) -> bool {
         if self.items.len() == self.head {
             return false;
         }
@@ -536,12 +536,6 @@ impl SurvivorStore {
         list[start..]
             .iter()
             .any(|&i| m.is_proper_subset_of(&self.items[i as usize].1))
-    }
-
-    /// Pairwise kill query — the legacy linear scan, kept verbatim as
-    /// the differential-test oracle.
-    pub(crate) fn kills_pairwise(&self, m: &Match) -> bool {
-        self.live().iter().any(|(_, o)| m.is_proper_subset_of(o))
     }
 }
 
@@ -566,16 +560,14 @@ mod tests {
         }
         assert_eq!(s.live().len(), 10);
         let victim = m(&[(0, 7)]);
-        assert!(s.kills_indexed(&victim));
-        assert!(s.kills_pairwise(&victim));
+        assert!(s.kills(&victim));
 
         s.prune(Timestamp::new(8));
         assert_eq!(s.live().len(), 2);
         assert_eq!(s.live()[0].0, Timestamp::new(8));
         // The victim's only potential killers were pruned.
-        assert!(!s.kills_indexed(&victim));
-        assert!(!s.kills_pairwise(&victim));
-        assert!(s.kills_indexed(&m(&[(0, 9)])));
+        assert!(!s.kills(&victim));
+        assert!(s.kills(&m(&[(0, 9)])));
     }
 
     #[test]
@@ -587,10 +579,10 @@ mod tests {
         s.prune(Timestamp::new(2500));
         assert_eq!(s.live().len(), 500);
         assert!(s.head == 0, "compaction should have run");
-        assert!(!s.kills_indexed(&m(&[(0, 100)])));
-        assert!(s.kills_indexed(&m(&[(0, 2600)])));
+        assert!(!s.kills(&m(&[(0, 100)])));
+        assert!(s.kills(&m(&[(0, 2600)])));
         // A binding no survivor has refutes in O(1).
-        assert!(!s.kills_indexed(&m(&[(5, 2600)])));
+        assert!(!s.kills(&m(&[(5, 2600)])));
     }
 
     #[test]
@@ -604,7 +596,7 @@ mod tests {
         let mut r = SurvivorStore::new();
         r.restore(saved);
         assert_eq!(r.live().len(), 1);
-        assert!(r.kills_indexed(&m(&[(0, 3)])));
-        assert!(!r.kills_indexed(&m(&[(0, 1)])));
+        assert!(r.kills(&m(&[(0, 3)])));
+        assert!(!r.kills(&m(&[(0, 1)])));
     }
 }

@@ -434,6 +434,17 @@ impl Entry {
         self.prune();
     }
 
+    /// Ends the entry's stream: flushes its own matcher, if it runs one,
+    /// and emits what that finalizes.
+    fn finish(mut self, out: &mut Vec<(usize, Match)>) {
+        // The flush consumes the matcher while `emit` wants the rest of
+        // the entry: leave a matcher-less stand-in behind.
+        let leader = self.pattern;
+        if let Exec::Own(sm) = std::mem::replace(&mut self.exec, Exec::Dedup { leader }) {
+            self.emit(sm.finish(), out);
+        }
+    }
+
     /// Drops id-map entries for events the matcher has evicted.
     fn prune(&mut self) {
         let Exec::Own(sm) = &self.exec else { return };
@@ -672,7 +683,6 @@ pub struct PatternBankBuilder {
     entries: Vec<Built>,
     lanes: Vec<LaneGroup>,
     evict: bool,
-    use_index: bool,
     share: bool,
 }
 
@@ -746,15 +756,6 @@ impl PatternBankBuilder {
         self
     }
 
-    /// Enables or disables the predicate index (on by default). With
-    /// the index off every event is pushed to every pattern — the
-    /// baseline the `patternbank` bench compares against, with
-    /// identical output either way.
-    pub fn with_index(mut self, on: bool) -> PatternBankBuilder {
-        self.use_index = on;
-        self
-    }
-
     /// Enables or disables structural sharing (off by default): at
     /// build time a [`SharingPlan`] is computed over the compiled
     /// patterns, deduplicating evaluation-identical ones and running
@@ -790,7 +791,6 @@ impl PatternBankBuilder {
             pools,
             plan,
             index,
-            use_index: self.use_index,
             evict: self.evict,
             schema: self.schema,
             watermark: None,
@@ -851,7 +851,6 @@ pub struct PatternBank {
     /// sharing is off or nothing shares).
     plan: SharingPlan,
     index: PatternIndex,
-    use_index: bool,
     /// Whether watermark eviction is enabled on every pattern — the
     /// setting new [`PatternBank::subscribe`] registrations inherit.
     evict: bool,
@@ -884,7 +883,6 @@ impl PatternBank {
             entries: Vec::new(),
             lanes: Vec::new(),
             evict: true,
-            use_index: true,
             share: false,
         }
     }
@@ -921,11 +919,6 @@ impl PatternBank {
     /// The names the patterns were registered under, in id order.
     pub fn names(&self) -> Vec<&str> {
         self.firsts().map(|(_, e)| e.name.as_str()).collect()
-    }
-
-    /// Whether the predicate index is consulted on pushes.
-    pub fn index_enabled(&self) -> bool {
-        self.use_index
     }
 
     /// How the predicate index routes events to pattern `id`.
@@ -1011,12 +1004,7 @@ impl PatternBank {
         } = &mut self.scratch;
         let ts = event.ts();
         let n = self.entries.len();
-        if self.use_index {
-            self.index.admitted_into(event, work);
-        } else {
-            work.clear();
-            work.extend(0..n);
-        }
+        self.index.admitted_into(event, work);
         // Key sharding: of a sharded pattern's lanes — one compiled
         // pattern, so the index admits all of them or none — only the
         // one the event's key hashes to may receive it.
@@ -1253,13 +1241,7 @@ impl PatternBank {
         }
         let mut out = Vec::new();
         for entry in entries {
-            if let Exec::Own(sm) = entry.exec {
-                for m in &sm.finish() {
-                    let m = remap(&entry.ids, entry.base, m);
-                    out.extend(entry.followers.iter().map(|&f| (f, m.clone())));
-                    out.push((entry.pattern, m));
-                }
-            }
+            entry.finish(&mut out);
         }
         out.sort_by_key(|&(pattern, _)| pattern);
         // A matcher's flush is in canonical match order, so the lanes'
@@ -1326,8 +1308,7 @@ impl PatternBank {
     }
 
     /// Events pushed into matchers, summed over all patterns — the
-    /// quantity the index exists to reduce (without it this is
-    /// `patterns × events`).
+    /// quantity the index exists to reduce (from `patterns × events`).
     pub fn total_hits(&self) -> u64 {
         self.entries.iter().map(|e| e.hits).sum()
     }
@@ -1392,7 +1373,7 @@ impl PatternBank {
             next_id: self.next_id as u64,
             ties: self.ties as u64,
             emitted: self.emitted as u64,
-            use_index: self.use_index,
+            use_index: true,
             patterns: self
                 .entries
                 .iter_mut()
@@ -1420,10 +1401,10 @@ impl PatternBank {
     /// fingerprint must agree; and the lanes and sharing plan recomputed
     /// from the specs must reproduce the recorded roles and pool count.
     /// Fails with [`CoreError::SnapshotMismatch`] on any disagreement.
-    /// The index on/off setting and each pattern's lane count are
-    /// restored from the snapshot (a sharded pattern's options must
-    /// still resolve to the key it was sharded by); sharing is
-    /// re-enabled iff the snapshot recorded any shared structure.
+    /// Each pattern's lane count is restored from the snapshot (a
+    /// sharded pattern's options must still resolve to the key it was
+    /// sharded by); sharing is re-enabled iff the snapshot recorded any
+    /// shared structure; [`BankSnapshot::use_index`] is ignored.
     pub fn restore(
         specs: &[(String, Pattern, MatcherOptions)],
         schema: &Schema,
@@ -1583,7 +1564,6 @@ impl PatternBank {
             pools,
             plan,
             index,
-            use_index: snapshot.use_index,
             evict,
             schema: schema.clone(),
             watermark: snapshot.watermark,
@@ -1706,13 +1686,12 @@ mod tests {
             .unwrap()
     }
 
-    fn bank(use_index: bool) -> PatternBank {
+    fn bank() -> PatternBank {
         PatternBank::builder(&schema())
             .register("ab", &pair("A", "B"), MatcherOptions::default())
             .unwrap()
             .register("cd", &pair("C", "D"), MatcherOptions::default())
             .unwrap()
-            .with_index(use_index)
             .build()
     }
 
@@ -1731,8 +1710,9 @@ mod tests {
     }
 
     /// Bank output per pattern vs independent matchers fed every event.
-    fn assert_differential(use_index: bool) {
-        let mut bank = bank(use_index);
+    #[test]
+    fn bank_matches_independent_matchers() {
+        let mut bank = bank();
         let mut ind = [
             StreamMatcher::compile(&pair("A", "B"), &schema()).unwrap(),
             StreamMatcher::compile(&pair("C", "D"), &schema()).unwrap(),
@@ -1754,23 +1734,13 @@ mod tests {
         for (i, sm) in ind.into_iter().enumerate() {
             want[i].extend(sm.finish());
         }
-        assert_eq!(got, want, "use_index={use_index}");
+        assert_eq!(got, want);
         assert!(!got[0].is_empty() && !got[1].is_empty());
     }
 
     #[test]
-    fn bank_matches_independent_matchers_with_index() {
-        assert_differential(true);
-    }
-
-    #[test]
-    fn bank_matches_independent_matchers_without_index() {
-        assert_differential(false);
-    }
-
-    #[test]
     fn index_reduces_pushes_and_probe_sees_routing() {
-        let mut bank = bank(true);
+        let mut bank = bank();
         let mut probe = RouteProbe::default();
         for (t, id, l) in workload() {
             bank.push_with_probe(
@@ -1795,19 +1765,8 @@ mod tests {
     }
 
     #[test]
-    fn index_off_pushes_everything() {
-        let mut bank = bank(false);
-        for (t, id, l) in workload() {
-            bank.push(Timestamp::new(t), [Value::from(id), Value::from(l)])
-                .unwrap();
-        }
-        assert_eq!(bank.total_hits(), (2 * workload().len()) as u64);
-        assert_eq!(bank.total_skips(), 0);
-    }
-
-    #[test]
     fn out_of_order_rejected_globally() {
-        let mut bank = bank(true);
+        let mut bank = bank();
         bank.push(Timestamp::new(5), [Value::from(1), Value::from("A")])
             .unwrap();
         // The C event routes to a different pattern than the A — order
@@ -1825,7 +1784,7 @@ mod tests {
 
     #[test]
     fn advance_watermark_finalizes_idle_patterns() {
-        let mut bank = bank(true);
+        let mut bank = bank();
         for (t, l) in [(0, "A"), (1, "B")] {
             bank.push(Timestamp::new(t), [Value::from(1), Value::from(l)])
                 .unwrap();
@@ -1866,8 +1825,12 @@ mod tests {
                 live_out.extend(live.push(Timestamp::new(*t), values.clone()).unwrap());
                 twin_out.extend(twin.push(Timestamp::new(*t), values).unwrap());
             }
-            let snap = live.snapshot();
+            let mut snap = live.snapshot();
             drop(live);
+            assert!(snap.use_index);
+            // A snapshot whose writer routed without the index (the flag
+            // older trees had) resumes all the same: the byte is ignored.
+            snap.use_index = cut % 2 == 0;
             let mut restored = PatternBank::restore(&specs, &schema(), &snap).unwrap();
             assert_eq!(restored.emitted_so_far(), twin.emitted_so_far());
             assert_eq!(restored.consumed_events(), twin.consumed_events());
@@ -1885,7 +1848,7 @@ mod tests {
 
     #[test]
     fn restore_rejects_mismatched_specs() {
-        let mut bank = bank(true);
+        let mut bank = bank();
         bank.push(Timestamp::new(0), [Value::from(1), Value::from("A")])
             .unwrap();
         let snap = bank.snapshot();
@@ -1924,7 +1887,7 @@ mod tests {
 
     #[test]
     fn subscribe_mid_stream_matches_only_future_events() {
-        let mut bank = bank(true);
+        let mut bank = bank();
         // Consume a prefix that would complete a C-D pair for an
         // observer of the whole stream.
         for (t, l) in [(0, "C"), (1, "A")] {
@@ -1986,7 +1949,7 @@ mod tests {
 
     #[test]
     fn subscribe_is_routed_by_the_rebuilt_index() {
-        let mut bank = bank(true);
+        let mut bank = bank();
         bank.push(Timestamp::new(0), [Value::from(1i64), Value::from("A")])
             .unwrap();
         bank.subscribe("ef", &pair("E", "F"), MatcherOptions::default())
@@ -2006,7 +1969,7 @@ mod tests {
 
     #[test]
     fn subscribe_rejects_duplicate_names_and_active_sharing() {
-        let mut bank = bank(true);
+        let mut bank = bank();
         assert!(matches!(
             bank.subscribe("ab", &pair("E", "F"), MatcherOptions::default()),
             Err(CoreError::Subscription { .. })
@@ -2021,7 +1984,7 @@ mod tests {
 
     #[test]
     fn subscribe_survives_snapshot_restore_round_trip() {
-        let mut bank = bank(true);
+        let mut bank = bank();
         bank.push(Timestamp::new(0), [Value::from(1i64), Value::from("A")])
             .unwrap();
         bank.subscribe("ef", &pair("E", "F"), MatcherOptions::default())
@@ -2121,7 +2084,7 @@ mod tests {
         // One A-B pair, then a long run of events only `cd` is admitted:
         // `ab` is skipped every time, but heartbeat only for the sweep
         // and adjudication, the eviction, and the killer prune.
-        let mut bank = bank(true);
+        let mut bank = bank();
         let mut n = 0u64;
         for (t, l) in [(0, "A"), (1, "B")] {
             bank.push(Timestamp::new(t), [Value::from(1), Value::from(l)])

@@ -32,46 +32,53 @@ use ses_event::{CmpOp, Event, Value};
 use ses_pattern::{AdmissionLanes, CompiledPattern, ConstLane};
 use std::sync::Arc;
 
-use crate::filter::FilterMode;
+use crate::filter::{EventFilter, FilterMode};
 
-/// Whether the columnar admission layer is used.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ColumnarMode {
-    /// Columnar when the pattern has constant conditions and the batch
-    /// is large enough to amortize the plan (the default).
-    #[default]
-    Auto,
-    /// Always columnar, even for trivial plans — differential tests use
-    /// this to force the path.
-    On,
-    /// Always scalar.
-    Off,
-}
-
-/// Batches below this length stay scalar under [`ColumnarMode::Auto`]:
-/// the lane pass cannot amortize over a handful of events.
+/// Batches below this length are admitted per event: the lane pass
+/// cannot amortize over a handful of events.
 pub(crate) const COLUMNAR_AUTO_MIN_BATCH: usize = 16;
 
-impl ColumnarMode {
-    /// Resolves the mode against a concrete plan (its constant-lane
-    /// count, e.g. `AdmissionLanes::of(..).lanes().len()`) and batch
-    /// length — `true` iff that batch runs columnar.
-    pub fn active(self, num_lanes: usize, batch_len: usize) -> bool {
-        match self {
-            ColumnarMode::On => true,
-            ColumnarMode::Off => false,
-            ColumnarMode::Auto => num_lanes > 0 && batch_len >= COLUMNAR_AUTO_MIN_BATCH,
-        }
-    }
+/// The one admission decision: `true` iff a batch of `batch_len` events
+/// is admitted through the columnar lane pass rather than per event,
+/// given the pattern's constant-lane count (e.g.
+/// `AdmissionLanes::of(..).lanes().len()`). Columnar pays off when there
+/// are constant conditions to pre-evaluate and enough events to amortize
+/// the plan; both arms yield the same [`EventAdmission`] for every event
+/// (`tests/columnar_vs_scalar.rs`).
+pub fn runs_columnar(num_lanes: usize, batch_len: usize) -> bool {
+    num_lanes > 0 && batch_len >= COLUMNAR_AUTO_MIN_BATCH
 }
 
-/// The per-event admission decision the columnar layer hands the
-/// engine: the §4.5 filter verdict plus the "which variables can this
-/// event bind" mask (bit *v* = `VarId(v)` admitted).
+/// The per-event admission decision the engine consumes: the §4.5
+/// filter verdict plus the "which variables can this event bind" mask
+/// (bit *v* = `VarId(v)` admitted).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct EventAdmission {
     pub passes: bool,
     pub var_ok: u64,
+}
+
+impl EventAdmission {
+    /// The per-event arm: the filter verdict and, for an event that
+    /// passes, one typed comparison per constant condition. Computing
+    /// the mask once per event amortizes every constant-condition
+    /// evaluation over all simultaneous instances.
+    pub(crate) fn scalar(
+        filter: &EventFilter,
+        pattern: &CompiledPattern,
+        event: &Event,
+    ) -> EventAdmission {
+        let passes = filter.passes(pattern, event);
+        let mut var_ok = 0u64;
+        if passes {
+            for v in 0..pattern.pattern().num_vars() {
+                if pattern.satisfies_var_constants(ses_pattern::VarId(v as u16), event) {
+                    var_ok |= 1u64 << v;
+                }
+            }
+        }
+        EventAdmission { passes, var_ok }
+    }
 }
 
 /// One type-specialized lane evaluator.
@@ -387,7 +394,6 @@ impl ColumnarBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filter::EventFilter;
     use ses_event::{AttrType, Relation, Schema, Timestamp};
     use ses_pattern::{Pattern, VarId};
 
@@ -410,7 +416,8 @@ mod tests {
 
     /// Columnar admission must agree with the scalar reference
     /// (`satisfies_var_constants` + `EventFilter::passes`) on every
-    /// event, for every filter mode.
+    /// event, for every filter mode — and so with the per-event arm,
+    /// which hands the engine those same answers.
     fn assert_matches_scalar(cp: &CompiledPattern, relation: &Relation) {
         let plan = ColumnarPlan::new(cp);
         let mut batch = ColumnarBatch::default();
@@ -436,6 +443,11 @@ mod tests {
                     let scalar = cp.satisfies_var_constants(VarId(v as u16), event);
                     let bit = adm.var_ok >> v & 1 != 0;
                     assert_eq!(bit, scalar, "var {v} bit diverges at event {i}");
+                }
+                let per_event = EventAdmission::scalar(&filter, cp, event);
+                assert_eq!(per_event.passes, adm.passes);
+                if adm.passes {
+                    assert_eq!(per_event.var_ok, adm.var_ok, "arms diverge at event {i}");
                 }
             }
         }
@@ -599,12 +611,10 @@ mod tests {
     }
 
     #[test]
-    fn auto_mode_thresholds() {
-        assert!(!ColumnarMode::Auto.active(0, 1_000_000), "no lanes");
-        assert!(!ColumnarMode::Auto.active(5, COLUMNAR_AUTO_MIN_BATCH - 1));
-        assert!(ColumnarMode::Auto.active(5, COLUMNAR_AUTO_MIN_BATCH));
-        assert!(ColumnarMode::On.active(0, 0));
-        assert!(!ColumnarMode::Off.active(99, 1 << 20));
+    fn rule_thresholds() {
+        assert!(!runs_columnar(0, 1_000_000), "no lanes");
+        assert!(!runs_columnar(5, COLUMNAR_AUTO_MIN_BATCH - 1));
+        assert!(runs_columnar(5, COLUMNAR_AUTO_MIN_BATCH));
     }
 
     #[test]

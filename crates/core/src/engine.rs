@@ -21,7 +21,7 @@ use ses_event::{Event, EventId, EventSource, Relation, Timestamp};
 
 use crate::automaton::{Automaton, TransCond, Transition};
 use crate::buffer::Buffer;
-use crate::columnar::{ColumnarBatch, ColumnarMode, ColumnarPlan, EventAdmission};
+use crate::columnar::{runs_columnar, ColumnarBatch, ColumnarPlan, EventAdmission};
 use crate::filter::{EventFilter, FilterMode};
 use crate::probe::Probe;
 use crate::state::StateId;
@@ -69,13 +69,6 @@ pub struct ExecOptions {
     /// whose window has not elapsed when the relation ends; flushing is
     /// the natural completion for finite relations. Default: `true`.
     pub flush_at_end: bool,
-    /// Evaluate each variable's constant conditions **once per event**
-    /// (a 64-bit "which variables can this event bind" mask) instead of
-    /// once per instance-transition — an instance-indexing optimization
-    /// in the spirit of the paper's future-work citation of Cayuga's
-    /// indexing. Semantics-neutral; default `true`. The
-    /// `ablation_precheck` bench prices it.
-    pub type_precheck: bool,
     /// Optional hard cap on `|Ω|`; exceeding it panics. A guard against
     /// runaway Theorem-3 worst cases in tests, not a production knob.
     pub max_instances: Option<usize>,
@@ -84,11 +77,6 @@ pub struct ExecOptions {
     /// with this off: its runs begin at the prefix boundary, injected by
     /// the pool that simulates the common prefix for the whole group.
     pub spawn_start: bool,
-    /// Columnar admission: pre-evaluate every constant condition over
-    /// the whole batch into per-variable bitmask vectors instead of
-    /// per-event typed comparisons (see `crate::columnar`). Semantics-
-    /// neutral deployment knob; default [`ColumnarMode::Auto`].
-    pub columnar: ColumnarMode,
 }
 
 impl Default for ExecOptions {
@@ -97,10 +85,8 @@ impl Default for ExecOptions {
             filter: FilterMode::Paper,
             selection: EventSelection::SkipTillNextMatch,
             flush_at_end: true,
-            type_precheck: true,
             max_instances: None,
             spawn_start: true,
-            columnar: ColumnarMode::Auto,
         }
     }
 }
@@ -157,7 +143,9 @@ pub struct Execution<'a, S: EventSource = Relation> {
     relation: &'a S,
     options: &'a ExecOptions,
     filter: EventFilter,
-    /// Whole-relation columnar admission, when the mode activates.
+    /// Whole-relation columnar admission, when [`runs_columnar`] says
+    /// the relation is worth one; events are admitted one by one
+    /// otherwise.
     columnar: Option<ColumnarBatch>,
     omega: Vec<Instance>,
     scratch: Vec<Instance>,
@@ -176,19 +164,16 @@ impl<'a, S: EventSource> Execution<'a, S> {
         let filter = EventFilter::new(automaton.pattern(), options.filter);
         let columnar = {
             let plan = ColumnarPlan::new(automaton.pattern());
-            options
-                .columnar
-                .active(plan.num_lanes(), relation.len())
-                .then(|| {
-                    let mut batch = ColumnarBatch::default();
-                    plan.evaluate(
-                        relation.len(),
-                        |i| relation.event(EventId::from(i)),
-                        filter.effective_mode(),
-                        &mut batch,
-                    );
-                    batch
-                })
+            runs_columnar(plan.num_lanes(), relation.len()).then(|| {
+                let mut batch = ColumnarBatch::default();
+                plan.evaluate(
+                    relation.len(),
+                    |i| relation.event(EventId::from(i)),
+                    filter.effective_mode(),
+                    &mut batch,
+                );
+                batch
+            })
         };
         Execution {
             automaton,
@@ -217,11 +202,17 @@ impl<'a, S: EventSource> Execution<'a, S> {
         }
         let position = self.position;
         self.position += 1;
-        let admission = self.columnar.as_ref().map(|b| b.admission(position));
+        let admission = match &self.columnar {
+            Some(batch) => batch.admission(position),
+            None => EventAdmission::scalar(
+                &self.filter,
+                self.automaton.pattern(),
+                self.relation.event(EventId::from(position)),
+            ),
+        };
         process_event(
             self.automaton,
             self.relation,
-            &self.filter,
             self.options,
             &mut self.omega,
             &mut self.scratch,
@@ -323,31 +314,25 @@ pub(crate) fn sweep_expired<P: Probe>(
 /// instance, expire/emit, consume. Shared by the batch [`Execution`] and
 /// the push-based [`crate::StreamMatcher`].
 ///
-/// When `admission` is provided (columnar mode), the filter verdict and
-/// variable mask were precomputed over the whole batch; otherwise both
-/// are evaluated scalar, per event, exactly as before.
+/// `admission` is the §4.5 filter verdict and the "which variables can
+/// this event bind" mask for `event_id`, precomputed over the whole batch
+/// by the columnar lane pass or just now by [`EventAdmission::scalar`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn process_event<S: EventSource, P: Probe>(
     automaton: &Automaton,
     relation: &S,
-    filter: &EventFilter,
     options: &ExecOptions,
     omega: &mut Vec<Instance>,
     scratch: &mut Vec<Instance>,
     event_id: EventId,
-    admission: Option<EventAdmission>,
+    admission: EventAdmission,
     results: &mut Vec<RawMatch>,
     probe: &mut P,
 ) {
     let event = relation.event(event_id);
 
     probe.event_read();
-    let pattern = automaton.pattern();
-    let passes = match admission {
-        Some(a) => a.passes,
-        None => filter.passes(pattern, event),
-    };
-    if !passes {
+    if !admission.passes {
         probe.event_filtered();
         return;
     }
@@ -355,24 +340,6 @@ pub(crate) fn process_event<S: EventSource, P: Probe>(
     let tau = automaton.tau();
     let start = automaton.start();
     let accept = automaton.accept();
-
-    // Which variables can this event possibly bind? Computing the mask
-    // once per event amortizes every constant-condition evaluation over
-    // all simultaneous instances; columnar mode amortizes it further,
-    // over the whole batch.
-    let var_ok: Option<u64> = match admission {
-        Some(a) => Some(a.var_ok),
-        None => options.type_precheck.then(|| {
-            let p = pattern.pattern();
-            let mut mask = 0u64;
-            for i in 0..p.num_vars() {
-                if pattern.satisfies_var_constants(ses_pattern::VarId(i as u16), event) {
-                    mask |= 1u64 << i;
-                }
-            }
-            mask
-        }),
-    };
 
     // Algorithm 1, line 4: a fresh instance per (unfiltered) event.
     if options.spawn_start {
@@ -407,7 +374,7 @@ pub(crate) fn process_event<S: EventSource, P: Probe>(
             event_id,
             start,
             options.selection,
-            var_ok,
+            admission.var_ok,
             scratch,
             probe,
         );
@@ -438,40 +405,29 @@ fn consume_event<S: EventSource, P: Probe>(
     event_id: EventId,
     start: StateId,
     selection: EventSelection,
-    var_ok: Option<u64>,
+    var_ok: u64,
     out: &mut Vec<Instance>,
     probe: &mut P,
 ) {
-    if let Some(mask) = var_ok {
-        // Fast path: no outgoing transition's variable is admitted, so
-        // nothing can fire — skip the transition loop entirely. Probe-
-        // identical to walking it: every transition would have been
-        // mask-skipped before `transition_evaluated`.
-        if mask & automaton.outgoing_var_mask(instance.state) == 0 {
-            if instance.state != start {
-                out.push(instance);
-            }
-            return;
+    // Fast path: no outgoing transition's variable is admitted, so
+    // nothing can fire — skip the transition loop entirely. Probe-
+    // identical to walking it: every transition would have been
+    // mask-skipped before `transition_evaluated`.
+    if var_ok & automaton.outgoing_var_mask(instance.state) == 0 {
+        if instance.state != start {
+            out.push(instance);
         }
+        return;
     }
     let mut fired = 0usize;
     for transition in automaton.outgoing(instance.state) {
-        // Precheck: an event failing the bound variable's constant
-        // conditions can never take this transition.
-        if let Some(mask) = var_ok {
-            if mask & transition.var.bit() == 0 {
-                continue;
-            }
+        // An event failing the bound variable's constant conditions can
+        // never take this transition.
+        if var_ok & transition.var.bit() == 0 {
+            continue;
         }
         probe.transition_evaluated();
-        if eval_conditions(
-            automaton,
-            relation,
-            transition,
-            &instance.buffer,
-            event,
-            var_ok.is_some(),
-        ) {
+        if eval_conditions(automaton, relation, transition, &instance.buffer, event) {
             probe.transition_taken();
             if fired > 0 {
                 probe.instance_branched();
@@ -509,16 +465,14 @@ fn eval_conditions<S: EventSource>(
     transition: &Transition,
     buffer: &Buffer,
     event: &Event,
-    consts_prechecked: bool,
 ) -> bool {
     let pattern = automaton.pattern();
     let event_ts: Timestamp = event.ts();
     transition.conds.iter().all(|tc| match tc {
-        // With the per-event precheck, constant conditions were already
-        // verified through the variable mask.
-        TransCond::Const { cond } => {
-            consts_prechecked || pattern.condition(*cond).eval_const(event)
-        }
+        // Constant conditions were verified through the admission mask:
+        // the transition's variable bit is set only when all of them
+        // hold.
+        TransCond::Const { .. } => true,
         TransCond::SelfCmp { cond } => pattern.condition(*cond).eval_vars(event, event),
         TransCond::VsBound {
             cond,
@@ -877,108 +831,6 @@ mod tests {
             "any-match explores every subset: got {}",
             stam.0
         );
-    }
-
-    #[test]
-    fn type_precheck_is_semantics_neutral() {
-        // Same results with and without the per-event variable mask, for
-        // every selection strategy and filter mode.
-        let p = Pattern::builder()
-            .set(|s| s.var("x").plus("y"))
-            .set(|s| s.var("b"))
-            .cond_const("x", "L", CmpOp::Eq, "M")
-            .cond_const("y", "L", CmpOp::Eq, "M")
-            .cond_const("b", "L", CmpOp::Eq, "B")
-            .cond_vars("x", "ID", CmpOp::Eq, "b", "ID")
-            .within(Duration::ticks(50))
-            .build()
-            .unwrap();
-        let a = automaton(p);
-        let r = rel(&[
-            (0, 1, "M"),
-            (1, 2, "M"),
-            (2, 1, "M"),
-            (3, 1, "Z"),
-            (4, 1, "B"),
-            (5, 2, "B"),
-        ]);
-        for selection in [
-            EventSelection::SkipTillNextMatch,
-            EventSelection::SkipTillAnyMatch,
-        ] {
-            for filter in [FilterMode::Off, FilterMode::Paper] {
-                let run = |precheck: bool| {
-                    let opts = ExecOptions {
-                        selection,
-                        filter,
-                        type_precheck: precheck,
-                        ..ExecOptions::default()
-                    };
-                    let mut out = execute(&a, &r, &opts, &mut NoProbe);
-                    out.sort();
-                    out
-                };
-                assert_eq!(run(true), run(false), "{selection:?}/{filter:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn columnar_is_semantics_neutral() {
-        // Forcing the columnar admission path on yields exactly the
-        // scalar results, for every selection strategy and filter mode
-        // (including the batch-size-gated Auto default).
-        let p = Pattern::builder()
-            .set(|s| s.var("x").plus("y"))
-            .set(|s| s.var("b"))
-            .cond_const("x", "L", CmpOp::Eq, "M")
-            .cond_const("y", "L", CmpOp::Eq, "M")
-            .cond_const("b", "L", CmpOp::Eq, "B")
-            .cond_vars("x", "ID", CmpOp::Eq, "b", "ID")
-            .within(Duration::ticks(50))
-            .build()
-            .unwrap();
-        let a = automaton(p);
-        let r = rel(&[
-            (0, 1, "M"),
-            (1, 2, "M"),
-            (2, 1, "M"),
-            (3, 1, "Z"),
-            (4, 1, "B"),
-            (5, 2, "B"),
-        ]);
-        for selection in [
-            EventSelection::SkipTillNextMatch,
-            EventSelection::SkipTillAnyMatch,
-        ] {
-            for filter in [FilterMode::Off, FilterMode::Paper, FilterMode::PerVariable] {
-                for precheck in [false, true] {
-                    let run = |columnar: crate::ColumnarMode| {
-                        let opts = ExecOptions {
-                            selection,
-                            filter,
-                            type_precheck: precheck,
-                            columnar,
-                            ..ExecOptions::default()
-                        };
-                        let mut out = execute(&a, &r, &opts, &mut NoProbe);
-                        out.sort();
-                        out
-                    };
-                    let scalar = run(crate::ColumnarMode::Off);
-                    assert_eq!(
-                        run(crate::ColumnarMode::On),
-                        scalar,
-                        "on {selection:?}/{filter:?}/{precheck}"
-                    );
-                    assert_eq!(
-                        run(crate::ColumnarMode::Auto),
-                        scalar,
-                        "auto {selection:?}/{filter:?}/{precheck}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

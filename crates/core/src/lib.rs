@@ -74,7 +74,7 @@ mod trace;
 pub use automaton::{Automaton, State, TransCond, Transition, DEFAULT_MAX_STATES};
 pub use bank::{PatternBank, PatternBankBuilder, PatternStats};
 pub use buffer::{Binding, Buffer, BufferIter};
-pub use columnar::ColumnarMode;
+pub use columnar::runs_columnar;
 pub use engine::{execute, EventSelection, ExecOptions, Execution, Instance, RawMatch};
 pub use error::CoreError;
 pub use filter::{EventFilter, FilterMode};
@@ -83,8 +83,8 @@ pub use matches::Match;
 pub use measures::{aggregate, Aggregate};
 pub use negation::{filter_negations, passes_negations};
 pub use probe::{NoProbe, Probe};
-pub use reference::{enumerate_candidates, satisfies_conditions_1_3};
-pub use semantics::{select, select_with, AdjudicationMode, MatchSemantics};
+pub use reference::{enumerate_candidates, satisfies_conditions_1_3, select_pairwise};
+pub use semantics::{select, MatchSemantics};
 pub use snapshot::{
     BankPatternSnapshot, BankRole, BankSnapshot, InstanceSnapshot, MatcherSnapshot, StreamSnapshot,
 };

@@ -34,12 +34,11 @@ use ses_event::{AttrId, Relation, Schema};
 use ses_pattern::{CompiledPattern, Pattern};
 
 use crate::automaton::{Automaton, DEFAULT_MAX_STATES};
-use crate::columnar::ColumnarMode;
 use crate::engine::{execute, EventSelection, ExecOptions};
 use crate::filter::FilterMode;
 use crate::matches::Match;
 use crate::probe::{NoProbe, Probe};
-use crate::semantics::{select_with, AdjudicationMode, MatchSemantics};
+use crate::semantics::{select, MatchSemantics};
 use crate::CoreError;
 
 /// How a [`Matcher`] splits its input for partition-parallel execution.
@@ -107,9 +106,6 @@ pub struct MatcherOptions {
     pub semantics: MatchSemantics,
     /// Emit accepting instances at end of input. Default: `true`.
     pub flush_at_end: bool,
-    /// Per-event variable precheck optimization (see
-    /// [`ExecOptions::type_precheck`]). Default: `true`.
-    pub type_precheck: bool,
     /// Apply [`ses_pattern::equality_closure`] before compiling: derive
     /// the transitive closure of `=` conditions so every intermediate
     /// transition is fully correlated. Semantically conservative w.r.t.
@@ -134,17 +130,6 @@ pub struct MatcherOptions {
     /// Worker threads for partitioned execution. `None` (the default)
     /// uses [`std::thread::available_parallelism`].
     pub threads: Option<usize>,
-    /// Columnar admission (see [`crate::ColumnarMode`]): batch
-    /// pre-evaluation of constant conditions into per-variable bitmask
-    /// vectors. Semantics-neutral deployment knob — deliberately
-    /// excluded from the checkpoint fingerprint. Default:
-    /// [`ColumnarMode::Auto`].
-    pub columnar: ColumnarMode,
-    /// Adjudicator implementation for conditions 4–5 and maximality
-    /// (see [`crate::AdjudicationMode`]). Observably identical either
-    /// way; like `columnar`, excluded from the checkpoint fingerprint.
-    /// Default: [`AdjudicationMode::Indexed`].
-    pub adjudication: AdjudicationMode,
 }
 
 impl Default for MatcherOptions {
@@ -154,15 +139,12 @@ impl Default for MatcherOptions {
             selection: EventSelection::SkipTillNextMatch,
             semantics: MatchSemantics::Maximal,
             flush_at_end: true,
-            type_precheck: true,
             derive_equalities: false,
             propagate_constants: false,
             max_states: DEFAULT_MAX_STATES,
             max_instances: None,
             partition: PartitionMode::Off,
             threads: None,
-            columnar: ColumnarMode::Auto,
-            adjudication: AdjudicationMode::Indexed,
         }
     }
 }
@@ -317,10 +299,8 @@ impl Matcher {
             filter: self.options.filter,
             selection: self.options.selection,
             flush_at_end: self.options.flush_at_end,
-            type_precheck: self.options.type_precheck,
             max_instances: self.options.max_instances,
             spawn_start: true,
-            columnar: self.options.columnar,
         }
     }
 
@@ -386,12 +366,11 @@ impl Matcher {
         }
         let raw = execute(&self.automaton, relation, &self.exec_options(), probe);
         let raw = crate::negation::filter_negations(raw, relation, self.automaton.pattern());
-        select_with(
+        select(
             raw,
             relation,
             self.automaton.pattern(),
             self.options.semantics,
-            self.options.adjudication,
         )
     }
 }

@@ -43,7 +43,7 @@ use crate::engine::{execute, RawMatch};
 use crate::matcher::Matcher;
 use crate::matches::Match;
 use crate::probe::{NoProbe, Probe};
-use crate::semantics::select_with;
+use crate::semantics::select;
 
 /// Matches `relation` per distinct value of `key`, in parallel, and
 /// returns the adjudicated matches with bindings expressed in the
@@ -126,13 +126,7 @@ where
     // candidates internally, so the result is identical to the global
     // scan's regardless of partition emission order.
     let raw = crate::negation::filter_negations(raw, relation, pattern);
-    let matches = select_with(
-        raw,
-        relation,
-        pattern,
-        matcher.options().semantics,
-        matcher.options().adjudication,
-    );
+    let matches = select(raw, relation, pattern, matcher.options().semantics);
     (matches, probes)
 }
 
@@ -364,13 +358,7 @@ where
     // the merged raw set, with negations checked against the *full*
     // relation — which is why negated patterns are admissible here.
     let raw = crate::negation::filter_negations(raw, relation, pattern);
-    let matches = select_with(
-        raw,
-        relation,
-        pattern,
-        matcher.options().semantics,
-        matcher.options().adjudication,
-    );
+    let matches = select(raw, relation, pattern, matcher.options().semantics);
     (matches, probes)
 }
 

@@ -89,14 +89,12 @@ pub trait Probe {
 
     /// A pattern bank routed one event into `_n` pattern matchers (the
     /// event satisfied those patterns' admission predicates). Fired once
-    /// per bank push; with the predicate index off this is always the
-    /// bank's pattern count.
+    /// per bank push.
     #[inline]
     fn index_hits(&mut self, _n: usize) {}
 
     /// A pattern bank skipped `_n` pattern matchers for one event (they
-    /// received only a watermark heartbeat). Fired once per bank push;
-    /// always zero with the predicate index off.
+    /// receive at most a watermark heartbeat). Fired once per bank push.
     #[inline]
     fn index_skips(&mut self, _n: usize) {}
 

@@ -1,18 +1,23 @@
-//! Reference (naive) semantics: a from-scratch validator and enumerator
-//! for matching substitutions.
+//! Reference (naive) semantics: a from-scratch validator, enumerator and
+//! selection filter for matching substitutions. Nothing here runs in
+//! production; the differential suites compare the engine against it.
 //!
-//! [`satisfies_conditions_1_3`] checks a substitution directly against
-//! conditions 1–3 of Definition 2 — full condition decomposition, set
-//! order, window — without any automaton machinery. It serves two roles:
-//!
-//! * the **swap-validity check** of the condition-4 semantics filter
-//!   (`semantics` module);
-//! * an independent **test oracle**: [`enumerate_candidates`] brute-forces
-//!   the substitution space `Γ` of small inputs so property tests can
-//!   cross-validate the engine.
+//! * [`satisfies_conditions_1_3`] checks a substitution directly against
+//!   conditions 1–3 of Definition 2 — full condition decomposition, set
+//!   order, window — without any automaton machinery.
+//! * [`enumerate_candidates`] brute-forces the substitution space `Γ` of
+//!   small inputs so property tests can cross-validate the engine.
+//! * [`select_pairwise`] applies conditions 4–5 and maximality as the
+//!   one-shot global filter, every quantifier re-derived from scratch per
+//!   candidate — the answer the group-wise sweep of the `semantics`
+//!   module must reproduce.
 
-use ses_event::{EventId, Relation};
+use ses_event::{EventId, Relation, Timestamp};
 use ses_pattern::{CompiledPattern, CompiledRhs, VarId};
+
+use crate::engine::RawMatch;
+use crate::matches::Match;
+use crate::semantics::MatchSemantics;
 
 /// Checks conditions 1–3 of Definition 2 for a complete substitution.
 ///
@@ -174,6 +179,138 @@ pub fn enumerate_candidates(
             }
         }
     }
+}
+
+/// The matches [`crate::select`] must return, computed the slow way: one
+/// global filter over the whole candidate set, quadratic in its size and
+/// linear in the relation per binding. No first-binding groups, no
+/// indexes, no survivor store — the decomposition argument of the
+/// `semantics` module is what `tests/adjudicator_vs_bruteforce.rs` checks
+/// against this.
+///
+/// Candidates must satisfy conditions 1–3 (engine-produced raw matches
+/// do by construction). Returns the survivors in canonical match order.
+pub fn select_pairwise(
+    raw: Vec<RawMatch>,
+    relation: &Relation,
+    pattern: &CompiledPattern,
+    semantics: MatchSemantics,
+) -> Vec<Match> {
+    let mut candidates: Vec<Match> = raw.into_iter().map(Match::from_raw).collect();
+    candidates.sort();
+    candidates.dedup();
+    if semantics == MatchSemantics::AllRuns {
+        return candidates;
+    }
+    let kept: Vec<Match> = candidates
+        .iter()
+        .filter(|m| {
+            survives_condition_4(m, relation, pattern, &candidates)
+                && survives_condition_5(m, &candidates)
+        })
+        .cloned()
+        .collect();
+    if semantics == MatchSemantics::Definition2 {
+        return kept;
+    }
+    // Maximal: drop matches properly contained in any Definition-2
+    // survivor.
+    kept.iter()
+        .filter(|m| !kept.iter().any(|o| m.is_proper_subset_of(o)))
+        .cloned()
+        .collect()
+}
+
+/// Condition 4: no variable of γ could have bound a strictly earlier
+/// in-extent event via an agreeing-prefix run. Implemented as the union
+/// of the swap test (against the full `Γ`, via direct validity checking)
+/// and the prefix test (against the accepted candidate set).
+fn survives_condition_4(
+    m: &Match,
+    relation: &Relation,
+    pattern: &CompiledPattern,
+    candidates: &[Match],
+) -> bool {
+    let min_ts = relation.event(m.first_event()).ts();
+    for &(var, event) in m.bindings() {
+        let bound_ts = relation.event(event).ts();
+        // Candidate earlier events strictly inside (minT, e.T). Event ids
+        // are chronological, so a linear scan up to `event` suffices.
+        // Start at the first retained event: anything evicted is older
+        // than `minT` of every live candidate and would be skipped anyway.
+        for alt_idx in relation.first_index()..event.index() {
+            let alt = EventId::from(alt_idx);
+            let alt_ts = relation.event(alt).ts();
+            if alt_ts <= min_ts || alt_ts >= bound_ts {
+                continue;
+            }
+            if m.events().any(|e| e == alt) {
+                continue; // already used in γ (possibly by another variable)
+            }
+            if swap_is_valid(m, var, event, alt, relation, pattern)
+                || prefix_alternative_exists(m, var, alt, alt_ts, relation, candidates)
+            {
+                return false;
+            }
+        }
+    }
+    true
+}
+
+/// `true` iff some candidate binds `var/alt` and agrees with `m` on every
+/// binding strictly before `alt`'s timestamp (stream position for ties).
+fn prefix_alternative_exists(
+    m: &Match,
+    var: VarId,
+    alt: EventId,
+    alt_ts: Timestamp,
+    relation: &Relation,
+    candidates: &[Match],
+) -> bool {
+    let prefix_of = |x: &Match| -> Vec<(VarId, EventId)> {
+        x.bindings()
+            .iter()
+            .copied()
+            .filter(|&(_, e)| relation.event(e).ts() < alt_ts)
+            .collect()
+    };
+    let m_prefix = prefix_of(m);
+    candidates
+        .iter()
+        .any(|other| other.contains(var, alt) && prefix_of(other) == m_prefix)
+}
+
+/// Checks whether γ with binding `var/event` replaced by `var/alt`
+/// satisfies conditions 1–3.
+fn swap_is_valid(
+    m: &Match,
+    var: VarId,
+    event: EventId,
+    alt: EventId,
+    relation: &Relation,
+    pattern: &CompiledPattern,
+) -> bool {
+    let mut bindings: Vec<(VarId, EventId)> = m
+        .bindings()
+        .iter()
+        .map(|&(v, e)| {
+            if v == var && e == event {
+                (v, alt)
+            } else {
+                (v, e)
+            }
+        })
+        .collect();
+    bindings.sort_unstable_by_key(|&(v, e)| (e, v));
+    satisfies_conditions_1_3(pattern, relation, &bindings)
+}
+
+/// Condition 5: not a proper subset of another candidate with the same
+/// first binding.
+fn survives_condition_5(m: &Match, all: &[Match]) -> bool {
+    let first = m.bindings()[0];
+    !all.iter()
+        .any(|other| other.bindings()[0] == first && m.is_proper_subset_of(other))
 }
 
 #[cfg(test)]

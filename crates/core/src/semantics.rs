@@ -38,7 +38,6 @@ use ses_pattern::{CompiledPattern, VarId};
 use crate::adjudicate::{GroupIndex, SurvivorStore, ViableIndex};
 use crate::engine::RawMatch;
 use crate::matches::Match;
-use crate::reference::satisfies_conditions_1_3;
 
 /// Which substitutions [`select`] returns. See the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -53,48 +52,12 @@ pub enum MatchSemantics {
     Maximal,
 }
 
-/// Which adjudicator implementation evaluates conditions 4–5 and
-/// maximality. Both produce identical matches and identical streaming
-/// emission schedules — `tests/adjudicator_vs_bruteforce.rs` proves it —
-/// so this is a deployment knob, deliberately excluded from the
-/// checkpoint fingerprint like [`crate::ColumnarMode`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdjudicationMode {
-    /// Sorted-group sweep over posting-list/prefix-hash indexes with a
-    /// bounded viable-event scan for condition 4 (see
-    /// `docs/adjudication.md`). The default.
-    #[default]
-    Indexed,
-    /// The original all-pairs scans, quadratic in the group size and
-    /// linear in the retained relation per binding. Kept as the
-    /// differential-test oracle and benchmark baseline.
-    Pairwise,
-}
-
-/// Applies the selected semantics to the engine's raw matches using the
-/// default [`AdjudicationMode::Indexed`] adjudicator.
+/// Applies the selected semantics to the engine's raw matches.
 pub fn select(
     raw: Vec<RawMatch>,
     relation: &Relation,
     pattern: &CompiledPattern,
     semantics: MatchSemantics,
-) -> Vec<Match> {
-    select_with(
-        raw,
-        relation,
-        pattern,
-        semantics,
-        AdjudicationMode::default(),
-    )
-}
-
-/// [`select`] with an explicit adjudicator implementation.
-pub fn select_with(
-    raw: Vec<RawMatch>,
-    relation: &Relation,
-    pattern: &CompiledPattern,
-    semantics: MatchSemantics,
-    adjudication: AdjudicationMode,
 ) -> Vec<Match> {
     let mut candidates: Vec<Match> = raw.into_iter().map(Match::from_raw).collect();
     candidates.sort();
@@ -106,15 +69,17 @@ pub fn select_with(
     // Conditions 4 and 5 are closed within first-binding groups (see
     // [`Adjudicator`]), and a Maximal killer's first binding never
     // follows its victim's — so adjudicating the groups in ascending
-    // first-binding order reproduces the global filter exactly. Batch
-    // and streaming share this code path, which is what makes the
-    // stream-vs-batch differential suite a structural equivalence.
+    // first-binding order reproduces the global filter exactly
+    // (`tests/adjudicator_vs_bruteforce.rs` checks it against
+    // [`crate::reference::select_pairwise`]). Batch and streaming share
+    // this code path, which is what makes the stream-vs-batch
+    // differential suite a structural equivalence.
     let mut groups: std::collections::BTreeMap<GroupKey, Vec<Match>> =
         std::collections::BTreeMap::new();
     for m in candidates {
         groups.entry(group_key(&m)).or_default().push(m);
     }
-    let mut adjudicator = Adjudicator::new(semantics, adjudication);
+    let mut adjudicator = Adjudicator::new(semantics);
     let mut out = Vec::new();
     for (_, group) in groups {
         out.extend(adjudicator.adjudicate_group(group, relation, pattern));
@@ -163,22 +128,20 @@ pub(crate) fn group_key(m: &Match) -> GroupKey {
 #[derive(Debug)]
 pub(crate) struct Adjudicator {
     semantics: MatchSemantics,
-    mode: AdjudicationMode,
     /// Definition-2 survivors of adjudicated groups, kept (with their
     /// `minT`) as potential Maximal killers for later groups.
     survivors: SurvivorStore,
-    /// Per-variable viable-event cache for the indexed condition-4 swap
-    /// scan, extended monotonically as groups arrive. Rebuilt lazily
+    /// Per-variable viable-event cache for the condition-4 swap scan,
+    /// extended monotonically as groups arrive. Rebuilt lazily
     /// after a snapshot restore; never part of the snapshot itself.
     viable: ViableIndex,
 }
 
 impl Adjudicator {
     /// An adjudicator with no groups processed yet.
-    pub(crate) fn new(semantics: MatchSemantics, mode: AdjudicationMode) -> Adjudicator {
+    pub(crate) fn new(semantics: MatchSemantics) -> Adjudicator {
         Adjudicator {
             semantics,
-            mode,
             survivors: SurvivorStore::new(),
             viable: ViableIndex::new(),
         }
@@ -187,8 +150,11 @@ impl Adjudicator {
     /// Adjudicates one complete group of candidates (all sharing a first
     /// binding). Groups must arrive in ascending [`GroupKey`] order, and
     /// candidates must satisfy conditions 1–3 (engine-produced raw
-    /// matches do by construction — the indexed swap test relies on it).
-    /// Returns the group's final matches under the configured semantics.
+    /// matches do by construction — the swap test relies on it).
+    /// Returns the group's final matches under the configured semantics:
+    /// the verdicts of [`crate::reference::select_pairwise`], reached in
+    /// one sweep over the sorted group via the indexes of
+    /// [`crate::adjudicate`].
     pub(crate) fn adjudicate_group(
         &mut self,
         group: Vec<Match>,
@@ -201,58 +167,6 @@ impl Adjudicator {
         if group.is_empty() || self.semantics == MatchSemantics::AllRuns {
             return group;
         }
-        match self.mode {
-            AdjudicationMode::Pairwise => self.adjudicate_pairwise(group, relation, pattern),
-            AdjudicationMode::Indexed => self.adjudicate_indexed(group, relation, pattern),
-        }
-    }
-
-    /// The legacy all-pairs adjudication — the oracle the indexed path
-    /// is differentially tested against.
-    fn adjudicate_pairwise(
-        &mut self,
-        group: Vec<Match>,
-        relation: &Relation,
-        pattern: &CompiledPattern,
-    ) -> Vec<Match> {
-        let kept: Vec<Match> = group
-            .iter()
-            .filter(|m| {
-                survives_condition_4(m, relation, pattern, &group)
-                    && survives_condition_5(m, &group)
-            })
-            .cloned()
-            .collect();
-
-        if self.semantics == MatchSemantics::Definition2 {
-            return kept;
-        }
-
-        // Maximal: drop matches properly contained in a same-group or
-        // earlier-group Definition-2 survivor, then remember this
-        // group's survivors as killers for later groups.
-        let finals: Vec<Match> = kept
-            .iter()
-            .filter(|m| {
-                !kept.iter().any(|o| m.is_proper_subset_of(o)) && !self.survivors.kills_pairwise(m)
-            })
-            .cloned()
-            .collect();
-        for m in kept {
-            let min_ts = relation.event(m.first_event()).ts();
-            self.survivors.push(min_ts, m);
-        }
-        finals
-    }
-
-    /// The indexed adjudication: identical verdicts in sorted group
-    /// order, via the structures in [`crate::adjudicate`].
-    fn adjudicate_indexed(
-        &mut self,
-        group: Vec<Match>,
-        relation: &Relation,
-        pattern: &CompiledPattern,
-    ) -> Vec<Match> {
         let gi = GroupIndex::build(&group, relation);
         self.viable
             .ensure_cover(pattern, relation, gi.cover_needed());
@@ -273,9 +187,7 @@ impl Adjudicator {
 
         let finals: Vec<Match> = (0..group.len())
             .filter(|&i| {
-                kept[i]
-                    && !gi.dominated_by_kept(i, &kept)
-                    && !self.survivors.kills_indexed(&group[i])
+                kept[i] && !gi.dominated_by_kept(i, &kept) && !self.survivors.kills(&group[i])
             })
             .map(|i| group[i].clone())
             .collect();
@@ -319,101 +231,10 @@ impl Adjudicator {
     }
 }
 
-/// Condition 4: no variable of γ could have bound a strictly earlier
-/// in-extent event via an agreeing-prefix run. Implemented as the union
-/// of the swap test (against the full `Γ`, via direct validity checking)
-/// and the prefix test (against the accepted candidate set).
-fn survives_condition_4(
-    m: &Match,
-    relation: &Relation,
-    pattern: &CompiledPattern,
-    candidates: &[Match],
-) -> bool {
-    let min_ts = relation.event(m.first_event()).ts();
-    for &(var, event) in m.bindings() {
-        let bound_ts = relation.event(event).ts();
-        // Candidate earlier events strictly inside (minT, e.T). Event ids
-        // are chronological, so a linear scan up to `event` suffices.
-        // Start at the first retained event: anything evicted is older
-        // than `minT` of every live candidate and would be skipped anyway.
-        for alt_idx in relation.first_index()..event.index() {
-            let alt = EventId::from(alt_idx);
-            let alt_ts = relation.event(alt).ts();
-            if alt_ts <= min_ts || alt_ts >= bound_ts {
-                continue;
-            }
-            if m.events().any(|e| e == alt) {
-                continue; // already used in γ (possibly by another variable)
-            }
-            if swap_is_valid(m, var, event, alt, relation, pattern)
-                || prefix_alternative_exists(m, var, alt, alt_ts, relation, candidates)
-            {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-/// `true` iff some candidate binds `var/alt` and agrees with `m` on every
-/// binding strictly before `alt`'s timestamp (stream position for ties).
-fn prefix_alternative_exists(
-    m: &Match,
-    var: VarId,
-    alt: EventId,
-    alt_ts: Timestamp,
-    relation: &Relation,
-    candidates: &[Match],
-) -> bool {
-    let prefix_of = |x: &Match| -> Vec<(VarId, EventId)> {
-        x.bindings()
-            .iter()
-            .copied()
-            .filter(|&(_, e)| relation.event(e).ts() < alt_ts)
-            .collect()
-    };
-    let m_prefix = prefix_of(m);
-    candidates
-        .iter()
-        .any(|other| other.contains(var, alt) && prefix_of(other) == m_prefix)
-}
-
-/// Checks whether γ with binding `var/event` replaced by `var/alt`
-/// satisfies conditions 1–3.
-fn swap_is_valid(
-    m: &Match,
-    var: VarId,
-    event: EventId,
-    alt: EventId,
-    relation: &Relation,
-    pattern: &CompiledPattern,
-) -> bool {
-    let mut bindings: Vec<(VarId, EventId)> = m
-        .bindings()
-        .iter()
-        .map(|&(v, e)| {
-            if v == var && e == event {
-                (v, alt)
-            } else {
-                (v, e)
-            }
-        })
-        .collect();
-    bindings.sort_unstable_by_key(|&(v, e)| (e, v));
-    satisfies_conditions_1_3(pattern, relation, &bindings)
-}
-
-/// Condition 5: not a proper subset of another candidate with the same
-/// first binding.
-fn survives_condition_5(m: &Match, all: &[Match]) -> bool {
-    let first = m.bindings()[0];
-    !all.iter()
-        .any(|other| other.bindings()[0] == first && m.is_proper_subset_of(other))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::select_pairwise;
     use ses_event::{AttrType, CmpOp, Duration, Schema, Timestamp, Value};
     use ses_pattern::Pattern;
 
@@ -590,8 +411,14 @@ mod tests {
         }
     }
 
-    const BOTH_BACKENDS: [AdjudicationMode; 2] =
-        [AdjudicationMode::Indexed, AdjudicationMode::Pairwise];
+    /// [`select`] under Definition 2, checked against the pairwise
+    /// reference on the way out.
+    fn select_def2(group: Vec<RawMatch>, r: &Relation, cp: &CompiledPattern) -> Vec<Match> {
+        let out = select(group.clone(), r, cp, MatchSemantics::Definition2);
+        let reference = select_pairwise(group, r, cp, MatchSemantics::Definition2);
+        assert_eq!(out, reference, "sweep diverged from the pairwise reference");
+        out
+    }
 
     #[test]
     fn condition4_duplicate_timestamp_is_no_swap() {
@@ -601,10 +428,7 @@ mod tests {
         // binding away — both candidates survive Definition 2.
         let r = rel(&[(0, 1, "A"), (5, 1, "B"), (5, 1, "B")]);
         let group = vec![raw(&[(0, 0), (1, 1)]), raw(&[(0, 0), (1, 2)])];
-        for mode in BOTH_BACKENDS {
-            let out = select_with(group.clone(), &r, &cp, MatchSemantics::Definition2, mode);
-            assert_eq!(out.len(), 2, "{mode:?}");
-        }
+        assert_eq!(select_def2(group, &r, &cp).len(), 2);
     }
 
     #[test]
@@ -620,14 +444,12 @@ mod tests {
             raw(&[(0, 0), (1, 2)]),
             raw(&[(0, 0), (1, 3)]),
         ];
-        for mode in BOTH_BACKENDS {
-            let out = select_with(group.clone(), &r, &cp, MatchSemantics::Definition2, mode);
-            assert_eq!(out.len(), 2, "{mode:?}");
-            assert!(
-                out.iter().all(|m| m.last_event() != EventId(3)),
-                "{mode:?}: the later-than-necessary binding survived"
-            );
-        }
+        let out = select_def2(group, &r, &cp);
+        assert_eq!(out.len(), 2);
+        assert!(
+            out.iter().all(|m| m.last_event() != EventId(3)),
+            "the later-than-necessary binding survived"
+        );
     }
 
     #[test]
@@ -641,11 +463,9 @@ mod tests {
             raw(&[(0, 0), (0, 1), (1, 3)]),
             raw(&[(0, 0), (0, 1), (0, 2), (1, 3)]),
         ];
-        for mode in BOTH_BACKENDS {
-            let out = select_with(group.clone(), &r, &cp, MatchSemantics::Definition2, mode);
-            assert_eq!(out.len(), 1, "{mode:?}");
-            assert_eq!(out[0].len(), 4, "{mode:?}");
-        }
+        let out = select_def2(group, &r, &cp);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].len(), 4);
     }
 
     #[test]
@@ -653,25 +473,23 @@ mod tests {
         // Streaming prunes survivors at `watermark − 2τ`; a survivor
         // whose minT sits exactly on the cutoff must be retained (a
         // later candidate can still tie into its window), one tick past
-        // it must go. Both backends agree on the boundary.
+        // it must go.
         let cp = ab_pattern();
         let r = rel(&[(10, 1, "A"), (11, 1, "B")]);
-        for mode in BOTH_BACKENDS {
-            let mut adj = Adjudicator::new(MatchSemantics::Maximal, mode);
-            let kept = adj.adjudicate_group(
-                vec![Match::from_bindings(vec![
-                    (VarId(0), EventId(0)),
-                    (VarId(1), EventId(1)),
-                ])],
-                &r,
-                &cp,
-            );
-            assert_eq!(kept.len(), 1, "{mode:?}");
-            assert_eq!(adj.survivor_count(), 1, "{mode:?}");
-            adj.prune_survivors(Timestamp::new(10));
-            assert_eq!(adj.survivor_count(), 1, "{mode:?}: cutoff == minT dropped");
-            adj.prune_survivors(Timestamp::new(11));
-            assert_eq!(adj.survivor_count(), 0, "{mode:?}: cutoff > minT retained");
-        }
+        let mut adj = Adjudicator::new(MatchSemantics::Maximal);
+        let kept = adj.adjudicate_group(
+            vec![Match::from_bindings(vec![
+                (VarId(0), EventId(0)),
+                (VarId(1), EventId(1)),
+            ])],
+            &r,
+            &cp,
+        );
+        assert_eq!(kept.len(), 1);
+        assert_eq!(adj.survivor_count(), 1);
+        adj.prune_survivors(Timestamp::new(10));
+        assert_eq!(adj.survivor_count(), 1, "cutoff == minT dropped");
+        adj.prune_survivors(Timestamp::new(11));
+        assert_eq!(adj.survivor_count(), 0, "cutoff > minT retained");
     }
 }

@@ -151,7 +151,11 @@ pub struct BankSnapshot {
     pub ties: u64,
     /// Matches emitted across all patterns by pushes and heartbeats.
     pub emitted: u64,
-    /// Whether the predicate index was consulted on pushes.
+    /// The index byte of the pinned kind-3 layout. Routing always asks
+    /// the predicate index now, so snapshots record `true`; restore
+    /// ignores it — how events were routed never changes what a
+    /// matcher's state means (every entry carries its own relation and
+    /// id map).
     pub use_index: bool,
     /// The bank's entries, in registration order (a key-sharded
     /// pattern contributes one entry per lane).
@@ -203,7 +207,9 @@ impl MatcherSnapshot {
 /// for the dynamic state to be meaningful: the compiled pattern (after
 /// any analyzer rewrites), the schema, and the options that change
 /// matching behavior. Partitioning/threading knobs are excluded — they
-/// affect *where* work runs, not what a shard's state means.
+/// affect *where* work runs, not what a shard's state means. The literal
+/// `precheck=true` names an option that no longer exists; it stays in the
+/// tag so checkpoints written while it did still resume.
 /// `prefix_member` marks a matcher whose Ω holds only pool-injected
 /// runs (spawning disabled); its state is not interchangeable with an
 /// independent matcher's.
@@ -214,14 +220,13 @@ pub(crate) fn matcher_fingerprint(
 ) -> u64 {
     let compiled = automaton.pattern();
     let tag = format!(
-        "{}\n{}\n{:?}/{:?}/{:?}/flush={}/precheck={}/max_inst={:?}{}",
+        "{}\n{}\n{:?}/{:?}/{:?}/flush={}/precheck=true/max_inst={:?}{}",
         compiled.pattern(),
         compiled.schema(),
         options.filter,
         options.selection,
         options.semantics,
         options.flush_at_end,
-        options.type_precheck,
         options.max_instances,
         if prefix_member { "/prefix-member" } else { "" },
     );
@@ -233,12 +238,11 @@ pub(crate) fn matcher_fingerprint(
 /// Same field set as [`matcher_fingerprint`] minus pattern and schema.
 pub(crate) fn options_compat(options: &MatcherOptions) -> u64 {
     let tag = format!(
-        "{:?}/{:?}/{:?}/flush={}/precheck={}/max_inst={:?}",
+        "{:?}/{:?}/{:?}/flush={}/precheck=true/max_inst={:?}",
         options.filter,
         options.selection,
         options.semantics,
         options.flush_at_end,
-        options.type_precheck,
         options.max_instances,
     );
     fnv1a(tag.as_bytes())

@@ -46,7 +46,7 @@ use std::collections::BTreeMap;
 use ses_event::{Duration, Event, EventError, Relation, Schema, Timestamp, Value};
 use ses_pattern::Pattern;
 
-use crate::columnar::{ColumnarBatch, ColumnarMode, ColumnarPlan};
+use crate::columnar::{runs_columnar, ColumnarBatch, ColumnarPlan, EventAdmission};
 use crate::engine::{process_event, sweep_expired, ExecOptions, Instance, RawMatch};
 use crate::filter::EventFilter;
 use crate::matcher::MatcherOptions;
@@ -82,9 +82,8 @@ pub struct StreamMatcher {
     /// instances are spawned; runs enter via
     /// [`StreamMatcher::inject_instances_at`] instead.
     spawn_start: bool,
-    /// Columnar admission plan for [`StreamMatcher::push_batch`];
-    /// `None` when the mode is `Off`.
-    columnar: Option<ColumnarPlan>,
+    /// Columnar admission plan for [`StreamMatcher::push_batch`].
+    columnar: ColumnarPlan,
     /// Pooled micro-batch admission buffers, reused across batches.
     columnar_batch: ColumnarBatch,
     /// Conservative lower bound on the earliest first-binding timestamp
@@ -116,9 +115,8 @@ impl StreamMatcher {
     /// the bank clones one automaton per hash lane through here.
     pub(crate) fn from_automaton(automaton: Automaton, options: MatcherOptions) -> StreamMatcher {
         let filter = EventFilter::new(automaton.pattern(), options.filter);
-        let adjudicator = Adjudicator::new(options.semantics, options.adjudication);
-        let columnar =
-            (options.columnar != ColumnarMode::Off).then(|| ColumnarPlan::new(automaton.pattern()));
+        let adjudicator = Adjudicator::new(options.semantics);
+        let columnar = ColumnarPlan::new(automaton.pattern());
         StreamMatcher {
             relation: Relation::new(automaton.pattern().schema().clone()),
             automaton,
@@ -205,13 +203,14 @@ impl StreamMatcher {
 
     /// The shared tail of every push flavor: runs the engine over an
     /// event already appended to the relation. `admission` carries the
-    /// precomputed columnar verdict when the event arrived through
-    /// [`StreamMatcher::push_batch`]; `None` evaluates scalar.
+    /// precomputed columnar verdict when the event arrived in a
+    /// [`StreamMatcher::push_batch`] long enough for one; `None` admits
+    /// it per event.
     fn push_stored<P: Probe>(
         &mut self,
         id: EventId,
         ts: Timestamp,
-        admission: Option<crate::columnar::EventAdmission>,
+        admission: Option<EventAdmission>,
         probe: &mut P,
     ) -> Vec<Match> {
         if self.watermark.is_none() {
@@ -235,10 +234,16 @@ impl StreamMatcher {
         // (sweeping early is observationally identical; see
         // `sweep_expired`). Their accepting buffers join `pending`.
         self.sweep_if_due(ts, probe);
+        let admission = admission.unwrap_or_else(|| {
+            EventAdmission::scalar(
+                &self.filter,
+                self.automaton.pattern(),
+                self.relation.event(id),
+            )
+        });
         process_event(
             &self.automaton,
             &self.relation,
-            &self.filter,
             &self.exec_options(),
             &mut self.omega,
             &mut self.scratch,
@@ -365,10 +370,10 @@ impl StreamMatcher {
     /// pushing each event individually, so batch boundaries never change
     /// emission timing (see `docs/columnar.md`).
     ///
-    /// When the matcher's [`ColumnarMode`] activates for the batch
-    /// length, constant conditions are pre-evaluated once over the whole
-    /// batch into bitmask vectors (single-event and sub-threshold
-    /// batches fall back to the scalar per-push path).
+    /// When [`runs_columnar`] holds for the batch length, constant
+    /// conditions are pre-evaluated once over the whole batch into
+    /// bitmask vectors (single-event and sub-threshold batches take the
+    /// per-push path).
     ///
     /// Unlike sequential pushes, an invalid batch (out-of-order
     /// timestamp or schema violation anywhere in it) is rejected as a
@@ -397,22 +402,18 @@ impl StreamMatcher {
             self.relation.schema().check_row(event.values())?;
             w = Some(event.ts());
         }
-        // Columnar admission over the batch, when the mode activates.
+        // Columnar admission over the batch, when it is long enough.
         // Evaluating before the events enter the relation is safe: lanes
         // read only the events' own attributes.
-        let mut columnar = false;
-        if let Some(plan) = &self.columnar {
-            if self.options.columnar.active(plan.num_lanes(), events.len())
-                && self.automaton.pattern().is_satisfiable()
-            {
-                plan.evaluate(
-                    events.len(),
-                    |i| &events[i],
-                    self.filter.effective_mode(),
-                    &mut self.columnar_batch,
-                );
-                columnar = true;
-            }
+        let columnar = runs_columnar(self.columnar.num_lanes(), events.len())
+            && self.automaton.pattern().is_satisfiable();
+        if columnar {
+            self.columnar.evaluate(
+                events.len(),
+                |i| &events[i],
+                self.filter.effective_mode(),
+                &mut self.columnar_batch,
+            );
         }
         let mut out = Vec::new();
         for (i, event) in events.into_iter().enumerate() {
@@ -771,7 +772,7 @@ impl StreamMatcher {
             .collect();
         self.pending.clear();
         self.queue_results();
-        self.adjudicator = Adjudicator::new(self.options.semantics, self.options.adjudication);
+        self.adjudicator = Adjudicator::new(self.options.semantics);
         self.adjudicator.restore_survivors(
             snap.survivors
                 .iter()
@@ -876,13 +877,8 @@ impl StreamMatcher {
             filter: self.options.filter,
             selection: self.options.selection,
             flush_at_end: self.options.flush_at_end,
-            type_precheck: self.options.type_precheck,
             max_instances: self.options.max_instances,
             spawn_start: self.spawn_start,
-            // The per-push scalar path never consults this (admission
-            // is precomputed only via `push_batch`), but keep the
-            // options faithful.
-            columnar: self.options.columnar,
         }
     }
 }

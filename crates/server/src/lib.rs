@@ -11,7 +11,7 @@
 //!   under the `reject` policy; slow subscribers are disconnected when
 //!   their outbound queue fills and resume via their durable cursor.
 //! * **Durable subscriptions** — with `--checkpoint DIR` the server
-//!   journals events ([`ses_store::SharedEventLog`]), registers
+//!   journals events ([`ses_store::EventLog`]), registers
 //!   subscriptions in a crash-safe registry ([`registry::Registry`]),
 //!   appends each finalized match to a per-subscription
 //!   [`ses_store::MatchLog`], and snapshots the bank. A killed and

@@ -245,6 +245,46 @@ fn durable_subscription_resumes_across_server_restart() {
 }
 
 #[test]
+fn stale_timestamps_are_clamped_to_the_floor_and_counted() {
+    fn clamped(c: &mut Client) -> Option<u64> {
+        let reply = c.stats().unwrap();
+        let stats = reply.get("stats").and_then(JsonValue::as_object)?;
+        stats.get("clamped").and_then(JsonValue::as_u64)
+    }
+    for dir in [None, Some(tmp("clamp"))] {
+        let server = Server::start(config(dir.clone())).unwrap();
+        let mut c = connect(&server);
+        c.ingest(10, &ev(1, "C")).unwrap();
+        assert_eq!(clamped(&mut c), Some(0));
+        // Behind the floor: taken in at the floor, not refused.
+        c.ingest(5, &ev(2, "D")).unwrap();
+        c.ingest(10, &ev(3, "X")).unwrap();
+        let pong = c.ping().unwrap();
+        assert_eq!(pong.get("consumed").and_then(JsonValue::as_u64), Some(3));
+        assert_eq!(pong.get("watermark").and_then(JsonValue::as_i64), Some(10));
+        assert_eq!(clamped(&mut c), Some(1));
+        server.stop().unwrap();
+
+        // A restarted durable server takes its floor from the event log
+        // and counts from zero.
+        if dir.is_some() {
+            let server = Server::start(config(dir.clone())).unwrap();
+            let mut c = connect(&server);
+            assert_eq!(clamped(&mut c), Some(0));
+            c.ingest(7, &ev(4, "D")).unwrap();
+            let pong = c.ping().unwrap();
+            assert_eq!(pong.get("consumed").and_then(JsonValue::as_u64), Some(4));
+            assert_eq!(pong.get("watermark").and_then(JsonValue::as_i64), Some(10));
+            assert_eq!(clamped(&mut c), Some(1));
+            server.stop().unwrap();
+        }
+        if let Some(dir) = dir {
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+}
+
+#[test]
 fn shutdown_verb_stops_the_server_after_a_final_checkpoint() {
     let dir = tmp("shutdown-verb");
     let mut server = Server::start(config(Some(dir.clone()))).unwrap();

@@ -18,10 +18,7 @@
 //!   atomic, checksummed matcher checkpoints (serialized with the
 //!   [`codec`] module's versioned binary format) and a crash-tolerant
 //!   match sink, composing with [`EventLog`] replay for exactly-once
-//!   recovery (see `docs/durability.md`);
-//! * [`SharedEventLog`] + [`SharedMatchLog`] — cloneable mutex-serialized
-//!   handles giving many producer threads (the match server's client
-//!   connections) a safe total order over one log (see `docs/server.md`).
+//!   recovery (see `docs/durability.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,7 +28,6 @@ pub mod codec;
 mod csv;
 mod error;
 mod log;
-mod shared;
 mod store;
 
 pub use checkpoint::{CheckpointInfo, CheckpointStore, LoadedCheckpoint, MatchLog};
@@ -39,5 +35,4 @@ pub use codec::{decode_snapshot, encode_snapshot};
 pub use csv::{parse_header, read_csv, write_csv};
 pub use error::StoreError;
 pub use log::{EventLog, LogConfig};
-pub use shared::{SharedEventLog, SharedMatchLog};
 pub use store::{EventStore, StoreStats};

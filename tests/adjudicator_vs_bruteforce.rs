@@ -1,19 +1,24 @@
-//! Differential suite for the indexed adjudicator: the default
-//! [`AdjudicationMode::Indexed`] backend (sorted group candidates,
-//! posting-list and prefix-hash indexes, bounded viable-event sweeps)
-//! must be *observably identical* to the legacy pairwise `O(R²)` scans
-//! it replaced — [`AdjudicationMode::Pairwise`], retained exactly for
-//! this role of brute-force oracle.
+//! Differential suite for the adjudicator: the group-wise sweep behind
+//! [`Matcher::find`] and the streaming matcher (sorted group candidates,
+//! posting-list and prefix-hash indexes, bounded viable-event sweeps,
+//! survivors carried across groups) must return exactly what
+//! [`ses::core::select_pairwise`] returns — conditions 4–5 and
+//! maximality applied as one global `O(R²)` filter over the whole
+//! candidate set, every quantifier re-derived from scratch. The reference
+//! shares no code with the sweep beyond the conditions-1–3 validator, and
+//! is no mode of the production path.
 //!
-//! Identical means more than equal match sets: the streaming legs
-//! compare the push-for-push **emission schedule**, so the indexed
-//! backend may not even reorder or delay an emission. Coverage spans
-//! semantics × selection strategy × eviction × batch/stream ×
-//! global/key-sharded execution × the multi-pattern bank, on both the
-//! oracle-shared generators (`common/`) and dense same-group workloads
-//! (group variables under skip-till-any-match: nested containment
-//! chains, duplicate timestamps, equal start/end intervals — routinely
-//! dozens of candidates in one adjudication group).
+//! The batch legs assert exact ordered equality. The streaming, lane and
+//! bank legs assert that the union of the per-push emission schedule and
+//! the finish flush is that same reference answer, with eviction on and
+//! off — *when* each match is emitted is the business of
+//! `tests/stream_vs_batch.rs` and `tests/bank_vs_independent.rs`.
+//! Coverage spans semantics × selection strategy × eviction ×
+//! batch/stream × global/key-sharded execution × the multi-pattern bank,
+//! on both the oracle-shared generators (`common/`) and dense same-group
+//! workloads (group variables under skip-till-any-match: nested
+//! containment chains, duplicate timestamps, equal start/end intervals —
+//! routinely dozens of candidates in one adjudication group).
 
 mod common;
 
@@ -23,6 +28,7 @@ use common::{
     dense_pattern_strategy, dense_relation_strategy, pattern_strategy, relation_strategy_with,
     schema,
 };
+use ses::core::{execute, filter_negations, select_pairwise, Automaton, ExecOptions};
 use ses::prelude::*;
 use ses::store::{decode_snapshot, encode_snapshot};
 
@@ -37,17 +43,30 @@ const SELECTIONS: [EventSelection; 2] = [
     EventSelection::SkipTillAnyMatch,
 ];
 
-fn options(
-    semantics: MatchSemantics,
-    selection: EventSelection,
-    adjudication: AdjudicationMode,
-) -> MatcherOptions {
+fn options(semantics: MatchSemantics, selection: EventSelection) -> MatcherOptions {
     MatcherOptions {
         semantics,
         selection,
-        adjudication,
         ..MatcherOptions::default()
     }
+}
+
+/// The reference answer, in canonical match order: Algorithm 1's raw
+/// runs, negation-filtered, through the one-shot pairwise filter.
+fn reference_answer(
+    pat: &Pattern,
+    rel: &Relation,
+    semantics: MatchSemantics,
+    selection: EventSelection,
+) -> Vec<Match> {
+    let automaton = Automaton::build(pat.compile(&schema()).unwrap()).unwrap();
+    let exec = ExecOptions {
+        selection,
+        ..ExecOptions::default()
+    };
+    let raw = execute(&automaton, rel, &exec, &mut NoProbe);
+    let raw = filter_negations(raw, rel, automaton.pattern());
+    select_pairwise(raw, rel, automaton.pattern(), semantics)
 }
 
 /// Batch answer in the matcher's own emission order — the suite asserts
@@ -58,123 +77,101 @@ fn batch_answer(pat: &Pattern, rel: &Relation, opts: MatcherOptions) -> Vec<Matc
         .find(rel)
 }
 
-/// Replays `rel` through a stream matcher; returns the per-push emission
-/// schedule plus the finish flush (last entry).
-fn stream_schedule(
-    pat: &Pattern,
-    rel: &Relation,
-    opts: MatcherOptions,
-    evict: bool,
-) -> Vec<Vec<Match>> {
+/// Replays `rel` through a stream matcher; returns everything the pushes
+/// and the finish flush emitted, in canonical match order.
+fn stream_union(pat: &Pattern, rel: &Relation, opts: MatcherOptions, evict: bool) -> Vec<Match> {
     let mut sm = StreamMatcher::with_options(pat, &schema(), opts)
         .unwrap()
         .with_eviction(evict);
-    let mut schedule = Vec::new();
+    let mut out = Vec::new();
     for e in rel.events() {
-        schedule.push(sm.push(e.ts(), e.values().to_vec()).unwrap());
+        out.extend(sm.push(e.ts(), e.values().to_vec()).unwrap());
     }
-    schedule.push(sm.finish());
-    schedule
+    out.extend(sm.finish());
+    out.sort();
+    out
 }
 
-/// As [`stream_schedule`] but through `lanes` hash lanes of a bank;
-/// `None` when the pattern proves no partition key (lane registration
-/// refuses).
-fn lanes_schedule(
-    pat: &Pattern,
-    rel: &Relation,
-    opts: MatcherOptions,
-    lanes: usize,
-) -> Option<Vec<Vec<(usize, Match)>>> {
-    let opts = MatcherOptions {
-        partition: PartitionMode::Auto,
-        ..opts
-    };
-    let mut bank = PatternBank::builder(&schema())
-        .register_lanes("p", pat, opts, lanes)
-        .ok()?
-        .build();
-    let mut schedule = Vec::new();
+/// Replays `rel` through `bank`; returns, per pattern, everything the
+/// pushes and the finish flush emitted, in canonical match order.
+fn bank_union(mut bank: PatternBank, rel: &Relation) -> Vec<Vec<Match>> {
+    let mut out = vec![Vec::new(); bank.len()];
     for e in rel.events() {
-        schedule.push(bank.push(e.ts(), e.values().to_vec()).unwrap());
+        for (i, m) in bank.push(e.ts(), e.values().to_vec()).unwrap() {
+            out[i].push(m);
+        }
     }
-    schedule.push(bank.finish());
-    Some(schedule)
-}
-
-/// Replays `rel` through a [`PatternBank`] holding every pattern under
-/// `adjudication`; returns the per-push `(pattern, match)` schedule plus
-/// the finish flush.
-fn bank_schedule(
-    patterns: &[Pattern],
-    rel: &Relation,
-    semantics: MatchSemantics,
-    adjudication: AdjudicationMode,
-    sharing: bool,
-) -> Vec<Vec<(usize, Match)>> {
-    let mut b = PatternBank::builder(&schema()).with_sharing(sharing);
-    for (i, p) in patterns.iter().enumerate() {
-        b = b
-            .register(
-                format!("p{i}"),
-                p,
-                options(semantics, EventSelection::SkipTillNextMatch, adjudication),
-            )
-            .unwrap();
+    for (i, m) in bank.finish() {
+        out[i].push(m);
     }
-    let mut bank = b.build();
-    let mut schedule = Vec::new();
-    for e in rel.events() {
-        schedule.push(bank.push(e.ts(), e.values().to_vec()).unwrap());
+    for matches in &mut out {
+        matches.sort();
     }
-    schedule.push(bank.finish());
-    schedule
+    out
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// Batch `find`: the indexed adjudicator returns exactly the
-    /// pairwise oracle's answer — same matches, same order — for every
-    /// semantics and selection strategy.
+    /// Batch `find` returns exactly the pairwise reference's answer —
+    /// same matches, same order — for every semantics and selection
+    /// strategy.
     #[test]
-    fn batch_indexed_equals_pairwise(
+    fn batch_equals_pairwise_reference(
         rel in relation_strategy_with(2..8, 0..4),
         pat in pattern_strategy(),
     ) {
         for semantics in MODES {
             for selection in SELECTIONS {
-                let indexed = batch_answer(
-                    &pat, &rel, options(semantics, selection, AdjudicationMode::Indexed));
-                let pairwise = batch_answer(
-                    &pat, &rel, options(semantics, selection, AdjudicationMode::Pairwise));
+                let found = batch_answer(&pat, &rel, options(semantics, selection));
+                let reference = reference_answer(&pat, &rel, semantics, selection);
                 prop_assert_eq!(
-                    &indexed, &pairwise,
-                    "{:?}/{:?}: indexed diverged from pairwise", semantics, selection
+                    &found, &reference,
+                    "{:?}/{:?}: find diverged from the reference", semantics, selection
                 );
             }
         }
     }
 
-    /// Streaming: the per-push emission schedules (including the finish
-    /// flush) are identical under both adjudicators, with eviction on
-    /// and off — the indexed backend may not reorder, delay, or drop a
-    /// single emission.
+    /// Dense groups, batch: group variables under skip-till-any-match
+    /// flood single adjudication groups with dozens of nested /
+    /// tie-heavy candidates — the regime the sweep's prefix hashes,
+    /// posting lists, and duplicate-timestamp interval logic must
+    /// survive. Skip-till-next-match rides along for breadth.
     #[test]
-    fn stream_indexed_equals_pairwise(
+    fn dense_batch_equals_pairwise_reference(
+        rel in dense_relation_strategy(),
+        pat in dense_pattern_strategy(),
+    ) {
+        for semantics in MODES {
+            for selection in SELECTIONS {
+                let found = batch_answer(&pat, &rel, options(semantics, selection));
+                let reference = reference_answer(&pat, &rel, semantics, selection);
+                prop_assert_eq!(
+                    &found, &reference,
+                    "{:?}/{:?}: find diverged on a dense group", semantics, selection
+                );
+            }
+        }
+    }
+
+    /// Streaming: what the pushes and the finish flush emit, with
+    /// eviction on and off, is the reference answer — the sweep may not
+    /// drop, duplicate or invent a single match as groups are adjudicated
+    /// one watermark crossing at a time.
+    #[test]
+    fn stream_equals_pairwise_reference(
         rel in relation_strategy_with(2..8, 0..4),
         pat in pattern_strategy(),
     ) {
         for semantics in MODES {
             for selection in SELECTIONS {
+                let reference = reference_answer(&pat, &rel, semantics, selection);
                 for evict in [true, false] {
-                    let indexed = stream_schedule(
-                        &pat, &rel, options(semantics, selection, AdjudicationMode::Indexed), evict);
-                    let pairwise = stream_schedule(
-                        &pat, &rel, options(semantics, selection, AdjudicationMode::Pairwise), evict);
+                    let streamed = stream_union(&pat, &rel, options(semantics, selection), evict);
                     prop_assert_eq!(
-                        &indexed, &pairwise,
-                        "{:?}/{:?} evict={}: schedules diverged", semantics, selection, evict
+                        &streamed, &reference,
+                        "{:?}/{:?} evict={}: stream diverged", semantics, selection, evict
                     );
                 }
             }
@@ -185,101 +182,85 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Dense groups, batch: group variables under skip-till-any-match
-    /// flood single adjudication groups with dozens of nested /
-    /// tie-heavy candidates — the regime the indexed backend's prefix
-    /// hashes, posting lists, and duplicate-timestamp interval logic
-    /// must survive. Skip-till-next-match rides along for breadth.
-    #[test]
-    fn dense_batch_indexed_equals_pairwise(
-        rel in dense_relation_strategy(),
-        pat in dense_pattern_strategy(),
-    ) {
-        for semantics in MODES {
-            for selection in SELECTIONS {
-                let indexed = batch_answer(
-                    &pat, &rel, options(semantics, selection, AdjudicationMode::Indexed));
-                let pairwise = batch_answer(
-                    &pat, &rel, options(semantics, selection, AdjudicationMode::Pairwise));
-                prop_assert_eq!(
-                    &indexed, &pairwise,
-                    "{:?}/{:?}: indexed diverged on a dense group", semantics, selection
-                );
-            }
-        }
-    }
-
     /// Dense groups, streaming: same workloads through the watermark
     /// pipeline — tie-heavy seams make group decidability and survivor
     /// pruning fire mid-group, exactly where an index staleness bug
-    /// would surface as a schedule difference.
+    /// would surface as a missing or surplus match.
     #[test]
-    fn dense_stream_indexed_equals_pairwise(
+    fn dense_stream_equals_pairwise_reference(
         rel in dense_relation_strategy(),
         pat in dense_pattern_strategy(),
     ) {
         let selection = EventSelection::SkipTillAnyMatch;
         for semantics in [MatchSemantics::Maximal, MatchSemantics::Definition2] {
+            let reference = reference_answer(&pat, &rel, semantics, selection);
             for evict in [true, false] {
-                let indexed = stream_schedule(
-                    &pat, &rel, options(semantics, selection, AdjudicationMode::Indexed), evict);
-                let pairwise = stream_schedule(
-                    &pat, &rel, options(semantics, selection, AdjudicationMode::Pairwise), evict);
+                let streamed = stream_union(&pat, &rel, options(semantics, selection), evict);
                 prop_assert_eq!(
-                    &indexed, &pairwise,
-                    "{:?} evict={}: dense schedules diverged", semantics, evict
+                    &streamed, &reference,
+                    "{:?} evict={}: dense stream diverged", semantics, evict
                 );
             }
         }
     }
 
     /// Key-sharded streaming (1–3 bank lanes): every lane adjudicates
-    /// its own groups indexed; the merged schedule must still reproduce
-    /// the pairwise one. Patterns proving no partition key are skipped
-    /// (lane registration refuses them).
+    /// its own groups; the merged output must still be the reference
+    /// answer. Patterns proving no partition key are skipped (lane
+    /// registration refuses them).
     #[test]
-    fn lanes_indexed_equals_pairwise(
+    fn lanes_equal_pairwise_reference(
         rel in relation_strategy_with(2..8, 0..4),
         pat in pattern_strategy(),
         lanes in 1usize..4,
     ) {
+        let selection = EventSelection::SkipTillNextMatch;
         for semantics in [MatchSemantics::Maximal, MatchSemantics::Definition2] {
-            let selection = EventSelection::SkipTillNextMatch;
-            let indexed = lanes_schedule(
-                &pat, &rel, options(semantics, selection, AdjudicationMode::Indexed), lanes);
-            let pairwise = lanes_schedule(
-                &pat, &rel, options(semantics, selection, AdjudicationMode::Pairwise), lanes);
+            let opts = MatcherOptions {
+                partition: PartitionMode::Auto,
+                ..options(semantics, selection)
+            };
+            let Ok(builder) = PatternBank::builder(&schema()).register_lanes("p", &pat, opts, lanes)
+            else {
+                continue;
+            };
+            let streamed = bank_union(builder.build(), &rel);
             prop_assert_eq!(
-                &indexed, &pairwise,
-                "{:?} lanes={}: lane schedules diverged", semantics, lanes
+                &streamed[0], &reference_answer(&pat, &rel, semantics, selection),
+                "{:?} lanes={}: lanes diverged", semantics, lanes
             );
         }
     }
 
-    /// The multi-pattern bank: every registered pattern adjudicates
-    /// through its own `MatcherOptions`, with and without structural
-    /// sharing — the `(pattern, match)` schedules must agree.
+    /// The multi-pattern bank, with and without structural sharing:
+    /// every pattern's output must be its own reference answer.
     #[test]
-    fn bank_indexed_equals_pairwise(
+    fn bank_equals_pairwise_reference(
         rel in relation_strategy_with(2..8, 0..4),
         pats in proptest::collection::vec(pattern_strategy(), 1..3),
         sharing in proptest::bool::ANY,
     ) {
+        let selection = EventSelection::SkipTillNextMatch;
         for semantics in [MatchSemantics::Maximal, MatchSemantics::Definition2] {
-            let indexed = bank_schedule(&pats, &rel, semantics, AdjudicationMode::Indexed, sharing);
-            let pairwise = bank_schedule(&pats, &rel, semantics, AdjudicationMode::Pairwise, sharing);
-            prop_assert_eq!(
-                &indexed, &pairwise,
-                "{:?} sharing={}: bank schedules diverged", semantics, sharing
-            );
+            let mut b = PatternBank::builder(&schema()).with_sharing(sharing);
+            for (i, p) in pats.iter().enumerate() {
+                b = b.register(format!("p{i}"), p, options(semantics, selection)).unwrap();
+            }
+            let streamed = bank_union(b.build(), &rel);
+            for (i, p) in pats.iter().enumerate() {
+                prop_assert_eq!(
+                    &streamed[i], &reference_answer(p, &rel, semantics, selection),
+                    "{:?} sharing={}: pattern {} diverged", semantics, sharing, i
+                );
+            }
         }
     }
 }
 
 /// The dense generators keep their promise: a same-type run under a
 /// group variable with skip-till-any-match really does put well over ten
-/// candidates into one adjudication group — and the indexed backend
-/// still reproduces the pairwise answer on it.
+/// candidates into one adjudication group — and `find` still reproduces
+/// the reference answer on it.
 #[test]
 fn dense_groups_really_are_dense() {
     let mut rel = Relation::new(schema());
@@ -294,15 +275,8 @@ fn dense_groups_really_are_dense() {
         .within(Duration::ticks(10))
         .build()
         .unwrap();
-    let raw = batch_answer(
-        &pat,
-        &rel,
-        options(
-            MatchSemantics::AllRuns,
-            EventSelection::SkipTillAnyMatch,
-            AdjudicationMode::Indexed,
-        ),
-    );
+    let selection = EventSelection::SkipTillAnyMatch;
+    let raw = batch_answer(&pat, &rel, options(MatchSemantics::AllRuns, selection));
     // All 2^8 runs share first event e1 → one group with 256 candidates.
     assert!(
         raw.len() > 10,
@@ -310,26 +284,9 @@ fn dense_groups_really_are_dense() {
         raw.len()
     );
     for semantics in [MatchSemantics::Maximal, MatchSemantics::Definition2] {
-        let indexed = batch_answer(
-            &pat,
-            &rel,
-            options(
-                semantics,
-                EventSelection::SkipTillAnyMatch,
-                AdjudicationMode::Indexed,
-            ),
-        );
-        let pairwise = batch_answer(
-            &pat,
-            &rel,
-            options(
-                semantics,
-                EventSelection::SkipTillAnyMatch,
-                AdjudicationMode::Pairwise,
-            ),
-        );
         assert_eq!(
-            indexed, pairwise,
+            batch_answer(&pat, &rel, options(semantics, selection)),
+            reference_answer(&pat, &rel, semantics, selection),
             "{semantics:?} diverged on the dense group"
         );
     }
@@ -341,7 +298,7 @@ fn dense_groups_really_are_dense() {
 /// encoded through the binary codec, decoded, restored — and the
 /// restored bank's remaining emissions must equal the uninterrupted
 /// run's, which can only happen if `restore_survivors` rebuilt the
-/// indexed survivor store correctly.
+/// survivor store and its posting lists correctly.
 #[test]
 fn bank_checkpoint_roundtrips_survivors() {
     let pat = Pattern::builder()
@@ -371,11 +328,7 @@ fn bank_checkpoint_roundtrips_survivors() {
                 (
                     format!("p{i}"),
                     pat.clone(),
-                    options(
-                        MatchSemantics::Maximal,
-                        EventSelection::SkipTillNextMatch,
-                        AdjudicationMode::Indexed,
-                    ),
+                    options(MatchSemantics::Maximal, EventSelection::SkipTillNextMatch),
                 )
             })
             .collect();

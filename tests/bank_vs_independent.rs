@@ -3,7 +3,7 @@
 //! independent [`StreamMatcher`]s fed **every** event emit — the same
 //! matches, in the same order, *at the same push* — across generated
 //! pattern sets, all semantics modes, both selection strategies, with
-//! eviction on and off, and with the predicate index on and off.
+//! eviction on and off.
 //!
 //! The per-push granularity matters: it proves the watermark heartbeat
 //! a skipped pattern receives is observationally identical to the push
@@ -86,25 +86,18 @@ fn independent_schedule(
     schedule
 }
 
-fn build_bank(
-    patterns: &[Pattern],
-    opts: &MatcherOptions,
-    evict: bool,
-    use_index: bool,
-) -> PatternBank {
-    build_bank_sharing(patterns, opts, evict, use_index, false)
+fn build_bank(patterns: &[Pattern], opts: &MatcherOptions, evict: bool) -> PatternBank {
+    build_bank_sharing(patterns, opts, evict, false)
 }
 
 fn build_bank_sharing(
     patterns: &[Pattern],
     opts: &MatcherOptions,
     evict: bool,
-    use_index: bool,
     share: bool,
 ) -> PatternBank {
     let mut builder = PatternBank::builder(&schema())
         .with_eviction(evict)
-        .with_index(use_index)
         .with_sharing(share);
     for (i, p) in patterns.iter().enumerate() {
         builder = builder.register(format!("p{i}"), p, opts.clone()).unwrap();
@@ -128,9 +121,8 @@ fn bank_schedule(
     rel: &Relation,
     opts: &MatcherOptions,
     evict: bool,
-    use_index: bool,
 ) -> Vec<Vec<Vec<Match>>> {
-    bank_schedule_sharing(patterns, rel, opts, evict, use_index, false)
+    bank_schedule_sharing(patterns, rel, opts, evict, false)
 }
 
 /// As [`bank_schedule`], with structural sharing on or off.
@@ -139,10 +131,9 @@ fn bank_schedule_sharing(
     rel: &Relation,
     opts: &MatcherOptions,
     evict: bool,
-    use_index: bool,
     share: bool,
 ) -> Vec<Vec<Vec<Match>>> {
-    let mut bank = build_bank_sharing(patterns, opts, evict, use_index, share);
+    let mut bank = build_bank_sharing(patterns, opts, evict, share);
     let mut schedule = Vec::new();
     for e in rel.events() {
         let emitted = bank.push(e.ts(), e.values().to_vec()).unwrap();
@@ -159,16 +150,13 @@ fn build_bank_lanes(
     patterns: &[Pattern],
     opts: &MatcherOptions,
     evict: bool,
-    use_index: bool,
     lanes: usize,
 ) -> (PatternBank, Vec<(String, Pattern, MatcherOptions)>) {
     let auto = MatcherOptions {
         partition: PartitionMode::Auto,
         ..opts.clone()
     };
-    let mut builder = PatternBank::builder(&schema())
-        .with_eviction(evict)
-        .with_index(use_index);
+    let mut builder = PatternBank::builder(&schema()).with_eviction(evict);
     let mut specs = Vec::new();
     for (i, p) in patterns.iter().enumerate() {
         let name = format!("p{i}");
@@ -187,7 +175,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The tentpole property: per pattern, per push, bank ≡ independent,
-    /// for every (eviction × index) combination.
+    /// with eviction on and off.
     #[test]
     fn bank_equals_independent_matchers(
         patterns in pattern_set_strategy(),
@@ -200,13 +188,8 @@ proptest! {
         for rel in [&rel, &paced_relation(&patterns, &pace)] {
             for evict in [true, false] {
                 let want = independent_schedule(&patterns, rel, &opts, evict);
-                for use_index in [true, false] {
-                    let got = bank_schedule(&patterns, rel, &opts, evict, use_index);
-                    prop_assert_eq!(
-                        &got, &want,
-                        "schedules diverged (evict={}, index={})", evict, use_index
-                    );
-                }
+                let got = bank_schedule(&patterns, rel, &opts, evict);
+                prop_assert_eq!(&got, &want, "schedules diverged (evict={})", evict);
             }
         }
     }
@@ -228,20 +211,13 @@ proptest! {
         for rel in [&rel, &paced_relation(&patterns, &pace)] {
             for evict in [true, false] {
                 let want = independent_schedule(&patterns, rel, &opts, evict);
-                for use_index in [true, false] {
-                    let shared =
-                        bank_schedule_sharing(&patterns, rel, &opts, evict, use_index, true);
-                    prop_assert_eq!(
-                        &shared, &want,
-                        "sharing diverged from independent (evict={}, index={})", evict, use_index
-                    );
-                    let unshared =
-                        bank_schedule_sharing(&patterns, rel, &opts, evict, use_index, false);
-                    prop_assert_eq!(
-                        &shared, &unshared,
-                        "sharing on/off diverged (evict={}, index={})", evict, use_index
-                    );
-                }
+                let shared = bank_schedule_sharing(&patterns, rel, &opts, evict, true);
+                prop_assert_eq!(
+                    &shared, &want,
+                    "sharing diverged from independent (evict={})", evict
+                );
+                let unshared = bank_schedule_sharing(&patterns, rel, &opts, evict, false);
+                prop_assert_eq!(&shared, &unshared, "sharing on/off diverged (evict={})", evict);
             }
         }
     }
@@ -266,28 +242,25 @@ proptest! {
             let cut = cut_pick % (rel.len() + 1);
             for evict in [true, false] {
                 let want = independent_schedule(&patterns, rel, &opts, evict);
-                for use_index in [true, false] {
-                    let (mut bank, specs) =
-                        build_bank_lanes(&patterns, &opts, evict, use_index, lanes);
-                    let mut got = Vec::new();
-                    for (n, e) in rel.events().iter().enumerate() {
-                        if n == cut {
-                            let snap = MatcherSnapshot::Bank(bank.snapshot());
-                            let bytes = ses::store::encode_snapshot(&snap);
-                            let MatcherSnapshot::Bank(snap) =
-                                ses::store::decode_snapshot(&bytes).unwrap();
-                            bank = PatternBank::restore(&specs, &schema(), &snap).unwrap();
-                        }
-                        let emitted = bank.push(e.ts(), e.values().to_vec()).unwrap();
-                        got.push(bucket(patterns.len(), emitted));
+                let (mut bank, specs) = build_bank_lanes(&patterns, &opts, evict, lanes);
+                let mut got = Vec::new();
+                for (n, e) in rel.events().iter().enumerate() {
+                    if n == cut {
+                        let snap = MatcherSnapshot::Bank(bank.snapshot());
+                        let bytes = ses::store::encode_snapshot(&snap);
+                        let MatcherSnapshot::Bank(snap) =
+                            ses::store::decode_snapshot(&bytes).unwrap();
+                        bank = PatternBank::restore(&specs, &schema(), &snap).unwrap();
                     }
-                    got.push(bucket(patterns.len(), bank.finish()));
-                    prop_assert_eq!(
-                        &got, &want,
-                        "lanes diverged (lanes={}, evict={}, index={}, cut={})",
-                        lanes, evict, use_index, cut
-                    );
+                    let emitted = bank.push(e.ts(), e.values().to_vec()).unwrap();
+                    got.push(bucket(patterns.len(), emitted));
                 }
+                got.push(bucket(patterns.len(), bank.finish()));
+                prop_assert_eq!(
+                    &got, &want,
+                    "lanes diverged (lanes={}, evict={}, cut={})",
+                    lanes, evict, cut
+                );
             }
         }
     }
@@ -315,8 +288,8 @@ proptest! {
         // stretch, with heartbeats withheld on either side of it.
         for rel in [&rel, &paced_relation(&patterns, &pace)] {
             let cut = cut_pick % (rel.len() + 1);
-            let mut live = build_bank(&patterns, &opts, true, true);
-            let mut twin = build_bank(&patterns, &opts, true, true);
+            let mut live = build_bank(&patterns, &opts, true);
+            let mut twin = build_bank(&patterns, &opts, true);
             let mut live_out = Vec::new();
             let mut twin_out = Vec::new();
             for e in &rel.events()[..cut] {
@@ -367,8 +340,8 @@ proptest! {
 
         for rel in [&rel, &paced_relation(&patterns, &pace)] {
             let cut = cut_pick % (rel.len() + 1);
-            let mut live = build_bank_sharing(&patterns, &opts, true, true, true);
-            let mut twin = build_bank_sharing(&patterns, &opts, true, true, true);
+            let mut live = build_bank_sharing(&patterns, &opts, true, true);
+            let mut twin = build_bank_sharing(&patterns, &opts, true, true);
             let shares = live.sharing_active();
             let mut live_out = Vec::new();
             let mut twin_out = Vec::new();
@@ -423,9 +396,9 @@ proptest! {
                     .enumerate()
                     .map(|(i, p)| (format!("p{i}"), p.clone(), opts.clone()))
                     .collect();
-                (build_bank_sharing(&patterns, &opts, true, true, layout == 1), specs)
+                (build_bank_sharing(&patterns, &opts, true, layout == 1), specs)
             }
-            _ => build_bank_lanes(&patterns, &opts, true, true, 2),
+            _ => build_bank_lanes(&patterns, &opts, true, 2),
         };
         for rel in [&rel, &paced_relation(&patterns, &pace)] {
             let cut = cut_pick % (rel.len() + 1);
@@ -476,7 +449,7 @@ proptest! {
         let early = early_pick % (patterns.len() + 1);
         for rel in [&rel, &paced_relation(&patterns, &pace)] {
             let cut = cut_pick % (rel.len() + 1);
-            let mut bank = build_bank(&patterns[..early], &opts, true, true);
+            let mut bank = build_bank(&patterns[..early], &opts, true);
             let mut oracle: Vec<Option<StreamMatcher>> = patterns
                 .iter()
                 .enumerate()
@@ -549,7 +522,7 @@ fn skipped_pattern_finalizes_on_heartbeats_alone() {
         .build()
         .unwrap();
     let opts = MatcherOptions::default();
-    let mut bank = build_bank(&[ab, x_only], &opts, true, true);
+    let mut bank = build_bank(&[ab, x_only], &opts, true);
     // No X ever arrives: pattern 1 lives on heartbeats only.
     let mut out = Vec::new();
     for (t, l) in [(1, "A"), (1, "B"), (1, "A"), (3, "B"), (9, "A"), (10, "B")] {
@@ -609,7 +582,7 @@ fn idle_lane_emits_on_foreign_pushes() {
             let patterns = [pattern.clone()];
             let want = independent_schedule(&patterns, &rel, &opts, true);
             assert_eq!(want[4][0].len(), 1, "key 1's match is due at the t=50 push");
-            let (mut bank, _) = build_bank_lanes(&patterns, &opts, true, true, lanes);
+            let (mut bank, _) = build_bank_lanes(&patterns, &opts, true, lanes);
             assert_eq!(bank.stats()[0].lanes, lanes);
             let mut got = Vec::new();
             for e in rel.events() {

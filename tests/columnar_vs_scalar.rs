@@ -1,27 +1,34 @@
 //! Differential suite: the columnar admission layer — batch bitmask
 //! pre-evaluation of constant conditions — is invisible in the answers.
 //!
-//! Two properties, over the same generator space the oracle suite
-//! validates (`common/`):
+//! Admission has two arms and one rule (`ses::core::runs_columnar`): a
+//! relation or micro-batch of at least 16 events, under a pattern with
+//! constant conditions, goes through the columnar lane pass; anything
+//! shorter, and every per-event `push`, is admitted event by event. The
+//! per-event `push` is therefore the reference — it never runs columnar —
+//! and relation and chunk lengths are drawn from around the rule's
+//! threshold and the 64-bit word boundaries, so both arms are exercised
+//! and **each case asserts which arm it ran on**. Two properties, over
+//! the same pattern space the oracle suite validates (`common/`):
 //!
-//! 1. **Batch `find`**: forcing the columnar path (`ColumnarMode::On`)
-//!    produces exactly the scalar answer (`Off`), across every
-//!    semantics × selection × filter combination — so together with
+//! 1. **Batch `find`** equals the union of the per-event push schedule,
+//!    across every semantics × selection combination — so together with
 //!    `oracle.rs` this gives `columnar ≡ scalar ≡ oracle`.
 //! 2. **Streaming `push_batch`**: replaying a stream in micro-batches
-//!    of any size through the columnar path emits *the same matches at
-//!    the same pushes* as scalar per-event pushes — the batch API
-//!    changes admission evaluation, never emission timing.
+//!    emits *the same matches at the same pushes* as per-event pushes —
+//!    the batch API changes admission evaluation, never emission timing.
 //!
-//! Plus bitmask edge cases the generators cannot force: batch lengths
-//! straddling the 64-bit word boundary, empty batches, and `Float`
-//! constant lanes (which take the generic scanned-fallback kernel).
+//! Plus bitmask edge cases the generators cannot force: matches on
+//! either side of a word boundary, empty batches, atomically rejected
+//! batches, and `Float` constant lanes (which take the generic
+//! scanned-fallback kernel).
 
 mod common;
 
 use proptest::prelude::*;
 
-use common::{pattern_strategy, relation_strategy_with, schema};
+use common::{pattern_strategy, schema, TYPES};
+use ses::core::{runs_columnar, ExecOptions, Execution};
 use ses::prelude::*;
 
 const MODES: [MatchSemantics; 3] = [
@@ -35,49 +42,63 @@ const SELECTIONS: [EventSelection; 2] = [
     EventSelection::SkipTillAnyMatch,
 ];
 
-/// Batch sizes crossing every interesting boundary: single-event
-/// degenerate batches, sizes that leave ragged tails, and the 64/65
-/// word-boundary pair.
-const BATCH_SIZES: [usize; 6] = [1, 2, 3, 7, 64, 65];
+/// Relation and chunk lengths: one below, at and one above the rule's
+/// 16-event threshold, and around the 64-bit word boundaries of the lane
+/// vectors (the 65th event's admission bit lives in the second word).
+const LENGTHS: [usize; 8] = [15, 16, 17, 63, 64, 65, 128, 129];
 
-fn options(semantics: MatchSemantics, columnar: ColumnarMode) -> MatcherOptions {
+/// Inter-event gaps: ties, and gaps wide enough that a window (τ < 20)
+/// holds only a handful of events — under skip-till-any-match the run
+/// count is exponential in that handful.
+const GAPS: [i64; 6] = [0, 0, 3, 4, 5, 6];
+
+/// Relations of a length drawn from [`LENGTHS`].
+fn relation_strategy() -> impl Strategy<Value = Relation> {
+    let longest = LENGTHS[LENGTHS.len() - 1];
+    (
+        0usize..LENGTHS.len(),
+        proptest::collection::vec((0usize..3, 1i64..3, 0usize..GAPS.len()), longest),
+    )
+        .prop_map(|(pick, rows)| {
+            let mut rel = Relation::new(schema());
+            let mut t = 0i64;
+            for (ty, id, gap) in rows.into_iter().take(LENGTHS[pick]) {
+                t += GAPS[gap];
+                rel.push_values(Timestamp::new(t), [Value::from(TYPES[ty]), Value::from(id)])
+                    .unwrap();
+            }
+            rel
+        })
+}
+
+fn options(semantics: MatchSemantics, selection: EventSelection) -> MatcherOptions {
     MatcherOptions {
         semantics,
-        columnar,
+        selection,
         ..MatcherOptions::default()
     }
 }
 
-fn find_with(
-    pat: &Pattern,
-    rel: &Relation,
-    semantics: MatchSemantics,
-    selection: EventSelection,
-    columnar: ColumnarMode,
-) -> Vec<Match> {
-    let mut out = Matcher::with_options(
-        pat,
-        &schema(),
-        MatcherOptions {
-            selection,
-            ..options(semantics, columnar)
-        },
-    )
-    .unwrap()
-    .find(rel);
-    out.sort();
-    out
+/// Which arm the rule sends a batch of `len` events under `pat` to. Every
+/// generated pattern types each of its variables, so it has lanes and the
+/// length alone decides — the suite cannot silently go all-scalar.
+fn expect_columnar(pat: &Pattern, len: usize) -> bool {
+    let compiled = pat.compile(&schema()).unwrap();
+    let lanes = ses::pattern::AdmissionLanes::of(&compiled).lanes().len();
+    assert!(lanes > 0, "generated patterns carry constant conditions");
+    assert_eq!(runs_columnar(lanes, len), len >= 16);
+    len >= 16
 }
 
-/// Per-push emission schedule of a scalar (per-event) stream replay;
-/// the finish flush is the last entry.
-fn scalar_schedule(
+/// Per-push emission schedule of a per-event stream replay (always
+/// admitted event by event); the finish flush is the last entry.
+fn per_event_schedule(
     pat: &Pattern,
     rel: &Relation,
-    semantics: MatchSemantics,
+    opts: &MatcherOptions,
     evict: bool,
 ) -> Vec<Vec<Match>> {
-    let mut sm = StreamMatcher::with_options(pat, &schema(), options(semantics, ColumnarMode::Off))
+    let mut sm = StreamMatcher::with_options(pat, &schema(), opts.clone())
         .unwrap()
         .with_eviction(evict);
     let mut schedule = Vec::new();
@@ -88,16 +109,16 @@ fn scalar_schedule(
     schedule
 }
 
-/// Emission schedule of a micro-batched columnar replay: one entry per
+/// Emission schedule of a micro-batched replay: one entry per
 /// `push_batch` chunk, plus the finish flush.
 fn batched_schedule(
     pat: &Pattern,
     rel: &Relation,
-    semantics: MatchSemantics,
+    opts: &MatcherOptions,
     evict: bool,
     batch: usize,
 ) -> Vec<Vec<Match>> {
-    let mut sm = StreamMatcher::with_options(pat, &schema(), options(semantics, ColumnarMode::On))
+    let mut sm = StreamMatcher::with_options(pat, &schema(), opts.clone())
         .unwrap()
         .with_eviction(evict);
     let events: Vec<Event> = rel.events().to_vec();
@@ -112,43 +133,60 @@ fn batched_schedule(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Property 1: batch `find` is bit-for-bit identical with the
-    /// columnar path forced on, forced off, and left on auto, for every
-    /// semantics × selection × filter combination.
+    /// Property 1: batch `find` — columnar from 16 events up, per event
+    /// below — is exactly the union of what per-event pushes of the same
+    /// relation emit, for every semantics × selection combination.
     #[test]
     fn columnar_find_equals_scalar(
-        rel in relation_strategy_with(2..8, 0..4),
+        rel in relation_strategy(),
         pat in pattern_strategy(),
     ) {
+        let columnar = expect_columnar(&pat, rel.len());
         for semantics in MODES {
             for selection in SELECTIONS {
-                let scalar = find_with(&pat, &rel, semantics, selection, ColumnarMode::Off);
-                let on = find_with(&pat, &rel, semantics, selection, ColumnarMode::On);
-                prop_assert_eq!(&on, &scalar, "On: {:?}/{:?}", semantics, selection);
-                let auto = find_with(&pat, &rel, semantics, selection, ColumnarMode::Auto);
-                prop_assert_eq!(&auto, &scalar, "Auto: {:?}/{:?}", semantics, selection);
+                let opts = options(semantics, selection);
+                let matcher = Matcher::with_options(&pat, &schema(), opts.clone()).unwrap();
+                let exec = ExecOptions::default();
+                prop_assert_eq!(
+                    Execution::new(matcher.automaton(), &rel, &exec).is_columnar(),
+                    columnar,
+                    "{} events ran on the wrong arm", rel.len()
+                );
+                let mut found = matcher.find(&rel);
+                found.sort();
+                let mut pushed: Vec<Match> = per_event_schedule(&pat, &rel, &opts, true)
+                    .into_iter()
+                    .flatten()
+                    .collect();
+                pushed.sort();
+                prop_assert_eq!(&found, &pushed, "{:?}/{:?}", semantics, selection);
             }
         }
     }
 
-    /// Property 2: a columnar micro-batched stream emits the same
-    /// matches at the same pushes as a scalar per-event stream, for
-    /// every batch size and with eviction on and off. Comparing the
-    /// schedule chunk-by-chunk (the batch's emission is the exact
-    /// concatenation of its events' per-push emissions) proves the
-    /// batch API preserves push-for-push emission timing, not just the
-    /// final answer.
+    /// Property 2: a micro-batched stream emits the same matches at the
+    /// same pushes as a per-event stream, for every chunk length in
+    /// [`LENGTHS`] and with eviction on and off. Comparing the schedule
+    /// chunk-by-chunk (the batch's emission is the exact concatenation
+    /// of its events' per-push emissions) proves the batch API preserves
+    /// push-for-push emission timing, not just the final answer.
     #[test]
     fn columnar_push_batch_preserves_emission_timing(
-        rel in relation_strategy_with(2..8, 0..4),
+        rel in relation_strategy(),
         pat in pattern_strategy(),
     ) {
+        // The 15-event chunks are admitted per event; the 129-event
+        // chunk size takes the relation whole, through the lane pass
+        // from 16 events up.
+        prop_assert!(!expect_columnar(&pat, LENGTHS[0]));
+        prop_assert_eq!(expect_columnar(&pat, rel.len()), rel.len() >= 16);
         for semantics in MODES {
+            let opts = options(semantics, EventSelection::SkipTillNextMatch);
             for evict in [true, false] {
-                let scalar = scalar_schedule(&pat, &rel, semantics, evict);
+                let scalar = per_event_schedule(&pat, &rel, &opts, evict);
                 let (pushes, finish) = scalar.split_at(scalar.len() - 1);
-                for batch in BATCH_SIZES {
-                    let batched = batched_schedule(&pat, &rel, semantics, evict, batch);
+                for batch in LENGTHS {
+                    let batched = batched_schedule(&pat, &rel, &opts, evict, batch);
                     let (bpushes, bfinish) = batched.split_at(batched.len() - 1);
                     // Finish flushes agree…
                     prop_assert_eq!(
@@ -156,17 +194,13 @@ proptest! {
                         "finish: {:?}/evict={}/batch={}", semantics, evict, batch
                     );
                     // …and each chunk's emission is the concatenation of
-                    // its events' scalar per-push emissions.
-                    let mut chunked: Vec<Vec<Match>> = pushes
+                    // its events' per-push emissions.
+                    let chunked: Vec<Vec<Match>> = pushes
                         .chunks(batch)
                         .map(|c| c.iter().flatten().cloned().collect())
                         .collect();
-                    if chunked.is_empty() {
-                        chunked.push(Vec::new());
-                    }
-                    let got: Vec<Vec<Match>> = bpushes.to_vec();
                     prop_assert_eq!(
-                        &got, &chunked,
+                        bpushes, &chunked[..],
                         "schedule: {:?}/evict={}/batch={}", semantics, evict, batch
                     );
                 }
@@ -176,7 +210,7 @@ proptest! {
 }
 
 /// A relation of `n` events alternating types A/B with ids cycling 1–2,
-/// one tick apart — enough structure for the word-boundary checks.
+/// one tick apart.
 fn alternating(n: usize) -> Relation {
     let mut rel = Relation::new(schema());
     for i in 0..n {
@@ -203,46 +237,48 @@ fn ab_pattern() -> Pattern {
         .unwrap()
 }
 
-/// Batch lengths at and just past the 64-bit word boundary: the 65th
-/// event's admission bit lives in the second word of every lane vector.
+/// `find` against the per-event push union under `AllRuns`, with the
+/// arm `find` ran on; the case must have matches.
+fn assert_find_equals_pushes(pat: &Pattern, schema: &Schema, rel: &Relation, columnar: bool) {
+    let opts = options(MatchSemantics::AllRuns, EventSelection::SkipTillNextMatch);
+    let matcher = Matcher::with_options(pat, schema, opts.clone()).unwrap();
+    let exec = ExecOptions::default();
+    assert_eq!(
+        Execution::new(matcher.automaton(), rel, &exec).is_columnar(),
+        columnar
+    );
+    let mut found = matcher.find(rel);
+    found.sort();
+    let mut sm = StreamMatcher::with_options(pat, schema, opts).unwrap();
+    let mut pushed = Vec::new();
+    for e in rel.events() {
+        pushed.extend(sm.push(e.ts(), e.values().to_vec()).unwrap());
+    }
+    pushed.extend(sm.finish());
+    pushed.sort();
+    assert_eq!(found, pushed);
+    assert!(!found.is_empty());
+}
+
+/// Batch lengths at and just past the 64-bit word boundary, with
+/// matches guaranteed on either side of it: the 65th event's admission
+/// bit lives in the second word of every lane vector.
 #[test]
 fn word_boundary_batches_agree() {
-    let pat = ab_pattern();
     for n in [63, 64, 65, 128, 129] {
-        let rel = alternating(n);
-        for mode in [ColumnarMode::On, ColumnarMode::Auto] {
-            let got = find_with(
-                &pat,
-                &rel,
-                MatchSemantics::AllRuns,
-                EventSelection::SkipTillNextMatch,
-                mode,
-            );
-            let want = find_with(
-                &pat,
-                &rel,
-                MatchSemantics::AllRuns,
-                EventSelection::SkipTillNextMatch,
-                ColumnarMode::Off,
-            );
-            assert_eq!(got, want, "n={n} mode={mode:?}");
-            assert!(!want.is_empty(), "n={n}: boundary case must have matches");
-        }
+        assert_find_equals_pushes(&ab_pattern(), &schema(), &alternating(n), true);
     }
+    // One event short of the rule's threshold takes the per-event arm.
+    assert_find_equals_pushes(&ab_pattern(), &schema(), &alternating(15), false);
 }
 
 /// An empty batch is a no-op: no error, no matches, and the stream
 /// still accepts subsequent pushes.
 #[test]
 fn empty_batch_is_a_noop() {
-    let mut sm = StreamMatcher::with_options(
-        &ab_pattern(),
-        &schema(),
-        options(MatchSemantics::Maximal, ColumnarMode::On),
-    )
-    .unwrap();
+    let mut sm = StreamMatcher::compile(&ab_pattern(), &schema()).unwrap();
     assert_eq!(sm.push_batch(Vec::new()).unwrap(), Vec::new());
-    let rel = alternating(4);
+    let rel = alternating(32);
     let events: Vec<Event> = rel.events().to_vec();
     let out = sm.push_batch(events).unwrap();
     assert_eq!(sm.push_batch(Vec::new()).unwrap(), Vec::new());
@@ -251,7 +287,7 @@ fn empty_batch_is_a_noop() {
 }
 
 /// `Float` constant lanes run the generic scanned-fallback kernel —
-/// results must still match the scalar engine exactly, including the
+/// results must still match per-event admission exactly, including the
 /// `Int`-valued-attribute-vs-`Float`-constant cross-type comparisons.
 #[test]
 fn float_lanes_take_scanned_fallback_and_agree() {
@@ -270,35 +306,24 @@ fn float_lanes_take_scanned_fallback_and_agree() {
         .build()
         .unwrap();
     let mut rel = Relation::new(schema.clone());
-    for (t, l, v) in [
-        (0, "A", 2.0),
-        (1, "B", 1.0),
-        (2, "A", 1.5),
-        (3, "B", 1.49),
-        (4, "X", 0.0),
-        (5, "B", -1.0),
-    ] {
-        rel.push_values(Timestamp::new(t), [Value::from(l), Value::from(v)])
+    // Three rounds of the six rows: long enough for the lane pass.
+    for round in 0..3 {
+        for (t, l, v) in [
+            (0, "A", 2.0),
+            (1, "B", 1.0),
+            (2, "A", 1.5),
+            (3, "B", 1.49),
+            (4, "X", 0.0),
+            (5, "B", -1.0),
+        ] {
+            rel.push_values(
+                Timestamp::new(t + 6 * round),
+                [Value::from(l), Value::from(v)],
+            )
             .unwrap();
+        }
     }
-    let run = |mode: ColumnarMode| {
-        let mut out = Matcher::with_options(
-            &pat,
-            &schema,
-            MatcherOptions {
-                semantics: MatchSemantics::AllRuns,
-                columnar: mode,
-                ..MatcherOptions::default()
-            },
-        )
-        .unwrap()
-        .find(&rel);
-        out.sort();
-        out
-    };
-    let scalar = run(ColumnarMode::Off);
-    assert_eq!(run(ColumnarMode::On), scalar);
-    assert!(!scalar.is_empty(), "float workload must produce matches");
+    assert_find_equals_pushes(&pat, &schema, &rel, true);
 }
 
 /// A batch with an out-of-order timestamp (or any invalid event) is
@@ -306,19 +331,18 @@ fn float_lanes_take_scanned_fallback_and_agree() {
 /// consumed — the stream state is exactly as before the call.
 #[test]
 fn invalid_batch_is_rejected_atomically() {
-    let mut sm = StreamMatcher::with_options(
-        &ab_pattern(),
-        &schema(),
-        options(MatchSemantics::Maximal, ColumnarMode::On),
-    )
-    .unwrap();
+    let mut sm = StreamMatcher::compile(&ab_pattern(), &schema()).unwrap();
     sm.push(Timestamp::new(10), vec![Value::from("A"), Value::from(1)])
         .unwrap();
-    let bad = vec![
-        Event::new(Timestamp::new(11), vec![Value::from("B"), Value::from(1)]),
-        // Out of order within the batch.
-        Event::new(Timestamp::new(9), vec![Value::from("A"), Value::from(1)]),
-    ];
+    // Long enough for the lane pass, had it been accepted.
+    let mut bad: Vec<Event> = (0..16)
+        .map(|_| Event::new(Timestamp::new(11), vec![Value::from("B"), Value::from(1)]))
+        .collect();
+    // Out of order within the batch.
+    bad.push(Event::new(
+        Timestamp::new(9),
+        vec![Value::from("A"), Value::from(1)],
+    ));
     assert!(sm.push_batch(bad).is_err());
     // Nothing was consumed: the same first event still completes a match.
     let out = sm
