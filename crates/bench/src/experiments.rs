@@ -2,8 +2,7 @@
 //!
 //! Each `run_*` function returns the series the corresponding figure or
 //! table plots; the `experiments` binary renders them next to the paper's
-//! reference values, and the criterion benches time the same
-//! configurations.
+//! reference values.
 //!
 //! Measurement notes:
 //!

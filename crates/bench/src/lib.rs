@@ -5,13 +5,18 @@
 //! * [`experiments`] — row computations for Figure 11 + Table 1
 //!   (experiment 1), Figure 12 (experiment 2), and Figure 13
 //!   (experiment 3).
-//! * [`machine_info`] — the CPU model and core count every committed
-//!   `BENCH_*.json` names, so a figure is never read without its machine.
+//! * [`machine_info`] — the CPU model and core count the committed
+//!   `BENCH_patternbank.json` names, so a figure is never read without
+//!   its machine.
 //!
 //! The `experiments` binary prints the series next to the paper's
-//! reference values; `cargo bench -p ses-bench` times the same
-//! configurations with criterion, plus the ablation benches listed in
-//! DESIGN.md.
+//! reference values — counts of `|Ω|` and automata, and Figure 13's
+//! filter on/off run times, the one clock the paper's claim needs. The
+//! `patternbank` binary times structural sharing on vs. off, the one
+//! user-set performance switch nothing else measures. Every other timing
+//! comes from the repository's one benchmark (`BENCHMARK.json`), a
+//! package of its own under `src/bin/benchmark/` that this crate neither
+//! builds nor depends on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -16,8 +16,7 @@ pub struct Args {
     pub positional: Vec<String>,
 }
 
-/// Option keys that take a value; everything else starting with `--` is a
-/// switch.
+/// Option keys that take a value.
 const VALUED: &[&str] = &[
     "query",
     "data",
@@ -52,6 +51,18 @@ const VALUED: &[&str] = &[
     "count",
 ];
 
+/// Bare switches. Anything else starting with `--` is refused by name: a
+/// stale flag silently ignored would change what a script measures.
+const SWITCHES: &[&str] = &[
+    "closure",
+    "dot",
+    "propagate",
+    "recover",
+    "share",
+    "stats",
+    "trace",
+];
+
 impl Args {
     /// Parses an argument vector (without the program name).
     pub fn parse<I, S>(argv: I) -> Result<Args, String>
@@ -70,8 +81,10 @@ impl Args {
                     if args.options.insert(key.to_string(), value).is_some() {
                         return Err(format!("--{key} given twice"));
                     }
-                } else {
+                } else if SWITCHES.contains(&key) {
                     args.flags.push(key.to_string());
+                } else {
+                    return Err(format!("unknown option --{key}"));
                 }
             } else if args.command.is_none() {
                 args.command = Some(arg);
@@ -126,6 +139,31 @@ mod tests {
     fn missing_value_and_duplicates_error() {
         assert!(Args::parse(["run", "--query"]).is_err());
         assert!(Args::parse(["run", "--query", "a", "--query", "b"]).is_err());
+    }
+
+    #[test]
+    fn unknown_options_are_refused_by_name() {
+        for stale in ["--no-evict", "--no-index"] {
+            let err = Args::parse(["stream", "--query", "q.ses", stale]).unwrap_err();
+            assert_eq!(err, format!("unknown option {stale}"));
+        }
+        // Every switch the commands read, and the server's valued
+        // options, still parse.
+        let a = Args::parse(SWITCHES.iter().map(|s| format!("--{s}"))).unwrap();
+        assert!(SWITCHES.iter().all(|s| a.has_flag(s)));
+        let a = Args::parse([
+            "serve",
+            "--schema",
+            "ID:int",
+            "--tick",
+            "abstract",
+            "--checkpoint",
+            "dir",
+            "--checkpoint-every",
+            "5",
+        ])
+        .unwrap();
+        assert_eq!(a.get("checkpoint-every"), Some("5"));
     }
 
     #[test]

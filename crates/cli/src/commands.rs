@@ -41,7 +41,7 @@ USAGE:
                     --stats says which way a run went)
   ses-cli stream   (--query <file-or-text> | --patterns <file-or-dir>)
                    (--data <file.csv> | --from-log <dir>)
-                   [--no-evict] [--limit N] [--stats]
+                   [--limit N] [--stats]
                    [--partition auto|ATTR|off] [--shards N]
                    [--share]
                    [--semantics …] [--selection …] [--filter …]
@@ -49,8 +49,8 @@ USAGE:
                    [--recover]
                    (replays the data as a stream through one pattern
                     bank: each event is pushed once, matches are
-                    finalized eagerly at the watermark and old events
-                    are evicted unless --no-evict. --query is inline
+                    finalized eagerly at the watermark and events older
+                    than the window are evicted. --query is inline
                     text or a (`;`-separated) query file; --patterns is
                     a directory of query files or a single multi-query
                     file. A predicate index built from the patterns'
@@ -99,7 +99,7 @@ USAGE:
                    [--listen 127.0.0.1:0] [--tick hour]
                    [--queue N] [--outbound N] [--policy block|reject]
                    [--checkpoint <dir> [--event-log <dir>]
-                    [--checkpoint-every N] [--keep K]] [--no-evict]
+                    [--checkpoint-every N] [--keep K]]
                    (long-running match server over line-delimited JSON:
                     clients ingest events and register standing
                     subscriptions; finalized matches stream back as they
@@ -1084,9 +1084,7 @@ fn build_bank(
     if lanes == 0 {
         return Err("--shards must be positive".to_string());
     }
-    let mut builder = PatternBank::builder(schema)
-        .with_eviction(!args.has_flag("no-evict"))
-        .with_sharing(args.has_flag("share"));
+    let mut builder = PatternBank::builder(schema).with_sharing(args.has_flag("share"));
     for (name, p, options) in specs {
         let sharded = match options.partition {
             PartitionMode::Off => false,
@@ -1328,8 +1326,6 @@ fn cmd_stream(args: &Args, out: &mut dyn Write) -> Result<(), String> {
             "patterns × events".to_string(),
             (consumed * patterns.len()).to_string(),
         ]);
-        let evict = !args.has_flag("no-evict");
-        totals.row(["eviction", if evict { "on" } else { "off" }]);
         totals.row(["events evicted", &probe.events_evicted.to_string()]);
         totals.row(["peak retained", &probe.retained_max.to_string()]);
         totals.row(["max |Ω|", &probe.omega_max.to_string()]);
@@ -1656,12 +1652,16 @@ mod tests {
         assert!(out.contains("2 match(es) from 1 pattern(s)"), "{out}");
         assert!(out.contains("events evicted"), "{out}");
         assert!(out.contains("peak retained"), "{out}");
-        // Same answer with eviction disabled.
-        let (code, out) = run(&["stream", "--query", Q1, "--data", &data, "--no-evict"]);
-        assert_eq!(code, 0, "{out}");
-        assert!(out.contains("2 match(es) from 1 pattern(s)"), "{out}");
         assert!(out.contains("c/e1"), "{out}");
         std::fs::remove_file(&data).ok();
+    }
+
+    #[test]
+    fn stream_refuses_a_stale_flag_by_name() {
+        // `main` prints a parse error with the usage and exits 2.
+        let err =
+            Args::parse(["stream", "--query", Q1, "--data", "d.csv", "--no-index"]).unwrap_err();
+        assert_eq!(err, "unknown option --no-index");
     }
 
     /// Match lines of a streaming run — the `[t=…] name: {…}` and

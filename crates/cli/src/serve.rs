@@ -36,7 +36,6 @@ pub(crate) fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), String> 
     config.event_log = args.get("event-log").map(PathBuf::from);
     config.checkpoint_every = args.get_parsed("checkpoint-every", config.checkpoint_every)?;
     config.keep = args.get_parsed("keep", config.keep)?;
-    config.evict = !args.has_flag("no-evict");
 
     ses_server::signal::install();
     let mut server = Server::start(config)?;

@@ -20,10 +20,10 @@
 //!   each event costs amortized O(vars) once per event — not per
 //!   candidate per binding.
 //! * [`GroupIndex`] — per adjudication group: posting lists
-//!   `(var, event) → candidates` drive the condition-5 and within-group
-//!   maximality subset checks (a subset victim must appear in every
-//!   posting list of its killer, so the *least frequent* binding of a
-//!   candidate bounds the killer search), and a prefix-hash map
+//!   `(var, event) → candidates` drive the condition-5 subset check,
+//!   which is within-group maximality too (a subset victim must appear
+//!   in every posting list of its killer, so the *least frequent*
+//!   binding of a candidate bounds the killer search), and a prefix-hash map
 //!   `(var, alt, hash(bindings before alt)) → candidates` answers the
 //!   condition-4 prefix-agreement test with one lookup per alternative
 //!   (hash hits are confirmed by exact slice comparison, so collisions
@@ -413,25 +413,13 @@ impl<'g> GroupIndex<'g> {
     }
 
     /// Condition 5 for candidate `i`: not a proper subset of *any* group
-    /// candidate (all share the first binding by construction).
+    /// candidate (all share the first binding by construction). A
+    /// superset must appear in the posting list of every binding of `i`;
+    /// the least frequent binding bounds the search.
     pub(crate) fn survives_condition_5(&self, i: usize) -> bool {
-        !self.dominated(i, None)
-    }
-
-    /// Within-group maximality: `i` is a proper subset of a candidate
-    /// the `kept` mask admits.
-    pub(crate) fn dominated_by_kept(&self, i: usize, kept: &[bool]) -> bool {
-        self.dominated(i, Some(kept))
-    }
-
-    /// `true` iff some candidate (restricted to `mask` when given) is a
-    /// proper superset of candidate `i`. A superset must appear in the
-    /// posting list of every binding of `i`; the least frequent binding
-    /// bounds the search.
-    fn dominated(&self, i: usize, mask: Option<&[bool]>) -> bool {
         let m = &self.group[i];
         if self.group.len() == 1 {
-            return false;
+            return true;
         }
         let list = m
             .bindings()
@@ -439,12 +427,9 @@ impl<'g> GroupIndex<'g> {
             .map(|bind| &self.postings[bind])
             .min_by_key(|l| l.len())
             .expect("matches are non-empty");
-        list.iter().any(|&o| {
+        !list.iter().any(|&o| {
             let o = o as usize;
-            o != i
-                && mask.is_none_or(|k| k[o])
-                && self.group[o].len() > m.len()
-                && m.is_proper_subset_of(&self.group[o])
+            o != i && self.group[o].len() > m.len() && m.is_proper_subset_of(&self.group[o])
         })
     }
 }

@@ -566,7 +566,7 @@ fn build_index(built: &[Built], plan: &SharingPlan) -> PatternIndex {
 /// Turns built matchers plus a plan into runtime entries and pools:
 /// dedup members drop their matcher, prefix members stop spawning, and
 /// each prefix group gets a pool cloned from its leader's automaton.
-fn assemble(built: Vec<Built>, plan: &SharingPlan, evict: bool) -> (Vec<Entry>, Vec<Pool>) {
+fn assemble(built: Vec<Built>, plan: &SharingPlan) -> (Vec<Entry>, Vec<Pool>) {
     let mut sms: Vec<(String, usize, Option<StreamMatcher>)> = built
         .into_iter()
         .map(|b| (b.name, b.pattern, Some(b.sm)))
@@ -583,8 +583,7 @@ fn assemble(built: Vec<Built>, plan: &SharingPlan, evict: bool) -> (Vec<Entry>, 
             .as_ref()
             .expect("prefix leader runs its own automaton");
         let sm =
-            StreamMatcher::from_automaton(leader.automaton().clone(), leader.options().clone())
-                .with_eviction(evict);
+            StreamMatcher::from_automaton(leader.automaton().clone(), leader.options().clone());
         let boundary = sm
             .automaton()
             .state_for(boundary_set)
@@ -682,7 +681,6 @@ pub struct PatternBankBuilder {
     schema: Schema,
     entries: Vec<Built>,
     lanes: Vec<LaneGroup>,
-    evict: bool,
     share: bool,
 }
 
@@ -749,13 +747,6 @@ impl PatternBankBuilder {
         self.entries.last().map_or(0, |b| b.pattern + 1)
     }
 
-    /// Enables or disables watermark eviction on every pattern (on by
-    /// default; see [`StreamMatcher::with_eviction`]).
-    pub fn with_eviction(mut self, evict: bool) -> PatternBankBuilder {
-        self.evict = evict;
-        self
-    }
-
     /// Enables or disables structural sharing (off by default): at
     /// build time a [`SharingPlan`] is computed over the compiled
     /// patterns, deduplicating evaluation-identical ones and running
@@ -770,28 +761,20 @@ impl PatternBankBuilder {
     /// the predicate index from the compiled patterns exactly as the
     /// matchers will run them (after any analyzer rewrites).
     pub fn build(self) -> PatternBank {
-        let built: Vec<Built> = self
-            .entries
-            .into_iter()
-            .map(|b| Built {
-                sm: b.sm.with_eviction(self.evict),
-                ..b
-            })
-            .collect();
+        let built = self.entries;
         let plan = if self.share && built.len() > 1 {
             compute_plan(&built, &self.lanes)
         } else {
             SharingPlan::trivial(built.len())
         };
         let index = build_index(&built, &plan);
-        let (entries, pools) = assemble(built, &plan, self.evict);
+        let (entries, pools) = assemble(built, &plan);
         let mut bank = PatternBank {
             entries,
             lanes: self.lanes,
             pools,
             plan,
             index,
-            evict: self.evict,
             schema: self.schema,
             watermark: None,
             last_ts: None,
@@ -851,9 +834,6 @@ pub struct PatternBank {
     /// sharing is off or nothing shares).
     plan: SharingPlan,
     index: PatternIndex,
-    /// Whether watermark eviction is enabled on every pattern — the
-    /// setting new [`PatternBank::subscribe`] registrations inherit.
-    evict: bool,
     schema: Schema,
     /// The bank's clock: max of pushed and heartbeat timestamps; pushes
     /// behind it are rejected.
@@ -882,7 +862,6 @@ impl PatternBank {
             schema: schema.clone(),
             entries: Vec::new(),
             lanes: Vec::new(),
-            evict: true,
             share: false,
         }
     }
@@ -1495,7 +1474,7 @@ impl PatternBank {
             )));
         }
         let index = build_index(&built, &plan);
-        let (mut entries, mut pools) = assemble(built, &plan, true);
+        let (mut entries, mut pools) = assemble(built, &plan);
         for (entry, ps) in entries.iter_mut().zip(&snapshot.patterns) {
             let name = &entry.name;
             match (&mut entry.exec, &ps.matcher) {
@@ -1550,21 +1529,12 @@ impl PatternBank {
                 .apply_snapshot(ps)
                 .map_err(|e| mismatch(format!("prefix pool: {e}")))?;
         }
-        // Every pattern shares one eviction setting (the builder applies
-        // it uniformly); recover it from any restored matcher so later
-        // `subscribe` registrations inherit it.
-        let evict = snapshot
-            .patterns
-            .iter()
-            .find_map(|p| p.matcher.as_ref().map(|m| m.evict))
-            .unwrap_or(true);
         let mut bank = PatternBank {
             entries,
             lanes,
             pools,
             plan,
             index,
-            evict,
             schema: schema.clone(),
             watermark: snapshot.watermark,
             last_ts: snapshot.last_ts,
@@ -1613,8 +1583,7 @@ impl PatternBank {
         // A matcher that has stored no event has no deadline and takes
         // its clock from its first push, which the bank only accepts at
         // or after its own watermark.
-        let sm =
-            StreamMatcher::with_options(pattern, &self.schema, options)?.with_eviction(self.evict);
+        let sm = StreamMatcher::with_options(pattern, &self.schema, options)?;
         assert_shares_schema(&sm, &self.schema);
         let id = self.len();
         self.entries

@@ -9,8 +9,7 @@
 //! We additionally provide a strictly stronger, still sound variant,
 //! [`FilterMode::PerVariable`]: the event must satisfy **all** constant
 //! conditions of at least one variable — a necessary criterion for the
-//! event to ever bind anywhere. The ablation bench
-//! `ablation_filter_selectivity` compares the three modes.
+//! event to ever bind anywhere.
 //!
 //! Both filters are only sound when *every* variable carries at least one
 //! constant condition (otherwise some variable accepts arbitrary events).

@@ -98,20 +98,10 @@ pub trait Probe {
     #[inline]
     fn index_skips(&mut self, _n: usize) {}
 
-    /// The caller observed `_n` heap allocations attributable to the
-    /// preceding unit of work (typically one stream push). The engine
-    /// never fires this itself — a harness that owns a counting global
-    /// allocator reports deltas through it so per-event allocation
-    /// rates flow through the same probe plumbing as every other
-    /// measure (the `throughput` bench's `allocations_per_event`).
-    #[inline]
-    fn allocations(&mut self, _n: u64) {}
-
     /// A durability checkpoint was persisted: `_bytes` written to disk,
     /// `_nanos` spent snapshotting, serializing, and syncing it. Fired
     /// by the checkpoint driver once per saved checkpoint; the ratio of
-    /// total checkpoint time to run time is the overhead the
-    /// `durability` bench plots against the checkpoint interval.
+    /// total checkpoint time to run time is the checkpointing overhead.
     #[inline]
     fn checkpoint_saved(&mut self, _bytes: u64, _nanos: u64) {}
 
@@ -207,10 +197,6 @@ impl<P: Probe + ?Sized> Probe for &mut P {
     #[inline]
     fn index_skips(&mut self, n: usize) {
         (**self).index_skips(n);
-    }
-    #[inline]
-    fn allocations(&mut self, n: u64) {
-        (**self).allocations(n);
     }
     #[inline]
     fn checkpoint_saved(&mut self, bytes: u64, nanos: u64) {

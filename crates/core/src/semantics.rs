@@ -185,10 +185,11 @@ impl Adjudicator {
                 .collect();
         }
 
+        // Condition 5 ranges over the whole group, so a kept candidate
+        // is already maximal within it; only survivors of earlier groups
+        // can still kill it.
         let finals: Vec<Match> = (0..group.len())
-            .filter(|&i| {
-                kept[i] && !gi.dominated_by_kept(i, &kept) && !self.survivors.kills(&group[i])
-            })
+            .filter(|&i| kept[i] && !self.survivors.kills(&group[i]))
             .map(|i| group[i].clone())
             .collect();
         let min_ts = relation.event(group[0].first_event()).ts();

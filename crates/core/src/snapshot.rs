@@ -49,7 +49,10 @@ pub struct StreamSnapshot {
     pub fingerprint: u64,
     /// The stream's watermark (latest pushed or heartbeat timestamp).
     pub watermark: Option<Timestamp>,
-    /// Whether watermark eviction was enabled.
+    /// The eviction byte of the pinned layout. Every matcher evicts
+    /// now, so snapshots record `true`; restore ignores it — a snapshot
+    /// whose writer retained everything restores and evicts at its next
+    /// push, which changes no match (see [`crate::StreamMatcher::relation`]).
     pub evict: bool,
     /// Events evicted from the front of the relation; the first retained
     /// event's id is this value.

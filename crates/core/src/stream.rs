@@ -27,9 +27,8 @@
 //!
 //! * **Events** — once no live run can bind or compare against an event
 //!   (its timestamp precedes `w − τ`), it is evicted from the relation.
-//!   Eviction keeps event ids stable ([`Relation::evict_before`]) and is
-//!   on by default; disable it with [`StreamMatcher::with_eviction`] to
-//!   trade memory for a fully replayable relation.
+//!   Eviction keeps event ids stable ([`Relation::evict_before`]); what
+//!   stays is stated on [`StreamMatcher::relation`].
 //! * **Instances** — automaton runs whose window can no longer close are
 //!   swept on *every* push (even filtered ones), emitting accepting
 //!   buffers into the pending candidate set.
@@ -37,9 +36,9 @@
 //!   checks are dropped once `minT < w − 2τ` (no later group can reach
 //!   back that far).
 //!
-//! With eviction on, steady-state memory is proportional to the number
-//! of events inside one window `τ` (times a small constant for the
-//! compaction hysteresis) — independent of stream length.
+//! Steady-state memory is proportional to the number of events inside
+//! one window `τ` (times a small constant for the compaction
+//! hysteresis) — independent of stream length.
 
 use std::collections::BTreeMap;
 
@@ -76,7 +75,6 @@ pub struct StreamMatcher {
     pending: BTreeMap<GroupKey, Vec<RawMatch>>,
     adjudicator: Adjudicator,
     watermark: Option<Timestamp>,
-    evict: bool,
     emitted: usize,
     /// `false` for a shared-prefix *member* matcher: no fresh start
     /// instances are spawned; runs enter via
@@ -130,7 +128,6 @@ impl StreamMatcher {
             pending: BTreeMap::new(),
             adjudicator,
             watermark: None,
-            evict: true,
             emitted: 0,
             spawn_start: true,
             expiry_floor: None,
@@ -158,15 +155,6 @@ impl StreamMatcher {
         }
     }
 
-    /// Enables or disables watermark eviction of old events (on by
-    /// default). With eviction off the full relation is retained and
-    /// remains accessible via [`StreamMatcher::relation`]; emitted
-    /// matches are identical either way.
-    pub fn with_eviction(mut self, evict: bool) -> StreamMatcher {
-        self.evict = evict;
-        self
-    }
-
     /// Pushes one event (timestamps must be non-decreasing) and returns
     /// the matches finalized at this push — already filtered under the
     /// configured [`crate::MatchSemantics`], never revised later.
@@ -185,92 +173,75 @@ impl StreamMatcher {
         values: impl Into<Vec<Value>>,
         probe: &mut P,
     ) -> Result<Vec<Match>, EventError> {
-        // Check against the *watermark*, not just the relation's last
-        // event: `advance_watermark` can move the watermark past the
-        // last pushed timestamp, and accepting an older event afterwards
-        // would be unsound (its window was already adjudicated).
-        if let Some(w) = self.watermark {
-            if ts < w {
-                return Err(EventError::OutOfOrder {
-                    previous: w.ticks(),
-                    got: ts.ticks(),
-                });
-            }
-        }
+        in_order(self.watermark, ts)?;
         let id = self.relation.push_values(ts, values)?;
-        Ok(self.push_stored(id, ts, None, probe))
+        Ok(self.advance_to(ts, Some((id, None)), probe))
     }
 
-    /// The shared tail of every push flavor: runs the engine over an
-    /// event already appended to the relation. `admission` carries the
-    /// precomputed columnar verdict when the event arrived in a
-    /// [`StreamMatcher::push_batch`] long enough for one; `None` admits
-    /// it per event.
-    fn push_stored<P: Probe>(
+    /// Moves the clock to `ts` — the shared tail of every push flavor
+    /// and of the heartbeat. `event` is an event already appended to the
+    /// relation that the engine must run over, with its precomputed
+    /// columnar verdict when it arrived in a
+    /// [`StreamMatcher::push_batch`] long enough for one (`None` admits
+    /// it per event); without an event only time passes.
+    fn advance_to<P: Probe>(
         &mut self,
-        id: EventId,
         ts: Timestamp,
-        admission: Option<EventAdmission>,
+        event: Option<(EventId, Option<EventAdmission>)>,
         probe: &mut P,
     ) -> Vec<Match> {
         if self.watermark.is_none() {
             probe.filter_mode(self.filter.requested_mode(), self.filter.effective_mode());
         }
         self.watermark = Some(ts);
+        let tau = self.automaton.tau();
+        let mut out = Vec::new();
         // A provably unsatisfiable Θ never matches; retain the watermark
         // bookkeeping but skip the engine.
-        if !self.automaton.pattern().is_satisfiable() {
-            if self.evict {
-                let evicted = self.relation.evict_before(ts - self.automaton.tau());
-                if evicted > 0 {
-                    probe.events_evicted(evicted);
-                }
+        if self.automaton.pattern().is_satisfiable() {
+            // Retire runs whose window can no longer close *before* the
+            // new event is processed — on every push, including filtered
+            // ones (sweeping early is observationally identical; see
+            // `sweep_expired`). Their accepting buffers join `pending`.
+            self.sweep_if_due(ts, probe);
+            if let Some((id, admission)) = event {
+                let admission = admission.unwrap_or_else(|| {
+                    EventAdmission::scalar(
+                        &self.filter,
+                        self.automaton.pattern(),
+                        self.relation.event(id),
+                    )
+                });
+                process_event(
+                    &self.automaton,
+                    &self.relation,
+                    &self.exec_options(),
+                    &mut self.omega,
+                    &mut self.scratch,
+                    id,
+                    admission,
+                    &mut self.results,
+                    probe,
+                );
+                // Any binding made at this push starts its window at
+                // `ts`; the floor only ever needs to reach down to it,
+                // and an empty Ω has no window at all. (A stale, too-low
+                // floor is harmless: the next sweep recomputes it
+                // exactly.)
+                self.expiry_floor = if self.omega.is_empty() {
+                    None
+                } else {
+                    Some(self.expiry_floor.map_or(ts, |f| f.min(ts)))
+                };
             }
-            probe.retained_events(self.relation.len());
-            return Vec::new();
+            self.queue_results();
+            out = self.drain_decidable(ts);
+            // Killers older than 2τ can no longer contain any future group.
+            self.adjudicator.prune_survivors(ts - tau - tau);
         }
-        // Retire runs whose window can no longer close *before* the new
-        // event is processed — on every push, including filtered ones
-        // (sweeping early is observationally identical; see
-        // `sweep_expired`). Their accepting buffers join `pending`.
-        self.sweep_if_due(ts, probe);
-        let admission = admission.unwrap_or_else(|| {
-            EventAdmission::scalar(
-                &self.filter,
-                self.automaton.pattern(),
-                self.relation.event(id),
-            )
-        });
-        process_event(
-            &self.automaton,
-            &self.relation,
-            &self.exec_options(),
-            &mut self.omega,
-            &mut self.scratch,
-            id,
-            admission,
-            &mut self.results,
-            probe,
-        );
-        // Any binding made at this push starts its window at `ts`; the
-        // floor only ever needs to reach down to it, and an empty Ω has
-        // no window at all. (A stale, too-low floor is harmless: the
-        // next sweep recomputes it exactly.)
-        self.expiry_floor = if self.omega.is_empty() {
-            None
-        } else {
-            Some(self.expiry_floor.map_or(ts, |f| f.min(ts)))
-        };
-        self.queue_results();
-        let out = self.drain_decidable(ts);
-        let tau = self.automaton.tau();
-        // Killers older than 2τ can no longer contain any future group.
-        self.adjudicator.prune_survivors(ts - tau - tau);
-        if self.evict {
-            let evicted = self.relation.evict_before(ts - tau);
-            if evicted > 0 {
-                probe.events_evicted(evicted);
-            }
+        let evicted = self.relation.evict_before(ts - tau);
+        if evicted > 0 {
+            probe.events_evicted(evicted);
         }
         probe.retained_events(self.relation.len());
         self.emitted += out.len();
@@ -292,38 +263,9 @@ impl StreamMatcher {
         probe: &mut P,
     ) -> Result<Vec<Match>, EventError> {
         let ts = event.ts();
-        if let Some(w) = self.watermark {
-            if ts < w {
-                return Err(EventError::OutOfOrder {
-                    previous: w.ticks(),
-                    got: ts.ticks(),
-                });
-            }
-        }
+        in_order(self.watermark, ts)?;
         self.relation.push_event(event)?;
-        if self.watermark.is_none() {
-            probe.filter_mode(self.filter.requested_mode(), self.filter.effective_mode());
-        }
-        self.watermark = Some(ts);
-        let tau = self.automaton.tau();
-        let out = if self.automaton.pattern().is_satisfiable() {
-            self.sweep_if_due(ts, probe);
-            self.queue_results();
-            let out = self.drain_decidable(ts);
-            self.adjudicator.prune_survivors(ts - tau - tau);
-            out
-        } else {
-            Vec::new()
-        };
-        if self.evict {
-            let evicted = self.relation.evict_before(ts - tau);
-            if evicted > 0 {
-                probe.events_evicted(evicted);
-            }
-        }
-        probe.retained_events(self.relation.len());
-        self.emitted += out.len();
-        Ok(out)
+        Ok(self.advance_to(ts, None, probe))
     }
 
     /// Pushes a pre-built event. The event is *moved* into the
@@ -352,17 +294,10 @@ impl StreamMatcher {
         event: Event,
         probe: &mut P,
     ) -> Result<Vec<Match>, EventError> {
-        if let Some(w) = self.watermark {
-            if event.ts() < w {
-                return Err(EventError::OutOfOrder {
-                    previous: w.ticks(),
-                    got: event.ts().ticks(),
-                });
-            }
-        }
         let ts = event.ts();
+        in_order(self.watermark, ts)?;
         let id = self.relation.push_event(event)?;
-        Ok(self.push_stored(id, ts, None, probe))
+        Ok(self.advance_to(ts, Some((id, None)), probe))
     }
 
     /// Pushes a micro-batch of events and returns the concatenation of
@@ -391,14 +326,7 @@ impl StreamMatcher {
         // Validate the whole batch before consuming anything.
         let mut w = self.watermark;
         for event in &events {
-            if let Some(w) = w {
-                if event.ts() < w {
-                    return Err(EventError::OutOfOrder {
-                        previous: w.ticks(),
-                        got: event.ts().ticks(),
-                    });
-                }
-            }
+            in_order(w, event.ts())?;
             self.relation.schema().check_row(event.values())?;
             w = Some(event.ts());
         }
@@ -423,7 +351,7 @@ impl StreamMatcher {
                 .relation
                 .push_event(event)
                 .expect("batch order validated upfront");
-            out.extend(self.push_stored(id, ts, admission, probe));
+            out.extend(self.advance_to(ts, Some((id, admission)), probe));
         }
         Ok(out)
     }
@@ -456,31 +384,7 @@ impl StreamMatcher {
         if ts <= w {
             return Vec::new();
         }
-        self.watermark = Some(ts);
-        let tau = self.automaton.tau();
-        if !self.automaton.pattern().is_satisfiable() {
-            if self.evict {
-                let evicted = self.relation.evict_before(ts - tau);
-                if evicted > 0 {
-                    probe.events_evicted(evicted);
-                }
-            }
-            probe.retained_events(self.relation.len());
-            return Vec::new();
-        }
-        self.sweep_if_due(ts, probe);
-        self.queue_results();
-        let out = self.drain_decidable(ts);
-        self.adjudicator.prune_survivors(ts - tau - tau);
-        if self.evict {
-            let evicted = self.relation.evict_before(ts - tau);
-            if evicted > 0 {
-                probe.events_evicted(evicted);
-            }
-        }
-        probe.retained_events(self.relation.len());
-        self.emitted += out.len();
-        out
+        self.advance_to(ts, None, probe)
     }
 
     /// The smallest watermark at which
@@ -498,9 +402,9 @@ impl StreamMatcher {
     /// * **adjudication** — the first pending group's `minT + τ + 1`
     ///   (groups ascend with `minT`, so the first is the earliest);
     /// * **killer prune** — the oldest survivor's `minT + 2τ + 1`;
-    /// * **eviction** — with eviction on, the timestamp of retained
-    ///   event `⌈len/2⌉ − 1` plus `τ + 1`: [`Relation::evict_before`]
-    ///   compacts only once half the window is evictable.
+    /// * **eviction** — the timestamp of retained event `⌈len/2⌉ − 1`
+    ///   plus `τ + 1`: [`Relation::evict_before`] compacts only once
+    ///   half the window is evictable.
     ///
     /// The sweep instant may be early — `expiry_floor` is a lower bound,
     /// and a heartbeat there only recomputes it — never late.
@@ -512,8 +416,8 @@ impl StreamMatcher {
         let one = Duration::ticks(1);
         let past = |t: Timestamp, window: Duration| t.saturating_add(window).saturating_add(one);
         let events = self.relation.events();
-        let evict = (self.evict && !events.is_empty())
-            .then(|| past(events[events.len().div_ceil(2) - 1].ts(), tau));
+        let evict =
+            (!events.is_empty()).then(|| past(events[events.len().div_ceil(2) - 1].ts(), tau));
         if !self.automaton.pattern().is_satisfiable() {
             return evict;
         }
@@ -533,9 +437,12 @@ impl StreamMatcher {
             .min()
     }
 
-    /// The retained relation. With eviction on (the default) this holds
-    /// only events young enough to still matter — see
-    /// [`Relation::evicted`] for how many were dropped.
+    /// The retained relation: the events with `ts ≥ watermark − τ`, plus
+    /// the compaction hysteresis ([`Relation::evict_before`] only
+    /// compacts once half of what is retained precedes the cutoff). Event
+    /// ids stay global — [`Relation::evicted`] says how many ids precede
+    /// the first retained event. [`crate::Matcher::find`], which never
+    /// evicts, is the reference every emitted match is held to.
     pub fn relation(&self) -> &Relation {
         &self.relation
     }
@@ -602,7 +509,7 @@ impl StreamMatcher {
         StreamSnapshot {
             fingerprint: self.fingerprint(),
             watermark: self.watermark,
-            evict: self.evict,
+            evict: true,
             evicted: self.relation.evicted() as u64,
             last_ts: self.relation.last_ts(),
             events: self.relation.events().to_vec(),
@@ -780,7 +687,6 @@ impl StreamMatcher {
                 .collect(),
         );
         self.watermark = snap.watermark;
-        self.evict = snap.evict;
         self.emitted = snap.emitted as usize;
         Ok(())
     }
@@ -880,6 +786,21 @@ impl StreamMatcher {
             max_instances: self.options.max_instances,
             spawn_start: self.spawn_start,
         }
+    }
+}
+
+/// Refuses a timestamp behind `watermark`. The check is against the
+/// *watermark*, not just the relation's last event:
+/// [`StreamMatcher::advance_watermark`] can move the watermark past the
+/// last pushed timestamp, and accepting an older event afterwards would
+/// be unsound (its window was already adjudicated).
+fn in_order(watermark: Option<Timestamp>, ts: Timestamp) -> Result<(), EventError> {
+    match watermark {
+        Some(w) if ts < w => Err(EventError::OutOfOrder {
+            previous: w.ticks(),
+            got: ts.ticks(),
+        }),
+        _ => Ok(()),
     }
 }
 
@@ -1219,6 +1140,35 @@ mod tests {
             live_out.extend(restored.finish());
             twin_out.extend(twin.finish());
             assert_eq!(live_out, twin_out, "divergence after restore at cut {cut}");
+
+            // The snapshot a tree that could switch eviction off would
+            // have written: nothing evicted, the eviction byte clear. It
+            // restores, evicts from its next push on, and emits the same.
+            let unevicted = StreamSnapshot {
+                evict: false,
+                evicted: 0,
+                events: rows[..cut]
+                    .iter()
+                    .map(|(t, l)| {
+                        Event::new(Timestamp::new(*t), vec![Value::from(1), Value::from(*l)])
+                    })
+                    .collect(),
+                ..snap
+            };
+            let mut restored =
+                StreamMatcher::restore(&pattern, &schema, MatcherOptions::default(), &unevicted)
+                    .unwrap();
+            assert_eq!(restored.evicted_events(), 0);
+            let mut out = live_out[..restored.emitted_so_far()].to_vec();
+            for (t, l) in &rows[cut..] {
+                let values = [Value::from(1), Value::from(*l)];
+                out.extend(restored.push(Timestamp::new(*t), values).unwrap());
+            }
+            if cut < rows.len() {
+                assert!(restored.evicted_events() > 0, "no eviction after cut {cut}");
+            }
+            out.extend(restored.finish());
+            assert_eq!(out, twin_out, "unevicted snapshot diverged at cut {cut}");
         }
     }
 
@@ -1366,7 +1316,6 @@ mod tests {
             which in 0usize..4,
             mode in 0usize..3,
             any_match in proptest::bool::ANY,
-            evict in proptest::bool::ANY,
             rows in proptest::collection::vec((0usize..3, 1i64..3, 0usize..10), 1..16),
         ) {
             const GAPS: [i64; 10] = [0, 0, 1, 1, 2, 4, 5, 6, 11, 40];
@@ -1384,9 +1333,7 @@ mod tests {
                 },
                 ..MatcherOptions::default()
             };
-            let mut sm = StreamMatcher::with_options(pattern, &schema(), opts.clone())
-                .unwrap()
-                .with_eviction(evict);
+            let mut sm = StreamMatcher::with_options(pattern, &schema(), opts.clone()).unwrap();
             assert_deadline_is_exact(&mut sm, pattern, &opts);
             let mut t = 0;
             for (label, id, gap) in rows {

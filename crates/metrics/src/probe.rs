@@ -60,10 +60,6 @@ pub struct CountingProbe {
     /// Pattern-bank matchers skipped (heartbeat only) — the per-pattern
     /// pushes the predicate index saved.
     pub index_skips: u64,
-    /// Heap allocations reported by a harness-owned counting allocator
-    /// (the engine never allocates on the probe's behalf; see
-    /// [`Probe::allocations`]).
-    pub allocations: u64,
     /// Durability checkpoints saved.
     pub checkpoints: u64,
     /// Total bytes written across saved checkpoints.
@@ -146,19 +142,6 @@ impl CountingProbe {
         }
     }
 
-    /// Mean reported heap allocations per read event (0.0 when no
-    /// events were read). On the streaming push path this is the
-    /// `allocations_per_event` figure the `throughput` bench reports —
-    /// zero in steady state for non-emitting pushes once the columnar
-    /// engine's pooled buffers are warm.
-    pub fn allocations_per_event(&self) -> f64 {
-        if self.events_read == 0 {
-            0.0
-        } else {
-            self.allocations as f64 / self.events_read as f64
-        }
-    }
-
     /// Folds another probe's counters into this one — used to aggregate
     /// the per-partition worker probes of a partitioned run into one
     /// report. Additive counters sum; peaks (`omega_max`, `retained_max`)
@@ -189,7 +172,6 @@ impl CountingProbe {
         self.slice_events.extend(&other.slice_events);
         self.index_hits += other.index_hits;
         self.index_skips += other.index_skips;
-        self.allocations += other.allocations;
         self.checkpoints += other.checkpoints;
         self.checkpoint_bytes += other.checkpoint_bytes;
         self.checkpoint_nanos += other.checkpoint_nanos;
@@ -263,9 +245,6 @@ impl Probe for CountingProbe {
     }
     fn index_skips(&mut self, n: usize) {
         self.index_skips += n as u64;
-    }
-    fn allocations(&mut self, n: u64) {
-        self.allocations += n;
     }
     fn checkpoint_saved(&mut self, bytes: u64, nanos: u64) {
         self.checkpoints += 1;
@@ -363,9 +342,6 @@ impl Probe for SeriesProbe {
     }
     fn index_skips(&mut self, n: usize) {
         Probe::index_skips(&mut self.counts, n);
-    }
-    fn allocations(&mut self, n: u64) {
-        Probe::allocations(&mut self.counts, n);
     }
     fn checkpoint_saved(&mut self, bytes: u64, nanos: u64) {
         self.counts.checkpoint_saved(bytes, nanos);
@@ -496,25 +472,6 @@ mod tests {
         let mut s = SeriesProbe::new();
         s.checkpoint_saved(9, 9);
         assert_eq!(s.counts.checkpoints, 1);
-    }
-
-    #[test]
-    fn allocation_hook_accumulates_rates_and_merges() {
-        let mut p = CountingProbe::new();
-        assert_eq!(p.allocations_per_event(), 0.0);
-        p.event_read();
-        p.event_read();
-        Probe::allocations(&mut p, 3);
-        Probe::allocations(&mut p, 1);
-        assert_eq!(p.allocations, 4);
-        assert!((p.allocations_per_event() - 2.0).abs() < 1e-12);
-        let mut q = CountingProbe::new();
-        Probe::allocations(&mut q, 5);
-        p.merge(&q);
-        assert_eq!(p.allocations, 9);
-        let mut s = SeriesProbe::new();
-        Probe::allocations(&mut s, 7);
-        assert_eq!(s.counts.allocations, 7);
     }
 
     #[test]

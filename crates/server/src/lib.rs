@@ -33,6 +33,6 @@ pub mod server;
 pub mod signal;
 
 pub use client::Client;
-pub use queue::{BoundedQueue, OverflowPolicy, Popped, QueueStats};
+pub use queue::{BoundedQueue, OverflowPolicy, QueueStats, Waited};
 pub use registry::{Registry, SubSpec};
 pub use server::{Server, ServerConfig};

@@ -34,11 +34,11 @@ impl OverflowPolicy {
     }
 }
 
-/// Outcome of a [`BoundedQueue::pop_timeout`] call.
+/// Outcome of a [`BoundedQueue::wait_timeout`] call.
 #[derive(Debug, PartialEq, Eq)]
-pub enum Popped<T> {
-    /// An item was dequeued.
-    Item(T),
+pub enum Waited {
+    /// At least one item is queued.
+    Ready,
     /// The timeout elapsed with the queue still open and empty.
     TimedOut,
     /// The queue is closed and drained — end of stream.
@@ -134,6 +134,50 @@ impl<T> BoundedQueue<T> {
         Ok(depth)
     }
 
+    /// Enqueues `items` in order under one lock hold and signals the
+    /// consumer once, after the last. A full queue blocks under
+    /// [`OverflowPolicy::Block`] and sheds (drops and counts) the item
+    /// under [`OverflowPolicy::Reject`]. Returns how many were
+    /// accepted, or `None` if the queue is closed (the rest is
+    /// dropped). The iterator runs under the lock: hand it finished
+    /// items.
+    pub fn push_all(
+        &self,
+        items: impl IntoIterator<Item = T>,
+        policy: OverflowPolicy,
+    ) -> Option<usize> {
+        let mut inner = self.lock();
+        let mut accepted = 0;
+        for item in items {
+            while policy == OverflowPolicy::Block
+                && inner.items.len() >= self.capacity
+                && !inner.closed
+            {
+                // The consumer has not heard of this run yet.
+                self.nonempty.notify_one();
+                inner = self
+                    .nonfull
+                    .wait(inner)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            if inner.closed {
+                return None;
+            }
+            if inner.items.len() >= self.capacity {
+                inner.stats.shed += 1;
+                continue;
+            }
+            inner.items.push_back(item);
+            let depth = inner.items.len();
+            inner.stats.enqueued += 1;
+            inner.stats.high_water = inner.stats.high_water.max(depth);
+            accepted += 1;
+        }
+        drop(inner);
+        self.nonempty.notify_one();
+        Some(accepted)
+    }
+
     /// Blocking dequeue: `None` once the queue is closed *and* drained.
     pub fn pop(&self) -> Option<T> {
         let mut inner = self.lock();
@@ -153,27 +197,35 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Dequeue with a timeout so the consumer can interleave periodic
-    /// work (checkpoint cadence, shutdown checks).
-    pub fn pop_timeout(&self, timeout: Duration) -> Popped<T> {
-        let mut inner = self.lock();
-        loop {
-            if let Some(item) = inner.items.pop_front() {
-                drop(inner);
-                self.nonfull.notify_one();
-                return Popped::Item(item);
-            }
-            if inner.closed {
-                return Popped::Closed;
-            }
-            let (guard, res) = self
-                .nonempty
-                .wait_timeout(inner, timeout)
-                .unwrap_or_else(PoisonError::into_inner);
-            inner = guard;
-            if res.timed_out() {
-                return Popped::TimedOut;
-            }
+    /// Non-blocking dequeue: `None` when nothing is queued.
+    pub fn try_pop(&self) -> Option<T> {
+        let item = self.lock().items.pop_front()?;
+        self.nonfull.notify_one();
+        Some(item)
+    }
+
+    /// Waits until an item is queued, without taking it — for a
+    /// consumer that takes items under a lock of its own
+    /// ([`BoundedQueue::try_pop`]) and interleaves periodic work
+    /// (shutdown checks).
+    pub fn wait_timeout(&self, timeout: Duration) -> Waited {
+        let inner = self.lock();
+        if !inner.items.is_empty() {
+            return Waited::Ready;
+        }
+        if inner.closed {
+            return Waited::Closed;
+        }
+        let (inner, _) = self
+            .nonempty
+            .wait_timeout(inner, timeout)
+            .unwrap_or_else(PoisonError::into_inner);
+        if !inner.items.is_empty() {
+            Waited::Ready
+        } else if inner.closed {
+            Waited::Closed
+        } else {
+            Waited::TimedOut
         }
     }
 
@@ -271,11 +323,35 @@ mod tests {
     }
 
     #[test]
-    fn pop_timeout_distinguishes_empty_from_closed() {
+    fn wait_timeout_distinguishes_ready_empty_and_closed() {
         let q: BoundedQueue<i32> = BoundedQueue::new(2);
-        assert_eq!(q.pop_timeout(Duration::from_millis(5)), Popped::TimedOut);
+        assert_eq!(q.wait_timeout(Duration::from_millis(5)), Waited::TimedOut);
+        assert_eq!(q.try_pop(), None);
+        q.push(7).unwrap();
+        assert_eq!(q.wait_timeout(Duration::from_millis(5)), Waited::Ready);
+        assert_eq!(q.depth(), 1, "waiting takes nothing");
         q.close();
-        assert_eq!(q.pop_timeout(Duration::from_millis(5)), Popped::Closed);
+        assert_eq!(q.wait_timeout(Duration::from_millis(5)), Waited::Ready);
+        assert_eq!(q.try_pop(), Some(7));
+        assert_eq!(q.wait_timeout(Duration::from_millis(5)), Waited::Closed);
+    }
+
+    #[test]
+    fn push_all_keeps_order_and_follows_the_policy() {
+        let q = Arc::new(BoundedQueue::new(2));
+        assert_eq!(q.push_all(0..4, OverflowPolicy::Reject), Some(2));
+        assert_eq!(q.stats().shed, 2);
+        // Block: the run waits for the consumer instead of shedding.
+        let producer = {
+            let q = Arc::clone(&q);
+            thread::spawn(move || q.push_all(4..7, OverflowPolicy::Block))
+        };
+        let taken: Vec<i32> = (0..5).map(|_| q.pop().unwrap()).collect();
+        assert_eq!(taken, [0, 1, 4, 5, 6]);
+        assert_eq!(producer.join().unwrap(), Some(3));
+        assert_eq!(q.stats().enqueued, 5);
+        q.close();
+        assert_eq!(q.push_all(7..8, OverflowPolicy::Block), None);
     }
 
     #[test]

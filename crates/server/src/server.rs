@@ -3,14 +3,17 @@
 //! Thread model (std-only; the workspace has no async runtime):
 //!
 //! ```text
-//! acceptor ──spawns──▶ reader (per conn) ──Msg──▶ bounded core queue
-//!                      writer (per conn) ◀─lines── router (one thread)
+//! acceptor ──spawns──▶ reader (per conn) ──Msg──▶ router lock, if free
+//!                                          else ─▶ bounded core queue
+//!                      writer (per conn) ◀─lines── router (lock holder)
 //! ```
 //!
-//! The reader parses line-JSON requests and enqueues `Msg`s; under the
-//! `block` policy a full core queue stalls the reader (backpressure
-//! propagates down TCP to the client), under `reject` events are shed
-//! and counted. The writer drains the connection's bounded outbound
+//! The reader parses line-JSON requests and routes them itself when no
+//! other connection holds the router; otherwise it enqueues them for
+//! the holder (or the router thread) to take. Under the `block` policy
+//! a full core queue stalls the reader (backpressure propagates down
+//! TCP to the client), under `reject` events are shed and counted. The
+//! writer drains the connection's bounded outbound
 //! queue; a subscriber that cannot keep up fills it and is disconnected
 //! — its durable cursor lets it resume exactly where it left off.
 
@@ -27,7 +30,7 @@ use ses_query::TickUnit;
 
 use crate::protocol::{self, Request};
 use crate::queue::{BoundedQueue, OverflowPolicy};
-use crate::router::{Conn, ConnTable, Msg, Router};
+use crate::router::{Conn, ConnTable, Ingress, Msg, Router};
 use crate::signal;
 
 /// Server configuration.
@@ -54,8 +57,6 @@ pub struct ServerConfig {
     pub checkpoint_every: usize,
     /// Checkpoints retained.
     pub keep: usize,
-    /// Evict expired events from pattern relations (bounded memory).
-    pub evict: bool,
     /// Crash injection: abort the process after consuming this many
     /// post-restart events (the recovery suite's kill points; read from
     /// `SES_KILL_AFTER` by [`ServerConfig::from_env`]).
@@ -77,7 +78,6 @@ impl ServerConfig {
             event_log: None,
             checkpoint_every: 1000,
             keep: 3,
-            evict: true,
             kill_after: None,
         }
     }
@@ -112,26 +112,29 @@ impl Server {
         let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
         let conns: Arc<Mutex<ConnTable>> = Arc::new(Mutex::new(ConnTable::default()));
 
-        let (router, recovery) = Router::recover(
+        let (ingress, recovery) = Router::recover(
             &config,
             Arc::clone(&queue),
             Arc::clone(&conns),
             Arc::clone(&shutdown),
         )?;
+        let ingress = Arc::new(ingress);
 
         let listener =
             TcpListener::bind(&config.addr).map_err(|e| format!("bind {}: {e}", config.addr))?;
         let addr = listener.local_addr().map_err(|e| e.to_string())?;
         listener.set_nonblocking(true).map_err(|e| e.to_string())?;
 
-        let router_handle = std::thread::Builder::new()
-            .name("ses-router".into())
-            .spawn(move || router.run())
-            .map_err(|e| e.to_string())?;
+        let router_handle = {
+            let ingress = Arc::clone(&ingress);
+            std::thread::Builder::new()
+                .name("ses-router".into())
+                .spawn(move || ingress.run())
+                .map_err(|e| e.to_string())?
+        };
 
         let acceptor_handle = {
             let shutdown = Arc::clone(&shutdown);
-            let queue = Arc::clone(&queue);
             let conns = Arc::clone(&conns);
             let schema = config.schema.clone();
             let policy = config.policy;
@@ -139,7 +142,7 @@ impl Server {
             std::thread::Builder::new()
                 .name("ses-acceptor".into())
                 .spawn(move || {
-                    accept_loop(listener, shutdown, queue, conns, schema, policy, outbound)
+                    accept_loop(listener, shutdown, ingress, conns, schema, policy, outbound)
                 })
                 .map_err(|e| e.to_string())?
         };
@@ -198,7 +201,7 @@ impl Drop for Server {
 fn accept_loop(
     listener: TcpListener,
     shutdown: Arc<AtomicBool>,
-    queue: Arc<BoundedQueue<Msg>>,
+    ingress: Arc<Ingress>,
     conns: Arc<Mutex<ConnTable>>,
     schema: Schema,
     policy: OverflowPolicy,
@@ -221,7 +224,7 @@ fn accept_loop(
                     stream,
                     conn,
                     Arc::clone(&conns),
-                    Arc::clone(&queue),
+                    Arc::clone(&ingress),
                     Arc::clone(&shutdown),
                     schema.clone(),
                     policy,
@@ -241,7 +244,7 @@ fn spawn_connection(
     stream: TcpStream,
     conn: Arc<Conn>,
     conns: Arc<Mutex<ConnTable>>,
-    queue: Arc<BoundedQueue<Msg>>,
+    ingress: Arc<Ingress>,
     shutdown: Arc<AtomicBool>,
     schema: Schema,
     policy: OverflowPolicy,
@@ -272,7 +275,7 @@ fn spawn_connection(
     // grow the table (ids are never reused, see `ConnTable`).
     let name = format!("ses-conn-{}-r", conn.id);
     let spawned = std::thread::Builder::new().name(name).spawn(move || {
-        reader_loop(stream, &conn, &queue, &shutdown, &schema, policy);
+        reader_loop(stream, &conn, &ingress, &shutdown, &schema, policy);
         drop_entry(&conn, &conns);
     });
     let _ = spawned;
@@ -297,7 +300,7 @@ fn writer_loop(stream: TcpStream, conn: Arc<Conn>) {
 fn reader_loop(
     stream: TcpStream,
     conn: &Arc<Conn>,
-    queue: &Arc<BoundedQueue<Msg>>,
+    ingress: &Ingress,
     shutdown: &Arc<AtomicBool>,
     schema: &Schema,
     policy: OverflowPolicy,
@@ -320,13 +323,13 @@ fn reader_loop(
                 // best-effort final line as the `Ok(_)`-at-EOF case.
                 let trimmed = line.trim();
                 if !trimmed.is_empty() {
-                    handle_line(trimmed, conn, queue, schema, policy);
+                    handle_line(trimmed, conn, ingress, schema, policy);
                 }
                 return;
             }
             Ok(_) => {
                 let trimmed = line.trim();
-                if !trimmed.is_empty() && !handle_line(trimmed, conn, queue, schema, policy) {
+                if !trimmed.is_empty() && !handle_line(trimmed, conn, ingress, schema, policy) {
                     return;
                 }
                 // Clear only after the line is fully read and handled.
@@ -353,7 +356,7 @@ fn reader_loop(
 fn handle_line(
     line: &str,
     conn: &Arc<Conn>,
-    queue: &Arc<BoundedQueue<Msg>>,
+    ingress: &Ingress,
     schema: &Schema,
     policy: OverflowPolicy,
 ) -> bool {
@@ -364,77 +367,56 @@ fn handle_line(
             return true;
         }
     };
+    // Control messages always block — they are rare, must not be shed,
+    // and their place in the order is their guarantee.
+    let control = |msg: Msg| ingress.submit(vec![msg], OverflowPolicy::Block).is_some();
     match request {
-        Request::Ingest { ts, values } => ingest_one(ts, &values, conn, queue, schema, policy),
-        Request::Batch { events } => {
-            for (ts, values) in events {
-                if !ingest_one(ts, &values, conn, queue, schema, policy) {
-                    return false;
-                }
-            }
-            true
-        }
-        Request::Sync => control(queue, Msg::Sync { conn: conn.id }),
-        Request::Ping => control(queue, Msg::Ping { conn: conn.id }),
-        Request::Stats => control(queue, Msg::Stats { conn: conn.id }),
-        Request::Shutdown => control(queue, Msg::Shutdown { conn: conn.id }),
+        Request::Ingest { ts, values } => ingest(&[(ts, values)], conn, ingress, schema, policy),
+        Request::Batch { events } => ingest(&events, conn, ingress, schema, policy),
+        Request::Sync => control(Msg::Sync { conn: conn.id }),
+        Request::Ping => control(Msg::Ping { conn: conn.id }),
+        Request::Stats => control(Msg::Stats { conn: conn.id }),
+        Request::Shutdown => control(Msg::Shutdown { conn: conn.id }),
         Request::Subscribe {
             name,
             query,
             cursor,
-        } => control(
-            queue,
-            Msg::Subscribe {
-                conn: conn.id,
-                name,
-                query,
-                cursor,
-            },
-        ),
+        } => control(Msg::Subscribe {
+            conn: conn.id,
+            name,
+            query,
+            cursor,
+        }),
     }
 }
 
-/// Control messages always block — they are rare, must not be shed, and
-/// their queue position is their ordering guarantee.
-fn control(queue: &Arc<BoundedQueue<Msg>>, msg: Msg) -> bool {
-    queue.push(msg).is_some()
-}
-
-fn ingest_one(
-    ts: i64,
-    values: &[ses_metrics::JsonValue],
+/// Types the events of one request and submits them as one run.
+fn ingest(
+    events: &[(i64, Vec<ses_metrics::JsonValue>)],
     conn: &Arc<Conn>,
-    queue: &Arc<BoundedQueue<Msg>>,
+    ingress: &Ingress,
     schema: &Schema,
     policy: OverflowPolicy,
 ) -> bool {
-    let typed = match protocol::event_values(schema, values) {
-        Ok(v) => v,
-        Err(e) => {
-            conn.send(protocol::error("ingest", e));
-            return true;
+    let mut msgs = Vec::with_capacity(events.len());
+    for (ts, values) in events {
+        match protocol::event_values(schema, values) {
+            Ok(values) => msgs.push(Msg::Event {
+                ts: *ts,
+                values,
+                conn: conn.id,
+            }),
+            Err(e) => {
+                conn.send(protocol::error("ingest", e));
+            }
         }
-    };
-    let msg = Msg::Event {
-        ts,
-        values: typed,
-        conn: conn.id,
-    };
-    match policy {
-        OverflowPolicy::Block => {
-            if queue.push(msg).is_none() {
-                return false; // server shutting down
-            }
-            conn.accepted.fetch_add(1, Ordering::SeqCst);
-        }
-        OverflowPolicy::Reject => match queue.try_push(msg) {
-            Ok(_) => {
-                conn.accepted.fetch_add(1, Ordering::SeqCst);
-            }
-            Err(_) => {
-                conn.shed.fetch_add(1, Ordering::SeqCst);
-            }
-        },
     }
+    let offered = msgs.len();
+    let Some(accepted) = ingress.submit(msgs, policy) else {
+        return false; // server shutting down
+    };
+    conn.accepted.fetch_add(accepted as u64, Ordering::SeqCst);
+    conn.shed
+        .fetch_add((offered - accepted) as u64, Ordering::SeqCst);
     true
 }

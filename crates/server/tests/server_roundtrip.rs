@@ -323,3 +323,45 @@ fn batch_ingest_and_multiple_subscribers_fan_out() {
     }
     server.stop().unwrap();
 }
+
+#[test]
+fn a_producer_keeps_its_order_whichever_thread_routes_it() {
+    // A reader routes its own requests when the router is free and
+    // queues them when another connection holds it. Two connections
+    // asking for stats make the producer's frames take both ways; its
+    // strictly increasing timestamps must still arrive in order (none
+    // clamped to the floor) and none may be lost to the 8-slot queue.
+    const FRAMES: i64 = 400;
+    const PER_FRAME: i64 = 16;
+    let mut cfg = config(None);
+    cfg.queue_capacity = 8;
+    let server = Server::start(cfg).unwrap();
+
+    let busy = std::sync::atomic::AtomicBool::new(true);
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                let mut c = connect(&server);
+                while busy.load(std::sync::atomic::Ordering::SeqCst) {
+                    c.stats().unwrap();
+                }
+            });
+        }
+        let mut producer = connect(&server);
+        for f in 0..FRAMES {
+            let frame: Vec<_> = (0..PER_FRAME)
+                .map(|i| (f * PER_FRAME + i + 1, ev(i, "X")))
+                .collect();
+            producer.batch(&frame).unwrap();
+        }
+        let ack = producer.sync().unwrap();
+        busy.store(false, std::sync::atomic::Ordering::SeqCst);
+        let sent = (FRAMES * PER_FRAME) as u64;
+        assert_eq!(ack.get("accepted").and_then(JsonValue::as_u64), Some(sent));
+        assert_eq!(ack.get("consumed").and_then(JsonValue::as_u64), Some(sent));
+        let reply = producer.stats().unwrap();
+        let stats = reply.get("stats").and_then(JsonValue::as_object).unwrap();
+        assert_eq!(stats.get("clamped").and_then(JsonValue::as_u64), Some(0));
+    });
+    server.stop().unwrap();
+}

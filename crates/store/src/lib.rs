@@ -10,7 +10,7 @@
 //! * dataset scaling ([`EventStore::datasets`]) reproducing the paper's
 //!   D1…D5 duplication scheme;
 //! * [`EventStore::partition_by`] — per-key sub-stores (e.g. one per
-//!   patient), used by the partitioning ablation;
+//!   patient);
 //! * [`EventLog`] — an append-only, segmented, checksummed binary log
 //!   with torn-tail recovery and time-range pruning, for workloads that
 //!   outgrow CSV;

@@ -10,15 +10,15 @@
 //!
 //! The batch legs assert exact ordered equality. The streaming, lane and
 //! bank legs assert that the union of the per-push emission schedule and
-//! the finish flush is that same reference answer, with eviction on and
-//! off — *when* each match is emitted is the business of
-//! `tests/stream_vs_batch.rs` and `tests/bank_vs_independent.rs`.
-//! Coverage spans semantics × selection strategy × eviction ×
-//! batch/stream × global/key-sharded execution × the multi-pattern bank,
-//! on both the oracle-shared generators (`common/`) and dense same-group
-//! workloads (group variables under skip-till-any-match: nested
-//! containment chains, duplicate timestamps, equal start/end intervals —
-//! routinely dozens of candidates in one adjudication group).
+//! the finish flush is that same reference answer — *when* each match
+//! is emitted is the business of `tests/stream_vs_batch.rs` and
+//! `tests/bank_vs_independent.rs`. Coverage spans semantics × selection
+//! strategy × batch/stream × global/key-sharded execution × the
+//! multi-pattern bank, on both the oracle-shared generators (`common/`)
+//! and dense same-group workloads (group variables under
+//! skip-till-any-match: nested containment chains, duplicate timestamps,
+//! equal start/end intervals — routinely dozens of candidates in one
+//! adjudication group).
 
 mod common;
 
@@ -79,10 +79,8 @@ fn batch_answer(pat: &Pattern, rel: &Relation, opts: MatcherOptions) -> Vec<Matc
 
 /// Replays `rel` through a stream matcher; returns everything the pushes
 /// and the finish flush emitted, in canonical match order.
-fn stream_union(pat: &Pattern, rel: &Relation, opts: MatcherOptions, evict: bool) -> Vec<Match> {
-    let mut sm = StreamMatcher::with_options(pat, &schema(), opts)
-        .unwrap()
-        .with_eviction(evict);
+fn stream_union(pat: &Pattern, rel: &Relation, opts: MatcherOptions) -> Vec<Match> {
+    let mut sm = StreamMatcher::with_options(pat, &schema(), opts).unwrap();
     let mut out = Vec::new();
     for e in rel.events() {
         out.extend(sm.push(e.ts(), e.values().to_vec()).unwrap());
@@ -155,10 +153,10 @@ proptest! {
         }
     }
 
-    /// Streaming: what the pushes and the finish flush emit, with
-    /// eviction on and off, is the reference answer — the sweep may not
-    /// drop, duplicate or invent a single match as groups are adjudicated
-    /// one watermark crossing at a time.
+    /// Streaming: what the pushes and the finish flush emit is the
+    /// reference answer — the sweep may not drop, duplicate or invent a
+    /// single match as groups are adjudicated one watermark crossing at
+    /// a time.
     #[test]
     fn stream_equals_pairwise_reference(
         rel in relation_strategy_with(2..8, 0..4),
@@ -167,13 +165,11 @@ proptest! {
         for semantics in MODES {
             for selection in SELECTIONS {
                 let reference = reference_answer(&pat, &rel, semantics, selection);
-                for evict in [true, false] {
-                    let streamed = stream_union(&pat, &rel, options(semantics, selection), evict);
-                    prop_assert_eq!(
-                        &streamed, &reference,
-                        "{:?}/{:?} evict={}: stream diverged", semantics, selection, evict
-                    );
-                }
+                let streamed = stream_union(&pat, &rel, options(semantics, selection));
+                prop_assert_eq!(
+                    &streamed, &reference,
+                    "{:?}/{:?}: stream diverged", semantics, selection
+                );
             }
         }
     }
@@ -194,13 +190,8 @@ proptest! {
         let selection = EventSelection::SkipTillAnyMatch;
         for semantics in [MatchSemantics::Maximal, MatchSemantics::Definition2] {
             let reference = reference_answer(&pat, &rel, semantics, selection);
-            for evict in [true, false] {
-                let streamed = stream_union(&pat, &rel, options(semantics, selection), evict);
-                prop_assert_eq!(
-                    &streamed, &reference,
-                    "{:?} evict={}: dense stream diverged", semantics, evict
-                );
-            }
+            let streamed = stream_union(&pat, &rel, options(semantics, selection));
+            prop_assert_eq!(&streamed, &reference, "{:?}: dense stream diverged", semantics);
         }
     }
 

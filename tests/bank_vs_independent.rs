@@ -2,8 +2,7 @@
 //! fed each event **once** emits, per pattern, exactly what N
 //! independent [`StreamMatcher`]s fed **every** event emit — the same
 //! matches, in the same order, *at the same push* — across generated
-//! pattern sets, all semantics modes, both selection strategies, with
-//! eviction on and off.
+//! pattern sets, all semantics modes and both selection strategies.
 //!
 //! The per-push granularity matters: it proves the watermark heartbeat
 //! a skipped pattern receives is observationally identical to the push
@@ -63,15 +62,10 @@ fn independent_schedule(
     patterns: &[Pattern],
     rel: &Relation,
     opts: &MatcherOptions,
-    evict: bool,
 ) -> Vec<Vec<Vec<Match>>> {
     let mut matchers: Vec<StreamMatcher> = patterns
         .iter()
-        .map(|p| {
-            StreamMatcher::with_options(p, &schema(), opts.clone())
-                .unwrap()
-                .with_eviction(evict)
-        })
+        .map(|p| StreamMatcher::with_options(p, &schema(), opts.clone()).unwrap())
         .collect();
     let mut schedule = Vec::new();
     for e in rel.events() {
@@ -86,19 +80,12 @@ fn independent_schedule(
     schedule
 }
 
-fn build_bank(patterns: &[Pattern], opts: &MatcherOptions, evict: bool) -> PatternBank {
-    build_bank_sharing(patterns, opts, evict, false)
+fn build_bank(patterns: &[Pattern], opts: &MatcherOptions) -> PatternBank {
+    build_bank_sharing(patterns, opts, false)
 }
 
-fn build_bank_sharing(
-    patterns: &[Pattern],
-    opts: &MatcherOptions,
-    evict: bool,
-    share: bool,
-) -> PatternBank {
-    let mut builder = PatternBank::builder(&schema())
-        .with_eviction(evict)
-        .with_sharing(share);
+fn build_bank_sharing(patterns: &[Pattern], opts: &MatcherOptions, share: bool) -> PatternBank {
+    let mut builder = PatternBank::builder(&schema()).with_sharing(share);
     for (i, p) in patterns.iter().enumerate() {
         builder = builder.register(format!("p{i}"), p, opts.clone()).unwrap();
     }
@@ -120,9 +107,8 @@ fn bank_schedule(
     patterns: &[Pattern],
     rel: &Relation,
     opts: &MatcherOptions,
-    evict: bool,
 ) -> Vec<Vec<Vec<Match>>> {
-    bank_schedule_sharing(patterns, rel, opts, evict, false)
+    bank_schedule_sharing(patterns, rel, opts, false)
 }
 
 /// As [`bank_schedule`], with structural sharing on or off.
@@ -130,10 +116,9 @@ fn bank_schedule_sharing(
     patterns: &[Pattern],
     rel: &Relation,
     opts: &MatcherOptions,
-    evict: bool,
     share: bool,
 ) -> Vec<Vec<Vec<Match>>> {
-    let mut bank = build_bank_sharing(patterns, opts, evict, share);
+    let mut bank = build_bank_sharing(patterns, opts, share);
     let mut schedule = Vec::new();
     for e in rel.events() {
         let emitted = bank.push(e.ts(), e.values().to_vec()).unwrap();
@@ -149,14 +134,13 @@ fn bank_schedule_sharing(
 fn build_bank_lanes(
     patterns: &[Pattern],
     opts: &MatcherOptions,
-    evict: bool,
     lanes: usize,
 ) -> (PatternBank, Vec<(String, Pattern, MatcherOptions)>) {
     let auto = MatcherOptions {
         partition: PartitionMode::Auto,
         ..opts.clone()
     };
-    let mut builder = PatternBank::builder(&schema()).with_eviction(evict);
+    let mut builder = PatternBank::builder(&schema());
     let mut specs = Vec::new();
     for (i, p) in patterns.iter().enumerate() {
         let name = format!("p{i}");
@@ -174,8 +158,7 @@ fn build_bank_lanes(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The tentpole property: per pattern, per push, bank ≡ independent,
-    /// with eviction on and off.
+    /// The tentpole property: per pattern, per push, bank ≡ independent.
     #[test]
     fn bank_equals_independent_matchers(
         patterns in pattern_set_strategy(),
@@ -186,11 +169,9 @@ proptest! {
     ) {
         let opts = options(MODES[mode], SELECTIONS[sel]);
         for rel in [&rel, &paced_relation(&patterns, &pace)] {
-            for evict in [true, false] {
-                let want = independent_schedule(&patterns, rel, &opts, evict);
-                let got = bank_schedule(&patterns, rel, &opts, evict);
-                prop_assert_eq!(&got, &want, "schedules diverged (evict={})", evict);
-            }
+            let want = independent_schedule(&patterns, rel, &opts);
+            let got = bank_schedule(&patterns, rel, &opts);
+            prop_assert_eq!(&got, &want, "schedules diverged");
         }
     }
 
@@ -209,16 +190,11 @@ proptest! {
     ) {
         let opts = options(MODES[mode], SELECTIONS[sel]);
         for rel in [&rel, &paced_relation(&patterns, &pace)] {
-            for evict in [true, false] {
-                let want = independent_schedule(&patterns, rel, &opts, evict);
-                let shared = bank_schedule_sharing(&patterns, rel, &opts, evict, true);
-                prop_assert_eq!(
-                    &shared, &want,
-                    "sharing diverged from independent (evict={})", evict
-                );
-                let unshared = bank_schedule_sharing(&patterns, rel, &opts, evict, false);
-                prop_assert_eq!(&shared, &unshared, "sharing on/off diverged (evict={})", evict);
-            }
+            let want = independent_schedule(&patterns, rel, &opts);
+            let shared = bank_schedule_sharing(&patterns, rel, &opts, true);
+            prop_assert_eq!(&shared, &want, "sharing diverged from independent");
+            let unshared = bank_schedule_sharing(&patterns, rel, &opts, false);
+            prop_assert_eq!(&shared, &unshared, "sharing on/off diverged");
         }
     }
 
@@ -240,28 +216,22 @@ proptest! {
         let opts = options(MODES[mode], EventSelection::SkipTillNextMatch);
         for rel in [&rel, &paced_relation(&patterns, &pace)] {
             let cut = cut_pick % (rel.len() + 1);
-            for evict in [true, false] {
-                let want = independent_schedule(&patterns, rel, &opts, evict);
-                let (mut bank, specs) = build_bank_lanes(&patterns, &opts, evict, lanes);
-                let mut got = Vec::new();
-                for (n, e) in rel.events().iter().enumerate() {
-                    if n == cut {
-                        let snap = MatcherSnapshot::Bank(bank.snapshot());
-                        let bytes = ses::store::encode_snapshot(&snap);
-                        let MatcherSnapshot::Bank(snap) =
-                            ses::store::decode_snapshot(&bytes).unwrap();
-                        bank = PatternBank::restore(&specs, &schema(), &snap).unwrap();
-                    }
-                    let emitted = bank.push(e.ts(), e.values().to_vec()).unwrap();
-                    got.push(bucket(patterns.len(), emitted));
+            let want = independent_schedule(&patterns, rel, &opts);
+            let (mut bank, specs) = build_bank_lanes(&patterns, &opts, lanes);
+            let mut got = Vec::new();
+            for (n, e) in rel.events().iter().enumerate() {
+                if n == cut {
+                    let snap = MatcherSnapshot::Bank(bank.snapshot());
+                    let bytes = ses::store::encode_snapshot(&snap);
+                    let MatcherSnapshot::Bank(snap) =
+                        ses::store::decode_snapshot(&bytes).unwrap();
+                    bank = PatternBank::restore(&specs, &schema(), &snap).unwrap();
                 }
-                got.push(bucket(patterns.len(), bank.finish()));
-                prop_assert_eq!(
-                    &got, &want,
-                    "lanes diverged (lanes={}, evict={}, cut={})",
-                    lanes, evict, cut
-                );
+                let emitted = bank.push(e.ts(), e.values().to_vec()).unwrap();
+                got.push(bucket(patterns.len(), emitted));
             }
+            got.push(bucket(patterns.len(), bank.finish()));
+            prop_assert_eq!(&got, &want, "lanes diverged (lanes={}, cut={})", lanes, cut);
         }
     }
 
@@ -288,8 +258,8 @@ proptest! {
         // stretch, with heartbeats withheld on either side of it.
         for rel in [&rel, &paced_relation(&patterns, &pace)] {
             let cut = cut_pick % (rel.len() + 1);
-            let mut live = build_bank(&patterns, &opts, true);
-            let mut twin = build_bank(&patterns, &opts, true);
+            let mut live = build_bank(&patterns, &opts);
+            let mut twin = build_bank(&patterns, &opts);
             let mut live_out = Vec::new();
             let mut twin_out = Vec::new();
             for e in &rel.events()[..cut] {
@@ -340,8 +310,8 @@ proptest! {
 
         for rel in [&rel, &paced_relation(&patterns, &pace)] {
             let cut = cut_pick % (rel.len() + 1);
-            let mut live = build_bank_sharing(&patterns, &opts, true, true);
-            let mut twin = build_bank_sharing(&patterns, &opts, true, true);
+            let mut live = build_bank_sharing(&patterns, &opts, true);
+            let mut twin = build_bank_sharing(&patterns, &opts, true);
             let shares = live.sharing_active();
             let mut live_out = Vec::new();
             let mut twin_out = Vec::new();
@@ -396,9 +366,9 @@ proptest! {
                     .enumerate()
                     .map(|(i, p)| (format!("p{i}"), p.clone(), opts.clone()))
                     .collect();
-                (build_bank_sharing(&patterns, &opts, true, layout == 1), specs)
+                (build_bank_sharing(&patterns, &opts, layout == 1), specs)
             }
-            _ => build_bank_lanes(&patterns, &opts, true, 2),
+            _ => build_bank_lanes(&patterns, &opts, 2),
         };
         for rel in [&rel, &paced_relation(&patterns, &pace)] {
             let cut = cut_pick % (rel.len() + 1);
@@ -449,7 +419,7 @@ proptest! {
         let early = early_pick % (patterns.len() + 1);
         for rel in [&rel, &paced_relation(&patterns, &pace)] {
             let cut = cut_pick % (rel.len() + 1);
-            let mut bank = build_bank(&patterns[..early], &opts, true);
+            let mut bank = build_bank(&patterns[..early], &opts);
             let mut oracle: Vec<Option<StreamMatcher>> = patterns
                 .iter()
                 .enumerate()
@@ -522,7 +492,7 @@ fn skipped_pattern_finalizes_on_heartbeats_alone() {
         .build()
         .unwrap();
     let opts = MatcherOptions::default();
-    let mut bank = build_bank(&[ab, x_only], &opts, true);
+    let mut bank = build_bank(&[ab, x_only], &opts);
     // No X ever arrives: pattern 1 lives on heartbeats only.
     let mut out = Vec::new();
     for (t, l) in [(1, "A"), (1, "B"), (1, "A"), (3, "B"), (9, "A"), (10, "B")] {
@@ -537,6 +507,43 @@ fn skipped_pattern_finalizes_on_heartbeats_alone() {
     out.extend(bank.finish());
     assert!(out.iter().all(|(i, _)| *i == 0));
     assert!(!out.is_empty(), "the ab pattern should have matched");
+}
+
+/// The bank's cost model, counted not timed, on the bank workload at
+/// 4 / 16 / 64 / 256 patterns: the index routes each event to fewer
+/// matchers than `patterns`, and all the patterns an event is *not*
+/// routed to — 3 or 255 of them — cost fewer than two executed
+/// heartbeats between them, because a skipped matcher is heartbeat only
+/// when its deadline comes due.
+#[test]
+fn skipped_patterns_cost_under_two_heartbeats_per_event() {
+    use ses::workload::bank::{generate, patterns, schema, BankConfig};
+    const EVENTS: usize = 2_000;
+    for n in [4usize, 16, 64, 256] {
+        let cfg = BankConfig::small().with_patterns(n).with_events(EVENTS);
+        let mut builder = PatternBank::builder(&schema());
+        for (name, p) in patterns(&cfg) {
+            builder = builder
+                .register(name, &p, MatcherOptions::default())
+                .unwrap();
+        }
+        let mut bank = builder.build();
+        for e in generate(&cfg).events() {
+            bank.push(e.ts(), e.values().to_vec()).unwrap();
+        }
+        let routed = bank.total_hits();
+        assert!(
+            routed < (n * EVENTS) as u64,
+            "{n} patterns: {routed} routed pushes of {} — the index routed nothing away",
+            n * EVENTS
+        );
+        let heartbeats: u64 = bank.stats().iter().map(|s| s.heartbeats).sum();
+        assert!(
+            heartbeats < 2 * EVENTS as u64,
+            "{n} patterns executed {:.2} heartbeats per event",
+            heartbeats as f64 / EVENTS as f64
+        );
+    }
 }
 
 /// `{a, b} ; {c}` fully correlated on `ID`, which makes `ID` a proven
@@ -580,9 +587,9 @@ fn idle_lane_emits_on_foreign_pushes() {
                     .unwrap();
             }
             let patterns = [pattern.clone()];
-            let want = independent_schedule(&patterns, &rel, &opts, true);
+            let want = independent_schedule(&patterns, &rel, &opts);
             assert_eq!(want[4][0].len(), 1, "key 1's match is due at the t=50 push");
-            let (mut bank, _) = build_bank_lanes(&patterns, &opts, true, lanes);
+            let (mut bank, _) = build_bank_lanes(&patterns, &opts, lanes);
             assert_eq!(bank.stats()[0].lanes, lanes);
             let mut got = Vec::new();
             for e in rel.events() {

@@ -92,15 +92,8 @@ fn expect_columnar(pat: &Pattern, len: usize) -> bool {
 
 /// Per-push emission schedule of a per-event stream replay (always
 /// admitted event by event); the finish flush is the last entry.
-fn per_event_schedule(
-    pat: &Pattern,
-    rel: &Relation,
-    opts: &MatcherOptions,
-    evict: bool,
-) -> Vec<Vec<Match>> {
-    let mut sm = StreamMatcher::with_options(pat, &schema(), opts.clone())
-        .unwrap()
-        .with_eviction(evict);
+fn per_event_schedule(pat: &Pattern, rel: &Relation, opts: &MatcherOptions) -> Vec<Vec<Match>> {
+    let mut sm = StreamMatcher::with_options(pat, &schema(), opts.clone()).unwrap();
     let mut schedule = Vec::new();
     for e in rel.events() {
         schedule.push(sm.push(e.ts(), e.values().to_vec()).unwrap());
@@ -115,12 +108,9 @@ fn batched_schedule(
     pat: &Pattern,
     rel: &Relation,
     opts: &MatcherOptions,
-    evict: bool,
     batch: usize,
 ) -> Vec<Vec<Match>> {
-    let mut sm = StreamMatcher::with_options(pat, &schema(), opts.clone())
-        .unwrap()
-        .with_eviction(evict);
+    let mut sm = StreamMatcher::with_options(pat, &schema(), opts.clone()).unwrap();
     let events: Vec<Event> = rel.events().to_vec();
     let mut schedule = Vec::new();
     for chunk in events.chunks(batch) {
@@ -154,7 +144,7 @@ proptest! {
                 );
                 let mut found = matcher.find(&rel);
                 found.sort();
-                let mut pushed: Vec<Match> = per_event_schedule(&pat, &rel, &opts, true)
+                let mut pushed: Vec<Match> = per_event_schedule(&pat, &rel, &opts)
                     .into_iter()
                     .flatten()
                     .collect();
@@ -166,10 +156,10 @@ proptest! {
 
     /// Property 2: a micro-batched stream emits the same matches at the
     /// same pushes as a per-event stream, for every chunk length in
-    /// [`LENGTHS`] and with eviction on and off. Comparing the schedule
-    /// chunk-by-chunk (the batch's emission is the exact concatenation
-    /// of its events' per-push emissions) proves the batch API preserves
-    /// push-for-push emission timing, not just the final answer.
+    /// [`LENGTHS`]. Comparing the schedule chunk-by-chunk (the batch's
+    /// emission is the exact concatenation of its events' per-push
+    /// emissions) proves the batch API preserves push-for-push emission
+    /// timing, not just the final answer.
     #[test]
     fn columnar_push_batch_preserves_emission_timing(
         rel in relation_strategy(),
@@ -182,28 +172,26 @@ proptest! {
         prop_assert_eq!(expect_columnar(&pat, rel.len()), rel.len() >= 16);
         for semantics in MODES {
             let opts = options(semantics, EventSelection::SkipTillNextMatch);
-            for evict in [true, false] {
-                let scalar = per_event_schedule(&pat, &rel, &opts, evict);
-                let (pushes, finish) = scalar.split_at(scalar.len() - 1);
-                for batch in LENGTHS {
-                    let batched = batched_schedule(&pat, &rel, &opts, evict, batch);
-                    let (bpushes, bfinish) = batched.split_at(batched.len() - 1);
-                    // Finish flushes agree…
-                    prop_assert_eq!(
-                        &bfinish[0], &finish[0],
-                        "finish: {:?}/evict={}/batch={}", semantics, evict, batch
-                    );
-                    // …and each chunk's emission is the concatenation of
-                    // its events' per-push emissions.
-                    let chunked: Vec<Vec<Match>> = pushes
-                        .chunks(batch)
-                        .map(|c| c.iter().flatten().cloned().collect())
-                        .collect();
-                    prop_assert_eq!(
-                        bpushes, &chunked[..],
-                        "schedule: {:?}/evict={}/batch={}", semantics, evict, batch
-                    );
-                }
+            let scalar = per_event_schedule(&pat, &rel, &opts);
+            let (pushes, finish) = scalar.split_at(scalar.len() - 1);
+            for batch in LENGTHS {
+                let batched = batched_schedule(&pat, &rel, &opts, batch);
+                let (bpushes, bfinish) = batched.split_at(batched.len() - 1);
+                // Finish flushes agree…
+                prop_assert_eq!(
+                    &bfinish[0], &finish[0],
+                    "finish: {:?}/batch={}", semantics, batch
+                );
+                // …and each chunk's emission is the concatenation of
+                // its events' per-push emissions.
+                let chunked: Vec<Vec<Match>> = pushes
+                    .chunks(batch)
+                    .map(|c| c.iter().flatten().cloned().collect())
+                    .collect();
+                prop_assert_eq!(
+                    bpushes, &chunked[..],
+                    "schedule: {:?}/batch={}", semantics, batch
+                );
             }
         }
     }

@@ -53,10 +53,9 @@ fn options(semantics: MatchSemantics, selection: EventSelection) -> MatcherOptio
 fn build(
     pat: &Pattern,
     opts: &MatcherOptions,
-    evict: bool,
     lanes: Option<usize>,
 ) -> Result<PatternBank, ses::core::CoreError> {
-    let builder = PatternBank::builder(&schema()).with_eviction(evict);
+    let builder = PatternBank::builder(&schema());
     Ok(match lanes {
         None => builder.register("p", pat, opts.clone())?,
         Some(n) => builder.register_lanes("p", pat, laned_opts(opts), n)?,
@@ -96,10 +95,9 @@ fn uninterrupted(
     pat: &Pattern,
     rel: &Relation,
     opts: &MatcherOptions,
-    evict: bool,
     lanes: Option<usize>,
 ) -> Vec<String> {
-    let mut bank = build(pat, opts, evict, lanes).unwrap();
+    let mut bank = build(pat, opts, lanes).unwrap();
     let mut lines = Vec::new();
     for (_, e) in rel.iter() {
         for m in push(&mut bank, e) {
@@ -123,12 +121,10 @@ fn uninterrupted(
 /// kill), `false` drops back to the checkpoint's high-water mark (the
 /// worst legal loss, since the sink is synced before every save).
 /// Suppression must produce the identical stream either way.
-#[allow(clippy::too_many_arguments)]
 fn crash_and_recover(
     pat: &Pattern,
     rel: &Relation,
     opts: &MatcherOptions,
-    evict: bool,
     lanes: Option<usize>,
     kill_after: usize,
     every: usize,
@@ -137,7 +133,7 @@ fn crash_and_recover(
     let events: Vec<Event> = rel.iter().map(|(_, e)| e.clone()).collect();
 
     // Phase 1: the run that dies after `kill_after` pushes.
-    let mut sm = build(pat, opts, evict, lanes).unwrap();
+    let mut sm = build(pat, opts, lanes).unwrap();
     let mut sink: Vec<String> = Vec::new();
     let mut ckpt: Option<(Vec<u8>, u64)> = None; // (encoded snapshot, sink lines at save)
     let mut since = 0usize;
@@ -178,7 +174,7 @@ fn crash_and_recover(
         None => {
             // Killed before the first checkpoint: cold-start over the
             // whole log.
-            let sm = build(pat, opts, evict, lanes).unwrap();
+            let sm = build(pat, opts, lanes).unwrap();
             (sm, events.clone(), 0, 0)
         }
     };
@@ -205,28 +201,17 @@ fn crash_and_recover(
 /// Every kill point, every cadence, both tail-durability outcomes:
 /// recovery reproduces the uninterrupted stream exactly.
 fn assert_exactly_once(pat: &Pattern, rel: &Relation, opts: &MatcherOptions, lanes: Option<usize>) {
-    for evict in [true, false] {
-        let reference = uninterrupted(pat, rel, opts, evict, lanes);
-        for every in [1, 2, 4] {
-            for kill_after in 0..=rel.len() {
-                for durable_tail in [true, false] {
-                    let recovered = crash_and_recover(
-                        pat,
-                        rel,
-                        opts,
-                        evict,
-                        lanes,
-                        kill_after,
-                        every,
-                        durable_tail,
-                    );
-                    assert_eq!(
-                        recovered, reference,
-                        "divergence: evict={evict} every={every} \
-                         kill_after={kill_after} durable_tail={durable_tail} \
-                         lanes={lanes:?}"
-                    );
-                }
+    let reference = uninterrupted(pat, rel, opts, lanes);
+    for every in [1, 2, 4] {
+        for kill_after in 0..=rel.len() {
+            for durable_tail in [true, false] {
+                let recovered =
+                    crash_and_recover(pat, rel, opts, lanes, kill_after, every, durable_tail);
+                assert_eq!(
+                    recovered, reference,
+                    "divergence: every={every} kill_after={kill_after} \
+                     durable_tail={durable_tail} lanes={lanes:?}"
+                );
             }
         }
     }
@@ -297,9 +282,9 @@ fn every_kill_point_recovers_exactly_once_on_lanes() {
     for semantics in MODES {
         let opts = options(semantics, EventSelection::SkipTillNextMatch);
         // Lanes change where work runs, never what is emitted when.
-        let global = uninterrupted(&pat, &rel, &opts, true, None);
+        let global = uninterrupted(&pat, &rel, &opts, None);
         for lanes in [1, 2, 3] {
-            assert_eq!(uninterrupted(&pat, &rel, &opts, true, Some(lanes)), global);
+            assert_eq!(uninterrupted(&pat, &rel, &opts, Some(lanes)), global);
             assert_exactly_once(&pat, &rel, &opts, Some(lanes));
         }
     }
@@ -313,7 +298,7 @@ fn on_disk_checkpoints_recover_every_kill_point() {
     let pat = correlated_pattern();
     let rel = tie_heavy_relation();
     let opts = options(MatchSemantics::Maximal, EventSelection::SkipTillNextMatch);
-    let reference = uninterrupted(&pat, &rel, &opts, true, None);
+    let reference = uninterrupted(&pat, &rel, &opts, None);
     let events: Vec<Event> = rel.iter().map(|(_, e)| e.clone()).collect();
 
     let base = std::env::temp_dir().join(format!(
@@ -329,7 +314,7 @@ fn on_disk_checkpoints_recover_every_kill_point() {
         {
             let mut store = CheckpointStore::open(&dir, 2).unwrap();
             let mut sink = MatchLog::open(dir.join("matches.log")).unwrap();
-            let mut sm = build(&pat, &opts, true, None).unwrap();
+            let mut sm = build(&pat, &opts, None).unwrap();
             for (i, e) in events[..kill_after].iter().enumerate() {
                 for m in push(&mut sm, e) {
                     sink.append(&m.display_with(&pat).to_string()).unwrap();
@@ -356,12 +341,7 @@ fn on_disk_checkpoints_recover_every_kill_point() {
                 let skip = sm.ties_at_watermark();
                 (sm, replay, skip, l.snapshot.emitted())
             }
-            None => (
-                build(&pat, &opts, true, None).unwrap(),
-                events.clone(),
-                0,
-                0,
-            ),
+            None => (build(&pat, &opts, None).unwrap(), events.clone(), 0, 0),
         };
         let mut suppress = sink.lines().saturating_sub(emitted_at_ckpt);
         for e in replay.iter().skip(skip) {
@@ -397,7 +377,7 @@ fn corrupted_checkpoint_falls_back_and_replays_the_gap() {
     let pat = correlated_pattern();
     let rel = tie_heavy_relation();
     let opts = options(MatchSemantics::Maximal, EventSelection::SkipTillNextMatch);
-    let reference = uninterrupted(&pat, &rel, &opts, true, None);
+    let reference = uninterrupted(&pat, &rel, &opts, None);
     let events: Vec<Event> = rel.iter().map(|(_, e)| e.clone()).collect();
 
     let dir = std::env::temp_dir().join(format!(
@@ -409,7 +389,7 @@ fn corrupted_checkpoint_falls_back_and_replays_the_gap() {
 
     let mut store = CheckpointStore::open(&dir, 4).unwrap();
     let mut sink = MatchLog::open(dir.join("matches.log")).unwrap();
-    let mut sm = build(&pat, &opts, true, None).unwrap();
+    let mut sm = build(&pat, &opts, None).unwrap();
     for (i, e) in events.iter().enumerate() {
         for m in push(&mut sm, e) {
             sink.append(&m.display_with(&pat).to_string()).unwrap();
@@ -615,11 +595,11 @@ proptest! {
         selection_ix in 0usize..2,
     ) {
         let opts = options(MODES[semantics_ix], SELECTIONS[selection_ix]);
-        let reference = uninterrupted(&pat, &rel, &opts, true, None);
+        let reference = uninterrupted(&pat, &rel, &opts, None);
         for kill_after in 0..=rel.len() {
             for durable_tail in [true, false] {
                 let recovered = crash_and_recover(
-                    &pat, &rel, &opts, true, None, kill_after, 2, durable_tail,
+                    &pat, &rel, &opts, None, kill_after, 2, durable_tail,
                 );
                 prop_assert_eq!(
                     &recovered, &reference,
@@ -641,13 +621,13 @@ proptest! {
     ) {
         let opts = options(MODES[semantics_ix], EventSelection::SkipTillNextMatch);
         // Skip (don't fail) patterns the analyzer cannot shard by key.
-        if build(&pat, &opts, true, Some(lanes)).is_err() {
+        if build(&pat, &opts, Some(lanes)).is_err() {
             return Ok(());
         }
-        let reference = uninterrupted(&pat, &rel, &opts, true, Some(lanes));
+        let reference = uninterrupted(&pat, &rel, &opts, Some(lanes));
         for kill_after in 0..=rel.len() {
             let recovered = crash_and_recover(
-                &pat, &rel, &opts, true, Some(lanes), kill_after, 2, true,
+                &pat, &rel, &opts, Some(lanes), kill_after, 2, true,
             );
             prop_assert_eq!(&recovered, &reference, "kill_after={}", kill_after);
         }

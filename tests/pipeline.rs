@@ -69,8 +69,7 @@ fn finance_pipeline_finds_planted_motifs() {
 #[test]
 fn rfid_pipeline_partitioned_equals_global() {
     // Matching per-tag partitions must find the same number of matches
-    // as the correlated global query (the partitioning ablation's
-    // correctness premise).
+    // as the correlated global query.
     let cfg = rfid::RfidConfig::small();
     let tape = rfid::generate(&cfg);
     let pattern = rfid::fulfillment_pattern(Duration::ticks(cfg.journey_seconds * 2));

@@ -1,6 +1,7 @@
-//! Differential suite: the streaming matcher — eager watermark emission,
-//! with and without eviction — produces exactly the batch
-//! `Matcher::find` answer, match for match, under every semantics mode.
+//! Differential suite: the streaming matcher — eager watermark emission
+//! over an evicting relation — produces exactly the batch
+//! `Matcher::find` answer (which never evicts), match for match, under
+//! every semantics mode.
 //!
 //! The generators are shared with `oracle.rs` (see `common/`), so the
 //! pattern space proven correct against the brute-force oracle is the
@@ -30,15 +31,8 @@ fn options(semantics: MatchSemantics) -> MatcherOptions {
 
 /// Replays `rel` through a stream matcher; returns the per-push emission
 /// schedule plus the finish flush (last entry).
-fn stream_schedule(
-    pat: &Pattern,
-    rel: &Relation,
-    semantics: MatchSemantics,
-    evict: bool,
-) -> Vec<Vec<Match>> {
-    let mut sm = StreamMatcher::with_options(pat, &schema(), options(semantics))
-        .unwrap()
-        .with_eviction(evict);
+fn stream_schedule(pat: &Pattern, rel: &Relation, semantics: MatchSemantics) -> Vec<Vec<Match>> {
+    let mut sm = StreamMatcher::with_options(pat, &schema(), options(semantics)).unwrap();
     let mut schedule = Vec::new();
     for e in rel.events() {
         schedule.push(sm.push(e.ts(), e.values().to_vec()).unwrap());
@@ -59,9 +53,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// Concatenated push emissions + finish equal the batch answer as a
-    /// set, for every semantics, with eviction on and off. Equality with
-    /// the (deduplicated) batch answer also proves exactly-once
-    /// emission.
+    /// set, for every semantics. Equality with the (deduplicated) batch
+    /// answer also proves exactly-once emission.
     #[test]
     fn streamed_equals_batch(
         rel in relation_strategy_with(2..8, 0..4),
@@ -69,33 +62,35 @@ proptest! {
     ) {
         for semantics in MODES {
             let batch = batch_answer(&pat, &rel, semantics);
-            for evict in [true, false] {
-                let mut streamed: Vec<Match> =
-                    stream_schedule(&pat, &rel, semantics, evict)
-                        .into_iter()
-                        .flatten()
-                        .collect();
-                streamed.sort();
-                prop_assert_eq!(
-                    &streamed, &batch,
-                    "{:?} evict={} diverged from batch", semantics, evict
-                );
-            }
+            let mut streamed: Vec<Match> = stream_schedule(&pat, &rel, semantics)
+                .into_iter()
+                .flatten()
+                .collect();
+            streamed.sort();
+            prop_assert_eq!(&streamed, &batch, "{:?} diverged from batch", semantics);
         }
     }
 
     /// Eviction changes *nothing observable*: not just the final set,
-    /// but the push-by-push emission schedule is identical with and
-    /// without it.
+    /// but the push-by-push emission schedule is the batch answer —
+    /// computed over the full, never evicted relation — cut at the
+    /// window closes: a match leaves with the first push more than `τ`
+    /// past its first binding, or with `finish`.
     #[test]
-    fn eviction_preserves_emission_schedule(
+    fn emission_schedule_is_the_batch_answer_cut_at_window_closes(
         rel in relation_strategy_with(2..8, 0..4),
         pat in pattern_strategy(),
     ) {
         for semantics in MODES {
-            let on = stream_schedule(&pat, &rel, semantics, true);
-            let off = stream_schedule(&pat, &rel, semantics, false);
-            prop_assert_eq!(&on, &off, "{:?}: schedules diverged", semantics);
+            let mut expected = vec![Vec::new(); rel.len() + 1];
+            for m in batch_answer(&pat, &rel, semantics) {
+                let closes = rel.event(m.first_event()).ts() + pat.within();
+                let slot = rel.events().partition_point(|e| e.ts() <= closes);
+                expected[slot].push(m);
+            }
+            let mut schedule = stream_schedule(&pat, &rel, semantics);
+            schedule.iter_mut().for_each(|emitted| emitted.sort());
+            prop_assert_eq!(&schedule, &expected, "{:?}: schedules diverged", semantics);
         }
     }
 
@@ -107,7 +102,7 @@ proptest! {
         rel in relation_strategy_with(2..8, 0..4),
         pat in pattern_strategy(),
     ) {
-        let schedule = stream_schedule(&pat, &rel, MatchSemantics::Maximal, true);
+        let schedule = stream_schedule(&pat, &rel, MatchSemantics::Maximal);
         let (finish, pushes) = schedule.split_last().unwrap();
         let mut seen: Vec<&Match> = Vec::new();
         for (i, emitted) in pushes.iter().enumerate() {
