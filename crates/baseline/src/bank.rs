@@ -113,7 +113,6 @@ impl BruteForce {
             selection: self.options.selection,
             flush_at_end: self.options.flush_at_end,
             max_instances: self.options.max_instances,
-            spawn_start: true,
         };
         let mut executions: Vec<Execution<'_>> = self
             .automata

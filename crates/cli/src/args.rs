@@ -53,15 +53,7 @@ const VALUED: &[&str] = &[
 
 /// Bare switches. Anything else starting with `--` is refused by name: a
 /// stale flag silently ignored would change what a script measures.
-const SWITCHES: &[&str] = &[
-    "closure",
-    "dot",
-    "propagate",
-    "recover",
-    "share",
-    "stats",
-    "trace",
-];
+const SWITCHES: &[&str] = &["closure", "dot", "propagate", "recover", "stats", "trace"];
 
 impl Args {
     /// Parses an argument vector (without the program name).

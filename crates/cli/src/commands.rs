@@ -43,7 +43,6 @@ USAGE:
                    (--data <file.csv> | --from-log <dir>)
                    [--limit N] [--stats]
                    [--partition auto|ATTR|off] [--shards N]
-                   [--share]
                    [--semantics …] [--selection …] [--filter …]
                    [--checkpoint <dir> [--checkpoint-every N] [--keep K]]
                    [--recover]
@@ -59,10 +58,10 @@ USAGE:
                     watermark heartbeat when their deadline comes due.
                     --partition hash-routes events by the partition key
                     to N lanes of every pattern that proves one.
-                    --share deduplicates provably equivalent patterns
-                    and evaluates shared sequencing prefixes once per
-                    routed event (preview with `check --patterns`);
-                    matches are unchanged.
+                    Evaluation-identical patterns — one query under two
+                    names, or with its variables renamed — run one
+                    matcher between them (preview with `check
+                    --patterns`).
                     --from-log replays a binary event log (see `import`);
                     with --checkpoint the bank is snapshotted every N
                     events (default 1000, keeping the last K
@@ -87,9 +86,8 @@ USAGE:
                     pragma line in the query file, or --data.
                     --patterns lints a whole pattern set instead,
                     grouped by schema pragma: equivalent patterns
-                    [SES006], subsumed patterns [SES007], and shared
-                    sequencing prefixes [SES008] that `bank --share`
-                    evaluates once — plus the sharing plan per group)
+                    [SES006] and subsumed patterns [SES007] — plus how
+                    many patterns per group a bank deduplicates)
   ses-cli explain  --query <file-or-text> --data <file.csv> [--dot|--trace]
   ses-cli generate --workload chemo|finance|rfid|clickstream --out <file.csv>
                    [--seed N] [--scale F]
@@ -640,14 +638,12 @@ fn cmd_check(args: &Args, out: &mut dyn Write) -> Result<(), String> {
 /// the per-pattern SES001–SES005 findings it reports:
 ///
 /// - `SES006` — a later pattern provably equivalent to an earlier one;
-/// - `SES007` — a pattern subsumed by a more general one;
-/// - `SES008` — membership in a shared-prefix group `bank --share`
-///   evaluates once per routed event.
+/// - `SES007` — a pattern subsumed by a more general one.
 ///
-/// SES006–008 are warnings/info: the command still exits 0 unless an
+/// Both are warnings: the command still exits 0 unless an
 /// error-severity diagnostic (SES001/SES005) is present.
 fn cmd_check_bank(args: &Args, out: &mut dyn Write) -> Result<(), String> {
-    use ses_pattern::{Diagnostic, DiagnosticCode, PatternRelation, ShareConstraint, SharingPlan};
+    use ses_pattern::{Diagnostic, DiagnosticCode, PatternRelation, ShareRole, SharingPlan};
 
     let spec = args.require("patterns")?;
     let tick = parse_tick(args)?;
@@ -709,7 +705,7 @@ fn cmd_check_bank(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     }
 
     // Cross-pattern pass, independently per schema group: patterns over
-    // different schemas can never share an automaton, so relating them
+    // different schemas can never share a matcher, so relating them
     // would be meaningless.
     let mut groups: Vec<(String, Vec<usize>)> = Vec::new();
     for (i, l) in lints.iter().enumerate() {
@@ -722,25 +718,35 @@ fn cmd_check_bank(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     let mut pending: Vec<(usize, Diagnostic)> = Vec::new();
     let mut plans: Vec<(String, usize, SharingPlan)> = Vec::new();
     for (key, members) in &groups {
+        // What a bank of the group deduplicates: equivalent patterns
+        // that are also evaluation-identical, in declaration order.
+        let group_patterns: Vec<&ses_pattern::Pattern> =
+            members.iter().map(|&i| &lints[i].pattern).collect();
+        let plan = SharingPlan::compute(&group_patterns, &[]);
         // SES006/SES007 from the conservative pairwise relation; each
         // pattern is flagged at most once per code to keep a bank of n
         // near-duplicates from drowning in O(n²) repeats.
         let mut equiv_flagged = std::collections::HashSet::new();
         let mut subsumed_flagged = std::collections::HashSet::new();
         for (ai, &a) in members.iter().enumerate() {
-            for &b in &members[ai + 1..] {
+            for (bi, &b) in members.iter().enumerate().skip(ai + 1) {
                 match ses_pattern::relate(&lints[a].pattern, &lints[b].pattern) {
                     PatternRelation::Equivalent => {
                         if equiv_flagged.insert(b) {
+                            let folded = plan.roles[bi] == ShareRole::DedupMember { leader: ai };
                             pending.push((
                                 b,
                                 Diagnostic::new(
                                     DiagnosticCode::EquivalentPatterns,
                                     format!(
                                         "provably equivalent to `{}` (up to variable renaming): \
-                                         one of the two is redundant; `bank --share` deduplicates \
-                                         them into one automaton",
-                                        lints[a].name
+                                         one of the two is redundant{}",
+                                        lints[a].name,
+                                        if folded {
+                                            "; the bank runs one matcher for both"
+                                        } else {
+                                            ""
+                                        }
                                     ),
                                 ),
                             ));
@@ -778,46 +784,8 @@ fn cmd_check_bank(args: &Args, out: &mut dyn Write) -> Result<(), String> {
                             ));
                         }
                     }
-                    PatternRelation::SharedPrefix { .. } | PatternRelation::Unrelated => {}
+                    PatternRelation::Unrelated => {}
                 }
-            }
-        }
-
-        // SES008 from the sharing plan `bank --share` would execute
-        // (declaration-order prefixes, τ included) rather than the looser
-        // pairwise relation, so the lint reports exactly what sharing
-        // would do.
-        let group_patterns: Vec<&ses_pattern::Pattern> =
-            members.iter().map(|&i| &lints[i].pattern).collect();
-        let constraints: Vec<ShareConstraint> = members
-            .iter()
-            .map(|&i| ShareConstraint {
-                compat: 0,
-                allow_dedup: true,
-                allow_prefix: lints[i].satisfiable,
-            })
-            .collect();
-        let plan = SharingPlan::compute(&group_patterns, &constraints);
-        for g in &plan.prefix_groups {
-            let first = lints[members[g.members[0]]].name.clone();
-            for (pos, &m) in g.members.iter().enumerate() {
-                if pos == 0 {
-                    continue;
-                }
-                pending.push((
-                    members[m],
-                    Diagnostic::new(
-                        DiagnosticCode::SharedPrefix,
-                        format!(
-                            "shares its first {} event set(s) ({} variable(s)) with `{first}`: \
-                             `bank --share` evaluates the common prefix once per routed event \
-                             ({} patterns in the group)",
-                            g.sets,
-                            g.vars,
-                            g.members.len()
-                        ),
-                    ),
-                ));
             }
         }
         plans.push((key.clone(), members.len(), plan));
@@ -1084,7 +1052,7 @@ fn build_bank(
     if lanes == 0 {
         return Err("--shards must be positive".to_string());
     }
-    let mut builder = PatternBank::builder(schema).with_sharing(args.has_flag("share"));
+    let mut builder = PatternBank::builder(schema);
     for (name, p, options) in specs {
         let sharded = match options.partition {
             PartitionMode::Off => false,
@@ -1115,9 +1083,8 @@ fn build_bank(
 /// `--query`, of many `--patterns` — pushing each event once. The
 /// predicate index routes it only to the patterns it could advance (see
 /// `docs/patternbank.md`), `--partition` shards the patterns that prove
-/// a key over `--shards` hash lanes, and `--share` deduplicates
-/// equivalent patterns and evaluates shared sequencing prefixes once
-/// (run `check --patterns` to preview the plan). Matches print as the
+/// a key over `--shards` hash lanes, and evaluation-identical patterns
+/// run one matcher between them. Matches print as the
 /// watermark finalizes them. With `--from-log` + `--checkpoint` the bank
 /// is snapshotted at the configured cadence and matches also go to
 /// `<dir>/matches.log`; `--recover` restores the newest valid
@@ -1188,8 +1155,7 @@ fn cmd_stream(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         None => (0, 0),
     };
 
-    let sharing = bank.sharing_active();
-    let plan_summary = bank.sharing_plan().describe();
+    let deduplicated = bank.sharing_plan().deduplicated();
     let limit: usize = args.get_parsed("limit", usize::MAX)?;
     let sw = Stopwatch::start();
     let mut probe = CountingProbe::new();
@@ -1277,10 +1243,8 @@ fn cmd_stream(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     }
     writeln!(
         out,
-        "{total} match(es) from {} pattern(s) over {consumed} event(s) in {elapsed:.3}s \
-         (sharing {})",
-        patterns.len(),
-        if sharing { "on" } else { "off" }
+        "{total} match(es) from {} pattern(s) over {consumed} event(s) in {elapsed:.3}s",
+        patterns.len()
     )
     .map_err(io_err)?;
 
@@ -1312,10 +1276,7 @@ fn cmd_stream(args: &Args, out: &mut dyn Write) -> Result<(), String> {
             ]);
         }
         let mut totals = Table::new(["metric", "value"]);
-        totals.row(["sharing", if sharing { "on" } else { "off" }]);
-        if sharing {
-            totals.row(["sharing plan", &plan_summary]);
-        }
+        totals.row(["deduplicated", &deduplicated.to_string()]);
         totals.row(["routed pushes", &probe.index_hits.to_string()]);
         totals.row(["skipped", &probe.index_skips.to_string()]);
         totals.row([
@@ -1659,9 +1620,11 @@ mod tests {
     #[test]
     fn stream_refuses_a_stale_flag_by_name() {
         // `main` prints a parse error with the usage and exits 2.
-        let err =
-            Args::parse(["stream", "--query", Q1, "--data", "d.csv", "--no-index"]).unwrap_err();
-        assert_eq!(err, "unknown option --no-index");
+        for stale in ["--no-index", "--share"] {
+            let err = Args::parse(["stream", "--query", Q1, "--data", "d.csv", stale]).unwrap_err();
+            assert_eq!(err, format!("unknown option {stale}"));
+            assert!(!USAGE.contains(stale), "the usage still lists {stale}");
+        }
     }
 
     /// Match lines of a streaming run — the `[t=…] name: {…}` and
@@ -1730,6 +1693,12 @@ mod tests {
             "PATTERN c THEN d WHERE c.L = 'C' AND d.L = 'D' WITHIN 264 HOURS",
         )
         .unwrap();
+        // `cd` with its variables renamed: answered by `cd`'s matcher.
+        std::fs::write(
+            dir.join("cd2.ses"),
+            "PATTERN x THEN y WHERE x.L = 'C' AND y.L = 'D' WITHIN 264 HOURS",
+        )
+        .unwrap();
         let dir_s = dir.to_string_lossy().into_owned();
 
         let (code, out) = run(&["bank", "--patterns", &dir_s, "--data", &data, "--stats"]);
@@ -1737,8 +1706,12 @@ mod tests {
         // Names default to the file stems, in file-name order.
         assert!(out.contains("] cd:"), "{out}");
         assert!(out.contains("] protocol:"), "{out}");
-        assert!(out.contains("(sharing off)"), "{out}");
         assert!(out.contains("routed pushes"), "{out}");
+        let row = out.lines().find(|l| l.starts_with("deduplicated"));
+        assert_eq!(row.and_then(|l| l.split_whitespace().last()), Some("1"));
+        let emitted = |name: &str| out.matches(&format!("] {name}: ")).count();
+        assert!(emitted("cd") > 0, "{out}");
+        assert_eq!(emitted("cd2"), emitted("cd"), "{out}");
 
         // Each pattern's matches are those of a single-query `run`.
         let (code, single) = run(&["run", "--query", Q1, "--data", &data]);
@@ -1793,7 +1766,8 @@ mod tests {
     /// A pattern directory whose files carry schema pragmas and exercise
     /// every cross-pattern lint: `dup` is `base` with renamed variables
     /// (SES006), `strict` adds a tightening condition (SES007), and
-    /// `follow` shares `base`'s leading event set (SES008).
+    /// `follow` shares `base`'s leading event set, which relates them
+    /// in no way.
     fn lint_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "ses-cli-lint-{tag}-{}-{:?}",
@@ -1842,14 +1816,15 @@ mod tests {
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("SES006"), "{out}");
         assert!(out.contains("equivalent to `base`"), "{out}");
+        assert!(out.contains("runs one matcher for both"), "{out}");
         assert!(out.contains("SES007"), "{out}");
         assert!(out.contains("subsumed by `base`"), "{out}");
-        assert!(out.contains("SES008"), "{out}");
-        assert!(out.contains("prefix group"), "{out}");
+        assert!(out.contains("follow: ok"), "{out}");
+        assert!(out.contains("4 pattern(s), 1 deduplicated"), "{out}");
 
         let (code, json) = run(&["check", "--patterns", &dir_s, "--format", "json"]);
         assert_eq!(code, 0, "{json}");
-        for code in ["SES006", "SES007", "SES008"] {
+        for code in ["SES006", "SES007"] {
             assert!(json.contains(&format!("\"code\":\"{code}\"")), "{json}");
         }
         assert!(json.contains("\"plan\":"), "{json}");
@@ -1887,7 +1862,7 @@ mod tests {
     fn check_patterns_groups_by_schema_pragma() {
         let dir = lint_dir("schema");
         // Same query text as `follow` but under a different schema: no
-        // cross-schema SES008 may appear for it.
+        // cross-schema SES006 may appear for it.
         std::fs::write(
             dir.join("e_other.ses"),
             "-- schema: ID:int,L:str\nother: PATTERN c THEN d \
@@ -1903,48 +1878,6 @@ mod tests {
     }
 
     #[test]
-    fn bank_share_is_push_identical() {
-        let data = figure1_csv();
-        let dir = std::env::temp_dir().join(format!(
-            "ses-cli-share-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(
-            dir.join("cb.ses"),
-            "cb: PATTERN c THEN b WHERE c.L = 'C' AND b.L = 'B' WITHIN 264 HOURS;",
-        )
-        .unwrap();
-        std::fs::write(
-            dir.join("cd.ses"),
-            "cd: PATTERN c THEN d WHERE c.L = 'C' AND d.L = 'D' WITHIN 264 HOURS;",
-        )
-        .unwrap();
-        let dir_s = dir.to_string_lossy().into_owned();
-
-        let (code, plain) = run(&["bank", "--patterns", &dir_s, "--data", &data]);
-        assert_eq!(code, 0, "{plain}");
-        let (code, shared) = run(&[
-            "bank",
-            "--patterns",
-            &dir_s,
-            "--data",
-            &data,
-            "--share",
-            "--stats",
-        ]);
-        assert_eq!(code, 0, "{shared}");
-        assert_eq!(match_lines(&plain), match_lines(&shared));
-        assert!(shared.contains("sharing on"), "{shared}");
-        assert!(shared.contains("prefix group"), "{shared}");
-
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::remove_file(&data).ok();
-    }
-
-    #[test]
     fn bank_checkpoints_and_recovers_exactly_once() {
         let (log_dir, ckpt_dir) = durability_dirs("bank");
         let qdir = std::env::temp_dir().join(format!(
@@ -1957,6 +1890,13 @@ mod tests {
         std::fs::write(
             qdir.join("cb.ses"),
             "cb: PATTERN c THEN b WHERE c.L = 'C' AND b.L = 'B' WITHIN 264 HOURS;",
+        )
+        .unwrap();
+        // A twin of `cb`: the checkpoints record a pattern without a
+        // matcher of its own.
+        std::fs::write(
+            qdir.join("cb2.ses"),
+            "cb2: PATTERN x THEN y WHERE x.L = 'C' AND y.L = 'B' WITHIN 264 HOURS;",
         )
         .unwrap();
         std::fs::write(
@@ -1976,7 +1916,6 @@ mod tests {
             &ckpt_dir,
             "--checkpoint-every",
             "5",
-            "--share",
         ]);
         assert_eq!(code, 0, "{first}");
         let durable = sink_lines(&ckpt_dir);
@@ -1992,7 +1931,6 @@ mod tests {
             &log_dir,
             "--checkpoint",
             &ckpt_dir,
-            "--share",
             "--recover",
         ]);
         assert_eq!(code, 0, "{again}");
@@ -2011,7 +1949,6 @@ mod tests {
             &log_dir,
             "--checkpoint",
             &ckpt_dir,
-            "--share",
         ]);
         assert_eq!(code, 0, "{same}");
         assert!(match_lines(&same).is_empty(), "{same}");
@@ -2027,7 +1964,7 @@ mod tests {
         ]);
         assert_eq!(code, 1, "{refusal}");
         assert!(
-            refusal.contains("snapshot holds 2 patterns, but 1 were registered"),
+            refusal.contains("snapshot holds 3 patterns, but 1 were registered"),
             "{refusal}"
         );
 

@@ -31,39 +31,25 @@
 //! precisely what `tests/bank_vs_independent.rs` proves differentially.
 //! The full argument lives in `docs/patternbank.md`.
 //!
-//! # Structural sharing
+//! # Deduplication
 //!
-//! With [`PatternBankBuilder::with_sharing`] the bank additionally runs
-//! a cross-pattern static analysis ([`ses_pattern::SharingPlan`]) over
-//! the compiled patterns and shares execution structure two ways:
+//! When the bank is built, a cross-pattern static analysis
+//! ([`ses_pattern::SharingPlan`]) finds the patterns whose
+//! declaration-order evaluation form and execution options are identical
+//! to an earlier one's — the same query registered twice, or under
+//! renamed variables. Such a pattern runs no automaton at all; it
+//! re-emits its leader's matches (already in global event ids)
+//! push-for-push. Identical evaluation form means identical pushes
+//! produce identical emissions, so the re-emitted stream *is* the
+//! member's own answer: `tests/bank_vs_independent.rs` holds the bank to
+//! N independent matchers over pattern sets that contain such twins.
+//! There is no switch — a twin is never worth a second matcher. A dedup
+//! member reports its leader's matcher counters in the *statistics*,
+//! with its own routing counts.
 //!
-//! * **Deduplication** — a pattern whose declaration-order evaluation
-//!   form and execution options are identical to an earlier one runs no
-//!   automaton at all; it re-emits its leader's matches (already in
-//!   global event ids) push-for-push. Identical evaluation form means
-//!   identical pushes produce identical emissions, so the re-emitted
-//!   stream *is* the member's own answer.
-//! * **Shared prefixes** — patterns agreeing on their leading event
-//!   sets (same sets, same conditions over those sets' variables, same
-//!   window τ) evaluate the common prefix **once**: a *pool* matcher
-//!   built from the group leader's automaton simulates the prefix for
-//!   the whole group, and after every push the instances that arrived
-//!   at the prefix-boundary state are harvested and injected into each
-//!   member (which runs with start-state spawning suppressed, see
-//!   [`crate::ExecOptions::spawn_start`]). A prefix group advances in
-//!   lockstep — an event admitted to *any* member is pushed to the pool
-//!   and to *every* member — so pool-local and member-local event ids
-//!   coincide and harvested buffers transfer verbatim.
-//!
-//! Sharing never changes output: `tests/bank_vs_independent.rs` runs
-//! the same differential with sharing on, and the soundness argument
-//! (prefix states only evaluate shared conditions; the boundary is
-//! harvested before the pool could evolve it with *its* suffix; the
-//! engine emits only on expiry or flush, never on reaching the accept
-//! state) lives in `docs/patternbank.md` next to the index argument.
-//! Per-pattern *statistics* may differ under sharing (a prefix member's
-//! hits include lockstep pushes; a dedup member reports its leader's
-//! matcher counters).
+//! Patterns that merely *overlap* — a common leading event set, say —
+//! each run their own matcher; `docs/patternbank.md` records why the
+//! shared-prefix pools an earlier bank ran for them are gone.
 //!
 //! # Key sharding
 //!
@@ -81,8 +67,8 @@
 //! union is the unsharded answer, push for push (`docs/parallel.md`).
 //! Per-lane `|Ω|` shrinks to the lane's own keys, which is the point:
 //! the per-event instance loop is what a push costs. Lanes take no part
-//! in the sharing plan — they are evaluation-identical by construction
-//! and would be deduplicated back into one matcher.
+//! in deduplication — they are evaluation-identical by construction
+//! and would be folded back into one matcher.
 //!
 //! # Event ids
 //!
@@ -99,7 +85,6 @@ use ses_event::{AttrId, Event, EventError, EventId, PartitionKey, Schema, Timest
 use ses_pattern::{IndexClass, Pattern, PatternIndex, ShareConstraint, ShareRole, SharingPlan};
 
 use crate::automaton::Automaton;
-use crate::buffer::Buffer;
 use crate::error::CoreError;
 use crate::matcher::{
     compile_pattern, resolve_partition, MatcherOptions, PartitionMode, PartitionStrategy,
@@ -108,7 +93,6 @@ use crate::matches::Match;
 use crate::probe::{NoProbe, Probe};
 use crate::semantics::group_key;
 use crate::snapshot::{options_compat, BankPatternSnapshot, BankRole, BankSnapshot};
-use crate::state::{StateId, StateSet};
 use crate::stream::StreamMatcher;
 
 /// How a registered pattern executes.
@@ -135,15 +119,13 @@ struct Entry {
     /// Pattern ids of the dedup members re-emitting this entry's
     /// matches.
     followers: Vec<usize>,
-    /// The prefix pool this entry is a member of.
-    pool: Option<usize>,
     /// Global ids of the events admitted to this pattern, indexed by
     /// `local - base`. Empty for a dedup member.
     ids: Vec<EventId>,
     /// The pattern relation's first retained local index; `ids` is
     /// pruned to it whenever the matcher evicts.
     base: usize,
-    /// Peak `|Ω|` observed on this pattern (including injected forks).
+    /// Peak `|Ω|` observed on this pattern.
     peak_omega: usize,
     /// Events routed into the matcher (for a dedup member: events the
     /// index admitted to it).
@@ -154,24 +136,6 @@ struct Entry {
     /// Heartbeats pushes executed on this entry's matcher since the
     /// bank was built or restored.
     beats: u64,
-}
-
-/// A shared-prefix pool: one matcher simulating the common prefix for a
-/// whole group, plus where to harvest and where to inject.
-#[derive(Debug)]
-struct Pool {
-    /// A clone of the group leader's automaton, spawning normally. Its
-    /// instances never pass the prefix boundary (harvested first) and
-    /// it never emits (strict-prefix states are never accepting).
-    sm: StreamMatcher,
-    /// The boundary state (all prefix variables bound) in the pool's
-    /// automaton.
-    boundary: StateId,
-    /// Participating pattern indices (including the leader).
-    members: Vec<usize>,
-    /// The boundary state in each member's automaton, aligned with
-    /// `members`.
-    member_boundary: Vec<StateId>,
 }
 
 /// The consecutive entries `first..first + of` are the hash lanes of one
@@ -204,9 +168,6 @@ enum Todo {
     Idle,
     /// Admitted by the index (and, for a lane, by the key hash): push.
     Routed,
-    /// Admitted to a sibling of its prefix group only: store the event
-    /// for id alignment without running the engine.
-    Aligned,
     /// Its heartbeat deadline has come.
     Beat,
 }
@@ -218,11 +179,6 @@ struct Scratch {
     work: Vec<usize>,
     /// What the push does with each entry; all `Idle` between pushes.
     todo: Vec<Todo>,
-    /// The prefix pools the push touches.
-    pool_work: Vec<usize>,
-    /// What the push does with each pool — `Routed`: store the event,
-    /// `Beat`: heartbeat; all `Idle` between pushes.
-    pool_todo: Vec<Todo>,
 }
 
 /// When each of a set of matchers next needs a heartbeat: a min-heap of
@@ -234,11 +190,10 @@ struct Scratch {
 /// at most one live *alarm*, never set later than its deadline: moving
 /// the deadline later leaves the alarm alone, and an alarm that rings
 /// early is simply re-set to the deadline of the day. Only a deadline
-/// moving *earlier* than the alarm (a fork injected into an idle prefix
-/// member, say) queues a second entry; the superseded one is recognized
-/// by its time when it surfaces and dropped. Ringing early is always
-/// safe — a heartbeat below the deadline does nothing — ringing late
-/// never happens.
+/// moving *earlier* than the alarm queues a second entry; the superseded
+/// one is recognized by its time when it surfaces and dropped. Ringing
+/// early is always safe — a heartbeat below the deadline does nothing —
+/// ringing late never happens.
 #[derive(Debug, Default)]
 struct Deadlines {
     /// Matcher `i`'s [`StreamMatcher::next_deadline`] as of the last
@@ -338,7 +293,6 @@ impl Entry {
             pattern,
             exec,
             followers: Vec::new(),
-            pool: None,
             ids: Vec::new(),
             base: 0,
             peak_omega: 0,
@@ -393,23 +347,6 @@ impl Entry {
         let emitted = sm.push_checked_event(event, probe)?;
         let omega = sm.active_instances();
         self.peak_omega = self.peak_omega.max(omega);
-        self.emit(emitted, out);
-        Ok(())
-    }
-
-    /// Pushes an event the bank's index proved cannot bind here —
-    /// storing it so local event ids stay aligned with the entry's
-    /// prefix pool, advancing time, but never running the engine — and
-    /// emits what that finalizes.
-    fn skip_own<P: Probe>(
-        &mut self,
-        event: Event,
-        global: usize,
-        probe: &mut P,
-        out: &mut Vec<(usize, Match)>,
-    ) -> Result<(), EventError> {
-        self.ids.push(EventId::from(global));
-        let emitted = self.own_mut().skip_checked_event(event, probe)?;
         self.emit(emitted, out);
         Ok(())
     }
@@ -474,9 +411,7 @@ pub struct PatternStats {
     pub hits: u64,
     /// Events skipped — everything the pattern has seen since it
     /// registered that was not a hit: the pattern learned the time at
-    /// most (see `heartbeats`), or — for prefix members — took an
-    /// alignment push a sibling's admission forced, which stores the
-    /// event without running this pattern's engine.
+    /// most (see `heartbeats`).
     pub skips: u64,
     /// Heartbeats pushes actually executed on the pattern's matcher
     /// since the bank was built or restored: a skip costs one only once
@@ -495,7 +430,8 @@ pub struct PatternStats {
     pub evicted_events: usize,
 }
 
-/// A compiled registration awaiting [`assemble`]: one per entry.
+/// A compiled registration awaiting [`PatternBankBuilder::build`]: one per
+/// entry.
 #[derive(Debug)]
 struct Built {
     name: String,
@@ -503,11 +439,15 @@ struct Built {
     sm: StreamMatcher,
 }
 
-/// Computes the sharing plan for a set of built matchers: the pattern
-/// the engine actually evaluates (after analyzer rewrites), constrained
-/// by options compatibility and compile-time satisfiability. Lanes
-/// share nothing: the plan would deduplicate them back into one matcher.
+/// Computes the deduplication plan for a set of built matchers: over
+/// the pattern the engine actually evaluates (after analyzer rewrites),
+/// constrained by options compatibility. Lanes share nothing — the plan
+/// would fold them back into one matcher — and a bank of one has nothing
+/// to compare.
 fn compute_plan(built: &[Built], lanes: &[LaneGroup]) -> SharingPlan {
+    if built.len() < 2 {
+        return SharingPlan::trivial(built.len());
+    }
     let patterns: Vec<&Pattern> = built.iter().map(|b| b.sm.compiled().pattern()).collect();
     let laned = |i: usize| lanes.iter().any(|g| (g.first..g.first + g.of).contains(&i));
     let constraints: Vec<ShareConstraint> = built
@@ -516,9 +456,6 @@ fn compute_plan(built: &[Built], lanes: &[LaneGroup]) -> SharingPlan {
         .map(|(i, b)| ShareConstraint {
             compat: options_compat(b.sm.options()),
             allow_dedup: !laned(i),
-            // The stream matcher short-circuits unsatisfiable patterns
-            // (no engine runs), so they must not anchor a prefix pool.
-            allow_prefix: !laned(i) && b.sm.compiled().is_satisfiable(),
         })
         .collect();
     SharingPlan::compute(&patterns, &constraints)
@@ -526,16 +463,15 @@ fn compute_plan(built: &[Built], lanes: &[LaneGroup]) -> SharingPlan {
 
 /// The per-entry roles a snapshot records, derived from a plan and the
 /// lane groups.
-fn derive_roles(plan: &SharingPlan, lanes: &[LaneGroup], n: usize) -> Vec<BankRole> {
-    let mut roles: Vec<BankRole> = (0..n)
-        .map(|i| match plan.roles[i] {
+fn derive_roles(plan: &SharingPlan, lanes: &[LaneGroup]) -> Vec<BankRole> {
+    let mut roles: Vec<BankRole> = plan
+        .roles
+        .iter()
+        .map(|role| match *role {
             ShareRole::DedupMember { leader } => BankRole::DedupMember {
                 leader: leader as u32,
             },
-            _ => match plan.prefix_group_of(i) {
-                Some(g) => BankRole::PrefixMember { pool: g as u32 },
-                None => BankRole::Plain,
-            },
+            _ => BankRole::Plain,
         })
         .collect();
     for g in lanes {
@@ -553,87 +489,13 @@ fn derive_roles(plan: &SharingPlan, lanes: &[LaneGroup], n: usize) -> Vec<BankRo
 /// Builds the predicate index. A dedup member is indexed by its
 /// *leader's* compiled pattern — the one whose emissions it re-emits —
 /// so its routing statistics describe the automaton answering for it.
-fn build_index(built: &[Built], plan: &SharingPlan) -> PatternIndex {
-    PatternIndex::build((0..built.len()).map(|i| {
-        let src = match plan.roles[i] {
-            ShareRole::DedupMember { leader } => leader,
-            _ => i,
-        };
-        built[src].sm.compiled()
+fn build_index(entries: &[Entry]) -> PatternIndex {
+    PatternIndex::build(entries.iter().enumerate().map(|(i, e)| {
+        entries[e.leader().unwrap_or(i)]
+            .own()
+            .expect("a leader runs its own matcher")
+            .compiled()
     }))
-}
-
-/// Turns built matchers plus a plan into runtime entries and pools:
-/// dedup members drop their matcher, prefix members stop spawning, and
-/// each prefix group gets a pool cloned from its leader's automaton.
-fn assemble(built: Vec<Built>, plan: &SharingPlan) -> (Vec<Entry>, Vec<Pool>) {
-    let mut sms: Vec<(String, usize, Option<StreamMatcher>)> = built
-        .into_iter()
-        .map(|b| (b.name, b.pattern, Some(b.sm)))
-        .collect();
-    let mut pools = Vec::with_capacity(plan.prefix_groups.len());
-    for group in &plan.prefix_groups {
-        // Shared leading variables are `VarId`s 0..vars in every member
-        // (declaration order), so the boundary state — all prefix
-        // variables bound — is the same bitset everywhere.
-        debug_assert!(group.vars < 64, "a proper prefix leaves a suffix variable");
-        let boundary_set = StateSet::from_bits((1u64 << group.vars) - 1);
-        let leader = sms[group.leader]
-            .2
-            .as_ref()
-            .expect("prefix leader runs its own automaton");
-        let sm =
-            StreamMatcher::from_automaton(leader.automaton().clone(), leader.options().clone());
-        let boundary = sm
-            .automaton()
-            .state_for(boundary_set)
-            .expect("prefix boundary is a state of the leader's automaton");
-        let member_boundary = group
-            .members
-            .iter()
-            .map(|&m| {
-                sms[m]
-                    .2
-                    .as_ref()
-                    .expect("prefix members run their own automata")
-                    .automaton()
-                    .state_for(boundary_set)
-                    .expect("prefix boundary is a state of every member's automaton")
-            })
-            .collect();
-        for &m in &group.members {
-            sms[m].2.as_mut().unwrap().set_spawn(false);
-        }
-        pools.push(Pool {
-            sm,
-            boundary,
-            members: group.members.clone(),
-            member_boundary,
-        });
-    }
-    let mut entries: Vec<Entry> = sms
-        .into_iter()
-        .zip(&plan.roles)
-        .map(|((name, pattern, sm), role)| {
-            let exec = match role {
-                ShareRole::DedupMember { leader } => Exec::Dedup { leader: *leader },
-                _ => Exec::Own(Box::new(sm.expect("non-dedup patterns keep their matcher"))),
-            };
-            Entry::new(name, pattern, exec, 0)
-        })
-        .collect();
-    for (g, group) in plan.prefix_groups.iter().enumerate() {
-        for &m in &group.members {
-            entries[m].pool = Some(g);
-        }
-    }
-    for i in 0..entries.len() {
-        if let Some(leader) = entries[i].leader() {
-            let member = entries[i].pattern;
-            entries[leader].followers.push(member);
-        }
-    }
-    (entries, pools)
 }
 
 /// The proven key a pattern's lanes are hash-routed by, or why there is
@@ -681,7 +543,6 @@ pub struct PatternBankBuilder {
     schema: Schema,
     entries: Vec<Built>,
     lanes: Vec<LaneGroup>,
-    share: bool,
 }
 
 impl PatternBankBuilder {
@@ -747,34 +608,40 @@ impl PatternBankBuilder {
         self.entries.last().map_or(0, |b| b.pattern + 1)
     }
 
-    /// Enables or disables structural sharing (off by default): at
-    /// build time a [`SharingPlan`] is computed over the compiled
-    /// patterns, deduplicating evaluation-identical ones and running
-    /// common sequencing prefixes once per group (see the module docs).
-    /// Output is identical either way; only statistics may differ.
-    pub fn with_sharing(mut self, on: bool) -> PatternBankBuilder {
-        self.share = on;
-        self
+    /// Builds the bank: the deduplication plan and the predicate index,
+    /// both from the compiled patterns exactly as the matchers will run
+    /// them (after any analyzer rewrites).
+    pub fn build(self) -> PatternBank {
+        let plan = compute_plan(&self.entries, &self.lanes);
+        self.build_as(plan)
     }
 
-    /// Builds the bank, constructing the sharing plan (if enabled) and
-    /// the predicate index from the compiled patterns exactly as the
-    /// matchers will run them (after any analyzer rewrites).
-    pub fn build(self) -> PatternBank {
-        let built = self.entries;
-        let plan = if self.share && built.len() > 1 {
-            compute_plan(&built, &self.lanes)
-        } else {
-            SharingPlan::trivial(built.len())
-        };
-        let index = build_index(&built, &plan);
-        let (entries, pools) = assemble(built, &plan);
+    /// Builds the bank with its patterns in the roles of `plan`: a dedup
+    /// member drops its matcher and enlists with its leader.
+    fn build_as(self, plan: SharingPlan) -> PatternBank {
+        let mut entries: Vec<Entry> = self
+            .entries
+            .into_iter()
+            .zip(&plan.roles)
+            .map(|(b, role)| {
+                let exec = match *role {
+                    ShareRole::DedupMember { leader } => Exec::Dedup { leader },
+                    _ => Exec::Own(Box::new(b.sm)),
+                };
+                Entry::new(b.name, b.pattern, exec, 0)
+            })
+            .collect();
+        for i in 0..entries.len() {
+            if let Some(leader) = entries[i].leader() {
+                let member = entries[i].pattern;
+                entries[leader].followers.push(member);
+            }
+        }
         let mut bank = PatternBank {
+            index: build_index(&entries),
             entries,
             lanes: self.lanes,
-            pools,
             plan,
-            index,
             schema: self.schema,
             watermark: None,
             last_ts: None,
@@ -783,7 +650,6 @@ impl PatternBankBuilder {
             emitted: 0,
             scratch: Scratch::default(),
             entry_due: Deadlines::default(),
-            pool_due: Deadlines::default(),
         };
         bank.reschedule();
         bank
@@ -828,10 +694,8 @@ pub struct PatternBank {
     /// Which runs of `entries` are the hash lanes of one pattern (empty
     /// for an unsharded bank).
     lanes: Vec<LaneGroup>,
-    /// Shared-prefix pools, aligned with `plan.prefix_groups`.
-    pools: Vec<Pool>,
-    /// The structural-sharing plan the bank executes (trivial when
-    /// sharing is off or nothing shares).
+    /// Which entries re-emit another's matches instead of running a
+    /// matcher (trivial when no two patterns are evaluation-identical).
     plan: SharingPlan,
     index: PatternIndex,
     schema: Schema,
@@ -851,8 +715,6 @@ pub struct PatternBank {
     /// Heartbeat deadlines of the entries' own matchers (none for a
     /// dedup member), indexed like `entries`.
     entry_due: Deadlines,
-    /// Heartbeat deadlines of the prefix pools, indexed like `pools`.
-    pool_due: Deadlines,
 }
 
 impl PatternBank {
@@ -862,7 +724,6 @@ impl PatternBank {
             schema: schema.clone(),
             entries: Vec::new(),
             lanes: Vec::new(),
-            share: false,
         }
     }
 
@@ -906,16 +767,10 @@ impl PatternBank {
         self.index.class(first)
     }
 
-    /// The structural-sharing plan the bank executes. Trivial unless
-    /// the bank was built with [`PatternBankBuilder::with_sharing`] and
-    /// the analysis found something to share.
+    /// The deduplication plan the bank executes: trivial unless some
+    /// registered patterns are evaluation-identical.
     pub fn sharing_plan(&self) -> &SharingPlan {
         &self.plan
-    }
-
-    /// `true` iff any execution structure is actually shared.
-    pub fn sharing_active(&self) -> bool {
-        !self.plan.is_trivial()
     }
 
     /// Pushes one event (timestamps must be non-decreasing) and returns
@@ -971,16 +826,10 @@ impl PatternBank {
 
     /// Decides what the push of `event` does with every entry it
     /// touches, into the scratch: the index's admissions narrowed by the
-    /// key hash of sharded patterns, the prefix siblings those drag
-    /// along, and whoever's heartbeat deadline the event's timestamp
-    /// reaches. Everyone else is left alone.
+    /// key hash of sharded patterns, and whoever's heartbeat deadline
+    /// the event's timestamp reaches. Everyone else is left alone.
     fn route<P: Probe>(&mut self, event: &Event, probe: &mut P) {
-        let Scratch {
-            work,
-            todo,
-            pool_work,
-            pool_todo,
-        } = &mut self.scratch;
+        let Scratch { work, todo } = &mut self.scratch;
         let ts = event.ts();
         let n = self.entries.len();
         self.index.admitted_into(event, work);
@@ -1002,37 +851,9 @@ impl PatternBank {
         for &i in work.iter() {
             todo[i] = Todo::Routed;
         }
-        // A prefix group advances in lockstep: an event admitted to any
-        // member is pushed to the pool and to every member, keeping
-        // their local event ids aligned so harvested prefix buffers
-        // transfer verbatim. For the members this is sound for the same
-        // reason skipping is: an event no member's index admits cannot
-        // bind anywhere in the group.
-        pool_work.clear();
-        for k in 0..hits {
-            let Some(p) = self.entries[work[k]].pool else {
-                continue;
-            };
-            if pool_todo[p] == Todo::Idle {
-                pool_todo[p] = Todo::Routed;
-                pool_work.push(p);
-                for &m in &self.pools[p].members {
-                    if todo[m] == Todo::Idle {
-                        todo[m] = Todo::Aligned;
-                        work.push(m);
-                    }
-                }
-            }
-        }
         // Whoever the event is not stored in but whose deadline its
         // timestamp reaches gets the heartbeat; a matcher that stores it
         // learns the time from that.
-        self.pool_due.for_each_due(ts, |p| {
-            if pool_todo[p] == Todo::Idle {
-                pool_todo[p] = Todo::Beat;
-                pool_work.push(p);
-            }
-        });
         self.entry_due.for_each_due(ts, |i| {
             if todo[i] == Todo::Idle {
                 todo[i] = Todo::Beat;
@@ -1051,44 +872,7 @@ impl PatternBank {
         probe: &mut P,
     ) -> Result<Vec<(usize, Match)>, EventError> {
         let ts = event.ts();
-        let Scratch {
-            work,
-            todo,
-            pool_work,
-            pool_todo,
-        } = &self.scratch;
-        // Pools run first: simulate the shared prefix, then harvest the
-        // instances that arrived at the boundary *before* the pool
-        // could evolve them further with its own suffix transitions.
-        // An event some member's index did *not* admit provably binds
-        // no variable of that member — in particular none of the
-        // shared prefix variables — so the pool only stores it for id
-        // alignment (`skip_checked_event`) instead of running its
-        // engine.
-        let mut forks: Vec<(usize, Vec<Buffer>)> = Vec::new();
-        for &p in pool_work {
-            let pool = &mut self.pools[p];
-            if pool_todo[p] == Todo::Beat {
-                // Heartbeats never create boundary arrivals (the sweep
-                // only retires instances), so there is nothing to
-                // harvest.
-                let beat = pool.sm.advance_watermark(ts);
-                debug_assert!(beat.is_empty(), "prefix pool emitted a match");
-                continue;
-            }
-            // Cannot fail: the pool's watermark never exceeds the
-            // bank's (pushes and heartbeats only ever move it there).
-            let emitted = if pool.members.iter().all(|&m| todo[m] == Todo::Routed) {
-                pool.sm.push_checked_event(event.clone(), &mut NoProbe)?
-            } else {
-                pool.sm.skip_checked_event(event.clone(), &mut NoProbe)?
-            };
-            debug_assert!(emitted.is_empty(), "prefix pool emitted a match");
-            let harvest = pool.sm.take_instances_at(pool.boundary);
-            if !harvest.is_empty() {
-                forks.push((p, harvest));
-            }
-        }
+        let Scratch { work, todo } = &self.scratch;
         let mut out = Vec::new();
         for &i in work {
             let entry = &mut self.entries[i];
@@ -1099,29 +883,11 @@ impl PatternBank {
                         entry.push_own(event.clone(), self.next_id, probe, &mut out)?;
                     }
                 }
-                // Lockstep alignment only: a sibling's index admission
-                // forced the push, but this entry's own index proved
-                // the event binds nothing here, so the engine need not
-                // run.
-                Todo::Aligned => entry.skip_own(event.clone(), self.next_id, probe, &mut out)?,
                 Todo::Beat => {
                     entry.beats += 1;
                     entry.beat_own(ts, probe, &mut out);
                 }
                 Todo::Idle => unreachable!("routing lists only entries it gave work"),
-            }
-        }
-        // Inject the boundary forks *after* the members' own pushes: an
-        // injected run bound its last prefix variable to this event and
-        // must not consume it again.
-        for (p, harvest) in forks {
-            let pool = &self.pools[p];
-            for (&m, &mb) in pool.members.iter().zip(&pool.member_boundary) {
-                let entry = &mut self.entries[m];
-                let sm = entry.own_mut();
-                sm.inject_instances_at(mb, harvest.iter().cloned());
-                let omega = sm.active_instances();
-                entry.peak_omega = entry.peak_omega.max(omega);
             }
         }
         // Stable, so each pattern keeps its emission order — and a dedup
@@ -1131,9 +897,8 @@ impl PatternBank {
         Ok(out)
     }
 
-    /// Re-reads the heartbeat deadline of every matcher the push
-    /// touched — after fork injection, which can lower a member's — and
-    /// returns the scratch to its between-pushes state.
+    /// Re-reads the heartbeat deadline of every matcher the push touched
+    /// and returns the scratch to its between-pushes state.
     fn settle(&mut self) {
         for &i in &self.scratch.work {
             self.scratch.todo[i] = Todo::Idle;
@@ -1141,24 +906,17 @@ impl PatternBank {
                 self.entry_due.set(i, sm.next_deadline());
             }
         }
-        for &p in &self.scratch.pool_work {
-            self.scratch.pool_todo[p] = Todo::Idle;
-            self.pool_due.set(p, self.pools[p].sm.next_deadline());
-        }
     }
 
     /// Sizes the routing scratch to the registered entries and re-reads
     /// every matcher's heartbeat deadline.
     fn reschedule(&mut self) {
         self.scratch.todo.resize(self.entries.len(), Todo::Idle);
-        self.scratch.pool_todo.resize(self.pools.len(), Todo::Idle);
         self.entry_due.reset(
             self.entries
                 .iter()
                 .map(|e| e.own().and_then(StreamMatcher::next_deadline)),
         );
-        self.pool_due
-            .reset(self.pools.iter().map(|p| p.sm.next_deadline()));
     }
 
     /// Advances every pattern's watermark to `ts` without pushing an
@@ -1167,12 +925,6 @@ impl PatternBank {
     /// already at or past `ts`. Subsequent pushes before `ts` are
     /// rejected as out of order.
     pub fn advance_watermark(&mut self, ts: Timestamp) -> Vec<(usize, Match)> {
-        // Heartbeats never create boundary arrivals (the sweep only
-        // retires instances), so there is nothing to harvest.
-        for pool in &mut self.pools {
-            let beat = pool.sm.advance_watermark(ts);
-            debug_assert!(beat.is_empty(), "prefix pool emitted a match");
-        }
         let mut out = Vec::new();
         for entry in &mut self.entries {
             if entry.leader().is_none() {
@@ -1208,16 +960,7 @@ impl PatternBank {
     /// pushes — together with those, each pattern's exact batch answer.
     pub fn finish(mut self) -> Vec<(usize, Match)> {
         self.flush_deferred();
-        let PatternBank {
-            entries,
-            lanes,
-            pools,
-            ..
-        } = self;
-        for pool in pools {
-            let leftovers = pool.sm.finish();
-            debug_assert!(leftovers.is_empty(), "prefix pool emitted a match");
-        }
+        let PatternBank { entries, lanes, .. } = self;
         let mut out = Vec::new();
         for entry in entries {
             entry.finish(&mut out);
@@ -1259,31 +1002,21 @@ impl PatternBank {
         }
     }
 
-    /// Active instances summed over all patterns (and prefix pools).
+    /// Active instances summed over all patterns.
     pub fn active_instances(&self) -> usize {
         self.entries
             .iter()
             .filter_map(|e| e.own().map(StreamMatcher::active_instances))
-            .sum::<usize>()
-            + self
-                .pools
-                .iter()
-                .map(|p| p.sm.active_instances())
-                .sum::<usize>()
+            .sum()
     }
 
-    /// Events retained, summed over all patterns and prefix pools (an
-    /// event admitted to k matchers is counted k times).
+    /// Events retained, summed over all patterns (an event admitted to
+    /// k matchers is counted k times).
     pub fn retained_events(&self) -> usize {
         self.entries
             .iter()
             .filter_map(|e| e.own().map(StreamMatcher::retained_events))
-            .sum::<usize>()
-            + self
-                .pools
-                .iter()
-                .map(|p| p.sm.retained_events())
-                .sum::<usize>()
+            .sum()
     }
 
     /// Events pushed into matchers, summed over all patterns — the
@@ -1334,17 +1067,17 @@ impl PatternBank {
             .collect()
     }
 
-    /// Captures the complete dynamic state of every pattern (and prefix
-    /// pool) plus the bank's routing bookkeeping under one manifest.
-    /// Unshared banks record all-`Plain` roles and no pools, keeping
-    /// their serialized layout unchanged.
+    /// Captures the complete dynamic state of every pattern plus the
+    /// bank's routing bookkeeping under one manifest, and the role each
+    /// entry runs in — all `Plain` unless the bank deduplicates or
+    /// shards.
     ///
     /// Heartbeats that pushes withheld are delivered first, so the
     /// snapshot is the one a bank heartbeating every pattern on every
     /// push would have taken.
     pub fn snapshot(&mut self) -> BankSnapshot {
         self.flush_deferred();
-        let roles = derive_roles(&self.plan, &self.lanes, self.entries.len());
+        let roles = derive_roles(&self.plan, &self.lanes);
         let next_id = self.next_id;
         BankSnapshot {
             watermark: self.watermark,
@@ -1352,7 +1085,6 @@ impl PatternBank {
             next_id: self.next_id as u64,
             ties: self.ties as u64,
             emitted: self.emitted as u64,
-            use_index: true,
             patterns: self
                 .entries
                 .iter_mut()
@@ -1370,20 +1102,22 @@ impl PatternBank {
                 })
                 .collect(),
             roles,
-            pools: self.pools.iter_mut().map(|p| p.sm.snapshot()).collect(),
         }
     }
 
     /// Rebuilds a bank from the `(name, pattern, options)` specs it was
     /// built with and a [`BankSnapshot`] taken from it. Specs must match
-    /// the snapshot in count, order, and name; each pattern's
-    /// fingerprint must agree; and the lanes and sharing plan recomputed
-    /// from the specs must reproduce the recorded roles and pool count.
-    /// Fails with [`CoreError::SnapshotMismatch`] on any disagreement.
-    /// Each pattern's lane count is restored from the snapshot (a
-    /// sharded pattern's options must still resolve to the key it was
-    /// sharded by); sharing is re-enabled iff the snapshot recorded any
-    /// shared structure; [`BankSnapshot::use_index`] is ignored.
+    /// the snapshot in count, order, and name, and each pattern's
+    /// fingerprint must agree. Every entry comes back in the role the
+    /// snapshot recorded for it, checked against the specs: a sharded
+    /// pattern takes its lane count from the snapshot, and its options
+    /// must still resolve to the key it was sharded by; a dedup member
+    /// must be one the plan recomputed from the specs folds into the
+    /// same leader; an entry recorded as running its own matcher keeps
+    /// it, whatever the plan would make of it today — it was
+    /// [`PatternBank::subscribe`]d mid-stream, or checkpointed by a
+    /// release that did not deduplicate. Fails with
+    /// [`CoreError::SnapshotMismatch`] on any disagreement.
     pub fn restore(
         specs: &[(String, Pattern, MatcherOptions)],
         schema: &Schema,
@@ -1392,7 +1126,7 @@ impl PatternBank {
         let mismatch = |reason: String| CoreError::SnapshotMismatch { reason };
         if !snapshot.roles.is_empty() && snapshot.roles.len() != snapshot.patterns.len() {
             return Err(mismatch(format!(
-                "snapshot carries {} sharing roles for {} patterns",
+                "snapshot carries {} roles for {} patterns",
                 snapshot.roles.len(),
                 snapshot.patterns.len()
             )));
@@ -1416,11 +1150,7 @@ impl PatternBank {
                 _ => builder.register(name.clone(), pattern, options.clone())?,
             };
         }
-        let PatternBankBuilder {
-            entries: built,
-            lanes,
-            ..
-        } = builder;
+        let (built, lanes) = (&builder.entries, &builder.lanes);
         if built.len() != snapshot.patterns.len() {
             return Err(mismatch(format!(
                 "snapshot holds {} patterns, but {} were registered",
@@ -1436,46 +1166,32 @@ impl PatternBank {
                 )));
             }
         }
-        let shared = !snapshot.pools.is_empty()
-            || snapshot.roles.iter().any(|r| {
-                matches!(
-                    r,
-                    BankRole::DedupMember { .. } | BankRole::PrefixMember { .. }
-                )
-            });
-        let plan = if shared && built.len() > 1 {
-            compute_plan(&built, &lanes)
-        } else {
-            SharingPlan::trivial(built.len())
-        };
         // The dynamic state only makes sense under the roles it was
-        // captured in; the plan is deterministic, so recomputing it from
-        // the same specs must reproduce them.
-        let expected = derive_roles(&plan, &lanes, built.len());
-        if !snapshot.roles.is_empty() && snapshot.roles != expected {
+        // captured in, so those are what the bank is rebuilt with; the
+        // plan recomputed from the specs is the check on them.
+        let derived = compute_plan(built, lanes);
+        let mut plan = SharingPlan::trivial(built.len());
+        for (i, role) in snapshot.roles.iter().enumerate() {
+            if let BankRole::DedupMember { leader } = *role {
+                let leader = leader as usize;
+                if derived.roles[i] != (ShareRole::DedupMember { leader }) {
+                    return Err(mismatch(format!(
+                        "snapshot deduplicates pattern `{}` into pattern {leader}, but the \
+                         registered patterns do not",
+                        built[i].name
+                    )));
+                }
+                plan.deduplicate(i, leader);
+            }
+        }
+        if !snapshot.roles.is_empty() && snapshot.roles != derive_roles(&plan, lanes) {
             return Err(mismatch(
-                "snapshot roles disagree with the lanes and sharing plan recomputed from \
-                 the registered patterns"
+                "snapshot roles disagree with the lanes recomputed from the registered patterns"
                     .to_string(),
             ));
         }
-        if snapshot.roles.is_empty() && expected.iter().any(|r| !matches!(r, BankRole::Plain)) {
-            return Err(mismatch(
-                "snapshot was taken without sharing, but the recomputed plan shares \
-                 structure"
-                    .to_string(),
-            ));
-        }
-        if plan.prefix_groups.len() != snapshot.pools.len() {
-            return Err(mismatch(format!(
-                "snapshot holds {} prefix pools, but the recomputed plan needs {}",
-                snapshot.pools.len(),
-                plan.prefix_groups.len()
-            )));
-        }
-        let index = build_index(&built, &plan);
-        let (mut entries, mut pools) = assemble(built, &plan);
-        for (entry, ps) in entries.iter_mut().zip(&snapshot.patterns) {
+        let mut bank = builder.build_as(plan);
+        for (entry, ps) in bank.entries.iter_mut().zip(&snapshot.patterns) {
             let name = &entry.name;
             match (&mut entry.exec, &ps.matcher) {
                 (Exec::Own(sm), Some(ms)) => {
@@ -1524,27 +1240,11 @@ impl PatternBank {
                     ))
                 })? as usize;
         }
-        for (pool, ps) in pools.iter_mut().zip(&snapshot.pools) {
-            pool.sm
-                .apply_snapshot(ps)
-                .map_err(|e| mismatch(format!("prefix pool: {e}")))?;
-        }
-        let mut bank = PatternBank {
-            entries,
-            lanes,
-            pools,
-            plan,
-            index,
-            schema: schema.clone(),
-            watermark: snapshot.watermark,
-            last_ts: snapshot.last_ts,
-            next_id: snapshot.next_id as usize,
-            ties: snapshot.ties as usize,
-            emitted: snapshot.emitted as usize,
-            scratch: Scratch::default(),
-            entry_due: Deadlines::default(),
-            pool_due: Deadlines::default(),
-        };
+        bank.watermark = snapshot.watermark;
+        bank.last_ts = snapshot.last_ts;
+        bank.next_id = snapshot.next_id as usize;
+        bank.ties = snapshot.ties as usize;
+        bank.emitted = snapshot.emitted as usize;
         bank.reschedule();
         Ok(bank)
     }
@@ -1555,11 +1255,14 @@ impl PatternBank {
     /// and the predicate index is rebuilt to route to it. Returns the
     /// new pattern's id (its position in push results and statistics).
     ///
-    /// Live registration composes with the trivial sharing plan only: a
-    /// bank actively executing dedup groups or prefix pools refuses
-    /// (its plan and pools were computed over a closed pattern set), as
-    /// does a duplicate name — names identify durable subscriptions, so
-    /// reusing one would corrupt cursor-based resume.
+    /// The newcomer always runs its own matcher, even beside an
+    /// evaluation-identical pattern: joining mid-stream, its state
+    /// differs from any twin's — the twin holds runs over events the
+    /// newcomer never saw — so there is no leader whose matches are its
+    /// own. The deduplication among the patterns already registered is
+    /// left as it is. A duplicate name is refused — names identify
+    /// durable subscriptions, so reusing one would corrupt cursor-based
+    /// resume.
     pub fn subscribe(
         &mut self,
         name: impl Into<String>,
@@ -1567,18 +1270,10 @@ impl PatternBank {
         options: MatcherOptions,
     ) -> Result<usize, CoreError> {
         let name = name.into();
-        let refuse = |reason: String| CoreError::Subscription { reason };
-        if self.sharing_active() {
-            return Err(refuse(
-                "the bank executes a structural sharing plan; live registration \
-                 requires sharing off"
-                    .to_string(),
-            ));
-        }
         if self.entries.iter().any(|e| e.name == name) {
-            return Err(refuse(format!(
-                "a pattern named `{name}` is already registered"
-            )));
+            return Err(CoreError::Subscription {
+                reason: format!("a pattern named `{name}` is already registered"),
+            });
         }
         // A matcher that has stored no event has no deadline and takes
         // its clock from its first push, which the bank only accepts at
@@ -1588,13 +1283,9 @@ impl PatternBank {
         let id = self.len();
         self.entries
             .push(Entry::new(name, id, Exec::Own(Box::new(sm)), self.next_id));
+        self.plan.roles.push(ShareRole::Independent);
         self.reschedule();
-        self.plan = SharingPlan::trivial(self.entries.len());
-        self.index = PatternIndex::build(self.entries.iter().map(|e| {
-            e.own()
-                .expect("trivial plans run every pattern's own matcher")
-                .compiled()
-        }));
+        self.index = build_index(&self.entries);
         Ok(id)
     }
 }
@@ -1641,8 +1332,9 @@ mod tests {
             .unwrap()
     }
 
-    /// `{a,b}` then `{c}` with a per-pattern suffix label — the shape
-    /// the prefix-sharing tests overlap on (prefix = `pair("A", "B")`).
+    /// `{a,b}` then `{c}` with a per-pattern suffix label — patterns that
+    /// overlap on their leading set (`pair("A", "B")`) without being
+    /// twins.
     fn prefixed(suffix: &str) -> Pattern {
         Pattern::builder()
             .set(|s| s.var("a").var("b"))
@@ -1655,16 +1347,95 @@ mod tests {
             .unwrap()
     }
 
-    fn bank() -> PatternBank {
-        PatternBank::builder(&schema())
-            .register("ab", &pair("A", "B"), MatcherOptions::default())
-            .unwrap()
-            .register("cd", &pair("C", "D"), MatcherOptions::default())
-            .unwrap()
-            .build()
+    type Specs = Vec<(String, Pattern, MatcherOptions)>;
+    /// `(timestamp, ID, L)`.
+    type Row = (i64, i64, &'static str);
+
+    fn specs() -> Specs {
+        vec![
+            ("ab".into(), pair("A", "B"), MatcherOptions::default()),
+            ("cd".into(), pair("C", "D"), MatcherOptions::default()),
+        ]
     }
 
-    fn workload() -> Vec<(i64, i64, &'static str)> {
+    fn build(specs: &Specs) -> PatternBank {
+        let mut b = PatternBank::builder(&schema());
+        for (name, pattern, options) in specs {
+            b = b.register(name.clone(), pattern, options.clone()).unwrap();
+        }
+        b.build()
+    }
+
+    fn bank() -> PatternBank {
+        build(&specs())
+    }
+
+    fn push(bank: &mut PatternBank, (t, id, l): Row) -> Vec<(usize, Match)> {
+        bank.push(Timestamp::new(t), [Value::from(id), Value::from(l)])
+            .unwrap()
+    }
+
+    /// Holds a bank of `specs`, per pattern, to independent matchers each
+    /// fed every event of `rows` — every pattern must match something.
+    fn assert_matches_independent(specs: &Specs, rows: &[Row]) {
+        let mut bank = build(specs);
+        let mut ind: Vec<StreamMatcher> = specs
+            .iter()
+            .map(|(_, p, o)| StreamMatcher::with_options(p, &schema(), o.clone()).unwrap())
+            .collect();
+        let mut got: Vec<Vec<Match>> = vec![Vec::new(); specs.len()];
+        let mut want = got.clone();
+        for &(t, id, l) in rows {
+            for (i, m) in push(&mut bank, (t, id, l)) {
+                got[i].push(m);
+            }
+            for (i, sm) in ind.iter_mut().enumerate() {
+                let values = [Value::from(id), Value::from(l)];
+                want[i].extend(sm.push(Timestamp::new(t), values).unwrap());
+            }
+        }
+        for (i, m) in bank.finish() {
+            got[i].push(m);
+        }
+        for (i, sm) in ind.into_iter().enumerate() {
+            want[i].extend(sm.finish());
+        }
+        assert_eq!(got, want);
+        assert!(got.iter().all(|g| !g.is_empty()), "every pattern matched");
+    }
+
+    /// At every cut of `rows`, a bank of `specs` restored from its
+    /// snapshot — which `check` gets to see — must finish the stream
+    /// exactly like an uninterrupted twin.
+    fn assert_restore_resumes(specs: &Specs, rows: &[Row], check: impl Fn(&BankSnapshot)) {
+        for cut in 0..rows.len() {
+            let mut live = build(specs);
+            let mut twin = build(specs);
+            let mut live_out = Vec::new();
+            let mut twin_out = Vec::new();
+            for &row in &rows[..cut] {
+                live_out.extend(push(&mut live, row));
+                twin_out.extend(push(&mut twin, row));
+            }
+            let snap = live.snapshot();
+            check(&snap);
+            drop(live);
+            let mut restored = PatternBank::restore(specs, &schema(), &snap).unwrap();
+            assert_eq!(restored.sharing_plan(), twin.sharing_plan());
+            assert_eq!(restored.emitted_so_far(), twin.emitted_so_far());
+            assert_eq!(restored.consumed_events(), twin.consumed_events());
+            assert_eq!(restored.ties_at_watermark(), twin.ties_at_watermark());
+            for &row in &rows[cut..] {
+                live_out.extend(push(&mut restored, row));
+                twin_out.extend(push(&mut twin, row));
+            }
+            live_out.extend(restored.finish());
+            twin_out.extend(twin.finish());
+            assert_eq!(live_out, twin_out, "divergence after restore at cut {cut}");
+        }
+    }
+
+    fn workload() -> Vec<Row> {
         vec![
             (0, 1, "A"),
             (1, 1, "B"),
@@ -1678,33 +1449,9 @@ mod tests {
         ]
     }
 
-    /// Bank output per pattern vs independent matchers fed every event.
     #[test]
     fn bank_matches_independent_matchers() {
-        let mut bank = bank();
-        let mut ind = [
-            StreamMatcher::compile(&pair("A", "B"), &schema()).unwrap(),
-            StreamMatcher::compile(&pair("C", "D"), &schema()).unwrap(),
-        ];
-        let mut got: Vec<Vec<Match>> = vec![Vec::new(); 2];
-        let mut want: Vec<Vec<Match>> = vec![Vec::new(); 2];
-        for (t, id, l) in workload() {
-            let values = [Value::from(id), Value::from(l)];
-            for (i, m) in bank.push(Timestamp::new(t), values.clone()).unwrap() {
-                got[i].push(m);
-            }
-            for (i, sm) in ind.iter_mut().enumerate() {
-                want[i].extend(sm.push(Timestamp::new(t), values.clone()).unwrap());
-            }
-        }
-        for (i, m) in bank.finish() {
-            got[i].push(m);
-        }
-        for (i, sm) in ind.into_iter().enumerate() {
-            want[i].extend(sm.finish());
-        }
-        assert_eq!(got, want);
-        assert!(!got[0].is_empty() && !got[1].is_empty());
+        assert_matches_independent(&specs(), &workload());
     }
 
     #[test]
@@ -1771,48 +1518,7 @@ mod tests {
 
     #[test]
     fn snapshot_restore_resumes_identically() {
-        let specs: Vec<(String, Pattern, MatcherOptions)> = vec![
-            ("ab".into(), pair("A", "B"), MatcherOptions::default()),
-            ("cd".into(), pair("C", "D"), MatcherOptions::default()),
-        ];
-        let rows = workload();
-        for cut in 0..rows.len() {
-            let build = || {
-                PatternBank::builder(&schema())
-                    .register("ab", &pair("A", "B"), MatcherOptions::default())
-                    .unwrap()
-                    .register("cd", &pair("C", "D"), MatcherOptions::default())
-                    .unwrap()
-                    .build()
-            };
-            let mut live = build();
-            let mut twin = build();
-            let mut live_out = Vec::new();
-            let mut twin_out = Vec::new();
-            for (t, id, l) in &rows[..cut] {
-                let values = [Value::from(*id), Value::from(*l)];
-                live_out.extend(live.push(Timestamp::new(*t), values.clone()).unwrap());
-                twin_out.extend(twin.push(Timestamp::new(*t), values).unwrap());
-            }
-            let mut snap = live.snapshot();
-            drop(live);
-            assert!(snap.use_index);
-            // A snapshot whose writer routed without the index (the flag
-            // older trees had) resumes all the same: the byte is ignored.
-            snap.use_index = cut % 2 == 0;
-            let mut restored = PatternBank::restore(&specs, &schema(), &snap).unwrap();
-            assert_eq!(restored.emitted_so_far(), twin.emitted_so_far());
-            assert_eq!(restored.consumed_events(), twin.consumed_events());
-            assert_eq!(restored.ties_at_watermark(), twin.ties_at_watermark());
-            for (t, id, l) in &rows[cut..] {
-                let values = [Value::from(*id), Value::from(*l)];
-                live_out.extend(restored.push(Timestamp::new(*t), values.clone()).unwrap());
-                twin_out.extend(twin.push(Timestamp::new(*t), values).unwrap());
-            }
-            live_out.extend(restored.finish());
-            twin_out.extend(twin.finish());
-            assert_eq!(live_out, twin_out, "divergence after restore at cut {cut}");
-        }
+        assert_restore_resumes(&specs(), &workload(), |_| {});
     }
 
     #[test]
@@ -1822,22 +1528,17 @@ mod tests {
             .unwrap();
         let snap = bank.snapshot();
         // Wrong count.
-        let short: Vec<(String, Pattern, MatcherOptions)> =
-            vec![("ab".into(), pair("A", "B"), MatcherOptions::default())];
+        let short: Specs = vec![("ab".into(), pair("A", "B"), MatcherOptions::default())];
         let err = PatternBank::restore(&short, &schema(), &snap).unwrap_err();
         assert!(matches!(err, CoreError::SnapshotMismatch { .. }), "{err}");
         // Wrong name.
-        let renamed: Vec<(String, Pattern, MatcherOptions)> = vec![
-            ("zz".into(), pair("A", "B"), MatcherOptions::default()),
-            ("cd".into(), pair("C", "D"), MatcherOptions::default()),
-        ];
+        let mut renamed = specs();
+        renamed[0].0 = "zz".into();
         let err = PatternBank::restore(&renamed, &schema(), &snap).unwrap_err();
         assert!(err.to_string().contains("registered as `zz`"), "{err}");
         // Wrong pattern (fingerprint).
-        let swapped: Vec<(String, Pattern, MatcherOptions)> = vec![
-            ("ab".into(), pair("A", "C"), MatcherOptions::default()),
-            ("cd".into(), pair("C", "D"), MatcherOptions::default()),
-        ];
+        let mut swapped = specs();
+        swapped[0].1 = pair("A", "C");
         let err = PatternBank::restore(&swapped, &schema(), &snap).unwrap_err();
         assert!(err.to_string().contains("fingerprint"), "{err}");
     }
@@ -1883,18 +1584,13 @@ mod tests {
         for (i, m) in bank.finish() {
             post.push((i, m));
         }
-        let ids_of =
-            |m: &Match| -> Vec<usize> { m.bindings().iter().map(|&(_, e)| e.index()).collect() };
-        let old_matches: Vec<Vec<usize>> = post
-            .iter()
-            .filter(|(i, _)| *i == 1)
-            .map(|(_, m)| ids_of(m))
-            .collect();
-        let new_matches: Vec<Vec<usize>> = post
-            .iter()
-            .filter(|(i, _)| *i == 2)
-            .map(|(_, m)| ids_of(m))
-            .collect();
+        let ids_of = |pattern: usize| -> Vec<Vec<usize>> {
+            let matches = matches_of(&post, pattern).into_iter();
+            matches
+                .map(|m| m.events().map(|e| e.index()).collect())
+                .collect()
+        };
+        let (old_matches, new_matches) = (ids_of(1), ids_of(2));
         assert!(
             old_matches.iter().any(|ids| ids.contains(&0)),
             "the old pattern pairs the pre-subscription C (global id 0): {old_matches:?}"
@@ -1937,51 +1633,129 @@ mod tests {
     }
 
     #[test]
-    fn subscribe_rejects_duplicate_names_and_active_sharing() {
+    fn subscribe_rejects_duplicate_names() {
         let mut bank = bank();
         assert!(matches!(
             bank.subscribe("ab", &pair("E", "F"), MatcherOptions::default()),
             Err(CoreError::Subscription { .. })
         ));
-        let mut shared = sharing_bank(true);
-        assert!(shared.sharing_active());
-        assert!(matches!(
-            shared.subscribe("late", &pair("E", "F"), MatcherOptions::default()),
-            Err(CoreError::Subscription { .. })
-        ));
+    }
+
+    /// Pushes `rows` through `bank`, snapshots it after `cut` of them and
+    /// continues a bank restored from `specs` beside it: the two must
+    /// emit the same, push for push. Returns the snapshot and everything
+    /// emitted.
+    fn run_across_restore(
+        mut bank: PatternBank,
+        specs: &Specs,
+        rows: &[Row],
+        cut: usize,
+    ) -> (BankSnapshot, Vec<(usize, Match)>) {
+        let mut out = Vec::new();
+        for &row in &rows[..cut] {
+            out.extend(push(&mut bank, row));
+        }
+        let snap = bank.snapshot();
+        let mut restored = PatternBank::restore(specs, &schema(), &snap).unwrap();
+        assert_eq!(restored.sharing_plan(), bank.sharing_plan());
+        for &row in &rows[cut..] {
+            let emitted = push(&mut bank, row);
+            assert_eq!(push(&mut restored, row), emitted);
+            out.extend(emitted);
+        }
+        let flushed = bank.finish();
+        assert_eq!(restored.finish(), flushed);
+        out.extend(flushed);
+        (snap, out)
+    }
+
+    fn matches_of(out: &[(usize, Match)], pattern: usize) -> Vec<&Match> {
+        let of_pattern = out.iter().filter(|(i, _)| *i == pattern);
+        of_pattern.map(|(_, m)| m).collect()
+    }
+
+    /// A third copy of a deduplicated pair joins mid-stream: it runs its
+    /// own matcher over later events only, the pair stays one matcher,
+    /// and the mixed bank checkpoints and resumes push for push.
+    #[test]
+    fn subscribe_joins_a_deduplicating_bank() {
+        let rows = shared_workload();
+        let join = 7;
+        let mut bank = sharing_bank();
+        let mut out = Vec::new();
+        for &row in &rows[..join] {
+            out.extend(push(&mut bank, row));
+        }
+        let late = bank
+            .subscribe("pc3", &prefixed("C"), MatcherOptions::default())
+            .unwrap();
+        assert_eq!(late, 4);
+        let mut specs = sharing_specs();
+        specs.push(("pc3".into(), prefixed("C"), MatcherOptions::default()));
+        let (snap, rest) = run_across_restore(bank, &specs, &rows[join..], 3);
+        out.extend(rest);
+        assert_eq!(snap.roles[2], BankRole::DedupMember { leader: 0 });
+        assert_eq!(snap.roles[late], BankRole::Plain);
+        assert!(snap.patterns[late].matcher.is_some());
+
+        let (pc, newcomer) = (matches_of(&out, 0), matches_of(&out, late));
+        assert_eq!(pc, matches_of(&out, 2), "the pair stopped emitting as one");
+        assert!(!newcomer.is_empty(), "the newcomer never matched");
+        assert!(
+            pc.len() > newcomer.len(),
+            "nothing matched before it joined"
+        );
+        for m in newcomer {
+            assert!(m.events().all(|e| e.index() >= join), "bound the past: {m}");
+            assert!(pc.contains(&m), "{m} is not a match of its twin");
+        }
+    }
+
+    /// The server's path: every pattern arrives through `subscribe`, so
+    /// one query under two names is two matchers — in the bank, in its
+    /// snapshot, and in the bank restored from it, although a plan
+    /// computed over the two specs would fold them.
+    #[test]
+    fn twins_subscribed_before_the_first_event_stay_two_matchers() {
+        let renamed = Pattern::builder()
+            .set(|s| s.var("x").var("y"))
+            .cond_const("x", "L", CmpOp::Eq, "A")
+            .cond_const("y", "L", CmpOp::Eq, "B")
+            .within(Duration::ticks(5))
+            .build()
+            .unwrap();
+        let specs: Specs = vec![
+            ("ab".into(), pair("A", "B"), MatcherOptions::default()),
+            ("ab2".into(), renamed, MatcherOptions::default()),
+        ];
+        assert_eq!(build(&specs).sharing_plan().deduplicated(), 1);
+
+        let mut bank = PatternBank::builder(&schema()).build();
+        for (name, pattern, options) in &specs {
+            bank.subscribe(name.clone(), pattern, options.clone())
+                .unwrap();
+        }
+        assert!(bank.sharing_plan().is_trivial());
+        let (snap, out) = run_across_restore(bank, &specs, &workload(), 2);
+        assert_eq!(snap.roles, vec![BankRole::Plain; 2]);
+        assert!(snap.patterns.iter().all(|p| p.matcher.is_some()));
+        assert!(!matches_of(&out, 1).is_empty());
+        assert_eq!(matches_of(&out, 0), matches_of(&out, 1));
     }
 
     #[test]
     fn subscribe_survives_snapshot_restore_round_trip() {
         let mut bank = bank();
-        bank.push(Timestamp::new(0), [Value::from(1i64), Value::from("A")])
-            .unwrap();
+        push(&mut bank, (0, 1, "A"));
         bank.subscribe("ef", &pair("E", "F"), MatcherOptions::default())
             .unwrap();
-        bank.push(Timestamp::new(1), [Value::from(1i64), Value::from("E")])
-            .unwrap();
-        let snap = bank.snapshot();
-        let specs: Vec<(String, Pattern, MatcherOptions)> = vec![
-            ("ab".into(), pair("A", "B"), MatcherOptions::default()),
-            ("cd".into(), pair("C", "D"), MatcherOptions::default()),
-            ("ef".into(), pair("E", "F"), MatcherOptions::default()),
-        ];
-        let mut restored = PatternBank::restore(&specs, &schema(), &snap).unwrap();
-        let drive = |bank: &mut PatternBank| {
-            let mut out = Vec::new();
-            for (t, l) in [(2, "F"), (3, "B"), (20, "X")] {
-                out.extend(
-                    bank.push(Timestamp::new(t), [Value::from(1i64), Value::from(l)])
-                        .unwrap(),
-                );
-            }
-            out
-        };
-        let a = drive(&mut bank);
-        let b = drive(&mut restored);
-        assert_eq!(a, b);
-        assert!(a.iter().any(|(i, _)| *i == 2), "subscription matched E-F");
+        let mut specs = specs();
+        specs.push(("ef".into(), pair("E", "F"), MatcherOptions::default()));
+        let rows = [(1, 1, "E"), (2, 1, "F"), (3, 1, "B"), (20, 1, "X")];
+        let (snap, out) = run_across_restore(bank, &specs, &rows, 1);
+        assert!(!matches_of(&out, 2).is_empty(), "subscription matched E-F");
         // The restored bank keeps accepting live subscriptions.
+        let mut restored = PatternBank::restore(&specs, &schema(), &snap).unwrap();
         restored
             .subscribe("gh", &pair("G", "H"), MatcherOptions::default())
             .unwrap();
@@ -2080,35 +1854,34 @@ mod tests {
         assert_eq!((ab.retained_events, ab.evicted_events), (0, 2));
     }
 
-    // ---- structural sharing ------------------------------------------
+    // ---- deduplication -----------------------------------------------
 
-    /// Events exercising overlapping prefixes, ties, window expiry, and
-    /// suffix divergence for the `prefixed` family.
-    fn shared_workload() -> Vec<(i64, &'static str)> {
+    /// Events exercising ties, window expiry, and suffix divergence for
+    /// the `prefixed` family.
+    fn shared_workload() -> Vec<Row> {
         vec![
-            (0, "A"),
-            (1, "B"),
-            (2, "C"),
-            (2, "D"),
-            (3, "A"),
-            (4, "B"),
-            (8, "C"),
-            (9, "A"),
-            (9, "B"),
-            (10, "D"),
-            (20, "X"),
-            (21, "A"),
-            (22, "B"),
-            (23, "C"),
-            (40, "X"),
+            (0, 1, "A"),
+            (1, 1, "B"),
+            (2, 1, "C"),
+            (2, 1, "D"),
+            (3, 1, "A"),
+            (4, 1, "B"),
+            (8, 1, "C"),
+            (9, 1, "A"),
+            (9, 1, "B"),
+            (10, 1, "D"),
+            (20, 1, "X"),
+            (21, 1, "A"),
+            (22, 1, "B"),
+            (23, 1, "C"),
+            (40, 1, "X"),
         ]
     }
 
-    /// A pattern set whose plan exercises every sharing role: `pc2` is
-    /// a duplicate of `pc` (dedup), and `pc`/`pd`/`ab` share the
-    /// `{a,b}` prefix — with `ab` consumed entirely by it (its boundary
-    /// is its accept state).
-    fn sharing_specs() -> Vec<(String, Pattern, MatcherOptions)> {
+    /// A pattern set with a twin among overlapping neighbours: `pc2` is
+    /// a duplicate of `pc` and runs no matcher; `pd` and `ab` open with
+    /// the same `{a,b}` set as `pc` and each run their own.
+    fn sharing_specs() -> Specs {
         vec![
             ("pc".into(), prefixed("C"), MatcherOptions::default()),
             ("pd".into(), prefixed("D"), MatcherOptions::default()),
@@ -2117,78 +1890,29 @@ mod tests {
         ]
     }
 
-    fn sharing_bank(share: bool) -> PatternBank {
-        let mut b = PatternBank::builder(&schema());
-        for (name, pattern, options) in sharing_specs() {
-            b = b.register(name, &pattern, options).unwrap();
-        }
-        b.with_sharing(share).build()
+    fn sharing_bank() -> PatternBank {
+        build(&sharing_specs())
     }
 
-    /// Shared execution vs independent matchers fed every event — the
-    /// push-for-push output-identity claim of `docs/patternbank.md`.
+    /// A deduplicating bank vs independent matchers fed every event —
+    /// the push-for-push output-identity claim of `docs/patternbank.md`.
     #[test]
     fn sharing_matches_independent_matchers() {
-        let specs = sharing_specs();
-        let mut bank = sharing_bank(true);
-        assert!(bank.sharing_active(), "{}", bank.sharing_plan().describe());
-        let mut ind: Vec<StreamMatcher> = specs
-            .iter()
-            .map(|(_, p, o)| StreamMatcher::with_options(p, &schema(), o.clone()).unwrap())
-            .collect();
-        let mut got: Vec<Vec<Match>> = vec![Vec::new(); specs.len()];
-        let mut want: Vec<Vec<Match>> = vec![Vec::new(); specs.len()];
-        for (t, l) in shared_workload() {
-            let values = [Value::from(1), Value::from(l)];
-            for (i, m) in bank.push(Timestamp::new(t), values.clone()).unwrap() {
-                got[i].push(m);
-            }
-            for (i, sm) in ind.iter_mut().enumerate() {
-                want[i].extend(sm.push(Timestamp::new(t), values.clone()).unwrap());
-            }
-        }
-        for (i, m) in bank.finish() {
-            got[i].push(m);
-        }
-        for (i, sm) in ind.into_iter().enumerate() {
-            want[i].extend(sm.finish());
-        }
-        assert_eq!(got, want);
-        assert!(got.iter().all(|g| !g.is_empty()), "every pattern matched");
-    }
-
-    /// Sharing on vs off over the same stream: identical output.
-    #[test]
-    fn sharing_on_off_differential() {
-        let mut on = sharing_bank(true);
-        let mut off = sharing_bank(false);
-        assert!(on.sharing_active());
-        assert!(!off.sharing_active());
-        let mut got = Vec::new();
-        let mut want = Vec::new();
-        for (t, l) in shared_workload() {
-            let values = [Value::from(1), Value::from(l)];
-            got.extend(on.push(Timestamp::new(t), values.clone()).unwrap());
-            want.extend(off.push(Timestamp::new(t), values).unwrap());
-        }
-        got.extend(on.finish());
-        want.extend(off.finish());
-        assert_eq!(got, want);
+        assert_eq!(sharing_bank().sharing_plan().deduplicated(), 1);
+        assert_matches_independent(&sharing_specs(), &shared_workload());
     }
 
     #[test]
     fn sharing_plan_surfaces_roles_and_stats_resolve_leaders() {
-        let mut bank = sharing_bank(true);
+        let mut bank = sharing_bank();
         let plan = bank.sharing_plan().clone();
-        // pc2 deduplicates into pc; pc, pd, ab share the {a,b} prefix.
+        // pc2 deduplicates into pc; pd and ab merely overlap with it.
+        assert_eq!(plan.roles[0], ShareRole::DedupLeader { members: vec![2] });
         assert_eq!(plan.roles[2], ShareRole::DedupMember { leader: 0 });
-        assert_eq!(plan.prefix_groups.len(), 1);
-        assert_eq!(plan.prefix_groups[0].members, vec![0, 1, 3]);
-        assert_eq!(plan.prefix_groups[0].sets, 1);
-        assert_eq!(plan.prefix_groups[0].vars, 2);
-        for (t, l) in shared_workload() {
-            bank.push(Timestamp::new(t), [Value::from(1), Value::from(l)])
-                .unwrap();
+        assert_eq!(plan.roles[1], ShareRole::Independent);
+        assert_eq!(plan.roles[3], ShareRole::Independent);
+        for row in shared_workload() {
+            push(&mut bank, row);
         }
         let stats = bank.stats();
         // The dedup member reports its leader's matcher counters with
@@ -2203,10 +1927,9 @@ mod tests {
 
     #[test]
     fn sharing_heartbeat_finalizes_members() {
-        let mut bank = sharing_bank(true);
-        for (t, l) in [(0, "A"), (1, "B"), (2, "C")] {
-            bank.push(Timestamp::new(t), [Value::from(1), Value::from(l)])
-                .unwrap();
+        let mut bank = sharing_bank();
+        for row in [(0, 1, "A"), (1, 1, "B"), (2, 1, "C")] {
+            push(&mut bank, row);
         }
         let out = bank.advance_watermark(Timestamp::new(100));
         // pc, its duplicate pc2, and ab all complete; pd never saw a D.
@@ -2218,51 +1941,24 @@ mod tests {
 
     #[test]
     fn sharing_snapshot_restore_resumes_identically() {
-        let specs = sharing_specs();
-        let rows = shared_workload();
-        for cut in 0..rows.len() {
-            let mut live = sharing_bank(true);
-            let mut twin = sharing_bank(true);
-            let mut live_out = Vec::new();
-            let mut twin_out = Vec::new();
-            for (t, l) in &rows[..cut] {
-                let values = [Value::from(1), Value::from(*l)];
-                live_out.extend(live.push(Timestamp::new(*t), values.clone()).unwrap());
-                twin_out.extend(twin.push(Timestamp::new(*t), values).unwrap());
-            }
-            let snap = live.snapshot();
-            assert_eq!(snap.pools.len(), 1);
+        assert_restore_resumes(&sharing_specs(), &shared_workload(), |snap| {
             assert!(snap.patterns[2].matcher.is_none(), "dedup member state");
-            drop(live);
-            let mut restored = PatternBank::restore(&specs, &schema(), &snap).unwrap();
-            assert!(restored.sharing_active());
-            for (t, l) in &rows[cut..] {
-                let values = [Value::from(1), Value::from(*l)];
-                live_out.extend(restored.push(Timestamp::new(*t), values.clone()).unwrap());
-                twin_out.extend(twin.push(Timestamp::new(*t), values).unwrap());
-            }
-            live_out.extend(restored.finish());
-            twin_out.extend(twin.finish());
-            assert_eq!(live_out, twin_out, "divergence after restore at cut {cut}");
-        }
+        });
     }
 
     #[test]
     fn restore_rejects_sharing_role_mismatch() {
-        let mut bank = sharing_bank(true);
-        bank.push(Timestamp::new(0), [Value::from(1), Value::from("A")])
-            .unwrap();
+        let mut bank = sharing_bank();
+        push(&mut bank, (0, 1, "A"));
         let snap = bank.snapshot();
-        // Replace the prefix members with patterns that no longer share:
-        // the recomputed plan disagrees with the recorded roles.
-        let broken: Vec<(String, Pattern, MatcherOptions)> = vec![
-            ("pc".into(), prefixed("C"), MatcherOptions::default()),
-            ("pd".into(), pair("E", "F"), MatcherOptions::default()),
-            ("pc2".into(), prefixed("C"), MatcherOptions::default()),
-            ("ab".into(), pair("G", "H"), MatcherOptions::default()),
-        ];
-        let err = PatternBank::restore(&broken, &schema(), &snap).unwrap_err();
-        assert!(err.to_string().contains("roles"), "{err}");
+        // The recorded member must still be a twin of the recorded
+        // leader: not of nobody, and not of somebody else.
+        for stranger in [pair("E", "F"), prefixed("D")] {
+            let mut broken = sharing_specs();
+            broken[2].1 = stranger;
+            let err = PatternBank::restore(&broken, &schema(), &snap).unwrap_err();
+            assert!(err.to_string().contains("deduplicates"), "{err}");
+        }
     }
 
     // ---- key sharding ------------------------------------------------
@@ -2382,12 +2078,10 @@ mod tests {
             .unwrap()
             .register("twin-2", &keyed(), auto())
             .unwrap()
-            .with_sharing(true)
             .build();
         let plan = bank.sharing_plan();
         assert!(plan.roles[..3].iter().all(|r| *r == ShareRole::Independent));
         assert_eq!(plan.roles[4], ShareRole::DedupMember { leader: 3 });
-        assert!(plan.prefix_groups.is_empty());
     }
 
     #[test]

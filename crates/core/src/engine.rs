@@ -72,11 +72,6 @@ pub struct ExecOptions {
     /// Optional hard cap on `|Ω|`; exceeding it panics. A guard against
     /// runaway Theorem-3 worst cases in tests, not a production knob.
     pub max_instances: Option<usize>,
-    /// Spawn a fresh start-state instance per event (Algorithm 1,
-    /// line 4). Default `true`. A shared-prefix *member* matcher runs
-    /// with this off: its runs begin at the prefix boundary, injected by
-    /// the pool that simulates the common prefix for the whole group.
-    pub spawn_start: bool,
 }
 
 impl Default for ExecOptions {
@@ -86,7 +81,6 @@ impl Default for ExecOptions {
             selection: EventSelection::SkipTillNextMatch,
             flush_at_end: true,
             max_instances: None,
-            spawn_start: true,
         }
     }
 }
@@ -342,13 +336,11 @@ pub(crate) fn process_event<S: EventSource, P: Probe>(
     let accept = automaton.accept();
 
     // Algorithm 1, line 4: a fresh instance per (unfiltered) event.
-    if options.spawn_start {
-        omega.push(Instance {
-            state: start,
-            buffer: Buffer::EMPTY,
-        });
-        probe.instance_spawned();
-    }
+    omega.push(Instance {
+        state: start,
+        buffer: Buffer::EMPTY,
+    });
+    probe.instance_spawned();
 
     scratch.clear();
     for instance in omega.drain(..) {

@@ -35,8 +35,7 @@ pub enum CoreError {
         reason: String,
     },
     /// A dynamic subscription could not be registered on a running
-    /// pattern bank (duplicate name, or the bank executes a structural
-    /// sharing plan that live registration would invalidate).
+    /// pattern bank (duplicate name).
     Subscription {
         /// Why the registration was refused.
         reason: String,

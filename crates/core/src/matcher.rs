@@ -300,7 +300,6 @@ impl Matcher {
             selection: self.options.selection,
             flush_at_end: self.options.flush_at_end,
             max_instances: self.options.max_instances,
-            spawn_start: true,
         }
     }
 

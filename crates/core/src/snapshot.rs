@@ -49,11 +49,6 @@ pub struct StreamSnapshot {
     pub fingerprint: u64,
     /// The stream's watermark (latest pushed or heartbeat timestamp).
     pub watermark: Option<Timestamp>,
-    /// The eviction byte of the pinned layout. Every matcher evicts
-    /// now, so snapshots record `true`; restore ignores it — a snapshot
-    /// whose writer retained everything restores and evicts at its next
-    /// push, which changes no match (see [`crate::StreamMatcher::relation`]).
-    pub evict: bool,
     /// Events evicted from the front of the relation; the first retained
     /// event's id is this value.
     pub evicted: u64,
@@ -75,15 +70,16 @@ pub struct StreamSnapshot {
     pub emitted: u64,
 }
 
-/// How one bank entry participates in the structural-sharing plan and
-/// key sharding a [`crate::PatternBank`] snapshot was taken under.
-/// Restore recomputes both from the registration specs and refuses a
-/// snapshot whose recorded roles disagree — the per-pattern payload
-/// layout depends on the role, and events replayed after a restore must
-/// hash to the lanes that hold their keys' state.
+/// How one bank entry ran when a [`crate::PatternBank`] snapshot was
+/// taken: on its own, deduplicated into another, or as a hash lane.
+/// Restore rebuilds the bank in the recorded roles — the per-pattern
+/// payload layout depends on the role — after checking each against the
+/// registration specs: a dedup member must still be evaluation-identical
+/// to its leader, and events replayed after a restore must hash to the
+/// lanes that hold their keys' state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BankRole {
-    /// Runs its own matcher and belongs to no prefix group.
+    /// Runs its own matcher.
     Plain,
     /// Evaluation-identical to pattern `leader`; has no matcher of its
     /// own and re-emits the leader's matches.
@@ -91,12 +87,6 @@ pub enum BankRole {
         /// Registration index of the pattern whose matcher answers for
         /// this one.
         leader: u32,
-    },
-    /// Member of shared-prefix pool `pool`: runs its own matcher with
-    /// start-instance spawning disabled, fed forks by the pool.
-    PrefixMember {
-        /// Index into [`BankSnapshot::pools`].
-        pool: u32,
     },
     /// Hash lane `lane` of the `of` lanes one key-sharded pattern runs
     /// on (consecutive entries carrying the pattern's name): a plain
@@ -154,22 +144,13 @@ pub struct BankSnapshot {
     pub ties: u64,
     /// Matches emitted across all patterns by pushes and heartbeats.
     pub emitted: u64,
-    /// The index byte of the pinned kind-3 layout. Routing always asks
-    /// the predicate index now, so snapshots record `true`; restore
-    /// ignores it — how events were routed never changes what a
-    /// matcher's state means (every entry carries its own relation and
-    /// id map).
-    pub use_index: bool,
     /// The bank's entries, in registration order (a key-sharded
     /// pattern contributes one entry per lane).
     pub patterns: Vec<BankPatternSnapshot>,
-    /// Per-pattern sharing roles, indexed like `patterns`. All
-    /// [`BankRole::Plain`] for a bank built without sharing — such
-    /// snapshots keep the original (kind 2) serialized layout.
+    /// Per-entry roles, indexed like `patterns`. A bank whose entries
+    /// are all [`BankRole::Plain`] keeps the original (kind 2)
+    /// serialized layout.
     pub roles: Vec<BankRole>,
-    /// Shared-prefix pool matchers, in plan group order. Empty without
-    /// sharing.
-    pub pools: Vec<StreamSnapshot>,
 }
 
 /// The unit the checkpoint store persists: a snapshot of the one
@@ -206,49 +187,40 @@ impl MatcherSnapshot {
     }
 }
 
-/// Fingerprints everything that must agree between snapshot and restore
-/// for the dynamic state to be meaningful: the compiled pattern (after
-/// any analyzer rewrites), the schema, and the options that change
-/// matching behavior. Partitioning/threading knobs are excluded — they
-/// affect *where* work runs, not what a shard's state means. The literal
-/// `precheck=true` names an option that no longer exists; it stays in the
-/// tag so checkpoints written while it did still resume.
-/// `prefix_member` marks a matcher whose Ω holds only pool-injected
-/// runs (spawning disabled); its state is not interchangeable with an
-/// independent matcher's.
-pub(crate) fn matcher_fingerprint(
-    automaton: &Automaton,
-    options: &MatcherOptions,
-    prefix_member: bool,
-) -> u64 {
-    let compiled = automaton.pattern();
-    let tag = format!(
-        "{}\n{}\n{:?}/{:?}/{:?}/flush={}/precheck=true/max_inst={:?}{}",
-        compiled.pattern(),
-        compiled.schema(),
-        options.filter,
-        options.selection,
-        options.semantics,
-        options.flush_at_end,
-        options.max_instances,
-        if prefix_member { "/prefix-member" } else { "" },
-    );
-    fnv1a(tag.as_bytes())
-}
-
-/// Compatibility class of a matcher's behavior-relevant options: two
-/// patterns may share execution structure only when their keys agree.
-/// Same field set as [`matcher_fingerprint`] minus pattern and schema.
-pub(crate) fn options_compat(options: &MatcherOptions) -> u64 {
-    let tag = format!(
+/// The options that change matching behavior, rendered. Partitioning and
+/// threading knobs are excluded — they affect *where* work runs, not what
+/// a shard's state means. The literal `precheck=true` names an option
+/// that no longer exists; it stays in the tag so checkpoints written
+/// while it did still resume.
+fn options_tag(options: &MatcherOptions) -> String {
+    format!(
         "{:?}/{:?}/{:?}/flush={}/precheck=true/max_inst={:?}",
         options.filter,
         options.selection,
         options.semantics,
         options.flush_at_end,
         options.max_instances,
+    )
+}
+
+/// Fingerprints everything that must agree between snapshot and restore
+/// for the dynamic state to be meaningful: the compiled pattern (after
+/// any analyzer rewrites), the schema, and the [`options_tag`].
+pub(crate) fn matcher_fingerprint(automaton: &Automaton, options: &MatcherOptions) -> u64 {
+    let compiled = automaton.pattern();
+    let tag = format!(
+        "{}\n{}\n{}",
+        compiled.pattern(),
+        compiled.schema(),
+        options_tag(options)
     );
     fnv1a(tag.as_bytes())
+}
+
+/// Compatibility class of a matcher's behavior-relevant options: two
+/// patterns may share a matcher only when their keys agree.
+pub(crate) fn options_compat(options: &MatcherOptions) -> u64 {
+    fnv1a(options_tag(options).as_bytes())
 }
 
 /// FNV-1a, the same checksum the `ses-store` segment format uses.

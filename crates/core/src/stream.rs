@@ -76,10 +76,6 @@ pub struct StreamMatcher {
     adjudicator: Adjudicator,
     watermark: Option<Timestamp>,
     emitted: usize,
-    /// `false` for a shared-prefix *member* matcher: no fresh start
-    /// instances are spawned; runs enter via
-    /// [`StreamMatcher::inject_instances_at`] instead.
-    spawn_start: bool,
     /// Columnar admission plan for [`StreamMatcher::push_batch`].
     columnar: ColumnarPlan,
     /// Pooled micro-batch admission buffers, reused across batches.
@@ -129,7 +125,6 @@ impl StreamMatcher {
             adjudicator,
             watermark: None,
             emitted: 0,
-            spawn_start: true,
             expiry_floor: None,
         }
     }
@@ -246,26 +241,6 @@ impl StreamMatcher {
         probe.retained_events(self.relation.len());
         self.emitted += out.len();
         out
-    }
-
-    /// Pushes an event the caller has *proved* cannot bind any
-    /// variable of this pattern (e.g. an event the predicate index did
-    /// not admit) and has already checked against this matcher's schema:
-    /// the event is stored — keeping local event ids aligned with
-    /// lockstep peers in a shared-prefix group — and time advances
-    /// exactly as a push would, but the transition engine never runs.
-    /// For such events this is observationally identical to
-    /// [`StreamMatcher::push`] at watermark-heartbeat cost; for any
-    /// other event it is unsound.
-    pub(crate) fn skip_checked_event<P: Probe>(
-        &mut self,
-        event: Event,
-        probe: &mut P,
-    ) -> Result<Vec<Match>, EventError> {
-        let ts = event.ts();
-        in_order(self.watermark, ts)?;
-        self.relation.push_event(event)?;
-        Ok(self.advance_to(ts, None, probe))
     }
 
     /// Pushes a pre-built event. The event is *moved* into the
@@ -509,7 +484,6 @@ impl StreamMatcher {
         StreamSnapshot {
             fingerprint: self.fingerprint(),
             watermark: self.watermark,
-            evict: true,
             evicted: self.relation.evicted() as u64,
             last_ts: self.relation.last_ts(),
             events: self.relation.events().to_vec(),
@@ -547,12 +521,9 @@ impl StreamMatcher {
     }
 
     /// The matcher's pattern/schema/options fingerprint (see
-    /// [`crate::snapshot`]), marked with the matcher's sharing role:
-    /// a shared-prefix member's Ω only contains injected runs, so its
-    /// snapshots must not restore into an independent matcher (or vice
-    /// versa).
+    /// [`crate::snapshot`]).
     pub(crate) fn fingerprint(&self) -> u64 {
-        matcher_fingerprint(&self.automaton, &self.options, !self.spawn_start)
+        matcher_fingerprint(&self.automaton, &self.options)
     }
 
     /// The compiled pattern the automaton runs — after any analyzer
@@ -562,58 +533,9 @@ impl StreamMatcher {
         self.automaton.pattern()
     }
 
-    /// The automaton itself — the bank clones it to build a prefix pool.
-    pub(crate) fn automaton(&self) -> &Automaton {
-        &self.automaton
-    }
-
     /// The options the matcher was compiled with.
     pub(crate) fn options(&self) -> &MatcherOptions {
         &self.options
-    }
-
-    /// Turns fresh start-instance spawning on or off (see
-    /// [`crate::ExecOptions::spawn_start`]). Flipping it changes the
-    /// snapshot fingerprint: a member matcher's dynamic state is only
-    /// meaningful under the role it was captured in.
-    pub(crate) fn set_spawn(&mut self, spawn: bool) {
-        self.spawn_start = spawn;
-    }
-
-    /// Removes and returns the buffers of every active instance sitting
-    /// exactly at state `q` — the pool side of shared-prefix execution.
-    /// Harvesting the prefix boundary after each push keeps the pool
-    /// from evolving instances past the prefix with *its* suffix
-    /// transitions; the members evolve the forks instead.
-    pub(crate) fn take_instances_at(&mut self, q: StateId) -> Vec<Buffer> {
-        let mut taken = Vec::new();
-        let mut kept = Vec::with_capacity(self.omega.len());
-        for inst in self.omega.drain(..) {
-            if inst.state == q {
-                taken.push(inst.buffer);
-            } else {
-                kept.push(inst);
-            }
-        }
-        self.omega = kept;
-        taken
-    }
-
-    /// Appends instances at state `q` with the given buffers — the
-    /// member side of shared-prefix execution. Instance order within Ω
-    /// never changes the emitted match set: accepting runs are grouped
-    /// by first binding and each group is sorted before adjudication.
-    pub(crate) fn inject_instances_at(
-        &mut self,
-        q: StateId,
-        buffers: impl IntoIterator<Item = Buffer>,
-    ) {
-        for buffer in buffers {
-            if let Some(min) = buffer.min_ts() {
-                self.expiry_floor = Some(self.expiry_floor.map_or(min, |f| f.min(min)));
-            }
-            self.omega.push(Instance { state: q, buffer });
-        }
     }
 
     /// Overwrites this matcher's dynamic state with `snap` — shared by
@@ -784,7 +706,6 @@ impl StreamMatcher {
             selection: self.options.selection,
             flush_at_end: self.options.flush_at_end,
             max_instances: self.options.max_instances,
-            spawn_start: self.spawn_start,
         }
     }
 }
@@ -1142,10 +1063,9 @@ mod tests {
             assert_eq!(live_out, twin_out, "divergence after restore at cut {cut}");
 
             // The snapshot a tree that could switch eviction off would
-            // have written: nothing evicted, the eviction byte clear. It
-            // restores, evicts from its next push on, and emits the same.
+            // have written: nothing evicted. It restores, evicts from its
+            // next push on, and emits the same.
             let unevicted = StreamSnapshot {
-                evict: false,
                 evicted: 0,
                 events: rows[..cut]
                     .iter()

@@ -38,11 +38,6 @@ pub enum DiagnosticCode {
     /// of the more general pattern. Emitted by `ses-cli check
     /// --patterns`.
     SubsumedPattern,
-    /// `SES008` — two or more patterns share a sequencing prefix of `k`
-    /// event sets with evaluation-identical admission constraints; a
-    /// pattern bank with sharing enabled evaluates that prefix once.
-    /// Emitted by `ses-cli check --patterns`.
-    SharedPrefix,
 }
 
 impl DiagnosticCode {
@@ -56,7 +51,6 @@ impl DiagnosticCode {
             DiagnosticCode::SchemaMismatch => "SES005",
             DiagnosticCode::EquivalentPatterns => "SES006",
             DiagnosticCode::SubsumedPattern => "SES007",
-            DiagnosticCode::SharedPrefix => "SES008",
         }
     }
 
@@ -69,7 +63,6 @@ impl DiagnosticCode {
             | DiagnosticCode::ComplexityBound
             | DiagnosticCode::EquivalentPatterns
             | DiagnosticCode::SubsumedPattern => Severity::Warning,
-            DiagnosticCode::SharedPrefix => Severity::Info,
         }
     }
 }
@@ -307,7 +300,6 @@ mod tests {
         assert_eq!(DiagnosticCode::SchemaMismatch.as_str(), "SES005");
         assert_eq!(DiagnosticCode::EquivalentPatterns.as_str(), "SES006");
         assert_eq!(DiagnosticCode::SubsumedPattern.as_str(), "SES007");
-        assert_eq!(DiagnosticCode::SharedPrefix.as_str(), "SES008");
     }
 
     #[test]
@@ -327,10 +319,6 @@ mod tests {
         assert_eq!(
             DiagnosticCode::SubsumedPattern.default_severity(),
             Severity::Warning
-        );
-        assert_eq!(
-            DiagnosticCode::SharedPrefix.default_severity(),
-            Severity::Info
         );
         assert!(Severity::Error > Severity::Warning);
         assert!(Severity::Warning > Severity::Info);

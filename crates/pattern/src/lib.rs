@@ -86,5 +86,5 @@ pub use negation::{
 };
 pub use pattern::Pattern;
 pub use propagate::{propagate, Propagation};
-pub use relate::{relate, PatternRelation, PrefixGroup, ShareConstraint, ShareRole, SharingPlan};
+pub use relate::{relate, PatternRelation, ShareConstraint, ShareRole, SharingPlan};
 pub use variable::{Quantifier, VarId, Variable};

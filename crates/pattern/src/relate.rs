@@ -1,7 +1,6 @@
-//! Cross-pattern static analysis: equivalence, subsumption, and shared
-//! sequencing-prefix detection over a *set* of patterns, plus the
-//! [`SharingPlan`] that drives structural sharing in a multi-pattern
-//! bank.
+//! Cross-pattern static analysis: equivalence and subsumption over a
+//! *set* of patterns, plus the [`SharingPlan`] by which a multi-pattern
+//! bank runs evaluation-identical patterns once.
 //!
 //! Everything here is **static** (computed before a single event is
 //! pushed) and **conservative**: a claimed relation is always sound, a
@@ -22,7 +21,7 @@
 //! * a **literal** layer — the same rendering restricted to the
 //!   explicit constants of `Θ`. This is the *evaluation-identical*
 //!   notion: two variables with equal literal keys admit exactly the
-//!   same events at run time, which is the bar structural sharing must
+//!   same events at run time, which is the bar deduplication must
 //!   clear (derived constants may not be checked by the engine, and
 //!   importing them across variables can change greedy
 //!   skip-till-next-match behavior even when it cannot change the final
@@ -33,7 +32,7 @@
 //! once over the literal `Θ` and once over the §4.4 equality closure
 //! ([`equality_closure`]), whose output is candidate-space preserving.
 //!
-//! # The three relations
+//! # The two relations
 //!
 //! * **Equivalence** — the sets match position-wise after sorting each
 //!   set's variables by semantic key, closed variable conditions match
@@ -50,15 +49,7 @@
 //!   in `A`'s closure under `φ`, `τ_A ≤ τ_B`, and — when `B` carries
 //!   negations — that `φ` is set-bijective (so the guarded gaps
 //!   coincide) with every negation of `B` present in `A`.
-//! * **Shared prefix** — the first `k` event sets are *identical in
-//!   declaration order* (same `VarId` layout, same quantifiers, equal
-//!   literal keys) with equal literal variable conditions among the
-//!   prefix variables, equal `τ`, and no negations on either side.
-//!   This is deliberately the evaluation-identical notion: a bank can
-//!   run the shared prefix once and fork instances at the divergence
-//!   point without perturbing any member's output.
 
-use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 
 use ses_event::{CmpOp, Value};
@@ -204,8 +195,8 @@ struct Form<'p> {
     pattern: &'p Pattern,
     /// Semantic facts (explicit + derived constants), by `VarId` index.
     sem: Vec<VarFacts>,
-    /// Literal facts (explicit constants only), by `VarId` index.
-    lit: Vec<VarFacts>,
+    /// Keys of the literal facts (explicit constants only), by `VarId`
+    /// index.
     lit_keys: Vec<String>,
     /// Per set: its variables' semantic keys, sorted — the
     /// order-insensitive structural fingerprint.
@@ -312,7 +303,6 @@ impl<'p> Form<'p> {
         Form {
             pattern: p,
             sem,
-            lit,
             lit_keys,
             canon_set_keys,
             canon_cond_keys,
@@ -354,20 +344,6 @@ impl<'p> Form<'p> {
         }
         s.push_str(&format!("|τ={}", p.within().as_ticks()));
         s
-    }
-
-    /// Literal variable conditions confined to the first `prefix_vars`
-    /// declaration positions, rendered and sorted.
-    fn prefix_cond_keys(&self, prefix_vars: &BTreeSet<VarId>) -> BTreeSet<String> {
-        let identity = |v: VarId| v.index();
-        self.literal_conds
-            .iter()
-            .filter(|c| {
-                let (a, b) = c.variables();
-                prefix_vars.contains(&a) && b.map(|v| prefix_vars.contains(&v)).unwrap_or(true)
-            })
-            .filter_map(|c| render_var_cond(c, &identity))
-            .collect()
     }
 }
 
@@ -479,47 +455,10 @@ fn subsumed_by(a: &Form<'_>, b: &Form<'_>) -> bool {
     true
 }
 
-/// The number of leading event sets shared in declaration order with
-/// evaluation-identical admission (see the module docs); `0` when no
-/// prefix is shared.
-fn shared_prefix_sets(a: &Form<'_>, b: &Form<'_>) -> usize {
-    let pa = a.pattern;
-    let pb = b.pattern;
-    if pa.within() != pb.within() || pa.has_negations() || pb.has_negations() {
-        return 0;
-    }
-    let max_k = pa.num_sets().min(pb.num_sets());
-    let mut k = 0;
-    while k < max_k && set_identical(a, b, k) {
-        k += 1;
-    }
-    // Condition equality is downward-monotone: if the literal prefix
-    // conditions agree at k they agree at every k' < k, so walk down
-    // until they do.
-    while k > 0 {
-        let vars: BTreeSet<VarId> = (0..k).flat_map(|i| pa.set(i).iter().copied()).collect();
-        if a.prefix_cond_keys(&vars) == b.prefix_cond_keys(&vars) {
-            break;
-        }
-        k -= 1;
-    }
-    k
-}
-
-fn set_identical(a: &Form<'_>, b: &Form<'_>, i: usize) -> bool {
-    let sa = a.pattern.set(i);
-    let sb = b.pattern.set(i);
-    sa == sb
-        && sa.iter().all(|v| {
-            a.lit_keys[v.index()] == b.lit_keys[v.index()]
-                && a.lit[v.index()].group == b.lit[v.index()].group
-        })
-}
-
 /// The conservative pairwise relation between two patterns, strongest
-/// first: equivalence, then subsumption (either direction), then a
-/// shared sequencing prefix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// first (and ordered so): equivalence, then subsumption (either
+/// direction).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd)]
 pub enum PatternRelation {
     /// The patterns provably admit the same candidate matches, up to
     /// variable renaming and reordering within event sets.
@@ -530,12 +469,6 @@ pub enum PatternRelation {
     SubsumedBy,
     /// The mirror image: the second pattern is subsumed by the first.
     Subsumes,
-    /// The patterns share their first `sets` event sets with
-    /// evaluation-identical admission constraints.
-    SharedPrefix {
-        /// Number of shared leading event sets.
-        sets: usize,
-    },
     /// No relation could be certified.
     Unrelated,
 }
@@ -553,10 +486,7 @@ pub fn relate(a: &Pattern, b: &Pattern) -> PatternRelation {
     if subsumed_by(&fb, &fa) {
         return PatternRelation::Subsumes;
     }
-    match shared_prefix_sets(&fa, &fb) {
-        0 => PatternRelation::Unrelated,
-        sets => PatternRelation::SharedPrefix { sets },
-    }
+    PatternRelation::Unrelated
 }
 
 /// How one registered pattern participates in a [`SharingPlan`].
@@ -578,25 +508,9 @@ pub enum ShareRole {
     },
 }
 
-/// A group of patterns that evaluate a common sequencing prefix once.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PrefixGroup {
-    /// Participating pattern indices, ascending. Dedup members never
-    /// appear here (their leader does).
-    pub members: Vec<usize>,
-    /// Number of shared leading event sets.
-    pub sets: usize,
-    /// Number of shared leading variables (`VarId`s `0..vars` in every
-    /// member).
-    pub vars: usize,
-    /// The member whose pattern seeds the shared prefix automaton
-    /// (guaranteed to have more than `sets` event sets).
-    pub leader: usize,
-}
-
 /// Per-pattern constraints fed into [`SharingPlan::compute`] by the
-/// caller (a bank knows things this crate cannot: execution options
-/// and compile-time satisfiability).
+/// caller (a bank knows things this crate cannot: execution options,
+/// and which patterns are its own hash lanes).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShareConstraint {
     /// Opaque execution-options compatibility class: only patterns
@@ -607,10 +521,6 @@ pub struct ShareConstraint {
     /// purpose (a bank's hash lanes of one pattern: each sees a
     /// different slice of the stream).
     pub allow_dedup: bool,
-    /// Whether this pattern may join a prefix group. Callers must
-    /// clear this for patterns their engine short-circuits (e.g.
-    /// compile-time unsatisfiable ones).
-    pub allow_prefix: bool,
 }
 
 impl Default for ShareConstraint {
@@ -618,19 +528,16 @@ impl Default for ShareConstraint {
         ShareConstraint {
             compat: 0,
             allow_dedup: true,
-            allow_prefix: true,
         }
     }
 }
 
-/// The structural-sharing plan for a set of patterns: who runs, who
-/// re-emits, and which groups evaluate a shared prefix once.
+/// The deduplication plan for a set of patterns: who runs an automaton
+/// and who re-emits another's matches.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SharingPlan {
     /// Per-pattern role, indexed like the input slice.
     pub roles: Vec<ShareRole>,
-    /// Shared-prefix groups over non-dedup-member patterns.
-    pub prefix_groups: Vec<PrefixGroup>,
 }
 
 impl SharingPlan {
@@ -638,44 +545,39 @@ impl SharingPlan {
     pub fn trivial(n: usize) -> SharingPlan {
         SharingPlan {
             roles: vec![ShareRole::Independent; n],
-            prefix_groups: Vec::new(),
         }
     }
 
     /// `true` iff the plan shares nothing.
     pub fn is_trivial(&self) -> bool {
-        self.prefix_groups.is_empty()
-            && self
-                .roles
-                .iter()
-                .all(|r| matches!(r, ShareRole::Independent))
+        self.deduplicated() == 0
     }
 
-    /// The prefix group containing pattern `idx`, if any.
-    pub fn prefix_group_of(&self, idx: usize) -> Option<usize> {
-        self.prefix_groups
-            .iter()
-            .position(|g| g.members.contains(&idx))
-    }
-
-    /// One-line human summary (for `--stats` style output).
-    pub fn describe(&self) -> String {
-        let dedup = self
-            .roles
+    /// Number of patterns that run no automaton of their own.
+    pub fn deduplicated(&self) -> usize {
+        self.roles
             .iter()
             .filter(|r| matches!(r, ShareRole::DedupMember { .. }))
-            .count();
-        let groups: Vec<String> = self
-            .prefix_groups
-            .iter()
-            .map(|g| format!("{}×k={}", g.members.len(), g.sets))
-            .collect();
-        format!(
-            "{} deduplicated, {} prefix group(s) [{}]",
-            dedup,
-            self.prefix_groups.len(),
-            groups.join(", ")
-        )
+            .count()
+    }
+
+    /// One-line human summary (for `check --patterns` output).
+    pub fn describe(&self) -> String {
+        format!("{} deduplicated", self.deduplicated())
+    }
+
+    /// Makes pattern `member` re-emit the matches of `leader`, which
+    /// runs its own automaton.
+    pub fn deduplicate(&mut self, member: usize, leader: usize) {
+        self.roles[member] = ShareRole::DedupMember { leader };
+        match &mut self.roles[leader] {
+            ShareRole::DedupLeader { members } => members.push(member),
+            r => {
+                *r = ShareRole::DedupLeader {
+                    members: vec![member],
+                }
+            }
+        }
     }
 
     /// Computes the sharing plan for `patterns`.
@@ -683,10 +585,7 @@ impl SharingPlan {
     /// `constraints` must be empty (all defaults) or match `patterns`
     /// in length. Duplicate detection uses the declaration-order
     /// evaluation fingerprint, so a dedup member behaves push-for-push
-    /// identically to its leader; prefix groups require identical
-    /// leading sets in declaration order (see the module docs). Groups
-    /// are never split: a bucket shares the deepest prefix *all* its
-    /// members agree on.
+    /// identically to its leader — the first pattern of its class.
     pub fn compute(patterns: &[&Pattern], constraints: &[ShareConstraint]) -> SharingPlan {
         let n = patterns.len();
         let defaults;
@@ -697,129 +596,24 @@ impl SharingPlan {
             assert_eq!(constraints.len(), n, "one constraint per pattern");
             constraints
         };
-        let forms: Vec<Form<'_>> = patterns.iter().map(|p| Form::build(p)).collect();
-
-        // 1. Deduplicate evaluation-identical patterns.
-        let mut roles = vec![ShareRole::Independent; n];
+        let mut plan = SharingPlan::trivial(n);
         let mut first_of: BTreeMap<(u64, String), usize> = BTreeMap::new();
         for i in 0..n {
             if !constraints[i].allow_dedup {
                 continue;
             }
-            let key = (constraints[i].compat, forms[i].inorder_key());
+            let key = (
+                constraints[i].compat,
+                Form::build(patterns[i]).inorder_key(),
+            );
             match first_of.get(&key) {
-                Some(&leader) => {
-                    roles[i] = ShareRole::DedupMember { leader };
-                    match &mut roles[leader] {
-                        ShareRole::DedupLeader { members } => members.push(i),
-                        r => *r = ShareRole::DedupLeader { members: vec![i] },
-                    }
-                }
+                Some(&leader) => plan.deduplicate(i, leader),
                 None => {
                     first_of.insert(key, i);
                 }
             }
         }
-
-        // 2. Bucket the remaining automaton-running patterns by their
-        //    first-set signature, then deepen each bucket as far as all
-        //    members agree.
-        let mut buckets: BTreeMap<(u64, String), Vec<usize>> = BTreeMap::new();
-        for i in 0..n {
-            if matches!(roles[i], ShareRole::DedupMember { .. }) {
-                continue;
-            }
-            if !constraints[i].allow_prefix {
-                continue;
-            }
-            let p = patterns[i];
-            if p.has_negations() || p.num_sets() == 0 {
-                continue;
-            }
-            let vars: BTreeSet<VarId> = p.set(0).iter().copied().collect();
-            let mut sig = String::new();
-            sig.push('<');
-            for v in p.set(0) {
-                sig.push_str(&format!("{}:", v.index()));
-                sig.push_str(&forms[i].lit_keys[v.index()]);
-                sig.push(',');
-            }
-            sig.push('>');
-            let conds: Vec<String> = forms[i].prefix_cond_keys(&vars).into_iter().collect();
-            sig.push_str(&conds.join(" & "));
-            sig.push_str(&format!("|τ={}", p.within().as_ticks()));
-            buckets
-                .entry((constraints[i].compat, sig))
-                .or_default()
-                .push(i);
-        }
-
-        let mut prefix_groups = Vec::new();
-        for members in buckets.into_values() {
-            if members.len() < 2 {
-                continue;
-            }
-            // Deepen while every member still agrees.
-            let rep = members[0];
-            let mut k = 1usize;
-            loop {
-                let next = k + 1;
-                if members.iter().any(|&m| patterns[m].num_sets() < next) {
-                    break;
-                }
-                let grows = members.iter().skip(1).all(|&m| {
-                    set_identical(&forms[rep], &forms[m], k) && {
-                        let vars: BTreeSet<VarId> = (0..next)
-                            .flat_map(|s| patterns[rep].set(s).iter().copied())
-                            .collect();
-                        forms[rep].prefix_cond_keys(&vars) == forms[m].prefix_cond_keys(&vars)
-                    }
-                });
-                if !grows {
-                    break;
-                }
-                k = next;
-            }
-            // The pool needs a pattern that continues past the prefix;
-            // at most one member can be fully consumed by it (two such
-            // members would have been deduplicated above).
-            let Some(leader) = members
-                .iter()
-                .copied()
-                .find(|&m| patterns[m].num_sets() > k)
-            else {
-                continue;
-            };
-            let vars = (0..k).map(|s| patterns[leader].set(s).len()).sum();
-            prefix_groups.push(PrefixGroup {
-                members,
-                sets: k,
-                vars,
-                leader,
-            });
-        }
-
-        SharingPlan {
-            roles,
-            prefix_groups,
-        }
-    }
-}
-
-/// Deterministic order for [`PatternRelation`] severity (used by lint
-/// output): equivalence strongest, unrelated weakest.
-impl PartialOrd for PatternRelation {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        fn rank(r: &PatternRelation) -> usize {
-            match r {
-                PatternRelation::Equivalent => 0,
-                PatternRelation::SubsumedBy => 1,
-                PatternRelation::Subsumes => 2,
-                PatternRelation::SharedPrefix { .. } => 3,
-                PatternRelation::Unrelated => 4,
-            }
-        }
-        Some(rank(self).cmp(&rank(other)))
+        plan
     }
 }
 
@@ -973,59 +767,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_prefix_detected_and_maximal() {
-        let mk = |suffix_label: &str| {
-            q(|b| {
-                b.set(|s| s.var("a"))
-                    .set(|s| s.plus("p"))
-                    .set(|s| s.var("z"))
-                    .cond_const("a", "L", CmpOp::Eq, "A")
-                    .cond_const("p", "L", CmpOp::Eq, "P")
-                    .cond_vars("a", "ID", CmpOp::Eq, "p", "ID")
-                    .cond_const("z", "L", CmpOp::Eq, suffix_label)
-                    .within(Duration::hours(10))
-            })
-        };
-        let x = mk("X");
-        let y = mk("Y");
-        assert_eq!(relate(&x, &y), PatternRelation::SharedPrefix { sets: 2 });
-
-        let plan = SharingPlan::compute(&[&x, &y], &[]);
-        assert_eq!(plan.prefix_groups.len(), 1);
-        let g = &plan.prefix_groups[0];
-        assert_eq!(g.members, vec![0, 1]);
-        assert_eq!(g.sets, 2);
-        assert_eq!(g.vars, 2);
-    }
-
-    #[test]
-    fn prefix_requires_identical_admission_and_tau() {
-        let a = q(|b| {
-            b.set(|s| s.var("a"))
-                .set(|s| s.var("z"))
-                .cond_const("a", "V", CmpOp::Gt, 5)
-                .cond_const("z", "L", CmpOp::Eq, "X")
-                .within(Duration::hours(10))
-        });
-        let tighter = q(|b| {
-            b.set(|s| s.var("a"))
-                .set(|s| s.var("z"))
-                .cond_const("a", "V", CmpOp::Gt, 6)
-                .cond_const("z", "L", CmpOp::Eq, "Y")
-                .within(Duration::hours(10))
-        });
-        assert_eq!(relate(&a, &tighter), PatternRelation::Unrelated);
-        let other_tau = q(|b| {
-            b.set(|s| s.var("a"))
-                .set(|s| s.var("z"))
-                .cond_const("a", "V", CmpOp::Gt, 5)
-                .cond_const("z", "L", CmpOp::Eq, "Y")
-                .within(Duration::hours(11))
-        });
-        assert_eq!(relate(&a, &other_tau), PatternRelation::Unrelated);
-    }
-
-    #[test]
     fn plan_deduplicates_renamed_twins_and_fans_out() {
         let mk = |n1: &str, n2: &str| {
             q(|b| {
@@ -1041,7 +782,6 @@ mod tests {
         let plan = SharingPlan::compute(&[&p1, &p2], &[]);
         assert_eq!(plan.roles[0], ShareRole::DedupLeader { members: vec![1] });
         assert_eq!(plan.roles[1], ShareRole::DedupMember { leader: 0 });
-        assert!(plan.prefix_groups.is_empty());
         assert!(!plan.is_trivial());
     }
 
@@ -1065,105 +805,14 @@ mod tests {
                 ShareConstraint {
                     compat: 1,
                     allow_dedup: true,
-                    allow_prefix: true,
                 },
                 ShareConstraint {
                     compat: 2,
                     allow_dedup: true,
-                    allow_prefix: true,
                 },
             ],
         );
         assert!(plan.is_trivial());
-    }
-
-    #[test]
-    fn negations_and_prefix_opt_out_block_prefix_groups() {
-        let mk_suffix = |l: &str| {
-            Pattern::builder()
-                .set(|s| s.var("a"))
-                .set(|s| s.var("z"))
-                .cond_const("a", "L", CmpOp::Eq, "A")
-                .cond_const("z", "L", CmpOp::Eq, l)
-                .within(Duration::hours(10))
-        };
-        let p1 = mk_suffix("X").build().unwrap();
-        let p2 = Pattern::builder()
-            .set(|s| s.var("a"))
-            .negate("n")
-            .neg_cond_const("n", "L", CmpOp::Eq, "BAD")
-            .set(|s| s.var("z"))
-            .cond_const("a", "L", CmpOp::Eq, "A")
-            .cond_const("z", "L", CmpOp::Eq, "Y")
-            .within(Duration::hours(10))
-            .build()
-            .unwrap();
-        let plan = SharingPlan::compute(&[&p1, &p2], &[]);
-        assert!(plan.prefix_groups.is_empty());
-
-        let p3 = mk_suffix("Y").build().unwrap();
-        let plan = SharingPlan::compute(
-            &[&p1, &p3],
-            &[
-                ShareConstraint {
-                    compat: 0,
-                    allow_dedup: true,
-                    allow_prefix: true,
-                },
-                ShareConstraint {
-                    compat: 0,
-                    allow_dedup: true,
-                    allow_prefix: false,
-                },
-            ],
-        );
-        assert!(plan.prefix_groups.is_empty());
-    }
-
-    #[test]
-    fn group_quantifiers_participate_in_prefixes() {
-        let mk = |l: &str| {
-            q(|b| {
-                b.set(|s| s.plus("g"))
-                    .set(|s| s.var("z"))
-                    .cond_const("g", "L", CmpOp::Eq, "G")
-                    .cond_const("z", "L", CmpOp::Eq, l)
-                    .within(Duration::hours(10))
-            })
-        };
-        let a = mk("X");
-        let b = mk("Y");
-        assert_eq!(relate(&a, &b), PatternRelation::SharedPrefix { sets: 1 });
-        // Quantifier mismatch in the first set: no sharing.
-        let s = q(|bld| {
-            bld.set(|s| s.var("g"))
-                .set(|s| s.var("z"))
-                .cond_const("g", "L", CmpOp::Eq, "G")
-                .cond_const("z", "L", CmpOp::Eq, "Y")
-                .within(Duration::hours(10))
-        });
-        assert_eq!(relate(&a, &s), PatternRelation::Unrelated);
-    }
-
-    #[test]
-    fn full_prefix_member_is_grouped() {
-        // p1 is exactly the shared prefix of p2.
-        let p1 = q(|b| {
-            b.set(|s| s.var("a"))
-                .cond_const("a", "L", CmpOp::Eq, "A")
-                .within(Duration::hours(10))
-        });
-        let p2 = q(|b| {
-            b.set(|s| s.var("a"))
-                .set(|s| s.var("z"))
-                .cond_const("a", "L", CmpOp::Eq, "A")
-                .cond_const("z", "L", CmpOp::Eq, "Z")
-                .within(Duration::hours(10))
-        });
-        assert_eq!(relate(&p1, &p2), PatternRelation::SharedPrefix { sets: 1 });
-        let plan = SharingPlan::compute(&[&p1, &p2], &[]);
-        assert_eq!(plan.prefix_groups.len(), 1);
-        assert_eq!(plan.prefix_groups[0].leader, 1);
     }
 
     #[test]

@@ -47,36 +47,47 @@ pub(crate) struct Conn {
     pub shed: AtomicU64,
     /// Cleared when the connection is disconnected.
     pub alive: AtomicBool,
+    /// The server's count of connections it dropped for not reading.
+    slow_disconnects: Arc<AtomicU64>,
 }
 
 impl Conn {
-    pub(crate) fn new(id: usize, outbound: usize) -> Conn {
+    fn new(id: usize, outbound: usize, slow_disconnects: Arc<AtomicU64>) -> Conn {
         Conn {
             id,
             out: BoundedQueue::new(outbound),
             accepted: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             alive: AtomicBool::new(true),
+            slow_disconnects,
         }
     }
 
     /// Queues a line for the writer; a full outbound queue disconnects
-    /// the connection (slow consumer — it can resume via its cursor).
+    /// the connection and counts it — waiting for a consumer that has
+    /// stopped reading would stall the fan-out for every subscriber, and
+    /// this one can resume via its cursor.
     pub(crate) fn send(&self, line: String) -> bool {
         if !self.alive.load(Ordering::SeqCst) {
             return false;
         }
         if self.out.try_push(line).is_err() {
-            self.disconnect();
+            // Once per connection, however many senders find it full;
+            // a queue the writer closed first is not a slow consumer.
+            if self.disconnect() {
+                self.slow_disconnects.fetch_add(1, Ordering::Relaxed);
+            }
             return false;
         }
         true
     }
 
-    /// Marks the connection dead and releases its writer.
-    pub(crate) fn disconnect(&self) {
-        self.alive.store(false, Ordering::SeqCst);
+    /// Marks the connection dead and releases its writer; `true` iff it
+    /// was alive until now.
+    pub(crate) fn disconnect(&self) -> bool {
+        let was_alive = self.alive.swap(false, Ordering::SeqCst);
         self.out.close();
+        was_alive
     }
 }
 
@@ -88,6 +99,8 @@ impl Conn {
 pub(crate) struct ConnTable {
     next_id: usize,
     conns: HashMap<usize, Arc<Conn>>,
+    /// Connections dropped because their outbound queue was full.
+    slow_disconnects: Arc<AtomicU64>,
 }
 
 impl ConnTable {
@@ -95,7 +108,7 @@ impl ConnTable {
     pub(crate) fn insert(&mut self, outbound: usize) -> Arc<Conn> {
         let id = self.next_id;
         self.next_id += 1;
-        let conn = Arc::new(Conn::new(id, outbound));
+        let conn = Arc::new(Conn::new(id, outbound, Arc::clone(&self.slow_disconnects)));
         self.conns.insert(id, Arc::clone(&conn));
         conn
     }
@@ -110,6 +123,10 @@ impl ConnTable {
 
     pub(crate) fn all(&self) -> Vec<Arc<Conn>> {
         self.conns.values().cloned().collect()
+    }
+
+    fn slow_disconnects(&self) -> u64 {
+        self.slow_disconnects.load(Ordering::Relaxed)
     }
 }
 
@@ -198,7 +215,7 @@ pub(crate) struct Ingress {
 fn bank_options() -> MatcherOptions {
     MatcherOptions {
         // One stream matcher per subscription; sharding is the batch
-        // CLI's concern, and sharing would refuse live registration.
+        // CLI's concern.
         partition: PartitionMode::Off,
         ..MatcherOptions::default()
     }
@@ -298,9 +315,7 @@ impl Router {
                 bank
             }
             None => {
-                let mut bank = PatternBank::builder(&config.schema)
-                    .with_sharing(false)
-                    .build();
+                let mut bank = PatternBank::builder(&config.schema).build();
                 for (name, pattern, opts) in &specs {
                     bank.subscribe(name.clone(), pattern, opts.clone())
                         .map_err(|e| format!("subscribe `{name}`: {e}"))?;
@@ -472,11 +487,14 @@ impl Router {
         Ok(())
     }
 
-    fn conn(&self, id: usize) -> Option<Arc<Conn>> {
+    fn conn_table(&self) -> MutexGuard<'_, ConnTable> {
         self.conns
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(id)
+    }
+
+    fn conn(&self, id: usize) -> Option<Arc<Conn>> {
+        self.conn_table().get(id)
     }
 
     fn reply(&self, conn: usize, line: String) {
@@ -739,6 +757,7 @@ impl Router {
             .with("consumed", self.bank.consumed_events())
             .with("replayed", self.replayed)
             .with("clamped", self.clamped)
+            .with("slow_disconnects", self.conn_table().slow_disconnects())
             .with("watermark", ts_json(self.bank.watermark()))
             .with(
                 "durable_events",

@@ -52,6 +52,13 @@ fn ev(id: i64, label: &str) -> Vec<JsonValue> {
     vec![JsonValue::Int(id), JsonValue::Str(label.to_string())]
 }
 
+/// One top-level counter of the `stats` reply.
+fn stat(c: &mut Client, name: &str) -> Option<u64> {
+    let reply = c.stats().unwrap();
+    let stats = reply.get("stats").and_then(JsonValue::as_object)?;
+    stats.get(name).and_then(JsonValue::as_u64)
+}
+
 #[test]
 fn ping_ingest_sync_round_trip() {
     let server = Server::start(config(None)).unwrap();
@@ -246,23 +253,18 @@ fn durable_subscription_resumes_across_server_restart() {
 
 #[test]
 fn stale_timestamps_are_clamped_to_the_floor_and_counted() {
-    fn clamped(c: &mut Client) -> Option<u64> {
-        let reply = c.stats().unwrap();
-        let stats = reply.get("stats").and_then(JsonValue::as_object)?;
-        stats.get("clamped").and_then(JsonValue::as_u64)
-    }
     for dir in [None, Some(tmp("clamp"))] {
         let server = Server::start(config(dir.clone())).unwrap();
         let mut c = connect(&server);
         c.ingest(10, &ev(1, "C")).unwrap();
-        assert_eq!(clamped(&mut c), Some(0));
+        assert_eq!(stat(&mut c, "clamped"), Some(0));
         // Behind the floor: taken in at the floor, not refused.
         c.ingest(5, &ev(2, "D")).unwrap();
         c.ingest(10, &ev(3, "X")).unwrap();
         let pong = c.ping().unwrap();
         assert_eq!(pong.get("consumed").and_then(JsonValue::as_u64), Some(3));
         assert_eq!(pong.get("watermark").and_then(JsonValue::as_i64), Some(10));
-        assert_eq!(clamped(&mut c), Some(1));
+        assert_eq!(stat(&mut c, "clamped"), Some(1));
         server.stop().unwrap();
 
         // A restarted durable server takes its floor from the event log
@@ -270,18 +272,84 @@ fn stale_timestamps_are_clamped_to_the_floor_and_counted() {
         if dir.is_some() {
             let server = Server::start(config(dir.clone())).unwrap();
             let mut c = connect(&server);
-            assert_eq!(clamped(&mut c), Some(0));
+            assert_eq!(stat(&mut c, "clamped"), Some(0));
             c.ingest(7, &ev(4, "D")).unwrap();
             let pong = c.ping().unwrap();
             assert_eq!(pong.get("consumed").and_then(JsonValue::as_u64), Some(4));
             assert_eq!(pong.get("watermark").and_then(JsonValue::as_i64), Some(10));
-            assert_eq!(clamped(&mut c), Some(1));
+            assert_eq!(stat(&mut c, "clamped"), Some(1));
             server.stop().unwrap();
         }
         if let Some(dir) = dir {
             std::fs::remove_dir_all(&dir).ok();
         }
     }
+}
+
+/// A subscriber that stops reading is disconnected and counted, not
+/// waited for: the fan-out runs on the router's thread, so a full
+/// outbound queue it blocked on would stall ingest for everyone. What
+/// the subscriber missed is in its durable match log, and it resumes by
+/// cursor. The resend goes through the same bounded queue, so the
+/// re-attach is made against the server restarted with a bound that
+/// holds it.
+#[test]
+fn slow_subscriber_is_disconnected_counted_and_resumes_by_cursor() {
+    const BURST: i64 = 500;
+    /// One round: every C tied at `t + 1` pairs with the one D, and the
+    /// X closes all of their windows — BURST match lines.
+    fn burst(producer: &mut Client, t: i64) {
+        let mut frame: Vec<_> = (0..BURST).map(|i| (t + 1, ev(i, "C"))).collect();
+        frame.extend([(t + 2, ev(0, "D")), (t + 100, ev(0, "X"))]);
+        producer.batch(&frame).unwrap();
+        producer.sync().unwrap();
+    }
+    let dir = tmp("slow-subscriber");
+    let mut cfg = config(Some(dir.clone()));
+    cfg.outbound_capacity = 1;
+    let server = Server::start(cfg).unwrap();
+    // Reads its ack and then never again.
+    let mut sleeper = connect(&server);
+    sleeper.subscribe("cd", CD, 0).unwrap();
+
+    // Its writer drains the one-slot queue into the socket until the
+    // kernel's buffers are full, then blocks; the queue fills behind it
+    // and the next line finds no room — if the router has not outrun
+    // the writer before that. How many rounds it takes is the kernel's
+    // and the scheduler's business; that it happens is not.
+    let mut producer = connect(&server);
+    let mut rounds = 0;
+    while stat(&mut producer, "slow_disconnects") == Some(0) {
+        assert!(rounds < 2_000, "the sleeper's socket never filled");
+        burst(&mut producer, rounds * 1_000);
+        rounds += 1;
+    }
+    assert_eq!(stat(&mut producer, "slow_disconnects"), Some(1));
+
+    // Ingest goes on, and a dead connection is not slow a second time.
+    burst(&mut producer, rounds * 1_000);
+    let events = ((rounds + 1) * (BURST + 2)) as u64;
+    let pong = producer.ping().unwrap();
+    assert_eq!(
+        pong.get("consumed").and_then(JsonValue::as_u64),
+        Some(events)
+    );
+    assert_eq!(stat(&mut producer, "slow_disconnects"), Some(1));
+    server.stop().unwrap();
+
+    let lines = ((rounds + 1) * BURST) as u64;
+    let mut cfg = config(Some(dir.clone()));
+    cfg.outbound_capacity = lines as usize + 1;
+    let server = Server::start(cfg).unwrap();
+    let mut c = connect(&server);
+    let ack = c.subscribe("cd", "", 0).unwrap();
+    assert_eq!(ack.get("resend").and_then(JsonValue::as_u64), Some(lines));
+    for seq in 1..=lines {
+        let m = c.next_match().unwrap().expect("a resent match line");
+        assert_eq!(m.get("seq").and_then(JsonValue::as_u64), Some(seq));
+    }
+    server.stop().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -318,7 +318,6 @@ mod tests {
         let matcher = StreamSnapshot {
             fingerprint: 7,
             watermark: Some(Timestamp::new(5)),
-            evict: true,
             evicted: 0,
             last_ts: Some(Timestamp::new(5)),
             events: vec![Event::new(Timestamp::new(5), vec![Value::Int(1)])],
@@ -333,7 +332,6 @@ mod tests {
             next_id: 1,
             ties: 1,
             emitted,
-            use_index: true,
             patterns: vec![BankPatternSnapshot {
                 name: "query-1".into(),
                 matcher: Some(matcher),
@@ -344,7 +342,6 @@ mod tests {
                 skips: 0,
             }],
             roles: vec![BankRole::Plain],
-            pools: Vec::new(),
         })
     }
 

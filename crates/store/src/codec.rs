@@ -11,10 +11,11 @@
 //! Layout of an encoded [`MatcherSnapshot`] (all integers little-endian):
 //!
 //! ```text
-//! u8 kind                     2 = Bank, 3 = Bank with structural sharing
-//!                             or hash lanes (0 and 1 are retired, see
+//! u8 kind                     2 = Bank, 3 = Bank with deduplicated
+//!                             patterns or hash lanes (0 and 1 are
+//!                             retired, see
 //!                             [`StoreError::RetiredSnapshot`])
-//! stream  := u64 fingerprint | opt_ts watermark | u8 evict
+//! stream  := u64 fingerprint | opt_ts watermark | u8 1
 //!          | u64 evicted | opt_ts last_ts
 //!          | u32 n_events  event*      event   := i64 ts | u16 n | value*
 //!          | u32 n_instances inst*     inst    := u32 state | u32 n | binding*
@@ -22,20 +23,29 @@
 //!          | u32 n_survivors surv*     surv    := i64 minT | match
 //!          | u64 emitted               binding := u32 var | u32 event | i64 ts
 //! bank    := opt_ts watermark | opt_ts last_ts | u64 next_id | u64 ties
-//!          | u64 emitted | u8 use_index | u32 n_patterns bpat*
+//!          | u64 emitted | u8 1 | u32 n_patterns bpat*
 //! bpat    := str name | stream | u32 n_ids u32* | u64 base
 //!          | u64 peak_omega | u64 hits | u64 skips
 //! bank3   := <bank header as above> | u32 n_patterns bpat3*
-//!          | u32 n_pools stream*
+//!          | u32 0
 //! bpat3   := str name | role | u8 has_matcher | stream?
 //!          | u32 n_ids u32* | u64 base | u64 peak_omega
 //!          | u64 hits | u64 skips
-//! role    := 0u8 | 1u8 u32 leader | 2u8 u32 pool
-//!          | 3u8 u32 key u32 lane u32 of
+//! role    := 0u8 | 1u8 u32 leader | 3u8 u32 key u32 lane u32 of
 //! opt_ts  := 0u8 | 1u8 i64
 //! str     := u32 len | utf8 bytes
 //! value   := 0u8 i64 | 1u8 f64 | 2u8 u32 utf8 | 3u8 u8   (the log's tags)
 //! ```
+//!
+//! Three bytes are constants of the layout: the `u8 1` of `stream` and of
+//! the bank header recorded whether the writer evicted and whether it
+//! routed through the predicate index, when either could be switched
+//! off, and the `u32 0` closing `bank3` counted the shared-prefix pool
+//! matchers that followed it, when a bank ran any. A reader skips the
+//! first two — neither changes what the state means — and refuses a
+//! non-zero pool count, like role tag 2 (a pool member), with
+//! [`StoreError::RetiredSnapshot`]: the members' Ω holds only runs the
+//! pool injected, which nothing in this release can continue.
 //!
 //! The file-level framing (magic, format version, checksum) lives in
 //! [`crate::CheckpointStore`]; this module only covers the payload.
@@ -286,17 +296,17 @@ fn checked_len(
 pub fn encode_snapshot(snapshot: &MatcherSnapshot) -> Vec<u8> {
     let MatcherSnapshot::Bank(s) = snapshot;
     let mut e = Encoder::new();
-    // A bank without shared structure or lanes keeps the original kind-2
+    // A bank without dedup members or lanes keeps the original kind-2
     // layout, byte for byte, so pre-sharing checkpoints and their
     // readers stay interchangeable with new ones.
-    let shared = !s.pools.is_empty() || s.roles.iter().any(|r| !matches!(r, BankRole::Plain));
+    let shared = s.roles.iter().any(|r| !matches!(r, BankRole::Plain));
     e.put_u8(if shared { 3 } else { 2 });
     e.put_opt_ts(s.watermark);
     e.put_opt_ts(s.last_ts);
     e.put_u64(s.next_id);
     e.put_u64(s.ties);
     e.put_u64(s.emitted);
-    e.put_bool(s.use_index);
+    e.put_bool(true); // routed through the index
     e.put_u32(s.patterns.len() as u32);
     for (i, p) in s.patterns.iter().enumerate() {
         e.put_str(&p.name);
@@ -306,10 +316,6 @@ pub fn encode_snapshot(snapshot: &MatcherSnapshot) -> Vec<u8> {
                 BankRole::DedupMember { leader } => {
                     e.put_u8(1);
                     e.put_u32(*leader);
-                }
-                BankRole::PrefixMember { pool } => {
-                    e.put_u8(2);
-                    e.put_u32(*pool);
                 }
                 BankRole::Lane { key, lane, of } => {
                     e.put_u8(3);
@@ -342,10 +348,7 @@ pub fn encode_snapshot(snapshot: &MatcherSnapshot) -> Vec<u8> {
         e.put_u64(p.skips);
     }
     if shared {
-        e.put_u32(s.pools.len() as u32);
-        for pool in &s.pools {
-            encode_stream(&mut e, pool);
-        }
+        e.put_u32(0); // prefix pools
     }
     e.into_bytes()
 }
@@ -353,7 +356,7 @@ pub fn encode_snapshot(snapshot: &MatcherSnapshot) -> Vec<u8> {
 fn encode_stream(e: &mut Encoder, s: &StreamSnapshot) {
     e.put_u64(s.fingerprint);
     e.put_opt_ts(s.watermark);
-    e.put_bool(s.evict);
+    e.put_bool(true); // evicts
     e.put_u64(s.evicted);
     e.put_opt_ts(s.last_ts);
     e.put_u32(s.events.len() as u32);
@@ -394,6 +397,10 @@ fn encode_bindings(e: &mut Encoder, bindings: &[(VarId, EventId)]) {
     }
 }
 
+/// What a kind-3 payload naming a shared-prefix pool, or a member of
+/// one, is refused with.
+const PREFIX_POOLS: StoreError = StoreError::RetiredSnapshot { kind: 3 };
+
 /// Deserializes a snapshot payload; every byte must be consumed.
 pub fn decode_snapshot(data: &[u8]) -> Result<MatcherSnapshot, StoreError> {
     let mut d = Decoder::new(data);
@@ -412,7 +419,7 @@ pub fn decode_snapshot(data: &[u8]) -> Result<MatcherSnapshot, StoreError> {
     let next_id = d.get_u64()?;
     let ties = d.get_u64()?;
     let emitted = d.get_u64()?;
-    let use_index = d.get_bool()?;
+    d.get_bool()?; // routed through the index
     let n = checked_len(d.get_u32()?, d.remaining(), 4, "bank patterns")?;
     let mut patterns = Vec::with_capacity(n);
     let mut roles = Vec::with_capacity(n);
@@ -424,7 +431,7 @@ pub fn decode_snapshot(data: &[u8]) -> Result<MatcherSnapshot, StoreError> {
                 1 => BankRole::DedupMember {
                     leader: d.get_u32()?,
                 },
-                2 => BankRole::PrefixMember { pool: d.get_u32()? },
+                2 => return Err(PREFIX_POOLS),
                 3 => {
                     let key = d.get_u32()?;
                     if key > u32::from(u16::MAX) {
@@ -479,13 +486,8 @@ pub fn decode_snapshot(data: &[u8]) -> Result<MatcherSnapshot, StoreError> {
             skips,
         });
     }
-    let mut pools = Vec::new();
-    if shared {
-        let n_pools = checked_len(d.get_u32()?, d.remaining(), 1, "prefix pools")?;
-        pools.reserve(n_pools);
-        for _ in 0..n_pools {
-            pools.push(decode_stream(&mut d)?);
-        }
+    if shared && d.get_u32()? != 0 {
+        return Err(PREFIX_POOLS);
     }
     d.finish()?;
     Ok(MatcherSnapshot::Bank(BankSnapshot {
@@ -494,17 +496,15 @@ pub fn decode_snapshot(data: &[u8]) -> Result<MatcherSnapshot, StoreError> {
         next_id,
         ties,
         emitted,
-        use_index,
         patterns,
         roles,
-        pools,
     }))
 }
 
 fn decode_stream(d: &mut Decoder<'_>) -> Result<StreamSnapshot, StoreError> {
     let fingerprint = d.get_u64()?;
     let watermark = d.get_opt_ts()?;
-    let evict = d.get_bool()?;
+    d.get_bool()?; // evicts
     let evicted = d.get_u64()?;
     let last_ts = d.get_opt_ts()?;
     let n_events = checked_len(d.get_u32()?, d.remaining(), 10, "events")?;
@@ -544,7 +544,6 @@ fn decode_stream(d: &mut Decoder<'_>) -> Result<StreamSnapshot, StoreError> {
     Ok(StreamSnapshot {
         fingerprint,
         watermark,
-        evict,
         evicted,
         last_ts,
         events,
@@ -589,7 +588,6 @@ mod tests {
         StreamSnapshot {
             fingerprint: 0xdead_beef_cafe_f00d,
             watermark: Some(Timestamp::new(42)),
-            evict: true,
             evicted: 3,
             last_ts: Some(Timestamp::new(42)),
             events: vec![
@@ -623,7 +621,6 @@ mod tests {
             next_id: 23,
             ties: 2,
             emitted: 6,
-            use_index: true,
             patterns: vec![
                 BankPatternSnapshot {
                     name: "q-with a space, punctuation…".into(),
@@ -655,21 +652,55 @@ mod tests {
                 },
             ],
             roles: vec![BankRole::Plain, BankRole::Plain],
-            pools: Vec::new(),
         })
     }
 
-    /// A bank with every sharing role populated: a prefix member, a
-    /// dedup member (no matcher of its own), and one prefix pool.
+    /// A bank with a dedup member (no matcher of its own) and its
+    /// leader.
     fn sample_shared_bank() -> MatcherSnapshot {
         let MatcherSnapshot::Bank(mut bank) = sample_bank();
         bank.patterns[1].matcher = None;
-        bank.roles = vec![
-            BankRole::PrefixMember { pool: 0 },
-            BankRole::DedupMember { leader: 0 },
-        ];
-        bank.pools = vec![sample_stream()];
+        bank.roles = vec![BankRole::Plain, BankRole::DedupMember { leader: 0 }];
         MatcherSnapshot::Bank(bank)
+    }
+
+    /// What an earlier release's bank wrote when it ran shared-prefix
+    /// pools, by hand: the first pattern as member of pool 0 (role tag 2
+    /// and the pool index in place of the `Plain` tag), and one pool
+    /// matcher after a count of 1 in place of the closing count of 0.
+    /// Either alone is refused by name — on input from outside the
+    /// program, never a panic or a silent cold start.
+    #[test]
+    fn prefix_pool_checkpoints_are_refused_by_name() {
+        let bytes = encode_snapshot(&sample_shared_bank());
+        let role_at = 44 + 4 + 4 + "q-with a space, punctuation…".len();
+        assert_eq!(bytes[role_at], 0);
+        let mut member = bytes[..role_at].to_vec();
+        member.push(2);
+        member.extend_from_slice(&0u32.to_le_bytes());
+        member.extend_from_slice(&bytes[role_at + 1..]);
+
+        let (body, count) = bytes.split_at(bytes.len() - 4);
+        assert_eq!(count, 0u32.to_le_bytes());
+        let mut pool = Encoder::new();
+        pool.put_u32(1);
+        encode_stream(&mut pool, &sample_stream());
+        let pooled = [body, &pool.into_bytes()].concat();
+
+        for bytes in [member, pooled] {
+            let err = decode_snapshot(&bytes).unwrap_err();
+            assert!(
+                matches!(err, StoreError::RetiredSnapshot { kind: 3 }),
+                "{err}"
+            );
+            let message = err.to_string();
+            assert!(
+                message.contains("a pattern bank running shared-prefix pools")
+                    && message.contains("does not execute")
+                    && message.contains("replay from the event log"),
+                "{message}"
+            );
+        }
     }
 
     #[test]
@@ -729,6 +760,24 @@ mod tests {
         let mut hostile = bytes;
         hostile[44..48].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(decode_snapshot(&hostile).is_err());
+    }
+
+    /// The two bytes that outlived their options are skipped on read: a
+    /// checkpoint whose writer routed without the index, or never
+    /// evicted, decodes to the same snapshot.
+    #[test]
+    fn retired_option_bytes_are_skipped_on_read() {
+        let snap = sample_bank();
+        let mut bytes = encode_snapshot(&snap);
+        // Bank header: the index byte closes it, at offset 43. First
+        // pattern's stream: fingerprint(8) watermark(9), then the
+        // eviction byte.
+        let evict_at = 44 + 4 + 4 + "q-with a space, punctuation…".len() + 17;
+        for at in [43, evict_at] {
+            assert_eq!(bytes[at], 1);
+            bytes[at] = 0;
+        }
+        assert_eq!(decode_snapshot(&bytes).unwrap(), snap);
     }
 
     #[test]

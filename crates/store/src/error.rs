@@ -26,11 +26,13 @@ pub enum StoreError {
         /// Explanation.
         message: String,
     },
-    /// A structurally plausible checkpoint of a snapshot kind this
-    /// release no longer reads: kinds 0 (global) and 1 (sharded) were
-    /// written by the single-query `stream` before it became a pattern
-    /// bank. Unlike [`StoreError::Corrupt`] this is not skipped on
-    /// load — silently cold-starting would hide the format break.
+    /// A structurally plausible checkpoint this release no longer
+    /// reads: kinds 0 (global) and 1 (sharded) were written by the
+    /// single-query `stream` before it became a pattern bank, and a
+    /// kind-3 bank is refused — with this kind — when it records
+    /// shared-prefix pools, an executor this release does not have.
+    /// Unlike [`StoreError::Corrupt`] this is not skipped on load —
+    /// silently cold-starting would hide the format break.
     RetiredSnapshot {
         /// The payload's kind byte.
         kind: u8,
@@ -48,11 +50,19 @@ impl fmt::Display for StoreError {
                 write!(f, "schema mismatch: expected {expected}, found {found}")
             }
             StoreError::Corrupt { message } => write!(f, "corrupt snapshot: {message}"),
-            StoreError::RetiredSnapshot { kind } => write!(
+            StoreError::RetiredSnapshot {
+                kind: kind @ (0 | 1),
+            } => write!(
                 f,
                 "snapshot kind {kind} was written by a single-query `stream` of an earlier \
                  release; this release checkpoints pattern banks only — move the checkpoint \
                  directory away to cold-start from the event log"
+            ),
+            StoreError::RetiredSnapshot { kind } => write!(
+                f,
+                "snapshot kind {kind} was written by a pattern bank running shared-prefix \
+                 pools, which this release does not execute — move the checkpoint directory \
+                 away to replay from the event log"
             ),
             StoreError::Event(e) => write!(f, "event error: {e}"),
         }
@@ -92,8 +102,8 @@ mod tests {
             message: "bad int".into(),
         };
         assert_eq!(e.to_string(), "line 3: bad int");
-        assert!(StoreError::RetiredSnapshot { kind: 1 }
-            .to_string()
-            .contains("earlier release"));
+        let retired = |kind| StoreError::RetiredSnapshot { kind }.to_string();
+        assert!(retired(1).contains("earlier release"));
+        assert!(retired(3).contains("shared-prefix pools"));
     }
 }

@@ -6,9 +6,9 @@
 //! the pool and correlating on `ID`. With a pool of `2 × patterns`
 //! types the pairs are disjoint — every event concerns exactly one
 //! pattern, the predicate index's best case; shrinking the pool makes
-//! patterns share types, exercising overlapping routing. Both the
-//! `patternbank` bench and the bank-vs-independent differential suite
-//! feed on this.
+//! patterns share types, exercising overlapping routing. The
+//! repository's benchmark (`stream-bank`, `server-ingest`) and the
+//! bank-vs-independent differential suite feed on this.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -45,20 +45,6 @@ pub struct BankConfig {
     /// Correlation keys are drawn from `0..ids` — small so matches
     /// actually occur.
     pub ids: i64,
-    /// Fraction (`0.0..=1.0`) of the patterns rewritten to open with
-    /// one shared anchor set — `{a1: TYPE = T00, a2: TYPE = T01}` with
-    /// `a1.ID = a2.ID` — followed by their own suffix type: those
-    /// patterns have an identical leading event set and window, so
-    /// `PatternBank` sharing folds them into one prefix group and
-    /// pairs the anchors once instead of once per pattern. The same
-    /// knob exists for the property suites as
-    /// `tests/common::pattern_set_strategy_with_overlap`.
-    pub overlap: f64,
-    /// Fraction (`0.0..=1.0`) of the stream drawn from the two anchor
-    /// types (`T00`/`T01`) instead of uniformly — "hot" anchors are
-    /// what makes a shared prefix worth evaluating once. `0.0` keeps
-    /// the stream uniform.
-    pub anchor_share: f64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -72,8 +58,6 @@ impl BankConfig {
             events: 2_000,
             within: 20,
             ids: 4,
-            overlap: 0.0,
-            anchor_share: 0.0,
             seed: 42,
         }
     }
@@ -97,61 +81,14 @@ impl BankConfig {
         self.events = events;
         self
     }
-
-    /// Replaces the shared-prefix overlap fraction (clamped to
-    /// `0.0..=1.0`).
-    pub fn with_overlap(mut self, overlap: f64) -> BankConfig {
-        self.overlap = overlap.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Replaces the anchor-type traffic share (clamped to `0.0..=1.0`).
-    pub fn with_anchor_share(mut self, share: f64) -> BankConfig {
-        self.anchor_share = share.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Number of patterns rewritten to share the anchor leading set.
-    pub fn overlapped_patterns(&self) -> usize {
-        (self.patterns as f64 * self.overlap).ceil() as usize
-    }
 }
 
 /// The bank's named patterns: pattern `i` is `a THEN b` with
 /// `a.TYPE = T(2i mod m)`, `b.TYPE = T(2i+1 mod m)`, and `a.ID = b.ID`.
-/// The first [`BankConfig::overlapped_patterns`] patterns are instead
-/// `{a1, a2} THEN b` with `a1.TYPE = T00`, `a2.TYPE = T01`,
-/// `a1.ID = a2.ID`, and `a1.ID = b.ID`: an identical two-variable
-/// leading set (a shared sequencing prefix under the same window)
-/// followed by each pattern's own suffix type.
 pub fn patterns(config: &BankConfig) -> Vec<(String, Pattern)> {
     assert!(config.event_types >= 1, "need at least one event type");
-    let overlapped = config.overlapped_patterns();
-    if overlapped > 0 {
-        assert!(
-            config.event_types >= 3,
-            "overlapped patterns need the two anchor types plus a suffix type"
-        );
-    }
     (0..config.patterns)
         .map(|i| {
-            if i < overlapped {
-                // Suffix types start after the anchors so the prefix
-                // group diverges on the suffix, not inside the prefix.
-                let b = label(2 + i % (config.event_types - 2));
-                let p = Pattern::builder()
-                    .set(|s| s.var("a1").var("a2"))
-                    .set(|s| s.var("b"))
-                    .cond_const("a1", "TYPE", CmpOp::Eq, label(0).as_str())
-                    .cond_const("a2", "TYPE", CmpOp::Eq, label(1).as_str())
-                    .cond_vars("a1", "ID", CmpOp::Eq, "a2", "ID")
-                    .cond_const("b", "TYPE", CmpOp::Eq, b.as_str())
-                    .cond_vars("a1", "ID", CmpOp::Eq, "b", "ID")
-                    .within(Duration::ticks(config.within))
-                    .build()
-                    .expect("overlapped bank pattern is valid");
-                return (format!("q{i:02}"), p);
-            }
             let a = label((2 * i) % config.event_types);
             let b = label((2 * i + 1) % config.event_types);
             let p = Pattern::builder()
@@ -170,23 +107,14 @@ pub fn patterns(config: &BankConfig) -> Vec<(String, Pattern)> {
 
 /// Generates the event stream: random types and correlation keys on a
 /// clock that advances 0–2 ticks per event (so timestamp ties occur).
-/// Types are uniform, except that a [`BankConfig::anchor_share`]
-/// fraction of events is drawn from the two anchor types instead.
-/// Deterministic per seed, chronologically ordered.
+/// Types are uniform. Deterministic per seed, chronologically ordered.
 pub fn generate(config: &BankConfig) -> Relation {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut builder = Relation::builder(schema());
     let mut t = 0i64;
     for _ in 0..config.events {
         t += rng.random_range(0..=2);
-        let ty = if config.anchor_share > 0.0
-            && config.event_types >= 2
-            && rng.random_range(0.0..1.0) < config.anchor_share
-        {
-            rng.random_range(0..2)
-        } else {
-            rng.random_range(0..config.event_types)
-        };
+        let ty = rng.random_range(0..config.event_types);
         let id = rng.random_range(0..config.ids.max(1));
         builder = builder
             .row(
@@ -221,23 +149,6 @@ mod tests {
             generate(&cfg.clone().with_seed(7)).events()[0].values(),
             a.events()[0].values()
         );
-    }
-
-    #[test]
-    fn overlap_knob_forms_one_prefix_group() {
-        use ses_pattern::{ShareConstraint, SharingPlan};
-        let cfg = BankConfig::small().with_patterns(8).with_overlap(0.5);
-        assert_eq!(cfg.overlapped_patterns(), 4);
-        let named = patterns(&cfg);
-        let refs: Vec<&_> = named.iter().map(|(_, p)| p).collect();
-        let plan = SharingPlan::compute(&refs, &vec![ShareConstraint::default(); refs.len()]);
-        assert_eq!(plan.prefix_groups.len(), 1, "{}", plan.describe());
-        assert_eq!(plan.prefix_groups[0].members, vec![0, 1, 2, 3]);
-
-        let named = patterns(&BankConfig::small().with_patterns(8));
-        let refs: Vec<&_> = named.iter().map(|(_, p)| p).collect();
-        let plan = SharingPlan::compute(&refs, &vec![ShareConstraint::default(); refs.len()]);
-        assert!(plan.is_trivial(), "{}", plan.describe());
     }
 
     #[test]

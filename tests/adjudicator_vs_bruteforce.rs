@@ -223,17 +223,16 @@ proptest! {
         }
     }
 
-    /// The multi-pattern bank, with and without structural sharing:
-    /// every pattern's output must be its own reference answer.
+    /// The multi-pattern bank: every pattern's output must be its own
+    /// reference answer.
     #[test]
     fn bank_equals_pairwise_reference(
         rel in relation_strategy_with(2..8, 0..4),
         pats in proptest::collection::vec(pattern_strategy(), 1..3),
-        sharing in proptest::bool::ANY,
     ) {
         let selection = EventSelection::SkipTillNextMatch;
         for semantics in [MatchSemantics::Maximal, MatchSemantics::Definition2] {
-            let mut b = PatternBank::builder(&schema()).with_sharing(sharing);
+            let mut b = PatternBank::builder(&schema());
             for (i, p) in pats.iter().enumerate() {
                 b = b.register(format!("p{i}"), p, options(semantics, selection)).unwrap();
             }
@@ -241,7 +240,7 @@ proptest! {
             for (i, p) in pats.iter().enumerate() {
                 prop_assert_eq!(
                     &streamed[i], &reference_answer(p, &rel, semantics, selection),
-                    "{:?} sharing={}: pattern {} diverged", semantics, sharing, i
+                    "{:?}: pattern {} diverged", semantics, i
                 );
             }
         }
@@ -284,7 +283,7 @@ fn dense_groups_really_are_dense() {
 }
 
 /// Adjudicator survivors round-trip through a bank checkpoint: kind 2
-/// (plain bank) and kind 3 (shared structure). The snapshot is taken
+/// (plain bank) and kind 3 (a deduplicated twin). The snapshot is taken
 /// while a Maximal survivor is still live (within `2τ` of its `minT`),
 /// encoded through the binary codec, decoded, restored — and the
 /// restored bank's remaining emissions must equal the uninterrupted
@@ -311,10 +310,10 @@ fn bank_checkpoint_roundtrips_survivors() {
         (30, "X"),
     ];
     let split = 3; // checkpoint after the X@12 push
-                   // Registering the same pattern twice makes the sharing planner
-                   // deduplicate them → a kind-3 snapshot; sharing off keeps kind 2.
-    for sharing in [false, true] {
-        let specs: Vec<(String, Pattern, MatcherOptions)> = (0..2)
+                   // Registered once the pattern snapshots as kind 2; registered
+                   // twice the bank deduplicates the copy → a kind-3 snapshot.
+    for copies in [1, 2] {
+        let specs: Vec<(String, Pattern, MatcherOptions)> = (0..copies)
             .map(|i| {
                 (
                     format!("p{i}"),
@@ -323,8 +322,8 @@ fn bank_checkpoint_roundtrips_survivors() {
                 )
             })
             .collect();
-        let build = |sharing: bool| {
-            let mut b = PatternBank::builder(&schema()).with_sharing(sharing);
+        let build = || {
+            let mut b = PatternBank::builder(&schema());
             for (name, p, o) in &specs {
                 b = b.register(name.clone(), p, o.clone()).unwrap();
             }
@@ -342,26 +341,26 @@ fn bank_checkpoint_roundtrips_survivors() {
         };
 
         // Uninterrupted reference run.
-        let mut whole = build(sharing);
+        let mut whole = build();
         let mut reference = push_rows(&mut whole, &rows);
         reference.extend(whole.finish());
 
         // Checkpointed run: push a prefix, snapshot through the codec,
         // restore, push the suffix.
-        let mut bank = build(sharing);
+        let mut bank = build();
         let mut emissions = push_rows(&mut bank, &rows[..split]);
         let snap = bank.snapshot();
         let has_survivor = snap
             .patterns
             .iter()
             .filter_map(|p| p.matcher.as_ref())
-            .chain(snap.pools.iter())
             .any(|s| !s.survivors.is_empty());
         assert!(
             has_survivor,
-            "sharing={sharing}: snapshot carries no live survivor — the round-trip is vacuous"
+            "copies={copies}: snapshot carries no live survivor — the round-trip is vacuous"
         );
         let bytes = encode_snapshot(&MatcherSnapshot::Bank(snap));
+        assert_eq!(bytes[0], 1 + copies as u8, "snapshot kind");
         let MatcherSnapshot::Bank(decoded) = decode_snapshot(&bytes).unwrap();
         let mut restored = PatternBank::restore(&specs, &schema(), &decoded).unwrap();
         emissions.extend(push_rows(&mut restored, &rows[split..]));
@@ -369,7 +368,7 @@ fn bank_checkpoint_roundtrips_survivors() {
 
         assert_eq!(
             emissions, reference,
-            "sharing={sharing}: restored bank diverged from the uninterrupted run"
+            "copies={copies}: restored bank diverged from the uninterrupted run"
         );
     }
 }

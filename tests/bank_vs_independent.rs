@@ -13,7 +13,7 @@
 //! uninterrupted twin. A third runs every key-provable pattern on 1–3
 //! hash lanes and requires the same schedule again — across a codec
 //! round trip — so key sharding is an execution strategy like the index
-//! and sharing are. The soundness argument for why skipping cannot
+//! and deduplication are. The soundness argument for why skipping cannot
 //! change any pattern's answer is in `docs/patternbank.md`; the one for
 //! lanes is in `docs/parallel.md`.
 //!
@@ -27,6 +27,8 @@
 //! not show: checkpoint bytes, and a pattern subscribed mid-stream.
 
 mod common;
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
@@ -81,15 +83,19 @@ fn independent_schedule(
 }
 
 fn build_bank(patterns: &[Pattern], opts: &MatcherOptions) -> PatternBank {
-    build_bank_sharing(patterns, opts, false)
-}
-
-fn build_bank_sharing(patterns: &[Pattern], opts: &MatcherOptions, share: bool) -> PatternBank {
-    let mut builder = PatternBank::builder(&schema()).with_sharing(share);
+    let mut builder = PatternBank::builder(&schema());
     for (i, p) in patterns.iter().enumerate() {
         builder = builder.register(format!("p{i}"), p, opts.clone()).unwrap();
     }
     builder.build()
+}
+
+/// The specs a restore of [`build_bank`]'s bank takes.
+fn specs_of(patterns: &[Pattern], opts: &MatcherOptions) -> Vec<(String, Pattern, MatcherOptions)> {
+    let named = patterns.iter().enumerate();
+    named
+        .map(|(i, p)| (format!("p{i}"), p.clone(), opts.clone()))
+        .collect()
 }
 
 /// Buckets one push's `(pattern id, match)` pairs into per-pattern
@@ -108,17 +114,7 @@ fn bank_schedule(
     rel: &Relation,
     opts: &MatcherOptions,
 ) -> Vec<Vec<Vec<Match>>> {
-    bank_schedule_sharing(patterns, rel, opts, false)
-}
-
-/// As [`bank_schedule`], with structural sharing on or off.
-fn bank_schedule_sharing(
-    patterns: &[Pattern],
-    rel: &Relation,
-    opts: &MatcherOptions,
-    share: bool,
-) -> Vec<Vec<Vec<Match>>> {
-    let mut bank = build_bank_sharing(patterns, opts, share);
+    let mut bank = build_bank(patterns, opts);
     let mut schedule = Vec::new();
     for e in rel.events() {
         let emitted = bank.push(e.ts(), e.values().to_vec()).unwrap();
@@ -126,6 +122,21 @@ fn bank_schedule_sharing(
     }
     schedule.push(bucket(patterns.len(), bank.finish()));
     schedule
+}
+
+/// The sets [`pattern_set_strategy_with_overlap`] generates are there
+/// for their twins. Called with every case's bank and the property's
+/// `[cases, cases that deduplicated]`: once 64 cases have gone by
+/// without a twin the generator has drifted, and the property no longer
+/// tests what it says.
+fn count_twins(census: &[AtomicUsize; 2], bank: &PatternBank) {
+    let deduplicated = usize::from(bank.sharing_plan().deduplicated() > 0);
+    let cases = census[0].fetch_add(1, Ordering::Relaxed) + 1;
+    let twins = census[1].fetch_add(deduplicated, Ordering::Relaxed) + deduplicated;
+    assert!(
+        cases < 64 || twins > 0,
+        "{cases} cases and no bank deduplicated a pattern"
+    );
 }
 
 /// Every pattern of `patterns` that proves a partition key under
@@ -155,6 +166,62 @@ fn build_bank_lanes(
     (builder.build(), specs)
 }
 
+/// Checkpoint/restore of the whole bank mid-stream, through the binary
+/// codec as `recover` would see it: on each of `rels` the restored bank
+/// must come back in the identical plan and finish the stream exactly
+/// like an uninterrupted twin (and therefore like the independent
+/// matchers). A dedup member — a pattern without a matcher of its own —
+/// serializes as the bumped codec kind 3; a plan that shares nothing
+/// keeps the legacy layout.
+fn restore_is_seamless(
+    patterns: &[Pattern],
+    rels: [&Relation; 2],
+    opts: &MatcherOptions,
+    cut_pick: usize,
+) -> Result<(), TestCaseError> {
+    let specs = specs_of(patterns, opts);
+    for rel in rels {
+        let cut = cut_pick % (rel.len() + 1);
+        let mut live = build_bank(patterns, opts);
+        let mut twin = build_bank(patterns, opts);
+        let mut live_out = Vec::new();
+        let mut twin_out = Vec::new();
+        for e in &rel.events()[..cut] {
+            live_out.extend(live.push(e.ts(), e.values().to_vec()).unwrap());
+            twin_out.extend(twin.push(e.ts(), e.values().to_vec()).unwrap());
+        }
+
+        let bytes = ses::store::encode_snapshot(&MatcherSnapshot::Bank(live.snapshot()));
+        drop(live);
+        let kind = if twin.sharing_plan().is_trivial() {
+            2
+        } else {
+            3
+        };
+        prop_assert_eq!(bytes[0], kind);
+        let MatcherSnapshot::Bank(snap) = ses::store::decode_snapshot(&bytes).unwrap();
+        let mut restored = PatternBank::restore(&specs, &schema(), &snap).unwrap();
+        prop_assert_eq!(restored.sharing_plan(), twin.sharing_plan());
+        prop_assert_eq!(restored.emitted_so_far(), twin.emitted_so_far());
+        prop_assert_eq!(restored.consumed_events(), twin.consumed_events());
+        prop_assert_eq!(restored.ties_at_watermark(), twin.ties_at_watermark());
+
+        for e in &rel.events()[cut..] {
+            live_out.extend(restored.push(e.ts(), e.values().to_vec()).unwrap());
+            twin_out.extend(twin.push(e.ts(), e.values().to_vec()).unwrap());
+        }
+        live_out.extend(restored.finish());
+        twin_out.extend(twin.finish());
+        prop_assert_eq!(
+            live_out,
+            twin_out,
+            "divergence after restore at cut {}",
+            cut
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -175,11 +242,12 @@ proptest! {
         }
     }
 
-    /// The sharing-on/off differential axis: over pattern sets with a
-    /// high shared-prefix overlap (dedup members, prefix groups, and
-    /// independents mixed), a bank with structural sharing enabled
-    /// emits push-for-push exactly what the independent matchers emit
-    /// — sharing is an execution strategy, never an answer change.
+    /// Deduplication against the same oracle: over pattern sets rebuilt
+    /// to overlap — twins that run one matcher between them, near-twins
+    /// that part ways at the last set and share nothing, and
+    /// independents, mixed — the bank emits push-for-push exactly what
+    /// the independent matchers emit. Running a twin's matcher once is
+    /// an execution strategy, never an answer change.
     #[test]
     fn bank_sharing_equals_independent_matchers(
         patterns in pattern_set_strategy_with_overlap(75),
@@ -188,13 +256,13 @@ proptest! {
         mode in 0usize..3,
         sel in 0usize..2,
     ) {
+        static CENSUS: [AtomicUsize; 2] = [AtomicUsize::new(0), AtomicUsize::new(0)];
         let opts = options(MODES[mode], SELECTIONS[sel]);
+        count_twins(&CENSUS, &build_bank(&patterns, &opts));
         for rel in [&rel, &paced_relation(&patterns, &pace)] {
             let want = independent_schedule(&patterns, rel, &opts);
-            let shared = bank_schedule_sharing(&patterns, rel, &opts, true);
-            prop_assert_eq!(&shared, &want, "sharing diverged from independent");
-            let unshared = bank_schedule_sharing(&patterns, rel, &opts, false);
-            prop_assert_eq!(&shared, &unshared, "sharing on/off diverged");
+            let got = bank_schedule(&patterns, rel, &opts);
+            prop_assert_eq!(&got, &want, "deduplication diverged from independent");
         }
     }
 
@@ -235,10 +303,9 @@ proptest! {
         }
     }
 
-    /// Checkpoint/restore of the whole bank mid-stream, through the
-    /// binary codec: the restored bank must finish the stream exactly
-    /// like an uninterrupted twin (and therefore like the independent
-    /// matchers, by the property above).
+    /// [`restore_is_seamless`] over the plain pattern sets. On the paced
+    /// relation the cut routinely falls inside an idle stretch, with
+    /// heartbeats withheld on either side of it.
     #[test]
     fn bank_checkpoint_restore_is_seamless(
         patterns in pattern_set_strategy(),
@@ -248,51 +315,11 @@ proptest! {
         cut_pick in 0usize..1000,
     ) {
         let opts = options(MODES[mode], EventSelection::SkipTillNextMatch);
-        let specs: Vec<(String, Pattern, MatcherOptions)> = patterns
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (format!("p{i}"), p.clone(), opts.clone()))
-            .collect();
-
-        // On the paced relation the cut routinely falls inside an idle
-        // stretch, with heartbeats withheld on either side of it.
-        for rel in [&rel, &paced_relation(&patterns, &pace)] {
-            let cut = cut_pick % (rel.len() + 1);
-            let mut live = build_bank(&patterns, &opts);
-            let mut twin = build_bank(&patterns, &opts);
-            let mut live_out = Vec::new();
-            let mut twin_out = Vec::new();
-            for e in &rel.events()[..cut] {
-                live_out.extend(live.push(e.ts(), e.values().to_vec()).unwrap());
-                twin_out.extend(twin.push(e.ts(), e.values().to_vec()).unwrap());
-            }
-
-            // Through the codec, as `recover` would see it.
-            let bytes = ses::store::encode_snapshot(&MatcherSnapshot::Bank(live.snapshot()));
-            drop(live);
-            let MatcherSnapshot::Bank(snap) = ses::store::decode_snapshot(&bytes).unwrap();
-            let mut restored = ses::core::PatternBank::restore(&specs, &schema(), &snap).unwrap();
-            prop_assert_eq!(restored.emitted_so_far(), twin.emitted_so_far());
-            prop_assert_eq!(restored.consumed_events(), twin.consumed_events());
-            prop_assert_eq!(restored.ties_at_watermark(), twin.ties_at_watermark());
-
-            for e in &rel.events()[cut..] {
-                live_out.extend(restored.push(e.ts(), e.values().to_vec()).unwrap());
-                twin_out.extend(twin.push(e.ts(), e.values().to_vec()).unwrap());
-            }
-            live_out.extend(restored.finish());
-            twin_out.extend(twin.finish());
-            prop_assert_eq!(live_out, twin_out, "divergence after restore at cut {}", cut);
-        }
+        restore_is_seamless(&patterns, [&rel, &paced_relation(&patterns, &pace)], &opts, cut_pick)?;
     }
 
-    /// The same seamless-restore property with structural sharing on,
-    /// over high-overlap pattern sets: the snapshot travels through the
-    /// bumped codec kind (kind 3 whenever the plan actually shares —
-    /// dedup members without a matcher, prefix pools with live
-    /// instances), and the restored bank both recomputes the identical
-    /// plan and finishes the stream exactly like its uninterrupted
-    /// twin.
+    /// [`restore_is_seamless`] over high-overlap pattern sets, where the
+    /// snapshots routinely hold dedup members.
     #[test]
     fn shared_bank_checkpoint_restore_is_seamless(
         patterns in pattern_set_strategy_with_overlap(75),
@@ -301,75 +328,37 @@ proptest! {
         mode in 0usize..3,
         cut_pick in 0usize..1000,
     ) {
+        static CENSUS: [AtomicUsize; 2] = [AtomicUsize::new(0), AtomicUsize::new(0)];
         let opts = options(MODES[mode], EventSelection::SkipTillNextMatch);
-        let specs: Vec<(String, Pattern, MatcherOptions)> = patterns
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (format!("p{i}"), p.clone(), opts.clone()))
-            .collect();
-
-        for rel in [&rel, &paced_relation(&patterns, &pace)] {
-            let cut = cut_pick % (rel.len() + 1);
-            let mut live = build_bank_sharing(&patterns, &opts, true);
-            let mut twin = build_bank_sharing(&patterns, &opts, true);
-            let shares = live.sharing_active();
-            let mut live_out = Vec::new();
-            let mut twin_out = Vec::new();
-            for e in &rel.events()[..cut] {
-                live_out.extend(live.push(e.ts(), e.values().to_vec()).unwrap());
-                twin_out.extend(twin.push(e.ts(), e.values().to_vec()).unwrap());
-            }
-
-            let plan = live.sharing_plan().clone();
-            let bytes = ses::store::encode_snapshot(&MatcherSnapshot::Bank(live.snapshot()));
-            drop(live);
-            // Shared structure serializes as the bumped kind; a plan that
-            // happens to share nothing keeps the legacy layout.
-            prop_assert_eq!(bytes[0], if shares { 3 } else { 2 });
-            let MatcherSnapshot::Bank(snap) = ses::store::decode_snapshot(&bytes).unwrap();
-            let mut restored = ses::core::PatternBank::restore(&specs, &schema(), &snap).unwrap();
-            prop_assert_eq!(restored.sharing_plan(), &plan);
-            prop_assert_eq!(restored.emitted_so_far(), twin.emitted_so_far());
-            prop_assert_eq!(restored.consumed_events(), twin.consumed_events());
-
-            for e in &rel.events()[cut..] {
-                live_out.extend(restored.push(e.ts(), e.values().to_vec()).unwrap());
-                twin_out.extend(twin.push(e.ts(), e.values().to_vec()).unwrap());
-            }
-            live_out.extend(restored.finish());
-            twin_out.extend(twin.finish());
-            prop_assert_eq!(live_out, twin_out, "shared divergence after restore at cut {}", cut);
-        }
+        count_twins(&CENSUS, &build_bank(&patterns, &opts));
+        restore_is_seamless(&patterns, [&rel, &paced_relation(&patterns, &pace)], &opts, cut_pick)?;
     }
 
     /// Deferral leaves no trace in a checkpoint: at any cut, the bytes
     /// `encode_snapshot` writes for the bank equal those of a twin that
     /// was additionally handed `advance_watermark(ts)` after every push
-    /// — every pattern, lane and prefix pool heartbeat to the clock
-    /// every time, as the bank used to do — and restoring either and
-    /// finishing the stream emits one schedule. Plain, shared, and on
-    /// two hash lanes; dense and window-paced streams.
+    /// — every pattern and lane heartbeat to the clock every time, as
+    /// the bank used to do — and restoring either and finishing the
+    /// stream emits one schedule. With twins deduplicated, and on two
+    /// hash lanes; dense and window-paced streams.
     #[test]
     fn checkpoint_bytes_do_not_show_deferred_heartbeats(
         patterns in pattern_set_strategy_with_overlap(50),
         rel in relation_strategy_with(3..10, 0i64..3),
         pace in paced_rows_strategy(3..10),
         mode in 0usize..3,
-        layout in 0usize..3,
+        on_lanes in proptest::bool::ANY,
         cut_pick in 0usize..1000,
     ) {
+        static CENSUS: [AtomicUsize; 2] = [AtomicUsize::new(0), AtomicUsize::new(0)];
         let opts = options(MODES[mode], EventSelection::SkipTillNextMatch);
-        let build = || match layout {
-            0 | 1 => {
-                let specs: Vec<(String, Pattern, MatcherOptions)> = patterns
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| (format!("p{i}"), p.clone(), opts.clone()))
-                    .collect();
-                (build_bank_sharing(&patterns, &opts, layout == 1), specs)
+        let build = || {
+            if on_lanes {
+                return build_bank_lanes(&patterns, &opts, 2);
             }
-            _ => build_bank_lanes(&patterns, &opts, 2),
+            (build_bank(&patterns, &opts), specs_of(&patterns, &opts))
         };
+        count_twins(&CENSUS, &build().0);
         for rel in [&rel, &paced_relation(&patterns, &pace)] {
             let cut = cut_pick % (rel.len() + 1);
             let (mut deferred, specs) = build();

@@ -353,17 +353,15 @@ pub fn paced_relation(patterns: &[Pattern], rows: &PacedRows) -> Relation {
     rel
 }
 
-/// As [`pattern_set_strategy`], but with a tunable shared-prefix
-/// overlap knob: `overlap_pct`% of the generated patterns (rounded up)
-/// are rebuilt to open with one common leading event set — identical
-/// declaration order, types, and window τ — diverging only in a typed
-/// suffix variable. That is exactly the shape `PatternBank`'s
-/// structural sharing detects: overlapped patterns land in one prefix
-/// group (or, when their suffixes also coincide, deduplicate
-/// entirely), so the sharing differential suite gets dedup members,
-/// prefix members, and untouched independents in one set. The
-/// `ses-workload` bank generator exposes the same knob for benches
-/// (`BankConfig::overlap`).
+/// As [`pattern_set_strategy`], but with a tunable overlap knob:
+/// `overlap_pct`% of the generated patterns (rounded up) are rebuilt to
+/// open with one common leading event set — identical declaration
+/// order, types, and window τ — and to end in a typed suffix variable
+/// drawn from three types. Where two suffixes coincide the patterns are
+/// twins, which a `PatternBank` runs on one matcher; where they differ
+/// the patterns overlap in everything but their last set and still each
+/// run their own. The differential suites get dedup members, their
+/// near-twins, and untouched independents in one set.
 pub fn pattern_set_strategy_with_overlap(overlap_pct: u8) -> impl Strategy<Value = Vec<Pattern>> {
     (
         pattern_set_strategy(),

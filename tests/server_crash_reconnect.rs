@@ -6,9 +6,11 @@
 //!    `abort()` after consuming k fresh events (no flush, no final
 //!    checkpoint: the harshest crash the process can inflict on
 //!    itself).
-//! 2. Three subscriber clients register the same pattern; one producer
-//!    streams a deterministic event sequence, learning the durable
-//!    prefix from periodic `sync` acks.
+//! 2. Three subscriber clients register the same query text — two
+//!    under one name, the third under a second name, so the bank holds
+//!    two evaluation-identical patterns, each with its own matcher and
+//!    match log; one producer streams a deterministic event sequence,
+//!    learning the durable prefix from periodic `sync` acks.
 //! 3. The server dies mid-stream. Everyone reconnects to a restarted
 //!    server: the producer resumes ingestion from the durable count the
 //!    restarted server reports, each subscriber resumes from its last
@@ -32,6 +34,8 @@ const SCHEMA: &str = "ID:int,L:str";
 const QUERY: &str = "PATTERN c THEN d WHERE c.L = 'C' AND d.L = 'D' WITHIN 5 TICKS";
 /// Number of (C, D) pairs in the canonical stream — one match each.
 const PAIRS: usize = 8;
+/// The subscription each of the three subscribers attaches to.
+const SUBSCRIPTIONS: [&str; 3] = ["cd", "cd", "cd-twin"];
 
 struct ServerProc {
     child: Child,
@@ -195,10 +199,11 @@ fn run_kill_point(kill_after: u64) {
 
     // Phase 1: server with the injected kill point.
     let mut server = start_server(&dir, Some(kill_after));
-    let mut subscribers: Vec<(Client, Ledger)> = (0..3)
-        .map(|_| {
+    let mut subscribers: Vec<(Client, Ledger)> = SUBSCRIPTIONS
+        .iter()
+        .map(|name| {
             let mut c = connect(server.port);
-            c.subscribe("cd", QUERY, 0).unwrap();
+            c.subscribe(name, QUERY, 0).unwrap();
             (c, Ledger::default())
         })
         .collect();
@@ -221,9 +226,10 @@ fn run_kill_point(kill_after: u64) {
     let resume_from = durable_count(server.port);
     let mut resumed: Vec<(Client, Ledger)> = subscribers
         .into_iter()
-        .map(|(_, ledger)| {
+        .zip(SUBSCRIPTIONS)
+        .map(|((_, ledger), name)| {
             let mut c = connect(server.port);
-            let ack = c.subscribe("cd", "", ledger.cursor()).unwrap();
+            let ack = c.subscribe(name, "", ledger.cursor()).unwrap();
             let resend = ack.get("resend").and_then(JsonValue::as_u64).unwrap();
             let expected = ack.get("seq").and_then(JsonValue::as_u64).unwrap() - ledger.cursor();
             assert_eq!(resend, expected, "resend must cover exactly the gap");
