@@ -4,15 +4,16 @@
 //! output without spawning processes.
 
 use std::io::Write;
+use std::path::PathBuf;
 
 use ses_core::{
-    EventSelection, FilterMode, MatchSemantics, Matcher, MatcherOptions, MatcherSnapshot,
-    PartitionMode, PartitionStrategy, PatternBank, Probe,
+    EventSelection, FilterMode, MatchSemantics, Matcher, MatcherOptions, PartitionMode,
+    PartitionStrategy, PatternBank,
 };
-use ses_event::{Duration, Relation, Timestamp};
+use ses_event::{Duration, Relation};
 use ses_metrics::{CountingProbe, Stopwatch, Table};
 use ses_query::TickUnit;
-use ses_store::{CheckpointStore, EventLog, EventStore, LogConfig, MatchLog};
+use ses_store::{Checkpoints, DurableBank, EventLog, EventStore, LogConfig, MatchSinks};
 
 use crate::args::Args;
 
@@ -868,95 +869,57 @@ fn cmd_check_bank(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     Ok(())
 }
 
-/// The `--checkpoint` machinery: the checkpoint store, the durable
-/// match sink, and the every-N-events cadence. The sink is synced
-/// *before* each snapshot is saved, so its line count is always ≥ the
-/// checkpoint's emitted high-water mark — the invariant exactly-once
-/// suppression relies on.
-struct Durability {
-    store: CheckpointStore,
-    sink: MatchLog,
-    every: usize,
-    since: usize,
+/// `--checkpoint DIR [--checkpoint-every N] [--keep K]`, validated;
+/// `None` when `--checkpoint` was not given.
+fn checkpoints_from_args(args: &Args) -> Result<Option<Checkpoints>, String> {
+    let Some(dir) = args.get("checkpoint") else {
+        return Ok(None);
+    };
+    if args.get("from-log").is_none() {
+        return Err(
+            "--checkpoint requires --from-log (recovery replays the event log)".to_string(),
+        );
+    }
+    let every: usize = args.get_parsed("checkpoint-every", 1000)?;
+    if every == 0 {
+        return Err("--checkpoint-every must be positive".to_string());
+    }
+    let keep: usize = args.get_parsed("keep", 3)?;
+    if keep == 0 {
+        return Err("--keep must be positive".to_string());
+    }
+    Ok(Some(Checkpoints {
+        dir: dir.into(),
+        keep,
+        every,
+    }))
 }
 
-impl Durability {
-    /// Builds from `--checkpoint DIR [--checkpoint-every N] [--keep K]`;
-    /// `None` when `--checkpoint` was not given.
-    fn from_args(args: &Args) -> Result<Option<Durability>, String> {
-        let Some(dir) = args.get("checkpoint") else {
-            return Ok(None);
-        };
-        if args.get("from-log").is_none() {
-            return Err(
-                "--checkpoint requires --from-log (recovery replays the event log)".to_string(),
-            );
-        }
-        let every: usize = args.get_parsed("checkpoint-every", 1000)?;
-        if every == 0 {
-            return Err("--checkpoint-every must be positive".to_string());
-        }
-        let keep: usize = args.get_parsed("keep", 3)?;
-        if keep == 0 {
-            return Err("--keep must be positive".to_string());
-        }
-        let store = CheckpointStore::open(dir, keep).map_err(|e| e.to_string())?;
-        let sink = MatchLog::open(std::path::Path::new(dir).join("matches.log"))
-            .map_err(|e| e.to_string())?;
-        Ok(Some(Durability {
-            store,
-            sink,
-            every,
-            since: 0,
-        }))
-    }
-
-    fn record(&mut self, line: &str) -> Result<(), String> {
-        self.sink.append(line).map_err(|e| e.to_string())
-    }
-
-    /// Counts one pushed event; saves a checkpoint at the cadence.
-    fn tick(&mut self, bank: &mut PatternBank, probe: &mut CountingProbe) -> Result<(), String> {
-        self.since += 1;
-        if self.since >= self.every {
-            self.save_now(bank, probe)?;
-        }
-        Ok(())
-    }
-
-    /// Syncs the sink, then atomically saves a snapshot.
-    fn save_now(
-        &mut self,
-        bank: &mut PatternBank,
-        probe: &mut CountingProbe,
-    ) -> Result<(), String> {
-        self.since = 0;
-        let sw = Stopwatch::start();
-        self.sink.sync().map_err(|e| e.to_string())?;
-        let snap = MatcherSnapshot::Bank(bank.snapshot());
-        let info = self.store.save(&snap).map_err(|e| e.to_string())?;
-        probe.checkpoint_saved(info.bytes, sw.elapsed().as_nanos() as u64);
-        Ok(())
-    }
+/// The event source: `--data` (CSV or log directory), read whole, or
+/// `--from-log` — the binary event log checkpointing requires, of which
+/// a recovery reads only the suffix its checkpoint has not consumed.
+enum StreamSource {
+    Data(Relation),
+    Log(EventLog),
 }
 
-/// The event source: `--data` (CSV or log directory) or `--from-log`
-/// (binary event log replay — the durable source checkpointing
-/// requires). A recovery reads the log from `from`, the checkpoint's
-/// last consumed timestamp, not from its first event.
-fn load_stream_source(args: &Args, from: Option<Timestamp>) -> Result<Relation, String> {
-    match (args.get("from-log"), args.get("data")) {
-        (Some(_), Some(_)) => Err("give either --data or --from-log, not both".to_string()),
-        (Some(dir), None) => {
-            let log = EventLog::open(dir, LogConfig::default()).map_err(|e| e.to_string())?;
-            match from {
-                Some(from) => log.scan_range(from, Timestamp::MAX),
-                None => log.scan(),
-            }
-            .map_err(|e| e.to_string())
+impl StreamSource {
+    fn from_args(args: &Args) -> Result<StreamSource, String> {
+        match (args.get("from-log"), args.get("data")) {
+            (Some(_), Some(_)) => Err("give either --data or --from-log, not both".to_string()),
+            (Some(dir), None) => EventLog::open(dir, LogConfig::default())
+                .map(StreamSource::Log)
+                .map_err(|e| e.to_string()),
+            (None, Some(path)) => Ok(StreamSource::Data(load_store(path)?.relation().clone())),
+            (None, None) => Err("--data or --from-log is required".to_string()),
         }
-        (None, Some(path)) => Ok(load_store(path)?.relation().clone()),
-        (None, None) => Err("--data or --from-log is required".to_string()),
+    }
+
+    fn schema(&self) -> &ses_event::Schema {
+        match self {
+            StreamSource::Data(relation) => relation.schema(),
+            StreamSource::Log(log) => log.schema(),
+        }
     }
 }
 
@@ -1093,157 +1056,119 @@ fn build_bank(
 /// valid checkpoint it cold-starts from the beginning of the log.
 fn cmd_stream(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     let recover = args.command.as_deref() == Some("recover") || args.has_flag("recover");
-    let mut dur = Durability::from_args(args)?;
-    let loaded = match (recover, dur.as_ref()) {
-        (false, _) => None,
-        (true, None) => return Err("--recover requires --checkpoint and --from-log".to_string()),
-        (true, Some(d)) => d.store.load_latest().map_err(|e| e.to_string())?,
-    };
-    let relation =
-        load_stream_source(args, loaded.as_ref().and_then(|l| l.snapshot.replay_from()))?;
+    let files = checkpoints_from_args(args)?;
+    if recover && files.is_none() {
+        return Err("--recover requires --checkpoint and --from-log".to_string());
+    }
+    let source = StreamSource::from_args(args)?;
     let patterns = load_stream_patterns(args)?;
-    let schema = relation.schema().clone();
+    let schema = source.schema().clone();
     let options = matcher_options(args, &schema)?;
     let specs: Vec<(String, ses_pattern::Pattern, MatcherOptions)> = patterns
         .iter()
         .map(|(n, p)| (n.clone(), p.clone(), options.clone()))
         .collect();
+    // Every pattern's lines go to the one sink.
+    let sink = files
+        .as_ref()
+        .map_or_else(PathBuf::new, |f| f.dir.join("matches.log"));
+    let sinks = vec![sink; specs.len()];
 
-    let (mut bank, skip) = match &loaded {
-        Some(l) => {
-            if l.skipped > 0 {
-                writeln!(
-                    out,
-                    "note: skipped {} corrupt checkpoint(s); falling back to seq {}",
-                    l.skipped, l.info.seq
-                )
-                .map_err(io_err)?;
-            }
-            let MatcherSnapshot::Bank(snap) = &l.snapshot;
-            let bank = PatternBank::restore(&specs, &schema, snap).map_err(|e| e.to_string())?;
-            // Events at the snapshot's last timestamp that were already
-            // consumed reappear at the head of the range scan.
-            let skip = bank.ties_at_watermark();
-            (bank, skip)
-        }
-        None => {
-            if recover {
-                writeln!(
-                    out,
-                    "note: no valid checkpoint; cold-starting from the beginning of the log"
-                )
-                .map_err(io_err)?;
-            }
-            (build_bank(args, out, &specs, &schema)?, 0)
+    let mut bank = match files.as_ref().filter(|_| recover) {
+        Some(files) => DurableBank::recover(&specs, &sinks, &schema, files, || {
+            build_bank(args, out, &specs, &schema)
+        }),
+        None => DurableBank::start(
+            build_bank(args, out, &specs, &schema)?,
+            &sinks,
+            files.as_ref(),
+        ),
+    }
+    .map_err(|e| e.to_string())?;
+    let replayed;
+    let events = match &source {
+        StreamSource::Data(relation) => relation.events(),
+        StreamSource::Log(log) => {
+            replayed = bank.replay_suffix(log).map_err(|e| e.to_string())?;
+            &replayed
         }
     };
-    // Deterministic replay re-emits the sink's post-checkpoint lines
-    // first; suppressing exactly that many makes emission exactly-once.
-    let (mut suppress, start_total) = match dur.as_ref().filter(|_| recover) {
-        Some(d) => {
-            let at_ckpt = loaded.as_ref().map_or(0, |l| l.snapshot.emitted());
-            let suppress = d.sink.lines().saturating_sub(at_ckpt);
-            writeln!(
-                out,
-                "recovering: replaying {} event(s), suppressing {suppress} already-emitted \
-                 match(es)",
-                relation.len().saturating_sub(skip)
-            )
-            .map_err(io_err)?;
-            (suppress, d.sink.lines() as usize)
-        }
-        None => (0, 0),
-    };
+    if recover {
+        writeln!(out, "recovering: {}", bank.recovery()).map_err(io_err)?;
+    }
 
-    let deduplicated = bank.sharing_plan().deduplicated();
+    let deduplicated = bank.bank().sharing_plan().deduplicated();
     let limit: usize = args.get_parsed("limit", usize::MAX)?;
     let sw = Stopwatch::start();
     let mut probe = CountingProbe::new();
-    let mut total = start_total;
+    let mut printed = 0usize;
 
-    let mut emit = |i: usize,
+    // Records one match; prints it if the sink took it as new (a replay
+    // regenerates lines the sink already holds).
+    let mut emit = |sinks: &mut MatchSinks,
+                    i: usize,
                     m: &ses_core::Match,
                     at: &str,
-                    total: &mut usize,
-                    dur: &mut Option<Durability>,
                     out: &mut dyn Write|
      -> Result<(), String> {
-        if suppress > 0 {
-            suppress -= 1;
-            return Ok(());
-        }
-        *total += 1;
         let (name, pattern) = &patterns[i];
         let line = format!("{name}: {}", m.display_with(pattern));
-        if let Some(d) = dur.as_mut() {
-            d.record(&line)?;
-        }
-        if *total - start_total <= limit {
-            writeln!(out, "[{at}] {line}").map_err(io_err)?;
+        if sinks.record(i, &line).map_err(|e| e.to_string())?.is_some() {
+            printed += 1;
+            if printed <= limit {
+                writeln!(out, "[{at}] {line}").map_err(io_err)?;
+            }
         }
         Ok(())
     };
 
-    // Graceful shutdown: SIGINT/SIGTERM breaks out of the replay loop;
-    // the tail then takes the final checkpoint and syncs the sink, so an
-    // interrupted stream resumes exactly-once.
+    // Graceful shutdown: SIGINT/SIGTERM breaks out of the replay loop
+    // and a checkpoint is taken, so an interrupted stream resumes
+    // exactly-once.
     ses_server::signal::install();
-    let mut interrupted = false;
-    for (_, e) in relation.iter().skip(skip) {
+    for e in events {
         if ses_server::signal::requested() {
-            interrupted = true;
-            break;
+            // No `finish` — flushing unexpired partial matches would
+            // pollute the durable log recovery resumes from.
+            bank.checkpoint(None, &mut probe)
+                .map_err(|e| e.to_string())?;
+            writeln!(
+                out,
+                "interrupted after {} match(es); state checkpointed — resume with `--recover`",
+                bank.sinks().recorded()
+            )
+            .map_err(io_err)?;
+            return Ok(());
         }
         let emitted = bank
-            .push_with_probe(e.ts(), e.values().to_vec(), &mut probe)
+            .push(e.ts(), e.values().to_vec(), &mut probe)
             .map_err(|x| x.to_string())?;
         let at = format!("t={}", e.ts());
         for (i, m) in emitted {
-            emit(i, &m, &at, &mut total, &mut dur, out)?;
+            emit(bank.sinks(), i, &m, &at, out)?;
         }
-        if let Some(d) = dur.as_mut() {
-            d.tick(&mut bank, &mut probe)?;
-        }
-    }
-    // Final checkpoint before `finish` consumes the bank: a crash
-    // during/after the flush replays only the flush itself.
-    if let Some(d) = dur.as_mut() {
-        d.save_now(&mut bank, &mut probe)?;
-    }
-    if interrupted {
-        // Checkpoint taken, sink synced, but no `finish` — flushing
-        // unexpired partial matches would pollute the durable log
-        // recovery resumes from.
-        if let Some(d) = dur.as_mut() {
-            d.sink.sync().map_err(|e| e.to_string())?;
-        }
-        writeln!(
-            out,
-            "interrupted after {total} match(es); state checkpointed — resume with `--recover`"
-        )
-        .map_err(io_err)?;
-        return Ok(());
+        bank.checkpoint_if_due(None, &mut probe)
+            .map_err(|e| e.to_string())?;
     }
     // `finish` consumes the bank; take the report first and fold the
     // flush's matches into the per-pattern emission counts by hand.
-    let stats = bank.stats();
-    let consumed = bank.consumed_events();
+    let stats = bank.bank().stats();
+    let consumed = bank.bank().consumed_events();
     let mut emitted_by: Vec<usize> = stats.iter().map(|s| s.emitted).collect();
-    for (i, m) in bank.finish() {
+    let (flushed, mut sinks) = bank.finish(&mut probe).map_err(|e| e.to_string())?;
+    for (i, m) in flushed {
         emitted_by[i] += 1;
-        emit(i, &m, "finish", &mut total, &mut dur, out)?;
+        emit(&mut sinks, i, &m, "finish", out)?;
     }
-    if let Some(d) = dur.as_mut() {
-        d.sink.sync().map_err(|e| e.to_string())?;
-    }
+    sinks.sync().map_err(|e| e.to_string())?;
     let elapsed = sw.elapsed_secs();
-    let printed = total - start_total;
     if printed > limit {
         writeln!(out, "… {} more matches (raise --limit)", printed - limit).map_err(io_err)?;
     }
     writeln!(
         out,
-        "{total} match(es) from {} pattern(s) over {consumed} event(s) in {elapsed:.3}s",
+        "{} match(es) from {} pattern(s) over {consumed} event(s) in {elapsed:.3}s",
+        sinks.recorded(),
         patterns.len()
     )
     .map_err(io_err)?;
@@ -2160,6 +2085,97 @@ mod tests {
         assert!(out.contains("skipped 1 corrupt checkpoint(s)"), "{out}");
         assert!(out.contains("2 match(es) from 1 pattern(s)"), "{out}");
         assert_eq!(sink_lines(&ckpt_dir), reference, "no duplicates, no loss");
+    }
+
+    /// One log, two front-ends: what a durable server's subscriptions
+    /// logged is what `stream --checkpoint` writes from the server's own
+    /// event log — a difference could only come from what each caller
+    /// owns, the exactly-once protocol being one type.
+    #[test]
+    fn server_match_logs_equal_the_cli_sink_over_the_same_log() {
+        use ses_metrics::JsonValue;
+        use ses_server::{Client, Server, ServerConfig};
+
+        const QUERIES: [(&str, &str); 2] = [
+            (
+                "clique",
+                "PATTERN PERMUTE(a, b) THEN c WHERE a.L = 'A' AND b.L = 'B' AND c.L = 'A' \
+                 AND a.ID = b.ID AND a.ID = c.ID AND b.ID = c.ID WITHIN 8 TICKS",
+            ),
+            ("xonly", "PATTERN x WHERE x.L = 'X' WITHIN 3 TICKS"),
+        ];
+        // `tests/crash_recovery.rs`' tie-heavy rows, then an event far
+        // past every window so each match finalizes on a push.
+        const ROWS: [(i64, &str, i64); 14] = [
+            (0, "A", 1),
+            (0, "B", 1),
+            (1, "X", 2),
+            (1, "A", 2),
+            (1, "B", 2),
+            (3, "A", 1),
+            (3, "A", 2),
+            (4, "B", 1),
+            (4, "X", 1),
+            (6, "A", 1),
+            (6, "A", 1),
+            (7, "B", 2),
+            (9, "A", 2),
+            (1_000, "Y", 0),
+        ];
+        let base = std::env::temp_dir().join(format!("ses-cli-twofronts-{}", std::process::id()));
+        std::fs::remove_dir_all(&base).ok();
+        let (server_dir, cli_dir) = (base.join("server"), base.join("cli"));
+
+        let mut config = ServerConfig::new(parse_schema_spec("L:str,ID:int").unwrap());
+        config.tick = TickUnit::Abstract;
+        config.checkpoint = Some(server_dir.clone());
+        config.checkpoint_every = 4;
+        let server = Server::start(config).unwrap();
+        let mut client = Client::connect(&format!("127.0.0.1:{}", server.port())).unwrap();
+        for (name, query) in QUERIES {
+            client.subscribe(name, query, 0).unwrap();
+        }
+        let events: Vec<(i64, Vec<JsonValue>)> = ROWS
+            .iter()
+            .map(|&(t, l, id)| (t, vec![JsonValue::Str(l.into()), JsonValue::Int(id)]))
+            .collect();
+        client.batch(&events).unwrap();
+        client.sync().unwrap();
+        server.stop().unwrap();
+
+        let patterns = base.join("patterns.ses");
+        let text: String = QUERIES
+            .iter()
+            .map(|(name, query)| format!("{name}: {query};\n"))
+            .collect();
+        std::fs::write(&patterns, text).unwrap();
+        let (code, out) = run(&[
+            "stream",
+            "--patterns",
+            patterns.to_str().unwrap(),
+            "--tick",
+            "abstract",
+            "--from-log",
+            server_dir.join("events").to_str().unwrap(),
+            "--checkpoint",
+            cli_dir.to_str().unwrap(),
+            "--checkpoint-every",
+            "4",
+        ]);
+        assert_eq!(code, 0, "{out}");
+
+        let sink = sink_lines(cli_dir.to_str().unwrap());
+        for (i, (name, _)) in QUERIES.iter().enumerate() {
+            let of_name: Vec<&str> = sink
+                .iter()
+                .filter_map(|l| l.strip_prefix(&format!("{name}: ")))
+                .collect();
+            assert!(!of_name.is_empty(), "`{name}` matched nothing: {sink:?}");
+            let path = ses_server::Registry::match_log_path(&server_dir, i);
+            let logged = std::fs::read_to_string(path).unwrap();
+            assert_eq!(logged.lines().collect::<Vec<_>>(), of_name, "`{name}`");
+        }
+        std::fs::remove_dir_all(&base).ok();
     }
 
     #[test]

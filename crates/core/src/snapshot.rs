@@ -162,31 +162,6 @@ pub enum MatcherSnapshot {
     Bank(BankSnapshot),
 }
 
-impl MatcherSnapshot {
-    fn bank(&self) -> &BankSnapshot {
-        let MatcherSnapshot::Bank(s) = self;
-        s
-    }
-
-    /// Timestamp of the last event consumed before the snapshot — where
-    /// log replay resumes (see the recovery protocol in
-    /// `docs/durability.md`). `None` means nothing was consumed: replay
-    /// the whole log.
-    pub fn replay_from(&self) -> Option<Timestamp> {
-        self.bank().last_ts
-    }
-
-    /// Matches already emitted by pushes when the snapshot was taken.
-    pub fn emitted(&self) -> u64 {
-        self.bank().emitted
-    }
-
-    /// Total events consumed when the snapshot was taken.
-    pub fn consumed_events(&self) -> u64 {
-        self.bank().next_id
-    }
-}
-
 /// The options that change matching behavior, rendered. Partitioning and
 /// threading knobs are excluded — they affect *where* work runs, not what
 /// a shard's state means. The literal `precheck=true` names an option

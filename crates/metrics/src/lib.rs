@@ -10,6 +10,6 @@ mod report;
 mod stopwatch;
 
 pub use json::{escape_json, json_key, JsonObject, JsonValue};
-pub use probe::{CountingProbe, SeriesProbe};
+pub use probe::CountingProbe;
 pub use report::{fmt_f64, Align, Table};
 pub use stopwatch::{timed, Stopwatch, Summary};

@@ -260,116 +260,9 @@ impl Probe for CountingProbe {
     }
 }
 
-/// A probe that additionally records the full per-event `|Ω|` series —
-/// the data behind Figure-12-style plots. Heavier than [`CountingProbe`]
-/// (one `usize` per event); use for analysis, not steady-state matching.
-#[derive(Debug, Clone, Default)]
-pub struct SeriesProbe {
-    /// Aggregate counters.
-    pub counts: CountingProbe,
-    /// `|Ω|` after each (unfiltered) event, in stream order.
-    pub omega_series: Vec<usize>,
-}
-
-impl SeriesProbe {
-    /// A fresh probe.
-    pub fn new() -> SeriesProbe {
-        SeriesProbe::default()
-    }
-
-    /// `(index, |Ω|)` of the peak sample, if any events were processed.
-    pub fn peak(&self) -> Option<(usize, usize)> {
-        self.omega_series
-            .iter()
-            .enumerate()
-            .max_by_key(|&(i, &n)| (n, std::cmp::Reverse(i)))
-            .map(|(i, &n)| (i, n))
-    }
-}
-
-impl Probe for SeriesProbe {
-    fn event_read(&mut self) {
-        self.counts.event_read();
-    }
-    fn event_filtered(&mut self) {
-        self.counts.event_filtered();
-    }
-    fn instance_spawned(&mut self) {
-        self.counts.instance_spawned();
-    }
-    fn instance_branched(&mut self) {
-        self.counts.instance_branched();
-    }
-    fn instance_expired(&mut self) {
-        self.counts.instance_expired();
-    }
-    fn transition_evaluated(&mut self) {
-        self.counts.transition_evaluated();
-    }
-    fn transition_taken(&mut self) {
-        self.counts.transition_taken();
-    }
-    fn match_emitted(&mut self) {
-        self.counts.match_emitted();
-    }
-    fn omega(&mut self, n: usize) {
-        self.counts.omega(n);
-        self.omega_series.push(n);
-    }
-    fn events_evicted(&mut self, n: usize) {
-        self.counts.events_evicted(n);
-    }
-    fn retained_events(&mut self, n: usize) {
-        self.counts.retained_events(n);
-    }
-    fn filter_mode(&mut self, requested: FilterMode, effective: FilterMode) {
-        self.counts.filter_mode(requested, effective);
-    }
-    fn partitions(&mut self, n: usize) {
-        Probe::partitions(&mut self.counts, n);
-    }
-    fn partition_events(&mut self, n: usize) {
-        Probe::partition_events(&mut self.counts, n);
-    }
-    fn slices(&mut self, n: usize) {
-        Probe::slices(&mut self.counts, n);
-    }
-    fn slice_events(&mut self, n: usize) {
-        Probe::slice_events(&mut self.counts, n);
-    }
-    fn index_hits(&mut self, n: usize) {
-        Probe::index_hits(&mut self.counts, n);
-    }
-    fn index_skips(&mut self, n: usize) {
-        Probe::index_skips(&mut self.counts, n);
-    }
-    fn checkpoint_saved(&mut self, bytes: u64, nanos: u64) {
-        self.counts.checkpoint_saved(bytes, nanos);
-    }
-    fn ingest_enqueued(&mut self, depth: usize) {
-        Probe::ingest_enqueued(&mut self.counts, depth);
-    }
-    fn ingest_shed(&mut self, n: usize) {
-        Probe::ingest_shed(&mut self.counts, n);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn series_probe_records_samples() {
-        let mut p = SeriesProbe::new();
-        for n in [1usize, 4, 2, 4, 0] {
-            p.omega(n);
-        }
-        assert_eq!(p.omega_series, vec![1, 4, 2, 4, 0]);
-        assert_eq!(p.counts.omega_max, 4);
-        // Peak reports the first index attaining the maximum.
-        assert_eq!(p.peak(), Some((1, 4)));
-        assert_eq!(SeriesProbe::new().peak(), None);
-    }
 
     #[test]
     fn counters_accumulate() {
@@ -469,9 +362,6 @@ mod tests {
         p.merge(&q);
         assert_eq!(p.checkpoints, 3);
         assert_eq!(p.checkpoint_bytes, 151);
-        let mut s = SeriesProbe::new();
-        s.checkpoint_saved(9, 9);
-        assert_eq!(s.counts.checkpoints, 1);
     }
 
     #[test]
@@ -491,11 +381,6 @@ mod tests {
         assert_eq!(p.ingest_enqueued, 4);
         assert_eq!(p.ingest_queue_peak, 40);
         assert_eq!(p.ingest_shed, 3);
-        let mut s = SeriesProbe::new();
-        Probe::ingest_enqueued(&mut s, 7);
-        Probe::ingest_shed(&mut s, 7);
-        assert_eq!(s.counts.ingest_queue_peak, 7);
-        assert_eq!(s.counts.ingest_shed, 7);
     }
 
     #[test]
@@ -512,11 +397,6 @@ mod tests {
         p.merge(&q);
         assert_eq!(p.index_hits, 6);
         assert_eq!(p.index_skips, 15);
-        let mut s = SeriesProbe::new();
-        Probe::index_hits(&mut s, 7);
-        Probe::index_skips(&mut s, 9);
-        assert_eq!(s.counts.index_hits, 7);
-        assert_eq!(s.counts.index_skips, 9);
     }
 
     #[test]

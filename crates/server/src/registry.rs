@@ -101,11 +101,6 @@ impl Registry {
         &self.entries
     }
 
-    /// Looks up a subscription by name.
-    pub fn find(&self, name: &str) -> Option<&SubSpec> {
-        self.entries.iter().find(|e| e.name == name)
-    }
-
     /// Appends a subscription and durably rewrites the file (atomic
     /// tmp + rename, fsynced) before returning.
     pub fn add(&mut self, name: &str, query: &str) -> Result<(), String> {
@@ -170,11 +165,10 @@ mod tests {
         let r2 = Registry::load(&path).unwrap();
         assert_eq!(r2.entries(), r.entries());
         assert_eq!(
-            r2.find("q1").unwrap().query,
+            r2.entries()[0].query,
             "PATTERN a WHERE a.L = 'C'\nWITHIN 5 TICKS"
         );
-        assert_eq!(r2.find("q\t2").unwrap().name, "q\t2");
-        assert!(r2.find("missing").is_none());
+        assert_eq!(r2.entries()[1].name, "q\t2");
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 

@@ -5,9 +5,15 @@
 //! is handled under one lock ([`Ingress`]), so the matcher, the event
 //! log, and every subscription log observe a single total order. That
 //! single order is the exactly-once argument's backbone: the event log
-//! replays to the exact stream the bank consumed, and per-pattern
-//! durable line counts measure precisely how many regenerated matches
-//! to suppress (see `docs/server.md`).
+//! replays to the exact stream the bank consumed. The protocol itself —
+//! what is synced before a checkpoint, where a restart's replay begins,
+//! how many regenerated matches each subscription's log suppresses — is
+//! [`ses_store::DurableBank`]'s, the same code `ses-cli stream
+//! --checkpoint` runs, with one sink per subscription. What the router
+//! adds is what only a server has: it appends the event log it replays
+//! (and fsyncs it before the first match line of a push), it resolves
+//! clock skew between producers, and it keeps the registry and the
+//! subscribers' cursors (see `docs/server.md`).
 //!
 //! A reader that finds the lock free routes its request itself, on its
 //! own thread; one that finds it held leaves the request on the bounded
@@ -17,16 +23,16 @@
 //! a second thread.
 
 use std::collections::HashMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration as StdDuration;
 
-use ses_core::{MatcherOptions, MatcherSnapshot, PartitionMode, PatternBank, Probe};
+use ses_core::{MatcherOptions, PartitionMode, PatternBank, Probe};
 use ses_event::{Schema, Timestamp, Value};
-use ses_metrics::{CountingProbe, JsonObject, JsonValue, Stopwatch};
+use ses_metrics::{CountingProbe, JsonObject, JsonValue};
 use ses_pattern::Pattern;
-use ses_store::{CheckpointStore, EventLog, LogConfig, MatchLog};
+use ses_store::{Checkpoints, DurableBank, EventLog, LogConfig, StoreError};
 
 use crate::protocol::{self, ts_json};
 use crate::queue::{BoundedQueue, OverflowPolicy, Waited};
@@ -155,34 +161,40 @@ pub(crate) enum Msg {
     Shutdown { conn: usize },
 }
 
-/// One standing subscription.
+/// One standing subscription: pattern `i` of the bank, whose sink holds
+/// its lines and their seq — the cursor subscribers ack.
 struct Sub {
     name: String,
     query: String,
     pattern: Pattern,
-    /// Durable match sink (absent when the server runs memory-only).
-    log: Option<MatchLog>,
-    /// Lines emitted so far — the durable cursor subscribers ack.
-    seq: u64,
-    /// Matches regenerated by replay that are already durable: skip
-    /// them without re-appending or re-counting.
-    suppress: u64,
     /// Live subscriber connections.
     watchers: Vec<Arc<Conn>>,
+}
+
+/// What a durable server keeps beside the bank's own files.
+struct Durable {
+    /// The checkpoint directory; subscription `i`'s match log is
+    /// [`Registry::match_log_path`] in it.
+    dir: PathBuf,
+    registry: Registry,
+    event_log: EventLog,
+}
+
+/// The sink of subscription `i`: its match log in the checkpoint
+/// directory. Memory-only nothing opens it — it is the name the
+/// subscription's lines are counted under.
+fn sink_path(durable: Option<&Durable>, i: usize) -> PathBuf {
+    Registry::match_log_path(durable.map_or(Path::new(""), |d| &d.dir), i)
 }
 
 /// The router's owned state.
 pub(crate) struct Router {
     options: MatcherOptions,
     tick: ses_query::TickUnit,
-    bank: PatternBank,
+    bank: DurableBank,
     subs: Vec<Sub>,
-    registry: Option<Registry>,
-    store: Option<CheckpointStore>,
-    event_log: Option<EventLog>,
-    checkpoint_dir: Option<std::path::PathBuf>,
-    checkpoint_every: usize,
-    since_checkpoint: usize,
+    /// `None` when the server runs memory-only.
+    durable: Option<Durable>,
     /// The timestamp of the last event taken in — with an event log,
     /// the log's own floor. An event arriving below it (cross-client
     /// clock skew) is rewritten to it.
@@ -245,126 +257,67 @@ impl Router {
         shutdown: Arc<AtomicBool>,
     ) -> Result<(Ingress, String), String> {
         let options = bank_options();
-        let mut summary = String::from("cold start");
-
-        let (registry, store, event_log, checkpoint_dir) = match &config.checkpoint {
+        let durable = match &config.checkpoint {
             Some(dir) => {
                 std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-                let registry = Registry::load(Registry::default_path(dir))?;
-                let store = CheckpointStore::open(dir, config.keep).map_err(|e| e.to_string())?;
                 let log_dir = config
                     .event_log
                     .clone()
                     .unwrap_or_else(|| dir.join("events"));
                 std::fs::create_dir_all(&log_dir)
                     .map_err(|e| format!("{}: {e}", log_dir.display()))?;
-                let log = open_event_log(&log_dir, &config.schema)?;
-                (Some(registry), Some(store), Some(log), Some(dir.clone()))
+                Some(Durable {
+                    dir: dir.clone(),
+                    registry: Registry::load(Registry::default_path(dir))?,
+                    event_log: open_event_log(&log_dir, &config.schema)?,
+                })
             }
-            None => (None, None, None, None),
+            None => None,
         };
 
         // Parse every registered query up front; a registry that no
         // longer parses is a configuration error, not a silent skip.
         let mut specs: Vec<(String, Pattern, MatcherOptions)> = Vec::new();
-        if let Some(reg) = &registry {
-            for e in reg.entries() {
-                let pattern = ses_query::parse_pattern(&e.query, config.tick)
-                    .map_err(|err| format!("registry entry `{}`: {err}", e.name))?;
-                specs.push((e.name.clone(), pattern, options.clone()));
-            }
-        }
-
-        let loaded = match &store {
-            Some(s) => s.load_latest().map_err(|e| e.to_string())?,
-            None => None,
-        };
-
-        let mut per_pattern_emitted: Vec<u64> = Vec::new();
-        let bank = match &loaded {
-            Some(l) => {
-                let MatcherSnapshot::Bank(snap) = &l.snapshot;
-                if snap.patterns.len() > specs.len() {
-                    return Err(format!(
-                        "checkpoint has {} pattern(s) but the registry lists {}",
-                        snap.patterns.len(),
-                        specs.len()
-                    ));
-                }
-                per_pattern_emitted = snap
-                    .patterns
-                    .iter()
-                    .map(|p| p.matcher.as_ref().map(|m| m.emitted).unwrap_or(0))
-                    .collect();
-                let prefix = &specs[..snap.patterns.len()];
-                let mut bank = PatternBank::restore(prefix, &config.schema, snap)
-                    .map_err(|e| format!("restore: {e}"))?;
-                // Entries registered after the snapshot (crash between
-                // registry write and checkpoint save): re-subscribe at
-                // the restored watermark. The client never saw an ack.
-                for (name, pattern, opts) in &specs[snap.patterns.len()..] {
-                    bank.subscribe(name.clone(), pattern, opts.clone())
-                        .map_err(|e| format!("re-subscribe `{name}`: {e}"))?;
-                }
-                summary = format!(
-                    "restored checkpoint seq {} ({} pattern(s), {} event(s) consumed)",
-                    l.info.seq,
-                    snap.patterns.len(),
-                    snap.next_id
-                );
-                bank
-            }
-            None => {
-                let mut bank = PatternBank::builder(&config.schema).build();
-                for (name, pattern, opts) in &specs {
-                    bank.subscribe(name.clone(), pattern, opts.clone())
-                        .map_err(|e| format!("subscribe `{name}`: {e}"))?;
-                }
-                bank
-            }
-        };
-        per_pattern_emitted.resize(specs.len(), 0);
-
-        // Rebuild the subscription table with durable cursors and the
-        // per-pattern suppression counts.
-        let mut subs = Vec::with_capacity(specs.len());
-        for (i, (name, pattern, _)) in specs.iter().enumerate() {
-            let (log, seq) = match &checkpoint_dir {
-                Some(dir) => {
-                    let l = MatchLog::open(Registry::match_log_path(dir, i))
-                        .map_err(|e| e.to_string())?;
-                    let seq = l.lines();
-                    (Some(l), seq)
-                }
-                None => (None, 0),
-            };
-            let suppress = seq.saturating_sub(per_pattern_emitted[i]);
+        let mut subs = Vec::new();
+        for e in durable.iter().flat_map(|d| d.registry.entries()) {
+            let pattern = ses_query::parse_pattern(&e.query, config.tick)
+                .map_err(|err| format!("registry entry `{}`: {err}", e.name))?;
+            specs.push((e.name.clone(), pattern.clone(), options.clone()));
             subs.push(Sub {
-                name: name.clone(),
-                query: registry
-                    .as_ref()
-                    .and_then(|r| r.find(name))
-                    .map(|e| e.query.clone())
-                    .unwrap_or_default(),
-                pattern: pattern.clone(),
-                log,
-                seq,
-                suppress,
+                name: e.name.clone(),
+                query: e.query.clone(),
+                pattern,
                 watchers: Vec::new(),
             });
         }
+        let sinks: Vec<PathBuf> = (0..specs.len())
+            .map(|i| sink_path(durable.as_ref(), i))
+            .collect();
+
+        // Subscriptions join a running bank, a cold one included: a
+        // registry entry the checkpoint does not hold yet (crash between
+        // registry write and checkpoint save) re-subscribes at the
+        // restored clock. The client never saw an ack.
+        let empty = || PatternBank::builder(&config.schema).build();
+        let bank = match &durable {
+            Some(d) => {
+                let files = Checkpoints {
+                    dir: d.dir.clone(),
+                    keep: config.keep,
+                    every: config.checkpoint_every,
+                };
+                DurableBank::recover(&specs, &sinks, &config.schema, &files, || Ok(empty()))
+            }
+            None => DurableBank::start(empty(), &sinks, None),
+        }
+        .map_err(|e| e.to_string())?;
 
         let mut router = Router {
             options,
             tick: config.tick,
             bank,
             subs,
-            registry,
-            store,
-            event_log,
-            checkpoint_dir,
-            checkpoint_every: config.checkpoint_every.max(1),
-            since_checkpoint: 0,
+            durable,
             floor: None,
             clamped: 0,
             probe: CountingProbe::new(),
@@ -378,34 +331,32 @@ impl Router {
             shutdown: Arc::clone(&shutdown),
         };
 
-        // Replay the log suffix the checkpoint has not seen.
-        if let Some(log) = &router.event_log {
-            router.floor = log.last_ts();
-            let skip = router.bank.consumed_events();
-            let rel = log.scan().map_err(|e| e.to_string())?;
-            let total = rel.len();
-            if total > skip {
-                // The live path durably logs a matcher-refused event,
-                // reports the error, and keeps going — replay must
-                // tolerate exactly the same events, or one refused-but-
-                // logged event would fail every subsequent restart.
-                let mut refused = 0u64;
-                for (_, e) in rel.iter().skip(skip) {
-                    if router.push_event(e.ts(), e.values().to_vec()).is_err() {
-                        refused += 1;
-                    }
-                    router.replayed += 1;
+        // Replay the log suffix the checkpoint has not seen — through
+        // `push_event`, which counts neither toward the checkpoint
+        // cadence nor toward an injected kill point: replay is recovery,
+        // not new ingestion.
+        let mut summary = String::from("cold start");
+        if let Some(d) = &router.durable {
+            router.floor = d.event_log.last_ts();
+            let events = router
+                .bank
+                .replay_suffix(&d.event_log)
+                .map_err(|e| e.to_string())?;
+            summary = router.bank.recovery().to_string();
+            // The live path durably logs a matcher-refused event,
+            // reports the error, and keeps going — replay must tolerate
+            // exactly the same events, or one refused-but-logged event
+            // would fail every subsequent restart.
+            let mut refused = 0u64;
+            for e in &events {
+                if router.push_event(e.ts(), e.values().to_vec()).is_err() {
+                    refused += 1;
                 }
-                summary.push_str(&format!(", replayed {} event(s)", total - skip));
-                if refused > 0 {
-                    summary.push_str(&format!(" ({refused} refused by the matcher)"));
-                }
+                router.replayed += 1;
             }
-            // Replay consumption is recovery, not new ingestion: reset
-            // the cadence and kill counters so injected kill points
-            // count fresh post-restart events.
-            router.consumed_new = 0;
-            router.since_checkpoint = 0;
+            if refused > 0 {
+                summary.push_str(&format!(" ({refused} refused by the matcher)"));
+            }
         }
 
         let ingress = Ingress {
@@ -421,7 +372,7 @@ impl Router {
     fn push_event(&mut self, ts: Timestamp, values: Vec<Value>) -> Result<(), String> {
         let emitted = self
             .bank
-            .push_with_probe(ts, values, &mut self.probe)
+            .push(ts, values, &mut self.probe)
             .map_err(|e| e.to_string())?;
         if !emitted.is_empty() {
             // Match durability must imply event durability: match-log
@@ -431,60 +382,28 @@ impl Router {
             // line count would suppress *different* future matches.
             // Sync the event log first — matches are rare relative to
             // events, so the fsync amortizes.
-            if let Some(log) = self.event_log.as_mut() {
-                log.sync().map_err(|e| e.to_string())?;
+            if let Some(d) = self.durable.as_mut() {
+                d.event_log.sync().map_err(|e| e.to_string())?;
             }
         }
         for (i, m) in emitted {
-            let line = m.display_with(&self.subs[i].pattern);
-            self.deliver(i, &line)?;
+            let sub = &mut self.subs[i];
+            let line = m.display_with(&sub.pattern);
+            // A line the replay regenerated is already in the sink, and
+            // was sent when it first got there.
+            let recorded = self.bank.sinks().record(i, &line);
+            if let Some(seq) = recorded.map_err(|e| e.to_string())? {
+                let msg = protocol::match_line(&sub.name, seq, &line);
+                sub.watchers
+                    .retain(|w| w.alive.load(Ordering::SeqCst) && w.send(msg.clone()));
+            }
         }
         Ok(())
     }
 
-    /// Delivers one rendered match for subscription `i`: suppress if the
-    /// replay already has it durable, else append-then-send.
-    fn deliver(&mut self, i: usize, line: &str) -> Result<(), String> {
-        let sub = &mut self.subs[i];
-        if sub.suppress > 0 {
-            sub.suppress -= 1;
-            return Ok(());
-        }
-        sub.seq = match sub.log.as_mut() {
-            Some(log) => {
-                log.append(line).map_err(|e| e.to_string())?;
-                log.lines()
-            }
-            None => sub.seq + 1,
-        };
-        let msg = protocol::match_line(&sub.name, sub.seq, line);
-        sub.watchers
-            .retain(|w| w.alive.load(Ordering::SeqCst) && w.send(msg.clone()));
-        Ok(())
-    }
-
-    /// Syncs sinks and saves a bank checkpoint (durable mode only).
-    fn save_checkpoint(&mut self) -> Result<(), String> {
-        self.since_checkpoint = 0;
-        let Some(store) = self.store.as_mut() else {
-            return Ok(());
-        };
-        let sw = Stopwatch::start();
-        // Sink-before-snapshot, log-before-snapshot: the snapshot must
-        // never claim state the durable files do not yet have.
-        if let Some(log) = self.event_log.as_mut() {
-            log.sync().map_err(|e| e.to_string())?;
-        }
-        for sub in &mut self.subs {
-            if let Some(l) = sub.log.as_mut() {
-                l.sync().map_err(|e| e.to_string())?;
-            }
-        }
-        let snap = MatcherSnapshot::Bank(self.bank.snapshot());
-        let info = store.save(&snap).map_err(|e| e.to_string())?;
-        self.probe
-            .checkpoint_saved(info.bytes, sw.elapsed().as_nanos() as u64);
-        Ok(())
+    /// The event log a durable server appends.
+    fn event_log(&mut self) -> Option<&mut EventLog> {
+        self.durable.as_mut().map(|d| &mut d.event_log)
     }
 
     fn conn_table(&self) -> MutexGuard<'_, ConnTable> {
@@ -522,7 +441,7 @@ impl Router {
                     Some(floor) if ts < floor => (floor, true),
                     _ => (ts, false),
                 };
-                if let Some(log) = self.event_log.as_mut() {
+                if let Some(log) = self.event_log() {
                     if let Err(e) = log.append(ts, values.clone()) {
                         self.reply(conn, protocol::error("ingest", e.to_string()));
                         return Ok(true);
@@ -538,7 +457,6 @@ impl Router {
                     return Ok(true);
                 }
                 self.consumed_new += 1;
-                self.since_checkpoint += 1;
                 if let Some(k) = self.kill_after {
                     if self.consumed_new >= k {
                         // Injected crash point for the recovery suite:
@@ -546,15 +464,16 @@ impl Router {
                         std::process::abort();
                     }
                 }
-                if self.store.is_some() && self.since_checkpoint >= self.checkpoint_every {
-                    self.save_checkpoint()?;
-                }
+                let log = self.durable.as_mut().map(|d| &mut d.event_log);
+                self.bank
+                    .checkpoint_if_due(log, &mut self.probe)
+                    .map_err(|e| e.to_string())?;
                 Ok(true)
             }
             Msg::Sync { conn } => {
                 // Make everything ingested before the barrier durable,
                 // so the ack's `durable` figure is trustworthy.
-                if let Some(log) = self.event_log.as_mut() {
+                if let Some(log) = self.event_log() {
                     log.sync().map_err(|e| e.to_string())?;
                 }
                 self.mirror_shed();
@@ -565,19 +484,19 @@ impl Router {
                     ),
                     None => (0, 0),
                 };
-                let durable = self.event_log.as_ref().map(|l| l.len()).unwrap_or(0);
+                let durable = self.event_log().map_or(0, |l| l.len());
                 let mut o = protocol::ok("sync");
                 o.set("accepted", accepted)
                     .set("shed", shed)
                     .set("durable", durable)
-                    .set("consumed", self.bank.consumed_events());
+                    .set("consumed", self.bank.bank().consumed_events());
                 self.reply(conn, o.to_string());
                 Ok(true)
             }
             Msg::Ping { conn } => {
                 let mut o = protocol::ok("pong");
-                o.set("consumed", self.bank.consumed_events())
-                    .set("watermark", ts_json(self.bank.watermark()));
+                o.set("consumed", self.bank.bank().consumed_events())
+                    .set("watermark", ts_json(self.bank.bank().watermark()));
                 self.reply(conn, o.to_string());
                 Ok(true)
             }
@@ -648,73 +567,78 @@ impl Router {
                 return Ok(());
             }
         };
-        if let Err(e) = self
+        let index = self.subs.len();
+        let sink = sink_path(self.durable.as_ref(), index);
+        match self
             .bank
-            .subscribe(name.clone(), &pattern, self.options.clone())
+            .subscribe(&name, &pattern, self.options.clone(), &sink)
         {
-            c.send(protocol::error("subscribe", e.to_string()));
-            return Ok(());
+            Ok(_) => {}
+            Err(StoreError::Bank { reason }) => {
+                c.send(protocol::error("subscribe", reason));
+                return Ok(());
+            }
+            Err(e) => return Err(e.to_string()),
         }
-        let index = self.bank.len() - 1;
         // Durability discipline: registry first, then checkpoint, then
         // ack — an acked subscription survives any crash after this.
-        let log = if let Some(reg) = self.registry.as_mut() {
-            reg.add(&name, &query)?;
-            let dir = self.checkpoint_dir.as_ref().expect("registry implies dir");
-            Some(MatchLog::open(Registry::match_log_path(dir, index)).map_err(|e| e.to_string())?)
-        } else {
-            None
-        };
-        let seq = log.as_ref().map(|l| l.lines()).unwrap_or(0);
+        if let Some(d) = self.durable.as_mut() {
+            d.registry.add(&name, &query)?;
+        }
         self.subs.push(Sub {
-            name: name.clone(),
+            name,
             query,
             pattern,
-            log,
-            seq,
-            suppress: 0,
             watchers: Vec::new(),
         });
-        if self.store.is_some() {
-            self.save_checkpoint()?;
-        }
+        self.checkpoint()?;
         self.attach(index, &c, cursor)
     }
 
+    /// Saves a bank checkpoint (a no-op memory-only).
+    fn checkpoint(&mut self) -> Result<(), String> {
+        let log = self.durable.as_mut().map(|d| &mut d.event_log);
+        self.bank
+            .checkpoint(log, &mut self.probe)
+            .map_err(|e| e.to_string())
+    }
+
     /// Acks a subscription on `c`, resends durable lines after `cursor`,
-    /// and attaches the connection as a live watcher.
+    /// and attaches the connection as a live watcher. The ack and its
+    /// resend travel as one outbound item, so a resend's length cannot
+    /// overflow the queue that carries it.
     fn attach(&mut self, i: usize, c: &Arc<Conn>, cursor: u64) -> Result<(), String> {
+        let seq = self.bank.sinks().seq(i);
+        let start = cursor.min(seq);
         let sub = &mut self.subs[i];
-        let resend = sub.seq.saturating_sub(cursor.min(sub.seq));
         let mut ack = protocol::ok("subscribe");
         ack.set("sub", sub.name.clone())
             .set("id", i)
-            .set("seq", sub.seq)
-            .set("resend", resend);
-        if !c.send(ack.to_string()) {
-            return Ok(());
-        }
-        if resend > 0 {
-            if sub.log.is_none() {
-                c.send(protocol::error(
+            .set("seq", seq)
+            .set("resend", seq - start);
+        let mut item = ack.to_string();
+        if start < seq {
+            let Some(d) = &self.durable else {
+                item.push('\n');
+                item.push_str(&protocol::error(
                     "subscribe",
                     "cursor resume requires a durable server (--checkpoint)",
                 ));
+                c.send(item);
                 return Ok(());
-            }
-            // Reading from the router thread: it is the only appender,
-            // so the line count and the file contents agree.
-            let dir = self.checkpoint_dir.as_ref().expect("durable sub has dir");
-            let lines = read_match_lines(&Registry::match_log_path(dir, i))?;
-            let start = cursor.min(sub.seq) as usize;
-            for (k, line) in lines.iter().enumerate().skip(start) {
-                if !c.send(protocol::match_line(&sub.name, (k + 1) as u64, line)) {
-                    return Ok(());
-                }
+            };
+            // Reading under the router lock: its holder is the only
+            // appender, so the line count and the file contents agree.
+            let lines = read_match_lines(&Registry::match_log_path(&d.dir, i))?;
+            for (k, line) in lines.iter().enumerate().skip(start as usize) {
+                item.push('\n');
+                item.push_str(&protocol::match_line(&sub.name, (k + 1) as u64, line));
             }
         }
-        sub.watchers.retain(|w| w.alive.load(Ordering::SeqCst));
-        sub.watchers.push(Arc::clone(c));
+        if c.send(item) {
+            sub.watchers.retain(|w| w.alive.load(Ordering::SeqCst));
+            sub.watchers.push(Arc::clone(c));
+        }
         Ok(())
     }
 
@@ -735,10 +659,12 @@ impl Router {
             .with("checkpoint_bytes", self.probe.checkpoint_bytes);
         let patterns: Vec<JsonValue> = self
             .bank
+            .bank()
             .stats()
             .iter()
             .zip(&self.subs)
-            .map(|(s, sub)| {
+            .enumerate()
+            .map(|(i, (s, sub))| {
                 JsonObject::new()
                     .with("name", s.name.clone())
                     .with("hits", s.hits)
@@ -748,22 +674,22 @@ impl Router {
                     .with("peak_omega", s.peak_omega)
                     .with("retained", s.retained_events)
                     .with("evicted", s.evicted_events)
-                    .with("seq", sub.seq)
+                    .with("seq", self.bank.sinks().seq(i))
                     .with("watchers", sub.watchers.len())
                     .into()
             })
             .collect();
         JsonObject::new()
-            .with("consumed", self.bank.consumed_events())
+            .with("consumed", self.bank.bank().consumed_events())
             .with("replayed", self.replayed)
             .with("clamped", self.clamped)
             .with("slow_disconnects", self.conn_table().slow_disconnects())
-            .with("watermark", ts_json(self.bank.watermark()))
+            .with("watermark", ts_json(self.bank.bank().watermark()))
             .with(
                 "durable_events",
-                self.event_log.as_ref().map(|l| l.len()).unwrap_or(0),
+                self.durable.as_ref().map_or(0, |d| d.event_log.len()),
             )
-            .with("durable", self.store.is_some())
+            .with("durable", self.durable.is_some())
             .with("subscriptions", self.subs.len())
             .with("queue", queue)
             .with("probe", probe)
@@ -879,7 +805,7 @@ impl Ingress {
             router.handle(msg)?;
         }
         // Final durability: sync sinks, one last checkpoint.
-        router.save_checkpoint()
+        router.checkpoint()
     }
 }
 

@@ -290,9 +290,8 @@ fn stale_timestamps_are_clamped_to_the_floor_and_counted() {
 /// waited for: the fan-out runs on the router's thread, so a full
 /// outbound queue it blocked on would stall ingest for everyone. What
 /// the subscriber missed is in its durable match log, and it resumes by
-/// cursor. The resend goes through the same bounded queue, so the
-/// re-attach is made against the server restarted with a bound that
-/// holds it.
+/// cursor. The ack and the resend are one item of the outbound queue,
+/// so a bound far below the resend's length holds them.
 #[test]
 fn slow_subscriber_is_disconnected_counted_and_resumes_by_cursor() {
     const BURST: i64 = 500;
@@ -339,7 +338,7 @@ fn slow_subscriber_is_disconnected_counted_and_resumes_by_cursor() {
 
     let lines = ((rounds + 1) * BURST) as u64;
     let mut cfg = config(Some(dir.clone()));
-    cfg.outbound_capacity = lines as usize + 1;
+    cfg.outbound_capacity = 4;
     let server = Server::start(cfg).unwrap();
     let mut c = connect(&server);
     let ack = c.subscribe("cd", "", 0).unwrap();
@@ -348,6 +347,7 @@ fn slow_subscriber_is_disconnected_counted_and_resumes_by_cursor() {
         let m = c.next_match().unwrap().expect("a resent match line");
         assert_eq!(m.get("seq").and_then(JsonValue::as_u64), Some(seq));
     }
+    assert_eq!(stat(&mut c, "slow_disconnects"), Some(0));
     server.stop().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }

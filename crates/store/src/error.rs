@@ -39,6 +39,12 @@ pub enum StoreError {
     },
     /// Event-model violation while assembling the relation.
     Event(ses_event::EventError),
+    /// The pattern bank refused to be built, restored from a checkpoint,
+    /// or extended by a subscription — its own words.
+    Bank {
+        /// The bank's explanation.
+        reason: String,
+    },
 }
 
 impl fmt::Display for StoreError {
@@ -65,6 +71,7 @@ impl fmt::Display for StoreError {
                  away to replay from the event log"
             ),
             StoreError::Event(e) => write!(f, "event error: {e}"),
+            StoreError::Bank { reason } => write!(f, "{reason}"),
         }
     }
 }

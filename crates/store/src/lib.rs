@@ -14,11 +14,16 @@
 //! * [`EventLog`] — an append-only, segmented, checksummed binary log
 //!   with torn-tail recovery and time-range pruning, for workloads that
 //!   outgrow CSV;
-//! * [`CheckpointStore`] + [`MatchLog`] — the durability subsystem:
-//!   atomic, checksummed matcher checkpoints (serialized with the
-//!   [`codec`] module's versioned binary format) and a crash-tolerant
-//!   match sink, composing with [`EventLog`] replay for exactly-once
-//!   recovery (see `docs/durability.md`).
+//! * [`CheckpointStore`] + [`MatchLog`] — the durability subsystem's
+//!   files: atomic, checksummed matcher checkpoints (serialized with
+//!   the [`codec`] module's versioned binary format) and a
+//!   crash-tolerant match sink;
+//! * [`DurableBank`] — the exactly-once recovery protocol over those
+//!   files and [`EventLog`] replay, written once: what is synced before
+//!   a checkpoint, where a restart's replay begins, how many
+//!   regenerated matches each sink suppresses. `ses-cli stream
+//!   --checkpoint`, `ses-server --checkpoint` and the crash suite all
+//!   drive this type (see `docs/durability.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,6 +31,7 @@
 mod checkpoint;
 pub mod codec;
 mod csv;
+mod durable;
 mod error;
 mod log;
 mod store;
@@ -33,6 +39,7 @@ mod store;
 pub use checkpoint::{CheckpointInfo, CheckpointStore, LoadedCheckpoint, MatchLog};
 pub use codec::{decode_snapshot, encode_snapshot};
 pub use csv::{parse_header, read_csv, write_csv};
+pub use durable::{Checkpoints, DurableBank, MatchSinks, Recovery};
 pub use error::StoreError;
 pub use log::{EventLog, LogConfig};
 pub use store::{EventStore, StoreStats};

@@ -1,31 +1,29 @@
 //! Crash-injection differential suite for the durability subsystem.
 //!
-//! Protocol under test (the one `ses-cli stream --checkpoint` /
-//! `recover` implement): while streaming, the durable match sink is
-//! synced and then a snapshot is checkpointed every N events; after a
-//! crash, recovery restores the newest valid checkpoint, replays the
-//! event-log suffix from the snapshot's replay timestamp (skipping the
-//! already-consumed ties at that timestamp), and suppresses the first
-//! `sink_lines − snapshot.emitted()` re-emitted matches. The suite
-//! kills the run after *every* prefix length and asserts the recovered
-//! match stream equals the uninterrupted run line for line — no loss,
-//! no duplicates — for a bank of one, for 1–3 hash lanes, and for a
-//! multi-pattern bank, under every semantics mode and both selection
-//! strategies.
+//! Code under test: `ses::store::DurableBank`, the one type behind
+//! `ses-cli stream --checkpoint` / `recover` and `ses-server
+//! --checkpoint` — the suite drives what ships, against real event-log,
+//! checkpoint and match-sink files in a temp directory. A run pushes a
+//! prefix of the log with a checkpoint every N events and is dropped
+//! where it stands (no final checkpoint, no flush); recovery opens the
+//! same directory, replays what the log still owes it, finishes, and
+//! the sink file must equal the uninterrupted run line for line — no
+//! loss, no duplicates — after *every* prefix length, for a bank of one,
+//! for 1–3 hash lanes, and for a multi-pattern bank, under every
+//! semantics mode and both selection strategies.
 //!
-//! The deterministic tests drive real `CheckpointStore`/`MatchLog`
-//! files (atomicity, pruning, corrupted-checkpoint fallback, torn
-//! sinks); the property tests round-trip every snapshot through the
-//! binary codec in memory so thousands of (pattern, relation, kill
-//! point) combinations stay fast.
+//! The reference, [`Case::uninterrupted`], is a plain `PatternBank` loop
+//! that knows nothing of checkpoints.
 
 mod common;
+
+use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
 
 use common::{pattern_strategy, relation_strategy_with, schema};
 use ses::prelude::*;
-use ses::store::{decode_snapshot, encode_snapshot};
+use ses::store::{Checkpoints, DurableBank};
 
 const MODES: [MatchSemantics; 3] = [
     MatchSemantics::Maximal,
@@ -46,171 +44,197 @@ fn options(semantics: MatchSemantics, selection: EventSelection) -> MatcherOptio
     }
 }
 
-/// The bank the single-pattern legs run: a bank of one, key-sharded over
-/// `lanes` hash lanes when given (lane registration refuses
-/// `PartitionMode::Off`, so those legs run under `Auto` — key proven by
-/// the analyzer or the case is skipped).
-fn build(
-    pat: &Pattern,
-    opts: &MatcherOptions,
+/// A bank under test: the registrations a recovery is given, and how a
+/// cold start builds them.
+struct Case {
+    specs: Vec<(String, Pattern, MatcherOptions)>,
+    /// Hash lanes every pattern is key-sharded over, when given.
     lanes: Option<usize>,
-) -> Result<PatternBank, ses::core::CoreError> {
-    let builder = PatternBank::builder(&schema());
-    Ok(match lanes {
-        None => builder.register("p", pat, opts.clone())?,
-        Some(n) => builder.register_lanes("p", pat, laned_opts(opts), n)?,
-    }
-    .build())
 }
 
-fn laned_opts(opts: &MatcherOptions) -> MatcherOptions {
-    MatcherOptions {
-        partition: PartitionMode::Auto,
-        ..opts.clone()
-    }
-}
-
-/// Restores [`build`]'s bank; the lane count comes from the snapshot.
-fn restore(pat: &Pattern, opts: &MatcherOptions, snap: &MatcherSnapshot) -> PatternBank {
-    let MatcherSnapshot::Bank(snap) = snap;
-    let specs = [("p".to_string(), pat.clone(), laned_opts(opts))];
-    PatternBank::restore(&specs, &schema(), snap).unwrap()
-}
-
-fn push(bank: &mut PatternBank, e: &Event) -> Vec<Match> {
-    bank.push(e.ts(), e.values().to_vec())
-        .unwrap()
-        .into_iter()
-        .map(|(_, m)| m)
-        .collect()
-}
-
-fn finish(bank: PatternBank) -> Vec<Match> {
-    bank.finish().into_iter().map(|(_, m)| m).collect()
-}
-
-/// The uninterrupted reference: every match line the stream emits, in
-/// emission order (pushes, then the finish flush).
-fn uninterrupted(
-    pat: &Pattern,
-    rel: &Relation,
-    opts: &MatcherOptions,
-    lanes: Option<usize>,
-) -> Vec<String> {
-    let mut bank = build(pat, opts, lanes).unwrap();
-    let mut lines = Vec::new();
-    for (_, e) in rel.iter() {
-        for m in push(&mut bank, e) {
-            lines.push(m.display_with(pat).to_string());
+impl Case {
+    /// A bank of one — key-sharded over `lanes` hash lanes when given
+    /// (lane registration refuses `PartitionMode::Off`, so those legs
+    /// run under `Auto`: key proven by the analyzer or `build` fails).
+    fn one(pat: &Pattern, opts: &MatcherOptions, lanes: Option<usize>) -> Case {
+        let opts = MatcherOptions {
+            partition: match lanes {
+                Some(_) => PartitionMode::Auto,
+                None => opts.partition,
+            },
+            ..opts.clone()
+        };
+        Case {
+            specs: vec![("p".to_string(), pat.clone(), opts)],
+            lanes,
         }
     }
-    for m in finish(bank) {
-        lines.push(m.display_with(pat).to_string());
+
+    fn build(&self) -> Result<PatternBank, ses::core::CoreError> {
+        let mut builder = PatternBank::builder(&schema());
+        for (name, pat, opts) in &self.specs {
+            builder = match self.lanes {
+                None => builder.register(name.clone(), pat, opts.clone())?,
+                Some(n) => builder.register_lanes(name.clone(), pat, opts.clone(), n)?,
+            };
+        }
+        Ok(builder.build())
     }
-    lines
+
+    fn line(&self, i: usize, m: &Match) -> String {
+        let (name, pat, _) = &self.specs[i];
+        format!("{name}: {}", m.display_with(pat))
+    }
+
+    /// The uninterrupted reference: every match line the stream emits,
+    /// in emission order (pushes, then the finish flush).
+    fn uninterrupted(&self, rel: &Relation) -> Vec<String> {
+        let mut bank = self.build().unwrap();
+        let mut lines = Vec::new();
+        for (_, e) in rel.iter() {
+            for (i, m) in bank.push(e.ts(), e.values().to_vec()).unwrap() {
+                lines.push(self.line(i, &m));
+            }
+        }
+        for (i, m) in bank.finish() {
+            lines.push(self.line(i, &m));
+        }
+        lines
+    }
 }
 
-/// Runs the crash/recover protocol entirely in memory, round-tripping
-/// each checkpoint through the binary codec: pushes `kill_after`
-/// events with a checkpoint every `every`, "crashes", restores the
-/// latest checkpoint (if any), replays the suffix with tie skipping
-/// and exactly-once suppression, and returns the durable sink.
+/// A scratch directory of the calling test: `rel` as an event log, and
+/// beside it the checkpoint directory each run starts empty.
+struct Scratch {
+    root: PathBuf,
+    log: EventLog,
+}
+
+impl Scratch {
+    fn new(tag: &str, rel: &Relation) -> Scratch {
+        let root = std::env::temp_dir().join(format!("ses-crash-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        let mut log =
+            EventLog::create(root.join("events"), schema(), LogConfig::default()).unwrap();
+        for (_, e) in rel.iter() {
+            log.append(e.ts(), e.values().to_vec()).unwrap();
+        }
+        log.sync().unwrap();
+        Scratch { root, log }
+    }
+
+    fn fresh_checkpoint_dir(&self) -> PathBuf {
+        let dir = self.root.join("ckpt");
+        std::fs::remove_dir_all(&dir).ok();
+        dir
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.root).ok();
+    }
+}
+
+fn sink_lines(dir: &Path) -> Vec<String> {
+    let text = std::fs::read_to_string(dir.join("matches.log")).unwrap();
+    text.lines().map(str::to_string).collect()
+}
+
+/// The run that dies: a cold start in `files.dir` that consumes the
+/// first `kill_after` events of `log` and is dropped where it stands.
+/// Returns the sink's line count at its last checkpoint.
+fn crash(case: &Case, log: &EventLog, files: &Checkpoints, kill_after: usize) -> usize {
+    let sinks = vec![files.dir.join("matches.log"); case.specs.len()];
+    let mut bank = DurableBank::start(case.build().unwrap(), &sinks, Some(files)).unwrap();
+    let events = bank.replay_suffix(log).unwrap();
+    let mut probe = CountingProbe::new();
+    let mut lines_at_save = 0;
+    for e in &events[..kill_after] {
+        for (i, m) in bank.push(e.ts(), e.values().to_vec(), &mut probe).unwrap() {
+            bank.sinks().record(i, &case.line(i, &m)).unwrap();
+        }
+        let saved = probe.checkpoints;
+        bank.checkpoint_if_due(None, &mut probe).unwrap();
+        if probe.checkpoints > saved {
+            lines_at_save = bank.sinks().recorded() as usize;
+        }
+    }
+    lines_at_save
+}
+
+/// Recovery from the files alone: the newest valid checkpoint, the log
+/// suffix it has not consumed, the finish flush. Returns the recovery
+/// summary and the durable sink.
+fn recover(case: &Case, log: &EventLog, files: &Checkpoints) -> (String, Vec<String>) {
+    let sinks = vec![files.dir.join("matches.log"); case.specs.len()];
+    let cold = || case.build().map_err(|e| e.to_string());
+    let mut bank = DurableBank::recover(&case.specs, &sinks, &schema(), files, cold).unwrap();
+    let events = bank.replay_suffix(log).unwrap();
+    let summary = bank.recovery().to_string();
+    for e in &events {
+        for (i, m) in bank
+            .push(e.ts(), e.values().to_vec(), &mut NoProbe)
+            .unwrap()
+        {
+            bank.sinks().record(i, &case.line(i, &m)).unwrap();
+        }
+        bank.checkpoint_if_due(None, &mut NoProbe).unwrap();
+    }
+    let (flushed, mut sinks) = bank.finish(&mut NoProbe).unwrap();
+    for (i, m) in flushed {
+        sinks.record(i, &case.line(i, &m)).unwrap();
+    }
+    sinks.sync().unwrap();
+    (summary, sink_lines(&files.dir))
+}
+
+/// [`crash`] after `kill_after` events with a checkpoint every `every`,
+/// then [`recover`].
 ///
 /// `durable_tail` controls how many post-checkpoint sink lines survive
 /// the crash: `true` keeps them all (sink flushed right before the
-/// kill), `false` drops back to the checkpoint's high-water mark (the
-/// worst legal loss, since the sink is synced before every save).
-/// Suppression must produce the identical stream either way.
+/// kill), `false` truncates the sink file back to its line count at the
+/// last checkpoint (the worst legal loss, since the sink is synced
+/// before every save). Suppression must produce the identical stream
+/// either way.
 fn crash_and_recover(
-    pat: &Pattern,
-    rel: &Relation,
-    opts: &MatcherOptions,
-    lanes: Option<usize>,
+    case: &Case,
+    scratch: &Scratch,
     kill_after: usize,
     every: usize,
     durable_tail: bool,
 ) -> Vec<String> {
-    let events: Vec<Event> = rel.iter().map(|(_, e)| e.clone()).collect();
-
-    // Phase 1: the run that dies after `kill_after` pushes.
-    let mut sm = build(pat, opts, lanes).unwrap();
-    let mut sink: Vec<String> = Vec::new();
-    let mut ckpt: Option<(Vec<u8>, u64)> = None; // (encoded snapshot, sink lines at save)
-    let mut since = 0usize;
-    for e in &events[..kill_after] {
-        for m in push(&mut sm, e) {
-            sink.push(m.display_with(pat).to_string());
-        }
-        since += 1;
-        if since >= every {
-            since = 0;
-            // Sink syncs before the snapshot is saved — the invariant
-            // suppression relies on.
-            let snap = MatcherSnapshot::Bank(sm.snapshot());
-            ckpt = Some((encode_snapshot(&snap), sink.len() as u64));
-        }
-    }
-    drop(sm); // the crash
-
+    let files = Checkpoints {
+        dir: scratch.fresh_checkpoint_dir(),
+        keep: 3,
+        every,
+    };
+    let lines_at_save = crash(case, &scratch.log, &files, kill_after);
     if !durable_tail {
-        let durable = ckpt.as_ref().map_or(0, |(_, lines)| *lines) as usize;
-        sink.truncate(durable);
+        let kept: String = sink_lines(&files.dir)[..lines_at_save]
+            .iter()
+            .map(|l| format!("{l}\n"))
+            .collect();
+        std::fs::write(files.dir.join("matches.log"), kept).unwrap();
     }
-
-    // Phase 2: recovery.
-    let (mut sm, replay, skip, emitted_at_ckpt) = match &ckpt {
-        Some((bytes, _)) => {
-            let snap = decode_snapshot(bytes).expect("checkpoint round-trips");
-            let sm = restore(pat, opts, &snap);
-            // The event-log replay: everything at or after the snapshot's
-            // replay timestamp, in append order (`scan_range(from, MAX)`).
-            let replay: Vec<Event> = match snap.replay_from() {
-                Some(from) => events.iter().filter(|e| e.ts() >= from).cloned().collect(),
-                None => events.clone(),
-            };
-            let skip = sm.ties_at_watermark();
-            (sm, replay, skip, snap.emitted())
-        }
-        None => {
-            // Killed before the first checkpoint: cold-start over the
-            // whole log.
-            let sm = build(pat, opts, lanes).unwrap();
-            (sm, events.clone(), 0, 0)
-        }
-    };
-
-    let mut suppress = (sink.len() as u64).saturating_sub(emitted_at_ckpt);
-    let mut emit = |m: &Match, sink: &mut Vec<String>| {
-        if suppress > 0 {
-            suppress -= 1;
-        } else {
-            sink.push(m.display_with(pat).to_string());
-        }
-    };
-    for e in replay.iter().skip(skip) {
-        for m in push(&mut sm, e) {
-            emit(&m, &mut sink);
-        }
-    }
-    for m in finish(sm) {
-        emit(&m, &mut sink);
-    }
-    sink
+    recover(case, &scratch.log, &files).1
 }
 
 /// Every kill point, every cadence, both tail-durability outcomes:
 /// recovery reproduces the uninterrupted stream exactly.
-fn assert_exactly_once(pat: &Pattern, rel: &Relation, opts: &MatcherOptions, lanes: Option<usize>) {
-    let reference = uninterrupted(pat, rel, opts, lanes);
+fn assert_exactly_once(case: &Case, rel: &Relation, tag: &str) {
+    let reference = case.uninterrupted(rel);
+    let scratch = Scratch::new(tag, rel);
     for every in [1, 2, 4] {
         for kill_after in 0..=rel.len() {
             for durable_tail in [true, false] {
-                let recovered =
-                    crash_and_recover(pat, rel, opts, lanes, kill_after, every, durable_tail);
+                let recovered = crash_and_recover(case, &scratch, kill_after, every, durable_tail);
                 assert_eq!(
                     recovered, reference,
                     "divergence: every={every} kill_after={kill_after} \
-                     durable_tail={durable_tail} lanes={lanes:?}"
+                     durable_tail={durable_tail} lanes={:?}",
+                    case.lanes
                 );
             }
         }
@@ -239,7 +263,7 @@ fn correlated_pattern() -> Pattern {
 }
 
 /// A dense relation with timestamp ties (the watermark's hardest case):
-/// ties at the replay point are exactly what `ties_at_watermark` skips.
+/// ties at the replay point are exactly what the replay has to skip.
 fn tie_heavy_relation() -> Relation {
     let mut rel = Relation::new(schema());
     let rows: &[(i64, &str, i64)] = &[
@@ -270,7 +294,8 @@ fn every_kill_point_recovers_exactly_once_global() {
     let rel = tie_heavy_relation();
     for semantics in MODES {
         for selection in SELECTIONS {
-            assert_exactly_once(&pat, &rel, &options(semantics, selection), None);
+            let case = Case::one(&pat, &options(semantics, selection), None);
+            assert_exactly_once(&case, &rel, "global");
         }
     }
 }
@@ -282,177 +307,80 @@ fn every_kill_point_recovers_exactly_once_on_lanes() {
     for semantics in MODES {
         let opts = options(semantics, EventSelection::SkipTillNextMatch);
         // Lanes change where work runs, never what is emitted when.
-        let global = uninterrupted(&pat, &rel, &opts, None);
+        let global = Case::one(&pat, &opts, None).uninterrupted(&rel);
         for lanes in [1, 2, 3] {
-            assert_eq!(uninterrupted(&pat, &rel, &opts, Some(lanes)), global);
-            assert_exactly_once(&pat, &rel, &opts, Some(lanes));
+            let case = Case::one(&pat, &opts, Some(lanes));
+            assert_eq!(case.uninterrupted(&rel), global);
+            assert_exactly_once(&case, &rel, "lanes");
         }
     }
 }
 
-/// Full on-disk protocol against real `CheckpointStore` + `MatchLog`
-/// files, including pruning: kill after every prefix, recover from the
-/// files alone, compare with the uninterrupted run.
+/// Pruning: with two checkpoints kept and one saved every third event,
+/// every kill point still recovers from what is left on disk.
 #[test]
 fn on_disk_checkpoints_recover_every_kill_point() {
-    let pat = correlated_pattern();
     let rel = tie_heavy_relation();
     let opts = options(MatchSemantics::Maximal, EventSelection::SkipTillNextMatch);
-    let reference = uninterrupted(&pat, &rel, &opts, None);
-    let events: Vec<Event> = rel.iter().map(|(_, e)| e.clone()).collect();
-
-    let base = std::env::temp_dir().join(format!(
-        "ses-crash-disk-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    for kill_after in 0..=events.len() {
-        let dir = base.join(format!("k{kill_after}"));
-        std::fs::remove_dir_all(&dir).ok();
-
-        // The crashing run.
-        {
-            let mut store = CheckpointStore::open(&dir, 2).unwrap();
-            let mut sink = MatchLog::open(dir.join("matches.log")).unwrap();
-            let mut sm = build(&pat, &opts, None).unwrap();
-            for (i, e) in events[..kill_after].iter().enumerate() {
-                for m in push(&mut sm, e) {
-                    sink.append(&m.display_with(&pat).to_string()).unwrap();
-                }
-                if (i + 1) % 3 == 0 {
-                    sink.sync().unwrap();
-                    store.save(&MatcherSnapshot::Bank(sm.snapshot())).unwrap();
-                }
-            }
-            sink.sync().unwrap();
-            // Crash: both handles drop here.
-        }
-
-        // Recovery from the files alone.
-        let store = CheckpointStore::open(&dir, 2).unwrap();
-        let mut sink = MatchLog::open(dir.join("matches.log")).unwrap();
-        let (mut sm, replay, skip, emitted_at_ckpt) = match store.load_latest().unwrap() {
-            Some(l) => {
-                let sm = restore(&pat, &opts, &l.snapshot);
-                let replay: Vec<Event> = match l.snapshot.replay_from() {
-                    Some(from) => events.iter().filter(|e| e.ts() >= from).cloned().collect(),
-                    None => events.clone(),
-                };
-                let skip = sm.ties_at_watermark();
-                (sm, replay, skip, l.snapshot.emitted())
-            }
-            None => (build(&pat, &opts, None).unwrap(), events.clone(), 0, 0),
+    let case = Case::one(&correlated_pattern(), &opts, None);
+    let reference = case.uninterrupted(&rel);
+    let scratch = Scratch::new("pruning", &rel);
+    for kill_after in 0..=rel.len() {
+        let files = Checkpoints {
+            dir: scratch.fresh_checkpoint_dir(),
+            keep: 2,
+            every: 3,
         };
-        let mut suppress = sink.lines().saturating_sub(emitted_at_ckpt);
-        for e in replay.iter().skip(skip) {
-            for m in push(&mut sm, e) {
-                if suppress > 0 {
-                    suppress -= 1;
-                } else {
-                    sink.append(&m.display_with(&pat).to_string()).unwrap();
-                }
-            }
-        }
-        for m in finish(sm) {
-            if suppress > 0 {
-                suppress -= 1;
-            } else {
-                sink.append(&m.display_with(&pat).to_string()).unwrap();
-            }
-        }
-        sink.sync().unwrap();
-
-        let text = std::fs::read_to_string(dir.join("matches.log")).unwrap();
-        let lines: Vec<String> = text.lines().map(str::to_string).collect();
-        assert_eq!(lines, reference, "kill_after={kill_after}");
-        std::fs::remove_dir_all(&dir).ok();
+        crash(&case, &scratch.log, &files, kill_after);
+        let kept = CheckpointStore::open(&files.dir, files.keep).unwrap();
+        assert_eq!(kept.list().unwrap().len(), (kill_after / 3).min(2));
+        let (_, recovered) = recover(&case, &scratch.log, &files);
+        assert_eq!(recovered, reference, "kill_after={kill_after}");
     }
-    std::fs::remove_dir_all(&base).ok();
 }
 
 /// A corrupted newest checkpoint is skipped; recovery falls back to the
 /// previous valid one and replay covers the gap — still exactly-once.
 #[test]
 fn corrupted_checkpoint_falls_back_and_replays_the_gap() {
-    let pat = correlated_pattern();
     let rel = tie_heavy_relation();
     let opts = options(MatchSemantics::Maximal, EventSelection::SkipTillNextMatch);
-    let reference = uninterrupted(&pat, &rel, &opts, None);
-    let events: Vec<Event> = rel.iter().map(|(_, e)| e.clone()).collect();
-
-    let dir = std::env::temp_dir().join(format!(
-        "ses-crash-corrupt-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-
-    let mut store = CheckpointStore::open(&dir, 4).unwrap();
-    let mut sink = MatchLog::open(dir.join("matches.log")).unwrap();
-    let mut sm = build(&pat, &opts, None).unwrap();
-    for (i, e) in events.iter().enumerate() {
-        for m in push(&mut sm, e) {
-            sink.append(&m.display_with(&pat).to_string()).unwrap();
-        }
-        if (i + 1) % 4 == 0 {
-            sink.sync().unwrap();
-            store.save(&MatcherSnapshot::Bank(sm.snapshot())).unwrap();
-        }
-    }
-    sink.sync().unwrap();
-    drop(sm); // crash mid-run, after the last checkpoint
+    let case = Case::one(&correlated_pattern(), &opts, None);
+    let scratch = Scratch::new("corrupt", &rel);
+    let files = Checkpoints {
+        dir: scratch.fresh_checkpoint_dir(),
+        keep: 4,
+        every: 4,
+    };
+    // Crash mid-run, after the last checkpoint.
+    crash(&case, &scratch.log, &files, rel.len());
 
     // Flip a payload byte in the newest checkpoint file.
-    let infos = store.list().unwrap();
+    let infos = CheckpointStore::open(&files.dir, files.keep)
+        .unwrap()
+        .list()
+        .unwrap();
     assert!(infos.len() >= 2, "need a fallback checkpoint");
     let newest = infos.last().unwrap();
-    let path = dir.join(format!("ckpt-{:010}.sesckpt", newest.seq));
-    let mut bytes = std::fs::read(&path).unwrap();
-    let mid = bytes.len() - 1;
-    bytes[mid] ^= 0xff;
-    std::fs::write(&path, &bytes).unwrap();
+    let mut bytes = std::fs::read(&newest.path).unwrap();
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0xff;
+    std::fs::write(&newest.path, &bytes).unwrap();
 
-    let loaded = store.load_latest().unwrap().expect("fallback exists");
-    assert_eq!(loaded.skipped, 1, "exactly the corrupt one skipped");
-    assert!(loaded.info.seq < newest.seq);
-
-    let mut sm = restore(&pat, &opts, &loaded.snapshot);
-    let replay: Vec<Event> = match loaded.snapshot.replay_from() {
-        Some(from) => events.iter().filter(|e| e.ts() >= from).cloned().collect(),
-        None => events.clone(),
-    };
-    let mut sink = MatchLog::open(dir.join("matches.log")).unwrap();
-    let mut suppress = sink.lines().saturating_sub(loaded.snapshot.emitted());
-    for e in replay.iter().skip(sm.ties_at_watermark()) {
-        for m in push(&mut sm, e) {
-            if suppress > 0 {
-                suppress -= 1;
-            } else {
-                sink.append(&m.display_with(&pat).to_string()).unwrap();
-            }
-        }
-    }
-    for m in finish(sm) {
-        if suppress > 0 {
-            suppress -= 1;
-        } else {
-            sink.append(&m.display_with(&pat).to_string()).unwrap();
-        }
-    }
-    sink.sync().unwrap();
-
-    let text = std::fs::read_to_string(dir.join("matches.log")).unwrap();
-    let lines: Vec<String> = text.lines().map(str::to_string).collect();
-    assert_eq!(lines, reference);
-    std::fs::remove_dir_all(&dir).ok();
+    let (summary, recovered) = recover(&case, &scratch.log, &files);
+    let fallback = format!("restored checkpoint seq {} ", newest.seq - 1);
+    assert!(
+        summary.starts_with(&fallback) && summary.contains("skipped 1 corrupt checkpoint(s)"),
+        "exactly the corrupt one skipped: {summary}"
+    );
+    assert_eq!(recovered, case.uninterrupted(&rel));
 }
 
-/// A 3-pattern bank under the kill-point protocol: the whole bank is
-/// checkpointed through the binary codec, the run dies after every
-/// prefix, and recovery (restore + tie-skipping replay + suppression)
-/// must reproduce the uninterrupted run's durable sink line for line —
-/// exactly-once **per pattern**, including the pattern the predicate
-/// index never routes an event to (heartbeats only).
+/// A 3-pattern bank under the kill-point protocol: the run dies after
+/// every prefix, and recovery must reproduce the uninterrupted run's
+/// durable sink line for line — exactly-once **per pattern**, including
+/// the pattern the predicate index never routes an event to (heartbeats
+/// only).
 #[test]
 fn bank_kill_points_recover_exactly_once_per_pattern() {
     let opts = options(MatchSemantics::Maximal, EventSelection::SkipTillNextMatch);
@@ -471,103 +399,32 @@ fn bank_kill_points_recover_exactly_once_per_pattern() {
         .within(Duration::ticks(3))
         .build()
         .unwrap();
-    let specs: Vec<(String, Pattern, MatcherOptions)> = vec![
-        ("clique".into(), correlated_pattern(), opts.clone()),
-        ("x-only".into(), x_only, opts.clone()),
-        ("never".into(), never, opts.clone()),
-    ];
+    let case = Case {
+        specs: vec![
+            ("clique".into(), correlated_pattern(), opts.clone()),
+            ("x-only".into(), x_only, opts.clone()),
+            ("never".into(), never, opts.clone()),
+        ],
+        lanes: None,
+    };
     let rel = tie_heavy_relation();
-    let events: Vec<Event> = rel.iter().map(|(_, e)| e.clone()).collect();
-
-    let build = || {
-        let mut b = PatternBank::builder(&schema());
-        for (name, pat, o) in &specs {
-            b = b.register(name.clone(), pat, o.clone()).unwrap();
-        }
-        b.build()
-    };
-    let line = |i: usize, m: &Match| format!("{}: {}", specs[i].0, m.display_with(&specs[i].1));
-
-    // The uninterrupted reference sink.
-    let reference: Vec<String> = {
-        let mut bank = build();
-        let mut lines = Vec::new();
-        for e in &events {
-            for (i, m) in bank.push(e.ts(), e.values().to_vec()).unwrap() {
-                lines.push(line(i, &m));
-            }
-        }
-        for (i, m) in bank.finish() {
-            lines.push(line(i, &m));
-        }
-        lines
-    };
+    let reference = case.uninterrupted(&rel);
     assert!(
         reference.iter().any(|l| l.starts_with("clique:"))
             && reference.iter().any(|l| l.starts_with("x-only:")),
         "the workload must exercise at least two patterns: {reference:?}"
     );
 
-    for kill_after in 0..=events.len() {
+    let scratch = Scratch::new("bank", &rel);
+    for kill_after in 0..=rel.len() {
         for durable_tail in [true, false] {
-            // Phase 1: the run that dies after `kill_after` pushes,
-            // checkpointing every 2 events.
-            let mut bank = build();
-            let mut sink: Vec<String> = Vec::new();
-            let mut ckpt: Option<(Vec<u8>, u64)> = None;
-            for (n, e) in events[..kill_after].iter().enumerate() {
-                for (i, m) in bank.push(e.ts(), e.values().to_vec()).unwrap() {
-                    sink.push(line(i, &m));
-                }
-                if (n + 1) % 2 == 0 {
-                    let bytes = encode_snapshot(&MatcherSnapshot::Bank(bank.snapshot()));
-                    ckpt = Some((bytes, sink.len() as u64));
-                }
-            }
-            drop(bank); // the crash
-            if !durable_tail {
-                let durable = ckpt.as_ref().map_or(0, |(_, lines)| *lines) as usize;
-                sink.truncate(durable);
-            }
-
-            // Phase 2: recovery.
-            let (mut bank, replay, skip, emitted_at_ckpt) = match &ckpt {
-                Some((bytes, _)) => {
-                    let snap = decode_snapshot(bytes).expect("checkpoint round-trips");
-                    let MatcherSnapshot::Bank(ref s) = snap;
-                    let bank = PatternBank::restore(&specs, &schema(), s).unwrap();
-                    let replay: Vec<Event> = match snap.replay_from() {
-                        Some(from) => events.iter().filter(|e| e.ts() >= from).cloned().collect(),
-                        None => events.clone(),
-                    };
-                    let skip = bank.ties_at_watermark();
-                    (bank, replay, skip, snap.emitted())
-                }
-                None => (build(), events.clone(), 0, 0),
-            };
-            let mut suppress = (sink.len() as u64).saturating_sub(emitted_at_ckpt);
-            let mut emit = |i: usize, m: &Match, sink: &mut Vec<String>| {
-                if suppress > 0 {
-                    suppress -= 1;
-                } else {
-                    sink.push(line(i, m));
-                }
-            };
-            for e in replay.iter().skip(skip) {
-                for (i, m) in bank.push(e.ts(), e.values().to_vec()).unwrap() {
-                    emit(i, &m, &mut sink);
-                }
-            }
-            for (i, m) in bank.finish() {
-                emit(i, &m, &mut sink);
-            }
-
+            let sink = crash_and_recover(&case, &scratch, kill_after, 2, durable_tail);
             assert_eq!(
                 sink, reference,
                 "divergence: kill_after={kill_after} durable_tail={durable_tail}"
             );
             // Exactly-once per pattern, explicitly.
-            for (name, _, _) in &specs {
+            for (name, _, _) in &case.specs {
                 let per = |lines: &[String]| {
                     lines
                         .iter()
@@ -585,8 +442,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Generated patterns × tie-heavy relations × every kill point ×
-    /// every semantics: recovery through the binary codec reproduces
-    /// the uninterrupted stream exactly.
+    /// every semantics: recovery reproduces the uninterrupted stream
+    /// exactly.
     #[test]
     fn recovered_stream_equals_uninterrupted_global(
         pat in pattern_strategy(),
@@ -594,13 +451,12 @@ proptest! {
         semantics_ix in 0usize..3,
         selection_ix in 0usize..2,
     ) {
-        let opts = options(MODES[semantics_ix], SELECTIONS[selection_ix]);
-        let reference = uninterrupted(&pat, &rel, &opts, None);
+        let case = Case::one(&pat, &options(MODES[semantics_ix], SELECTIONS[selection_ix]), None);
+        let reference = case.uninterrupted(&rel);
+        let scratch = Scratch::new("prop-global", &rel);
         for kill_after in 0..=rel.len() {
             for durable_tail in [true, false] {
-                let recovered = crash_and_recover(
-                    &pat, &rel, &opts, None, kill_after, 2, durable_tail,
-                );
+                let recovered = crash_and_recover(&case, &scratch, kill_after, 2, durable_tail);
                 prop_assert_eq!(
                     &recovered, &reference,
                     "kill_after={} durable_tail={}", kill_after, durable_tail
@@ -620,15 +476,15 @@ proptest! {
         lanes in 1usize..4,
     ) {
         let opts = options(MODES[semantics_ix], EventSelection::SkipTillNextMatch);
+        let case = Case::one(&pat, &opts, Some(lanes));
         // Skip (don't fail) patterns the analyzer cannot shard by key.
-        if build(&pat, &opts, Some(lanes)).is_err() {
+        if case.build().is_err() {
             return Ok(());
         }
-        let reference = uninterrupted(&pat, &rel, &opts, Some(lanes));
+        let reference = case.uninterrupted(&rel);
+        let scratch = Scratch::new("prop-lanes", &rel);
         for kill_after in 0..=rel.len() {
-            let recovered = crash_and_recover(
-                &pat, &rel, &opts, Some(lanes), kill_after, 2, true,
-            );
+            let recovered = crash_and_recover(&case, &scratch, kill_after, 2, true);
             prop_assert_eq!(&recovered, &reference, "kill_after={}", kill_after);
         }
     }
