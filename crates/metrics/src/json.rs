@@ -200,18 +200,12 @@ impl fmt::Display for JsonValue {
             JsonValue::Bool(b) => write!(f, "{b}"),
             JsonValue::Int(i) => write!(f, "{i}"),
             JsonValue::UInt(u) => write!(f, "{u}"),
-            JsonValue::Float(x) => {
-                if x.is_finite() {
-                    // Keep integral floats distinguishable from ints.
-                    if *x == x.trunc() && x.abs() < 1e15 {
-                        write!(f, "{x:.1}")
-                    } else {
-                        write!(f, "{x}")
-                    }
-                } else {
-                    write!(f, "null")
-                }
-            }
+            // `{:?}` is the shortest text that reads back as the same
+            // float, and always has a `.0` or an exponent, so no float
+            // renders as an integer — or, from 2⁶⁴ up, as digits no
+            // integer type holds.
+            JsonValue::Float(x) if x.is_finite() => write!(f, "{x:?}"),
+            JsonValue::Float(_) => write!(f, "null"),
             JsonValue::Str(s) => write!(f, "\"{}\"", escape_json(s)),
             JsonValue::Array(items) => {
                 write!(f, "[")?;
@@ -343,6 +337,22 @@ mod tests {
         assert_eq!(cell_value("on"), JsonValue::Str("on".into()));
         assert_eq!(cell_value("1 2 3"), JsonValue::Str("1 2 3".into()));
         assert_eq!(cell_value(""), JsonValue::Str(String::new()));
+    }
+
+    #[test]
+    fn floats_of_any_size_render_as_floats() {
+        for (x, text) in [
+            (1e15, "1000000000000000.0"),
+            (1e20, "1e20"),
+            (2f64.powi(64), "1.8446744073709552e19"),
+            (f64::MAX, "1.7976931348623157e308"),
+            (5e-324, "5e-324"),
+            (-0.0, "-0.0"),
+            (0.1, "0.1"),
+        ] {
+            assert_eq!(JsonValue::Float(x).to_string(), text);
+            assert_eq!(text.parse::<f64>().unwrap().to_bits(), x.to_bits());
+        }
     }
 
     #[test]

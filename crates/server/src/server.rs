@@ -8,16 +8,17 @@
 //!                      writer (per conn) ◀─lines── router (lock holder)
 //! ```
 //!
-//! The reader parses line-JSON requests and routes them itself when no
-//! other connection holds the router; otherwise it enqueues them for
-//! the holder (or the router thread) to take. Under the `block` policy
+//! The reader decodes line-JSON requests — an event frame straight to
+//! schema-typed rows ([`protocol::decode`]) — and routes them itself
+//! when no other connection holds the router; otherwise it enqueues them
+//! for the holder (or the router thread) to take. Under the `block` policy
 //! a full core queue stalls the reader (backpressure propagates down
 //! TCP to the client), under `reject` events are shed and counted. The
 //! writer drains the connection's bounded outbound
 //! queue; a subscriber that cannot keep up fills it and is disconnected
 //! — its durable cursor lets it resume exactly where it left off.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -28,7 +29,7 @@ use std::time::Duration;
 use ses_event::Schema;
 use ses_query::TickUnit;
 
-use crate::protocol::{self, Request};
+use crate::protocol::{self, Decoded, Request, MAX_LINE_BYTES};
 use crate::queue::{BoundedQueue, OverflowPolicy};
 use crate::router::{Conn, ConnTable, Ingress, Msg, Router};
 use crate::signal;
@@ -307,7 +308,7 @@ fn reader_loop(
 ) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         if shutdown.load(Ordering::SeqCst) || signal::requested() {
             return;
@@ -315,21 +316,31 @@ fn reader_loop(
         if !conn.alive.load(Ordering::SeqCst) {
             return;
         }
-        match reader.read_line(&mut line) {
-            Ok(0) => {
-                // Peer closed. `line` may still hold a prefix carried
-                // over from a timed-out read whose remainder never
-                // arrived; a request without its newline is the same
-                // best-effort final line as the `Ok(_)`-at-EOF case.
-                let trimmed = line.trim();
-                if !trimmed.is_empty() {
-                    handle_line(trimmed, conn, ingress, schema, policy);
+        let read = read_line_bounded(&mut reader, &mut line);
+        if too_long(&line) {
+            // Nothing inside an unterminated line says where the next
+            // request starts: say why, and close.
+            conn.send(protocol::error(
+                "parse",
+                format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+            ));
+            return;
+        }
+        match read {
+            // `Ok(0)`: the peer closed. `line` may still hold a prefix
+            // carried over from a timed-out read whose remainder never
+            // arrived; a request without its newline is the same
+            // best-effort final line as `Ok(_)` at the end of the stream.
+            Ok(n) => {
+                // A line that is not UTF-8 ends the connection.
+                let Ok(text) = std::str::from_utf8(&line) else {
+                    return;
+                };
+                let text = text.trim();
+                if !text.is_empty() && !handle_line(text, conn, ingress, schema, policy) {
+                    return;
                 }
-                return;
-            }
-            Ok(_) => {
-                let trimmed = line.trim();
-                if !trimmed.is_empty() && !handle_line(trimmed, conn, ingress, schema, policy) {
+                if n == 0 {
                     return;
                 }
                 // Clear only after the line is fully read and handled.
@@ -342,7 +353,7 @@ fn reader_loop(
                 ) =>
             {
                 // The timed-out read may have left a partial line in
-                // `line`; keep it — the next read_line appends the rest.
+                // `line`; keep it — the next read appends the rest.
                 continue;
             }
             Err(_) => {
@@ -350,6 +361,19 @@ fn reader_loop(
             }
         }
     }
+}
+
+/// Appends to `line` up to and including the next newline, like
+/// `read_until`, but never past one byte more than [`MAX_LINE_BYTES`] —
+/// the byte that shows the line [`too_long`]. What a peer can make the
+/// server hold is bounded by this, not by when it sends a newline.
+fn read_line_bounded(reader: &mut impl BufRead, line: &mut Vec<u8>) -> std::io::Result<usize> {
+    let room = (MAX_LINE_BYTES + 1).saturating_sub(line.len());
+    reader.take(room as u64).read_until(b'\n', line)
+}
+
+fn too_long(line: &[u8]) -> bool {
+    line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n')
 }
 
 /// Handles one request line; `false` ends the connection.
@@ -360,63 +384,85 @@ fn handle_line(
     schema: &Schema,
     policy: OverflowPolicy,
 ) -> bool {
-    let request = match protocol::parse_request(line) {
-        Ok(r) => r,
+    let event = |ts, values| Msg::Event {
+        ts,
+        values,
+        conn: conn.id,
+    };
+    let msg = match protocol::decode(line, schema, event) {
         Err(e) => {
             conn.send(protocol::error("parse", e));
             return true;
         }
+        // The events of one request are submitted as one run.
+        Ok(Decoded::Events { rows, refused }) => {
+            for e in refused {
+                conn.send(protocol::error("ingest", e));
+            }
+            let offered = rows.len();
+            let Some(accepted) = ingress.submit(rows, policy) else {
+                return false; // server shutting down
+            };
+            conn.accepted.fetch_add(accepted as u64, Ordering::SeqCst);
+            conn.shed
+                .fetch_add((offered - accepted) as u64, Ordering::SeqCst);
+            return true;
+        }
+        Ok(Decoded::Control(request)) => match request {
+            Request::Sync => Msg::Sync { conn: conn.id },
+            Request::Ping => Msg::Ping { conn: conn.id },
+            Request::Stats => Msg::Stats { conn: conn.id },
+            Request::Shutdown => Msg::Shutdown { conn: conn.id },
+            Request::Subscribe {
+                name,
+                query,
+                cursor,
+            } => Msg::Subscribe {
+                conn: conn.id,
+                name,
+                query,
+                cursor,
+            },
+            _ => unreachable!("decode types event lines itself"),
+        },
     };
     // Control messages always block — they are rare, must not be shed,
     // and their place in the order is their guarantee.
-    let control = |msg: Msg| ingress.submit(vec![msg], OverflowPolicy::Block).is_some();
-    match request {
-        Request::Ingest { ts, values } => ingest(&[(ts, values)], conn, ingress, schema, policy),
-        Request::Batch { events } => ingest(&events, conn, ingress, schema, policy),
-        Request::Sync => control(Msg::Sync { conn: conn.id }),
-        Request::Ping => control(Msg::Ping { conn: conn.id }),
-        Request::Stats => control(Msg::Stats { conn: conn.id }),
-        Request::Shutdown => control(Msg::Shutdown { conn: conn.id }),
-        Request::Subscribe {
-            name,
-            query,
-            cursor,
-        } => control(Msg::Subscribe {
-            conn: conn.id,
-            name,
-            query,
-            cursor,
-        }),
-    }
+    ingress.submit(vec![msg], OverflowPolicy::Block).is_some()
 }
 
-/// Types the events of one request and submits them as one run.
-fn ingest(
-    events: &[(i64, Vec<ses_metrics::JsonValue>)],
-    conn: &Arc<Conn>,
-    ingress: &Ingress,
-    schema: &Schema,
-    policy: OverflowPolicy,
-) -> bool {
-    let mut msgs = Vec::with_capacity(events.len());
-    for (ts, values) in events {
-        match protocol::event_values(schema, values) {
-            Ok(values) => msgs.push(Msg::Event {
-                ts: *ts,
-                values,
-                conn: conn.id,
-            }),
-            Err(e) => {
-                conn.send(protocol::error("ingest", e));
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_peer_that_never_sends_a_newline_fills_the_buffer_to_the_cap_and_no_further() {
+        let mut endless = BufReader::new(std::io::repeat(b'x'));
+        let mut line = Vec::new();
+        // However often the reader comes back for more.
+        for _ in 0..3 {
+            read_line_bounded(&mut endless, &mut line).unwrap();
+            assert_eq!(line.len(), MAX_LINE_BYTES + 1);
+            assert!(too_long(&line));
+        }
+    }
+
+    #[test]
+    fn a_line_of_exactly_the_cap_is_not_too_long() {
+        // With part of the line carried over from a timed-out read.
+        for (rest, long) in [(MAX_LINE_BYTES - 1000, false), (MAX_LINE_BYTES - 999, true)] {
+            let mut bytes = vec![b'x'; rest];
+            bytes.extend_from_slice(b"\nnext\n");
+            let mut reader = BufReader::new(&bytes[..]);
+            let mut line = vec![b'x'; 1000];
+            read_line_bounded(&mut reader, &mut line).unwrap();
+            assert_eq!(line.len(), MAX_LINE_BYTES + 1);
+            assert_eq!(too_long(&line), long);
+            if !long {
+                line.clear();
+                read_line_bounded(&mut reader, &mut line).unwrap();
+                assert_eq!(line, b"next\n");
             }
         }
     }
-    let offered = msgs.len();
-    let Some(accepted) = ingress.submit(msgs, policy) else {
-        return false; // server shutting down
-    };
-    conn.accepted.fetch_add(accepted as u64, Ordering::SeqCst);
-    conn.shed
-        .fetch_add((offered - accepted) as u64, Ordering::SeqCst);
-    true
 }

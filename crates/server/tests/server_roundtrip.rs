@@ -6,12 +6,15 @@
 //! workspace-level `tests/server_crash_reconnect.rs` (it needs separate
 //! processes).
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
 use ses_event::{AttrType, Schema};
 use ses_metrics::JsonValue;
 use ses_query::TickUnit;
+use ses_server::protocol::{parse_json, MAX_LINE_BYTES};
 use ses_server::{Client, OverflowPolicy, Server, ServerConfig};
 
 fn schema() -> Schema {
@@ -50,6 +53,74 @@ fn connect(server: &Server) -> Client {
 
 fn ev(id: i64, label: &str) -> Vec<JsonValue> {
     vec![JsonValue::Int(id), JsonValue::Str(label.to_string())]
+}
+
+/// A connection that sends bytes as given, for what [`Client`] would
+/// not render.
+struct Raw {
+    stream: TcpStream,
+    reader: BufReader<TcpStream>,
+}
+
+impl Raw {
+    fn connect(server: &Server) -> Raw {
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let reader = BufReader::new(stream.try_clone().unwrap());
+        Raw { stream, reader }
+    }
+
+    /// Sends `line` and a newline.
+    fn send(&mut self, line: &[u8]) {
+        self.stream.write_all(line).unwrap();
+        self.stream.write_all(b"\n").unwrap();
+    }
+
+    /// The next line; `None` once the server has closed the connection
+    /// (reset counts: it closes without reading what is still in flight).
+    fn line(&mut self) -> Option<String> {
+        let mut line = String::new();
+        match self.reader.read_line(&mut line) {
+            Ok(0) => None,
+            Ok(_) => Some(line.trim().to_string()),
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => None,
+            Err(e) => panic!("read: {e}"),
+        }
+    }
+
+    /// The next line, which must be a refusal under `op`; its words.
+    fn refusal(&mut self, op: &str) -> String {
+        let line = self.line().expect("an error line");
+        let reply = parse_json(&line).unwrap();
+        let reply = reply.as_object().unwrap();
+        assert_eq!(reply.get("ok"), Some(&JsonValue::Bool(false)), "{line}");
+        assert_eq!(
+            reply.get("op").and_then(JsonValue::as_str),
+            Some(op),
+            "{line}"
+        );
+        reply
+            .get("error")
+            .and_then(JsonValue::as_str)
+            .unwrap()
+            .to_string()
+    }
+
+    fn consumed(&mut self) -> u64 {
+        self.send(b"{\"op\":\"sync\"}");
+        let line = self.line().expect("a sync ack");
+        let reply = parse_json(&line).unwrap();
+        let reply = reply.as_object().unwrap();
+        assert_eq!(
+            reply.get("op").and_then(JsonValue::as_str),
+            Some("sync"),
+            "{line}"
+        );
+        reply.get("consumed").and_then(JsonValue::as_u64).unwrap()
+    }
 }
 
 /// One top-level counter of the `stats` reply.
@@ -431,5 +502,189 @@ fn a_producer_keeps_its_order_whichever_thread_routes_it() {
         let stats = reply.get("stats").and_then(JsonValue::as_object).unwrap();
         assert_eq!(stats.get("clamped").and_then(JsonValue::as_u64), Some(0));
     });
+    server.stop().unwrap();
+}
+
+/// At the parent commit the first line below overflows the reader
+/// thread's stack and aborts the process — this test binary with it.
+#[test]
+fn deeply_nested_lines_are_refused_not_fatal() {
+    let server = Server::start(config(None)).unwrap();
+    let mut hostile = Raw::connect(&server);
+
+    hostile.send("[".repeat(100_000).as_bytes());
+    let why = hostile.refusal("parse");
+    assert!(why.contains("nesting deeper than 64"), "{why}");
+    hostile.send(format!("{{\"op\":\"ping\",\"x\":{}", "[".repeat(100_000)).as_bytes());
+    let why = hostile.refusal("parse");
+    assert!(why.contains("nesting deeper than 64"), "{why}");
+
+    // The connection still answers, and another still ingests.
+    hostile.send(b"{\"op\":\"ping\"}");
+    assert!(hostile.line().unwrap().contains("\"op\":\"pong\""));
+    let mut c = connect(&server);
+    c.ingest(1, &ev(1, "C")).unwrap();
+    let ack = c.sync().unwrap();
+    assert_eq!(ack.get("consumed").and_then(JsonValue::as_u64), Some(1));
+    server.stop().unwrap();
+}
+
+/// A peer that never sends a newline is cut off at `MAX_LINE_BYTES`: it
+/// cannot make the server hold more than that. (That the reader's
+/// buffer stops there is `server.rs`' own unit test.)
+#[test]
+fn an_endless_line_is_cut_off_at_the_cap() {
+    let server = Server::start(config(None)).unwrap();
+
+    // A line of exactly the cap is a line like any other.
+    let mut c = Raw::connect(&server);
+    let mut ping = b"{\"op\":\"ping\",\"pad\":\"".to_vec();
+    ping.resize(MAX_LINE_BYTES - 2, b'x');
+    ping.extend_from_slice(b"\"}");
+    assert_eq!(ping.len(), MAX_LINE_BYTES);
+    c.send(&ping);
+    assert!(c.line().unwrap().contains("\"op\":\"pong\""));
+
+    // 5 MiB and no newline. The server stops reading at the cap, so the
+    // tail of this may find the connection already closed.
+    let chunk = vec![b'x'; 64 << 10];
+    for _ in 0..(5 << 20) / chunk.len() {
+        if c.stream.write_all(&chunk).is_err() {
+            break;
+        }
+    }
+    let why = c.refusal("parse");
+    assert_eq!(why, format!("request line exceeds {MAX_LINE_BYTES} bytes"));
+    assert_eq!(c.line(), None, "the connection is closed");
+
+    // Nobody else noticed.
+    let mut other = connect(&server);
+    assert_eq!(stat(&mut other, "consumed"), Some(0));
+    other.ingest(1, &ev(1, "C")).unwrap();
+    other.sync().unwrap();
+    server.stop().unwrap();
+}
+
+#[test]
+fn a_line_that_is_not_utf8_closes_that_connection_only() {
+    let server = Server::start(config(None)).unwrap();
+    let mut other = connect(&server);
+    let mut c = Raw::connect(&server);
+    c.send(b"{\"op\":\"ingest\",\"ts\":1,\"values\":[1,\"\xff\"]}");
+    assert_eq!(c.line(), None);
+    assert_eq!(stat(&mut other, "consumed"), Some(0));
+    other.ping().unwrap();
+    server.stop().unwrap();
+}
+
+/// JSON leaves spelling to the writer; the server must not care. One
+/// stream sent canonically, the way Python's `json.dumps` writes it
+/// (a space after every `,` and `:`, here with `events` before `op`),
+/// and with every string — keys too — `\u`-escaped.
+#[test]
+fn one_stream_spelled_three_ways_matches_identically() {
+    /// `"text"` with every character as `\uXXXX`.
+    fn escaped(text: &str) -> String {
+        let units: String = text.encode_utf16().map(|u| format!("\\u{u:04x}")).collect();
+        format!("\"{units}\"")
+    }
+    let stream = [
+        (1, 1, "C"),
+        (2, 2, "D"),
+        (3, 3, "C"),
+        (4, 4, "é"),
+        (5, 5, "D"),
+        (100, 6, "X"),
+    ];
+    let rows = |event: &dyn Fn(i64, i64, &str) -> String, comma: &str| {
+        let rows: Vec<String> = stream
+            .iter()
+            .map(|(ts, id, l)| event(*ts, *id, l))
+            .collect();
+        rows.join(comma)
+    };
+    let canonical = format!(
+        "{{\"op\":\"batch\",\"events\":[{}]}}",
+        rows(&|ts, id, l| format!("[{ts},[{id},\"{l}\"]]"), ",")
+    );
+    let dumps = format!(
+        "{{\"events\": [{}], \"op\": \"batch\"}}",
+        rows(&|ts, id, l| format!("[{ts}, [{id}, \"{l}\"]]"), ", ")
+    );
+    let all_escaped = format!(
+        "{{{}:{},{}:[{}]}}",
+        escaped("op"),
+        escaped("batch"),
+        escaped("events"),
+        rows(&|ts, id, l| format!("[{ts},[{id},{}]]", escaped(l)), ",")
+    );
+
+    let mut outcomes = Vec::new();
+    for line in [&canonical, &dumps, &all_escaped] {
+        let server = Server::start(config(None)).unwrap();
+        let mut c = connect(&server);
+        c.subscribe("cd", CD, 0).unwrap();
+        c.send_line(line).unwrap();
+        let ack = c.sync().unwrap();
+        let consumed = ack.get("consumed").and_then(JsonValue::as_u64);
+        let matches: Vec<String> = c.pending_matches.iter().map(|m| m.to_string()).collect();
+        outcomes.push((consumed, matches));
+        server.stop().unwrap();
+    }
+    assert_eq!(outcomes[0].0, Some(stream.len() as u64));
+    assert_eq!(outcomes[0].1.len(), 2, "{:?}", outcomes[0].1);
+    assert_eq!(outcomes[1], outcomes[0], "json.dumps spelling");
+    assert_eq!(outcomes[2], outcomes[0], "\\u spelling");
+}
+
+#[test]
+fn a_bad_event_is_refused_alone_and_a_bad_line_whole() {
+    let server = Server::start(config(None)).unwrap();
+    let mut c = Raw::connect(&server);
+
+    // Second event: wrong arity. Fourth: wrong type.
+    c.send(
+        br#"{"op":"batch","events":[[1,[1,"A"]],[2,[2]],[3,[3,"C"]],[4,["4","D"]],[5,[5,"E"]]]}"#,
+    );
+    assert_eq!(
+        c.refusal("ingest"),
+        "expected 2 value(s) for the schema, got 1"
+    );
+    assert_eq!(c.refusal("ingest"), "attribute `ID` expects INT");
+    // The sync ack is the next line: two refusals exactly, three
+    // events in, and the connection open.
+    assert_eq!(c.consumed(), 3);
+
+    // Two good events, then a syntax error: none of it counts.
+    c.send(br#"{"op":"batch","events":[[6,[6,"F"]],[7,[7,"G"]],[8,[8,"H"]}"#);
+    let why = c.refusal("parse");
+    assert!(why.starts_with("expected `,` or `]`"), "{why}");
+    assert_eq!(c.consumed(), 3);
+    server.stop().unwrap();
+}
+
+/// `JsonValue::Float` used to print `1e20` as a 21-digit integer, which
+/// the server's own parser refuses — the whole frame with it.
+#[test]
+fn large_floats_survive_the_client_rendering() {
+    let schema = Schema::builder()
+        .attr("ID", AttrType::Int)
+        .attr("X", AttrType::Float)
+        .build()
+        .unwrap();
+    let server = Server::start(ServerConfig::new(schema)).unwrap();
+    let mut c = connect(&server);
+    let frame: Vec<_> = [1e15, 1e20, 2f64.powi(64), f64::MAX, -0.0, 5e-324]
+        .iter()
+        .enumerate()
+        .map(|(i, x)| (i as i64, vec![JsonValue::Int(1), JsonValue::Float(*x)]))
+        .collect();
+    c.batch(&frame).unwrap();
+    // `sync` fails on an error line, were there one.
+    let ack = c.sync().unwrap();
+    assert_eq!(
+        ack.get("consumed").and_then(JsonValue::as_u64),
+        Some(frame.len() as u64)
+    );
     server.stop().unwrap();
 }
