@@ -23,7 +23,7 @@
 //!   not the brute-force bank. Exactness additionally requires distinct
 //!   timestamps (demonstrated in `tests/baseline_vs_ses.rs`).
 
-use ses_core::{CoreError, ExecOptions, Execution, Match, NoProbe, Probe, RawMatch};
+use ses_core::{AdmittedLog, CoreError, ExecOptions, Execution, Match, NoProbe, Probe, RawMatch};
 use ses_event::{Relation, Schema};
 use ses_pattern::{Pattern, Rhs, VarId};
 
@@ -133,7 +133,7 @@ impl BruteForce {
         // original pattern's ids before merging the banks' results.
         let mut raw: Vec<RawMatch> = Vec::new();
         for (exec, var_map) in executions.into_iter().zip(&self.var_maps) {
-            for m in exec.finish(&mut suppressed) {
+            for m in exec.finish(&mut suppressed).0 {
                 let mut bindings: Vec<(VarId, ses_event::EventId)> = m
                     .bindings
                     .into_iter()
@@ -147,7 +147,16 @@ impl BruteForce {
         // against the *original* pattern — the chains need no knowledge
         // of them.
         let raw = ses_core::filter_negations(raw, relation, &self.compiled);
-        ses_core::select(raw, relation, &self.compiled, self.options.semantics)
+        // The chains admitted under their own variable numbering; the
+        // original pattern's verdicts come from its own admission pass.
+        let admitted = AdmittedLog::of(&self.compiled, self.options.filter, relation);
+        ses_core::select(
+            raw,
+            &admitted,
+            relation,
+            &self.compiled,
+            self.options.semantics,
+        )
     }
 }
 

@@ -15,10 +15,16 @@
 //!   (events satisfying the variable's constant and self-conditions).
 //!   Swap alternatives for a binding `v/e` can only be viable events in
 //!   the open interval dictated by condition 2, so the relation scan
-//!   collapses to a binary-searched slice. Lists are extended
-//!   monotonically as groups arrive in ascending order, so classifying
-//!   each event costs amortized O(vars) once per event — not per
-//!   candidate per binding.
+//!   collapses to a binary-searched slice. The lists are filled from the
+//!   scan's own admission verdicts ([`crate::AdmittedLog`] in batch, the
+//!   push that admits in a stream) and from nothing else: this module
+//!   evaluates no constant condition and never walks the relation. That
+//!   is sound because, in every effective [`crate::FilterMode`] (`Off`,
+//!   `Paper`, `PerVariable`, and the silent downgrade to `Off` when a
+//!   variable has no constant), *viable(v) ⇒ passes*, and `var_ok` bit
+//!   *v* ⇔ all of *v*'s constant conditions hold — so admitted ∧
+//!   self-conditions is exactly the viable set. Filling costs
+//!   O(admitted events), not O(relation × variables).
 //! * [`GroupIndex`] — per adjudication group: posting lists
 //!   `(var, event) → candidates` drive the condition-5 subset check,
 //!   which is within-group maximality too (a subset victim must appear
@@ -37,7 +43,10 @@
 //!   [`SurvivorStore::live`] a contiguous slice — the streaming snapshot
 //!   format is unchanged), and the same posting-list trick bounds the
 //!   killer search; a binding never seen in any survivor refutes
-//!   subsumption in O(1).
+//!   subsumption in O(1). A killer `γ′ ⊋ γ` binds γ's first event inside
+//!   its own window, so `minT(γ) − τ ≤ minT(γ′) ≤ minT(γ)`: batch prunes
+//!   below `minT(group) − τ` before each group, a stream below
+//!   `watermark − 2τ` at each push, and both hold O(window) survivors.
 //!
 //! Worst-case inputs (R candidates sharing almost every binding) can
 //! still force O(R²) verified comparisons — binding-set containment is
@@ -48,8 +57,9 @@
 //! argument and the measured speedups.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-use ses_event::{EventId, Relation, Timestamp};
+use ses_event::{Event, EventId, Relation, Timestamp};
 use ses_pattern::{CompiledPattern, CompiledRhs, VarId};
 
 use crate::matches::Match;
@@ -71,6 +81,41 @@ fn fnv_binding(mut h: u64, var: VarId, event: EventId) -> u64 {
     h
 }
 
+/// Hasher for this module's maps, whose keys are a few small integers
+/// the engine assigned (`VarId`, `EventId`, a prefix hash) — nothing an
+/// input could craft to collide, so SipHash's keyed rounds buy nothing.
+/// One rotate-xor-multiply per integer written.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl IdHasher {
+    fn mix(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.mix(u64::from(b));
+        }
+    }
+    fn write_u16(&mut self, n: u16) {
+        self.mix(u64::from(n));
+    }
+    fn write_u32(&mut self, n: u32) {
+        self.mix(u64::from(n));
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.mix(n);
+    }
+}
+
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
 /// `true` iff the canonically ordered `bindings` bind `event` (to any
 /// variable). Events in a substitution are distinct, so the event
 /// component is strictly increasing and binary-searchable.
@@ -85,62 +130,56 @@ fn binds_event(bindings: &[(VarId, EventId)], event: EventId) -> bool {
 type BinaryUse = (usize, VarId, bool);
 
 /// Per-variable viable-event lists plus the per-pattern condition
-/// analysis they are built from, owned by the adjudicator and extended
-/// monotonically across groups.
+/// analysis they are built from, owned by the adjudicator and filled
+/// from admission verdicts only ([`ViableIndex::admit`]).
 ///
 /// An event is *viable* for variable `v` iff it satisfies every constant
 /// condition and self-condition on `v` — exactly the unary part of
 /// condition 1, which [`crate::satisfies_conditions_1_3`] also enforces,
 /// so viability is necessary for any swap to be valid.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct ViableIndex {
     /// Sorted `(event, ts)` per variable; ids ascend and timestamps are
     /// non-decreasing (relation push order), so both are binary-searchable.
     lists: Vec<Vec<(EventId, Timestamp)>>,
-    /// Indices into `pattern.conditions()` of each variable's unary
-    /// (constant or self) conditions.
-    unary: Vec<Vec<usize>>,
+    /// Indices into `pattern.conditions()` of each variable's
+    /// self-conditions `v.A φ v.B` — the one unary kind an admission
+    /// verdict does not cover.
+    self_conds: Vec<Vec<usize>>,
     /// Each variable's binary conditions, from that variable's side.
     binary: Vec<Vec<BinaryUse>>,
     /// The set each variable belongs to.
     var_set: Vec<usize>,
-    /// Exclusive upper end of the classified id range.
-    cover_hi: usize,
-    ready: bool,
 }
 
 impl ViableIndex {
-    pub(crate) fn new() -> ViableIndex {
-        ViableIndex::default()
-    }
-
-    fn init(&mut self, pattern: &CompiledPattern, relation: &Relation) {
+    pub(crate) fn new(pattern: &CompiledPattern) -> ViableIndex {
         let p = pattern.pattern();
         let nv = p.num_vars();
-        self.lists = vec![Vec::new(); nv];
-        self.unary = vec![Vec::new(); nv];
-        self.binary = vec![Vec::new(); nv];
+        let mut self_conds = vec![Vec::new(); nv];
+        let mut binary = vec![Vec::new(); nv];
         for (ci, c) in pattern.conditions().iter().enumerate() {
-            match &c.rhs {
-                CompiledRhs::Const(_) => self.unary[c.lhs_var.index()].push(ci),
-                CompiledRhs::Attr { var, .. } => {
-                    if *var == c.lhs_var {
-                        self.unary[c.lhs_var.index()].push(ci);
-                    } else {
-                        self.binary[c.lhs_var.index()].push((ci, *var, true));
-                        self.binary[var.index()].push((ci, c.lhs_var, false));
-                    }
+            if let CompiledRhs::Attr { var, .. } = &c.rhs {
+                if *var == c.lhs_var {
+                    self_conds[c.lhs_var.index()].push(ci);
+                } else {
+                    binary[c.lhs_var.index()].push((ci, *var, true));
+                    binary[var.index()].push((ci, c.lhs_var, false));
                 }
             }
         }
-        self.var_set = vec![0; nv];
+        let mut var_set = vec![0; nv];
         for s in 0..p.num_sets() {
             for &v in p.set(s) {
-                self.var_set[v.index()] = s;
+                var_set[v.index()] = s;
             }
         }
-        self.cover_hi = relation.first_index();
-        self.ready = true;
+        ViableIndex {
+            lists: vec![Vec::new(); nv],
+            self_conds,
+            binary,
+            var_set,
+        }
     }
 
     /// The set index of `var`.
@@ -153,50 +192,43 @@ impl ViableIndex {
         &self.binary[var.index()]
     }
 
-    /// Extends classification so every retained event with id `< hi` is
-    /// in the lists of the variables it is viable for, and drops list
-    /// heads the advancing relation has evicted. Ids at or above `hi`
-    /// carry timestamps no earlier than any alternative the current
-    /// group can ever ask for, so this coverage is complete.
-    pub(crate) fn ensure_cover(
+    /// Appends admitted event `id` to the list of every variable in
+    /// `vars` (the admission verdict's [`viable_vars`]) whose
+    /// self-conditions it also satisfies. Ids must arrive ascending.
+    ///
+    /// [`viable_vars`]: crate::columnar::EventAdmission::viable_vars
+    pub(crate) fn admit(
         &mut self,
         pattern: &CompiledPattern,
-        relation: &Relation,
-        hi: usize,
+        id: EventId,
+        event: &Event,
+        vars: u64,
     ) {
-        if !self.ready {
-            self.init(pattern, relation);
+        let conds = pattern.conditions();
+        let mut rest = vars;
+        while rest != 0 {
+            let v = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            if self.self_conds[v]
+                .iter()
+                .all(|&ci| conds[ci].eval_vars(event, event))
+            {
+                debug_assert!(self.lists[v].last().is_none_or(|&(e, _)| e < id));
+                self.lists[v].push((id, event.ts()));
+            }
         }
-        let first = relation.first_index();
+    }
+
+    /// Drops the entries of events the relation has evicted (ids below
+    /// `first`). The streaming matcher calls this whenever its relation
+    /// compacts — [`Relation::evict_before`]'s hysteresis is the
+    /// amortization — so the lists stay O(retained events) whether or
+    /// not a group ever arrives.
+    pub(crate) fn evict_before(&mut self, first: usize) {
         for list in &mut self.lists {
             let cut = list.partition_point(|&(e, _)| e.index() < first);
-            // Hysteresis: drain only when the dead prefix dominates, so
-            // steady-state streaming amortizes the memmove.
-            if cut > 64 && cut * 2 >= list.len() {
-                list.drain(..cut);
-            }
+            list.drain(..cut);
         }
-        if hi <= self.cover_hi {
-            return;
-        }
-        let conds = pattern.conditions();
-        for idx in self.cover_hi.max(first)..hi {
-            let ev = relation.event(EventId::from(idx));
-            'vars: for v in 0..self.lists.len() {
-                for &ci in &self.unary[v] {
-                    let c = &conds[ci];
-                    let ok = match &c.rhs {
-                        CompiledRhs::Const(_) => c.eval_const(ev),
-                        CompiledRhs::Attr { .. } => c.eval_vars(ev, ev),
-                    };
-                    if !ok {
-                        continue 'vars;
-                    }
-                }
-                self.lists[v].push((EventId::from(idx), ev.ts()));
-            }
-        }
-        self.cover_hi = hi;
     }
 
     /// The viable events for `var` with `lo < ts < hi` (both strict, per
@@ -206,6 +238,43 @@ impl ViableIndex {
         let a = list.partition_point(|&(_, t)| t <= lo);
         let b = list.partition_point(|&(_, t)| t < hi);
         &list[a..b.max(a)]
+    }
+
+    /// The per-variable lists, for tests.
+    #[cfg(test)]
+    pub(crate) fn lists(&self) -> &[Vec<(EventId, Timestamp)>] {
+        &self.lists
+    }
+
+    /// The reference the admission-fed lists are tested against: every
+    /// retained event of `relation` classified from scratch, one
+    /// evaluation per unary condition per variable — the relation scan
+    /// this index used to run in production.
+    #[cfg(test)]
+    pub(crate) fn classify(
+        pattern: &CompiledPattern,
+        relation: &Relation,
+    ) -> Vec<Vec<(EventId, Timestamp)>> {
+        let conds = pattern.conditions();
+        let mut lists = vec![Vec::new(); pattern.pattern().num_vars()];
+        for (i, ev) in relation.events().iter().enumerate() {
+            for (v, list) in lists.iter_mut().enumerate() {
+                let viable =
+                    conds
+                        .iter()
+                        .filter(|c| c.lhs_var.index() == v)
+                        .all(|c| match &c.rhs {
+                            CompiledRhs::Const(_) => c.eval_const(ev),
+                            CompiledRhs::Attr { var, .. } => {
+                                *var != c.lhs_var || c.eval_vars(ev, ev)
+                            }
+                        });
+                if viable {
+                    list.push((EventId::from(relation.first_index() + i), ev.ts()));
+                }
+            }
+        }
+        lists
     }
 }
 
@@ -221,28 +290,30 @@ pub(crate) struct GroupIndex<'g> {
     /// `(var, event) → candidate indices` (ascending) over the full
     /// group — condition-5 killers are the *raw* group, including
     /// candidates that themselves fail condition 4.
-    postings: HashMap<(VarId, EventId), Vec<u32>>,
+    postings: IdMap<(VarId, EventId), Vec<u32>>,
     /// `(var, alt, hash of bindings strictly before alt.ts) → candidates
     /// binding var/alt with that prefix` — the condition-4 prefix test.
-    prefix: HashMap<(VarId, EventId, u64), Vec<u32>>,
-    /// Distinct events bound to each variable by any candidate, sorted.
-    var_alts: HashMap<VarId, Vec<(EventId, Timestamp)>>,
+    prefix: IdMap<(VarId, EventId, u64), Vec<u32>>,
+    /// Distinct events bound to each variable (by `VarId` index) by any
+    /// candidate, sorted.
+    var_alts: Vec<Vec<(EventId, Timestamp)>>,
     min_ts: Timestamp,
-    /// One past the largest bound event id — the [`ViableIndex`]
-    /// coverage this group needs.
-    cover_needed: usize,
 }
 
 impl<'g> GroupIndex<'g> {
     /// Indexes a non-empty group. Candidates must be in sorted canonical
-    /// order (they are: `adjudicate_group` sorts and dedups first).
-    pub(crate) fn build(group: &'g [Match], relation: &Relation) -> GroupIndex<'g> {
+    /// order without duplicates (`adjudicate_group` requires it of its
+    /// callers).
+    pub(crate) fn build(
+        group: &'g [Match],
+        relation: &Relation,
+        num_vars: usize,
+    ) -> GroupIndex<'g> {
         let min_ts = relation.event(group[0].first_event()).ts();
         let mut ts = Vec::with_capacity(group.len());
         let mut phash = Vec::with_capacity(group.len());
-        let mut postings: HashMap<(VarId, EventId), Vec<u32>> = HashMap::new();
-        let mut prefix: HashMap<(VarId, EventId, u64), Vec<u32>> = HashMap::new();
-        let mut cover_needed = 0;
+        let mut postings: IdMap<(VarId, EventId), Vec<u32>> = IdMap::default();
+        let mut prefix: IdMap<(VarId, EventId, u64), Vec<u32>> = IdMap::default();
         for (i, m) in group.iter().enumerate() {
             let b = m.bindings();
             let mts: Vec<Timestamp> = b.iter().map(|&(_, e)| relation.event(e).ts()).collect();
@@ -261,18 +332,14 @@ impl<'g> GroupIndex<'g> {
                         .push(i as u32);
                 }
             }
-            cover_needed = cover_needed.max(m.last_event().index() + 1);
             ts.push(mts);
             phash.push(ph);
         }
-        let mut var_alts: HashMap<VarId, Vec<(EventId, Timestamp)>> = HashMap::new();
+        let mut var_alts = vec![Vec::new(); num_vars];
         for &(v, e) in postings.keys() {
-            var_alts
-                .entry(v)
-                .or_default()
-                .push((e, relation.event(e).ts()));
+            var_alts[v.index()].push((e, relation.event(e).ts()));
         }
-        for list in var_alts.values_mut() {
+        for list in &mut var_alts {
             list.sort_unstable();
         }
         GroupIndex {
@@ -283,14 +350,7 @@ impl<'g> GroupIndex<'g> {
             prefix,
             var_alts,
             min_ts,
-            cover_needed,
         }
-    }
-
-    /// One past the largest event id any condition-4 scan for this group
-    /// can touch — pass to [`ViableIndex::ensure_cover`].
-    pub(crate) fn cover_needed(&self) -> usize {
-        self.cover_needed
     }
 
     /// Condition 4 for candidate `i`: no variable could have bound a
@@ -329,21 +389,20 @@ impl<'g> GroupIndex<'g> {
 
             // Prefix test: alternatives are events other candidates bind
             // to `var`, strictly inside (minT, e.T).
-            if let Some(alts) = self.var_alts.get(&var) {
-                let lo = alts.partition_point(|&(_, t)| t <= self.min_ts);
-                let hi = alts.partition_point(|&(_, t)| t < bound_ts);
-                for &(alt, alt_ts) in &alts[lo..hi.max(lo)] {
-                    if binds_event(b, alt) {
-                        continue; // already used in γ (possibly by another variable)
-                    }
-                    let boundary = ts.partition_point(|&t| t < alt_ts);
-                    if let Some(offers) = self.prefix.get(&(var, alt, ph[boundary])) {
-                        for &o in offers {
-                            let ob = self.group[o as usize].bindings();
-                            let oboundary = self.ts[o as usize].partition_point(|&t| t < alt_ts);
-                            if ob[..oboundary] == b[..boundary] {
-                                return false;
-                            }
+            let alts = &self.var_alts[var.index()];
+            let lo = alts.partition_point(|&(_, t)| t <= self.min_ts);
+            let hi = alts.partition_point(|&(_, t)| t < bound_ts);
+            for &(alt, alt_ts) in &alts[lo..hi.max(lo)] {
+                if binds_event(b, alt) {
+                    continue; // already used in γ (possibly by another variable)
+                }
+                let boundary = ts.partition_point(|&t| t < alt_ts);
+                if let Some(offers) = self.prefix.get(&(var, alt, ph[boundary])) {
+                    for &o in offers {
+                        let ob = self.group[o as usize].bindings();
+                        let oboundary = self.ts[o as usize].partition_point(|&t| t < alt_ts);
+                        if ob[..oboundary] == b[..boundary] {
+                            return false;
                         }
                     }
                 }
@@ -446,7 +505,7 @@ impl<'g> GroupIndex<'g> {
 pub(crate) struct SurvivorStore {
     items: Vec<(Timestamp, Match)>,
     head: usize,
-    postings: HashMap<(VarId, EventId), Vec<u32>>,
+    postings: IdMap<(VarId, EventId), Vec<u32>>,
 }
 
 impl SurvivorStore {
@@ -583,5 +642,302 @@ mod tests {
         assert_eq!(r.live().len(), 1);
         assert!(r.kills(&m(&[(0, 3)])));
         assert!(!r.kills(&m(&[(0, 1)])));
+    }
+
+    // ── The admitted log is the viable lists ─────────────────────────
+    //
+    // `ViableIndex` is filled from admission verdicts and from nothing
+    // else; `ViableIndex::classify` is the relation scan it replaced.
+    // Wherever a verdict is produced — a batch scan in either admission
+    // arm, the workers of both split strategies, every push flavor of a
+    // stream, a restored stream — the lists must be the reference's.
+
+    use crate::engine::{scan, AdmittedLog};
+    use crate::matcher::{Matcher, MatcherOptions};
+    use crate::parallel::{scan_partitioned, scan_time_sliced};
+    use crate::{FilterMode, MatchSemantics, NoProbe, StreamMatcher};
+    use proptest::prelude::*;
+    use ses_event::{AttrType, CmpOp, Duration, Schema, Value};
+    use ses_pattern::Pattern;
+
+    fn schema() -> Schema {
+        Schema::builder()
+            .attr("L", AttrType::Str)
+            .attr("ID", AttrType::Int)
+            .attr("V", AttrType::Int)
+            .build()
+            .unwrap()
+    }
+
+    /// `(label, ID, V, gap to the previous event)`; a zero gap is a
+    /// duplicate timestamp.
+    type Row = (u8, i64, i64, i64);
+
+    fn rows_strategy(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Row>> {
+        proptest::collection::vec((0u8..3, 0i64..3, 0i64..3, 0i64..3), len)
+    }
+
+    fn events(rows: &[Row]) -> Vec<Event> {
+        let mut t = 0;
+        rows.iter()
+            .map(|&(label, id, v, gap)| {
+                t += gap;
+                Event::new(
+                    Timestamp::new(t),
+                    vec![
+                        Value::from(["A", "B", "X"][label as usize]),
+                        Value::from(id),
+                        Value::from(v),
+                    ],
+                )
+            })
+            .collect()
+    }
+
+    fn relation(rows: &[Row]) -> Relation {
+        let mut rel = Relation::new(schema());
+        for event in events(rows) {
+            rel.push_event(event).unwrap();
+        }
+        rel
+    }
+
+    /// One variable: its `L` constant if it has one, whether it also
+    /// carries `ID >= 1` (so `Paper` and `PerVariable` differ), whether
+    /// it carries the self-condition `ID <= V`. Neither constant is a
+    /// variable with no constant: the filter downgrades to `Off`.
+    type VarSpec = (Option<u8>, bool, bool);
+
+    fn pattern_strategy() -> impl Strategy<Value = Pattern> {
+        let var = (
+            proptest::option::of(0u8..2),
+            proptest::bool::ANY,
+            proptest::bool::ANY,
+        );
+        (
+            proptest::collection::vec(proptest::collection::vec(var, 1..3), 1..3),
+            3i64..9,
+        )
+            .prop_map(|(sets, tau): (Vec<Vec<VarSpec>>, i64)| {
+                let mut b = Pattern::builder();
+                for (si, set) in sets.iter().enumerate() {
+                    let n = set.len();
+                    b = b.set(move |s| (0..n).fold(s, |s, vi| s.var(format!("v{si}_{vi}"))));
+                }
+                for (si, set) in sets.iter().enumerate() {
+                    for (vi, &(label, id_const, self_cond)) in set.iter().enumerate() {
+                        let name = format!("v{si}_{vi}");
+                        if let Some(l) = label {
+                            b = b.cond_const(name.clone(), "L", CmpOp::Eq, ["A", "B"][l as usize]);
+                        }
+                        if id_const {
+                            b = b.cond_const(name.clone(), "ID", CmpOp::Ge, 1);
+                        }
+                        if self_cond {
+                            b = b.cond_vars(name.clone(), "ID", CmpOp::Le, name, "V");
+                        }
+                    }
+                }
+                b.within(Duration::ticks(tau)).build().unwrap()
+            })
+    }
+
+    const FILTERS: [FilterMode; 3] = [FilterMode::Off, FilterMode::Paper, FilterMode::PerVariable];
+
+    fn options(filter: FilterMode) -> MatcherOptions {
+        MatcherOptions {
+            filter,
+            semantics: MatchSemantics::Definition2,
+            ..MatcherOptions::default()
+        }
+    }
+
+    /// The lists a fresh index holds after consuming `log`.
+    fn lists_of(
+        log: &AdmittedLog,
+        pattern: &CompiledPattern,
+        rel: &Relation,
+    ) -> Vec<Vec<(EventId, Timestamp)>> {
+        let mut index = ViableIndex::new(pattern);
+        for &(id, vars) in log.entries() {
+            index.admit(pattern, id, rel.event(id), vars);
+        }
+        index.lists().to_vec()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// (a) A batch scan: relations shorter than 16 events admit per
+        /// event, longer ones through the columnar pass (when the
+        /// pattern has a constant at all); (b) both split strategies,
+        /// whose workers remap view-local logs and whose coordinator
+        /// merges them, folding the τ-overlap duplicates.
+        #[test]
+        fn batch_and_split_scans_log_the_viable_lists(
+            pat in pattern_strategy(),
+            rows in rows_strategy(0..40),
+            slices in 1usize..5,
+        ) {
+            let rel = relation(&rows);
+            for filter in FILTERS {
+                let matcher = Matcher::with_options(&pat, &schema(), options(filter)).unwrap();
+                let cp = matcher.automaton().pattern();
+                let reference = ViableIndex::classify(cp, &rel);
+
+                let exec = matcher.exec_options();
+                let (_, log) = scan(matcher.automaton(), &rel, &exec, &mut NoProbe);
+                prop_assert_eq!(&lists_of(&log, cp, &rel), &reference, "global scan, {:?}", filter);
+                prop_assert_eq!(&AdmittedLog::of(cp, filter, &rel), &log, "`of` is the scan's log");
+
+                let key = schema().attr_id("ID").unwrap();
+                let split =
+                    scan_partitioned(&matcher, &rel, key, Some(2), &mut NoProbe, || NoProbe);
+                prop_assert_eq!(&split.admitted, &log, "partitioned, {:?}", filter);
+                let split =
+                    scan_time_sliced(&matcher, &rel, Some(slices), &mut NoProbe, || NoProbe);
+                prop_assert_eq!(&split.admitted, &log, "{} slices, {:?}", slices, filter);
+            }
+        }
+
+        /// (c) A stream mid-flight, under eviction: after every push —
+        /// single, a batch long enough for the columnar pass, or a
+        /// heartbeat — the lists are the reference's over the retained
+        /// events; (d) and so are a restored matcher's, at the restore
+        /// and after every later push.
+        #[test]
+        fn streams_admit_the_viable_lists_of_what_they_retain(
+            pat in pattern_strategy(),
+            rows in rows_strategy(1..60),
+            chunks in proptest::collection::vec(0usize..4, 1..12),
+            cut in 0usize..60,
+        ) {
+            let all = events(&rows);
+            for filter in FILTERS {
+                let mut sm = StreamMatcher::with_options(&pat, &schema(), options(filter)).unwrap();
+                let mut restored = false;
+                let mut next = 0;
+                let mut chunk = chunks.iter().cycle();
+                while next < all.len() {
+                    // 0: one event; 1: a sub-threshold batch; 2: a
+                    // columnar batch; 3: a heartbeat, then one event.
+                    let take = match chunk.next().unwrap() {
+                        1 => 3,
+                        2 => 20,
+                        _ => 1,
+                    }
+                    .min(all.len() - next);
+                    let batch = all[next..next + take].to_vec();
+                    if take == 1 {
+                        let event = batch.into_iter().next().unwrap();
+                        sm.advance_watermark(event.ts());
+                        sm.push_event(event).unwrap();
+                    } else {
+                        sm.push_batch(batch).unwrap();
+                    }
+                    next += take;
+                    if !restored && next >= cut {
+                        let snap = sm.snapshot();
+                        sm = StreamMatcher::restore(&pat, &schema(), options(filter), &snap).unwrap();
+                        restored = true;
+                    }
+                    let reference = ViableIndex::classify(sm.compiled(), sm.relation());
+                    prop_assert_eq!(
+                        sm.viable_lists(), &reference[..],
+                        "{:?}, {} of {} pushed, {} evicted", filter, next, all.len(), sm.evicted_events()
+                    );
+                }
+            }
+        }
+    }
+
+    // ── Subset walk and store pruning ────────────────────────────────
+
+    /// Canonical binding sets over a handful of events and variables,
+    /// so equal sets, same-event-different-variable pairs, prefixes,
+    /// suffixes and interleavings all turn up.
+    fn bindings_strategy() -> impl Strategy<Value = Vec<(u16, u32)>> {
+        proptest::collection::vec((0u16..3, 0u32..6), 1..8)
+    }
+
+    fn distinct(mut b: Vec<(u16, u32)>) -> Vec<(u16, u32)> {
+        b.sort_unstable();
+        b.dedup();
+        b
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn subset_walk_is_the_naive_definition(
+            a in bindings_strategy(),
+            b in bindings_strategy(),
+            drop in proptest::collection::vec(proptest::bool::ANY, 8),
+        ) {
+            let naive = |x: &Match, y: &Match| {
+                x.len() < y.len() && x.bindings().iter().all(|bind| y.bindings().contains(bind))
+            };
+            let (a, b) = (distinct(a), distinct(b));
+            // `sub` ⊆ `a` by construction: prefixes, suffixes,
+            // interleavings, `a` itself, a missing last binding.
+            let sub: Vec<(u16, u32)> = a
+                .iter()
+                .zip(&drop)
+                .filter_map(|(&bind, &d)| (!d).then_some(bind))
+                .collect();
+            // The same events under shifted variables.
+            let shifted: Vec<(u16, u32)> = a.iter().map(|&(v, e)| ((v + 1) % 3, e)).collect();
+            let sets: Vec<Match> = [a, b, sub, shifted]
+                .into_iter()
+                .filter(|s| !s.is_empty())
+                .map(|s| m(&s))
+                .collect();
+            for x in &sets {
+                for y in &sets {
+                    prop_assert_eq!(x.is_proper_subset_of(y), naive(x, y), "{} ⊊ {}", x, y);
+                }
+            }
+        }
+
+        /// Batch `select` prunes the store below `minT(group) − τ`
+        /// before each group; a store never pruned gives every kill
+        /// query the same answer, as long as matches span at most τ —
+        /// which is what makes the cutoff safe.
+        #[test]
+        fn pruning_the_store_per_group_changes_no_kill(
+            tau in 1i64..6,
+            groups in proptest::collection::vec(
+                // per group: gap to the previous group's minT, candidates
+                // as offsets from minT (each within τ after clamping).
+                (0i64..4, proptest::collection::vec(
+                    proptest::collection::vec((0u16..2, 0i64..6), 0..4), 1..4)),
+                1..10,
+            ),
+        ) {
+            let mut pruned = SurvivorStore::new();
+            let mut unpruned = SurvivorStore::new();
+            let mut min_t = 0i64;
+            for (gap, candidates) in groups {
+                min_t += gap;
+                pruned.prune(Timestamp::new(min_t - tau));
+                // Event ids stand in for timestamps (one event per tick).
+                let group: Vec<Match> = candidates
+                    .into_iter()
+                    .map(|rest| {
+                        let mut b = vec![(0u16, min_t as u32)];
+                        b.extend(rest.into_iter().map(|(v, off)| (v, (min_t + 1 + off.min(tau - 1)) as u32)));
+                        m(&distinct(b))
+                    })
+                    .collect();
+                for c in &group {
+                    prop_assert_eq!(pruned.kills(c), unpruned.kills(c), "{} at minT {}", c, min_t);
+                }
+                for c in group {
+                    pruned.push(Timestamp::new(min_t), c.clone());
+                    unpruned.push(Timestamp::new(min_t), c);
+                }
+            }
+        }
     }
 }

@@ -43,7 +43,7 @@ pub(crate) const COLUMNAR_AUTO_MIN_BATCH: usize = 16;
 /// given the pattern's constant-lane count (e.g.
 /// `AdmissionLanes::of(..).lanes().len()`). Columnar pays off when there
 /// are constant conditions to pre-evaluate and enough events to amortize
-/// the plan; both arms yield the same [`EventAdmission`] for every event
+/// the plan; both arms yield the same `EventAdmission` for every event
 /// (`tests/columnar_vs_scalar.rs`).
 pub fn runs_columnar(num_lanes: usize, batch_len: usize) -> bool {
     num_lanes > 0 && batch_len >= COLUMNAR_AUTO_MIN_BATCH
@@ -59,6 +59,18 @@ pub(crate) struct EventAdmission {
 }
 
 impl EventAdmission {
+    /// The variables the event is *viable* for — all of whose constant
+    /// conditions it satisfies — or `0` for an event the filter dropped.
+    /// What the verdict's second consumer, the Definition-2 filter's
+    /// viable-event lists, keeps of it.
+    pub(crate) fn viable_vars(self) -> u64 {
+        if self.passes {
+            self.var_ok
+        } else {
+            0
+        }
+    }
+
     /// The per-event arm: the filter verdict and, for an event that
     /// passes, one typed comparison per constant condition. Computing
     /// the mask once per event amortizes every constant-condition

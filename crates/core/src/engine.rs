@@ -18,6 +18,7 @@
 //! [`ExecOptions::flush_at_end`]).
 
 use ses_event::{Event, EventId, EventSource, Relation, Timestamp};
+use ses_pattern::CompiledPattern;
 
 use crate::automaton::{Automaton, TransCond, Transition};
 use crate::buffer::Buffer;
@@ -101,21 +102,137 @@ impl RawMatch {
     }
 }
 
+/// The scan's admission verdicts, kept for the Definition-2 filter: one
+/// `(event, var_ok)` entry per event that passed the §4.5 filter and can
+/// bind at least one variable, ascending by event id. Bit *v* of
+/// `var_ok` says the event satisfies every constant condition of
+/// `VarId(v)`.
+///
+/// [`crate::select`] fills its per-variable viable-event lists from this
+/// log instead of re-evaluating constant conditions over the relation, so
+/// each event's constants are evaluated once per `find`. Nothing is lost
+/// by logging only events that pass: in every effective [`FilterMode`] an
+/// event that satisfies all constants of some variable passes the filter.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct AdmittedLog {
+    entries: Vec<(EventId, u64)>,
+}
+
+impl AdmittedLog {
+    /// The log a scan of `relation` under `filter` records, without
+    /// running an automaton: the admission pass [`Execution`] runs
+    /// (columnar when [`crate::runs_columnar`] says so, per event
+    /// otherwise), and nothing else. For callers that hold raw matches
+    /// they did not get from [`scan`] — the baseline's chain bank, whose
+    /// automata run renamed variables, and tests with hand-made
+    /// candidates.
+    pub fn of<S: EventSource>(
+        pattern: &CompiledPattern,
+        filter: FilterMode,
+        relation: &S,
+    ) -> AdmittedLog {
+        let admitter = Admitter::new(pattern, filter, relation);
+        let mut log = AdmittedLog::default();
+        for position in 0..relation.len() {
+            log.record(
+                EventId::from(position),
+                admitter.admission(pattern, relation, position),
+            );
+        }
+        log
+    }
+
+    /// The entries, ascending by event id.
+    pub fn entries(&self) -> &[(EventId, u64)] {
+        &self.entries
+    }
+
+    fn record(&mut self, id: EventId, admission: EventAdmission) {
+        let vars = admission.viable_vars();
+        if vars != 0 {
+            self.entries.push((id, vars));
+        }
+    }
+
+    /// Rewrites view-local event ids to the parent relation's, exactly
+    /// as the workers of [`crate::parallel`] rewrite bindings. `ids` is
+    /// ascending, so the log stays ascending.
+    pub(crate) fn remap(&mut self, ids: &[EventId]) {
+        for entry in &mut self.entries {
+            entry.0 = ids[entry.0.index()];
+        }
+    }
+
+    /// One log from the workers' remapped logs. An event two time slices
+    /// both scanned (the `τ` overlap) got the same verdict from both —
+    /// admission reads only the event — so its duplicate entries are
+    /// equal and adjacent after the sort.
+    pub(crate) fn merge(logs: impl IntoIterator<Item = AdmittedLog>) -> AdmittedLog {
+        let mut entries: Vec<(EventId, u64)> = logs.into_iter().flat_map(|l| l.entries).collect();
+        entries.sort_unstable();
+        entries.dedup();
+        AdmittedLog { entries }
+    }
+}
+
+/// Admission over one whole relation: the §4.5 filter plus either the
+/// columnar lane pass evaluated up front, when [`runs_columnar`] says the
+/// relation is worth one, or [`EventAdmission::scalar`] per event.
+#[derive(Debug)]
+struct Admitter {
+    filter: EventFilter,
+    columnar: Option<ColumnarBatch>,
+}
+
+impl Admitter {
+    fn new<S: EventSource>(pattern: &CompiledPattern, mode: FilterMode, relation: &S) -> Admitter {
+        let filter = EventFilter::new(pattern, mode);
+        let plan = ColumnarPlan::new(pattern);
+        let columnar = runs_columnar(plan.num_lanes(), relation.len()).then(|| {
+            let mut batch = ColumnarBatch::default();
+            plan.evaluate(
+                relation.len(),
+                |i| relation.event(EventId::from(i)),
+                filter.effective_mode(),
+                &mut batch,
+            );
+            batch
+        });
+        Admitter { filter, columnar }
+    }
+
+    fn admission<S: EventSource>(
+        &self,
+        pattern: &CompiledPattern,
+        relation: &S,
+        position: usize,
+    ) -> EventAdmission {
+        match &self.columnar {
+            Some(batch) => batch.admission(position),
+            None => EventAdmission::scalar(
+                &self.filter,
+                pattern,
+                relation.event(EventId::from(position)),
+            ),
+        }
+    }
+}
+
 /// Executes the automaton over an event source — the paper's `SESExec`.
 ///
 /// The source is usually a [`Relation`], but any [`EventSource`] works;
 /// partitioned execution passes zero-copy [`ses_event::RelationView`]s,
 /// in which case the returned event ids are view-local.
 ///
-/// Returns the raw matches in emission order. Apply
-/// [`crate::semantics::select`] to obtain the matching substitutions of
-/// Definition 2.
-pub fn execute<S: EventSource, P: Probe>(
+/// Returns the raw matches in emission order, and the [`AdmittedLog`]
+/// [`crate::semantics::select`] needs beside them to obtain the matching
+/// substitutions of Definition 2.
+pub fn scan<S: EventSource, P: Probe>(
     automaton: &Automaton,
     relation: &S,
     options: &ExecOptions,
     probe: &mut P,
-) -> Vec<RawMatch> {
+) -> (Vec<RawMatch>, AdmittedLog) {
     let mut exec = Execution::new(automaton, relation, options);
     probe.filter_mode(
         exec.filter().requested_mode(),
@@ -125,9 +242,19 @@ pub fn execute<S: EventSource, P: Probe>(
     exec.finish(probe)
 }
 
+/// [`scan`] for callers that want the raw matches only.
+pub fn execute<S: EventSource, P: Probe>(
+    automaton: &Automaton,
+    relation: &S,
+    options: &ExecOptions,
+    probe: &mut P,
+) -> Vec<RawMatch> {
+    scan(automaton, relation, options, probe).0
+}
+
 /// An incremental execution of one automaton over one relation.
 ///
-/// [`execute`] drives this to completion; the brute-force baseline steps a
+/// [`scan`] drives this to completion; the brute-force baseline steps a
 /// whole *bank* of executions event-by-event so that the summed `|Ω|`
 /// across automata is sampled at the same points in time as the paper's
 /// experiment 1.
@@ -136,11 +263,9 @@ pub struct Execution<'a, S: EventSource = Relation> {
     automaton: &'a Automaton,
     relation: &'a S,
     options: &'a ExecOptions,
-    filter: EventFilter,
-    /// Whole-relation columnar admission, when [`runs_columnar`] says
-    /// the relation is worth one; events are admitted one by one
-    /// otherwise.
-    columnar: Option<ColumnarBatch>,
+    admitter: Admitter,
+    /// What `admitter` said of the events consumed so far.
+    admitted: AdmittedLog,
     omega: Vec<Instance>,
     scratch: Vec<Instance>,
     results: Vec<RawMatch>,
@@ -150,31 +275,17 @@ pub struct Execution<'a, S: EventSource = Relation> {
 impl<'a, S: EventSource> Execution<'a, S> {
     /// The compiled event filter, including any silent downgrade.
     pub fn filter(&self) -> &EventFilter {
-        &self.filter
+        &self.admitter.filter
     }
 
     /// Prepares an execution positioned before the first event.
     pub fn new(automaton: &'a Automaton, relation: &'a S, options: &'a ExecOptions) -> Self {
-        let filter = EventFilter::new(automaton.pattern(), options.filter);
-        let columnar = {
-            let plan = ColumnarPlan::new(automaton.pattern());
-            runs_columnar(plan.num_lanes(), relation.len()).then(|| {
-                let mut batch = ColumnarBatch::default();
-                plan.evaluate(
-                    relation.len(),
-                    |i| relation.event(EventId::from(i)),
-                    filter.effective_mode(),
-                    &mut batch,
-                );
-                batch
-            })
-        };
         Execution {
             automaton,
             relation,
             options,
-            filter,
-            columnar,
+            admitter: Admitter::new(automaton.pattern(), options.filter, relation),
+            admitted: AdmittedLog::default(),
             omega: Vec::new(),
             scratch: Vec::new(),
             results: Vec::new(),
@@ -185,7 +296,7 @@ impl<'a, S: EventSource> Execution<'a, S> {
     /// `true` iff this execution admits events through the columnar
     /// bitmask layer rather than per-event comparisons.
     pub fn is_columnar(&self) -> bool {
-        self.columnar.is_some()
+        self.admitter.columnar.is_some()
     }
 
     /// Processes the next event. Returns `false` when the relation is
@@ -196,14 +307,10 @@ impl<'a, S: EventSource> Execution<'a, S> {
         }
         let position = self.position;
         self.position += 1;
-        let admission = match &self.columnar {
-            Some(batch) => batch.admission(position),
-            None => EventAdmission::scalar(
-                &self.filter,
-                self.automaton.pattern(),
-                self.relation.event(EventId::from(position)),
-            ),
-        };
+        let admission = self
+            .admitter
+            .admission(self.automaton.pattern(), self.relation, position);
+        self.admitted.record(EventId::from(position), admission);
         process_event(
             self.automaton,
             self.relation,
@@ -239,8 +346,9 @@ impl<'a, S: EventSource> Execution<'a, S> {
     }
 
     /// Flushes accepting instances (if configured) and returns all raw
-    /// matches produced by this execution.
-    pub fn finish<P: Probe>(mut self, probe: &mut P) -> Vec<RawMatch> {
+    /// matches produced by this execution, with the admission verdicts
+    /// of the events it consumed.
+    pub fn finish<P: Probe>(mut self, probe: &mut P) -> (Vec<RawMatch>, AdmittedLog) {
         if self.options.flush_at_end {
             let accept = self.automaton.accept();
             for instance in self.omega.drain(..) {
@@ -252,7 +360,7 @@ impl<'a, S: EventSource> Execution<'a, S> {
                 }
             }
         }
-        self.results
+        (self.results, self.admitted)
     }
 }
 

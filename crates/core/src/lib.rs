@@ -75,7 +75,9 @@ pub use automaton::{Automaton, State, TransCond, Transition, DEFAULT_MAX_STATES}
 pub use bank::{PatternBank, PatternBankBuilder, PatternStats};
 pub use buffer::{Binding, Buffer, BufferIter};
 pub use columnar::runs_columnar;
-pub use engine::{execute, EventSelection, ExecOptions, Execution, Instance, RawMatch};
+pub use engine::{
+    execute, scan, AdmittedLog, EventSelection, ExecOptions, Execution, Instance, RawMatch,
+};
 pub use error::CoreError;
 pub use filter::{EventFilter, FilterMode};
 pub use matcher::{Matcher, MatcherOptions, PartitionMode, PartitionStrategy};

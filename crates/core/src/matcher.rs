@@ -34,7 +34,7 @@ use ses_event::{AttrId, Relation, Schema};
 use ses_pattern::{CompiledPattern, Pattern};
 
 use crate::automaton::{Automaton, DEFAULT_MAX_STATES};
-use crate::engine::{execute, EventSelection, ExecOptions};
+use crate::engine::{scan, EventSelection, ExecOptions};
 use crate::filter::FilterMode;
 use crate::matches::Match;
 use crate::probe::{NoProbe, Probe};
@@ -363,10 +363,11 @@ impl Matcher {
             }
             PartitionStrategy::Global => {}
         }
-        let raw = execute(&self.automaton, relation, &self.exec_options(), probe);
+        let (raw, admitted) = scan(&self.automaton, relation, &self.exec_options(), probe);
         let raw = crate::negation::filter_negations(raw, relation, self.automaton.pattern());
         select(
             raw,
+            &admitted,
             relation,
             self.automaton.pattern(),
             self.options.semantics,

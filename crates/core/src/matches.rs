@@ -75,10 +75,20 @@ impl Match {
             || self.bindings.iter().any(|&(v, e)| v == var && e == event)
     }
 
-    /// `true` iff `self ⊊ other` as binding sets.
+    /// `true` iff `self ⊊ other` as binding sets: one merge walk over
+    /// the two canonically ordered slices, O(|self| + |other|).
     pub fn is_proper_subset_of(&self, other: &Match) -> bool {
-        self.bindings.len() < other.bindings.len()
-            && self.bindings.iter().all(|b| other.bindings.contains(b))
+        if self.bindings.len() >= other.bindings.len() {
+            return false;
+        }
+        let mut rest = other.bindings.iter();
+        self.bindings.iter().all(|&(var, event)| {
+            // Skip what `other` binds before `var/event`; the first
+            // binding at or past it is `var/event` itself or proof that
+            // `other` lacks it.
+            rest.find(|&&(v, e)| (e, v) >= (event, var))
+                .is_some_and(|&(v, e)| (e, v) == (event, var))
+        })
     }
 
     /// The time spanned by the match's first and last events.

@@ -39,7 +39,7 @@ use std::sync::Mutex;
 
 use ses_event::{partition_views, AttrId, EventId, Relation, RelationView};
 
-use crate::engine::{execute, RawMatch};
+use crate::engine::{scan, AdmittedLog, RawMatch};
 use crate::matcher::Matcher;
 use crate::matches::Match;
 use crate::probe::{NoProbe, Probe};
@@ -75,9 +75,27 @@ where
     P: Probe + Send,
     F: Fn() -> P + Sync,
 {
-    let pattern = matcher.automaton().pattern();
-    if !pattern.is_satisfiable() {
-        return (Vec::new(), Vec::new());
+    let scanned = scan_partitioned(matcher, relation, key, threads, coordinator, make_probe);
+    adjudicate(matcher, relation, scanned)
+}
+
+/// The scan half of [`find_partitioned_with`]: every partition matched
+/// on its own view, ids rewritten to the parent relation's.
+pub(crate) fn scan_partitioned<C, P, F>(
+    matcher: &Matcher,
+    relation: &Relation,
+    key: AttrId,
+    threads: Option<usize>,
+    coordinator: &mut C,
+    make_probe: F,
+) -> SplitScan<P>
+where
+    C: Probe,
+    P: Probe + Send,
+    F: Fn() -> P + Sync,
+{
+    if !matcher.automaton().pattern().is_satisfiable() {
+        return SplitScan::merge(Vec::new());
     }
     let views = partition_views(relation, key);
     coordinator.partitions(views.len());
@@ -101,33 +119,76 @@ where
 
     let exec = matcher.exec_options();
     let automaton = matcher.automaton();
-    let run_one = |idx: usize| -> (Vec<RawMatch>, P) {
+    let run_one = |idx: usize| -> (Vec<RawMatch>, AdmittedLog, P) {
         let (_, view) = &views[idx];
         let mut probe = make_probe();
-        let mut raw = execute(automaton, view, &exec, &mut probe);
-        // Remap view-local event ids to global ones. The id map is
-        // ascending, so sorted bindings stay sorted.
-        let ids = view.ids();
-        for m in &mut raw {
-            for b in &mut m.bindings {
-                b.1 = ids[b.1.index()];
-            }
-        }
-        (raw, probe)
+        let (mut raw, mut admitted) = scan(automaton, view, &exec, &mut probe);
+        to_global_ids(&mut raw, &mut admitted, view.ids());
+        (raw, admitted, probe)
     };
 
-    let mut raw: Vec<RawMatch> = Vec::new();
-    let mut probes: Vec<P> = Vec::with_capacity(views.len());
-    for (r, p) in run_on_workers(views.len(), &order, workers, run_one) {
-        raw.extend(r);
-        probes.push(p);
+    SplitScan::merge(run_on_workers(views.len(), &order, workers, run_one))
+}
+
+/// Rewrites a worker's view-local event ids — in its raw matches and in
+/// its admitted log alike — to the parent relation's. The id map is
+/// ascending, so sorted bindings stay sorted and the log stays ascending.
+fn to_global_ids(raw: &mut [RawMatch], admitted: &mut AdmittedLog, ids: &[EventId]) {
+    for m in raw {
+        for b in &mut m.bindings {
+            b.1 = ids[b.1.index()];
+        }
     }
-    // One *global* adjudication over the merged raw set: `select` orders
-    // candidates internally, so the result is identical to the global
-    // scan's regardless of partition emission order.
-    let raw = crate::negation::filter_negations(raw, relation, pattern);
-    let matches = select(raw, relation, pattern, matcher.options().semantics);
-    (matches, probes)
+    admitted.remap(ids);
+}
+
+/// What a split scan hands its coordinator: the workers' raw matches
+/// concatenated, and their admitted logs merged into the log one global
+/// scan would have recorded (every event is in some worker's view).
+pub(crate) struct SplitScan<P> {
+    raw: Vec<RawMatch>,
+    pub(crate) admitted: AdmittedLog,
+    probes: Vec<P>,
+}
+
+impl<P> SplitScan<P> {
+    fn merge(results: Vec<(Vec<RawMatch>, AdmittedLog, P)>) -> SplitScan<P> {
+        let mut raw: Vec<RawMatch> = Vec::new();
+        let mut logs = Vec::with_capacity(results.len());
+        let mut probes: Vec<P> = Vec::with_capacity(results.len());
+        for (r, log, p) in results {
+            raw.extend(r);
+            logs.push(log);
+            probes.push(p);
+        }
+        SplitScan {
+            raw,
+            admitted: AdmittedLog::merge(logs),
+            probes,
+        }
+    }
+}
+
+/// The coordinator's half of both split strategies: negations checked
+/// against the *full* relation — which is why negated patterns are
+/// admissible under time slicing — and one *global* [`select`] over the
+/// merged raw set. `select` orders candidates internally, so the result
+/// is the global scan's regardless of worker emission order.
+fn adjudicate<P>(
+    matcher: &Matcher,
+    relation: &Relation,
+    scanned: SplitScan<P>,
+) -> (Vec<Match>, Vec<P>) {
+    let pattern = matcher.automaton().pattern();
+    let raw = crate::negation::filter_negations(scanned.raw, relation, pattern);
+    let matches = select(
+        raw,
+        &scanned.admitted,
+        relation,
+        pattern,
+        matcher.options().semantics,
+    );
+    (matches, scanned.probes)
 }
 
 /// Runs `run_one` for every index in `0..n` on up to `workers` scoped
@@ -284,13 +345,31 @@ where
     P: Probe + Send,
     F: Fn() -> P + Sync,
 {
-    let pattern = matcher.automaton().pattern();
-    if !pattern.is_satisfiable() {
-        return (Vec::new(), Vec::new());
+    let scanned = scan_time_sliced(matcher, relation, slices, coordinator, make_probe);
+    adjudicate(matcher, relation, scanned)
+}
+
+/// The scan half of [`find_time_sliced_with`]: every slice matched on
+/// its own view, ids rewritten to the parent relation's, each raw match
+/// kept by the slice that owns it.
+pub(crate) fn scan_time_sliced<C, P, F>(
+    matcher: &Matcher,
+    relation: &Relation,
+    slices: Option<usize>,
+    coordinator: &mut C,
+    make_probe: F,
+) -> SplitScan<P>
+where
+    C: Probe,
+    P: Probe + Send,
+    F: Fn() -> P + Sync,
+{
+    if !matcher.automaton().pattern().is_satisfiable() {
+        return SplitScan::merge(Vec::new());
     }
     let Some(layout) = SliceLayout::plan(matcher, relation, slices) else {
         coordinator.slices(0);
-        return (Vec::new(), Vec::new());
+        return SplitScan::merge(Vec::new());
     };
     let events = relation.events();
     let base = relation.first_index();
@@ -326,18 +405,13 @@ where
 
     let exec = matcher.exec_options();
     let automaton = matcher.automaton();
-    let run_one = |idx: usize| -> (Vec<RawMatch>, P) {
+    let run_one = |idx: usize| -> (Vec<RawMatch>, AdmittedLog, P) {
         let (start, end) = ranges[idx];
         let ids: Vec<EventId> = (base + start..base + end).map(EventId::from).collect();
         let view = RelationView::new(relation, ids);
         let mut probe = make_probe();
-        let mut raw = execute(automaton, &view, &exec, &mut probe);
-        let ids = view.ids();
-        for m in &mut raw {
-            for b in &mut m.bindings {
-                b.1 = ids[b.1.index()];
-            }
-        }
+        let (mut raw, mut admitted) = scan(automaton, &view, &exec, &mut probe);
+        to_global_ids(&mut raw, &mut admitted, view.ids());
         // Seam dedup: keep only the matches this slice *owns* — first
         // event inside the own region. Matches first-bound in the τ
         // overlap are rediscovered (identically: instance evolution
@@ -345,21 +419,13 @@ where
         // binding, all present in the owner's scan range) by the next
         // slice, which owns them.
         raw.retain(|m| layout.owner(relation.event(m.first_event()).ts().ticks()) == idx);
-        (raw, probe)
+        // The admitted log keeps its overlap entries: an owned match
+        // reaches into the overlap, and the next slice's duplicates of
+        // them fold away in the merge.
+        (raw, admitted, probe)
     };
 
-    let mut raw: Vec<RawMatch> = Vec::new();
-    let mut probes: Vec<P> = Vec::with_capacity(layout.slices);
-    for (r, p) in run_on_workers(layout.slices, &order, workers, run_one) {
-        raw.extend(r);
-        probes.push(p);
-    }
-    // Identical to `find_partitioned_with`: one global adjudication over
-    // the merged raw set, with negations checked against the *full*
-    // relation — which is why negated patterns are admissible here.
-    let raw = crate::negation::filter_negations(raw, relation, pattern);
-    let matches = select(raw, relation, pattern, matcher.options().semantics);
-    (matches, probes)
+    SplitScan::merge(run_on_workers(layout.slices, &order, workers, run_one))
 }
 
 #[cfg(test)]

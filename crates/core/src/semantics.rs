@@ -31,12 +31,19 @@
 //!   patient 2's answer that starts one event later), which the paper's
 //!   prose — "(1) the earliest possible matching events and (2) the
 //!   maximal number of matching events" — clearly excludes.
+//!
+//! The filter pays for its candidates, not for the relation. Which
+//! events could stand in for a binding (the swap test's *viable* events)
+//! is read off the scan's own admission verdicts — the [`AdmittedLog`]
+//! [`select`] takes beside the raw matches, the verdict of each push in
+//! a stream — never re-derived by evaluating constant conditions over
+//! the relation; see [`crate::adjudicate`].
 
-use ses_event::{EventId, Relation, Timestamp};
+use ses_event::{Event, EventId, Relation, Timestamp};
 use ses_pattern::{CompiledPattern, VarId};
 
 use crate::adjudicate::{GroupIndex, SurvivorStore, ViableIndex};
-use crate::engine::RawMatch;
+use crate::engine::{AdmittedLog, RawMatch};
 use crate::matches::Match;
 
 /// Which substitutions [`select`] returns. See the module docs.
@@ -53,16 +60,22 @@ pub enum MatchSemantics {
 }
 
 /// Applies the selected semantics to the engine's raw matches.
+///
+/// `admitted` is the log of the scan that produced `raw` ([`crate::scan`],
+/// or [`AdmittedLog::of`] over `relation` when the raw matches come from
+/// elsewhere): the condition-4 swap test draws its alternatives from it
+/// and evaluates no constant condition of its own.
 pub fn select(
     raw: Vec<RawMatch>,
+    admitted: &AdmittedLog,
     relation: &Relation,
     pattern: &CompiledPattern,
     semantics: MatchSemantics,
 ) -> Vec<Match> {
     let mut candidates: Vec<Match> = raw.into_iter().map(Match::from_raw).collect();
-    candidates.sort();
-    candidates.dedup();
     if semantics == MatchSemantics::AllRuns {
+        candidates.sort();
+        candidates.dedup();
         return candidates;
     }
 
@@ -74,14 +87,27 @@ pub fn select(
     // [`crate::reference::select_pairwise`]). Batch and streaming share
     // this code path, which is what makes the stream-vs-batch
     // differential suite a structural equivalence.
-    let mut groups: std::collections::BTreeMap<GroupKey, Vec<Match>> =
-        std::collections::BTreeMap::new();
-    for m in candidates {
-        groups.entry(group_key(&m)).or_default().push(m);
+    //
+    // One sort serves both orders: group-major, canonical within a group.
+    candidates.sort_unstable_by(|a, b| group_key(a).cmp(&group_key(b)).then_with(|| a.cmp(b)));
+    candidates.dedup();
+    let mut adjudicator = Adjudicator::new(semantics, pattern);
+    for &(id, vars) in admitted.entries() {
+        adjudicator.admit(pattern, id, relation.event(id), vars);
     }
-    let mut adjudicator = Adjudicator::new(semantics);
+    let tau = pattern.pattern().within().as_ticks();
     let mut out = Vec::new();
-    for (_, group) in groups {
+    let mut rest = candidates.into_iter().peekable();
+    while let Some(first) = rest.next() {
+        let key = group_key(&first);
+        let mut group = vec![first];
+        while let Some(m) = rest.next_if(|m| group_key(m) == key) {
+            group.push(m);
+        }
+        // A killer of this group, or of any later one, starts within τ
+        // before the group does (τ may be `Duration::MAX`: saturate).
+        let min_ts = relation.event(key.0).ts().ticks();
+        adjudicator.prune_survivors(Timestamp::new(min_ts.saturating_sub(tau)));
         out.extend(adjudicator.adjudicate_group(group, relation, pattern));
     }
     // Group order is event-major; restore the canonical match order.
@@ -131,24 +157,50 @@ pub(crate) struct Adjudicator {
     /// Definition-2 survivors of adjudicated groups, kept (with their
     /// `minT`) as potential Maximal killers for later groups.
     survivors: SurvivorStore,
-    /// Per-variable viable-event cache for the condition-4 swap scan,
-    /// extended monotonically as groups arrive. Rebuilt lazily
-    /// after a snapshot restore; never part of the snapshot itself.
+    /// Per-variable viable events for the condition-4 swap scan, fed by
+    /// [`Adjudicator::admit`]. Never part of a snapshot: a restored
+    /// matcher re-admits its retained events.
     viable: ViableIndex,
 }
 
 impl Adjudicator {
-    /// An adjudicator with no groups processed yet.
-    pub(crate) fn new(semantics: MatchSemantics) -> Adjudicator {
+    /// An adjudicator with no groups processed and no events admitted
+    /// yet.
+    pub(crate) fn new(semantics: MatchSemantics, pattern: &CompiledPattern) -> Adjudicator {
         Adjudicator {
             semantics,
             survivors: SurvivorStore::new(),
-            viable: ViableIndex::new(),
+            viable: ViableIndex::new(pattern),
         }
     }
 
+    /// Takes note of an event the scan admitted: `vars` is its admission
+    /// verdict's `viable_vars` (zero notes nothing). Every admitted event a group's
+    /// window can contain must have been noted, in ascending id order,
+    /// before the group is adjudicated — the scan is always ahead of the
+    /// groups it completes, so noting each event as it is admitted (a
+    /// stream) or the whole log up front (batch) both do.
+    pub(crate) fn admit(
+        &mut self,
+        pattern: &CompiledPattern,
+        id: EventId,
+        event: &Event,
+        vars: u64,
+    ) {
+        if self.semantics != MatchSemantics::AllRuns {
+            self.viable.admit(pattern, id, event, vars);
+        }
+    }
+
+    /// Forgets admitted events the relation has evicted (ids below
+    /// `first`); no group still to come can reach them.
+    pub(crate) fn evict_before(&mut self, first: usize) {
+        self.viable.evict_before(first);
+    }
+
     /// Adjudicates one complete group of candidates (all sharing a first
-    /// binding). Groups must arrive in ascending [`GroupKey`] order, and
+    /// binding), given in canonical sorted order without duplicates.
+    /// Groups must arrive in ascending [`GroupKey`] order, and
     /// candidates must satisfy conditions 1–3 (engine-produced raw
     /// matches do by construction — the swap test relies on it).
     /// Returns the group's final matches under the configured semantics:
@@ -161,15 +213,11 @@ impl Adjudicator {
         relation: &Relation,
         pattern: &CompiledPattern,
     ) -> Vec<Match> {
-        let mut group = group;
-        group.sort();
-        group.dedup();
+        debug_assert!(group.windows(2).all(|w| w[0] < w[1]));
         if group.is_empty() || self.semantics == MatchSemantics::AllRuns {
             return group;
         }
-        let gi = GroupIndex::build(&group, relation);
-        self.viable
-            .ensure_cover(pattern, relation, gi.cover_needed());
+        let gi = GroupIndex::build(&group, relation, pattern.pattern().num_vars());
         let kept: Vec<bool> = (0..group.len())
             .map(|i| {
                 gi.survives_condition_4(i, relation, pattern, &self.viable)
@@ -202,8 +250,7 @@ impl Adjudicator {
     }
 
     /// Discards accumulated survivors whose `minT` precedes `cutoff` —
-    /// they can no longer kill any group still to come. Used by the
-    /// streaming matcher to bound memory; harmless to never call.
+    /// they can no longer kill any group still to come.
     pub(crate) fn prune_survivors(&mut self, cutoff: Timestamp) {
         self.survivors.prune(cutoff);
     }
@@ -217,6 +264,12 @@ impl Adjudicator {
     /// [`Adjudicator::prune_survivors`] will drop.
     pub(crate) fn oldest_survivor(&self) -> Option<Timestamp> {
         self.survivors.live().first().map(|&(min_ts, _)| min_ts)
+    }
+
+    /// The per-variable viable-event lists, for tests.
+    #[cfg(test)]
+    pub(crate) fn viable_lists(&self) -> &[Vec<(EventId, Timestamp)>] {
+        self.viable.lists()
     }
 
     /// The retained killers with their `minT` — read by the streaming
@@ -254,6 +307,18 @@ mod tests {
                 .unwrap();
         }
         r
+    }
+
+    /// [`super::select`] with the log the scan of `r` would have handed
+    /// it — the hand-made candidates below come from no scan.
+    fn select(
+        raw: Vec<RawMatch>,
+        r: &Relation,
+        cp: &CompiledPattern,
+        semantics: MatchSemantics,
+    ) -> Vec<Match> {
+        let admitted = AdmittedLog::of(cp, crate::FilterMode::Paper, r);
+        super::select(raw, &admitted, r, cp, semantics)
     }
 
     fn raw(bindings: &[(u16, u32)]) -> RawMatch {
@@ -477,7 +542,7 @@ mod tests {
         // it must go.
         let cp = ab_pattern();
         let r = rel(&[(10, 1, "A"), (11, 1, "B")]);
-        let mut adj = Adjudicator::new(MatchSemantics::Maximal);
+        let mut adj = Adjudicator::new(MatchSemantics::Maximal, &cp);
         let kept = adj.adjudicate_group(
             vec![Match::from_bindings(vec![
                 (VarId(0), EventId(0)),

@@ -23,7 +23,7 @@
 //!
 //! # Bounded memory
 //!
-//! Three retained structures are pruned against the watermark:
+//! Four retained structures are pruned against the watermark:
 //!
 //! * **Events** — once no live run can bind or compare against an event
 //!   (its timestamp precedes `w − τ`), it is evicted from the relation.
@@ -32,6 +32,9 @@
 //! * **Instances** — automaton runs whose window can no longer close are
 //!   swept on *every* push (even filtered ones), emitting accepting
 //!   buffers into the pending candidate set.
+//! * **Admitted events** — the per-variable viable-event lists the
+//!   condition-4 swap test reads, appended to by each push that admits
+//!   its event, are cut back with the relation, at the same eviction.
 //! * **Killer matches** — Definition-2 survivors retained for maximality
 //!   checks are dropped once `minT < w − 2τ` (no later group can reach
 //!   back that far).
@@ -109,7 +112,7 @@ impl StreamMatcher {
     /// the bank clones one automaton per hash lane through here.
     pub(crate) fn from_automaton(automaton: Automaton, options: MatcherOptions) -> StreamMatcher {
         let filter = EventFilter::new(automaton.pattern(), options.filter);
-        let adjudicator = Adjudicator::new(options.semantics);
+        let adjudicator = Adjudicator::new(options.semantics, automaton.pattern());
         let columnar = ColumnarPlan::new(automaton.pattern());
         StreamMatcher {
             relation: Relation::new(automaton.pattern().schema().clone()),
@@ -218,6 +221,15 @@ impl StreamMatcher {
                     &mut self.results,
                     probe,
                 );
+                // The verdict's second consumer: the condition-4 swap
+                // test finds this event among its alternatives from now
+                // on. An event that is not admitted appends nothing.
+                self.adjudicator.admit(
+                    self.automaton.pattern(),
+                    id,
+                    self.relation.event(id),
+                    admission.viable_vars(),
+                );
                 // Any binding made at this push starts its window at
                 // `ts`; the floor only ever needs to reach down to it,
                 // and an empty Ω has no window at all. (A stale, too-low
@@ -237,6 +249,9 @@ impl StreamMatcher {
         let evicted = self.relation.evict_before(ts - tau);
         if evicted > 0 {
             probe.events_evicted(evicted);
+            // Here, not when a group next arrives: a matcher that admits
+            // for ever and never completes a group stays O(window) too.
+            self.adjudicator.evict_before(self.relation.first_index());
         }
         probe.retained_events(self.relation.len());
         self.emitted += out.len();
@@ -460,6 +475,13 @@ impl StreamMatcher {
         self.adjudicator.survivor_count()
     }
 
+    /// The per-variable viable-event lists admission has filled, for
+    /// tests.
+    #[cfg(test)]
+    pub(crate) fn viable_lists(&self) -> &[Vec<(EventId, Timestamp)>] {
+        self.adjudicator.viable_lists()
+    }
+
     /// Captures the matcher's complete dynamic state — the retained
     /// window, Ω, pending adjudication groups, killer survivors,
     /// watermark, and emitted-match count — as a [`StreamSnapshot`].
@@ -601,7 +623,8 @@ impl StreamMatcher {
             .collect();
         self.pending.clear();
         self.queue_results();
-        self.adjudicator = Adjudicator::new(self.options.semantics);
+        self.adjudicator = Adjudicator::new(self.options.semantics, self.automaton.pattern());
+        self.readmit_retained();
         self.adjudicator.restore_survivors(
             snap.survivors
                 .iter()
@@ -611,6 +634,23 @@ impl StreamMatcher {
         self.watermark = snap.watermark;
         self.emitted = snap.emitted as usize;
         Ok(())
+    }
+
+    /// Tells a fresh adjudicator of the retained events — what the
+    /// pushes that brought them in told the one a snapshot was taken
+    /// from. Admission verdicts are not part of a snapshot; they are a
+    /// function of the event alone, so re-admitting gives them back.
+    fn readmit_retained(&mut self) {
+        let pattern = self.automaton.pattern();
+        if !pattern.is_satisfiable() {
+            return;
+        }
+        let first = self.relation.first_index();
+        for (i, event) in self.relation.events().iter().enumerate() {
+            let vars = EventAdmission::scalar(&self.filter, pattern, event).viable_vars();
+            self.adjudicator
+                .admit(pattern, EventId::from(first + i), event, vars);
+        }
     }
 
     /// Number of already-consumed events a log replay starting at
@@ -691,11 +731,13 @@ impl StreamMatcher {
     /// batch/stream adjudicator.
     fn adjudicate(&mut self, group: Vec<RawMatch>) -> Vec<Match> {
         let pattern = self.automaton.pattern();
-        let group: Vec<Match> = group
+        let mut group: Vec<Match> = group
             .into_iter()
             .filter(|r| passes_negations(r, &self.relation, pattern))
             .map(Match::from_raw)
             .collect();
+        group.sort();
+        group.dedup();
         self.adjudicator
             .adjudicate_group(group, &self.relation, pattern)
     }
@@ -1263,6 +1305,46 @@ mod tests {
                 assert_deadline_is_exact(&mut sm, pattern, &opts);
             }
         }
+    }
+
+    /// The 60 × τ bounded-memory acceptance of `tests/stream_vs_batch.rs`
+    /// for the one structure a push appends to whether or not anything
+    /// ever matches: the first set is admitted on every event, the last
+    /// never, so no group completes and nothing but eviction can trim
+    /// what admission appended.
+    #[test]
+    fn admitted_events_stay_bounded_when_no_group_ever_completes() {
+        let pattern = Pattern::builder()
+            .set(|s| s.var("a"))
+            .set(|s| s.var("b"))
+            .cond_const("a", "L", CmpOp::Eq, "A")
+            .cond_const("b", "L", CmpOp::Eq, "B")
+            .within(Duration::ticks(10))
+            .build()
+            .unwrap();
+        let mut sm = StreamMatcher::compile(&pattern, &schema()).unwrap();
+        // ~11 events fit in one window; the relation's compaction
+        // hysteresis allows 2×, as in the acceptance test.
+        let per_window = 11;
+        for t in 0..600i64 {
+            let out = sm
+                .push(Timestamp::new(t), [Value::from(t % 3), Value::from("A")])
+                .unwrap();
+            assert!(out.is_empty());
+            assert!(sm.retained_events() <= 3 * per_window);
+            for list in sm.viable_lists() {
+                assert!(
+                    list.len() <= sm.retained_events(),
+                    "{} admitted events listed over {} retained at t={t}",
+                    list.len(),
+                    sm.retained_events()
+                );
+            }
+        }
+        assert_eq!(sm.pending_candidates(), 0);
+        assert_eq!(sm.evicted_events() + sm.retained_events(), 600);
+        assert!(!sm.viable_lists()[0].is_empty(), "`a` admits every event");
+        assert!(sm.finish().is_empty());
     }
 
     #[test]

@@ -100,7 +100,7 @@ pub fn trace_execution(
         emitted_during_run += probe.emitted;
     }
     let mut flush_probe = NoProbe;
-    let results = exec.finish(&mut flush_probe);
+    let (results, _) = exec.finish(&mut flush_probe);
     ExecutionTrace {
         steps,
         total_matches: results.len().max(emitted_during_run),
