@@ -388,14 +388,7 @@ fn cmd_run(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         t.row(["filter effective", filter_mode_name(probe.filter_effective)]);
         let lanes = ses_pattern::AdmissionLanes::of(matcher.automaton().pattern());
         t.row(["columnar lanes", &lanes.lanes().len().to_string()]);
-        t.row([
-            "columnar active",
-            if ses_core::runs_columnar(lanes.lanes().len(), store.relation().len()) {
-                "yes"
-            } else {
-                "no"
-            },
-        ]);
+        t.row(["admission arm", &probe.admission_arms()]);
         if probe.filter_downgraded() {
             t.row(["filter downgraded", "yes (SES003: run `ses-cli check`)"]);
         }
@@ -1564,10 +1557,10 @@ mod tests {
 
     #[test]
     fn run_stats_report_which_admission_arm_ran() {
-        let active = |out: &str| {
-            let row = out.lines().find(|l| l.starts_with("columnar active"));
-            row.unwrap_or_else(|| panic!("no `columnar active` row: {out}"))
-                .ends_with("yes")
+        let arm = |out: &str| {
+            let row = out.lines().find(|l| l.starts_with("admission arm"));
+            let row = row.unwrap_or_else(|| panic!("no `admission arm` row: {out}"));
+            row["admission arm".len()..].trim().to_string()
         };
         // Figure 1's 14 events are too few to amortize a lane pass …
         let data = figure1_csv();
@@ -1575,9 +1568,11 @@ mod tests {
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("2 match(es)"), "{out}");
         assert!(out.contains("columnar lanes"), "{out}");
-        assert!(!active(&out), "{out}");
+        assert_eq!(arm(&out), "per-event", "{out}");
         std::fs::remove_file(&data).ok();
-        // … a generated ward is not.
+        // … a generated ward is not, and Q1's constants all test the
+        // `Str` attribute `L`: the lanes read its column, also through
+        // the views of a key split.
         let ward = std::env::temp_dir()
             .join(format!("ses-cli-ward-{}.csv", std::process::id()))
             .to_string_lossy()
@@ -1598,7 +1593,22 @@ mod tests {
             "run", "--query", Q1, "--data", &ward, "--tick", "hour", "--stats",
         ]);
         assert_eq!(code, 0, "{out}");
-        assert!(active(&out), "{out}");
+        assert_eq!(arm(&out), "columns", "{out}");
+        let (code, out) = run(&[
+            "run",
+            "--query",
+            Q1,
+            "--data",
+            &ward,
+            "--tick",
+            "hour",
+            "--stats",
+            "--partition",
+            "auto",
+        ]);
+        assert_eq!(code, 0, "{out}");
+        assert!(out.contains("partitioned by"), "{out}");
+        assert!(arm(&out).starts_with("columns"), "{out}");
         std::fs::remove_file(&ward).ok();
     }
 

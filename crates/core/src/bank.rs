@@ -776,7 +776,8 @@ impl PatternBank {
     /// Pushes one event (timestamps must be non-decreasing) and returns
     /// the matches this finalizes as `(pattern id, match)` pairs —
     /// grouped by pattern in registration order, each pattern's matches
-    /// in its own emission order, with global event ids.
+    /// in its own emission order, with global event ids. An event past
+    /// the 2³²-th is refused with [`EventError::IdSpaceExhausted`].
     pub fn push(
         &mut self,
         ts: Timestamp,
@@ -803,6 +804,11 @@ impl PatternBank {
                     got: ts.ticks(),
                 });
             }
+        }
+        // Global ids do not wrap: the 2³²-th event has none. Refused here,
+        // before any matcher has seen it.
+        if u32::try_from(self.next_id).is_err() {
+            return Err(EventError::IdSpaceExhausted);
         }
         // The one copy of the row: every receiving matcher stores a
         // clone of the event, which shares it.
@@ -1541,6 +1547,33 @@ mod tests {
         swapped[0].1 = pair("A", "C");
         let err = PatternBank::restore(&swapped, &schema(), &snap).unwrap_err();
         assert!(err.to_string().contains("fingerprint"), "{err}");
+    }
+
+    #[test]
+    fn global_ids_end_at_the_end_of_the_id_space() {
+        // A snapshot edited to two ids short of the end stands in for
+        // four billion pushes; every pattern skipped all of them.
+        let mut snap = bank().snapshot();
+        snap.next_id = u64::from(u32::MAX) - 1;
+        for p in &mut snap.patterns {
+            p.skips = snap.next_id;
+        }
+        let mut bank = PatternBank::restore(&specs(), &schema(), &snap).unwrap();
+        let row = |l: &str| [Value::from(1), Value::from(l)];
+        assert!(bank.push(Timestamp::new(0), row("A")).unwrap().is_empty());
+        assert!(bank.push(Timestamp::new(1), row("B")).unwrap().is_empty());
+        // The next event has no global id: refused before any matcher
+        // sees it, and refused again.
+        for _ in 0..2 {
+            let err = bank.push(Timestamp::new(2), row("B")).unwrap_err();
+            assert_eq!(err, EventError::IdSpaceExhausted);
+        }
+        assert_eq!(bank.consumed_events(), 1 << 32);
+        // The last two ids were handed out unwrapped.
+        let flushed = bank.finish();
+        assert_eq!(flushed.len(), 1, "{flushed:?}");
+        let events: Vec<EventId> = flushed[0].1.events().collect();
+        assert_eq!(events, [EventId(u32::MAX - 1), EventId(u32::MAX)]);
     }
 
     #[test]

@@ -23,13 +23,21 @@
 //! common "seven medication types on L" shape) share a single pass:
 //! distinct constants are mutually exclusive, so the first hit wins.
 //!
+//! A source at rest offers its `Str` attributes dictionary-coded
+//! ([`ses_event::EventSource::str_codes`]). The `Str` kernels then
+//! compare each constant with each *distinct* string once, into a small
+//! table, and fill their lane bits from the code column — no row and no
+//! string is touched per event. Which of the three ways an execution
+//! admitted its events is its [`AdmissionArm`].
+//!
 //! Soundness: a variable's group bit equals the conjunction of exactly
 //! the conditions `satisfies_var_constants` evaluates, and the filter
 //! vector is composed from the same lanes `EventFilter::passes`
 //! consults — see `docs/columnar.md` for the full argument.
 
-use ses_event::{CmpOp, Event, Value};
+use ses_event::{AttrId, CmpOp, Event, StrCodes, Value};
 use ses_pattern::{AdmissionLanes, CompiledPattern, ConstLane};
+use std::fmt;
 use std::sync::Arc;
 
 use crate::filter::{EventFilter, FilterMode};
@@ -47,6 +55,35 @@ pub(crate) const COLUMNAR_AUTO_MIN_BATCH: usize = 16;
 /// (`tests/columnar_vs_scalar.rs`).
 pub fn runs_columnar(num_lanes: usize, batch_len: usize) -> bool {
     num_lanes > 0 && batch_len >= COLUMNAR_AUTO_MIN_BATCH
+}
+
+/// How an execution admits its events — which arm of the one rule
+/// ([`runs_columnar`]) it took, and for the columnar arm what the lane
+/// pass read. Every arm hands the engine the same verdicts
+/// (`tests/columnar_vs_scalar.rs`); the arm is reported so that a silent
+/// fall from one to another shows somewhere.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AdmissionArm {
+    /// One typed comparison per constant condition as each event is
+    /// consumed: batches below the rule's threshold, patterns without
+    /// constant conditions, every streaming `push`.
+    PerEvent,
+    /// The lane pass, every lane reading the events' rows: micro-batches,
+    /// and relations whose constant-tested attributes are not `Str`.
+    Rows,
+    /// The lane pass with at least one `Str` lane filled from the
+    /// source's dictionary-coded column; the other lanes read rows.
+    Columns,
+}
+
+impl fmt::Display for AdmissionArm {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            AdmissionArm::PerEvent => "per-event",
+            AdmissionArm::Rows => "rows",
+            AdmissionArm::Columns => "columns",
+        })
+    }
 }
 
 /// The per-event admission decision the engine consumes: the §4.5
@@ -196,26 +233,30 @@ impl ColumnarPlan {
         self.num_lanes
     }
 
-    /// Evaluates the plan over a batch of `len` events (fetched through
-    /// `get`, 0-based batch positions) into `out`, whose buffers are
-    /// reused across calls. `filter` must be the **effective** filter
-    /// mode (after any unsound-downgrade), so the filter vector agrees
-    /// with `EventFilter::passes`.
-    pub(crate) fn evaluate<'e, F>(
+    /// Evaluates the plan over a batch of `len` events into `out`, whose
+    /// buffers are reused across calls. `get` fetches a row by 0-based
+    /// batch position; `codes` offers an attribute's dictionary-coded
+    /// column over the same positions, or `None` — always `None` for a
+    /// micro-batch, which has no column and is not worth one. `filter`
+    /// must be the **effective** filter mode (after any
+    /// unsound-downgrade), so the filter vector agrees with
+    /// `EventFilter::passes`.
+    pub(crate) fn evaluate<'e>(
         &self,
         len: usize,
-        get: F,
+        get: impl Fn(usize) -> &'e Event,
+        codes: impl Fn(AttrId) -> Option<StrCodes<'e>>,
         filter: FilterMode,
         out: &mut ColumnarBatch,
-    ) where
-        F: Fn(usize) -> &'e Event,
-    {
+    ) {
         let words = len.div_ceil(64);
         out.len = len;
         out.words = words;
         out.lane_bits.clear();
         out.lane_bits.resize(self.num_lanes * words, 0);
+        out.from_columns = false;
         let num_vars = self.var_groups.len();
+        out.num_vars = num_vars;
 
         // Lane pass: one type-specialized sweep per kernel.
         for (attr, kernel) in &self.kernels {
@@ -236,6 +277,20 @@ impl ColumnarPlan {
                 }
                 Kernel::Str { lane, op, rhs } => {
                     let bits = lane_mut(&mut out.lane_bits, *lane, words);
+                    if let Some(codes) = codes(attr) {
+                        // `NOT_STR` indexes past every table: incomparable.
+                        let table: Vec<bool> = codes
+                            .dict()
+                            .iter()
+                            .map(|s| op.eval(s.as_ref().cmp(rhs.as_ref())))
+                            .collect();
+                        codes.for_each(|i, code| {
+                            let hit = table.get(code as usize).copied().unwrap_or(false);
+                            bits[i / 64] |= (hit as u64) << (i % 64);
+                        });
+                        out.from_columns = true;
+                        continue;
+                    }
                     for i in 0..len {
                         let hit = match get(i).value(attr) {
                             Value::Str(s) => op.eval(s.as_ref().cmp(rhs.as_ref())),
@@ -262,6 +317,26 @@ impl ColumnarPlan {
                     }
                 }
                 Kernel::StrEqSet { lanes } => {
+                    if let Some(codes) = codes(attr) {
+                        // The lane each distinct string sets, if any.
+                        let table: Vec<Option<usize>> = codes
+                            .dict()
+                            .iter()
+                            .map(|s| {
+                                lanes
+                                    .iter()
+                                    .find(|(_, rhs)| rhs == s)
+                                    .map(|(lane, _)| *lane)
+                            })
+                            .collect();
+                        codes.for_each(|i, code| {
+                            if let Some(Some(lane)) = table.get(code as usize) {
+                                out.lane_bits[lane * words + i / 64] |= 1u64 << (i % 64);
+                            }
+                        });
+                        out.from_columns = true;
+                        continue;
+                    }
                     for i in 0..len {
                         if let Value::Str(s) = get(i).value(attr) {
                             for (lane, rhs) in lanes {
@@ -318,19 +393,6 @@ impl ColumnarPlan {
                 }
             }
         }
-
-        // Transpose the group vectors into per-event variable masks.
-        out.masks.clear();
-        out.masks.resize(len, 0);
-        for v in 0..num_vars {
-            let base = v * words;
-            let bit = 1u64 << v;
-            for (i, m) in out.masks.iter_mut().enumerate() {
-                if out.group_bits[base + i / 64] >> (i % 64) & 1 != 0 {
-                    *m |= bit;
-                }
-            }
-        }
     }
 }
 
@@ -381,18 +443,53 @@ pub(crate) struct ColumnarBatch {
     /// Filter verdicts; empty when the effective mode is `Off`.
     filter_bits: Vec<u64>,
     filtered: bool,
-    /// Per-event variable-admission masks (transposed group bits).
-    masks: Vec<u64>,
+    num_vars: usize,
+    /// Some lane was filled from a dictionary-coded column.
+    from_columns: bool,
 }
 
 impl ColumnarBatch {
-    /// The admission decision for batch event `i`.
+    /// The admission decision for batch event `i`: its filter bit, and
+    /// its bit of every variable's group vector gathered into a mask —
+    /// here, per event asked about, so that a batch whose events are
+    /// mostly dropped never pays for their masks.
     pub(crate) fn admission(&self, i: usize) -> EventAdmission {
         debug_assert!(i < self.len);
-        let passes = !self.filtered || self.filter_bits[i / 64] >> (i % 64) & 1 != 0;
-        EventAdmission {
-            passes,
-            var_ok: self.masks[i],
+        let (word, bit) = (i / 64, i % 64);
+        let passes = !self.filtered || self.filter_bits[word] >> bit & 1 != 0;
+        let var_ok = (0..self.num_vars).fold(0u64, |mask, v| {
+            mask | (self.group_bits[v * self.words + word] >> bit & 1) << v
+        });
+        EventAdmission { passes, var_ok }
+    }
+
+    /// The first position at or after `from` whose event the filter
+    /// keeps, or the batch length when it keeps none of the rest — the
+    /// next set bit of the filter vector.
+    pub(crate) fn next_passing(&self, from: usize) -> usize {
+        if !self.filtered || from >= self.len {
+            return from.min(self.len);
+        }
+        let mut word = from / 64;
+        let mut bits = self.filter_bits[word] & (!0u64 << (from % 64));
+        while bits == 0 {
+            word += 1;
+            if word == self.words {
+                return self.len;
+            }
+            bits = self.filter_bits[word];
+        }
+        // An unconstrained variable's all-ones group reaches past the
+        // batch in the last word.
+        (word * 64 + bits.trailing_zeros() as usize).min(self.len)
+    }
+
+    /// Which of the two columnar arms filled this batch.
+    pub(crate) fn arm(&self) -> AdmissionArm {
+        if self.from_columns {
+            AdmissionArm::Columns
+        } else {
+            AdmissionArm::Rows
         }
     }
 
@@ -406,7 +503,7 @@ impl ColumnarBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ses_event::{AttrType, Relation, Schema, Timestamp};
+    use ses_event::{AttrType, EventSource, Relation, Schema, Timestamp};
     use ses_pattern::{Pattern, VarId};
 
     fn schema() -> Schema {
@@ -426,23 +523,62 @@ mod tests {
         r
     }
 
-    /// Columnar admission must agree with the scalar reference
-    /// (`satisfies_var_constants` + `EventFilter::passes`) on every
-    /// event, for every filter mode — and so with the per-event arm,
-    /// which hands the engine those same answers.
+    /// Evaluates `plan` over all of `relation`, lanes reading rows only
+    /// or the code columns where the relation offers one.
+    fn evaluate(
+        plan: &ColumnarPlan,
+        relation: &Relation,
+        columns: bool,
+        mode: FilterMode,
+        batch: &mut ColumnarBatch,
+    ) {
+        plan.evaluate(
+            relation.len(),
+            |i| relation.event(ses_event::EventId::from(i)),
+            |attr| columns.then(|| relation.str_codes(attr)).flatten(),
+            mode,
+            batch,
+        );
+    }
+
+    /// Columnar admission, from rows and from columns, must agree with
+    /// the scalar reference (`satisfies_var_constants` +
+    /// `EventFilter::passes`) on every event, for every filter mode — and
+    /// so with the per-event arm, which hands the engine those same
+    /// answers.
     fn assert_matches_scalar(cp: &CompiledPattern, relation: &Relation) {
         let plan = ColumnarPlan::new(cp);
+        let reads_str = plan
+            .kernels
+            .iter()
+            .any(|(_, k)| matches!(k, Kernel::Str { .. } | Kernel::StrEqSet { .. }));
         let mut batch = ColumnarBatch::default();
         let n = relation.len();
-        for mode in [FilterMode::Off, FilterMode::Paper, FilterMode::PerVariable] {
+        let modes = [FilterMode::Off, FilterMode::Paper, FilterMode::PerVariable];
+        for (mode, columns) in modes.into_iter().flat_map(|m| [(m, false), (m, true)]) {
             let filter = EventFilter::new(cp, mode);
-            plan.evaluate(
-                n,
-                |i| relation.event(ses_event::EventId::from(i)),
+            evaluate(
+                &plan,
+                relation,
+                columns,
                 filter.effective_mode(),
                 &mut batch,
             );
             assert_eq!(batch.len(), n);
+            let arm = if columns && reads_str {
+                AdmissionArm::Columns
+            } else {
+                AdmissionArm::Rows
+            };
+            assert_eq!(batch.arm(), arm);
+            let passing: Vec<usize> = (0..n).filter(|&i| batch.admission(i).passes).collect();
+            let mut walked = Vec::new();
+            let mut at = batch.next_passing(0);
+            while at < n {
+                walked.push(at);
+                at = batch.next_passing(at + 1);
+            }
+            assert_eq!(walked, passing, "set-bit walk under {mode:?}");
             for i in 0..n {
                 let event = relation.event(ses_event::EventId::from(i));
                 let adm = batch.admission(i);
@@ -511,14 +647,11 @@ mod tests {
         let cp = two_var_pattern();
         let plan = ColumnarPlan::new(&cp);
         let mut batch = ColumnarBatch::default();
-        let r = rel(&[]);
-        plan.evaluate(
-            0,
-            |i| r.event(ses_event::EventId::from(i)),
-            FilterMode::Paper,
-            &mut batch,
-        );
-        assert_eq!(batch.len(), 0);
+        for columns in [false, true] {
+            evaluate(&plan, &rel(&[]), columns, FilterMode::Paper, &mut batch);
+            assert_eq!(batch.len(), 0);
+            assert_eq!(batch.next_passing(0), 0);
+        }
     }
 
     #[test]
@@ -581,12 +714,8 @@ mod tests {
                 .unwrap();
         }
         let mut batch = ColumnarBatch::default();
-        plan.evaluate(
-            r.len(),
-            |i| r.event(ses_event::EventId::from(i)),
-            FilterMode::Off,
-            &mut batch,
-        );
+        evaluate(&plan, &r, true, FilterMode::Off, &mut batch);
+        assert_eq!(batch.arm(), AdmissionArm::Rows, "no lane reads L");
         assert_eq!(batch.admission(0).var_ok, 0b01);
         assert_eq!(batch.admission(1).var_ok, 0b01, "-0.0 == 0.0");
         assert_eq!(batch.admission(2).var_ok, 0b10);
@@ -623,6 +752,62 @@ mod tests {
     }
 
     #[test]
+    fn every_operator_on_a_str_constant_reads_the_table() {
+        for op in [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ] {
+            let cp = Pattern::builder()
+                .set(|s| s.var("a").var("b"))
+                .cond_const("a", "L", op, "M")
+                .cond_const("b", "L", CmpOp::Eq, "Z")
+                .within(ses_event::Duration::ticks(100))
+                .build()
+                .unwrap()
+                .compile(&schema())
+                .unwrap();
+            let rows: Vec<(i64, &str, i64)> = (0..70)
+                .map(|i| (i, ["A", "M", "Z", "", "Ma", "M"][i as usize % 6], i))
+                .collect();
+            assert_matches_scalar(&cp, &rel(&rows));
+        }
+    }
+
+    #[test]
+    fn a_non_str_value_in_a_str_attribute_is_never_admitted() {
+        // Only the unchecked `push_event` lets one in. `L ≠ 'A'` is the
+        // operator a careless table would get wrong.
+        let cp = Pattern::builder()
+            .set(|s| s.var("a").var("b"))
+            .cond_const("a", "L", CmpOp::Ne, "A")
+            .cond_const("b", "L", CmpOp::Eq, "B")
+            .within(ses_event::Duration::ticks(100))
+            .build()
+            .unwrap()
+            .compile(&schema())
+            .unwrap();
+        let mut r = Relation::new(schema());
+        for i in 0..20i64 {
+            let l = match i % 3 {
+                0 => Value::from("A"),
+                1 => Value::from("B"),
+                _ => Value::from(i),
+            };
+            r.push_event(Event::new(Timestamp::new(i), vec![l, Value::from(i)]))
+                .unwrap();
+        }
+        assert_matches_scalar(&cp, &r);
+        let plan = ColumnarPlan::new(&cp);
+        let mut batch = ColumnarBatch::default();
+        evaluate(&plan, &r, true, FilterMode::Off, &mut batch);
+        assert_eq!(batch.admission(2).var_ok, 0, "an Int under L binds nothing");
+    }
+
+    #[test]
     fn rule_thresholds() {
         assert!(!runs_columnar(0, 1_000_000), "no lanes");
         assert!(!runs_columnar(5, COLUMNAR_AUTO_MIN_BATCH - 1));
@@ -637,31 +822,21 @@ mod tests {
         let big = rel(&(0..200)
             .map(|i| (i, if i % 2 == 0 { "A" } else { "B" }, i))
             .collect::<Vec<_>>());
-        plan.evaluate(
-            big.len(),
-            |i| big.event(ses_event::EventId::from(i)),
-            FilterMode::Paper,
-            &mut batch,
-        );
+        evaluate(&plan, &big, false, FilterMode::Paper, &mut batch);
         let cap = (
             batch.lane_bits.capacity(),
             batch.group_bits.capacity(),
-            batch.masks.capacity(),
+            batch.filter_bits.capacity(),
         );
         // A smaller follow-up batch must fit in the pooled buffers.
         let small = rel(&[(0, "A", 9), (1, "B", 0)]);
-        plan.evaluate(
-            small.len(),
-            |i| small.event(ses_event::EventId::from(i)),
-            FilterMode::Paper,
-            &mut batch,
-        );
+        evaluate(&plan, &small, false, FilterMode::Paper, &mut batch);
         assert_eq!(batch.len(), 2);
         assert_eq!(
             (
                 batch.lane_bits.capacity(),
                 batch.group_bits.capacity(),
-                batch.masks.capacity(),
+                batch.filter_bits.capacity(),
             ),
             cap,
             "pooled buffers must not shrink or reallocate"

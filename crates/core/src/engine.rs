@@ -22,7 +22,7 @@ use ses_pattern::CompiledPattern;
 
 use crate::automaton::{Automaton, TransCond, Transition};
 use crate::buffer::Buffer;
-use crate::columnar::{runs_columnar, ColumnarBatch, ColumnarPlan, EventAdmission};
+use crate::columnar::{runs_columnar, AdmissionArm, ColumnarBatch, ColumnarPlan, EventAdmission};
 use crate::filter::{EventFilter, FilterMode};
 use crate::probe::Probe;
 use crate::state::StateId;
@@ -133,11 +133,13 @@ impl AdmittedLog {
     ) -> AdmittedLog {
         let admitter = Admitter::new(pattern, filter, relation);
         let mut log = AdmittedLog::default();
-        for position in 0..relation.len() {
+        let mut position = admitter.next_passing(0);
+        while position < relation.len() {
             log.record(
-                EventId::from(position),
+                event_id(relation, position),
                 admitter.admission(pattern, relation, position),
             );
+            position = admitter.next_passing(position + 1);
         }
         log
     }
@@ -175,13 +177,23 @@ impl AdmittedLog {
     }
 }
 
+/// The id of the event at scan position `position` of `relation`: a scan
+/// counts from the first event the source still holds, ids from the first
+/// it ever held.
+fn event_id<S: EventSource>(relation: &S, position: usize) -> EventId {
+    EventId::from(relation.first_index() + position)
+}
+
 /// Admission over one whole relation: the §4.5 filter plus either the
 /// columnar lane pass evaluated up front, when [`runs_columnar`] says the
 /// relation is worth one, or [`EventAdmission::scalar`] per event.
+/// Addresses events by scan position, as the lane vectors do.
 #[derive(Debug)]
 struct Admitter {
     filter: EventFilter,
     columnar: Option<ColumnarBatch>,
+    /// Events in the relation.
+    len: usize,
 }
 
 impl Admitter {
@@ -192,13 +204,34 @@ impl Admitter {
             let mut batch = ColumnarBatch::default();
             plan.evaluate(
                 relation.len(),
-                |i| relation.event(EventId::from(i)),
+                |i| relation.event(event_id(relation, i)),
+                |attr| relation.str_codes(attr),
                 filter.effective_mode(),
                 &mut batch,
             );
             batch
         });
-        Admitter { filter, columnar }
+        Admitter {
+            filter,
+            columnar,
+            len: relation.len(),
+        }
+    }
+
+    fn arm(&self) -> AdmissionArm {
+        self.columnar
+            .as_ref()
+            .map_or(AdmissionArm::PerEvent, ColumnarBatch::arm)
+    }
+
+    /// The first position at or after `from` whose event may pass the
+    /// filter, or the relation's length: the lane pass knows which events
+    /// it dropped, the per-event arm learns it event by event.
+    fn next_passing(&self, from: usize) -> usize {
+        match &self.columnar {
+            Some(batch) => batch.next_passing(from),
+            None => from.min(self.len),
+        }
     }
 
     fn admission<S: EventSource>(
@@ -212,7 +245,7 @@ impl Admitter {
             None => EventAdmission::scalar(
                 &self.filter,
                 pattern,
-                relation.event(EventId::from(position)),
+                relation.event(event_id(relation, position)),
             ),
         }
     }
@@ -238,7 +271,8 @@ pub fn scan<S: EventSource, P: Probe>(
         exec.filter().requested_mode(),
         exec.filter().effective_mode(),
     );
-    while exec.step(probe) {}
+    probe.admission_arm(exec.arm());
+    exec.run(probe);
     exec.finish(probe)
 }
 
@@ -293,10 +327,9 @@ impl<'a, S: EventSource> Execution<'a, S> {
         }
     }
 
-    /// `true` iff this execution admits events through the columnar
-    /// bitmask layer rather than per-event comparisons.
-    pub fn is_columnar(&self) -> bool {
-        self.admitter.columnar.is_some()
+    /// How this execution admits its events.
+    pub fn arm(&self) -> AdmissionArm {
+        self.admitter.arm()
     }
 
     /// Processes the next event. Returns `false` when the relation is
@@ -307,22 +340,39 @@ impl<'a, S: EventSource> Execution<'a, S> {
         }
         let position = self.position;
         self.position += 1;
+        let id = event_id(self.relation, position);
         let admission = self
             .admitter
             .admission(self.automaton.pattern(), self.relation, position);
-        self.admitted.record(EventId::from(position), admission);
+        self.admitted.record(id, admission);
         process_event(
             self.automaton,
             self.relation,
             self.options,
             &mut self.omega,
             &mut self.scratch,
-            EventId::from(position),
+            id,
             admission,
             &mut self.results,
             probe,
         );
         true
+    }
+
+    /// Processes every remaining event: [`Execution::step`] until it
+    /// says `false`, except that an event the lane pass already dropped
+    /// is counted (`event_read`, `event_filtered` — all a step does with
+    /// it) and not visited.
+    pub fn run<P: Probe>(&mut self, probe: &mut P) {
+        while self.position < self.admitter.len {
+            let next = self.admitter.next_passing(self.position);
+            for _ in self.position..next {
+                probe.event_read();
+                probe.event_filtered();
+            }
+            self.position = next;
+            self.step(probe);
+        }
     }
 
     /// Current number of active instances `|Ω|`.
@@ -335,7 +385,8 @@ impl<'a, S: EventSource> Execution<'a, S> {
         &self.omega
     }
 
-    /// Index of the next event to be consumed.
+    /// Scan position of the next event to be consumed, counted from the
+    /// relation's first retained event.
     pub fn position(&self) -> usize {
         self.position
     }
@@ -450,8 +501,17 @@ pub(crate) fn process_event<S: EventSource, P: Probe>(
     });
     probe.instance_spawned();
 
+    // Ω is rewritten where it stands: `omega[..kept]` is the new Ω so far,
+    // `omega[kept..=read]` slots whose instance has been dealt with. An
+    // instance the event does not move — nearly all of them, nearly
+    // always — is not touched. Successors take the free slots while they
+    // fit; from the first that does not, the rest of the new Ω collects
+    // in `scratch` and is appended, so the order is the one a copy of
+    // every instance into a second vector would give.
     scratch.clear();
-    for instance in omega.drain(..) {
+    let mut kept = 0;
+    for read in 0..omega.len() {
+        let instance = &omega[read];
         let expired = match instance.buffer.min_ts() {
             Some(min) => event.ts().distance(min) > tau,
             None => false,
@@ -466,20 +526,60 @@ pub(crate) fn process_event<S: EventSource, P: Probe>(
             }
             continue; // dropped from Ω either way
         }
-        consume_event(
-            automaton,
-            relation,
-            instance,
-            event,
-            event_id,
-            start,
-            options.selection,
-            admission.var_ok,
-            scratch,
-            probe,
-        );
+        // No outgoing transition's variable is admitted: nothing can
+        // fire, and the instance stays unless it is a start-state one —
+        // those never linger, every event spawns its own. Probe-identical
+        // to walking the transitions: each would have been mask-skipped
+        // before `transition_evaluated`.
+        let idle = admission.var_ok & automaton.outgoing_var_mask(instance.state) == 0;
+        let stays = idle && instance.state != start;
+        if idle && scratch.is_empty() {
+            // The common case, kept clear of the bookkeeping below.
+            if stays {
+                if kept != read {
+                    omega.swap(kept, read);
+                }
+                kept += 1;
+            }
+            continue;
+        }
+        let spilled = scratch.len();
+        let keep_source = if idle {
+            stays
+        } else {
+            consume_event(
+                automaton,
+                relation,
+                instance,
+                event,
+                event_id,
+                start,
+                options.selection,
+                admission.var_ok,
+                scratch,
+                probe,
+            )
+        };
+        let successors = scratch.len() - spilled;
+        if spilled == 0 && kept + successors + usize::from(keep_source) <= read + 1 {
+            if keep_source && kept + successors != read {
+                omega.swap(kept + successors, read);
+            }
+            for successor in scratch.drain(..) {
+                omega[kept] = successor;
+                kept += 1;
+            }
+            kept += usize::from(keep_source);
+        } else if keep_source {
+            let placeholder = Instance {
+                state: start,
+                buffer: Buffer::EMPTY,
+            };
+            scratch.push(std::mem::replace(&mut omega[read], placeholder));
+        }
     }
-    std::mem::swap(omega, scratch);
+    omega.truncate(kept);
+    omega.append(scratch);
     probe.omega(omega.len());
     if let Some(cap) = options.max_instances {
         assert!(
@@ -490,17 +590,15 @@ pub(crate) fn process_event<S: EventSource, P: Probe>(
     }
 }
 
-/// Algorithm 2: offers `event` to `instance`; pushes the successor
-/// instances into `out`.
-///
-/// Takes the instance by value: a surviving source is *moved* into
-/// `out`, so the old per-emission `instance.clone()` (an `Arc` bump +
-/// drop per retained instance per event) is gone entirely.
+/// Algorithm 2: offers `event` to `instance`, whose state has an outgoing
+/// transition on a variable the event is admitted for; pushes the
+/// successor instances into `out` and says whether `instance` itself
+/// stays in Ω, after them.
 #[allow(clippy::too_many_arguments)]
 fn consume_event<S: EventSource, P: Probe>(
     automaton: &Automaton,
     relation: &S,
-    instance: Instance,
+    instance: &Instance,
     event: &Event,
     event_id: EventId,
     start: StateId,
@@ -508,17 +606,7 @@ fn consume_event<S: EventSource, P: Probe>(
     var_ok: u64,
     out: &mut Vec<Instance>,
     probe: &mut P,
-) {
-    // Fast path: no outgoing transition's variable is admitted, so
-    // nothing can fire — skip the transition loop entirely. Probe-
-    // identical to walking it: every transition would have been
-    // mask-skipped before `transition_evaluated`.
-    if var_ok & automaton.outgoing_var_mask(instance.state) == 0 {
-        if instance.state != start {
-            out.push(instance);
-        }
-        return;
-    }
+) -> bool {
     let mut fired = 0usize;
     for transition in automaton.outgoing(instance.state) {
         // An event failing the bound variable's constant conditions can
@@ -541,17 +629,14 @@ fn consume_event<S: EventSource, P: Probe>(
     }
     // The source instance survives when nothing fired (the event is
     // ignored — skip-till-next-match) or, under skip-till-any-match,
-    // unconditionally (the run may *choose* to skip a matching event).
-    // Fresh start-state instances never linger: a new one is spawned for
-    // every event anyway.
+    // unconditionally (the run may *choose* to skip a matching event) —
+    // a start-state instance excepted, as ever.
     let keep_source =
         instance.state != start && (fired == 0 || selection == EventSelection::SkipTillAnyMatch);
-    if keep_source {
-        if fired > 0 {
-            probe.instance_branched();
-        }
-        out.push(instance);
+    if keep_source && fired > 0 {
+        probe.instance_branched();
     }
+    keep_source
 }
 
 /// Evaluates a transition's condition set `Θδ` against the incoming event

@@ -74,7 +74,7 @@ mod trace;
 pub use automaton::{Automaton, State, TransCond, Transition, DEFAULT_MAX_STATES};
 pub use bank::{PatternBank, PatternBankBuilder, PatternStats};
 pub use buffer::{Binding, Buffer, BufferIter};
-pub use columnar::runs_columnar;
+pub use columnar::{runs_columnar, AdmissionArm};
 pub use engine::{
     execute, scan, AdmittedLog, EventSelection, ExecOptions, Execution, Instance, RawMatch,
 };

@@ -65,6 +65,13 @@ pub trait Probe {
     #[inline]
     fn filter_mode(&mut self, _requested: crate::FilterMode, _effective: crate::FilterMode) {}
 
+    /// A batch execution resolved how it admits its events — fired once
+    /// per scan (per partition or slice when the input is split), beside
+    /// [`Probe::filter_mode`]. Answers are the same on every arm, so this
+    /// is the only place a fall from one to another can show.
+    #[inline]
+    fn admission_arm(&mut self, _arm: crate::AdmissionArm) {}
+
     /// Partitioned execution split the input into `_n` partitions. Fired
     /// once per partitioned run, before any partition executes.
     #[inline]
@@ -173,6 +180,10 @@ impl<P: Probe + ?Sized> Probe for &mut P {
     #[inline]
     fn filter_mode(&mut self, requested: crate::FilterMode, effective: crate::FilterMode) {
         (**self).filter_mode(requested, effective);
+    }
+    #[inline]
+    fn admission_arm(&mut self, arm: crate::AdmissionArm) {
+        (**self).admission_arm(arm);
     }
     #[inline]
     fn partitions(&mut self, n: usize) {

@@ -322,13 +322,16 @@ impl StreamMatcher {
         }
         // Columnar admission over the batch, when it is long enough.
         // Evaluating before the events enter the relation is safe: lanes
-        // read only the events' own attributes.
+        // read only the events' own attributes — their rows: a
+        // micro-batch is read once, so a dictionary would cost the pass
+        // it saves.
         let columnar = runs_columnar(self.columnar.num_lanes(), events.len())
             && self.automaton.pattern().is_satisfiable();
         if columnar {
             self.columnar.evaluate(
                 events.len(),
                 |i| &events[i],
+                |_| None,
                 self.filter.effective_mode(),
                 &mut self.columnar_batch,
             );

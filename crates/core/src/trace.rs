@@ -90,7 +90,7 @@ pub fn trace_execution(
             .map(|i: &Instance| (i.state, i.buffer.clone()))
             .collect();
         steps.push(TraceStep {
-            event: EventId::from(position),
+            event: EventId::from(relation.first_index() + position),
             filtered: probe.filtered,
             omega: instances.len(),
             instances,

@@ -46,6 +46,10 @@ pub enum EventError {
         /// Timestamp of the offending event.
         got: i64,
     },
+    /// A relation or bank has been pushed 2³² events: the next one has no
+    /// [`crate::EventId`]. Ids are never reused, so the only way on is a
+    /// fresh relation.
+    IdSpaceExhausted,
 }
 
 impl fmt::Display for EventError {
@@ -71,6 +75,10 @@ impl fmt::Display for EventError {
             EventError::OutOfOrder { previous, got } => write!(
                 f,
                 "event timestamp t{got} precedes previously appended t{previous}"
+            ),
+            EventError::IdSpaceExhausted => write!(
+                f,
+                "event id space exhausted: 4294967296 events have been pushed"
             ),
         }
     }

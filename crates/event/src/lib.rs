@@ -37,6 +37,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod column;
 mod error;
 mod event;
 mod relation;
@@ -45,6 +46,7 @@ mod time;
 mod value;
 mod view;
 
+pub use column::{StrCodes, StrColumn};
 pub use error::EventError;
 pub use event::{Event, EventId};
 pub use relation::{Relation, RelationBuilder};

@@ -1,8 +1,10 @@
 //! Event relations: schema-conformant, chronologically ordered event sets.
 
 use std::fmt;
+use std::sync::OnceLock;
 
-use crate::{Duration, Event, EventError, EventId, Schema, Timestamp, Value};
+use crate::column::StrColumn;
+use crate::{AttrId, AttrType, Duration, Event, EventError, EventId, Schema, Timestamp, Value};
 
 /// An event relation: a sequence of events totally ordered by their
 /// timestamps (ties broken by insertion order).
@@ -20,6 +22,14 @@ use crate::{Duration, Event, EventError, EventId, Schema, Timestamp, Value};
 /// `id.index() - base`. Looking up an evicted id panics, exactly like an
 /// out-of-bounds id — callers (the streaming matcher) guarantee they only
 /// dereference retained events.
+///
+/// # Columns
+///
+/// [`Relation::str_column`] serves a dictionary-coded projection of a
+/// `Str` attribute, built on first use and dropped by whatever changes
+/// the retained events ([`Relation::push_event`],
+/// [`Relation::evict_before`]) — a relation that is only ever pushed to
+/// never holds one.
 #[derive(Debug, Clone)]
 pub struct Relation {
     schema: Schema,
@@ -29,17 +39,15 @@ pub struct Relation {
     /// Timestamp of the most recently pushed event, cached so the
     /// chronological-order check survives eviction of the backing vector.
     last_ts: Option<Timestamp>,
+    /// One slot per attribute, allocated with the first projection asked
+    /// for and filled per attribute; unset whenever `events` changes.
+    columns: OnceLock<Box<[OnceLock<StrColumn>]>>,
 }
 
 impl Relation {
     /// Creates an empty relation over `schema`.
     pub fn new(schema: Schema) -> Relation {
-        Relation {
-            schema,
-            events: Vec::new(),
-            base: 0,
-            last_ts: None,
-        }
+        Relation::from_events(schema, Vec::new())
     }
 
     /// Builds a relation from an already-chronological event vector.
@@ -50,6 +58,7 @@ impl Relation {
             events,
             base: 0,
             last_ts,
+            columns: OnceLock::new(),
         }
     }
 
@@ -62,14 +71,18 @@ impl Relation {
     /// [`Relation::events`] and [`Relation::last_ts`] — the streaming
     /// matcher's snapshot/restore path uses it to resurrect its window
     /// with every retained event keeping its original [`EventId`].
-    /// Validates schema conformance, chronological order, and that
-    /// `last_ts` is consistent with the retained tail.
+    /// Validates schema conformance, chronological order, that `last_ts`
+    /// is consistent with the retained tail, and that every retained
+    /// event's id fits [`EventId`].
     pub fn restore(
         schema: Schema,
         evicted: usize,
         events: Vec<Event>,
         last_ts: Option<Timestamp>,
     ) -> Result<Relation, EventError> {
+        if let Some(last) = events.len().checked_sub(1) {
+            event_id(evicted.saturating_add(last))?;
+        }
         let mut prev: Option<Timestamp> = None;
         for e in &events {
             schema.check_row(e.values())?;
@@ -93,10 +106,9 @@ impl Relation {
             }
         }
         Ok(Relation {
-            schema,
-            events,
             base: evicted,
             last_ts,
+            ..Relation::from_events(schema, events)
         })
     }
 
@@ -182,7 +194,9 @@ impl Relation {
     /// Appends a pre-built event, validating chronological order only.
     /// The order check uses the cached last-pushed timestamp, so it keeps
     /// rejecting out-of-order events even after the tail of the relation
-    /// has been evicted.
+    /// has been evicted. Refuses the event with
+    /// [`EventError::IdSpaceExhausted`] once 2³² have been pushed: ids do
+    /// not wrap.
     pub fn push_event(&mut self, event: Event) -> Result<EventId, EventError> {
         if let Some(last) = self.last_ts {
             if event.ts() < last {
@@ -192,9 +206,10 @@ impl Relation {
                 });
             }
         }
-        let id = EventId::from(self.base + self.events.len());
+        let id = event_id(self.base + self.events.len())?;
         self.last_ts = Some(event.ts());
         self.events.push(event);
+        self.columns.take();
         Ok(id)
     }
 
@@ -214,7 +229,23 @@ impl Relation {
         }
         self.events.drain(..evictable);
         self.base += evictable;
+        self.columns.take();
         evictable
+    }
+
+    /// The dictionary-coded projection of `attr` over the retained events
+    /// (position `i` of [`StrColumn::codes`] is `events()[i]`), or `None`
+    /// when the schema does not declare `attr` a `Str`. Built by the
+    /// first call — one pass over the rows, concurrent callers wait for
+    /// it — and kept until the relation next changes.
+    pub fn str_column(&self, attr: AttrId) -> Option<&StrColumn> {
+        if self.schema.attrs().get(attr.index())?.ty != AttrType::Str {
+            return None;
+        }
+        let slots = self
+            .columns
+            .get_or_init(|| (0..self.schema.len()).map(|_| OnceLock::new()).collect());
+        Some(slots[attr.index()].get_or_init(|| StrColumn::build(&self.events, attr)))
     }
 
     /// Returns the window size `W` for window width `τ`: the maximal number
@@ -345,6 +376,13 @@ impl fmt::Display for Relation {
         }
         Ok(())
     }
+}
+
+/// The id of the `index`-th event ever pushed, if the id space reaches it.
+fn event_id(index: usize) -> Result<EventId, EventError> {
+    u32::try_from(index)
+        .map(EventId)
+        .map_err(|_| EventError::IdSpaceExhausted)
 }
 
 /// Builder that accepts rows in arbitrary timestamp order.
@@ -646,6 +684,55 @@ mod tests {
         let r = Relation::restore(schema(), 4, Vec::new(), Some(Timestamp::new(9))).unwrap();
         assert_eq!(r.total_len(), 4);
         assert_eq!(r.last_ts(), Some(Timestamp::new(9)));
+    }
+
+    #[test]
+    fn ids_end_at_the_end_of_the_id_space() {
+        // A relation restored two ids short of the end reaches it
+        // without four billion pushes.
+        let one = |t: i64| Event::new(Timestamp::new(t), vec![0.into(), "X".into()]);
+        let mut r = Relation::restore(schema(), u32::MAX as usize - 1, vec![one(0)], None).unwrap();
+        assert_eq!(r.event(EventId(u32::MAX - 1)).ts(), Timestamp::new(0));
+        assert_eq!(r.push_event(one(1)), Ok(EventId(u32::MAX)));
+        // The 2³²-th event has no id: refused, not wrapped to e1.
+        assert_eq!(r.push_event(one(2)), Err(EventError::IdSpaceExhausted));
+        assert_eq!(
+            r.push_values(Timestamp::new(2), [0.into(), "X".into()]),
+            Err(EventError::IdSpaceExhausted)
+        );
+        assert_eq!((r.len(), r.last_ts()), (2, Some(Timestamp::new(1))));
+        assert_eq!(r.event(EventId(u32::MAX)).ts(), Timestamp::new(1));
+        // Nor does `restore` hand out an id that does not exist.
+        assert_eq!(
+            Relation::restore(schema(), u32::MAX as usize, vec![one(0), one(1)], None).unwrap_err(),
+            EventError::IdSpaceExhausted
+        );
+    }
+
+    #[test]
+    fn columns_follow_the_retained_events() {
+        let l = AttrId(1);
+        let mut r = rel_with(&[0, 1, 2, 3]);
+        assert!(r.str_column(AttrId(0)).is_none(), "ID is an Int");
+        assert!(r.str_column(AttrId(9)).is_none(), "no such attribute");
+        assert_eq!(r.str_column(l).unwrap().codes(), &[0, 0, 0, 0]);
+        // Same column until the relation changes …
+        assert!(std::ptr::eq(
+            r.str_column(l).unwrap(),
+            r.str_column(l).unwrap()
+        ));
+        // … a push and an eviction each drop it.
+        r.push_values(Timestamp::new(4), [9.into(), "Y".into()])
+            .unwrap();
+        assert_eq!(r.str_column(l).unwrap().codes(), &[0, 0, 0, 0, 1]);
+        assert_eq!(r.evict_before(Timestamp::new(4)), 4);
+        let column = r.str_column(l).unwrap();
+        assert_eq!(column.codes(), &[0]);
+        assert_eq!(column.dict()[0].as_ref(), "Y");
+        // A deferred eviction changed nothing and drops nothing.
+        let before = r.str_column(l).unwrap() as *const StrColumn;
+        assert_eq!(r.evict_before(Timestamp::new(0)), 0);
+        assert!(std::ptr::eq(before, r.str_column(l).unwrap()));
     }
 
     #[test]

@@ -19,8 +19,11 @@ pub enum Value {
     /// 64-bit IEEE-754 float. `NaN` is rejected at construction sites that
     /// validate input (relation building, query literals).
     Float(f64),
-    /// Interned UTF-8 string (cheap to clone; events are cloned on
-    /// relation duplication for the D2–D5 data sets).
+    /// Shared UTF-8 string: a clone bumps a reference count (events are
+    /// cloned on relation duplication for the D2–D5 data sets). Nothing
+    /// interns — `From<&str>` / `From<String>` allocate per value, so a
+    /// million rows of `"C"` hold a million allocations, and the
+    /// dictionary of [`crate::StrColumn`] codes them without merging them.
     Str(Arc<str>),
     /// Boolean.
     Bool(bool),

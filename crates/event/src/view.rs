@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::{AttrId, Event, EventId, Relation, Schema, Value};
+use crate::{AttrId, Event, EventId, Relation, Schema, StrCodes, Value};
 
 /// Read access to a chronologically ordered sequence of events — the
 /// engine-facing common surface of [`Relation`] and [`RelationView`].
@@ -39,6 +39,14 @@ pub trait EventSource {
     /// # Panics
     /// Panics if `id` is out of range.
     fn event(&self, id: EventId) -> &Event;
+    /// The source's events under the dictionary-coded projection of
+    /// `attr`, when the source is a relation at rest (or a view of one)
+    /// and `attr` is a `Str` attribute; `None` from a source that has no
+    /// projection to offer. Asking builds the projection if need be —
+    /// see [`Relation::str_column`].
+    fn str_codes(&self, _attr: AttrId) -> Option<StrCodes<'_>> {
+        None
+    }
 }
 
 impl EventSource for Relation {
@@ -53,6 +61,9 @@ impl EventSource for Relation {
     }
     fn event(&self, id: EventId) -> &Event {
         Relation::event(self, id)
+    }
+    fn str_codes(&self, attr: AttrId) -> Option<StrCodes<'_>> {
+        self.str_column(attr).map(StrCodes::of_relation)
     }
 }
 
@@ -133,6 +144,14 @@ impl EventSource for RelationView<'_> {
     }
     fn event(&self, id: EventId) -> &Event {
         self.parent.event(self.ids[id.index()])
+    }
+    fn str_codes(&self, attr: AttrId) -> Option<StrCodes<'_>> {
+        let column = self.parent.str_column(attr)?;
+        Some(StrCodes::of_view(
+            column,
+            &self.ids,
+            self.parent.first_index(),
+        ))
     }
 }
 
