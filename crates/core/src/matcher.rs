@@ -114,12 +114,14 @@ pub struct MatcherOptions {
     /// more matches found). Default: `false` (paper-faithful Θ).
     pub derive_equalities: bool,
     /// Run the full static-analyzer rewrite ([`ses_pattern::analyze`])
-    /// before compiling: equality closure **plus** order-and-constant
-    /// propagation, redundant constant conditions dropped. Derived
-    /// constants can rescue the §4.5 filter from its silent `Off`
-    /// downgrade when a variable is only correlated to a
-    /// constant-constrained one. Implies the effect of
-    /// `derive_equalities`. Default: `false` (paper-faithful Θ).
+    /// before compiling: derived constant conditions added, redundant
+    /// ones dropped. Derived constants can rescue the §4.5 filter from
+    /// its silent `Off` downgrade when a variable is only correlated to a
+    /// constant-constrained one. The analyzer uses the equality closure
+    /// internally but does not inject its variable conditions, so this
+    /// does *not* imply `derive_equalities`; with both set, the closed
+    /// pattern is what gets analyzed.
+    /// Default: `false` (paper-faithful Θ).
     pub propagate_constants: bool,
     /// State budget for the powerset construction.
     pub max_states: usize,
@@ -160,8 +162,9 @@ pub struct Matcher {
 }
 
 /// Compiles `pattern` against `schema`, honoring the analyzer-rewrite
-/// options: full constant propagation, the equality closure, or the
-/// paper-faithful Θ verbatim. The single compile path shared by
+/// options: the equality closure, then constant propagation, each when
+/// asked for — both, either, or the paper-faithful Θ verbatim. The
+/// single compile path shared by
 /// [`Matcher`], [`crate::StreamMatcher`], and [`crate::PatternBank`] —
 /// the bank relies on it to build its predicate index from the *same*
 /// compiled pattern its matchers run.
@@ -170,12 +173,17 @@ pub(crate) fn compile_pattern(
     schema: &Schema,
     options: &MatcherOptions,
 ) -> Result<CompiledPattern, CoreError> {
+    let closed;
+    let pattern = if options.derive_equalities {
+        closed = ses_pattern::equality_closure(pattern);
+        &closed
+    } else {
+        pattern
+    };
     Ok(if options.propagate_constants {
         ses_pattern::analyze(pattern, schema)
             .pattern
             .compile(schema)?
-    } else if options.derive_equalities {
-        ses_pattern::equality_closure(pattern).compile(schema)?
     } else {
         pattern.compile(schema)?
     })
@@ -506,6 +514,21 @@ mod tests {
         let found = closed.find(&r);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].to_string(), "{v0/e1, v1/e3, v2/e4}");
+
+        // Propagation alone injects no variable condition and derails
+        // like the plain pattern; with both flags the closure still
+        // applies (it used to be dropped, finding nothing).
+        let matches = |derive_equalities, propagate_constants| {
+            let options = MatcherOptions {
+                derive_equalities,
+                propagate_constants,
+                ..MatcherOptions::default()
+            };
+            let m = Matcher::with_options(&p, &schema(), options).unwrap();
+            m.find(&r).iter().map(|m| m.to_string()).collect::<Vec<_>>()
+        };
+        assert!(matches(false, true).is_empty());
+        assert_eq!(matches(true, true), ["{v0/e1, v1/e3, v2/e4}"]);
     }
 
     #[test]

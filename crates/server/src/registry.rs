@@ -3,8 +3,9 @@
 //! The checkpoint carries matcher *state*; this file carries matcher
 //! *identity* — the ordered list of `(name, query)` pairs registered so
 //! far, which is exactly the `specs` argument `PatternBank::restore`
-//! demands. The registry is rewritten atomically (tmp + rename) on every
-//! change, and the subscribe protocol persists it *before* saving the
+//! demands. The registry is rewritten atomically on every change
+//! ([`ses_store::replace_file`]: tmp, fsync, rename, directory fsync),
+//! and the subscribe protocol persists it *before* saving the
 //! checkpoint and acking the client, so:
 //!
 //! * registry length ≥ checkpoint pattern count, always;
@@ -15,8 +16,9 @@
 //!   watermark — the client never saw an ack, so re-subscribing is the
 //!   contract.
 
-use std::io::Write;
 use std::path::{Path, PathBuf};
+
+use ses_store::StoreError;
 
 /// One registered subscription.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,8 +103,8 @@ impl Registry {
         &self.entries
     }
 
-    /// Appends a subscription and durably rewrites the file (atomic
-    /// tmp + rename, fsynced) before returning.
+    /// Appends a subscription and durably rewrites the file before
+    /// returning.
     pub fn add(&mut self, name: &str, query: &str) -> Result<(), String> {
         self.entries.push(SubSpec {
             name: name.to_string(),
@@ -112,18 +114,16 @@ impl Registry {
     }
 
     fn persist(&self) -> Result<(), String> {
-        let fail = |e: std::io::Error| format!("{}: {e}", self.path.display());
-        if let Some(dir) = self.path.parent() {
-            std::fs::create_dir_all(dir).map_err(fail)?;
-        }
-        let tmp = self.path.with_extension("tmp");
-        let mut f = std::fs::File::create(&tmp).map_err(fail)?;
-        for e in &self.entries {
-            writeln!(f, "{}\t{}", escape(&e.name), escape(&e.query)).map_err(fail)?;
-        }
-        f.sync_all().map_err(fail)?;
-        std::fs::rename(&tmp, &self.path).map_err(fail)?;
-        Ok(())
+        let text: String = self
+            .entries
+            .iter()
+            .map(|e| format!("{}\t{}\n", escape(&e.name), escape(&e.query)))
+            .collect();
+        let dir = self.path.parent().unwrap_or(Path::new(""));
+        std::fs::create_dir_all(dir)
+            .map_err(StoreError::from)
+            .and_then(|()| ses_store::replace_file(&self.path, text.as_bytes()))
+            .map_err(|e| format!("{}: {e}", self.path.display()))
     }
 
     /// Conventional registry path inside a checkpoint directory.

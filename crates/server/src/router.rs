@@ -32,7 +32,7 @@ use ses_core::{MatcherOptions, PartitionMode, PatternBank, Probe};
 use ses_event::{Schema, Timestamp, Value};
 use ses_metrics::{CountingProbe, JsonObject, JsonValue};
 use ses_pattern::Pattern;
-use ses_store::{Checkpoints, DurableBank, EventLog, LogConfig, StoreError};
+use ses_store::{Checkpoints, DurableBank, EventLog, LogConfig, MatchLog, StoreError};
 
 use crate::protocol::{self, ts_json};
 use crate::queue::{BoundedQueue, OverflowPolicy, Waited};
@@ -629,7 +629,9 @@ impl Router {
             };
             // Reading under the router lock: its holder is the only
             // appender, so the line count and the file contents agree.
-            let lines = read_match_lines(&Registry::match_log_path(&d.dir, i))?;
+            let path = Registry::match_log_path(&d.dir, i);
+            let lines =
+                MatchLog::read_lines(&path).map_err(|e| format!("{}: {e}", path.display()))?;
             for (k, line) in lines.iter().enumerate().skip(start as usize) {
                 item.push('\n');
                 item.push_str(&protocol::match_line(&sub.name, (k + 1) as u64, line));
@@ -807,17 +809,4 @@ impl Ingress {
         // Final durability: sync sinks, one last checkpoint.
         router.checkpoint()
     }
-}
-
-/// Reads the complete (newline-terminated) lines of a durable match
-/// log — the resumable prefix a reconnecting subscriber is owed.
-fn read_match_lines(path: &Path) -> Result<Vec<String>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let mut lines: Vec<String> = Vec::new();
-    let mut rest = text.as_str();
-    while let Some(nl) = rest.find('\n') {
-        lines.push(rest[..nl].to_string());
-        rest = &rest[nl + 1..];
-    }
-    Ok(lines)
 }

@@ -9,9 +9,11 @@
 //! b"SESCKPT1" | u16 version | u64 payload_len | u64 fnv1a(payload) | payload
 //! ```
 //!
-//! Saves are atomic: the frame is written to a `.tmp` sibling, synced,
-//! then renamed over the final name — a crash mid-save leaves at most a
-//! stale temp file, never a half-written checkpoint under a valid name.
+//! — written with the codec's `Encoder`, read with its `Decoder`. Saves
+//! are atomic ([`crate::replace_file`]): the frame is written to a `.tmp`
+//! sibling, synced, renamed over the final name, and the directory
+//! synced — a crash mid-save leaves at most a stale temp file, never a
+//! half-written checkpoint under a valid name.
 //! The store keeps the last `keep` checkpoints and prunes older ones
 //! after each save; [`CheckpointStore::load_latest`] walks sequence
 //! numbers downward, skipping (and counting) corrupt or truncated
@@ -29,15 +31,14 @@ use std::path::{Path, PathBuf};
 
 use ses_core::MatcherSnapshot;
 
-use crate::codec::{decode_snapshot, encode_snapshot, fnv1a};
-use crate::StoreError;
+use crate::codec::{corrupt, decode_snapshot, encode_snapshot, fnv1a, Decoder, Encoder};
+use crate::files::sync_parent;
+use crate::{replace_file, StoreError};
 
 /// Magic prefix of a checkpoint file.
 const MAGIC: &[u8; 8] = b"SESCKPT1";
 /// Current frame format version.
 const VERSION: u16 = 1;
-/// Frame header bytes ahead of the payload: magic + version + len + checksum.
-const HEADER_LEN: usize = 8 + 2 + 8 + 8;
 /// Checkpoint file extension.
 const EXT: &str = "sesckpt";
 
@@ -102,27 +103,10 @@ impl CheckpointStore {
     /// checkpoints beyond the retention count. Returns the new file's
     /// metadata.
     pub fn save(&mut self, snapshot: &MatcherSnapshot) -> Result<CheckpointInfo, StoreError> {
-        let payload = encode_snapshot(snapshot);
-        let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
-        frame.extend_from_slice(MAGIC);
-        frame.extend_from_slice(&VERSION.to_le_bytes());
-        frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        frame.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-
+        let frame = encode_frame(&encode_snapshot(snapshot));
         let seq = self.next_seq;
         let path = self.path_of(seq);
-        let tmp = path.with_extension("tmp");
-        {
-            let mut file = File::create(&tmp)?;
-            file.write_all(&frame)?;
-            file.sync_all()?;
-        }
-        fs::rename(&tmp, &path)?;
-        // Sync the directory so the rename itself survives a power loss.
-        if let Ok(d) = File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
+        replace_file(&path, &frame)?;
         self.next_seq = seq + 1;
         self.prune()?;
         Ok(CheckpointInfo {
@@ -202,36 +186,49 @@ fn list_checkpoints(dir: &Path) -> Result<Vec<CheckpointInfo>, StoreError> {
     Ok(infos)
 }
 
+/// The checkpoint file holding `payload`.
+fn encode_frame(payload: &[u8]) -> Vec<u8> {
+    let mut e = Encoder::with_capacity(MAGIC.len() + 2 + 8 + 8 + payload.len());
+    e.put_bytes(MAGIC);
+    e.put_u16(VERSION);
+    e.put_u64(payload.len() as u64);
+    e.put_u64(fnv1a(payload));
+    e.put_bytes(payload);
+    e.into_bytes()
+}
+
 fn load_file(path: &Path) -> Result<MatcherSnapshot, StoreError> {
     let data = fs::read(path)?;
-    if data.len() < HEADER_LEN || &data[..8] != MAGIC {
-        return Err(StoreError::Corrupt {
-            message: format!("{} is not a SESCKPT1 checkpoint", path.display()),
-        });
+    let mut d = Decoder::new(&data);
+    if d.get_bytes(MAGIC.len()).ok() != Some(MAGIC.as_slice()) {
+        return Err(corrupt(format!(
+            "{} is not a SESCKPT1 checkpoint",
+            path.display()
+        )));
     }
-    let version = u16::from_le_bytes(data[8..10].try_into().expect("2 bytes"));
+    let version = d.get_u16()?;
     if version != VERSION {
-        return Err(StoreError::Corrupt {
-            message: format!("unsupported checkpoint version {version}"),
-        });
+        return Err(corrupt(format!("unsupported checkpoint version {version}")));
     }
-    let len = u64::from_le_bytes(data[10..18].try_into().expect("8 bytes")) as usize;
-    let checksum = u64::from_le_bytes(data[18..26].try_into().expect("8 bytes"));
-    let payload = &data[HEADER_LEN..];
-    if payload.len() != len {
-        return Err(StoreError::Corrupt {
-            message: format!(
-                "checkpoint payload is {} bytes, header claims {len}",
-                payload.len()
-            ),
-        });
+    let len = d.get_u64()?;
+    let checksum = d.get_u64()?;
+    let payload = d.get_bytes(d.remaining())?;
+    if payload.len() as u64 != len {
+        return Err(corrupt(format!(
+            "checkpoint payload is {} bytes, header claims {len}",
+            payload.len()
+        )));
     }
     if fnv1a(payload) != checksum {
-        return Err(StoreError::Corrupt {
-            message: "checkpoint checksum mismatch".into(),
-        });
+        return Err(corrupt("checkpoint checksum mismatch".into()));
     }
     decode_snapshot(payload)
+}
+
+/// Bytes of a match sink's `data` up to and including its last newline:
+/// its complete lines.
+fn complete_len(data: &[u8]) -> usize {
+    data.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1)
 }
 
 /// An append-only, crash-tolerant match sink.
@@ -249,28 +246,34 @@ pub struct MatchLog {
 
 impl MatchLog {
     /// Opens (creating if needed) the sink at `path`, truncating any
-    /// torn final line.
+    /// torn final line. The directory is synced, so a sink created here
+    /// is still found after a power loss once its lines are synced.
     pub fn open(path: impl AsRef<Path>) -> Result<MatchLog, StoreError> {
+        let path = path.as_ref();
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
             .open(path)?;
+        sync_parent(path)?;
         let mut data = Vec::new();
         file.read_to_end(&mut data)?;
-        // Keep everything up to and including the last newline.
-        let complete = data
-            .iter()
-            .rposition(|&b| b == b'\n')
-            .map(|i| i + 1)
-            .unwrap_or(0);
+        let complete = complete_len(&data);
         if complete != data.len() {
             file.set_len(complete as u64)?;
         }
         file.seek(SeekFrom::Start(complete as u64))?;
         let lines = data[..complete].iter().filter(|&&b| b == b'\n').count() as u64;
         Ok(MatchLog { file, lines })
+    }
+
+    /// The complete lines of the sink at `path`, without their newlines:
+    /// what [`MatchLog::open`] keeps — a torn final line is not one.
+    pub fn read_lines(path: impl AsRef<Path>) -> Result<Vec<String>, StoreError> {
+        let text = fs::read_to_string(path)?;
+        let complete = &text[..complete_len(text.as_bytes())];
+        Ok(complete.split_terminator('\n').map(str::to_owned).collect())
     }
 
     /// Number of complete lines durably present at open plus appended
@@ -402,14 +405,7 @@ mod tests {
         for kind in [0u8, 1] {
             let dir = temp_dir(&format!("retired{kind}"));
             let store = CheckpointStore::open(&dir, 3).unwrap();
-            let payload = [kind, 1, 2, 3];
-            let mut frame = Vec::new();
-            frame.extend_from_slice(MAGIC);
-            frame.extend_from_slice(&VERSION.to_le_bytes());
-            frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            frame.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-            frame.extend_from_slice(&payload);
-            fs::write(store.path_of(0), &frame).unwrap();
+            fs::write(store.path_of(0), encode_frame(&[kind, 1, 2, 3])).unwrap();
             fs::write(store.path_of(1), b"garbage").unwrap();
             let err = store.load_latest().unwrap_err();
             assert!(

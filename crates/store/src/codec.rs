@@ -1,12 +1,18 @@
-//! Versioned binary codec for matcher snapshots.
+//! The one byte dialect of everything `ses-store` writes, and the
+//! versioned binary codec for matcher snapshots.
 //!
-//! Hand-rolled little-endian framing in the same dialect as the
-//! [`crate::EventLog`] segment format (length-prefixed variable data,
-//! FNV-1a integrity, tagged values), so the two on-disk formats stay
-//! mutually legible. The codec is *self-describing* at the value level —
-//! each [`Value`] carries its type tag — and schema agreement is
-//! enforced one level up by the snapshot fingerprint (see
-//! `ses_core::snapshot`).
+//! [`Encoder`] and [`Decoder`] are the only code in the crate that turns
+//! integers and values into bytes and back: little-endian integers,
+//! `u32`-length-prefixed strings, tagged values, FNV-1a integrity. The
+//! [`crate::EventLog`] frames its records with them, the
+//! [`crate::CheckpointStore`] its `SESCKPT1` header, and this module the
+//! snapshot payload. Every read is bounds-checked and fails with
+//! [`StoreError::Corrupt`], never a panic. The snapshot codec is
+//! *self-describing* at the value level — each [`Value`] carries its
+//! type tag — and schema agreement is enforced one level up by the
+//! snapshot fingerprint (see `ses_core::snapshot`); an event-log record
+//! checks each tag against its segment's schema instead
+//! ([`Decoder::get_value_of`]).
 //!
 //! Layout of an encoded [`MatcherSnapshot`] (all integers little-endian):
 //!
@@ -34,7 +40,7 @@
 //! role    := 0u8 | 1u8 u32 leader | 3u8 u32 key u32 lane u32 of
 //! opt_ts  := 0u8 | 1u8 i64
 //! str     := u32 len | utf8 bytes
-//! value   := 0u8 i64 | 1u8 f64 | 2u8 u32 utf8 | 3u8 u8   (the log's tags)
+//! value   := 0u8 i64 | 1u8 f64 | 2u8 str | 3u8 u8    INT FLOAT STR BOOL
 //! ```
 //!
 //! Three bytes are constants of the layout: the `u8 1` of `stream` and of
@@ -50,16 +56,18 @@
 //! The file-level framing (magic, format version, checksum) lives in
 //! [`crate::CheckpointStore`]; this module only covers the payload.
 
+use std::sync::Arc;
+
 use ses_core::{
     BankPatternSnapshot, BankRole, BankSnapshot, InstanceSnapshot, MatcherSnapshot, StreamSnapshot,
 };
-use ses_event::{AttrId, Event, EventId, Timestamp, Value};
+use ses_event::{AttrId, AttrType, Event, EventId, Timestamp, Value};
 use ses_pattern::VarId;
 
 use crate::StoreError;
 
-/// FNV-1a (64-bit) — the workspace's dependency-free integrity check,
-/// shared with the event log's record checksums.
+/// FNV-1a (64-bit) — the workspace's dependency-free integrity check of
+/// event-log records and checkpoint frames.
 pub(crate) fn fnv1a(data: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in data {
@@ -67,6 +75,20 @@ pub(crate) fn fnv1a(data: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// The tag byte a value of type `ty` is written with.
+fn value_tag(ty: AttrType) -> u8 {
+    match ty {
+        AttrType::Int => 0,
+        AttrType::Float => 1,
+        AttrType::Str => 2,
+        AttrType::Bool => 3,
+    }
+}
+
+pub(crate) fn corrupt(message: String) -> StoreError {
+    StoreError::Corrupt { message }
 }
 
 /// An append-only little-endian byte sink.
@@ -81,9 +103,21 @@ impl Encoder {
         Encoder::default()
     }
 
+    /// An empty encoder with room for `n` bytes.
+    pub fn with_capacity(n: usize) -> Encoder {
+        Encoder {
+            buf: Vec::with_capacity(n),
+        }
+    }
+
     /// The encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
+    }
+
+    /// Appends `bytes` as they are, without a length prefix.
+    pub fn put_bytes(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
     }
 
     /// Appends a `u8`.
@@ -133,25 +167,14 @@ impl Encoder {
         }
     }
 
-    /// Appends a tagged [`Value`] using the event log's tag dialect.
+    /// Appends a tagged [`Value`].
     pub fn put_value(&mut self, v: &Value) {
+        self.put_u8(value_tag(v.attr_type()));
         match v {
-            Value::Int(i) => {
-                self.put_u8(0);
-                self.put_i64(*i);
-            }
-            Value::Float(f) => {
-                self.put_u8(1);
-                self.buf.extend_from_slice(&f.to_le_bytes());
-            }
-            Value::Str(s) => {
-                self.put_u8(2);
-                self.put_str(s);
-            }
-            Value::Bool(b) => {
-                self.put_u8(3);
-                self.put_bool(*b);
-            }
+            Value::Int(i) => self.put_i64(*i),
+            Value::Float(f) => self.put_bytes(&f.to_le_bytes()),
+            Value::Str(s) => self.put_str(s),
+            Value::Bool(b) => self.put_bool(*b),
         }
     }
 }
@@ -162,12 +185,6 @@ impl Encoder {
 pub struct Decoder<'a> {
     data: &'a [u8],
     pos: usize,
-}
-
-fn truncated(what: &str) -> StoreError {
-    StoreError::Corrupt {
-        message: format!("snapshot payload truncated at {what}"),
-    }
 }
 
 impl<'a> Decoder<'a> {
@@ -181,46 +198,46 @@ impl<'a> Decoder<'a> {
         self.data.len() - self.pos
     }
 
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], StoreError> {
+    /// Reads the next `n` bytes as they are.
+    pub fn get_bytes(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
         if self.remaining() < n {
-            return Err(truncated(what));
+            return Err(corrupt(format!(
+                "truncated: {n} byte(s) wanted, {} left",
+                self.remaining()
+            )));
         }
         let slice = &self.data[self.pos..self.pos + n];
         self.pos += n;
         Ok(slice)
     }
 
+    fn get_array<const N: usize>(&mut self) -> Result<[u8; N], StoreError> {
+        Ok(self.get_bytes(N)?.try_into().expect("N bytes"))
+    }
+
     /// Reads a `u8`.
     pub fn get_u8(&mut self) -> Result<u8, StoreError> {
-        Ok(self.take(1, "u8")?[0])
+        Ok(self.get_bytes(1)?[0])
     }
 
     /// Reads a little-endian `u16`.
     pub fn get_u16(&mut self) -> Result<u16, StoreError> {
-        Ok(u16::from_le_bytes(
-            self.take(2, "u16")?.try_into().expect("2 bytes"),
-        ))
+        Ok(u16::from_le_bytes(self.get_array()?))
     }
 
     /// Reads a little-endian `u32`.
     pub fn get_u32(&mut self) -> Result<u32, StoreError> {
-        Ok(u32::from_le_bytes(
-            self.take(4, "u32")?.try_into().expect("4 bytes"),
-        ))
+        Ok(u32::from_le_bytes(self.get_array()?))
     }
 
     /// Reads a little-endian `u64`.
     pub fn get_u64(&mut self) -> Result<u64, StoreError> {
-        Ok(u64::from_le_bytes(
-            self.take(8, "u64")?.try_into().expect("8 bytes"),
-        ))
+        Ok(u64::from_le_bytes(self.get_array()?))
     }
 
     /// Reads a little-endian `i64`.
     pub fn get_i64(&mut self) -> Result<i64, StoreError> {
-        Ok(i64::from_le_bytes(
-            self.take(8, "i64")?.try_into().expect("8 bytes"),
-        ))
+        Ok(i64::from_le_bytes(self.get_array()?))
     }
 
     /// Reads a one-byte `bool`.
@@ -228,13 +245,15 @@ impl<'a> Decoder<'a> {
         Ok(self.get_u8()? != 0)
     }
 
+    /// Reads a length-prefixed UTF-8 string, borrowed from the input.
+    fn get_utf8(&mut self) -> Result<&'a str, StoreError> {
+        let len = self.get_u32()? as usize;
+        std::str::from_utf8(self.get_bytes(len)?).map_err(|_| corrupt("string is not UTF-8".into()))
+    }
+
     /// Reads a length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> Result<String, StoreError> {
-        let len = self.get_u32()? as usize;
-        let bytes = self.take(len, "string bytes")?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| StoreError::Corrupt {
-            message: "snapshot string is not UTF-8".into(),
-        })
+        self.get_utf8().map(str::to_owned)
     }
 
     /// Reads an optional timestamp.
@@ -242,41 +261,49 @@ impl<'a> Decoder<'a> {
         match self.get_u8()? {
             0 => Ok(None),
             1 => Ok(Some(Timestamp::new(self.get_i64()?))),
-            tag => Err(StoreError::Corrupt {
-                message: format!("invalid option tag {tag}"),
-            }),
+            tag => Err(corrupt(format!("invalid option tag {tag}"))),
         }
     }
 
     /// Reads a tagged [`Value`].
     pub fn get_value(&mut self) -> Result<Value, StoreError> {
-        match self.get_u8()? {
-            0 => Ok(Value::Int(self.get_i64()?)),
-            1 => Ok(Value::Float(f64::from_le_bytes(
-                self.take(8, "f64")?.try_into().expect("8 bytes"),
-            ))),
-            2 => Ok(Value::str(self.get_str()?)),
-            3 => Ok(Value::Bool(self.get_bool()?)),
-            tag => Err(StoreError::Corrupt {
-                message: format!("unknown value tag {tag}"),
-            }),
+        let tag = self.get_u8()?;
+        self.value_after(tag)
+    }
+
+    /// Reads a tagged [`Value`] whose tag must be that of `ty`.
+    pub fn get_value_of(&mut self, ty: AttrType) -> Result<Value, StoreError> {
+        let tag = self.get_u8()?;
+        if tag != value_tag(ty) {
+            return Err(corrupt(format!("value tag {tag} does not match {ty}")));
         }
+        self.value_after(tag)
+    }
+
+    fn value_after(&mut self, tag: u8) -> Result<Value, StoreError> {
+        Ok(match tag {
+            0 => Value::Int(self.get_i64()?),
+            1 => Value::Float(f64::from_le_bytes(self.get_array()?)),
+            2 => Value::Str(Arc::from(self.get_utf8()?)),
+            3 => Value::Bool(self.get_bool()?),
+            tag => return Err(corrupt(format!("unknown value tag {tag}"))),
+        })
     }
 
     /// Fails unless every byte was consumed — trailing garbage means the
     /// payload disagrees with its framing.
     pub fn finish(self) -> Result<(), StoreError> {
-        if self.remaining() != 0 {
-            return Err(StoreError::Corrupt {
-                message: format!("{} trailing bytes after snapshot payload", self.remaining()),
-            });
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(corrupt(format!("{n} trailing byte(s) after the payload"))),
         }
-        Ok(())
     }
 }
 
 /// Guards length-prefixed collection reads against hostile counts: a
-/// corrupt frame must fail fast, not allocate gigabytes.
+/// corrupt frame must fail fast, not allocate gigabytes. `min_item_bytes`
+/// is the shortest encoding of one item, so what a count may claim is
+/// bounded by the bytes left to hold it.
 fn checked_len(
     n: u32,
     remaining: usize,
@@ -285,9 +312,9 @@ fn checked_len(
 ) -> Result<usize, StoreError> {
     let n = n as usize;
     if n.saturating_mul(min_item_bytes) > remaining {
-        return Err(StoreError::Corrupt {
-            message: format!("snapshot claims {n} {what}, more than the payload can hold"),
-        });
+        return Err(corrupt(format!(
+            "snapshot claims {n} {what}, more than the payload can hold"
+        )));
     }
     Ok(n)
 }
@@ -408,11 +435,7 @@ pub fn decode_snapshot(data: &[u8]) -> Result<MatcherSnapshot, StoreError> {
         2 => false,
         3 => true,
         kind @ (0 | 1) => return Err(StoreError::RetiredSnapshot { kind }),
-        kind => {
-            return Err(StoreError::Corrupt {
-                message: format!("unknown snapshot kind {kind}"),
-            })
-        }
+        kind => return Err(corrupt(format!("unknown snapshot kind {kind}"))),
     };
     let watermark = d.get_opt_ts()?;
     let last_ts = d.get_opt_ts()?;
@@ -420,7 +443,9 @@ pub fn decode_snapshot(data: &[u8]) -> Result<MatcherSnapshot, StoreError> {
     let ties = d.get_u64()?;
     let emitted = d.get_u64()?;
     d.get_bool()?; // routed through the index
-    let n = checked_len(d.get_u32()?, d.remaining(), 4, "bank patterns")?;
+                   // A pattern is at least a name, a role, a matcher tag, an id count
+                   // and four counters: 4 + 1 + 1 + 4 + 32 bytes.
+    let n = checked_len(d.get_u32()?, d.remaining(), 42, "bank patterns")?;
     let mut patterns = Vec::with_capacity(n);
     let mut roles = Vec::with_capacity(n);
     for _ in 0..n {
@@ -435,9 +460,9 @@ pub fn decode_snapshot(data: &[u8]) -> Result<MatcherSnapshot, StoreError> {
                 3 => {
                     let key = d.get_u32()?;
                     if key > u32::from(u16::MAX) {
-                        return Err(StoreError::Corrupt {
-                            message: format!("partition key attribute {key} out of range"),
-                        });
+                        return Err(corrupt(format!(
+                            "partition key attribute {key} out of range"
+                        )));
                     }
                     BankRole::Lane {
                         key: AttrId(key as u16),
@@ -445,20 +470,12 @@ pub fn decode_snapshot(data: &[u8]) -> Result<MatcherSnapshot, StoreError> {
                         of: d.get_u32()?,
                     }
                 }
-                tag => {
-                    return Err(StoreError::Corrupt {
-                        message: format!("unknown bank pattern role {tag}"),
-                    })
-                }
+                tag => return Err(corrupt(format!("unknown bank pattern role {tag}"))),
             };
             let matcher = match d.get_u8()? {
                 0 => None,
                 1 => Some(decode_stream(&mut d)?),
-                tag => {
-                    return Err(StoreError::Corrupt {
-                        message: format!("invalid option tag {tag}"),
-                    })
-                }
+                tag => return Err(corrupt(format!("invalid option tag {tag}"))),
             };
             (role, matcher)
         } else {
@@ -511,7 +528,8 @@ fn decode_stream(d: &mut Decoder<'_>) -> Result<StreamSnapshot, StoreError> {
     let mut events = Vec::with_capacity(n_events);
     for _ in 0..n_events {
         let ts = Timestamp::new(d.get_i64()?);
-        let n_values = d.get_u16()? as usize;
+        // The shortest value is a tag and a bool.
+        let n_values = checked_len(u32::from(d.get_u16()?), d.remaining(), 2, "values")?;
         let mut values = Vec::with_capacity(n_values);
         for _ in 0..n_values {
             values.push(d.get_value()?);
@@ -563,9 +581,7 @@ fn decode_binding_ts(d: &mut Decoder<'_>) -> Result<(VarId, EventId, Timestamp),
 fn decode_binding(d: &mut Decoder<'_>) -> Result<(VarId, EventId), StoreError> {
     let var = d.get_u32()?;
     if var > u32::from(u16::MAX) {
-        return Err(StoreError::Corrupt {
-            message: format!("variable id {var} out of range"),
-        });
+        return Err(corrupt(format!("variable id {var} out of range")));
     }
     let event = EventId(d.get_u32()?);
     Ok((VarId(var as u16), event))
@@ -842,6 +858,7 @@ mod tests {
     #[test]
     fn fnv1a_reference_vectors() {
         assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
+        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
     }
 }

@@ -23,23 +23,20 @@ use ses_event::{AttrType, Relation, Schema, Timestamp, Value};
 
 use crate::StoreError;
 
-/// Writes a relation as CSV.
-pub fn write_csv<W: Write>(relation: &Relation, mut out: W) -> Result<(), StoreError> {
-    let schema = relation.schema();
+/// The typed header of `schema`, `name:TYPE,…,T` — what [`parse_header`]
+/// reads back, in a CSV file and in an event-log segment alike.
+pub(crate) fn render_header(schema: &Schema) -> String {
     let mut header = String::new();
-    for (i, attr) in schema.attrs().iter().enumerate() {
-        if i > 0 {
-            header.push(',');
-        }
-        header.push_str(&attr.name);
-        header.push(':');
-        header.push_str(&attr.ty.to_string());
-    }
-    if !schema.is_empty() {
-        header.push(',');
+    for attr in schema.attrs() {
+        header.push_str(&format!("{}:{},", attr.name, attr.ty));
     }
     header.push('T');
-    writeln!(out, "{header}")?;
+    header
+}
+
+/// Writes a relation as CSV.
+pub fn write_csv<W: Write>(relation: &Relation, mut out: W) -> Result<(), StoreError> {
+    writeln!(out, "{}", render_header(relation.schema()))?;
 
     for (_, event) in relation.iter() {
         let mut row = String::new();

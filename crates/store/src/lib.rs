@@ -15,9 +15,14 @@
 //!   with torn-tail recovery and time-range pruning, for workloads that
 //!   outgrow CSV;
 //! * [`CheckpointStore`] + [`MatchLog`] — the durability subsystem's
-//!   files: atomic, checksummed matcher checkpoints (serialized with
-//!   the [`codec`] module's versioned binary format) and a
-//!   crash-tolerant match sink;
+//!   files: atomic, checksummed matcher checkpoints and a crash-tolerant
+//!   match sink;
+//! * [`codec`] — the one byte dialect all binary files above are written
+//!   in: its `Encoder` / `Decoder` frame the log's records and the
+//!   checkpoints' headers and serialize the snapshot payload;
+//! * [`replace_file`] — the atomic whole-file rewrite (temp file, fsync,
+//!   rename, directory fsync) checkpoints and the server's subscription
+//!   registry are saved with;
 //! * [`DurableBank`] — the exactly-once recovery protocol over those
 //!   files and [`EventLog`] replay, written once: what is synced before
 //!   a checkpoint, where a restart's replay begins, how many
@@ -33,6 +38,7 @@ pub mod codec;
 mod csv;
 mod durable;
 mod error;
+mod files;
 mod log;
 mod store;
 
@@ -41,5 +47,6 @@ pub use codec::{decode_snapshot, encode_snapshot};
 pub use csv::{parse_header, read_csv, write_csv};
 pub use durable::{Checkpoints, DurableBank, MatchSinks, Recovery};
 pub use error::StoreError;
+pub use files::replace_file;
 pub use log::{EventLog, LogConfig};
 pub use store::{EventStore, StoreStats};

@@ -20,15 +20,15 @@
 //! ```text
 //! u32 payload_len | u64 fnv1a(payload) | payload
 //! payload := i64 ts | value*       one tagged value per schema attribute
-//! value   := 0u8 i64               INT
-//!          | 1u8 f64               FLOAT
-//!          | 2u8 u32 utf8-bytes    STR
-//!          | 3u8 u8                BOOL
 //! ```
 //!
-//! All integers are little-endian. A partially written or corrupt tail
-//! record (crash mid-append) is detected by length/checksum and truncated
-//! away when the log is reopened; everything before it is intact.
+//! in the byte dialect of [`crate::codec`] (little-endian integers, its
+//! `value` tags), written with its `Encoder` and read with its `Decoder`;
+//! each value's tag must be that of its attribute's type. A record is
+//! decoded once, whether `open` is counting it or a scan is collecting
+//! it. A partially written or corrupt tail record (crash mid-append) is
+//! detected by length/checksum and truncated away when the log is
+//! reopened; everything before it is intact.
 //!
 //! ```
 //! use ses_event::{AttrType, Schema, Timestamp, Value};
@@ -51,15 +51,14 @@
 //! ```
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use ses_event::{Relation, Schema, Timestamp, Value};
 
-use ses_event::{AttrType, Relation, Schema, Timestamp, Value};
-
-use crate::codec::fnv1a;
-use crate::csv::parse_header;
+use crate::codec::{corrupt, fnv1a, Decoder, Encoder};
+use crate::csv::{parse_header, render_header};
+use crate::files::sync_parent;
 use crate::StoreError;
 
 const MAGIC: &[u8; 8] = b"SESLOG1\n";
@@ -89,6 +88,25 @@ struct SegmentMeta {
     bytes: u64,
 }
 
+impl SegmentMeta {
+    fn new(path: PathBuf, bytes: u64) -> SegmentMeta {
+        SegmentMeta {
+            path,
+            min_ts: None,
+            max_ts: None,
+            events: 0,
+            bytes,
+        }
+    }
+
+    /// Counts one record at `ts`.
+    fn count(&mut self, ts: Timestamp) {
+        self.events += 1;
+        self.min_ts = Some(self.min_ts.map_or(ts, |m| m.min(ts)));
+        self.max_ts = Some(self.max_ts.map_or(ts, |m| m.max(ts)));
+    }
+}
+
 /// An append-only, segmented, checksummed event log.
 #[derive(Debug)]
 pub struct EventLog {
@@ -98,7 +116,8 @@ pub struct EventLog {
     segments: Vec<SegmentMeta>,
     active: File,
     last_ts: Option<Timestamp>,
-    header_bytes: Vec<u8>,
+    /// What every segment starts with: magic and schema header.
+    preamble: Vec<u8>,
 }
 
 impl EventLog {
@@ -116,15 +135,14 @@ impl EventLog {
                 message: format!("log directory {} is not empty", dir.display()),
             });
         }
-        let header_bytes = header_bytes(&schema);
         let mut log = EventLog {
+            preamble: preamble(&schema),
             dir,
             schema,
             config,
             segments: Vec::new(),
             active: File::create("/dev/null")?, // replaced by rotate below
             last_ts: None,
-            header_bytes,
         };
         log.rotate()?;
         Ok(log)
@@ -167,22 +185,34 @@ impl EventLog {
 
         let mut schema: Option<Schema> = None;
         let mut segments = Vec::with_capacity(paths.len());
-        let mut last_ts = None;
         for (i, path) in paths.iter().enumerate() {
-            let is_last = i == paths.len() - 1;
-            let (seg_schema, meta, seg_last) = read_segment_meta(path, is_last)?;
+            let mut meta = SegmentMeta::new(path.clone(), 0);
+            let read = read_segment(path, |ts, _| {
+                meta.count(ts);
+                Ok(())
+            })?;
+            match read.torn {
+                // Truncate the torn tail of the segment about to be
+                // appended to; everything before it is intact.
+                Some(_) if i == paths.len() - 1 => {
+                    OpenOptions::new()
+                        .write(true)
+                        .open(path)?
+                        .set_len(read.intact)?;
+                }
+                Some(e) => return Err(e),
+                None => {}
+            }
+            meta.bytes = read.intact;
             match &schema {
-                None => schema = Some(seg_schema),
-                Some(s) if s.is_compatible(&seg_schema) => {}
+                None => schema = Some(read.schema),
+                Some(s) if s.is_compatible(&read.schema) => {}
                 Some(s) => {
                     return Err(StoreError::SchemaMismatch {
                         expected: s.to_string(),
-                        found: seg_schema.to_string(),
+                        found: read.schema.to_string(),
                     })
                 }
-            }
-            if seg_last.is_some() {
-                last_ts = seg_last;
             }
             segments.push(meta);
         }
@@ -190,13 +220,15 @@ impl EventLog {
         let active_path = segments.last().expect("non-empty").path.clone();
         let active = OpenOptions::new().append(true).open(&active_path)?;
         Ok(EventLog {
-            header_bytes: header_bytes(&schema),
+            preamble: preamble(&schema),
+            // Appends are non-decreasing, so the newest record holds the
+            // largest timestamp.
+            last_ts: segments.iter().rev().find_map(|s| s.max_ts),
             dir,
             schema,
             config,
             segments,
             active,
-            last_ts,
         })
     }
 
@@ -237,18 +269,12 @@ impl EventLog {
             }
         }
 
-        let payload = encode_payload(ts, &values);
-        let mut frame = BytesMut::with_capacity(payload.len() + 12);
-        frame.put_u32_le(payload.len() as u32);
-        frame.put_u64_le(fnv1a(&payload));
-        frame.put_slice(&payload);
-        self.active.write_all(&frame)?;
+        let record = encode_record(ts, &values);
+        self.active.write_all(&record)?;
 
         let meta = self.segments.last_mut().expect("active segment exists");
-        meta.bytes += frame.len() as u64;
-        meta.events += 1;
-        meta.min_ts = Some(meta.min_ts.map_or(ts, |m| m.min(ts)));
-        meta.max_ts = Some(meta.max_ts.map_or(ts, |m| m.max(ts)));
+        meta.bytes += record.len() as u64;
+        meta.count(ts);
         self.last_ts = Some(ts);
 
         if meta.bytes >= self.config.max_segment_bytes {
@@ -257,8 +283,9 @@ impl EventLog {
         Ok(())
     }
 
-    /// Flushes buffered appends to the OS (call before relying on
-    /// durability).
+    /// Forces appended records to stable storage (call before relying
+    /// on durability). Each segment's preamble and directory entry were
+    /// made durable when it was created.
     pub fn sync(&mut self) -> Result<(), StoreError> {
         self.active.sync_data()?;
         Ok(())
@@ -286,187 +313,149 @@ impl EventLog {
             if max < lo || min > hi {
                 continue; // pruned
             }
-            read_segment_events(&seg.path, &self.schema, |ts, values| {
+            let read = read_segment(&seg.path, |ts, values| {
                 if ts >= lo && ts <= hi {
-                    relation
-                        .push_values(ts, values)
-                        .map_err(StoreError::Event)?;
+                    relation.push_values(ts, values)?;
                 }
                 Ok(())
             })?;
+            if let Some(e) = read.torn {
+                return Err(e);
+            }
         }
         Ok(relation)
     }
 
-    /// Starts a fresh segment.
+    /// Starts a fresh segment, its preamble and its directory entry
+    /// durable before any record goes in.
     fn rotate(&mut self) -> Result<(), StoreError> {
         let path = self
             .dir
             .join(format!("seg-{:05}.seslog", self.segments.len()));
         let mut file = File::create(&path)?;
-        file.write_all(MAGIC)?;
-        file.write_all(&self.header_bytes)?;
-        let bytes = (MAGIC.len() + self.header_bytes.len()) as u64;
+        file.write_all(&self.preamble)?;
+        file.sync_all()?;
+        sync_parent(&path)?;
         self.active = file;
-        self.segments.push(SegmentMeta {
-            path,
-            min_ts: None,
-            max_ts: None,
-            events: 0,
-            bytes,
-        });
+        self.segments
+            .push(SegmentMeta::new(path, self.preamble.len() as u64));
         Ok(())
     }
 }
 
-/// `u16 len | header-text` for the schema.
-fn header_bytes(schema: &Schema) -> Vec<u8> {
-    let mut header = String::new();
-    for attr in schema.attrs() {
-        header.push_str(&attr.name);
-        header.push(':');
-        header.push_str(&attr.ty.to_string());
-        header.push(',');
-    }
-    header.push('T');
-    let mut out = Vec::with_capacity(header.len() + 2);
-    out.extend_from_slice(&(header.len() as u16).to_le_bytes());
-    out.extend_from_slice(header.as_bytes());
-    out
+/// `magic | u16 len | header text` for the schema.
+fn preamble(schema: &Schema) -> Vec<u8> {
+    let header = render_header(schema);
+    let mut e = Encoder::new();
+    e.put_bytes(MAGIC);
+    e.put_u16(header.len() as u16);
+    e.put_bytes(header.as_bytes());
+    e.into_bytes()
 }
 
-fn encode_payload(ts: Timestamp, values: &[Value]) -> Bytes {
-    let mut b = BytesMut::new();
-    b.put_i64_le(ts.ticks());
+/// `u32 len | u64 fnv1a | payload` for one event.
+fn encode_record(ts: Timestamp, values: &[Value]) -> Vec<u8> {
+    let mut payload = Encoder::new();
+    payload.put_i64(ts.ticks());
     for v in values {
-        match v {
-            Value::Int(i) => {
-                b.put_u8(0);
-                b.put_i64_le(*i);
-            }
-            Value::Float(f) => {
-                b.put_u8(1);
-                b.put_f64_le(*f);
-            }
-            Value::Str(s) => {
-                b.put_u8(2);
-                b.put_u32_le(s.len() as u32);
-                b.put_slice(s.as_bytes());
-            }
-            Value::Bool(x) => {
-                b.put_u8(3);
-                b.put_u8(u8::from(*x));
-            }
-        }
+        payload.put_value(v);
     }
-    b.freeze()
+    let payload = payload.into_bytes();
+    let mut record = Encoder::with_capacity(12 + payload.len());
+    record.put_u32(payload.len() as u32);
+    record.put_u64(fnv1a(&payload));
+    record.put_bytes(&payload);
+    record.into_bytes()
 }
 
-fn decode_payload(mut buf: &[u8], schema: &Schema) -> Result<(Timestamp, Vec<Value>), String> {
-    if buf.remaining() < 8 {
-        return Err("payload too short for timestamp".into());
+/// Decodes the record at `d`'s position: its frame, its checksum, then
+/// its payload against `schema`.
+fn decode_record(
+    d: &mut Decoder<'_>,
+    schema: &Schema,
+) -> Result<(Timestamp, Vec<Value>), StoreError> {
+    let len = d.get_u32()? as usize;
+    let checksum = d.get_u64()?;
+    let payload = d.get_bytes(len)?;
+    if fnv1a(payload) != checksum {
+        return Err(corrupt("checksum mismatch".into()));
     }
-    let ts = Timestamp::new(buf.get_i64_le());
-    let mut values = Vec::with_capacity(schema.len());
-    for attr in schema.attrs() {
-        if buf.remaining() < 1 {
-            return Err("payload truncated at value tag".into());
-        }
-        let tag = buf.get_u8();
-        let value = match (tag, attr.ty) {
-            (0, AttrType::Int) => {
-                if buf.remaining() < 8 {
-                    return Err("truncated INT".into());
-                }
-                Value::Int(buf.get_i64_le())
-            }
-            (1, AttrType::Float) => {
-                if buf.remaining() < 8 {
-                    return Err("truncated FLOAT".into());
-                }
-                Value::Float(buf.get_f64_le())
-            }
-            (2, AttrType::Str) => {
-                if buf.remaining() < 4 {
-                    return Err("truncated STR length".into());
-                }
-                let len = buf.get_u32_le() as usize;
-                if buf.remaining() < len {
-                    return Err("truncated STR bytes".into());
-                }
-                let s = std::str::from_utf8(&buf[..len]).map_err(|_| "invalid utf8")?;
-                let v = Value::str(s);
-                buf.advance(len);
-                v
-            }
-            (3, AttrType::Bool) => {
-                if buf.remaining() < 1 {
-                    return Err("truncated BOOL".into());
-                }
-                Value::Bool(buf.get_u8() != 0)
-            }
-            (tag, ty) => return Err(format!("value tag {tag} does not match {ty}")),
-        };
-        values.push(value);
-    }
-    if buf.has_remaining() {
-        return Err("trailing bytes in payload".into());
-    }
+    let mut p = Decoder::new(payload);
+    let ts = Timestamp::new(p.get_i64()?);
+    let values = schema
+        .attrs()
+        .iter()
+        .map(|attr| p.get_value_of(attr.ty))
+        .collect::<Result<Vec<_>, _>>()?;
+    p.finish()?;
     Ok((ts, values))
 }
 
-/// Reads a segment's schema and metadata; when `recover` is set, a torn
-/// or corrupt tail is truncated away (the segment is about to be appended
-/// to).
-fn read_segment_meta(
+/// A segment file, read through.
+struct SegmentRead {
+    schema: Schema,
+    /// Bytes up to the end of the last intact record.
+    intact: u64,
+    /// Why the records stopped before the end of the file, if they did.
+    torn: Option<StoreError>,
+}
+
+/// Reads the segment at `path`, decoding each record once and handing it
+/// to `sink`, up to the end of the file or the first record that fails
+/// its frame, checksum or schema.
+fn read_segment(
     path: &Path,
-    recover: bool,
-) -> Result<(Schema, SegmentMeta, Option<Timestamp>), StoreError> {
-    let mut file = File::open(path)?;
-    let mut data = Vec::new();
-    file.read_to_end(&mut data)?;
-    drop(file);
-
-    let (schema, body_start) = parse_segment_header(path, &data)?;
-
-    let mut meta = SegmentMeta {
-        path: path.to_path_buf(),
-        min_ts: None,
-        max_ts: None,
-        events: 0,
-        bytes: data.len() as u64,
-    };
-    let mut last_ts = None;
-    let mut offset = body_start;
-    loop {
-        match next_record(&data, offset, &schema) {
-            RecordOutcome::Record { ts, next } => {
-                meta.min_ts = Some(meta.min_ts.map_or(ts, |m: Timestamp| m.min(ts)));
-                meta.max_ts = Some(meta.max_ts.map_or(ts, |m: Timestamp| m.max(ts)));
-                meta.events += 1;
-                last_ts = Some(ts);
-                offset = next;
-            }
-            RecordOutcome::End => break,
-            RecordOutcome::Corrupt(reason) => {
-                if recover {
-                    // Truncate the torn tail; everything before is intact.
-                    let f = OpenOptions::new().write(true).open(path)?;
-                    f.set_len(offset as u64)?;
-                    meta.bytes = offset as u64;
-                    break;
-                }
-                return Err(StoreError::Parse {
+    mut sink: impl FnMut(Timestamp, Vec<Value>) -> Result<(), StoreError>,
+) -> Result<SegmentRead, StoreError> {
+    let data = std::fs::read(path)?;
+    let mut d = Decoder::new(&data);
+    let schema = read_preamble(path, &mut d)?;
+    while d.remaining() > 0 {
+        let offset = data.len() - d.remaining();
+        match decode_record(&mut d, &schema) {
+            Ok((ts, values)) => sink(ts, values)?,
+            Err(e) => {
+                let reason = match e {
+                    StoreError::Corrupt { message } => message,
+                    e => e.to_string(),
+                };
+                let torn = StoreError::Parse {
                     line: 0,
                     message: format!(
                         "corrupt record in {} at offset {offset}: {reason}",
                         path.display()
                     ),
+                };
+                return Ok(SegmentRead {
+                    schema,
+                    intact: offset as u64,
+                    torn: Some(torn),
                 });
             }
         }
     }
-    Ok((schema, meta, last_ts))
+    Ok(SegmentRead {
+        schema,
+        intact: data.len() as u64,
+        torn: None,
+    })
+}
+
+fn read_preamble(path: &Path, d: &mut Decoder<'_>) -> Result<Schema, StoreError> {
+    let parse = |message: String| StoreError::Parse { line: 0, message };
+    if d.get_bytes(MAGIC.len()).ok() != Some(MAGIC.as_slice()) {
+        return Err(parse(format!(
+            "{} is not a SESLOG1 segment",
+            path.display()
+        )));
+    }
+    let header = d
+        .get_u16()
+        .and_then(|len| d.get_bytes(usize::from(len)))
+        .map_err(|_| parse("truncated segment header".into()))?;
+    let header =
+        std::str::from_utf8(header).map_err(|_| parse("segment header is not UTF-8".into()))?;
+    parse_header(header)
 }
 
 /// `true` iff `data` is a strict prefix of a segment preamble
@@ -474,115 +463,21 @@ fn read_segment_meta(
 /// crash during segment rotation. A complete preamble with zero records
 /// is a valid empty segment, not a torn one.
 fn is_torn_preamble(data: &[u8]) -> bool {
-    if data.len() < MAGIC.len() {
-        return MAGIC.starts_with(data);
-    }
-    if &data[..MAGIC.len()] != MAGIC {
-        return false;
-    }
-    let Some(len_bytes) = data.get(MAGIC.len()..MAGIC.len() + 2) else {
-        return true;
-    };
-    let header_len = u16::from_le_bytes(len_bytes.try_into().expect("2 bytes")) as usize;
-    data.len() < MAGIC.len() + 2 + header_len
-}
-
-fn parse_segment_header(path: &Path, data: &[u8]) -> Result<(Schema, usize), StoreError> {
-    if data.len() < MAGIC.len() + 2 || &data[..MAGIC.len()] != MAGIC {
-        return Err(StoreError::Parse {
-            line: 0,
-            message: format!("{} is not a SESLOG1 segment", path.display()),
-        });
-    }
-    let header_len = u16::from_le_bytes([data[MAGIC.len()], data[MAGIC.len() + 1]]) as usize;
-    let header_start = MAGIC.len() + 2;
-    if data.len() < header_start + header_len {
-        return Err(StoreError::Parse {
-            line: 0,
-            message: "truncated segment header".into(),
-        });
-    }
-    let header =
-        std::str::from_utf8(&data[header_start..header_start + header_len]).map_err(|_| {
-            StoreError::Parse {
-                line: 0,
-                message: "segment header is not UTF-8".into(),
-            }
-        })?;
-    Ok((parse_header(header)?, header_start + header_len))
-}
-
-enum RecordOutcome {
-    Record { ts: Timestamp, next: usize },
-    End,
-    Corrupt(String),
-}
-
-fn next_record(data: &[u8], offset: usize, schema: &Schema) -> RecordOutcome {
-    if offset == data.len() {
-        return RecordOutcome::End;
-    }
-    if data.len() - offset < 12 {
-        return RecordOutcome::Corrupt("truncated frame header".into());
-    }
-    let len = u32::from_le_bytes(data[offset..offset + 4].try_into().expect("4 bytes")) as usize;
-    let checksum = u64::from_le_bytes(data[offset + 4..offset + 12].try_into().expect("8 bytes"));
-    let payload_start = offset + 12;
-    if data.len() - payload_start < len {
-        return RecordOutcome::Corrupt("truncated payload".into());
-    }
-    let payload = &data[payload_start..payload_start + len];
-    if fnv1a(payload) != checksum {
-        return RecordOutcome::Corrupt("checksum mismatch".into());
-    }
-    match decode_payload(payload, schema) {
-        Ok((ts, _)) => RecordOutcome::Record {
-            ts,
-            next: payload_start + len,
+    let mut d = Decoder::new(data);
+    match d.get_bytes(MAGIC.len()) {
+        Err(_) => MAGIC.starts_with(data),
+        Ok(magic) if magic != MAGIC => false,
+        Ok(_) => match d.get_u16() {
+            Ok(len) => d.remaining() < usize::from(len),
+            Err(_) => true,
         },
-        Err(e) => RecordOutcome::Corrupt(e),
-    }
-}
-
-fn read_segment_events(
-    path: &Path,
-    schema: &Schema,
-    mut sink: impl FnMut(Timestamp, Vec<Value>) -> Result<(), StoreError>,
-) -> Result<(), StoreError> {
-    let mut file = File::open(path)?;
-    file.seek(SeekFrom::Start(0))?;
-    let mut data = Vec::new();
-    file.read_to_end(&mut data)?;
-    let (_, body_start) = parse_segment_header(path, &data)?;
-    let mut offset = body_start;
-    loop {
-        match next_record(&data, offset, schema) {
-            RecordOutcome::Record { next, .. } => {
-                let len = u32::from_le_bytes(data[offset..offset + 4].try_into().expect("4 bytes"))
-                    as usize;
-                let payload = &data[offset + 12..offset + 12 + len];
-                let (ts, values) = decode_payload(payload, schema)
-                    .map_err(|message| StoreError::Parse { line: 0, message })?;
-                sink(ts, values)?;
-                offset = next;
-            }
-            RecordOutcome::End => return Ok(()),
-            RecordOutcome::Corrupt(reason) => {
-                return Err(StoreError::Parse {
-                    line: 0,
-                    message: format!(
-                        "corrupt record in {} at offset {offset}: {reason}",
-                        path.display()
-                    ),
-                })
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ses_event::AttrType;
 
     fn schema() -> Schema {
         Schema::builder()
@@ -871,67 +766,5 @@ mod tests {
         let rel = log.scan().unwrap();
         assert_eq!(rel.events()[0].values()[0], Value::str(nasty));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    mod proptests {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(24))]
-
-            /// Crash-consistency: truncating the segment at ANY byte
-            /// length and reopening recovers a clean prefix of the
-            /// appended events — never garbage, never an error.
-            #[test]
-            fn arbitrary_truncation_recovers_a_prefix(
-                n_events in 1usize..12,
-                cut_fraction in 0.0f64..1.0,
-            ) {
-                let dir = std::env::temp_dir().join(format!(
-                    "ses-log-prop-{}-{:?}",
-                    std::process::id(),
-                    std::thread::current().id()
-                ));
-                std::fs::remove_dir_all(&dir).ok();
-
-                let expected: Vec<Vec<Value>> = (0..n_events as i64).map(row).collect();
-                {
-                    let mut log =
-                        EventLog::create(&dir, schema(), LogConfig::default()).unwrap();
-                    for (i, values) in expected.iter().enumerate() {
-                        log.append(Timestamp::new(i as i64), values.clone()).unwrap();
-                    }
-                    log.sync().unwrap();
-                }
-                let seg = dir.join("seg-00000.seslog");
-                let full = std::fs::metadata(&seg).unwrap().len();
-                let header = (MAGIC.len() + 2 + header_bytes(&schema()).len() - 2) as u64;
-                let cut = header + ((full - header) as f64 * cut_fraction) as u64;
-                OpenOptions::new()
-                    .write(true)
-                    .open(&seg)
-                    .unwrap()
-                    .set_len(cut)
-                    .unwrap();
-
-                let log = EventLog::open(&dir, LogConfig::default()).unwrap();
-                let rel = log.scan().unwrap();
-                prop_assert!(rel.len() <= n_events);
-                for (i, e) in rel.events().iter().enumerate() {
-                    prop_assert_eq!(e.ts(), Timestamp::new(i as i64));
-                    prop_assert_eq!(e.values(), expected[i].as_slice());
-                }
-                std::fs::remove_dir_all(&dir).ok();
-            }
-        }
-    }
-
-    #[test]
-    fn fnv1a_reference_vectors() {
-        // Known FNV-1a 64-bit test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
     }
 }
