@@ -2206,6 +2206,17 @@ mod tests {
         std::fs::remove_file(&data).ok();
     }
 
+    /// The whole Figure-6-style trace of Q1 over Figure 1, byte for byte:
+    /// every step's |Ω|, the order of Ω and every buffer.
+    #[test]
+    fn explain_trace_of_q1_is_golden() {
+        let data = figure1_csv();
+        let (code, out) = run(&["explain", "--query", Q1, "--data", &data, "--trace"]);
+        std::fs::remove_file(&data).ok();
+        assert_eq!(code, 0, "{out}");
+        assert_eq!(out, include_str!("golden/explain_trace_q1.txt"));
+    }
+
     #[test]
     fn generate_then_stats_round_trip() {
         let dir = std::env::temp_dir().join("ses-cli-test");
