@@ -36,7 +36,9 @@
 //!   cannot flip a verdict). Candidates sort by (start asc, end desc)
 //!   within a group — `Match`'s canonical order — so every potential
 //!   killer is indexed before its victims are queried, making the
-//!   single sweep over the sorted group exact.
+//!   single sweep over the sorted group exact. A group of one builds no
+//!   index: with no other candidate, condition 5 and the prefix test are
+//!   vacuous, and the swap test ([`survives_swaps`]) needs none.
 //! * [`SurvivorStore`] — the accumulated Definition-2 survivors that act
 //!   as cross-group Maximal killers. Groups arrive in ascending `minT`
 //!   order, so pruning is a head-offset advance (keeping
@@ -301,7 +303,8 @@ pub(crate) struct GroupIndex<'g> {
 }
 
 impl<'g> GroupIndex<'g> {
-    /// Indexes a non-empty group. Candidates must be in sorted canonical
+    /// Indexes a group of two or more candidates — a lone one is judged
+    /// by [`survives_swaps`] alone. Candidates must be in sorted canonical
     /// order without duplicates (`adjudicate_group` requires it of its
     /// callers).
     pub(crate) fn build(
@@ -316,7 +319,7 @@ impl<'g> GroupIndex<'g> {
         let mut prefix: IdMap<(VarId, EventId, u64), Vec<u32>> = IdMap::default();
         for (i, m) in group.iter().enumerate() {
             let b = m.bindings();
-            let mts: Vec<Timestamp> = b.iter().map(|&(_, e)| relation.event(e).ts()).collect();
+            let mts = binding_timestamps(m, relation);
             let mut ph = Vec::with_capacity(b.len() + 1);
             ph.push(FNV_OFFSET);
             for &(v, e) in b {
@@ -354,8 +357,8 @@ impl<'g> GroupIndex<'g> {
     }
 
     /// Condition 4 for candidate `i`: no variable could have bound a
-    /// strictly earlier in-extent event via a valid swap or an
-    /// agreeing-prefix candidate. Exact equivalent of the reference's
+    /// strictly earlier in-extent event via an agreeing-prefix candidate
+    /// or a valid swap. Exact equivalent of the reference's
     /// `survives_condition_4` for candidates satisfying conditions 1–3
     /// (which engine-produced raw matches do by construction).
     pub(crate) fn survives_condition_4(
@@ -365,30 +368,23 @@ impl<'g> GroupIndex<'g> {
         pattern: &CompiledPattern,
         viable: &ViableIndex,
     ) -> bool {
-        let m = &self.group[i];
-        let b = m.bindings();
+        self.survives_prefix_test(i)
+            && survives_swaps(&self.group[i], &self.ts[i], relation, pattern, viable)
+    }
+
+    /// The prefix test: for no binding `var/e` of candidate `i` does
+    /// another candidate bind `var` to an event strictly inside
+    /// `(minT, e.T)` that `i` leaves unbound, with exactly `i`'s bindings
+    /// before it.
+    fn survives_prefix_test(&self, i: usize) -> bool {
+        let b = self.group[i].bindings();
         let ts = &self.ts[i];
         let ph = &self.phash[i];
-
-        // Per-set temporal extent of m, for the condition-2 bounds of
-        // swap alternatives.
-        let nsets = pattern.pattern().num_sets();
-        let mut set_min: Vec<Option<Timestamp>> = vec![None; nsets];
-        let mut set_max: Vec<Option<Timestamp>> = vec![None; nsets];
-        for (j, &(v, _)) in b.iter().enumerate() {
-            let s = viable.set_of(v);
-            set_min[s] = Some(set_min[s].map_or(ts[j], |t: Timestamp| t.min(ts[j])));
-            set_max[s] = Some(set_max[s].map_or(ts[j], |t: Timestamp| t.max(ts[j])));
-        }
-
         for (j, &(var, _)) in b.iter().enumerate() {
             let bound_ts = ts[j];
             if bound_ts <= self.min_ts {
                 continue; // no room strictly inside (minT, e.T)
             }
-
-            // Prefix test: alternatives are events other candidates bind
-            // to `var`, strictly inside (minT, e.T).
             let alts = &self.var_alts[var.index()];
             let lo = alts.partition_point(|&(_, t)| t <= self.min_ts);
             let hi = alts.partition_point(|&(_, t)| t < bound_ts);
@@ -407,66 +403,6 @@ impl<'g> GroupIndex<'g> {
                     }
                 }
             }
-
-            // Swap test: alternatives are viable events for `var` in the
-            // interval condition 2 allows; the remaining validity of the
-            // swapped substitution reduces to `var`'s binary conditions
-            // against m's other bindings (see docs/adjudication.md for
-            // why conditions 2–3 collapse to the interval).
-            let si = viable.set_of(var);
-            let mut lo_ts = self.min_ts;
-            if si > 0 {
-                if let Some(t) = set_max[si - 1] {
-                    lo_ts = lo_ts.max(t);
-                }
-            }
-            let mut hi_ts = bound_ts;
-            if si + 1 < nsets {
-                if let Some(t) = set_min[si + 1] {
-                    hi_ts = hi_ts.min(t);
-                }
-            }
-            for &(alt, _) in viable.viable_between(var, lo_ts, hi_ts) {
-                if binds_event(b, alt) {
-                    continue;
-                }
-                if self.swap_binary_ok(m, var, alt, relation, pattern, viable) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// The binary-condition part of swap validity: `alt` (replacing one
-    /// of `var`'s bindings) must satisfy every binary condition
-    /// involving `var` against all of m's bindings of the partner
-    /// variable. Unary conditions are pre-filtered by [`ViableIndex`];
-    /// conditions not involving `var` are untouched by the swap.
-    fn swap_binary_ok(
-        &self,
-        m: &Match,
-        var: VarId,
-        alt: EventId,
-        relation: &Relation,
-        pattern: &CompiledPattern,
-        viable: &ViableIndex,
-    ) -> bool {
-        let ae = relation.event(alt);
-        let conds = pattern.conditions();
-        for &(ci, partner, lhs_is_var) in viable.binary_of(var) {
-            let c = &conds[ci];
-            for e in m.events_of(partner) {
-                let pe = relation.event(e);
-                let ok = if lhs_is_var {
-                    c.eval_vars(ae, pe)
-                } else {
-                    c.eval_vars(pe, ae)
-                };
-                if !ok {
-                    return false;
-                }
-            }
         }
         true
     }
@@ -477,9 +413,6 @@ impl<'g> GroupIndex<'g> {
     /// the least frequent binding bounds the search.
     pub(crate) fn survives_condition_5(&self, i: usize) -> bool {
         let m = &self.group[i];
-        if self.group.len() == 1 {
-            return true;
-        }
         let list = m
             .bindings()
             .iter()
@@ -493,6 +426,99 @@ impl<'g> GroupIndex<'g> {
     }
 }
 
+/// The timestamps of `m`'s bindings, in canonical order.
+pub(crate) fn binding_timestamps(m: &Match, relation: &Relation) -> Vec<Timestamp> {
+    m.events().map(|e| relation.event(e).ts()).collect()
+}
+
+/// The condition-4 swap test for candidate `m`, whose bindings' timestamps
+/// are `ts`: for no binding `var/e` is there a viable event for `var`
+/// strictly earlier than `e`, inside the interval condition 2 allows and
+/// unbound by `m`, that satisfies `var`'s binary conditions against `m`'s
+/// other bindings (see docs/adjudication.md for why conditions 2–3
+/// collapse to the interval). Needs no other candidate, so a group of one
+/// runs it alone.
+pub(crate) fn survives_swaps(
+    m: &Match,
+    ts: &[Timestamp],
+    relation: &Relation,
+    pattern: &CompiledPattern,
+    viable: &ViableIndex,
+) -> bool {
+    let b = m.bindings();
+    let min_ts = ts[0];
+    // Per-set temporal extent of m, for the condition-2 bounds of swap
+    // alternatives.
+    let nsets = pattern.pattern().num_sets();
+    let mut set_min: Vec<Option<Timestamp>> = vec![None; nsets];
+    let mut set_max: Vec<Option<Timestamp>> = vec![None; nsets];
+    for (j, &(v, _)) in b.iter().enumerate() {
+        let s = viable.set_of(v);
+        set_min[s] = Some(set_min[s].map_or(ts[j], |t: Timestamp| t.min(ts[j])));
+        set_max[s] = Some(set_max[s].map_or(ts[j], |t: Timestamp| t.max(ts[j])));
+    }
+    for (j, &(var, _)) in b.iter().enumerate() {
+        let bound_ts = ts[j];
+        if bound_ts <= min_ts {
+            continue; // no room strictly inside (minT, e.T)
+        }
+        let si = viable.set_of(var);
+        let mut lo_ts = min_ts;
+        if si > 0 {
+            if let Some(t) = set_max[si - 1] {
+                lo_ts = lo_ts.max(t);
+            }
+        }
+        let mut hi_ts = bound_ts;
+        if si + 1 < nsets {
+            if let Some(t) = set_min[si + 1] {
+                hi_ts = hi_ts.min(t);
+            }
+        }
+        for &(alt, _) in viable.viable_between(var, lo_ts, hi_ts) {
+            if binds_event(b, alt) {
+                continue;
+            }
+            if swap_binary_ok(m, var, alt, relation, pattern, viable) {
+                return false;
+            }
+        }
+    }
+    true
+}
+
+/// The binary-condition part of swap validity: `alt` (replacing one of
+/// `var`'s bindings) must satisfy every binary condition involving `var`
+/// against all of m's bindings of the partner variable. Unary conditions
+/// are pre-filtered by [`ViableIndex`]; conditions not involving `var` are
+/// untouched by the swap.
+fn swap_binary_ok(
+    m: &Match,
+    var: VarId,
+    alt: EventId,
+    relation: &Relation,
+    pattern: &CompiledPattern,
+    viable: &ViableIndex,
+) -> bool {
+    let ae = relation.event(alt);
+    let conds = pattern.conditions();
+    for &(ci, partner, lhs_is_var) in viable.binary_of(var) {
+        let c = &conds[ci];
+        for e in m.events_of(partner) {
+            let pe = relation.event(e);
+            let ok = if lhs_is_var {
+                c.eval_vars(ae, pe)
+            } else {
+                c.eval_vars(pe, ae)
+            };
+            if !ok {
+                return false;
+            }
+        }
+    }
+    true
+}
+
 /// Accumulated Definition-2 survivors — the cross-group Maximal killer
 /// set — with posting lists for indexed kill queries and a head offset
 /// so pruning never reindexes.
@@ -504,8 +530,21 @@ impl<'g> GroupIndex<'g> {
 #[derive(Debug, Default)]
 pub(crate) struct SurvivorStore {
     items: Vec<(Timestamp, Match)>,
+    /// Per item: its [`signature`] and length. Derived from `items` and
+    /// never snapshotted; compaction and restore recompute them.
+    shapes: Vec<(u64, usize)>,
     head: usize,
     postings: IdMap<(VarId, EventId), Vec<u32>>,
+}
+
+/// A one-word Bloom signature of `m`'s bindings: one bit per binding. A
+/// subset's bits are a subset of its superset's, so a bit of `m` that `o`
+/// lacks refutes `m ⊊ o` without a walk over either.
+fn signature(m: &Match) -> u64 {
+    m.bindings().iter().fold(0, |sig, &(var, event)| {
+        let h = (u64::from(event.0) << 16 | u64::from(var.0)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        sig | 1 << (h >> 58)
+    })
 }
 
 impl SurvivorStore {
@@ -521,6 +560,7 @@ impl SurvivorStore {
         for &bind in m.bindings() {
             self.postings.entry(bind).or_default().push(idx);
         }
+        self.shapes.push((signature(&m), m.len()));
         self.items.push((min_ts, m));
     }
 
@@ -530,13 +570,7 @@ impl SurvivorStore {
         self.head += self.items[self.head..].partition_point(|&(t, _)| t < cutoff);
         if self.head > 1024 && self.head * 2 >= self.items.len() {
             self.items.drain(..self.head);
-            self.head = 0;
-            self.postings.clear();
-            for (i, (_, m)) in self.items.iter().enumerate() {
-                for &bind in m.bindings() {
-                    self.postings.entry(bind).or_default().push(i as u32);
-                }
-            }
+            self.reindex();
         }
     }
 
@@ -548,6 +582,11 @@ impl SurvivorStore {
     /// Replaces the survivor set wholesale (snapshot restore).
     pub(crate) fn restore(&mut self, items: Vec<(Timestamp, Match)>) {
         self.items = items;
+        self.reindex();
+    }
+
+    /// Rebuilds everything but `items` from them, every item live.
+    fn reindex(&mut self) {
         self.head = 0;
         self.postings.clear();
         for (i, (_, m)) in self.items.iter().enumerate() {
@@ -555,11 +594,17 @@ impl SurvivorStore {
                 self.postings.entry(bind).or_default().push(i as u32);
             }
         }
+        self.shapes = self
+            .items
+            .iter()
+            .map(|(_, m)| (signature(m), m.len()))
+            .collect();
     }
 
     /// Kill query: is `m` a proper subset of a live survivor?
     /// Any binding absent from every survivor refutes it immediately;
-    /// otherwise the least frequent binding's posting list is verified.
+    /// otherwise the least frequent binding's posting list is verified,
+    /// walking only survivors longer than `m` whose signature covers its.
     pub(crate) fn kills(&self, m: &Match) -> bool {
         if self.items.len() == self.head {
             return false;
@@ -577,9 +622,11 @@ impl SurvivorStore {
         }
         let list = best.expect("matches are non-empty");
         let start = list.partition_point(|&i| (i as usize) < self.head);
-        list[start..]
-            .iter()
-            .any(|&i| m.is_proper_subset_of(&self.items[i as usize].1))
+        let sig = signature(m);
+        list[start..].iter().any(|&i| {
+            let (o_sig, o_len) = self.shapes[i as usize];
+            o_len > m.len() && sig & !o_sig == 0 && m.is_proper_subset_of(&self.items[i as usize].1)
+        })
     }
 }
 
@@ -906,30 +953,13 @@ mod tests {
         /// which is what makes the cutoff safe.
         #[test]
         fn pruning_the_store_per_group_changes_no_kill(
-            tau in 1i64..6,
-            groups in proptest::collection::vec(
-                // per group: gap to the previous group's minT, candidates
-                // as offsets from minT (each within τ after clamping).
-                (0i64..4, proptest::collection::vec(
-                    proptest::collection::vec((0u16..2, 0i64..6), 0..4), 1..4)),
-                1..10,
-            ),
+            input in store_groups_strategy(),
         ) {
+            let (tau, groups) = input;
             let mut pruned = SurvivorStore::new();
             let mut unpruned = SurvivorStore::new();
-            let mut min_t = 0i64;
-            for (gap, candidates) in groups {
-                min_t += gap;
+            for (min_t, group) in store_groups(tau, groups) {
                 pruned.prune(Timestamp::new(min_t - tau));
-                // Event ids stand in for timestamps (one event per tick).
-                let group: Vec<Match> = candidates
-                    .into_iter()
-                    .map(|rest| {
-                        let mut b = vec![(0u16, min_t as u32)];
-                        b.extend(rest.into_iter().map(|(v, off)| (v, (min_t + 1 + off.min(tau - 1)) as u32)));
-                        m(&distinct(b))
-                    })
-                    .collect();
                 for c in &group {
                     prop_assert_eq!(pruned.kills(c), unpruned.kills(c), "{} at minT {}", c, min_t);
                 }
@@ -939,5 +969,75 @@ mod tests {
                 }
             }
         }
+
+        /// The posting lists and the signature prefilter skip only
+        /// survivors that cannot contain the victim: `kills` is a scan
+        /// of every live survivor, pruned or not.
+        #[test]
+        fn kills_is_a_scan_of_the_live_survivors(
+            input in store_groups_strategy(),
+            prune in proptest::bool::ANY,
+        ) {
+            let (tau, groups) = input;
+            let mut store = SurvivorStore::new();
+            for (min_t, group) in store_groups(tau, groups) {
+                if prune {
+                    store.prune(Timestamp::new(min_t - tau));
+                }
+                for c in &group {
+                    let naive = store.live().iter().any(|(_, o)| c.is_proper_subset_of(o));
+                    prop_assert_eq!(store.kills(c), naive, "{} at minT {}", c, min_t);
+                }
+                for c in group {
+                    store.push(Timestamp::new(min_t), c);
+                }
+            }
+        }
+    }
+
+    /// Per group: the gap to the previous group's `minT`, and candidates
+    /// as `(var, offset from minT)` lists (each within τ after clamping).
+    type GroupSpecs = Vec<(i64, Vec<Vec<(u16, i64)>>)>;
+
+    /// `(τ, groups)`.
+    fn store_groups_strategy() -> impl Strategy<Value = (i64, GroupSpecs)> {
+        (
+            1i64..6,
+            proptest::collection::vec(
+                (
+                    0i64..4,
+                    proptest::collection::vec(
+                        proptest::collection::vec((0u16..2, 0i64..6), 0..4),
+                        1..4,
+                    ),
+                ),
+                1..10,
+            ),
+        )
+    }
+
+    /// The groups of [`store_groups_strategy`] as `(minT, candidates)`,
+    /// in ascending `minT`. Event ids stand in for timestamps (one event
+    /// per tick).
+    fn store_groups(tau: i64, groups: GroupSpecs) -> Vec<(i64, Vec<Match>)> {
+        let mut min_t = 0i64;
+        groups
+            .into_iter()
+            .map(|(gap, candidates)| {
+                min_t += gap;
+                let group = candidates
+                    .into_iter()
+                    .map(|rest| {
+                        let mut b = vec![(0u16, min_t as u32)];
+                        b.extend(
+                            rest.into_iter()
+                                .map(|(v, off)| (v, (min_t + 1 + off.min(tau - 1)) as u32)),
+                        );
+                        m(&distinct(b))
+                    })
+                    .collect();
+                (min_t, group)
+            })
+            .collect()
     }
 }

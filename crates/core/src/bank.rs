@@ -1549,6 +1549,46 @@ mod tests {
         assert!(err.to_string().contains("fingerprint"), "{err}");
     }
 
+    /// A snapshot's Ω must be one a running matcher can hold: the expiry
+    /// cut and the node log's trim rely on its orders, so restore refuses,
+    /// by rule, each way a real snapshot can be edited out of them.
+    #[test]
+    fn restore_refuses_an_omega_out_of_order() {
+        let mut bank = bank();
+        for row in [(0, 1, "A"), (1, 1, "A"), (2, 1, "B")] {
+            push(&mut bank, row);
+        }
+        let snap = bank.snapshot();
+        let omega =
+            |snap: &BankSnapshot| snap.patterns[0].matcher.as_ref().unwrap().instances.clone();
+        assert_eq!(omega(&snap).len(), 3, "{:?}", omega(&snap));
+        assert_eq!(omega(&snap)[0].bindings.len(), 2);
+        PatternBank::restore(&specs(), &schema(), &snap).unwrap();
+
+        let edited = |edit: &dyn Fn(&mut crate::StreamSnapshot)| {
+            let mut bad = snap.clone();
+            edit(bad.patterns[0].matcher.as_mut().unwrap());
+            let err = PatternBank::restore(&specs(), &schema(), &bad).unwrap_err();
+            assert!(matches!(err, CoreError::SnapshotMismatch { .. }), "{err}");
+            err.to_string()
+        };
+        let err = edited(&|s| s.instances.swap(0, 2));
+        assert!(err.contains("not in first-binding order"), "{err}");
+        let err = edited(&|s| s.instances[0].bindings.reverse());
+        assert!(err.contains("ascend strictly by event"), "{err}");
+        let err = edited(&|s| s.instances[0].bindings[0].0 = ses_pattern::VarId(7));
+        assert!(err.contains("variable v7 out of range"), "{err}");
+        let err = edited(&|s| {
+            s.evicted += 1;
+            s.events.remove(0);
+        });
+        assert!(err.contains("precedes the retained window"), "{err}");
+        let err = edited(&|s| s.instances[1].bindings[0].2 = Timestamp::new(0));
+        assert!(err.contains("no retained event at that time"), "{err}");
+        let err = edited(&|s| s.instances[2].bindings.clear());
+        assert!(err.contains("binds no event"), "{err}");
+    }
+
     #[test]
     fn global_ids_end_at_the_end_of_the_id_space() {
         // A snapshot edited to two ids short of the end stands in for

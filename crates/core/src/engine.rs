@@ -16,19 +16,32 @@
 //! The paper evaluates finite relations; at end of input, instances in the
 //! accepting state emit their buffers (configurable via
 //! [`ExecOptions::flush_at_end`]).
+//!
+//! # Ω in first-binding order
+//!
+//! Ω is kept sorted by each instance's first-binding timestamp, an
+//! instance that has bound nothing yet counting as latest. Nothing has to
+//! sort it: the fresh instance is appended, successors take their source's
+//! slot and keep its first binding (a successor of the fresh instance
+//! binds the current event, which no earlier binding follows), and
+//! expiry removes instances. Two things follow. What expires at `now` is
+//! a prefix — a [`slice::partition_point`] and one drain, where the paper
+//! tests every instance. And the nodes no live buffer reaches are a prefix
+//! of the [`NodeLog`], cut at the first live instance's `minT`.
 
 use ses_event::{Event, EventId, EventSource, Relation, Timestamp};
-use ses_pattern::CompiledPattern;
+use ses_pattern::{CompiledPattern, VarId};
 
 use crate::automaton::{Automaton, TransCond, Transition};
-use crate::buffer::Buffer;
+use crate::buffer::{Buffer, NodeLog};
 use crate::columnar::{runs_columnar, AdmissionArm, ColumnarBatch, ColumnarPlan, EventAdmission};
 use crate::filter::{EventFilter, FilterMode};
 use crate::probe::Probe;
 use crate::state::StateId;
 
-/// An automaton instance `Ñ = (qc, β)` (Definition 4).
-#[derive(Debug, Clone)]
+/// An automaton instance `Ñ = (qc, β)` (Definition 4). Its buffer's
+/// bindings live in the [`NodeLog`] of the execution that holds it.
+#[derive(Debug, Clone, Copy)]
 pub struct Instance {
     /// Current state `qc`.
     pub state: StateId,
@@ -300,8 +313,7 @@ pub struct Execution<'a, S: EventSource = Relation> {
     admitter: Admitter,
     /// What `admitter` said of the events consumed so far.
     admitted: AdmittedLog,
-    omega: Vec<Instance>,
-    scratch: Vec<Instance>,
+    omega: Omega,
     results: Vec<RawMatch>,
     position: usize,
 }
@@ -320,8 +332,7 @@ impl<'a, S: EventSource> Execution<'a, S> {
             options,
             admitter: Admitter::new(automaton.pattern(), options.filter, relation),
             admitted: AdmittedLog::default(),
-            omega: Vec::new(),
-            scratch: Vec::new(),
+            omega: Omega::default(),
             results: Vec::new(),
             position: 0,
         }
@@ -345,12 +356,10 @@ impl<'a, S: EventSource> Execution<'a, S> {
             .admitter
             .admission(self.automaton.pattern(), self.relation, position);
         self.admitted.record(id, admission);
-        process_event(
+        self.omega.process_event(
             self.automaton,
             self.relation,
             self.options,
-            &mut self.omega,
-            &mut self.scratch,
             id,
             admission,
             &mut self.results,
@@ -377,12 +386,18 @@ impl<'a, S: EventSource> Execution<'a, S> {
 
     /// Current number of active instances `|Ω|`.
     pub fn omega_len(&self) -> usize {
-        self.omega.len()
+        self.omega.instances().len()
     }
 
-    /// The active instances `Ω` (after the most recent step).
+    /// The active instances `Ω` (after the most recent step), in
+    /// first-binding order.
     pub fn instances(&self) -> &[Instance] {
-        &self.omega
+        self.omega.instances()
+    }
+
+    /// The node log the instances' buffers read from.
+    pub fn log(&self) -> &NodeLog {
+        self.omega.log()
     }
 
     /// Scan position of the next event to be consumed, counted from the
@@ -401,144 +416,262 @@ impl<'a, S: EventSource> Execution<'a, S> {
     /// of the events it consumed.
     pub fn finish<P: Probe>(mut self, probe: &mut P) -> (Vec<RawMatch>, AdmittedLog) {
         if self.options.flush_at_end {
-            let accept = self.automaton.accept();
-            for instance in self.omega.drain(..) {
-                if instance.state == accept {
-                    probe.match_emitted();
-                    self.results.push(RawMatch {
-                        bindings: instance.buffer.to_sorted_bindings(),
-                    });
-                }
-            }
+            self.omega
+                .flush(self.automaton.accept(), &mut self.results, probe);
         }
         (self.results, self.admitted)
     }
 }
 
-/// Drops every instance whose window cannot contain `watermark` anymore
-/// (Algorithm 1's expiry step, detached from event consumption), emitting
-/// accepting buffers as raw matches.
-///
-/// [`process_event`] performs the same sweep inline; this standalone form
-/// lets the push-based [`crate::StreamMatcher`] advance expiry on *every*
-/// arrival — including events the §4.5 filter drops, which the batch path
-/// skips entirely. Sweeping early is semantics-neutral: an instance whose
-/// window excludes the current timestamp also excludes every later one,
-/// and filtered events are never offered to instances, so the raw match
-/// set is unchanged — only its emission time moves earlier.
-///
-/// Returns the minimum first-binding timestamp across the *surviving*
-/// instances (`None` when no survivor has bound an event yet): the next
-/// sweep can be skipped until the watermark moves more than `τ` past it,
-/// because no window can close before then.
-pub(crate) fn sweep_expired<P: Probe>(
-    automaton: &Automaton,
-    omega: &mut Vec<Instance>,
-    watermark: Timestamp,
-    results: &mut Vec<RawMatch>,
-    probe: &mut P,
-) -> Option<Timestamp> {
-    let tau = automaton.tau();
-    let accept = automaton.accept();
-    let mut floor: Option<Timestamp> = None;
-    omega.retain(|instance| {
-        let min_ts = instance.buffer.min_ts();
-        let expired = match min_ts {
-            Some(min) => watermark.distance(min) > tau,
-            None => false,
-        };
-        if expired {
-            probe.instance_expired();
-            if instance.state == accept {
-                probe.match_emitted();
-                results.push(RawMatch {
-                    bindings: instance.buffer.to_sorted_bindings(),
-                });
-            }
-        } else if let Some(min) = min_ts {
-            floor = Some(floor.map_or(min, |f: Timestamp| f.min(min)));
-        }
-        !expired
-    });
-    floor
+/// Ω in first-binding order (see the module docs), with the node log its
+/// buffers live in. Shared by the batch [`Execution`] and the push-based
+/// [`crate::StreamMatcher`].
+#[derive(Debug, Default)]
+pub(crate) struct Omega {
+    instances: Vec<Instance>,
+    /// The successors [`Omega::process_event`] could not yet place.
+    scratch: Vec<Instance>,
+    log: NodeLog,
 }
 
-/// The body of Algorithm 1's per-event iteration: spawn a fresh start
-/// instance, expire/emit, consume. Shared by the batch [`Execution`] and
-/// the push-based [`crate::StreamMatcher`].
-///
-/// `admission` is the §4.5 filter verdict and the "which variables can
-/// this event bind" mask for `event_id`, precomputed over the whole batch
-/// by the columnar lane pass or just now by [`EventAdmission::scalar`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn process_event<S: EventSource, P: Probe>(
-    automaton: &Automaton,
-    relation: &S,
-    options: &ExecOptions,
-    omega: &mut Vec<Instance>,
-    scratch: &mut Vec<Instance>,
-    event_id: EventId,
-    admission: EventAdmission,
-    results: &mut Vec<RawMatch>,
-    probe: &mut P,
-) {
-    let event = relation.event(event_id);
-
-    probe.event_read();
-    if !admission.passes {
-        probe.event_filtered();
-        return;
+impl Omega {
+    /// Ω from instances given as `(state, bindings oldest first)`, already
+    /// in first-binding order, each one's bindings strictly ascending by
+    /// event. Nodes are appended across all instances in event order, so
+    /// the log is in time order as a running execution leaves it (minus
+    /// the sharing).
+    pub(crate) fn restore<'b>(
+        instances: impl IntoIterator<Item = (StateId, &'b [(VarId, EventId, Timestamp)])>,
+    ) -> Omega {
+        let instances: Vec<_> = instances.into_iter().collect();
+        let mut order: Vec<(EventId, usize, usize)> = instances
+            .iter()
+            .enumerate()
+            .flat_map(|(i, (_, bindings))| {
+                bindings
+                    .iter()
+                    .enumerate()
+                    .map(move |(j, &(_, event, _))| (event, i, j))
+            })
+            .collect();
+        order.sort_unstable();
+        let mut omega = Omega {
+            instances: instances
+                .iter()
+                .map(|&(state, _)| Instance {
+                    state,
+                    buffer: Buffer::EMPTY,
+                })
+                .collect(),
+            ..Omega::default()
+        };
+        for (_, i, j) in order {
+            let (var, event, ts) = instances[i].1[j];
+            let buffer = &mut omega.instances[i].buffer;
+            *buffer = omega.log.push(*buffer, var, event, ts);
+        }
+        debug_assert!(omega.in_first_binding_order());
+        omega
     }
 
-    let tau = automaton.tau();
-    let start = automaton.start();
-    let accept = automaton.accept();
+    /// The instances, in first-binding order.
+    pub(crate) fn instances(&self) -> &[Instance] {
+        &self.instances
+    }
 
-    // Algorithm 1, line 4: a fresh instance per (unfiltered) event.
-    omega.push(Instance {
-        state: start,
-        buffer: Buffer::EMPTY,
-    });
-    probe.instance_spawned();
+    /// The node log the instances' buffers read from.
+    pub(crate) fn log(&self) -> &NodeLog {
+        &self.log
+    }
 
-    // Ω is rewritten where it stands: `omega[..kept]` is the new Ω so far,
-    // `omega[kept..=read]` slots whose instance has been dealt with. An
-    // instance the event does not move — nearly all of them, nearly
-    // always — is not touched. Successors take the free slots while they
-    // fit; from the first that does not, the rest of the new Ω collects
-    // in `scratch` and is appended, so the order is the one a copy of
-    // every instance into a second vector would give.
-    scratch.clear();
-    let mut kept = 0;
-    for read in 0..omega.len() {
-        let instance = &omega[read];
-        let expired = match instance.buffer.min_ts() {
-            Some(min) => event.ts().distance(min) > tau,
-            None => false,
-        };
-        if expired {
+    /// `minT` of the first instance: the earliest window start in Ω.
+    pub(crate) fn first_binding(&self) -> Option<Timestamp> {
+        self.instances.first().and_then(|i| i.buffer.min_ts())
+    }
+
+    /// The invariant the module docs state, an unbound instance counting
+    /// as latest.
+    fn in_first_binding_order(&self) -> bool {
+        let key = |i: &Instance| i.buffer.min_ts().unwrap_or(Timestamp::MAX);
+        self.instances.windows(2).all(|w| key(&w[0]) <= key(&w[1]))
+    }
+
+    /// Drops every instance whose window cannot contain `now` anymore
+    /// (Algorithm 1's expiry step), emitting accepting buffers as raw
+    /// matches in Ω's order, then trims the node log to what the rest
+    /// reaches. O(log |Ω|) when nothing expires.
+    ///
+    /// [`Omega::process_event`] runs it first; the push-based
+    /// [`crate::StreamMatcher`] also runs it on its own at *every*
+    /// arrival — including events the §4.5 filter drops, which the batch
+    /// path skips entirely. Expiring early is semantics-neutral: an
+    /// instance whose window excludes the current timestamp also excludes
+    /// every later one, and filtered events are never offered to
+    /// instances, so the raw match set is unchanged — only its emission
+    /// time moves earlier.
+    pub(crate) fn expire<P: Probe>(
+        &mut self,
+        automaton: &Automaton,
+        now: Timestamp,
+        results: &mut Vec<RawMatch>,
+        probe: &mut P,
+    ) {
+        let tau = automaton.tau();
+        let expired = self
+            .instances
+            .partition_point(|i| i.buffer.min_ts().is_some_and(|min| now.distance(min) > tau));
+        if expired == 0 {
+            return;
+        }
+        let accept = automaton.accept();
+        for instance in self.instances.drain(..expired) {
             probe.instance_expired();
             if instance.state == accept {
                 probe.match_emitted();
                 results.push(RawMatch {
-                    bindings: instance.buffer.to_sorted_bindings(),
+                    bindings: self.log.to_sorted_bindings(instance.buffer),
                 });
             }
-            continue; // dropped from Ω either way
         }
-        // No outgoing transition's variable is admitted: nothing can
-        // fire, and the instance stays unless it is a start-state one —
-        // those never linger, every event spawns its own. Probe-identical
-        // to walking the transitions: each would have been mask-skipped
-        // before `transition_evaluated`.
-        let idle = admission.var_ok & automaton.outgoing_var_mask(instance.state) == 0;
+        self.log.trim(self.first_binding());
+    }
+
+    /// Empties Ω, emitting the accepting buffers — the end-of-input flush.
+    pub(crate) fn flush<P: Probe>(
+        &mut self,
+        accept: StateId,
+        results: &mut Vec<RawMatch>,
+        probe: &mut P,
+    ) {
+        for instance in self.instances.drain(..) {
+            if instance.state == accept {
+                probe.match_emitted();
+                results.push(RawMatch {
+                    bindings: self.log.to_sorted_bindings(instance.buffer),
+                });
+            }
+        }
+    }
+
+    /// The body of Algorithm 1's per-event iteration: spawn a fresh start
+    /// instance, expire/emit, consume.
+    ///
+    /// `admission` is the §4.5 filter verdict and the "which variables can
+    /// this event bind" mask for `event_id`, precomputed over the whole
+    /// batch by the columnar lane pass or just now by
+    /// [`EventAdmission::scalar`].
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn process_event<S: EventSource, P: Probe>(
+        &mut self,
+        automaton: &Automaton,
+        relation: &S,
+        options: &ExecOptions,
+        event_id: EventId,
+        admission: EventAdmission,
+        results: &mut Vec<RawMatch>,
+        probe: &mut P,
+    ) {
+        let event = relation.event(event_id);
+
+        probe.event_read();
+        if !admission.passes {
+            probe.event_filtered();
+            return;
+        }
+
+        let start = automaton.start();
+        // Algorithm 1, line 4: a fresh instance per (unfiltered) event.
+        self.instances.push(Instance {
+            state: start,
+            buffer: Buffer::EMPTY,
+        });
+        probe.instance_spawned();
+        self.expire(automaton, event.ts(), results, probe);
+
+        let offer = Offer {
+            automaton,
+            relation,
+            event,
+            event_id,
+            selection: options.selection,
+            var_ok: admission.var_ok,
+        };
+        // An instance none of whose outgoing transitions' variables is
+        // admitted is idle: nothing can fire, and it stays unless it is a
+        // start-state one — those never linger, every event spawns its
+        // own. Probe-identical to walking the transitions: each would have
+        // been mask-skipped before `transition_evaluated`.
+        //
+        // Nearly every instance is idle nearly always, so Ω's length
+        // rarely changes: this pass leaves idle instances where they are
+        // and puts a lone successor in its source's slot, until an
+        // instance leaves no instance or several behind.
+        let Omega {
+            instances,
+            scratch,
+            log,
+        } = self;
+        let mut read = 0;
+        let mut keep_source = false;
+        while read < instances.len() {
+            let instance = instances[read];
+            if offer.is_idle(instance.state) {
+                if instance.state == start {
+                    keep_source = false;
+                    break;
+                }
+            } else {
+                keep_source = offer.to(&instance, log, scratch, probe);
+                match (scratch.len(), keep_source) {
+                    (0, true) => {}
+                    (1, false) => instances[read] = scratch[0],
+                    _ => break,
+                }
+                scratch.clear();
+            }
+            read += 1;
+        }
+        if read < instances.len() {
+            rewrite_from(instances, scratch, log, read, keep_source, &offer, probe);
+        }
+        debug_assert!(self.in_first_binding_order());
+        probe.omega(self.instances.len());
+        if let Some(cap) = options.max_instances {
+            assert!(
+                self.instances.len() <= cap,
+                "instance cap exceeded: |Ω| = {} > {cap}",
+                self.instances.len()
+            );
+        }
+    }
+}
+
+/// Finishes [`Omega::process_event`] from instance `first`, whose
+/// successors are in `scratch` and whose own fate `keep_source` says:
+/// `instances[..kept]` is the new Ω so far, `instances[kept..=read]` slots
+/// whose instance has been dealt with. Successors take the free slots
+/// while they fit; from the first that does not, the rest of the new Ω
+/// collects in `scratch` and is appended, so the order is the one a copy
+/// of every instance into a second vector would give.
+fn rewrite_from<S: EventSource, P: Probe>(
+    instances: &mut Vec<Instance>,
+    scratch: &mut Vec<Instance>,
+    log: &mut NodeLog,
+    first: usize,
+    keep_source: bool,
+    offer: &Offer<'_, S>,
+    probe: &mut P,
+) {
+    let start = offer.automaton.start();
+    let mut kept = first;
+    place(instances, scratch, &mut kept, first, 0, keep_source);
+    for read in first + 1..instances.len() {
+        let instance = instances[read];
+        let idle = offer.is_idle(instance.state);
         let stays = idle && instance.state != start;
         if idle && scratch.is_empty() {
-            // The common case, kept clear of the bookkeeping below.
             if stays {
-                if kept != read {
-                    omega.swap(kept, read);
-                }
+                instances.swap(kept, read);
                 kept += 1;
             }
             continue;
@@ -547,96 +680,111 @@ pub(crate) fn process_event<S: EventSource, P: Probe>(
         let keep_source = if idle {
             stays
         } else {
-            consume_event(
-                automaton,
-                relation,
-                instance,
-                event,
-                event_id,
-                start,
-                options.selection,
-                admission.var_ok,
-                scratch,
-                probe,
-            )
+            offer.to(&instance, log, scratch, probe)
         };
-        let successors = scratch.len() - spilled;
-        if spilled == 0 && kept + successors + usize::from(keep_source) <= read + 1 {
-            if keep_source && kept + successors != read {
-                omega.swap(kept + successors, read);
-            }
-            for successor in scratch.drain(..) {
-                omega[kept] = successor;
-                kept += 1;
-            }
-            kept += usize::from(keep_source);
-        } else if keep_source {
-            let placeholder = Instance {
-                state: start,
-                buffer: Buffer::EMPTY,
-            };
-            scratch.push(std::mem::replace(&mut omega[read], placeholder));
-        }
+        place(instances, scratch, &mut kept, read, spilled, keep_source);
     }
-    omega.truncate(kept);
-    omega.append(scratch);
-    probe.omega(omega.len());
-    if let Some(cap) = options.max_instances {
-        assert!(
-            omega.len() <= cap,
-            "instance cap exceeded: |Ω| = {} > {cap}",
-            omega.len()
-        );
+    instances.truncate(kept);
+    instances.append(scratch);
+}
+
+/// Places instance `read`'s successors — `scratch[spilled..]` — and, when
+/// `keep_source`, the instance itself after them, for [`rewrite_from`].
+fn place(
+    instances: &mut [Instance],
+    scratch: &mut Vec<Instance>,
+    kept: &mut usize,
+    read: usize,
+    spilled: usize,
+    keep_source: bool,
+) {
+    let successors = scratch.len() - spilled;
+    if spilled == 0 && *kept + successors + usize::from(keep_source) <= read + 1 {
+        if keep_source && *kept + successors != read {
+            instances.swap(*kept + successors, read);
+        }
+        for successor in scratch.drain(..) {
+            instances[*kept] = successor;
+            *kept += 1;
+        }
+        *kept += usize::from(keep_source);
+    } else if keep_source {
+        scratch.push(instances[read]);
     }
 }
 
-/// Algorithm 2: offers `event` to `instance`, whose state has an outgoing
-/// transition on a variable the event is admitted for; pushes the
-/// successor instances into `out` and says whether `instance` itself
-/// stays in Ω, after them.
-#[allow(clippy::too_many_arguments)]
-fn consume_event<S: EventSource, P: Probe>(
-    automaton: &Automaton,
-    relation: &S,
-    instance: &Instance,
-    event: &Event,
+/// One event on offer to the instances of Ω.
+struct Offer<'a, S: EventSource> {
+    automaton: &'a Automaton,
+    relation: &'a S,
+    event: &'a Event,
     event_id: EventId,
-    start: StateId,
     selection: EventSelection,
+    /// Bit *v*: the event satisfies every constant condition of `VarId(v)`.
     var_ok: u64,
-    out: &mut Vec<Instance>,
-    probe: &mut P,
-) -> bool {
-    let mut fired = 0usize;
-    for transition in automaton.outgoing(instance.state) {
-        // An event failing the bound variable's constant conditions can
-        // never take this transition.
-        if var_ok & transition.var.bit() == 0 {
-            continue;
-        }
-        probe.transition_evaluated();
-        if eval_conditions(automaton, relation, transition, &instance.buffer, event) {
-            probe.transition_taken();
-            if fired > 0 {
-                probe.instance_branched();
+}
+
+impl<S: EventSource> Offer<'_, S> {
+    /// `true` iff no outgoing transition of `state` binds a variable the
+    /// event is admitted for.
+    #[inline]
+    fn is_idle(&self, state: StateId) -> bool {
+        self.var_ok & self.automaton.outgoing_var_mask(state) == 0
+    }
+
+    /// Algorithm 2: offers the event to `instance`, which is not idle;
+    /// pushes the successor instances into `out` and says whether
+    /// `instance` itself stays in Ω, after them.
+    fn to<P: Probe>(
+        &self,
+        instance: &Instance,
+        log: &mut NodeLog,
+        out: &mut Vec<Instance>,
+        probe: &mut P,
+    ) -> bool {
+        let mut fired = 0usize;
+        for transition in self.automaton.outgoing(instance.state) {
+            // An event failing the bound variable's constant conditions
+            // can never take this transition.
+            if self.var_ok & transition.var.bit() == 0 {
+                continue;
             }
-            fired += 1;
-            out.push(Instance {
-                state: transition.target,
-                buffer: instance.buffer.push(transition.var, event_id, event.ts()),
-            });
+            probe.transition_evaluated();
+            if eval_conditions(
+                self.automaton,
+                self.relation,
+                transition,
+                log,
+                instance.buffer,
+                self.event,
+            ) {
+                probe.transition_taken();
+                if fired > 0 {
+                    probe.instance_branched();
+                }
+                fired += 1;
+                out.push(Instance {
+                    state: transition.target,
+                    buffer: log.push(
+                        instance.buffer,
+                        transition.var,
+                        self.event_id,
+                        self.event.ts(),
+                    ),
+                });
+            }
         }
+        // The source instance survives when nothing fired (the event is
+        // ignored — skip-till-next-match) or, under skip-till-any-match,
+        // unconditionally (the run may *choose* to skip a matching event)
+        // — a start-state instance excepted, as ever.
+        let keep_source = instance.state != self.automaton.start()
+            && (fired == 0 || self.selection == EventSelection::SkipTillAnyMatch);
+        if keep_source && fired > 0 {
+            probe.instance_branched();
+        }
+        keep_source
     }
-    // The source instance survives when nothing fired (the event is
-    // ignored — skip-till-next-match) or, under skip-till-any-match,
-    // unconditionally (the run may *choose* to skip a matching event) —
-    // a start-state instance excepted, as ever.
-    let keep_source =
-        instance.state != start && (fired == 0 || selection == EventSelection::SkipTillAnyMatch);
-    if keep_source && fired > 0 {
-        probe.instance_branched();
-    }
-    keep_source
 }
 
 /// Evaluates a transition's condition set `Θδ` against the incoming event
@@ -648,7 +796,8 @@ fn eval_conditions<S: EventSource>(
     automaton: &Automaton,
     relation: &S,
     transition: &Transition,
-    buffer: &Buffer,
+    log: &NodeLog,
+    buffer: Buffer,
     event: &Event,
 ) -> bool {
     let pattern = automaton.pattern();
@@ -665,7 +814,7 @@ fn eval_conditions<S: EventSource>(
             new_is_lhs,
         } => {
             let c = pattern.condition(*cond);
-            buffer.bindings_of(*other).all(|b| {
+            log.bindings_of(buffer, *other).all(|b| {
                 let other_event = relation.event(b.event);
                 if *new_is_lhs {
                     c.eval_vars(event, other_event)
@@ -674,7 +823,7 @@ fn eval_conditions<S: EventSource>(
                 }
             })
         }
-        TransCond::TimeAfter { other } => buffer.bindings_of(*other).all(|b| b.ts < event_ts),
+        TransCond::TimeAfter { other } => log.bindings_of(buffer, *other).all(|b| b.ts < event_ts),
     })
 }
 

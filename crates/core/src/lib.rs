@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | [`state`](StateSet) | Def. 3 | states as variable bitsets |
 //! | [`automaton`](Automaton) | §4.1–4.2 | powerset construction + concatenation |
-//! | [`buffer`](Buffer) | §4.1 | persistent (O(1)-fork) match buffers |
+//! | [`buffer`](NodeLog) | §4.1 | O(1)-fork match buffers in a time-ordered node log |
 //! | [`engine`](execute) | §4.3, Alg. 1–2 | `SESExec` / `ConsumeEvent` |
 //! | [`filter`](EventFilter) | §4.5 | constant-condition event pre-filter |
 //! | [`semantics`](select) | Def. 2 (cond. 4–5) | skip-till-next-match + maximality |
@@ -73,7 +73,7 @@ mod trace;
 
 pub use automaton::{Automaton, State, TransCond, Transition, DEFAULT_MAX_STATES};
 pub use bank::{PatternBank, PatternBankBuilder, PatternStats};
-pub use buffer::{Binding, Buffer, BufferIter};
+pub use buffer::{Binding, Buffer, NodeLog};
 pub use columnar::{runs_columnar, AdmissionArm};
 pub use engine::{
     execute, scan, AdmittedLog, EventSelection, ExecOptions, Execution, Instance, RawMatch,

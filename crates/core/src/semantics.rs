@@ -42,7 +42,9 @@
 use ses_event::{Event, EventId, Relation, Timestamp};
 use ses_pattern::{CompiledPattern, VarId};
 
-use crate::adjudicate::{GroupIndex, SurvivorStore, ViableIndex};
+use crate::adjudicate::{
+    binding_timestamps, survives_swaps, GroupIndex, SurvivorStore, ViableIndex,
+};
 use crate::engine::{AdmittedLog, RawMatch};
 use crate::matches::Match;
 
@@ -217,13 +219,20 @@ impl Adjudicator {
         if group.is_empty() || self.semantics == MatchSemantics::AllRuns {
             return group;
         }
-        let gi = GroupIndex::build(&group, relation, pattern.pattern().num_vars());
-        let kept: Vec<bool> = (0..group.len())
-            .map(|i| {
-                gi.survives_condition_4(i, relation, pattern, &self.viable)
-                    && gi.survives_condition_5(i)
-            })
-            .collect();
+        let kept: Vec<bool> = if let [m] = &group[..] {
+            // A lone candidate has nothing to be compared with: condition 5
+            // and the prefix test are vacuous, so it needs no index.
+            let ts = binding_timestamps(m, relation);
+            vec![survives_swaps(m, &ts, relation, pattern, &self.viable)]
+        } else {
+            let gi = GroupIndex::build(&group, relation, pattern.pattern().num_vars());
+            (0..group.len())
+                .map(|i| {
+                    gi.survives_condition_4(i, relation, pattern, &self.viable)
+                        && gi.survives_condition_5(i)
+                })
+                .collect()
+        };
 
         if self.semantics == MatchSemantics::Definition2 {
             return group

@@ -29,8 +29,9 @@ use crate::automaton::Automaton;
 use crate::matcher::MatcherOptions;
 
 /// One automaton instance `Ñ = (qc, β)`: its state index and its match
-/// buffer's bindings in **oldest-first** order (the order a restore
-/// replays them in, reproducing the buffer's `minT` cache).
+/// buffer's bindings in **oldest-first** order. A stream snapshot lists
+/// its instances in Ω's first-binding order, and a restore refuses any
+/// other.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InstanceSnapshot {
     /// The instance's current state, as an index into the automaton's

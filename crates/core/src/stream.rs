@@ -23,7 +23,7 @@
 //!
 //! # Bounded memory
 //!
-//! Four retained structures are pruned against the watermark:
+//! Five retained structures are pruned against the watermark:
 //!
 //! * **Events** — once no live run can bind or compare against an event
 //!   (its timestamp precedes `w − τ`), it is evicted from the relation.
@@ -31,7 +31,11 @@
 //!   stays is stated on [`StreamMatcher::relation`].
 //! * **Instances** — automaton runs whose window can no longer close are
 //!   swept on *every* push (even filtered ones), emitting accepting
-//!   buffers into the pending candidate set.
+//!   buffers into the pending candidate set. Ω is in first-binding order,
+//!   so the sweep is a binary search and a prefix drain.
+//! * **Buffer nodes** — the [`NodeLog`] the instances' buffers live in
+//!   drops the nodes bound before the first live instance's `minT`, once
+//!   they are half of it.
 //! * **Admitted events** — the per-variable viable-event lists the
 //!   condition-4 swap test reads, appended to by each push that admits
 //!   its event, are cut back with the relation, at the same eviction.
@@ -48,8 +52,9 @@ use std::collections::BTreeMap;
 use ses_event::{Duration, Event, EventError, Relation, Schema, Timestamp, Value};
 use ses_pattern::Pattern;
 
+use crate::buffer::NodeLog;
 use crate::columnar::{runs_columnar, ColumnarBatch, ColumnarPlan, EventAdmission};
-use crate::engine::{process_event, sweep_expired, ExecOptions, Instance, RawMatch};
+use crate::engine::{ExecOptions, Instance, Omega, RawMatch};
 use crate::filter::EventFilter;
 use crate::matcher::MatcherOptions;
 use crate::matches::Match;
@@ -58,7 +63,7 @@ use crate::probe::{NoProbe, Probe};
 use crate::semantics::{Adjudicator, GroupKey};
 use crate::snapshot::{matcher_fingerprint, InstanceSnapshot, StreamSnapshot};
 use crate::state::StateId;
-use crate::{Automaton, Buffer, CoreError};
+use crate::{Automaton, CoreError};
 use ses_event::EventId;
 
 /// An incremental, push-based matcher with watermark-driven eviction.
@@ -68,8 +73,7 @@ pub struct StreamMatcher {
     options: MatcherOptions,
     filter: EventFilter,
     relation: Relation,
-    omega: Vec<Instance>,
-    scratch: Vec<Instance>,
+    omega: Omega,
     /// Per-push engine output buffer, drained into `pending`.
     results: Vec<RawMatch>,
     /// Emitted accepting runs awaiting adjudication, grouped by first
@@ -83,12 +87,6 @@ pub struct StreamMatcher {
     columnar: ColumnarPlan,
     /// Pooled micro-batch admission buffers, reused across batches.
     columnar_batch: ColumnarBatch,
-    /// Conservative lower bound on the earliest first-binding timestamp
-    /// across `omega` (`None` when no instance has bound an event).
-    /// While the watermark is within `τ` of it, no window can have
-    /// closed, so the per-push `O(|Ω|)` expiry sweep is provably a
-    /// no-op and is skipped — see [`StreamMatcher::sweep_if_due`].
-    expiry_floor: Option<Timestamp>,
 }
 
 impl StreamMatcher {
@@ -121,35 +119,12 @@ impl StreamMatcher {
             filter,
             columnar,
             columnar_batch: ColumnarBatch::default(),
-            omega: Vec::new(),
-            scratch: Vec::new(),
+            omega: Omega::default(),
             results: Vec::new(),
             pending: BTreeMap::new(),
             adjudicator,
             watermark: None,
             emitted: 0,
-            expiry_floor: None,
-        }
-    }
-
-    /// Runs the expiry sweep only when an instance can actually have
-    /// expired. Skipping is exact, never approximate: `expiry_floor`
-    /// lower-bounds every live window's start, so within `τ` of it the
-    /// sweep would provably drop and emit nothing — emission timing is
-    /// bit-identical to sweeping on every push.
-    fn sweep_if_due<P: Probe>(&mut self, watermark: Timestamp, probe: &mut P) {
-        let due = match self.expiry_floor {
-            Some(floor) => watermark.distance(floor) > self.automaton.tau(),
-            None => false,
-        };
-        if due {
-            self.expiry_floor = sweep_expired(
-                &self.automaton,
-                &mut self.omega,
-                watermark,
-                &mut self.results,
-                probe,
-            );
         }
     }
 
@@ -199,9 +174,10 @@ impl StreamMatcher {
         if self.automaton.pattern().is_satisfiable() {
             // Retire runs whose window can no longer close *before* the
             // new event is processed — on every push, including filtered
-            // ones (sweeping early is observationally identical; see
-            // `sweep_expired`). Their accepting buffers join `pending`.
-            self.sweep_if_due(ts, probe);
+            // ones (expiring early is observationally identical; see
+            // `Omega::expire`). Their accepting buffers join `pending`.
+            self.omega
+                .expire(&self.automaton, ts, &mut self.results, probe);
             if let Some((id, admission)) = event {
                 let admission = admission.unwrap_or_else(|| {
                     EventAdmission::scalar(
@@ -210,12 +186,10 @@ impl StreamMatcher {
                         self.relation.event(id),
                     )
                 });
-                process_event(
+                self.omega.process_event(
                     &self.automaton,
                     &self.relation,
                     &self.exec_options(),
-                    &mut self.omega,
-                    &mut self.scratch,
                     id,
                     admission,
                     &mut self.results,
@@ -230,16 +204,6 @@ impl StreamMatcher {
                     self.relation.event(id),
                     admission.viable_vars(),
                 );
-                // Any binding made at this push starts its window at
-                // `ts`; the floor only ever needs to reach down to it,
-                // and an empty Ω has no window at all. (A stale, too-low
-                // floor is harmless: the next sweep recomputes it
-                // exactly.)
-                self.expiry_floor = if self.omega.is_empty() {
-                    None
-                } else {
-                    Some(self.expiry_floor.map_or(ts, |f| f.min(ts)))
-                };
             }
             self.queue_results();
             out = self.drain_decidable(ts);
@@ -390,17 +354,15 @@ impl StreamMatcher {
     ///
     /// The four things a heartbeat can do each name their instant:
     ///
-    /// * **sweep** — `expiry_floor + τ + 1`, the first watermark more
-    ///   than `τ` past the earliest live window start;
+    /// * **sweep** — the first instance's `minT + τ + 1`, the first
+    ///   watermark more than `τ` past the earliest live window start (Ω is
+    ///   in first-binding order);
     /// * **adjudication** — the first pending group's `minT + τ + 1`
     ///   (groups ascend with `minT`, so the first is the earliest);
     /// * **killer prune** — the oldest survivor's `minT + 2τ + 1`;
     /// * **eviction** — the timestamp of retained event `⌈len/2⌉ − 1`
     ///   plus `τ + 1`: [`Relation::evict_before`] compacts only once
     ///   half the window is evictable.
-    ///
-    /// The sweep instant may be early — `expiry_floor` is a lower bound,
-    /// and a heartbeat there only recomputes it — never late.
     pub fn next_deadline(&self) -> Option<Timestamp> {
         // A stream that has seen no event ignores heartbeats altogether.
         self.watermark?;
@@ -414,7 +376,7 @@ impl StreamMatcher {
         if !self.automaton.pattern().is_satisfiable() {
             return evict;
         }
-        let sweep = self.expiry_floor.map(|floor| past(floor, tau));
+        let sweep = self.omega.first_binding().map(|min_ts| past(min_ts, tau));
         let adjudicate = self
             .pending
             .keys()
@@ -442,7 +404,17 @@ impl StreamMatcher {
 
     /// Current number of active instances `|Ω|`.
     pub fn active_instances(&self) -> usize {
-        self.omega.len()
+        self.omega.instances().len()
+    }
+
+    /// The active instances `Ω`, in first-binding order.
+    pub fn instances(&self) -> &[Instance] {
+        self.omega.instances()
+    }
+
+    /// The node log the instances' buffers read from.
+    pub fn log(&self) -> &NodeLog {
+        self.omega.log()
     }
 
     /// Finalized matches returned by `push` calls so far (excludes
@@ -497,15 +469,20 @@ impl StreamMatcher {
         // `results` is always drained before `push` returns, but queue
         // defensively so the invariant is local.
         self.queue_results();
-        let mut instances = Vec::with_capacity(self.omega.len());
-        for inst in &self.omega {
-            let mut bindings: Vec<_> = inst.buffer.iter().map(|b| (b.var, b.event, b.ts)).collect();
-            bindings.reverse(); // newest-first iteration → oldest-first storage
-            instances.push(InstanceSnapshot {
+        let log = self.omega.log();
+        let instances = self
+            .omega
+            .instances()
+            .iter()
+            .map(|inst| InstanceSnapshot {
                 state: inst.state.0,
-                bindings,
-            });
-        }
+                bindings: log
+                    .bindings(inst.buffer)
+                    .into_iter()
+                    .map(|b| (b.var, b.event, b.ts))
+                    .collect(),
+            })
+            .collect();
         StreamSnapshot {
             fingerprint: self.fingerprint(),
             watermark: self.watermark,
@@ -590,33 +567,19 @@ impl StreamMatcher {
                 )));
             }
         }
-        let num_states = self.automaton.num_states() as u32;
-        let mut omega = Vec::with_capacity(snap.instances.len());
-        for inst in &snap.instances {
-            if inst.state >= num_states {
-                return Err(mismatch(format!(
-                    "instance state {} out of range (automaton has {num_states} states)",
-                    inst.state
-                )));
-            }
-            let mut buffer = Buffer::EMPTY;
-            for &(var, event, ts) in &inst.bindings {
-                buffer = buffer.push(var, event, ts);
-            }
-            omega.push(Instance {
-                state: StateId(inst.state),
-                buffer,
-            });
-        }
+        self.check_instances(&snap.instances, &relation)
+            .map_err(mismatch)?;
         for bindings in &snap.pending {
             if bindings.is_empty() {
                 return Err(mismatch("pending match with no bindings".to_string()));
             }
         }
         self.relation = relation;
-        self.omega = omega;
-        self.expiry_floor = self.omega.iter().filter_map(|i| i.buffer.min_ts()).min();
-        self.scratch.clear();
+        self.omega = Omega::restore(
+            snap.instances
+                .iter()
+                .map(|inst| (StateId(inst.state), &inst.bindings[..])),
+        );
         self.results = snap
             .pending
             .iter()
@@ -636,6 +599,73 @@ impl StreamMatcher {
         );
         self.watermark = snap.watermark;
         self.emitted = snap.emitted as usize;
+        Ok(())
+    }
+
+    /// Refuses a snapshot's Ω unless it can be what a running matcher
+    /// holds over `relation`, the window restored beside it: every state
+    /// and variable in range; every instance binding at least one event,
+    /// each a retained event at its own timestamp, strictly ascending by
+    /// event (hence in time order); the instances ascending by first
+    /// binding. Without these the expiry cut and the node log's trim,
+    /// which rely on both orders, would silently drop live state.
+    fn check_instances(
+        &self,
+        instances: &[InstanceSnapshot],
+        relation: &Relation,
+    ) -> Result<(), String> {
+        let num_states = self.automaton.num_states() as u32;
+        let num_vars = self.automaton.pattern().pattern().num_vars();
+        let mut previous: Option<Timestamp> = None;
+        for (i, inst) in instances.iter().enumerate() {
+            if inst.state >= num_states {
+                return Err(format!(
+                    "instance state {} out of range (automaton has {num_states} states)",
+                    inst.state
+                ));
+            }
+            let Some(&(_, _, first)) = inst.bindings.first() else {
+                return Err(format!("instance {i} binds no event"));
+            };
+            if previous.is_some_and(|p| first < p) {
+                return Err(format!(
+                    "instance {i} starts at {first}, before the one ahead of it: \
+                     Ω is not in first-binding order"
+                ));
+            }
+            previous = Some(first);
+            for (j, &(var, event, ts)) in inst.bindings.iter().enumerate() {
+                if var.index() >= num_vars {
+                    return Err(format!(
+                        "instance {i} binds variable {var} out of range \
+                         (pattern has {num_vars} variables)"
+                    ));
+                }
+                if event.index() < relation.first_index() {
+                    return Err(format!(
+                        "instance {i} binds {event}, which precedes the retained window \
+                         (first retained event e{})",
+                        relation.first_index() + 1
+                    ));
+                }
+                let retained = relation
+                    .events()
+                    .get(event.index() - relation.first_index());
+                if retained.is_none_or(|e| e.ts() != ts) {
+                    return Err(format!(
+                        "instance {i} binds {event} at {ts}, which is no retained event \
+                         at that time"
+                    ));
+                }
+                if j > 0 && event <= inst.bindings[j - 1].1 {
+                    return Err(format!(
+                        "instance {i} binds {event} after {}: bindings must ascend \
+                         strictly by event",
+                        inst.bindings[j - 1].1
+                    ));
+                }
+            }
+        }
         Ok(())
     }
 
@@ -680,14 +710,8 @@ impl StreamMatcher {
     /// by `push` — together with those, exactly the batch answer.
     pub fn finish(mut self) -> Vec<Match> {
         if self.options.flush_at_end {
-            let accept = self.automaton.accept();
-            for instance in self.omega.drain(..) {
-                if instance.state == accept {
-                    self.results.push(RawMatch {
-                        bindings: instance.buffer.to_sorted_bindings(),
-                    });
-                }
-            }
+            self.omega
+                .flush(self.automaton.accept(), &mut self.results, &mut NoProbe);
         }
         self.queue_results();
         let pending = std::mem::take(&mut self.pending);
@@ -1211,20 +1235,10 @@ mod tests {
         vec![ab_pattern(), plus, correlated, unsat]
     }
 
-    /// `a` is never later than `b`, reading `None` as "never".
-    fn never_later(a: Option<Timestamp>, b: Option<Timestamp>) -> bool {
-        match (a, b) {
-            (Some(a), Some(b)) => a <= b,
-            (_, None) => true,
-            (None, Some(_)) => false,
-        }
-    }
-
     /// Checks the [`StreamMatcher::next_deadline`] contract on `sm`'s
     /// current state. Heartbeats are tried on copies restored from a
-    /// snapshot, whose `expiry_floor` is exact — so the deadline is too,
-    /// and a heartbeat *at* it must change something; the live matcher's
-    /// possibly stale floor may only make its deadline earlier.
+    /// snapshot, which must name the live matcher's deadline: one tick
+    /// below it nothing may change, at it something must.
     fn assert_deadline_is_exact(sm: &mut StreamMatcher, pattern: &Pattern, opts: &MatcherOptions) {
         let snap = sm.snapshot();
         let copy = || StreamMatcher::restore(pattern, &schema(), opts.clone(), &snap).unwrap();
@@ -1235,11 +1249,7 @@ mod tests {
         };
         let before = state(&mut copy());
         let deadline = copy().next_deadline();
-        assert!(
-            never_later(sm.next_deadline(), deadline),
-            "the live deadline {:?} is later than the exact one {deadline:?}",
-            sm.next_deadline()
-        );
+        assert_eq!(sm.next_deadline(), deadline, "a restore moved the deadline");
         match deadline {
             Some(d) => {
                 assert!(
@@ -1348,6 +1358,37 @@ mod tests {
         assert_eq!(sm.evicted_events() + sm.retained_events(), 600);
         assert!(!sm.viable_lists()[0].is_empty(), "`a` admits every event");
         assert!(sm.finish().is_empty());
+    }
+
+    /// The same 60 × τ bound for the node log: every push binds `a` and
+    /// nothing ever binds `b`, so each node dies with its instance τ
+    /// later. At every push the log holds fewer than twice the nodes bound
+    /// in the last τ, plus the trim's constant — without the trim it would
+    /// hold one node per push.
+    #[test]
+    fn node_log_stays_bounded_by_the_window() {
+        let tau = 10;
+        let pattern = Pattern::builder()
+            .set(|s| s.var("a"))
+            .set(|s| s.var("b"))
+            .cond_const("a", "L", CmpOp::Eq, "A")
+            .cond_const("b", "L", CmpOp::Eq, "B")
+            .within(Duration::ticks(tau))
+            .build()
+            .unwrap();
+        let mut sm = StreamMatcher::compile(&pattern, &schema()).unwrap();
+        for t in 0..60 * tau {
+            sm.push(Timestamp::new(t), [Value::from(t % 3), Value::from("A")])
+                .unwrap();
+            let log = sm.log();
+            let recent = log.timestamps().filter(|ts| ts.ticks() >= t - tau).count();
+            assert!(
+                log.len() < 2 * recent + 64,
+                "{} nodes held, {recent} bound in the last τ, at t={t}",
+                log.len()
+            );
+            assert!(sm.instances().iter().all(|i| log.retains(i.buffer)));
+        }
     }
 
     #[test]

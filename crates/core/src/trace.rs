@@ -7,13 +7,12 @@
 //! and which matches were emitted. [`ExecutionTrace::render`] prints the
 //! story in the style of the paper's Figure 6.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use ses_event::{EventId, Relation};
 
-use crate::buffer::Buffer;
-use crate::engine::{ExecOptions, Execution, Instance};
+use crate::buffer::Binding;
+use crate::engine::{ExecOptions, Execution};
 use crate::probe::NoProbe;
 use crate::{Automaton, StateId};
 
@@ -25,8 +24,9 @@ pub struct TraceStep {
     /// `true` when the §4.5 filter dropped the event (nothing else
     /// happens on such steps).
     pub filtered: bool,
-    /// Instances present after the step, as `(state, buffer)` pairs.
-    pub instances: Vec<(StateId, Buffer)>,
+    /// Instances present after the step, in Ω's order, as `(state,
+    /// bindings oldest first)` pairs.
+    pub instances: Vec<(StateId, Vec<Binding>)>,
     /// How many instances of the previous step expired at this event.
     pub expired: usize,
     /// Raw matches emitted at this event (on expiry).
@@ -84,10 +84,10 @@ pub fn trace_execution(
         if !exec.step(&mut probe) {
             break;
         }
-        let instances: Vec<(StateId, Buffer)> = exec
+        let instances: Vec<(StateId, Vec<Binding>)> = exec
             .instances()
             .iter()
-            .map(|i: &Instance| (i.state, i.buffer.clone()))
+            .map(|i| (i.state, exec.log().bindings(i.buffer)))
             .collect();
         steps.push(TraceStep {
             event: EventId::from(relation.first_index() + position),
@@ -128,21 +128,16 @@ impl ExecutionTrace {
                 let _ = write!(out, ", {} match(es) emitted", step.emitted);
             }
             let _ = writeln!(out);
-            for (state, buffer) in &step.instances {
+            for (state, bindings) in &step.instances {
                 if let Some(first) = follow {
-                    let starts_with = buffer
-                        .iter()
-                        .last() // oldest binding
-                        .is_some_and(|b| b.event == first);
-                    if !starts_with {
+                    if bindings.first().is_none_or(|b| b.event != first) {
                         continue;
                     }
                 }
-                let bindings: BTreeMap<EventId, String> = buffer
+                let rendered: Vec<String> = bindings
                     .iter()
-                    .map(|b| (b.event, format!("{}/{}", pattern.var_name(b.var), b.event)))
+                    .map(|b| format!("{}/{}", pattern.var_name(b.var), b.event))
                     .collect();
-                let rendered: Vec<String> = bindings.into_values().collect();
                 let _ = writeln!(
                     out,
                     "  qc = {:<8} β = {{{}}}",
@@ -179,11 +174,7 @@ mod tests {
             trace.steps[event_idx]
                 .instances
                 .iter()
-                .filter(|(_, b)| {
-                    b.iter()
-                        .last()
-                        .is_some_and(|x| x.event == ses_event::EventId(0))
-                })
+                .filter(|(_, b)| b.first().is_some_and(|x| x.event == ses_event::EventId(0)))
                 .map(|(s, _)| automaton.state_label(*s))
                 .collect()
         };
@@ -197,11 +188,7 @@ mod tests {
         let e9_buffers: Vec<usize> = trace.steps[8]
             .instances
             .iter()
-            .filter(|(_, b)| {
-                b.iter()
-                    .last()
-                    .is_some_and(|x| x.event == ses_event::EventId(0))
-            })
+            .filter(|(_, b)| b.first().is_some_and(|x| x.event == ses_event::EventId(0)))
             .map(|(_, b)| b.len())
             .collect();
         assert_eq!(e9_buffers, vec![4]); // c, d, p, p

@@ -28,10 +28,17 @@ impl From<u32> for EventId {
     }
 }
 
+/// The id of the event at position `v` of a relation's chronological
+/// order. [`crate::Relation::push_event`] refuses an event whose id would
+/// not fit in `u32`, so a position derived from a relation always fits;
+/// one that does not is a bug, and panics rather than naming another
+/// event.
 impl From<usize> for EventId {
     #[inline]
     fn from(v: usize) -> Self {
-        EventId(v as u32)
+        EventId(
+            u32::try_from(v).expect("event positions fit in u32: Relation::push_event bounds them"),
+        )
     }
 }
 
@@ -120,6 +127,19 @@ impl fmt::Display for Event {
 mod tests {
     use super::*;
     use crate::{AttrId, AttrType};
+
+    #[test]
+    fn event_id_from_the_last_position_that_fits() {
+        assert_eq!(EventId::from(u32::MAX as usize), EventId(u32::MAX));
+    }
+
+    /// One past the id space is not `e1` again.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    #[should_panic(expected = "event positions fit in u32")]
+    fn event_id_past_the_id_space_panics() {
+        let _ = EventId::from(u32::MAX as usize + 1);
+    }
 
     #[test]
     fn event_accessors() {
