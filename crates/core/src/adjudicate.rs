@@ -39,8 +39,14 @@
 //!   single sweep over the sorted group exact. A group of one builds no
 //!   index: with no other candidate, condition 5 and the prefix test are
 //!   vacuous, and the swap test ([`survives_swaps`]) needs none.
-//! * [`SurvivorStore`] — the accumulated Definition-2 survivors that act
-//!   as cross-group Maximal killers. Groups arrive in ascending `minT`
+//! * [`SurvivorStore`] — the accumulated *finals* (emitted matches) that
+//!   act as cross-group Maximal killers. A Definition-2 survivor `m`
+//!   killed by `o` is not kept: a later `x ⊊ m` is also `⊊ o`, and `o`
+//!   binds `x`'s first event, so `minT(o) ≥ minT(x) − τ` keeps `o` (or,
+//!   by induction, the final that killed it) live under either cutoff
+//!   below. Under Maximal the adjudicator asks [`SurvivorStore::kills`]
+//!   before anything else, and a group whose every candidate is killed
+//!   builds no [`GroupIndex`]. Groups arrive in ascending `minT`
 //!   order, so pruning is a head-offset advance (keeping
 //!   [`SurvivorStore::live`] a contiguous slice — the streaming snapshot
 //!   format is unchanged), and the same posting-list trick bounds the
@@ -519,8 +525,8 @@ fn swap_binary_ok(
     true
 }
 
-/// Accumulated Definition-2 survivors — the cross-group Maximal killer
-/// set — with posting lists for indexed kill queries and a head offset
+/// Accumulated finals — the cross-group Maximal killer set — with
+/// posting lists for indexed kill queries and a head offset
 /// so pruning never reindexes.
 ///
 /// Groups arrive in ascending first-binding order, so pushed `minT`s are

@@ -424,6 +424,12 @@ pub struct PatternStats {
     pub active_instances: usize,
     /// Peak `|Ω|` observed.
     pub peak_omega: usize,
+    /// Accepting runs buffered for adjudication
+    /// ([`StreamMatcher::pending_candidates`]).
+    pub pending_candidates: usize,
+    /// Finals retained as maximality killers
+    /// ([`StreamMatcher::retained_killers`]).
+    pub retained_killers: usize,
     /// Events currently retained in the pattern's relation.
     pub retained_events: usize,
     /// Events evicted from the pattern's relation.
@@ -1066,6 +1072,8 @@ impl PatternBank {
                     emitted: sms().map(StreamMatcher::emitted_so_far).sum(),
                     active_instances: sms().map(StreamMatcher::active_instances).sum(),
                     peak_omega: runs.iter().map(|r| r.peak_omega).max().unwrap_or(0),
+                    pending_candidates: sms().map(StreamMatcher::pending_candidates).sum(),
+                    retained_killers: sms().map(StreamMatcher::retained_killers).sum(),
                     retained_events: sms().map(StreamMatcher::retained_events).sum(),
                     evicted_events: sms().map(StreamMatcher::evicted_events).sum(),
                 }

@@ -69,10 +69,12 @@ impl Match {
         self.bindings[self.bindings.len() - 1].1
     }
 
-    /// `true` iff the match contains the binding `var/event`.
+    /// `true` iff the match contains the binding `var/event`. Bindings
+    /// are sorted by `(event, var)`, so that is the search key.
     pub fn contains(&self, var: VarId, event: EventId) -> bool {
-        self.bindings.binary_search(&(var, event)).is_ok()
-            || self.bindings.iter().any(|&(v, e)| v == var && e == event)
+        self.bindings
+            .binary_search_by_key(&(event, var), |&(v, e)| (e, v))
+            .is_ok()
     }
 
     /// `true` iff `self ⊊ other` as binding sets: one merge walk over
@@ -156,6 +158,23 @@ mod tests {
         assert_eq!(x.first_event(), EventId(2));
         assert_eq!(x.last_event(), EventId(5));
         assert_eq!(x.len(), 3);
+    }
+
+    #[test]
+    fn contains_searches_in_event_order() {
+        // Sorted by (event, var) this is [v1/e1, v0/e2]; sorted by
+        // (var, event) it would be the reverse, so a search keyed on the
+        // wrong order misses.
+        let x = m(&[(1, 1), (0, 2)]);
+        assert!(x.contains(VarId(0), EventId(2)));
+        assert!(x.contains(VarId(1), EventId(1)));
+        assert!(!x.contains(VarId(0), EventId(1)));
+        assert!(!x.contains(VarId(1), EventId(2)));
+        let y = m(&[(2, 4), (0, 5), (1, 5), (0, 9)]);
+        for &(v, e) in y.bindings() {
+            assert!(y.contains(v, e), "{v}/{e}");
+        }
+        assert!(!y.contains(VarId(2), EventId(5)));
     }
 
     #[test]

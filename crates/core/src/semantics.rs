@@ -143,21 +143,29 @@ pub(crate) fn group_key(m: &Match) -> GroupKey {
 ///   binding by definition.
 /// * **Maximality** — a killer `γ' ⊋ γ` contains γ's first binding, so
 ///   its own first binding cannot be later: killers live in the same or
-///   an earlier group. Earlier groups' Definition-2 survivors are
-///   accumulated; later groups can never retroactively kill an emitted
-///   match.
+///   an earlier group. Earlier groups' *finals* are accumulated; later
+///   groups can never retroactively kill an emitted match.
+///
+/// The killer store holds finals only, not every Definition-2 survivor.
+/// Let `x ⊊ m ⊊ o`, where `m` is a Definition-2 survivor killed by `o`.
+/// Then `x ⊊ o`, and `o` binds `x`'s first event inside its own window,
+/// so `minT(o) ≥ minT(x) − τ`: `o` is live under the batch cutoff
+/// (`minT(group) − τ`) and the stream cutoff (`watermark − 2τ`) alike. If
+/// `o` was itself killed, the same holds for its killer; by induction
+/// over groups every such `o` has a live final superset in the store, so
+/// dropping `m` changes no kill answer.
 ///
 /// For streaming, a group is adjudicated once the watermark makes it
 /// complete (no run starting at `minT` can still grow once
-/// `watermark − minT > τ`), and accumulated survivors are prunable once
+/// `watermark − minT > τ`), and accumulated finals are prunable once
 /// `minT < watermark − 2τ` — any later victim's window reaches back at
 /// most τ before its own `minT`, which is itself at least
 /// `watermark − τ`.
 #[derive(Debug)]
 pub(crate) struct Adjudicator {
     semantics: MatchSemantics,
-    /// Definition-2 survivors of adjudicated groups, kept (with their
-    /// `minT`) as potential Maximal killers for later groups.
+    /// Finals of adjudicated groups, kept (with their `minT`) as
+    /// potential Maximal killers for later groups.
     survivors: SurvivorStore,
     /// Per-variable viable events for the condition-4 swap scan, fed by
     /// [`Adjudicator::admit`]. Never part of a snapshot: a restored
@@ -211,7 +219,7 @@ impl Adjudicator {
     /// [`crate::adjudicate`].
     pub(crate) fn adjudicate_group(
         &mut self,
-        group: Vec<Match>,
+        mut group: Vec<Match>,
         relation: &Relation,
         pattern: &CompiledPattern,
     ) -> Vec<Match> {
@@ -219,43 +227,47 @@ impl Adjudicator {
         if group.is_empty() || self.semantics == MatchSemantics::AllRuns {
             return group;
         }
-        let kept: Vec<bool> = if let [m] = &group[..] {
+        let maximal = self.semantics == MatchSemantics::Maximal;
+        if let [m] = &group[..] {
             // A lone candidate has nothing to be compared with: condition 5
             // and the prefix test are vacuous, so it needs no index.
             let ts = binding_timestamps(m, relation);
-            vec![survives_swaps(m, &ts, relation, pattern, &self.viable)]
+            if !survives_swaps(m, &ts, relation, pattern, &self.viable)
+                || (maximal && self.survivors.kills(m))
+            {
+                group.clear();
+            }
         } else {
-            let gi = GroupIndex::build(&group, relation, pattern.pattern().num_vars());
-            (0..group.len())
-                .map(|i| {
-                    gi.survives_condition_4(i, relation, pattern, &self.viable)
-                        && gi.survives_condition_5(i)
-                })
-                .collect()
-        };
-
-        if self.semantics == MatchSemantics::Definition2 {
-            return group
-                .into_iter()
-                .zip(kept)
-                .filter_map(|(m, k)| k.then_some(m))
+            // Under Maximal a killed candidate is out whatever conditions
+            // 4–5 say, so the kill query runs first; a group it empties
+            // builds no index. Condition-5 killers and prefix offers stay
+            // the whole group.
+            let mut alive: Vec<bool> = group
+                .iter()
+                .map(|m| !maximal || !self.survivors.kills(m))
                 .collect();
+            if alive.contains(&true) {
+                let gi = GroupIndex::build(&group, relation, pattern.pattern().num_vars());
+                for (i, a) in alive.iter_mut().enumerate() {
+                    *a = *a
+                        && gi.survives_condition_4(i, relation, pattern, &self.viable)
+                        && gi.survives_condition_5(i);
+                }
+            }
+            let mut verdicts = alive.into_iter();
+            group.retain(|_| verdicts.next().expect("one verdict per candidate"));
         }
 
-        // Condition 5 ranges over the whole group, so a kept candidate
-        // is already maximal within it; only survivors of earlier groups
-        // can still kill it.
-        let finals: Vec<Match> = (0..group.len())
-            .filter(|&i| kept[i] && !self.survivors.kills(&group[i]))
-            .map(|i| group[i].clone())
-            .collect();
-        let min_ts = relation.event(group[0].first_event()).ts();
-        for (m, k) in group.into_iter().zip(kept) {
-            if k {
-                self.survivors.push(min_ts, m);
+        // Only finals enter the killer store (see the type docs).
+        if maximal {
+            if let Some(first) = group.first() {
+                let min_ts = relation.event(first.first_event()).ts();
+                for m in &group {
+                    self.survivors.push(min_ts, m.clone());
+                }
             }
         }
-        finals
+        group
     }
 
     /// Discards accumulated survivors whose `minT` precedes `cutoff` —

@@ -3,7 +3,7 @@
 //! A [`StreamSnapshot`] captures the *dynamic* state of a
 //! [`crate::StreamMatcher`] — the retained relation window, the active
 //! instance set Ω with match buffers, the pending adjudication groups,
-//! the Definition-2 killer survivors, the watermark, and the
+//! the maximality killers (retained finals), the watermark, and the
 //! emitted-match high-water mark. The *static* state (automaton, filter,
 //! options) is deliberately **not** serialized: recovery recompiles it
 //! from the pattern and options, and a fingerprint stored in the
@@ -63,8 +63,12 @@ pub struct StreamSnapshot {
     /// Accepting runs awaiting adjudication, as canonical sorted binding
     /// lists; regrouped by first binding on restore.
     pub pending: Vec<Vec<(VarId, EventId)>>,
-    /// Definition-2 survivors retained as maximality killers, with their
-    /// `minT`.
+    /// Emitted finals retained as maximality killers, with their `minT`,
+    /// oldest first. Restore also accepts a superset whose extra entries
+    /// are Definition-2 survivors that a final killed (what earlier
+    /// releases wrote): a victim of such an entry is a victim of that
+    /// final, which is still live when the victim is adjudicated, so
+    /// every kill answer is the same.
     pub survivors: Vec<(Timestamp, Vec<(VarId, EventId)>)>,
     /// Matches already emitted by `push` — the exactly-once high-water
     /// mark recovery suppresses duplicates against.

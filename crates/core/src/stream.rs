@@ -39,9 +39,11 @@
 //! * **Admitted events** — the per-variable viable-event lists the
 //!   condition-4 swap test reads, appended to by each push that admits
 //!   its event, are cut back with the relation, at the same eviction.
-//! * **Killer matches** — Definition-2 survivors retained for maximality
-//!   checks are dropped once `minT < w − 2τ` (no later group can reach
-//!   back that far).
+//! * **Killer matches** — emitted finals retained for maximality checks
+//!   are dropped once `minT < w − 2τ` (no later group can reach back that
+//!   far). Definition-2 survivors a final killed are never retained: a
+//!   later victim of one is a victim of its killer too, which is still
+//!   live (see [`crate::semantics`]).
 //!
 //! Steady-state memory is proportional to the number of events inside
 //! one window `τ` (times a small constant for the compaction
@@ -444,8 +446,10 @@ impl StreamMatcher {
         self.pending.values().map(Vec::len).sum()
     }
 
-    /// Definition-2 survivors retained as maximality killers for groups
-    /// still to come (pruned against the watermark like everything else).
+    /// Emitted finals retained as maximality killers for groups still to
+    /// come (pruned against the watermark like everything else). A
+    /// Definition-2 survivor that a retained final killed is not kept:
+    /// every later victim of it is a victim of that final too.
     pub fn retained_killers(&self) -> usize {
         self.adjudicator.survivor_count()
     }

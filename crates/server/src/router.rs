@@ -673,7 +673,10 @@ impl Router {
                     .with("skips", s.skips)
                     .with("heartbeats", s.heartbeats)
                     .with("matches", s.emitted)
+                    .with("active_instances", s.active_instances)
                     .with("peak_omega", s.peak_omega)
+                    .with("pending_candidates", s.pending_candidates)
+                    .with("retained_killers", s.retained_killers)
                     .with("retained", s.retained_events)
                     .with("evicted", s.evicted_events)
                     .with("seq", self.bank.sinks().seq(i))

@@ -175,6 +175,61 @@ fn subscriber_receives_matches_as_they_finalize() {
     server.stop().unwrap();
 }
 
+/// One per-pattern counter of the `stats` reply, for the pattern at
+/// `index`.
+fn pattern_stat(c: &mut Client, index: usize, name: &str) -> u64 {
+    let reply = c.stats().unwrap();
+    let patterns = reply
+        .get("stats")
+        .and_then(JsonValue::as_object)
+        .and_then(|s| s.get("patterns"))
+        .and_then(JsonValue::as_array)
+        .expect("a patterns array");
+    let pattern = patterns[index].as_object().expect("a pattern object");
+    pattern
+        .get(name)
+        .and_then(JsonValue::as_u64)
+        .unwrap_or_else(|| panic!("no per-pattern `{name}`"))
+}
+
+#[test]
+fn stats_show_each_patterns_adjudication_state() {
+    let server = Server::start(config(None)).unwrap();
+    let mut c = connect(&server);
+    c.subscribe("cd", CD, 0).unwrap();
+    for name in [
+        "active_instances",
+        "peak_omega",
+        "pending_candidates",
+        "retained_killers",
+    ] {
+        assert_eq!(pattern_stat(&mut c, 0, name), 0, "{name} before any event");
+    }
+
+    // A run is open, nothing is decided yet.
+    c.ingest(1, &ev(1, "C")).unwrap();
+    c.ingest(2, &ev(2, "D")).unwrap();
+    c.sync().unwrap();
+    assert!(pattern_stat(&mut c, 0, "active_instances") > 0);
+    assert_eq!(pattern_stat(&mut c, 0, "retained_killers"), 0);
+
+    // The window closes: the match is final and, under maximality, kept
+    // as a killer until the watermark is 2τ past its start.
+    c.ingest(8, &ev(3, "X")).unwrap();
+    c.sync().unwrap();
+    assert_eq!(pattern_stat(&mut c, 0, "matches"), 1);
+    assert_eq!(pattern_stat(&mut c, 0, "active_instances"), 0);
+    assert!(pattern_stat(&mut c, 0, "peak_omega") > 0);
+    assert_eq!(pattern_stat(&mut c, 0, "pending_candidates"), 0);
+    assert_eq!(pattern_stat(&mut c, 0, "retained_killers"), 1);
+
+    c.ingest(100, &ev(4, "X")).unwrap();
+    c.sync().unwrap();
+    assert_eq!(pattern_stat(&mut c, 0, "retained_killers"), 0);
+
+    server.stop().unwrap();
+}
+
 #[test]
 fn bad_input_reports_errors_without_killing_the_connection() {
     let server = Server::start(config(None)).unwrap();

@@ -372,3 +372,247 @@ fn bank_checkpoint_roundtrips_survivors() {
         );
     }
 }
+
+/// `p+` over the `P` events, within `tau` ticks: every first-binding
+/// group's maximal candidate is the `P`s of its own window, so
+/// successive groups nest.
+fn chain_pattern(tau: i64) -> Pattern {
+    Pattern::builder()
+        .set(|s| s.plus("p"))
+        .cond_const("p", "L", CmpOp::Eq, "P")
+        .within(Duration::ticks(tau))
+        .build()
+        .unwrap()
+}
+
+fn chain_relation(rows: &[(i64, &str)]) -> Relation {
+    let mut rel = Relation::new(schema());
+    for &(ts, ty) in rows {
+        rel.push_values(Timestamp::new(ts), [Value::from(ty), Value::from(1i64)])
+            .unwrap();
+    }
+    rel
+}
+
+/// Cross-group containment chains: `τ` plus rows in which each chain is
+/// `P` events at `t`, `t + a` and `t + b` (`0 < a < b ≤ τ`), so the
+/// groups of `t`, `t + a` and `t + b` hold `o ⊋ m ⊋ x` with `m` a
+/// Definition-2 survivor that `o` kills — and, when `b = τ`, `o` sits
+/// exactly at the `minT(x) − τ` cutoff. Each chain is followed by a few
+/// `X` events that move the clock, and the next one may start inside the
+/// previous chain's windows.
+fn chain_strategy() -> impl Strategy<Value = (i64, Vec<(i64, &'static str)>)> {
+    let chain = (any::<u8>(), any::<u8>(), 0i64..4, any::<u8>());
+    (2i64..6, proptest::collection::vec(chain, 1..5)).prop_map(|(tau, chains)| {
+        let mut rows = Vec::new();
+        let mut t = 0;
+        for (ra, rb, xs, rgap) in chains {
+            let a = 1 + i64::from(ra) % (tau - 1);
+            let b = a + 1 + i64::from(rb) % (tau - a);
+            rows.extend([(t, "P"), (t + a, "P"), (t + b, "P")]);
+            rows.extend((1..=xs).map(|i| (t + b + i, "X")));
+            t += b + xs + 1 + i64::from(rgap) % (2 * tau);
+        }
+        (tau, rows)
+    })
+}
+
+/// Streams `rel` through a Maximal matcher and checks after every push
+/// that the killer store holds exactly the live finals: the matches
+/// emitted so far whose `minT` is not before `watermark − 2τ`.
+fn assert_store_holds_live_finals(
+    pat: &Pattern,
+    rel: &Relation,
+    tau: i64,
+    selection: EventSelection,
+) -> Result<(), TestCaseError> {
+    let mut sm =
+        StreamMatcher::with_options(pat, &schema(), options(MatchSemantics::Maximal, selection))
+            .unwrap();
+    let mut final_starts = Vec::new();
+    for e in rel.events() {
+        for m in sm.push(e.ts(), e.values().to_vec()).unwrap() {
+            final_starts.push(rel.event(m.first_event()).ts().ticks());
+        }
+        let cutoff = e.ts().ticks() - 2 * tau;
+        let live = final_starts.iter().filter(|&&t| t >= cutoff).count();
+        prop_assert_eq!(
+            sm.retained_killers(),
+            live,
+            "after the push at {}: the store must hold the live finals only",
+            e.ts()
+        );
+    }
+    Ok(())
+}
+
+/// Each push's emissions, then the finish flush as one last entry.
+fn push_schedule(sm: &mut StreamMatcher, rows: &[(i64, &str)]) -> Vec<Vec<Match>> {
+    rows.iter()
+        .map(|&(ts, ty)| {
+            sm.push(Timestamp::new(ts), vec![Value::from(ty), Value::from(1i64)])
+                .unwrap()
+        })
+        .collect()
+}
+
+/// What a checkpoint of a Maximal matcher held before the store was cut
+/// to finals: every Definition-2 survivor of an adjudicated group whose
+/// `minT` is not before `watermark − 2τ`, in adjudication order. Read off
+/// a Definition-2 matcher over the same prefix — conditions 4–5 are
+/// closed within a group, so its emissions are exactly those survivors.
+fn definition2_survivors(
+    pat: &Pattern,
+    rows: &[(i64, &str)],
+    tau: i64,
+    selection: EventSelection,
+) -> Vec<(Timestamp, Vec<(VarId, EventId)>)> {
+    let opts = options(MatchSemantics::Definition2, selection);
+    let mut def2 = StreamMatcher::with_options(pat, &schema(), opts).unwrap();
+    let cutoff = rows.last().map_or(i64::MIN, |&(ts, _)| ts - 2 * tau);
+    push_schedule(&mut def2, rows)
+        .into_iter()
+        .flatten()
+        .map(|m| (Timestamp::new(rows[m.first_event().0 as usize].0), m))
+        .filter(|(t, _)| t.ticks() >= cutoff)
+        .map(|(t, m)| (t, m.bindings().to_vec()))
+        .collect()
+}
+
+/// Restores a Maximal matcher from its checkpoint at `split` with the
+/// survivor list widened to what earlier releases wrote (the finals plus
+/// the Definition-2 survivors they killed), pushes the rest, and returns
+/// how many survivors were added; its emissions must be the
+/// uninterrupted run's, push for push.
+fn resume_from_parent_checkpoint(
+    pat: &Pattern,
+    rows: &[(i64, &str)],
+    tau: i64,
+    split: usize,
+    selection: EventSelection,
+) -> Result<usize, TestCaseError> {
+    let opts = options(MatchSemantics::Maximal, selection);
+    let mut whole = StreamMatcher::with_options(pat, &schema(), opts.clone()).unwrap();
+    let mut reference = push_schedule(&mut whole, rows);
+    reference.push(whole.finish());
+
+    let mut sm = StreamMatcher::with_options(pat, &schema(), opts.clone()).unwrap();
+    let mut schedule = push_schedule(&mut sm, &rows[..split]);
+    let mut snap = sm.snapshot();
+    let wider = definition2_survivors(pat, &rows[..split], tau, selection);
+    for s in &snap.survivors {
+        prop_assert!(
+            wider.contains(s),
+            "a final {:?} is no Definition-2 survivor",
+            s
+        );
+    }
+    let added = wider.len() - snap.survivors.len();
+    snap.survivors = wider;
+    let mut restored = StreamMatcher::restore(pat, &schema(), opts, &snap).unwrap();
+    schedule.extend(push_schedule(&mut restored, &rows[split..]));
+    schedule.push(restored.finish());
+    prop_assert_eq!(
+        schedule,
+        reference,
+        "split {}: resuming from the wider survivor list diverged",
+        split
+    );
+    Ok(added)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Chains whose middle link is a Definition-2 survivor killed in a
+    /// later group than it was found: batch and stream return the
+    /// pairwise reference's answer, and the stream's killer store holds
+    /// the live finals and nothing else.
+    #[test]
+    fn cross_group_chains_equal_pairwise_reference(case in chain_strategy()) {
+        let (tau, rows) = case;
+        let pat = chain_pattern(tau);
+        let rel = chain_relation(&rows);
+        for selection in SELECTIONS {
+            for semantics in [MatchSemantics::Maximal, MatchSemantics::Definition2] {
+                let reference = reference_answer(&pat, &rel, semantics, selection);
+                let opts = options(semantics, selection);
+                prop_assert_eq!(&batch_answer(&pat, &rel, opts.clone()), &reference, "{:?}/{:?}: find", semantics, selection);
+                prop_assert_eq!(&stream_union(&pat, &rel, opts), &reference, "{:?}/{:?}: stream", semantics, selection);
+            }
+            assert_store_holds_live_finals(&pat, &rel, tau, selection)?;
+        }
+    }
+
+    /// A checkpoint whose survivor list is the finals plus the
+    /// Definition-2 survivors they killed — what earlier releases wrote
+    /// — resumes exactly like the uninterrupted run, at every split.
+    #[test]
+    fn parent_checkpoint_with_definition2_survivors_resumes(case in chain_strategy()) {
+        let (tau, rows) = case;
+        let pat = chain_pattern(tau);
+        for selection in SELECTIONS {
+            for split in 0..=rows.len() {
+                resume_from_parent_checkpoint(&pat, &rows, tau, split, selection)?;
+            }
+        }
+    }
+}
+
+/// The chain at its tightest: `P` at 0, 1, 2 within τ = 2, so the killer
+/// `o` of the last group starts exactly at that group's `minT − τ`.
+/// Definition 2 keeps all three links, maximality only `o`; and once
+/// `m` is found killed, the store still holds `o` alone.
+#[test]
+fn chain_killer_at_the_cutoff_kills() {
+    let tau = 2;
+    let pat = chain_pattern(tau);
+    let rows = [(0, "P"), (1, "P"), (2, "P"), (3, "X"), (4, "X"), (5, "X")];
+    let rel = chain_relation(&rows);
+    let p = |events: &[u32]| {
+        Match::from_bindings(events.iter().map(|&e| (VarId(0), EventId(e))).collect())
+    };
+    let (o, m, x) = (p(&[0, 1, 2]), p(&[1, 2]), p(&[2]));
+    assert!(x.is_proper_subset_of(&m) && m.is_proper_subset_of(&o));
+    for selection in SELECTIONS {
+        let def2 = batch_answer(&pat, &rel, options(MatchSemantics::Definition2, selection));
+        assert_eq!(def2, [o.clone(), m.clone(), x.clone()], "{selection:?}");
+        let maximal = batch_answer(&pat, &rel, options(MatchSemantics::Maximal, selection));
+        assert_eq!(maximal, std::slice::from_ref(&o), "{selection:?}");
+        assert_eq!(
+            maximal,
+            reference_answer(&pat, &rel, MatchSemantics::Maximal, selection)
+        );
+
+        // X@3 emits o; X@4 finds m killed (the cutoff 4 − 2τ = 0 is
+        // minT(o)), leaving o the only killer; X@5 finds x killed, then
+        // prunes o.
+        let opts = options(MatchSemantics::Maximal, selection);
+        let mut sm = StreamMatcher::with_options(&pat, &schema(), opts).unwrap();
+        let mut killers = Vec::new();
+        for (ts, ty) in rows {
+            sm.push(Timestamp::new(ts), vec![Value::from(ty), Value::from(1i64)])
+                .unwrap();
+            killers.push(sm.retained_killers());
+        }
+        assert_eq!(killers, [0, 0, 0, 1, 1, 0], "{selection:?}");
+        assert_store_holds_live_finals(&pat, &rel, tau, selection).unwrap();
+    }
+}
+
+/// The same chain checkpointed after `m`'s group is decided (X@6 with
+/// τ = 4): the parent-era survivor list carries `m` beside `o`, and the
+/// restored matcher still kills `x` and emits nothing else.
+#[test]
+fn parent_checkpoint_resumes_on_the_chain() {
+    let tau = 4;
+    let pat = chain_pattern(tau);
+    let rows = [(0, "P"), (1, "P"), (2, "P"), (6, "X"), (7, "X"), (20, "X")];
+    for selection in SELECTIONS {
+        let added = resume_from_parent_checkpoint(&pat, &rows, tau, 4, selection).unwrap();
+        assert!(
+            added > 0,
+            "{selection:?}: the parent-era list adds nothing — the test is vacuous"
+        );
+    }
+}
