@@ -1145,7 +1145,7 @@ fn cmd_stream(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     }
     // `finish` consumes the bank; take the report first and fold the
     // flush's matches into the per-pattern emission counts by hand.
-    let stats = bank.bank().stats();
+    let stats = bank.stats();
     let consumed = bank.bank().consumed_events();
     let mut emitted_by: Vec<usize> = stats.iter().map(|s| s.emitted).collect();
     let (flushed, mut sinks) = bank.finish(&mut probe).map_err(|e| e.to_string())?;

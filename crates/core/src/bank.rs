@@ -5,13 +5,16 @@
 //! predicate index ([`ses_pattern::PatternIndex`]) built from the
 //! patterns' analyzer-derived constant constraints routes it to the
 //! patterns it could possibly advance. Every other pattern only has to
-//! learn the time, and only at the instants that change anything for
-//! it: it receives a watermark heartbeat
-//! ([`StreamMatcher::advance_watermark`]) once the stream's clock
-//! reaches its [`StreamMatcher::next_deadline`], so its pending matches
-//! finalize and its window evicts on time. A push therefore costs what
-//! it admits plus what has come due, not the number of patterns
-//! registered.
+//! learn the time, and only at the instants that can emit: it receives
+//! a watermark heartbeat ([`StreamMatcher::advance_watermark`]) once
+//! the stream's clock reaches its emission deadline
+//! ([`StreamMatcher::next_deadline`]), so its matches finalize on time.
+//! Its housekeeping — sweeping dead runs, evicting its window, pruning
+//! killers — waits for its next push or heartbeat, or for
+//! [`PatternBank::snapshot`] or [`PatternBank::stats`], which bring
+//! every matcher to the bank's clock. A push therefore costs what it
+//! admits plus what has come due for output, not the number of
+//! patterns registered.
 //!
 //! # Why skipping is sound
 //!
@@ -24,9 +27,12 @@
 //! performs exactly the sweep/adjudicate/evict work a push at that
 //! timestamp would, and a push at a timestamp equal to the watermark is
 //! still accepted — admitted ties are never rejected. Below the
-//! matcher's deadline that work is provably empty, so withholding the
-//! heartbeat until then changes nothing either. Per-pattern
-//! output is therefore identical — matches *and* order — to N
+//! matcher's deadline that work emits nothing and leaves the pending
+//! groups alone, so withholding the heartbeat until then changes no
+//! output; the sweep, eviction and prune it would have run are run by
+//! whatever next moves that matcher's clock, and a snapshot writes the
+//! logical window, so checkpoints do not show the deferral either.
+//! Per-pattern output is therefore identical — matches *and* order — to N
 //! independent [`StreamMatcher`]s each fed every event, which is
 //! precisely what `tests/bank_vs_independent.rs` proves differentially.
 //! The full argument lives in `docs/patternbank.md`.
@@ -192,8 +198,7 @@ struct Scratch {
 /// early is simply re-set to the deadline of the day. Only a deadline
 /// moving *earlier* than the alarm queues a second entry; the superseded
 /// one is recognized by its time when it surfaces and dropped. Ringing
-/// early is always safe — a heartbeat below the deadline does nothing —
-/// ringing late never happens.
+/// early costs a re-set and no heartbeat; ringing late never happens.
 #[derive(Debug, Default)]
 struct Deadlines {
     /// Matcher `i`'s [`StreamMatcher::next_deadline`] as of the last
@@ -415,8 +420,9 @@ pub struct PatternStats {
     pub skips: u64,
     /// Heartbeats pushes actually executed on the pattern's matcher
     /// since the bank was built or restored: a skip costs one only once
-    /// the clock reaches the matcher's deadline, so this stays far below
-    /// `skips`.
+    /// the clock reaches the matcher's emission deadline, and each one
+    /// decides at least one candidate, so this stays at most the raw
+    /// matches the pattern found.
     pub heartbeats: u64,
     /// Matches finalized by pushes so far.
     pub emitted: usize,
@@ -955,8 +961,9 @@ impl PatternBank {
 
     /// Brings every matcher whose heartbeats pushes have withheld to the
     /// bank's clock, so that each one's recorded watermark is the
-    /// bank's. Below its deadline a heartbeat finalizes and evicts
-    /// nothing — which is why it could be withheld.
+    /// bank's: the sweeps, evictions and prunes deferred so far run now.
+    /// Below its deadline a heartbeat emits nothing — which is why it
+    /// could be withheld.
     fn flush_deferred(&mut self) {
         if let Some(w) = self.watermark {
             let flushed = self.advance_watermark(w);
@@ -1014,23 +1021,6 @@ impl PatternBank {
         }
     }
 
-    /// Active instances summed over all patterns.
-    pub fn active_instances(&self) -> usize {
-        self.entries
-            .iter()
-            .filter_map(|e| e.own().map(StreamMatcher::active_instances))
-            .sum()
-    }
-
-    /// Events retained, summed over all patterns (an event admitted to
-    /// k matchers is counted k times).
-    pub fn retained_events(&self) -> usize {
-        self.entries
-            .iter()
-            .filter_map(|e| e.own().map(StreamMatcher::retained_events))
-            .sum()
-    }
-
     /// Events pushed into matchers, summed over all patterns — the
     /// quantity the index exists to reduce (from `patterns × events`).
     pub fn total_hits(&self) -> u64 {
@@ -1046,7 +1036,12 @@ impl PatternBank {
     }
 
     /// Routing and matching statistics per pattern, in id order.
-    pub fn stats(&self) -> Vec<PatternStats> {
+    ///
+    /// Heartbeats that pushes withheld are delivered first, so an idle
+    /// pattern's `|Ω|`, killers and window are reported as of the bank's
+    /// clock, not as of its last push.
+    pub fn stats(&mut self) -> Vec<PatternStats> {
+        self.flush_deferred();
         self.firsts()
             .map(|(i, e)| {
                 let lanes = self.lanes.iter().find(|g| g.first == i).map_or(1, |g| g.of);
@@ -1102,17 +1097,22 @@ impl PatternBank {
             patterns: self
                 .entries
                 .iter_mut()
-                .map(|e| BankPatternSnapshot {
-                    name: e.name.clone(),
-                    matcher: match &mut e.exec {
+                .map(|e| {
+                    let matcher = match &mut e.exec {
                         Exec::Own(sm) => Some(sm.snapshot()),
                         Exec::Dedup { .. } => None,
-                    },
-                    ids: e.ids.clone(),
-                    base: e.base as u64,
-                    peak_omega: e.peak_omega as u64,
-                    hits: e.hits,
-                    skips: e.seen(next_id) - e.hits,
+                    };
+                    // The matcher's snapshot evicted to its logical window.
+                    e.prune();
+                    BankPatternSnapshot {
+                        name: e.name.clone(),
+                        matcher,
+                        ids: e.ids.clone(),
+                        base: e.base as u64,
+                        peak_omega: e.peak_omega as u64,
+                        hits: e.hits,
+                        skips: e.seen(next_id) - e.hits,
+                    }
                 })
                 .collect(),
             roles,
@@ -1906,8 +1906,8 @@ mod tests {
     #[test]
     fn idle_patterns_cost_heartbeats_only_when_due() {
         // One A-B pair, then a long run of events only `cd` is admitted:
-        // `ab` is skipped every time, but heartbeat only for the sweep
-        // and adjudication, the eviction, and the killer prune.
+        // `ab` is skipped every time, but heartbeat only once, when the
+        // pair's window closes and its group is decided.
         let mut bank = bank();
         let mut n = 0u64;
         for (t, l) in [(0, "A"), (1, "B")] {
@@ -1926,13 +1926,74 @@ mod tests {
         assert_eq!(emitted, 1, "the pair finalized on a heartbeat");
         let ab = &bank.stats()[0];
         assert_eq!((ab.hits, ab.skips), (2, n - 2));
-        assert!(
-            (1..=4).contains(&ab.heartbeats),
-            "{} heartbeats for {} skips",
-            ab.heartbeats,
-            ab.skips
-        );
+        assert_eq!(ab.heartbeats, 1, "{} skips", ab.skips);
         assert_eq!((ab.retained_events, ab.evicted_events), (0, 2));
+    }
+
+    /// The `stream-bank` shape — sixteen `a THEN b` patterns on disjoint
+    /// label pairs, correlated on `ID` — with one burst to pattern 0,
+    /// then 10 000 pushes it never sees. A matcher grows only on its own
+    /// pushes, so after every push each entry retains at most the events
+    /// and `|Ω|` it held after its last routed one, deferred housekeeping
+    /// or not; `stats` then reports the idle pattern's state reclaimed.
+    #[test]
+    fn idle_patterns_hold_no_more_than_after_their_own_last_push() {
+        let label = |i: usize| format!("T{i:02}");
+        let mut builder = PatternBank::builder(&schema());
+        for i in 0..16 {
+            let p = Pattern::builder()
+                .set(|s| s.var("a"))
+                .set(|s| s.var("b"))
+                .cond_const("a", "L", CmpOp::Eq, label(2 * i).as_str())
+                .cond_const("b", "L", CmpOp::Eq, label(2 * i + 1).as_str())
+                .cond_vars("a", "ID", CmpOp::Eq, "b", "ID")
+                .within(Duration::ticks(20))
+                .build()
+                .unwrap();
+            builder = builder
+                .register(format!("q{i:02}"), &p, MatcherOptions::default())
+                .unwrap();
+        }
+        let mut bank = builder.build();
+        // Pairs for pattern 0, then `a`s no `b` will ever complete.
+        let burst =
+            (0..40i64).map(|k| (k / 4, k % 3, label(if k < 32 { k as usize % 2 } else { 0 })));
+        let rest = (0..10_000i64).map(|k| (10 + k / 2, k % 5, label(2 + k as usize % 30)));
+        let held = |e: &Entry| {
+            let sm = e.own().expect("no twins in this bank");
+            (sm.retained_events(), sm.active_instances())
+        };
+        let mut last: Vec<(u64, (usize, usize))> = vec![(0, (0, 0)); bank.entries.len()];
+        for (t, id, l) in burst.chain(rest) {
+            bank.push(
+                Timestamp::new(t),
+                [Value::from(id), Value::from(l.as_str())],
+            )
+            .unwrap();
+            for (e, (hits, bound)) in bank.entries.iter().zip(&mut last) {
+                let now = held(e);
+                if e.hits != *hits {
+                    (*hits, *bound) = (e.hits, now);
+                }
+                assert!(
+                    now.0 <= bound.0 && now.1 <= bound.1,
+                    "{} holds (retained, |Ω|) {now:?}, {bound:?} after its last push, at t={t}",
+                    e.name
+                );
+            }
+        }
+        let idle = held(&bank.entries[0]);
+        assert!(
+            idle.0 > 0 && idle.1 > 0,
+            "the idle tail was reclaimed early"
+        );
+        let stats = &bank.stats()[0];
+        assert_eq!((stats.hits, stats.skips), (40, 10_000));
+        assert!(
+            stats.emitted > 0,
+            "the burst's pairs finalized on heartbeats"
+        );
+        assert_eq!((stats.retained_events, stats.active_instances), (0, 0));
     }
 
     // ---- deduplication -----------------------------------------------
@@ -2175,7 +2236,7 @@ mod tests {
             BankRole::Lane { lane: 2, of: 3, .. }
         ));
         let spec = |o: MatcherOptions| vec![("k".to_string(), keyed(), o)];
-        let restored = PatternBank::restore(&spec(auto()), &schema(), &snap).unwrap();
+        let mut restored = PatternBank::restore(&spec(auto()), &schema(), &snap).unwrap();
         assert_eq!(restored.stats()[0].lanes, 3);
         // Options that no longer resolve to a key cannot resurrect lanes.
         let err =

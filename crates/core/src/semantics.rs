@@ -281,12 +281,6 @@ impl Adjudicator {
         self.survivors.live().len()
     }
 
-    /// `minT` of the oldest retained killer — the next one
-    /// [`Adjudicator::prune_survivors`] will drop.
-    pub(crate) fn oldest_survivor(&self) -> Option<Timestamp> {
-        self.survivors.live().first().map(|&(min_ts, _)| min_ts)
-    }
-
     /// The per-variable viable-event lists, for tests.
     #[cfg(test)]
     pub(crate) fn viable_lists(&self) -> &[Vec<(EventId, Timestamp)>] {

@@ -346,52 +346,51 @@ impl StreamMatcher {
         self.advance_to(ts, None, probe)
     }
 
-    /// The smallest watermark at which
-    /// [`StreamMatcher::advance_watermark`] would do more than move the
-    /// clock, or `None` when no heartbeat, however late, would. Below it
-    /// a heartbeat provably leaves the emitted matches, Ω, the pending
-    /// groups, the killer survivors and the retained window untouched,
-    /// so whoever drives this matcher's clock (the bank) may withhold
-    /// heartbeats until then without changing anything observable.
+    /// The *emission deadline*: the smallest watermark at which
+    /// [`StreamMatcher::advance_watermark`] could decide a candidate, or
+    /// `None` when no heartbeat, however late, ever would. Below it a
+    /// heartbeat emits nothing and leaves the pending groups as they
+    /// are, so whoever drives this matcher's clock (the bank) may
+    /// withhold heartbeats until then without changing any output.
     ///
-    /// The four things a heartbeat can do each name their instant:
+    /// A candidate is decided at one of two instants:
     ///
-    /// * **sweep** — the first instance's `minT + τ + 1`, the first
-    ///   watermark more than `τ` past the earliest live window start (Ω is
-    ///   in first-binding order);
+    /// * **expiry** — the first *accepting* instance's `minT + τ + 1`,
+    ///   when its window closes and it joins the pending groups. Ω is in
+    ///   first-binding order, so the first accepting instance is the
+    ///   earliest;
     /// * **adjudication** — the first pending group's `minT + τ + 1`
-    ///   (groups ascend with `minT`, so the first is the earliest);
-    /// * **killer prune** — the oldest survivor's `minT + 2τ + 1`;
-    /// * **eviction** — the timestamp of retained event `⌈len/2⌉ − 1`
-    ///   plus `τ + 1`: [`Relation::evict_before`] compacts only once
-    ///   half the window is evictable.
+    ///   (groups ascend with `minT`, so the first is the earliest).
+    ///
+    /// What a withheld heartbeat would also have done — sweep expired
+    /// non-accepting instances, evict the window, prune killers — emits
+    /// nothing and waits for whatever next moves the clock: a push, or a
+    /// heartbeat at or past the deadline. Deferring it grows nothing:
+    /// only a push adds to the window, Ω or the killers, and every push
+    /// runs all of it. [`StreamMatcher::snapshot`] writes the logical
+    /// window, so a checkpoint does not show it either.
     pub fn next_deadline(&self) -> Option<Timestamp> {
         // A stream that has seen no event ignores heartbeats altogether.
         self.watermark?;
-        debug_assert!(self.results.is_empty(), "results drain before push returns");
-        let tau = self.automaton.tau();
-        let one = Duration::ticks(1);
-        let past = |t: Timestamp, window: Duration| t.saturating_add(window).saturating_add(one);
-        let events = self.relation.events();
-        let evict =
-            (!events.is_empty()).then(|| past(events[events.len().div_ceil(2) - 1].ts(), tau));
         if !self.automaton.pattern().is_satisfiable() {
-            return evict;
+            return None;
         }
-        let sweep = self.omega.first_binding().map(|min_ts| past(min_ts, tau));
+        debug_assert!(self.results.is_empty(), "results drain before push returns");
+        let accept = self.automaton.accept();
+        let expiry = self
+            .omega
+            .instances()
+            .iter()
+            .find(|inst| inst.state == accept)
+            .and_then(|inst| inst.buffer.min_ts());
         let adjudicate = self
             .pending
             .keys()
             .next()
-            .map(|&(event, _)| past(self.relation.event(event).ts(), tau));
-        let prune = self
-            .adjudicator
-            .oldest_survivor()
-            .map(|min_ts| past(min_ts.saturating_add(tau), tau));
-        [evict, sweep, adjudicate, prune]
-            .into_iter()
-            .flatten()
-            .min()
+            .map(|&(event, _)| self.relation.event(event).ts());
+        let min_ts = expiry.into_iter().chain(adjudicate).min()?;
+        let (tau, one) = (self.automaton.tau(), Duration::ticks(1));
+        Some(min_ts.saturating_add(tau).saturating_add(one))
     }
 
     /// The retained relation: the events with `ts ≥ watermark − τ`, plus
@@ -469,10 +468,21 @@ impl StreamMatcher {
     /// matcher fully determine future behavior:
     /// [`StreamMatcher::restore`] yields a matcher whose subsequent
     /// emissions are identical to this one's.
+    ///
+    /// The window written is the logical one: every event before
+    /// `watermark − τ` is evicted first, below the compaction hysteresis
+    /// too, so matchers that evicted at different cutoffs on the way to
+    /// one state write the same bytes. No emission reads below that
+    /// cutoff.
     pub fn snapshot(&mut self) -> StreamSnapshot {
         // `results` is always drained before `push` returns, but queue
         // defensively so the invariant is local.
         self.queue_results();
+        if let Some(w) = self.watermark {
+            if self.relation.evict_all_before(w - self.automaton.tau()) > 0 {
+                self.adjudicator.evict_before(self.relation.first_index());
+            }
+        }
         let log = self.omega.log();
         let instances = self
             .omega
@@ -1205,11 +1215,12 @@ mod tests {
         assert_eq!(sm.ties_at_watermark(), 1);
     }
 
-    /// Patterns whose matchers exercise every deadline source: a plain
-    /// set, a group variable ahead of a sequenced set (pending groups
-    /// that outlive their instances, killer survivors under Maximal), a
-    /// correlated sequence, and a provably unsatisfiable Θ (eviction is
-    /// all its heartbeat ever does). All with τ = 5.
+    /// Patterns whose matchers exercise both deadline sources and the
+    /// housekeeping a heartbeat does between them: a plain set, a group
+    /// variable ahead of a sequenced set (pending groups that outlive
+    /// their instances, killer survivors under Maximal), a correlated
+    /// sequence, and a provably unsatisfiable Θ (which never has a
+    /// deadline). All with τ = 5.
     fn deadline_patterns() -> Vec<Pattern> {
         let unsat = Pattern::builder()
             .set(|s| s.var("a"))
@@ -1239,57 +1250,80 @@ mod tests {
         vec![ab_pattern(), plus, correlated, unsat]
     }
 
+    /// Candidates not yet decided: accepting instances still in Ω plus
+    /// pending ones. Only a decision lowers it; a heartbeat never raises
+    /// it.
+    fn undecided(sm: &StreamMatcher) -> usize {
+        let accept = sm.automaton.accept();
+        let accepting = sm.instances().iter().filter(|i| i.state == accept);
+        accepting.count() + sm.pending_candidates()
+    }
+
     /// Checks the [`StreamMatcher::next_deadline`] contract on `sm`'s
     /// current state. Heartbeats are tried on copies restored from a
-    /// snapshot, which must name the live matcher's deadline: one tick
-    /// below it nothing may change, at it something must.
+    /// snapshot, which must name the live matcher's deadline `d`. Below
+    /// `d` a heartbeat emits and decides nothing, and the housekeeping it
+    /// does is the same whether the clock moved there tick by tick or in
+    /// one step; at `d` a candidate is decided.
     fn assert_deadline_is_exact(sm: &mut StreamMatcher, pattern: &Pattern, opts: &MatcherOptions) {
         let snap = sm.snapshot();
         let copy = || StreamMatcher::restore(pattern, &schema(), opts.clone(), &snap).unwrap();
-        // Everything a heartbeat could touch, bar the clock itself.
-        let state = |sm: &mut StreamMatcher| StreamSnapshot {
-            watermark: None,
-            ..sm.snapshot()
-        };
-        let before = state(&mut copy());
         let deadline = copy().next_deadline();
         assert_eq!(sm.next_deadline(), deadline, "a restore moved the deadline");
-        match deadline {
-            Some(d) => {
-                assert!(
-                    Some(d) > snap.watermark,
-                    "deadline {d} is not in the future"
-                );
-                let mut below = copy();
-                let emitted = below.advance_watermark(d - Duration::ticks(1));
-                assert!(emitted.is_empty(), "emitted below the deadline {d}");
-                assert_eq!(state(&mut below), before, "changed below the deadline {d}");
-                let mut at = copy();
-                at.advance_watermark(d);
-                assert_ne!(
-                    state(&mut at),
-                    before,
-                    "nothing happened at the deadline {d}"
-                );
-            }
-            None => {
-                let mut late = copy();
-                let far = snap.watermark.unwrap_or(Timestamp::new(0)) + Duration::ticks(1_000);
-                assert!(late.advance_watermark(far).is_empty());
-                assert_eq!(
-                    state(&mut late),
-                    before,
-                    "no deadline, yet a heartbeat acted"
-                );
-            }
+        let decided = |sm: &StreamMatcher| (undecided(sm), sm.emitted_so_far());
+        let before = decided(&copy());
+        let Some(w) = snap.watermark else {
+            assert_eq!(deadline, None, "a deadline before the first event");
+            return;
+        };
+        let Some(d) = deadline else {
+            let mut late = copy();
+            assert!(late
+                .advance_watermark(w + Duration::ticks(1_000))
+                .is_empty());
+            assert_eq!(
+                decided(&late),
+                before,
+                "no deadline, yet a heartbeat decided"
+            );
+            return;
+        };
+        assert!(d > w, "deadline {d} is not in the future");
+        let below = d - Duration::ticks(1);
+        let mut once = copy();
+        assert!(
+            once.advance_watermark(below).is_empty(),
+            "emitted below the deadline {d}"
+        );
+        assert_eq!(decided(&once), before, "decided below the deadline {d}");
+        let mut ticked = copy();
+        let mut t = w;
+        while t < below {
+            t += Duration::ticks(1);
+            assert!(
+                ticked.advance_watermark(t).is_empty(),
+                "emitted at {t} < {d}"
+            );
         }
+        assert_eq!(
+            ticked.snapshot(),
+            once.snapshot(),
+            "ticking to {below} and one step there differ"
+        );
+        let mut at = copy();
+        at.advance_watermark(d);
+        assert!(
+            undecided(&at) < before.0,
+            "nothing was decided at the deadline {d}"
+        );
     }
 
     proptest::proptest! {
         /// After every push of random streams — dense runs, ties, gaps of
         /// exactly `τ`, `τ + 1`, `2τ + 1` and far beyond — a heartbeat
-        /// one tick below `next_deadline` leaves the matcher untouched,
-        /// one at it does not, and `None` means no heartbeat ever will.
+        /// one tick below `next_deadline` emits and decides nothing, one
+        /// at it decides a candidate, and `None` means no heartbeat ever
+        /// will.
         #[test]
         fn heartbeats_act_at_the_deadline_and_never_before(
             which in 0usize..4,

@@ -224,7 +224,19 @@ impl Relation {
     /// actually inside the cutoff horizon.
     pub fn evict_before(&mut self, cutoff: Timestamp) -> usize {
         let evictable = self.events.partition_point(|e| e.ts() < cutoff);
-        if evictable == 0 || evictable * 2 < self.events.len() {
+        if evictable * 2 < self.events.len() {
+            return 0;
+        }
+        self.evict_all_before(cutoff)
+    }
+
+    /// [`Relation::evict_before`] without the hysteresis: evicts every
+    /// retained event with `ts < cutoff`, however few, so that what is
+    /// retained depends on the cutoff alone and not on the cutoffs
+    /// evicted at before it. Returns the number of events removed.
+    pub fn evict_all_before(&mut self, cutoff: Timestamp) -> usize {
+        let evictable = self.events.partition_point(|e| e.ts() < cutoff);
+        if evictable == 0 {
             return 0;
         }
         self.events.drain(..evictable);
@@ -630,6 +642,19 @@ mod tests {
         assert_eq!(r.evict_before(Timestamp::new(4)), 4);
         assert_eq!(r.len(), 4);
         assert_eq!(r.first_ts(), Some(Timestamp::new(4)));
+    }
+
+    #[test]
+    fn evict_all_before_ignores_the_hysteresis() {
+        // Evicting at 1 then 4 and evicting at 4 once leave one window.
+        let mut stepped = rel_with(&[0, 1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(stepped.evict_all_before(Timestamp::new(1)), 1);
+        assert_eq!(stepped.evict_all_before(Timestamp::new(4)), 3);
+        let mut once = rel_with(&[0, 1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(once.evict_all_before(Timestamp::new(4)), 4);
+        assert_eq!(stepped.events(), once.events());
+        assert_eq!(stepped.evicted(), once.evicted());
+        assert_eq!(once.evict_all_before(Timestamp::new(4)), 0);
     }
 
     #[test]

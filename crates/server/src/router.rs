@@ -661,7 +661,6 @@ impl Router {
             .with("checkpoint_bytes", self.probe.checkpoint_bytes);
         let patterns: Vec<JsonValue> = self
             .bank
-            .bank()
             .stats()
             .iter()
             .zip(&self.subs)

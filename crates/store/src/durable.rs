@@ -30,7 +30,8 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use ses_core::{
-    BankRole, BankSnapshot, Match, MatcherOptions, MatcherSnapshot, PatternBank, Probe,
+    BankRole, BankSnapshot, Match, MatcherOptions, MatcherSnapshot, PatternBank, PatternStats,
+    Probe,
 };
 use ses_event::{Event, EventError, Schema, Timestamp, Value};
 use ses_pattern::Pattern;
@@ -330,9 +331,15 @@ impl DurableBank {
         Ok(read.events()[ties..].to_vec())
     }
 
-    /// The bank, for its clock and statistics.
+    /// The bank, for its clock and counters.
     pub fn bank(&self) -> &PatternBank {
         &self.bank
+    }
+
+    /// [`PatternBank::stats`]: per-pattern statistics, the bank's
+    /// withheld heartbeats delivered first.
+    pub fn stats(&mut self) -> Vec<PatternStats> {
+        self.bank.stats()
     }
 
     /// The sinks, to [`MatchSinks::record`] what a push returned.

@@ -500,10 +500,12 @@ fn skipped_pattern_finalizes_on_heartbeats_alone() {
 
 /// The bank's cost model, counted not timed, on the bank workload at
 /// 4 / 16 / 64 / 256 patterns: the index routes each event to fewer
-/// matchers than `patterns`, and all the patterns an event is *not*
-/// routed to — 3 or 255 of them — cost fewer than two executed
-/// heartbeats between them, because a skipped matcher is heartbeat only
-/// when its deadline comes due.
+/// matchers than `patterns`, and the patterns an event is *not* routed
+/// to — 3 or 255 of them — cost fewer than two heartbeats per event
+/// between them, and no more in all than the raw candidates the bank
+/// found: a skipped matcher is heartbeat only when a candidate of its
+/// own comes due, each heartbeat decides at least one, and each
+/// candidate is decided once.
 #[test]
 fn skipped_patterns_cost_under_two_heartbeats_per_event() {
     use ses::workload::bank::{generate, patterns, schema, BankConfig};
@@ -517,8 +519,10 @@ fn skipped_patterns_cost_under_two_heartbeats_per_event() {
                 .unwrap();
         }
         let mut bank = builder.build();
+        let mut probe = CountingProbe::new();
         for e in generate(&cfg).events() {
-            bank.push(e.ts(), e.values().to_vec()).unwrap();
+            bank.push_with_probe(e.ts(), e.values().to_vec(), &mut probe)
+                .unwrap();
         }
         let routed = bank.total_hits();
         assert!(
@@ -531,6 +535,12 @@ fn skipped_patterns_cost_under_two_heartbeats_per_event() {
             heartbeats < 2 * EVENTS as u64,
             "{n} patterns executed {:.2} heartbeats per event",
             heartbeats as f64 / EVENTS as f64
+        );
+        assert!(probe.matches_emitted > 0, "{n} patterns found no candidate");
+        assert!(
+            heartbeats <= probe.matches_emitted,
+            "{n} patterns executed {heartbeats} heartbeats for {} raw candidates",
+            probe.matches_emitted
         );
     }
 }

@@ -414,6 +414,77 @@ pub fn pattern_set_strategy_with_overlap(overlap_pct: u8) -> impl Strategy<Value
         )
 }
 
+/// The class [`pattern_strategy`] leaves out: 1–2 sets of 2–3
+/// variables typed as there, one of them a group variable `p+` with an
+/// `ID` equality on a variable that can bind after it — in its own set
+/// or a later one. Greedy skip-till-next-match is not complete here (the
+/// `p+` loop can absorb an event whose correlate binds later);
+/// skip-till-any-match is held to the oracle on it.
+pub fn correlated_group_pattern_strategy() -> impl Strategy<Value = Pattern> {
+    (
+        proptest::collection::vec(
+            proptest::collection::vec((0u8..2, proptest::bool::ANY), 1..3),
+            1..3,
+        ),
+        4i64..20,
+        0usize..3,
+        0usize..3,
+    )
+        .prop_filter("2–3 vars", |(sets, ..)| {
+            (2..=3).contains(&sets.iter().map(Vec::len).sum::<usize>())
+        })
+        .prop_map(|(mut sets, within, group_pick, partner_pick)| {
+            // `(set, index in set)` of every variable, in declaration order.
+            let vars: Vec<(usize, usize)> = sets
+                .iter()
+                .enumerate()
+                .flat_map(|(si, set)| (0..set.len()).map(move |vi| (si, vi)))
+                .collect();
+            let partners_of = |g: usize| -> Vec<usize> {
+                (0..vars.len())
+                    .filter(|&j| j != g && vars[j].0 >= vars[g].0)
+                    .collect()
+            };
+            // The first variable always has one: there are two or more.
+            let groups: Vec<usize> = (0..vars.len())
+                .filter(|&g| !partners_of(g).is_empty())
+                .collect();
+            let g = groups[group_pick % groups.len()];
+            let partners = partners_of(g);
+            let partner = partners[partner_pick % partners.len()];
+            sets[vars[g].0][vars[g].1].1 = true;
+            let name = |(si, vi): (usize, usize)| format!("v{si}_{vi}");
+            let mut b = Pattern::builder();
+            for (si, set) in sets.iter().enumerate() {
+                let set: Vec<(String, bool)> = set
+                    .iter()
+                    .enumerate()
+                    .map(|(vi, &(_, plus))| (name((si, vi)), plus))
+                    .collect();
+                b = b.set(move |s| {
+                    for (n, plus) in &set {
+                        if *plus {
+                            s.plus(n.clone());
+                        } else {
+                            s.var(n.clone());
+                        }
+                    }
+                    s
+                });
+            }
+            for &(si, vi) in &vars {
+                b = b.cond_const(
+                    name((si, vi)),
+                    "L",
+                    CmpOp::Eq,
+                    TYPES[sets[si][vi].0 as usize],
+                );
+            }
+            b = b.cond_vars(name(vars[g]), "ID", CmpOp::Eq, name(vars[partner]), "ID");
+            b.within(Duration::ticks(within)).build().unwrap()
+        })
+}
+
 /// Tiny patterns: 1–2 sets, ≤ 3 variables total, constant type
 /// conditions (possibly overlapping ⇒ nondeterminism), optionally a
 /// group variable and an ID-equality clique (greedy-safe correlation).
