@@ -109,7 +109,6 @@ impl BruteForce {
     /// paper's experiment-1 measurement.
     pub fn find_with_probe<P: Probe>(&self, relation: &Relation, probe: &mut P) -> Vec<Match> {
         let exec_opts = ExecOptions {
-            filter: self.options.filter,
             selection: self.options.selection,
             flush_at_end: self.options.flush_at_end,
             max_instances: self.options.max_instances,
@@ -149,7 +148,7 @@ impl BruteForce {
         let raw = ses_core::filter_negations(raw, relation, &self.compiled);
         // The chains admitted under their own variable numbering; the
         // original pattern's verdicts come from its own admission pass.
-        let admitted = AdmittedLog::of(&self.compiled, self.options.filter, relation);
+        let admitted = AdmittedLog::of(&self.compiled, relation);
         ses_core::select(
             raw,
             &admitted,

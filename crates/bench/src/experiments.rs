@@ -14,18 +14,21 @@
 //! * Timings use `MatchSemantics::AllRuns` so they measure `SESExec`
 //!   itself, not the Definition-2 post-filter (which the paper's C
 //!   implementation does not have).
+//! * Experiment 3's ablation times the paper's Algorithm 1 as written
+//!   ([`ses_core::algorithm1`]) with and without the §4.5 filter in front
+//!   of it; the engine, whose admission mask is that filter, is the third
+//!   column.
 
 use ses_baseline::BruteForce;
-use ses_core::{FilterMode, MatchSemantics, Matcher, MatcherOptions};
-use ses_event::Relation;
+use ses_core::{algorithm1, paper_filter, MatchSemantics, Matcher, MatcherOptions};
+use ses_event::{EventId, Relation};
 use ses_metrics::{CountingProbe, Stopwatch};
 use ses_workload::paper;
 
 use crate::datasets::Datasets;
 
-fn engine_options(filter: FilterMode) -> MatcherOptions {
+fn engine_options() -> MatcherOptions {
     MatcherOptions {
-        filter,
         semantics: MatchSemantics::AllRuns,
         ..MatcherOptions::default()
     }
@@ -33,12 +36,8 @@ fn engine_options(filter: FilterMode) -> MatcherOptions {
 
 /// Peak |Ω| of the SES automaton on `relation`.
 pub fn ses_peak_omega(pattern: &ses_pattern::Pattern, relation: &Relation) -> usize {
-    let matcher = Matcher::with_options(
-        pattern,
-        relation.schema(),
-        engine_options(FilterMode::Paper),
-    )
-    .expect("experiment pattern compiles");
+    let matcher = Matcher::with_options(pattern, relation.schema(), engine_options())
+        .expect("experiment pattern compiles");
     let mut probe = CountingProbe::new();
     matcher.find_with_probe(relation, &mut probe);
     probe.omega_max
@@ -46,24 +45,43 @@ pub fn ses_peak_omega(pattern: &ses_pattern::Pattern, relation: &Relation) -> us
 
 /// Peak summed |Ω| of the brute-force bank on `relation`.
 pub fn bf_peak_omega(pattern: &ses_pattern::Pattern, relation: &Relation) -> usize {
-    let bank = BruteForce::with_options(
-        pattern,
-        relation.schema(),
-        engine_options(FilterMode::Paper),
-    )
-    .expect("experiment pattern compiles");
+    let bank = BruteForce::with_options(pattern, relation.schema(), engine_options())
+        .expect("experiment pattern compiles");
     let mut probe = CountingProbe::new();
     bank.find_with_probe(relation, &mut probe);
     probe.omega_max
 }
 
-/// Wall-clock seconds for one SES run with the given filter mode.
-pub fn ses_runtime(pattern: &ses_pattern::Pattern, relation: &Relation, filter: FilterMode) -> f64 {
-    let matcher = Matcher::with_options(pattern, relation.schema(), engine_options(filter))
+/// Wall-clock seconds for one engine run, and its raw-match count.
+pub fn ses_runtime(pattern: &ses_pattern::Pattern, relation: &Relation) -> (f64, usize) {
+    let matcher = Matcher::with_options(pattern, relation.schema(), engine_options())
         .expect("experiment pattern compiles");
     let sw = Stopwatch::start();
-    let _ = matcher.find(relation);
-    sw.elapsed_secs()
+    let found = matcher.find(relation).len();
+    (sw.elapsed_secs(), found)
+}
+
+/// Wall-clock seconds for one run of the paper's Algorithm 1, with the
+/// §4.5 filter applied to each event as it is read or not at all, and
+/// its distinct raw-match count.
+pub fn algorithm1_runtime(
+    pattern: &ses_pattern::Pattern,
+    relation: &Relation,
+    filtered: bool,
+) -> (f64, usize) {
+    let matcher = Matcher::with_options(pattern, relation.schema(), engine_options())
+        .expect("experiment pattern compiles");
+    let automaton = matcher.automaton();
+    let compiled = automaton.pattern();
+    let sw = Stopwatch::start();
+    let events = (0..relation.len())
+        .map(EventId::from)
+        .filter(|&e| !filtered || paper_filter(compiled, relation.event(e)));
+    let mut raw = algorithm1(automaton, relation, events);
+    let elapsed = sw.elapsed_secs();
+    raw.sort_unstable();
+    raw.dedup();
+    (elapsed, raw.len())
 }
 
 // ---------------------------------------------------------------------
@@ -171,6 +189,38 @@ pub fn run_exp2(datasets: &Datasets) -> Vec<Exp2Row> {
 // Experiment 3 (Figure 13)
 // ---------------------------------------------------------------------
 
+/// One pattern's three runtimes (s) on one data set of Figure 13.
+#[derive(Debug, Clone, Copy)]
+pub struct Exp3Times {
+    /// Algorithm 1 over every event: no §4.5 filter.
+    pub unfiltered: f64,
+    /// Algorithm 1 over the events the §4.5 filter keeps.
+    pub filtered: f64,
+    /// The engine (`Matcher::find` under `AllRuns`).
+    pub engine: f64,
+}
+
+impl Exp3Times {
+    /// The times of `pattern` on `relation`. Panics unless all three runs
+    /// return the same number of distinct raw matches.
+    pub fn measure(pattern: &ses_pattern::Pattern, relation: &Relation) -> Exp3Times {
+        let (unfiltered, all) = algorithm1_runtime(pattern, relation, false);
+        let (filtered, kept) = algorithm1_runtime(pattern, relation, true);
+        let (engine, found) = ses_runtime(pattern, relation);
+        assert_eq!((all, kept), (found, found), "the three arms disagree");
+        Exp3Times {
+            unfiltered,
+            filtered,
+            engine,
+        }
+    }
+
+    /// What the §4.5 filter saves Algorithm 1: unfiltered ÷ filtered.
+    pub fn filter_speedup(&self) -> f64 {
+        self.unfiltered / self.filtered.max(1e-9)
+    }
+}
+
 /// One point of Figure 13.
 #[derive(Debug, Clone)]
 pub struct Exp3Row {
@@ -178,14 +228,10 @@ pub struct Exp3Row {
     pub k: usize,
     /// Window size `W` of Dk.
     pub w: usize,
-    /// Runtime (s) of P5 (mutually exclusive) without the §4.5 filter.
-    pub p5_unfiltered: f64,
-    /// Runtime (s) of P5 with the filter.
-    pub p5_filtered: f64,
-    /// Runtime (s) of P6 (same type, group var) without the filter.
-    pub p6_unfiltered: f64,
-    /// Runtime (s) of P6 with the filter.
-    pub p6_filtered: f64,
+    /// P5 (mutually exclusive types).
+    pub p5: Exp3Times,
+    /// P6 (same type, group variable).
+    pub p6: Exp3Times,
 }
 
 /// Runs experiment 3 over D1…Dk.
@@ -199,10 +245,8 @@ pub fn run_exp3(datasets: &Datasets) -> Vec<Exp3Row> {
         .map(|(i, rel)| Exp3Row {
             k: i + 1,
             w: datasets.window_sizes[i],
-            p5_unfiltered: ses_runtime(&p5, rel, FilterMode::Off),
-            p5_filtered: ses_runtime(&p5, rel, FilterMode::Paper),
-            p6_unfiltered: ses_runtime(&p6, rel, FilterMode::Off),
-            p6_filtered: ses_runtime(&p6, rel, FilterMode::Paper),
+            p5: Exp3Times::measure(&p5, rel),
+            p6: Exp3Times::measure(&p6, rel),
         })
         .collect()
 }
@@ -247,9 +291,14 @@ mod tests {
     fn exp3_runs_and_produces_positive_times() {
         let ds = tiny_datasets();
         let rows = run_exp3(&ds);
+        assert_eq!(rows.len(), 2);
         for row in &rows {
-            assert!(row.p5_unfiltered > 0.0);
-            assert!(row.p6_filtered > 0.0);
+            for t in [row.p5, row.p6] {
+                assert!(
+                    t.unfiltered > 0.0 && t.filtered > 0.0 && t.engine > 0.0,
+                    "{row:?}"
+                );
+            }
         }
     }
 }

@@ -23,7 +23,6 @@ const VALUED: &[&str] = &[
     "out",
     "tick",
     "semantics",
-    "filter",
     "workload",
     "seed",
     "scale",

@@ -7,8 +7,8 @@ use std::io::Write;
 use std::path::PathBuf;
 
 use ses_core::{
-    EventSelection, FilterMode, MatchSemantics, Matcher, MatcherOptions, PartitionMode,
-    PartitionStrategy, PatternBank,
+    EventSelection, MatchSemantics, Matcher, MatcherOptions, PartitionMode, PartitionStrategy,
+    PatternBank,
 };
 use ses_event::{Duration, Relation};
 use ses_metrics::{CountingProbe, Stopwatch, Table};
@@ -24,12 +24,14 @@ ses-cli — sequenced event set pattern matching over CSV event relations
 USAGE:
   ses-cli run      --query <file-or-text> --data <file.csv>
                    [--tick hour] [--semantics maximal|definition2|all]
-                   [--filter paper|pervariable|off]
                    [--selection next-match|any-match] [--closure]
                    [--propagate] [--limit N] [--stats]
                    [--partition auto|time|ATTR|off] [--threads N]
-                   (--propagate runs the static analyzer first: derived
-                    constants can rescue the §4.5 filter, see `check`.
+                   (an event reaches the instances only if it satisfies
+                    every constant condition of some variable — the §4.5
+                    filter; a variable without one admits every event.
+                    --propagate runs the static analyzer first: derived
+                    constants can rescue the filter, see `check`.
                     --partition auto splits the scan per proven partition
                     key and matches partitions in parallel; an explicit
                     ATTR is refused unless the analyzer proves it.
@@ -44,7 +46,7 @@ USAGE:
                    (--data <file.csv> | --from-log <dir>)
                    [--limit N] [--stats]
                    [--partition auto|ATTR|off] [--shards N]
-                   [--semantics …] [--selection …] [--filter …]
+                   [--semantics …] [--selection …]
                    [--checkpoint <dir> [--checkpoint-every N] [--keep K]]
                    [--recover]
                    (replays the data as a stream through one pattern
@@ -80,7 +82,7 @@ USAGE:
                    [--schema \"NAME:TYPE,...\"] [--data <file.csv>]
                    [--format human|json] [--tick hour]
                    (static analysis: unsatisfiable Θ [SES001], redundant
-                    conditions [SES002], filter downgrades [SES003],
+                    conditions [SES002], unfiltered variables [SES003],
                     factorial/exponential bounds [SES004], schema
                     mismatches [SES005]; exits non-zero on errors.
                     The schema comes from --schema, a `-- schema: …`
@@ -199,15 +201,6 @@ fn parse_selection(args: &Args) -> Result<EventSelection, String> {
     })
 }
 
-fn parse_filter(args: &Args) -> Result<FilterMode, String> {
-    Ok(match args.get("filter").unwrap_or("paper") {
-        "paper" => FilterMode::Paper,
-        "pervariable" | "per-variable" => FilterMode::PerVariable,
-        "off" | "none" => FilterMode::Off,
-        other => return Err(format!("--filter: unknown mode `{other}`")),
-    })
-}
-
 /// Parses `--partition auto|time|ATTR|off` against the data's schema.
 fn parse_partition(args: &Args, schema: &ses_event::Schema) -> Result<PartitionMode, String> {
     Ok(match args.get("partition") {
@@ -231,7 +224,6 @@ fn matcher_options(args: &Args, schema: &ses_event::Schema) -> Result<MatcherOpt
         ),
     };
     Ok(MatcherOptions {
-        filter: parse_filter(args)?,
         selection: parse_selection(args)?,
         semantics: parse_semantics(args)?,
         derive_equalities: args.has_flag("closure"),
@@ -384,13 +376,12 @@ fn cmd_run(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         ]);
         t.row(["max |Ω|", &probe.omega_max.to_string()]);
         t.row(["raw matches", &probe.matches_emitted.to_string()]);
-        t.row(["filter requested", filter_mode_name(probe.filter_requested)]);
-        t.row(["filter effective", filter_mode_name(probe.filter_effective)]);
-        let lanes = ses_pattern::AdmissionLanes::of(matcher.automaton().pattern());
+        let compiled = matcher.automaton().pattern();
+        let lanes = ses_pattern::AdmissionLanes::of(compiled);
         t.row(["columnar lanes", &lanes.lanes().len().to_string()]);
         t.row(["admission arm", &probe.admission_arms()]);
-        if probe.filter_downgraded() {
-            t.row(["filter downgraded", "yes (SES003: run `ses-cli check`)"]);
+        if !compiled.every_var_constrained() {
+            t.row(["filter downgraded", FILTER_DOWNGRADED]);
         }
         match matcher.partition_strategy() {
             PartitionStrategy::Key(key) => {
@@ -1209,13 +1200,12 @@ fn cmd_stream(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         totals.row(["peak retained", &probe.retained_max.to_string()]);
         totals.row(["max |Ω|", &probe.omega_max.to_string()]);
         totals.row(["instances expired", &probe.instances_expired.to_string()]);
-        if patterns.len() == 1 {
-            // One pattern, one filter verdict; with more the probe only
-            // remembers the last matcher's (`check` reports each).
-            totals.row(["filter requested", filter_mode_name(probe.filter_requested)]);
-            totals.row(["filter effective", filter_mode_name(probe.filter_effective)]);
-            if probe.filter_downgraded() {
-                totals.row(["filter downgraded", "yes (SES003: run `ses-cli check`)"]);
+        if let [(_, pattern)] = &patterns[..] {
+            // One pattern, one verdict; with more `check` reports each.
+            let matcher = Matcher::with_options(pattern, &schema, options.clone())
+                .map_err(|e| e.to_string())?;
+            if !matcher.automaton().pattern().every_var_constrained() {
+                totals.row(["filter downgraded", FILTER_DOWNGRADED]);
             }
         }
         if probe.checkpoints > 0 {
@@ -1386,14 +1376,10 @@ pub(crate) fn io_err(e: std::io::Error) -> String {
     format!("i/o error: {e}")
 }
 
-fn filter_mode_name(m: Option<FilterMode>) -> &'static str {
-    match m {
-        None => "-",
-        Some(FilterMode::Off) => "off",
-        Some(FilterMode::Paper) => "paper",
-        Some(FilterMode::PerVariable) => "per-variable",
-    }
-}
+/// The `--stats` row of a pattern with a variable that has no constant
+/// condition: that variable admits every event, so the §4.5 filter
+/// drops none.
+const FILTER_DOWNGRADED: &str = "yes: a variable admits every event (SES003: run `ses-cli check`)";
 
 #[cfg(test)]
 mod tests {
@@ -2441,29 +2427,43 @@ mod tests {
     }
 
     #[test]
-    fn run_stats_report_filter_modes() {
+    fn run_stats_report_the_filter() {
+        // Every variable of Q1 has a constant condition, so no stats
+        // table flags a downgrade. (Every event of Figure 1 is one of
+        // Q1's types: the filter drops none of them.)
         let data = figure1_csv();
         let (code, out) = run(&["run", "--query", Q1, "--data", &data, "--stats"]);
         assert_eq!(code, 0, "{out}");
-        assert!(out.contains("filter requested"), "{out}");
-        assert!(out.contains("filter effective"), "{out}");
+        assert_eq!(stat(&out, "events filtered"), 0, "{out}");
+        assert!(!out.contains("filter downgraded"), "{out}");
         let (code, out) = run(&["stream", "--query", Q1, "--data", &data, "--stats"]);
         assert_eq!(code, 0, "{out}");
-        assert!(out.contains("filter requested"), "{out}");
+        assert!(!out.contains("filter downgraded"), "{out}");
         std::fs::remove_file(&data).ok();
+    }
+
+    /// The value of the `--stats` row named `metric`.
+    fn stat(out: &str, metric: &str) -> u64 {
+        let row = out
+            .lines()
+            .find(|l| l.trim_start().starts_with(metric))
+            .unwrap_or_else(|| panic!("no `{metric}` row in {out}"));
+        row.split_whitespace().last().unwrap().parse().unwrap()
     }
 
     #[test]
     fn propagate_flag_rescues_filter() {
         let data = figure1_csv();
-        // `b` has no constant condition of its own: the filter downgrades
-        // to off unless --propagate derives `b.ID = 1` through `b.ID = a.ID`.
+        // `b` has no constant condition of its own: it admits every event,
+        // so the filter drops none unless --propagate derives `b.ID = 1`
+        // through `b.ID = a.ID`.
         let q = "PATTERN PERMUTE(a) THEN b \
                  WHERE a.L = 'C' AND a.ID = 1 AND b.ID = a.ID \
                  WITHIN 264 HOURS";
         let (code, plain) = run(&["run", "--query", q, "--data", &data, "--stats"]);
         assert_eq!(code, 0, "{plain}");
         assert!(plain.contains("filter downgraded"), "{plain}");
+        assert_eq!(stat(&plain, "events filtered"), 0, "{plain}");
         let (code, prop) = run(&[
             "run",
             "--query",
@@ -2475,6 +2475,7 @@ mod tests {
         ]);
         assert_eq!(code, 0, "{prop}");
         assert!(!prop.contains("filter downgraded"), "{prop}");
+        assert!(stat(&prop, "events filtered") > 0, "{prop}");
         // Same matches either way.
         let count = |s: &str| s.matches("match ").count();
         assert_eq!(count(&plain), count(&prop), "{plain}\n{prop}");
@@ -2496,7 +2497,6 @@ mod tests {
         for bad in [
             vec!["run", "--query", Q1, "--data", &data, "--tick", "wat"],
             vec!["run", "--query", Q1, "--data", &data, "--semantics", "wat"],
-            vec!["run", "--query", Q1, "--data", &data, "--filter", "wat"],
             vec!["run", "--query", Q1, "--data", &data, "--threads", "0"],
             vec!["run", "--query", Q1, "--data", &data, "--partition", "NOPE"],
             vec!["generate", "--workload", "wat", "--out", "/tmp/x.csv"],

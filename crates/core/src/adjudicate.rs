@@ -19,11 +19,10 @@
 //!   scan's own admission verdicts ([`crate::AdmittedLog`] in batch, the
 //!   push that admits in a stream) and from nothing else: this module
 //!   evaluates no constant condition and never walks the relation. That
-//!   is sound because, in every effective [`crate::FilterMode`] (`Off`,
-//!   `Paper`, `PerVariable`, and the silent downgrade to `Off` when a
-//!   variable has no constant), *viable(v) ⇒ passes*, and `var_ok` bit
-//!   *v* ⇔ all of *v*'s constant conditions hold — so admitted ∧
-//!   self-conditions is exactly the viable set. Filling costs
+//!   is sound because `var_ok` bit *v* ⇔ all of *v*'s constant
+//!   conditions hold, and the §4.5 filter drops an event only when no
+//!   bit is set — so admitted ∧ self-conditions is exactly the viable
+//!   set. Filling costs
 //!   O(admitted events), not O(relation × variables).
 //! * [`GroupIndex`] — per adjudication group: posting lists
 //!   `(var, event) → candidates` drive the condition-5 subset check,
@@ -201,10 +200,8 @@ impl ViableIndex {
     }
 
     /// Appends admitted event `id` to the list of every variable in
-    /// `vars` (the admission verdict's [`viable_vars`]) whose
-    /// self-conditions it also satisfies. Ids must arrive ascending.
-    ///
-    /// [`viable_vars`]: crate::columnar::EventAdmission::viable_vars
+    /// `vars` (its admission mask) whose self-conditions it also
+    /// satisfies. Ids must arrive ascending.
     pub(crate) fn admit(
         &mut self,
         pattern: &CompiledPattern,
@@ -708,7 +705,7 @@ mod tests {
     use crate::engine::{scan, AdmittedLog};
     use crate::matcher::{Matcher, MatcherOptions};
     use crate::parallel::{scan_partitioned, scan_time_sliced};
-    use crate::{FilterMode, MatchSemantics, NoProbe, StreamMatcher};
+    use crate::{MatchSemantics, NoProbe, StreamMatcher};
     use proptest::prelude::*;
     use ses_event::{AttrType, CmpOp, Duration, Schema, Value};
     use ses_pattern::Pattern;
@@ -795,11 +792,8 @@ mod tests {
             })
     }
 
-    const FILTERS: [FilterMode; 3] = [FilterMode::Off, FilterMode::Paper, FilterMode::PerVariable];
-
-    fn options(filter: FilterMode) -> MatcherOptions {
+    fn options() -> MatcherOptions {
         MatcherOptions {
-            filter,
             semantics: MatchSemantics::Definition2,
             ..MatcherOptions::default()
         }
@@ -833,24 +827,20 @@ mod tests {
             slices in 1usize..5,
         ) {
             let rel = relation(&rows);
-            for filter in FILTERS {
-                let matcher = Matcher::with_options(&pat, &schema(), options(filter)).unwrap();
-                let cp = matcher.automaton().pattern();
-                let reference = ViableIndex::classify(cp, &rel);
+            let matcher = Matcher::with_options(&pat, &schema(), options()).unwrap();
+            let cp = matcher.automaton().pattern();
+            let reference = ViableIndex::classify(cp, &rel);
 
-                let exec = matcher.exec_options();
-                let (_, log) = scan(matcher.automaton(), &rel, &exec, &mut NoProbe);
-                prop_assert_eq!(&lists_of(&log, cp, &rel), &reference, "global scan, {:?}", filter);
-                prop_assert_eq!(&AdmittedLog::of(cp, filter, &rel), &log, "`of` is the scan's log");
+            let exec = matcher.exec_options();
+            let (_, log) = scan(matcher.automaton(), &rel, &exec, &mut NoProbe);
+            prop_assert_eq!(&lists_of(&log, cp, &rel), &reference, "global scan");
+            prop_assert_eq!(&AdmittedLog::of(cp, &rel), &log, "`of` is the scan's log");
 
-                let key = schema().attr_id("ID").unwrap();
-                let split =
-                    scan_partitioned(&matcher, &rel, key, Some(2), &mut NoProbe, || NoProbe);
-                prop_assert_eq!(&split.admitted, &log, "partitioned, {:?}", filter);
-                let split =
-                    scan_time_sliced(&matcher, &rel, Some(slices), &mut NoProbe, || NoProbe);
-                prop_assert_eq!(&split.admitted, &log, "{} slices, {:?}", slices, filter);
-            }
+            let key = schema().attr_id("ID").unwrap();
+            let split = scan_partitioned(&matcher, &rel, key, Some(2), &mut NoProbe, || NoProbe);
+            prop_assert_eq!(&split.admitted, &log, "partitioned");
+            let split = scan_time_sliced(&matcher, &rel, Some(slices), &mut NoProbe, || NoProbe);
+            prop_assert_eq!(&split.admitted, &log, "{} slices", slices);
         }
 
         /// (c) A stream mid-flight, under eviction: after every push —
@@ -866,40 +856,38 @@ mod tests {
             cut in 0usize..60,
         ) {
             let all = events(&rows);
-            for filter in FILTERS {
-                let mut sm = StreamMatcher::with_options(&pat, &schema(), options(filter)).unwrap();
-                let mut restored = false;
-                let mut next = 0;
-                let mut chunk = chunks.iter().cycle();
-                while next < all.len() {
-                    // 0: one event; 1: a sub-threshold batch; 2: a
-                    // columnar batch; 3: a heartbeat, then one event.
-                    let take = match chunk.next().unwrap() {
-                        1 => 3,
-                        2 => 20,
-                        _ => 1,
-                    }
-                    .min(all.len() - next);
-                    let batch = all[next..next + take].to_vec();
-                    if take == 1 {
-                        let event = batch.into_iter().next().unwrap();
-                        sm.advance_watermark(event.ts());
-                        sm.push_event(event).unwrap();
-                    } else {
-                        sm.push_batch(batch).unwrap();
-                    }
-                    next += take;
-                    if !restored && next >= cut {
-                        let snap = sm.snapshot();
-                        sm = StreamMatcher::restore(&pat, &schema(), options(filter), &snap).unwrap();
-                        restored = true;
-                    }
-                    let reference = ViableIndex::classify(sm.compiled(), sm.relation());
-                    prop_assert_eq!(
-                        sm.viable_lists(), &reference[..],
-                        "{:?}, {} of {} pushed, {} evicted", filter, next, all.len(), sm.evicted_events()
-                    );
+            let mut sm = StreamMatcher::with_options(&pat, &schema(), options()).unwrap();
+            let mut restored = false;
+            let mut next = 0;
+            let mut chunk = chunks.iter().cycle();
+            while next < all.len() {
+                // 0: one event; 1: a sub-threshold batch; 2: a
+                // columnar batch; 3: a heartbeat, then one event.
+                let take = match chunk.next().unwrap() {
+                    1 => 3,
+                    2 => 20,
+                    _ => 1,
                 }
+                .min(all.len() - next);
+                let batch = all[next..next + take].to_vec();
+                if take == 1 {
+                    let event = batch.into_iter().next().unwrap();
+                    sm.advance_watermark(event.ts());
+                    sm.push_event(event).unwrap();
+                } else {
+                    sm.push_batch(batch).unwrap();
+                }
+                next += take;
+                if !restored && next >= cut {
+                    let snap = sm.snapshot();
+                    sm = StreamMatcher::restore(&pat, &schema(), options(), &snap).unwrap();
+                    restored = true;
+                }
+                let reference = ViableIndex::classify(sm.compiled(), sm.relation());
+                prop_assert_eq!(
+                    sm.viable_lists(), &reference[..],
+                    "{} of {} pushed, {} evicted", next, all.len(), sm.evicted_events()
+                );
             }
         }
     }

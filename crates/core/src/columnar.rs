@@ -3,16 +3,17 @@
 //!
 //! The scalar hot path decides, for every event, which variables it can
 //! bind (`satisfies_var_constants`, one typed value comparison per
-//! constant condition) and whether the §4.5 filter keeps it at all.
-//! Those decisions depend only on the event's own attributes, so over a
-//! batch of events they factor into a *columnar* pass: evaluate each
-//! distinct constant condition — a **lane**, from the analyzer-backed
-//! [`AdmissionLanes`] enumeration shared with `PatternIndex` — once per
-//! event into a `u64` bit-vector (bit *i* = event *i* of the batch),
-//! AND a variable's lane vectors word-by-word into its admission-group
-//! vector, and OR group/lane vectors into the filter vector. The
-//! instance loop then reads one precomputed `(filter, var-mask)` pair
-//! per event instead of re-running value comparisons per condition.
+//! constant condition). That mask is the one admission rule: an event
+//! whose mask is empty is dropped before the instance loop — the §4.5
+//! filter. The decision depends only on the event's own attributes, so
+//! over a batch of events it factors into a *columnar* pass: evaluate
+//! each distinct constant condition — a **lane**, from the
+//! analyzer-backed [`AdmissionLanes`] enumeration shared with
+//! `PatternIndex` — once per event into a `u64` bit-vector (bit *i* =
+//! event *i* of the batch), AND a variable's lane vectors word-by-word
+//! into its admission-group vector, and OR the group vectors into the
+//! filter vector. The instance loop then reads one precomputed mask per
+//! event instead of re-running value comparisons per condition.
 //!
 //! Lane evaluation is type-specialized: `Int`/`Str`/`Bool` constants
 //! run monomorphic comparison loops (falling back to the generic
@@ -32,15 +33,13 @@
 //!
 //! Soundness: a variable's group bit equals the conjunction of exactly
 //! the conditions `satisfies_var_constants` evaluates, and the filter
-//! vector is composed from the same lanes `EventFilter::passes`
-//! consults — see `docs/columnar.md` for the full argument.
+//! vector is the OR of the group vectors — see `docs/columnar.md` for
+//! the full argument.
 
 use ses_event::{AttrId, CmpOp, Event, StrCodes, Value};
 use ses_pattern::{AdmissionLanes, CompiledPattern, ConstLane};
 use std::fmt;
 use std::sync::Arc;
-
-use crate::filter::{EventFilter, FilterMode};
 
 /// Batches below this length are admitted per event: the lane pass
 /// cannot amortize over a handful of events.
@@ -51,7 +50,7 @@ pub(crate) const COLUMNAR_AUTO_MIN_BATCH: usize = 16;
 /// given the pattern's constant-lane count (e.g.
 /// `AdmissionLanes::of(..).lanes().len()`). Columnar pays off when there
 /// are constant conditions to pre-evaluate and enough events to amortize
-/// the plan; both arms yield the same `EventAdmission` for every event
+/// the plan; both arms yield the same admission mask for every event
 /// (`tests/columnar_vs_scalar.rs`).
 pub fn runs_columnar(num_lanes: usize, batch_len: usize) -> bool {
     num_lanes > 0 && batch_len >= COLUMNAR_AUTO_MIN_BATCH
@@ -86,48 +85,18 @@ impl fmt::Display for AdmissionArm {
     }
 }
 
-/// The per-event admission decision the engine consumes: the §4.5
-/// filter verdict plus the "which variables can this event bind" mask
-/// (bit *v* = `VarId(v)` admitted).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct EventAdmission {
-    pub passes: bool,
-    pub var_ok: u64,
-}
-
-impl EventAdmission {
-    /// The variables the event is *viable* for — all of whose constant
-    /// conditions it satisfies — or `0` for an event the filter dropped.
-    /// What the verdict's second consumer, the Definition-2 filter's
-    /// viable-event lists, keeps of it.
-    pub(crate) fn viable_vars(self) -> u64 {
-        if self.passes {
-            self.var_ok
-        } else {
-            0
-        }
-    }
-
-    /// The per-event arm: the filter verdict and, for an event that
-    /// passes, one typed comparison per constant condition. Computing
-    /// the mask once per event amortizes every constant-condition
-    /// evaluation over all simultaneous instances.
-    pub(crate) fn scalar(
-        filter: &EventFilter,
-        pattern: &CompiledPattern,
-        event: &Event,
-    ) -> EventAdmission {
-        let passes = filter.passes(pattern, event);
-        let mut var_ok = 0u64;
-        if passes {
-            for v in 0..pattern.pattern().num_vars() {
-                if pattern.satisfies_var_constants(ses_pattern::VarId(v as u16), event) {
-                    var_ok |= 1u64 << v;
-                }
-            }
-        }
-        EventAdmission { passes, var_ok }
-    }
+/// The per-event arm of admission: bit *v* set iff `event` satisfies
+/// every constant condition of `VarId(v)`, by one typed comparison per
+/// constant condition. An event whose mask is `0` binds nothing and is
+/// dropped before the instance loop (§4.5); a variable without constant
+/// conditions sets its bit for every event, so then nothing is dropped.
+/// Computing the mask once per event amortizes every constant-condition
+/// evaluation over all simultaneous instances.
+pub(crate) fn var_mask(pattern: &CompiledPattern, event: &Event) -> u64 {
+    (0..pattern.pattern().num_vars()).fold(0u64, |mask, v| {
+        let ok = pattern.satisfies_var_constants(ses_pattern::VarId(v as u16), event);
+        mask | (ok as u64) << v
+    })
 }
 
 /// One type-specialized lane evaluator.
@@ -159,8 +128,8 @@ enum Kernel {
 
 /// A compiled columnar evaluation plan for one pattern: its distinct
 /// constant-condition lanes (shared derivation with `PatternIndex`),
-/// type-specialized kernels, and the lane compositions for variable
-/// groups and filter modes.
+/// type-specialized kernels, and the lane composition of each variable
+/// group.
 #[derive(Debug, Clone)]
 pub(crate) struct ColumnarPlan {
     /// Kernels grouped per attribute read; order is irrelevant (each
@@ -169,10 +138,6 @@ pub(crate) struct ColumnarPlan {
     /// Lane ids per positive variable, in `VarId` order. Empty list =
     /// unconstrained variable (admitted everywhere).
     var_groups: Vec<Vec<usize>>,
-    /// Union of all variable groups' lanes — the OR set of the Paper
-    /// filter (`satisfies_any_constant`). Negation-only lanes are
-    /// excluded, exactly as the scalar filter excludes negations.
-    paper_lanes: Vec<usize>,
     num_lanes: usize,
 }
 
@@ -182,9 +147,6 @@ impl ColumnarPlan {
         let var_groups: Vec<Vec<usize>> = (0..lanes.num_vars())
             .map(|v| lanes.var_group(ses_pattern::VarId(v as u16)).lanes.clone())
             .collect();
-        let mut paper_lanes: Vec<usize> = var_groups.iter().flatten().copied().collect();
-        paper_lanes.sort_unstable();
-        paper_lanes.dedup();
 
         // Collect Str-equality lanes per attribute for the shared pass;
         // everything else gets an individual kernel.
@@ -223,7 +185,6 @@ impl ColumnarPlan {
         ColumnarPlan {
             kernels,
             var_groups,
-            paper_lanes,
             num_lanes: lanes.lanes().len(),
         }
     }
@@ -237,16 +198,12 @@ impl ColumnarPlan {
     /// buffers are reused across calls. `get` fetches a row by 0-based
     /// batch position; `codes` offers an attribute's dictionary-coded
     /// column over the same positions, or `None` — always `None` for a
-    /// micro-batch, which has no column and is not worth one. `filter`
-    /// must be the **effective** filter mode (after any
-    /// unsound-downgrade), so the filter vector agrees with
-    /// `EventFilter::passes`.
+    /// micro-batch, which has no column and is not worth one.
     pub(crate) fn evaluate<'e>(
         &self,
         len: usize,
         get: impl Fn(usize) -> &'e Event,
         codes: impl Fn(AttrId) -> Option<StrCodes<'e>>,
-        filter: FilterMode,
         out: &mut ColumnarBatch,
     ) {
         let words = len.div_ceil(64);
@@ -371,26 +328,12 @@ impl ColumnarPlan {
             }
         }
 
-        // Filter pass, honoring the effective mode.
-        out.filtered = filter != FilterMode::Off;
+        // Filter pass: an event passes iff some variable admits it.
         out.filter_bits.clear();
-        match filter {
-            FilterMode::Off => {}
-            FilterMode::Paper => {
-                out.filter_bits.resize(words, 0);
-                for &l in &self.paper_lanes {
-                    for w in 0..words {
-                        out.filter_bits[w] |= out.lane_bits[l * words + w];
-                    }
-                }
-            }
-            FilterMode::PerVariable => {
-                out.filter_bits.resize(words, 0);
-                for v in 0..num_vars {
-                    for w in 0..words {
-                        out.filter_bits[w] |= out.group_bits[v * words + w];
-                    }
-                }
+        out.filter_bits.resize(words, 0);
+        for group in out.group_bits.chunks_exact(words.max(1)) {
+            for (f, g) in out.filter_bits.iter_mut().zip(group) {
+                *f |= g;
             }
         }
     }
@@ -440,35 +383,32 @@ pub(crate) struct ColumnarBatch {
     lane_bits: Vec<u64>,
     /// Variable-group bit-vectors (AND of the group's lanes).
     group_bits: Vec<u64>,
-    /// Filter verdicts; empty when the effective mode is `Off`.
+    /// Filter verdicts: the OR of the group vectors.
     filter_bits: Vec<u64>,
-    filtered: bool,
     num_vars: usize,
     /// Some lane was filled from a dictionary-coded column.
     from_columns: bool,
 }
 
 impl ColumnarBatch {
-    /// The admission decision for batch event `i`: its filter bit, and
-    /// its bit of every variable's group vector gathered into a mask —
-    /// here, per event asked about, so that a batch whose events are
-    /// mostly dropped never pays for their masks.
-    pub(crate) fn admission(&self, i: usize) -> EventAdmission {
+    /// The admission mask of batch event `i`: its bit of every
+    /// variable's group vector gathered into a mask — here, per event
+    /// asked about, so that a batch whose events are mostly dropped never
+    /// pays for their masks.
+    pub(crate) fn admission(&self, i: usize) -> u64 {
         debug_assert!(i < self.len);
         let (word, bit) = (i / 64, i % 64);
-        let passes = !self.filtered || self.filter_bits[word] >> bit & 1 != 0;
-        let var_ok = (0..self.num_vars).fold(0u64, |mask, v| {
+        (0..self.num_vars).fold(0u64, |mask, v| {
             mask | (self.group_bits[v * self.words + word] >> bit & 1) << v
-        });
-        EventAdmission { passes, var_ok }
+        })
     }
 
     /// The first position at or after `from` whose event the filter
     /// keeps, or the batch length when it keeps none of the rest — the
     /// next set bit of the filter vector.
     pub(crate) fn next_passing(&self, from: usize) -> usize {
-        if !self.filtered || from >= self.len {
-            return from.min(self.len);
+        if from >= self.len {
+            return self.len;
         }
         let mut word = from / 64;
         let mut bits = self.filter_bits[word] & (!0u64 << (from % 64));
@@ -529,22 +469,20 @@ mod tests {
         plan: &ColumnarPlan,
         relation: &Relation,
         columns: bool,
-        mode: FilterMode,
         batch: &mut ColumnarBatch,
     ) {
         plan.evaluate(
             relation.len(),
             |i| relation.event(ses_event::EventId::from(i)),
             |attr| columns.then(|| relation.str_codes(attr)).flatten(),
-            mode,
             batch,
         );
     }
 
     /// Columnar admission, from rows and from columns, must agree with
-    /// the scalar reference (`satisfies_var_constants` +
-    /// `EventFilter::passes`) on every event, for every filter mode — and
-    /// so with the per-event arm, which hands the engine those same
+    /// the scalar reference (`satisfies_var_constants` per variable) on
+    /// every event, and its filter bits with "the mask is not empty" —
+    /// and so with the per-event arm, which hands the engine those same
     /// answers.
     fn assert_matches_scalar(cp: &CompiledPattern, relation: &Relation) {
         let plan = ColumnarPlan::new(cp);
@@ -554,16 +492,8 @@ mod tests {
             .any(|(_, k)| matches!(k, Kernel::Str { .. } | Kernel::StrEqSet { .. }));
         let mut batch = ColumnarBatch::default();
         let n = relation.len();
-        let modes = [FilterMode::Off, FilterMode::Paper, FilterMode::PerVariable];
-        for (mode, columns) in modes.into_iter().flat_map(|m| [(m, false), (m, true)]) {
-            let filter = EventFilter::new(cp, mode);
-            evaluate(
-                &plan,
-                relation,
-                columns,
-                filter.effective_mode(),
-                &mut batch,
-            );
+        for columns in [false, true] {
+            evaluate(&plan, relation, columns, &mut batch);
             assert_eq!(batch.len(), n);
             let arm = if columns && reads_str {
                 AdmissionArm::Columns
@@ -571,32 +501,23 @@ mod tests {
                 AdmissionArm::Rows
             };
             assert_eq!(batch.arm(), arm);
-            let passing: Vec<usize> = (0..n).filter(|&i| batch.admission(i).passes).collect();
+            let passing: Vec<usize> = (0..n).filter(|&i| batch.admission(i) != 0).collect();
             let mut walked = Vec::new();
             let mut at = batch.next_passing(0);
             while at < n {
                 walked.push(at);
                 at = batch.next_passing(at + 1);
             }
-            assert_eq!(walked, passing, "set-bit walk under {mode:?}");
+            assert_eq!(walked, passing, "set-bit walk, columns {columns}");
             for i in 0..n {
                 let event = relation.event(ses_event::EventId::from(i));
-                let adm = batch.admission(i);
-                assert_eq!(
-                    adm.passes,
-                    filter.passes(cp, event),
-                    "filter bit diverges at event {i} under {mode:?}"
-                );
+                let mask = batch.admission(i);
                 for v in 0..cp.pattern().num_vars() {
                     let scalar = cp.satisfies_var_constants(VarId(v as u16), event);
-                    let bit = adm.var_ok >> v & 1 != 0;
+                    let bit = mask >> v & 1 != 0;
                     assert_eq!(bit, scalar, "var {v} bit diverges at event {i}");
                 }
-                let per_event = EventAdmission::scalar(&filter, cp, event);
-                assert_eq!(per_event.passes, adm.passes);
-                if adm.passes {
-                    assert_eq!(per_event.var_ok, adm.var_ok, "arms diverge at event {i}");
-                }
+                assert_eq!(var_mask(cp, event), mask, "arms diverge at event {i}");
             }
         }
     }
@@ -648,7 +569,7 @@ mod tests {
         let plan = ColumnarPlan::new(&cp);
         let mut batch = ColumnarBatch::default();
         for columns in [false, true] {
-            evaluate(&plan, &rel(&[]), columns, FilterMode::Paper, &mut batch);
+            evaluate(&plan, &rel(&[]), columns, &mut batch);
             assert_eq!(batch.len(), 0);
             assert_eq!(batch.next_passing(0), 0);
         }
@@ -714,12 +635,12 @@ mod tests {
                 .unwrap();
         }
         let mut batch = ColumnarBatch::default();
-        evaluate(&plan, &r, true, FilterMode::Off, &mut batch);
+        evaluate(&plan, &r, true, &mut batch);
         assert_eq!(batch.arm(), AdmissionArm::Rows, "no lane reads L");
-        assert_eq!(batch.admission(0).var_ok, 0b01);
-        assert_eq!(batch.admission(1).var_ok, 0b01, "-0.0 == 0.0");
-        assert_eq!(batch.admission(2).var_ok, 0b10);
-        assert_eq!(batch.admission(3).var_ok, 0b00);
+        assert_eq!(batch.admission(0), 0b01);
+        assert_eq!(batch.admission(1), 0b01, "-0.0 == 0.0");
+        assert_eq!(batch.admission(2), 0b10);
+        assert_eq!(batch.admission(3), 0b00);
     }
 
     #[test]
@@ -803,8 +724,30 @@ mod tests {
         assert_matches_scalar(&cp, &r);
         let plan = ColumnarPlan::new(&cp);
         let mut batch = ColumnarBatch::default();
-        evaluate(&plan, &r, true, FilterMode::Off, &mut batch);
-        assert_eq!(batch.admission(2).var_ok, 0, "an Int under L binds nothing");
+        evaluate(&plan, &r, true, &mut batch);
+        assert_eq!(batch.admission(2), 0, "an Int under L binds nothing");
+    }
+
+    #[test]
+    fn a_variable_without_constants_admits_every_event() {
+        // `free`'s group is all-ones: no event is dropped, and the
+        // set-bit walk stops at the batch's end, not the word's.
+        let cp = Pattern::builder()
+            .set(|s| s.var("a").var("free"))
+            .cond_const("a", "L", CmpOp::Eq, "A")
+            .within(ses_event::Duration::ticks(100))
+            .build()
+            .unwrap()
+            .compile(&schema())
+            .unwrap();
+        let r = rel(&(0..20)
+            .map(|i| (i, ["A", "Z"][i as usize % 2], i))
+            .collect::<Vec<_>>());
+        assert_matches_scalar(&cp, &r);
+        let mut batch = ColumnarBatch::default();
+        evaluate(&ColumnarPlan::new(&cp), &r, false, &mut batch);
+        assert_eq!((0..20).map(|i| batch.admission(i)).min(), Some(0b10));
+        assert_eq!(batch.next_passing(20), 20);
     }
 
     #[test]
@@ -822,7 +765,7 @@ mod tests {
         let big = rel(&(0..200)
             .map(|i| (i, if i % 2 == 0 { "A" } else { "B" }, i))
             .collect::<Vec<_>>());
-        evaluate(&plan, &big, false, FilterMode::Paper, &mut batch);
+        evaluate(&plan, &big, false, &mut batch);
         let cap = (
             batch.lane_bits.capacity(),
             batch.group_bits.capacity(),
@@ -830,7 +773,7 @@ mod tests {
         );
         // A smaller follow-up batch must fit in the pooled buffers.
         let small = rel(&[(0, "A", 9), (1, "B", 0)]);
-        evaluate(&plan, &small, false, FilterMode::Paper, &mut batch);
+        evaluate(&plan, &small, false, &mut batch);
         assert_eq!(batch.len(), 2);
         assert_eq!(
             (

@@ -4,7 +4,8 @@
 //! The engine maintains the set `Ω` of active automaton instances. For
 //! each input event `e` (in chronological order):
 //!
-//! 1. (§4.5) the [`EventFilter`] may drop `e` outright;
+//! 1. (§4.5) `e` is dropped outright when it satisfies the constant
+//!    conditions of no variable — its admission mask is empty;
 //! 2. a fresh instance `(qs, ∅)` is added to `Ω` (Algorithm 1, line 4);
 //! 3. every instance whose window would exceed `τ` *expires* — if it is in
 //!    the accepting state its buffer is emitted as a raw match;
@@ -34,8 +35,7 @@ use ses_pattern::{CompiledPattern, VarId};
 
 use crate::automaton::{Automaton, TransCond, Transition};
 use crate::buffer::{Buffer, NodeLog};
-use crate::columnar::{runs_columnar, AdmissionArm, ColumnarBatch, ColumnarPlan, EventAdmission};
-use crate::filter::{EventFilter, FilterMode};
+use crate::columnar::{runs_columnar, var_mask, AdmissionArm, ColumnarBatch, ColumnarPlan};
 use crate::probe::Probe;
 use crate::state::StateId;
 
@@ -72,9 +72,6 @@ pub enum EventSelection {
 /// Execution options.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
-    /// Event pre-filtering strategy (§4.5). Defaults to the paper's
-    /// filter.
-    pub filter: FilterMode,
     /// Event selection strategy. Defaults to the paper's
     /// skip-till-next-match.
     pub selection: EventSelection,
@@ -91,7 +88,6 @@ pub struct ExecOptions {
 impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
-            filter: FilterMode::Paper,
             selection: EventSelection::SkipTillNextMatch,
             flush_at_end: true,
             max_instances: None,
@@ -116,35 +112,30 @@ impl RawMatch {
 }
 
 /// The scan's admission verdicts, kept for the Definition-2 filter: one
-/// `(event, var_ok)` entry per event that passed the §4.5 filter and can
-/// bind at least one variable, ascending by event id. Bit *v* of
-/// `var_ok` says the event satisfies every constant condition of
-/// `VarId(v)`.
+/// `(event, var_ok)` entry per admitted event — one that can bind at
+/// least one variable — ascending by event id. Bit *v* of `var_ok` says
+/// the event satisfies every constant condition of `VarId(v)`.
 ///
 /// [`crate::select`] fills its per-variable viable-event lists from this
 /// log instead of re-evaluating constant conditions over the relation, so
 /// each event's constants are evaluated once per `find`. Nothing is lost
-/// by logging only events that pass: in every effective [`FilterMode`] an
-/// event that satisfies all constants of some variable passes the filter.
+/// by logging only admitted events: the §4.5 filter drops exactly the
+/// events whose mask is empty.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AdmittedLog {
     entries: Vec<(EventId, u64)>,
 }
 
 impl AdmittedLog {
-    /// The log a scan of `relation` under `filter` records, without
-    /// running an automaton: the admission pass [`Execution`] runs
-    /// (columnar when [`crate::runs_columnar`] says so, per event
-    /// otherwise), and nothing else. For callers that hold raw matches
+    /// The log a scan of `relation` records, without running an
+    /// automaton: the admission pass [`Execution`] runs (columnar when
+    /// [`crate::runs_columnar`] says so, per event otherwise), and
+    /// nothing else. For callers that hold raw matches
     /// they did not get from [`scan`] — the baseline's chain bank, whose
     /// automata run renamed variables, and tests with hand-made
     /// candidates.
-    pub fn of<S: EventSource>(
-        pattern: &CompiledPattern,
-        filter: FilterMode,
-        relation: &S,
-    ) -> AdmittedLog {
-        let admitter = Admitter::new(pattern, filter, relation);
+    pub fn of<S: EventSource>(pattern: &CompiledPattern, relation: &S) -> AdmittedLog {
+        let admitter = Admitter::new(pattern, relation);
         let mut log = AdmittedLog::default();
         let mut position = admitter.next_passing(0);
         while position < relation.len() {
@@ -162,8 +153,7 @@ impl AdmittedLog {
         &self.entries
     }
 
-    fn record(&mut self, id: EventId, admission: EventAdmission) {
-        let vars = admission.viable_vars();
+    fn record(&mut self, id: EventId, vars: u64) {
         if vars != 0 {
             self.entries.push((id, vars));
         }
@@ -197,21 +187,19 @@ fn event_id<S: EventSource>(relation: &S, position: usize) -> EventId {
     EventId::from(relation.first_index() + position)
 }
 
-/// Admission over one whole relation: the §4.5 filter plus either the
-/// columnar lane pass evaluated up front, when [`runs_columnar`] says the
-/// relation is worth one, or [`EventAdmission::scalar`] per event.
-/// Addresses events by scan position, as the lane vectors do.
+/// Admission over one whole relation: either the columnar lane pass
+/// evaluated up front, when [`runs_columnar`] says the relation is worth
+/// one, or [`var_mask`] per event. Addresses events by scan position, as
+/// the lane vectors do.
 #[derive(Debug)]
 struct Admitter {
-    filter: EventFilter,
     columnar: Option<ColumnarBatch>,
     /// Events in the relation.
     len: usize,
 }
 
 impl Admitter {
-    fn new<S: EventSource>(pattern: &CompiledPattern, mode: FilterMode, relation: &S) -> Admitter {
-        let filter = EventFilter::new(pattern, mode);
+    fn new<S: EventSource>(pattern: &CompiledPattern, relation: &S) -> Admitter {
         let plan = ColumnarPlan::new(pattern);
         let columnar = runs_columnar(plan.num_lanes(), relation.len()).then(|| {
             let mut batch = ColumnarBatch::default();
@@ -219,13 +207,11 @@ impl Admitter {
                 relation.len(),
                 |i| relation.event(event_id(relation, i)),
                 |attr| relation.str_codes(attr),
-                filter.effective_mode(),
                 &mut batch,
             );
             batch
         });
         Admitter {
-            filter,
             columnar,
             len: relation.len(),
         }
@@ -237,9 +223,9 @@ impl Admitter {
             .map_or(AdmissionArm::PerEvent, ColumnarBatch::arm)
     }
 
-    /// The first position at or after `from` whose event may pass the
-    /// filter, or the relation's length: the lane pass knows which events
-    /// it dropped, the per-event arm learns it event by event.
+    /// The first position at or after `from` whose event may be
+    /// admitted, or the relation's length: the lane pass knows which
+    /// events it dropped, the per-event arm learns it event by event.
     fn next_passing(&self, from: usize) -> usize {
         match &self.columnar {
             Some(batch) => batch.next_passing(from),
@@ -252,14 +238,10 @@ impl Admitter {
         pattern: &CompiledPattern,
         relation: &S,
         position: usize,
-    ) -> EventAdmission {
+    ) -> u64 {
         match &self.columnar {
             Some(batch) => batch.admission(position),
-            None => EventAdmission::scalar(
-                &self.filter,
-                pattern,
-                relation.event(event_id(relation, position)),
-            ),
+            None => var_mask(pattern, relation.event(event_id(relation, position))),
         }
     }
 }
@@ -280,10 +262,6 @@ pub fn scan<S: EventSource, P: Probe>(
     probe: &mut P,
 ) -> (Vec<RawMatch>, AdmittedLog) {
     let mut exec = Execution::new(automaton, relation, options);
-    probe.filter_mode(
-        exec.filter().requested_mode(),
-        exec.filter().effective_mode(),
-    );
     probe.admission_arm(exec.arm());
     exec.run(probe);
     exec.finish(probe)
@@ -319,18 +297,13 @@ pub struct Execution<'a, S: EventSource = Relation> {
 }
 
 impl<'a, S: EventSource> Execution<'a, S> {
-    /// The compiled event filter, including any silent downgrade.
-    pub fn filter(&self) -> &EventFilter {
-        &self.admitter.filter
-    }
-
     /// Prepares an execution positioned before the first event.
     pub fn new(automaton: &'a Automaton, relation: &'a S, options: &'a ExecOptions) -> Self {
         Execution {
             automaton,
             relation,
             options,
-            admitter: Admitter::new(automaton.pattern(), options.filter, relation),
+            admitter: Admitter::new(automaton.pattern(), relation),
             admitted: AdmittedLog::default(),
             omega: Omega::default(),
             results: Vec::new(),
@@ -556,10 +529,10 @@ impl Omega {
     /// The body of Algorithm 1's per-event iteration: spawn a fresh start
     /// instance, expire/emit, consume.
     ///
-    /// `admission` is the §4.5 filter verdict and the "which variables can
-    /// this event bind" mask for `event_id`, precomputed over the whole
-    /// batch by the columnar lane pass or just now by
-    /// [`EventAdmission::scalar`].
+    /// `var_ok` is the "which variables can this event bind" mask for
+    /// `event_id`, precomputed over the whole batch by the columnar lane
+    /// pass or just now by [`var_mask`]. An empty mask is the §4.5
+    /// filter's drop.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn process_event<S: EventSource, P: Probe>(
         &mut self,
@@ -567,20 +540,20 @@ impl Omega {
         relation: &S,
         options: &ExecOptions,
         event_id: EventId,
-        admission: EventAdmission,
+        var_ok: u64,
         results: &mut Vec<RawMatch>,
         probe: &mut P,
     ) {
         let event = relation.event(event_id);
 
         probe.event_read();
-        if !admission.passes {
+        if var_ok == 0 {
             probe.event_filtered();
             return;
         }
 
         let start = automaton.start();
-        // Algorithm 1, line 4: a fresh instance per (unfiltered) event.
+        // Algorithm 1, line 4: a fresh instance per admitted event.
         self.instances.push(Instance {
             state: start,
             buffer: Buffer::EMPTY,
@@ -594,7 +567,7 @@ impl Omega {
             event,
             event_id,
             selection: options.selection,
-            var_ok: admission.var_ok,
+            var_ok,
         };
         // An instance none of whose outgoing transitions' variables is
         // admitted is idle: nothing can fire, and it stays unless it is a
@@ -1011,21 +984,18 @@ mod tests {
             .build()
             .unwrap();
         let a = automaton(p);
-        // X events between A and B are ignored (with filter they never
-        // reach the instances; without filter the instance stays put).
-        for filter in [FilterMode::Off, FilterMode::Paper, FilterMode::PerVariable] {
-            let opts = ExecOptions {
-                filter,
-                ..ExecOptions::default()
-            };
-            let ms = execute(
-                &a,
-                &rel(&[(0, 1, "A"), (1, 1, "X"), (2, 1, "X"), (3, 1, "B")]),
-                &opts,
-                &mut NoProbe,
-            );
-            assert_eq!(ms.len(), 1, "filter mode {filter:?}");
+        // X events between A and B are ignored: their admission mask is
+        // empty, so they never reach the instances.
+        struct Filtered(usize);
+        impl crate::Probe for Filtered {
+            fn event_filtered(&mut self) {
+                self.0 += 1;
+            }
         }
+        let r = rel(&[(0, 1, "A"), (1, 1, "X"), (2, 1, "X"), (3, 1, "B")]);
+        let mut filtered = Filtered(0);
+        let ms = execute(&a, &r, &ExecOptions::default(), &mut filtered);
+        assert_eq!((ms.len(), filtered.0), (1, 2));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! | [`automaton`](Automaton) | §4.1–4.2 | powerset construction + concatenation |
 //! | [`buffer`](NodeLog) | §4.1 | O(1)-fork match buffers in a time-ordered node log |
 //! | [`engine`](execute) | §4.3, Alg. 1–2 | `SESExec` / `ConsumeEvent` |
-//! | [`filter`](EventFilter) | §4.5 | constant-condition event pre-filter |
+//! | [`columnar`](runs_columnar) | §4.5 | admission: the per-variable constant mask is the event filter |
 //! | [`semantics`](select) | Def. 2 (cond. 4–5) | skip-till-next-match + maximality |
 //! | [`matcher`](Matcher) | — | one-call high-level API |
 //! | [`probe`](Probe) | §5 | zero-cost instrumentation for the experiments |
@@ -57,7 +57,6 @@ mod columnar;
 mod dot;
 mod engine;
 mod error;
-mod filter;
 mod matcher;
 mod matches;
 mod measures;
@@ -79,13 +78,14 @@ pub use engine::{
     execute, scan, AdmittedLog, EventSelection, ExecOptions, Execution, Instance, RawMatch,
 };
 pub use error::CoreError;
-pub use filter::{EventFilter, FilterMode};
 pub use matcher::{Matcher, MatcherOptions, PartitionMode, PartitionStrategy};
 pub use matches::Match;
 pub use measures::{aggregate, Aggregate};
 pub use negation::{filter_negations, passes_negations};
 pub use probe::{NoProbe, Probe};
-pub use reference::{enumerate_candidates, satisfies_conditions_1_3, select_pairwise};
+pub use reference::{
+    algorithm1, enumerate_candidates, paper_filter, satisfies_conditions_1_3, select_pairwise,
+};
 pub use semantics::{select, MatchSemantics};
 pub use snapshot::{
     BankPatternSnapshot, BankRole, BankSnapshot, InstanceSnapshot, MatcherSnapshot, StreamSnapshot,

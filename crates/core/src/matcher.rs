@@ -35,7 +35,6 @@ use ses_pattern::{CompiledPattern, Pattern};
 
 use crate::automaton::{Automaton, DEFAULT_MAX_STATES};
 use crate::engine::{scan, EventSelection, ExecOptions};
-use crate::filter::FilterMode;
 use crate::matches::Match;
 use crate::probe::{NoProbe, Probe};
 use crate::semantics::{select, MatchSemantics};
@@ -95,8 +94,6 @@ pub enum PartitionStrategy {
 /// Configuration for a [`Matcher`].
 #[derive(Debug, Clone)]
 pub struct MatcherOptions {
-    /// Event pre-filtering (§4.5). Default: the paper's filter.
-    pub filter: FilterMode,
     /// Event selection strategy. Default: the paper's
     /// skip-till-next-match; see [`EventSelection::SkipTillAnyMatch`]
     /// for the Γ-complete extension.
@@ -115,9 +112,9 @@ pub struct MatcherOptions {
     pub derive_equalities: bool,
     /// Run the full static-analyzer rewrite ([`ses_pattern::analyze`])
     /// before compiling: derived constant conditions added, redundant
-    /// ones dropped. Derived constants can rescue the §4.5 filter from
-    /// its silent `Off` downgrade when a variable is only correlated to a
-    /// constant-constrained one. The analyzer uses the equality closure
+    /// ones dropped. Derived constants let the §4.5 filter drop events
+    /// when a variable without constants of its own — which admits every
+    /// event — is correlated to a constant-constrained one. The analyzer uses the equality closure
     /// internally but does not inject its variable conditions, so this
     /// does *not* imply `derive_equalities`; with both set, the closed
     /// pattern is what gets analyzed.
@@ -137,7 +134,6 @@ pub struct MatcherOptions {
 impl Default for MatcherOptions {
     fn default() -> Self {
         MatcherOptions {
-            filter: FilterMode::Paper,
             selection: EventSelection::SkipTillNextMatch,
             semantics: MatchSemantics::Maximal,
             flush_at_end: true,
@@ -304,7 +300,6 @@ impl Matcher {
 
     pub(crate) fn exec_options(&self) -> ExecOptions {
         ExecOptions {
-            filter: self.options.filter,
             selection: self.options.selection,
             flush_at_end: self.options.flush_at_end,
             max_instances: self.options.max_instances,
@@ -323,7 +318,7 @@ impl Matcher {
     /// or by time) the scan runs in parallel. Per-event probe hooks are
     /// then sampled inside worker threads and only the aggregate hooks
     /// (`partitions`/`slices`, `partition_events`/`slice_events`,
-    /// per-split peak `omega`, `filter_mode`) reach `probe` — use
+    /// per-split peak `omega`) reach `probe` — use
     /// [`crate::parallel::find_partitioned_with`] or
     /// [`crate::parallel::find_time_sliced_with`] directly for full
     /// per-split instrumentation.
@@ -458,25 +453,43 @@ mod tests {
         assert_eq!(out[0].to_string(), "{v0/e1, v0/e2, v1/e3}");
     }
 
+    /// Counts the events the §4.5 filter drops.
+    #[derive(Default)]
+    struct Filtered(usize);
+
+    impl Probe for Filtered {
+        fn event_filtered(&mut self) {
+            self.0 += 1;
+        }
+    }
+
     #[test]
-    fn options_expose_filter_downgrade_behaviour() {
-        let p = Pattern::builder()
+    fn a_variable_without_constants_admits_every_event() {
+        let constrained = Pattern::builder()
             .set(|s| s.var("a"))
             .cond_const("a", "L", CmpOp::Eq, "A")
             .within(Duration::ticks(5))
             .build()
             .unwrap();
-        let m = Matcher::with_options(
-            &p,
-            &schema(),
-            MatcherOptions {
-                filter: FilterMode::PerVariable,
-                ..MatcherOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(m.options().filter, FilterMode::PerVariable);
-        assert_eq!(m.find(&rel(&[(0, 1, "A")])).len(), 1);
+        let free = Pattern::builder()
+            .set(|s| s.var("a").var("free"))
+            .cond_const("a", "L", CmpOp::Eq, "A")
+            .within(Duration::ticks(5))
+            .build()
+            .unwrap();
+        let r = rel(&[(0, 1, "A"), (1, 1, "B")]);
+        let filtered = |p: &Pattern| {
+            let m = Matcher::compile(p, &schema()).unwrap();
+            let mut probe = Filtered::default();
+            let found = m.find_with_probe(&r, &mut probe).len();
+            (
+                m.automaton().pattern().every_var_constrained(),
+                probe.0,
+                found,
+            )
+        };
+        assert_eq!(filtered(&constrained), (true, 1, 1));
+        assert_eq!(filtered(&free), (false, 0, 1), "`free` admits the B");
     }
 
     #[test]
@@ -556,10 +569,10 @@ mod tests {
     #[test]
     fn propagated_constants_rescue_the_event_filter() {
         // `b` carries no constant condition — only the correlation
-        // b.ID = a.ID to the constant-constrained `a`. Without the
-        // analyzer the §4.5 filter silently downgrades to Off; with
+        // b.ID = a.ID to the constant-constrained `a` — so it admits
+        // every event and the §4.5 filter drops none. With
         // propagate_constants the derived `b.ID = 1` makes every variable
-        // constrained and the filter runs in the requested Paper mode.
+        // constrained, and the filter drops the other patient's event.
         let p = Pattern::builder()
             .set(|s| s.var("a"))
             .set(|s| s.var("b"))
@@ -570,25 +583,13 @@ mod tests {
             .build()
             .unwrap();
 
-        #[derive(Default)]
-        struct Modes {
-            requested: Option<FilterMode>,
-            effective: Option<FilterMode>,
-        }
-        impl Probe for Modes {
-            fn filter_mode(&mut self, requested: FilterMode, effective: FilterMode) {
-                self.requested = Some(requested);
-                self.effective = Some(effective);
-            }
-        }
-
-        let r = rel(&[(0, 1, "A"), (1, 1, "X")]);
+        let r = rel(&[(0, 1, "A"), (1, 1, "X"), (2, 2, "X")]);
 
         let plain = Matcher::compile(&p, &schema()).unwrap();
-        let mut modes = Modes::default();
-        let baseline = plain.find_with_probe(&r, &mut modes);
-        assert_eq!(modes.requested, Some(FilterMode::Paper));
-        assert_eq!(modes.effective, Some(FilterMode::Off), "silent downgrade");
+        assert!(!plain.automaton().pattern().every_var_constrained());
+        let mut filtered = Filtered::default();
+        let baseline = plain.find_with_probe(&r, &mut filtered);
+        assert_eq!(filtered.0, 0, "`b` admits every event");
 
         let analyzed = Matcher::with_options(
             &p,
@@ -600,9 +601,9 @@ mod tests {
         )
         .unwrap();
         assert!(analyzed.automaton().pattern().every_var_constrained());
-        let mut modes = Modes::default();
-        let found = analyzed.find_with_probe(&r, &mut modes);
-        assert_eq!(modes.effective, Some(FilterMode::Paper), "filter rescued");
+        let mut filtered = Filtered::default();
+        let found = analyzed.find_with_probe(&r, &mut filtered);
+        assert_eq!(filtered.0, 1, "filter rescued");
         // Same matches either way.
         assert_eq!(
             found.iter().map(|m| m.to_string()).collect::<Vec<_>>(),

@@ -58,8 +58,8 @@ pub fn find_partitioned(matcher: &Matcher, relation: &Relation, key: AttrId) -> 
 
 /// [`find_partitioned`] with full instrumentation: `coordinator`
 /// receives the aggregate hooks ([`Probe::partitions`],
-/// [`Probe::partition_events`] per partition in first-occurrence order,
-/// and `filter_mode`); `make_probe` builds one worker probe per
+/// [`Probe::partition_events`] per partition in first-occurrence
+/// order); `make_probe` builds one worker probe per
 /// partition, returned in the same first-occurrence order for per-shard
 /// statistics.
 pub fn find_partitioned_with<C, P, F>(

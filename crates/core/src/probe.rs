@@ -12,7 +12,8 @@ pub trait Probe {
     #[inline]
     fn event_read(&mut self) {}
 
-    /// The §4.5 filter dropped the event before instance iteration.
+    /// The §4.5 filter dropped the event before instance iteration: it
+    /// satisfies the constant conditions of no variable.
     #[inline]
     fn event_filtered(&mut self) {}
 
@@ -57,17 +58,8 @@ pub trait Probe {
     #[inline]
     fn retained_events(&mut self, _n: usize) {}
 
-    /// The §4.5 event pre-filter resolved its mode: `requested` is what
-    /// the options asked for, `effective` what actually runs (they differ
-    /// when some variable lacks a constant condition and the filter
-    /// silently downgrades to `Off` — the analyzer's `SES003`). Fired once
-    /// per execution/stream construction.
-    #[inline]
-    fn filter_mode(&mut self, _requested: crate::FilterMode, _effective: crate::FilterMode) {}
-
     /// A batch execution resolved how it admits its events — fired once
-    /// per scan (per partition or slice when the input is split), beside
-    /// [`Probe::filter_mode`]. Answers are the same on every arm, so this
+    /// per scan (per partition or slice when the input is split). Answers are the same on every arm, so this
     /// is the only place a fall from one to another can show.
     #[inline]
     fn admission_arm(&mut self, _arm: crate::AdmissionArm) {}
@@ -176,10 +168,6 @@ impl<P: Probe + ?Sized> Probe for &mut P {
     #[inline]
     fn retained_events(&mut self, n: usize) {
         (**self).retained_events(n);
-    }
-    #[inline]
-    fn filter_mode(&mut self, requested: crate::FilterMode, effective: crate::FilterMode) {
-        (**self).filter_mode(requested, effective);
     }
     #[inline]
     fn admission_arm(&mut self, arm: crate::AdmissionArm) {

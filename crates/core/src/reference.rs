@@ -11,13 +11,114 @@
 //!   one-shot global filter, every quantifier re-derived from scratch per
 //!   candidate — the answer the group-wise sweep of the `semantics`
 //!   module must reproduce.
+//! * [`algorithm1`] runs the automaton as the paper's Algorithm 1 is
+//!   written — no admission mask, no node log — over whichever events it
+//!   is given; with [`paper_filter`] in front of it, it is the §4.5
+//!   ablation of Experiment 3.
 
-use ses_event::{EventId, Relation, Timestamp};
+use ses_event::{Event, EventId, Relation, Timestamp};
 use ses_pattern::{CompiledPattern, CompiledRhs, VarId};
 
+use crate::automaton::{Automaton, TransCond};
 use crate::engine::RawMatch;
 use crate::matches::Match;
 use crate::semantics::MatchSemantics;
+use crate::state::StateId;
+
+/// The paper's §4.5 filter, applied to events "immediately after they are
+/// read": `true` iff `event` satisfies at least one constant condition
+/// of `Θ`. It is only sound when every variable has a constant
+/// condition, so otherwise it keeps every event.
+pub fn paper_filter(pattern: &CompiledPattern, event: &Event) -> bool {
+    !pattern.every_var_constrained() || pattern.satisfies_any_constant(event)
+}
+
+/// The paper's Algorithm 1 (`SESExec`) with Algorithm 2
+/// (`ConsumeEvent`) under skip-till-next-match, as written: every event
+/// of `events` (ascending) spawns a fresh instance `(qs, ∅)`, expires
+/// the instances whose window it leaves, and is offered to every
+/// remaining instance, whose every outgoing transition evaluates all of
+/// its conditions — constant ones included. Instances still accepting at
+/// the end are flushed, as [`crate::ExecOptions`] does by default.
+///
+/// Returns the raw matches; the engine's [`crate::execute`] must return
+/// the same set. Feeding it the events [`paper_filter`] keeps must not
+/// change that set either.
+pub fn algorithm1(
+    automaton: &Automaton,
+    relation: &Relation,
+    events: impl IntoIterator<Item = EventId>,
+) -> Vec<RawMatch> {
+    let pattern = automaton.pattern();
+    let (start, accept, tau) = (automaton.start(), automaton.accept(), automaton.tau());
+    let raw = |bindings: &[(VarId, EventId)]| {
+        let mut bindings = bindings.to_vec();
+        bindings.sort_unstable_by_key(|&(v, e)| (e, v));
+        RawMatch { bindings }
+    };
+    // Ω: each instance's state and its bindings in binding order.
+    let mut omega: Vec<(StateId, Vec<(VarId, EventId)>)> = Vec::new();
+    let mut out = Vec::new();
+    for id in events {
+        let event = relation.event(id);
+        omega.push((start, Vec::new()));
+        omega.retain(|(state, bindings)| {
+            let expired = bindings
+                .first()
+                .is_some_and(|&(_, first)| event.ts().distance(relation.event(first).ts()) > tau);
+            if expired && *state == accept {
+                out.push(raw(bindings));
+            }
+            !expired
+        });
+        let mut next = Vec::with_capacity(omega.len());
+        for (state, bindings) in omega {
+            let bound = |v: VarId| {
+                bindings
+                    .iter()
+                    .filter(move |&&(w, _)| w == v)
+                    .map(|&(_, e)| relation.event(e))
+            };
+            let mut fired = false;
+            for transition in automaton.outgoing(state) {
+                let holds = transition.conds.iter().all(|tc| match *tc {
+                    TransCond::Const { cond } => pattern.condition(cond).eval_const(event),
+                    TransCond::SelfCmp { cond } => pattern.condition(cond).eval_vars(event, event),
+                    TransCond::VsBound {
+                        cond,
+                        other,
+                        new_is_lhs,
+                    } => bound(other).all(|o| {
+                        let c = pattern.condition(cond);
+                        if new_is_lhs {
+                            c.eval_vars(event, o)
+                        } else {
+                            c.eval_vars(o, event)
+                        }
+                    }),
+                    TransCond::TimeAfter { other } => bound(other).all(|o| o.ts() < event.ts()),
+                });
+                if holds {
+                    fired = true;
+                    let mut successor = bindings.clone();
+                    successor.push((transition.var, id));
+                    next.push((transition.target, successor));
+                }
+            }
+            if !fired && state != start {
+                next.push((state, bindings));
+            }
+        }
+        omega = next;
+    }
+    out.extend(
+        omega
+            .iter()
+            .filter(|(state, _)| *state == accept)
+            .map(|(_, bindings)| raw(bindings)),
+    );
+    out
+}
 
 /// Checks conditions 1–3 of Definition 2 for a complete substitution.
 ///
@@ -416,6 +517,39 @@ mod tests {
         assert!(satisfies_conditions_1_3(&cp, &r, &bind(&[(0, 0)])));
         assert!(satisfies_conditions_1_3(&cp, &r, &bind(&[(0, 0), (0, 1)])));
         assert!(!satisfies_conditions_1_3(&cp, &r, &bind(&[])));
+    }
+
+    #[test]
+    fn algorithm1_matches_the_engine_with_and_without_the_filter() {
+        let cp = ab_pattern();
+        let automaton = Automaton::build(cp.clone()).unwrap();
+        let r = rel(&[
+            (0, 1, "A"),
+            (1, 2, "X"),
+            (2, 2, "A"),
+            (3, 1, "B"),
+            (20, 2, "B"),
+        ]);
+        let mut engine = crate::execute(
+            &automaton,
+            &r,
+            &crate::ExecOptions::default(),
+            &mut crate::NoProbe,
+        );
+        engine.sort();
+        let all: Vec<EventId> = (0..r.len()).map(EventId::from).collect();
+        let mut unfiltered = algorithm1(&automaton, &r, all.iter().copied());
+        unfiltered.sort();
+        assert_eq!(unfiltered, engine);
+        assert_eq!(
+            unfiltered.len(),
+            1,
+            "the second patient's B is out of the window"
+        );
+        let kept = all.into_iter().filter(|&e| paper_filter(&cp, r.event(e)));
+        let mut filtered = algorithm1(&automaton, &r, kept);
+        filtered.sort();
+        assert_eq!(filtered, engine);
     }
 
     #[test]

@@ -185,7 +185,7 @@ impl Adjudicator {
     }
 
     /// Takes note of an event the scan admitted: `vars` is its admission
-    /// verdict's `viable_vars` (zero notes nothing). Every admitted event a group's
+    /// mask (zero notes nothing). Every admitted event a group's
     /// window can contain must have been noted, in ascending id order,
     /// before the group is adjudicated — the scan is always ahead of the
     /// groups it completes, so noting each event as it is admitted (a
@@ -332,7 +332,7 @@ mod tests {
         cp: &CompiledPattern,
         semantics: MatchSemantics,
     ) -> Vec<Match> {
-        let admitted = AdmittedLog::of(cp, crate::FilterMode::Paper, r);
+        let admitted = AdmittedLog::of(cp, r);
         super::select(raw, &admitted, r, cp, semantics)
     }
 

@@ -169,17 +169,16 @@ pub enum MatcherSnapshot {
 
 /// The options that change matching behavior, rendered. Partitioning and
 /// threading knobs are excluded — they affect *where* work runs, not what
-/// a shard's state means. The literal `precheck=true` names an option
-/// that no longer exists; it stays in the tag so checkpoints written
-/// while it did still resume.
+/// a shard's state means. The literals `Paper` and `precheck=true` name
+/// options that no longer exist — the §4.5 filter mode and the
+/// satisfiability precheck, both at the value every matcher now runs
+/// with; they stay in the tag so checkpoints written while the options
+/// did still resume. A checkpoint written under another filter mode is
+/// refused by fingerprint.
 fn options_tag(options: &MatcherOptions) -> String {
     format!(
-        "{:?}/{:?}/{:?}/flush={}/precheck=true/max_inst={:?}",
-        options.filter,
-        options.selection,
-        options.semantics,
-        options.flush_at_end,
-        options.max_instances,
+        "Paper/{:?}/{:?}/flush={}/precheck=true/max_inst={:?}",
+        options.selection, options.semantics, options.flush_at_end, options.max_instances,
     )
 }
 
@@ -260,6 +259,15 @@ mod tests {
                     ..MatcherOptions::default()
                 }
             )
+        );
+    }
+
+    #[test]
+    fn default_options_tag_is_the_one_checkpoints_were_written_with() {
+        // Changing this string refuses every existing checkpoint.
+        assert_eq!(
+            options_tag(&MatcherOptions::default()),
+            "Paper/SkipTillNextMatch/Maximal/flush=true/precheck=true/max_inst=None"
         );
     }
 

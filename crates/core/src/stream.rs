@@ -55,9 +55,8 @@ use ses_event::{Duration, Event, EventError, Relation, Schema, Timestamp, Value}
 use ses_pattern::Pattern;
 
 use crate::buffer::NodeLog;
-use crate::columnar::{runs_columnar, ColumnarBatch, ColumnarPlan, EventAdmission};
+use crate::columnar::{runs_columnar, var_mask, ColumnarBatch, ColumnarPlan};
 use crate::engine::{ExecOptions, Instance, Omega, RawMatch};
-use crate::filter::EventFilter;
 use crate::matcher::MatcherOptions;
 use crate::matches::Match;
 use crate::negation::passes_negations;
@@ -73,7 +72,6 @@ use ses_event::EventId;
 pub struct StreamMatcher {
     automaton: Automaton,
     options: MatcherOptions,
-    filter: EventFilter,
     relation: Relation,
     omega: Omega,
     /// Per-push engine output buffer, drained into `pending`.
@@ -111,14 +109,12 @@ impl StreamMatcher {
     /// Builds a stream matcher around an already constructed automaton —
     /// the bank clones one automaton per hash lane through here.
     pub(crate) fn from_automaton(automaton: Automaton, options: MatcherOptions) -> StreamMatcher {
-        let filter = EventFilter::new(automaton.pattern(), options.filter);
         let adjudicator = Adjudicator::new(options.semantics, automaton.pattern());
         let columnar = ColumnarPlan::new(automaton.pattern());
         StreamMatcher {
             relation: Relation::new(automaton.pattern().schema().clone()),
             automaton,
             options,
-            filter,
             columnar,
             columnar_batch: ColumnarBatch::default(),
             omega: Omega::default(),
@@ -162,12 +158,9 @@ impl StreamMatcher {
     fn advance_to<P: Probe>(
         &mut self,
         ts: Timestamp,
-        event: Option<(EventId, Option<EventAdmission>)>,
+        event: Option<(EventId, Option<u64>)>,
         probe: &mut P,
     ) -> Vec<Match> {
-        if self.watermark.is_none() {
-            probe.filter_mode(self.filter.requested_mode(), self.filter.effective_mode());
-        }
         self.watermark = Some(ts);
         let tau = self.automaton.tau();
         let mut out = Vec::new();
@@ -180,31 +173,26 @@ impl StreamMatcher {
             // `Omega::expire`). Their accepting buffers join `pending`.
             self.omega
                 .expire(&self.automaton, ts, &mut self.results, probe);
-            if let Some((id, admission)) = event {
-                let admission = admission.unwrap_or_else(|| {
-                    EventAdmission::scalar(
-                        &self.filter,
-                        self.automaton.pattern(),
-                        self.relation.event(id),
-                    )
-                });
+            if let Some((id, var_ok)) = event {
+                let var_ok = var_ok
+                    .unwrap_or_else(|| var_mask(self.automaton.pattern(), self.relation.event(id)));
                 self.omega.process_event(
                     &self.automaton,
                     &self.relation,
                     &self.exec_options(),
                     id,
-                    admission,
+                    var_ok,
                     &mut self.results,
                     probe,
                 );
-                // The verdict's second consumer: the condition-4 swap
-                // test finds this event among its alternatives from now
-                // on. An event that is not admitted appends nothing.
+                // The mask's second consumer: the condition-4 swap test
+                // finds this event among its alternatives from now on.
+                // An event that is not admitted appends nothing.
                 self.adjudicator.admit(
                     self.automaton.pattern(),
                     id,
                     self.relation.event(id),
-                    admission.viable_vars(),
+                    var_ok,
                 );
             }
             self.queue_results();
@@ -298,19 +286,18 @@ impl StreamMatcher {
                 events.len(),
                 |i| &events[i],
                 |_| None,
-                self.filter.effective_mode(),
                 &mut self.columnar_batch,
             );
         }
         let mut out = Vec::new();
         for (i, event) in events.into_iter().enumerate() {
             let ts = event.ts();
-            let admission = columnar.then(|| self.columnar_batch.admission(i));
+            let var_ok = columnar.then(|| self.columnar_batch.admission(i));
             let id = self
                 .relation
                 .push_event(event)
                 .expect("batch order validated upfront");
-            out.extend(self.advance_to(ts, Some((id, admission)), probe));
+            out.extend(self.advance_to(ts, Some((id, var_ok)), probe));
         }
         Ok(out)
     }
@@ -685,7 +672,7 @@ impl StreamMatcher {
 
     /// Tells a fresh adjudicator of the retained events — what the
     /// pushes that brought them in told the one a snapshot was taken
-    /// from. Admission verdicts are not part of a snapshot; they are a
+    /// from. Admission masks are not part of a snapshot; they are a
     /// function of the event alone, so re-admitting gives them back.
     fn readmit_retained(&mut self) {
         let pattern = self.automaton.pattern();
@@ -694,9 +681,12 @@ impl StreamMatcher {
         }
         let first = self.relation.first_index();
         for (i, event) in self.relation.events().iter().enumerate() {
-            let vars = EventAdmission::scalar(&self.filter, pattern, event).viable_vars();
-            self.adjudicator
-                .admit(pattern, EventId::from(first + i), event, vars);
+            self.adjudicator.admit(
+                pattern,
+                EventId::from(first + i),
+                event,
+                var_mask(pattern, event),
+            );
         }
     }
 
@@ -785,7 +775,6 @@ impl StreamMatcher {
 
     fn exec_options(&self) -> ExecOptions {
         ExecOptions {
-            filter: self.options.filter,
             selection: self.options.selection,
             flush_at_end: self.options.flush_at_end,
             max_instances: self.options.max_instances,

@@ -1,7 +1,7 @@
 //! A counting [`Probe`] recording the quantities the paper's evaluation
 //! reports.
 
-use ses_core::{AdmissionArm, FilterMode, Probe};
+use ses_core::{AdmissionArm, Probe};
 
 /// Counters collected during one engine run.
 ///
@@ -37,12 +37,6 @@ pub struct CountingProbe {
     /// Peak retained-relation size across streaming pushes. Stays flat
     /// on unbounded streams when eviction is working.
     pub retained_max: usize,
-    /// §4.5 filter mode the options requested, once the engine reports it.
-    pub filter_requested: Option<FilterMode>,
-    /// Filter mode actually in effect — differs from `filter_requested`
-    /// exactly when the filter silently downgraded to `Off` (the
-    /// analyzer's `SES003`).
-    pub filter_effective: Option<FilterMode>,
     /// Batch scans by the arm that admitted their events — per event,
     /// lane pass over rows, lane pass over columns — one scan per
     /// partition or slice when the input is split.
@@ -107,11 +101,6 @@ impl CountingProbe {
         } else {
             self.events_filtered as f64 / self.events_read as f64
         }
-    }
-
-    /// `true` iff the engine reported a §4.5 filter downgrade.
-    pub fn filter_downgraded(&self) -> bool {
-        self.filter_requested.is_some() && self.filter_requested != self.filter_effective
     }
 
     /// The admission arm(s) the recorded batch scans ran on, widest first:
@@ -196,10 +185,6 @@ impl CountingProbe {
         self.omega_samples += other.omega_samples;
         self.events_evicted += other.events_evicted;
         self.retained_max = self.retained_max.max(other.retained_max);
-        if self.filter_requested.is_none() {
-            self.filter_requested = other.filter_requested;
-            self.filter_effective = other.filter_effective;
-        }
         self.scans_per_event += other.scans_per_event;
         self.scans_rows += other.scans_rows;
         self.scans_columns += other.scans_columns;
@@ -258,10 +243,6 @@ impl Probe for CountingProbe {
     }
     fn retained_events(&mut self, n: usize) {
         self.retained_max = self.retained_max.max(n);
-    }
-    fn filter_mode(&mut self, requested: FilterMode, effective: FilterMode) {
-        self.filter_requested = Some(requested);
-        self.filter_effective = Some(effective);
     }
     fn admission_arm(&mut self, arm: AdmissionArm) {
         match arm {
@@ -334,18 +315,6 @@ mod tests {
     }
 
     #[test]
-    fn filter_mode_report() {
-        let mut p = CountingProbe::new();
-        assert!(!p.filter_downgraded());
-        p.filter_mode(FilterMode::Paper, FilterMode::Off);
-        assert_eq!(p.filter_requested, Some(FilterMode::Paper));
-        assert_eq!(p.filter_effective, Some(FilterMode::Off));
-        assert!(p.filter_downgraded());
-        p.filter_mode(FilterMode::Paper, FilterMode::Paper);
-        assert!(!p.filter_downgraded());
-    }
-
-    #[test]
     fn admission_arms_render_one_scan_plainly_and_split_runs_with_counts() {
         let mut p = CountingProbe::new();
         assert_eq!(p.admission_arms(), "-");
@@ -372,7 +341,6 @@ mod tests {
         a.event_read();
         a.omega(5);
         a.retained_events(10);
-        a.filter_mode(FilterMode::Paper, FilterMode::Paper);
         let mut b = CountingProbe::new();
         b.event_read();
         b.event_read();
@@ -384,8 +352,6 @@ mod tests {
         assert_eq!(a.omega_max, 9);
         assert_eq!(a.omega_samples, 3);
         assert_eq!(a.retained_max, 10);
-        // merge keeps the first filter report rather than clobbering it.
-        assert_eq!(a.filter_requested, Some(FilterMode::Paper));
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //!    (interval [`crate::Domain`] reasoning) get `SES002` and are dropped
 //!    from the rewritten pattern.
 //! 5. **Filter audit** — if some variable still lacks a constant
-//!    condition after derivation, the §4.5 pre-filter will silently
-//!    downgrade to `Off` (`SES003` warning); if derivation *rescued* the
-//!    filter, `SES003` is reported at info severity instead.
+//!    condition after derivation, it admits every event, so the §4.5
+//!    pre-filter drops none (`SES003` warning); if derivation *rescued*
+//!    the filter, `SES003` is reported at info severity instead.
 //!
 //! The returned [`Analysis::pattern`] is the rewritten pattern: redundant
 //! constants removed, derived constants added. The equality closure is
@@ -161,8 +161,8 @@ pub fn analyze(pattern: &Pattern, schema: &Schema) -> Analysis {
         diagnostics.push(Diagnostic::new(
             DiagnosticCode::FilterDowngraded,
             format!(
-                "variable(s) {} have no constant condition (none derivable): the §4.5 \
-                 event pre-filter silently downgrades to Off",
+                "variable(s) {} have no constant condition (none derivable): they admit \
+                 every event, so the §4.5 event pre-filter drops none",
                 still_open.join(", ")
             ),
         ));
@@ -171,9 +171,9 @@ pub fn analyze(pattern: &Pattern, schema: &Schema) -> Analysis {
             Diagnostic::new(
                 DiagnosticCode::FilterDowngraded,
                 format!(
-                    "variable(s) {} gained derived constant conditions; the event \
-                     pre-filter runs in the requested mode on the rewritten pattern \
-                     instead of downgrading to Off",
+                    "variable(s) {} gained derived constant conditions; on the \
+                     rewritten pattern the event pre-filter drops the events no \
+                     variable admits instead of admitting every event",
                     rescued.join(", ")
                 ),
             )

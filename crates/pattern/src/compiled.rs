@@ -239,8 +239,9 @@ impl CompiledPattern {
     }
 
     /// `true` iff every variable has at least one constant condition. When
-    /// false, some variable can match arbitrary events and constant-based
-    /// event filtering would be unsound.
+    /// false, some variable admits every event, so the engine's §4.5
+    /// filter drops none (and the paper's "any constant" criterion would
+    /// be unsound).
     pub fn every_var_constrained(&self) -> bool {
         self.const_conds_by_var.iter().all(|v| !v.is_empty())
     }

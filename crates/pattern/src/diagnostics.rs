@@ -19,9 +19,8 @@ pub enum DiagnosticCode {
     /// conditions on the same `(variable, attribute)` and can be dropped
     /// from transition evaluation.
     RedundantCondition,
-    /// `SES003` — the §4.5 event pre-filter cannot run in the requested
-    /// mode because some variable has no constant condition (the filter
-    /// silently downgrades to `Off` at runtime).
+    /// `SES003` — some variable has no constant condition, so it admits
+    /// every event and the §4.5 event pre-filter drops none at runtime.
     FilterDowngraded,
     /// `SES004` — an event set pattern falls in a factorial or
     /// exponential instance-bound class (Theorems 2–3).
@@ -117,9 +116,9 @@ impl fmt::Display for Span {
 pub struct Diagnostic {
     /// The stable code.
     pub code: DiagnosticCode,
-    /// Severity (usually [`DiagnosticCode::default_severity`], but e.g. a
-    /// filter downgrade *avoided* by derived conditions demotes `SES003`
-    /// to [`Severity::Info`]).
+    /// Severity (usually [`DiagnosticCode::default_severity`], but e.g. an
+    /// unconstrained variable *rescued* by derived conditions demotes
+    /// `SES003` to [`Severity::Info`]).
     pub severity: Severity,
     /// Human-readable description of the finding.
     pub message: String,

@@ -79,9 +79,9 @@ pub use ses_workload as workload;
 pub mod prelude {
     pub use ses_baseline::BruteForce;
     pub use ses_core::{
-        CoreError, EventSelection, FilterMode, Match, MatchSemantics, Matcher, MatcherOptions,
-        MatcherSnapshot, NoProbe, PartitionMode, PartitionStrategy, PatternBank,
-        PatternBankBuilder, PatternStats, Probe, StreamMatcher,
+        CoreError, EventSelection, Match, MatchSemantics, Matcher, MatcherOptions, MatcherSnapshot,
+        NoProbe, PartitionMode, PartitionStrategy, PatternBank, PatternBankBuilder, PatternStats,
+        Probe, StreamMatcher,
     };
     pub use ses_event::{
         AttrType, CmpOp, Duration, Event, EventId, Relation, Schema, Timestamp, Value,

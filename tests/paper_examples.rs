@@ -1,6 +1,7 @@
 //! Golden tests pinning the paper's worked examples: Figure 1, Query Q1,
 //! Examples 1–4, the Figure 5 automaton, and Figure 10's brute-force bank.
 
+use ses::core::{algorithm1, paper_filter, select, AdmittedLog};
 use ses::prelude::*;
 use ses::workload::paper;
 
@@ -174,24 +175,36 @@ fn query_language_round_trip() {
     assert_eq!(matches.len(), 2);
 }
 
-/// Filtering (§4.5) never changes the query answer on the paper's data —
-/// with or without the filter, across all semantics.
+/// Filtering (§4.5) never changes the query answer on the paper's data:
+/// the paper's Algorithm 1 over every event and over the events the
+/// filter keeps answer as the engine does, whose admission mask is the
+/// filter — across all semantics.
 #[test]
 fn filtering_is_transparent_on_figure1() {
     let relation = paper::figure1();
-    let q1 = paper::query_q1();
-    let baseline = matcher_with(MatchSemantics::Maximal).find(&relation);
-    for filter in [FilterMode::Off, FilterMode::Paper, FilterMode::PerVariable] {
-        let m = Matcher::with_options(
-            &q1,
-            &paper::schema(),
-            MatcherOptions {
-                filter,
-                ..MatcherOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(m.find(&relation), baseline, "filter {filter:?}");
+    for semantics in [
+        MatchSemantics::AllRuns,
+        MatchSemantics::Definition2,
+        MatchSemantics::Maximal,
+    ] {
+        let m = matcher_with(semantics);
+        let automaton = m.automaton();
+        let cp = automaton.pattern();
+        let admitted = AdmittedLog::of(cp, &relation);
+        let answer = |events: Vec<EventId>| {
+            let raw = algorithm1(automaton, &relation, events);
+            select(raw, &admitted, &relation, cp, semantics)
+        };
+        let all: Vec<EventId> = (0..relation.len()).map(EventId::from).collect();
+        let kept = all
+            .iter()
+            .copied()
+            .filter(|&e| paper_filter(cp, relation.event(e)))
+            .collect();
+        let found = m.find(&relation);
+        assert!(!found.is_empty());
+        assert_eq!(answer(all), found, "no filter, {semantics:?}");
+        assert_eq!(answer(kept), found, "filter, {semantics:?}");
     }
 }
 
