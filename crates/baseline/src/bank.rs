@@ -23,7 +23,7 @@
 //!   not the brute-force bank. Exactness additionally requires distinct
 //!   timestamps (demonstrated in `tests/baseline_vs_ses.rs`).
 
-use ses_core::{AdmittedLog, CoreError, ExecOptions, Execution, Match, NoProbe, Probe, RawMatch};
+use ses_core::{AdmittedLog, CoreError, Execution, Match, NoProbe, Probe, RawMatch};
 use ses_event::{Relation, Schema};
 use ses_pattern::{Pattern, Rhs, VarId};
 
@@ -60,10 +60,7 @@ impl BruteForce {
         for seq in sequences(pattern) {
             let chain = chain_pattern(pattern, &seq)?;
             let compiled = chain.compile(schema)?;
-            automata.push(ses_core::Automaton::build_with_limit(
-                compiled,
-                options.max_states,
-            )?);
+            automata.push(ses_core::Automaton::build(compiled)?);
             var_maps.push(seq);
         }
         Ok(BruteForce {
@@ -108,15 +105,10 @@ impl BruteForce {
     /// **summed** `|Ω|` across all automata after each event, matching the
     /// paper's experiment-1 measurement.
     pub fn find_with_probe<P: Probe>(&self, relation: &Relation, probe: &mut P) -> Vec<Match> {
-        let exec_opts = ExecOptions {
-            selection: self.options.selection,
-            flush_at_end: self.options.flush_at_end,
-            max_instances: self.options.max_instances,
-        };
         let mut executions: Vec<Execution<'_>> = self
             .automata
             .iter()
-            .map(|a| Execution::new(a, relation, &exec_opts))
+            .map(|a| Execution::new(a, relation, self.options.selection))
             .collect();
 
         let mut suppressed = SuppressOmega { inner: probe };

@@ -15,7 +15,7 @@
 //! the reproduction targets (see EXPERIMENTS.md).
 
 use ses_bench::datasets::{Datasets, TAU};
-use ses_bench::experiments::{run_exp1, run_exp2, run_exp3};
+use ses_bench::experiments::{run_exp1, run_exp2, run_exp3, EXP3_RUNS};
 use ses_metrics::{fmt_f64, Table};
 
 struct Options {
@@ -259,7 +259,8 @@ fn experiment2(datasets: &Datasets, csv: Option<&std::path::Path>) {
 fn experiment3(datasets: &Datasets, csv: Option<&std::path::Path>) {
     println!("== Experiment 3 — effect of event filtering (Figure 13) ==");
     println!(
-        "P5 = mutually exclusive types; P6 = same type with p+; times in seconds.\n\
+        "P5 = mutually exclusive types; P6 = same type with p+; times in seconds, each\n\
+         the median of {EXP3_RUNS} runs.\n\
          no-filter / filter: the paper's Algorithm 1 over every event / over the events\n\
          the §4.5 filter keeps; engine: Matcher::find (AllRuns), whose admission mask\n\
          is the filter\n"

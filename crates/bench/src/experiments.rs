@@ -17,7 +17,8 @@
 //! * Experiment 3's ablation times the paper's Algorithm 1 as written
 //!   ([`ses_core::algorithm1`]) with and without the §4.5 filter in front
 //!   of it; the engine, whose admission mask is that filter, is the third
-//!   column.
+//!   column. Each column is the median of [`EXP3_RUNS`] runs: single
+//!   sub-millisecond runs make the filter-speedup verdict noisy.
 
 use ses_baseline::BruteForce;
 use ses_core::{algorithm1, paper_filter, MatchSemantics, Matcher, MatcherOptions};
@@ -189,7 +190,12 @@ pub fn run_exp2(datasets: &Datasets) -> Vec<Exp2Row> {
 // Experiment 3 (Figure 13)
 // ---------------------------------------------------------------------
 
-/// One pattern's three runtimes (s) on one data set of Figure 13.
+/// Runs per arm of [`Exp3Times::measure`]; each arm's time is their
+/// median.
+pub const EXP3_RUNS: usize = 5;
+
+/// One pattern's three runtimes (s) on one data set of Figure 13, each
+/// the median of [`EXP3_RUNS`] runs.
 #[derive(Debug, Clone, Copy)]
 pub struct Exp3Times {
     /// Algorithm 1 over every event: no §4.5 filter.
@@ -201,13 +207,28 @@ pub struct Exp3Times {
 }
 
 impl Exp3Times {
-    /// The times of `pattern` on `relation`. Panics unless all three runs
-    /// return the same number of distinct raw matches.
+    /// The times of `pattern` on `relation`. The arms take turns, one
+    /// run each per round, so a slow spell of the machine slows all three
+    /// alike rather than one arm's every run. Panics unless the three arms
+    /// return the same number of distinct raw matches in every round.
     pub fn measure(pattern: &ses_pattern::Pattern, relation: &Relation) -> Exp3Times {
-        let (unfiltered, all) = algorithm1_runtime(pattern, relation, false);
-        let (filtered, kept) = algorithm1_runtime(pattern, relation, true);
-        let (engine, found) = ses_runtime(pattern, relation);
-        assert_eq!((all, kept), (found, found), "the three arms disagree");
+        let mut times: [Vec<f64>; 3] = Default::default();
+        for _ in 0..EXP3_RUNS {
+            let runs = [
+                algorithm1_runtime(pattern, relation, false),
+                algorithm1_runtime(pattern, relation, true),
+                ses_runtime(pattern, relation),
+            ];
+            let (all, kept, found) = (runs[0].1, runs[1].1, runs[2].1);
+            assert_eq!((all, kept), (found, found), "the three arms disagree");
+            for (arm, (secs, _)) in times.iter_mut().zip(runs) {
+                arm.push(secs);
+            }
+        }
+        let [unfiltered, filtered, engine] = times.map(|mut t| {
+            t.sort_by(f64::total_cmp);
+            t[EXP3_RUNS / 2]
+        });
         Exp3Times {
             unfiltered,
             filtered,

@@ -230,7 +230,6 @@ fn matcher_options(args: &Args, schema: &ses_event::Schema) -> Result<MatcherOpt
         propagate_constants: args.has_flag("propagate"),
         partition: parse_partition(args, schema)?,
         threads,
-        ..MatcherOptions::default()
     })
 }
 
@@ -1266,11 +1265,8 @@ fn cmd_explain(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         return Ok(());
     }
     if args.has_flag("trace") {
-        let trace = ses_core::trace_execution(
-            automaton,
-            store.relation(),
-            &ses_core::ExecOptions::default(),
-        );
+        let trace =
+            ses_core::trace_execution(automaton, store.relation(), matcher.options().selection);
         write!(out, "{}", trace.render(automaton, None)).map_err(io_err)?;
         return Ok(());
     }

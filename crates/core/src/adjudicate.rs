@@ -831,8 +831,8 @@ mod tests {
             let cp = matcher.automaton().pattern();
             let reference = ViableIndex::classify(cp, &rel);
 
-            let exec = matcher.exec_options();
-            let (_, log) = scan(matcher.automaton(), &rel, &exec, &mut NoProbe);
+            let selection = matcher.options().selection;
+            let (_, log) = scan(matcher.automaton(), &rel, selection, &mut NoProbe);
             prop_assert_eq!(&lists_of(&log, cp, &rel), &reference, "global scan");
             prop_assert_eq!(&AdmittedLog::of(cp, &rel), &log, "`of` is the scan's log");
 

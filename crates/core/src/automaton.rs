@@ -23,7 +23,9 @@ use ses_pattern::{CompiledPattern, VarId};
 
 use crate::{CoreError, StateId, StateSet};
 
-/// Default cap on the number of automaton states (`Σi 2^|Vi|`).
+/// The state budget: the most automaton states (`Σi 2^|Vi|`)
+/// [`Automaton::build`] constructs before it refuses a pattern with
+/// [`CoreError::TooManyStates`].
 pub const DEFAULT_MAX_STATES: usize = 1 << 20;
 
 /// One conjunct of a transition's condition set `Θδ`, compiled relative to
@@ -108,17 +110,9 @@ pub struct Automaton {
 }
 
 impl Automaton {
-    /// Builds the SES automaton for a compiled pattern with the default
-    /// state budget.
+    /// Builds the SES automaton for a compiled pattern, within the
+    /// [`DEFAULT_MAX_STATES`] budget.
     pub fn build(pattern: CompiledPattern) -> Result<Automaton, CoreError> {
-        Automaton::build_with_limit(pattern, DEFAULT_MAX_STATES)
-    }
-
-    /// Builds the SES automaton with an explicit state budget.
-    pub fn build_with_limit(
-        pattern: CompiledPattern,
-        max_states: usize,
-    ) -> Result<Automaton, CoreError> {
         let p = pattern.pattern();
 
         // State budget: Σi 2^|Vi| minus shared boundaries.
@@ -126,10 +120,10 @@ impl Automaton {
         for set in p.sets() {
             let grow = (1usize << set.len()) - 1;
             required = required.saturating_add(grow);
-            if required > max_states {
+            if required > DEFAULT_MAX_STATES {
                 return Err(CoreError::TooManyStates {
                     required,
-                    limit: max_states,
+                    limit: DEFAULT_MAX_STATES,
                 });
             }
         }
@@ -537,7 +531,7 @@ mod tests {
         });
         let p = b.build().unwrap();
         let cp = p.compile(&schema()).unwrap();
-        let err = Automaton::build_with_limit(cp, 1 << 20).unwrap_err();
+        let err = Automaton::build(cp).unwrap_err();
         assert!(matches!(err, CoreError::TooManyStates { .. }));
     }
 

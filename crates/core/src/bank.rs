@@ -525,9 +525,6 @@ fn resolve_lane_key(
         PartitionMode::Off => {
             "partition mode is `Off`; lanes need a key — use `register` for a global stream"
         }
-        PartitionMode::Auto | PartitionMode::TimeAuto if !options.flush_at_end => {
-            "partitioned execution requires `flush_at_end`"
-        }
         PartitionMode::TimeAuto => {
             "the pattern proves no partition key, and time-sliced execution is batch-only — \
              a stream has no slice-end flush point"
@@ -597,7 +594,7 @@ impl PatternBankBuilder {
     ) -> Result<PatternBankBuilder, CoreError> {
         let compiled = compile_pattern(pattern, &self.schema, &options)?;
         let key = resolve_lane_key(&compiled, &options)?;
-        let automaton = Automaton::build_with_limit(compiled, options.max_states)?;
+        let automaton = Automaton::build(compiled)?;
         let name = name.into();
         let pattern = self.next_pattern();
         let of = lanes.max(1);

@@ -14,9 +14,9 @@
 //!    (branching on nondeterminism); if no transition fires the instance
 //!    stays put, unless it is the start-state instance, which is dropped.
 //!
-//! The paper evaluates finite relations; at end of input, instances in the
-//! accepting state emit their buffers (configurable via
-//! [`ExecOptions::flush_at_end`]).
+//! The paper's Algorithm 1 emits on expiry only, which would drop the
+//! matches whose window has not elapsed when a finite relation ends; at
+//! end of input, instances in the accepting state emit their buffers.
 //!
 //! # Ω in first-binding order
 //!
@@ -67,32 +67,6 @@ pub enum EventSelection {
     /// exponential worst-case cost in `|Ω|` (each in-window matching
     /// event can double the instances on its path).
     SkipTillAnyMatch,
-}
-
-/// Execution options.
-#[derive(Debug, Clone)]
-pub struct ExecOptions {
-    /// Event selection strategy. Defaults to the paper's
-    /// skip-till-next-match.
-    pub selection: EventSelection,
-    /// Emit accepting instances remaining at end of input. The paper's
-    /// Algorithm 1 only emits on expiry, which silently drops matches
-    /// whose window has not elapsed when the relation ends; flushing is
-    /// the natural completion for finite relations. Default: `true`.
-    pub flush_at_end: bool,
-    /// Optional hard cap on `|Ω|`; exceeding it panics. A guard against
-    /// runaway Theorem-3 worst cases in tests, not a production knob.
-    pub max_instances: Option<usize>,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions {
-            selection: EventSelection::SkipTillNextMatch,
-            flush_at_end: true,
-            max_instances: None,
-        }
-    }
 }
 
 /// A raw match: the bindings of an accepted buffer in canonical
@@ -258,10 +232,10 @@ impl Admitter {
 pub fn scan<S: EventSource, P: Probe>(
     automaton: &Automaton,
     relation: &S,
-    options: &ExecOptions,
+    selection: EventSelection,
     probe: &mut P,
 ) -> (Vec<RawMatch>, AdmittedLog) {
-    let mut exec = Execution::new(automaton, relation, options);
+    let mut exec = Execution::new(automaton, relation, selection);
     probe.admission_arm(exec.arm());
     exec.run(probe);
     exec.finish(probe)
@@ -271,10 +245,10 @@ pub fn scan<S: EventSource, P: Probe>(
 pub fn execute<S: EventSource, P: Probe>(
     automaton: &Automaton,
     relation: &S,
-    options: &ExecOptions,
+    selection: EventSelection,
     probe: &mut P,
 ) -> Vec<RawMatch> {
-    scan(automaton, relation, options, probe).0
+    scan(automaton, relation, selection, probe).0
 }
 
 /// An incremental execution of one automaton over one relation.
@@ -287,7 +261,7 @@ pub fn execute<S: EventSource, P: Probe>(
 pub struct Execution<'a, S: EventSource = Relation> {
     automaton: &'a Automaton,
     relation: &'a S,
-    options: &'a ExecOptions,
+    selection: EventSelection,
     admitter: Admitter,
     /// What `admitter` said of the events consumed so far.
     admitted: AdmittedLog,
@@ -298,11 +272,11 @@ pub struct Execution<'a, S: EventSource = Relation> {
 
 impl<'a, S: EventSource> Execution<'a, S> {
     /// Prepares an execution positioned before the first event.
-    pub fn new(automaton: &'a Automaton, relation: &'a S, options: &'a ExecOptions) -> Self {
+    pub fn new(automaton: &'a Automaton, relation: &'a S, selection: EventSelection) -> Self {
         Execution {
             automaton,
             relation,
-            options,
+            selection,
             admitter: Admitter::new(automaton.pattern(), relation),
             admitted: AdmittedLog::default(),
             omega: Omega::default(),
@@ -332,7 +306,7 @@ impl<'a, S: EventSource> Execution<'a, S> {
         self.omega.process_event(
             self.automaton,
             self.relation,
-            self.options,
+            self.selection,
             id,
             admission,
             &mut self.results,
@@ -384,14 +358,12 @@ impl<'a, S: EventSource> Execution<'a, S> {
         self.position >= self.relation.len()
     }
 
-    /// Flushes accepting instances (if configured) and returns all raw
-    /// matches produced by this execution, with the admission verdicts
-    /// of the events it consumed.
+    /// Flushes accepting instances and returns all raw matches produced
+    /// by this execution, with the admission verdicts of the events it
+    /// consumed.
     pub fn finish<P: Probe>(mut self, probe: &mut P) -> (Vec<RawMatch>, AdmittedLog) {
-        if self.options.flush_at_end {
-            self.omega
-                .flush(self.automaton.accept(), &mut self.results, probe);
-        }
+        self.omega
+            .flush(self.automaton.accept(), &mut self.results, probe);
         (self.results, self.admitted)
     }
 }
@@ -538,7 +510,7 @@ impl Omega {
         &mut self,
         automaton: &Automaton,
         relation: &S,
-        options: &ExecOptions,
+        selection: EventSelection,
         event_id: EventId,
         var_ok: u64,
         results: &mut Vec<RawMatch>,
@@ -566,7 +538,7 @@ impl Omega {
             relation,
             event,
             event_id,
-            selection: options.selection,
+            selection,
             var_ok,
         };
         // An instance none of whose outgoing transitions' variables is
@@ -609,13 +581,6 @@ impl Omega {
         }
         debug_assert!(self.in_first_binding_order());
         probe.omega(self.instances.len());
-        if let Some(cap) = options.max_instances {
-            assert!(
-                self.instances.len() <= cap,
-                "instance cap exceeded: |Ω| = {} > {cap}",
-                self.instances.len()
-            );
-        }
     }
 }
 
@@ -829,7 +794,7 @@ mod tests {
     }
 
     fn run(a: &Automaton, r: &Relation) -> Vec<RawMatch> {
-        execute(a, r, &ExecOptions::default(), &mut NoProbe)
+        execute(a, r, EventSelection::default(), &mut NoProbe)
     }
 
     fn names(a: &Automaton, m: &RawMatch) -> Vec<String> {
@@ -910,7 +875,7 @@ mod tests {
     }
 
     #[test]
-    fn accepting_instance_emits_on_expiry_without_flush() {
+    fn accepting_instance_emits_on_expiry_then_on_flush() {
         let p = Pattern::builder()
             .set(|s| s.var("a"))
             .cond_const("a", "L", CmpOp::Eq, "A")
@@ -919,15 +884,27 @@ mod tests {
             .unwrap();
         let a = automaton(p);
         let r = rel(&[(0, 1, "A"), (100, 1, "A")]);
-        let opts = ExecOptions {
-            flush_at_end: false,
-            ..ExecOptions::default()
-        };
-        // First A's instance expires when the second A arrives → emitted.
-        // Second A's instance is still live at end of input → dropped.
-        let ms = execute(&a, &r, &opts, &mut NoProbe);
-        assert_eq!(ms.len(), 1);
+        struct Emitted(usize);
+        impl crate::Probe for Emitted {
+            fn match_emitted(&mut self) {
+                self.0 += 1;
+            }
+        }
+        let mut emitted = Emitted(0);
+        let mut exec = Execution::new(&a, &r, EventSelection::default());
+        assert!(exec.step(&mut emitted));
+        assert_eq!(emitted.0, 0, "the first A's window is still open");
+        // The second A's arrival expires the first A's instance → emitted.
+        assert!(exec.step(&mut emitted));
+        assert_eq!(emitted.0, 1);
+        assert!(!exec.step(&mut emitted));
+        assert_eq!(emitted.0, 1, "the second A's window is still open");
+        // Its instance is still live at end of input: only the flush
+        // emits it.
+        let (ms, _) = exec.finish(&mut emitted);
+        assert_eq!(emitted.0, 2);
         assert_eq!(names(&a, &ms[0]), vec!["a/e1"]);
+        assert_eq!(names(&a, &ms[1]), vec!["a/e2"]);
     }
 
     #[test]
@@ -994,7 +971,7 @@ mod tests {
         }
         let r = rel(&[(0, 1, "A"), (1, 1, "X"), (2, 1, "X"), (3, 1, "B")]);
         let mut filtered = Filtered(0);
-        let ms = execute(&a, &r, &ExecOptions::default(), &mut filtered);
+        let ms = execute(&a, &r, EventSelection::default(), &mut filtered);
         assert_eq!((ms.len(), filtered.0), (1, 2));
     }
 
@@ -1025,29 +1002,6 @@ mod tests {
     }
 
     #[test]
-    fn max_instances_cap_panics_when_exceeded() {
-        let p = Pattern::builder()
-            .set(|s| s.var("x").var("y").var("z"))
-            .cond_const("x", "L", CmpOp::Eq, "M")
-            .cond_const("y", "L", CmpOp::Eq, "M")
-            .cond_const("z", "L", CmpOp::Eq, "M")
-            .within(Duration::ticks(1000))
-            .build()
-            .unwrap();
-        let a = automaton(p);
-        let rows: Vec<(i64, i64, &str)> = (0..20).map(|i| (i, 1, "M")).collect();
-        let r = rel(&rows);
-        let opts = ExecOptions {
-            max_instances: Some(2),
-            ..ExecOptions::default()
-        };
-        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute(&a, &r, &opts, &mut NoProbe)
-        }));
-        assert!(res.is_err());
-    }
-
-    #[test]
     fn skip_till_any_match_recovers_skipped_runs() {
         // ⟨{a},{x,y}⟩ on A X A Y: skip-till-next-match greedily binds the
         // first A…X…? — the run that waits for the second A only exists
@@ -1065,11 +1019,7 @@ mod tests {
         let r = rel(&[(0, 1, "A"), (1, 1, "X"), (2, 1, "A"), (3, 1, "A")]);
 
         let stnm = run(&a, &r);
-        let opts = ExecOptions {
-            selection: EventSelection::SkipTillAnyMatch,
-            ..ExecOptions::default()
-        };
-        let mut stam = execute(&a, &r, &opts, &mut NoProbe);
+        let mut stam = execute(&a, &r, EventSelection::SkipTillAnyMatch, &mut NoProbe);
         stam.sort();
         stam.dedup();
         // STNM: instance at e1 binds a; e2 binds x; e3 binds y → one run
@@ -1118,17 +1068,9 @@ mod tests {
             }
         }
         let mut stnm = MaxOmega(0);
-        execute(&a, &r, &ExecOptions::default(), &mut stnm);
+        execute(&a, &r, EventSelection::SkipTillNextMatch, &mut stnm);
         let mut stam = MaxOmega(0);
-        execute(
-            &a,
-            &r,
-            &ExecOptions {
-                selection: EventSelection::SkipTillAnyMatch,
-                ..ExecOptions::default()
-            },
-            &mut stam,
-        );
+        execute(&a, &r, EventSelection::SkipTillAnyMatch, &mut stam);
         assert!(stnm.0 <= 10, "greedy p+ keeps one instance per start");
         assert!(
             stam.0 > 100,

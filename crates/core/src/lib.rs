@@ -74,9 +74,7 @@ pub use automaton::{Automaton, State, TransCond, Transition, DEFAULT_MAX_STATES}
 pub use bank::{PatternBank, PatternBankBuilder, PatternStats};
 pub use buffer::{Binding, Buffer, NodeLog};
 pub use columnar::{runs_columnar, AdmissionArm};
-pub use engine::{
-    execute, scan, AdmittedLog, EventSelection, ExecOptions, Execution, Instance, RawMatch,
-};
+pub use engine::{execute, scan, AdmittedLog, EventSelection, Execution, Instance, RawMatch};
 pub use error::CoreError;
 pub use matcher::{Matcher, MatcherOptions, PartitionMode, PartitionStrategy};
 pub use matches::Match;

@@ -33,8 +33,8 @@
 use ses_event::{AttrId, Relation, Schema};
 use ses_pattern::{CompiledPattern, Pattern};
 
-use crate::automaton::{Automaton, DEFAULT_MAX_STATES};
-use crate::engine::{scan, EventSelection, ExecOptions};
+use crate::automaton::Automaton;
+use crate::engine::{scan, EventSelection};
 use crate::matches::Match;
 use crate::probe::{NoProbe, Probe};
 use crate::semantics::{select, MatchSemantics};
@@ -45,33 +45,27 @@ use crate::CoreError;
 /// Splitting is sound only when every match is confined to one value of
 /// the partitioning attribute — see
 /// [`CompiledPattern::partition_keys`] for the proof the matcher relies
-/// on. Partitioning also requires `flush_at_end` (the default): without
-/// the end-of-input flush, emission is driven by *later* events arriving
-/// in the same scan, and a partition lacks the other keys' events that
-/// would expire its instances.
+/// on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PartitionMode {
     /// Never partition: one global scan (the default).
     #[default]
     Off,
-    /// Partition by the first proven key, when the analyzer proves one
-    /// and `flush_at_end` is set; fall back to a global scan otherwise.
-    /// Never an error.
+    /// Partition by the first proven key, when the analyzer proves one;
+    /// fall back to a global scan otherwise. Never an error.
     Auto,
     /// Partition by this attribute. Construction fails with
     /// [`CoreError::UnprovenPartitionKey`] unless the attribute is a
-    /// proven key and `flush_at_end` is set — an unproven split could
-    /// silently lose cross-partition matches.
+    /// proven key — an unproven split could silently lose
+    /// cross-partition matches.
     Key(AttrId),
     /// Like [`PartitionMode::Auto`], but when no key is provable fall
     /// back to *time-sliced* execution
     /// ([`crate::parallel::find_time_sliced`]) instead of a global scan:
     /// the window `τ` bounds every match's temporal extent, so
     /// `τ`-overlapping time ranges cover every match even when nothing
-    /// confines matches to one key value. Requires `flush_at_end` like
-    /// every split mode (falls back to a global scan without it). Never
-    /// an error. Batch-only: [`crate::PatternBankBuilder::register_lanes`]
-    /// refuses it.
+    /// confines matches to one key value. Never an error. Batch-only:
+    /// [`crate::PatternBankBuilder::register_lanes`] refuses it.
     TimeAuto,
 }
 
@@ -101,8 +95,6 @@ pub struct MatcherOptions {
     /// Match selection semantics. Default: [`MatchSemantics::Maximal`],
     /// the paper's worked query answers.
     pub semantics: MatchSemantics,
-    /// Emit accepting instances at end of input. Default: `true`.
-    pub flush_at_end: bool,
     /// Apply [`ses_pattern::equality_closure`] before compiling: derive
     /// the transitive closure of `=` conditions so every intermediate
     /// transition is fully correlated. Semantically conservative w.r.t.
@@ -120,10 +112,6 @@ pub struct MatcherOptions {
     /// pattern is what gets analyzed.
     /// Default: `false` (paper-faithful Θ).
     pub propagate_constants: bool,
-    /// State budget for the powerset construction.
-    pub max_states: usize,
-    /// Optional hard cap on simultaneous instances (tests/guards only).
-    pub max_instances: Option<usize>,
     /// Partition-parallel execution mode. Default: [`PartitionMode::Off`].
     pub partition: PartitionMode,
     /// Worker threads for partitioned execution. `None` (the default)
@@ -136,11 +124,8 @@ impl Default for MatcherOptions {
         MatcherOptions {
             selection: EventSelection::SkipTillNextMatch,
             semantics: MatchSemantics::Maximal,
-            flush_at_end: true,
             derive_equalities: false,
             propagate_constants: false,
-            max_states: DEFAULT_MAX_STATES,
-            max_instances: None,
             partition: PartitionMode::Off,
             threads: None,
         }
@@ -191,26 +176,18 @@ pub(crate) fn resolve_partition(
     compiled: &CompiledPattern,
     options: &MatcherOptions,
 ) -> Result<PartitionStrategy, CoreError> {
-    let auto_key = || {
-        if options.flush_at_end {
-            compiled.partition_keys().first().copied()
-        } else {
-            None
-        }
-    };
+    let auto_key = compiled.partition_keys().first().copied();
     match options.partition {
         PartitionMode::Off => Ok(PartitionStrategy::Global),
-        PartitionMode::Auto => Ok(auto_key()
-            .map(PartitionStrategy::Key)
-            .unwrap_or(PartitionStrategy::Global)),
-        PartitionMode::TimeAuto => Ok(match auto_key() {
-            // A proven key beats time slicing: it shrinks the per-event
-            // instance loop and duplicates no work, while slices re-scan
-            // the τ overlaps.
-            Some(key) => PartitionStrategy::Key(key),
-            None if options.flush_at_end => PartitionStrategy::TimeSliced,
-            None => PartitionStrategy::Global,
-        }),
+        PartitionMode::Auto => {
+            Ok(auto_key.map_or(PartitionStrategy::Global, PartitionStrategy::Key))
+        }
+        // A proven key beats time slicing: it shrinks the per-event
+        // instance loop and duplicates no work, while slices re-scan the
+        // τ overlaps.
+        PartitionMode::TimeAuto => {
+            Ok(auto_key.map_or(PartitionStrategy::TimeSliced, PartitionStrategy::Key))
+        }
         PartitionMode::Key(attr) => {
             if attr.index() >= compiled.schema().len() {
                 return Err(CoreError::UnprovenPartitionKey {
@@ -219,15 +196,6 @@ pub(crate) fn resolve_partition(
                 });
             }
             let name = compiled.schema().attr_name(attr);
-            if !options.flush_at_end {
-                return Err(CoreError::UnprovenPartitionKey {
-                    attr: name.to_string(),
-                    reason: "partitioned execution requires `flush_at_end`: without the \
-                             end-of-input flush, emission depends on later events of \
-                             *other* keys expiring the instance"
-                        .to_string(),
-                });
-            }
             if !compiled.is_partition_key(attr) {
                 return Err(CoreError::UnprovenPartitionKey {
                     attr: name.to_string(),
@@ -259,12 +227,12 @@ impl Matcher {
     }
 
     /// Builds a matcher from an already compiled pattern.
-    pub fn from_compiled(
+    fn from_compiled(
         compiled: CompiledPattern,
         options: MatcherOptions,
     ) -> Result<Matcher, CoreError> {
         let partition = resolve_partition(&compiled, &options)?;
-        let automaton = Automaton::build_with_limit(compiled, options.max_states)?;
+        let automaton = Automaton::build(compiled)?;
         Ok(Matcher {
             automaton,
             options,
@@ -282,28 +250,10 @@ impl Matcher {
         &self.options
     }
 
-    /// The attribute [`Matcher::find`] partitions by, if any — `Some`
-    /// when the configured [`PartitionMode`] resolved against a proven
-    /// key at construction.
-    pub fn partition_key(&self) -> Option<AttrId> {
-        match self.partition {
-            PartitionStrategy::Key(attr) => Some(attr),
-            _ => None,
-        }
-    }
-
     /// How [`Matcher::find`] executes — the configured [`PartitionMode`]
     /// resolved against the pattern's proven keys at construction.
     pub fn partition_strategy(&self) -> PartitionStrategy {
         self.partition
-    }
-
-    pub(crate) fn exec_options(&self) -> ExecOptions {
-        ExecOptions {
-            selection: self.options.selection,
-            flush_at_end: self.options.flush_at_end,
-            max_instances: self.options.max_instances,
-        }
     }
 
     /// Finds all matching substitutions in `relation`.
@@ -366,7 +316,7 @@ impl Matcher {
             }
             PartitionStrategy::Global => {}
         }
-        let (raw, admitted) = scan(&self.automaton, relation, &self.exec_options(), probe);
+        let (raw, admitted) = scan(&self.automaton, relation, self.options.selection, probe);
         let raw = crate::negation::filter_negations(raw, relation, self.automaton.pattern());
         select(
             raw,
@@ -649,26 +599,14 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(m.partition_key(), schema().attr_id("ID"));
+        assert_eq!(
+            m.partition_strategy(),
+            PartitionStrategy::Key(schema().attr_id("ID").unwrap())
+        );
     }
 
     #[test]
-    fn auto_partition_falls_back_without_flush_or_proof() {
-        // flush_at_end=false: partitioning is unsound (emission would
-        // depend on other keys' events expiring instances), so Auto
-        // silently runs global.
-        let m = Matcher::with_options(
-            &correlated_pair(),
-            &schema(),
-            MatcherOptions {
-                partition: PartitionMode::Auto,
-                flush_at_end: false,
-                ..MatcherOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(m.partition_key(), None);
-
+    fn auto_partition_falls_back_without_proof() {
         // Uncorrelated pattern: nothing provable, Auto runs global.
         let p = Pattern::builder()
             .set(|s| s.var("a"))
@@ -687,7 +625,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(m.partition_key(), None);
+        assert_eq!(m.partition_strategy(), PartitionStrategy::Global);
     }
 
     #[test]
@@ -733,6 +671,9 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(m.partition_key(), schema().attr_id("ID"));
+        assert_eq!(
+            m.partition_strategy(),
+            PartitionStrategy::Key(schema().attr_id("ID").unwrap())
+        );
     }
 }

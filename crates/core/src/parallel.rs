@@ -97,37 +97,59 @@ where
     if !matcher.automaton().pattern().is_satisfiable() {
         return SplitScan::merge(Vec::new());
     }
-    let views = partition_views(relation, key);
+    let views: Vec<RelationView<'_>> = partition_views(relation, key)
+        .into_iter()
+        .map(|(_, view)| view)
+        .collect();
     coordinator.partitions(views.len());
-    for (_, view) in &views {
+    for view in &views {
         coordinator.partition_events(view.ids().len());
     }
+    scan_views(matcher, &views, threads, make_probe, |_, _| true)
+}
 
-    // Largest partition first: with greedy worker claiming this is LPT
+/// The worker half of both split strategies: every view scanned on up to
+/// `threads` workers (`None`: one per available core), its raw matches
+/// and admitted log rewritten to the parent relation's ids, and of its
+/// raw matches those `keep(view, match)` accepts kept.
+fn scan_views<P, F>(
+    matcher: &Matcher,
+    views: &[RelationView<'_>],
+    threads: Option<usize>,
+    make_probe: F,
+    keep: impl Fn(usize, &RawMatch) -> bool + Sync,
+) -> SplitScan<P>
+where
+    P: Probe + Send,
+    F: Fn() -> P + Sync,
+{
+    // Largest view first: with greedy worker claiming this is LPT
     // scheduling, whose makespan is within 4/3 of optimal — the right
-    // bias under key skew, where one hot key dominates.
+    // bias under skew, where one hot key or one busy slice dominates.
     let mut order: Vec<usize> = (0..views.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(views[i].1.ids().len()));
-
+    order.sort_by_key(|&i| std::cmp::Reverse(views[i].ids().len()));
     let workers = threads
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+        .unwrap_or_else(available_cores)
         .clamp(1, views.len().max(1));
 
-    let exec = matcher.exec_options();
+    let selection = matcher.options().selection;
     let automaton = matcher.automaton();
     let run_one = |idx: usize| -> (Vec<RawMatch>, AdmittedLog, P) {
-        let (_, view) = &views[idx];
+        let view = &views[idx];
         let mut probe = make_probe();
-        let (mut raw, mut admitted) = scan(automaton, view, &exec, &mut probe);
+        let (mut raw, mut admitted) = scan(automaton, view, selection, &mut probe);
         to_global_ids(&mut raw, &mut admitted, view.ids());
+        raw.retain(|m| keep(idx, m));
         (raw, admitted, probe)
     };
-
     SplitScan::merge(run_on_workers(views.len(), &order, workers, run_one))
+}
+
+/// One worker per available core.
+fn available_cores() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 /// Rewrites a worker's view-local event ids — in its raw matches and in
@@ -257,13 +279,7 @@ impl SliceLayout {
         let t0 = first.ts().ticks();
         let span = last.ts().ticks().saturating_sub(t0).saturating_add(1);
         let tau = matcher.automaton().tau().as_ticks();
-        let k = slices
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
-            .max(1);
+        let k = slices.unwrap_or_else(available_cores).max(1);
         // Own regions no narrower than τ: the overlap then never exceeds
         // the region it extends (bounding duplicated work at 50%), and
         // τ ≥ span degenerates to a single slice — a plain global scan.
@@ -316,10 +332,8 @@ impl SliceLayout {
 /// than `τ`, so a relation spanning less than `2τ` runs as one slice.
 ///
 /// Prefer configuring [`crate::PartitionMode::TimeAuto`] on the matcher
-/// (which gates on `flush_at_end` and prefers a proven key); this free
-/// function is the unchecked primitive. Like [`find_partitioned`] it
-/// assumes `flush_at_end` semantics — without the end-of-input flush a
-/// slice would need later slices' events to expire its instances.
+/// (which prefers a proven key); this free function is the unchecked
+/// primitive.
 pub fn find_time_sliced(
     matcher: &Matcher,
     relation: &Relation,
@@ -374,10 +388,9 @@ where
     let events = relation.events();
     let base = relation.first_index();
     coordinator.slices(layout.slices);
-    // Per-slice event index ranges over the retained events. A slice
-    // scans [region_start, cover_end): its own region plus the τ
+    // A slice scans [region_start, cover_end): its own region plus the τ
     // overlap, so every match first-bound in the region is complete.
-    let ranges: Vec<(usize, usize)> = (0..layout.slices)
+    let views: Vec<RelationView<'_>> = (0..layout.slices)
         .map(|i| {
             let start = events.partition_point(|e| e.ts().ticks() < layout.region_start(i));
             let end = if i + 1 == layout.slices {
@@ -386,52 +399,28 @@ where
                 events.partition_point(|e| e.ts().ticks() < layout.cover_end(i))
             };
             coordinator.slice_events(end - start);
-            (start, end)
+            let ids = (base + start..base + end).map(EventId::from).collect();
+            RelationView::new(relation, ids)
         })
         .collect();
-
-    // Largest slice first, as in `find_partitioned_with` — slices are
-    // equal-width in *time* but can be arbitrarily skewed in events.
-    let mut order: Vec<usize> = (0..layout.slices).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(ranges[i].1 - ranges[i].0));
-
-    let workers = slices
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-        .clamp(1, layout.slices);
-
-    let exec = matcher.exec_options();
-    let automaton = matcher.automaton();
-    let run_one = |idx: usize| -> (Vec<RawMatch>, AdmittedLog, P) {
-        let (start, end) = ranges[idx];
-        let ids: Vec<EventId> = (base + start..base + end).map(EventId::from).collect();
-        let view = RelationView::new(relation, ids);
-        let mut probe = make_probe();
-        let (mut raw, mut admitted) = scan(automaton, &view, &exec, &mut probe);
-        to_global_ids(&mut raw, &mut admitted, view.ids());
-        // Seam dedup: keep only the matches this slice *owns* — first
-        // event inside the own region. Matches first-bound in the τ
-        // overlap are rediscovered (identically: instance evolution
-        // depends only on events within the window after the first
-        // binding, all present in the owner's scan range) by the next
-        // slice, which owns them.
-        raw.retain(|m| layout.owner(relation.event(m.first_event()).ts().ticks()) == idx);
-        // The admitted log keeps its overlap entries: an owned match
-        // reaches into the overlap, and the next slice's duplicates of
-        // them fold away in the merge.
-        (raw, admitted, probe)
+    // Seam dedup: a slice keeps only the matches it *owns* — first event
+    // inside its own region. Matches first-bound in the τ overlap are
+    // rediscovered (identically: instance evolution depends only on
+    // events within the window after the first binding, all present in
+    // the owner's scan range) by the next slice, which owns them. The
+    // admitted logs keep their overlap entries: an owned match reaches
+    // into the overlap, and the next slice's duplicates of them fold away
+    // in the merge.
+    let owns = |slice: usize, m: &RawMatch| {
+        layout.owner(relation.event(m.first_event()).ts().ticks()) == slice
     };
-
-    SplitScan::merge(run_on_workers(layout.slices, &order, workers, run_one))
+    scan_views(matcher, &views, slices, make_probe, owns)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matcher::{MatcherOptions, PartitionMode};
+    use crate::matcher::{MatcherOptions, PartitionMode, PartitionStrategy};
     use crate::semantics::MatchSemantics;
     use ses_event::{AttrType, CmpOp, Duration, Schema, Timestamp, Value};
     use ses_pattern::Pattern;
@@ -538,9 +527,12 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(auto.partition_key(), schema().attr_id("ID"));
+        assert_eq!(
+            auto.partition_strategy(),
+            PartitionStrategy::Key(schema().attr_id("ID").unwrap())
+        );
         let off = Matcher::compile(&keyed_pattern(), &schema()).unwrap();
-        assert_eq!(off.partition_key(), None);
+        assert_eq!(off.partition_strategy(), PartitionStrategy::Global);
         let rel = relation();
         assert_eq!(auto.find(&rel), off.find(&rel));
     }
@@ -794,7 +786,6 @@ mod tests {
     fn matcher_time_auto_routes_find_through_slices() {
         // TimeAuto on a keyless pattern resolves to TimeSliced and
         // `find` agrees with the global scan.
-        use crate::matcher::PartitionStrategy;
         let r = rel(&[(0, "A"), (4, "B"), (5, "A"), (9, "B"), (14, "B")]);
         let auto = Matcher::with_options(
             &keyless_pattern(5),
@@ -807,7 +798,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(auto.partition_strategy(), PartitionStrategy::TimeSliced);
-        assert_eq!(auto.partition_key(), None);
         let off = Matcher::compile(&keyless_pattern(5), &schema()).unwrap();
         assert_eq!(auto.find(&r), off.find(&r));
 
@@ -825,18 +815,5 @@ mod tests {
             keyed.partition_strategy(),
             PartitionStrategy::Key(schema().attr_id("ID").unwrap())
         );
-
-        // Without flush_at_end, TimeAuto silently falls back to global.
-        let noflush = Matcher::with_options(
-            &keyless_pattern(5),
-            &schema(),
-            MatcherOptions {
-                partition: PartitionMode::TimeAuto,
-                flush_at_end: false,
-                ..MatcherOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(noflush.partition_strategy(), PartitionStrategy::Global);
     }
 }

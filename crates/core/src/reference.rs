@@ -39,7 +39,7 @@ pub fn paper_filter(pattern: &CompiledPattern, event: &Event) -> bool {
 /// the instances whose window it leaves, and is offered to every
 /// remaining instance, whose every outgoing transition evaluates all of
 /// its conditions — constant ones included. Instances still accepting at
-/// the end are flushed, as [`crate::ExecOptions`] does by default.
+/// the end are flushed, as [`crate::Execution::finish`] does.
 ///
 /// Returns the raw matches; the engine's [`crate::execute`] must return
 /// the same set. Feeding it the events [`paper_filter`] keeps must not
@@ -533,7 +533,7 @@ mod tests {
         let mut engine = crate::execute(
             &automaton,
             &r,
-            &crate::ExecOptions::default(),
+            crate::EventSelection::default(),
             &mut crate::NoProbe,
         );
         engine.sort();

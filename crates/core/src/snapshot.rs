@@ -169,16 +169,17 @@ pub enum MatcherSnapshot {
 
 /// The options that change matching behavior, rendered. Partitioning and
 /// threading knobs are excluded — they affect *where* work runs, not what
-/// a shard's state means. The literals `Paper` and `precheck=true` name
-/// options that no longer exist — the §4.5 filter mode and the
-/// satisfiability precheck, both at the value every matcher now runs
-/// with; they stay in the tag so checkpoints written while the options
-/// did still resume. A checkpoint written under another filter mode is
-/// refused by fingerprint.
+/// a shard's state means. The literals `Paper`, `flush=true`,
+/// `precheck=true` and `max_inst=None` name options that no longer exist
+/// — the §4.5 filter mode, the end-of-input flush, the satisfiability
+/// precheck and the instance cap, each at the value every matcher now
+/// runs with; they stay in the tag so checkpoints written while the
+/// options did still resume. A checkpoint written under another value of
+/// any of them is refused by fingerprint.
 fn options_tag(options: &MatcherOptions) -> String {
     format!(
-        "Paper/{:?}/{:?}/flush={}/precheck=true/max_inst={:?}",
-        options.selection, options.semantics, options.flush_at_end, options.max_instances,
+        "Paper/{:?}/{:?}/flush=true/precheck=true/max_inst=None",
+        options.selection, options.semantics,
     )
 }
 

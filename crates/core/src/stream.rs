@@ -56,7 +56,7 @@ use ses_pattern::Pattern;
 
 use crate::buffer::NodeLog;
 use crate::columnar::{runs_columnar, var_mask, ColumnarBatch, ColumnarPlan};
-use crate::engine::{ExecOptions, Instance, Omega, RawMatch};
+use crate::engine::{Instance, Omega, RawMatch};
 use crate::matcher::MatcherOptions;
 use crate::matches::Match;
 use crate::negation::passes_negations;
@@ -102,7 +102,7 @@ impl StreamMatcher {
         options: MatcherOptions,
     ) -> Result<StreamMatcher, CoreError> {
         let compiled = crate::matcher::compile_pattern(pattern, schema, &options)?;
-        let automaton = Automaton::build_with_limit(compiled, options.max_states)?;
+        let automaton = Automaton::build(compiled)?;
         Ok(StreamMatcher::from_automaton(automaton, options))
     }
 
@@ -179,7 +179,7 @@ impl StreamMatcher {
                 self.omega.process_event(
                     &self.automaton,
                     &self.relation,
-                    &self.exec_options(),
+                    self.options.selection,
                     id,
                     var_ok,
                     &mut self.results,
@@ -713,10 +713,8 @@ impl StreamMatcher {
     /// remaining group, and returns the matches **not already emitted**
     /// by `push` — together with those, exactly the batch answer.
     pub fn finish(mut self) -> Vec<Match> {
-        if self.options.flush_at_end {
-            self.omega
-                .flush(self.automaton.accept(), &mut self.results, &mut NoProbe);
-        }
+        self.omega
+            .flush(self.automaton.accept(), &mut self.results, &mut NoProbe);
         self.queue_results();
         let pending = std::mem::take(&mut self.pending);
         let mut out = Vec::new();
@@ -771,14 +769,6 @@ impl StreamMatcher {
         group.dedup();
         self.adjudicator
             .adjudicate_group(group, &self.relation, pattern)
-    }
-
-    fn exec_options(&self) -> ExecOptions {
-        ExecOptions {
-            selection: self.options.selection,
-            flush_at_end: self.options.flush_at_end,
-            max_instances: self.options.max_instances,
-        }
     }
 }
 

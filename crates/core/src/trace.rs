@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 use ses_event::{EventId, Relation};
 
 use crate::buffer::Binding;
-use crate::engine::{ExecOptions, Execution};
+use crate::engine::{EventSelection, Execution};
 use crate::probe::NoProbe;
 use crate::{Automaton, StateId};
 
@@ -51,9 +51,9 @@ pub struct ExecutionTrace {
 pub fn trace_execution(
     automaton: &Automaton,
     relation: &Relation,
-    options: &ExecOptions,
+    selection: EventSelection,
 ) -> ExecutionTrace {
-    let mut exec = Execution::new(automaton, relation, options);
+    let mut exec = Execution::new(automaton, relation, selection);
     let mut steps = Vec::with_capacity(relation.len());
     let mut emitted_during_run = 0usize;
 
@@ -154,7 +154,7 @@ impl ExecutionTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ExecOptions, Matcher};
+    use crate::{EventSelection, Matcher};
     use ses_event::Timestamp;
 
     /// Figure 6: the patient-1 instance of the running example steps
@@ -166,7 +166,7 @@ mod tests {
         let q1 = ses_q1();
         let matcher = Matcher::compile(&q1, relation.schema()).unwrap();
         let automaton = matcher.automaton();
-        let trace = trace_execution(automaton, &relation, &ExecOptions::default());
+        let trace = trace_execution(automaton, &relation, EventSelection::default());
 
         // Follow the instance started at e1 (the paper's Ñ).
         let follow = Some(ses_event::EventId(0));
@@ -229,7 +229,7 @@ mod tests {
             .build()
             .unwrap();
         let m = Matcher::compile(&p, relation.schema()).unwrap();
-        let trace = trace_execution(m.automaton(), &relation, &ExecOptions::default());
+        let trace = trace_execution(m.automaton(), &relation, EventSelection::default());
         assert!(!trace.steps[0].filtered);
         assert!(trace.steps[1].filtered, "Z satisfies no constant condition");
         assert!(!trace.steps[2].filtered);

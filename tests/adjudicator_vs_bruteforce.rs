@@ -28,7 +28,7 @@ use common::{
     dense_pattern_strategy, dense_relation_strategy, pattern_strategy, relation_strategy_with,
     schema,
 };
-use ses::core::{execute, filter_negations, select_pairwise, Automaton, ExecOptions};
+use ses::core::{execute, filter_negations, select_pairwise, Automaton};
 use ses::prelude::*;
 use ses::store::{decode_snapshot, encode_snapshot};
 
@@ -60,11 +60,7 @@ fn reference_answer(
     selection: EventSelection,
 ) -> Vec<Match> {
     let automaton = Automaton::build(pat.compile(&schema()).unwrap()).unwrap();
-    let exec = ExecOptions {
-        selection,
-        ..ExecOptions::default()
-    };
-    let raw = execute(&automaton, rel, &exec, &mut NoProbe);
+    let raw = execute(&automaton, rel, selection, &mut NoProbe);
     let raw = filter_negations(raw, rel, automaton.pattern());
     select_pairwise(raw, rel, automaton.pattern(), semantics)
 }

@@ -38,7 +38,7 @@ mod common;
 use proptest::prelude::*;
 
 use common::{pattern_strategy, schema, TYPES};
-use ses::core::{runs_columnar, scan, AdmissionArm, ExecOptions, Execution};
+use ses::core::{runs_columnar, scan, AdmissionArm, Execution};
 use ses::event::{partition_views, EventSource, RelationView};
 use ses::prelude::*;
 
@@ -147,9 +147,8 @@ proptest! {
             for selection in SELECTIONS {
                 let opts = options(semantics, selection);
                 let matcher = Matcher::with_options(&pat, &schema(), opts.clone()).unwrap();
-                let exec = ExecOptions::default();
                 prop_assert_eq!(
-                    Execution::new(matcher.automaton(), &rel, &exec).arm(),
+                    Execution::new(matcher.automaton(), &rel, EventSelection::default()).arm(),
                     if columnar { AdmissionArm::Columns } else { AdmissionArm::PerEvent },
                     "{} events ran on the wrong arm", rel.len()
                 );
@@ -241,8 +240,10 @@ fn ab_pattern() -> Pattern {
 fn assert_find_equals_pushes(pat: &Pattern, schema: &Schema, rel: &Relation, arm: AdmissionArm) {
     let opts = options(MatchSemantics::AllRuns, EventSelection::SkipTillNextMatch);
     let matcher = Matcher::with_options(pat, schema, opts.clone()).unwrap();
-    let exec = ExecOptions::default();
-    assert_eq!(Execution::new(matcher.automaton(), rel, &exec).arm(), arm);
+    assert_eq!(
+        Execution::new(matcher.automaton(), rel, EventSelection::default()).arm(),
+        arm
+    );
     let mut found = matcher.find(rel);
     found.sort();
     let mut sm = StreamMatcher::with_options(pat, schema, opts).unwrap();
@@ -538,9 +539,8 @@ fn shifted(m: &Match, by: usize) -> Match {
 fn assert_three_arms_agree(pat: &Pattern, rel: &Relation, opts: &MatcherOptions) -> Vec<Match> {
     let columnar = expect_columnar(pat, rel.len());
     let matcher = Matcher::with_options(pat, &schema(), opts.clone()).unwrap();
-    let exec = ExecOptions::default();
     assert_eq!(
-        Execution::new(matcher.automaton(), rel, &exec).arm(),
+        Execution::new(matcher.automaton(), rel, EventSelection::default()).arm(),
         if columnar {
             AdmissionArm::Columns
         } else {
@@ -608,17 +608,16 @@ proptest! {
         views.push(RelationView::new(&parent, (lo..hi).map(EventId::from).collect()));
 
         let matcher = Matcher::compile(&pat, &schema()).unwrap();
-        let exec = ExecOptions::default();
         for view in &views {
             let columnar = expect_columnar(&pat, view.len());
             prop_assert_eq!(
-                Execution::new(matcher.automaton(), view, &exec).arm(),
+                Execution::new(matcher.automaton(), view, EventSelection::default()).arm(),
                 if columnar { AdmissionArm::Columns } else { AdmissionArm::PerEvent }
             );
             let own = view.materialize();
             prop_assert_eq!(
-                scan(matcher.automaton(), view, &exec, &mut NoProbe),
-                scan(matcher.automaton(), &own, &exec, &mut NoProbe)
+                scan(matcher.automaton(), view, EventSelection::default(), &mut NoProbe),
+                scan(matcher.automaton(), &own, EventSelection::default(), &mut NoProbe)
             );
         }
     }
@@ -640,8 +639,10 @@ fn find_over_an_evicted_prefix_reports_global_ids() {
             AdmissionArm::PerEvent
         };
         let matcher = Matcher::compile(&ab_pattern(), &schema()).unwrap();
-        let exec = ExecOptions::default();
-        assert_eq!(Execution::new(matcher.automaton(), &rel, &exec).arm(), arm);
+        assert_eq!(
+            Execution::new(matcher.automaton(), &rel, EventSelection::default()).arm(),
+            arm
+        );
         let renumbered =
             Relation::restore(schema(), 0, rel.events().to_vec(), rel.last_ts()).unwrap();
         let expected: Vec<Match> = matcher
@@ -701,9 +702,8 @@ fn a_non_str_value_under_a_str_attribute_binds_nothing() {
         }
     }
     let matcher = Matcher::compile(&pat, &schema()).unwrap();
-    let exec = ExecOptions::default();
     assert_eq!(
-        Execution::new(matcher.automaton(), &ill_typed, &exec).arm(),
+        Execution::new(matcher.automaton(), &ill_typed, EventSelection::default()).arm(),
         AdmissionArm::Columns
     );
     let found = matcher.find(&ill_typed);

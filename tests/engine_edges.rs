@@ -131,34 +131,8 @@ fn heavy_timestamp_ties_are_consistent() {
     }
 }
 
-#[test]
-fn max_instances_guard_via_matcher() {
-    let p = Pattern::builder()
-        .set(|s| s.var("x").var("y").var("z"))
-        .cond_const("x", "L", CmpOp::Eq, "M")
-        .cond_const("y", "L", CmpOp::Eq, "M")
-        .cond_const("z", "L", CmpOp::Eq, "M")
-        .within(Duration::ticks(1000))
-        .build()
-        .unwrap();
-    let m = Matcher::with_options(
-        &p,
-        &schema(),
-        MatcherOptions {
-            max_instances: Some(4),
-            ..MatcherOptions::default()
-        },
-    )
-    .unwrap();
-    let mut rel = Relation::new(schema());
-    for i in 0..20i64 {
-        rel.push_values(Timestamp::new(i), [Value::from(1), Value::from("M")])
-            .unwrap();
-    }
-    let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.find(&rel)));
-    assert!(res.is_err(), "the guard must trip in the factorial regime");
-}
-
+/// Twenty-two variables in one set need 2²² states, past the
+/// `DEFAULT_MAX_STATES` = 2²⁰ budget.
 #[test]
 fn state_budget_guard_via_matcher() {
     let mut b = Pattern::builder();
@@ -169,14 +143,14 @@ fn state_budget_guard_via_matcher() {
         s
     });
     let p = b.build().unwrap();
-    let err = Matcher::with_options(
-        &p,
-        &schema(),
-        MatcherOptions {
-            max_states: 1 << 16,
-            ..MatcherOptions::default()
-        },
-    )
-    .unwrap_err();
+    let err = Matcher::compile(&p, &schema()).unwrap_err();
     assert!(err.to_string().contains("states"), "{err}");
+    assert!(
+        matches!(
+            err,
+            ses::core::CoreError::TooManyStates { required, limit }
+                if required == 1 << 22 && limit == ses::core::DEFAULT_MAX_STATES
+        ),
+        "{err:?}"
+    );
 }

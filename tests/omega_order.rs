@@ -15,7 +15,7 @@ mod common;
 use proptest::prelude::*;
 
 use common::{pattern_strategy, relation_strategy_with, schema};
-use ses::core::{EventSelection, ExecOptions, Execution, Instance, NodeLog};
+use ses::core::{EventSelection, Execution, Instance, NodeLog};
 use ses::prelude::*;
 
 const SELECTIONS: [EventSelection; 2] = [
@@ -58,11 +58,7 @@ fn check_batch(
     selection: EventSelection,
 ) -> Result<(), TestCaseError> {
     let matcher = Matcher::with_options(pat, &schema(), options(selection)).unwrap();
-    let exec_options = ExecOptions {
-        selection,
-        ..ExecOptions::default()
-    };
-    let mut exec = Execution::new(matcher.automaton(), rel, &exec_options);
+    let mut exec = Execution::new(matcher.automaton(), rel, selection);
     while exec.step(&mut NoProbe) {
         check(exec.instances(), exec.log(), "a batch step")?;
     }

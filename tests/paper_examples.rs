@@ -217,3 +217,32 @@ fn theorem1_no_branching_on_q1() {
     matcher_with(MatchSemantics::Maximal).find_with_probe(&relation, &mut probe);
     assert_eq!(probe.instances_branched, 0, "Q1 is deterministic");
 }
+
+/// The checkpoint fingerprint of Q1 under every selection × semantics
+/// pair. A checkpoint is refused unless its fingerprint equals the
+/// restoring matcher's, so a change to any of these values refuses every
+/// checkpoint written under that pair.
+#[test]
+fn q1_checkpoint_fingerprints_are_pinned() {
+    use EventSelection::{SkipTillAnyMatch, SkipTillNextMatch};
+    use MatchSemantics::{AllRuns, Definition2, Maximal};
+    let pins = [
+        (SkipTillNextMatch, AllRuns, 0x4cc7_806a_658a_b555),
+        (SkipTillNextMatch, Definition2, 0xcb2a_a421_0446_cc61),
+        (SkipTillNextMatch, Maximal, 0x262a_56b6_80f9_671d),
+        (SkipTillAnyMatch, AllRuns, 0xb907_9eea_7044_612c),
+        (SkipTillAnyMatch, Definition2, 0xd960_dcdd_b35d_bd74),
+        (SkipTillAnyMatch, Maximal, 0xd2aa_5b9d_15e7_e468),
+    ];
+    for (selection, semantics, pinned) in pins {
+        let options = MatcherOptions {
+            selection,
+            semantics,
+            ..MatcherOptions::default()
+        };
+        let mut sm =
+            StreamMatcher::with_options(&paper::query_q1(), &paper::schema(), options).unwrap();
+        let fingerprint: u64 = sm.snapshot().fingerprint;
+        assert_eq!(fingerprint, pinned, "{selection:?}/{semantics:?}");
+    }
+}

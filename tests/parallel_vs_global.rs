@@ -70,29 +70,6 @@ proptest! {
         }
     }
 
-    /// Without the end-of-relation flush, partial groups may stay
-    /// pending at the last watermark, and a per-key run would flush them
-    /// differently — so `Auto` must *refuse* the key and fall back to
-    /// the global scan, changing nothing.
-    #[test]
-    fn auto_falls_back_without_flush(
-        rel in relation_strategy_with(2..9, 0..4),
-        pat in pattern_strategy(),
-    ) {
-        let base = MatcherOptions { flush_at_end: false, ..MatcherOptions::default() };
-        let auto_matcher = Matcher::with_options(&pat, &schema(), MatcherOptions {
-            partition: PartitionMode::Auto,
-            ..base.clone()
-        }).unwrap();
-        prop_assert!(
-            auto_matcher.partition_key().is_none(),
-            "no key may be resolved without flush_at_end"
-        );
-        let mut auto = auto_matcher.find(&rel);
-        auto.sort();
-        prop_assert_eq!(auto, answer(&pat, &rel, base));
-    }
-
     /// A negated or grouped pattern never proves a key, and demanding
     /// one explicitly must fail loudly: `PartitionMode::Key` rejects the
     /// unproven attribute with [`CoreError::UnprovenPartitionKey`]

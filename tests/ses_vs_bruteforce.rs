@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use ses::core::{algorithm1, execute, paper_filter, Automaton, ExecOptions, RawMatch};
+use ses::core::{algorithm1, execute, paper_filter, Automaton, RawMatch};
 use ses::prelude::*;
 
 fn schema() -> Schema {
@@ -132,7 +132,7 @@ proptest! {
         let unfiltered = sorted(algorithm1(&automaton, &rel, all.clone()));
         let kept = all.filter(|&e| paper_filter(cp, rel.event(e)));
         prop_assert_eq!(&sorted(algorithm1(&automaton, &rel, kept)), &unfiltered, "filtered");
-        let engine = execute(&automaton, &rel, &ExecOptions::default(), &mut NoProbe);
+        let engine = execute(&automaton, &rel, EventSelection::default(), &mut NoProbe);
         prop_assert_eq!(&sorted(engine), &unfiltered, "engine");
     }
 

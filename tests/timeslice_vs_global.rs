@@ -139,24 +139,6 @@ proptest! {
         }
     }
 
-    /// Without the end-of-relation flush there is no slice-end flush
-    /// point either, so `TimeAuto` must fall back to the global scan —
-    /// resolving to the `Global` strategy and changing nothing.
-    #[test]
-    fn time_auto_falls_back_without_flush(
-        rel in seam_relation_strategy(),
-        pat in pattern_strategy(),
-    ) {
-        let base = MatcherOptions { flush_at_end: false, ..MatcherOptions::default() };
-        let matcher = Matcher::with_options(&pat, &schema(), MatcherOptions {
-            partition: PartitionMode::TimeAuto,
-            ..base.clone()
-        }).unwrap();
-        prop_assert_eq!(matcher.partition_strategy(), PartitionStrategy::Global);
-        let mut out = matcher.find(&rel);
-        out.sort();
-        prop_assert_eq!(out, answer(&pat, &rel, base));
-    }
 }
 
 /// Ward-wide drug-then-bloodcount with no patient correlation:
