@@ -33,7 +33,6 @@ const VALUED: &[&str] = &[
     "format",
     "partition",
     "threads",
-    "shards",
     "from-log",
     "patterns",
     "checkpoint",
@@ -53,6 +52,11 @@ const VALUED: &[&str] = &[
 /// Bare switches. Anything else starting with `--` is refused by name: a
 /// stale flag silently ignored would change what a script measures.
 const SWITCHES: &[&str] = &["closure", "dot", "propagate", "recover", "stats", "trace"];
+
+/// `run`'s partitioning options, refused by name by the streaming
+/// commands — one pattern bank, which never partitions — for the same
+/// reason.
+const BATCH_ONLY: &[&str] = &["partition", "threads"];
 
 impl Args {
     /// Parses an argument vector (without the program name).
@@ -81,6 +85,13 @@ impl Args {
                 args.command = Some(arg);
             } else {
                 args.positional.push(arg);
+            }
+        }
+        if matches!(args.command.as_deref(), Some("stream" | "bank" | "recover")) {
+            if let Some(key) = BATCH_ONLY.iter().find(|k| args.options.contains_key(**k)) {
+                return Err(format!(
+                    "--{key} is an option of `run`: `stream` never partitions"
+                ));
             }
         }
         Ok(args)
@@ -134,7 +145,7 @@ mod tests {
 
     #[test]
     fn unknown_options_are_refused_by_name() {
-        for stale in ["--no-evict", "--no-index"] {
+        for stale in ["--no-evict", "--no-index", "--shards"] {
             let err = Args::parse(["stream", "--query", "q.ses", stale]).unwrap_err();
             assert_eq!(err, format!("unknown option {stale}"));
         }

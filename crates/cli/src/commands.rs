@@ -45,7 +45,6 @@ USAGE:
   ses-cli stream   (--query <file-or-text> | --patterns <file-or-dir>)
                    (--data <file.csv> | --from-log <dir>)
                    [--limit N] [--stats]
-                   [--partition auto|ATTR|off] [--shards N]
                    [--semantics …] [--selection …]
                    [--checkpoint <dir> [--checkpoint-every N] [--keep K]]
                    [--recover]
@@ -59,12 +58,12 @@ USAGE:
                     constant conditions routes each event only to the
                     patterns it could advance — the rest receive a
                     watermark heartbeat when their deadline comes due.
-                    --partition hash-routes events by the partition key
-                    to N lanes of every pattern that proves one.
-                    Evaluation-identical patterns — one query under two
-                    names, or with its variables renamed — run one
-                    matcher between them (preview with `check
-                    --patterns`).
+                    Every pattern runs one matcher: a stream never
+                    partitions, and `run`'s --partition and --threads
+                    are refused. Evaluation-identical patterns — one
+                    query under two names, or with its variables
+                    renamed — run one matcher between them (preview
+                    with `check --patterns`).
                     --from-log replays a binary event log (see `import`);
                     with --checkpoint the bank is snapshotted every N
                     events (default 1000, keeping the last K
@@ -986,40 +985,16 @@ fn index_class_name(class: ses_pattern::IndexClass) -> &'static str {
     }
 }
 
-/// Builds the bank a cold start runs: every pattern registered once,
-/// on `--shards` hash lanes when `--partition` proves it a key.
+/// Builds the bank a cold start runs: every pattern registered once.
 fn build_bank(
-    args: &Args,
-    out: &mut dyn Write,
     specs: &[(String, ses_pattern::Pattern, MatcherOptions)],
     schema: &ses_event::Schema,
 ) -> Result<PatternBank, String> {
-    let lanes: usize = args.get_parsed("shards", 4)?;
-    if lanes == 0 {
-        return Err("--shards must be positive".to_string());
-    }
     let mut builder = PatternBank::builder(schema);
     for (name, p, options) in specs {
-        let sharded = match options.partition {
-            PartitionMode::Off => false,
-            mode => match PatternBank::lane_key(p, schema, options) {
-                Ok(_) => true,
-                // Auto/time degrade to a global stream when nothing is
-                // provable (time slicing is batch-only); an explicit key
-                // the analyzer rejects is a hard error.
-                Err(e) if matches!(mode, PartitionMode::Auto | PartitionMode::TimeAuto) => {
-                    writeln!(out, "note: {name}: {e}; streaming globally").map_err(io_err)?;
-                    false
-                }
-                Err(e) => return Err(format!("{name}: {e}")),
-            },
-        };
-        builder = if sharded {
-            builder.register_lanes(name.clone(), p, options.clone(), lanes)
-        } else {
-            builder.register(name.clone(), p, options.clone())
-        }
-        .map_err(|e| format!("{name}: {e}"))?;
+        builder = builder
+            .register(name.clone(), p, options.clone())
+            .map_err(|e| format!("{name}: {e}"))?;
     }
     Ok(builder.build())
 }
@@ -1028,9 +1003,8 @@ fn build_bank(
 /// `--data` or `--from-log` through one [`PatternBank`] — of one
 /// `--query`, of many `--patterns` — pushing each event once. The
 /// predicate index routes it only to the patterns it could advance (see
-/// `docs/patternbank.md`), `--partition` shards the patterns that prove
-/// a key over `--shards` hash lanes, and evaluation-identical patterns
-/// run one matcher between them. Matches print as the
+/// `docs/patternbank.md`), and evaluation-identical patterns run one
+/// matcher between them. Matches print as the
 /// watermark finalizes them. With `--from-log` + `--checkpoint` the bank
 /// is snapshotted at the configured cadence and matches also go to
 /// `<dir>/matches.log`; `--recover` restores the newest valid
@@ -1059,13 +1033,9 @@ fn cmd_stream(args: &Args, out: &mut dyn Write) -> Result<(), String> {
 
     let mut bank = match files.as_ref().filter(|_| recover) {
         Some(files) => DurableBank::recover(&specs, &sinks, &schema, files, || {
-            build_bank(args, out, &specs, &schema)
+            build_bank(&specs, &schema)
         }),
-        None => DurableBank::start(
-            build_bank(args, out, &specs, &schema)?,
-            &sinks,
-            files.as_ref(),
-        ),
+        None => DurableBank::start(build_bank(&specs, &schema)?, &sinks, files.as_ref()),
     }
     .map_err(|e| e.to_string())?;
     let replayed;
@@ -1160,7 +1130,6 @@ fn cmd_stream(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         let mut t = Table::new([
             "pattern",
             "class",
-            "lanes",
             "hits",
             "skips",
             "heartbeats",
@@ -1173,7 +1142,6 @@ fn cmd_stream(args: &Args, out: &mut dyn Write) -> Result<(), String> {
             t.row([
                 s.name.clone(),
                 index_class_name(s.class).to_string(),
-                s.lanes.to_string(),
                 s.hits.to_string(),
                 s.skips.to_string(),
                 s.heartbeats.to_string(),
@@ -1515,6 +1483,29 @@ mod tests {
         assert!(out.contains("peak retained"), "{out}");
         assert!(out.contains("c/e1"), "{out}");
         std::fs::remove_file(&data).ok();
+    }
+
+    #[test]
+    fn stream_refuses_batch_options_by_name() {
+        // `run`'s partitioning options: `main` prints the refusal with
+        // the usage and exits 2, as for any other option a stream would
+        // otherwise ignore.
+        let err = Args::parse(["stream", "--query", Q1, "--partition", "auto"]).unwrap_err();
+        assert_eq!(
+            err,
+            "--partition is an option of `run`: `stream` never partitions"
+        );
+        for command in ["stream", "bank", "recover"] {
+            for (option, value) in [("--partition", "time"), ("--threads", "2")] {
+                let err = Args::parse([command, "--query", Q1, option, value]).unwrap_err();
+                assert!(
+                    err.starts_with(&format!("{option} is an option of `run`")),
+                    "{err}"
+                );
+            }
+        }
+        let args = Args::parse(["run", "--query", Q1, "--partition", "auto"]).unwrap();
+        assert_eq!(args.get("partition"), Some("auto"));
     }
 
     #[test]
@@ -2612,69 +2603,6 @@ mod tests {
         assert!(out.contains("partitioned by"), "{out}");
         assert!(out.contains("key skew"), "{out}");
         assert!(!out.contains("time slices"), "{out}");
-        std::fs::remove_file(&data).ok();
-    }
-
-    #[test]
-    fn stream_partition_time_degrades_to_global() {
-        let data = figure1_csv();
-        // Time slicing is batch-only: a keyless stream falls back to a
-        // single global matcher with a notice rather than erroring.
-        let q = "PATTERN PERMUTE(c) THEN b WHERE c.L = 'C' AND b.L = 'B' WITHIN 264 HOURS";
-        let (code, out) = run(&[
-            "stream",
-            "--query",
-            q,
-            "--data",
-            &data,
-            "--partition",
-            "time",
-        ]);
-        assert_eq!(code, 0, "{out}");
-        assert!(out.contains("streaming globally"), "{out}");
-        assert!(out.contains("batch-only"), "{out}");
-        std::fs::remove_file(&data).ok();
-    }
-
-    #[test]
-    fn stream_partition_auto_shards_by_key() {
-        let data = figure1_csv();
-        let (code, out) = run(&[
-            "stream",
-            "--query",
-            Q1,
-            "--data",
-            &data,
-            "--partition",
-            "auto",
-            "--shards",
-            "3",
-            "--stats",
-        ]);
-        assert_eq!(code, 0, "{out}");
-        assert!(out.contains("2 match(es) from 1 pattern(s)"), "{out}");
-        // The `lanes` column of the per-pattern table; every event
-        // binds on exactly one of them.
-        let row = out.lines().find(|l| l.starts_with("query-1")).expect(&out);
-        let cells: Vec<&str> = row.split_whitespace().collect();
-        assert_eq!(&cells[2..5], ["3", "14", "0"], "{out}");
-        // Unproven explicit key aborts; auto on a keyless query degrades
-        // to a global stream with a notice.
-        let (code, out) = run(&["stream", "--query", Q1, "--data", &data, "--partition", "L"]);
-        assert_eq!(code, 1, "{out}");
-        assert!(out.contains("not a proven partition key"), "{out}");
-        let q = "PATTERN PERMUTE(c) THEN b WHERE c.L = 'C' AND b.L = 'B' WITHIN 264 HOURS";
-        let (code, out) = run(&[
-            "stream",
-            "--query",
-            q,
-            "--data",
-            &data,
-            "--partition",
-            "auto",
-        ]);
-        assert_eq!(code, 0, "{out}");
-        assert!(out.contains("streaming globally"), "{out}");
         std::fs::remove_file(&data).ok();
     }
 

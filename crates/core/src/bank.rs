@@ -57,24 +57,8 @@
 //! each run their own matcher; `docs/patternbank.md` records why the
 //! shared-prefix pools an earlier bank ran for them are gone.
 //!
-//! # Key sharding
-//!
-//! A pattern that proves a partition key (see
-//! [`ses_pattern::CompiledPattern::partition_keys`]) can be registered
-//! on N hash *lanes* ([`PatternBankBuilder::register_lanes`]): N entries
-//! running the same compiled pattern and reporting one pattern id, each
-//! admitted only the events whose `hash(key) % N` is its lane — ANDed
-//! with the index's verdict — and heartbeat by the other pushes like
-//! any skipped pattern, so a
-//! match on an idle key still finalizes on time. No match spans two key
-//! values, adjudication verdicts only compare matches sharing a first
-//! binding, and skip-till-next-match swap candidates must satisfy the
-//! key equality, so every lane's answer is exact on its own and the
-//! union is the unsharded answer, push for push (`docs/parallel.md`).
-//! Per-lane `|Ω|` shrinks to the lane's own keys, which is the point:
-//! the per-event instance loop is what a push costs. Lanes take no part
-//! in deduplication — they are evaluation-identical by construction
-//! and would be folded back into one matcher.
+//! Every registered pattern runs exactly one matcher, or is a dedup
+//! member of one: the bank never partitions a pattern's stream.
 //!
 //! # Event ids
 //!
@@ -82,22 +66,16 @@
 //! the whole stream), even though each entry's relation holds only the
 //! events admitted to it.
 
-use std::cmp::{Ordering, Reverse};
-use std::collections::hash_map::DefaultHasher;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::hash::{Hash, Hasher};
 
-use ses_event::{AttrId, Event, EventError, EventId, PartitionKey, Schema, Timestamp, Value};
+use ses_event::{Event, EventError, EventId, Schema, Timestamp, Value};
 use ses_pattern::{IndexClass, Pattern, PatternIndex, ShareConstraint, ShareRole, SharingPlan};
 
-use crate::automaton::Automaton;
 use crate::error::CoreError;
-use crate::matcher::{
-    compile_pattern, resolve_partition, MatcherOptions, PartitionMode, PartitionStrategy,
-};
+use crate::matcher::MatcherOptions;
 use crate::matches::Match;
 use crate::probe::{NoProbe, Probe};
-use crate::semantics::group_key;
 use crate::snapshot::{options_compat, BankPatternSnapshot, BankRole, BankSnapshot};
 use crate::stream::StreamMatcher;
 
@@ -112,15 +90,12 @@ enum Exec {
     Dedup { leader: usize },
 }
 
-/// One registered pattern — or one hash lane of a key-sharded one: its
-/// execution mode plus the map from its local event ids back to global
-/// ones, and the routing counters.
+/// One registered pattern: its execution mode plus the map from its
+/// local event ids back to global ones, and the routing counters. The
+/// bank's `i`-th entry is pattern `i`.
 #[derive(Debug)]
 struct Entry {
     name: String,
-    /// The pattern id this entry's matches are reported under; the
-    /// lanes of one sharded pattern share it.
-    pattern: usize,
     exec: Exec,
     /// Pattern ids of the dedup members re-emitting this entry's
     /// matches.
@@ -144,35 +119,12 @@ struct Entry {
     beats: u64,
 }
 
-/// The consecutive entries `first..first + of` are the hash lanes of one
-/// key-sharded pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct LaneGroup {
-    first: usize,
-    of: usize,
-    /// The pattern id the lanes report under.
-    pattern: usize,
-    /// The proven partition key events are hash-routed by.
-    key: AttrId,
-}
-
-impl LaneGroup {
-    /// The lane (`0..of`) `event` belongs to. `DefaultHasher::new()` is
-    /// keyed with constants, so a restored bank routes replayed events
-    /// to the lanes that hold their keys' state.
-    fn lane_of(&self, event: &Event) -> usize {
-        let mut h = DefaultHasher::new();
-        PartitionKey::of(event.value(self.key)).hash(&mut h);
-        (h.finish() as usize) % self.of
-    }
-}
-
 /// What one push does with an entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Todo {
     /// Nothing: not admitted, and below its heartbeat deadline.
     Idle,
-    /// Admitted by the index (and, for a lane, by the key hash): push.
+    /// Admitted by the index: push.
     Routed,
     /// Its heartbeat deadline has come.
     Beat,
@@ -256,29 +208,6 @@ impl Deadlines {
     }
 }
 
-/// The order one stream matcher emits a push's matches in: adjudication
-/// groups ascending by first binding, each group in canonical order.
-/// Lanes partition the groups, so sorting their concatenated output by
-/// this restores exactly what the unsharded matcher would have emitted.
-fn emission_order(a: &Match, b: &Match) -> Ordering {
-    group_key(a).cmp(&group_key(b)).then_with(|| a.cmp(b))
-}
-
-/// Puts each sharded pattern's matches — its lanes' outputs, one after
-/// the other in the pattern-ordered `out` — into `order`: the lanes
-/// then report as the one pattern they are.
-fn sort_lane_output(
-    lanes: &[LaneGroup],
-    out: &mut [(usize, Match)],
-    order: fn(&Match, &Match) -> Ordering,
-) {
-    for g in lanes {
-        let lo = out.partition_point(|(p, _)| *p < g.pattern);
-        let hi = out.partition_point(|(p, _)| *p <= g.pattern);
-        out[lo..hi].sort_by(|a, b| order(&a.1, &b.1));
-    }
-}
-
 /// Rewrites a pattern-local match into global event ids.
 fn remap(ids: &[EventId], base: usize, m: &Match) -> Match {
     Match::from_bindings(
@@ -292,10 +221,9 @@ fn remap(ids: &[EventId], base: usize, m: &Match) -> Match {
 impl Entry {
     /// An entry that has pushed nothing yet, registered when the bank
     /// had consumed `since` events.
-    fn new(name: String, pattern: usize, exec: Exec, since: usize) -> Entry {
+    fn new(name: String, exec: Exec, since: usize) -> Entry {
         Entry {
             name,
-            pattern,
             exec,
             followers: Vec::new(),
             ids: Vec::new(),
@@ -338,10 +266,11 @@ impl Entry {
     }
 
     /// Pushes the event — its row already checked against the bank's
-    /// schema — into this entry's own matcher and emits what that
-    /// finalizes.
+    /// schema — into the own matcher of this entry, pattern `id`, and
+    /// emits what that finalizes.
     fn push_own<P: Probe>(
         &mut self,
+        id: usize,
         event: Event,
         global: usize,
         probe: &mut P,
@@ -352,38 +281,44 @@ impl Entry {
         let emitted = sm.push_checked_event(event, probe)?;
         let omega = sm.active_instances();
         self.peak_omega = self.peak_omega.max(omega);
-        self.emit(emitted, out);
+        self.emit(id, emitted, out);
         Ok(())
     }
 
-    /// Heartbeats this entry's own matcher and emits what that
-    /// finalizes. Does not touch the routing counters.
-    fn beat_own<P: Probe>(&mut self, ts: Timestamp, probe: &mut P, out: &mut Vec<(usize, Match)>) {
+    /// Heartbeats the own matcher of this entry, pattern `id`, and
+    /// emits what that finalizes. Does not touch the routing counters.
+    fn beat_own<P: Probe>(
+        &mut self,
+        id: usize,
+        ts: Timestamp,
+        probe: &mut P,
+        out: &mut Vec<(usize, Match)>,
+    ) {
         let emitted = self.own_mut().advance_watermark_with_probe(ts, probe);
-        self.emit(emitted, out);
+        self.emit(id, emitted, out);
     }
 
     /// Appends the matches this entry's matcher just `emitted` to `out`
-    /// in global event ids — under its own pattern id and under that of
-    /// every dedup member re-emitting them — and drops the id-map
-    /// entries of whatever the matcher evicted meanwhile.
-    fn emit(&mut self, emitted: Vec<Match>, out: &mut Vec<(usize, Match)>) {
+    /// in global event ids — under its own pattern id `id` and under
+    /// that of every dedup member re-emitting them — and drops the
+    /// id-map entries of whatever the matcher evicted meanwhile.
+    fn emit(&mut self, id: usize, emitted: Vec<Match>, out: &mut Vec<(usize, Match)>) {
         for m in &emitted {
             let m = remap(&self.ids, self.base, m);
             out.extend(self.followers.iter().map(|&f| (f, m.clone())));
-            out.push((self.pattern, m));
+            out.push((id, m));
         }
         self.prune();
     }
 
-    /// Ends the entry's stream: flushes its own matcher, if it runs one,
-    /// and emits what that finalizes.
-    fn finish(mut self, out: &mut Vec<(usize, Match)>) {
+    /// Ends the stream of this entry, pattern `id`: flushes its own
+    /// matcher, if it runs one, and emits what that finalizes.
+    fn finish(mut self, id: usize, out: &mut Vec<(usize, Match)>) {
         // The flush consumes the matcher while `emit` wants the rest of
         // the entry: leave a matcher-less stand-in behind.
-        let leader = self.pattern;
-        if let Exec::Own(sm) = std::mem::replace(&mut self.exec, Exec::Dedup { leader }) {
-            self.emit(sm.finish(), out);
+        let stand_in = Exec::Dedup { leader: id };
+        if let Exec::Own(sm) = std::mem::replace(&mut self.exec, stand_in) {
+            self.emit(id, sm.finish(), out);
         }
     }
 
@@ -401,16 +336,13 @@ impl Entry {
 /// Point-in-time routing and matching statistics for one registered
 /// pattern — the rows `ses-cli bank --stats` prints. A dedup member
 /// reports its leader's matcher counters (they share one matcher) with
-/// its own hit/skip routing counts; a key-sharded pattern reports the
-/// sums over its lanes (peak `|Ω|`: the largest lane's).
+/// its own hit/skip routing counts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PatternStats {
     /// The name the pattern was registered under.
     pub name: String,
     /// How the predicate index routes events to this pattern.
     pub class: IndexClass,
-    /// Hash lanes the pattern runs on (1 unless key-sharded).
-    pub lanes: usize,
     /// Events pushed into the pattern's matcher by its own index
     /// admission.
     pub hits: u64,
@@ -442,42 +374,34 @@ pub struct PatternStats {
     pub evicted_events: usize,
 }
 
-/// A compiled registration awaiting [`PatternBankBuilder::build`]: one per
-/// entry.
+/// A compiled registration awaiting [`PatternBankBuilder::build`].
 #[derive(Debug)]
 struct Built {
     name: String,
-    pattern: usize,
     sm: StreamMatcher,
 }
 
 /// Computes the deduplication plan for a set of built matchers: over
 /// the pattern the engine actually evaluates (after analyzer rewrites),
-/// constrained by options compatibility. Lanes share nothing — the plan
-/// would fold them back into one matcher — and a bank of one has nothing
-/// to compare.
-fn compute_plan(built: &[Built], lanes: &[LaneGroup]) -> SharingPlan {
+/// constrained by options compatibility. A bank of one has nothing to
+/// compare.
+fn compute_plan(built: &[Built]) -> SharingPlan {
     if built.len() < 2 {
         return SharingPlan::trivial(built.len());
     }
     let patterns: Vec<&Pattern> = built.iter().map(|b| b.sm.compiled().pattern()).collect();
-    let laned = |i: usize| lanes.iter().any(|g| (g.first..g.first + g.of).contains(&i));
     let constraints: Vec<ShareConstraint> = built
         .iter()
-        .enumerate()
-        .map(|(i, b)| ShareConstraint {
+        .map(|b| ShareConstraint {
             compat: options_compat(b.sm.options()),
-            allow_dedup: !laned(i),
         })
         .collect();
     SharingPlan::compute(&patterns, &constraints)
 }
 
-/// The per-entry roles a snapshot records, derived from a plan and the
-/// lane groups.
-fn derive_roles(plan: &SharingPlan, lanes: &[LaneGroup]) -> Vec<BankRole> {
-    let mut roles: Vec<BankRole> = plan
-        .roles
+/// The per-pattern roles a snapshot records, derived from a plan.
+fn derive_roles(plan: &SharingPlan) -> Vec<BankRole> {
+    plan.roles
         .iter()
         .map(|role| match *role {
             ShareRole::DedupMember { leader } => BankRole::DedupMember {
@@ -485,17 +409,7 @@ fn derive_roles(plan: &SharingPlan, lanes: &[LaneGroup]) -> Vec<BankRole> {
             },
             _ => BankRole::Plain,
         })
-        .collect();
-    for g in lanes {
-        for lane in 0..g.of {
-            roles[g.first + lane] = BankRole::Lane {
-                key: g.key,
-                lane: lane as u32,
-                of: g.of as u32,
-            };
-        }
-    }
-    roles
+        .collect()
 }
 
 /// Builds the predicate index. A dedup member is indexed by its
@@ -508,33 +422,6 @@ fn build_index(entries: &[Entry]) -> PatternIndex {
             .expect("a leader runs its own matcher")
             .compiled()
     }))
-}
-
-/// The proven key a pattern's lanes are hash-routed by, or why there is
-/// none: a sharded stream over an unproven key would silently lose
-/// cross-partition matches, and time slicing is batch-only — a stream
-/// has no slice-end flush point, and every lane would need every event.
-fn resolve_lane_key(
-    compiled: &ses_pattern::CompiledPattern,
-    options: &MatcherOptions,
-) -> Result<AttrId, CoreError> {
-    if let PartitionStrategy::Key(key) = resolve_partition(compiled, options)? {
-        return Ok(key);
-    }
-    let reason = match options.partition {
-        PartitionMode::Off => {
-            "partition mode is `Off`; lanes need a key — use `register` for a global stream"
-        }
-        PartitionMode::TimeAuto => {
-            "the pattern proves no partition key, and time-sliced execution is batch-only — \
-             a stream has no slice-end flush point"
-        }
-        _ => "the pattern proves no partition key",
-    };
-    Err(CoreError::UnprovenPartitionKey {
-        attr: "<auto>".to_string(),
-        reason: reason.to_string(),
-    })
 }
 
 /// Panics unless `sm` was compiled against `schema` — the invariant that
@@ -551,7 +438,6 @@ fn assert_shares_schema(sm: &StreamMatcher, schema: &Schema) {
 pub struct PatternBankBuilder {
     schema: Schema,
     entries: Vec<Built>,
-    lanes: Vec<LaneGroup>,
 }
 
 impl PatternBankBuilder {
@@ -565,63 +451,21 @@ impl PatternBankBuilder {
         options: MatcherOptions,
     ) -> Result<PatternBankBuilder, CoreError> {
         let sm = StreamMatcher::with_options(pattern, &self.schema, options)?;
-        self.add(name.into(), self.next_pattern(), sm);
-        Ok(self)
-    }
-
-    /// Queues one compiled entry. A push checks its row against the
-    /// bank's schema once and then trusts it in every matcher, so every
-    /// matcher must have been compiled against that very schema.
-    fn add(&mut self, name: String, pattern: usize, sm: StreamMatcher) {
+        // A push checks its row against the bank's schema once and then
+        // trusts it in every matcher.
         assert_shares_schema(&sm, &self.schema);
-        self.entries.push(Built { name, pattern, sm });
-    }
-
-    /// As [`PatternBankBuilder::register`], but key-sharded: the
-    /// pattern runs on `lanes` hash lanes (clamped to at least one),
-    /// each seeing only the events whose partition key hashes to it
-    /// (see the module docs). The key is the one
-    /// [`MatcherOptions::partition`] resolves to — `Auto`/`TimeAuto`
-    /// with a provable key, or a proven explicit `Key`; fails with
-    /// [`CoreError::UnprovenPartitionKey`] otherwise
-    /// ([`PatternBank::lane_key`] asks without registering).
-    pub fn register_lanes(
-        mut self,
-        name: impl Into<String>,
-        pattern: &Pattern,
-        options: MatcherOptions,
-        lanes: usize,
-    ) -> Result<PatternBankBuilder, CoreError> {
-        let compiled = compile_pattern(pattern, &self.schema, &options)?;
-        let key = resolve_lane_key(&compiled, &options)?;
-        let automaton = Automaton::build(compiled)?;
-        let name = name.into();
-        let pattern = self.next_pattern();
-        let of = lanes.max(1);
-        self.lanes.push(LaneGroup {
-            first: self.entries.len(),
-            of,
-            pattern,
-            key,
+        self.entries.push(Built {
+            name: name.into(),
+            sm,
         });
-        for _ in 0..of {
-            let sm = StreamMatcher::from_automaton(automaton.clone(), options.clone());
-            self.add(name.clone(), pattern, sm);
-        }
         Ok(self)
-    }
-
-    /// The id the next registered pattern reports under (the lanes of
-    /// one pattern count once).
-    fn next_pattern(&self) -> usize {
-        self.entries.last().map_or(0, |b| b.pattern + 1)
     }
 
     /// Builds the bank: the deduplication plan and the predicate index,
     /// both from the compiled patterns exactly as the matchers will run
     /// them (after any analyzer rewrites).
     pub fn build(self) -> PatternBank {
-        let plan = compute_plan(&self.entries, &self.lanes);
+        let plan = compute_plan(&self.entries);
         self.build_as(plan)
     }
 
@@ -637,19 +481,17 @@ impl PatternBankBuilder {
                     ShareRole::DedupMember { leader } => Exec::Dedup { leader },
                     _ => Exec::Own(Box::new(b.sm)),
                 };
-                Entry::new(b.name, b.pattern, exec, 0)
+                Entry::new(b.name, exec, 0)
             })
             .collect();
-        for i in 0..entries.len() {
-            if let Some(leader) = entries[i].leader() {
-                let member = entries[i].pattern;
+        for member in 0..entries.len() {
+            if let Some(leader) = entries[member].leader() {
                 entries[leader].followers.push(member);
             }
         }
         let mut bank = PatternBank {
             index: build_index(&entries),
             entries,
-            lanes: self.lanes,
             plan,
             schema: self.schema,
             watermark: None,
@@ -699,10 +541,8 @@ impl PatternBankBuilder {
 /// ```
 #[derive(Debug)]
 pub struct PatternBank {
+    /// The registered patterns, in id order.
     entries: Vec<Entry>,
-    /// Which runs of `entries` are the hash lanes of one pattern (empty
-    /// for an unsharded bank).
-    lanes: Vec<LaneGroup>,
     /// Which entries re-emit another's matches instead of running a
     /// matcher (trivial when no two patterns are evaluation-identical).
     plan: SharingPlan,
@@ -732,23 +572,12 @@ impl PatternBank {
         PatternBankBuilder {
             schema: schema.clone(),
             entries: Vec::new(),
-            lanes: Vec::new(),
         }
     }
 
-    /// The partition key [`PatternBankBuilder::register_lanes`] would
-    /// shard `pattern` by under `options`, or its reason for refusing.
-    pub fn lane_key(
-        pattern: &Pattern,
-        schema: &Schema,
-        options: &MatcherOptions,
-    ) -> Result<AttrId, CoreError> {
-        resolve_lane_key(&compile_pattern(pattern, schema, options)?, options)
-    }
-
-    /// Number of registered patterns (the lanes of one count once).
+    /// Number of registered patterns.
     pub fn len(&self) -> usize {
-        self.entries.last().map_or(0, |e| e.pattern + 1)
+        self.entries.len()
     }
 
     /// `true` iff no pattern is registered.
@@ -756,24 +585,14 @@ impl PatternBank {
         self.entries.is_empty()
     }
 
-    /// The first entry of every pattern, in id order (a sharded
-    /// pattern's lanes follow its first entry).
-    fn firsts(&self) -> impl Iterator<Item = (usize, &Entry)> {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter(|&(i, e)| i == 0 || self.entries[i - 1].pattern != e.pattern)
-    }
-
     /// The names the patterns were registered under, in id order.
     pub fn names(&self) -> Vec<&str> {
-        self.firsts().map(|(_, e)| e.name.as_str()).collect()
+        self.entries.iter().map(|e| e.name.as_str()).collect()
     }
 
     /// How the predicate index routes events to pattern `id`.
     pub fn index_class(&self, id: usize) -> IndexClass {
-        let (first, _) = self.firsts().nth(id).expect("pattern id in range");
-        self.index.class(first)
+        self.index.class(id)
     }
 
     /// The deduplication plan the bank executes: trivial unless some
@@ -825,7 +644,7 @@ impl PatternBank {
         self.route(&event, probe);
         let pushed = self.execute(&event, probe);
         self.settle();
-        let mut out = pushed?;
+        let out = pushed?;
         self.ties = if self.last_ts == Some(ts) {
             self.ties + 1
         } else {
@@ -834,32 +653,19 @@ impl PatternBank {
         self.watermark = Some(ts);
         self.last_ts = Some(ts);
         self.next_id += 1;
-        sort_lane_output(&self.lanes, &mut out, emission_order);
         self.emitted += out.len();
         Ok(out)
     }
 
     /// Decides what the push of `event` does with every entry it
-    /// touches, into the scratch: the index's admissions narrowed by the
-    /// key hash of sharded patterns, and whoever's heartbeat deadline
-    /// the event's timestamp reaches. Everyone else is left alone.
+    /// touches, into the scratch: the index's admissions, and whoever's
+    /// heartbeat deadline the event's timestamp reaches. Everyone else
+    /// is left alone.
     fn route<P: Probe>(&mut self, event: &Event, probe: &mut P) {
         let Scratch { work, todo } = &mut self.scratch;
         let ts = event.ts();
         let n = self.entries.len();
         self.index.admitted_into(event, work);
-        // Key sharding: of a sharded pattern's lanes — one compiled
-        // pattern, so the index admits all of them or none — only the
-        // one the event's key hashes to may receive it.
-        for g in &self.lanes {
-            let lo = work.partition_point(|&i| i < g.first);
-            let hi = work.partition_point(|&i| i < g.first + g.of);
-            if lo < hi {
-                debug_assert_eq!(hi - lo, g.of, "the index split a pattern's lanes");
-                work[lo] = g.first + g.lane_of(event);
-                work.drain(lo + 1..hi);
-            }
-        }
         let hits = work.len();
         probe.index_hits(hits);
         probe.index_skips(n - hits);
@@ -895,12 +701,12 @@ impl PatternBank {
                 Todo::Routed => {
                     entry.hits += 1;
                     if entry.leader().is_none() {
-                        entry.push_own(event.clone(), self.next_id, probe, &mut out)?;
+                        entry.push_own(i, event.clone(), self.next_id, probe, &mut out)?;
                     }
                 }
                 Todo::Beat => {
                     entry.beats += 1;
-                    entry.beat_own(ts, probe, &mut out);
+                    entry.beat_own(i, ts, probe, &mut out);
                 }
                 Todo::Idle => unreachable!("routing lists only entries it gave work"),
             }
@@ -941,9 +747,9 @@ impl PatternBank {
     /// rejected as out of order.
     pub fn advance_watermark(&mut self, ts: Timestamp) -> Vec<(usize, Match)> {
         let mut out = Vec::new();
-        for entry in &mut self.entries {
+        for (i, entry) in self.entries.iter_mut().enumerate() {
             if entry.leader().is_none() {
-                entry.beat_own(ts, &mut NoProbe, &mut out);
+                entry.beat_own(i, ts, &mut NoProbe, &mut out);
             }
         }
         out.sort_by_key(|&(pattern, _)| pattern);
@@ -951,7 +757,6 @@ impl PatternBank {
         if self.watermark.is_some_and(|w| ts > w) {
             self.watermark = Some(ts);
         }
-        sort_lane_output(&self.lanes, &mut out, emission_order);
         self.emitted += out.len();
         out
     }
@@ -976,15 +781,11 @@ impl PatternBank {
     /// pushes — together with those, each pattern's exact batch answer.
     pub fn finish(mut self) -> Vec<(usize, Match)> {
         self.flush_deferred();
-        let PatternBank { entries, lanes, .. } = self;
         let mut out = Vec::new();
-        for entry in entries {
-            entry.finish(&mut out);
+        for (i, entry) in self.entries.into_iter().enumerate() {
+            entry.finish(i, &mut out);
         }
         out.sort_by_key(|&(pattern, _)| pattern);
-        // A matcher's flush is in canonical match order, so the lanes'
-        // merged flush is too.
-        sort_lane_output(&lanes, &mut out, Match::cmp);
         out
     }
 
@@ -1039,35 +840,27 @@ impl PatternBank {
     /// clock, not as of its last push.
     pub fn stats(&mut self) -> Vec<PatternStats> {
         self.flush_deferred();
-        self.firsts()
+        self.entries
+            .iter()
+            .enumerate()
             .map(|(i, e)| {
-                let lanes = self.lanes.iter().find(|g| g.first == i).map_or(1, |g| g.of);
                 // A dedup member's matcher-derived numbers come from the
-                // automaton answering for it (lanes never deduplicate).
-                let runs = match e.leader() {
-                    Some(leader) => &self.entries[leader..=leader],
-                    None => &self.entries[i..i + lanes],
-                };
-                let sms = || {
-                    runs.iter()
-                        .map(|r| r.own().expect("leaders and lanes run their own automata"))
-                };
-                // Each event the pattern has seen hit at most one lane.
-                let hits: u64 = self.entries[i..i + lanes].iter().map(|l| l.hits).sum();
+                // automaton answering for it.
+                let run = &self.entries[e.leader().unwrap_or(i)];
+                let sm = run.own().expect("a leader runs its own matcher");
                 PatternStats {
                     name: e.name.clone(),
                     class: self.index.class(i),
-                    lanes,
-                    hits,
-                    skips: e.seen(self.next_id) - hits,
-                    heartbeats: runs.iter().map(|r| r.beats).sum(),
-                    emitted: sms().map(StreamMatcher::emitted_so_far).sum(),
-                    active_instances: sms().map(StreamMatcher::active_instances).sum(),
-                    peak_omega: runs.iter().map(|r| r.peak_omega).max().unwrap_or(0),
-                    pending_candidates: sms().map(StreamMatcher::pending_candidates).sum(),
-                    retained_killers: sms().map(StreamMatcher::retained_killers).sum(),
-                    retained_events: sms().map(StreamMatcher::retained_events).sum(),
-                    evicted_events: sms().map(StreamMatcher::evicted_events).sum(),
+                    hits: e.hits,
+                    skips: e.seen(self.next_id) - e.hits,
+                    heartbeats: run.beats,
+                    emitted: sm.emitted_so_far(),
+                    active_instances: sm.active_instances(),
+                    peak_omega: run.peak_omega,
+                    pending_candidates: sm.pending_candidates(),
+                    retained_killers: sm.retained_killers(),
+                    retained_events: sm.retained_events(),
+                    evicted_events: sm.evicted_events(),
                 }
             })
             .collect()
@@ -1075,15 +868,14 @@ impl PatternBank {
 
     /// Captures the complete dynamic state of every pattern plus the
     /// bank's routing bookkeeping under one manifest, and the role each
-    /// entry runs in — all `Plain` unless the bank deduplicates or
-    /// shards.
+    /// pattern runs in — all `Plain` unless the bank deduplicates.
     ///
     /// Heartbeats that pushes withheld are delivered first, so the
     /// snapshot is the one a bank heartbeating every pattern on every
     /// push would have taken.
     pub fn snapshot(&mut self) -> BankSnapshot {
         self.flush_deferred();
-        let roles = derive_roles(&self.plan, &self.lanes);
+        let roles = derive_roles(&self.plan);
         let next_id = self.next_id;
         BankSnapshot {
             watermark: self.watermark,
@@ -1119,12 +911,10 @@ impl PatternBank {
     /// Rebuilds a bank from the `(name, pattern, options)` specs it was
     /// built with and a [`BankSnapshot`] taken from it. Specs must match
     /// the snapshot in count, order, and name, and each pattern's
-    /// fingerprint must agree. Every entry comes back in the role the
-    /// snapshot recorded for it, checked against the specs: a sharded
-    /// pattern takes its lane count from the snapshot, and its options
-    /// must still resolve to the key it was sharded by; a dedup member
-    /// must be one the plan recomputed from the specs folds into the
-    /// same leader; an entry recorded as running its own matcher keeps
+    /// fingerprint must agree. Every pattern comes back in the role the
+    /// snapshot recorded for it, checked against the specs: a dedup
+    /// member must be one the plan recomputed from the specs folds into
+    /// the same leader; a pattern recorded as running its own matcher keeps
     /// it, whatever the plan would make of it today — it was
     /// [`PatternBank::subscribe`]d mid-stream, or checkpointed by a
     /// release that did not deduplicate. Fails with
@@ -1144,24 +934,9 @@ impl PatternBank {
         }
         let mut builder = PatternBank::builder(schema);
         for (name, pattern, options) in specs {
-            // The next unclaimed snapshot entry says how this spec ran.
-            let at = builder.entries.len();
-            builder = match snapshot.roles.get(at) {
-                Some(&BankRole::Lane { of, .. }) => {
-                    // Bound the count before compiling that many lanes.
-                    if of as usize > snapshot.patterns.len() - at {
-                        return Err(mismatch(format!(
-                            "pattern `{name}`: snapshot claims {of} lanes but holds only {} \
-                             more entries",
-                            snapshot.patterns.len() - at
-                        )));
-                    }
-                    builder.register_lanes(name.clone(), pattern, options.clone(), of as usize)?
-                }
-                _ => builder.register(name.clone(), pattern, options.clone())?,
-            };
+            builder = builder.register(name.clone(), pattern, options.clone())?;
         }
-        let (built, lanes) = (&builder.entries, &builder.lanes);
+        let built = &builder.entries;
         if built.len() != snapshot.patterns.len() {
             return Err(mismatch(format!(
                 "snapshot holds {} patterns, but {} were registered",
@@ -1180,7 +955,7 @@ impl PatternBank {
         // The dynamic state only makes sense under the roles it was
         // captured in, so those are what the bank is rebuilt with; the
         // plan recomputed from the specs is the check on them.
-        let derived = compute_plan(built, lanes);
+        let derived = compute_plan(built);
         let mut plan = SharingPlan::trivial(built.len());
         for (i, role) in snapshot.roles.iter().enumerate() {
             if let BankRole::DedupMember { leader } = *role {
@@ -1194,12 +969,6 @@ impl PatternBank {
                 }
                 plan.deduplicate(i, leader);
             }
-        }
-        if !snapshot.roles.is_empty() && snapshot.roles != derive_roles(&plan, lanes) {
-            return Err(mismatch(
-                "snapshot roles disagree with the lanes recomputed from the registered patterns"
-                    .to_string(),
-            ));
         }
         let mut bank = builder.build_as(plan);
         for (entry, ps) in bank.entries.iter_mut().zip(&snapshot.patterns) {
@@ -1293,7 +1062,7 @@ impl PatternBank {
         assert_shares_schema(&sm, &self.schema);
         let id = self.len();
         self.entries
-            .push(Entry::new(name, id, Exec::Own(Box::new(sm)), self.next_id));
+            .push(Entry::new(name, Exec::Own(Box::new(sm)), self.next_id));
         self.plan.roles.push(ShareRole::Independent);
         self.reschedule();
         self.index = build_index(&self.entries);
@@ -2100,10 +1869,9 @@ mod tests {
         }
     }
 
-    // ---- key sharding ------------------------------------------------
+    // ---- id maps -----------------------------------------------------
 
-    /// `{a, b} ; {c}` fully correlated on ID — every attribute-ID chain
-    /// connects all three variables, so ID is a proven partition key.
+    /// `{a, b} ; {c}` fully correlated on ID.
     fn keyed() -> Pattern {
         Pattern::builder()
             .set(|s| s.var("a").var("b"))
@@ -2118,177 +1886,28 @@ mod tests {
             .unwrap()
     }
 
-    fn auto() -> MatcherOptions {
-        MatcherOptions {
-            partition: PartitionMode::Auto,
+    #[test]
+    fn eviction_keeps_id_maps_bounded() {
+        let options = MatcherOptions {
+            semantics: crate::MatchSemantics::AllRuns,
             ..MatcherOptions::default()
-        }
-    }
-
-    fn laned_bank(lanes: usize) -> PatternBank {
-        PatternBank::builder(&schema())
-            .register_lanes("k", &keyed(), auto(), lanes)
-            .unwrap()
-            .build()
-    }
-
-    fn row(key: i64, l: &str) -> [Value; 2] {
-        [Value::from(key), Value::from(l)]
-    }
-
-    #[test]
-    fn lanes_refuse_without_a_proven_key() {
-        let keyless = pair("A", "B");
-        let refuse = |p: &Pattern, partition: PartitionMode| {
-            PatternBank::builder(&schema())
-                .register_lanes(
-                    "x",
-                    p,
-                    MatcherOptions {
-                        partition,
-                        ..MatcherOptions::default()
-                    },
-                    4,
-                )
-                .unwrap_err()
-                .to_string()
         };
-        assert!(refuse(&keyed(), PartitionMode::Off).contains("Off"));
-        assert!(refuse(&keyless, PartitionMode::Auto).contains("no partition key"));
-        // Time slicing is batch-only: a keyless stream must refuse it
-        // loudly rather than run every lane on every event.
-        assert!(refuse(&keyless, PartitionMode::TimeAuto).contains("batch-only"));
-        let l = schema().attr_id("L").unwrap();
-        assert!(refuse(&keyed(), PartitionMode::Key(l)).contains("does not connect"));
-        // With a proven key, TimeAuto shards exactly like Auto.
-        let id = schema().attr_id("ID").unwrap();
-        for partition in [PartitionMode::TimeAuto, PartitionMode::Key(id)] {
-            let options = MatcherOptions {
-                partition,
-                ..MatcherOptions::default()
-            };
-            assert_eq!(PatternBank::lane_key(&keyed(), &schema(), &options), Ok(id));
-        }
-    }
-
-    #[test]
-    fn lanes_report_one_pattern_and_route_each_event_once() {
         let mut bank = PatternBank::builder(&schema())
-            .register_lanes("k", &keyed(), auto(), 3)
-            .unwrap()
-            .register("ab", &pair("A", "B"), MatcherOptions::default())
-            .unwrap()
-            .build();
-        assert_eq!(bank.len(), 2);
-        assert_eq!(bank.names(), vec!["k", "ab"]);
-        let mut probe = RouteProbe::default();
-        let mut n = 0u64;
-        let mut out = Vec::new();
-        for step in ["A", "B", "C"] {
-            for key in 0..5i64 {
-                out.extend(
-                    bank.push_with_probe(Timestamp::new(n as i64), row(key, step), &mut probe)
-                        .unwrap(),
-                );
-                n += 1;
-            }
-        }
-        let stats = bank.stats();
-        assert_eq!(stats.len(), 2);
-        assert_eq!((stats[0].lanes, stats[1].lanes), (3, 1));
-        // Every event binds in the keyed pattern, on exactly one lane.
-        assert_eq!((stats[0].hits, stats[0].skips), (n, 0));
-        assert_eq!(stats[1].hits + stats[1].skips, n);
-        assert_eq!(probe.hits as u64, stats[0].hits + stats[1].hits);
-        assert_eq!(probe.hits + probe.skips, 4 * n as usize);
-        out.extend(bank.finish());
-        assert_eq!(out.iter().filter(|(i, _)| *i == 0).count(), 5);
-        assert!(out.iter().all(|(i, _)| *i < 2));
-    }
-
-    #[test]
-    fn lanes_are_excluded_from_the_sharing_plan() {
-        // Two registrations of one pattern would deduplicate; its lanes
-        // are the same pattern N times and must not.
-        let bank = PatternBank::builder(&schema())
-            .register_lanes("k", &keyed(), auto(), 3)
-            .unwrap()
-            .register("twin-1", &keyed(), auto())
-            .unwrap()
-            .register("twin-2", &keyed(), auto())
-            .unwrap()
-            .build();
-        let plan = bank.sharing_plan();
-        assert!(plan.roles[..3].iter().all(|r| *r == ShareRole::Independent));
-        assert_eq!(plan.roles[4], ShareRole::DedupMember { leader: 3 });
-    }
-
-    #[test]
-    fn lane_restore_takes_the_count_from_the_snapshot_and_checks_the_key() {
-        let mut bank = laned_bank(3);
-        bank.push(Timestamp::new(0), row(1, "A")).unwrap();
-        let snap = bank.snapshot();
-        assert!(matches!(
-            snap.roles[2],
-            BankRole::Lane { lane: 2, of: 3, .. }
-        ));
-        let spec = |o: MatcherOptions| vec![("k".to_string(), keyed(), o)];
-        let mut restored = PatternBank::restore(&spec(auto()), &schema(), &snap).unwrap();
-        assert_eq!(restored.stats()[0].lanes, 3);
-        // Options that no longer resolve to a key cannot resurrect lanes.
-        let err =
-            PatternBank::restore(&spec(MatcherOptions::default()), &schema(), &snap).unwrap_err();
-        assert!(
-            matches!(err, CoreError::UnprovenPartitionKey { .. }),
-            "{err}"
-        );
-        // Nor can a snapshot routed by another attribute: replayed
-        // events would hash to lanes that do not hold their keys' state.
-        let mut foreign = snap.clone();
-        for role in &mut foreign.roles {
-            if let BankRole::Lane { key, .. } = role {
-                *key = schema().attr_id("L").unwrap();
-            }
-        }
-        let err = PatternBank::restore(&spec(auto()), &schema(), &foreign).unwrap_err();
-        assert!(err.to_string().contains("roles disagree"), "{err}");
-        // A hostile lane count fails before anything is compiled for it.
-        let mut hostile = snap;
-        hostile.roles[0] = BankRole::Lane {
-            key: schema().attr_id("ID").unwrap(),
-            lane: 0,
-            of: u32::MAX,
-        };
-        let err = PatternBank::restore(&spec(auto()), &schema(), &hostile).unwrap_err();
-        assert!(err.to_string().contains("lanes"), "{err}");
-    }
-
-    #[test]
-    fn eviction_keeps_lane_id_maps_bounded() {
-        let mut bank = PatternBank::builder(&schema())
-            .register_lanes(
-                "k",
-                &keyed(),
-                MatcherOptions {
-                    semantics: crate::MatchSemantics::AllRuns,
-                    ..auto()
-                },
-                2,
-            )
+            .register("k", &keyed(), options)
             .unwrap()
             .build();
         let labels = ["A", "B", "C"];
         for i in 0..3000i64 {
-            bank.push(Timestamp::new(i), row(i % 4, labels[(i % 3) as usize]))
-                .unwrap();
+            let row = [Value::from(i % 4), Value::from(labels[(i % 3) as usize])];
+            bank.push(Timestamp::new(i), row).unwrap();
         }
         let stats = &bank.stats()[0];
         assert!(stats.evicted_events > 0, "eviction never ran");
-        let mapped: usize = bank.entries.iter().map(|e| e.ids.len()).sum();
-        // The id maps track the retained window, not the whole stream.
+        let mapped = bank.entries[0].ids.len();
+        // The id map tracks the retained window, not the whole stream.
         assert!(
             mapped <= stats.retained_events + 64,
-            "id maps not pruned: {mapped} mapped vs {} retained",
+            "id map not pruned: {mapped} mapped vs {} retained",
             stats.retained_events
         );
         assert_eq!(stats.hits, 3000);

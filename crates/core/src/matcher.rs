@@ -64,8 +64,7 @@ pub enum PartitionMode {
     /// ([`crate::parallel::find_time_sliced`]) instead of a global scan:
     /// the window `τ` bounds every match's temporal extent, so
     /// `τ`-overlapping time ranges cover every match even when nothing
-    /// confines matches to one key value. Never an error. Batch-only:
-    /// [`crate::PatternBankBuilder::register_lanes`] refuses it.
+    /// confines matches to one key value. Never an error.
     TimeAuto,
 }
 
@@ -112,7 +111,9 @@ pub struct MatcherOptions {
     /// pattern is what gets analyzed.
     /// Default: `false` (paper-faithful Θ).
     pub propagate_constants: bool,
-    /// Partition-parallel execution mode. Default: [`PartitionMode::Off`].
+    /// Partition-parallel execution mode of [`Matcher::find`]. Default:
+    /// [`PartitionMode::Off`]. Batch-only: a [`crate::StreamMatcher`] or
+    /// [`crate::PatternBank`] never partitions.
     pub partition: PartitionMode,
     /// Worker threads for partitioned execution. `None` (the default)
     /// uses [`std::thread::available_parallelism`].
@@ -171,8 +172,8 @@ pub(crate) fn compile_pattern(
 }
 
 /// Resolves a [`PartitionMode`] against a compiled pattern's proven
-/// keys. Shared by [`Matcher`] and the bank's lane registration.
-pub(crate) fn resolve_partition(
+/// keys.
+fn resolve_partition(
     compiled: &CompiledPattern,
     options: &MatcherOptions,
 ) -> Result<PartitionStrategy, CoreError> {

@@ -10,7 +10,7 @@
 //! snapshot rejects restores against a different pattern, schema, or
 //! semantics (see [`CoreError::SnapshotMismatch`]).
 //!
-//! [`BankSnapshot`] composes per-pattern (and per-lane) stream snapshots
+//! [`BankSnapshot`] composes per-pattern stream snapshots
 //! plus the bank's routing bookkeeping (global id counter, id maps,
 //! clock) under a single manifest, and [`MatcherSnapshot`] is the unit
 //! `ses-store`'s `CheckpointStore` serializes with a versioned,
@@ -22,7 +22,7 @@
 //!
 //! [`CoreError::SnapshotMismatch`]: crate::CoreError::SnapshotMismatch
 
-use ses_event::{AttrId, Event, EventId, Timestamp};
+use ses_event::{Event, EventId, Timestamp};
 use ses_pattern::VarId;
 
 use crate::automaton::Automaton;
@@ -75,13 +75,12 @@ pub struct StreamSnapshot {
     pub emitted: u64,
 }
 
-/// How one bank entry ran when a [`crate::PatternBank`] snapshot was
-/// taken: on its own, deduplicated into another, or as a hash lane.
+/// How one registered pattern ran when a [`crate::PatternBank`]
+/// snapshot was taken: on its own, or deduplicated into another.
 /// Restore rebuilds the bank in the recorded roles — the per-pattern
 /// payload layout depends on the role — after checking each against the
 /// registration specs: a dedup member must still be evaluation-identical
-/// to its leader, and events replayed after a restore must hash to the
-/// lanes that hold their keys' state.
+/// to its leader.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BankRole {
     /// Runs its own matcher.
@@ -93,23 +92,11 @@ pub enum BankRole {
         /// this one.
         leader: u32,
     },
-    /// Hash lane `lane` of the `of` lanes one key-sharded pattern runs
-    /// on (consecutive entries carrying the pattern's name): a plain
-    /// matcher that receives only the events whose `key` attribute
-    /// hashes to it.
-    Lane {
-        /// The proven partition key events are hash-routed by.
-        key: AttrId,
-        /// This lane's position, `0..of`.
-        lane: u32,
-        /// Number of lanes the pattern was registered with.
-        of: u32,
-    },
 }
 
-/// One entry of a [`crate::PatternBank`] — a registered pattern, or one
-/// hash lane of a key-sharded one: its stream matcher snapshot plus the
-/// local→global event id map and the routing counters.
+/// One registered pattern of a [`crate::PatternBank`]: its stream
+/// matcher snapshot plus the local→global event id map and the routing
+/// counters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BankPatternSnapshot {
     /// The name the pattern was registered under — restore refuses a
@@ -149,8 +136,7 @@ pub struct BankSnapshot {
     pub ties: u64,
     /// Matches emitted across all patterns by pushes and heartbeats.
     pub emitted: u64,
-    /// The bank's entries, in registration order (a key-sharded
-    /// pattern contributes one entry per lane).
+    /// The bank's patterns, in registration order.
     pub patterns: Vec<BankPatternSnapshot>,
     /// Per-entry roles, indexed like `patterns`. A bank whose entries
     /// are all [`BankRole::Plain`] keeps the original (kind 2)
@@ -160,7 +146,7 @@ pub struct BankSnapshot {
 
 /// The unit the checkpoint store persists: a snapshot of the one
 /// streaming executor, a [`crate::PatternBank`] (of one pattern, of
-/// many, with or without hash lanes).
+/// many).
 #[derive(Debug, Clone, PartialEq)]
 pub enum MatcherSnapshot {
     /// A pattern bank.

@@ -103,15 +103,9 @@ impl StreamMatcher {
     ) -> Result<StreamMatcher, CoreError> {
         let compiled = crate::matcher::compile_pattern(pattern, schema, &options)?;
         let automaton = Automaton::build(compiled)?;
-        Ok(StreamMatcher::from_automaton(automaton, options))
-    }
-
-    /// Builds a stream matcher around an already constructed automaton —
-    /// the bank clones one automaton per hash lane through here.
-    pub(crate) fn from_automaton(automaton: Automaton, options: MatcherOptions) -> StreamMatcher {
         let adjudicator = Adjudicator::new(options.semantics, automaton.pattern());
         let columnar = ColumnarPlan::new(automaton.pattern());
-        StreamMatcher {
+        Ok(StreamMatcher {
             relation: Relation::new(automaton.pattern().schema().clone()),
             automaton,
             options,
@@ -123,7 +117,7 @@ impl StreamMatcher {
             adjudicator,
             watermark: None,
             emitted: 0,
-        }
+        })
     }
 
     /// Pushes one event (timestamps must be non-decreasing) and returns
@@ -306,9 +300,8 @@ impl StreamMatcher {
     /// returns the matches that finalizes: expired runs are swept,
     /// decidable pending groups adjudicated, and old events evicted,
     /// exactly as a push at `ts` would — the heartbeat a bank sends to
-    /// the patterns and lanes an event was not routed to, so their
-    /// matches emit on time. No-op (empty
-    /// result) when `ts` does not advance the watermark or the stream
+    /// the patterns an event was not routed to, so their matches emit
+    /// on time. No-op (empty result) when `ts` does not advance the watermark or the stream
     /// has seen no events yet. Subsequent pushes before `ts` are
     /// rejected as out of order.
     pub fn advance_watermark(&mut self, ts: Timestamp) -> Vec<Match> {

@@ -509,27 +509,12 @@ pub enum ShareRole {
 }
 
 /// Per-pattern constraints fed into [`SharingPlan::compute`] by the
-/// caller (a bank knows things this crate cannot: execution options,
-/// and which patterns are its own hash lanes).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// caller (a bank knows what this crate cannot: execution options).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShareConstraint {
     /// Opaque execution-options compatibility class: only patterns
     /// with equal keys may share anything.
     pub compat: u64,
-    /// Whether this pattern may lead or join a dedup group. Callers
-    /// must clear this for patterns that are evaluation-identical on
-    /// purpose (a bank's hash lanes of one pattern: each sees a
-    /// different slice of the stream).
-    pub allow_dedup: bool,
-}
-
-impl Default for ShareConstraint {
-    fn default() -> Self {
-        ShareConstraint {
-            compat: 0,
-            allow_dedup: true,
-        }
-    }
 }
 
 /// The deduplication plan for a set of patterns: who runs an automaton
@@ -599,9 +584,6 @@ impl SharingPlan {
         let mut plan = SharingPlan::trivial(n);
         let mut first_of: BTreeMap<(u64, String), usize> = BTreeMap::new();
         for i in 0..n {
-            if !constraints[i].allow_dedup {
-                continue;
-            }
             let key = (
                 constraints[i].compat,
                 Form::build(patterns[i]).inorder_key(),
@@ -801,16 +783,7 @@ mod tests {
         // Different options classes: nothing shared.
         let plan = SharingPlan::compute(
             &[&p1, &p2],
-            &[
-                ShareConstraint {
-                    compat: 1,
-                    allow_dedup: true,
-                },
-                ShareConstraint {
-                    compat: 2,
-                    allow_dedup: true,
-                },
-            ],
+            &[ShareConstraint { compat: 1 }, ShareConstraint { compat: 2 }],
         );
         assert!(plan.is_trivial());
     }

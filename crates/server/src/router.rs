@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration as StdDuration;
 
-use ses_core::{MatcherOptions, PartitionMode, PatternBank, Probe};
+use ses_core::{MatcherOptions, PatternBank, Probe};
 use ses_event::{Schema, Timestamp, Value};
 use ses_metrics::{CountingProbe, JsonObject, JsonValue};
 use ses_pattern::Pattern;
@@ -224,15 +224,6 @@ pub(crate) struct Ingress {
     shutdown: Arc<AtomicBool>,
 }
 
-fn bank_options() -> MatcherOptions {
-    MatcherOptions {
-        // One stream matcher per subscription; sharding is the batch
-        // CLI's concern.
-        partition: PartitionMode::Off,
-        ..MatcherOptions::default()
-    }
-}
-
 /// Opens (or creates) the event log under `dir` with the given schema.
 fn open_event_log(dir: &Path, schema: &Schema) -> Result<EventLog, String> {
     let has_segments = std::fs::read_dir(dir)
@@ -256,7 +247,7 @@ impl Router {
         conns: Arc<Mutex<ConnTable>>,
         shutdown: Arc<AtomicBool>,
     ) -> Result<(Ingress, String), String> {
-        let options = bank_options();
+        let options = MatcherOptions::default();
         let durable = match &config.checkpoint {
             Some(dir) => {
                 std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;

@@ -303,6 +303,7 @@ impl MatchLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Retired;
     use ses_core::{BankPatternSnapshot, BankRole, BankSnapshot, StreamSnapshot};
     use ses_event::{Event, Timestamp, Value};
 
@@ -397,19 +398,41 @@ mod tests {
     }
 
     /// A checkpoint a single-query `stream` of an earlier release wrote
-    /// (payload kind 0 or 1, frame and checksum intact) is reported by
-    /// name — even behind a newer corrupt file — never skipped into a
-    /// silent cold start.
+    /// (payload kind 0 or 1), or a bank running hash lanes (kind 3 with
+    /// role tag 3), frame and checksum intact, is reported by name —
+    /// even behind a newer corrupt file — never skipped into a silent
+    /// cold start.
     #[test]
     fn retired_snapshot_kind_is_reported_not_skipped() {
-        for kind in [0u8, 1] {
+        // Kind 3 with no watermark, no last timestamp, zero counters, the
+        // index byte and one pattern: "q", lane 0 of 1 on attribute 1,
+        // no matcher, no ids, zero counters; then no prefix pools.
+        let mut lane = vec![3, 0, 0];
+        lane.extend_from_slice(&[0; 24]);
+        lane.push(1);
+        lane.extend_from_slice(&1u32.to_le_bytes());
+        lane.extend_from_slice(&1u32.to_le_bytes());
+        lane.push(b'q');
+        lane.push(3);
+        for field in [1u32, 0, 1] {
+            lane.extend_from_slice(&field.to_le_bytes());
+        }
+        lane.push(0);
+        lane.extend_from_slice(&[0; 4 + 32 + 4]);
+        let retired = [
+            (Retired::SingleQueryStream, vec![0u8, 1, 2, 3]),
+            (Retired::SingleQueryStream, vec![1u8, 1, 2, 3]),
+            (Retired::HashLanes, lane),
+        ];
+        for (what, payload) in retired {
+            let kind = payload[0];
             let dir = temp_dir(&format!("retired{kind}"));
             let store = CheckpointStore::open(&dir, 3).unwrap();
-            fs::write(store.path_of(0), encode_frame(&[kind, 1, 2, 3])).unwrap();
+            fs::write(store.path_of(0), encode_frame(&payload)).unwrap();
             fs::write(store.path_of(1), b"garbage").unwrap();
             let err = store.load_latest().unwrap_err();
             assert!(
-                matches!(err, StoreError::RetiredSnapshot { kind: k } if k == kind),
+                matches!(err, StoreError::RetiredSnapshot { kind: k, what: w } if k == kind && w == what),
                 "{err}"
             );
             // A newer valid bank checkpoint is still found first.

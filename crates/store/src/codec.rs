@@ -18,8 +18,7 @@
 //!
 //! ```text
 //! u8 kind                     2 = Bank, 3 = Bank with deduplicated
-//!                             patterns or hash lanes (0 and 1 are
-//!                             retired, see
+//!                             patterns (0 and 1 are retired, see
 //!                             [`StoreError::RetiredSnapshot`])
 //! stream  := u64 fingerprint | opt_ts watermark | u8 1
 //!          | u64 evicted | opt_ts last_ts
@@ -37,7 +36,7 @@
 //! bpat3   := str name | role | u8 has_matcher | stream?
 //!          | u32 n_ids u32* | u64 base | u64 peak_omega
 //!          | u64 hits | u64 skips
-//! role    := 0u8 | 1u8 u32 leader | 3u8 u32 key u32 lane u32 of
+//! role    := 0u8 | 1u8 u32 leader
 //! opt_ts  := 0u8 | 1u8 i64
 //! str     := u32 len | utf8 bytes
 //! value   := 0u8 i64 | 1u8 f64 | 2u8 str | 3u8 u8    INT FLOAT STR BOOL
@@ -51,7 +50,10 @@
 //! first two — neither changes what the state means — and refuses a
 //! non-zero pool count, like role tag 2 (a pool member), with
 //! [`StoreError::RetiredSnapshot`]: the members' Ω holds only runs the
-//! pool injected, which nothing in this release can continue.
+//! pool injected, which nothing in this release can continue. Role tag 3
+//! (`u32 key u32 lane u32 of`: one hash lane of a key-sharded pattern)
+//! is refused the same way, by name: a lane's matcher holds one hash
+//! slice of its pattern's keys, which no matcher of this release runs.
 //!
 //! The file-level framing (magic, format version, checksum) lives in
 //! [`crate::CheckpointStore`]; this module only covers the payload.
@@ -61,10 +63,10 @@ use std::sync::Arc;
 use ses_core::{
     BankPatternSnapshot, BankRole, BankSnapshot, InstanceSnapshot, MatcherSnapshot, StreamSnapshot,
 };
-use ses_event::{AttrId, AttrType, Event, EventId, Timestamp, Value};
+use ses_event::{AttrType, Event, EventId, Timestamp, Value};
 use ses_pattern::VarId;
 
-use crate::StoreError;
+use crate::{Retired, StoreError};
 
 /// FNV-1a (64-bit) — the workspace's dependency-free integrity check of
 /// event-log records and checkpoint frames.
@@ -323,8 +325,8 @@ fn checked_len(
 pub fn encode_snapshot(snapshot: &MatcherSnapshot) -> Vec<u8> {
     let MatcherSnapshot::Bank(s) = snapshot;
     let mut e = Encoder::new();
-    // A bank without dedup members or lanes keeps the original kind-2
-    // layout, byte for byte, so pre-sharing checkpoints and their
+    // A bank without dedup members keeps the original kind-2 layout,
+    // byte for byte, so pre-sharing checkpoints and their
     // readers stay interchangeable with new ones.
     let shared = s.roles.iter().any(|r| !matches!(r, BankRole::Plain));
     e.put_u8(if shared { 3 } else { 2 });
@@ -343,12 +345,6 @@ pub fn encode_snapshot(snapshot: &MatcherSnapshot) -> Vec<u8> {
                 BankRole::DedupMember { leader } => {
                     e.put_u8(1);
                     e.put_u32(*leader);
-                }
-                BankRole::Lane { key, lane, of } => {
-                    e.put_u8(3);
-                    e.put_u32(u32::from(key.0));
-                    e.put_u32(*lane);
-                    e.put_u32(*of);
                 }
             }
             match &p.matcher {
@@ -426,7 +422,16 @@ fn encode_bindings(e: &mut Encoder, bindings: &[(VarId, EventId)]) {
 
 /// What a kind-3 payload naming a shared-prefix pool, or a member of
 /// one, is refused with.
-const PREFIX_POOLS: StoreError = StoreError::RetiredSnapshot { kind: 3 };
+const PREFIX_POOLS: StoreError = StoreError::RetiredSnapshot {
+    kind: 3,
+    what: Retired::PrefixPools,
+};
+
+/// What a kind-3 payload naming a hash lane is refused with.
+const HASH_LANES: StoreError = StoreError::RetiredSnapshot {
+    kind: 3,
+    what: Retired::HashLanes,
+};
 
 /// Deserializes a snapshot payload; every byte must be consumed.
 pub fn decode_snapshot(data: &[u8]) -> Result<MatcherSnapshot, StoreError> {
@@ -434,7 +439,12 @@ pub fn decode_snapshot(data: &[u8]) -> Result<MatcherSnapshot, StoreError> {
     let shared = match d.get_u8()? {
         2 => false,
         3 => true,
-        kind @ (0 | 1) => return Err(StoreError::RetiredSnapshot { kind }),
+        kind @ (0 | 1) => {
+            return Err(StoreError::RetiredSnapshot {
+                kind,
+                what: Retired::SingleQueryStream,
+            })
+        }
         kind => return Err(corrupt(format!("unknown snapshot kind {kind}"))),
     };
     let watermark = d.get_opt_ts()?;
@@ -457,19 +467,7 @@ pub fn decode_snapshot(data: &[u8]) -> Result<MatcherSnapshot, StoreError> {
                     leader: d.get_u32()?,
                 },
                 2 => return Err(PREFIX_POOLS),
-                3 => {
-                    let key = d.get_u32()?;
-                    if key > u32::from(u16::MAX) {
-                        return Err(corrupt(format!(
-                            "partition key attribute {key} out of range"
-                        )));
-                    }
-                    BankRole::Lane {
-                        key: AttrId(key as u16),
-                        lane: d.get_u32()?,
-                        of: d.get_u32()?,
-                    }
-                }
+                3 => return Err(HASH_LANES),
                 tag => return Err(corrupt(format!("unknown bank pattern role {tag}"))),
             };
             let matcher = match d.get_u8()? {
@@ -706,7 +704,13 @@ mod tests {
         for bytes in [member, pooled] {
             let err = decode_snapshot(&bytes).unwrap_err();
             assert!(
-                matches!(err, StoreError::RetiredSnapshot { kind: 3 }),
+                matches!(
+                    err,
+                    StoreError::RetiredSnapshot {
+                        kind: 3,
+                        what: Retired::PrefixPools
+                    }
+                ),
                 "{err}"
             );
             let message = err.to_string();
@@ -797,28 +801,6 @@ mod tests {
     }
 
     #[test]
-    fn lane_roles_round_trip_in_the_roles_table() {
-        let MatcherSnapshot::Bank(mut bank) = sample_bank();
-        bank.roles = (0..2)
-            .map(|lane| BankRole::Lane {
-                key: AttrId(1),
-                lane,
-                of: 2,
-            })
-            .collect();
-        let snap = MatcherSnapshot::Bank(bank);
-        let bytes = encode_snapshot(&snap);
-        assert_eq!(bytes[0], 3);
-        assert_eq!(decode_snapshot(&bytes).unwrap(), snap);
-        for cut in 0..bytes.len() {
-            assert!(
-                decode_snapshot(&bytes[..cut]).is_err(),
-                "prefix {cut} accepted"
-            );
-        }
-    }
-
-    #[test]
     fn hostile_nested_stream_length_fails_fast() {
         // Bank header (44) + pattern count (4) + name length (4) + name,
         // then the first pattern's stream: fingerprint(8) watermark(9)
@@ -831,7 +813,8 @@ mod tests {
 
     /// Kinds 0 and 1 — the single-query `stream`'s global and sharded
     /// snapshots of earlier releases — are refused by name, not as
-    /// corruption, whatever follows the kind byte.
+    /// corruption, whatever follows the kind byte; so is a kind-3 bank
+    /// holding a hash lane.
     #[test]
     fn retired_kinds_are_refused_by_name() {
         let mut global = Encoder::new();
@@ -844,7 +827,11 @@ mod tests {
         for (kind, bytes) in [(0, global.into_bytes()), (1, sharded.into_bytes())] {
             let err = decode_snapshot(&bytes).unwrap_err();
             assert!(
-                matches!(err, StoreError::RetiredSnapshot { kind: k } if k == kind),
+                matches!(
+                    err,
+                    StoreError::RetiredSnapshot { kind: k, what: Retired::SingleQueryStream }
+                        if k == kind
+                ),
                 "{err}"
             );
             assert!(
@@ -853,6 +840,36 @@ mod tests {
                 "{err}"
             );
         }
+
+        // What an earlier release's bank wrote for lane 0 of 1 on
+        // attribute 1, by hand: role tag 3, the key, the lane and the
+        // lane count in place of the first pattern's `Plain` tag.
+        let bytes = encode_snapshot(&sample_shared_bank());
+        let role_at = 44 + 4 + 4 + "q-with a space, punctuation…".len();
+        assert_eq!(bytes[role_at], 0);
+        let mut lane = bytes[..role_at].to_vec();
+        lane.push(3);
+        for field in [1u32, 0, 1] {
+            lane.extend_from_slice(&field.to_le_bytes());
+        }
+        lane.extend_from_slice(&bytes[role_at + 1..]);
+        let err = decode_snapshot(&lane).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                StoreError::RetiredSnapshot {
+                    kind: 3,
+                    what: Retired::HashLanes
+                }
+            ),
+            "{err}"
+        );
+        let message = err.to_string();
+        assert!(
+            message.contains("a pattern bank running hash lanes")
+                && !message.contains("shared-prefix pools"),
+            "{message}"
+        );
     }
 
     #[test]

@@ -29,10 +29,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use ses_core::{
-    BankRole, BankSnapshot, Match, MatcherOptions, MatcherSnapshot, PatternBank, PatternStats,
-    Probe,
-};
+use ses_core::{Match, MatcherOptions, MatcherSnapshot, PatternBank, PatternStats, Probe};
 use ses_event::{Event, EventError, Schema, Timestamp, Value};
 use ses_pattern::Pattern;
 
@@ -190,16 +187,6 @@ impl fmt::Display for Recovery {
     }
 }
 
-/// Registered patterns a snapshot holds (the lanes of one count once).
-fn snapshot_patterns(snapshot: &BankSnapshot) -> usize {
-    let extra_lanes = snapshot
-        .roles
-        .iter()
-        .filter(|role| matches!(role, BankRole::Lane { lane, .. } if *lane > 0))
-        .count();
-    snapshot.patterns.len().saturating_sub(extra_lanes)
-}
-
 fn refused(e: impl fmt::Display) -> StoreError {
     StoreError::Bank {
         reason: e.to_string(),
@@ -270,7 +257,7 @@ impl DurableBank {
         let mut bank = match store.load_latest()? {
             Some(loaded) => {
                 let MatcherSnapshot::Bank(snapshot) = &loaded.snapshot;
-                let held = snapshot_patterns(snapshot);
+                let held = snapshot.patterns.len();
                 let bank = PatternBank::restore(&specs[..held.min(specs.len())], schema, snapshot)
                     .map_err(refused)?;
                 recovery.restored = Some((loaded.info.seq, held, snapshot.next_id));
@@ -280,8 +267,7 @@ impl DurableBank {
             }
             None => cold().map_err(refused)?,
         };
-        // Per pattern — across lanes and dedup members — not per
-        // snapshot entry.
+        // Per pattern, dedup members included.
         let mut emitted: Vec<u64> = bank.stats().iter().map(|s| s.emitted as u64).collect();
         for (name, pattern, options) in &specs[bank.len()..] {
             bank.subscribe(name.clone(), pattern, options.clone())

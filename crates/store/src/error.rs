@@ -27,15 +27,14 @@ pub enum StoreError {
         message: String,
     },
     /// A structurally plausible checkpoint this release no longer
-    /// reads: kinds 0 (global) and 1 (sharded) were written by the
-    /// single-query `stream` before it became a pattern bank, and a
-    /// kind-3 bank is refused — with this kind — when it records
-    /// shared-prefix pools, an executor this release does not have.
+    /// reads, and what it records that this release does not execute.
     /// Unlike [`StoreError::Corrupt`] this is not skipped on load —
     /// silently cold-starting would hide the format break.
     RetiredSnapshot {
         /// The payload's kind byte.
         kind: u8,
+        /// The retired executor the payload was written by.
+        what: Retired,
     },
     /// Event-model violation while assembling the relation.
     Event(ses_event::EventError),
@@ -47,6 +46,19 @@ pub enum StoreError {
     },
 }
 
+/// An executor of an earlier release whose checkpoints this release
+/// refuses by name ([`StoreError::RetiredSnapshot`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Retired {
+    /// The single-query `stream` before it became a pattern bank:
+    /// payload kinds 0 (global) and 1 (sharded).
+    SingleQueryStream,
+    /// A kind-3 bank running shared-prefix pools.
+    PrefixPools,
+    /// A kind-3 bank running a pattern on hash lanes (`--shards`).
+    HashLanes,
+}
+
 impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -56,20 +68,26 @@ impl fmt::Display for StoreError {
                 write!(f, "schema mismatch: expected {expected}, found {found}")
             }
             StoreError::Corrupt { message } => write!(f, "corrupt snapshot: {message}"),
-            StoreError::RetiredSnapshot {
-                kind: kind @ (0 | 1),
-            } => write!(
-                f,
-                "snapshot kind {kind} was written by a single-query `stream` of an earlier \
-                 release; this release checkpoints pattern banks only — move the checkpoint \
-                 directory away to cold-start from the event log"
-            ),
-            StoreError::RetiredSnapshot { kind } => write!(
-                f,
-                "snapshot kind {kind} was written by a pattern bank running shared-prefix \
-                 pools, which this release does not execute — move the checkpoint directory \
-                 away to replay from the event log"
-            ),
+            StoreError::RetiredSnapshot { kind, what } => {
+                let executor = match what {
+                    Retired::SingleQueryStream => {
+                        return write!(
+                            f,
+                            "snapshot kind {kind} was written by a single-query `stream` of an \
+                             earlier release; this release checkpoints pattern banks only — \
+                             move the checkpoint directory away to cold-start from the event log"
+                        )
+                    }
+                    Retired::PrefixPools => "shared-prefix pools",
+                    Retired::HashLanes => "hash lanes",
+                };
+                write!(
+                    f,
+                    "snapshot kind {kind} was written by a pattern bank running {executor}, \
+                     which this release does not execute — move the checkpoint directory away \
+                     to replay from the event log"
+                )
+            }
             StoreError::Event(e) => write!(f, "event error: {e}"),
             StoreError::Bank { reason } => write!(f, "{reason}"),
         }
@@ -109,8 +127,9 @@ mod tests {
             message: "bad int".into(),
         };
         assert_eq!(e.to_string(), "line 3: bad int");
-        let retired = |kind| StoreError::RetiredSnapshot { kind }.to_string();
-        assert!(retired(1).contains("earlier release"));
-        assert!(retired(3).contains("shared-prefix pools"));
+        let retired = |kind, what| StoreError::RetiredSnapshot { kind, what }.to_string();
+        assert!(retired(1, Retired::SingleQueryStream).contains("earlier release"));
+        assert!(retired(3, Retired::PrefixPools).contains("shared-prefix pools"));
+        assert!(retired(3, Retired::HashLanes).contains("running hash lanes"));
     }
 }

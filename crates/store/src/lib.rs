@@ -46,7 +46,7 @@ pub use checkpoint::{CheckpointInfo, CheckpointStore, LoadedCheckpoint, MatchLog
 pub use codec::{decode_snapshot, encode_snapshot};
 pub use csv::{parse_header, read_csv, write_csv};
 pub use durable::{Checkpoints, DurableBank, MatchSinks, Recovery};
-pub use error::StoreError;
+pub use error::{Retired, StoreError};
 pub use files::replace_file;
 pub use log::{EventLog, LogConfig};
 pub use store::{EventStore, StoreStats};

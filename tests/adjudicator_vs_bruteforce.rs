@@ -8,13 +8,12 @@
 //! shares no code with the sweep beyond the conditions-1–3 validator, and
 //! is no mode of the production path.
 //!
-//! The batch legs assert exact ordered equality. The streaming, lane and
-//! bank legs assert that the union of the per-push emission schedule and
-//! the finish flush is that same reference answer — *when* each match
-//! is emitted is the business of `tests/stream_vs_batch.rs` and
+//! The batch legs assert exact ordered equality. The streaming and bank
+//! legs assert that the union of the per-push emission schedule and the
+//! finish flush is that same reference answer — *when* each match is
+//! emitted is the business of `tests/stream_vs_batch.rs` and
 //! `tests/bank_vs_independent.rs`. Coverage spans semantics × selection
-//! strategy × batch/stream × global/key-sharded execution × the
-//! multi-pattern bank, on both the oracle-shared generators (`common/`)
+//! strategy × batch/stream × the multi-pattern bank, on both the oracle-shared generators (`common/`)
 //! and dense same-group workloads (group variables under
 //! skip-till-any-match: nested containment chains, duplicate timestamps,
 //! equal start/end intervals — routinely dozens of candidates in one
@@ -188,34 +187,6 @@ proptest! {
             let reference = reference_answer(&pat, &rel, semantics, selection);
             let streamed = stream_union(&pat, &rel, options(semantics, selection));
             prop_assert_eq!(&streamed, &reference, "{:?}: dense stream diverged", semantics);
-        }
-    }
-
-    /// Key-sharded streaming (1–3 bank lanes): every lane adjudicates
-    /// its own groups; the merged output must still be the reference
-    /// answer. Patterns proving no partition key are skipped (lane
-    /// registration refuses them).
-    #[test]
-    fn lanes_equal_pairwise_reference(
-        rel in relation_strategy_with(2..8, 0..4),
-        pat in pattern_strategy(),
-        lanes in 1usize..4,
-    ) {
-        let selection = EventSelection::SkipTillNextMatch;
-        for semantics in [MatchSemantics::Maximal, MatchSemantics::Definition2] {
-            let opts = MatcherOptions {
-                partition: PartitionMode::Auto,
-                ..options(semantics, selection)
-            };
-            let Ok(builder) = PatternBank::builder(&schema()).register_lanes("p", &pat, opts, lanes)
-            else {
-                continue;
-            };
-            let streamed = bank_union(builder.build(), &rel);
-            prop_assert_eq!(
-                &streamed[0], &reference_answer(&pat, &rel, semantics, selection),
-                "{:?} lanes={}: lanes diverged", semantics, lanes
-            );
         }
     }
 

@@ -10,12 +10,8 @@
 //! merely that the totals agree at the end. A second property drives a
 //! checkpoint through the binary codec mid-stream and requires the
 //! restored bank to finish the stream byte-for-byte like an
-//! uninterrupted twin. A third runs every key-provable pattern on 1–3
-//! hash lanes and requires the same schedule again — across a codec
-//! round trip — so key sharding is an execution strategy like the index
-//! and deduplication are. The soundness argument for why skipping cannot
-//! change any pattern's answer is in `docs/patternbank.md`; the one for
-//! lanes is in `docs/parallel.md`.
+//! uninterrupted twin. The soundness argument for why skipping cannot
+//! change any pattern's answer is in `docs/patternbank.md`.
 //!
 //! The bank withholds a skipped pattern's heartbeat until the stream's
 //! clock reaches the matcher's deadline, so every property runs twice:
@@ -139,33 +135,6 @@ fn count_twins(census: &[AtomicUsize; 2], bank: &PatternBank) {
     );
 }
 
-/// Every pattern of `patterns` that proves a partition key under
-/// `Auto` registered on `lanes` hash lanes, the rest plain — plus the
-/// specs a restore of that bank takes.
-fn build_bank_lanes(
-    patterns: &[Pattern],
-    opts: &MatcherOptions,
-    lanes: usize,
-) -> (PatternBank, Vec<(String, Pattern, MatcherOptions)>) {
-    let auto = MatcherOptions {
-        partition: PartitionMode::Auto,
-        ..opts.clone()
-    };
-    let mut builder = PatternBank::builder(&schema());
-    let mut specs = Vec::new();
-    for (i, p) in patterns.iter().enumerate() {
-        let name = format!("p{i}");
-        builder = if PatternBank::lane_key(p, &schema(), &auto).is_ok() {
-            builder.register_lanes(name.clone(), p, auto.clone(), lanes)
-        } else {
-            builder.register(name.clone(), p, auto.clone())
-        }
-        .unwrap();
-        specs.push((name, p.clone(), auto.clone()));
-    }
-    (builder.build(), specs)
-}
-
 /// Checkpoint/restore of the whole bank mid-stream, through the binary
 /// codec as `recover` would see it: on each of `rels` the restored bank
 /// must come back in the identical plan and finish the stream exactly
@@ -266,43 +235,6 @@ proptest! {
         }
     }
 
-    /// Key sharding as one more way the bank routes: with every
-    /// key-provable pattern on 1–3 hash lanes, the bank still emits per
-    /// pattern, per push, exactly what the independent matchers (and so
-    /// the unsharded bank) emit — across a checkpoint that travels
-    /// through the binary codec mid-stream and restores its lane count
-    /// from the snapshot.
-    #[test]
-    fn bank_lanes_equal_independent_matchers(
-        patterns in pattern_set_strategy(),
-        rel in relation_strategy_with(2..10, 0i64..3),
-        pace in paced_rows_strategy(2..10),
-        mode in 0usize..3,
-        lanes in 1usize..4,
-        cut_pick in 0usize..1000,
-    ) {
-        let opts = options(MODES[mode], EventSelection::SkipTillNextMatch);
-        for rel in [&rel, &paced_relation(&patterns, &pace)] {
-            let cut = cut_pick % (rel.len() + 1);
-            let want = independent_schedule(&patterns, rel, &opts);
-            let (mut bank, specs) = build_bank_lanes(&patterns, &opts, lanes);
-            let mut got = Vec::new();
-            for (n, e) in rel.events().iter().enumerate() {
-                if n == cut {
-                    let snap = MatcherSnapshot::Bank(bank.snapshot());
-                    let bytes = ses::store::encode_snapshot(&snap);
-                    let MatcherSnapshot::Bank(snap) =
-                        ses::store::decode_snapshot(&bytes).unwrap();
-                    bank = PatternBank::restore(&specs, &schema(), &snap).unwrap();
-                }
-                let emitted = bank.push(e.ts(), e.values().to_vec()).unwrap();
-                got.push(bucket(patterns.len(), emitted));
-            }
-            got.push(bucket(patterns.len(), bank.finish()));
-            prop_assert_eq!(&got, &want, "lanes diverged (lanes={}, cut={})", lanes, cut);
-        }
-    }
-
     /// [`restore_is_seamless`] over the plain pattern sets. On the paced
     /// relation the cut routinely falls inside an idle stretch, with
     /// heartbeats withheld on either side of it.
@@ -337,27 +269,21 @@ proptest! {
     /// Deferral leaves no trace in a checkpoint: at any cut, the bytes
     /// `encode_snapshot` writes for the bank equal those of a twin that
     /// was additionally handed `advance_watermark(ts)` after every push
-    /// — every pattern and lane heartbeat to the clock every time, as
-    /// the bank used to do — and restoring either and finishing the
-    /// stream emits one schedule. With twins deduplicated, and on two
-    /// hash lanes; dense and window-paced streams.
+    /// — every pattern heartbeat to the clock every time, as the bank
+    /// used to do — and restoring either and finishing the stream emits
+    /// one schedule. With twins deduplicated; dense and window-paced
+    /// streams.
     #[test]
     fn checkpoint_bytes_do_not_show_deferred_heartbeats(
         patterns in pattern_set_strategy_with_overlap(50),
         rel in relation_strategy_with(3..10, 0i64..3),
         pace in paced_rows_strategy(3..10),
         mode in 0usize..3,
-        on_lanes in proptest::bool::ANY,
         cut_pick in 0usize..1000,
     ) {
         static CENSUS: [AtomicUsize; 2] = [AtomicUsize::new(0), AtomicUsize::new(0)];
         let opts = options(MODES[mode], EventSelection::SkipTillNextMatch);
-        let build = || {
-            if on_lanes {
-                return build_bank_lanes(&patterns, &opts, 2);
-            }
-            (build_bank(&patterns, &opts), specs_of(&patterns, &opts))
-        };
+        let build = || (build_bank(&patterns, &opts), specs_of(&patterns, &opts));
         count_twins(&CENSUS, &build().0);
         for rel in [&rel, &paced_relation(&patterns, &pace)] {
             let cut = cut_pick % (rel.len() + 1);
@@ -543,127 +469,4 @@ fn skipped_patterns_cost_under_two_heartbeats_per_event() {
             probe.matches_emitted
         );
     }
-}
-
-/// `{a, b} ; {c}` fully correlated on `ID`, which makes `ID` a proven
-/// partition key.
-fn keyed_pattern() -> Pattern {
-    Pattern::builder()
-        .set(|s| s.var("a").var("b"))
-        .set(|s| s.var("c"))
-        .cond_const("a", "L", CmpOp::Eq, "A")
-        .cond_const("b", "L", CmpOp::Eq, "B")
-        .cond_const("c", "L", CmpOp::Eq, "X")
-        .cond_vars("a", "ID", CmpOp::Eq, "b", "ID")
-        .cond_vars("a", "ID", CmpOp::Eq, "c", "ID")
-        .within(Duration::ticks(10))
-        .build()
-        .unwrap()
-}
-
-/// The starvation regression: a complete match sits on one key's lane
-/// while *only another key* keeps arriving. The foreign pushes must
-/// heartbeat the idle lane so it emits at the push an unsharded matcher
-/// emits at — not at its own next event, not at `finish`. Swept over
-/// enough second keys that some share the first key's lane and some do
-/// not, on 2 and 3 lanes.
-#[test]
-fn idle_lane_emits_on_foreign_pushes() {
-    let pattern = keyed_pattern();
-    let opts = MatcherOptions::default();
-    for lanes in [2, 3] {
-        for other in 2i64..24 {
-            let mut rel = Relation::new(schema());
-            for (t, l, id) in [
-                (0, "A", 1),
-                (1, "B", 1),
-                (2, "X", 1),
-                (9, "A", other),
-                (50, "A", other),
-                (51, "B", other),
-            ] {
-                rel.push_values(Timestamp::new(t), [Value::from(l), Value::from(id)])
-                    .unwrap();
-            }
-            let patterns = [pattern.clone()];
-            let want = independent_schedule(&patterns, &rel, &opts);
-            assert_eq!(want[4][0].len(), 1, "key 1's match is due at the t=50 push");
-            let (mut bank, _) = build_bank_lanes(&patterns, &opts, lanes);
-            assert_eq!(bank.stats()[0].lanes, lanes);
-            let mut got = Vec::new();
-            for e in rel.events() {
-                got.push(bucket(1, bank.push(e.ts(), e.values().to_vec()).unwrap()));
-            }
-            // The idle lane's decided window is reclaimed too.
-            assert!(bank.stats()[0].evicted_events >= 3);
-            got.push(bucket(1, bank.finish()));
-            assert_eq!(got, want, "lanes={lanes} other={other}");
-        }
-    }
-}
-
-/// Key sharding keeps its measured effect, counted not timed: the
-/// paper's Q1 over a four-ward chemotherapy stream evaluates at most a
-/// third of the unsharded run's transitions on four lanes (per-lane
-/// `|Ω|` shrinks to the lane's own patients).
-///
-/// The match *stream* is compared on the single-ward input only. On the
-/// four-ward one Q1's correlated group variable `p+` meets greedy
-/// skip-till-next-match: before `c` binds, a `p+` run also absorbs the
-/// P events of whichever other patients share its matcher, and is then
-/// derailed — so which runs survive depends on who shares a matcher,
-/// for lanes exactly as for `find_partitioned` and for the parent
-/// commit's sharded matcher (same 1 040 matches, different members).
-/// What must hold there is that every match stays within one patient.
-#[test]
-fn four_lanes_cut_transitions_to_a_third_on_chemo_q1() {
-    use ses::workload::chemo::{generate, ChemoConfig};
-    let q1 = ses::workload::paper::query_q1();
-    let auto = MatcherOptions {
-        partition: PartitionMode::Auto,
-        ..MatcherOptions::default()
-    };
-    let run = |ward: &Relation, lanes: Option<usize>| {
-        let builder = PatternBank::builder(ward.schema());
-        let mut bank = match lanes {
-            Some(n) => builder.register_lanes("q1", &q1, auto.clone(), n),
-            None => builder.register("q1", &q1, auto.clone()),
-        }
-        .unwrap()
-        .build();
-        let mut probe = CountingProbe::new();
-        let mut matches = Vec::new();
-        for e in ward.events() {
-            matches.extend(
-                bank.push_with_probe(e.ts(), e.values().to_vec(), &mut probe)
-                    .unwrap(),
-            );
-        }
-        matches.extend(bank.finish());
-        (matches, probe.transitions_evaluated)
-    };
-
-    let small = generate(&ChemoConfig::small());
-    let (global, _) = run(&small, None);
-    assert!(!global.is_empty());
-    assert_eq!(
-        run(&small, Some(4)).0,
-        global,
-        "lanes changed the match stream"
-    );
-
-    let wards = generate(&ChemoConfig::paper_d1().scaled(4.0).with_seed(2011));
-    let (global, global_work) = run(&wards, None);
-    let (sharded, sharded_work) = run(&wards, Some(4));
-    assert_eq!(sharded.len(), global.len());
-    let id = wards.schema().attr_id("ID").unwrap();
-    for (_, m) in &sharded {
-        let mut patients = m.events().map(|e| wards.event(e).value(id));
-        let first = patients.next().unwrap();
-        assert!(patients.all(|p| p == first), "match spans patients: {m}");
-    }
-    assert!(
-        sharded_work * 3 <= global_work,
-        "4 lanes evaluated {sharded_work} transitions, unsharded {global_work}"
-    );
 }

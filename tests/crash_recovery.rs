@@ -8,9 +8,9 @@
 //! where it stands (no final checkpoint, no flush); recovery opens the
 //! same directory, replays what the log still owes it, finishes, and
 //! the sink file must equal the uninterrupted run line for line — no
-//! loss, no duplicates — after *every* prefix length, for a bank of one,
-//! for 1–3 hash lanes, and for a multi-pattern bank, under every
-//! semantics mode and both selection strategies.
+//! loss, no duplicates — after *every* prefix length, for a bank of one
+//! and for a multi-pattern bank, under every semantics mode and both
+//! selection strategies.
 //!
 //! The reference, [`Case::uninterrupted`], is a plain `PatternBank` loop
 //! that knows nothing of checkpoints.
@@ -44,39 +44,24 @@ fn options(semantics: MatchSemantics, selection: EventSelection) -> MatcherOptio
     }
 }
 
-/// A bank under test: the registrations a recovery is given, and how a
-/// cold start builds them.
+/// A bank under test: the registrations a recovery is given, which a
+/// cold start builds.
 struct Case {
     specs: Vec<(String, Pattern, MatcherOptions)>,
-    /// Hash lanes every pattern is key-sharded over, when given.
-    lanes: Option<usize>,
 }
 
 impl Case {
-    /// A bank of one — key-sharded over `lanes` hash lanes when given
-    /// (lane registration refuses `PartitionMode::Off`, so those legs
-    /// run under `Auto`: key proven by the analyzer or `build` fails).
-    fn one(pat: &Pattern, opts: &MatcherOptions, lanes: Option<usize>) -> Case {
-        let opts = MatcherOptions {
-            partition: match lanes {
-                Some(_) => PartitionMode::Auto,
-                None => opts.partition,
-            },
-            ..opts.clone()
-        };
+    /// A bank of one.
+    fn one(pat: &Pattern, opts: &MatcherOptions) -> Case {
         Case {
-            specs: vec![("p".to_string(), pat.clone(), opts)],
-            lanes,
+            specs: vec![("p".to_string(), pat.clone(), opts.clone())],
         }
     }
 
     fn build(&self) -> Result<PatternBank, ses::core::CoreError> {
         let mut builder = PatternBank::builder(&schema());
         for (name, pat, opts) in &self.specs {
-            builder = match self.lanes {
-                None => builder.register(name.clone(), pat, opts.clone())?,
-                Some(n) => builder.register_lanes(name.clone(), pat, opts.clone(), n)?,
-            };
+            builder = builder.register(name.clone(), pat, opts.clone())?;
         }
         Ok(builder.build())
     }
@@ -233,17 +218,15 @@ fn assert_exactly_once(case: &Case, rel: &Relation, tag: &str) {
                 assert_eq!(
                     recovered, reference,
                     "divergence: every={every} kill_after={kill_after} \
-                     durable_tail={durable_tail} lanes={:?}",
-                    case.lanes
+                     durable_tail={durable_tail}"
                 );
             }
         }
     }
 }
 
-/// A correlated two-set pattern over the shared test schema whose `ID`
-/// equality clique makes `ID` a provable partition key, so the same
-/// pattern runs unsharded and on lanes.
+/// A correlated two-set pattern over the shared test schema: an `ID`
+/// equality clique.
 fn correlated_pattern() -> Pattern {
     Pattern::builder()
         .set(|s| {
@@ -294,24 +277,8 @@ fn every_kill_point_recovers_exactly_once_global() {
     let rel = tie_heavy_relation();
     for semantics in MODES {
         for selection in SELECTIONS {
-            let case = Case::one(&pat, &options(semantics, selection), None);
+            let case = Case::one(&pat, &options(semantics, selection));
             assert_exactly_once(&case, &rel, "global");
-        }
-    }
-}
-
-#[test]
-fn every_kill_point_recovers_exactly_once_on_lanes() {
-    let pat = correlated_pattern();
-    let rel = tie_heavy_relation();
-    for semantics in MODES {
-        let opts = options(semantics, EventSelection::SkipTillNextMatch);
-        // Lanes change where work runs, never what is emitted when.
-        let global = Case::one(&pat, &opts, None).uninterrupted(&rel);
-        for lanes in [1, 2, 3] {
-            let case = Case::one(&pat, &opts, Some(lanes));
-            assert_eq!(case.uninterrupted(&rel), global);
-            assert_exactly_once(&case, &rel, "lanes");
         }
     }
 }
@@ -322,7 +289,7 @@ fn every_kill_point_recovers_exactly_once_on_lanes() {
 fn on_disk_checkpoints_recover_every_kill_point() {
     let rel = tie_heavy_relation();
     let opts = options(MatchSemantics::Maximal, EventSelection::SkipTillNextMatch);
-    let case = Case::one(&correlated_pattern(), &opts, None);
+    let case = Case::one(&correlated_pattern(), &opts);
     let reference = case.uninterrupted(&rel);
     let scratch = Scratch::new("pruning", &rel);
     for kill_after in 0..=rel.len() {
@@ -345,7 +312,7 @@ fn on_disk_checkpoints_recover_every_kill_point() {
 fn corrupted_checkpoint_falls_back_and_replays_the_gap() {
     let rel = tie_heavy_relation();
     let opts = options(MatchSemantics::Maximal, EventSelection::SkipTillNextMatch);
-    let case = Case::one(&correlated_pattern(), &opts, None);
+    let case = Case::one(&correlated_pattern(), &opts);
     let scratch = Scratch::new("corrupt", &rel);
     let files = Checkpoints {
         dir: scratch.fresh_checkpoint_dir(),
@@ -405,7 +372,6 @@ fn bank_kill_points_recover_exactly_once_per_pattern() {
             ("x-only".into(), x_only, opts.clone()),
             ("never".into(), never, opts.clone()),
         ],
-        lanes: None,
     };
     let rel = tie_heavy_relation();
     let reference = case.uninterrupted(&rel);
@@ -451,7 +417,7 @@ proptest! {
         semantics_ix in 0usize..3,
         selection_ix in 0usize..2,
     ) {
-        let case = Case::one(&pat, &options(MODES[semantics_ix], SELECTIONS[selection_ix]), None);
+        let case = Case::one(&pat, &options(MODES[semantics_ix], SELECTIONS[selection_ix]));
         let reference = case.uninterrupted(&rel);
         let scratch = Scratch::new("prop-global", &rel);
         for kill_after in 0..=rel.len() {
@@ -462,30 +428,6 @@ proptest! {
                     "kill_after={} durable_tail={}", kill_after, durable_tail
                 );
             }
-        }
-    }
-
-    /// On 1–3 lanes, whenever the generated pattern proves a partition
-    /// key (fully-correlated cliques do); unprovable patterns are
-    /// skipped, not failed.
-    #[test]
-    fn recovered_stream_equals_uninterrupted_on_lanes(
-        pat in pattern_strategy(),
-        rel in relation_strategy_with(2..7, 0i64..3),
-        semantics_ix in 0usize..3,
-        lanes in 1usize..4,
-    ) {
-        let opts = options(MODES[semantics_ix], EventSelection::SkipTillNextMatch);
-        let case = Case::one(&pat, &opts, Some(lanes));
-        // Skip (don't fail) patterns the analyzer cannot shard by key.
-        if case.build().is_err() {
-            return Ok(());
-        }
-        let reference = case.uninterrupted(&rel);
-        let scratch = Scratch::new("prop-lanes", &rel);
-        for kill_after in 0..=rel.len() {
-            let recovered = crash_and_recover(&case, &scratch, kill_after, 2, true);
-            prop_assert_eq!(&recovered, &reference, "kill_after={}", kill_after);
         }
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! * `decode_snapshot ∘ encode_snapshot` is the identity — and so is
 //!   the re-encode of what was decoded — over the snapshots banks take
-//!   after every push of a generated stream: plain entries, dedup
-//!   members, hash lanes, every `MatchSemantics`, both selections.
+//!   after every push of a generated stream: plain patterns, dedup
+//!   members, every `MatchSemantics`, both selections.
 //! * Decoding arbitrary, truncated, bit-flipped, length-hostile or
 //!   padded bytes never panics and never allocates past the input's
 //!   length: a metering allocator holds every decode to
@@ -104,62 +104,44 @@ const SELECTIONS: [EventSelection; 2] = [
     EventSelection::SkipTillAnyMatch,
 ];
 
-/// Two banks over `patterns` — one registering each pattern plainly
-/// (twins deduplicate), one putting every key-provable pattern on
-/// `lanes` hash lanes — snapshotted before the stream and after every
-/// push of `rel`.
+/// A bank registering each pattern of `patterns` (twins deduplicate),
+/// snapshotted before the stream and after every push of `rel`.
 fn snapshots(
     patterns: &[Pattern],
     rel: &Relation,
     options: &MatcherOptions,
-    lanes: usize,
 ) -> Vec<MatcherSnapshot> {
-    let auto = MatcherOptions {
-        partition: PartitionMode::Auto,
-        ..options.clone()
-    };
-    let mut plain = PatternBank::builder(&schema());
-    let mut laned = PatternBank::builder(&schema());
+    let mut builder = PatternBank::builder(&schema());
     for (i, p) in patterns.iter().enumerate() {
-        let name = format!("p{i}");
-        plain = plain.register(name.clone(), p, options.clone()).unwrap();
-        laned = if PatternBank::lane_key(p, &schema(), &auto).is_ok() {
-            laned.register_lanes(name, p, auto.clone(), lanes)
-        } else {
-            laned.register(name, p, auto.clone())
-        }
-        .unwrap();
+        builder = builder
+            .register(format!("p{i}"), p, options.clone())
+            .unwrap();
     }
-    let mut banks = [plain.build(), laned.build()];
+    let mut bank = builder.build();
     let mut out = Vec::new();
     for e in rel.events().iter().map(Some).chain([None]) {
-        for bank in &mut banks {
-            out.push(MatcherSnapshot::Bank(bank.snapshot()));
-            if let Some(e) = e {
-                bank.push(e.ts(), e.values().to_vec()).unwrap();
-            }
+        out.push(MatcherSnapshot::Bank(bank.snapshot()));
+        if let Some(e) = e {
+            bank.push(e.ts(), e.values().to_vec()).unwrap();
         }
     }
     out
 }
 
-/// Counts, across cases, the snapshots holding a dedup member and those
-/// holding a lane: once 64 cases have gone by without either, the
-/// generators drifted and the identity no longer covers kind 3.
-fn census(seen: &[AtomicUsize; 3], snaps: &[MatcherSnapshot]) {
-    let has = |want: fn(&BankRole) -> bool| {
-        snaps
+/// Counts, across cases, the snapshots holding a dedup member: once 64
+/// cases have gone by without one, the generator drifted and the
+/// identity no longer covers kind 3.
+fn census(seen: &[AtomicUsize; 2], snaps: &[MatcherSnapshot]) {
+    let dedup = snaps.iter().any(|MatcherSnapshot::Bank(s)| {
+        s.roles
             .iter()
-            .any(|MatcherSnapshot::Bank(s)| s.roles.iter().any(want))
-    };
+            .any(|r| matches!(r, BankRole::DedupMember { .. }))
+    });
     let cases = seen[0].fetch_add(1, Ordering::Relaxed) + 1;
-    let dedup = has(|r| matches!(r, BankRole::DedupMember { .. }));
-    let lane = has(|r| matches!(r, BankRole::Lane { .. }));
     let dedups = seen[1].fetch_add(usize::from(dedup), Ordering::Relaxed) + usize::from(dedup);
-    let lanes = seen[2].fetch_add(usize::from(lane), Ordering::Relaxed) + usize::from(lane);
     assert!(
-        cases < 64 || (dedups > 0 && lanes > 0),
-        "{cases} cases: {dedups} with a dedup member, {lanes} with lanes"
+        cases < 64 || dedups > 0,
+        "{cases} cases: none with a dedup member"
     );
 }
 
@@ -184,15 +166,14 @@ proptest! {
         rel in relation_strategy_with(2..10, 0i64..3),
         mode in 0usize..3,
         sel in 0usize..2,
-        lanes in 1usize..4,
     ) {
-        static SEEN: [AtomicUsize; 3] = [AtomicUsize::new(0), AtomicUsize::new(0), AtomicUsize::new(0)];
+        static SEEN: [AtomicUsize; 2] = [AtomicUsize::new(0), AtomicUsize::new(0)];
         let options = MatcherOptions {
             semantics: MODES[mode],
             selection: SELECTIONS[sel],
             ..MatcherOptions::default()
         };
-        let snaps = snapshots(&patterns, &rel, &options, lanes);
+        let snaps = snapshots(&patterns, &rel, &options);
         census(&SEEN, &snaps);
         for snap in &snaps {
             let bytes = encode_snapshot(snap);
@@ -220,7 +201,7 @@ proptest! {
             semantics: MODES[mode],
             ..MatcherOptions::default()
         };
-        let snaps = snapshots(&patterns, &rel, &options, 2);
+        let snaps = snapshots(&patterns, &rel, &options);
         let bytes = encode_snapshot(&snaps[pick as usize % snaps.len()]);
         for cut in 0..bytes.len() {
             prop_assert!(decode(&bytes[..cut]).is_err(), "prefix {} accepted", cut);
@@ -265,7 +246,7 @@ proptest! {
         bit in 0u8..8,
         damage in 0u8..3,
     ) {
-        let snaps = snapshots(&patterns, &rel, &MatcherOptions::default(), 2);
+        let snaps = snapshots(&patterns, &rel, &MatcherOptions::default());
         let dir = scratch("ckpt");
         let mut store = CheckpointStore::open(&dir, 3).unwrap();
         let info = store.save(&snaps[pick as usize % snaps.len()]).unwrap();

@@ -12,7 +12,6 @@
 use std::path::PathBuf;
 
 use ses::core::{BankPatternSnapshot, BankRole, BankSnapshot, InstanceSnapshot, StreamSnapshot};
-use ses::event::AttrId;
 use ses::prelude::*;
 
 /// Bytes from hex chunks; spaces are for reading only.
@@ -169,8 +168,8 @@ const KIND2: &[&str] = &[
 ];
 
 /// Kind 3: `q` plain with a matcher holding one event (`Float` −0.5,
-/// `Bool` false), `q2` a dedup member of it, `q3` lane 0 of 1 on
-/// attribute 1 with an empty matcher.
+/// `Bool` false), `q2` a dedup member of it, `q3` plain with an empty
+/// matcher.
 fn kind3() -> BankSnapshot {
     let ts = Timestamp::new;
     let empty = StreamSnapshot {
@@ -226,11 +225,7 @@ fn kind3() -> BankSnapshot {
         roles: vec![
             BankRole::Plain,
             BankRole::DedupMember { leader: 0 },
-            BankRole::Lane {
-                key: AttrId(1),
-                lane: 0,
-                of: 1,
-            },
+            BankRole::Plain,
         ],
     }
 }
@@ -238,8 +233,8 @@ fn kind3() -> BankSnapshot {
 const KIND3: &[&str] = &[
     "53 45 53 43 4b 50 54 31", // "SESCKPT1"
     "0100",                    // u16 version 1
-    "4601000000000000",        // u64 payload length 326
-    "8bb9af87d7c408ae",        // u64 fnv1a(payload)
+    "3a01000000000000",        // u64 payload length 314
+    "0ef1bfae420c38e6",        // u64 fnv1a(payload)
     "03",                      // kind 3
     "01 0900000000000000",     // watermark 9
     "01 0900000000000000",     // last_ts 9
@@ -272,9 +267,9 @@ const KIND3: &[&str] = &[
     "00",                // no matcher
     "00000000",          // no ids
     "0000000000000000 0000000000000000 0100000000000000 0000000000000000",
-    "02000000 7133",                 // "q3"
-    "03 01000000 00000000 01000000", // role: lane 0 of 1 on attribute 1
-    "01",                            // has a matcher: the empty stream
+    "02000000 7133", // "q3"
+    "00",            // role: plain
+    "01",            // has a matcher: the empty stream
     "1100000000000000 00 01 0000000000000000 00",
     "00000000 00000000 00000000 00000000 0000000000000000",
     "00000000", // no ids
