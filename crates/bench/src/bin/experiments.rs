@@ -135,7 +135,14 @@ fn experiment1(datasets: &Datasets, nmax: usize, csv: Option<&std::path::Path>) 
     println!("measured peak |Ω| on D1; BF is the summed bank\n");
     let rows = run_exp1(datasets.d1(), 2..=nmax);
 
-    let mut fig11 = Table::new(["|V1|", "BF P1", "SES P1", "BF P2", "SES P2"]);
+    let mut fig11 = Table::new([
+        "|V1|",
+        "BF P1",
+        "SES P1",
+        "BF P2",
+        "SES P2",
+        "quotient |Ω| P2",
+    ]);
     for r in &rows {
         fig11.row([
             r.n.to_string(),
@@ -143,15 +150,30 @@ fn experiment1(datasets: &Datasets, nmax: usize, csv: Option<&std::path::Path>) 
             r.ses_p1.to_string(),
             r.bf_p2.to_string(),
             r.ses_p2.to_string(),
+            r.quotient_p2.to_string(),
         ]);
     }
     println!("Figure 11 (measured):\n{fig11}");
+    println!(
+        "quotient |Ω|: the automaton the matchers run, which binds P2's interchangeable\n\
+         variables in one order (not in the paper)\n"
+    );
     if let Some(dir) = csv {
         let lines: Vec<String> = rows
             .iter()
-            .map(|r| format!("{},{},{},{},{}", r.n, r.bf_p1, r.ses_p1, r.bf_p2, r.ses_p2))
+            .map(|r| {
+                format!(
+                    "{},{},{},{},{},{}",
+                    r.n, r.bf_p1, r.ses_p1, r.bf_p2, r.ses_p2, r.quotient_p2
+                )
+            })
             .collect();
-        write_series(dir, "figure11.csv", "n,bf_p1,ses_p1,bf_p2,ses_p2", &lines);
+        write_series(
+            dir,
+            "figure11.csv",
+            "n,bf_p1,ses_p1,bf_p2,ses_p2,quotient_p2",
+            &lines,
+        );
     }
 
     let mut t1 = Table::new([
@@ -213,22 +235,45 @@ fn experiment2(datasets: &Datasets, csv: Option<&std::path::Path>) {
         "P3 = ⟨{{c,d,p+}},{{b}}⟩ same type (Thm 3); P4 = ⟨{{c,d,p}},{{b}}⟩ same type (Thm 2)\n"
     );
     let rows = run_exp2(datasets);
-    let mut fig12 = Table::new(["dataset", "W", "SES P3", "SES P4"]);
+    let mut fig12 = Table::new([
+        "dataset",
+        "W",
+        "SES P3",
+        "SES P4",
+        "quotient |Ω| P3",
+        "quotient |Ω| P4",
+    ]);
     for r in &rows {
         fig12.row([
             format!("D{}", r.k),
             r.w.to_string(),
             r.p3.to_string(),
             r.p4.to_string(),
+            r.quotient_p3.to_string(),
+            r.quotient_p4.to_string(),
         ]);
     }
     println!("Figure 12 (measured):\n{fig12}");
+    println!(
+        "quotient |Ω|: the automaton the matchers run, which binds the interchangeable\n\
+         singletons (c, d in P3; c, d, p in P4) in one order (not in the paper)\n"
+    );
     if let Some(dir) = csv {
         let lines: Vec<String> = rows
             .iter()
-            .map(|r| format!("{},{},{},{}", r.k, r.w, r.p3, r.p4))
+            .map(|r| {
+                format!(
+                    "{},{},{},{},{},{}",
+                    r.k, r.w, r.p3, r.p4, r.quotient_p3, r.quotient_p4
+                )
+            })
             .collect();
-        write_series(dir, "figure12.csv", "dataset,w,p3,p4", &lines);
+        write_series(
+            dir,
+            "figure12.csv",
+            "dataset,w,p3,p4,quotient_p3,quotient_p4",
+            &lines,
+        );
     }
     println!("paper: P3 grows polynomially with W (≈8·10^4 at W = 6610); P4 grows ≈ linearly");
 
@@ -262,8 +307,8 @@ fn experiment3(datasets: &Datasets, csv: Option<&std::path::Path>) {
         "P5 = mutually exclusive types; P6 = same type with p+; times in seconds, each\n\
          the median of {EXP3_RUNS} runs.\n\
          no-filter / filter: the paper's Algorithm 1 over every event / over the events\n\
-         the §4.5 filter keeps; engine: Matcher::find (AllRuns), whose admission mask\n\
-         is the filter\n"
+         the §4.5 filter keeps; engine: the scan and AllRuns selection of Matcher::find,\n\
+         whose admission mask is the filter — all three on the paper's automaton\n"
     );
     let rows = run_exp3(datasets);
     let mut fig13 = Table::new([

@@ -19,9 +19,18 @@
 //!   of it; the engine, whose admission mask is that filter, is the third
 //!   column. Each column is the median of [`EXP3_RUNS`] runs: single
 //!   sub-millisecond runs make the filter-speedup verdict noisy.
+//! * Every SES column runs the paper's automaton
+//!   ([`Automaton::build_paper`]), a state per subset of each `Vi`. The
+//!   matchers run its quotient by interchangeable variables
+//!   ([`Automaton::build`]), which binds same-type singletons in one
+//!   order; the "quotient |Ω|" columns of Experiments 1 and 2 measure
+//!   that one beside the paper's.
 
 use ses_baseline::BruteForce;
-use ses_core::{algorithm1, paper_filter, MatchSemantics, Matcher, MatcherOptions};
+use ses_core::{
+    algorithm1, execute, paper_filter, scan, select, Automaton, EventSelection, MatchSemantics,
+    MatcherOptions, NoProbe,
+};
 use ses_event::{EventId, Relation};
 use ses_metrics::{CountingProbe, Stopwatch};
 use ses_workload::paper;
@@ -35,13 +44,40 @@ fn engine_options() -> MatcherOptions {
     }
 }
 
-/// Peak |Ω| of the SES automaton on `relation`.
-pub fn ses_peak_omega(pattern: &ses_pattern::Pattern, relation: &Relation) -> usize {
-    let matcher = Matcher::with_options(pattern, relation.schema(), engine_options())
+/// The paper's automaton (§4.2) for `pattern` over `relation`'s schema.
+fn paper_automaton(pattern: &ses_pattern::Pattern, relation: &Relation) -> Automaton {
+    let compiled = pattern
+        .compile(relation.schema())
         .expect("experiment pattern compiles");
+    Automaton::build_paper(compiled).expect("experiment pattern compiles")
+}
+
+/// Peak |Ω| of `automaton`'s execution over `relation`.
+fn peak_omega(automaton: &Automaton, relation: &Relation) -> usize {
     let mut probe = CountingProbe::new();
-    matcher.find_with_probe(relation, &mut probe);
+    execute(
+        automaton,
+        relation,
+        EventSelection::SkipTillNextMatch,
+        &mut probe,
+    );
     probe.omega_max
+}
+
+/// Peak |Ω| of the paper's SES automaton on `relation`.
+pub fn ses_peak_omega(pattern: &ses_pattern::Pattern, relation: &Relation) -> usize {
+    peak_omega(&paper_automaton(pattern, relation), relation)
+}
+
+/// Peak |Ω| of the quotient automaton the matchers run
+/// ([`Automaton::build`]) on `relation` — [`ses_peak_omega`] for a
+/// pattern without interchangeable variables.
+pub fn quotient_peak_omega(pattern: &ses_pattern::Pattern, relation: &Relation) -> usize {
+    let compiled = pattern
+        .compile(relation.schema())
+        .expect("experiment pattern compiles");
+    let automaton = Automaton::build(compiled).expect("experiment pattern compiles");
+    peak_omega(&automaton, relation)
 }
 
 /// Peak summed |Ω| of the brute-force bank on `relation`.
@@ -53,32 +89,44 @@ pub fn bf_peak_omega(pattern: &ses_pattern::Pattern, relation: &Relation) -> usi
     probe.omega_max
 }
 
-/// Wall-clock seconds for one engine run, and its raw-match count.
+/// Wall-clock seconds for one engine run of the paper's automaton — the
+/// scan and the `AllRuns` selection `Matcher::find` runs — and its
+/// distinct raw-match count.
 pub fn ses_runtime(pattern: &ses_pattern::Pattern, relation: &Relation) -> (f64, usize) {
-    let matcher = Matcher::with_options(pattern, relation.schema(), engine_options())
-        .expect("experiment pattern compiles");
+    let automaton = paper_automaton(pattern, relation);
     let sw = Stopwatch::start();
-    let found = matcher.find(relation).len();
+    let (raw, admitted) = scan(
+        &automaton,
+        relation,
+        EventSelection::SkipTillNextMatch,
+        &mut NoProbe,
+    );
+    let found = select(
+        raw,
+        &admitted,
+        relation,
+        automaton.pattern(),
+        MatchSemantics::AllRuns,
+    )
+    .len();
     (sw.elapsed_secs(), found)
 }
 
-/// Wall-clock seconds for one run of the paper's Algorithm 1, with the
-/// §4.5 filter applied to each event as it is read or not at all, and
-/// its distinct raw-match count.
+/// Wall-clock seconds for one run of the paper's Algorithm 1 on the
+/// paper's automaton, with the §4.5 filter applied to each event as it
+/// is read or not at all, and its distinct raw-match count.
 pub fn algorithm1_runtime(
     pattern: &ses_pattern::Pattern,
     relation: &Relation,
     filtered: bool,
 ) -> (f64, usize) {
-    let matcher = Matcher::with_options(pattern, relation.schema(), engine_options())
-        .expect("experiment pattern compiles");
-    let automaton = matcher.automaton();
+    let automaton = paper_automaton(pattern, relation);
     let compiled = automaton.pattern();
     let sw = Stopwatch::start();
     let events = (0..relation.len())
         .map(EventId::from)
         .filter(|&e| !filtered || paper_filter(compiled, relation.event(e)));
-    let mut raw = algorithm1(automaton, relation, events);
+    let mut raw = algorithm1(&automaton, relation, events);
     let elapsed = sw.elapsed_secs();
     raw.sort_unstable();
     raw.dedup();
@@ -102,6 +150,9 @@ pub struct Exp1Row {
     pub ses_p2: usize,
     /// Peak summed |Ω|, brute-force bank, pattern P2.
     pub bf_p2: usize,
+    /// Peak |Ω|, quotient automaton, pattern P2 (its `|V1|` variables
+    /// are one interchangeable class).
+    pub quotient_p2: usize,
 }
 
 impl Exp1Row {
@@ -135,6 +186,7 @@ pub fn run_exp1(d1: &Relation, ns: impl IntoIterator<Item = usize>) -> Vec<Exp1R
                     bf_p1: bf_peak_omega(&p1, d1),
                     ses_p2: ses_peak_omega(&p2, d1),
                     bf_p2: bf_peak_omega(&p2, d1),
+                    quotient_p2: quotient_peak_omega(&p2, d1),
                 });
             });
         }
@@ -159,6 +211,12 @@ pub struct Exp2Row {
     pub p3: usize,
     /// Peak |Ω| for P4 (`{c, d, p}` — Theorem 2 regime).
     pub p4: usize,
+    /// Peak |Ω| for P3 on the quotient automaton (`c`, `d`
+    /// interchangeable).
+    pub quotient_p3: usize,
+    /// Peak |Ω| for P4 on the quotient automaton (`c`, `d`, `p`
+    /// interchangeable).
+    pub quotient_p4: usize,
 }
 
 /// Runs experiment 2 over D1…Dk (data-set points in parallel; |Ω| is a
@@ -177,6 +235,8 @@ pub fn run_exp2(datasets: &Datasets) -> Vec<Exp2Row> {
                     w,
                     p3: ses_peak_omega(p3, rel),
                     p4: ses_peak_omega(p4, rel),
+                    quotient_p3: quotient_peak_omega(p3, rel),
+                    quotient_p4: quotient_peak_omega(p4, rel),
                 });
             });
         }
@@ -202,7 +262,7 @@ pub struct Exp3Times {
     pub unfiltered: f64,
     /// Algorithm 1 over the events the §4.5 filter keeps.
     pub filtered: f64,
-    /// The engine (`Matcher::find` under `AllRuns`).
+    /// The engine on the paper's automaton ([`ses_runtime`]).
     pub engine: f64,
 }
 
@@ -290,6 +350,7 @@ mod tests {
             // automaton, and the P1 gap grows with (n−1)!.
             assert!(row.bf_p1 >= row.ses_p1, "{row:?}");
             assert!(row.bf_p2 >= row.ses_p2, "{row:?}");
+            assert!(row.quotient_p2 <= row.ses_p2, "{row:?}");
         }
         assert!(rows[1].ratio_p1() > rows[0].ratio_p1());
         assert_eq!(rows[0].factorial_reference(), 1);
@@ -303,6 +364,10 @@ mod tests {
         assert_eq!(rows.len(), 2);
         for row in &rows {
             assert!(row.p3 >= row.p4, "group regime must dominate: {row:?}");
+            assert!(
+                row.quotient_p3 <= row.p3 && row.quotient_p4 <= row.p4,
+                "{row:?}"
+            );
         }
         // P3 grows with W.
         assert!(rows[1].p3 > rows[0].p3);

@@ -83,7 +83,9 @@ USAGE:
                    (static analysis: unsatisfiable Θ [SES001], redundant
                     conditions [SES002], unfiltered variables [SES003],
                     factorial/exponential bounds [SES004], schema
-                    mismatches [SES005]; exits non-zero on errors.
+                    mismatches [SES005], interchangeable variables
+                    the engine runs in one order [SES008, info];
+                    exits non-zero on errors.
                     The schema comes from --schema, a `-- schema: …`
                     pragma line in the query file, or --data.
                     --patterns lints a whole pattern set instead,
@@ -2404,6 +2406,35 @@ mod tests {
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("SES003"), "{out}");
         assert!(out.contains("SES004"), "{out}");
+    }
+
+    #[test]
+    fn check_names_interchangeable_variables_of_exp2_p3() {
+        // The paper's Experiment 2 pattern P3: c and d are both `L = 'V'`.
+        let q = ses_query::render(&ses_workload::paper::exp2_p3());
+        let (code, out) = run(&["check", "--query", &q, "--schema", "ID:int,L:str"]);
+        assert_eq!(code, 0, "{out}");
+        assert!(
+            out.contains("info[SES008]: c, d in V1 are interchangeable (2!)"),
+            "{out}"
+        );
+        let (code, out) = run(&[
+            "check",
+            "--query",
+            &q,
+            "--schema",
+            "ID:int,L:str",
+            "--format",
+            "json",
+        ]);
+        assert_eq!(code, 0, "{out}");
+        assert!(
+            out.contains(
+                "{\"code\":\"SES008\",\"severity\":\"info\",\
+                 \"message\":\"c, d in V1 are interchangeable (2!)\""
+            ),
+            "{out}"
+        );
     }
 
     #[test]

@@ -70,6 +70,7 @@ use ses_event::{Event, EventId, Relation, Timestamp};
 use ses_pattern::{CompiledPattern, CompiledRhs, VarId};
 
 use crate::matches::Match;
+use crate::symmetry::Symmetry;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0100_0000_01b3;
@@ -296,12 +297,17 @@ pub(crate) struct GroupIndex<'g> {
     /// group — condition-5 killers are the *raw* group, including
     /// candidates that themselves fail condition 4.
     postings: IdMap<(VarId, EventId), Vec<u32>>,
-    /// `(var, alt, hash of bindings strictly before alt.ts) → candidates
-    /// binding var/alt with that prefix` — the condition-4 prefix test.
+    /// `(rep(var), alt, hash of bindings strictly before alt.ts) →
+    /// candidates binding var/alt with that prefix` — the condition-4
+    /// prefix test. `rep` files an interchangeable variable under its
+    /// class ([`Symmetry::representative`]): with the candidates reduced
+    /// to canonical ones, an agreeing run binding `alt` to another member
+    /// of the class stands for its image binding `var/alt`.
     prefix: IdMap<(VarId, EventId, u64), Vec<u32>>,
-    /// Distinct events bound to each variable (by `VarId` index) by any
-    /// candidate, sorted.
+    /// Distinct events bound to each variable's representative (by
+    /// `VarId` index) by any candidate, sorted.
     var_alts: Vec<Vec<(EventId, Timestamp)>>,
+    symmetry: &'g Symmetry,
     min_ts: Timestamp,
 }
 
@@ -313,6 +319,7 @@ impl<'g> GroupIndex<'g> {
     pub(crate) fn build(
         group: &'g [Match],
         relation: &Relation,
+        symmetry: &'g Symmetry,
         num_vars: usize,
     ) -> GroupIndex<'g> {
         let min_ts = relation.event(group[0].first_event()).ts();
@@ -333,7 +340,7 @@ impl<'g> GroupIndex<'g> {
                 if mts[j] > min_ts {
                     let boundary = mts.partition_point(|&t| t < mts[j]);
                     prefix
-                        .entry((v, e, ph[boundary]))
+                        .entry((symmetry.representative(v), e, ph[boundary]))
                         .or_default()
                         .push(i as u32);
                 }
@@ -343,10 +350,11 @@ impl<'g> GroupIndex<'g> {
         }
         let mut var_alts = vec![Vec::new(); num_vars];
         for &(v, e) in postings.keys() {
-            var_alts[v.index()].push((e, relation.event(e).ts()));
+            var_alts[symmetry.representative(v).index()].push((e, relation.event(e).ts()));
         }
         for list in &mut var_alts {
             list.sort_unstable();
+            list.dedup();
         }
         GroupIndex {
             group,
@@ -355,6 +363,7 @@ impl<'g> GroupIndex<'g> {
             postings,
             prefix,
             var_alts,
+            symmetry,
             min_ts,
         }
     }
@@ -376,7 +385,8 @@ impl<'g> GroupIndex<'g> {
     }
 
     /// The prefix test: for no binding `var/e` of candidate `i` does
-    /// another candidate bind `var` to an event strictly inside
+    /// another candidate bind `var` — or, `var` being interchangeable,
+    /// any member of its class — to an event strictly inside
     /// `(minT, e.T)` that `i` leaves unbound, with exactly `i`'s bindings
     /// before it.
     fn survives_prefix_test(&self, i: usize) -> bool {
@@ -388,6 +398,7 @@ impl<'g> GroupIndex<'g> {
             if bound_ts <= self.min_ts {
                 continue; // no room strictly inside (minT, e.T)
             }
+            let var = self.symmetry.representative(var);
             let alts = &self.var_alts[var.index()];
             let lo = alts.partition_point(|&(_, t)| t <= self.min_ts);
             let hi = alts.partition_point(|&(_, t)| t < bound_ts);

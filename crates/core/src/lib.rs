@@ -68,6 +68,7 @@ mod semantics;
 mod snapshot;
 mod state;
 mod stream;
+mod symmetry;
 mod trace;
 
 pub use automaton::{Automaton, State, TransCond, Transition, DEFAULT_MAX_STATES};

@@ -23,6 +23,11 @@ impl Match {
         }
     }
 
+    /// The bindings, moved out.
+    pub(crate) fn into_bindings(self) -> Vec<(VarId, EventId)> {
+        self.bindings
+    }
+
     /// Creates a match directly from bindings (used by the baseline crate
     /// and tests); sorts into canonical order.
     pub fn from_bindings(mut bindings: Vec<(VarId, EventId)>) -> Match {

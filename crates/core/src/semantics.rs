@@ -47,6 +47,7 @@ use crate::adjudicate::{
 };
 use crate::engine::{AdmittedLog, RawMatch};
 use crate::matches::Match;
+use crate::symmetry::Symmetry;
 
 /// Which substitutions [`select`] returns. See the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -74,11 +75,19 @@ pub fn select(
     pattern: &CompiledPattern,
     semantics: MatchSemantics,
 ) -> Vec<Match> {
+    // The candidates are the runs of the pattern's automaton: the
+    // quotient's, or the paper's, whose run set is closed under every
+    // class permutation. Either way its canonical runs are the quotient's,
+    // which are all conditions 4–5 and maximality need to judge; the
+    // images of the survivors are the rest of the answer (see
+    // `docs/adjudication.md`).
+    let symmetry = Symmetry::of(pattern);
+    let raw = symmetry.canonical_only(raw);
     let mut candidates: Vec<Match> = raw.into_iter().map(Match::from_raw).collect();
     if semantics == MatchSemantics::AllRuns {
         candidates.sort();
         candidates.dedup();
-        return candidates;
+        return symmetry.expand(candidates);
     }
 
     // Conditions 4 and 5 are closed within first-binding groups (see
@@ -114,7 +123,7 @@ pub fn select(
     }
     // Group order is event-major; restore the canonical match order.
     out.sort();
-    out
+    symmetry.expand(out)
 }
 
 /// A candidate group key: the first binding in `(event, variable)` order.
@@ -171,6 +180,9 @@ pub(crate) struct Adjudicator {
     /// [`Adjudicator::admit`]. Never part of a snapshot: a restored
     /// matcher re-admits its retained events.
     viable: ViableIndex,
+    /// The pattern's interchangeable classes: groups hold canonical
+    /// candidates only, and the prefix test files members by class.
+    symmetry: Symmetry,
 }
 
 impl Adjudicator {
@@ -181,7 +193,16 @@ impl Adjudicator {
             semantics,
             survivors: SurvivorStore::new(),
             viable: ViableIndex::new(pattern),
+            symmetry: Symmetry::of(pattern),
         }
+    }
+
+    /// The final matches of one adjudicated group — canonical, as
+    /// [`Adjudicator::adjudicate_group`] returns them — with the images of
+    /// each under every class permutation, sorted. The identity for a
+    /// pattern without interchangeable variables.
+    pub(crate) fn images(&self, finals: Vec<Match>) -> Vec<Match> {
+        self.symmetry.expand(finals)
     }
 
     /// Takes note of an event the scan admitted: `vars` is its admission
@@ -247,7 +268,12 @@ impl Adjudicator {
                 .map(|m| !maximal || !self.survivors.kills(m))
                 .collect();
             if alive.contains(&true) {
-                let gi = GroupIndex::build(&group, relation, pattern.pattern().num_vars());
+                let gi = GroupIndex::build(
+                    &group,
+                    relation,
+                    &self.symmetry,
+                    pattern.pattern().num_vars(),
+                );
                 for (i, a) in alive.iter_mut().enumerate() {
                     *a = *a
                         && gi.survives_condition_4(i, relation, pattern, &self.viable)

@@ -171,15 +171,28 @@ fn options_tag(options: &MatcherOptions) -> String {
 
 /// Fingerprints everything that must agree between snapshot and restore
 /// for the dynamic state to be meaningful: the compiled pattern (after
-/// any analyzer rewrites), the schema, and the [`options_tag`].
+/// any analyzer rewrites), the schema, the [`options_tag`] and — only
+/// for an automaton quotiented by interchangeable classes — the classes.
+/// Its instances, pending runs and killers are canonical ones, which a
+/// matcher running the paper's automaton would hold twice over and emit
+/// twice, so a checkpoint written before the quotient existed is refused
+/// by fingerprint. Every other pattern's fingerprint is the one earlier
+/// releases wrote.
 pub(crate) fn matcher_fingerprint(automaton: &Automaton, options: &MatcherOptions) -> u64 {
     let compiled = automaton.pattern();
-    let tag = format!(
+    let mut tag = format!(
         "{}\n{}\n{}",
         compiled.pattern(),
         compiled.schema(),
         options_tag(options)
     );
+    for class in automaton.interchangeable_classes() {
+        let names: Vec<String> = class
+            .iter()
+            .map(|&v| compiled.pattern().var_name(v))
+            .collect();
+        tag.push_str(&format!("\ninterchangeable {}", names.join(", ")));
+    }
     fnv1a(tag.as_bytes())
 }
 
@@ -255,6 +268,49 @@ mod tests {
         assert_eq!(
             options_tag(&MatcherOptions::default()),
             "Paper/SkipTillNextMatch/Maximal/flush=true/precheck=true/max_inst=None"
+        );
+    }
+
+    /// `⟨{c, d, p+}, {b}⟩` with `c`, `d`, `p` all `L = 'V'`: `c` and `d`
+    /// are interchangeable.
+    fn symmetric() -> Pattern {
+        Pattern::builder()
+            .set(|s| s.var("c").var("d").plus("p"))
+            .set(|s| s.var("b"))
+            .cond_const("c", "L", CmpOp::Eq, "V")
+            .cond_const("d", "L", CmpOp::Eq, "V")
+            .cond_const("p", "L", CmpOp::Eq, "V")
+            .cond_const("b", "L", CmpOp::Eq, "B")
+            .within(Duration::ticks(10))
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn a_checkpoint_from_before_the_quotient_is_refused_by_fingerprint() {
+        // What a matcher of `symmetric()` running the paper's automaton
+        // wrote: FNV-1a of the pattern, schema and options tag alone.
+        const PRE_QUOTIENT: u64 = 0x921f_fc7d_7de5_a038;
+        let mut sm = StreamMatcher::compile(&symmetric(), &schema()).unwrap();
+        sm.push(ses_event::Timestamp::new(0), [1.into(), "V".into()])
+            .unwrap();
+        let mut snap = sm.snapshot();
+        assert_ne!(snap.fingerprint, PRE_QUOTIENT);
+        // Its instances are canonical runs, so the checkpoint does not
+        // carry the paper automaton's twins; resumed on the paper's, it
+        // would emit each match twice. Refused, it cannot.
+        snap.fingerprint = PRE_QUOTIENT;
+        let err = StreamMatcher::restore(&symmetric(), &schema(), MatcherOptions::default(), &snap)
+            .unwrap_err();
+        assert!(err.to_string().contains("fingerprint"), "{err}");
+    }
+
+    #[test]
+    fn patterns_without_classes_keep_their_fingerprint_bytes() {
+        // The same value earlier releases wrote for `pattern(5)`.
+        assert_eq!(
+            fingerprint_of(&pattern(5), MatcherOptions::default()),
+            0xeed2_01aa_03be_25ea
         );
     }
 

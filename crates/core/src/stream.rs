@@ -750,7 +750,8 @@ impl StreamMatcher {
     }
 
     /// Runs one complete group through negation filtering and the shared
-    /// batch/stream adjudicator.
+    /// batch/stream adjudicator, then expands its finals into their
+    /// images under the pattern's interchangeable classes.
     fn adjudicate(&mut self, group: Vec<RawMatch>) -> Vec<Match> {
         let pattern = self.automaton.pattern();
         let mut group: Vec<Match> = group
@@ -760,8 +761,10 @@ impl StreamMatcher {
             .collect();
         group.sort();
         group.dedup();
-        self.adjudicator
-            .adjudicate_group(group, &self.relation, pattern)
+        let finals = self
+            .adjudicator
+            .adjudicate_group(group, &self.relation, pattern);
+        self.adjudicator.images(finals)
     }
 }
 

@@ -7,7 +7,9 @@
 //! 2. **Complexity lint** — event set patterns whose instance bound is
 //!    factorial or exponential (Theorems 2–3, via
 //!    [`crate::ComplexityClass`]) get a `SES004` warning before the user
-//!    pays `O(n!)` at runtime.
+//!    pays `O(n!)` at runtime; each class of interchangeable variables
+//!    ([`crate::interchangeable_classes`]), whose `k!` orderings the
+//!    automaton does not run, gets a `SES008` info.
 //! 3. **Equality closure + order-and-constant propagation**
 //!    ([`crate::equality_closure`], [`crate::propagate`]) — proves
 //!    unsatisfiability (`SES001`) or derives constant conditions for
@@ -92,6 +94,21 @@ pub fn analyze(pattern: &Pattern, schema: &Schema) -> Analysis {
                 ),
             ));
         }
+    }
+
+    // Pass 2b: interchangeable variables — the share of those bounds the
+    // automaton's quotient does not pay.
+    for class in compiled.interchangeable_classes() {
+        let set = pattern.var(class[0]).set_index() + 1;
+        let names: Vec<&str> = class.iter().map(|&v| pattern.var(v).name()).collect();
+        diagnostics.push(Diagnostic::new(
+            DiagnosticCode::InterchangeableVariables,
+            format!(
+                "{} in V{set} are interchangeable ({}!)",
+                names.join(", "),
+                class.len()
+            ),
+        ));
     }
 
     // Pass 3: closure + propagation.
@@ -371,7 +388,8 @@ mod tests {
             .build()
             .unwrap();
         let a = analyze(&p, &schema());
-        assert_eq!(codes(&a), vec!["SES004"]);
+        // x and y are interchangeable too: the bound's 2! is one class.
+        assert_eq!(codes(&a), vec!["SES004", "SES008"]);
         assert!(!a.diagnostics.has_errors());
     }
 

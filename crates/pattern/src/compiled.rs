@@ -91,6 +91,7 @@ pub struct CompiledPattern {
     analysis: PatternAnalysis,
     unsatisfiable: Option<String>,
     partition_keys: Vec<AttrId>,
+    interchangeable: Vec<Vec<VarId>>,
 }
 
 impl CompiledPattern {
@@ -177,6 +178,7 @@ impl CompiledPattern {
         let analysis = PatternAnalysis::analyze(&pattern, &conditions);
         let unsatisfiable = crate::analyzer::provably_unsatisfiable(&pattern);
         let partition_keys = infer_partition_keys(&pattern, &conditions, schema);
+        let interchangeable = crate::interchangeable_classes(&pattern);
         Ok(CompiledPattern {
             pattern,
             schema: schema.clone(),
@@ -186,6 +188,7 @@ impl CompiledPattern {
             analysis,
             unsatisfiable,
             partition_keys,
+            interchangeable,
         })
     }
 
@@ -282,6 +285,12 @@ impl CompiledPattern {
     /// Returned in schema order; empty when nothing is provable.
     pub fn partition_keys(&self) -> &[AttrId] {
         &self.partition_keys
+    }
+
+    /// The pattern's interchangeable classes
+    /// ([`crate::interchangeable_classes`]), computed once at compile.
+    pub fn interchangeable_classes(&self) -> &[Vec<VarId>] {
+        &self.interchangeable
     }
 
     /// `true` iff [`Self::partition_keys`] contains `attr`.

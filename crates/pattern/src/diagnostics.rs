@@ -37,6 +37,12 @@ pub enum DiagnosticCode {
     /// of the more general pattern. Emitted by `ses-cli check
     /// --patterns`.
     SubsumedPattern,
+    /// `SES008` — two or more singleton variables of one event set
+    /// pattern are interchangeable ([`crate::interchangeable_classes`]):
+    /// the automaton binds them in one order and each match is emitted in
+    /// all `k!` orders, so their share of Theorem 2's `n!` bound is not
+    /// paid.
+    InterchangeableVariables,
 }
 
 impl DiagnosticCode {
@@ -50,6 +56,7 @@ impl DiagnosticCode {
             DiagnosticCode::SchemaMismatch => "SES005",
             DiagnosticCode::EquivalentPatterns => "SES006",
             DiagnosticCode::SubsumedPattern => "SES007",
+            DiagnosticCode::InterchangeableVariables => "SES008",
         }
     }
 
@@ -62,6 +69,7 @@ impl DiagnosticCode {
             | DiagnosticCode::ComplexityBound
             | DiagnosticCode::EquivalentPatterns
             | DiagnosticCode::SubsumedPattern => Severity::Warning,
+            DiagnosticCode::InterchangeableVariables => Severity::Info,
         }
     }
 }
@@ -299,6 +307,7 @@ mod tests {
         assert_eq!(DiagnosticCode::SchemaMismatch.as_str(), "SES005");
         assert_eq!(DiagnosticCode::EquivalentPatterns.as_str(), "SES006");
         assert_eq!(DiagnosticCode::SubsumedPattern.as_str(), "SES007");
+        assert_eq!(DiagnosticCode::InterchangeableVariables.as_str(), "SES008");
     }
 
     #[test]
@@ -319,6 +328,10 @@ mod tests {
             DiagnosticCode::SubsumedPattern.default_severity(),
             Severity::Warning
         );
+        assert_eq!(
+            DiagnosticCode::InterchangeableVariables.default_severity(),
+            Severity::Info
+        );
         assert!(Severity::Error > Severity::Warning);
         assert!(Severity::Warning > Severity::Info);
     }
@@ -330,6 +343,30 @@ mod tests {
         assert_eq!(d.to_string(), "error[SES001]: a.V > 10 ∧ a.V < 5 (at 2:14)");
         let d = Diagnostic::new(DiagnosticCode::ComplexityBound, "set V1 is O(3!)");
         assert_eq!(d.to_string(), "warning[SES004]: set V1 is O(3!)");
+    }
+
+    #[test]
+    fn interchangeable_variables_are_reported_as_info_with_the_class_size() {
+        use ses_event::{AttrType, CmpOp, Duration, Schema};
+        let schema = Schema::builder().attr("L", AttrType::Str).build().unwrap();
+        // exp2_p3's shape: c and d are both `L = 'V'`, p+ is a group.
+        let p = crate::Pattern::builder()
+            .set(|s| s.var("c").var("d").plus("p"))
+            .set(|s| s.var("b"))
+            .cond_const("c", "L", CmpOp::Eq, "V")
+            .cond_const("d", "L", CmpOp::Eq, "V")
+            .cond_const("p", "L", CmpOp::Eq, "V")
+            .cond_const("b", "L", CmpOp::Eq, "B")
+            .within(Duration::ticks(10))
+            .build()
+            .unwrap();
+        let analysis = crate::analyze(&p, &schema);
+        let found: Vec<String> = analysis
+            .diagnostics
+            .with_code(DiagnosticCode::InterchangeableVariables)
+            .map(ToString::to_string)
+            .collect();
+        assert_eq!(found, ["info[SES008]: c, d in V1 are interchangeable (2!)"]);
     }
 
     #[test]

@@ -68,6 +68,7 @@ mod negation;
 mod pattern;
 mod propagate;
 mod relate;
+mod symmetry;
 mod variable;
 
 pub use analysis::{ComplexityClass, PatternAnalysis};
@@ -87,4 +88,5 @@ pub use negation::{
 pub use pattern::Pattern;
 pub use propagate::{propagate, Propagation};
 pub use relate::{relate, PatternRelation, ShareConstraint, ShareRole, SharingPlan};
+pub use symmetry::interchangeable_classes;
 pub use variable::{Quantifier, VarId, Variable};

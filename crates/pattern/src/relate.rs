@@ -59,7 +59,7 @@ use crate::{equality_closure, propagate, Condition, Domain, Negation, Pattern, V
 
 /// Renders a constant with a type tag so `1`, `1.0`, `'1'` and `true`
 /// can never collide in a canonical key.
-fn value_key(v: &Value) -> String {
+pub(crate) fn value_key(v: &Value) -> String {
     match v {
         Value::Int(i) => format!("i{i}"),
         Value::Float(f) => format!("f{f}"),
@@ -160,7 +160,7 @@ impl VarFacts {
     }
 }
 
-fn render_var_cond(c: &Condition, pos: &dyn Fn(VarId) -> usize) -> Option<String> {
+pub(crate) fn render_var_cond(c: &Condition, pos: &dyn Fn(VarId) -> usize) -> Option<String> {
     let Rhs::Attr(r) = &c.rhs else { return None };
     let l = (pos(c.lhs.var), c.lhs.attr.to_string());
     let rr = (pos(r.var), r.attr.to_string());
@@ -172,7 +172,7 @@ fn render_var_cond(c: &Condition, pos: &dyn Fn(VarId) -> usize) -> Option<String
     Some(format!("@{}.{} {} @{}.{}", l.0, l.1, op, rr.0, rr.1))
 }
 
-fn render_negation(neg: &Negation, pos: &dyn Fn(VarId) -> usize) -> String {
+pub(crate) fn render_negation(neg: &Negation, pos: &dyn Fn(VarId) -> usize) -> String {
     let mut conds: Vec<String> = neg
         .conditions()
         .iter()

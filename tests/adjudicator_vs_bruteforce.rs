@@ -51,14 +51,15 @@ fn options(semantics: MatchSemantics, selection: EventSelection) -> MatcherOptio
 }
 
 /// The reference answer, in canonical match order: Algorithm 1's raw
-/// runs, negation-filtered, through the one-shot pairwise filter.
+/// runs on the paper's automaton, negation-filtered, through the one-shot
+/// pairwise filter.
 fn reference_answer(
     pat: &Pattern,
     rel: &Relation,
     semantics: MatchSemantics,
     selection: EventSelection,
 ) -> Vec<Match> {
-    let automaton = Automaton::build(pat.compile(&schema()).unwrap()).unwrap();
+    let automaton = Automaton::build_paper(pat.compile(&schema()).unwrap()).unwrap();
     let raw = execute(&automaton, rel, selection, &mut NoProbe);
     let raw = filter_negations(raw, rel, automaton.pattern());
     select_pairwise(raw, rel, automaton.pattern(), semantics)

@@ -543,3 +543,115 @@ pub fn pattern_strategy() -> impl Strategy<Value = Pattern> {
             b.within(Duration::ticks(within)).build().unwrap()
         })
 }
+
+/// Patterns whose first set holds one class of 2–3 interchangeable
+/// singletons (`m0`, `m1`, `m2`, all of one type) beside an optional
+/// group variable `g+` (placed anywhere among them, so the members' ids
+/// need not be contiguous) and an optional singleton `x` of its own type
+/// declared first, optionally followed by a set `{t}` and a negation `n`
+/// guarding the gap before it. Every variable condition is
+/// invariant under permuting the members: none, a clique `mi.ID = mj.ID`,
+/// a star `mi.ID = hub.ID` through `t` or `g` (the hub joined to `t`
+/// when both exist), or pairwise `mi.ID != mj.ID` — so `Θ` really is
+/// symmetric, which [`pattern_strategy`] only rarely makes it.
+pub fn symmetric_pattern_strategy() -> impl Strategy<Value = Pattern> {
+    (
+        (2usize..4, 0u8..2),
+        proptest::option::of((0u8..2, 0usize..4)),
+        proptest::option::of(0u8..2),
+        0u8..4,
+        (proptest::bool::ANY, proptest::bool::ANY),
+        3i64..15,
+    )
+        .prop_map(
+            |((k, member_ty), group, tail, correlate, (negate, lead), within)| {
+                let members: Vec<String> = (0..k).map(|i| format!("m{i}")).collect();
+                let mut b = Pattern::builder();
+                {
+                    let members = members.clone();
+                    b = b.set(move |s| {
+                        if lead {
+                            s.var("x");
+                        }
+                        for (i, m) in members.iter().enumerate() {
+                            if group.is_some_and(|(_, at)| at.min(k) == i) {
+                                s.plus("g");
+                            }
+                            s.var(m.clone());
+                        }
+                        if group.is_some_and(|(_, at)| at >= k) {
+                            s.plus("g");
+                        }
+                        s
+                    });
+                }
+                let negate = negate && tail.is_some();
+                if negate {
+                    b = b.negate("n");
+                }
+                if tail.is_some() {
+                    b = b.set(|s| s.var("t"));
+                }
+                for m in &members {
+                    b = b.cond_const(m.clone(), "L", CmpOp::Eq, TYPES[member_ty as usize]);
+                }
+                if lead {
+                    b = b.cond_const("x", "L", CmpOp::Eq, TYPES[1 - member_ty as usize]);
+                }
+                if let Some((ty, _)) = group {
+                    b = b.cond_const("g", "L", CmpOp::Eq, TYPES[ty as usize]);
+                }
+                if let Some(ty) = tail {
+                    b = b.cond_const("t", "L", CmpOp::Eq, TYPES[ty as usize]);
+                }
+                if negate {
+                    b = b.neg_cond_const("n", "L", CmpOp::Eq, TYPES[2]);
+                }
+                let hub = if tail.is_some() {
+                    Some("t")
+                } else if group.is_some() {
+                    Some("g")
+                } else {
+                    None
+                };
+                match (correlate, hub) {
+                    (1, _) | (2, None) => {
+                        for i in 0..k {
+                            for j in i + 1..k {
+                                b = b.cond_vars(
+                                    members[i].clone(),
+                                    "ID",
+                                    CmpOp::Eq,
+                                    members[j].clone(),
+                                    "ID",
+                                );
+                            }
+                        }
+                    }
+                    (2, Some(hub)) => {
+                        for m in &members {
+                            b = b.cond_vars(m.clone(), "ID", CmpOp::Eq, hub, "ID");
+                        }
+                        if hub == "t" && group.is_some() {
+                            b = b.cond_vars("g", "ID", CmpOp::Eq, "t", "ID");
+                        }
+                    }
+                    (3, _) => {
+                        for i in 0..k {
+                            for j in i + 1..k {
+                                b = b.cond_vars(
+                                    members[j].clone(),
+                                    "ID",
+                                    CmpOp::Ne,
+                                    members[i].clone(),
+                                    "ID",
+                                );
+                            }
+                        }
+                    }
+                    _ => {}
+                }
+                b.within(Duration::ticks(within)).build().unwrap()
+            },
+        )
+}
