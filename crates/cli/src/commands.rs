@@ -60,10 +60,7 @@ USAGE:
                     watermark heartbeat when their deadline comes due.
                     Every pattern runs one matcher: a stream never
                     partitions, and `run`'s --partition and --threads
-                    are refused. Evaluation-identical patterns — one
-                    query under two names, or with its variables
-                    renamed — run one matcher between them (preview
-                    with `check --patterns`).
+                    are refused.
                     --from-log replays a binary event log (see `import`);
                     with --checkpoint the bank is snapshotted every N
                     events (default 1000, keeping the last K
@@ -90,8 +87,7 @@ USAGE:
                     pragma line in the query file, or --data.
                     --patterns lints a whole pattern set instead,
                     grouped by schema pragma: equivalent patterns
-                    [SES006] and subsumed patterns [SES007] — plus how
-                    many patterns per group a bank deduplicates)
+                    [SES006] and subsumed patterns [SES007])
   ses-cli explain  --query <file-or-text> --data <file.csv> [--dot|--trace]
   ses-cli generate --workload chemo|finance|rfid|clickstream --out <file.csv>
                    [--seed N] [--scale F]
@@ -628,7 +624,7 @@ fn cmd_check(args: &Args, out: &mut dyn Write) -> Result<(), String> {
 /// Both are warnings: the command still exits 0 unless an
 /// error-severity diagnostic (SES001/SES005) is present.
 fn cmd_check_bank(args: &Args, out: &mut dyn Write) -> Result<(), String> {
-    use ses_pattern::{Diagnostic, DiagnosticCode, PatternRelation, ShareRole, SharingPlan};
+    use ses_pattern::{Diagnostic, DiagnosticCode, PatternRelation};
 
     let spec = args.require("patterns")?;
     let tick = parse_tick(args)?;
@@ -690,7 +686,7 @@ fn cmd_check_bank(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     }
 
     // Cross-pattern pass, independently per schema group: patterns over
-    // different schemas can never share a matcher, so relating them
+    // different schemas can never run in one bank, so relating them
     // would be meaningless.
     let mut groups: Vec<(String, Vec<usize>)> = Vec::new();
     for (i, l) in lints.iter().enumerate() {
@@ -701,37 +697,25 @@ fn cmd_check_bank(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     }
 
     let mut pending: Vec<(usize, Diagnostic)> = Vec::new();
-    let mut plans: Vec<(String, usize, SharingPlan)> = Vec::new();
-    for (key, members) in &groups {
-        // What a bank of the group deduplicates: equivalent patterns
-        // that are also evaluation-identical, in declaration order.
-        let group_patterns: Vec<&ses_pattern::Pattern> =
-            members.iter().map(|&i| &lints[i].pattern).collect();
-        let plan = SharingPlan::compute(&group_patterns, &[]);
+    for (_, members) in &groups {
         // SES006/SES007 from the conservative pairwise relation; each
         // pattern is flagged at most once per code to keep a bank of n
         // near-duplicates from drowning in O(n²) repeats.
         let mut equiv_flagged = std::collections::HashSet::new();
         let mut subsumed_flagged = std::collections::HashSet::new();
         for (ai, &a) in members.iter().enumerate() {
-            for (bi, &b) in members.iter().enumerate().skip(ai + 1) {
+            for &b in &members[ai + 1..] {
                 match ses_pattern::relate(&lints[a].pattern, &lints[b].pattern) {
                     PatternRelation::Equivalent => {
                         if equiv_flagged.insert(b) {
-                            let folded = plan.roles[bi] == ShareRole::DedupMember { leader: ai };
                             pending.push((
                                 b,
                                 Diagnostic::new(
                                     DiagnosticCode::EquivalentPatterns,
                                     format!(
                                         "provably equivalent to `{}` (up to variable renaming): \
-                                         one of the two is redundant{}",
-                                        lints[a].name,
-                                        if folded {
-                                            "; the bank runs one matcher for both"
-                                        } else {
-                                            ""
-                                        }
+                                         one of the two is redundant",
+                                        lints[a].name
                                     ),
                                 ),
                             ));
@@ -773,7 +757,6 @@ fn cmd_check_bank(args: &Args, out: &mut dyn Write) -> Result<(), String> {
                 }
             }
         }
-        plans.push((key.clone(), members.len(), plan));
     }
     for (idx, d) in pending {
         lints[idx].diags.push(d);
@@ -808,17 +791,15 @@ fn cmd_check_bank(args: &Args, out: &mut dyn Write) -> Result<(), String> {
             j.push('}');
         }
         j.push_str("],\"groups\":[");
-        for (i, (key, n, plan)) in plans.iter().enumerate() {
+        for (i, (key, members)) in groups.iter().enumerate() {
             if i > 0 {
                 j.push(',');
             }
             j.push_str("{\"schema\":\"");
             j.push_str(&esc(key));
             j.push_str("\",\"patterns\":");
-            j.push_str(&n.to_string());
-            j.push_str(",\"plan\":\"");
-            j.push_str(&esc(&plan.describe()));
-            j.push_str("\"}");
+            j.push_str(&members.len().to_string());
+            j.push('}');
         }
         j.push_str("]}");
         writeln!(out, "{j}").map_err(io_err)?;
@@ -833,10 +814,9 @@ fn cmd_check_bank(args: &Args, out: &mut dyn Write) -> Result<(), String> {
                 }
             }
         }
-        for (key, n, plan) in &plans {
-            if *n > 1 {
-                writeln!(out, "schema [{key}]: {n} pattern(s), {}", plan.describe())
-                    .map_err(io_err)?;
+        for (key, members) in &groups {
+            if members.len() > 1 {
+                writeln!(out, "schema [{key}]: {} pattern(s)", members.len()).map_err(io_err)?;
             }
         }
         writeln!(
@@ -1052,7 +1032,6 @@ fn cmd_stream(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         writeln!(out, "recovering: {}", bank.recovery()).map_err(io_err)?;
     }
 
-    let deduplicated = bank.bank().sharing_plan().deduplicated();
     let limit: usize = args.get_parsed("limit", usize::MAX)?;
     let sw = Stopwatch::start();
     let mut probe = CountingProbe::new();
@@ -1154,7 +1133,6 @@ fn cmd_stream(args: &Args, out: &mut dyn Write) -> Result<(), String> {
             ]);
         }
         let mut totals = Table::new(["metric", "value"]);
-        totals.row(["deduplicated", &deduplicated.to_string()]);
         totals.row(["routed pushes", &probe.index_hits.to_string()]);
         totals.row(["skipped", &probe.index_skips.to_string()]);
         totals.row([
@@ -1165,7 +1143,14 @@ fn cmd_stream(args: &Args, out: &mut dyn Write) -> Result<(), String> {
             "patterns × events".to_string(),
             (consumed * patterns.len()).to_string(),
         ]);
-        totals.row(["events evicted", &probe.events_evicted.to_string()]);
+        totals.row([
+            "events evicted".to_string(),
+            stats
+                .iter()
+                .map(|s| s.evicted_events)
+                .sum::<usize>()
+                .to_string(),
+        ]);
         totals.row(["peak retained", &probe.retained_max.to_string()]);
         totals.row(["max |Ω|", &probe.omega_max.to_string()]);
         totals.row(["instances expired", &probe.instances_expired.to_string()]);
@@ -1603,7 +1588,7 @@ mod tests {
             "PATTERN c THEN d WHERE c.L = 'C' AND d.L = 'D' WITHIN 264 HOURS",
         )
         .unwrap();
-        // `cd` with its variables renamed: answered by `cd`'s matcher.
+        // `cd` with its variables renamed: a twin, with its own matcher.
         std::fs::write(
             dir.join("cd2.ses"),
             "PATTERN x THEN y WHERE x.L = 'C' AND y.L = 'D' WITHIN 264 HOURS",
@@ -1617,8 +1602,7 @@ mod tests {
         assert!(out.contains("] cd:"), "{out}");
         assert!(out.contains("] protocol:"), "{out}");
         assert!(out.contains("routed pushes"), "{out}");
-        let row = out.lines().find(|l| l.starts_with("deduplicated"));
-        assert_eq!(row.and_then(|l| l.split_whitespace().last()), Some("1"));
+        assert!(!out.contains("deduplicated"), "{out}");
         let emitted = |name: &str| out.matches(&format!("] {name}: ")).count();
         assert!(emitted("cd") > 0, "{out}");
         assert_eq!(emitted("cd2"), emitted("cd"), "{out}");
@@ -1637,6 +1621,59 @@ mod tests {
 
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_file(&data).ok();
+    }
+
+    /// `--stats` on a file holding a renamed twin: the `events evicted`
+    /// total is the sum of the per-pattern `evicted` column, the twin's
+    /// row counted like any other — it runs a matcher of its own.
+    #[test]
+    fn bank_stats_evicted_total_sums_the_table() {
+        let tmp = |name: &str| {
+            std::env::temp_dir()
+                .join(format!("ses-cli-evicted-{}-{name}", std::process::id()))
+                .to_string_lossy()
+                .into_owned()
+        };
+        let (ward, file) = (tmp("ward.csv"), tmp("twins.ses"));
+        let (code, out) = run(&[
+            "generate",
+            "--workload",
+            "chemo",
+            "--out",
+            &ward,
+            "--scale",
+            "0.1",
+        ]);
+        assert_eq!(code, 0, "{out}");
+        std::fs::write(
+            &file,
+            "ab: PATTERN a THEN b WHERE a.L = 'C' AND b.L = 'B' WITHIN 264 HOURS;\n\
+             cd: PATTERN c THEN d WHERE c.L = 'C' AND d.L = 'D' WITHIN 264 HOURS;\n\
+             ab2: PATTERN x THEN y WHERE x.L = 'C' AND y.L = 'B' WITHIN 264 HOURS;\n",
+        )
+        .unwrap();
+        let (code, out) = run(&["bank", "--patterns", &file, "--data", &ward, "--stats"]);
+        assert_eq!(code, 0, "{out}");
+        let last_field = |prefix: &str| -> Vec<usize> {
+            out.lines()
+                .filter(|l| l.starts_with(prefix))
+                .map(|l| l.split_whitespace().last().unwrap().parse().unwrap())
+                .collect()
+        };
+        let column: Vec<usize> = ["ab ", "cd ", "ab2 "]
+            .iter()
+            .flat_map(|name| last_field(name))
+            .collect();
+        assert_eq!(column.len(), 3, "{out}");
+        assert_eq!(
+            column[0], column[2],
+            "the twin evicts what `ab` does: {out}"
+        );
+        assert!(column[2] > 0, "{out}");
+        let total = last_field("events evicted");
+        assert_eq!(total, [column.iter().sum::<usize>()], "{out}");
+        std::fs::remove_file(&ward).ok();
+        std::fs::remove_file(&file).ok();
     }
 
     #[test]
@@ -1726,18 +1763,18 @@ mod tests {
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("SES006"), "{out}");
         assert!(out.contains("equivalent to `base`"), "{out}");
-        assert!(out.contains("runs one matcher for both"), "{out}");
+        assert!(out.contains("one of the two is redundant\n"), "{out}");
         assert!(out.contains("SES007"), "{out}");
         assert!(out.contains("subsumed by `base`"), "{out}");
         assert!(out.contains("follow: ok"), "{out}");
-        assert!(out.contains("4 pattern(s), 1 deduplicated"), "{out}");
+        assert!(out.contains(": 4 pattern(s)\n"), "{out}");
 
         let (code, json) = run(&["check", "--patterns", &dir_s, "--format", "json"]);
         assert_eq!(code, 0, "{json}");
         for code in ["SES006", "SES007"] {
             assert!(json.contains(&format!("\"code\":\"{code}\"")), "{json}");
         }
-        assert!(json.contains("\"plan\":"), "{json}");
+        assert!(json.contains("\"patterns\":4}"), "{json}");
 
         std::fs::remove_dir_all(&dir).ok();
     }

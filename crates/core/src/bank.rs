@@ -37,28 +37,15 @@
 //! precisely what `tests/bank_vs_independent.rs` proves differentially.
 //! The full argument lives in `docs/patternbank.md`.
 //!
-//! # Deduplication
+//! # One matcher per pattern
 //!
-//! When the bank is built, a cross-pattern static analysis
-//! ([`ses_pattern::SharingPlan`]) finds the patterns whose
-//! declaration-order evaluation form and execution options are identical
-//! to an earlier one's — the same query registered twice, or under
-//! renamed variables. Such a pattern runs no automaton at all; it
-//! re-emits its leader's matches (already in global event ids)
-//! push-for-push. Identical evaluation form means identical pushes
-//! produce identical emissions, so the re-emitted stream *is* the
-//! member's own answer: `tests/bank_vs_independent.rs` holds the bank to
-//! N independent matchers over pattern sets that contain such twins.
-//! There is no switch — a twin is never worth a second matcher. A dedup
-//! member reports its leader's matcher counters in the *statistics*,
-//! with its own routing counts.
-//!
-//! Patterns that merely *overlap* — a common leading event set, say —
-//! each run their own matcher; `docs/patternbank.md` records why the
-//! shared-prefix pools an earlier bank ran for them are gone.
-//!
-//! Every registered pattern runs exactly one matcher, or is a dedup
-//! member of one: the bank never partitions a pattern's stream.
+//! Every registered pattern runs exactly one matcher of its own, as the
+//! paper runs one automaton per pattern: the bank never partitions a
+//! pattern's stream, and never lets one pattern answer for another.
+//! Patterns that *overlap* — a common leading event set, or the same
+//! query under two names — are no exception; `docs/patternbank.md`
+//! records why the shared-prefix pools and the deduplication earlier
+//! banks ran for them are gone.
 //!
 //! # Event ids
 //!
@@ -70,46 +57,31 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use ses_event::{Event, EventError, EventId, Schema, Timestamp, Value};
-use ses_pattern::{IndexClass, Pattern, PatternIndex, ShareConstraint, ShareRole, SharingPlan};
+use ses_pattern::{IndexClass, Pattern, PatternIndex};
 
 use crate::error::CoreError;
 use crate::matcher::MatcherOptions;
 use crate::matches::Match;
 use crate::probe::{NoProbe, Probe};
-use crate::snapshot::{options_compat, BankPatternSnapshot, BankRole, BankSnapshot};
+use crate::snapshot::{BankPatternSnapshot, BankSnapshot};
 use crate::stream::StreamMatcher;
 
-/// How a registered pattern executes.
-#[derive(Debug)]
-enum Exec {
-    /// Runs its own stream matcher (boxed: the matcher dwarfs the
-    /// dedup variant).
-    Own(Box<StreamMatcher>),
-    /// Evaluation-identical to the pattern at `leader`; runs nothing
-    /// and re-emits the leader's matches.
-    Dedup { leader: usize },
-}
-
-/// One registered pattern: its execution mode plus the map from its
-/// local event ids back to global ones, and the routing counters. The
-/// bank's `i`-th entry is pattern `i`.
+/// One registered pattern: its matcher plus the map from its local
+/// event ids back to global ones, and the routing counters. The bank's
+/// `i`-th entry is pattern `i`.
 #[derive(Debug)]
 struct Entry {
     name: String,
-    exec: Exec,
-    /// Pattern ids of the dedup members re-emitting this entry's
-    /// matches.
-    followers: Vec<usize>,
+    sm: StreamMatcher,
     /// Global ids of the events admitted to this pattern, indexed by
-    /// `local - base`. Empty for a dedup member.
+    /// `local - base`.
     ids: Vec<EventId>,
     /// The pattern relation's first retained local index; `ids` is
     /// pruned to it whenever the matcher evicts.
     base: usize,
     /// Peak `|Ω|` observed on this pattern.
     peak_omega: usize,
-    /// Events routed into the matcher (for a dedup member: events the
-    /// index admitted to it).
+    /// Events routed into the matcher.
     hits: u64,
     /// Global id of the first event pushed after this entry registered
     /// (see [`Entry::seen`]); what it saw and did not hit, it skipped.
@@ -221,11 +193,10 @@ fn remap(ids: &[EventId], base: usize, m: &Match) -> Match {
 impl Entry {
     /// An entry that has pushed nothing yet, registered when the bank
     /// had consumed `since` events.
-    fn new(name: String, exec: Exec, since: usize) -> Entry {
+    fn new(name: String, sm: StreamMatcher, since: usize) -> Entry {
         Entry {
             name,
-            exec,
-            followers: Vec::new(),
+            sm,
             ids: Vec::new(),
             base: 0,
             peak_omega: 0,
@@ -241,34 +212,10 @@ impl Entry {
         (consumed - self.since) as u64
     }
 
-    /// `Some(leader)` iff this pattern is deduplicated into another.
-    fn leader(&self) -> Option<usize> {
-        match self.exec {
-            Exec::Dedup { leader } => Some(leader),
-            Exec::Own(_) => None,
-        }
-    }
-
-    /// The entry's own matcher, if it runs one.
-    fn own(&self) -> Option<&StreamMatcher> {
-        match &self.exec {
-            Exec::Own(sm) => Some(sm),
-            Exec::Dedup { .. } => None,
-        }
-    }
-
-    /// The entry's own matcher, which the caller knows it runs.
-    fn own_mut(&mut self) -> &mut StreamMatcher {
-        match &mut self.exec {
-            Exec::Own(sm) => sm,
-            Exec::Dedup { .. } => unreachable!("a dedup member runs no matcher"),
-        }
-    }
-
     /// Pushes the event — its row already checked against the bank's
-    /// schema — into the own matcher of this entry, pattern `id`, and
-    /// emits what that finalizes.
-    fn push_own<P: Probe>(
+    /// schema — into the matcher of this entry, pattern `id`, and emits
+    /// what that finalizes.
+    fn push<P: Probe>(
         &mut self,
         id: usize,
         event: Event,
@@ -277,55 +224,43 @@ impl Entry {
         out: &mut Vec<(usize, Match)>,
     ) -> Result<(), EventError> {
         self.ids.push(EventId::from(global));
-        let sm = self.own_mut();
-        let emitted = sm.push_checked_event(event, probe)?;
-        let omega = sm.active_instances();
-        self.peak_omega = self.peak_omega.max(omega);
+        let emitted = self.sm.push_checked_event(event, probe)?;
+        self.peak_omega = self.peak_omega.max(self.sm.active_instances());
         self.emit(id, emitted, out);
         Ok(())
     }
 
-    /// Heartbeats the own matcher of this entry, pattern `id`, and
-    /// emits what that finalizes. Does not touch the routing counters.
-    fn beat_own<P: Probe>(
+    /// Heartbeats the matcher of this entry, pattern `id`, and emits
+    /// what that finalizes. Does not touch the routing counters.
+    fn beat<P: Probe>(
         &mut self,
         id: usize,
         ts: Timestamp,
         probe: &mut P,
         out: &mut Vec<(usize, Match)>,
     ) {
-        let emitted = self.own_mut().advance_watermark_with_probe(ts, probe);
+        let emitted = self.sm.advance_watermark_with_probe(ts, probe);
         self.emit(id, emitted, out);
     }
 
     /// Appends the matches this entry's matcher just `emitted` to `out`
-    /// in global event ids — under its own pattern id `id` and under
-    /// that of every dedup member re-emitting them — and drops the
-    /// id-map entries of whatever the matcher evicted meanwhile.
+    /// in global event ids, under pattern id `id`, and drops the id-map
+    /// entries of whatever the matcher evicted meanwhile.
     fn emit(&mut self, id: usize, emitted: Vec<Match>, out: &mut Vec<(usize, Match)>) {
-        for m in &emitted {
-            let m = remap(&self.ids, self.base, m);
-            out.extend(self.followers.iter().map(|&f| (f, m.clone())));
-            out.push((id, m));
-        }
+        out.extend(emitted.iter().map(|m| (id, remap(&self.ids, self.base, m))));
         self.prune();
     }
 
-    /// Ends the stream of this entry, pattern `id`: flushes its own
-    /// matcher, if it runs one, and emits what that finalizes.
-    fn finish(mut self, id: usize, out: &mut Vec<(usize, Match)>) {
-        // The flush consumes the matcher while `emit` wants the rest of
-        // the entry: leave a matcher-less stand-in behind.
-        let stand_in = Exec::Dedup { leader: id };
-        if let Exec::Own(sm) = std::mem::replace(&mut self.exec, stand_in) {
-            self.emit(id, sm.finish(), out);
-        }
+    /// Ends the stream of this entry, pattern `id`: flushes its matcher
+    /// and emits what that finalizes.
+    fn finish(self, id: usize, out: &mut Vec<(usize, Match)>) {
+        let Entry { sm, ids, base, .. } = self;
+        out.extend(sm.finish().iter().map(|m| (id, remap(&ids, base, m))));
     }
 
     /// Drops id-map entries for events the matcher has evicted.
     fn prune(&mut self) {
-        let Exec::Own(sm) = &self.exec else { return };
-        let first = sm.relation().first_index();
+        let first = self.sm.relation().first_index();
         if first > self.base {
             self.ids.drain(..first - self.base);
             self.base = first;
@@ -334,9 +269,7 @@ impl Entry {
 }
 
 /// Point-in-time routing and matching statistics for one registered
-/// pattern — the rows `ses-cli bank --stats` prints. A dedup member
-/// reports its leader's matcher counters (they share one matcher) with
-/// its own hit/skip routing counts.
+/// pattern — the rows `ses-cli bank --stats` prints.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PatternStats {
     /// The name the pattern was registered under.
@@ -374,134 +307,41 @@ pub struct PatternStats {
     pub evicted_events: usize,
 }
 
-/// A compiled registration awaiting [`PatternBankBuilder::build`].
-#[derive(Debug)]
-struct Built {
-    name: String,
-    sm: StreamMatcher,
-}
-
-/// Computes the deduplication plan for a set of built matchers: over
-/// the pattern the engine actually evaluates (after analyzer rewrites),
-/// constrained by options compatibility. A bank of one has nothing to
-/// compare.
-fn compute_plan(built: &[Built]) -> SharingPlan {
-    if built.len() < 2 {
-        return SharingPlan::trivial(built.len());
-    }
-    let patterns: Vec<&Pattern> = built.iter().map(|b| b.sm.compiled().pattern()).collect();
-    let constraints: Vec<ShareConstraint> = built
-        .iter()
-        .map(|b| ShareConstraint {
-            compat: options_compat(b.sm.options()),
-        })
-        .collect();
-    SharingPlan::compute(&patterns, &constraints)
-}
-
-/// The per-pattern roles a snapshot records, derived from a plan.
-fn derive_roles(plan: &SharingPlan) -> Vec<BankRole> {
-    plan.roles
-        .iter()
-        .map(|role| match *role {
-            ShareRole::DedupMember { leader } => BankRole::DedupMember {
-                leader: leader as u32,
-            },
-            _ => BankRole::Plain,
-        })
-        .collect()
-}
-
-/// Builds the predicate index. A dedup member is indexed by its
-/// *leader's* compiled pattern — the one whose emissions it re-emits —
-/// so its routing statistics describe the automaton answering for it.
+/// Builds the predicate index over the entries' compiled patterns.
 fn build_index(entries: &[Entry]) -> PatternIndex {
-    PatternIndex::build(entries.iter().enumerate().map(|(i, e)| {
-        entries[e.leader().unwrap_or(i)]
-            .own()
-            .expect("a leader runs its own matcher")
-            .compiled()
-    }))
+    PatternIndex::build(entries.iter().map(|e| e.sm.compiled()))
 }
 
-/// Panics unless `sm` was compiled against `schema` — the invariant that
-/// lets the bank check a row once for all of its matchers.
-fn assert_shares_schema(sm: &StreamMatcher, schema: &Schema) {
-    assert!(
-        sm.compiled().schema() == schema,
-        "a bank's matchers are compiled against the bank's schema"
-    );
-}
-
-/// Builder for a [`PatternBank`]; see [`PatternBank::builder`].
+/// Builder for a [`PatternBank`]; see [`PatternBank::builder`]. It
+/// holds the bank under construction, whose predicate index and
+/// heartbeat deadlines [`PatternBankBuilder::build`] sets up once.
 #[derive(Debug)]
 pub struct PatternBankBuilder {
-    schema: Schema,
-    entries: Vec<Built>,
+    bank: PatternBank,
 }
 
 impl PatternBankBuilder {
     /// Compiles `pattern` against the bank's schema and registers it
     /// under `name`. Patterns are identified by their zero-based
-    /// registration order in push results and statistics.
+    /// registration order in push results and statistics. A duplicate
+    /// name is refused with [`CoreError::Subscription`], as
+    /// [`PatternBank::subscribe`] refuses it.
     pub fn register(
         mut self,
         name: impl Into<String>,
         pattern: &Pattern,
         options: MatcherOptions,
     ) -> Result<PatternBankBuilder, CoreError> {
-        let sm = StreamMatcher::with_options(pattern, &self.schema, options)?;
-        // A push checks its row against the bank's schema once and then
-        // trusts it in every matcher.
-        assert_shares_schema(&sm, &self.schema);
-        self.entries.push(Built {
-            name: name.into(),
-            sm,
-        });
+        self.bank.add(name.into(), pattern, options)?;
         Ok(self)
     }
 
-    /// Builds the bank: the deduplication plan and the predicate index,
-    /// both from the compiled patterns exactly as the matchers will run
-    /// them (after any analyzer rewrites).
+    /// Builds the bank: the predicate index, from the compiled patterns
+    /// exactly as the matchers will run them (after any analyzer
+    /// rewrites), and the heartbeat schedule.
     pub fn build(self) -> PatternBank {
-        let plan = compute_plan(&self.entries);
-        self.build_as(plan)
-    }
-
-    /// Builds the bank with its patterns in the roles of `plan`: a dedup
-    /// member drops its matcher and enlists with its leader.
-    fn build_as(self, plan: SharingPlan) -> PatternBank {
-        let mut entries: Vec<Entry> = self
-            .entries
-            .into_iter()
-            .zip(&plan.roles)
-            .map(|(b, role)| {
-                let exec = match *role {
-                    ShareRole::DedupMember { leader } => Exec::Dedup { leader },
-                    _ => Exec::Own(Box::new(b.sm)),
-                };
-                Entry::new(b.name, exec, 0)
-            })
-            .collect();
-        for member in 0..entries.len() {
-            if let Some(leader) = entries[member].leader() {
-                entries[leader].followers.push(member);
-            }
-        }
-        let mut bank = PatternBank {
-            index: build_index(&entries),
-            entries,
-            plan,
-            schema: self.schema,
-            watermark: None,
-            last_ts: None,
-            next_id: 0,
-            ties: 0,
-            emitted: 0,
-            scratch: Scratch::default(),
-            entry_due: Deadlines::default(),
-        };
+        let mut bank = self.bank;
+        bank.index = build_index(&bank.entries);
         bank.reschedule();
         bank
     }
@@ -543,9 +383,6 @@ impl PatternBankBuilder {
 pub struct PatternBank {
     /// The registered patterns, in id order.
     entries: Vec<Entry>,
-    /// Which entries re-emit another's matches instead of running a
-    /// matcher (trivial when no two patterns are evaluation-identical).
-    plan: SharingPlan,
     index: PatternIndex,
     schema: Schema,
     /// The bank's clock: max of pushed and heartbeat timestamps; pushes
@@ -561,18 +398,27 @@ pub struct PatternBank {
     /// Matches emitted by pushes and heartbeats so far.
     emitted: usize,
     scratch: Scratch,
-    /// Heartbeat deadlines of the entries' own matchers (none for a
-    /// dedup member), indexed like `entries`.
+    /// Heartbeat deadlines of the entries' matchers, indexed like
+    /// `entries`.
     entry_due: Deadlines,
 }
 
 impl PatternBank {
     /// Starts building a bank over `schema`.
     pub fn builder(schema: &Schema) -> PatternBankBuilder {
-        PatternBankBuilder {
-            schema: schema.clone(),
+        let bank = PatternBank {
             entries: Vec::new(),
-        }
+            index: build_index(&[]),
+            schema: schema.clone(),
+            watermark: None,
+            last_ts: None,
+            next_id: 0,
+            ties: 0,
+            emitted: 0,
+            scratch: Scratch::default(),
+            entry_due: Deadlines::default(),
+        };
+        PatternBankBuilder { bank }
     }
 
     /// Number of registered patterns.
@@ -593,12 +439,6 @@ impl PatternBank {
     /// How the predicate index routes events to pattern `id`.
     pub fn index_class(&self, id: usize) -> IndexClass {
         self.index.class(id)
-    }
-
-    /// The deduplication plan the bank executes: trivial unless some
-    /// registered patterns are evaluation-identical.
-    pub fn sharing_plan(&self) -> &SharingPlan {
-        &self.plan
     }
 
     /// Pushes one event (timestamps must be non-decreasing) and returns
@@ -700,20 +540,16 @@ impl PatternBank {
             match todo[i] {
                 Todo::Routed => {
                     entry.hits += 1;
-                    if entry.leader().is_none() {
-                        entry.push_own(i, event.clone(), self.next_id, probe, &mut out)?;
-                    }
+                    entry.push(i, event.clone(), self.next_id, probe, &mut out)?;
                 }
                 Todo::Beat => {
                     entry.beats += 1;
-                    entry.beat_own(i, ts, probe, &mut out);
+                    entry.beat(i, ts, probe, &mut out);
                 }
                 Todo::Idle => unreachable!("routing lists only entries it gave work"),
             }
         }
-        // Stable, so each pattern keeps its emission order — and a dedup
-        // member, whose clones were emitted beside its leader's
-        // originals, the leader's.
+        // Stable, so each pattern keeps its emission order.
         out.sort_by_key(|&(pattern, _)| pattern);
         Ok(out)
     }
@@ -723,9 +559,7 @@ impl PatternBank {
     fn settle(&mut self) {
         for &i in &self.scratch.work {
             self.scratch.todo[i] = Todo::Idle;
-            if let Some(sm) = self.entries[i].own() {
-                self.entry_due.set(i, sm.next_deadline());
-            }
+            self.entry_due.set(i, self.entries[i].sm.next_deadline());
         }
     }
 
@@ -733,11 +567,8 @@ impl PatternBank {
     /// every matcher's heartbeat deadline.
     fn reschedule(&mut self) {
         self.scratch.todo.resize(self.entries.len(), Todo::Idle);
-        self.entry_due.reset(
-            self.entries
-                .iter()
-                .map(|e| e.own().and_then(StreamMatcher::next_deadline)),
-        );
+        self.entry_due
+            .reset(self.entries.iter().map(|e| e.sm.next_deadline()));
     }
 
     /// Advances every pattern's watermark to `ts` without pushing an
@@ -748,9 +579,7 @@ impl PatternBank {
     pub fn advance_watermark(&mut self, ts: Timestamp) -> Vec<(usize, Match)> {
         let mut out = Vec::new();
         for (i, entry) in self.entries.iter_mut().enumerate() {
-            if entry.leader().is_none() {
-                entry.beat_own(i, ts, &mut NoProbe, &mut out);
-            }
+            entry.beat(i, ts, &mut NoProbe, &mut out);
         }
         out.sort_by_key(|&(pattern, _)| pattern);
         self.reschedule();
@@ -843,39 +672,31 @@ impl PatternBank {
         self.entries
             .iter()
             .enumerate()
-            .map(|(i, e)| {
-                // A dedup member's matcher-derived numbers come from the
-                // automaton answering for it.
-                let run = &self.entries[e.leader().unwrap_or(i)];
-                let sm = run.own().expect("a leader runs its own matcher");
-                PatternStats {
-                    name: e.name.clone(),
-                    class: self.index.class(i),
-                    hits: e.hits,
-                    skips: e.seen(self.next_id) - e.hits,
-                    heartbeats: run.beats,
-                    emitted: sm.emitted_so_far(),
-                    active_instances: sm.active_instances(),
-                    peak_omega: run.peak_omega,
-                    pending_candidates: sm.pending_candidates(),
-                    retained_killers: sm.retained_killers(),
-                    retained_events: sm.retained_events(),
-                    evicted_events: sm.evicted_events(),
-                }
+            .map(|(i, e)| PatternStats {
+                name: e.name.clone(),
+                class: self.index.class(i),
+                hits: e.hits,
+                skips: e.seen(self.next_id) - e.hits,
+                heartbeats: e.beats,
+                emitted: e.sm.emitted_so_far(),
+                active_instances: e.sm.active_instances(),
+                peak_omega: e.peak_omega,
+                pending_candidates: e.sm.pending_candidates(),
+                retained_killers: e.sm.retained_killers(),
+                retained_events: e.sm.retained_events(),
+                evicted_events: e.sm.evicted_events(),
             })
             .collect()
     }
 
     /// Captures the complete dynamic state of every pattern plus the
-    /// bank's routing bookkeeping under one manifest, and the role each
-    /// pattern runs in — all `Plain` unless the bank deduplicates.
+    /// bank's routing bookkeeping under one manifest.
     ///
     /// Heartbeats that pushes withheld are delivered first, so the
     /// snapshot is the one a bank heartbeating every pattern on every
     /// push would have taken.
     pub fn snapshot(&mut self) -> BankSnapshot {
         self.flush_deferred();
-        let roles = derive_roles(&self.plan);
         let next_id = self.next_id;
         BankSnapshot {
             watermark: self.watermark,
@@ -887,10 +708,7 @@ impl PatternBank {
                 .entries
                 .iter_mut()
                 .map(|e| {
-                    let matcher = match &mut e.exec {
-                        Exec::Own(sm) => Some(sm.snapshot()),
-                        Exec::Dedup { .. } => None,
-                    };
+                    let matcher = e.sm.snapshot();
                     // The matcher's snapshot evicted to its logical window.
                     e.prune();
                     BankPatternSnapshot {
@@ -904,105 +722,54 @@ impl PatternBank {
                     }
                 })
                 .collect(),
-            roles,
         }
     }
 
     /// Rebuilds a bank from the `(name, pattern, options)` specs it was
     /// built with and a [`BankSnapshot`] taken from it. Specs must match
     /// the snapshot in count, order, and name, and each pattern's
-    /// fingerprint must agree. Every pattern comes back in the role the
-    /// snapshot recorded for it, checked against the specs: a dedup
-    /// member must be one the plan recomputed from the specs folds into
-    /// the same leader; a pattern recorded as running its own matcher keeps
-    /// it, whatever the plan would make of it today — it was
-    /// [`PatternBank::subscribe`]d mid-stream, or checkpointed by a
-    /// release that did not deduplicate. Fails with
-    /// [`CoreError::SnapshotMismatch`] on any disagreement.
+    /// fingerprint must agree. Fails with [`CoreError::SnapshotMismatch`]
+    /// on any disagreement.
     pub fn restore(
         specs: &[(String, Pattern, MatcherOptions)],
         schema: &Schema,
         snapshot: &BankSnapshot,
     ) -> Result<PatternBank, CoreError> {
         let mismatch = |reason: String| CoreError::SnapshotMismatch { reason };
-        if !snapshot.roles.is_empty() && snapshot.roles.len() != snapshot.patterns.len() {
-            return Err(mismatch(format!(
-                "snapshot carries {} roles for {} patterns",
-                snapshot.roles.len(),
-                snapshot.patterns.len()
-            )));
-        }
         let mut builder = PatternBank::builder(schema);
         for (name, pattern, options) in specs {
             builder = builder.register(name.clone(), pattern, options.clone())?;
         }
-        let built = &builder.entries;
-        if built.len() != snapshot.patterns.len() {
+        let mut bank = builder.build();
+        if bank.len() != snapshot.patterns.len() {
             return Err(mismatch(format!(
                 "snapshot holds {} patterns, but {} were registered",
                 snapshot.patterns.len(),
-                built.len()
+                bank.len()
             )));
         }
-        for (i, (b, ps)) in built.iter().zip(&snapshot.patterns).enumerate() {
-            if b.name != ps.name {
+        for (i, (entry, ps)) in bank.entries.iter_mut().zip(&snapshot.patterns).enumerate() {
+            let name = &entry.name;
+            if *name != ps.name {
                 return Err(mismatch(format!(
-                    "pattern {i} is registered as `{}`, but the snapshot calls it `{}`",
-                    b.name, ps.name
+                    "pattern {i} is registered as `{name}`, but the snapshot calls it `{}`",
+                    ps.name
                 )));
             }
-        }
-        // The dynamic state only makes sense under the roles it was
-        // captured in, so those are what the bank is rebuilt with; the
-        // plan recomputed from the specs is the check on them.
-        let derived = compute_plan(built);
-        let mut plan = SharingPlan::trivial(built.len());
-        for (i, role) in snapshot.roles.iter().enumerate() {
-            if let BankRole::DedupMember { leader } = *role {
-                let leader = leader as usize;
-                if derived.roles[i] != (ShareRole::DedupMember { leader }) {
-                    return Err(mismatch(format!(
-                        "snapshot deduplicates pattern `{}` into pattern {leader}, but the \
-                         registered patterns do not",
-                        built[i].name
-                    )));
-                }
-                plan.deduplicate(i, leader);
-            }
-        }
-        let mut bank = builder.build_as(plan);
-        for (entry, ps) in bank.entries.iter_mut().zip(&snapshot.patterns) {
-            let name = &entry.name;
-            match (&mut entry.exec, &ps.matcher) {
-                (Exec::Own(sm), Some(ms)) => {
-                    sm.apply_snapshot(ms)
-                        .map_err(|e| mismatch(format!("pattern `{name}`: {e}")))?;
-                    if ps.ids.len() != sm.relation().len()
-                        || ps.base as usize != sm.relation().first_index()
-                    {
-                        return Err(mismatch(format!(
-                            "pattern `{name}`: id map covers {} events at base {}, but the \
-                             relation retains {} at base {}",
-                            ps.ids.len(),
-                            ps.base,
-                            sm.relation().len(),
-                            sm.relation().first_index()
-                        )));
-                    }
-                }
-                (Exec::Own(_), None) => {
-                    return Err(mismatch(format!(
-                        "pattern `{name}` runs its own matcher, but the snapshot holds no \
-                         matcher state for it"
-                    )));
-                }
-                (Exec::Dedup { .. }, Some(_)) => {
-                    return Err(mismatch(format!(
-                        "pattern `{name}` deduplicates into its leader, but the snapshot \
-                         carries matcher state for it"
-                    )));
-                }
-                (Exec::Dedup { .. }, None) => {}
+            let sm = &mut entry.sm;
+            sm.apply_snapshot(&ps.matcher)
+                .map_err(|e| mismatch(format!("pattern `{name}`: {e}")))?;
+            if ps.ids.len() != sm.relation().len()
+                || ps.base as usize != sm.relation().first_index()
+            {
+                return Err(mismatch(format!(
+                    "pattern `{name}`: id map covers {} events at base {}, but the \
+                     relation retains {} at base {}",
+                    ps.ids.len(),
+                    ps.base,
+                    sm.relation().len(),
+                    sm.relation().first_index()
+                )));
             }
             entry.ids = ps.ids.clone();
             entry.base = ps.base as usize;
@@ -1034,39 +801,48 @@ impl PatternBank {
     /// at the bank's current watermark (it observes no earlier events)
     /// and the predicate index is rebuilt to route to it. Returns the
     /// new pattern's id (its position in push results and statistics).
-    ///
-    /// The newcomer always runs its own matcher, even beside an
-    /// evaluation-identical pattern: joining mid-stream, its state
-    /// differs from any twin's — the twin holds runs over events the
-    /// newcomer never saw — so there is no leader whose matches are its
-    /// own. The deduplication among the patterns already registered is
-    /// left as it is. A duplicate name is refused — names identify
-    /// durable subscriptions, so reusing one would corrupt cursor-based
-    /// resume.
+    /// A duplicate name is refused — names identify durable
+    /// subscriptions, so reusing one would corrupt cursor-based resume.
     pub fn subscribe(
         &mut self,
         name: impl Into<String>,
         pattern: &Pattern,
         options: MatcherOptions,
     ) -> Result<usize, CoreError> {
-        let name = name.into();
+        let id = self.add(name.into(), pattern, options)?;
+        self.reschedule();
+        self.index = build_index(&self.entries);
+        Ok(id)
+    }
+
+    /// Compiles `pattern` against the bank's schema and appends it under
+    /// `name`, unless a pattern of that name is registered already — the
+    /// one way [`PatternBankBuilder::register`] and
+    /// [`PatternBank::subscribe`] add a pattern. The newcomer is in
+    /// neither the index nor the heartbeat schedule yet; the caller
+    /// rebuilds those. A matcher that has stored no event has no
+    /// deadline and takes its clock from its first push, which the bank
+    /// only accepts at or after its own watermark.
+    fn add(
+        &mut self,
+        name: String,
+        pattern: &Pattern,
+        options: MatcherOptions,
+    ) -> Result<usize, CoreError> {
         if self.entries.iter().any(|e| e.name == name) {
             return Err(CoreError::Subscription {
                 reason: format!("a pattern named `{name}` is already registered"),
             });
         }
-        // A matcher that has stored no event has no deadline and takes
-        // its clock from its first push, which the bank only accepts at
-        // or after its own watermark.
         let sm = StreamMatcher::with_options(pattern, &self.schema, options)?;
-        assert_shares_schema(&sm, &self.schema);
-        let id = self.len();
-        self.entries
-            .push(Entry::new(name, Exec::Own(Box::new(sm)), self.next_id));
-        self.plan.roles.push(ShareRole::Independent);
-        self.reschedule();
-        self.index = build_index(&self.entries);
-        Ok(id)
+        // A push checks its row against the bank's schema once and then
+        // trusts it in every matcher.
+        assert!(
+            sm.compiled().schema() == &self.schema,
+            "a bank's matchers are compiled against the bank's schema"
+        );
+        self.entries.push(Entry::new(name, sm, self.next_id));
+        Ok(self.entries.len() - 1)
     }
 }
 
@@ -1201,7 +977,6 @@ mod tests {
             check(&snap);
             drop(live);
             let mut restored = PatternBank::restore(specs, &schema(), &snap).unwrap();
-            assert_eq!(restored.sharing_plan(), twin.sharing_plan());
             assert_eq!(restored.emitted_so_far(), twin.emitted_so_far());
             assert_eq!(restored.consumed_events(), twin.consumed_events());
             assert_eq!(restored.ties_at_watermark(), twin.ties_at_watermark());
@@ -1333,15 +1108,14 @@ mod tests {
             push(&mut bank, row);
         }
         let snap = bank.snapshot();
-        let omega =
-            |snap: &BankSnapshot| snap.patterns[0].matcher.as_ref().unwrap().instances.clone();
+        let omega = |snap: &BankSnapshot| snap.patterns[0].matcher.instances.clone();
         assert_eq!(omega(&snap).len(), 3, "{:?}", omega(&snap));
         assert_eq!(omega(&snap)[0].bindings.len(), 2);
         PatternBank::restore(&specs(), &schema(), &snap).unwrap();
 
         let edited = |edit: &dyn Fn(&mut crate::StreamSnapshot)| {
             let mut bad = snap.clone();
-            edit(bad.patterns[0].matcher.as_mut().unwrap());
+            edit(&mut bad.patterns[0].matcher);
             let err = PatternBank::restore(&specs(), &schema(), &bad).unwrap_err();
             assert!(matches!(err, CoreError::SnapshotMismatch { .. }), "{err}");
             err.to_string()
@@ -1488,6 +1262,22 @@ mod tests {
         ));
     }
 
+    /// Registration takes the subscription's path: a name already taken
+    /// is refused, whatever the pattern.
+    #[test]
+    fn register_rejects_duplicate_names() {
+        let err = PatternBank::builder(&schema())
+            .register("ab", &pair("A", "B"), MatcherOptions::default())
+            .unwrap()
+            .register("ab", &pair("E", "F"), MatcherOptions::default())
+            .unwrap_err();
+        assert!(matches!(err, CoreError::Subscription { .. }), "{err}");
+        assert!(
+            err.to_string().contains("`ab` is already registered"),
+            "{err}"
+        );
+    }
+
     /// Pushes `rows` through `bank`, snapshots it after `cut` of them and
     /// continues a bank restored from `specs` beside it: the two must
     /// emit the same, push for push. Returns the snapshot and everything
@@ -1504,7 +1294,6 @@ mod tests {
         }
         let snap = bank.snapshot();
         let mut restored = PatternBank::restore(specs, &schema(), &snap).unwrap();
-        assert_eq!(restored.sharing_plan(), bank.sharing_plan());
         for &row in &rows[cut..] {
             let emitted = push(&mut bank, row);
             assert_eq!(push(&mut restored, row), emitted);
@@ -1521,11 +1310,11 @@ mod tests {
         of_pattern.map(|(_, m)| m).collect()
     }
 
-    /// A third copy of a deduplicated pair joins mid-stream: it runs its
-    /// own matcher over later events only, the pair stays one matcher,
-    /// and the mixed bank checkpoints and resumes push for push.
+    /// A third copy of a twin pair joins mid-stream: it matches over
+    /// later events only, the pair keeps emitting as one, and the mixed
+    /// bank checkpoints and resumes push for push.
     #[test]
-    fn subscribe_joins_a_deduplicating_bank() {
+    fn subscribe_joins_a_bank_with_twins() {
         let rows = shared_workload();
         let join = 7;
         let mut bank = sharing_bank();
@@ -1539,11 +1328,8 @@ mod tests {
         assert_eq!(late, 4);
         let mut specs = sharing_specs();
         specs.push(("pc3".into(), prefixed("C"), MatcherOptions::default()));
-        let (snap, rest) = run_across_restore(bank, &specs, &rows[join..], 3);
+        let (_, rest) = run_across_restore(bank, &specs, &rows[join..], 3);
         out.extend(rest);
-        assert_eq!(snap.roles[2], BankRole::DedupMember { leader: 0 });
-        assert_eq!(snap.roles[late], BankRole::Plain);
-        assert!(snap.patterns[late].matcher.is_some());
 
         let (pc, newcomer) = (matches_of(&out, 0), matches_of(&out, late));
         assert_eq!(pc, matches_of(&out, 2), "the pair stopped emitting as one");
@@ -1558,12 +1344,12 @@ mod tests {
         }
     }
 
-    /// The server's path: every pattern arrives through `subscribe`, so
-    /// one query under two names is two matchers — in the bank, in its
-    /// snapshot, and in the bank restored from it, although a plan
-    /// computed over the two specs would fold them.
+    /// The server's path: every pattern arrives through `subscribe`.
+    /// One query under two names is two matchers either way — a bank
+    /// subscribed before its first event is the bank registered, in its
+    /// output, its snapshot, and the bank restored from it.
     #[test]
-    fn twins_subscribed_before_the_first_event_stay_two_matchers() {
+    fn twins_subscribed_before_the_first_event_are_the_bank_registered() {
         let renamed = Pattern::builder()
             .set(|s| s.var("x").var("y"))
             .cond_const("x", "L", CmpOp::Eq, "A")
@@ -1575,17 +1361,16 @@ mod tests {
             ("ab".into(), pair("A", "B"), MatcherOptions::default()),
             ("ab2".into(), renamed, MatcherOptions::default()),
         ];
-        assert_eq!(build(&specs).sharing_plan().deduplicated(), 1);
-
         let mut bank = PatternBank::builder(&schema()).build();
         for (name, pattern, options) in &specs {
             bank.subscribe(name.clone(), pattern, options.clone())
                 .unwrap();
         }
-        assert!(bank.sharing_plan().is_trivial());
         let (snap, out) = run_across_restore(bank, &specs, &workload(), 2);
-        assert_eq!(snap.roles, vec![BankRole::Plain; 2]);
-        assert!(snap.patterns.iter().all(|p| p.matcher.is_some()));
+        let (registered_snap, registered_out) =
+            run_across_restore(build(&specs), &specs, &workload(), 2);
+        assert_eq!(snap, registered_snap);
+        assert_eq!(out, registered_out);
         assert!(!matches_of(&out, 1).is_empty());
         assert_eq!(matches_of(&out, 0), matches_of(&out, 1));
     }
@@ -1725,10 +1510,7 @@ mod tests {
         let burst =
             (0..40i64).map(|k| (k / 4, k % 3, label(if k < 32 { k as usize % 2 } else { 0 })));
         let rest = (0..10_000i64).map(|k| (10 + k / 2, k % 5, label(2 + k as usize % 30)));
-        let held = |e: &Entry| {
-            let sm = e.own().expect("no twins in this bank");
-            (sm.retained_events(), sm.active_instances())
-        };
+        let held = |e: &Entry| (e.sm.retained_events(), e.sm.active_instances());
         let mut last: Vec<(u64, (usize, usize))> = vec![(0, (0, 0)); bank.entries.len()];
         for (t, id, l) in burst.chain(rest) {
             bank.push(
@@ -1762,7 +1544,7 @@ mod tests {
         assert_eq!((stats.retained_events, stats.active_instances), (0, 0));
     }
 
-    // ---- deduplication -----------------------------------------------
+    // ---- twins and overlaps ------------------------------------------
 
     /// Events exercising ties, window expiry, and suffix divergence for
     /// the `prefixed` family.
@@ -1787,8 +1569,8 @@ mod tests {
     }
 
     /// A pattern set with a twin among overlapping neighbours: `pc2` is
-    /// a duplicate of `pc` and runs no matcher; `pd` and `ab` open with
-    /// the same `{a,b}` set as `pc` and each run their own.
+    /// a duplicate of `pc`; `pd` and `ab` open with the same `{a,b}` set
+    /// as `pc`. Each of the four runs its own matcher.
     fn sharing_specs() -> Specs {
         vec![
             ("pc".into(), prefixed("C"), MatcherOptions::default()),
@@ -1802,39 +1584,35 @@ mod tests {
         build(&sharing_specs())
     }
 
-    /// A deduplicating bank vs independent matchers fed every event —
+    /// A bank with a twin vs independent matchers fed every event —
     /// the push-for-push output-identity claim of `docs/patternbank.md`.
     #[test]
-    fn sharing_matches_independent_matchers() {
-        assert_eq!(sharing_bank().sharing_plan().deduplicated(), 1);
+    fn twins_and_overlaps_match_independent_matchers() {
         assert_matches_independent(&sharing_specs(), &shared_workload());
     }
 
+    /// A twin's statistics are its own matcher's: the same as its
+    /// original's, row for row, since both saw the same events — and
+    /// summing a column counts each matcher once.
     #[test]
-    fn sharing_plan_surfaces_roles_and_stats_resolve_leaders() {
+    fn a_twin_reports_its_own_matcher() {
         let mut bank = sharing_bank();
-        let plan = bank.sharing_plan().clone();
-        // pc2 deduplicates into pc; pd and ab merely overlap with it.
-        assert_eq!(plan.roles[0], ShareRole::DedupLeader { members: vec![2] });
-        assert_eq!(plan.roles[2], ShareRole::DedupMember { leader: 0 });
-        assert_eq!(plan.roles[1], ShareRole::Independent);
-        assert_eq!(plan.roles[3], ShareRole::Independent);
         for row in shared_workload() {
             push(&mut bank, row);
         }
         let stats = bank.stats();
-        // The dedup member reports its leader's matcher counters with
-        // its own routing counts.
-        assert_eq!(stats[2].emitted, stats[0].emitted);
+        assert!(stats[2].emitted > 0 && stats[2].evicted_events > 0);
         assert_eq!(
-            stats[2].hits + stats[2].skips,
-            shared_workload().len() as u64
+            PatternStats {
+                name: stats[0].name.clone(),
+                ..stats[2].clone()
+            },
+            stats[0]
         );
-        assert!(stats[2].emitted > 0);
     }
 
     #[test]
-    fn sharing_heartbeat_finalizes_members() {
+    fn heartbeat_finalizes_twins() {
         let mut bank = sharing_bank();
         for row in [(0, 1, "A"), (1, 1, "B"), (2, 1, "C")] {
             push(&mut bank, row);
@@ -1844,29 +1622,15 @@ mod tests {
         let patterns: Vec<usize> = out.iter().map(|(i, _)| *i).collect();
         assert!(patterns.contains(&0) && patterns.contains(&2) && patterns.contains(&3));
         assert!(!patterns.contains(&1));
+        assert_eq!(matches_of(&out, 0), matches_of(&out, 2));
         assert!(bank.finish().is_empty());
     }
 
     #[test]
-    fn sharing_snapshot_restore_resumes_identically() {
+    fn twins_snapshot_restore_resumes_identically() {
         assert_restore_resumes(&sharing_specs(), &shared_workload(), |snap| {
-            assert!(snap.patterns[2].matcher.is_none(), "dedup member state");
+            assert_eq!(snap.patterns[2].matcher, snap.patterns[0].matcher);
         });
-    }
-
-    #[test]
-    fn restore_rejects_sharing_role_mismatch() {
-        let mut bank = sharing_bank();
-        push(&mut bank, (0, 1, "A"));
-        let snap = bank.snapshot();
-        // The recorded member must still be a twin of the recorded
-        // leader: not of nobody, and not of somebody else.
-        for stranger in [pair("E", "F"), prefixed("D")] {
-            let mut broken = sharing_specs();
-            broken[2].1 = stranger;
-            let err = PatternBank::restore(&broken, &schema(), &snap).unwrap_err();
-            assert!(err.to_string().contains("deduplicates"), "{err}");
-        }
     }
 
     // ---- id maps -----------------------------------------------------

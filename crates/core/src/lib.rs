@@ -87,7 +87,7 @@ pub use reference::{
 };
 pub use semantics::{select, MatchSemantics};
 pub use snapshot::{
-    BankPatternSnapshot, BankRole, BankSnapshot, InstanceSnapshot, MatcherSnapshot, StreamSnapshot,
+    BankPatternSnapshot, BankSnapshot, InstanceSnapshot, MatcherSnapshot, StreamSnapshot,
 };
 pub use state::{StateId, StateSet};
 pub use stream::StreamMatcher;

@@ -75,25 +75,6 @@ pub struct StreamSnapshot {
     pub emitted: u64,
 }
 
-/// How one registered pattern ran when a [`crate::PatternBank`]
-/// snapshot was taken: on its own, or deduplicated into another.
-/// Restore rebuilds the bank in the recorded roles — the per-pattern
-/// payload layout depends on the role — after checking each against the
-/// registration specs: a dedup member must still be evaluation-identical
-/// to its leader.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BankRole {
-    /// Runs its own matcher.
-    Plain,
-    /// Evaluation-identical to pattern `leader`; has no matcher of its
-    /// own and re-emits the leader's matches.
-    DedupMember {
-        /// Registration index of the pattern whose matcher answers for
-        /// this one.
-        leader: u32,
-    },
-}
-
 /// One registered pattern of a [`crate::PatternBank`]: its stream
 /// matcher snapshot plus the local→global event id map and the routing
 /// counters.
@@ -102,9 +83,8 @@ pub struct BankPatternSnapshot {
     /// The name the pattern was registered under — restore refuses a
     /// spec list whose names disagree.
     pub name: String,
-    /// The pattern's stream matcher state; `None` for a deduplicated
-    /// member, which runs no matcher of its own.
-    pub matcher: Option<StreamSnapshot>,
+    /// The pattern's stream matcher state.
+    pub matcher: StreamSnapshot,
     /// Global ids of the pattern's retained events, indexed by
     /// `local_id - base`.
     pub ids: Vec<EventId>,
@@ -138,10 +118,6 @@ pub struct BankSnapshot {
     pub emitted: u64,
     /// The bank's patterns, in registration order.
     pub patterns: Vec<BankPatternSnapshot>,
-    /// Per-entry roles, indexed like `patterns`. A bank whose entries
-    /// are all [`BankRole::Plain`] keeps the original (kind 2)
-    /// serialized layout.
-    pub roles: Vec<BankRole>,
 }
 
 /// The unit the checkpoint store persists: a snapshot of the one
@@ -194,12 +170,6 @@ pub(crate) fn matcher_fingerprint(automaton: &Automaton, options: &MatcherOption
         tag.push_str(&format!("\ninterchangeable {}", names.join(", ")));
     }
     fnv1a(tag.as_bytes())
-}
-
-/// Compatibility class of a matcher's behavior-relevant options: two
-/// patterns may share a matcher only when their keys agree.
-pub(crate) fn options_compat(options: &MatcherOptions) -> u64 {
-    fnv1a(options_tag(options).as_bytes())
 }
 
 /// FNV-1a, the same checksum the `ses-store` segment format uses.

@@ -529,11 +529,6 @@ impl StreamMatcher {
         self.automaton.pattern()
     }
 
-    /// The options the matcher was compiled with.
-    pub(crate) fn options(&self) -> &MatcherOptions {
-        &self.options
-    }
-
     /// Overwrites this matcher's dynamic state with `snap` — shared by
     /// [`StreamMatcher::restore`] and the bank's manifest restore.
     pub(crate) fn apply_snapshot(&mut self, snap: &StreamSnapshot) -> Result<(), CoreError> {

@@ -87,6 +87,6 @@ pub use negation::{
 };
 pub use pattern::Pattern;
 pub use propagate::{propagate, Propagation};
-pub use relate::{relate, PatternRelation, ShareConstraint, ShareRole, SharingPlan};
+pub use relate::{relate, PatternRelation};
 pub use symmetry::interchangeable_classes;
 pub use variable::{Quantifier, VarId, Variable};

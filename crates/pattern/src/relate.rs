@@ -1,31 +1,21 @@
 //! Cross-pattern static analysis: equivalence and subsumption over a
-//! *set* of patterns, plus the [`SharingPlan`] by which a multi-pattern
-//! bank runs evaluation-identical patterns once.
+//! *set* of patterns — the relations `check --patterns` reports
+//! (SES006, SES007).
 //!
 //! Everything here is **static** (computed before a single event is
 //! pushed) and **conservative**: a claimed relation is always sound, a
-//! missed relation merely costs an optimization or a lint hint.
+//! missed relation merely costs a lint hint.
 //!
 //! # Canonical form
 //!
-//! Each pattern is normalized into two layers of per-`(variable,
-//! attribute)` admission facts:
-//!
-//! * a **semantic** layer — the interval [`Domain`] of every constant
-//!   condition, explicit *plus* the constants derived by
-//!   [`propagate`]. Domains are rendered through
-//!   [`Domain::to_constraints`], which is canonical for non-poisoned
-//!   domains, so `v.V > 5 ∧ v.V ≥ 5` and `v.V > 5` produce the same
-//!   key. Poisoned domains (unorderable bound pairs, e.g. mixed-type
-//!   comparisons) fall back to the sorted syntactic rendering.
-//! * a **literal** layer — the same rendering restricted to the
-//!   explicit constants of `Θ`. This is the *evaluation-identical*
-//!   notion: two variables with equal literal keys admit exactly the
-//!   same events at run time, which is the bar deduplication must
-//!   clear (derived constants may not be checked by the engine, and
-//!   importing them across variables can change greedy
-//!   skip-till-next-match behavior even when it cannot change the final
-//!   answer's candidate space).
+//! Each pattern is normalized into per-`(variable, attribute)`
+//! admission facts: the interval [`Domain`] of every constant
+//! condition, explicit *plus* the constants derived by [`propagate`].
+//! Domains are rendered through [`Domain::to_constraints`], which is
+//! canonical for non-poisoned domains, so `v.V > 5 ∧ v.V ≥ 5` and
+//! `v.V > 5` produce the same key. Poisoned domains (unorderable bound
+//! pairs, e.g. mixed-type comparisons) fall back to the sorted
+//! syntactic rendering.
 //!
 //! Variable conditions are orientation-normalized (`a φ b` and
 //! `b φ.flip() a` render identically) and compared as sorted sets —
@@ -189,15 +179,12 @@ pub(crate) fn render_negation(neg: &Negation, pos: &dyn Fn(VarId) -> usize) -> S
     format!("¬gap{}[{}]", neg.after_set(), conds.join(" & "))
 }
 
-/// The canonical form of one pattern, precomputed once per
-/// [`relate`]/[`SharingPlan`] call.
+/// The canonical form of one pattern, precomputed once per [`relate`]
+/// call.
 struct Form<'p> {
     pattern: &'p Pattern,
     /// Semantic facts (explicit + derived constants), by `VarId` index.
     sem: Vec<VarFacts>,
-    /// Keys of the literal facts (explicit constants only), by `VarId`
-    /// index.
-    lit_keys: Vec<String>,
     /// Per set: its variables' semantic keys, sorted — the
     /// order-insensitive structural fingerprint.
     canon_set_keys: Vec<String>,
@@ -222,25 +209,9 @@ impl<'p> Form<'p> {
                 attrs: BTreeMap::new(),
             })
             .collect();
-        let mut lit = sem.clone();
 
         let prop = propagate(p);
-        for c in p.conditions() {
-            if let Rhs::Const(v) = &c.rhs {
-                let attr = c.lhs.attr.to_string();
-                sem[c.lhs.var.index()]
-                    .attrs
-                    .entry(attr.clone())
-                    .or_default()
-                    .add(c.op, v);
-                lit[c.lhs.var.index()]
-                    .attrs
-                    .entry(attr)
-                    .or_default()
-                    .add(c.op, v);
-            }
-        }
-        for c in &prop.derived {
+        for c in p.conditions().iter().chain(&prop.derived) {
             if let Rhs::Const(v) = &c.rhs {
                 sem[c.lhs.var.index()]
                     .attrs
@@ -251,7 +222,6 @@ impl<'p> Form<'p> {
         }
 
         let sem_keys: Vec<String> = sem.iter().map(VarFacts::key).collect();
-        let lit_keys: Vec<String> = lit.iter().map(VarFacts::key).collect();
 
         // Canonical positions: sets in order, each set's variables
         // sorted by semantic key (ties by declaration order).
@@ -303,7 +273,6 @@ impl<'p> Form<'p> {
         Form {
             pattern: p,
             sem,
-            lit_keys,
             canon_set_keys,
             canon_cond_keys,
             canon_negs,
@@ -311,39 +280,6 @@ impl<'p> Form<'p> {
             literal_conds,
             inorder_negs,
         }
-    }
-
-    /// Declaration-order evaluation fingerprint: two patterns with
-    /// equal in-order keys behave identically at run time (same
-    /// `VarId` layout, same literal admission per position, same
-    /// literal variable conditions, same negations and `τ`).
-    fn inorder_key(&self) -> String {
-        let p = self.pattern;
-        let mut s = String::new();
-        for i in 0..p.num_sets() {
-            s.push('<');
-            for v in p.set(i) {
-                s.push_str(&self.lit_keys[v.index()]);
-                s.push(',');
-            }
-            s.push('>');
-        }
-        let identity = |v: VarId| v.index();
-        let mut conds: Vec<String> = self
-            .literal_conds
-            .iter()
-            .filter_map(|c| render_var_cond(c, &identity))
-            .collect();
-        conds.sort();
-        conds.dedup();
-        s.push_str(&conds.join(" & "));
-        s.push('|');
-        for neg in &self.inorder_negs {
-            s.push_str(neg);
-            s.push(';');
-        }
-        s.push_str(&format!("|τ={}", p.within().as_ticks()));
-        s
     }
 }
 
@@ -487,116 +423,6 @@ pub fn relate(a: &Pattern, b: &Pattern) -> PatternRelation {
         return PatternRelation::Subsumes;
     }
     PatternRelation::Unrelated
-}
-
-/// How one registered pattern participates in a [`SharingPlan`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ShareRole {
-    /// Runs its own automaton.
-    Independent,
-    /// Runs its own automaton and additionally answers for the listed
-    /// duplicate member indices.
-    DedupLeader {
-        /// Indices of the patterns deduplicated into this automaton.
-        members: Vec<usize>,
-    },
-    /// Evaluation-identical to `leader`; runs no automaton of its own
-    /// and re-emits the leader's matches.
-    DedupMember {
-        /// Index of the pattern whose automaton answers for this one.
-        leader: usize,
-    },
-}
-
-/// Per-pattern constraints fed into [`SharingPlan::compute`] by the
-/// caller (a bank knows what this crate cannot: execution options).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShareConstraint {
-    /// Opaque execution-options compatibility class: only patterns
-    /// with equal keys may share anything.
-    pub compat: u64,
-}
-
-/// The deduplication plan for a set of patterns: who runs an automaton
-/// and who re-emits another's matches.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SharingPlan {
-    /// Per-pattern role, indexed like the input slice.
-    pub roles: Vec<ShareRole>,
-}
-
-impl SharingPlan {
-    /// The plan that shares nothing among `n` patterns.
-    pub fn trivial(n: usize) -> SharingPlan {
-        SharingPlan {
-            roles: vec![ShareRole::Independent; n],
-        }
-    }
-
-    /// `true` iff the plan shares nothing.
-    pub fn is_trivial(&self) -> bool {
-        self.deduplicated() == 0
-    }
-
-    /// Number of patterns that run no automaton of their own.
-    pub fn deduplicated(&self) -> usize {
-        self.roles
-            .iter()
-            .filter(|r| matches!(r, ShareRole::DedupMember { .. }))
-            .count()
-    }
-
-    /// One-line human summary (for `check --patterns` output).
-    pub fn describe(&self) -> String {
-        format!("{} deduplicated", self.deduplicated())
-    }
-
-    /// Makes pattern `member` re-emit the matches of `leader`, which
-    /// runs its own automaton.
-    pub fn deduplicate(&mut self, member: usize, leader: usize) {
-        self.roles[member] = ShareRole::DedupMember { leader };
-        match &mut self.roles[leader] {
-            ShareRole::DedupLeader { members } => members.push(member),
-            r => {
-                *r = ShareRole::DedupLeader {
-                    members: vec![member],
-                }
-            }
-        }
-    }
-
-    /// Computes the sharing plan for `patterns`.
-    ///
-    /// `constraints` must be empty (all defaults) or match `patterns`
-    /// in length. Duplicate detection uses the declaration-order
-    /// evaluation fingerprint, so a dedup member behaves push-for-push
-    /// identically to its leader — the first pattern of its class.
-    pub fn compute(patterns: &[&Pattern], constraints: &[ShareConstraint]) -> SharingPlan {
-        let n = patterns.len();
-        let defaults;
-        let constraints = if constraints.is_empty() {
-            defaults = vec![ShareConstraint::default(); n];
-            &defaults
-        } else {
-            assert_eq!(constraints.len(), n, "one constraint per pattern");
-            constraints
-        };
-        let mut plan = SharingPlan::trivial(n);
-        let mut first_of: BTreeMap<(u64, String), usize> = BTreeMap::new();
-        for i in 0..n {
-            let key = (
-                constraints[i].compat,
-                Form::build(patterns[i]).inorder_key(),
-            );
-            match first_of.get(&key) {
-                Some(&leader) => plan.deduplicate(i, leader),
-                None => {
-                    first_of.insert(key, i);
-                }
-            }
-        }
-        plan
-    }
 }
 
 #[cfg(test)]
@@ -746,46 +572,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(relate(&strict_neg, &with_neg), PatternRelation::SubsumedBy);
-    }
-
-    #[test]
-    fn plan_deduplicates_renamed_twins_and_fans_out() {
-        let mk = |n1: &str, n2: &str| {
-            q(|b| {
-                b.set(|s| s.var(n1))
-                    .set(|s| s.var(n2))
-                    .cond_const(n1, "L", CmpOp::Eq, "C")
-                    .cond_const(n2, "L", CmpOp::Eq, "B")
-                    .within(Duration::hours(10))
-            })
-        };
-        let p1 = mk("a", "b");
-        let p2 = mk("x", "y");
-        let plan = SharingPlan::compute(&[&p1, &p2], &[]);
-        assert_eq!(plan.roles[0], ShareRole::DedupLeader { members: vec![1] });
-        assert_eq!(plan.roles[1], ShareRole::DedupMember { leader: 0 });
-        assert!(!plan.is_trivial());
-    }
-
-    #[test]
-    fn constraints_gate_sharing() {
-        let mk = || {
-            q(|b| {
-                b.set(|s| s.var("a"))
-                    .set(|s| s.var("z"))
-                    .cond_const("a", "L", CmpOp::Eq, "A")
-                    .cond_const("z", "L", CmpOp::Eq, "Z")
-                    .within(Duration::hours(10))
-            })
-        };
-        let p1 = mk();
-        let p2 = mk();
-        // Different options classes: nothing shared.
-        let plan = SharingPlan::compute(
-            &[&p1, &p2],
-            &[ShareConstraint { compat: 1 }, ShareConstraint { compat: 2 }],
-        );
-        assert!(plan.is_trivial());
     }
 
     #[test]

@@ -304,7 +304,7 @@ impl MatchLog {
 mod tests {
     use super::*;
     use crate::Retired;
-    use ses_core::{BankPatternSnapshot, BankRole, BankSnapshot, StreamSnapshot};
+    use ses_core::{BankPatternSnapshot, BankSnapshot, StreamSnapshot};
     use ses_event::{Event, Timestamp, Value};
 
     fn temp_dir(name: &str) -> PathBuf {
@@ -338,14 +338,13 @@ mod tests {
             emitted,
             patterns: vec![BankPatternSnapshot {
                 name: "query-1".into(),
-                matcher: Some(matcher),
+                matcher,
                 ids: vec![ses_event::EventId(0)],
                 base: 0,
                 peak_omega: 0,
                 hits: 1,
                 skips: 0,
             }],
-            roles: vec![BankRole::Plain],
         })
     }
 
@@ -398,35 +397,41 @@ mod tests {
     }
 
     /// A checkpoint a single-query `stream` of an earlier release wrote
-    /// (payload kind 0 or 1), or a bank running hash lanes (kind 3 with
-    /// role tag 3), frame and checksum intact, is reported by name —
-    /// even behind a newer corrupt file — never skipped into a silent
-    /// cold start.
+    /// (payload kind 0 or 1), or a bank running hash lanes or a
+    /// deduplicated twin (kind 3 with role tag 3 or 1), frame and
+    /// checksum intact, is reported by name — even behind a newer
+    /// corrupt file — never skipped into a silent cold start.
     #[test]
     fn retired_snapshot_kind_is_reported_not_skipped() {
         // Kind 3 with no watermark, no last timestamp, zero counters, the
-        // index byte and one pattern: "q", lane 0 of 1 on attribute 1,
-        // no matcher, no ids, zero counters; then no prefix pools.
-        let mut lane = vec![3, 0, 0];
-        lane.extend_from_slice(&[0; 24]);
-        lane.push(1);
-        lane.extend_from_slice(&1u32.to_le_bytes());
-        lane.extend_from_slice(&1u32.to_le_bytes());
-        lane.push(b'q');
-        lane.push(3);
-        for field in [1u32, 0, 1] {
-            lane.extend_from_slice(&field.to_le_bytes());
-        }
-        lane.push(0);
-        lane.extend_from_slice(&[0; 4 + 32 + 4]);
+        // index byte and one pattern: "q" under `role`, no matcher, no
+        // ids, zero counters; then no prefix pools.
+        let kind3 = |role: &[u32]| {
+            let mut bytes = vec![3, 0, 0];
+            bytes.extend_from_slice(&[0; 24]);
+            bytes.push(1);
+            bytes.extend_from_slice(&1u32.to_le_bytes());
+            bytes.extend_from_slice(&1u32.to_le_bytes());
+            bytes.push(b'q');
+            bytes.push(role[0] as u8);
+            for field in &role[1..] {
+                bytes.extend_from_slice(&field.to_le_bytes());
+            }
+            bytes.push(0);
+            bytes.extend_from_slice(&[0; 4 + 32 + 4]);
+            bytes
+        };
         let retired = [
             (Retired::SingleQueryStream, vec![0u8, 1, 2, 3]),
             (Retired::SingleQueryStream, vec![1u8, 1, 2, 3]),
-            (Retired::HashLanes, lane),
+            // Lane 0 of 1 on attribute 1.
+            (Retired::HashLanes, kind3(&[3, 1, 0, 1])),
+            // Deduplicated into pattern 0.
+            (Retired::Deduplication, kind3(&[1, 0])),
         ];
-        for (what, payload) in retired {
+        for (i, (what, payload)) in retired.into_iter().enumerate() {
             let kind = payload[0];
-            let dir = temp_dir(&format!("retired{kind}"));
+            let dir = temp_dir(&format!("retired{i}"));
             let store = CheckpointStore::open(&dir, 3).unwrap();
             fs::write(store.path_of(0), encode_frame(&payload)).unwrap();
             fs::write(store.path_of(1), b"garbage").unwrap();

@@ -17,8 +17,7 @@
 //! Layout of an encoded [`MatcherSnapshot`] (all integers little-endian):
 //!
 //! ```text
-//! u8 kind                     2 = Bank, 3 = Bank with deduplicated
-//!                             patterns (0 and 1 are retired, see
+//! u8 kind                     2 = Bank (0, 1 and 3 are retired, see
 //!                             [`StoreError::RetiredSnapshot`])
 //! stream  := u64 fingerprint | opt_ts watermark | u8 1
 //!          | u64 evicted | opt_ts last_ts
@@ -31,29 +30,38 @@
 //!          | u64 emitted | u8 1 | u32 n_patterns bpat*
 //! bpat    := str name | stream | u32 n_ids u32* | u64 base
 //!          | u64 peak_omega | u64 hits | u64 skips
-//! bank3   := <bank header as above> | u32 n_patterns bpat3*
-//!          | u32 0
-//! bpat3   := str name | role | u8 has_matcher | stream?
-//!          | u32 n_ids u32* | u64 base | u64 peak_omega
-//!          | u64 hits | u64 skips
-//! role    := 0u8 | 1u8 u32 leader
 //! opt_ts  := 0u8 | 1u8 i64
 //! str     := u32 len | utf8 bytes
 //! value   := 0u8 i64 | 1u8 f64 | 2u8 str | 3u8 u8    INT FLOAT STR BOOL
 //! ```
 //!
-//! Three bytes are constants of the layout: the `u8 1` of `stream` and of
+//! Two bytes are constants of the layout: the `u8 1` of `stream` and of
 //! the bank header recorded whether the writer evicted and whether it
 //! routed through the predicate index, when either could be switched
-//! off, and the `u32 0` closing `bank3` counted the shared-prefix pool
-//! matchers that followed it, when a bank ran any. A reader skips the
-//! first two — neither changes what the state means — and refuses a
-//! non-zero pool count, like role tag 2 (a pool member), with
-//! [`StoreError::RetiredSnapshot`]: the members' Ω holds only runs the
-//! pool injected, which nothing in this release can continue. Role tag 3
-//! (`u32 key u32 lane u32 of`: one hash lane of a key-sharded pattern)
-//! is refused the same way, by name: a lane's matcher holds one hash
-//! slice of its pattern's keys, which no matcher of this release runs.
+//! off. A reader skips both — neither changes what the state means.
+//!
+//! Earlier releases wrote kind 3 for a bank in which some pattern did
+//! not run a matcher of its own:
+//!
+//! ```text
+//! bank3   := <bank header as above> | u32 n_patterns bpat3* | u32 n_pools
+//! bpat3   := str name | role | u8 has_matcher | stream?
+//!          | u32 n_ids u32* | u64 base | u64 peak_omega
+//!          | u64 hits | u64 skips
+//! role    := 0u8                   plain: runs its own matcher
+//!          | 1u8 u32 leader        deduplicated into pattern `leader`
+//!          | 2u8 u32 pool          member of a shared-prefix pool
+//!          | 3u8 u32 key u32 lane u32 of    one hash lane of a pattern
+//! ```
+//!
+//! This release writes kind 2 only and refuses every retired role by
+//! name with [`StoreError::RetiredSnapshot`], as it refuses a non-zero
+//! pool count: a deduplicated pattern carries no state of its own, a
+//! pool member's Ω holds only runs the pool injected, and a lane's
+//! matcher holds one hash slice of its pattern's keys — none of which a
+//! bank of this release, one matcher per pattern, can continue. A
+//! kind-3 payload whose patterns are all plain, and which runs no pools,
+//! is read like kind 2.
 //!
 //! The file-level framing (magic, format version, checksum) lives in
 //! [`crate::CheckpointStore`]; this module only covers the payload.
@@ -61,7 +69,7 @@
 use std::sync::Arc;
 
 use ses_core::{
-    BankPatternSnapshot, BankRole, BankSnapshot, InstanceSnapshot, MatcherSnapshot, StreamSnapshot,
+    BankPatternSnapshot, BankSnapshot, InstanceSnapshot, MatcherSnapshot, StreamSnapshot,
 };
 use ses_event::{AttrType, Event, EventId, Timestamp, Value};
 use ses_pattern::VarId;
@@ -325,11 +333,7 @@ fn checked_len(
 pub fn encode_snapshot(snapshot: &MatcherSnapshot) -> Vec<u8> {
     let MatcherSnapshot::Bank(s) = snapshot;
     let mut e = Encoder::new();
-    // A bank without dedup members keeps the original kind-2 layout,
-    // byte for byte, so pre-sharing checkpoints and their
-    // readers stay interchangeable with new ones.
-    let shared = s.roles.iter().any(|r| !matches!(r, BankRole::Plain));
-    e.put_u8(if shared { 3 } else { 2 });
+    e.put_u8(2);
     e.put_opt_ts(s.watermark);
     e.put_opt_ts(s.last_ts);
     e.put_u64(s.next_id);
@@ -337,30 +341,9 @@ pub fn encode_snapshot(snapshot: &MatcherSnapshot) -> Vec<u8> {
     e.put_u64(s.emitted);
     e.put_bool(true); // routed through the index
     e.put_u32(s.patterns.len() as u32);
-    for (i, p) in s.patterns.iter().enumerate() {
+    for p in &s.patterns {
         e.put_str(&p.name);
-        if shared {
-            match s.roles.get(i).unwrap_or(&BankRole::Plain) {
-                BankRole::Plain => e.put_u8(0),
-                BankRole::DedupMember { leader } => {
-                    e.put_u8(1);
-                    e.put_u32(*leader);
-                }
-            }
-            match &p.matcher {
-                Some(m) => {
-                    e.put_u8(1);
-                    encode_stream(&mut e, m);
-                }
-                None => e.put_u8(0),
-            }
-        } else {
-            // Every pattern of an unshared bank runs a matcher.
-            encode_stream(
-                &mut e,
-                p.matcher.as_ref().expect("unshared bank pattern matcher"),
-            );
-        }
+        encode_stream(&mut e, &p.matcher);
         e.put_u32(p.ids.len() as u32);
         for id in &p.ids {
             e.put_u32(id.0);
@@ -369,9 +352,6 @@ pub fn encode_snapshot(snapshot: &MatcherSnapshot) -> Vec<u8> {
         e.put_u64(p.peak_omega);
         e.put_u64(p.hits);
         e.put_u64(p.skips);
-    }
-    if shared {
-        e.put_u32(0); // prefix pools
     }
     e.into_bytes()
 }
@@ -420,23 +400,15 @@ fn encode_bindings(e: &mut Encoder, bindings: &[(VarId, EventId)]) {
     }
 }
 
-/// What a kind-3 payload naming a shared-prefix pool, or a member of
-/// one, is refused with.
-const PREFIX_POOLS: StoreError = StoreError::RetiredSnapshot {
-    kind: 3,
-    what: Retired::PrefixPools,
-};
-
-/// What a kind-3 payload naming a hash lane is refused with.
-const HASH_LANES: StoreError = StoreError::RetiredSnapshot {
-    kind: 3,
-    what: Retired::HashLanes,
-};
+/// What a kind-3 payload naming a retired executor is refused with.
+const fn retired3(what: Retired) -> StoreError {
+    StoreError::RetiredSnapshot { kind: 3, what }
+}
 
 /// Deserializes a snapshot payload; every byte must be consumed.
 pub fn decode_snapshot(data: &[u8]) -> Result<MatcherSnapshot, StoreError> {
     let mut d = Decoder::new(data);
-    let shared = match d.get_u8()? {
+    let kind3 = match d.get_u8()? {
         2 => false,
         3 => true,
         kind @ (0 | 1) => {
@@ -453,34 +425,28 @@ pub fn decode_snapshot(data: &[u8]) -> Result<MatcherSnapshot, StoreError> {
     let ties = d.get_u64()?;
     let emitted = d.get_u64()?;
     d.get_bool()?; // routed through the index
-                   // A pattern is at least a name, a role, a matcher tag, an id count
-                   // and four counters: 4 + 1 + 1 + 4 + 32 bytes.
+
+    // A pattern is at least a name, an id count and four counters — and
+    // a stream, or in kind 3 a role and a matcher tag: 4 + 4 + 32 + 2.
     let n = checked_len(d.get_u32()?, d.remaining(), 42, "bank patterns")?;
     let mut patterns = Vec::with_capacity(n);
-    let mut roles = Vec::with_capacity(n);
     for _ in 0..n {
         let name = d.get_str()?;
-        let (role, matcher) = if shared {
-            let role = match d.get_u8()? {
-                0 => BankRole::Plain,
-                1 => BankRole::DedupMember {
-                    leader: d.get_u32()?,
-                },
-                2 => return Err(PREFIX_POOLS),
-                3 => return Err(HASH_LANES),
+        if kind3 {
+            match d.get_u8()? {
+                0 => {}
+                1 => return Err(retired3(Retired::Deduplication)),
+                2 => return Err(retired3(Retired::PrefixPools)),
+                3 => return Err(retired3(Retired::HashLanes)),
                 tag => return Err(corrupt(format!("unknown bank pattern role {tag}"))),
-            };
-            let matcher = match d.get_u8()? {
-                0 => None,
-                1 => Some(decode_stream(&mut d)?),
-                tag => return Err(corrupt(format!("invalid option tag {tag}"))),
-            };
-            (role, matcher)
-        } else {
-            // Kind 2 predates sharing: every pattern is plain and
-            // carries its matcher inline.
-            (BankRole::Plain, Some(decode_stream(&mut d)?))
-        };
+            }
+            if d.get_u8()? != 1 {
+                return Err(corrupt(format!(
+                    "plain pattern `{name}` without its matcher"
+                )));
+            }
+        }
+        let matcher = decode_stream(&mut d)?;
         let n_ids = checked_len(d.get_u32()?, d.remaining(), 4, "bank pattern ids")?;
         let mut ids = Vec::with_capacity(n_ids);
         for _ in 0..n_ids {
@@ -490,7 +456,6 @@ pub fn decode_snapshot(data: &[u8]) -> Result<MatcherSnapshot, StoreError> {
         let peak_omega = d.get_u64()?;
         let hits = d.get_u64()?;
         let skips = d.get_u64()?;
-        roles.push(role);
         patterns.push(BankPatternSnapshot {
             name,
             matcher,
@@ -501,8 +466,8 @@ pub fn decode_snapshot(data: &[u8]) -> Result<MatcherSnapshot, StoreError> {
             skips,
         });
     }
-    if shared && d.get_u32()? != 0 {
-        return Err(PREFIX_POOLS);
+    if kind3 && d.get_u32()? != 0 {
+        return Err(retired3(Retired::PrefixPools));
     }
     d.finish()?;
     Ok(MatcherSnapshot::Bank(BankSnapshot {
@@ -512,7 +477,6 @@ pub fn decode_snapshot(data: &[u8]) -> Result<MatcherSnapshot, StoreError> {
         ties,
         emitted,
         patterns,
-        roles,
     }))
 }
 
@@ -638,7 +602,7 @@ mod tests {
             patterns: vec![
                 BankPatternSnapshot {
                     name: "q-with a space, punctuation…".into(),
-                    matcher: Some(sample_stream()),
+                    matcher: sample_stream(),
                     ids: vec![EventId(1), EventId(7), EventId(22)],
                     base: 4,
                     peak_omega: 13,
@@ -647,7 +611,7 @@ mod tests {
                 },
                 BankPatternSnapshot {
                     name: String::new(),
-                    matcher: Some(StreamSnapshot {
+                    matcher: StreamSnapshot {
                         events: Vec::new(),
                         instances: Vec::new(),
                         pending: Vec::new(),
@@ -657,7 +621,7 @@ mod tests {
                         evicted: 0,
                         emitted: 0,
                         ..sample_stream()
-                    }),
+                    },
                     ids: Vec::new(),
                     base: 0,
                     peak_omega: 0,
@@ -665,55 +629,70 @@ mod tests {
                     skips: 23,
                 },
             ],
-            roles: vec![BankRole::Plain, BankRole::Plain],
         })
     }
 
-    /// A bank with a dedup member (no matcher of its own) and its
-    /// leader.
-    fn sample_shared_bank() -> MatcherSnapshot {
-        let MatcherSnapshot::Bank(mut bank) = sample_bank();
-        bank.patterns[1].matcher = None;
-        bank.roles = vec![BankRole::Plain, BankRole::DedupMember { leader: 0 }];
-        MatcherSnapshot::Bank(bank)
+    /// A role tag followed by its `u32` fields, as kind 3 wrote it.
+    fn role(tag: u8, fields: &[u32]) -> Vec<u8> {
+        let fields = fields.iter().flat_map(|f| f.to_le_bytes());
+        std::iter::once(tag).chain(fields).collect()
+    }
+
+    /// What an earlier release wrote for [`sample_bank`] in the kind-3
+    /// layout, by hand: pattern `i` under `roles[i]` — with its matcher
+    /// when plain, without otherwise — and then a count of `pools`
+    /// shared-prefix pools.
+    fn kind3(roles: [Vec<u8>; 2], pools: u32) -> Vec<u8> {
+        let MatcherSnapshot::Bank(bank) = sample_bank();
+        // The bank header and the pattern count are kind 2's.
+        let mut bytes = encode_snapshot(&MatcherSnapshot::Bank(bank.clone()))[..48].to_vec();
+        bytes[0] = 3;
+        let mut e = Encoder::new();
+        for (p, role) in bank.patterns.iter().zip(roles) {
+            e.put_str(&p.name);
+            let plain = role == [0];
+            role.into_iter().for_each(|b| e.put_u8(b));
+            e.put_bool(plain);
+            if plain {
+                encode_stream(&mut e, &p.matcher);
+            }
+            e.put_u32(p.ids.len() as u32);
+            for id in &p.ids {
+                e.put_u32(id.0);
+            }
+            for counter in [p.base, p.peak_omega, p.hits, p.skips] {
+                e.put_u64(counter);
+            }
+        }
+        e.put_u32(pools);
+        bytes.extend(e.into_bytes());
+        bytes
+    }
+
+    /// Asserts `bytes` are refused as a kind-3 bank running `what`, and
+    /// returns the message.
+    fn refused3(bytes: &[u8], what: Retired) -> String {
+        let err = decode_snapshot(bytes).unwrap_err();
+        assert!(
+            matches!(err, StoreError::RetiredSnapshot { kind: 3, what: w } if w == what),
+            "{err}"
+        );
+        err.to_string()
     }
 
     /// What an earlier release's bank wrote when it ran shared-prefix
-    /// pools, by hand: the first pattern as member of pool 0 (role tag 2
-    /// and the pool index in place of the `Plain` tag), and one pool
-    /// matcher after a count of 1 in place of the closing count of 0.
-    /// Either alone is refused by name — on input from outside the
-    /// program, never a panic or a silent cold start.
+    /// pools: a pattern as member of pool 0 (role tag 2 and the pool
+    /// index in place of the plain tag), or a non-zero pool count in
+    /// place of the closing count of 0. Either alone is refused by name
+    /// — on input from outside the program, never a panic or a silent
+    /// cold start.
     #[test]
     fn prefix_pool_checkpoints_are_refused_by_name() {
-        let bytes = encode_snapshot(&sample_shared_bank());
-        let role_at = 44 + 4 + 4 + "q-with a space, punctuation…".len();
-        assert_eq!(bytes[role_at], 0);
-        let mut member = bytes[..role_at].to_vec();
-        member.push(2);
-        member.extend_from_slice(&0u32.to_le_bytes());
-        member.extend_from_slice(&bytes[role_at + 1..]);
-
-        let (body, count) = bytes.split_at(bytes.len() - 4);
-        assert_eq!(count, 0u32.to_le_bytes());
-        let mut pool = Encoder::new();
-        pool.put_u32(1);
-        encode_stream(&mut pool, &sample_stream());
-        let pooled = [body, &pool.into_bytes()].concat();
-
-        for bytes in [member, pooled] {
-            let err = decode_snapshot(&bytes).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    StoreError::RetiredSnapshot {
-                        kind: 3,
-                        what: Retired::PrefixPools
-                    }
-                ),
-                "{err}"
-            );
-            let message = err.to_string();
+        for bytes in [
+            kind3([role(2, &[0]), role(0, &[])], 0),
+            kind3([role(0, &[]), role(0, &[])], 1),
+        ] {
+            let message = refused3(&bytes, Retired::PrefixPools);
             assert!(
                 message.contains("a pattern bank running shared-prefix pools")
                     && message.contains("does not execute")
@@ -727,22 +706,21 @@ mod tests {
     fn bank_snapshot_round_trips() {
         let snap = sample_bank();
         let bytes = encode_snapshot(&snap);
-        // Unshared banks keep the pre-sharing kind-2 layout.
         assert_eq!(bytes[0], 2);
         assert_eq!(decode_snapshot(&bytes).unwrap(), snap);
     }
 
+    /// A kind-3 payload naming no retired executor — which no release
+    /// wrote — holds nothing kind 2 cannot, and reads like it.
     #[test]
-    fn shared_bank_snapshot_round_trips() {
-        let snap = sample_shared_bank();
-        let bytes = encode_snapshot(&snap);
-        assert_eq!(bytes[0], 3);
-        assert_eq!(decode_snapshot(&bytes).unwrap(), snap);
+    fn plain_kind3_bank_reads_like_kind2() {
+        let bytes = kind3([role(0, &[]), role(0, &[])], 0);
+        assert_eq!(decode_snapshot(&bytes).unwrap(), sample_bank());
     }
 
     #[test]
-    fn shared_bank_truncation_and_garbage_fail_cleanly() {
-        let bytes = encode_snapshot(&sample_shared_bank());
+    fn kind3_truncation_and_garbage_fail_cleanly() {
+        let bytes = kind3([role(0, &[]), role(0, &[])], 0);
         for cut in 0..bytes.len() {
             assert!(
                 decode_snapshot(&bytes[..cut]).is_err(),
@@ -814,7 +792,7 @@ mod tests {
     /// Kinds 0 and 1 — the single-query `stream`'s global and sharded
     /// snapshots of earlier releases — are refused by name, not as
     /// corruption, whatever follows the kind byte; so is a kind-3 bank
-    /// holding a hash lane.
+    /// holding a hash lane or a deduplicated pattern.
     #[test]
     fn retired_kinds_are_refused_by_name() {
         let mut global = Encoder::new();
@@ -842,32 +820,22 @@ mod tests {
         }
 
         // What an earlier release's bank wrote for lane 0 of 1 on
-        // attribute 1, by hand: role tag 3, the key, the lane and the
-        // lane count in place of the first pattern's `Plain` tag.
-        let bytes = encode_snapshot(&sample_shared_bank());
-        let role_at = 44 + 4 + 4 + "q-with a space, punctuation…".len();
-        assert_eq!(bytes[role_at], 0);
-        let mut lane = bytes[..role_at].to_vec();
-        lane.push(3);
-        for field in [1u32, 0, 1] {
-            lane.extend_from_slice(&field.to_le_bytes());
-        }
-        lane.extend_from_slice(&bytes[role_at + 1..]);
-        let err = decode_snapshot(&lane).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                StoreError::RetiredSnapshot {
-                    kind: 3,
-                    what: Retired::HashLanes
-                }
-            ),
-            "{err}"
-        );
-        let message = err.to_string();
+        // attribute 1: role tag 3, the key, the lane and the lane count.
+        let lane = kind3([role(3, &[1, 0, 1]), role(0, &[])], 0);
+        let message = refused3(&lane, Retired::HashLanes);
         assert!(
             message.contains("a pattern bank running hash lanes")
                 && !message.contains("shared-prefix pools"),
+            "{message}"
+        );
+
+        // And for a renamed twin of pattern 0: role tag 1 and the
+        // leader, no matcher of its own.
+        let twin = kind3([role(0, &[]), role(1, &[0])], 0);
+        let message = refused3(&twin, Retired::Deduplication);
+        assert!(
+            message.contains("snapshot kind 3")
+                && message.contains("a pattern bank running deduplicated twins"),
             "{message}"
         );
     }

@@ -267,7 +267,7 @@ impl DurableBank {
             }
             None => cold().map_err(refused)?,
         };
-        // Per pattern, dedup members included.
+        // Per pattern.
         let mut emitted: Vec<u64> = bank.stats().iter().map(|s| s.emitted as u64).collect();
         for (name, pattern, options) in &specs[bank.len()..] {
             bank.subscribe(name.clone(), pattern, options.clone())
@@ -445,8 +445,8 @@ mod tests {
             .unwrap()
     }
 
-    /// `ab`, `cd`, and `cd2` — `cd` with its variables renamed, which a
-    /// cold build deduplicates into it.
+    /// `ab`, `cd`, and `cd2` — `cd` with its variables renamed: a twin,
+    /// which runs its own matcher.
     fn specs() -> Specs {
         [
             ("ab", ["A", "B"], ["a", "b"]),
@@ -527,8 +527,8 @@ mod tests {
 
     /// A restart reads the log from the checkpoint's last timestamp on —
     /// not the log — and says so; each pattern's sink suppresses against
-    /// that pattern's restored count (its leader's, for the dedup member
-    /// `cd2`) and ends up with what an uninterrupted run emits for it.
+    /// that pattern's restored count (the twin `cd2` against its own)
+    /// and ends up with what an uninterrupted run emits for it.
     #[test]
     fn restart_reads_the_log_suffix_and_says_so() {
         let small = LogConfig {
@@ -545,7 +545,6 @@ mod tests {
         // Dies after 95 events: the checkpoint at 90 lies past the
         // second rotation, and the sinks hold lines beyond it.
         let mut bank = DurableBank::start(cold(&specs), &sinks, Some(&files)).unwrap();
-        assert_eq!(bank.bank().sharing_plan().deduplicated(), 1);
         let events = bank.replay_suffix(&log).unwrap();
         assert_eq!(events.len(), 120);
         drive(&mut bank, &specs, &events[..95]);

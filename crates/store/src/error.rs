@@ -57,6 +57,9 @@ pub enum Retired {
     PrefixPools,
     /// A kind-3 bank running a pattern on hash lanes (`--shards`).
     HashLanes,
+    /// A kind-3 bank in which a pattern re-emitted the matches of an
+    /// evaluation-identical one instead of running a matcher.
+    Deduplication,
 }
 
 impl fmt::Display for StoreError {
@@ -80,6 +83,7 @@ impl fmt::Display for StoreError {
                     }
                     Retired::PrefixPools => "shared-prefix pools",
                     Retired::HashLanes => "hash lanes",
+                    Retired::Deduplication => "deduplicated twins",
                 };
                 write!(
                     f,
@@ -131,5 +135,6 @@ mod tests {
         assert!(retired(1, Retired::SingleQueryStream).contains("earlier release"));
         assert!(retired(3, Retired::PrefixPools).contains("shared-prefix pools"));
         assert!(retired(3, Retired::HashLanes).contains("running hash lanes"));
+        assert!(retired(3, Retired::Deduplication).contains("running deduplicated twins"));
     }
 }

@@ -24,8 +24,6 @@
 
 mod common;
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use proptest::prelude::*;
 
 use common::{
@@ -120,28 +118,11 @@ fn bank_schedule(
     schedule
 }
 
-/// The sets [`pattern_set_strategy_with_overlap`] generates are there
-/// for their twins. Called with every case's bank and the property's
-/// `[cases, cases that deduplicated]`: once 64 cases have gone by
-/// without a twin the generator has drifted, and the property no longer
-/// tests what it says.
-fn count_twins(census: &[AtomicUsize; 2], bank: &PatternBank) {
-    let deduplicated = usize::from(bank.sharing_plan().deduplicated() > 0);
-    let cases = census[0].fetch_add(1, Ordering::Relaxed) + 1;
-    let twins = census[1].fetch_add(deduplicated, Ordering::Relaxed) + deduplicated;
-    assert!(
-        cases < 64 || twins > 0,
-        "{cases} cases and no bank deduplicated a pattern"
-    );
-}
-
 /// Checkpoint/restore of the whole bank mid-stream, through the binary
 /// codec as `recover` would see it: on each of `rels` the restored bank
-/// must come back in the identical plan and finish the stream exactly
-/// like an uninterrupted twin (and therefore like the independent
-/// matchers). A dedup member — a pattern without a matcher of its own —
-/// serializes as the bumped codec kind 3; a plan that shares nothing
-/// keeps the legacy layout.
+/// must finish the stream exactly like an uninterrupted twin (and
+/// therefore like the independent matchers). Every pattern runs a
+/// matcher of its own, so every bank serializes as codec kind 2.
 fn restore_is_seamless(
     patterns: &[Pattern],
     rels: [&Relation; 2],
@@ -162,15 +143,9 @@ fn restore_is_seamless(
 
         let bytes = ses::store::encode_snapshot(&MatcherSnapshot::Bank(live.snapshot()));
         drop(live);
-        let kind = if twin.sharing_plan().is_trivial() {
-            2
-        } else {
-            3
-        };
-        prop_assert_eq!(bytes[0], kind);
+        prop_assert_eq!(bytes[0], 2);
         let MatcherSnapshot::Bank(snap) = ses::store::decode_snapshot(&bytes).unwrap();
         let mut restored = PatternBank::restore(&specs, &schema(), &snap).unwrap();
-        prop_assert_eq!(restored.sharing_plan(), twin.sharing_plan());
         prop_assert_eq!(restored.emitted_so_far(), twin.emitted_so_far());
         prop_assert_eq!(restored.consumed_events(), twin.consumed_events());
         prop_assert_eq!(restored.ties_at_watermark(), twin.ties_at_watermark());
@@ -211,27 +186,23 @@ proptest! {
         }
     }
 
-    /// Deduplication against the same oracle: over pattern sets rebuilt
-    /// to overlap — twins that run one matcher between them, near-twins
-    /// that part ways at the last set and share nothing, and
-    /// independents, mixed — the bank emits push-for-push exactly what
-    /// the independent matchers emit. Running a twin's matcher once is
-    /// an execution strategy, never an answer change.
+    /// The same oracle over pattern sets rebuilt to overlap — twins,
+    /// near-twins that part ways at the last set, and independents,
+    /// mixed: the bank emits push-for-push exactly what the independent
+    /// matchers emit, twins included.
     #[test]
-    fn bank_sharing_equals_independent_matchers(
+    fn bank_with_twins_equals_independent_matchers(
         patterns in pattern_set_strategy_with_overlap(75),
         rel in relation_strategy_with(2..10, 0i64..3),
         pace in paced_rows_strategy(2..10),
         mode in 0usize..3,
         sel in 0usize..2,
     ) {
-        static CENSUS: [AtomicUsize; 2] = [AtomicUsize::new(0), AtomicUsize::new(0)];
         let opts = options(MODES[mode], SELECTIONS[sel]);
-        count_twins(&CENSUS, &build_bank(&patterns, &opts));
         for rel in [&rel, &paced_relation(&patterns, &pace)] {
             let want = independent_schedule(&patterns, rel, &opts);
             let got = bank_schedule(&patterns, rel, &opts);
-            prop_assert_eq!(&got, &want, "deduplication diverged from independent");
+            prop_assert_eq!(&got, &want, "a bank with twins diverged from independent");
         }
     }
 
@@ -251,7 +222,7 @@ proptest! {
     }
 
     /// [`restore_is_seamless`] over high-overlap pattern sets, where the
-    /// snapshots routinely hold dedup members.
+    /// snapshots routinely hold twins.
     #[test]
     fn shared_bank_checkpoint_restore_is_seamless(
         patterns in pattern_set_strategy_with_overlap(75),
@@ -260,9 +231,7 @@ proptest! {
         mode in 0usize..3,
         cut_pick in 0usize..1000,
     ) {
-        static CENSUS: [AtomicUsize; 2] = [AtomicUsize::new(0), AtomicUsize::new(0)];
         let opts = options(MODES[mode], EventSelection::SkipTillNextMatch);
-        count_twins(&CENSUS, &build_bank(&patterns, &opts));
         restore_is_seamless(&patterns, [&rel, &paced_relation(&patterns, &pace)], &opts, cut_pick)?;
     }
 
@@ -271,8 +240,7 @@ proptest! {
     /// was additionally handed `advance_watermark(ts)` after every push
     /// — every pattern heartbeat to the clock every time, as the bank
     /// used to do — and restoring either and finishing the stream emits
-    /// one schedule. With twins deduplicated; dense and window-paced
-    /// streams.
+    /// one schedule. With twins; dense and window-paced streams.
     #[test]
     fn checkpoint_bytes_do_not_show_deferred_heartbeats(
         patterns in pattern_set_strategy_with_overlap(50),
@@ -281,10 +249,8 @@ proptest! {
         mode in 0usize..3,
         cut_pick in 0usize..1000,
     ) {
-        static CENSUS: [AtomicUsize; 2] = [AtomicUsize::new(0), AtomicUsize::new(0)];
         let opts = options(MODES[mode], EventSelection::SkipTillNextMatch);
         let build = || (build_bank(&patterns, &opts), specs_of(&patterns, &opts));
-        count_twins(&CENSUS, &build().0);
         for rel in [&rel, &paced_relation(&patterns, &pace)] {
             let cut = cut_pick % (rel.len() + 1);
             let (mut deferred, specs) = build();

@@ -358,10 +358,10 @@ pub fn paced_relation(patterns: &[Pattern], rows: &PacedRows) -> Relation {
 /// open with one common leading event set — identical declaration
 /// order, types, and window τ — and to end in a typed suffix variable
 /// drawn from three types. Where two suffixes coincide the patterns are
-/// twins, which a `PatternBank` runs on one matcher; where they differ
-/// the patterns overlap in everything but their last set and still each
-/// run their own. The differential suites get dedup members, their
-/// near-twins, and untouched independents in one set.
+/// twins; where they differ the patterns overlap in everything but
+/// their last set. Either way each runs a `PatternBank` matcher of its
+/// own. The differential suites get twins, their near-twins, and
+/// untouched independents in one set.
 pub fn pattern_set_strategy_with_overlap(overlap_pct: u8) -> impl Strategy<Value = Vec<Pattern>> {
     (
         pattern_set_strategy(),

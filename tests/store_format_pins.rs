@@ -1,18 +1,21 @@
 //! Byte-compatibility pins for what `ses-store` writes: one event-log
 //! record holding all four value types, and a `SESCKPT1` checkpoint
-//! frame around a small kind-2 and a small kind-3 bank payload.
+//! frame around a small kind-2 bank payload — plus the kind-3 frame an
+//! earlier release wrote for a bank with a deduplicated twin.
 //!
 //! Each expected file is written out by hand below, field by field, in
 //! the layouts `crates/store/src/log.rs` and `codec.rs` document. Each
 //! test encodes through the public API and compares byte for byte, then
 //! reads the hand-written bytes back through the public API. A change
 //! to either on-disk format fails here, and so does a release that can
-//! no longer read what an earlier one wrote.
+//! no longer read what an earlier one wrote — or that reads a retired
+//! layout as anything but a refusal by name.
 
 use std::path::PathBuf;
 
-use ses::core::{BankPatternSnapshot, BankRole, BankSnapshot, InstanceSnapshot, StreamSnapshot};
+use ses::core::{BankPatternSnapshot, BankSnapshot, InstanceSnapshot, StreamSnapshot};
 use ses::prelude::*;
+use ses::store::{Retired, StoreError};
 
 /// Bytes from hex chunks; spaces are for reading only.
 fn hex(chunks: &[&str]) -> Vec<u8> {
@@ -108,7 +111,7 @@ fn kind2() -> BankSnapshot {
         emitted: 1,
         patterns: vec![BankPatternSnapshot {
             name: "q".into(),
-            matcher: Some(StreamSnapshot {
+            matcher: StreamSnapshot {
                 fingerprint: 0x0123_4567_89ab_cdef,
                 watermark: Some(ts(7)),
                 evicted: 1,
@@ -121,14 +124,13 @@ fn kind2() -> BankSnapshot {
                 pending: vec![vec![(VarId(0), EventId(1))]],
                 survivors: vec![(ts(6), vec![(VarId(1), EventId(0))])],
                 emitted: 1,
-            }),
+            },
             ids: vec![EventId(1)],
             base: 1,
             peak_omega: 2,
             hits: 1,
             skips: 1,
         }],
-        roles: vec![BankRole::Plain],
     }
 }
 
@@ -167,69 +169,9 @@ const KIND2: &[&str] = &[
     "0100000000000000",  // skips
 ];
 
-/// Kind 3: `q` plain with a matcher holding one event (`Float` −0.5,
-/// `Bool` false), `q2` a dedup member of it, `q3` plain with an empty
-/// matcher.
-fn kind3() -> BankSnapshot {
-    let ts = Timestamp::new;
-    let empty = StreamSnapshot {
-        fingerprint: 0x11,
-        watermark: None,
-        evicted: 0,
-        last_ts: None,
-        events: Vec::new(),
-        instances: Vec::new(),
-        pending: Vec::new(),
-        survivors: Vec::new(),
-        emitted: 0,
-    };
-    let pattern = |name: &str, matcher, hits, skips| BankPatternSnapshot {
-        name: name.into(),
-        matcher,
-        ids: Vec::new(),
-        base: 0,
-        peak_omega: 0,
-        hits,
-        skips,
-    };
-    BankSnapshot {
-        watermark: Some(ts(9)),
-        last_ts: Some(ts(9)),
-        next_id: 3,
-        ties: 0,
-        emitted: 0,
-        patterns: vec![
-            BankPatternSnapshot {
-                ids: vec![EventId(2)],
-                base: 2,
-                peak_omega: 1,
-                ..pattern(
-                    "q",
-                    Some(StreamSnapshot {
-                        fingerprint: 0x0123_4567_89ab_cdef,
-                        watermark: Some(ts(9)),
-                        last_ts: Some(ts(9)),
-                        events: vec![Event::new(
-                            ts(9),
-                            vec![Value::Float(-0.5), Value::Bool(false)],
-                        )],
-                        ..empty.clone()
-                    }),
-                    1,
-                    0,
-                )
-            },
-            pattern("q2", None, 1, 0),
-            pattern("q3", Some(empty), 0, 1),
-        ],
-        roles: vec![
-            BankRole::Plain,
-            BankRole::DedupMember { leader: 0 },
-            BankRole::Plain,
-        ],
-    }
-}
-
+/// Kind 3, as an earlier release wrote it: `q` plain with a matcher
+/// holding one event (`Float` −0.5, `Bool` false), `q2` a dedup member
+/// of it, `q3` plain with an empty matcher.
 const KIND3: &[&str] = &[
     "53 45 53 43 4b 50 54 31", // "SESCKPT1"
     "0100",                    // u16 version 1
@@ -301,7 +243,25 @@ fn kind2_checkpoint_frame_is_pinned() {
     pin_checkpoint("kind2", kind2(), KIND2);
 }
 
+/// A bank of this release runs every pattern on a matcher of its own,
+/// so it cannot continue `q2`: the intact frame is refused by name,
+/// neither skipped as corrupt nor loaded.
 #[test]
 fn kind3_checkpoint_frame_is_pinned() {
-    pin_checkpoint("kind3", kind3(), KIND3);
+    let dir = scratch("kind3");
+    let mut store = CheckpointStore::open(&dir, 3).unwrap();
+    let info = store.save(&MatcherSnapshot::Bank(kind2())).unwrap();
+    std::fs::write(&info.path, hex(KIND3)).unwrap();
+    let err = store.load_latest().unwrap_err();
+    assert!(
+        matches!(
+            err,
+            StoreError::RetiredSnapshot {
+                kind: 3,
+                what: Retired::Deduplication
+            }
+        ),
+        "{err}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
