@@ -29,6 +29,17 @@
 //! a prefix — a [`slice::partition_point`] and one drain, where the paper
 //! tests every instance. And the nodes no live buffer reaches are a prefix
 //! of the [`NodeLog`], cut at the first live instance's `minT`.
+//!
+//! Step 4 does not visit every survivor either. Beside Ω sits its
+//! occupancy index: per variable, one bitset over Ω's positions, with
+//! position `i` set iff [`Automaton::outgoing_var_mask`] of `Ω[i]`'s state
+//! has the variable. An instance none of whose outgoing transitions binds
+//! a variable `e` is admitted for cannot move, so the pass visits the set
+//! bits of the union of those variables' rows — in Ω's order, with the
+//! probe calls a visit of every instance would make. Each edit of Ω edits
+//! the index with it: a successor in its source's slot flips that
+//! position, an expired prefix shifts every row down, a rewritten suffix
+//! is re-indexed. The fresh instance, always last, stays out of it.
 
 use ses_event::{Event, EventId, EventSource, Relation, Timestamp};
 use ses_pattern::{CompiledPattern, VarId};
@@ -36,6 +47,7 @@ use ses_pattern::{CompiledPattern, VarId};
 use crate::automaton::{Automaton, TransCond, Transition};
 use crate::buffer::{Buffer, NodeLog};
 use crate::columnar::{runs_columnar, var_mask, AdmissionArm, ColumnarBatch, ColumnarPlan};
+use crate::occupancy::{words_for, Occupancy};
 use crate::probe::Probe;
 use crate::state::StateId;
 
@@ -279,7 +291,7 @@ impl<'a, S: EventSource> Execution<'a, S> {
             selection,
             admitter: Admitter::new(automaton.pattern(), relation),
             admitted: AdmittedLog::default(),
-            omega: Omega::default(),
+            omega: Omega::new(automaton),
             results: Vec::new(),
             position: 0,
         }
@@ -369,23 +381,50 @@ impl<'a, S: EventSource> Execution<'a, S> {
 }
 
 /// Ω in first-binding order (see the module docs), with the node log its
-/// buffers live in. Shared by the batch [`Execution`] and the push-based
-/// [`crate::StreamMatcher`].
-#[derive(Debug, Default)]
+/// buffers live in and the occupancy index of its instances. Shared by
+/// the batch [`Execution`] and the push-based [`crate::StreamMatcher`].
+#[derive(Debug)]
 pub(crate) struct Omega {
     instances: Vec<Instance>,
     /// The successors [`Omega::process_event`] could not yet place.
     scratch: Vec<Instance>,
     log: NodeLog,
+    /// Position `i` is set in variable `v`'s row iff [`indexed_vars`] of
+    /// `instances[i]`'s state has bit `v`.
+    occupancy: Occupancy,
+}
+
+/// The variables whose rows of the occupancy index hold an instance in
+/// `state`: those of its outgoing transitions, except for the start
+/// state's. A start-state instance is the fresh one, last in Ω and gone
+/// before [`Omega::process_event`] returns (restore refuses unbound
+/// instances), so it is offered the event on its own.
+fn indexed_vars(automaton: &Automaton, state: StateId) -> u64 {
+    if state == automaton.start() {
+        0
+    } else {
+        automaton.outgoing_var_mask(state)
+    }
 }
 
 impl Omega {
-    /// Ω from instances given as `(state, bindings oldest first)`, already
-    /// in first-binding order, each one's bindings strictly ascending by
-    /// event. Nodes are appended across all instances in event order, so
-    /// the log is in time order as a running execution leaves it (minus
-    /// the sharing).
+    /// An empty Ω for `automaton`'s instances.
+    pub(crate) fn new(automaton: &Automaton) -> Omega {
+        Omega {
+            instances: Vec::new(),
+            scratch: Vec::new(),
+            log: NodeLog::default(),
+            occupancy: Occupancy::new(automaton.pattern().pattern().num_vars()),
+        }
+    }
+
+    /// Ω of `automaton` from instances given as `(state, bindings oldest
+    /// first)`, already in first-binding order, each one's bindings
+    /// strictly ascending by event. Nodes are appended across all
+    /// instances in event order, so the log is in time order as a running
+    /// execution leaves it (minus the sharing).
     pub(crate) fn restore<'b>(
+        automaton: &Automaton,
         instances: impl IntoIterator<Item = (StateId, &'b [(VarId, EventId, Timestamp)])>,
     ) -> Omega {
         let instances: Vec<_> = instances.into_iter().collect();
@@ -400,22 +439,21 @@ impl Omega {
             })
             .collect();
         order.sort_unstable();
-        let mut omega = Omega {
-            instances: instances
-                .iter()
-                .map(|&(state, _)| Instance {
-                    state,
-                    buffer: Buffer::EMPTY,
-                })
-                .collect(),
-            ..Omega::default()
-        };
+        let mut omega = Omega::new(automaton);
+        for (p, &(state, _)) in instances.iter().enumerate() {
+            omega.instances.push(Instance {
+                state,
+                buffer: Buffer::EMPTY,
+            });
+            omega.occupancy.toggle(p, indexed_vars(automaton, state));
+        }
         for (_, i, j) in order {
             let (var, event, ts) = instances[i].1[j];
             let buffer = &mut omega.instances[i].buffer;
             *buffer = omega.log.push(*buffer, var, event, ts);
         }
         debug_assert!(omega.in_first_binding_order());
+        debug_assert!(omega.occupancy_is_exact(automaton));
         omega
     }
 
@@ -439,6 +477,15 @@ impl Omega {
     fn in_first_binding_order(&self) -> bool {
         let key = |i: &Instance| i.buffer.min_ts().unwrap_or(Timestamp::MAX);
         self.instances.windows(2).all(|w| key(&w[0]) <= key(&w[1]))
+    }
+
+    /// Whether the occupancy index equals one rebuilt from scratch —
+    /// checked position by position, as a rebuild would allocate.
+    fn occupancy_is_exact(&self, automaton: &Automaton) -> bool {
+        let instances = &self.instances;
+        instances.iter().enumerate().all(|(p, instance)| {
+            self.occupancy.vars_at(p) == indexed_vars(automaton, instance.state)
+        }) && self.occupancy.is_clear_from(instances.len())
     }
 
     /// Drops every instance whose window cannot contain `now` anymore
@@ -469,6 +516,7 @@ impl Omega {
             return;
         }
         let accept = automaton.accept();
+        self.occupancy.shift_out(expired, self.instances.len());
         for instance in self.instances.drain(..expired) {
             probe.instance_expired();
             if instance.state == accept {
@@ -479,6 +527,7 @@ impl Omega {
             }
         }
         self.log.trim(self.first_binding());
+        debug_assert!(self.occupancy_is_exact(automaton));
     }
 
     /// Empties Ω, emitting the accepting buffers — the end-of-input flush.
@@ -488,6 +537,7 @@ impl Omega {
         results: &mut Vec<RawMatch>,
         probe: &mut P,
     ) {
+        self.occupancy.clear_from(0, self.instances.len());
         for instance in self.instances.drain(..) {
             if instance.state == accept {
                 probe.match_emitted();
@@ -524,10 +574,9 @@ impl Omega {
             return;
         }
 
-        let start = automaton.start();
         // Algorithm 1, line 4: a fresh instance per admitted event.
         self.instances.push(Instance {
-            state: start,
+            state: automaton.start(),
             buffer: Buffer::EMPTY,
         });
         probe.instance_spawned();
@@ -542,44 +591,77 @@ impl Omega {
             var_ok,
         };
         // An instance none of whose outgoing transitions' variables is
-        // admitted is idle: nothing can fire, and it stays unless it is a
-        // start-state one — those never linger, every event spawns its
-        // own. Probe-identical to walking the transitions: each would have
-        // been mask-skipped before `transition_evaluated`.
+        // admitted is idle: nothing can fire, and it stays. The occupancy
+        // index names the others, so the pass visits those only, in Ω's
+        // order — probe-identical to walking every instance, as an idle
+        // one's transitions would all have been mask-skipped before
+        // `transition_evaluated`.
         //
-        // Nearly every instance is idle nearly always, so Ω's length
-        // rarely changes: this pass leaves idle instances where they are
-        // and puts a lone successor in its source's slot, until an
-        // instance leaves no instance or several behind.
+        // A visited instance rarely changes Ω's length: it stays put or
+        // leaves one successor in its slot, until one leaves several
+        // behind (or, being the fresh instance, none).
         let Omega {
             instances,
             scratch,
             log,
+            occupancy,
         } = self;
-        let mut read = 0;
-        let mut keep_source = false;
-        while read < instances.len() {
-            let instance = instances[read];
-            if offer.is_idle(instance.state) {
-                if instance.state == start {
-                    keep_source = false;
-                    break;
-                }
-            } else {
-                keep_source = offer.to(&instance, log, scratch, probe);
+        let fresh = instances.len() - 1;
+        let mut cut = None;
+        'walk: for w in 0..words_for(fresh) {
+            let mut movable = occupancy.word(w, var_ok);
+            while movable != 0 {
+                let p = w * 64 + movable.trailing_zeros() as usize;
+                movable &= movable - 1;
+                let instance = instances[p];
+                let keep_source = offer.to(&instance, log, scratch, probe);
                 match (scratch.len(), keep_source) {
                     (0, true) => {}
-                    (1, false) => instances[read] = scratch[0],
-                    _ => break,
+                    (1, false) => {
+                        let moved = indexed_vars(automaton, instance.state)
+                            ^ indexed_vars(automaton, scratch[0].state);
+                        occupancy.toggle(p, moved);
+                        instances[p] = scratch[0];
+                    }
+                    _ => {
+                        cut = Some((p, keep_source));
+                        break 'walk;
+                    }
                 }
                 scratch.clear();
             }
-            read += 1;
         }
-        if read < instances.len() {
-            rewrite_from(instances, scratch, log, read, keep_source, &offer, probe);
+        // The fresh instance, last and outside the index: a start-state
+        // instance never lingers, so it leaves Ω unless it moves.
+        if cut.is_none() {
+            let instance = instances[fresh];
+            if offer.is_idle(instance.state) {
+                instances.pop();
+            } else {
+                offer.to(&instance, log, scratch, probe);
+                match scratch.len() {
+                    0 => {
+                        instances.pop();
+                    }
+                    1 => {
+                        occupancy.toggle(fresh, indexed_vars(automaton, scratch[0].state));
+                        instances[fresh] = scratch[0];
+                        scratch.clear();
+                    }
+                    _ => cut = Some((fresh, false)),
+                }
+            }
+        }
+        if let Some((first, keep_source)) = cut {
+            let len = instances.len();
+            rewrite_from(instances, scratch, log, first, keep_source, &offer, probe);
+            occupancy.clear_from(first, len);
+            for (p, instance) in instances.iter().enumerate().skip(first) {
+                occupancy.toggle(p, indexed_vars(automaton, instance.state));
+            }
         }
         debug_assert!(self.in_first_binding_order());
+        debug_assert!(self.occupancy_is_exact(automaton));
         probe.omega(self.instances.len());
     }
 }
@@ -1083,6 +1165,198 @@ mod tests {
             "any-match explores every subset: got {}",
             stam.0
         );
+    }
+
+    /// `⟨{a},{b}⟩` — or `⟨{a},{b},{c}⟩` with `c` — of types `A`, `B`
+    /// (and `C`), every pair correlated on `ID`: an `A` leaves one
+    /// instance waiting for its own `B`, so a run of `A`s grows Ω by one
+    /// per event and a `B` moves exactly the instance of its `ID`.
+    fn correlated_chain(with_c: bool, tau: i64) -> Automaton {
+        let mut b = Pattern::builder()
+            .set(|s| s.var("a"))
+            .set(|s| s.var("b"))
+            .cond_const("a", "L", CmpOp::Eq, "A")
+            .cond_const("b", "L", CmpOp::Eq, "B")
+            .cond_vars("a", "ID", CmpOp::Eq, "b", "ID");
+        if with_c {
+            b = b
+                .set(|s| s.var("c"))
+                .cond_const("c", "L", CmpOp::Eq, "C")
+                .cond_vars("b", "ID", CmpOp::Eq, "c", "ID");
+        }
+        automaton(b.within(Duration::ticks(tau)).build().unwrap())
+    }
+
+    /// `n` `A` events at `ts` = `ID` = `0..n`.
+    fn a_run(n: i64) -> Vec<(i64, i64, &'static str)> {
+        (0..n).map(|i| (i, i, "A")).collect()
+    }
+
+    /// Steps `rows` through one execution under `selection`, holding the
+    /// occupancy index to a rebuild after every step; returns the raw
+    /// matches and the largest `|Ω|` seen.
+    fn run_checked(
+        a: &Automaton,
+        rows: &[(i64, i64, &str)],
+        selection: EventSelection,
+    ) -> (Vec<RawMatch>, usize) {
+        let r = rel(rows);
+        let mut exec = Execution::new(a, &r, selection);
+        let mut peak = 0;
+        while exec.step(&mut NoProbe) {
+            assert!(exec.omega.occupancy_is_exact(a), "at {}", exec.position());
+            peak = peak.max(exec.omega_len());
+        }
+        (exec.finish(&mut NoProbe).0, peak)
+    }
+
+    /// The paper's Algorithm 1 over the same rows, sorted.
+    fn reference(a: &Automaton, rows: &[(i64, i64, &str)]) -> Vec<RawMatch> {
+        let r = rel(rows);
+        let mut ms = crate::algorithm1(a, &r, (0..r.len()).map(EventId::from));
+        ms.sort();
+        ms
+    }
+
+    #[test]
+    fn occupancy_holds_at_every_word_boundary() {
+        let a = correlated_chain(false, 1000);
+        for n in [63, 64, 65, 129] {
+            let mut rows = a_run(n);
+            // Movers at the last position, both sides of each boundary
+            // and the first.
+            for id in [n - 1, 62, 63, 64, 65, 127, 128, 0] {
+                if id < n {
+                    rows.push((n + rows.len() as i64, id, "B"));
+                }
+            }
+            let (mut ms, peak) = run_checked(&a, &rows, EventSelection::SkipTillNextMatch);
+            assert_eq!(peak, n as usize, "Ω must reach {n}");
+            ms.sort();
+            assert_eq!(ms, reference(&a, &rows), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn expiry_shifts_the_index_across_word_boundaries() {
+        let a = correlated_chain(false, 200);
+        for k in [1, 63, 64, 65] {
+            let r = rel(&a_run(130));
+            let mut exec = Execution::new(&a, &r, EventSelection::SkipTillNextMatch);
+            while exec.step(&mut NoProbe) {}
+            assert_eq!(exec.omega_len(), 130);
+            // Instances `..k` leave the window at 200 + k.
+            let mut omega = std::mem::replace(&mut exec.omega, Omega::new(&a));
+            let mut results = Vec::new();
+            omega.expire(
+                &a,
+                Timestamp::new(200 + k as i64),
+                &mut results,
+                &mut NoProbe,
+            );
+            assert_eq!(omega.instances().len(), 130 - k, "k = {k}");
+            assert!(omega.occupancy_is_exact(&a), "k = {k}");
+            // Then the whole stream, with movers either side of the
+            // boundaries the shift moved instances across.
+            let mut rows = a_run(130);
+            rows.push((200 + k as i64, 1000, "A"));
+            let movers = [k + 62, k + 63, k + 64, k + 65, 129];
+            for id in movers {
+                rows.push((201 + k as i64, id as i64, "B"));
+            }
+            let (mut ms, _) = run_checked(&a, &rows, EventSelection::SkipTillNextMatch);
+            ms.sort();
+            assert_eq!(ms, reference(&a, &rows), "k = {k}");
+            let live: std::collections::BTreeSet<_> =
+                movers.iter().filter(|&&id| id < 130).collect();
+            assert_eq!(ms.len(), live.len(), "k = {k}");
+        }
+    }
+
+    #[test]
+    fn the_index_names_a_lone_mover_at_position_64() {
+        let a = correlated_chain(true, 1000);
+        let r = rel(&[a_run(130), vec![(130, 64, "B")]].concat());
+        let mut exec = Execution::new(&a, &r, EventSelection::SkipTillNextMatch);
+        while exec.step(&mut NoProbe) {}
+        assert_eq!(exec.omega_len(), 130);
+        // Only the instance at 64 waits for `c`; every other for `b`.
+        let var = |name| a.pattern().pattern().var_id(name).unwrap().bit();
+        let (b, c) = (var("b"), var("c"));
+        assert_eq!(exec.omega.occupancy.word(0, c), 0);
+        assert_eq!(exec.omega.occupancy.word(1, c), 1);
+        assert_eq!(exec.omega.occupancy.word(1, b), !1);
+        assert_eq!(exec.omega.occupancy.word(2, b), 0b11);
+        let rows = [a_run(130), vec![(130, 64, "B"), (131, 64, "C")]].concat();
+        let (ms, _) = run_checked(&a, &rows, EventSelection::SkipTillNextMatch);
+        assert_eq!(ms, reference(&a, &rows));
+        assert_eq!(ms.len(), 1);
+    }
+
+    #[test]
+    fn any_match_branches_rewrite_the_index_across_boundaries() {
+        let a = correlated_chain(false, 1000);
+        for n in [64, 65, 129] {
+            let mut rows = a_run(n);
+            // Each `B` of an `A` still waiting branches it: the source
+            // stays behind its successor, one slot further on.
+            for id in [n - 1, 63, 63, 64, n - 1] {
+                rows.push((n + rows.len() as i64, id, "B"));
+            }
+            let (ms, peak) = run_checked(&a, &rows, EventSelection::SkipTillAnyMatch);
+            assert!(peak > n as usize, "Ω must grow past {n}");
+            let mut expected = Vec::new();
+            for (j, &(_, id, l)) in rows.iter().enumerate() {
+                if l == "B" && id < n {
+                    expected.push(RawMatch {
+                        bindings: vec![
+                            (VarId(0), EventId::from(id as usize)),
+                            (VarId(1), EventId::from(j)),
+                        ],
+                    });
+                }
+            }
+            let mut ms = ms;
+            ms.sort();
+            expected.sort();
+            assert_eq!(ms, expected, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn a_restored_omega_past_two_words_continues_as_if_uninterrupted() {
+        let a = correlated_chain(false, 300);
+        let pattern = a.pattern().pattern().clone();
+        let mut tail: Vec<(i64, i64, &str)> = [0, 63, 64, 65, 128, 149]
+            .into_iter()
+            .enumerate()
+            .map(|(j, id)| (150 + j as i64, id, "B"))
+            .collect();
+        // Expires the first 100 instances, then moves two of the rest.
+        tail.extend([(400, 2000, "A"), (401, 120, "B"), (402, 140, "B")]);
+        let push = |sm: &mut crate::StreamMatcher, rows: &[(i64, i64, &str)]| {
+            let mut out = Vec::new();
+            for &(ts, id, l) in rows {
+                let values = vec![Value::from(id), Value::from(l)];
+                out.extend(sm.push(Timestamp::new(ts), values).unwrap());
+            }
+            out
+        };
+        let mut whole = crate::StreamMatcher::compile(&pattern, &schema()).unwrap();
+        let mut cut = crate::StreamMatcher::compile(&pattern, &schema()).unwrap();
+        let mut expected = push(&mut whole, &a_run(150));
+        let mut got = push(&mut cut, &a_run(150));
+        assert_eq!(cut.active_instances(), 150);
+        let snap = cut.snapshot();
+        let options = crate::MatcherOptions::default();
+        let mut cut = crate::StreamMatcher::restore(&pattern, &schema(), options, &snap).unwrap();
+        assert_eq!(cut.active_instances(), 150, "restore keeps Ω past 128");
+        expected.extend(push(&mut whole, &tail));
+        got.extend(push(&mut cut, &tail));
+        expected.extend(whole.finish());
+        got.extend(cut.finish());
+        assert_eq!(got, expected);
+        assert_eq!(got.len(), 8);
     }
 
     #[test]

@@ -61,6 +61,7 @@ mod matcher;
 mod matches;
 mod measures;
 mod negation;
+mod occupancy;
 pub mod parallel;
 mod probe;
 mod reference;

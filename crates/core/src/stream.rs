@@ -105,13 +105,14 @@ impl StreamMatcher {
         let automaton = Automaton::build(compiled)?;
         let adjudicator = Adjudicator::new(options.semantics, automaton.pattern());
         let columnar = ColumnarPlan::new(automaton.pattern());
+        let omega = Omega::new(&automaton);
         Ok(StreamMatcher {
             relation: Relation::new(automaton.pattern().schema().clone()),
             automaton,
             options,
             columnar,
             columnar_batch: ColumnarBatch::default(),
-            omega: Omega::default(),
+            omega,
             results: Vec::new(),
             pending: BTreeMap::new(),
             adjudicator,
@@ -565,6 +566,7 @@ impl StreamMatcher {
         }
         self.relation = relation;
         self.omega = Omega::restore(
+            &self.automaton,
             snap.instances
                 .iter()
                 .map(|inst| (StateId(inst.state), &inst.bindings[..])),
