@@ -54,6 +54,10 @@
 //!   its own window, so `minT(γ) − τ ≤ minT(γ′) ≤ minT(γ)`: batch prunes
 //!   below `minT(group) − τ` before each group, a stream below
 //!   `watermark − 2τ` at each push, and both hold O(window) survivors.
+//!   A pattern without a group variable keeps no store at all: its
+//!   candidates all bind |V| events, so none is a proper subset of
+//!   another, and the adjudicator skips the kill query and condition 5
+//!   (see `docs/adjudication.md`, "Equal-length candidates").
 //!
 //! Worst-case inputs (R candidates sharing almost every binding) can
 //! still force O(R²) verified comparisons — binding-set containment is
@@ -238,12 +242,18 @@ impl ViableIndex {
     }
 
     /// The viable events for `var` with `lo < ts < hi` (both strict, per
-    /// conditions 2 and 4).
+    /// conditions 2 and 4). One binary search answers the common empty
+    /// case; the second searches only what follows the first.
     fn viable_between(&self, var: VarId, lo: Timestamp, hi: Timestamp) -> &[(EventId, Timestamp)] {
         let list = &self.lists[var.index()];
         let a = list.partition_point(|&(_, t)| t <= lo);
-        let b = list.partition_point(|&(_, t)| t < hi);
-        &list[a..b.max(a)]
+        match list.get(a) {
+            Some(&(_, t)) if t < hi => {
+                let rest = &list[a..];
+                &rest[..rest.partition_point(|&(_, t)| t < hi)]
+            }
+            _ => &[],
+        }
     }
 
     /// The per-variable lists, for tests.
@@ -379,9 +389,17 @@ impl<'g> GroupIndex<'g> {
         relation: &Relation,
         pattern: &CompiledPattern,
         viable: &ViableIndex,
+        extents: &mut Vec<Option<(Timestamp, Timestamp)>>,
     ) -> bool {
         self.survives_prefix_test(i)
-            && survives_swaps(&self.group[i], &self.ts[i], relation, pattern, viable)
+            && survives_swaps(
+                &self.group[i],
+                &self.ts[i],
+                relation,
+                pattern,
+                viable,
+                extents,
+            )
     }
 
     /// The prefix test: for no binding `var/e` of candidate `i` does
@@ -451,25 +469,25 @@ pub(crate) fn binding_timestamps(m: &Match, relation: &Relation) -> Vec<Timestam
 /// unbound by `m`, that satisfies `var`'s binary conditions against `m`'s
 /// other bindings (see docs/adjudication.md for why conditions 2–3
 /// collapse to the interval). Needs no other candidate, so a group of one
-/// runs it alone.
+/// runs it alone. `extents` is scratch space, reused across candidates.
 pub(crate) fn survives_swaps(
     m: &Match,
     ts: &[Timestamp],
     relation: &Relation,
     pattern: &CompiledPattern,
     viable: &ViableIndex,
+    extents: &mut Vec<Option<(Timestamp, Timestamp)>>,
 ) -> bool {
     let b = m.bindings();
     let min_ts = ts[0];
-    // Per-set temporal extent of m, for the condition-2 bounds of swap
-    // alternatives.
+    // Per-set temporal extent (earliest, latest) of m, for the
+    // condition-2 bounds of swap alternatives.
     let nsets = pattern.pattern().num_sets();
-    let mut set_min: Vec<Option<Timestamp>> = vec![None; nsets];
-    let mut set_max: Vec<Option<Timestamp>> = vec![None; nsets];
+    extents.clear();
+    extents.resize(nsets, None);
     for (j, &(v, _)) in b.iter().enumerate() {
-        let s = viable.set_of(v);
-        set_min[s] = Some(set_min[s].map_or(ts[j], |t: Timestamp| t.min(ts[j])));
-        set_max[s] = Some(set_max[s].map_or(ts[j], |t: Timestamp| t.max(ts[j])));
+        let extent = &mut extents[viable.set_of(v)];
+        *extent = Some(extent.map_or((ts[j], ts[j]), |(lo, hi)| (lo.min(ts[j]), hi.max(ts[j]))));
     }
     for (j, &(var, _)) in b.iter().enumerate() {
         let bound_ts = ts[j];
@@ -479,15 +497,13 @@ pub(crate) fn survives_swaps(
         let si = viable.set_of(var);
         let mut lo_ts = min_ts;
         if si > 0 {
-            if let Some(t) = set_max[si - 1] {
+            if let Some((_, t)) = extents[si - 1] {
                 lo_ts = lo_ts.max(t);
             }
         }
         let mut hi_ts = bound_ts;
-        if si + 1 < nsets {
-            if let Some(t) = set_min[si + 1] {
-                hi_ts = hi_ts.min(t);
-            }
+        if let Some(&Some((t, _))) = extents.get(si + 1) {
+            hi_ts = hi_ts.min(t);
         }
         for &(alt, _) in viable.viable_between(var, lo_ts, hi_ts) {
             if binds_event(b, alt) {

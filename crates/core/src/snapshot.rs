@@ -69,6 +69,11 @@ pub struct StreamSnapshot {
     /// releases wrote): a victim of such an entry is a victim of that
     /// final, which is still live when the victim is adjudicated, so
     /// every kill answer is the same.
+    ///
+    /// Empty unless the semantics is Maximal and the pattern has a group
+    /// variable: without one no match can be a proper subset of another.
+    /// Earlier releases wrote the finals of group-free patterns here too;
+    /// restore drops them.
     pub survivors: Vec<(Timestamp, Vec<(VarId, EventId)>)>,
     /// Matches already emitted by `push` — the exactly-once high-water
     /// mark recovery suppresses duplicates against.

@@ -43,7 +43,8 @@
 //!   are dropped once `minT < w − 2τ` (no later group can reach back that
 //!   far). Definition-2 survivors a final killed are never retained: a
 //!   later victim of one is a victim of its killer too, which is still
-//!   live (see [`crate::semantics`]).
+//!   live (see [`crate::semantics`]). A pattern without a group variable
+//!   retains none: no match of it can be a proper subset of another.
 //!
 //! Steady-state memory is proportional to the number of events inside
 //! one window `τ` (times a small constant for the compaction
@@ -429,7 +430,8 @@ impl StreamMatcher {
     /// Emitted finals retained as maximality killers for groups still to
     /// come (pruned against the watermark like everything else). A
     /// Definition-2 survivor that a retained final killed is not kept:
-    /// every later victim of it is a victim of that final too.
+    /// every later victim of it is a victim of that final too. Always 0
+    /// for a pattern without a group variable.
     pub fn retained_killers(&self) -> usize {
         self.adjudicator.survivor_count()
     }

@@ -196,6 +196,14 @@ fn pattern_stat(c: &mut Client, index: usize, name: &str) -> u64 {
 fn stats_show_each_patterns_adjudication_state() {
     let server = Server::start(config(None)).unwrap();
     let mut c = connect(&server);
+    // `c+` lets one match be a proper subset of another, so maximality
+    // keeps killers; `cd` beside it has no group variable and keeps none.
+    c.subscribe(
+        "cpd",
+        "PATTERN c+ THEN d WHERE c.L = 'C' AND d.L = 'D' WITHIN 5 TICKS",
+        0,
+    )
+    .unwrap();
     c.subscribe("cd", CD, 0).unwrap();
     for name in [
         "active_instances",
@@ -222,6 +230,8 @@ fn stats_show_each_patterns_adjudication_state() {
     assert!(pattern_stat(&mut c, 0, "peak_omega") > 0);
     assert_eq!(pattern_stat(&mut c, 0, "pending_candidates"), 0);
     assert_eq!(pattern_stat(&mut c, 0, "retained_killers"), 1);
+    assert_eq!(pattern_stat(&mut c, 1, "matches"), 1);
+    assert_eq!(pattern_stat(&mut c, 1, "retained_killers"), 0);
 
     c.ingest(100, &ev(4, "X")).unwrap();
     c.sync().unwrap();

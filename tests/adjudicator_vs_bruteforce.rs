@@ -256,11 +256,12 @@ fn dense_groups_really_are_dense() {
 /// encoded through the binary codec, decoded, restored — and the
 /// restored bank's remaining emissions must equal the uninterrupted
 /// run's, which can only happen if `restore_survivors` rebuilt the
-/// survivor store and its posting lists correctly.
+/// survivor store and its posting lists correctly. `a` is a group
+/// variable: a group-free pattern keeps no survivors to round-trip.
 #[test]
 fn bank_checkpoint_roundtrips_survivors() {
     let pat = Pattern::builder()
-        .set(|s| s.var("a"))
+        .set(|s| s.plus("a"))
         .set(|s| s.var("b"))
         .cond_const("a", "L", CmpOp::Eq, "A")
         .cond_const("b", "L", CmpOp::Eq, "B")
@@ -582,4 +583,122 @@ fn parent_checkpoint_resumes_on_the_chain() {
             "{selection:?}: the parent-era list adds nothing — the test is vacuous"
         );
     }
+}
+
+/// Patterns of [`pattern_strategy`] without a group variable: every
+/// candidate binds each variable once, so none is a proper subset of
+/// another.
+fn group_free_pattern_strategy() -> impl Strategy<Value = Pattern> {
+    pattern_strategy().prop_filter("group-free", |p| p.group_vars().next().is_none())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Without a group variable no candidate can dominate another:
+    /// Maximal is Definition 2, both the pairwise reference's, and
+    /// neither a stream nor a one-pattern bank keeps a killer after any
+    /// push.
+    #[test]
+    fn group_free_patterns_keep_no_killers(
+        rel in relation_strategy_with(2..8, 0..4),
+        pat in group_free_pattern_strategy(),
+    ) {
+        for selection in SELECTIONS {
+            let maximal = options(MatchSemantics::Maximal, selection);
+            let found = batch_answer(&pat, &rel, maximal.clone());
+            let def2 = batch_answer(&pat, &rel, options(MatchSemantics::Definition2, selection));
+            prop_assert_eq!(&found, &def2, "{:?}: Maximal is not Definition 2", selection);
+            for semantics in [MatchSemantics::Maximal, MatchSemantics::Definition2] {
+                prop_assert_eq!(
+                    &found, &reference_answer(&pat, &rel, semantics, selection),
+                    "{:?}/{:?}: find diverged from the reference", semantics, selection
+                );
+            }
+
+            let mut sm = StreamMatcher::with_options(&pat, &schema(), maximal.clone()).unwrap();
+            let mut bank = PatternBank::builder(&schema())
+                .register("p", &pat, maximal)
+                .unwrap()
+                .build();
+            let mut streamed = Vec::new();
+            for e in rel.events() {
+                streamed.extend(sm.push(e.ts(), e.values().to_vec()).unwrap());
+                bank.push(e.ts(), e.values().to_vec()).unwrap();
+                prop_assert_eq!(sm.retained_killers(), 0, "{:?}: stream at {}", selection, e.ts());
+                prop_assert_eq!(
+                    bank.stats()[0].retained_killers, 0,
+                    "{:?}: bank at {}", selection, e.ts()
+                );
+            }
+            streamed.extend(sm.finish());
+            streamed.sort();
+            prop_assert_eq!(&streamed, &found, "{:?}: stream diverged", selection);
+        }
+    }
+}
+
+/// A checkpoint of a group-free pattern written by a release that kept
+/// its finals as killers: restore drops them, the resumed emissions are
+/// the uninterrupted run's push for push, and the next snapshot carries
+/// no survivors.
+#[test]
+fn group_free_checkpoint_with_survivors_resumes_without_them() {
+    let tau = 10;
+    let pat = Pattern::builder()
+        .set(|s| s.var("a"))
+        .set(|s| s.var("b"))
+        .cond_const("a", "L", CmpOp::Eq, "A")
+        .cond_const("b", "L", CmpOp::Eq, "B")
+        .within(Duration::ticks(tau))
+        .build()
+        .unwrap();
+    // X@12 decides the A@0 group: its final (minT 0) was a live killer
+    // in earlier releases' checkpoints until the watermark reached 20.
+    let rows = [
+        (0, "A"),
+        (1, "B"),
+        (12, "X"),
+        (13, "A"),
+        (14, "B"),
+        (30, "X"),
+    ];
+    let mut carried = 0;
+    for selection in SELECTIONS {
+        let opts = options(MatchSemantics::Maximal, selection);
+        let mut whole = StreamMatcher::with_options(&pat, &schema(), opts.clone()).unwrap();
+        let mut reference = push_schedule(&mut whole, &rows);
+        reference.push(whole.finish());
+
+        for split in 0..=rows.len() {
+            let mut sm = StreamMatcher::with_options(&pat, &schema(), opts.clone()).unwrap();
+            let mut schedule = push_schedule(&mut sm, &rows[..split]);
+            let mut snap = sm.snapshot();
+            assert!(
+                snap.survivors.is_empty(),
+                "split {split}: a group-free pattern wrote survivors"
+            );
+            // What earlier releases stored: every final whose minT is not
+            // before `watermark − 2τ` (Definition 2's finals, here).
+            snap.survivors = definition2_survivors(&pat, &rows[..split], tau, selection);
+            carried += snap.survivors.len();
+            let mut restored =
+                StreamMatcher::restore(&pat, &schema(), opts.clone(), &snap).unwrap();
+            assert_eq!(restored.retained_killers(), 0, "split {split}");
+            assert!(
+                restored.snapshot().survivors.is_empty(),
+                "split {split}: the next snapshot still carries survivors"
+            );
+            schedule.extend(push_schedule(&mut restored, &rows[split..]));
+            schedule.push(restored.finish());
+            assert_eq!(
+                schedule, reference,
+                "{selection:?}, split {split}: resume diverged"
+            );
+        }
+    }
+    assert!(
+        carried > 0,
+        "no split carried a survivor — the test is vacuous"
+    );
 }
