@@ -26,7 +26,7 @@ USAGE:
                    [--tick hour] [--semantics maximal|definition2|all]
                    [--selection next-match|any-match] [--closure]
                    [--propagate] [--limit N] [--stats]
-                   [--partition auto|time|ATTR|off] [--threads N]
+                   [--partition auto|ATTR|off] [--threads N]
                    (an event reaches the instances only if it satisfies
                     every constant condition of some variable — the §4.5
                     filter; a variable without one admits every event.
@@ -35,9 +35,6 @@ USAGE:
                     --partition auto splits the scan per proven partition
                     key and matches partitions in parallel; an explicit
                     ATTR is refused unless the analyzer proves it.
-                    --partition time also prefers a proven key but falls
-                    back to τ-overlapping time slices when the pattern
-                    proves none — sound for any windowed pattern.
                     Constant conditions are pre-evaluated into bitmask
                     lanes once over the input when the pattern has any
                     and the input is long enough to amortize the pass;
@@ -198,12 +195,18 @@ fn parse_selection(args: &Args) -> Result<EventSelection, String> {
     })
 }
 
-/// Parses `--partition auto|time|ATTR|off` against the data's schema.
+/// Parses `--partition auto|ATTR|off` against the data's schema. `time`,
+/// which selected the removed time-sliced execution, is refused by name
+/// rather than looked up as an attribute.
 fn parse_partition(args: &Args, schema: &ses_event::Schema) -> Result<PartitionMode, String> {
     Ok(match args.get("partition") {
         None | Some("off") | Some("none") => PartitionMode::Off,
         Some("auto") => PartitionMode::Auto,
-        Some("time") => PartitionMode::TimeAuto,
+        Some("time") => {
+            return Err("--partition time: time-sliced execution was removed; \
+                 `--partition off` returns the same matches"
+                .to_string())
+        }
         Some(attr) => PartitionMode::Key(schema.attr_id(attr).ok_or_else(|| {
             format!("--partition: the data has no attribute named `{attr}` (try `auto`)")
         })?),
@@ -304,26 +307,13 @@ fn cmd_run(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     let sw = Stopwatch::start();
     let mut probe = CountingProbe::new();
     let matches = match matcher.partition_strategy() {
-        // Drive the split paths directly so every worker gets its own
+        // Drive the key split directly so every worker gets its own
         // counting probe; merging them preserves the full report.
         PartitionStrategy::Key(key) => {
             let (matches, workers) = ses_core::parallel::find_partitioned_with(
                 &matcher,
                 store.relation(),
                 key,
-                matcher.options().threads,
-                &mut probe,
-                CountingProbe::new,
-            );
-            for w in &workers {
-                probe.merge(w);
-            }
-            matches
-        }
-        PartitionStrategy::TimeSliced => {
-            let (matches, workers) = ses_core::parallel::find_time_sliced_with(
-                &matcher,
-                store.relation(),
                 matcher.options().threads,
                 &mut probe,
                 CountingProbe::new,
@@ -395,29 +385,7 @@ fn cmd_run(args: &Args, out: &mut dyn Write) -> Result<(), String> {
                 ]);
                 t.row(["key skew", &format!("{:.2}", probe.partition_skew())]);
             }
-            PartitionStrategy::TimeSliced => {
-                t.row(["partitioned by", "time (no provable key)"]);
-                t.row(["time slices", &probe.slice_count().to_string()]);
-                t.row([
-                    "largest slice",
-                    &probe
-                        .slice_events
-                        .iter()
-                        .max()
-                        .copied()
-                        .unwrap_or(0)
-                        .to_string(),
-                ]);
-                t.row([
-                    "overlap events rescanned",
-                    &probe
-                        .slice_overlap_events(store.relation().len())
-                        .to_string(),
-                ]);
-            }
-            PartitionStrategy::Global
-                if matches!(args.get("partition"), Some("auto") | Some("time")) =>
-            {
+            PartitionStrategy::Global if args.get("partition") == Some("auto") => {
                 t.row(["partitioned by", "- (no provable key; ran global)"]);
             }
             PartitionStrategy::Global => {}
@@ -1483,7 +1451,7 @@ mod tests {
             "--partition is an option of `run`: `stream` never partitions"
         );
         for command in ["stream", "bank", "recover"] {
-            for (option, value) in [("--partition", "time"), ("--threads", "2")] {
+            for (option, value) in [("--partition", "off"), ("--threads", "2")] {
                 let err = Args::parse([command, "--query", Q1, option, value]).unwrap_err();
                 assert!(
                     err.starts_with(&format!("{option} is an option of `run`")),
@@ -2622,13 +2590,11 @@ mod tests {
     }
 
     #[test]
-    fn run_partition_time_slices_keyless_queries() {
+    fn run_refuses_partition_time_by_name() {
+        // An old script asking for time slices is told they are gone,
+        // not that the data lacks an attribute called `time`.
         let data = figure1_csv();
-        // Uncorrelated query: no provable key, so `time` engages the
-        // τ-overlapping slicer instead of degrading to a global scan.
         let q = "PATTERN PERMUTE(c) THEN b WHERE c.L = 'C' AND b.L = 'B' WITHIN 264 HOURS";
-        let (code, global) = run(&["run", "--query", q, "--data", &data]);
-        assert_eq!(code, 0, "{global}");
         let (code, out) = run(&[
             "run",
             "--query",
@@ -2641,36 +2607,16 @@ mod tests {
             "2",
             "--stats",
         ]);
-        assert_eq!(code, 0, "{out}");
-        let count = |s: &str| s.matches("match ").count();
-        assert_eq!(count(&global), count(&out), "{global}\n{out}");
-        assert!(out.contains("time (no provable key)"), "{out}");
-        assert!(out.contains("time slices"), "{out}");
-        assert!(out.contains("largest slice"), "{out}");
-        assert!(out.contains("overlap events rescanned"), "{out}");
-        std::fs::remove_file(&data).ok();
-    }
-
-    #[test]
-    fn run_partition_time_still_prefers_a_proven_key() {
-        let data = figure1_csv();
-        // Q1 proves ID, so `time` routes through the key path — no
-        // duplicated seam work when a cheaper strategy exists.
-        let (code, out) = run(&[
-            "run",
-            "--query",
-            Q1,
-            "--data",
-            &data,
-            "--partition",
-            "time",
-            "--stats",
-        ]);
-        assert_eq!(code, 0, "{out}");
-        assert!(out.contains("2 match(es)"), "{out}");
-        assert!(out.contains("partitioned by"), "{out}");
-        assert!(out.contains("key skew"), "{out}");
-        assert!(!out.contains("time slices"), "{out}");
+        assert_ne!(code, 0, "{out}");
+        assert!(
+            out.contains("--partition time: time-sliced execution was removed"),
+            "{out}"
+        );
+        assert!(
+            out.contains("`--partition off` returns the same matches"),
+            "{out}"
+        );
+        assert!(!out.contains("match(es)"), "{out}");
         std::fs::remove_file(&data).ok();
     }
 

@@ -595,10 +595,12 @@ impl SurvivorStore {
     }
 
     /// Drops survivors with `minT < cutoff` by advancing the head;
-    /// compacts storage once the dead prefix dominates.
+    /// compacts storage once the dead prefix is at least as long as the
+    /// live part. A compaction then reindexes no more finals than it
+    /// drops, so it costs O(1) per pruned final, amortized.
     pub(crate) fn prune(&mut self, cutoff: Timestamp) {
         self.head += self.items[self.head..].partition_point(|&(t, _)| t < cutoff);
-        if self.head > 1024 && self.head * 2 >= self.items.len() {
+        if self.head > 0 && self.head * 2 >= self.items.len() {
             self.items.drain(..self.head);
             self.reindex();
         }
@@ -707,6 +709,22 @@ mod tests {
     }
 
     #[test]
+    fn survivor_store_compacts_a_small_dead_prefix() {
+        // No constant floor: 60 dead finals of 100 are compacted away at
+        // once, not kept with their postings until a thousand pile up.
+        let mut s = SurvivorStore::new();
+        for t in 0..100i64 {
+            s.push(Timestamp::new(t), m(&[(0, t as u32), (1, 90_000)]));
+        }
+        s.prune(Timestamp::new(60));
+        assert_eq!(s.head, 0, "compaction should have run");
+        assert_eq!(s.live().len(), 40);
+        assert_eq!(s.items.len(), 40);
+        assert!(!s.kills(&m(&[(0, 59)])));
+        assert!(s.kills(&m(&[(0, 60)])));
+    }
+
+    #[test]
     fn restore_round_trips_live_set() {
         let mut s = SurvivorStore::new();
         s.push(Timestamp::new(1), m(&[(0, 1), (1, 2)]));
@@ -726,12 +744,12 @@ mod tests {
     // `ViableIndex` is filled from admission verdicts and from nothing
     // else; `ViableIndex::classify` is the relation scan it replaced.
     // Wherever a verdict is produced — a batch scan in either admission
-    // arm, the workers of both split strategies, every push flavor of a
+    // arm, the workers of the key split, every push flavor of a
     // stream, a restored stream — the lists must be the reference's.
 
     use crate::engine::{scan, AdmittedLog};
     use crate::matcher::{Matcher, MatcherOptions};
-    use crate::parallel::{scan_partitioned, scan_time_sliced};
+    use crate::parallel::scan_partitioned;
     use crate::{MatchSemantics, NoProbe, StreamMatcher};
     use proptest::prelude::*;
     use ses_event::{AttrType, CmpOp, Duration, Schema, Value};
@@ -844,14 +862,13 @@ mod tests {
 
         /// (a) A batch scan: relations shorter than 16 events admit per
         /// event, longer ones through the columnar pass (when the
-        /// pattern has a constant at all); (b) both split strategies,
-        /// whose workers remap view-local logs and whose coordinator
-        /// merges them, folding the τ-overlap duplicates.
+        /// pattern has a constant at all); (b) the key split, whose
+        /// workers remap view-local logs and whose coordinator merges
+        /// them.
         #[test]
         fn batch_and_split_scans_log_the_viable_lists(
             pat in pattern_strategy(),
             rows in rows_strategy(0..40),
-            slices in 1usize..5,
         ) {
             let rel = relation(&rows);
             let matcher = Matcher::with_options(&pat, &schema(), options()).unwrap();
@@ -866,8 +883,6 @@ mod tests {
             let key = schema().attr_id("ID").unwrap();
             let split = scan_partitioned(&matcher, &rel, key, Some(2), &mut NoProbe, || NoProbe);
             prop_assert_eq!(&split.admitted, &log, "partitioned");
-            let split = scan_time_sliced(&matcher, &rel, Some(slices), &mut NoProbe, || NoProbe);
-            prop_assert_eq!(&split.admitted, &log, "{} slices", slices);
         }
 
         /// (c) A stream mid-flight, under eviction: after every push —

@@ -154,14 +154,16 @@ impl AdmittedLog {
         }
     }
 
-    /// One log from the workers' remapped logs. An event two time slices
-    /// both scanned (the `τ` overlap) got the same verdict from both —
-    /// admission reads only the event — so its duplicate entries are
-    /// equal and adjacent after the sort.
+    /// One log from the workers' remapped logs. The key split's views are
+    /// disjoint, so every event appears in at most one of them: the sort
+    /// interleaves the logs and folds nothing.
     pub(crate) fn merge(logs: impl IntoIterator<Item = AdmittedLog>) -> AdmittedLog {
         let mut entries: Vec<(EventId, u64)> = logs.into_iter().flat_map(|l| l.entries).collect();
         entries.sort_unstable();
-        entries.dedup();
+        debug_assert!(
+            entries.windows(2).all(|w| w[0].0 < w[1].0),
+            "merged worker views overlap"
+        );
         AdmittedLog { entries }
     }
 }

@@ -59,13 +59,6 @@ pub enum PartitionMode {
     /// proven key — an unproven split could silently lose
     /// cross-partition matches.
     Key(AttrId),
-    /// Like [`PartitionMode::Auto`], but when no key is provable fall
-    /// back to *time-sliced* execution
-    /// ([`crate::parallel::find_time_sliced`]) instead of a global scan:
-    /// the window `τ` bounds every match's temporal extent, so
-    /// `τ`-overlapping time ranges cover every match even when nothing
-    /// confines matches to one key value. Never an error.
-    TimeAuto,
 }
 
 /// How a [`Matcher`] actually executes, resolved from
@@ -79,9 +72,6 @@ pub enum PartitionStrategy {
     /// Key-partitioned scan over this proven attribute
     /// ([`crate::parallel::find_partitioned`]).
     Key(AttrId),
-    /// Time-sliced scan over `τ`-overlapping ranges
-    /// ([`crate::parallel::find_time_sliced`]).
-    TimeSliced,
 }
 
 /// Configuration for a [`Matcher`].
@@ -183,12 +173,6 @@ fn resolve_partition(
         PartitionMode::Auto => {
             Ok(auto_key.map_or(PartitionStrategy::Global, PartitionStrategy::Key))
         }
-        // A proven key beats time slicing: it shrinks the per-event
-        // instance loop and duplicates no work, while slices re-scan the
-        // τ overlaps.
-        PartitionMode::TimeAuto => {
-            Ok(auto_key.map_or(PartitionStrategy::TimeSliced, PartitionStrategy::Key))
-        }
         PartitionMode::Key(attr) => {
             if attr.index() >= compiled.schema().len() {
                 return Err(CoreError::UnprovenPartitionKey {
@@ -265,16 +249,14 @@ impl Matcher {
     /// Finds all matching substitutions, reporting engine events to
     /// `probe`.
     ///
-    /// When the resolved [`PartitionStrategy`] splits the input (by key
-    /// or by time) the scan runs in parallel. Per-event probe hooks are
-    /// then sampled inside worker threads and only the aggregate hooks
-    /// (`partitions`/`slices`, `partition_events`/`slice_events`,
-    /// per-split peak `omega`) reach `probe` — use
-    /// [`crate::parallel::find_partitioned_with`] or
-    /// [`crate::parallel::find_time_sliced_with`] directly for full
-    /// per-split instrumentation.
+    /// When the resolved [`PartitionStrategy`] splits the input by key the
+    /// scan runs in parallel. Per-event probe hooks are then sampled
+    /// inside worker threads and only the aggregate hooks (`partitions`,
+    /// `partition_events`, per-partition peak `omega`) reach `probe` —
+    /// use [`crate::parallel::find_partitioned_with`] directly for full
+    /// per-partition instrumentation.
     pub fn find_with_probe<P: Probe>(&self, relation: &Relation, probe: &mut P) -> Vec<Match> {
-        /// Minimal per-split worker probe: peak `|Ω|` only.
+        /// Minimal per-partition worker probe: peak `|Ω|` only.
         #[derive(Default)]
         struct Peak(usize);
         impl Probe for Peak {
@@ -287,35 +269,19 @@ impl Matcher {
         if !self.automaton.pattern().is_satisfiable() {
             return Vec::new();
         }
-        match self.partition {
-            PartitionStrategy::Key(key) => {
-                let (matches, peaks) = crate::parallel::find_partitioned_with(
-                    self,
-                    relation,
-                    key,
-                    self.options.threads,
-                    probe,
-                    Peak::default,
-                );
-                for p in peaks {
-                    probe.omega(p.0);
-                }
-                return matches;
+        if let PartitionStrategy::Key(key) = self.partition {
+            let (matches, peaks) = crate::parallel::find_partitioned_with(
+                self,
+                relation,
+                key,
+                self.options.threads,
+                probe,
+                Peak::default,
+            );
+            for p in peaks {
+                probe.omega(p.0);
             }
-            PartitionStrategy::TimeSliced => {
-                let (matches, peaks) = crate::parallel::find_time_sliced_with(
-                    self,
-                    relation,
-                    self.options.threads,
-                    probe,
-                    Peak::default,
-                );
-                for p in peaks {
-                    probe.omega(p.0);
-                }
-                return matches;
-            }
-            PartitionStrategy::Global => {}
+            return matches;
         }
         let (raw, admitted) = scan(&self.automaton, relation, self.options.selection, probe);
         let raw = crate::negation::filter_negations(raw, relation, self.automaton.pattern());

@@ -59,8 +59,9 @@ pub trait Probe {
     fn retained_events(&mut self, _n: usize) {}
 
     /// A batch execution resolved how it admits its events — fired once
-    /// per scan (per partition or slice when the input is split). Answers are the same on every arm, so this
-    /// is the only place a fall from one to another can show.
+    /// per scan (per partition when the input is split). Answers are the
+    /// same on every arm, so this is the only place a fall from one to
+    /// another can show.
     #[inline]
     fn admission_arm(&mut self, _arm: crate::AdmissionArm) {}
 
@@ -73,18 +74,6 @@ pub trait Probe {
     /// partition order — the spread over these samples is the key skew.
     #[inline]
     fn partition_events(&mut self, _n: usize) {}
-
-    /// Time-sliced execution split the input into `_n` overlapping time
-    /// slices. Fired once per time-sliced run, before any slice executes.
-    #[inline]
-    fn slices(&mut self, _n: usize) {}
-
-    /// One time slice holds `_n` events (own region *plus* the `τ`
-    /// overlap). Fired once per slice, in chronological slice order —
-    /// the sum over these samples minus the relation length is the
-    /// duplicated overlap work.
-    #[inline]
-    fn slice_events(&mut self, _n: usize) {}
 
     /// A pattern bank routed one event into `_n` pattern matchers (the
     /// event satisfied those patterns' admission predicates). Fired once
@@ -180,14 +169,6 @@ impl<P: Probe + ?Sized> Probe for &mut P {
     #[inline]
     fn partition_events(&mut self, n: usize) {
         (**self).partition_events(n);
-    }
-    #[inline]
-    fn slices(&mut self, n: usize) {
-        (**self).slices(n);
-    }
-    #[inline]
-    fn slice_events(&mut self, n: usize) {
-        (**self).slice_events(n);
     }
     #[inline]
     fn index_hits(&mut self, n: usize) {

@@ -39,7 +39,7 @@ pub struct CountingProbe {
     pub retained_max: usize,
     /// Batch scans by the arm that admitted their events — per event,
     /// lane pass over rows, lane pass over columns — one scan per
-    /// partition or slice when the input is split.
+    /// partition when the input is split.
     pub scans_per_event: u64,
     /// See [`CountingProbe::scans_per_event`].
     pub scans_rows: u64,
@@ -50,12 +50,6 @@ pub struct CountingProbe {
     /// Per-partition event counts, in partition order — the spread over
     /// these is the key skew.
     pub partition_events: Vec<usize>,
-    /// Time-sliced runs observed (each fires the `slices` hook once).
-    pub sliced_runs: u64,
-    /// Per-slice event counts (own region plus `τ` overlap), in
-    /// chronological slice order — their sum minus the relation length
-    /// is the duplicated overlap work.
-    pub slice_events: Vec<usize>,
     /// Events routed into pattern-bank matchers (summed over patterns:
     /// one event admitted to k patterns contributes k).
     pub index_hits: u64,
@@ -134,21 +128,6 @@ impl CountingProbe {
         self.partition_events.len()
     }
 
-    /// Number of time slices seen by the last time-sliced run.
-    pub fn slice_count(&self) -> usize {
-        self.slice_events.len()
-    }
-
-    /// Events scanned more than once by the last time-sliced run — the
-    /// `τ`-overlap duplication, given the sliced relation's length.
-    /// Saturates at zero when no time-sliced run was recorded.
-    pub fn slice_overlap_events(&self, relation_len: usize) -> usize {
-        self.slice_events
-            .iter()
-            .sum::<usize>()
-            .saturating_sub(relation_len)
-    }
-
     /// Key skew of the partition layout: largest partition over the mean
     /// partition size (1.0 = perfectly balanced; 0.0 when unpartitioned).
     pub fn partition_skew(&self) -> f64 {
@@ -190,8 +169,6 @@ impl CountingProbe {
         self.scans_columns += other.scans_columns;
         self.partitioned_runs += other.partitioned_runs;
         self.partition_events.extend(&other.partition_events);
-        self.sliced_runs += other.sliced_runs;
-        self.slice_events.extend(&other.slice_events);
         self.index_hits += other.index_hits;
         self.index_skips += other.index_skips;
         self.checkpoints += other.checkpoints;
@@ -257,13 +234,6 @@ impl Probe for CountingProbe {
     }
     fn partition_events(&mut self, n: usize) {
         self.partition_events.push(n);
-    }
-    fn slices(&mut self, _n: usize) {
-        self.sliced_runs += 1;
-        self.slice_events.clear();
-    }
-    fn slice_events(&mut self, n: usize) {
-        self.slice_events.push(n);
     }
     fn index_hits(&mut self, n: usize) {
         self.index_hits += n as u64;
@@ -420,32 +390,5 @@ mod tests {
         p.merge(&q);
         assert_eq!(p.index_hits, 6);
         assert_eq!(p.index_skips, 15);
-    }
-
-    #[test]
-    fn slice_hooks_record_layout_and_overlap() {
-        let mut p = CountingProbe::new();
-        Probe::slices(&mut p, 3);
-        Probe::slice_events(&mut p, 8);
-        Probe::slice_events(&mut p, 7);
-        Probe::slice_events(&mut p, 5);
-        assert_eq!(p.sliced_runs, 1);
-        assert_eq!(p.slice_count(), 3);
-        // 20 scanned events over a 16-event relation: 4 re-scanned in
-        // the τ overlaps.
-        assert_eq!(p.slice_overlap_events(16), 4);
-        assert_eq!(p.slice_overlap_events(100), 0, "saturates");
-        // A second sliced run replaces the layout, not appends.
-        Probe::slices(&mut p, 1);
-        Probe::slice_events(&mut p, 4);
-        assert_eq!(p.sliced_runs, 2);
-        assert_eq!(p.slice_events, vec![4]);
-        // Merge concatenates layouts and sums run counts.
-        let mut q = CountingProbe::new();
-        Probe::slices(&mut q, 1);
-        Probe::slice_events(&mut q, 9);
-        p.merge(&q);
-        assert_eq!(p.sliced_runs, 3);
-        assert_eq!(p.slice_events, vec![4, 9]);
     }
 }

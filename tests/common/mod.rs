@@ -54,34 +54,6 @@ pub fn relation_strategy_with(
         })
 }
 
-/// Timestamps clustered tightly around a few well-separated anchors.
-/// Time-sliced execution cuts the relation at multiples of the slice
-/// width, so with anchors this dense a boundary routinely lands *inside*
-/// a cluster — exactly the seam-straddling matches the differential
-/// suite needs to stress first-event attribution and τ-overlap reads.
-pub fn seam_relation_strategy() -> impl Strategy<Value = Relation> {
-    (
-        proptest::collection::vec((0u8..3, 1i64..3, 0u8..4, 0i64..4), 2..10),
-        2i64..30,
-    )
-        .prop_map(|(rows, spacing)| {
-            let mut stamped: Vec<(i64, u8, i64)> = rows
-                .into_iter()
-                .map(|(ty, id, anchor, jitter)| (i64::from(anchor) * spacing + jitter, ty, id))
-                .collect();
-            stamped.sort_unstable();
-            let mut rel = Relation::new(schema());
-            for (t, ty, id) in stamped {
-                rel.push_values(
-                    Timestamp::new(t),
-                    [Value::from(TYPES[ty as usize]), Value::from(id)],
-                )
-                .unwrap();
-            }
-            rel
-        })
-}
-
 /// Relations engineered to flood single adjudication groups: short (so
 /// the group-variable subset explosion under skip-till-any-match stays
 /// around `2^8`), with zero-gap runs of equal timestamps — the
@@ -123,8 +95,8 @@ pub fn dense_pattern_strategy() -> impl Strategy<Value = Pattern> {
 /// negated variable — typed via `L`, optionally also pinned to the first
 /// positive variable's `ID`. Negations make
 /// `CompiledPattern::partition_keys` return nothing (a killer event may
-/// live under any key), so these patterns exercise exactly the paths
-/// that cannot shard by key: the global fallback and time slicing.
+/// live under any key), so these patterns exercise exactly the path
+/// that cannot shard by key: `PartitionMode::Auto`'s global fallback.
 pub fn negated_pattern_strategy() -> impl Strategy<Value = Pattern> {
     (
         proptest::collection::vec((0u8..2, proptest::bool::ANY), 1..3),

@@ -7,7 +7,7 @@
 //! all `k!` orders, through the one-shot pairwise filter
 //! [`select_pairwise`], which knows nothing of classes. The two must
 //! agree for every semantics and selection strategy, and every executor —
-//! global `find`, the key split, time slices, `StreamMatcher::push_batch`
+//! global `find`, the key split, `StreamMatcher::push_batch`
 //! and a bank of one — must return the global answer. The patterns come
 //! from [`symmetric_pattern_strategy`], whose `Θ` is symmetric by
 //! construction; the relations carry timestamp ties.
@@ -118,7 +118,7 @@ proptest! {
     }
 
     /// Every executor expands: the key split (when `ID` is a proven
-    /// key), time slices, a micro-batched stream and a bank of one all
+    /// key), a micro-batched stream and a bank of one all
     /// return the global answer. Under skip-till-next-match the key split
     /// is compared only when every transition is fully correlated (no
     /// group variable, `Θ` closed under equality): otherwise a greedy run
@@ -145,8 +145,6 @@ proptest! {
                     let split = ses::parallel::find_partitioned(&matcher, &rel, id);
                     prop_assert_eq!(&split, &global, "{:?}/{:?}: key split", semantics, selection);
                 }
-                let sliced = ses::parallel::find_time_sliced(&matcher, &rel, Some(3));
-                prop_assert_eq!(&sliced, &global, "{:?}/{:?}: time slices", semantics, selection);
                 let streamed = stream_answer(&pat, &rel, opts.clone());
                 prop_assert_eq!(&streamed, &global, "{:?}/{:?}: push_batch", semantics, selection);
                 let banked = bank_answer(&pat, &rel, opts);
