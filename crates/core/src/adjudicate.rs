@@ -860,9 +860,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// (a) A batch scan: relations shorter than 16 events admit per
-        /// event, longer ones through the columnar pass (when the
-        /// pattern has a constant at all); (b) the key split, whose
+        /// (a) A batch scan, which admits through the lane pass at every
+        /// relation length; (b) the key split, whose
         /// workers remap view-local logs and whose coordinator merges
         /// them.
         #[test]
@@ -886,7 +885,7 @@ mod tests {
         }
 
         /// (c) A stream mid-flight, under eviction: after every push —
-        /// single, a batch long enough for the columnar pass, or a
+        /// single, a batch of several events (each pushed in turn), or a
         /// heartbeat — the lists are the reference's over the retained
         /// events; (d) and so are a restored matcher's, at the restore
         /// and after every later push.
@@ -903,8 +902,8 @@ mod tests {
             let mut next = 0;
             let mut chunk = chunks.iter().cycle();
             while next < all.len() {
-                // 0: one event; 1: a sub-threshold batch; 2: a
-                // columnar batch; 3: a heartbeat, then one event.
+                // 0: one event; 1: a short batch; 2: a long batch; 3: a
+                // heartbeat, then one event.
                 let take = match chunk.next().unwrap() {
                     1 => 3,
                     2 => 20,

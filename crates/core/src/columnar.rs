@@ -1,97 +1,59 @@
-//! Columnar admission: batch pre-evaluation of constant conditions into
-//! per-variable bitmask vectors.
+//! Admission: the per-variable constant mask, computed per event for a
+//! push and by a columnar lane pass for a scan.
 //!
-//! The scalar hot path decides, for every event, which variables it can
-//! bind (`satisfies_var_constants`, one typed value comparison per
-//! constant condition). That mask is the one admission rule: an event
-//! whose mask is empty is dropped before the instance loop — the §4.5
-//! filter. The decision depends only on the event's own attributes, so
-//! over a batch of events it factors into a *columnar* pass: evaluate
-//! each distinct constant condition — a **lane**, from the
-//! analyzer-backed [`AdmissionLanes`] enumeration shared with
+//! The engine decides, for every event, which variables it can bind —
+//! bit *v* of its admission mask is set iff the event satisfies every
+//! constant condition of `VarId(v)`. That mask is the one admission rule:
+//! an event whose mask is empty is dropped before the instance loop — the
+//! §4.5 filter. It is computed one of two ways, fixed by the executor:
+//!
+//! * **a push takes the mask** — [`var_mask`], one typed comparison per
+//!   constant condition as the event arrives (`StreamMatcher` and
+//!   everything built on it);
+//! * **a scan takes the lane pass** — [`ColumnarBatch::of`], over the whole
+//!   source before the first event is consumed (`Execution`, and with it
+//!   `find`, the key split and the baseline), at any length and for any
+//!   number of lanes, none included.
+//!
+//! The lane pass evaluates each distinct constant condition — a **lane**,
+//! from the analyzer-backed [`AdmissionLanes`] enumeration shared with
 //! `PatternIndex` — once per event into a `u64` bit-vector (bit *i* =
-//! event *i* of the batch), AND a variable's lane vectors word-by-word
-//! into its admission-group vector, and OR the group vectors into the
+//! event *i* of the source), ANDs a variable's lane vectors word-by-word
+//! into its admission-group vector, and ORs the group vectors into the
 //! filter vector. The instance loop then reads one precomputed mask per
-//! event instead of re-running value comparisons per condition.
+//! admitted event and never visits a dropped one.
 //!
-//! Lane evaluation is type-specialized: `Int`/`Str`/`Bool` constants
-//! run monomorphic comparison loops (falling back to the generic
-//! [`Value::compare`] on a variant mismatch so outcomes stay identical
-//! bit-for-bit), while `Float` constants always take the generic path —
-//! the same scanned-fallback discipline `PatternIndex` applies to Float
-//! point pins. Multiple `Str`-equality lanes over one attribute (the
-//! common "seven medication types on L" shape) share a single pass:
-//! distinct constants are mutually exclusive, so the first hit wins.
-//!
-//! A source at rest offers its `Str` attributes dictionary-coded
-//! ([`ses_event::EventSource::str_codes`]). The `Str` kernels then
-//! compare each constant with each *distinct* string once, into a small
-//! table, and fill their lane bits from the code column — no row and no
-//! string is touched per event. Which of the three ways an execution
-//! admitted its events is its [`AdmissionArm`].
+//! Lane evaluation is type-specialized: `Int`/`Bool` constants run
+//! monomorphic comparison loops over the rows, with the outcomes of
+//! [`Value::compare`] on every variant, while `Float` constants always
+//! take the generic path — the same scanned-fallback discipline
+//! `PatternIndex` applies to Float point pins. `Str` constants read the
+//! source's dictionary-coded column ([`ses_event::EventSource::str_codes`]):
+//! compile refuses a `Str` constant on any other attribute type, and every
+//! source codes its `Str` attributes. Each constant is compared with each
+//! *distinct* string once, into a small table, and the lane bits are filled
+//! from the codes — no row and no string is touched per event. Multiple
+//! `Str`-equality lanes over one attribute (the common "seven medication
+//! types on L" shape) share one table: distinct constants are mutually
+//! exclusive, so each string sets at most one lane.
 //!
 //! Soundness: a variable's group bit equals the conjunction of exactly
 //! the conditions `satisfies_var_constants` evaluates, and the filter
 //! vector is the OR of the group vectors — see `docs/columnar.md` for
 //! the full argument.
 
-use ses_event::{AttrId, CmpOp, Event, StrCodes, Value};
+use ses_event::{AttrId, CmpOp, Event, EventId, EventSource, StrCodes, Value};
 use ses_pattern::{AdmissionLanes, CompiledPattern, ConstLane};
-use std::fmt;
 use std::sync::Arc;
 
-/// Batches below this length are admitted per event: the lane pass
-/// cannot amortize over a handful of events.
-pub(crate) const COLUMNAR_AUTO_MIN_BATCH: usize = 16;
-
-/// The one admission decision: `true` iff a batch of `batch_len` events
-/// is admitted through the columnar lane pass rather than per event,
-/// given the pattern's constant-lane count (e.g.
-/// `AdmissionLanes::of(..).lanes().len()`). Columnar pays off when there
-/// are constant conditions to pre-evaluate and enough events to amortize
-/// the plan; both arms yield the same admission mask for every event
-/// (`tests/columnar_vs_scalar.rs`).
-pub fn runs_columnar(num_lanes: usize, batch_len: usize) -> bool {
-    num_lanes > 0 && batch_len >= COLUMNAR_AUTO_MIN_BATCH
-}
-
-/// How an execution admits its events — which arm of the one rule
-/// ([`runs_columnar`]) it took, and for the columnar arm what the lane
-/// pass read. Every arm hands the engine the same verdicts
-/// (`tests/columnar_vs_scalar.rs`); the arm is reported so that a silent
-/// fall from one to another shows somewhere.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmissionArm {
-    /// One typed comparison per constant condition as each event is
-    /// consumed: batches below the rule's threshold, patterns without
-    /// constant conditions, every streaming `push`.
-    PerEvent,
-    /// The lane pass, every lane reading the events' rows: micro-batches,
-    /// and relations whose constant-tested attributes are not `Str`.
-    Rows,
-    /// The lane pass with at least one `Str` lane filled from the
-    /// source's dictionary-coded column; the other lanes read rows.
-    Columns,
-}
-
-impl fmt::Display for AdmissionArm {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            AdmissionArm::PerEvent => "per-event",
-            AdmissionArm::Rows => "rows",
-            AdmissionArm::Columns => "columns",
-        })
-    }
-}
-
-/// The per-event arm of admission: bit *v* set iff `event` satisfies
-/// every constant condition of `VarId(v)`, by one typed comparison per
-/// constant condition. An event whose mask is `0` binds nothing and is
-/// dropped before the instance loop (§4.5); a variable without constant
+/// The mask a push takes: bit *v* set iff `event` satisfies every
+/// constant condition of `VarId(v)`, by one typed comparison per constant
+/// condition. An event whose mask is `0` binds nothing and is dropped
+/// before the instance loop (§4.5); a variable without constant
 /// conditions sets its bit for every event, so then nothing is dropped.
 /// Computing the mask once per event amortizes every constant-condition
-/// evaluation over all simultaneous instances.
+/// evaluation over all simultaneous instances. It is also the scalar
+/// reference the lane pass is tested against.
 pub(crate) fn var_mask(pattern: &CompiledPattern, event: &Event) -> u64 {
     (0..pattern.pattern().num_vars()).fold(0u64, |mask, v| {
         let ok = pattern.satisfies_var_constants(ses_pattern::VarId(v as u16), event);
@@ -100,7 +62,7 @@ pub(crate) fn var_mask(pattern: &CompiledPattern, event: &Event) -> u64 {
 }
 
 /// One type-specialized lane evaluator.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Kernel {
     /// `attr ⟨op⟩ Int` — exact `i64` comparison on `Int` values, `f64`
     /// comparison on `Float` values, `false` otherwise (matching
@@ -108,6 +70,7 @@ enum Kernel {
     Int { lane: usize, op: CmpOp, rhs: i64 },
     /// `attr ⟨op⟩ Str` — `Str` values compare lexicographically, every
     /// other variant is incomparable (`as_f64` is `None` for strings).
+    /// Read from the attribute's code column.
     Str {
         lane: usize,
         op: CmpOp,
@@ -120,9 +83,9 @@ enum Kernel {
     /// land here — the scanned-fallback discipline `PatternIndex`
     /// applies to Float point pins.
     Generic { lane: usize, op: CmpOp, rhs: Value },
-    /// ≥ 2 `Str`-equality lanes over one attribute, evaluated in a
-    /// single pass: distinct constants are mutually exclusive, so the
-    /// first match sets its lane bit and ends the scan.
+    /// ≥ 2 `Str`-equality lanes over one attribute, read from its code
+    /// column through one table: distinct constants are mutually
+    /// exclusive, so each distinct string sets at most one lane.
     StrEqSet { lanes: Vec<(usize, Arc<str>)> },
 }
 
@@ -130,11 +93,11 @@ enum Kernel {
 /// constant-condition lanes (shared derivation with `PatternIndex`),
 /// type-specialized kernels, and the lane composition of each variable
 /// group.
-#[derive(Debug, Clone)]
-pub(crate) struct ColumnarPlan {
+#[derive(Debug)]
+struct ColumnarPlan {
     /// Kernels grouped per attribute read; order is irrelevant (each
     /// kernel owns its lane bits exclusively).
-    kernels: Vec<(ses_event::AttrId, Kernel)>,
+    kernels: Vec<(AttrId, Kernel)>,
     /// Lane ids per positive variable, in `VarId` order. Empty list =
     /// unconstrained variable (admitted everywhere).
     var_groups: Vec<Vec<usize>>,
@@ -142,7 +105,7 @@ pub(crate) struct ColumnarPlan {
 }
 
 impl ColumnarPlan {
-    pub(crate) fn new(cp: &CompiledPattern) -> ColumnarPlan {
+    fn new(cp: &CompiledPattern) -> ColumnarPlan {
         let lanes = AdmissionLanes::of(cp);
         let var_groups: Vec<Vec<usize>> = (0..lanes.num_vars())
             .map(|v| lanes.var_group(ses_pattern::VarId(v as u16)).lanes.clone())
@@ -150,10 +113,10 @@ impl ColumnarPlan {
 
         // Collect Str-equality lanes per attribute for the shared pass;
         // everything else gets an individual kernel.
-        let mut kernels: Vec<(ses_event::AttrId, Kernel)> = Vec::new();
+        let mut kernels: Vec<(AttrId, Kernel)> = Vec::new();
         // Lane indices paired with their string constants, keyed by attribute.
         type StrEqLanes = Vec<(usize, Arc<str>)>;
-        let mut str_eq: Vec<(ses_event::AttrId, StrEqLanes)> = Vec::new();
+        let mut str_eq: Vec<(AttrId, StrEqLanes)> = Vec::new();
         for (i, lane) in lanes.lanes().iter().enumerate() {
             if lane.op == CmpOp::Eq {
                 if let Value::Str(s) = &lane.value {
@@ -189,40 +152,23 @@ impl ColumnarPlan {
         }
     }
 
-    /// Number of distinct constant-condition lanes.
-    pub(crate) fn num_lanes(&self) -> usize {
-        self.num_lanes
-    }
-
-    /// Evaluates the plan over a batch of `len` events into `out`, whose
-    /// buffers are reused across calls. `get` fetches a row by 0-based
-    /// batch position; `codes` offers an attribute's dictionary-coded
-    /// column over the same positions, or `None` — always `None` for a
-    /// micro-batch, which has no column and is not worth one.
-    pub(crate) fn evaluate<'e>(
-        &self,
-        len: usize,
-        get: impl Fn(usize) -> &'e Event,
-        codes: impl Fn(AttrId) -> Option<StrCodes<'e>>,
-        out: &mut ColumnarBatch,
-    ) {
+    /// Evaluates the plan over every event `source` holds, batch position
+    /// `i` being the source's `i`-th accessible event.
+    fn evaluate<S: EventSource>(&self, source: &S) -> ColumnarBatch {
+        let len = source.len();
         let words = len.div_ceil(64);
-        out.len = len;
-        out.words = words;
-        out.lane_bits.clear();
-        out.lane_bits.resize(self.num_lanes * words, 0);
-        out.from_columns = false;
         let num_vars = self.var_groups.len();
-        out.num_vars = num_vars;
+        let event = |i: usize| source.event(EventId::from(source.first_index() + i));
+        let mut lane_bits = vec![0u64; self.num_lanes * words];
 
         // Lane pass: one type-specialized sweep per kernel.
         for (attr, kernel) in &self.kernels {
             let attr = *attr;
             match kernel {
                 Kernel::Int { lane, op, rhs } => {
-                    let bits = lane_mut(&mut out.lane_bits, *lane, words);
+                    let bits = lane_mut(&mut lane_bits, *lane, words);
                     for i in 0..len {
-                        let hit = match get(i).value(attr) {
+                        let hit = match event(i).value(attr) {
                             Value::Int(x) => op.eval(x.cmp(rhs)),
                             Value::Float(f) => f
                                 .partial_cmp(&(*rhs as f64))
@@ -233,33 +179,23 @@ impl ColumnarPlan {
                     }
                 }
                 Kernel::Str { lane, op, rhs } => {
-                    let bits = lane_mut(&mut out.lane_bits, *lane, words);
-                    if let Some(codes) = codes(attr) {
-                        // `NOT_STR` indexes past every table: incomparable.
-                        let table: Vec<bool> = codes
-                            .dict()
-                            .iter()
-                            .map(|s| op.eval(s.as_ref().cmp(rhs.as_ref())))
-                            .collect();
-                        codes.for_each(|i, code| {
-                            let hit = table.get(code as usize).copied().unwrap_or(false);
-                            bits[i / 64] |= (hit as u64) << (i % 64);
-                        });
-                        out.from_columns = true;
-                        continue;
-                    }
-                    for i in 0..len {
-                        let hit = match get(i).value(attr) {
-                            Value::Str(s) => op.eval(s.as_ref().cmp(rhs.as_ref())),
-                            _ => false,
-                        };
+                    let bits = lane_mut(&mut lane_bits, *lane, words);
+                    let codes = str_codes(source, attr);
+                    // `NOT_STR` indexes past every table: incomparable.
+                    let table: Vec<bool> = codes
+                        .dict()
+                        .iter()
+                        .map(|s| op.eval(s.as_ref().cmp(rhs.as_ref())))
+                        .collect();
+                    codes.for_each(|i, code| {
+                        let hit = table.get(code as usize).copied().unwrap_or(false);
                         bits[i / 64] |= (hit as u64) << (i % 64);
-                    }
+                    });
                 }
                 Kernel::Bool { lane, op, rhs } => {
-                    let bits = lane_mut(&mut out.lane_bits, *lane, words);
+                    let bits = lane_mut(&mut lane_bits, *lane, words);
                     for i in 0..len {
-                        let hit = match get(i).value(attr) {
+                        let hit = match event(i).value(attr) {
                             Value::Bool(b) => op.eval(b.cmp(rhs)),
                             _ => false,
                         };
@@ -267,74 +203,66 @@ impl ColumnarPlan {
                     }
                 }
                 Kernel::Generic { lane, op, rhs } => {
-                    let bits = lane_mut(&mut out.lane_bits, *lane, words);
+                    let bits = lane_mut(&mut lane_bits, *lane, words);
                     for i in 0..len {
-                        let hit = get(i).value(attr).compare(*op, rhs);
+                        let hit = event(i).value(attr).compare(*op, rhs);
                         bits[i / 64] |= (hit as u64) << (i % 64);
                     }
                 }
                 Kernel::StrEqSet { lanes } => {
-                    if let Some(codes) = codes(attr) {
-                        // The lane each distinct string sets, if any.
-                        let table: Vec<Option<usize>> = codes
-                            .dict()
-                            .iter()
-                            .map(|s| {
-                                lanes
-                                    .iter()
-                                    .find(|(_, rhs)| rhs == s)
-                                    .map(|(lane, _)| *lane)
-                            })
-                            .collect();
-                        codes.for_each(|i, code| {
-                            if let Some(Some(lane)) = table.get(code as usize) {
-                                out.lane_bits[lane * words + i / 64] |= 1u64 << (i % 64);
-                            }
-                        });
-                        out.from_columns = true;
-                        continue;
-                    }
-                    for i in 0..len {
-                        if let Value::Str(s) = get(i).value(attr) {
-                            for (lane, rhs) in lanes {
-                                if s.as_ref() == rhs.as_ref() {
-                                    out.lane_bits[lane * words + i / 64] |= 1u64 << (i % 64);
-                                    break; // distinct constants: at most one hits
-                                }
-                            }
+                    let codes = str_codes(source, attr);
+                    // The lane each distinct string sets, if any.
+                    let table: Vec<Option<usize>> = codes
+                        .dict()
+                        .iter()
+                        .map(|s| {
+                            lanes
+                                .iter()
+                                .find(|(_, rhs)| rhs == s)
+                                .map(|(lane, _)| *lane)
+                        })
+                        .collect();
+                    codes.for_each(|i, code| {
+                        if let Some(Some(lane)) = table.get(code as usize) {
+                            lane_bits[lane * words + i / 64] |= 1u64 << (i % 64);
                         }
-                    }
+                    });
                 }
             }
         }
 
         // Group pass: AND a variable's lanes word-by-word; a variable
         // with no lanes is unconstrained — all-ones.
-        out.group_bits.clear();
-        out.group_bits.resize(num_vars * words, 0);
+        let mut group_bits = vec![0u64; num_vars * words];
         for (v, group) in self.var_groups.iter().enumerate() {
             let base = v * words;
             match group.split_first() {
-                None => out.group_bits[base..base + words].fill(!0u64),
+                None => group_bits[base..base + words].fill(!0u64),
                 Some((&first, rest)) => {
                     for w in 0..words {
-                        let mut acc = out.lane_bits[first * words + w];
+                        let mut acc = lane_bits[first * words + w];
                         for &l in rest {
-                            acc &= out.lane_bits[l * words + w];
+                            acc &= lane_bits[l * words + w];
                         }
-                        out.group_bits[base + w] = acc;
+                        group_bits[base + w] = acc;
                     }
                 }
             }
         }
 
         // Filter pass: an event passes iff some variable admits it.
-        out.filter_bits.clear();
-        out.filter_bits.resize(words, 0);
-        for group in out.group_bits.chunks_exact(words.max(1)) {
-            for (f, g) in out.filter_bits.iter_mut().zip(group) {
+        let mut filter_bits = vec![0u64; words];
+        for group in group_bits.chunks_exact(words.max(1)) {
+            for (f, g) in filter_bits.iter_mut().zip(group) {
                 *f |= g;
             }
+        }
+        ColumnarBatch {
+            len,
+            words,
+            group_bits,
+            filter_bits,
+            num_vars,
         }
     }
 }
@@ -371,30 +299,47 @@ fn lane_mut(lane_bits: &mut [u64], lane: usize, words: usize) -> &mut [u64] {
     &mut lane_bits[lane * words..(lane + 1) * words]
 }
 
-/// The evaluated admission bit-vectors for one batch. All buffers are
-/// pooled: `evaluate` clears and refills them, so steady-state batch
-/// evaluation allocates nothing once capacities plateau.
-#[derive(Debug, Clone, Default)]
+/// The code column a `Str` kernel reads. Compile refuses a `Str` constant
+/// on any other attribute type, and every source codes its `Str`
+/// attributes, so a missing column is a broken source, not a fallback.
+fn str_codes<S: EventSource>(source: &S, attr: AttrId) -> StrCodes<'_> {
+    source
+        .str_codes(attr)
+        .expect("a Str constant tests a Str attribute, and every source codes those")
+}
+
+/// The admission verdicts a scan takes: the lane pass's bit-vectors over
+/// every event of one source, evaluated before the first event is
+/// consumed. Addresses events by scan position — position `i` is the
+/// source's `i`-th accessible event.
+#[derive(Debug)]
 pub(crate) struct ColumnarBatch {
     len: usize,
     words: usize,
-    /// Lane-major bit-vectors: `lane_bits[l*words + i/64]` bit `i%64` =
-    /// lane `l` holds on batch event `i`.
-    lane_bits: Vec<u64>,
-    /// Variable-group bit-vectors (AND of the group's lanes).
+    /// Variable-group bit-vectors (AND of the group's lanes):
+    /// `group_bits[v*words + i/64]` bit `i%64` = variable `v` admits
+    /// event `i`.
     group_bits: Vec<u64>,
     /// Filter verdicts: the OR of the group vectors.
     filter_bits: Vec<u64>,
     num_vars: usize,
-    /// Some lane was filled from a dictionary-coded column.
-    from_columns: bool,
 }
 
 impl ColumnarBatch {
-    /// The admission mask of batch event `i`: its bit of every
-    /// variable's group vector gathered into a mask — here, per event
-    /// asked about, so that a batch whose events are mostly dropped never
-    /// pays for their masks.
+    /// The lane pass of `pattern`'s constant conditions over `source`.
+    pub(crate) fn of<S: EventSource>(pattern: &CompiledPattern, source: &S) -> ColumnarBatch {
+        ColumnarPlan::new(pattern).evaluate(source)
+    }
+
+    /// Number of events in the evaluated source.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The admission mask of event `i`: its bit of every variable's group
+    /// vector gathered into a mask — here, per event asked about, so that
+    /// a source whose events are mostly dropped never pays for their
+    /// masks.
     pub(crate) fn admission(&self, i: usize) -> u64 {
         debug_assert!(i < self.len);
         let (word, bit) = (i / 64, i % 64);
@@ -404,7 +349,7 @@ impl ColumnarBatch {
     }
 
     /// The first position at or after `from` whose event the filter
-    /// keeps, or the batch length when it keeps none of the rest — the
+    /// keeps, or the source's length when it keeps none of the rest — the
     /// next set bit of the filter vector.
     pub(crate) fn next_passing(&self, from: usize) -> usize {
         if from >= self.len {
@@ -420,30 +365,15 @@ impl ColumnarBatch {
             bits = self.filter_bits[word];
         }
         // An unconstrained variable's all-ones group reaches past the
-        // batch in the last word.
+        // source in the last word.
         (word * 64 + bits.trailing_zeros() as usize).min(self.len)
-    }
-
-    /// Which of the two columnar arms filled this batch.
-    pub(crate) fn arm(&self) -> AdmissionArm {
-        if self.from_columns {
-            AdmissionArm::Columns
-        } else {
-            AdmissionArm::Rows
-        }
-    }
-
-    /// Number of events in the evaluated batch.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.len
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ses_event::{AttrType, EventSource, Relation, Schema, Timestamp};
+    use ses_event::{AttrType, Relation, Schema, Timestamp};
     use ses_pattern::{Pattern, VarId};
 
     fn schema() -> Schema {
@@ -463,62 +393,35 @@ mod tests {
         r
     }
 
-    /// Evaluates `plan` over all of `relation`, lanes reading rows only
-    /// or the code columns where the relation offers one.
-    fn evaluate(
-        plan: &ColumnarPlan,
-        relation: &Relation,
-        columns: bool,
-        batch: &mut ColumnarBatch,
-    ) {
-        plan.evaluate(
-            relation.len(),
-            |i| relation.event(ses_event::EventId::from(i)),
-            |attr| columns.then(|| relation.str_codes(attr)).flatten(),
-            batch,
-        );
-    }
-
-    /// Columnar admission, from rows and from columns, must agree with
-    /// the scalar reference (`satisfies_var_constants` per variable) on
-    /// every event, and its filter bits with "the mask is not empty" —
-    /// and so with the per-event arm, which hands the engine those same
-    /// answers.
+    /// The lane pass must agree with the scalar reference
+    /// (`satisfies_var_constants` per variable) on every event, and its
+    /// filter bits with "the mask is not empty" — and so with
+    /// [`var_mask`], the mask a push takes.
     fn assert_matches_scalar(cp: &CompiledPattern, relation: &Relation) {
-        let plan = ColumnarPlan::new(cp);
-        let reads_str = plan
-            .kernels
-            .iter()
-            .any(|(_, k)| matches!(k, Kernel::Str { .. } | Kernel::StrEqSet { .. }));
-        let mut batch = ColumnarBatch::default();
+        let batch = ColumnarBatch::of(cp, relation);
         let n = relation.len();
-        for columns in [false, true] {
-            evaluate(&plan, relation, columns, &mut batch);
-            assert_eq!(batch.len(), n);
-            let arm = if columns && reads_str {
-                AdmissionArm::Columns
-            } else {
-                AdmissionArm::Rows
-            };
-            assert_eq!(batch.arm(), arm);
-            let passing: Vec<usize> = (0..n).filter(|&i| batch.admission(i) != 0).collect();
-            let mut walked = Vec::new();
-            let mut at = batch.next_passing(0);
-            while at < n {
-                walked.push(at);
-                at = batch.next_passing(at + 1);
+        assert_eq!(batch.len(), n);
+        let passing: Vec<usize> = (0..n).filter(|&i| batch.admission(i) != 0).collect();
+        let mut walked = Vec::new();
+        let mut at = batch.next_passing(0);
+        while at < n {
+            walked.push(at);
+            at = batch.next_passing(at + 1);
+        }
+        assert_eq!(walked, passing, "set-bit walk");
+        for i in 0..n {
+            let event = relation.event(ses_event::EventId::from(i));
+            let mask = batch.admission(i);
+            for v in 0..cp.pattern().num_vars() {
+                let scalar = cp.satisfies_var_constants(VarId(v as u16), event);
+                let bit = mask >> v & 1 != 0;
+                assert_eq!(bit, scalar, "var {v} bit diverges at event {i}");
             }
-            assert_eq!(walked, passing, "set-bit walk, columns {columns}");
-            for i in 0..n {
-                let event = relation.event(ses_event::EventId::from(i));
-                let mask = batch.admission(i);
-                for v in 0..cp.pattern().num_vars() {
-                    let scalar = cp.satisfies_var_constants(VarId(v as u16), event);
-                    let bit = mask >> v & 1 != 0;
-                    assert_eq!(bit, scalar, "var {v} bit diverges at event {i}");
-                }
-                assert_eq!(var_mask(cp, event), mask, "arms diverge at event {i}");
-            }
+            assert_eq!(
+                var_mask(cp, event),
+                mask,
+                "push and scan masks diverge at event {i}"
+            );
         }
     }
 
@@ -565,14 +468,9 @@ mod tests {
 
     #[test]
     fn empty_batch_evaluates_cleanly() {
-        let cp = two_var_pattern();
-        let plan = ColumnarPlan::new(&cp);
-        let mut batch = ColumnarBatch::default();
-        for columns in [false, true] {
-            evaluate(&plan, &rel(&[]), columns, &mut batch);
-            assert_eq!(batch.len(), 0);
-            assert_eq!(batch.next_passing(0), 0);
-        }
+        let batch = ColumnarBatch::of(&two_var_pattern(), &rel(&[]));
+        assert_eq!(batch.len(), 0);
+        assert_eq!(batch.next_passing(0), 0);
     }
 
     #[test]
@@ -600,7 +498,7 @@ mod tests {
             .compile(&schema())
             .unwrap();
         let plan = ColumnarPlan::new(&cp);
-        assert_eq!(plan.num_lanes(), 66);
+        assert_eq!(plan.num_lanes, 66);
         let rows: Vec<(i64, &str, i64)> = (0..70)
             .map(|i| (i, if i == 5 { "zz3" } else { "ok" }, 1000 + (i % 40)))
             .collect();
@@ -634,9 +532,7 @@ mod tests {
             r.push_values(Timestamp::new(ts), [Value::from("E"), Value::from(v)])
                 .unwrap();
         }
-        let mut batch = ColumnarBatch::default();
-        evaluate(&plan, &r, true, &mut batch);
-        assert_eq!(batch.arm(), AdmissionArm::Rows, "no lane reads L");
+        let batch = plan.evaluate(&r);
         assert_eq!(batch.admission(0), 0b01);
         assert_eq!(batch.admission(1), 0b01, "-0.0 == 0.0");
         assert_eq!(batch.admission(2), 0b10);
@@ -722,9 +618,7 @@ mod tests {
                 .unwrap();
         }
         assert_matches_scalar(&cp, &r);
-        let plan = ColumnarPlan::new(&cp);
-        let mut batch = ColumnarBatch::default();
-        evaluate(&plan, &r, true, &mut batch);
+        let batch = ColumnarBatch::of(&cp, &r);
         assert_eq!(batch.admission(2), 0, "an Int under L binds nothing");
     }
 
@@ -744,46 +638,39 @@ mod tests {
             .map(|i| (i, ["A", "Z"][i as usize % 2], i))
             .collect::<Vec<_>>());
         assert_matches_scalar(&cp, &r);
-        let mut batch = ColumnarBatch::default();
-        evaluate(&ColumnarPlan::new(&cp), &r, false, &mut batch);
+        let batch = ColumnarBatch::of(&cp, &r);
         assert_eq!((0..20).map(|i| batch.admission(i)).min(), Some(0b10));
         assert_eq!(batch.next_passing(20), 20);
     }
 
     #[test]
-    fn rule_thresholds() {
-        assert!(!runs_columnar(0, 1_000_000), "no lanes");
-        assert!(!runs_columnar(5, COLUMNAR_AUTO_MIN_BATCH - 1));
-        assert!(runs_columnar(5, COLUMNAR_AUTO_MIN_BATCH));
-    }
-
-    #[test]
-    fn buffers_are_reused_across_batches() {
-        let cp = two_var_pattern();
+    fn a_plan_without_lanes_admits_every_position() {
+        // No constant condition at all: the scan still takes the lane
+        // pass, which has no lane to run and admits every event to every
+        // variable — the mask a push takes for each of them.
+        let cp = Pattern::builder()
+            .set(|s| s.var("a").var("b"))
+            .set(|s| s.var("c"))
+            .within(ses_event::Duration::ticks(100))
+            .build()
+            .unwrap()
+            .compile(&schema())
+            .unwrap();
         let plan = ColumnarPlan::new(&cp);
-        let mut batch = ColumnarBatch::default();
-        let big = rel(&(0..200)
-            .map(|i| (i, if i % 2 == 0 { "A" } else { "B" }, i))
-            .collect::<Vec<_>>());
-        evaluate(&plan, &big, false, &mut batch);
-        let cap = (
-            batch.lane_bits.capacity(),
-            batch.group_bits.capacity(),
-            batch.filter_bits.capacity(),
-        );
-        // A smaller follow-up batch must fit in the pooled buffers.
-        let small = rel(&[(0, "A", 9), (1, "B", 0)]);
-        evaluate(&plan, &small, false, &mut batch);
-        assert_eq!(batch.len(), 2);
-        assert_eq!(
-            (
-                batch.lane_bits.capacity(),
-                batch.group_bits.capacity(),
-                batch.filter_bits.capacity(),
-            ),
-            cap,
-            "pooled buffers must not shrink or reallocate"
-        );
-        assert_matches_scalar(&cp, &small);
+        assert_eq!(plan.num_lanes, 0);
+        assert!(plan.kernels.is_empty());
+        for n in [0i64, 1, 15, 16, 63, 64, 65, 130] {
+            let r = rel(&(0..n)
+                .map(|i| (i, ["A", "B", "C"][i as usize % 3], i))
+                .collect::<Vec<_>>());
+            let batch = plan.evaluate(&r);
+            let all = (1u64 << cp.pattern().num_vars()) - 1;
+            for i in 0..n as usize {
+                assert_eq!(batch.admission(i), all, "event {i} of {n}");
+                assert_eq!(batch.next_passing(i), i, "event {i} of {n}");
+            }
+            assert_eq!(batch.next_passing(n as usize), n as usize);
+            assert_matches_scalar(&cp, &r);
+        }
     }
 }

@@ -46,7 +46,7 @@ use ses_pattern::{CompiledPattern, VarId};
 
 use crate::automaton::{Automaton, TransCond, Transition};
 use crate::buffer::{Buffer, NodeLog};
-use crate::columnar::{runs_columnar, var_mask, AdmissionArm, ColumnarBatch, ColumnarPlan};
+use crate::columnar::ColumnarBatch;
 use crate::occupancy::{words_for, Occupancy};
 use crate::probe::Probe;
 use crate::state::StateId;
@@ -114,22 +114,17 @@ pub struct AdmittedLog {
 
 impl AdmittedLog {
     /// The log a scan of `relation` records, without running an
-    /// automaton: the admission pass [`Execution`] runs (columnar when
-    /// [`crate::runs_columnar`] says so, per event otherwise), and
-    /// nothing else. For callers that hold raw matches
-    /// they did not get from [`scan`] — the baseline's chain bank, whose
-    /// automata run renamed variables, and tests with hand-made
-    /// candidates.
+    /// automaton: the lane pass [`Execution`] runs, and nothing else. For
+    /// callers that hold raw matches they did not get from [`scan`] — the
+    /// baseline's chain bank, whose automata run renamed variables, and
+    /// tests with hand-made candidates.
     pub fn of<S: EventSource>(pattern: &CompiledPattern, relation: &S) -> AdmittedLog {
-        let admitter = Admitter::new(pattern, relation);
+        let admission = ColumnarBatch::of(pattern, relation);
         let mut log = AdmittedLog::default();
-        let mut position = admitter.next_passing(0);
-        while position < relation.len() {
-            log.record(
-                event_id(relation, position),
-                admitter.admission(pattern, relation, position),
-            );
-            position = admitter.next_passing(position + 1);
+        let mut position = admission.next_passing(0);
+        while position < admission.len() {
+            log.record(event_id(relation, position), admission.admission(position));
+            position = admission.next_passing(position + 1);
         }
         log
     }
@@ -175,65 +170,6 @@ fn event_id<S: EventSource>(relation: &S, position: usize) -> EventId {
     EventId::from(relation.first_index() + position)
 }
 
-/// Admission over one whole relation: either the columnar lane pass
-/// evaluated up front, when [`runs_columnar`] says the relation is worth
-/// one, or [`var_mask`] per event. Addresses events by scan position, as
-/// the lane vectors do.
-#[derive(Debug)]
-struct Admitter {
-    columnar: Option<ColumnarBatch>,
-    /// Events in the relation.
-    len: usize,
-}
-
-impl Admitter {
-    fn new<S: EventSource>(pattern: &CompiledPattern, relation: &S) -> Admitter {
-        let plan = ColumnarPlan::new(pattern);
-        let columnar = runs_columnar(plan.num_lanes(), relation.len()).then(|| {
-            let mut batch = ColumnarBatch::default();
-            plan.evaluate(
-                relation.len(),
-                |i| relation.event(event_id(relation, i)),
-                |attr| relation.str_codes(attr),
-                &mut batch,
-            );
-            batch
-        });
-        Admitter {
-            columnar,
-            len: relation.len(),
-        }
-    }
-
-    fn arm(&self) -> AdmissionArm {
-        self.columnar
-            .as_ref()
-            .map_or(AdmissionArm::PerEvent, ColumnarBatch::arm)
-    }
-
-    /// The first position at or after `from` whose event may be
-    /// admitted, or the relation's length: the lane pass knows which
-    /// events it dropped, the per-event arm learns it event by event.
-    fn next_passing(&self, from: usize) -> usize {
-        match &self.columnar {
-            Some(batch) => batch.next_passing(from),
-            None => from.min(self.len),
-        }
-    }
-
-    fn admission<S: EventSource>(
-        &self,
-        pattern: &CompiledPattern,
-        relation: &S,
-        position: usize,
-    ) -> u64 {
-        match &self.columnar {
-            Some(batch) => batch.admission(position),
-            None => var_mask(pattern, relation.event(event_id(relation, position))),
-        }
-    }
-}
-
 /// Executes the automaton over an event source — the paper's `SESExec`.
 ///
 /// The source is usually a [`Relation`], but any [`EventSource`] works;
@@ -250,7 +186,6 @@ pub fn scan<S: EventSource, P: Probe>(
     probe: &mut P,
 ) -> (Vec<RawMatch>, AdmittedLog) {
     let mut exec = Execution::new(automaton, relation, selection);
-    probe.admission_arm(exec.arm());
     exec.run(probe);
     exec.finish(probe)
 }
@@ -276,8 +211,9 @@ pub struct Execution<'a, S: EventSource = Relation> {
     automaton: &'a Automaton,
     relation: &'a S,
     selection: EventSelection,
-    admitter: Admitter,
-    /// What `admitter` said of the events consumed so far.
+    /// The lane pass over the whole relation, evaluated up front.
+    admission: ColumnarBatch,
+    /// What `admission` said of the events consumed so far.
     admitted: AdmittedLog,
     omega: Omega,
     results: Vec<RawMatch>,
@@ -291,17 +227,12 @@ impl<'a, S: EventSource> Execution<'a, S> {
             automaton,
             relation,
             selection,
-            admitter: Admitter::new(automaton.pattern(), relation),
+            admission: ColumnarBatch::of(automaton.pattern(), relation),
             admitted: AdmittedLog::default(),
             omega: Omega::new(automaton),
             results: Vec::new(),
             position: 0,
         }
-    }
-
-    /// How this execution admits its events.
-    pub fn arm(&self) -> AdmissionArm {
-        self.admitter.arm()
     }
 
     /// Processes the next event. Returns `false` when the relation is
@@ -313,9 +244,7 @@ impl<'a, S: EventSource> Execution<'a, S> {
         let position = self.position;
         self.position += 1;
         let id = event_id(self.relation, position);
-        let admission = self
-            .admitter
-            .admission(self.automaton.pattern(), self.relation, position);
+        let admission = self.admission.admission(position);
         self.admitted.record(id, admission);
         self.omega.process_event(
             self.automaton,
@@ -334,8 +263,8 @@ impl<'a, S: EventSource> Execution<'a, S> {
     /// is counted (`event_read`, `event_filtered` — all a step does with
     /// it) and not visited.
     pub fn run<P: Probe>(&mut self, probe: &mut P) {
-        while self.position < self.admitter.len {
-            let next = self.admitter.next_passing(self.position);
+        while self.position < self.admission.len() {
+            let next = self.admission.next_passing(self.position);
             for _ in self.position..next {
                 probe.event_read();
                 probe.event_filtered();
@@ -554,9 +483,9 @@ impl Omega {
     /// instance, expire/emit, consume.
     ///
     /// `var_ok` is the "which variables can this event bind" mask for
-    /// `event_id`, precomputed over the whole batch by the columnar lane
-    /// pass or just now by [`var_mask`]. An empty mask is the §4.5
-    /// filter's drop.
+    /// `event_id`: precomputed over the whole relation by a scan's lane
+    /// pass, or computed at the push by `var_mask`. An empty mask is the
+    /// §4.5 filter's drop.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn process_event<S: EventSource, P: Probe>(
         &mut self,

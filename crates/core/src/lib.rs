@@ -10,7 +10,7 @@
 //! | [`automaton`](Automaton) | §4.1–4.2 | powerset construction + concatenation |
 //! | [`buffer`](NodeLog) | §4.1 | O(1)-fork match buffers in a time-ordered node log |
 //! | [`engine`](execute) | §4.3, Alg. 1–2 | `SESExec` / `ConsumeEvent` |
-//! | [`columnar`](runs_columnar) | §4.5 | admission: the per-variable constant mask is the event filter |
+//! | [`columnar`](AdmittedLog) | §4.5 | admission: the per-variable constant mask is the event filter — a scan takes the lane pass, a push takes the mask |
 //! | [`semantics`](select) | Def. 2 (cond. 4–5) | skip-till-next-match + maximality |
 //! | [`matcher`](Matcher) | — | one-call high-level API |
 //! | [`probe`](Probe) | §5 | zero-cost instrumentation for the experiments |
@@ -75,7 +75,6 @@ mod trace;
 pub use automaton::{Automaton, State, TransCond, Transition, DEFAULT_MAX_STATES};
 pub use bank::{PatternBank, PatternBankBuilder, PatternStats};
 pub use buffer::{Binding, Buffer, NodeLog};
-pub use columnar::{runs_columnar, AdmissionArm};
 pub use engine::{execute, scan, AdmittedLog, EventSelection, Execution, Instance, RawMatch};
 pub use error::CoreError;
 pub use matcher::{Matcher, MatcherOptions, PartitionMode, PartitionStrategy};

@@ -58,13 +58,6 @@ pub trait Probe {
     #[inline]
     fn retained_events(&mut self, _n: usize) {}
 
-    /// A batch execution resolved how it admits its events — fired once
-    /// per scan (per partition when the input is split). Answers are the
-    /// same on every arm, so this is the only place a fall from one to
-    /// another can show.
-    #[inline]
-    fn admission_arm(&mut self, _arm: crate::AdmissionArm) {}
-
     /// Partitioned execution split the input into `_n` partitions. Fired
     /// once per partitioned run, before any partition executes.
     #[inline]
@@ -157,10 +150,6 @@ impl<P: Probe + ?Sized> Probe for &mut P {
     #[inline]
     fn retained_events(&mut self, n: usize) {
         (**self).retained_events(n);
-    }
-    #[inline]
-    fn admission_arm(&mut self, arm: crate::AdmissionArm) {
-        (**self).admission_arm(arm);
     }
     #[inline]
     fn partitions(&mut self, n: usize) {

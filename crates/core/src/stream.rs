@@ -56,7 +56,7 @@ use ses_event::{Duration, Event, EventError, Relation, Schema, Timestamp, Value}
 use ses_pattern::Pattern;
 
 use crate::buffer::NodeLog;
-use crate::columnar::{runs_columnar, var_mask, ColumnarBatch, ColumnarPlan};
+use crate::columnar::var_mask;
 use crate::engine::{Instance, Omega, RawMatch};
 use crate::matcher::MatcherOptions;
 use crate::matches::Match;
@@ -84,10 +84,6 @@ pub struct StreamMatcher {
     adjudicator: Adjudicator,
     watermark: Option<Timestamp>,
     emitted: usize,
-    /// Columnar admission plan for [`StreamMatcher::push_batch`].
-    columnar: ColumnarPlan,
-    /// Pooled micro-batch admission buffers, reused across batches.
-    columnar_batch: ColumnarBatch,
 }
 
 impl StreamMatcher {
@@ -105,14 +101,11 @@ impl StreamMatcher {
         let compiled = crate::matcher::compile_pattern(pattern, schema, &options)?;
         let automaton = Automaton::build(compiled)?;
         let adjudicator = Adjudicator::new(options.semantics, automaton.pattern());
-        let columnar = ColumnarPlan::new(automaton.pattern());
         let omega = Omega::new(&automaton);
         Ok(StreamMatcher {
             relation: Relation::new(automaton.pattern().schema().clone()),
             automaton,
             options,
-            columnar,
-            columnar_batch: ColumnarBatch::default(),
             omega,
             results: Vec::new(),
             pending: BTreeMap::new(),
@@ -142,19 +135,17 @@ impl StreamMatcher {
     ) -> Result<Vec<Match>, EventError> {
         in_order(self.watermark, ts)?;
         let id = self.relation.push_values(ts, values)?;
-        Ok(self.advance_to(ts, Some((id, None)), probe))
+        Ok(self.advance_to(ts, Some(id), probe))
     }
 
     /// Moves the clock to `ts` — the shared tail of every push flavor
     /// and of the heartbeat. `event` is an event already appended to the
-    /// relation that the engine must run over, with its precomputed
-    /// columnar verdict when it arrived in a
-    /// [`StreamMatcher::push_batch`] long enough for one (`None` admits
-    /// it per event); without an event only time passes.
+    /// relation that the engine must run over, admitted by its
+    /// `var_mask`; without an event only time passes.
     fn advance_to<P: Probe>(
         &mut self,
         ts: Timestamp,
-        event: Option<(EventId, Option<u64>)>,
+        event: Option<EventId>,
         probe: &mut P,
     ) -> Vec<Match> {
         self.watermark = Some(ts);
@@ -169,9 +160,8 @@ impl StreamMatcher {
             // `Omega::expire`). Their accepting buffers join `pending`.
             self.omega
                 .expire(&self.automaton, ts, &mut self.results, probe);
-            if let Some((id, var_ok)) = event {
-                let var_ok = var_ok
-                    .unwrap_or_else(|| var_mask(self.automaton.pattern(), self.relation.event(id)));
+            if let Some(id) = event {
+                let var_ok = var_mask(self.automaton.pattern(), self.relation.event(id));
                 self.omega.process_event(
                     &self.automaton,
                     &self.relation,
@@ -237,18 +227,15 @@ impl StreamMatcher {
         let ts = event.ts();
         in_order(self.watermark, ts)?;
         let id = self.relation.push_event(event)?;
-        Ok(self.advance_to(ts, Some((id, None)), probe))
+        Ok(self.advance_to(ts, Some(id), probe))
     }
 
     /// Pushes a micro-batch of events and returns the concatenation of
     /// the per-event results — match-for-match and in the same order as
     /// pushing each event individually, so batch boundaries never change
-    /// emission timing (see `docs/columnar.md`).
-    ///
-    /// When [`runs_columnar`] holds for the batch length, constant
-    /// conditions are pre-evaluated once over the whole batch into
-    /// bitmask vectors (single-event and sub-threshold batches take the
-    /// per-push path).
+    /// emission timing. Each event then takes the per-push path, its
+    /// admission mask included: a push takes the mask, only a scan takes
+    /// the lane pass (see `docs/columnar.md`).
     ///
     /// Unlike sequential pushes, an invalid batch (out-of-order
     /// timestamp or schema violation anywhere in it) is rejected as a
@@ -270,30 +257,10 @@ impl StreamMatcher {
             self.relation.schema().check_row(event.values())?;
             w = Some(event.ts());
         }
-        // Columnar admission over the batch, when it is long enough.
-        // Evaluating before the events enter the relation is safe: lanes
-        // read only the events' own attributes — their rows: a
-        // micro-batch is read once, so a dictionary would cost the pass
-        // it saves.
-        let columnar = runs_columnar(self.columnar.num_lanes(), events.len())
-            && self.automaton.pattern().is_satisfiable();
-        if columnar {
-            self.columnar.evaluate(
-                events.len(),
-                |i| &events[i],
-                |_| None,
-                &mut self.columnar_batch,
-            );
-        }
         let mut out = Vec::new();
-        for (i, event) in events.into_iter().enumerate() {
-            let ts = event.ts();
-            let var_ok = columnar.then(|| self.columnar_batch.admission(i));
-            let id = self
-                .relation
-                .push_event(event)
-                .expect("batch order validated upfront");
-            out.extend(self.advance_to(ts, Some((id, var_ok)), probe));
+        for event in events {
+            let matches = self.push_checked_event(event, probe);
+            out.extend(matches.expect("batch validated upfront"));
         }
         Ok(out)
     }

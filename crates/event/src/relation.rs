@@ -288,40 +288,6 @@ impl Relation {
         Relation::from_events(self.schema.clone(), events)
     }
 
-    /// Merges several relations over compatible schemas into one
-    /// chronological relation (a k-way merge; stable across inputs — ties
-    /// keep the order of the `sources` slice).
-    pub fn merge(sources: &[&Relation]) -> Result<Relation, EventError> {
-        let Some(first) = sources.first() else {
-            panic!("merge requires at least one source relation");
-        };
-        for s in &sources[1..] {
-            if !s.schema().is_compatible(first.schema()) {
-                return Err(EventError::ArityMismatch {
-                    expected: first.schema().len(),
-                    got: s.schema().len(),
-                });
-            }
-        }
-        let mut cursors = vec![0usize; sources.len()];
-        let total = sources.iter().map(|s| s.len()).sum();
-        let mut events = Vec::with_capacity(total);
-        loop {
-            let mut best: Option<(usize, Timestamp)> = None;
-            for (i, src) in sources.iter().enumerate() {
-                if let Some(e) = src.events.get(cursors[i]) {
-                    if best.is_none_or(|(_, ts)| e.ts() < ts) {
-                        best = Some((i, e.ts()));
-                    }
-                }
-            }
-            let Some((i, _)) = best else { break };
-            events.push(sources[i].events[cursors[i]].clone());
-            cursors[i] += 1;
-        }
-        Ok(Relation::from_events(first.schema().clone(), events))
-    }
-
     /// The sub-relation of events with `lo ≤ T ≤ hi` (inclusive bounds),
     /// found by binary search. Event values are shared (`Arc` innards),
     /// so slicing is cheap.
@@ -332,40 +298,6 @@ impl Relation {
             self.schema.clone(),
             self.events[from..to.max(from)].to_vec(),
         )
-    }
-
-    /// Splits the relation into tumbling windows of `width` ticks
-    /// (aligned to the first event's timestamp). Each window is a
-    /// relation over `[start, start + width)`; empty windows are
-    /// omitted. Useful for bounding [`Relation`] growth when matching
-    /// unbounded streams segment by segment.
-    pub fn tumbling_windows(&self, width: Duration) -> Vec<Relation> {
-        assert!(width.as_ticks() > 0, "window width must be positive");
-        let Some(first) = self.first_ts() else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        let mut start = first;
-        let mut idx = 0;
-        while idx < self.events.len() {
-            let end = start.saturating_add(width);
-            let to = self.events.partition_point(|e| e.ts() < end);
-            if to > idx {
-                out.push(Relation::from_events(
-                    self.schema.clone(),
-                    self.events[idx..to].to_vec(),
-                ));
-                idx = to;
-            }
-            if idx < self.events.len() {
-                // Jump to the window containing the next event.
-                let next_ts = self.events[idx].ts();
-                let gap = (next_ts - start).as_ticks();
-                let steps = gap / width.as_ticks();
-                start = start.saturating_add(Duration::ticks(steps * width.as_ticks()));
-            }
-        }
-        out
     }
 
     /// Timestamp of the first retained event, if any.
@@ -534,31 +466,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_interleaves_chronologically() {
-        let a = rel_with(&[0, 4, 8]);
-        let b = rel_with(&[1, 4, 9]);
-        let c = rel_with(&[2]);
-        let merged = Relation::merge(&[&a, &b, &c]).unwrap();
-        let ts: Vec<i64> = merged.events().iter().map(|e| e.ts().ticks()).collect();
-        assert_eq!(ts, vec![0, 1, 2, 4, 4, 8, 9]);
-        // Ties keep source order: a's t=4 row (ID 1) precedes b's (ID 1).
-        assert_eq!(merged.len(), 7);
-        // Merging a single relation is a copy.
-        assert_eq!(Relation::merge(&[&a]).unwrap().len(), a.len());
-    }
-
-    #[test]
-    fn merge_rejects_incompatible_schemas() {
-        let a = rel_with(&[0]);
-        let other_schema = Schema::builder()
-            .attr("X", crate::AttrType::Int)
-            .build()
-            .unwrap();
-        let b = Relation::new(other_schema);
-        assert!(Relation::merge(&[&a, &b]).is_err());
-    }
-
-    #[test]
     fn between_slices_inclusive() {
         let r = rel_with(&[0, 1, 2, 5, 5, 9]);
         assert_eq!(r.between(Timestamp::new(1), Timestamp::new(5)).len(), 4);
@@ -571,34 +478,6 @@ mod tests {
         let s = r.between(Timestamp::new(1), Timestamp::new(9));
         assert_eq!(s.first_ts(), Some(Timestamp::new(1)));
         assert_eq!(s.last_ts(), Some(Timestamp::new(9)));
-    }
-
-    #[test]
-    fn tumbling_windows_partition_events() {
-        let r = rel_with(&[0, 1, 2, 10, 11, 25, 26]);
-        let windows = r.tumbling_windows(Duration::ticks(10));
-        // [0,10): 0,1,2 — [10,20): 10,11 — [20,30): 25,26.
-        assert_eq!(windows.len(), 3);
-        assert_eq!(windows[0].len(), 3);
-        assert_eq!(windows[1].len(), 2);
-        assert_eq!(windows[2].len(), 2);
-        let total: usize = windows.iter().map(Relation::len).sum();
-        assert_eq!(total, r.len());
-        // Sparse data skips empty windows entirely.
-        let sparse = rel_with(&[0, 1000]);
-        let windows = sparse.tumbling_windows(Duration::ticks(10));
-        assert_eq!(windows.len(), 2);
-        assert_eq!(windows[1].first_ts(), Some(Timestamp::new(1000)));
-        // Empty relation.
-        assert!(Relation::new(schema())
-            .tumbling_windows(Duration::ticks(5))
-            .is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn tumbling_windows_reject_zero_width() {
-        rel_with(&[0]).tumbling_windows(Duration::ZERO);
     }
 
     #[test]

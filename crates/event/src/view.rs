@@ -40,13 +40,11 @@ pub trait EventSource {
     /// Panics if `id` is out of range.
     fn event(&self, id: EventId) -> &Event;
     /// The source's events under the dictionary-coded projection of
-    /// `attr`, when the source is a relation at rest (or a view of one)
-    /// and `attr` is a `Str` attribute; `None` from a source that has no
-    /// projection to offer. Asking builds the projection if need be —
-    /// see [`Relation::str_column`].
-    fn str_codes(&self, _attr: AttrId) -> Option<StrCodes<'_>> {
-        None
-    }
+    /// `attr`, or `None` when the schema does not declare `attr` a `Str`.
+    /// Every source codes every `Str` attribute — a scan's `Str` lanes
+    /// read nothing else. Asking builds the projection if need be — see
+    /// [`Relation::str_column`].
+    fn str_codes(&self, attr: AttrId) -> Option<StrCodes<'_>>;
 }
 
 impl EventSource for Relation {

@@ -1,7 +1,7 @@
 //! A counting [`Probe`] recording the quantities the paper's evaluation
 //! reports.
 
-use ses_core::{AdmissionArm, Probe};
+use ses_core::Probe;
 
 /// Counters collected during one engine run.
 ///
@@ -37,14 +37,6 @@ pub struct CountingProbe {
     /// Peak retained-relation size across streaming pushes. Stays flat
     /// on unbounded streams when eviction is working.
     pub retained_max: usize,
-    /// Batch scans by the arm that admitted their events — per event,
-    /// lane pass over rows, lane pass over columns — one scan per
-    /// partition when the input is split.
-    pub scans_per_event: u64,
-    /// See [`CountingProbe::scans_per_event`].
-    pub scans_rows: u64,
-    /// See [`CountingProbe::scans_per_event`].
-    pub scans_columns: u64,
     /// Partitioned runs observed (each fires the `partitions` hook once).
     pub partitioned_runs: u64,
     /// Per-partition event counts, in partition order — the spread over
@@ -97,32 +89,6 @@ impl CountingProbe {
         }
     }
 
-    /// The admission arm(s) the recorded batch scans ran on, widest first:
-    /// `columns` for one scan, `columns ×37, per-event ×3` for a split
-    /// run whose smallest partitions fell below the lane pass's threshold,
-    /// `-` when no batch scan was recorded.
-    pub fn admission_arms(&self) -> String {
-        let arms = [
-            (AdmissionArm::Columns, self.scans_columns),
-            (AdmissionArm::Rows, self.scans_rows),
-            (AdmissionArm::PerEvent, self.scans_per_event),
-        ];
-        let scans: u64 = arms.iter().map(|(_, n)| n).sum();
-        let parts: Vec<String> = arms
-            .iter()
-            .filter(|(_, n)| *n > 0)
-            .map(|(arm, n)| match scans {
-                1 => arm.to_string(),
-                _ => format!("{arm} ×{n}"),
-            })
-            .collect();
-        if parts.is_empty() {
-            "-".to_string()
-        } else {
-            parts.join(", ")
-        }
-    }
-
     /// Number of partitions seen by the last partitioned run.
     pub fn partition_count(&self) -> usize {
         self.partition_events.len()
@@ -164,9 +130,6 @@ impl CountingProbe {
         self.omega_samples += other.omega_samples;
         self.events_evicted += other.events_evicted;
         self.retained_max = self.retained_max.max(other.retained_max);
-        self.scans_per_event += other.scans_per_event;
-        self.scans_rows += other.scans_rows;
-        self.scans_columns += other.scans_columns;
         self.partitioned_runs += other.partitioned_runs;
         self.partition_events.extend(&other.partition_events);
         self.index_hits += other.index_hits;
@@ -220,13 +183,6 @@ impl Probe for CountingProbe {
     }
     fn retained_events(&mut self, n: usize) {
         self.retained_max = self.retained_max.max(n);
-    }
-    fn admission_arm(&mut self, arm: AdmissionArm) {
-        match arm {
-            AdmissionArm::PerEvent => self.scans_per_event += 1,
-            AdmissionArm::Rows => self.scans_rows += 1,
-            AdmissionArm::Columns => self.scans_columns += 1,
-        }
     }
     fn partitions(&mut self, _n: usize) {
         self.partitioned_runs += 1;
@@ -282,19 +238,6 @@ mod tests {
         assert!((p.filter_rate() - 0.5).abs() < 1e-12);
         p.reset();
         assert_eq!(p, CountingProbe::default());
-    }
-
-    #[test]
-    fn admission_arms_render_one_scan_plainly_and_split_runs_with_counts() {
-        let mut p = CountingProbe::new();
-        assert_eq!(p.admission_arms(), "-");
-        p.admission_arm(AdmissionArm::Columns);
-        assert_eq!(p.admission_arms(), "columns");
-        let mut q = CountingProbe::new();
-        q.admission_arm(AdmissionArm::PerEvent);
-        q.admission_arm(AdmissionArm::Columns);
-        p.merge(&q);
-        assert_eq!(p.admission_arms(), "columns ×2, per-event ×1");
     }
 
     #[test]

@@ -49,9 +49,9 @@
 
 use std::collections::HashMap;
 
-use ses_event::{AttrId, CmpOp, Event, PartitionKey, Value};
+use ses_event::{AttrId, Event, PartitionKey, Value};
 
-use crate::{AdmissionLanes, CompiledPattern, Domain};
+use crate::{AdmissionGroup, AdmissionLanes, CompiledPattern, Domain};
 
 /// How the index routes events to one registered pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,53 +68,41 @@ pub enum IndexClass {
     Scanned,
 }
 
-/// One admission group: the constant-condition conjunction of a single
-/// variable or negation, pre-extracted as `(attr, op, value)` triples.
-#[derive(Debug, Clone)]
-struct Group {
-    conds: Vec<(AttrId, CmpOp, Value)>,
-}
-
-impl Group {
-    fn holds(&self, event: &Event) -> bool {
-        self.conds
-            .iter()
-            .all(|(attr, op, v)| event.value(*attr).compare(*op, v))
-    }
-
-    /// The `(attribute, value)` point every event satisfying this group
-    /// is pinned to, when one exists and its equality is hash-faithful
-    /// (see the module docs). Groups whose interval domain is provably
-    /// empty return the marker `Empty` instead — no event satisfies
-    /// them, and the caller drops them outright.
-    fn point(&self, pattern: &CompiledPattern) -> GroupPoint {
-        let mut attrs: Vec<AttrId> = self.conds.iter().map(|c| c.0).collect();
-        attrs.sort_unstable();
-        attrs.dedup();
-        let mut point = GroupPoint::None;
-        for attr in attrs {
-            let mut dom = Domain::top();
-            for (a, op, v) in &self.conds {
-                if *a == attr {
-                    dom.constrain(*op, v);
-                }
-            }
-            if dom.is_empty() {
-                return GroupPoint::Empty;
-            }
-            if dom.is_poisoned() || !matches!(point, GroupPoint::None) {
-                continue;
-            }
-            if let Some(v) = dom.point() {
-                let hash_faithful = matches!(v, Value::Int(_) | Value::Str(_) | Value::Bool(_))
-                    && v.attr_type() == pattern.schema().attr_type(attr);
-                if hash_faithful {
-                    point = GroupPoint::At(attr, v.clone());
-                }
+/// The `(attribute, value)` point every event satisfying group `g` of
+/// `lanes` is pinned to, when one exists and its equality is
+/// hash-faithful (see the module docs). Groups whose interval domain is
+/// provably empty return the marker `Empty` instead — no event satisfies
+/// them, and the caller drops them outright.
+fn group_point(
+    pattern: &CompiledPattern,
+    lanes: &AdmissionLanes,
+    g: &AdmissionGroup,
+) -> GroupPoint {
+    let conds = || g.lanes.iter().map(|&i| &lanes.lanes()[i]);
+    let mut attrs: Vec<AttrId> = conds().map(|l| l.attr).collect();
+    attrs.sort_unstable();
+    attrs.dedup();
+    let mut point = GroupPoint::None;
+    for attr in attrs {
+        let mut dom = Domain::top();
+        for l in conds().filter(|l| l.attr == attr) {
+            dom.constrain(l.op, &l.value);
+        }
+        if dom.is_empty() {
+            return GroupPoint::Empty;
+        }
+        if dom.is_poisoned() || !matches!(point, GroupPoint::None) {
+            continue;
+        }
+        if let Some(v) = dom.point() {
+            let hash_faithful = matches!(v, Value::Int(_) | Value::Str(_) | Value::Bool(_))
+                && v.attr_type() == pattern.schema().attr_type(attr);
+            if hash_faithful {
+                point = GroupPoint::At(attr, v.clone());
             }
         }
-        point
     }
+    point
 }
 
 enum GroupPoint {
@@ -131,8 +119,12 @@ enum GroupPoint {
 enum Admission {
     Every,
     Never,
-    /// The event must fully satisfy at least one group.
-    Groups(Vec<Group>),
+    /// The event must fully satisfy at least one of the listed groups of
+    /// the pattern's lanes — those whose conjunction is satisfiable.
+    Groups {
+        lanes: AdmissionLanes,
+        kept: Vec<AdmissionGroup>,
+    },
 }
 
 /// An event→pattern predicate index over N compiled patterns sharing
@@ -218,7 +210,7 @@ impl PatternIndex {
         match &self.admissions[id] {
             Admission::Every => true,
             Admission::Never => false,
-            Admission::Groups(groups) => groups.iter().any(|g| g.holds(event)),
+            Admission::Groups { lanes, kept } => kept.iter().any(|g| lanes.group_holds(g, event)),
         }
     }
 
@@ -257,59 +249,46 @@ fn classify(
         return (Admission::Never, IndexClass::Never);
     }
     let lanes = AdmissionLanes::of(cp);
-    let mut groups: Vec<Group> = Vec::new();
-    for g in lanes.groups() {
-        if g.lanes.is_empty() {
-            // An unconstrained variable (any event could bind) or a
-            // negation whose constant conjunction holds vacuously (any
-            // event could be a killer).
-            return (Admission::Every, IndexClass::Every);
-        }
-        let conds = g
-            .lanes
-            .iter()
-            .map(|&i| {
-                let l = &lanes.lanes()[i];
-                (l.attr, l.op, l.value.clone())
-            })
-            .collect();
-        groups.push(Group { conds });
+    if lanes.groups().iter().any(|g| g.lanes.is_empty()) {
+        // An unconstrained variable (any event could bind) or a negation
+        // whose constant conjunction holds vacuously (any event could be
+        // a killer).
+        return (Admission::Every, IndexClass::Every);
     }
-    if groups.is_empty() {
-        // No variables and no negations — nothing to advance.
-        return (Admission::Groups(Vec::new()), IndexClass::Indexed);
-    }
-    let mut kept = Vec::with_capacity(groups.len());
+    // No groups at all (no variables and no negations) is nothing to
+    // advance: indexed, and never admitted.
+    let mut kept = Vec::with_capacity(lanes.groups().len());
     let mut all_pointed = true;
     let mut points = Vec::new();
-    for g in groups {
-        match g.point(cp) {
+    for g in lanes.groups() {
+        match group_point(cp, &lanes, g) {
             // No event satisfies the group's conjunction: admitting
             // through it is impossible, so it contributes nothing.
             GroupPoint::Empty => continue,
             GroupPoint::At(attr, value) => points.push((attr, value)),
             GroupPoint::None => all_pointed = false,
         }
-        kept.push(g);
+        kept.push(g.clone());
     }
-    if all_pointed {
+    let class = if all_pointed {
         for (attr, value) in points {
             point
                 .entry((attr, PartitionKey::of(&value)))
                 .or_default()
                 .push(id);
         }
-        (Admission::Groups(kept), IndexClass::Indexed)
+        IndexClass::Indexed
     } else {
-        (Admission::Groups(kept), IndexClass::Scanned)
-    }
+        IndexClass::Scanned
+    };
+    (Admission::Groups { lanes, kept }, class)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Pattern;
-    use ses_event::{AttrType, Duration, Schema, Timestamp};
+    use ses_event::{AttrType, CmpOp, Duration, Schema, Timestamp};
 
     fn schema() -> Schema {
         Schema::builder()

@@ -12,8 +12,9 @@
 //! [`AdmissionLanes`] is that shared shape. Both consumers build from
 //! it, so the group semantics cannot drift apart:
 //!
-//! * `PatternIndex` materializes each group's `(attr, op, value)`
-//!   triples from its lane list (see `index.rs`).
+//! * `PatternIndex` keeps the lanes, derives each group's point pin
+//!   from them and tests a group with [`AdmissionLanes::group_holds`]
+//!   (see `index.rs`).
 //! * `ses-core`'s `columnar` module evaluates each lane into a bitmask
 //!   vector and ANDs a group's lanes word-by-word.
 //!

@@ -1,31 +1,28 @@
-//! Differential suite: the columnar admission layer — batch bitmask
+//! Differential suite: the columnar admission layer — a scan's bitmask
 //! pre-evaluation of constant conditions — is invisible in the answers.
 //!
-//! Admission has three arms and one rule (`ses::core::runs_columnar`): a
-//! relation or micro-batch of at least 16 events, under a pattern with
-//! constant conditions, goes through the columnar lane pass — its `Str`
-//! lanes reading the relation's dictionary-coded **columns** when the
-//! batch is a relation at rest (or a view of one), the **rows** when it
-//! is a `push_batch` chunk; anything shorter, and every per-event `push`,
-//! is admitted **per event**. The per-event `push` is therefore the
-//! reference — it never runs columnar — and relation and chunk lengths
-//! are drawn from around the rule's threshold and the 64-bit word
-//! boundaries, so every arm is exercised and **each case asserts which
-//! arm it ran on**. Three properties, the first two over the same
-//! pattern space the oracle suite validates (`common/`):
+//! Admission is one rule computed two ways, fixed by the executor: a scan
+//! (`find`, `scan`, and so the key split) takes the columnar lane pass
+//! over the whole relation — at any length, with or without constant
+//! conditions, its `Str` lanes reading the relation's dictionary-coded
+//! columns (a view reads its parent's) — and a push (`push`, and
+//! `push_batch`, which pushes each event in turn) takes the per-event
+//! mask. The per-event `push` is therefore the reference. Relation and
+//! chunk lengths are drawn from short relations and around the 64-bit
+//! word boundaries of the lane vectors. Three properties, the first two
+//! over the same pattern space the oracle suite validates (`common/`):
 //!
 //! 1. **Batch `find`** equals the union of the per-event push schedule,
-//!    across every semantics × selection combination — so together with
-//!    `oracle.rs` this gives `columnar ≡ scalar ≡ oracle`.
+//!    across every semantics × selection combination, also for patterns
+//!    without a constant condition (a lane pass with no lane to run) — so
+//!    together with `oracle.rs` this gives `columnar ≡ scalar ≡ oracle`.
 //! 2. **Streaming `push_batch`**: replaying a stream in micro-batches
 //!    emits *the same matches at the same pushes* as per-event pushes —
-//!    the batch API changes admission evaluation, never emission timing.
-//! 3. **Columns ≡ rows ≡ per event** on relations from every constructor
-//!    (`push_values`, `builder`, `duplicate`, `merge`, `between`,
-//!    `tumbling_windows`, an evicted prefix, `restore`) and on key and
-//!    contiguous views of them, under all six operators on `Str`
-//!    constants — `find` reads columns, `push_batch` of the whole
-//!    relation rows, `push` neither.
+//!    batch boundaries never change emission timing.
+//! 3. **`find` ≡ `push_batch` ≡ `push`** on relations from every
+//!    constructor (`push_values`, `builder`, `duplicate`, `between`, an
+//!    evicted prefix, `restore`) and on key and contiguous views of them,
+//!    under all six operators on `Str` constants.
 //!
 //! Plus bitmask edge cases the generators cannot force: matches on
 //! either side of a word boundary, empty batches, atomically rejected
@@ -38,8 +35,8 @@ mod common;
 use proptest::prelude::*;
 
 use common::{pattern_strategy, schema, TYPES};
-use ses::core::{runs_columnar, scan, AdmissionArm, Execution};
-use ses::event::{partition_views, EventSource, RelationView};
+use ses::core::scan;
+use ses::event::{partition_views, RelationView};
 use ses::prelude::*;
 
 const MODES: [MatchSemantics; 3] = [
@@ -53,9 +50,9 @@ const SELECTIONS: [EventSelection; 2] = [
     EventSelection::SkipTillAnyMatch,
 ];
 
-/// Relation and chunk lengths: one below, at and one above the rule's
-/// 16-event threshold, and around the 64-bit word boundaries of the lane
-/// vectors (the 65th event's admission bit lives in the second word).
+/// Relation and chunk lengths: short ones, and ones around the 64-bit
+/// word boundaries of the lane vectors (the 65th event's admission bit
+/// lives in the second word).
 const LENGTHS: [usize; 8] = [15, 16, 17, 63, 64, 65, 128, 129];
 
 /// Inter-event gaps: ties, and gaps wide enough that a window (τ < 20)
@@ -90,15 +87,39 @@ fn options(semantics: MatchSemantics, selection: EventSelection) -> MatcherOptio
     }
 }
 
-/// Which arm the rule sends a batch of `len` events under `pat` to. Every
-/// generated pattern types each of its variables, so it has lanes and the
-/// length alone decides — the suite cannot silently go all-scalar.
-fn expect_columnar(pat: &Pattern, len: usize) -> bool {
-    let compiled = pat.compile(&schema()).unwrap();
-    let lanes = ses::pattern::AdmissionLanes::of(&compiled).lanes().len();
-    assert!(lanes > 0, "generated patterns carry constant conditions");
-    assert_eq!(runs_columnar(lanes, len), len >= 16);
-    len >= 16
+/// Patterns without a single constant condition: every event is
+/// admitted to every variable, and a scan's lane pass has no lane to run.
+/// 1–2 sets of singletons, ≤ 3 variables, optionally an ID-equality
+/// clique. No group variable: one without constants absorbs every event
+/// of its window, and under skip-till-any-match each of them doubles the
+/// runs.
+fn constant_free_pattern_strategy() -> impl Strategy<Value = Pattern> {
+    (
+        proptest::collection::vec(1usize..3, 1..3),
+        2i64..8,
+        proptest::bool::ANY,
+    )
+        .prop_filter("≤3 vars", |(sets, _, _)| sets.iter().sum::<usize>() <= 3)
+        .prop_map(|(sets, within, correlate)| {
+            let mut b = Pattern::builder();
+            let mut names = Vec::new();
+            for (si, &len) in sets.iter().enumerate() {
+                let vars: Vec<String> = (0..len).map(|vi| format!("v{si}_{vi}")).collect();
+                names.extend(vars.iter().cloned());
+                b = b.set(move |s| {
+                    for n in &vars {
+                        s.var(n.clone());
+                    }
+                    s
+                });
+            }
+            if correlate {
+                for i in 1..names.len() {
+                    b = b.cond_vars(names[0].clone(), "ID", CmpOp::Eq, names[i].clone(), "ID");
+                }
+            }
+            b.within(Duration::ticks(within)).build().unwrap()
+        })
 }
 
 /// Per-push emission schedule of a per-event stream replay (always
@@ -134,24 +155,19 @@ fn batched_schedule(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Property 1: batch `find` — columnar from 16 events up, per event
-    /// below — is exactly the union of what per-event pushes of the same
-    /// relation emit, for every semantics × selection combination.
+    /// Property 1: batch `find` — the lane pass at every length, with or
+    /// without a lane — is exactly the union of what per-event pushes of
+    /// the same relation emit, for every semantics × selection
+    /// combination.
     #[test]
     fn columnar_find_equals_scalar(
         rel in relation_strategy(),
-        pat in pattern_strategy(),
+        pat in prop_oneof![pattern_strategy(), constant_free_pattern_strategy()],
     ) {
-        let columnar = expect_columnar(&pat, rel.len());
         for semantics in MODES {
             for selection in SELECTIONS {
                 let opts = options(semantics, selection);
                 let matcher = Matcher::with_options(&pat, &schema(), opts.clone()).unwrap();
-                prop_assert_eq!(
-                    Execution::new(matcher.automaton(), &rel, EventSelection::default()).arm(),
-                    if columnar { AdmissionArm::Columns } else { AdmissionArm::PerEvent },
-                    "{} events ran on the wrong arm", rel.len()
-                );
                 let mut found = matcher.find(&rel);
                 found.sort();
                 let mut pushed: Vec<Match> = per_event_schedule(&pat, &rel, &opts)
@@ -171,15 +187,10 @@ proptest! {
     /// emissions) proves the batch API preserves push-for-push emission
     /// timing, not just the final answer.
     #[test]
-    fn columnar_push_batch_preserves_emission_timing(
+    fn push_batch_preserves_emission_timing(
         rel in relation_strategy(),
         pat in pattern_strategy(),
     ) {
-        // The 15-event chunks are admitted per event; the 129-event
-        // chunk size takes the relation whole, through the lane pass
-        // from 16 events up.
-        prop_assert!(!expect_columnar(&pat, LENGTHS[0]));
-        prop_assert_eq!(expect_columnar(&pat, rel.len()), rel.len() >= 16);
         for semantics in MODES {
             let opts = options(semantics, EventSelection::SkipTillNextMatch);
             let scalar = per_event_schedule(&pat, &rel, &opts);
@@ -235,15 +246,11 @@ fn ab_pattern() -> Pattern {
         .unwrap()
 }
 
-/// `find` against the per-event push union under `AllRuns`, with the
-/// arm `find` ran on; the case must have matches.
-fn assert_find_equals_pushes(pat: &Pattern, schema: &Schema, rel: &Relation, arm: AdmissionArm) {
+/// `find` against the per-event push union under `AllRuns`; the case
+/// must have matches.
+fn assert_find_equals_pushes(pat: &Pattern, schema: &Schema, rel: &Relation) {
     let opts = options(MatchSemantics::AllRuns, EventSelection::SkipTillNextMatch);
     let matcher = Matcher::with_options(pat, schema, opts.clone()).unwrap();
-    assert_eq!(
-        Execution::new(matcher.automaton(), rel, EventSelection::default()).arm(),
-        arm
-    );
     let mut found = matcher.find(rel);
     found.sort();
     let mut sm = StreamMatcher::with_options(pat, schema, opts).unwrap();
@@ -257,26 +264,15 @@ fn assert_find_equals_pushes(pat: &Pattern, schema: &Schema, rel: &Relation, arm
     assert!(!found.is_empty());
 }
 
-/// Batch lengths at and just past the 64-bit word boundary, with
-/// matches guaranteed on either side of it: the 65th event's admission
-/// bit lives in the second word of every lane vector.
+/// Relation lengths inside the first word, and at and just past the
+/// 64-bit word boundary, with matches guaranteed on either side of it:
+/// the 65th event's admission bit lives in the second word of every lane
+/// vector.
 #[test]
 fn word_boundary_batches_agree() {
-    for n in [63, 64, 65, 128, 129] {
-        assert_find_equals_pushes(
-            &ab_pattern(),
-            &schema(),
-            &alternating(n),
-            AdmissionArm::Columns,
-        );
+    for n in [15, 63, 64, 65, 128, 129] {
+        assert_find_equals_pushes(&ab_pattern(), &schema(), &alternating(n));
     }
-    // One event short of the rule's threshold takes the per-event arm.
-    assert_find_equals_pushes(
-        &ab_pattern(),
-        &schema(),
-        &alternating(15),
-        AdmissionArm::PerEvent,
-    );
 }
 
 /// An empty batch is a no-op: no error, no matches, and the stream
@@ -313,7 +309,7 @@ fn float_lanes_take_scanned_fallback_and_agree() {
         .build()
         .unwrap();
     let mut rel = Relation::new(schema.clone());
-    // Three rounds of the six rows: long enough for the lane pass.
+    // Three rounds of the six rows.
     for round in 0..3 {
         for (t, l, v) in [
             (0, "A", 2.0),
@@ -331,7 +327,7 @@ fn float_lanes_take_scanned_fallback_and_agree() {
         }
     }
     // `b.L = 'B'` reads the column, the `V` lanes the rows.
-    assert_find_equals_pushes(&pat, &schema, &rel, AdmissionArm::Columns);
+    assert_find_equals_pushes(&pat, &schema, &rel);
 }
 
 /// A batch with an out-of-order timestamp (or any invalid event) is
@@ -342,7 +338,6 @@ fn invalid_batch_is_rejected_atomically() {
     let mut sm = StreamMatcher::compile(&ab_pattern(), &schema()).unwrap();
     sm.push(Timestamp::new(10), vec![Value::from("A"), Value::from(1)])
         .unwrap();
-    // Long enough for the lane pass, had it been accepted.
     let mut bad: Vec<Event> = (0..16)
         .map(|_| Event::new(Timestamp::new(11), vec![Value::from("B"), Value::from(1)]))
         .collect();
@@ -363,7 +358,7 @@ fn invalid_batch_is_rejected_atomically() {
 }
 
 // ---------------------------------------------------------------------
-// Property 3: columns ≡ rows ≡ per event.
+// Property 3: find ≡ push_batch ≡ push.
 // ---------------------------------------------------------------------
 
 const OPS: [CmpOp; 6] = [
@@ -420,20 +415,16 @@ enum Built {
     PushValues,
     Builder,
     Duplicate,
-    Merge,
     Between,
-    TumblingWindow,
     Evicted,
     Restored,
 }
 
-const BUILDS: [Built; 8] = [
+const BUILDS: [Built; 6] = [
     Built::PushValues,
     Built::Builder,
     Built::Duplicate,
-    Built::Merge,
     Built::Between,
-    Built::TumblingWindow,
     Built::Evicted,
     Built::Restored,
 ];
@@ -466,24 +457,9 @@ fn build(how: Built, rows: &[Row]) -> Relation {
             })
             .build(),
         Built::Duplicate => pushed(&rows[..mid]).duplicate(2),
-        Built::Merge => {
-            let (even, odd): (Vec<_>, Vec<_>) =
-                rows.iter().enumerate().partition(|(i, _)| i % 2 == 0);
-            let even: Vec<Row> = even.into_iter().map(|(_, r)| *r).collect();
-            let odd: Vec<Row> = odd.into_iter().map(|(_, r)| *r).collect();
-            Relation::merge(&[&pushed(&even), &pushed(&odd)]).unwrap()
-        }
         Built::Between => {
             let lo = rows[rows.len() / 8].0;
             pushed(rows).between(Timestamp::new(lo), Timestamp::new(i64::MAX))
-        }
-        Built::TumblingWindow => {
-            let span = rows[rows.len() - 1].0 - rows[0].0;
-            pushed(rows)
-                .tumbling_windows(Duration::ticks(span / 2 + 1))
-                .into_iter()
-                .max_by_key(Relation::len)
-                .unwrap()
         }
         Built::Evicted | Built::Restored => {
             let mut rel = pushed(rows);
@@ -506,8 +482,8 @@ fn build(how: Built, rows: &[Row]) -> Relation {
     }
 }
 
-/// Rows for [`build`]: up to 129 of them, so that what the constructors
-/// keep lands on both sides of the rule's threshold.
+/// Rows for [`build`]: 8 to 129 of them, so that what the constructors
+/// keep is short or spans several words of the lane vectors.
 fn rows_strategy() -> impl Strategy<Value = Vec<Row>> {
     proptest::collection::vec((0usize..3, 1i64..3, 0usize..GAPS.len()), 8..130).prop_map(|draws| {
         let mut t = 0i64;
@@ -532,23 +508,12 @@ fn shifted(m: &Match, by: usize) -> Match {
     )
 }
 
-/// `find` over `rel` — columns from 16 events up, since every pattern
-/// here tests the `Str` attribute `L` — against `push_batch` of all of
-/// `rel` at once (rows from 16 up) and against one `push` per event, in
-/// `rel`'s ids. Returns what they agree on.
-fn assert_three_arms_agree(pat: &Pattern, rel: &Relation, opts: &MatcherOptions) -> Vec<Match> {
-    let columnar = expect_columnar(pat, rel.len());
+/// `find` over `rel` — its `Str` lanes reading the column, since every
+/// pattern here tests the `Str` attribute `L` — against `push_batch` of
+/// all of `rel` at once and against one `push` per event, in `rel`'s ids.
+/// Returns what they agree on.
+fn assert_executors_agree(pat: &Pattern, rel: &Relation, opts: &MatcherOptions) -> Vec<Match> {
     let matcher = Matcher::with_options(pat, &schema(), opts.clone()).unwrap();
-    assert_eq!(
-        Execution::new(matcher.automaton(), rel, EventSelection::default()).arm(),
-        if columnar {
-            AdmissionArm::Columns
-        } else {
-            AdmissionArm::PerEvent
-        },
-        "{} events ran on the wrong arm",
-        rel.len()
-    );
     let mut found = matcher.find(rel);
     found.sort();
     let in_rel_ids = |schedule: Vec<Vec<Match>>| {
@@ -561,9 +526,9 @@ fn assert_three_arms_agree(pat: &Pattern, rel: &Relation, opts: &MatcherOptions)
         all
     };
     let per_event = in_rel_ids(per_event_schedule(pat, rel, opts));
-    assert_eq!(found, per_event, "columns vs per event");
-    let rows = in_rel_ids(batched_schedule(pat, rel, opts, rel.len().max(1)));
-    assert_eq!(found, rows, "columns vs rows");
+    assert_eq!(found, per_event, "find vs push");
+    let batched = in_rel_ids(batched_schedule(pat, rel, opts, rel.len().max(1)));
+    assert_eq!(found, batched, "find vs push_batch");
     found
 }
 
@@ -571,9 +536,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     /// Property 3 on relations: whatever built the relation, and whichever
-    /// operator a `Str` lane carries, the three arms answer alike.
+    /// operator a `Str` lane carries, the three executors answer alike.
     #[test]
-    fn columns_rows_and_per_event_agree_on_every_relation(
+    fn find_push_batch_and_push_agree_on_every_relation(
         rows in rows_strategy(),
         how in 0usize..BUILDS.len(),
         pat in either_pattern_strategy(),
@@ -581,7 +546,7 @@ proptest! {
     ) {
         let rel = build(BUILDS[how], &rows);
         let opts = options(MODES[semantics], EventSelection::SkipTillNextMatch);
-        assert_three_arms_agree(&pat, &rel, &opts);
+        assert_executors_agree(&pat, &rel, &opts);
     }
 
     /// Property 3 on views: a view reads its parent's column through its
@@ -609,11 +574,6 @@ proptest! {
 
         let matcher = Matcher::compile(&pat, &schema()).unwrap();
         for view in &views {
-            let columnar = expect_columnar(&pat, view.len());
-            prop_assert_eq!(
-                Execution::new(matcher.automaton(), view, EventSelection::default()).arm(),
-                if columnar { AdmissionArm::Columns } else { AdmissionArm::PerEvent }
-            );
             let own = view.materialize();
             prop_assert_eq!(
                 scan(matcher.automaton(), view, EventSelection::default(), &mut NoProbe),
@@ -626,23 +586,14 @@ proptest! {
 /// `find` over a relation that evicted half of itself is `find` over the
 /// same events numbered from 0, moved up by `first_index()` — it used to
 /// address the relation by scan position and die in `Relation::event`.
-/// Both of the rule's arms, and the relation a stream holds.
+/// Short and long relations, and the relation a stream holds.
 #[test]
 fn find_over_an_evicted_prefix_reports_global_ids() {
     for n in [20, 40] {
         let mut rel = alternating(n);
         let evicted = rel.evict_before(Timestamp::new(n as i64 / 2 + 1));
         assert_eq!((evicted, rel.first_index()), (n / 2 + 1, n / 2 + 1));
-        let arm = if rel.len() >= 16 {
-            AdmissionArm::Columns
-        } else {
-            AdmissionArm::PerEvent
-        };
         let matcher = Matcher::compile(&ab_pattern(), &schema()).unwrap();
-        assert_eq!(
-            Execution::new(matcher.automaton(), &rel, EventSelection::default()).arm(),
-            arm
-        );
         let renumbered =
             Relation::restore(schema(), 0, rel.events().to_vec(), rel.last_ts()).unwrap();
         let expected: Vec<Match> = matcher
@@ -702,10 +653,6 @@ fn a_non_str_value_under_a_str_attribute_binds_nothing() {
         }
     }
     let matcher = Matcher::compile(&pat, &schema()).unwrap();
-    assert_eq!(
-        Execution::new(matcher.automaton(), &ill_typed, EventSelection::default()).arm(),
-        AdmissionArm::Columns
-    );
     let found = matcher.find(&ill_typed);
     assert!(!found.is_empty());
     assert!(found.iter().all(|m| m.events().all(|e| e.index() % 4 != 0)));

@@ -143,7 +143,18 @@ fn merged_wards_match_like_a_single_ward() {
         site_b.push_values(e.ts(), values).unwrap();
     }
 
-    let merged = Relation::merge(&[&site_a, &site_b]).unwrap();
+    // Interleave the sites chronologically; ties keep site A first.
+    let mut events: Vec<Event> = site_a
+        .events()
+        .iter()
+        .chain(site_b.events())
+        .cloned()
+        .collect();
+    events.sort_by_key(Event::ts);
+    let mut merged = Relation::new(paper::schema());
+    for e in events {
+        merged.push_event(e).unwrap();
+    }
     assert_eq!(merged.len(), site_a.len() + site_b.len());
 
     let matcher = Matcher::compile(&paper::query_q1(), &paper::schema()).unwrap();
