@@ -32,7 +32,6 @@ const VALUED: &[&str] = &[
     "selection",
     "format",
     "partition",
-    "threads",
     "from-log",
     "patterns",
     "checkpoint",
@@ -52,11 +51,6 @@ const VALUED: &[&str] = &[
 /// Bare switches. Anything else starting with `--` is refused by name: a
 /// stale flag silently ignored would change what a script measures.
 const SWITCHES: &[&str] = &["closure", "dot", "propagate", "recover", "stats", "trace"];
-
-/// `run`'s partitioning options, refused by name by the streaming
-/// commands — one pattern bank, which never partitions — for the same
-/// reason.
-const BATCH_ONLY: &[&str] = &["partition", "threads"];
 
 impl Args {
     /// Parses an argument vector (without the program name).
@@ -87,12 +81,13 @@ impl Args {
                 args.positional.push(arg);
             }
         }
-        if matches!(args.command.as_deref(), Some("stream" | "bank" | "recover")) {
-            if let Some(key) = BATCH_ONLY.iter().find(|k| args.options.contains_key(**k)) {
-                return Err(format!(
-                    "--{key} is an option of `run`: `stream` never partitions"
-                ));
-            }
+        // The streaming commands run one pattern bank, which never
+        // partitions: `run`'s `--partition` is refused by name there
+        // rather than ignored.
+        if matches!(args.command.as_deref(), Some("stream" | "bank" | "recover"))
+            && args.options.contains_key("partition")
+        {
+            return Err("--partition is an option of `run`: `stream` never partitions".to_string());
         }
         Ok(args)
     }

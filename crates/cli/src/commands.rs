@@ -26,19 +26,19 @@ USAGE:
                    [--tick hour] [--semantics maximal|definition2|all]
                    [--selection next-match|any-match] [--closure]
                    [--propagate] [--limit N] [--stats]
-                   [--partition auto|ATTR|off] [--threads N]
+                   [--partition auto|ATTR|off]
                    (an event reaches the instances only if it satisfies
                     every constant condition of some variable — the §4.5
                     filter; a variable without one admits every event.
+                    Constant conditions are evaluated into bitmask lanes
+                    in one pass over the input, whatever its length.
                     --propagate runs the static analyzer first: derived
                     constants can rescue the filter, see `check`.
                     --partition auto splits the scan per proven partition
-                    key and matches partitions in parallel; an explicit
-                    ATTR is refused unless the analyzer proves it.
-                    Constant conditions are pre-evaluated into bitmask
-                    lanes once over the input when the pattern has any
-                    and the input is long enough to amortize the pass;
-                    --stats says which way a run went)
+                    key and scans the partitions one after another, each
+                    with only its own runs, before one adjudication; an
+                    explicit ATTR is refused unless the analyzer proves
+                    it. --stats reports the partition layout)
   ses-cli stream   (--query <file-or-text> | --patterns <file-or-dir>)
                    (--data <file.csv> | --from-log <dir>)
                    [--limit N] [--stats]
@@ -56,8 +56,7 @@ USAGE:
                     patterns it could advance — the rest receive a
                     watermark heartbeat when their deadline comes due.
                     Every pattern runs one matcher: a stream never
-                    partitions, and `run`'s --partition and --threads
-                    are refused.
+                    partitions, and `run`'s --partition is refused.
                     --from-log replays a binary event log (see `import`);
                     with --checkpoint the bank is snapshotted every N
                     events (default 1000, keeping the last K
@@ -214,22 +213,12 @@ fn parse_partition(args: &Args, schema: &ses_event::Schema) -> Result<PartitionM
 }
 
 fn matcher_options(args: &Args, schema: &ses_event::Schema) -> Result<MatcherOptions, String> {
-    let threads = match args.get("threads") {
-        None => None,
-        Some(v) => Some(
-            v.parse::<usize>()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| format!("--threads: expected a positive integer, got `{v}`"))?,
-        ),
-    };
     Ok(MatcherOptions {
         selection: parse_selection(args)?,
         semantics: parse_semantics(args)?,
         derive_equalities: args.has_flag("closure"),
         propagate_constants: args.has_flag("propagate"),
         partition: parse_partition(args, schema)?,
-        threads,
     })
 }
 
@@ -306,25 +295,7 @@ fn cmd_run(args: &Args, out: &mut dyn Write) -> Result<(), String> {
 
     let sw = Stopwatch::start();
     let mut probe = CountingProbe::new();
-    let matches = match matcher.partition_strategy() {
-        // Drive the key split directly so every worker gets its own
-        // counting probe; merging them preserves the full report.
-        PartitionStrategy::Key(key) => {
-            let (matches, workers) = ses_core::parallel::find_partitioned_with(
-                &matcher,
-                store.relation(),
-                key,
-                matcher.options().threads,
-                &mut probe,
-                CountingProbe::new,
-            );
-            for w in &workers {
-                probe.merge(w);
-            }
-            matches
-        }
-        PartitionStrategy::Global => matcher.find_with_probe(store.relation(), &mut probe),
-    };
+    let matches = matcher.find_with_probe(store.relation(), &mut probe);
     let elapsed = sw.elapsed_secs();
 
     for (i, m) in matches.iter().take(limit).enumerate() {
@@ -1441,19 +1412,21 @@ mod tests {
 
     #[test]
     fn stream_refuses_batch_options_by_name() {
-        // `run`'s partitioning options: `main` prints the refusal with
+        // `run`'s partitioning option: `main` prints the refusal with
         // the usage and exits 2, as for any other option a stream would
-        // otherwise ignore.
+        // otherwise ignore. `--threads` is no option of any command.
         let err = Args::parse(["stream", "--query", Q1, "--partition", "auto"]).unwrap_err();
         assert_eq!(
             err,
             "--partition is an option of `run`: `stream` never partitions"
         );
-        for command in ["stream", "bank", "recover"] {
-            for (option, value) in [("--partition", "off"), ("--threads", "2")] {
-                let err = Args::parse([command, "--query", Q1, option, value]).unwrap_err();
+        for command in ["stream", "bank", "recover", "run"] {
+            let err = Args::parse([command, "--query", Q1, "--threads", "2"]).unwrap_err();
+            assert_eq!(err, "unknown option --threads");
+            if command != "run" {
+                let err = Args::parse([command, "--query", Q1, "--partition", "off"]).unwrap_err();
                 assert!(
-                    err.starts_with(&format!("{option} is an option of `run`")),
+                    err.starts_with("--partition is an option of `run`"),
                     "{err}"
                 );
             }
@@ -2521,10 +2494,11 @@ mod tests {
     #[test]
     fn option_validation_errors() {
         let data = figure1_csv();
+        let err = Args::parse(["run", "--query", Q1, "--data", &data, "--threads", "0"]);
+        assert_eq!(err.unwrap_err(), "unknown option --threads");
         for bad in [
             vec!["run", "--query", Q1, "--data", &data, "--tick", "wat"],
             vec!["run", "--query", Q1, "--data", &data, "--semantics", "wat"],
-            vec!["run", "--query", Q1, "--data", &data, "--threads", "0"],
             vec!["run", "--query", Q1, "--data", &data, "--partition", "NOPE"],
             vec!["generate", "--workload", "wat", "--out", "/tmp/x.csv"],
         ] {
@@ -2547,8 +2521,6 @@ mod tests {
             &data,
             "--partition",
             "auto",
-            "--threads",
-            "2",
             "--stats",
         ]);
         assert_eq!(code, 0, "{out}");
@@ -2607,8 +2579,6 @@ mod tests {
             &data,
             "--partition",
             "time",
-            "--threads",
-            "2",
             "--stats",
         ]);
         assert_ne!(code, 0, "{out}");

@@ -743,9 +743,9 @@ mod tests {
     //
     // `ViableIndex` is filled from admission verdicts and from nothing
     // else; `ViableIndex::classify` is the relation scan it replaced.
-    // Wherever a verdict is produced — a batch scan in either admission
-    // arm, the workers of the key split, every push flavor of a
-    // stream, a restored stream — the lists must be the reference's.
+    // Wherever a verdict is produced — a batch scan's lane pass, the
+    // views of the key split, every push flavor of a stream, a restored
+    // stream — the lists must be the reference's.
 
     use crate::engine::{scan, AdmittedLog};
     use crate::matcher::{Matcher, MatcherOptions};
@@ -861,9 +861,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// (a) A batch scan, which admits through the lane pass at every
-        /// relation length; (b) the key split, whose
-        /// workers remap view-local logs and whose coordinator merges
-        /// them.
+        /// relation length; (b) the key split, which remaps each view's
+        /// local log and merges them.
         #[test]
         fn batch_and_split_scans_log_the_viable_lists(
             pat in pattern_strategy(),
@@ -880,8 +879,8 @@ mod tests {
             prop_assert_eq!(&AdmittedLog::of(cp, &rel), &log, "`of` is the scan's log");
 
             let key = schema().attr_id("ID").unwrap();
-            let split = scan_partitioned(&matcher, &rel, key, Some(2), &mut NoProbe, || NoProbe);
-            prop_assert_eq!(&split.admitted, &log, "partitioned");
+            let (_, split) = scan_partitioned(matcher.automaton(), &rel, key, selection, &mut NoProbe);
+            prop_assert_eq!(&split, &log, "partitioned");
         }
 
         /// (c) A stream mid-flight, under eviction: after every push —

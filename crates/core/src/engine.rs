@@ -141,15 +141,15 @@ impl AdmittedLog {
     }
 
     /// Rewrites view-local event ids to the parent relation's, exactly
-    /// as the workers of [`crate::parallel`] rewrite bindings. `ids` is
-    /// ascending, so the log stays ascending.
+    /// as the key split rewrites bindings. `ids` is ascending, so the
+    /// log stays ascending.
     pub(crate) fn remap(&mut self, ids: &[EventId]) {
         for entry in &mut self.entries {
             entry.0 = ids[entry.0.index()];
         }
     }
 
-    /// One log from the workers' remapped logs. The key split's views are
+    /// One log from the key split's remapped per-view logs. The views are
     /// disjoint, so every event appears in at most one of them: the sort
     /// interleaves the logs and folds nothing.
     pub(crate) fn merge(logs: impl IntoIterator<Item = AdmittedLog>) -> AdmittedLog {
@@ -157,7 +157,7 @@ impl AdmittedLog {
         entries.sort_unstable();
         debug_assert!(
             entries.windows(2).all(|w| w[0].0 < w[1].0),
-            "merged worker views overlap"
+            "merged key views overlap"
         );
         AdmittedLog { entries }
     }

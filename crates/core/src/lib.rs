@@ -62,7 +62,7 @@ mod matches;
 mod measures;
 mod negation;
 mod occupancy;
-pub mod parallel;
+mod parallel;
 mod probe;
 mod reference;
 mod semantics;

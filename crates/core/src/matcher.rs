@@ -40,7 +40,7 @@ use crate::probe::{NoProbe, Probe};
 use crate::semantics::{select, MatchSemantics};
 use crate::CoreError;
 
-/// How a [`Matcher`] splits its input for partition-parallel execution.
+/// How a [`Matcher`] splits its input into per-key scans.
 ///
 /// Splitting is sound only when every match is confined to one value of
 /// the partitioning attribute — see
@@ -69,8 +69,8 @@ pub enum PartitionStrategy {
     /// One global scan.
     #[default]
     Global,
-    /// Key-partitioned scan over this proven attribute
-    /// ([`crate::parallel::find_partitioned`]).
+    /// One scan per value of this proven attribute, adjudicated
+    /// together.
     Key(AttrId),
 }
 
@@ -99,15 +99,17 @@ pub struct MatcherOptions {
     /// internally but does not inject its variable conditions, so this
     /// does *not* imply `derive_equalities`; with both set, the closed
     /// pattern is what gets analyzed.
+    /// Under skip-till-any-match the match set is the unrewritten
+    /// pattern's. Under skip-till-next-match it can differ, like with
+    /// `derive_equalities`: a derived constant can keep a greedy run from
+    /// absorbing an event that would derail it, so the rewritten pattern
+    /// can find matches the unrewritten one misses.
     /// Default: `false` (paper-faithful Θ).
     pub propagate_constants: bool,
-    /// Partition-parallel execution mode of [`Matcher::find`]. Default:
+    /// Key-split execution mode of [`Matcher::find`]. Default:
     /// [`PartitionMode::Off`]. Batch-only: a [`crate::StreamMatcher`] or
     /// [`crate::PatternBank`] never partitions.
     pub partition: PartitionMode,
-    /// Worker threads for partitioned execution. `None` (the default)
-    /// uses [`std::thread::available_parallelism`].
-    pub threads: Option<usize>,
 }
 
 impl Default for MatcherOptions {
@@ -118,7 +120,6 @@ impl Default for MatcherOptions {
             derive_equalities: false,
             propagate_constants: false,
             partition: PartitionMode::Off,
-            threads: None,
         }
     }
 }
@@ -249,41 +250,23 @@ impl Matcher {
     /// Finds all matching substitutions, reporting engine events to
     /// `probe`.
     ///
-    /// When the resolved [`PartitionStrategy`] splits the input by key the
-    /// scan runs in parallel. Per-event probe hooks are then sampled
-    /// inside worker threads and only the aggregate hooks (`partitions`,
-    /// `partition_events`, per-partition peak `omega`) reach `probe` —
-    /// use [`crate::parallel::find_partitioned_with`] directly for full
-    /// per-partition instrumentation.
+    /// When the resolved [`PartitionStrategy`] splits the input by key,
+    /// the per-key views are scanned one after another on this thread,
+    /// all with `probe`: it receives the layout hooks (`partitions`,
+    /// `partition_events`) and then every per-event hook of every view.
     pub fn find_with_probe<P: Probe>(&self, relation: &Relation, probe: &mut P) -> Vec<Match> {
-        /// Minimal per-partition worker probe: peak `|Ω|` only.
-        #[derive(Default)]
-        struct Peak(usize);
-        impl Probe for Peak {
-            fn omega(&mut self, n: usize) {
-                self.0 = self.0.max(n);
-            }
-        }
         // A provably unsatisfiable Θ (analyzer SES001) matches nothing;
         // skip the scan entirely.
         if !self.automaton.pattern().is_satisfiable() {
             return Vec::new();
         }
-        if let PartitionStrategy::Key(key) = self.partition {
-            let (matches, peaks) = crate::parallel::find_partitioned_with(
-                self,
-                relation,
-                key,
-                self.options.threads,
-                probe,
-                Peak::default,
-            );
-            for p in peaks {
-                probe.omega(p.0);
+        let selection = self.options.selection;
+        let (raw, admitted) = match self.partition {
+            PartitionStrategy::Key(key) => {
+                crate::parallel::scan_partitioned(&self.automaton, relation, key, selection, probe)
             }
-            return matches;
-        }
-        let (raw, admitted) = scan(&self.automaton, relation, self.options.selection, probe);
+            PartitionStrategy::Global => scan(&self.automaton, relation, selection, probe),
+        };
         let raw = crate::negation::filter_negations(raw, relation, self.automaton.pattern());
         select(
             raw,
@@ -527,6 +510,57 @@ mod tests {
             baseline.iter().map(|m| m.to_string()).collect::<Vec<_>>(),
         );
         assert_eq!(found.len(), 1);
+    }
+
+    #[test]
+    fn propagated_constants_can_change_a_next_match_answer() {
+        // ⟨{c, p+}⟩ with c.ID = 1 and c.ID = p.ID. Unrewritten, the greedy
+        // instance's `p+` absorbs patient 2's P (no condition ties `p` to
+        // a value until `c` binds) and derails, so skip-till-next-match
+        // finds nothing. The derived `p.ID = 1` keeps e2 out of `p+` and
+        // the match survives. Skip-till-any-match keeps both branches, so
+        // it finds the match either way.
+        let p = Pattern::builder()
+            .set(|s| s.var("c").plus("p"))
+            .cond_const("c", "L", CmpOp::Eq, "C")
+            .cond_const("p", "L", CmpOp::Eq, "P")
+            .cond_const("c", "ID", CmpOp::Eq, 1)
+            .cond_vars("c", "ID", CmpOp::Eq, "p", "ID")
+            .within(Duration::ticks(10))
+            .build()
+            .unwrap();
+        let r = rel(&[(1, 1, "P"), (2, 2, "P"), (3, 1, "C")]);
+        let matches = |selection, semantics, propagate_constants| {
+            let options = MatcherOptions {
+                selection,
+                semantics,
+                propagate_constants,
+                ..MatcherOptions::default()
+            };
+            let m = Matcher::with_options(&p, &schema(), options).unwrap();
+            let out = m.find(&r);
+            out.iter().map(|m| m.display_with(&p)).collect::<Vec<_>>()
+        };
+        for semantics in [
+            MatchSemantics::Maximal,
+            MatchSemantics::Definition2,
+            MatchSemantics::AllRuns,
+        ] {
+            let next = EventSelection::SkipTillNextMatch;
+            assert!(matches(next, semantics, false).is_empty(), "{semantics:?}");
+            assert_eq!(
+                matches(next, semantics, true),
+                ["{p+/e1, c/e3}"],
+                "{semantics:?}"
+            );
+            for propagate in [false, true] {
+                assert_eq!(
+                    matches(EventSelection::SkipTillAnyMatch, semantics, propagate),
+                    ["{p+/e1, c/e3}"],
+                    "{semantics:?} propagate={propagate}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -134,9 +134,9 @@ pub enum MatcherSnapshot {
     Bank(BankSnapshot),
 }
 
-/// The options that change matching behavior, rendered. Partitioning and
-/// threading knobs are excluded — they affect *where* work runs, not what
-/// a shard's state means. The literals `Paper`, `flush=true`,
+/// The options that change matching behavior, rendered. The partitioning
+/// knob is excluded — only a batch `Matcher::find` reads it, and a
+/// stream never partitions. The literals `Paper`, `flush=true`,
 /// `precheck=true` and `max_inst=None` name options that no longer exist
 /// — the §4.5 filter mode, the end-of-input flush, the satisfiability
 /// precheck and the instance cap, each at the value every matcher now

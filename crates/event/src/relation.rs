@@ -288,18 +288,6 @@ impl Relation {
         Relation::from_events(self.schema.clone(), events)
     }
 
-    /// The sub-relation of events with `lo ≤ T ≤ hi` (inclusive bounds),
-    /// found by binary search. Event values are shared (`Arc` innards),
-    /// so slicing is cheap.
-    pub fn between(&self, lo: Timestamp, hi: Timestamp) -> Relation {
-        let from = self.events.partition_point(|e| e.ts() < lo);
-        let to = self.events.partition_point(|e| e.ts() <= hi);
-        Relation::from_events(
-            self.schema.clone(),
-            self.events[from..to.max(from)].to_vec(),
-        )
-    }
-
     /// Timestamp of the first retained event, if any.
     pub fn first_ts(&self) -> Option<Timestamp> {
         self.events.first().map(Event::ts)
@@ -463,21 +451,6 @@ mod tests {
         );
         assert_eq!(d1.duplicate(1).len(), d1.len());
         assert_eq!(d1.duplicate(0).len(), 0);
-    }
-
-    #[test]
-    fn between_slices_inclusive() {
-        let r = rel_with(&[0, 1, 2, 5, 5, 9]);
-        assert_eq!(r.between(Timestamp::new(1), Timestamp::new(5)).len(), 4);
-        assert_eq!(r.between(Timestamp::new(5), Timestamp::new(5)).len(), 2);
-        assert_eq!(r.between(Timestamp::new(3), Timestamp::new(4)).len(), 0);
-        assert_eq!(r.between(Timestamp::new(-10), Timestamp::new(100)).len(), 6);
-        // Inverted range is empty.
-        assert_eq!(r.between(Timestamp::new(9), Timestamp::new(0)).len(), 0);
-        // Slices stay chronological and share values.
-        let s = r.between(Timestamp::new(1), Timestamp::new(9));
-        assert_eq!(s.first_ts(), Some(Timestamp::new(1)));
-        assert_eq!(s.last_ts(), Some(Timestamp::new(9)));
     }
 
     #[test]

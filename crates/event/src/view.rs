@@ -116,18 +116,6 @@ impl<'a> RelationView<'a> {
             .enumerate()
             .map(|(i, &g)| (EventId::from(i), self.parent.event(g)))
     }
-
-    /// Copies the view into an owned [`Relation`] (event payloads stay
-    /// shared — [`Event`] clones are `Arc` bumps). The escape hatch for
-    /// APIs that need `Relation` ownership, e.g. persisted partitions.
-    pub fn materialize(&self) -> Relation {
-        let mut rel = Relation::new(self.parent.schema().clone());
-        for &id in &self.ids {
-            rel.push_event(self.parent.event(id).clone())
-                .expect("ascending view ids preserve chronological order");
-        }
-        rel
-    }
 }
 
 impl EventSource for RelationView<'_> {
@@ -251,21 +239,6 @@ mod tests {
         assert_eq!(EventSource::first_index(view), 0);
         assert_eq!(view.event(EventId(0)).ts(), Timestamp::new(1));
         assert_eq!(view.event(EventId(1)).ts(), Timestamp::new(3));
-    }
-
-    #[test]
-    fn materialize_round_trips() {
-        let rel = sample();
-        let key = rel.schema().attr_id("L").unwrap();
-        let parts = partition_views(&rel, key);
-        let owned = parts[0].1.materialize();
-        assert_eq!(owned.len(), 2);
-        assert_eq!(owned.event(EventId(0)).ts(), Timestamp::new(0));
-        // Payloads stay shared with the parent's events.
-        assert!(std::ptr::eq(
-            owned.event(EventId(0)).values().as_ptr(),
-            rel.event(EventId(0)).values().as_ptr()
-        ));
     }
 
     #[test]

@@ -110,38 +110,6 @@ impl CountingProbe {
         }
     }
 
-    /// Folds another probe's counters into this one — used to aggregate
-    /// the per-partition worker probes of a partitioned run into one
-    /// report. Additive counters sum; peaks (`omega_max`, `retained_max`)
-    /// take the maximum, which is correct for concurrent workers only if
-    /// the partitions genuinely never overlap in one instance set — true
-    /// under a proven partition key.
-    pub fn merge(&mut self, other: &CountingProbe) {
-        self.events_read += other.events_read;
-        self.events_filtered += other.events_filtered;
-        self.instances_spawned += other.instances_spawned;
-        self.instances_branched += other.instances_branched;
-        self.instances_expired += other.instances_expired;
-        self.transitions_evaluated += other.transitions_evaluated;
-        self.transitions_taken += other.transitions_taken;
-        self.matches_emitted += other.matches_emitted;
-        self.omega_max = self.omega_max.max(other.omega_max);
-        self.omega_sum += other.omega_sum;
-        self.omega_samples += other.omega_samples;
-        self.events_evicted += other.events_evicted;
-        self.retained_max = self.retained_max.max(other.retained_max);
-        self.partitioned_runs += other.partitioned_runs;
-        self.partition_events.extend(&other.partition_events);
-        self.index_hits += other.index_hits;
-        self.index_skips += other.index_skips;
-        self.checkpoints += other.checkpoints;
-        self.checkpoint_bytes += other.checkpoint_bytes;
-        self.checkpoint_nanos += other.checkpoint_nanos;
-        self.ingest_enqueued += other.ingest_enqueued;
-        self.ingest_queue_peak = self.ingest_queue_peak.max(other.ingest_queue_peak);
-        self.ingest_shed += other.ingest_shed;
-    }
-
     /// Resets every counter.
     pub fn reset(&mut self) {
         *self = CountingProbe::default();
@@ -249,25 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_counters_and_maxes_peaks() {
-        let mut a = CountingProbe::new();
-        a.event_read();
-        a.omega(5);
-        a.retained_events(10);
-        let mut b = CountingProbe::new();
-        b.event_read();
-        b.event_read();
-        b.omega(3);
-        b.omega(9);
-        b.retained_events(4);
-        a.merge(&b);
-        assert_eq!(a.events_read, 3);
-        assert_eq!(a.omega_max, 9);
-        assert_eq!(a.omega_samples, 3);
-        assert_eq!(a.retained_max, 10);
-    }
-
-    #[test]
     fn partition_hooks_record_layout_and_skew() {
         let mut p = CountingProbe::new();
         Probe::partitions(&mut p, 3);
@@ -286,18 +235,13 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_hook_accumulates_and_merges() {
+    fn checkpoint_hook_accumulates() {
         let mut p = CountingProbe::new();
         p.checkpoint_saved(100, 5_000);
         p.checkpoint_saved(50, 2_000);
         assert_eq!(p.checkpoints, 2);
         assert_eq!(p.checkpoint_bytes, 150);
         assert_eq!(p.checkpoint_nanos, 7_000);
-        let mut q = CountingProbe::new();
-        q.checkpoint_saved(1, 1);
-        p.merge(&q);
-        assert_eq!(p.checkpoints, 3);
-        assert_eq!(p.checkpoint_bytes, 151);
     }
 
     #[test]
@@ -310,28 +254,15 @@ mod tests {
         assert_eq!(p.ingest_enqueued, 3);
         assert_eq!(p.ingest_queue_peak, 17);
         assert_eq!(p.ingest_shed, 2);
-        let mut q = CountingProbe::new();
-        Probe::ingest_enqueued(&mut q, 40);
-        Probe::ingest_shed(&mut q, 1);
-        p.merge(&q);
-        assert_eq!(p.ingest_enqueued, 4);
-        assert_eq!(p.ingest_queue_peak, 40);
-        assert_eq!(p.ingest_shed, 3);
     }
 
     #[test]
-    fn index_hooks_accumulate_and_merge() {
+    fn index_hooks_accumulate() {
         let mut p = CountingProbe::new();
         Probe::index_hits(&mut p, 3);
         Probe::index_skips(&mut p, 13);
         Probe::index_hits(&mut p, 1);
         assert_eq!(p.index_hits, 4);
         assert_eq!(p.index_skips, 13);
-        let mut q = CountingProbe::new();
-        Probe::index_hits(&mut q, 2);
-        Probe::index_skips(&mut q, 2);
-        p.merge(&q);
-        assert_eq!(p.index_hits, 6);
-        assert_eq!(p.index_skips, 15);
     }
 }

@@ -27,9 +27,13 @@
 //! constants removed, derived constants added. The equality closure is
 //! used *internally* for propagation but its extra variable conditions
 //! are not injected (that stays the `derive_equalities` opt-in). Every
-//! rewrite preserves conditions 1–3 of Definition 2, so the matching
-//! substitutions are identical to the input pattern's (see
-//! `docs/analysis.md` for the soundness argument).
+//! rewrite preserves conditions 1–3 of Definition 2, so the substitutions
+//! that satisfy Θ are the input pattern's, and under skip-till-any-match
+//! so is the match set. Under greedy skip-till-next-match it can differ:
+//! a derived constant is checked when its variable binds, which can keep
+//! a run from absorbing an event that would derail it, so the rewritten
+//! pattern may find matches the input misses (see `docs/analysis.md`,
+//! "Soundness of the rewrite").
 
 use ses_event::Schema;
 
@@ -200,10 +204,11 @@ pub fn analyze(pattern: &Pattern, schema: &Schema) -> Analysis {
 
     // Assemble the rewritten pattern: the input's conditions minus the
     // redundant ones, plus the derived constants. The closure's extra
-    // *variable* conditions are deliberately NOT injected — under greedy
-    // skip-till-next-match they can steer which events a group variable
-    // absorbs (see `derive_equalities` for the opt-in), while
-    // constant-level edits are behavior-preserving everywhere.
+    // *variable* conditions are deliberately NOT injected (see
+    // `derive_equalities` for the opt-in). Both kinds of edit steer greedy
+    // skip-till-next-match: a derived constant, like an injected
+    // equality, can keep a run from absorbing an event that would derail
+    // it. Dropping a redundant constant changes nothing anywhere.
     let conditions: Vec<Condition> = pattern
         .conditions()
         .iter()

@@ -6,11 +6,9 @@
 //!
 //! * [`EventStore`] — a named, in-memory, time-ordered event relation with
 //!   CSV persistence ([`read_csv`]/[`write_csv`] use a typed header, no
-//!   third-party CSV crate);
-//! * dataset scaling ([`EventStore::datasets`]) reproducing the paper's
-//!   D1…D5 duplication scheme;
-//! * [`EventStore::partition_by`] — per-key sub-stores (e.g. one per
-//!   patient);
+//!   third-party CSV crate); the paper's D1…D5 duplication is
+//!   [`ses_event::Relation::duplicate`] and a per-key split is
+//!   [`ses_event::partition_views`], both on the relation itself;
 //! * [`EventLog`] — an append-only, segmented, checksummed binary log
 //!   with torn-tail recovery and time-range pruning, for workloads that
 //!   outgrow CSV;

@@ -1,5 +1,4 @@
-//! The event store: a named, persistent event relation with scan,
-//! partition, and dataset-scaling operations.
+//! The event store: a named, persistent event relation.
 //!
 //! The paper keeps its input relation "in an Oracle database, Enterprise
 //! Edition 11.1, which is accessed over the OCI API" and reads it in
@@ -11,7 +10,7 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::path::Path;
 
-use ses_event::{AttrId, Duration, Relation, Schema, Value};
+use ses_event::{Duration, Relation, Schema};
 
 use crate::csv::{read_csv, write_csv};
 use crate::StoreError;
@@ -95,55 +94,6 @@ impl EventStore {
         self.relation.window_size(tau)
     }
 
-    /// The paper's scaled data sets: `datasets(5)` returns D1…D5 where Dk
-    /// contains every event `k` times. Names are suffixed `-D1` … `-Dk`.
-    pub fn datasets(&self, max_k: usize) -> Vec<EventStore> {
-        (1..=max_k)
-            .map(|k| EventStore {
-                name: format!("{}-D{k}", self.name),
-                relation: self.relation.duplicate(k),
-            })
-            .collect()
-    }
-
-    /// Splits the store by the distinct values of `attr` without copying
-    /// any event payload: each partition is an index vector over this
-    /// store's relation (see [`ses_event::RelationView`]). Partitions
-    /// preserve chronological order and are returned in first-occurrence
-    /// order of their key. This is what partitioned matching consumes;
-    /// use [`EventStore::partition_by`] when owned sub-stores are needed.
-    pub fn partition_views(&self, attr: AttrId) -> Vec<(Value, ses_event::RelationView<'_>)> {
-        ses_event::partition_views(&self.relation, attr)
-    }
-
-    /// Splits the store by the distinct values of `attr` (e.g. one
-    /// sub-store per patient) into owned sub-stores. Partitions preserve
-    /// chronological order and are returned in first-occurrence order of
-    /// their key.
-    pub fn partition_by(&self, attr: AttrId) -> Vec<(Value, EventStore)> {
-        self.partition_views(attr)
-            .into_iter()
-            .enumerate()
-            .map(|(i, (k, view))| {
-                (
-                    k.clone(),
-                    EventStore {
-                        name: format!("{}[{}={}]", self.name, i, k),
-                        relation: view.materialize(),
-                    },
-                )
-            })
-            .collect()
-    }
-
-    /// The sub-store of events with `lo ≤ T ≤ hi` (inclusive).
-    pub fn between(&self, lo: ses_event::Timestamp, hi: ses_event::Timestamp) -> EventStore {
-        EventStore {
-            name: format!("{}[{}..{}]", self.name, lo.ticks(), hi.ticks()),
-            relation: self.relation.between(lo, hi),
-        }
-    }
-
     /// Quick descriptive statistics used by `ses-cli stats`.
     pub fn stats(&self, tau: Duration) -> StoreStats {
         StoreStats {
@@ -174,7 +124,7 @@ pub struct StoreStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ses_event::{AttrType, Timestamp};
+    use ses_event::{AttrType, Timestamp, Value};
 
     fn sample() -> EventStore {
         let schema = Schema::builder()
@@ -210,73 +160,6 @@ mod tests {
             Err(StoreError::SchemaMismatch { .. })
         ));
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn datasets_scale_like_the_paper() {
-        let store = sample();
-        let ds = store.datasets(5);
-        assert_eq!(ds.len(), 5);
-        for (k, d) in ds.iter().enumerate() {
-            assert_eq!(d.len(), 4 * (k + 1));
-            assert_eq!(d.name(), format!("sample-D{}", k + 1));
-            assert_eq!(
-                d.window_size(Duration::ticks(3)),
-                4 * (k + 1),
-                "duplication multiplies W"
-            );
-        }
-    }
-
-    #[test]
-    fn partition_by_id() {
-        let store = sample();
-        let parts = store.partition_by(AttrId(0));
-        assert_eq!(parts.len(), 2);
-        assert_eq!(parts[0].0, Value::from(1));
-        assert_eq!(parts[0].1.len(), 2);
-        assert_eq!(parts[1].0, Value::from(2));
-        assert_eq!(parts[1].1.len(), 2);
-        // Partition events keep chronological order.
-        let p1 = &parts[0].1;
-        assert!(p1.relation().events()[0].ts() < p1.relation().events()[1].ts());
-        // Partition of empty store.
-        let empty = EventStore::new("e", Relation::new(store.relation().schema().clone()));
-        assert!(empty.partition_by(AttrId(0)).is_empty());
-    }
-
-    #[test]
-    fn partition_views_share_the_parent_events() {
-        let store = sample();
-        let views = store.partition_views(AttrId(0));
-        assert_eq!(views.len(), 2);
-        for (_, view) in &views {
-            for (local, event) in view.iter() {
-                // Zero-copy: the view hands out the store's own events.
-                assert!(std::ptr::eq(
-                    event,
-                    store.relation().event(view.global_id(local))
-                ));
-            }
-        }
-        // Owned partitions agree with the views they materialize from.
-        let owned = store.partition_by(AttrId(0));
-        for ((kv, view), (ko, part)) in views.iter().zip(&owned) {
-            assert_eq!(kv, ko);
-            assert_eq!(view.ids().len(), part.len());
-        }
-        assert_eq!(owned[0].1.name(), "sample[0=1]");
-    }
-
-    #[test]
-    fn between_slices_by_time() {
-        let store = sample();
-        let mid = store.between(Timestamp::new(1), Timestamp::new(2));
-        assert_eq!(mid.len(), 2);
-        assert_eq!(mid.name(), "sample[1..2]");
-        assert!(store
-            .between(Timestamp::new(10), Timestamp::new(20))
-            .is_empty());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! | [`pattern`] | `ses-pattern` | SES patterns, conditions, builder, analysis |
 //! | [`core`] | `ses-core` | SES automaton, engine, match semantics |
 //! | [`baseline`] | `ses-baseline` | brute-force permutation bank (§5.2) |
-//! | [`store`] | `ses-store` | CSV event store, partitioning, D1…D5 scaling |
+//! | [`store`] | `ses-store` | CSV event store, binary event log, checkpoints, exactly-once recovery |
 //! | [`workload`] | `ses-workload` | paper data + chemo/finance/RFID generators |
 //! | [`query`] | `ses-query` | `PATTERN … PERMUTE(…) … WITHIN` text language |
 //! | [`metrics`] | `ses-metrics` | counting probe, stopwatch, report tables |
@@ -67,7 +67,6 @@
 
 pub use ses_baseline as baseline;
 pub use ses_core as core;
-pub use ses_core::parallel;
 pub use ses_event as event;
 pub use ses_metrics as metrics;
 pub use ses_pattern as pattern;

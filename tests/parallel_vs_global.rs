@@ -1,7 +1,8 @@
 //! Differential suite: `PartitionMode::Auto` — analyzer-proven key,
-//! zero-copy per-key shards, worker threads — returns exactly the
-//! global-scan (`PartitionMode::Off`) answer, match for match, under
-//! every semantics × selection combination and thread count.
+//! zero-copy per-key views scanned one after another, one global
+//! adjudication — returns exactly the global-scan (`PartitionMode::Off`)
+//! answer, match for match, under every semantics × selection
+//! combination.
 //!
 //! The generators are shared with `oracle.rs` and `stream_vs_batch.rs`
 //! (see `common/`), so the pattern space this suite proves
@@ -41,10 +42,10 @@ fn answer(pat: &Pattern, rel: &Relation, options: MatcherOptions) -> Vec<Match> 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// `Auto` equals `Off` for every semantics × selection × thread
-    /// count. Whether the generated pattern proves a key (full
-    /// ID-equality clique) or not (uncorrelated / grouped), the two
-    /// modes must be indistinguishable from the outside.
+    /// `Auto` equals `Off` for every semantics × selection. Whether the
+    /// generated pattern proves a key (full ID-equality clique) or not
+    /// (uncorrelated / grouped), the two modes must be indistinguishable
+    /// from the outside.
     #[test]
     fn auto_equals_off_under_every_mode(
         rel in relation_strategy_with(2..9, 0..4),
@@ -54,18 +55,15 @@ proptest! {
             for selection in SELECTIONS {
                 let base = MatcherOptions { semantics, selection, ..MatcherOptions::default() };
                 let global = answer(&pat, &rel, base.clone());
-                for threads in [None, Some(1), Some(3)] {
-                    let auto = answer(&pat, &rel, MatcherOptions {
-                        partition: PartitionMode::Auto,
-                        threads,
-                        ..base.clone()
-                    });
-                    prop_assert_eq!(
-                        &auto, &global,
-                        "{:?}/{:?} threads={:?} diverged from global",
-                        semantics, selection, threads
-                    );
-                }
+                let auto = answer(&pat, &rel, MatcherOptions {
+                    partition: PartitionMode::Auto,
+                    ..base
+                });
+                prop_assert_eq!(
+                    &auto, &global,
+                    "{:?}/{:?} diverged from global",
+                    semantics, selection
+                );
             }
         }
     }
@@ -119,21 +117,54 @@ proptest! {
     }
 }
 
-/// The paper's Q1 over a generated chemotherapy ward: the unchecked
-/// per-key primitive under `PartitionMode::Auto` returns the global
-/// scan's answer on a realistic, skewed key distribution.
+/// The matcher of `pattern` under `partition`.
+fn matcher_with(pattern: &Pattern, schema: &Schema, partition: PartitionMode) -> Matcher {
+    let options = MatcherOptions {
+        partition,
+        ..MatcherOptions::default()
+    };
+    Matcher::with_options(pattern, schema, options).unwrap()
+}
+
+/// The paper's Q1 over a generated chemotherapy ward: the split by the
+/// explicit key `ID` returns the global scan's answer on a realistic,
+/// skewed key distribution.
 #[test]
 fn partitioned_equals_global_on_chemo_q1() {
     let ward = ses::workload::chemo::generate(&ses::workload::chemo::ChemoConfig::small());
     let q1 = ses::workload::paper::query_q1();
-    let matcher = Matcher::compile(&q1, ward.schema()).unwrap();
     let key = ward.schema().attr_id("ID").unwrap();
 
-    let mut global = matcher.find(&ward);
-    global.sort();
-    let parallel = ses::parallel::find_partitioned(&matcher, &ward, key);
-    assert_eq!(parallel, global);
-    assert!(!parallel.is_empty());
+    let global = matcher_with(&q1, ward.schema(), PartitionMode::Off).find(&ward);
+    let split = matcher_with(&q1, ward.schema(), PartitionMode::Key(key)).find(&ward);
+    assert_eq!(split, global);
+    assert!(!split.is_empty());
+}
+
+/// The split scans its views on the caller's thread with the caller's
+/// probe, so every per-event hook reaches it: each event is read once,
+/// in exactly one view, and the views' transitions are counted.
+#[test]
+fn auto_passes_every_per_event_hook_to_the_callers_probe() {
+    let ward = ses::workload::chemo::generate(&ses::workload::chemo::ChemoConfig::small());
+    let q1 = ses::workload::paper::query_q1();
+
+    let mut off_probe = CountingProbe::new();
+    let off =
+        matcher_with(&q1, ward.schema(), PartitionMode::Off).find_with_probe(&ward, &mut off_probe);
+    let mut auto_probe = CountingProbe::new();
+    let auto = matcher_with(&q1, ward.schema(), PartitionMode::Auto)
+        .find_with_probe(&ward, &mut auto_probe);
+
+    assert_eq!(auto, off);
+    assert!(!auto.is_empty());
+    assert_eq!(off_probe.events_read, ward.len() as u64);
+    assert_eq!(auto_probe.events_read, ward.len() as u64);
+    assert!(auto_probe.transitions_evaluated > 0);
+    assert_eq!(
+        auto_probe.partition_events.iter().sum::<usize>(),
+        ward.len()
+    );
 }
 
 /// A `Str` partition key exercises the refcount-bump path of
@@ -166,12 +197,10 @@ fn partitioned_equals_global_on_string_key() {
         rel.push_values(Timestamp::new(t), [Value::from(host), Value::from(kind)])
             .unwrap();
     }
-    let matcher = Matcher::compile(&pattern, &schema).unwrap();
     let key = schema.attr_id("HOST").unwrap();
 
-    let mut global = matcher.find(&rel);
-    global.sort();
-    let parallel = ses::parallel::find_partitioned(&matcher, &rel, key);
-    assert_eq!(parallel, global);
-    assert_eq!(parallel.len(), 3);
+    let global = matcher_with(&pattern, &schema, PartitionMode::Off).find(&rel);
+    let split = matcher_with(&pattern, &schema, PartitionMode::Key(key)).find(&rel);
+    assert_eq!(split, global);
+    assert_eq!(split.len(), 3);
 }

@@ -76,11 +76,14 @@ fn rfid_pipeline_partitioned_equals_global() {
     let matcher = Matcher::compile(&pattern, tape.schema()).unwrap();
     let global = matcher.find(&tape);
 
-    let store = EventStore::new("rfid", tape.clone());
     let tag_attr = tape.schema().attr_id("TAG").unwrap();
     let mut partitioned_total = 0;
-    for (_, part) in store.partition_by(tag_attr) {
-        partitioned_total += matcher.find(part.relation()).len();
+    for (_, view) in ses::event::partition_views(&tape, tag_attr) {
+        let mut part = Relation::new(tape.schema().clone());
+        for (_, event) in view.iter() {
+            part.push_event(event.clone()).unwrap();
+        }
+        partitioned_total += matcher.find(&part).len();
     }
     assert_eq!(global.len(), partitioned_total);
     assert_eq!(global.len(), cfg.complete_parcels);
@@ -91,10 +94,10 @@ fn dataset_duplication_scales_window_size() {
     // The D1…D5 construction of the paper's §5.1: each event k times ⇒
     // W scales by k.
     let base = chemo::generate(&chemo::ChemoConfig::small());
-    let store = EventStore::new("chemo", base);
-    let w1 = store.window_size(Duration::hours(264));
-    for (k, d) in store.datasets(5).iter().enumerate() {
-        assert_eq!(d.window_size(Duration::hours(264)), (k + 1) * w1);
+    let w1 = base.window_size(Duration::hours(264));
+    for k in 1..=5 {
+        let d = base.duplicate(k);
+        assert_eq!(d.window_size(Duration::hours(264)), k * w1);
     }
 }
 

@@ -62,11 +62,15 @@ fn end_to_end_hospital_monitoring() {
 
     // --- Global correlated == per-patient partitioned. -----------------
     let id_attr = schema.attr_id("ID").unwrap();
-    let store = EventStore::new("ward", ward.clone());
-    let per_patient: usize = store
-        .partition_by(id_attr)
+    let per_patient: usize = ses::event::partition_views(&ward, id_attr)
         .iter()
-        .map(|(_, part)| matcher.find(part.relation()).len())
+        .map(|(_, view)| {
+            let mut part = Relation::new(schema.clone());
+            for (_, event) in view.iter() {
+                part.push_event(event.clone()).unwrap();
+            }
+            matcher.find(&part).len()
+        })
         .sum();
     assert_eq!(per_patient, matches.len());
 
@@ -104,8 +108,11 @@ fn end_to_end_hospital_monitoring() {
 
     // --- Matching a time slice only. -----------------------------------
     let mid = ward.event(EventId((ward.len() / 2) as u32)).ts();
-    let early = store.between(Timestamp::new(i64::MIN / 2), mid);
-    let early_matches = matcher.find(early.relation());
+    let mut early = Relation::new(schema.clone());
+    for event in ward.events().iter().take_while(|e| e.ts() <= mid) {
+        early.push_event(event.clone()).unwrap();
+    }
+    let early_matches = matcher.find(&early);
     assert!(early_matches.len() <= matches.len());
 
     // --- The negated variant returns a subset. --------------------------

@@ -142,7 +142,8 @@ proptest! {
                 let global = matcher.find(&rel);
                 let comparable = greedy_safe || selection == EventSelection::SkipTillAnyMatch;
                 if matcher.automaton().pattern().is_partition_key(id) && comparable {
-                    let split = ses::parallel::find_partitioned(&matcher, &rel, id);
+                    let split_opts = MatcherOptions { partition: PartitionMode::Key(id), ..opts.clone() };
+                    let split = Matcher::with_options(&pat, &schema(), split_opts).unwrap().find(&rel);
                     prop_assert_eq!(&split, &global, "{:?}/{:?}: key split", semantics, selection);
                 }
                 let streamed = stream_answer(&pat, &rel, opts.clone());
