@@ -4,7 +4,10 @@
 //! event stream. Each event is pushed **once**; an event→pattern
 //! predicate index ([`ses_pattern::PatternIndex`]) built from the
 //! patterns' analyzer-derived constant constraints routes it to the
-//! patterns it could possibly advance. Every other pattern only has to
+//! patterns it could possibly advance, and hands each of them the
+//! event's variable mask — the §4.5 filter and the variables it may
+//! bind — so the receiving matcher evaluates no constant condition
+//! again: one admission verdict per push. Every other pattern only has to
 //! learn the time, and only at the instants that can emit: it receives
 //! a watermark heartbeat ([`StreamMatcher::advance_watermark`]) once
 //! the stream's clock reaches its emission deadline
@@ -91,24 +94,15 @@ struct Entry {
     beats: u64,
 }
 
-/// What one push does with an entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Todo {
-    /// Nothing: not admitted, and below its heartbeat deadline.
-    Idle,
-    /// Admitted by the index: push.
-    Routed,
-    /// Its heartbeat deadline has come.
-    Beat,
-}
-
 /// Routing scratch the bank owns so that a push allocates none of it.
 #[derive(Debug, Default)]
 struct Scratch {
-    /// The entries the push touches.
-    work: Vec<usize>,
-    /// What the push does with each entry; all `Idle` between pushes.
-    todo: Vec<Todo>,
+    /// The entries the index admits the event to, ascending, each with
+    /// its variable mask: these are pushed.
+    routed: Vec<(usize, u64)>,
+    /// The other entries whose heartbeat deadline the event's timestamp
+    /// reaches: these are heartbeat.
+    beats: Vec<usize>,
 }
 
 /// When each of a set of matchers next needs a heartbeat: a min-heap of
@@ -213,18 +207,20 @@ impl Entry {
     }
 
     /// Pushes the event — its row already checked against the bank's
-    /// schema — into the matcher of this entry, pattern `id`, and emits
-    /// what that finalizes.
+    /// schema, `mask` its variable mask from the bank's index — into the
+    /// matcher of this entry, pattern `id`, and emits what that
+    /// finalizes.
     fn push<P: Probe>(
         &mut self,
         id: usize,
         event: Event,
+        mask: u64,
         global: usize,
         probe: &mut P,
         out: &mut Vec<(usize, Match)>,
     ) -> Result<(), EventError> {
         self.ids.push(EventId::from(global));
-        let emitted = self.sm.push_checked_event(event, probe)?;
+        let emitted = self.sm.push_checked_event(event, mask, probe)?;
         self.peak_omega = self.peak_omega.max(self.sm.active_instances());
         self.emit(id, emitted, out);
         Ok(())
@@ -498,27 +494,23 @@ impl PatternBank {
     }
 
     /// Decides what the push of `event` does with every entry it
-    /// touches, into the scratch: the index's admissions, and whoever's
-    /// heartbeat deadline the event's timestamp reaches. Everyone else
-    /// is left alone.
+    /// touches, into the scratch: the index's admissions, each with the
+    /// variable mask its matcher binds with, and whoever's heartbeat
+    /// deadline the event's timestamp reaches. Everyone else is left
+    /// alone.
     fn route<P: Probe>(&mut self, event: &Event, probe: &mut P) {
-        let Scratch { work, todo } = &mut self.scratch;
-        let ts = event.ts();
+        let Scratch { routed, beats } = &mut self.scratch;
         let n = self.entries.len();
-        self.index.admitted_into(event, work);
-        let hits = work.len();
-        probe.index_hits(hits);
-        probe.index_skips(n - hits);
-        for &i in work.iter() {
-            todo[i] = Todo::Routed;
-        }
+        self.index.admitted_into(event, routed);
+        probe.index_hits(routed.len());
+        probe.index_skips(n - routed.len());
         // Whoever the event is not stored in but whose deadline its
         // timestamp reaches gets the heartbeat; a matcher that stores it
         // learns the time from that.
-        self.entry_due.for_each_due(ts, |i| {
-            if todo[i] == Todo::Idle {
-                todo[i] = Todo::Beat;
-                work.push(i);
+        beats.clear();
+        self.entry_due.for_each_due(event.ts(), |i| {
+            if routed.binary_search_by_key(&i, |&(id, _)| id).is_err() {
+                beats.push(i);
             }
         });
     }
@@ -532,41 +524,33 @@ impl PatternBank {
         event: &Event,
         probe: &mut P,
     ) -> Result<Vec<(usize, Match)>, EventError> {
-        let ts = event.ts();
-        let Scratch { work, todo } = &self.scratch;
+        let Scratch { routed, beats } = &self.scratch;
         let mut out = Vec::new();
-        for &i in work {
+        for &(i, mask) in routed {
             let entry = &mut self.entries[i];
-            match todo[i] {
-                Todo::Routed => {
-                    entry.hits += 1;
-                    entry.push(i, event.clone(), self.next_id, probe, &mut out)?;
-                }
-                Todo::Beat => {
-                    entry.beats += 1;
-                    entry.beat(i, ts, probe, &mut out);
-                }
-                Todo::Idle => unreachable!("routing lists only entries it gave work"),
-            }
+            entry.hits += 1;
+            entry.push(i, event.clone(), mask, self.next_id, probe, &mut out)?;
+        }
+        for &i in beats {
+            let entry = &mut self.entries[i];
+            entry.beats += 1;
+            entry.beat(i, event.ts(), probe, &mut out);
         }
         // Stable, so each pattern keeps its emission order.
         out.sort_by_key(|&(pattern, _)| pattern);
         Ok(out)
     }
 
-    /// Re-reads the heartbeat deadline of every matcher the push touched
-    /// and returns the scratch to its between-pushes state.
+    /// Re-reads the heartbeat deadline of every matcher the push touched.
     fn settle(&mut self) {
-        for &i in &self.scratch.work {
-            self.scratch.todo[i] = Todo::Idle;
+        let Scratch { routed, beats } = &self.scratch;
+        for i in routed.iter().map(|&(i, _)| i).chain(beats.iter().copied()) {
             self.entry_due.set(i, self.entries[i].sm.next_deadline());
         }
     }
 
-    /// Sizes the routing scratch to the registered entries and re-reads
-    /// every matcher's heartbeat deadline.
+    /// Re-reads every matcher's heartbeat deadline.
     fn reschedule(&mut self) {
-        self.scratch.todo.resize(self.entries.len(), Todo::Idle);
         self.entry_due
             .reset(self.entries.iter().map(|e| e.sm.next_deadline()));
     }

@@ -1,5 +1,5 @@
-//! Admission: the per-variable constant mask, computed per event for a
-//! push and by a columnar lane pass for a scan.
+//! Admission: the per-variable constant mask, taken from the predicate
+//! index for a push and computed by a columnar lane pass for a scan.
 //!
 //! The engine decides, for every event, which variables it can bind —
 //! bit *v* of its admission mask is set iff the event satisfies every
@@ -7,9 +7,11 @@
 //! an event whose mask is empty is dropped before the instance loop — the
 //! §4.5 filter. It is computed one of two ways, fixed by the executor:
 //!
-//! * **a push takes the mask** — [`var_mask`], one typed comparison per
-//!   constant condition as the event arrives (`StreamMatcher` and
-//!   everything built on it);
+//! * **a push takes the index's mask** — [`ses_pattern::PatternIndex`]
+//!   hands it over with its admission verdict as the event arrives: one
+//!   typed-table probe per pinned attribute, and only the lanes a pin does
+//!   not decide evaluated (`PatternBank` once for all of its patterns, a
+//!   lone `StreamMatcher` through an index over its one pattern);
 //! * **a scan takes the lane pass** — [`ColumnarBatch::of`], over the whole
 //!   source before the first event is consumed (`Execution`, and with it
 //!   `find`, the key split and the baseline), at any length and for any
@@ -42,24 +44,9 @@
 //! vector is the OR of the group vectors — see `docs/columnar.md` for
 //! the full argument.
 
-use ses_event::{AttrId, CmpOp, Event, EventId, EventSource, StrCodes, Value};
+use ses_event::{AttrId, CmpOp, EventId, EventSource, StrCodes, Value};
 use ses_pattern::{AdmissionLanes, CompiledPattern, ConstLane};
 use std::sync::Arc;
-
-/// The mask a push takes: bit *v* set iff `event` satisfies every
-/// constant condition of `VarId(v)`, by one typed comparison per constant
-/// condition. An event whose mask is `0` binds nothing and is dropped
-/// before the instance loop (§4.5); a variable without constant
-/// conditions sets its bit for every event, so then nothing is dropped.
-/// Computing the mask once per event amortizes every constant-condition
-/// evaluation over all simultaneous instances. It is also the scalar
-/// reference the lane pass is tested against.
-pub(crate) fn var_mask(pattern: &CompiledPattern, event: &Event) -> u64 {
-    (0..pattern.pattern().num_vars()).fold(0u64, |mask, v| {
-        let ok = pattern.satisfies_var_constants(ses_pattern::VarId(v as u16), event);
-        mask | (ok as u64) << v
-    })
-}
 
 /// One type-specialized lane evaluator.
 #[derive(Debug)]
@@ -373,7 +360,7 @@ impl ColumnarBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ses_event::{AttrType, Relation, Schema, Timestamp};
+    use ses_event::{AttrType, Event, Relation, Schema, Timestamp};
     use ses_pattern::{Pattern, VarId};
 
     fn schema() -> Schema {
@@ -394,9 +381,9 @@ mod tests {
     }
 
     /// The lane pass must agree with the scalar reference
-    /// (`satisfies_var_constants` per variable) on every event, and its
-    /// filter bits with "the mask is not empty" — and so with
-    /// [`var_mask`], the mask a push takes.
+    /// (`satisfies_var_constants` per variable) on every event, its
+    /// filter bits with "the mask is not empty" — and with the mask a
+    /// push takes from the predicate index.
     fn assert_matches_scalar(cp: &CompiledPattern, relation: &Relation) {
         let batch = ColumnarBatch::of(cp, relation);
         let n = relation.len();
@@ -409,6 +396,8 @@ mod tests {
             at = batch.next_passing(at + 1);
         }
         assert_eq!(walked, passing, "set-bit walk");
+        let index = ses_pattern::PatternIndex::build([cp]);
+        let mut admitted = Vec::new();
         for i in 0..n {
             let event = relation.event(ses_event::EventId::from(i));
             let mask = batch.admission(i);
@@ -417,11 +406,9 @@ mod tests {
                 let bit = mask >> v & 1 != 0;
                 assert_eq!(bit, scalar, "var {v} bit diverges at event {i}");
             }
-            assert_eq!(
-                var_mask(cp, event),
-                mask,
-                "push and scan masks diverge at event {i}"
-            );
+            index.admitted_into(event, &mut admitted);
+            let pushed = admitted.first().map_or(0, |&(_, m)| m);
+            assert_eq!(pushed, mask, "push and scan masks diverge at event {i}");
         }
     }
 

@@ -484,7 +484,7 @@ impl Omega {
     ///
     /// `var_ok` is the "which variables can this event bind" mask for
     /// `event_id`: precomputed over the whole relation by a scan's lane
-    /// pass, or computed at the push by `var_mask`. An empty mask is the
+    /// pass, or handed to the push by the predicate index. An empty mask is the
     /// §4.5 filter's drop.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn process_event<S: EventSource, P: Probe>(

@@ -10,7 +10,7 @@
 //! | [`automaton`](Automaton) | §4.1–4.2 | powerset construction + concatenation |
 //! | [`buffer`](NodeLog) | §4.1 | O(1)-fork match buffers in a time-ordered node log |
 //! | [`engine`](execute) | §4.3, Alg. 1–2 | `SESExec` / `ConsumeEvent` |
-//! | [`columnar`](AdmittedLog) | §4.5 | admission: the per-variable constant mask is the event filter — a scan takes the lane pass, a push takes the mask |
+//! | [`columnar`](AdmittedLog) | §4.5 | admission: the per-variable constant mask is the event filter — a scan takes the lane pass, a push takes the predicate index's mask |
 //! | [`semantics`](select) | Def. 2 (cond. 4–5) | skip-till-next-match + maximality |
 //! | [`matcher`](Matcher) | — | one-call high-level API |
 //! | [`probe`](Probe) | §5 | zero-cost instrumentation for the experiments |

@@ -10,6 +10,18 @@
 //! result yields exactly the batch [`crate::Matcher::find`] answer
 //! (each match exactly once).
 //!
+//! # Admission
+//!
+//! Every push binds with a variable mask: bit *v* set iff the event
+//! satisfies every constant condition of `VarId(v)`, empty for an event
+//! that can bind nothing (the §4.5 filter drops it before the instance
+//! loop). A matcher never evaluates its constants itself: a
+//! [`crate::PatternBank`] hands each routed matcher the mask its
+//! predicate index computed for all of its patterns at once, and a lone
+//! matcher takes it from a [`PatternIndex`] over its one pattern — the
+//! same code, for `push`, `push_event`, `push_batch` and the
+//! re-admission of a restored window.
+//!
 //! # Watermarks and eager emission
 //!
 //! The latest pushed timestamp is the stream's *watermark* `w`. Because
@@ -53,10 +65,9 @@
 use std::collections::BTreeMap;
 
 use ses_event::{Duration, Event, EventError, Relation, Schema, Timestamp, Value};
-use ses_pattern::Pattern;
+use ses_pattern::{Pattern, PatternIndex};
 
 use crate::buffer::NodeLog;
-use crate::columnar::var_mask;
 use crate::engine::{Instance, Omega, RawMatch};
 use crate::matcher::MatcherOptions;
 use crate::matches::Match;
@@ -73,6 +84,11 @@ use ses_event::EventId;
 pub struct StreamMatcher {
     automaton: Automaton,
     options: MatcherOptions,
+    /// The predicate index over this one pattern: where a push that does
+    /// not come through a bank takes its admission mask.
+    index: PatternIndex,
+    /// [`PatternIndex::admitted_into`]'s reused output.
+    admitted: Vec<(usize, u64)>,
     relation: Relation,
     omega: Omega,
     /// Per-push engine output buffer, drained into `pending`.
@@ -104,6 +120,8 @@ impl StreamMatcher {
         let omega = Omega::new(&automaton);
         Ok(StreamMatcher {
             relation: Relation::new(automaton.pattern().schema().clone()),
+            index: PatternIndex::build([automaton.pattern()]),
+            admitted: Vec::new(),
             automaton,
             options,
             omega,
@@ -135,17 +153,18 @@ impl StreamMatcher {
     ) -> Result<Vec<Match>, EventError> {
         in_order(self.watermark, ts)?;
         let id = self.relation.push_values(ts, values)?;
-        Ok(self.advance_to(ts, Some(id), probe))
+        let mask = admission_mask(&self.index, &mut self.admitted, self.relation.event(id));
+        Ok(self.advance_to(ts, Some((id, mask)), probe))
     }
 
     /// Moves the clock to `ts` — the shared tail of every push flavor
     /// and of the heartbeat. `event` is an event already appended to the
-    /// relation that the engine must run over, admitted by its
-    /// `var_mask`; without an event only time passes.
+    /// relation that the engine must run over, with its variable mask;
+    /// without an event only time passes.
     fn advance_to<P: Probe>(
         &mut self,
         ts: Timestamp,
-        event: Option<EventId>,
+        event: Option<(EventId, u64)>,
         probe: &mut P,
     ) -> Vec<Match> {
         self.watermark = Some(ts);
@@ -160,8 +179,12 @@ impl StreamMatcher {
             // `Omega::expire`). Their accepting buffers join `pending`.
             self.omega
                 .expire(&self.automaton, ts, &mut self.results, probe);
-            if let Some(id) = event {
-                let var_ok = var_mask(self.automaton.pattern(), self.relation.event(id));
+            if let Some((id, var_ok)) = event {
+                debug_assert_eq!(
+                    var_ok,
+                    scalar_mask(self.automaton.pattern(), self.relation.event(id)),
+                    "the index's mask differs from the scalar reference"
+                );
                 self.omega.process_event(
                     &self.automaton,
                     &self.relation,
@@ -212,30 +235,34 @@ impl StreamMatcher {
         probe: &mut P,
     ) -> Result<Vec<Match>, EventError> {
         self.relation.schema().check_row(event.values())?;
-        self.push_checked_event(event, probe)
+        let mask = admission_mask(&self.index, &mut self.admitted, &event);
+        self.push_checked_event(event, mask, probe)
     }
 
     /// [`StreamMatcher::push_event_with_probe`] for an event whose row
-    /// the caller has already checked against this matcher's schema —
-    /// the bank checks each row once, against the one schema all of its
-    /// matchers were compiled with.
+    /// the caller has already checked against this matcher's schema and
+    /// whose variable mask it has already taken from a
+    /// [`PatternIndex`] — the bank checks each row once, against the one
+    /// schema all of its matchers were compiled with, and probes its
+    /// index once for all of them.
     pub(crate) fn push_checked_event<P: Probe>(
         &mut self,
         event: Event,
+        mask: u64,
         probe: &mut P,
     ) -> Result<Vec<Match>, EventError> {
         let ts = event.ts();
         in_order(self.watermark, ts)?;
         let id = self.relation.push_event(event)?;
-        Ok(self.advance_to(ts, Some(id), probe))
+        Ok(self.advance_to(ts, Some((id, mask)), probe))
     }
 
     /// Pushes a micro-batch of events and returns the concatenation of
     /// the per-event results — match-for-match and in the same order as
     /// pushing each event individually, so batch boundaries never change
     /// emission timing. Each event then takes the per-push path, its
-    /// admission mask included: a push takes the mask, only a scan takes
-    /// the lane pass (see `docs/columnar.md`).
+    /// admission mask included: a push takes the index's mask, only a
+    /// scan takes the lane pass (see `docs/columnar.md`).
     ///
     /// Unlike sequential pushes, an invalid batch (out-of-order
     /// timestamp or schema violation anywhere in it) is rejected as a
@@ -259,7 +286,8 @@ impl StreamMatcher {
         }
         let mut out = Vec::new();
         for event in events {
-            let matches = self.push_checked_event(event, probe);
+            let mask = admission_mask(&self.index, &mut self.admitted, &event);
+            let matches = self.push_checked_event(event, mask, probe);
             out.extend(matches.expect("batch validated upfront"));
         }
         Ok(out)
@@ -640,12 +668,9 @@ impl StreamMatcher {
         }
         let first = self.relation.first_index();
         for (i, event) in self.relation.events().iter().enumerate() {
-            self.adjudicator.admit(
-                pattern,
-                EventId::from(first + i),
-                event,
-                var_mask(pattern, event),
-            );
+            let mask = admission_mask(&self.index, &mut self.admitted, event);
+            self.adjudicator
+                .admit(pattern, EventId::from(first + i), event, mask);
         }
     }
 
@@ -732,6 +757,23 @@ impl StreamMatcher {
             .adjudicate_group(group, &self.relation, pattern);
         self.adjudicator.images(finals)
     }
+}
+
+/// The variable mask `index`, an index over one pattern, gives `event`:
+/// bit *v* set iff the event satisfies every constant condition of
+/// `VarId(v)`, `0` when it can bind nothing.
+fn admission_mask(index: &PatternIndex, admitted: &mut Vec<(usize, u64)>, event: &Event) -> u64 {
+    index.admitted_into(event, admitted);
+    admitted.first().map_or(0, |&(_, mask)| mask)
+}
+
+/// The scalar reference a debug build holds every pushed mask to: one
+/// `satisfies_var_constants` per variable.
+fn scalar_mask(pattern: &ses_pattern::CompiledPattern, event: &Event) -> u64 {
+    (0..pattern.pattern().num_vars()).fold(0, |mask, v| {
+        let var = ses_pattern::VarId(v as u16);
+        mask | u64::from(pattern.satisfies_var_constants(var, event)) << v
+    })
 }
 
 /// Refuses a timestamp behind `watermark`. The check is against the

@@ -40,7 +40,7 @@ impl StrColumn {
 
     /// Projects attribute `attr` of `events`.
     pub(crate) fn build(events: &[Event], attr: AttrId) -> StrColumn {
-        let mut index: HashMap<&str, u32, BuildHasherDefault<BytesHasher>> = HashMap::default();
+        let mut index: HashMap<&str, u32, BuildBytesHasher> = HashMap::default();
         let mut dict: Vec<Arc<str>> = Vec::new();
         let mut codes = Vec::with_capacity(events.len());
         for event in events {
@@ -67,18 +67,22 @@ impl StrColumn {
     }
 }
 
-/// Hasher of the dictionary build: the rotate-xor-multiply step of
-/// `ses-core`'s adjudication maps, fed the string's bytes a word at a
-/// time. The build hashes one short string per event, and SipHash's keyed
-/// rounds were a fifth of it.
+/// Hasher of the dictionary build and of `ses-pattern`'s predicate index:
+/// the rotate-xor-multiply step of `ses-core`'s adjudication maps, fed the
+/// key's bytes a word at a time. Both hash one short key per event, and
+/// SipHash's keyed rounds were a fifth of the dictionary build.
 ///
-/// The keys are input, so unlike those maps this one gives up `std`'s
-/// protection against crafted collisions. What that exposes is the first
-/// scan of a relation the caller already loaded whole; the paths that
-/// take events from a peer (streams, the bank, the server) never build a
-/// dictionary.
-#[derive(Default)]
-struct BytesHasher(u64);
+/// It gives up `std`'s protection against crafted collisions. The
+/// dictionary's keys are input, which exposes the first scan of a relation
+/// the caller already loaded whole; the paths that take events from a peer
+/// (streams, the bank, the server) never build a dictionary. The index's
+/// keys are the patterns' constants, so an event only probes a table it
+/// cannot grow.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct BytesHasher(u64);
+
+/// [`BytesHasher`] as a `HashMap`'s hasher parameter.
+pub type BuildBytesHasher = BuildHasherDefault<BytesHasher>;
 
 impl BytesHasher {
     fn mix(&mut self, n: u64) {

@@ -46,7 +46,7 @@ mod time;
 mod value;
 mod view;
 
-pub use column::{StrCodes, StrColumn};
+pub use column::{BuildBytesHasher, BytesHasher, StrCodes, StrColumn};
 pub use error::EventError;
 pub use event::{Event, EventId};
 pub use relation::{Relation, RelationBuilder};

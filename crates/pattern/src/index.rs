@@ -1,4 +1,4 @@
-//! Event→pattern predicate index for multi-pattern (bank) execution.
+//! Event→pattern predicate index: the one admission verdict of a push.
 //!
 //! With N patterns registered against one stream, a naive bank pushes
 //! every event into every matcher. The paper's §4.5 constant-predicate
@@ -23,35 +23,63 @@
 //! heartbeats `p`'s watermark (see `ses-core`'s `PatternBank` and
 //! `docs/patternbank.md` for the full soundness argument).
 //!
+//! The index answers both questions at once. [`PatternIndex::admitted_into`]
+//! lists every pattern an event must reach together with its **variable
+//! mask** — bit `v` set iff the event satisfies every constant condition
+//! of `VarId(v)` — which is exactly the mask the pattern's matcher filters
+//! and binds with. A pattern admitted only through a negation's group
+//! gets mask `0`: it binds nothing, but it must see the event. Every
+//! push path of `ses-core` takes its mask from here, a lone
+//! `StreamMatcher` through an index over its one pattern.
+//!
 //! # Classification
 //!
 //! Each pattern is classified once at build time:
 //!
 //! * **Every** — some variable or negation has *no* constant conditions:
-//!   any event could advance the pattern, so it receives every event.
+//!   any event could advance the pattern, so it receives every event, its
+//!   groups evaluated for the mask.
 //! * **Never** — Θ is provably unsatisfiable (`SES001`): the matcher can
 //!   never emit, so no event is routed (heartbeats only).
 //! * **Indexed** — every admission group pins some attribute to a single
 //!   point value (computed with the interval [`Domain`]): the group
-//!   subscribes under `(attribute, value)` in a hash map, and a push
-//!   probes one key per constrained attribute instead of evaluating N
+//!   subscribes under that value in the attribute's typed table, and a
+//!   push probes one table per pinned attribute instead of evaluating N
 //!   predicates.
 //! * **Scanned** — constrained, but at least one group is not a point
-//!   (e.g. only range conditions): the admission predicate is evaluated
-//!   per event. Still skips — just without the O(1) lookup.
+//!   (e.g. only range conditions): every group is evaluated per event.
+//!   Still skips — just without the lookup.
 //!
-//! Point subscriptions are restricted to `Int`/`Str`/`Bool` values whose
-//! type equals the schema's attribute type: for those, condition
-//! equality coincides with [`PartitionKey`] hash-equality. Floats are
-//! excluded (`-0.0 == 0.0` compares equal but hashes differently), as
-//! are cross-type numeric pins — such groups fall back to **Scanned**,
-//! trading the lookup for unconditional soundness.
+//! # Typed point tables
+//!
+//! Point subscriptions live in one table per attribute, typed by the
+//! schema's attribute type: `Str` and `Int` tables are hash maps probed
+//! with the event's borrowed value (no key is built, nothing is cloned),
+//! hashed with `ses-event`'s [`ses_event::BytesHasher`]; a `Bool` table
+//! is two slots. Only `Int`/`Str`/`Bool` points whose type equals the
+//! attribute's are subscribed: a checked row holds exactly that type
+//! there, and for it condition equality is key equality. Floats are
+//! excluded (`-0.0 == 0.0` compares equal but the two differ bitwise),
+//! as are cross-type numeric pins — such groups fall back to
+//! **Scanned**, trading the lookup for unconditional soundness.
+//!
+//! A table entry records, per subscribed pattern, what the pin decides.
+//! A group whose every lane reads the pinned attribute and holds at the
+//! pinned value is **implied**: an event that finds the entry satisfies
+//! it, so its variable's bit is recorded in the entry and never
+//! re-evaluated. Only the lanes of the other groups that the pin does not
+//! decide — those on other attributes — are evaluated per hit. Each group
+//! is pinned under one value of one attribute, and an event carries one
+//! value per attribute, so every group of an indexed pattern is decided
+//! at most once per event and a group not found in any table does not
+//! hold: the masks the tables assemble are exact.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use ses_event::{AttrId, Event, PartitionKey, Value};
+use ses_event::{AttrId, BuildBytesHasher, Event, Value};
 
-use crate::{AdmissionGroup, AdmissionLanes, CompiledPattern, Domain};
+use crate::{AdmissionGroup, AdmissionLanes, CompiledPattern, ConstLane, Domain, LaneOwner};
 
 /// How the index routes events to one registered pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,15 +90,15 @@ pub enum IndexClass {
     /// Θ is provably unsatisfiable — the pattern sees no event at all.
     Never,
     /// Every admission group is pinned to a point: events reach the
-    /// pattern through the hash lookup.
+    /// pattern through the typed point tables.
     Indexed,
-    /// The admission predicate is evaluated against every event.
+    /// Every admission group is evaluated against every event.
     Scanned,
 }
 
 /// The `(attribute, value)` point every event satisfying group `g` of
-/// `lanes` is pinned to, when one exists and its equality is
-/// hash-faithful (see the module docs). Groups whose interval domain is
+/// `lanes` is pinned to, when one exists and its equality is key
+/// equality (see the module docs). Groups whose interval domain is
 /// provably empty return the marker `Empty` instead — no event satisfies
 /// them, and the caller drops them outright.
 fn group_point(
@@ -95,9 +123,9 @@ fn group_point(
             continue;
         }
         if let Some(v) = dom.point() {
-            let hash_faithful = matches!(v, Value::Int(_) | Value::Str(_) | Value::Bool(_))
+            let keyed = matches!(v, Value::Int(_) | Value::Str(_) | Value::Bool(_))
                 && v.attr_type() == pattern.schema().attr_type(attr);
-            if hash_faithful {
+            if keyed {
                 point = GroupPoint::At(attr, v.clone());
             }
         }
@@ -106,7 +134,7 @@ fn group_point(
 }
 
 enum GroupPoint {
-    /// No hash-faithful point — the group forces a scan.
+    /// No keyed point — the group forces a scan.
     None,
     /// Pinned to `(attr, value)`.
     At(AttrId, Value),
@@ -114,41 +142,119 @@ enum GroupPoint {
     Empty,
 }
 
-/// Per-pattern admission predicate.
+/// One admission group, reduced to what an event must still be tested
+/// for.
 #[derive(Debug, Clone)]
-enum Admission {
-    Every,
-    Never,
-    /// The event must fully satisfy at least one of the listed groups of
-    /// the pattern's lanes — those whose conjunction is satisfiable.
-    Groups {
-        lanes: AdmissionLanes,
-        kept: Vec<AdmissionGroup>,
-    },
+struct Check {
+    /// The variable bits the group sets when it holds — `0` for a
+    /// negation's group, which admits without binding.
+    bits: u64,
+    /// Lanes (indices into the pattern's [`AdmissionLanes::lanes`]) still
+    /// to evaluate; none when the group holds outright.
+    lanes: Vec<usize>,
+}
+
+/// The verdict of `checks` on `event`: `None` when no group holds,
+/// otherwise the OR of the holding groups' bits.
+fn verdict(checks: &[Check], lanes: &[ConstLane], event: &Event) -> Option<u64> {
+    let mut verdict = None;
+    for check in checks {
+        if check.lanes.iter().all(|&i| lanes[i].eval(event)) {
+            verdict = Some(verdict.unwrap_or(0) | check.bits);
+        }
+    }
+    verdict
+}
+
+/// One pattern's subscription under one table key: its groups pinned
+/// there. The groups the pin implies come first, merged into one check
+/// without lanes.
+#[derive(Debug, Clone)]
+struct Hit {
+    pattern: usize,
+    checks: Vec<Check>,
+}
+
+/// The point subscriptions of one attribute, typed by the attribute's
+/// schema type and probed with the event's borrowed value. Each entry's
+/// hits ascend by pattern id.
+#[derive(Debug, Clone)]
+enum Points {
+    Str(HashMap<Arc<str>, Vec<Hit>, BuildBytesHasher>),
+    Int(HashMap<i64, Vec<Hit>, BuildBytesHasher>),
+    /// Indexed by the value (`false` = 0).
+    Bool([Vec<Hit>; 2]),
+}
+
+impl Points {
+    /// An empty table for values of `value`'s type.
+    fn for_value(value: &Value) -> Points {
+        match value {
+            Value::Str(_) => Points::Str(HashMap::default()),
+            Value::Int(_) => Points::Int(HashMap::default()),
+            Value::Bool(_) => Points::Bool([Vec::new(), Vec::new()]),
+            Value::Float(_) => unreachable!("Float points are never subscribed"),
+        }
+    }
+
+    /// The hits subscribed under `value`.
+    fn get(&self, value: &Value) -> &[Hit] {
+        let hits = match (self, value) {
+            (Points::Str(table), Value::Str(s)) => table.get(&**s),
+            (Points::Int(table), Value::Int(x)) => table.get(x),
+            (Points::Bool(slots), Value::Bool(b)) => Some(&slots[usize::from(*b)]),
+            _ => None,
+        };
+        hits.map_or(&[], Vec::as_slice)
+    }
+
+    /// The hits subscribed under `value`, created empty if need be.
+    fn entry(&mut self, value: &Value) -> &mut Vec<Hit> {
+        match (self, value) {
+            (Points::Str(table), Value::Str(s)) => table.entry(Arc::clone(s)).or_default(),
+            (Points::Int(table), Value::Int(x)) => table.entry(*x).or_default(),
+            (Points::Bool(slots), Value::Bool(b)) => &mut slots[usize::from(*b)],
+            _ => unreachable!("an attribute's points share its schema type"),
+        }
+    }
+
+    /// Number of `(value, pattern)` subscriptions.
+    fn len(&self) -> usize {
+        match self {
+            Points::Str(table) => table.values().map(Vec::len).sum(),
+            Points::Int(table) => table.values().map(Vec::len).sum(),
+            Points::Bool(slots) => slots.iter().map(Vec::len).sum(),
+        }
+    }
+}
+
+/// Per-pattern admission predicate: the pattern's lanes and one check
+/// per admission group an event can satisfy (provably empty groups are
+/// dropped — they hold on no event and set no bit).
+#[derive(Debug, Clone)]
+struct Admission {
+    lanes: Vec<ConstLane>,
+    checks: Vec<Check>,
 }
 
 /// An event→pattern predicate index over N compiled patterns sharing
 /// one schema.
 ///
 /// Built once at bank construction; [`PatternIndex::admitted_into`] lists
-/// the ids of the patterns an event must reach, and
-/// [`PatternIndex::admits`] answers the per-pattern question directly.
-/// See the module docs for the admission criterion and its soundness.
+/// the patterns an event must reach, each with its variable mask, and
+/// [`PatternIndex::verdict`] evaluates one pattern's groups in full. See
+/// the module docs for the admission criterion and its soundness.
 #[derive(Debug, Clone)]
 pub struct PatternIndex {
-    admissions: Vec<Admission>,
+    /// `None` for a `Never` pattern.
+    admissions: Vec<Option<Admission>>,
     classes: Vec<IndexClass>,
-    /// Patterns that receive every event.
-    every: Vec<usize>,
-    /// Patterns whose predicate is evaluated per event.
-    scan: Vec<usize>,
-    /// Point subscriptions: `(attr, value-key) → pattern ids` (deduped,
-    /// ascending). Candidates are verified against the full admission
-    /// predicate before routing.
-    point: HashMap<(AttrId, PartitionKey), Vec<usize>>,
-    /// Distinct attributes with point subscriptions — the keys a lookup
-    /// probes.
-    point_attrs: Vec<AttrId>,
+    /// `Every` and `Scanned` patterns, ascending: their groups are
+    /// evaluated on every event.
+    checked: Vec<usize>,
+    /// The typed point tables, one per attribute with subscriptions,
+    /// ascending by attribute.
+    points: Vec<(AttrId, Points)>,
 }
 
 impl PatternIndex {
@@ -159,28 +265,18 @@ impl PatternIndex {
         let mut idx = PatternIndex {
             admissions: Vec::new(),
             classes: Vec::new(),
-            every: Vec::new(),
-            scan: Vec::new(),
-            point: HashMap::new(),
-            point_attrs: Vec::new(),
+            checked: Vec::new(),
+            points: Vec::new(),
         };
         for (id, cp) in patterns.into_iter().enumerate() {
-            let (admission, class) = classify(cp, id, &mut idx.point);
-            match class {
-                IndexClass::Every => idx.every.push(id),
-                IndexClass::Scanned => idx.scan.push(id),
-                IndexClass::Indexed | IndexClass::Never => {}
+            let (admission, class) = idx.classify(cp, id);
+            if matches!(class, IndexClass::Every | IndexClass::Scanned) {
+                idx.checked.push(id);
             }
             idx.admissions.push(admission);
             idx.classes.push(class);
         }
-        idx.point_attrs = idx.point.keys().map(|(a, _)| *a).collect();
-        idx.point_attrs.sort_unstable();
-        idx.point_attrs.dedup();
-        for ids in idx.point.values_mut() {
-            ids.sort_unstable();
-            ids.dedup();
-        }
+        idx.points.sort_unstable_by_key(|&(attr, _)| attr);
         idx
     }
 
@@ -199,89 +295,167 @@ impl PatternIndex {
         self.classes[id]
     }
 
-    /// Number of `(attribute, value)` point subscriptions.
+    /// Number of `(attribute, value)` point subscriptions, counted once
+    /// per pattern subscribed under each.
     pub fn point_subscriptions(&self) -> usize {
-        self.point.values().map(Vec::len).sum()
+        self.points.iter().map(|(_, points)| points.len()).sum()
     }
 
-    /// `true` iff `event` must reach pattern `id`: it satisfies some
-    /// admission group in full (or the pattern is classified `Every`).
-    pub fn admits(&self, id: usize, event: &Event) -> bool {
-        match &self.admissions[id] {
-            Admission::Every => true,
-            Admission::Never => false,
-            Admission::Groups { lanes, kept } => kept.iter().any(|g| lanes.group_holds(g, event)),
-        }
+    /// Pattern `id`'s admission verdict on `event`, every group evaluated
+    /// in full: `None` when no group holds (the event cannot advance the
+    /// pattern), otherwise its variable mask — `Some(0)` when only a
+    /// negation's group holds.
+    pub fn verdict(&self, id: usize, event: &Event) -> Option<u64> {
+        let a = self.admissions[id].as_ref()?;
+        verdict(&a.checks, &a.lanes, event)
     }
 
-    /// Writes into `out` (cleared first) the ids of every pattern
-    /// `event` must reach, ascending and deduped: the `Every` patterns,
-    /// the scanned patterns whose predicate holds, and the verified
-    /// point-lookup candidates. The caller owns and reuses the buffer —
-    /// this runs once per pushed event.
-    pub fn admitted_into(&self, event: &Event, out: &mut Vec<usize>) {
+    /// Writes into `out` (cleared first) every pattern `event` must
+    /// reach, with its variable mask, ascending by pattern id and each
+    /// once: the `Every` patterns, the scanned patterns some group of
+    /// which holds, and the point-table hits that hold. The caller owns
+    /// and reuses the buffer — this runs once per pushed event.
+    pub fn admitted_into(&self, event: &Event, out: &mut Vec<(usize, u64)>) {
         out.clear();
-        out.extend_from_slice(&self.every);
-        out.extend(self.scan.iter().copied().filter(|&i| self.admits(i, event)));
-        for &attr in &self.point_attrs {
-            let key = (attr, PartitionKey::of(event.value(attr)));
-            if let Some(ids) = self.point.get(&key) {
-                out.extend(ids.iter().copied().filter(|&i| self.admits(i, event)));
+        for &id in &self.checked {
+            if let Some(mask) = self.verdict(id, event) {
+                out.push((id, mask));
             }
         }
-        out.sort_unstable();
-        out.dedup();
+        for (attr, points) in &self.points {
+            for hit in points.get(event.value(*attr)) {
+                let lanes = match &self.admissions[hit.pattern] {
+                    Some(a) => &a.lanes[..],
+                    None => unreachable!("a Never pattern subscribes nowhere"),
+                };
+                if let Some(mask) = verdict(&hit.checks, lanes, event) {
+                    out.push((hit.pattern, mask));
+                }
+            }
+        }
+        // A pattern pinned on two attributes is hit once per attribute:
+        // its groups are disjoint between the hits, so their masks OR.
+        if out.windows(2).any(|w| w[0].0 >= w[1].0) {
+            out.sort_unstable_by_key(|&(id, _)| id);
+            out.dedup_by(|later, kept| {
+                let same = later.0 == kept.0;
+                if same {
+                    kept.1 |= later.1;
+                }
+                same
+            });
+        }
     }
-}
 
-/// Builds pattern `id`'s admission groups and classification, inserting
-/// point subscriptions into `point` as a side effect.
-///
-/// The group derivation itself lives in [`AdmissionLanes`] — the same
-/// enumeration the columnar evaluation layer consumes — so index
-/// admission and bitmask admission cannot drift apart.
-fn classify(
-    cp: &CompiledPattern,
-    id: usize,
-    point: &mut HashMap<(AttrId, PartitionKey), Vec<usize>>,
-) -> (Admission, IndexClass) {
-    if !cp.is_satisfiable() {
-        return (Admission::Never, IndexClass::Never);
-    }
-    let lanes = AdmissionLanes::of(cp);
-    if lanes.groups().iter().any(|g| g.lanes.is_empty()) {
+    /// Builds pattern `id`'s admission and classification, subscribing
+    /// its groups in the point tables when it is `Indexed`.
+    ///
+    /// The group derivation itself lives in [`AdmissionLanes`] — the same
+    /// enumeration the columnar evaluation layer consumes — so index
+    /// admission and bitmask admission cannot drift apart.
+    fn classify(&mut self, cp: &CompiledPattern, id: usize) -> (Option<Admission>, IndexClass) {
+        if !cp.is_satisfiable() {
+            return (None, IndexClass::Never);
+        }
+        let lanes = AdmissionLanes::of(cp);
         // An unconstrained variable (any event could bind) or a negation
         // whose constant conjunction holds vacuously (any event could be
         // a killer).
-        return (Admission::Every, IndexClass::Every);
-    }
-    // No groups at all (no variables and no negations) is nothing to
-    // advance: indexed, and never admitted.
-    let mut kept = Vec::with_capacity(lanes.groups().len());
-    let mut all_pointed = true;
-    let mut points = Vec::new();
-    for g in lanes.groups() {
-        match group_point(cp, &lanes, g) {
-            // No event satisfies the group's conjunction: admitting
-            // through it is impossible, so it contributes nothing.
-            GroupPoint::Empty => continue,
-            GroupPoint::At(attr, value) => points.push((attr, value)),
-            GroupPoint::None => all_pointed = false,
+        let every = lanes.groups().iter().any(|g| g.lanes.is_empty());
+        let mut checks = Vec::with_capacity(lanes.groups().len());
+        let mut pins = Vec::new();
+        let mut all_pinned = true;
+        for g in lanes.groups() {
+            let bits = match g.owner {
+                LaneOwner::Var(v) => v.bit(),
+                LaneOwner::Negation(_) => 0,
+            };
+            match group_point(cp, &lanes, g) {
+                // No event satisfies the group's conjunction: admitting
+                // through it is impossible, and its bit is never set.
+                GroupPoint::Empty => continue,
+                GroupPoint::At(attr, value) => pins.push((checks.len(), attr, value)),
+                GroupPoint::None => all_pinned = false,
+            }
+            checks.push(Check {
+                bits,
+                lanes: g.lanes.clone(),
+            });
         }
-        kept.push(g.clone());
+        // No groups at all (no variables and no negations) is nothing to
+        // advance: indexed, and never admitted.
+        let class = if every {
+            IndexClass::Every
+        } else if all_pinned {
+            for (check, attr, value) in pins {
+                self.subscribe(id, &lanes, &checks[check], attr, &value);
+            }
+            IndexClass::Indexed
+        } else {
+            IndexClass::Scanned
+        };
+        let admission = Admission {
+            lanes: lanes.lanes().to_vec(),
+            checks,
+        };
+        (Some(admission), class)
     }
-    let class = if all_pointed {
-        for (attr, value) in points {
-            point
-                .entry((attr, PartitionKey::of(&value)))
-                .or_default()
-                .push(id);
+
+    /// Subscribes `check`, a group of pattern `id`, under `attr = value`.
+    /// The lanes the pin decides are dropped from it; when none is left
+    /// the group is implied and its bits merge into the hit's first check.
+    fn subscribe(
+        &mut self,
+        id: usize,
+        lanes: &AdmissionLanes,
+        check: &Check,
+        attr: AttrId,
+        value: &Value,
+    ) {
+        let residual: Vec<usize> = check
+            .lanes
+            .iter()
+            .copied()
+            .filter(|&i| {
+                let lane = &lanes.lanes()[i];
+                lane.attr != attr || !value.compare(lane.op, &lane.value)
+            })
+            .collect();
+        let at = match self.points.iter().position(|(a, _)| *a == attr) {
+            Some(at) => at,
+            None => {
+                self.points.push((attr, Points::for_value(value)));
+                self.points.len() - 1
+            }
+        };
+        let hits = self.points[at].1.entry(value);
+        // Patterns are classified in id order: this pattern's hit, if it
+        // has one here, is the last.
+        if hits.last().is_none_or(|h| h.pattern != id) {
+            hits.push(Hit {
+                pattern: id,
+                checks: Vec::new(),
+            });
         }
-        IndexClass::Indexed
-    } else {
-        IndexClass::Scanned
-    };
-    (Admission::Groups { lanes, kept }, class)
+        let checks = &mut hits.last_mut().expect("pushed above").checks;
+        if residual.is_empty() {
+            match checks.first_mut() {
+                Some(implied) if implied.lanes.is_empty() => implied.bits |= check.bits,
+                _ => checks.insert(
+                    0,
+                    Check {
+                        bits: check.bits,
+                        lanes: Vec::new(),
+                    },
+                ),
+            }
+        } else {
+            checks.push(Check {
+                bits: check.bits,
+                lanes: residual,
+            });
+        }
+    }
 }
 
 #[cfg(test)]
@@ -302,11 +476,20 @@ mod tests {
         Event::new(Timestamp::new(0), vec![Value::from(l), Value::from(id)])
     }
 
-    fn admitted(idx: &PatternIndex, event: &Event) -> Vec<usize> {
+    /// The admitted patterns with their masks.
+    fn routed(idx: &PatternIndex, event: &Event) -> Vec<(usize, u64)> {
         // Stale content must not leak into the answer.
-        let mut out = vec![usize::MAX];
+        let mut out = vec![(usize::MAX, u64::MAX)];
         idx.admitted_into(event, &mut out);
         out
+    }
+
+    fn admitted(idx: &PatternIndex, event: &Event) -> Vec<usize> {
+        routed(idx, event).into_iter().map(|(id, _)| id).collect()
+    }
+
+    fn admits(idx: &PatternIndex, id: usize, event: &Event) -> bool {
+        idx.verdict(id, event).is_some()
     }
 
     fn typed(a: &str, b: &str) -> CompiledPattern {
@@ -331,8 +514,8 @@ mod tests {
         assert_eq!(idx.point_subscriptions(), 4);
         assert_eq!(admitted(&idx, &event("A", 1)), vec![0]);
         assert_eq!(admitted(&idx, &event("D", 1)), vec![1]);
-        assert!(idx.admits(0, &event("B", 1)));
-        assert!(!idx.admits(0, &event("C", 1)));
+        assert!(admits(&idx, 0, &event("B", 1)));
+        assert!(!admits(&idx, 0, &event("C", 1)));
     }
 
     #[test]
@@ -389,7 +572,7 @@ mod tests {
         // The A event matches the dead pattern's constants, but routing
         // it would be wasted work: Θ can never be satisfied.
         assert_eq!(admitted(&idx, &event("A", 7)), vec![1]);
-        assert!(!idx.admits(0, &event("A", 7)));
+        assert!(!admits(&idx, 0, &event("A", 7)));
     }
 
     #[test]
@@ -450,7 +633,7 @@ mod tests {
             .unwrap();
         let idx = PatternIndex::build([&p]);
         assert_eq!(idx.class(0), IndexClass::Indexed);
-        assert!(idx.admits(0, &event("X", 1)));
+        assert!(admits(&idx, 0, &event("X", 1)));
         assert!(admitted(&idx, &event("Y", 1)).is_empty());
     }
 
@@ -472,7 +655,7 @@ mod tests {
             .unwrap();
         let idx = PatternIndex::build([&p]);
         assert_eq!(idx.class(0), IndexClass::Every);
-        assert!(idx.admits(0, &event("Z", 1)));
+        assert!(admits(&idx, 0, &event("Z", 1)));
     }
 
     #[test]
@@ -492,7 +675,7 @@ mod tests {
         let idx = PatternIndex::build([&p]);
         // Either the analyzer already proved Θ empty (Never), or the
         // index dropped the empty group; both route the A event nowhere.
-        assert!(!idx.admits(0, &event("A", 1)));
+        assert!(!admits(&idx, 0, &event("A", 1)));
     }
 
     #[test]
@@ -525,8 +708,8 @@ mod tests {
         );
         let pos = Event::new(Timestamp::new(0), vec![Value::from("A"), Value::from(0.0)]);
         let neg = Event::new(Timestamp::new(0), vec![Value::from("A"), Value::from(-0.0)]);
-        assert!(idx.admits(0, &pos));
-        assert!(idx.admits(0, &neg));
+        assert!(admits(&idx, 0, &pos));
+        assert!(admits(&idx, 0, &neg));
         assert_eq!(admitted(&idx, &pos), vec![0]);
         assert_eq!(admitted(&idx, &neg), vec![0]);
 
@@ -545,6 +728,119 @@ mod tests {
         assert_eq!(idx2.point_subscriptions(), 0);
         let neg_only = Event::new(Timestamp::new(0), vec![Value::from("Z"), Value::from(-0.0)]);
         assert_eq!(admitted(&idx2, &neg_only), vec![0]);
+    }
+
+    #[test]
+    fn two_pins_on_two_attributes_or_their_hits() {
+        // `a` is pinned on L, `b` on ID: an event can find the pattern in
+        // both tables, and its mask is the OR of the two hits.
+        let p = Pattern::builder()
+            .set(|s| s.var("a").var("b"))
+            .cond_const("a", "L", CmpOp::Eq, "A")
+            .cond_const("b", "ID", CmpOp::Eq, 1)
+            .within(Duration::ticks(5))
+            .build()
+            .unwrap()
+            .compile(&schema())
+            .unwrap();
+        let idx = PatternIndex::build([&typed("B", "C"), &p]);
+        assert_eq!(idx.class(1), IndexClass::Indexed);
+        assert_eq!(routed(&idx, &event("A", 1)), vec![(1, 0b11)]);
+        assert_eq!(routed(&idx, &event("A", 2)), vec![(1, 0b01)]);
+        assert_eq!(routed(&idx, &event("B", 1)), vec![(0, 0b01), (1, 0b10)]);
+        assert!(routed(&idx, &event("Z", 2)).is_empty());
+    }
+
+    #[test]
+    fn implied_groups_set_their_bits_and_extra_lanes_are_evaluated() {
+        // `a` and `b` both read only L = 'A': the pin implies both. `c`
+        // adds ID > 3 beside its pin, which each hit evaluates.
+        let p = Pattern::builder()
+            .set(|s| s.var("a").var("b").var("c"))
+            .cond_const("a", "L", CmpOp::Eq, "A")
+            .cond_const("b", "L", CmpOp::Eq, "A")
+            .cond_const("c", "L", CmpOp::Eq, "A")
+            .cond_const("c", "ID", CmpOp::Gt, 3)
+            .within(Duration::ticks(5))
+            .build()
+            .unwrap()
+            .compile(&schema())
+            .unwrap();
+        let idx = PatternIndex::build([&p]);
+        assert_eq!(idx.class(0), IndexClass::Indexed);
+        assert_eq!(idx.point_subscriptions(), 1);
+        assert_eq!(routed(&idx, &event("A", 5)), vec![(0, 0b111)]);
+        assert_eq!(routed(&idx, &event("A", 1)), vec![(0, 0b011)]);
+        assert_eq!(idx.verdict(0, &event("A", 1)), Some(0b011));
+    }
+
+    #[test]
+    fn a_negation_admits_with_mask_zero() {
+        let p = Pattern::builder()
+            .set(|s| s.var("a"))
+            .negate("x")
+            .set(|s| s.var("b"))
+            .cond_const("a", "L", CmpOp::Eq, "A")
+            .cond_const("b", "L", CmpOp::Eq, "B")
+            .neg_cond_const("x", "L", CmpOp::Eq, "X")
+            .within(Duration::ticks(5))
+            .build()
+            .unwrap()
+            .compile(&schema())
+            .unwrap();
+        let idx = PatternIndex::build([&p]);
+        assert_eq!(routed(&idx, &event("X", 1)), vec![(0, 0)]);
+        assert_eq!(routed(&idx, &event("B", 1)), vec![(0, 0b10)]);
+    }
+
+    #[test]
+    fn bool_points_take_the_two_slot_table() {
+        let bschema = Schema::builder()
+            .attr("L", AttrType::Str)
+            .attr("F", AttrType::Bool)
+            .build()
+            .unwrap();
+        let p = Pattern::builder()
+            .set(|s| s.var("a").var("b"))
+            .cond_const("a", "F", CmpOp::Eq, true)
+            .cond_const("b", "F", CmpOp::Eq, false)
+            .cond_const("b", "L", CmpOp::Eq, "B")
+            .within(Duration::ticks(5))
+            .build()
+            .unwrap()
+            .compile(&bschema)
+            .unwrap();
+        let idx = PatternIndex::build([&p]);
+        assert_eq!(idx.class(0), IndexClass::Indexed);
+        let ev =
+            |l: &str, f: bool| Event::new(Timestamp::new(0), vec![Value::from(l), Value::from(f)]);
+        assert_eq!(routed(&idx, &ev("B", true)), vec![(0, 0b01)]);
+        assert_eq!(routed(&idx, &ev("B", false)), vec![(0, 0b10)]);
+        assert!(routed(&idx, &ev("C", false)).is_empty());
+    }
+
+    #[test]
+    fn every_and_scanned_patterns_carry_their_masks() {
+        // `b` is unconstrained (Every): its bit is set on every event.
+        let every = Pattern::builder()
+            .set(|s| s.var("a").var("b"))
+            .cond_const("a", "L", CmpOp::Eq, "A")
+            .within(Duration::ticks(5))
+            .build()
+            .unwrap()
+            .compile(&schema())
+            .unwrap();
+        let scanned = Pattern::builder()
+            .set(|s| s.var("a"))
+            .cond_const("a", "ID", CmpOp::Gt, 3)
+            .within(Duration::ticks(5))
+            .build()
+            .unwrap()
+            .compile(&schema())
+            .unwrap();
+        let idx = PatternIndex::build([&every, &scanned]);
+        assert_eq!(routed(&idx, &event("A", 5)), vec![(0, 0b11), (1, 0b1)]);
+        assert_eq!(routed(&idx, &event("Z", 1)), vec![(0, 0b10)]);
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //! it, so the group semantics cannot drift apart:
 //!
 //! * `PatternIndex` keeps the lanes, derives each group's point pin
-//!   from them and tests a group with [`AdmissionLanes::group_holds`]
-//!   (see `index.rs`).
+//!   from them, and per event evaluates only the lanes a pin does not
+//!   decide (see `index.rs`); [`AdmissionLanes::group_holds`] states a
+//!   group's meaning one event at a time.
 //! * `ses-core`'s `columnar` module evaluates each lane into a bitmask
 //!   vector and ANDs a group's lanes word-by-word.
 //!

@@ -242,37 +242,51 @@ pub fn analyzer_pattern_strategy() -> impl Strategy<Value = Pattern> {
 /// makes bank-of-one ≡ a lone `StreamMatcher` part of every bank
 /// property), so they share
 /// event types from [`TYPES`] (overlapping routing), plus optionally
-/// one pattern the predicate index routes nothing to, riding along with
-/// live ones: either pinned to a constant `ID` no generated relation
-/// carries (ids are `1..3`, the pin is `7`), or provably unsatisfiable
-/// (`ID > 10 ∧ ID < 5`) — a matcher that runs no engine and whose
-/// heartbeat could only ever evict.
+/// one rider that takes a branch of the predicate index's verdict the
+/// `L`-pinned patterns do not:
+///
+/// * a pattern the index routes nothing to, either pinned to a constant
+///   `ID` no generated relation carries (ids are `1..3`, the pin is `7`),
+///   or provably unsatisfiable (`ID > 10 ∧ ID < 5`) — a matcher that
+///   runs no engine and whose heartbeat could only ever evict;
+/// * a pattern pinned on `ID` alone (`f.ID = 1`), found in the `Int`
+///   table beside the others' `Str` pins;
+/// * a range-only pattern (`f.ID > 1`), whose group is evaluated on
+///   every event (Scanned);
+/// * `a THEN NOT n THEN b` with `n.L = 'X'`: `X` rows are admitted only
+///   through the negation, with mask `0`;
+/// * a set `{f, g}` whose `g` has no constant condition: every event is
+///   admitted, `g`'s bit always set (Every).
 pub fn pattern_set_strategy() -> impl Strategy<Value = Vec<Pattern>> {
-    (proptest::collection::vec(pattern_strategy(), 1..4), 0u8..3).prop_map(
+    (proptest::collection::vec(pattern_strategy(), 1..4), 0u8..7).prop_map(
         |(mut patterns, rider)| {
-            let typed = || {
-                Pattern::builder()
-                    .set(|s| s.var("f"))
-                    .cond_const("f", "L", CmpOp::Eq, TYPES[0])
-            };
-            match rider {
-                1 => patterns.push(
-                    typed()
-                        .cond_const("f", "ID", CmpOp::Eq, 7)
-                        .within(Duration::ticks(5))
-                        .build()
-                        .unwrap(),
-                ),
-                2 => patterns.push(
+            let f = || Pattern::builder().set(|s| s.var("f"));
+            let typed = || f().cond_const("f", "L", CmpOp::Eq, TYPES[0]);
+            let rider = match rider {
+                1 => typed().cond_const("f", "ID", CmpOp::Eq, 7),
+                2 => {
                     typed()
                         .cond_const("f", "ID", CmpOp::Gt, 10)
                         .cond_const("f", "ID", CmpOp::Lt, 5)
-                        .within(Duration::ticks(5))
-                        .build()
-                        .unwrap(),
+                }
+                3 => f().cond_const("f", "ID", CmpOp::Eq, 1),
+                4 => f().cond_const("f", "ID", CmpOp::Gt, 1),
+                5 => Pattern::builder()
+                    .set(|s| s.var("a"))
+                    .negate("n")
+                    .set(|s| s.var("b"))
+                    .cond_const("a", "L", CmpOp::Eq, TYPES[0])
+                    .cond_const("b", "L", CmpOp::Eq, TYPES[1])
+                    .neg_cond_const("n", "L", CmpOp::Eq, TYPES[2]),
+                6 => Pattern::builder().set(|s| s.var("f").var("g")).cond_const(
+                    "f",
+                    "L",
+                    CmpOp::Eq,
+                    TYPES[0],
                 ),
-                _ => {}
-            }
+                _ => return patterns,
+            };
+            patterns.push(rider.within(Duration::ticks(5)).build().unwrap());
             patterns
         },
     )
