@@ -34,9 +34,9 @@ USAGE:
                     in one pass over the input, whatever its length.
                     --propagate runs the static analyzer first: derived
                     constants can rescue the filter, see `check`.
-                    --partition auto splits the scan per proven partition
-                    key and scans the partitions one after another, each
-                    with only its own runs, before one adjudication; an
+                    --partition auto keeps one instance set per value of
+                    a proven partition key, so each event meets only its
+                    own key's runs, before one adjudication; an
                     explicit ATTR is refused unless the analyzer proves
                     it. --stats reports the partition layout)
   ses-cli stream   (--query <file-or-text> | --patterns <file-or-dir>)
@@ -456,7 +456,7 @@ fn cmd_check(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         let spans = ses_query::condition_spans(ast);
         let analysis = ses_pattern::analyze(&pattern, &schema);
         // Proven partition keys: attributes whose equality graph connects
-        // every variable, so `run --partition auto` can parallelize.
+        // every variable, so `run --partition auto` can split by key.
         let partition_keys: Vec<String> = pattern
             .compile(&schema)
             .map(|c| {
@@ -1474,8 +1474,8 @@ mod tests {
         assert!(lanes_row(&out), "{out}");
         std::fs::remove_file(&data).ok();
         // … and so does a generated ward: Q1's constants all test the
-        // `Str` attribute `L`, whose lanes read its column, also through
-        // the views of a key split, which answer as the global scan does.
+        // `Str` attribute `L`, whose lanes read its column, also in the
+        // key split, which answers as the global scan does at this scale.
         let ward = std::env::temp_dir()
             .join(format!("ses-cli-ward-{}.csv", std::process::id()))
             .to_string_lossy()

@@ -743,13 +743,12 @@ mod tests {
     //
     // `ViableIndex` is filled from admission verdicts and from nothing
     // else; `ViableIndex::classify` is the relation scan it replaced.
-    // Wherever a verdict is produced — a batch scan's lane pass, the
-    // views of the key split, every push flavor of a stream, a restored
-    // stream — the lists must be the reference's.
+    // Wherever a verdict is produced — a batch scan's lane pass, the key
+    // split's, every push flavor of a stream, a restored stream — the
+    // lists must be the reference's.
 
-    use crate::engine::{scan, AdmittedLog};
+    use crate::engine::{scan, scan_by_key, AdmittedLog};
     use crate::matcher::{Matcher, MatcherOptions};
-    use crate::parallel::scan_partitioned;
     use crate::{MatchSemantics, NoProbe, StreamMatcher};
     use proptest::prelude::*;
     use ses_event::{AttrType, CmpOp, Duration, Schema, Value};
@@ -861,8 +860,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// (a) A batch scan, which admits through the lane pass at every
-        /// relation length; (b) the key split, which remaps each view's
-        /// local log and merges them.
+        /// relation length; (b) the key split, which logs each event its
+        /// key's Ω is offered.
         #[test]
         fn batch_and_split_scans_log_the_viable_lists(
             pat in pattern_strategy(),
@@ -879,7 +878,7 @@ mod tests {
             prop_assert_eq!(&AdmittedLog::of(cp, &rel), &log, "`of` is the scan's log");
 
             let key = schema().attr_id("ID").unwrap();
-            let (_, split) = scan_partitioned(matcher.automaton(), &rel, key, selection, &mut NoProbe);
+            let (_, split) = scan_by_key(matcher.automaton(), &rel, key, selection, &mut NoProbe);
             prop_assert_eq!(&split, &log, "partitioned");
         }
 

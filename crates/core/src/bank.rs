@@ -741,7 +741,7 @@ impl PatternBank {
                 )));
             }
             let sm = &mut entry.sm;
-            sm.apply_snapshot(&ps.matcher)
+            sm.apply_snapshot(&ps.matcher, Some((&bank.index, i)))
                 .map_err(|e| mismatch(format!("pattern `{name}`: {e}")))?;
             if ps.ids.len() != sm.relation().len()
                 || ps.base as usize != sm.relation().first_index()
@@ -818,7 +818,7 @@ impl PatternBank {
                 reason: format!("a pattern named `{name}` is already registered"),
             });
         }
-        let sm = StreamMatcher::with_options(pattern, &self.schema, options)?;
+        let sm = StreamMatcher::unindexed(pattern, &self.schema, options)?;
         // A push checks its row against the bank's schema once and then
         // trusts it in every matcher.
         assert!(

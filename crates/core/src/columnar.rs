@@ -13,14 +13,14 @@
 //!   not decide evaluated (`PatternBank` once for all of its patterns, a
 //!   lone `StreamMatcher` through an index over its one pattern);
 //! * **a scan takes the lane pass** — [`ColumnarBatch::of`], over the whole
-//!   source before the first event is consumed (`Execution`, and with it
+//!   relation before the first event is consumed (`Execution`, and with it
 //!   `find`, the key split and the baseline), at any length and for any
 //!   number of lanes, none included.
 //!
 //! The lane pass evaluates each distinct constant condition — a **lane**,
 //! from the analyzer-backed [`AdmissionLanes`] enumeration shared with
 //! `PatternIndex` — once per event into a `u64` bit-vector (bit *i* =
-//! event *i* of the source), ANDs a variable's lane vectors word-by-word
+//! event *i* of the relation), ANDs a variable's lane vectors word-by-word
 //! into its admission-group vector, and ORs the group vectors into the
 //! filter vector. The instance loop then reads one precomputed mask per
 //! admitted event and never visits a dropped one.
@@ -30,9 +30,9 @@
 //! [`Value::compare`] on every variant, while `Float` constants always
 //! take the generic path — the same scanned-fallback discipline
 //! `PatternIndex` applies to Float point pins. `Str` constants read the
-//! source's dictionary-coded column ([`ses_event::EventSource::str_codes`]):
-//! compile refuses a `Str` constant on any other attribute type, and every
-//! source codes its `Str` attributes. Each constant is compared with each
+//! relation's dictionary-coded column ([`Relation::str_column`]): compile
+//! refuses a `Str` constant on any other attribute type, and a relation
+//! codes every `Str` attribute. Each constant is compared with each
 //! *distinct* string once, into a small table, and the lane bits are filled
 //! from the codes — no row and no string is touched per event. Multiple
 //! `Str`-equality lanes over one attribute (the common "seven medication
@@ -44,7 +44,7 @@
 //! vector is the OR of the group vectors — see `docs/columnar.md` for
 //! the full argument.
 
-use ses_event::{AttrId, CmpOp, EventId, EventSource, StrCodes, Value};
+use ses_event::{AttrId, CmpOp, Relation, StrColumn, Value};
 use ses_pattern::{AdmissionLanes, CompiledPattern, ConstLane};
 use std::sync::Arc;
 
@@ -139,13 +139,13 @@ impl ColumnarPlan {
         }
     }
 
-    /// Evaluates the plan over every event `source` holds, batch position
-    /// `i` being the source's `i`-th accessible event.
-    fn evaluate<S: EventSource>(&self, source: &S) -> ColumnarBatch {
-        let len = source.len();
+    /// Evaluates the plan over every event `relation` retains, batch
+    /// position `i` being [`Relation::events`]`()[i]`.
+    fn evaluate(&self, relation: &Relation) -> ColumnarBatch {
+        let events = relation.events();
+        let len = events.len();
         let words = len.div_ceil(64);
         let num_vars = self.var_groups.len();
-        let event = |i: usize| source.event(EventId::from(source.first_index() + i));
         let mut lane_bits = vec![0u64; self.num_lanes * words];
 
         // Lane pass: one type-specialized sweep per kernel.
@@ -154,8 +154,8 @@ impl ColumnarPlan {
             match kernel {
                 Kernel::Int { lane, op, rhs } => {
                     let bits = lane_mut(&mut lane_bits, *lane, words);
-                    for i in 0..len {
-                        let hit = match event(i).value(attr) {
+                    for (i, event) in events.iter().enumerate() {
+                        let hit = match event.value(attr) {
                             Value::Int(x) => op.eval(x.cmp(rhs)),
                             Value::Float(f) => f
                                 .partial_cmp(&(*rhs as f64))
@@ -167,22 +167,22 @@ impl ColumnarPlan {
                 }
                 Kernel::Str { lane, op, rhs } => {
                     let bits = lane_mut(&mut lane_bits, *lane, words);
-                    let codes = str_codes(source, attr);
+                    let column = str_column(relation, attr);
                     // `NOT_STR` indexes past every table: incomparable.
-                    let table: Vec<bool> = codes
+                    let table: Vec<bool> = column
                         .dict()
                         .iter()
                         .map(|s| op.eval(s.as_ref().cmp(rhs.as_ref())))
                         .collect();
-                    codes.for_each(|i, code| {
+                    for (i, &code) in column.codes().iter().enumerate() {
                         let hit = table.get(code as usize).copied().unwrap_or(false);
                         bits[i / 64] |= (hit as u64) << (i % 64);
-                    });
+                    }
                 }
                 Kernel::Bool { lane, op, rhs } => {
                     let bits = lane_mut(&mut lane_bits, *lane, words);
-                    for i in 0..len {
-                        let hit = match event(i).value(attr) {
+                    for (i, event) in events.iter().enumerate() {
+                        let hit = match event.value(attr) {
                             Value::Bool(b) => op.eval(b.cmp(rhs)),
                             _ => false,
                         };
@@ -191,15 +191,15 @@ impl ColumnarPlan {
                 }
                 Kernel::Generic { lane, op, rhs } => {
                     let bits = lane_mut(&mut lane_bits, *lane, words);
-                    for i in 0..len {
-                        let hit = event(i).value(attr).compare(*op, rhs);
+                    for (i, event) in events.iter().enumerate() {
+                        let hit = event.value(attr).compare(*op, rhs);
                         bits[i / 64] |= (hit as u64) << (i % 64);
                     }
                 }
                 Kernel::StrEqSet { lanes } => {
-                    let codes = str_codes(source, attr);
+                    let column = str_column(relation, attr);
                     // The lane each distinct string sets, if any.
-                    let table: Vec<Option<usize>> = codes
+                    let table: Vec<Option<usize>> = column
                         .dict()
                         .iter()
                         .map(|s| {
@@ -209,11 +209,11 @@ impl ColumnarPlan {
                                 .map(|(lane, _)| *lane)
                         })
                         .collect();
-                    codes.for_each(|i, code| {
+                    for (i, &code) in column.codes().iter().enumerate() {
                         if let Some(Some(lane)) = table.get(code as usize) {
                             lane_bits[lane * words + i / 64] |= 1u64 << (i % 64);
                         }
-                    });
+                    }
                 }
             }
         }
@@ -287,18 +287,18 @@ fn lane_mut(lane_bits: &mut [u64], lane: usize, words: usize) -> &mut [u64] {
 }
 
 /// The code column a `Str` kernel reads. Compile refuses a `Str` constant
-/// on any other attribute type, and every source codes its `Str`
-/// attributes, so a missing column is a broken source, not a fallback.
-fn str_codes<S: EventSource>(source: &S, attr: AttrId) -> StrCodes<'_> {
-    source
-        .str_codes(attr)
-        .expect("a Str constant tests a Str attribute, and every source codes those")
+/// on any other attribute type, and a relation codes every `Str`
+/// attribute, so a missing column is a broken relation, not a fallback.
+fn str_column(relation: &Relation, attr: AttrId) -> &StrColumn {
+    relation
+        .str_column(attr)
+        .expect("a Str constant tests a Str attribute, and a relation codes those")
 }
 
 /// The admission verdicts a scan takes: the lane pass's bit-vectors over
-/// every event of one source, evaluated before the first event is
+/// every event of one relation, evaluated before the first event is
 /// consumed. Addresses events by scan position — position `i` is the
-/// source's `i`-th accessible event.
+/// relation's `i`-th retained event.
 #[derive(Debug)]
 pub(crate) struct ColumnarBatch {
     len: usize,
@@ -313,19 +313,19 @@ pub(crate) struct ColumnarBatch {
 }
 
 impl ColumnarBatch {
-    /// The lane pass of `pattern`'s constant conditions over `source`.
-    pub(crate) fn of<S: EventSource>(pattern: &CompiledPattern, source: &S) -> ColumnarBatch {
-        ColumnarPlan::new(pattern).evaluate(source)
+    /// The lane pass of `pattern`'s constant conditions over `relation`.
+    pub(crate) fn of(pattern: &CompiledPattern, relation: &Relation) -> ColumnarBatch {
+        ColumnarPlan::new(pattern).evaluate(relation)
     }
 
-    /// Number of events in the evaluated source.
+    /// Number of events in the evaluated relation.
     pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// The admission mask of event `i`: its bit of every variable's group
     /// vector gathered into a mask — here, per event asked about, so that
-    /// a source whose events are mostly dropped never pays for their
+    /// a relation whose events are mostly dropped never pays for their
     /// masks.
     pub(crate) fn admission(&self, i: usize) -> u64 {
         debug_assert!(i < self.len);
@@ -336,7 +336,7 @@ impl ColumnarBatch {
     }
 
     /// The first position at or after `from` whose event the filter
-    /// keeps, or the source's length when it keeps none of the rest — the
+    /// keeps, or the relation's length when it keeps none of the rest — the
     /// next set bit of the filter vector.
     pub(crate) fn next_passing(&self, from: usize) -> usize {
         if from >= self.len {
@@ -352,7 +352,7 @@ impl ColumnarBatch {
             bits = self.filter_bits[word];
         }
         // An unconstrained variable's all-ones group reaches past the
-        // source in the last word.
+        // relation in the last word.
         (word * 64 + bits.trailing_zeros() as usize).min(self.len)
     }
 }

@@ -40,8 +40,20 @@
 //! the index with it: a successor in its source's slot flips that
 //! position, an expired prefix shifts every row down, a rewritten suffix
 //! is re-indexed. The fresh instance, always last, stays out of it.
+//!
+//! # One Ω per key
+//!
+//! A scan keeps one Ω. For a pattern that proves a partition key, the key
+//! split is the same scan with one Ω per key value: one grouping pass
+//! gives each event the slot of its key, the lane pass runs once over the
+//! relation, and each admitted event goes to its slot's Ω under its own
+//! id. A key's instances then never meet another key's events, and the
+//! matches and the admitted log need no renumbering.
 
-use ses_event::{Event, EventId, EventSource, Relation, Timestamp};
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use ses_event::{AttrId, Event, EventId, Relation, Timestamp, Value};
 use ses_pattern::{CompiledPattern, VarId};
 
 use crate::automaton::{Automaton, TransCond, Transition};
@@ -118,7 +130,7 @@ impl AdmittedLog {
     /// callers that hold raw matches they did not get from [`scan`] — the
     /// baseline's chain bank, whose automata run renamed variables, and
     /// tests with hand-made candidates.
-    pub fn of<S: EventSource>(pattern: &CompiledPattern, relation: &S) -> AdmittedLog {
+    pub fn of(pattern: &CompiledPattern, relation: &Relation) -> AdmittedLog {
         let admission = ColumnarBatch::of(pattern, relation);
         let mut log = AdmittedLog::default();
         let mut position = admission.next_passing(0);
@@ -139,49 +151,23 @@ impl AdmittedLog {
             self.entries.push((id, vars));
         }
     }
-
-    /// Rewrites view-local event ids to the parent relation's, exactly
-    /// as the key split rewrites bindings. `ids` is ascending, so the
-    /// log stays ascending.
-    pub(crate) fn remap(&mut self, ids: &[EventId]) {
-        for entry in &mut self.entries {
-            entry.0 = ids[entry.0.index()];
-        }
-    }
-
-    /// One log from the key split's remapped per-view logs. The views are
-    /// disjoint, so every event appears in at most one of them: the sort
-    /// interleaves the logs and folds nothing.
-    pub(crate) fn merge(logs: impl IntoIterator<Item = AdmittedLog>) -> AdmittedLog {
-        let mut entries: Vec<(EventId, u64)> = logs.into_iter().flat_map(|l| l.entries).collect();
-        entries.sort_unstable();
-        debug_assert!(
-            entries.windows(2).all(|w| w[0].0 < w[1].0),
-            "merged key views overlap"
-        );
-        AdmittedLog { entries }
-    }
 }
 
 /// The id of the event at scan position `position` of `relation`: a scan
-/// counts from the first event the source still holds, ids from the first
-/// it ever held.
-fn event_id<S: EventSource>(relation: &S, position: usize) -> EventId {
+/// counts from the first event the relation still holds, ids from the
+/// first it ever held.
+fn event_id(relation: &Relation, position: usize) -> EventId {
     EventId::from(relation.first_index() + position)
 }
 
-/// Executes the automaton over an event source — the paper's `SESExec`.
-///
-/// The source is usually a [`Relation`], but any [`EventSource`] works;
-/// partitioned execution passes zero-copy [`ses_event::RelationView`]s,
-/// in which case the returned event ids are view-local.
+/// Executes the automaton over a relation — the paper's `SESExec`.
 ///
 /// Returns the raw matches in emission order, and the [`AdmittedLog`]
 /// [`crate::semantics::select`] needs beside them to obtain the matching
 /// substitutions of Definition 2.
-pub fn scan<S: EventSource, P: Probe>(
+pub fn scan<P: Probe>(
     automaton: &Automaton,
-    relation: &S,
+    relation: &Relation,
     selection: EventSelection,
     probe: &mut P,
 ) -> (Vec<RawMatch>, AdmittedLog) {
@@ -191,13 +177,128 @@ pub fn scan<S: EventSource, P: Probe>(
 }
 
 /// [`scan`] for callers that want the raw matches only.
-pub fn execute<S: EventSource, P: Probe>(
+pub fn execute<P: Probe>(
     automaton: &Automaton,
-    relation: &S,
+    relation: &Relation,
     selection: EventSelection,
     probe: &mut P,
 ) -> Vec<RawMatch> {
     scan(automaton, relation, selection, probe).0
+}
+
+/// [`scan`] with one Ω per value of `key`, a proven partition key
+/// ([`CompiledPattern::partition_keys`]): one lane pass over `relation`,
+/// and each admitted event goes to the Ω of its key value, with its id in
+/// `relation`. A key's Ω sees exactly its key's events — the ones its
+/// instances may bind and the ones whose arrival expires them — so its
+/// runs never meet another key's, and the raw matches and the admitted
+/// log come out in `relation`'s ids, the log equal to [`scan`]'s.
+///
+/// The raw matches are the global scan's only where no run derails on a
+/// foreign key's event: a skip-till-next-match run of a correlated group
+/// variable that binds before its correlating variable absorbs whatever
+/// its Ω offers it, so sharing an Ω with other keys changes which runs
+/// survive (docs/parallel.md, "Known limit").
+///
+/// `probe` receives [`Probe::partitions`], one [`Probe::partition_events`]
+/// per key in first-occurrence order, then every per-event hook.
+pub(crate) fn scan_by_key<P: Probe>(
+    automaton: &Automaton,
+    relation: &Relation,
+    key: AttrId,
+    selection: EventSelection,
+    probe: &mut P,
+) -> (Vec<RawMatch>, AdmittedLog) {
+    let (slots, sizes) = key_slots(relation, key);
+    probe.partitions(sizes.len());
+    for &n in &sizes {
+        probe.partition_events(n);
+    }
+    let admission = ColumnarBatch::of(automaton.pattern(), relation);
+    let mut omegas: Vec<Omega> = sizes.iter().map(|_| Omega::new(automaton)).collect();
+    let mut admitted = AdmittedLog::default();
+    let mut results = Vec::new();
+    let mut position = skip_dropped(&admission, 0, probe);
+    while position < admission.len() {
+        let id = event_id(relation, position);
+        let var_ok = admission.admission(position);
+        admitted.record(id, var_ok);
+        omegas[slots[position]].process_event(
+            automaton,
+            relation,
+            selection,
+            id,
+            var_ok,
+            &mut results,
+            probe,
+        );
+        position = skip_dropped(&admission, position + 1, probe);
+    }
+    for omega in &mut omegas {
+        omega.flush(automaton.accept(), &mut results, probe);
+    }
+    (results, admitted)
+}
+
+/// The first scan position at or after `from` whose event the lane pass
+/// keeps (`admission.len()` if none), counting each event it passes over
+/// as a step would count it — `event_read`, `event_filtered` — and
+/// visiting none of them.
+fn skip_dropped<P: Probe>(admission: &ColumnarBatch, from: usize, probe: &mut P) -> usize {
+    let next = admission.next_passing(from);
+    for _ in from..next {
+        probe.event_read();
+        probe.event_filtered();
+    }
+    next
+}
+
+/// The key slot of each event of `relation` by scan position, slots
+/// numbered in first-occurrence order of their key value, and the number
+/// of events in each slot.
+fn key_slots(relation: &Relation, key: AttrId) -> (Vec<usize>, Vec<usize>) {
+    let mut index: HashMap<PartitionKey, usize> = HashMap::new();
+    let mut sizes = Vec::new();
+    let slots = relation
+        .events()
+        .iter()
+        .map(|event| {
+            let slot = *index
+                .entry(PartitionKey::of(event.value(key)))
+                .or_insert_with(|| {
+                    sizes.push(0);
+                    sizes.len() - 1
+                });
+            sizes[slot] += 1;
+            slot
+        })
+        .collect();
+    (slots, sizes)
+}
+
+/// A hashable view of a partitioning attribute's value. [`Value`] itself
+/// is not `Hash` (floats), so the key split hashes this instead — without
+/// per-event allocation: ints, bools, and floats copy bits, and strings
+/// bump the existing `Arc` refcount.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum PartitionKey {
+    Int(i64),
+    /// Floats group by bit pattern — exact-value grouping, the only
+    /// sensible equality for a partition key.
+    Bits(u64),
+    Str(Arc<str>),
+    Bool(bool),
+}
+
+impl PartitionKey {
+    fn of(value: &Value) -> PartitionKey {
+        match value {
+            Value::Int(i) => PartitionKey::Int(*i),
+            Value::Float(f) => PartitionKey::Bits(f.to_bits()),
+            Value::Str(s) => PartitionKey::Str(Arc::clone(s)),
+            Value::Bool(b) => PartitionKey::Bool(*b),
+        }
+    }
 }
 
 /// An incremental execution of one automaton over one relation.
@@ -207,9 +308,9 @@ pub fn execute<S: EventSource, P: Probe>(
 /// across automata is sampled at the same points in time as the paper's
 /// experiment 1.
 #[derive(Debug)]
-pub struct Execution<'a, S: EventSource = Relation> {
+pub struct Execution<'a> {
     automaton: &'a Automaton,
-    relation: &'a S,
+    relation: &'a Relation,
     selection: EventSelection,
     /// The lane pass over the whole relation, evaluated up front.
     admission: ColumnarBatch,
@@ -220,9 +321,13 @@ pub struct Execution<'a, S: EventSource = Relation> {
     position: usize,
 }
 
-impl<'a, S: EventSource> Execution<'a, S> {
+impl<'a> Execution<'a> {
     /// Prepares an execution positioned before the first event.
-    pub fn new(automaton: &'a Automaton, relation: &'a S, selection: EventSelection) -> Self {
+    pub fn new(
+        automaton: &'a Automaton,
+        relation: &'a Relation,
+        selection: EventSelection,
+    ) -> Self {
         Execution {
             automaton,
             relation,
@@ -264,12 +369,7 @@ impl<'a, S: EventSource> Execution<'a, S> {
     /// it) and not visited.
     pub fn run<P: Probe>(&mut self, probe: &mut P) {
         while self.position < self.admission.len() {
-            let next = self.admission.next_passing(self.position);
-            for _ in self.position..next {
-                probe.event_read();
-                probe.event_filtered();
-            }
-            self.position = next;
+            self.position = skip_dropped(&self.admission, self.position, probe);
             self.step(probe);
         }
     }
@@ -294,11 +394,6 @@ impl<'a, S: EventSource> Execution<'a, S> {
     /// relation's first retained event.
     pub fn position(&self) -> usize {
         self.position
-    }
-
-    /// `true` iff every event has been consumed.
-    pub fn is_exhausted(&self) -> bool {
-        self.position >= self.relation.len()
     }
 
     /// Flushes accepting instances and returns all raw matches produced
@@ -487,10 +582,10 @@ impl Omega {
     /// pass, or handed to the push by the predicate index. An empty mask is the
     /// §4.5 filter's drop.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn process_event<S: EventSource, P: Probe>(
+    pub(crate) fn process_event<P: Probe>(
         &mut self,
         automaton: &Automaton,
-        relation: &S,
+        relation: &Relation,
         selection: EventSelection,
         event_id: EventId,
         var_ok: u64,
@@ -604,13 +699,13 @@ impl Omega {
 /// while they fit; from the first that does not, the rest of the new Ω
 /// collects in `scratch` and is appended, so the order is the one a copy
 /// of every instance into a second vector would give.
-fn rewrite_from<S: EventSource, P: Probe>(
+fn rewrite_from<P: Probe>(
     instances: &mut Vec<Instance>,
     scratch: &mut Vec<Instance>,
     log: &mut NodeLog,
     first: usize,
     keep_source: bool,
-    offer: &Offer<'_, S>,
+    offer: &Offer<'_>,
     probe: &mut P,
 ) {
     let start = offer.automaton.start();
@@ -665,9 +760,9 @@ fn place(
 }
 
 /// One event on offer to the instances of Ω.
-struct Offer<'a, S: EventSource> {
+struct Offer<'a> {
     automaton: &'a Automaton,
-    relation: &'a S,
+    relation: &'a Relation,
     event: &'a Event,
     event_id: EventId,
     selection: EventSelection,
@@ -675,7 +770,7 @@ struct Offer<'a, S: EventSource> {
     var_ok: u64,
 }
 
-impl<S: EventSource> Offer<'_, S> {
+impl Offer<'_> {
     /// `true` iff no outgoing transition of `state` binds a variable the
     /// event is admitted for.
     #[inline]
@@ -743,9 +838,9 @@ impl<S: EventSource> Offer<'_, S> {
 /// the condition instances involving the new binding are checked here;
 /// every other combination was checked when its own binding was added.
 #[inline]
-fn eval_conditions<S: EventSource>(
+fn eval_conditions(
     automaton: &Automaton,
-    relation: &S,
+    relation: &Relation,
     transition: &Transition,
     log: &NodeLog,
     buffer: Buffer,
@@ -782,7 +877,7 @@ fn eval_conditions<S: EventSource>(
 mod tests {
     use super::*;
     use crate::NoProbe;
-    use ses_event::{AttrType, CmpOp, Duration, Schema, Value};
+    use ses_event::{AttrType, CmpOp, Duration, Schema};
     use ses_pattern::Pattern;
 
     fn schema() -> Schema {
@@ -1288,6 +1383,33 @@ mod tests {
         got.extend(cut.finish());
         assert_eq!(got, expected);
         assert_eq!(got.len(), 8);
+    }
+
+    #[test]
+    fn key_slots_follow_first_occurrence() {
+        let r = rel(&[
+            (0, 7, "A"),
+            (1, 3, "A"),
+            (2, 7, "B"),
+            (3, 3, "B"),
+            (4, 9, "A"),
+        ]);
+        let id = schema().attr_id("ID").unwrap();
+        assert_eq!(key_slots(&r, id), (vec![0, 1, 0, 1, 2], vec![2, 2, 1]));
+        assert_eq!(key_slots(&Relation::new(schema()), id), (vec![], vec![]));
+    }
+
+    #[test]
+    fn partition_keys_group_exact_values() {
+        let a = PartitionKey::of(&Value::from("web-1"));
+        assert_eq!(a, PartitionKey::of(&Value::from("web-1")));
+        assert_ne!(a, PartitionKey::of(&Value::from("web-2")));
+        assert_ne!(
+            PartitionKey::of(&Value::Float(0.0)),
+            PartitionKey::of(&Value::Float(-0.0)),
+            "distinct bit patterns are distinct partitions"
+        );
+        assert_eq!(PartitionKey::of(&Value::Int(3)), PartitionKey::Int(3));
     }
 
     #[test]

@@ -62,7 +62,6 @@ mod matches;
 mod measures;
 mod negation;
 mod occupancy;
-mod parallel;
 mod probe;
 mod reference;
 mod semantics;

@@ -34,13 +34,13 @@ use ses_event::{AttrId, Relation, Schema};
 use ses_pattern::{CompiledPattern, Pattern};
 
 use crate::automaton::Automaton;
-use crate::engine::{scan, EventSelection};
+use crate::engine::{scan, scan_by_key, EventSelection};
 use crate::matches::Match;
 use crate::probe::{NoProbe, Probe};
 use crate::semantics::{select, MatchSemantics};
 use crate::CoreError;
 
-/// How a [`Matcher`] splits its input into per-key scans.
+/// Whether a [`Matcher`] keeps one Ω per key value.
 ///
 /// Splitting is sound only when every match is confined to one value of
 /// the partitioning attribute — see
@@ -69,8 +69,8 @@ pub enum PartitionStrategy {
     /// One global scan.
     #[default]
     Global,
-    /// One scan per value of this proven attribute, adjudicated
-    /// together.
+    /// One scan with one Ω per value of this proven attribute,
+    /// adjudicated together.
     Key(AttrId),
 }
 
@@ -251,9 +251,9 @@ impl Matcher {
     /// `probe`.
     ///
     /// When the resolved [`PartitionStrategy`] splits the input by key,
-    /// the per-key views are scanned one after another on this thread,
-    /// all with `probe`: it receives the layout hooks (`partitions`,
-    /// `partition_events`) and then every per-event hook of every view.
+    /// the one scan keeps an Ω per key value, and `probe` receives the
+    /// layout hooks (`partitions`, `partition_events`) before every
+    /// per-event hook.
     pub fn find_with_probe<P: Probe>(&self, relation: &Relation, probe: &mut P) -> Vec<Match> {
         // A provably unsatisfiable Θ (analyzer SES001) matches nothing;
         // skip the scan entirely.
@@ -263,7 +263,7 @@ impl Matcher {
         let selection = self.options.selection;
         let (raw, admitted) = match self.partition {
             PartitionStrategy::Key(key) => {
-                crate::parallel::scan_partitioned(&self.automaton, relation, key, selection, probe)
+                scan_by_key(&self.automaton, relation, key, selection, probe)
             }
             PartitionStrategy::Global => scan(&self.automaton, relation, selection, probe),
         };
@@ -676,5 +676,121 @@ mod tests {
             m.partition_strategy(),
             PartitionStrategy::Key(schema().attr_id("ID").unwrap())
         );
+    }
+
+    fn keyed_pattern() -> Pattern {
+        Pattern::builder()
+            .set(|s| s.var("a").var("b"))
+            .set(|s| s.var("c"))
+            .cond_const("a", "L", CmpOp::Eq, "A")
+            .cond_const("b", "L", CmpOp::Eq, "B")
+            .cond_const("c", "L", CmpOp::Eq, "C")
+            .cond_vars("a", "ID", CmpOp::Eq, "b", "ID")
+            .cond_vars("a", "ID", CmpOp::Eq, "c", "ID")
+            .within(Duration::ticks(12))
+            .build()
+            .unwrap()
+    }
+
+    /// A matcher splitting by `ID` under `semantics`.
+    fn split(semantics: MatchSemantics) -> Matcher {
+        Matcher::with_options(
+            &keyed_pattern(),
+            &schema(),
+            MatcherOptions {
+                semantics,
+                partition: PartitionMode::Key(schema().attr_id("ID").unwrap()),
+                ..MatcherOptions::default()
+            },
+        )
+        .unwrap()
+    }
+
+    /// Five keys, events interleaved so every partition's runs overlap
+    /// in time with every other's.
+    fn relation() -> Relation {
+        let mut rel = Relation::new(schema());
+        let labels = ["A", "B", "A", "C", "B", "C"];
+        for (step, label) in labels.iter().enumerate() {
+            for key in 0..5i64 {
+                rel.push_values(
+                    Timestamp::new(step as i64 * 5 + key),
+                    [Value::from(key), Value::from(*label)],
+                )
+                .unwrap();
+            }
+        }
+        rel
+    }
+
+    #[test]
+    fn partitioned_equals_global_across_semantics() {
+        let rel = relation();
+        for semantics in [
+            MatchSemantics::AllRuns,
+            MatchSemantics::Definition2,
+            MatchSemantics::Maximal,
+        ] {
+            let global = Matcher::with_options(
+                &keyed_pattern(),
+                &schema(),
+                MatcherOptions {
+                    semantics,
+                    ..MatcherOptions::default()
+                },
+            )
+            .unwrap()
+            .find(&rel);
+            assert!(!global.is_empty(), "workload should match ({semantics:?})");
+            assert_eq!(split(semantics).find(&rel), global, "{semantics:?}");
+        }
+    }
+
+    #[test]
+    fn probe_sees_partition_layout() {
+        #[derive(Default)]
+        struct Layout {
+            partitions: usize,
+            events: Vec<usize>,
+        }
+        impl Probe for Layout {
+            fn partitions(&mut self, n: usize) {
+                self.partitions = n;
+            }
+            fn partition_events(&mut self, n: usize) {
+                self.events.push(n);
+            }
+        }
+        let mut layout = Layout::default();
+        split(MatchSemantics::Maximal).find_with_probe(&relation(), &mut layout);
+        assert_eq!(layout.partitions, 5);
+        assert_eq!(layout.events, vec![6; 5]);
+    }
+
+    #[test]
+    fn matcher_auto_mode_routes_find_through_partitions() {
+        let auto = Matcher::with_options(
+            &keyed_pattern(),
+            &schema(),
+            MatcherOptions {
+                partition: PartitionMode::Auto,
+                ..MatcherOptions::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(
+            auto.partition_strategy(),
+            PartitionStrategy::Key(schema().attr_id("ID").unwrap())
+        );
+        let off = Matcher::compile(&keyed_pattern(), &schema()).unwrap();
+        assert_eq!(off.partition_strategy(), PartitionStrategy::Global);
+        let rel = relation();
+        assert_eq!(auto.find(&rel), off.find(&rel));
+    }
+
+    #[test]
+    fn empty_relation_partitions_to_nothing() {
+        let matcher = split(MatchSemantics::Maximal);
+        assert!(matcher.find(&Relation::new(schema())).is_empty());
     }
 }

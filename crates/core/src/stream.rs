@@ -17,10 +17,11 @@
 //! that can bind nothing (the §4.5 filter drops it before the instance
 //! loop). A matcher never evaluates its constants itself: a
 //! [`crate::PatternBank`] hands each routed matcher the mask its
-//! predicate index computed for all of its patterns at once, and a lone
-//! matcher takes it from a [`PatternIndex`] over its one pattern — the
-//! same code, for `push`, `push_event`, `push_batch` and the
-//! re-admission of a restored window.
+//! predicate index computed for all of its patterns at once — on
+//! restore too, so a bank's matcher holds no index — and a lone matcher
+//! takes it from a [`PatternIndex`] over its one pattern — the same
+//! code, for `push`, `push_event`, `push_batch` and the re-admission of
+//! a restored window.
 //!
 //! # Watermarks and eager emission
 //!
@@ -85,8 +86,9 @@ pub struct StreamMatcher {
     automaton: Automaton,
     options: MatcherOptions,
     /// The predicate index over this one pattern: where a push that does
-    /// not come through a bank takes its admission mask.
-    index: PatternIndex,
+    /// not come through a bank takes its admission mask. `None` in a
+    /// bank's matcher, whose masks come from the bank's index.
+    index: Option<PatternIndex>,
     /// [`PatternIndex::admitted_into`]'s reused output.
     admitted: Vec<(usize, u64)>,
     relation: Relation,
@@ -114,13 +116,25 @@ impl StreamMatcher {
         schema: &Schema,
         options: MatcherOptions,
     ) -> Result<StreamMatcher, CoreError> {
+        let mut sm = StreamMatcher::unindexed(pattern, schema, options)?;
+        sm.index = Some(PatternIndex::build([sm.automaton.pattern()]));
+        Ok(sm)
+    }
+
+    /// [`StreamMatcher::with_options`] without an index of its own, for a
+    /// bank: it hands every push its mask, and a restore its index.
+    pub(crate) fn unindexed(
+        pattern: &Pattern,
+        schema: &Schema,
+        options: MatcherOptions,
+    ) -> Result<StreamMatcher, CoreError> {
         let compiled = crate::matcher::compile_pattern(pattern, schema, &options)?;
         let automaton = Automaton::build(compiled)?;
         let adjudicator = Adjudicator::new(options.semantics, automaton.pattern());
         let omega = Omega::new(&automaton);
         Ok(StreamMatcher {
             relation: Relation::new(automaton.pattern().schema().clone()),
-            index: PatternIndex::build([automaton.pattern()]),
+            index: None,
             admitted: Vec::new(),
             automaton,
             options,
@@ -510,7 +524,7 @@ impl StreamMatcher {
         snapshot: &StreamSnapshot,
     ) -> Result<StreamMatcher, CoreError> {
         let mut sm = StreamMatcher::with_options(pattern, schema, options)?;
-        sm.apply_snapshot(snapshot)?;
+        sm.apply_snapshot(snapshot, None)?;
         Ok(sm)
     }
 
@@ -528,8 +542,13 @@ impl StreamMatcher {
     }
 
     /// Overwrites this matcher's dynamic state with `snap` — shared by
-    /// [`StreamMatcher::restore`] and the bank's manifest restore.
-    pub(crate) fn apply_snapshot(&mut self, snap: &StreamSnapshot) -> Result<(), CoreError> {
+    /// [`StreamMatcher::restore`] and the bank's manifest restore, which
+    /// passes its index and this matcher's pattern id in it as `bank`.
+    pub(crate) fn apply_snapshot(
+        &mut self,
+        snap: &StreamSnapshot,
+        bank: Option<(&PatternIndex, usize)>,
+    ) -> Result<(), CoreError> {
         let mismatch = |reason: String| CoreError::SnapshotMismatch { reason };
         let expected = self.fingerprint();
         if snap.fingerprint != expected {
@@ -578,7 +597,7 @@ impl StreamMatcher {
         self.pending.clear();
         self.queue_results();
         self.adjudicator = Adjudicator::new(self.options.semantics, self.automaton.pattern());
-        self.readmit_retained();
+        self.readmit_retained(bank);
         self.adjudicator.restore_survivors(
             snap.survivors
                 .iter()
@@ -660,15 +679,22 @@ impl StreamMatcher {
     /// Tells a fresh adjudicator of the retained events — what the
     /// pushes that brought them in told the one a snapshot was taken
     /// from. Admission masks are not part of a snapshot; they are a
-    /// function of the event alone, so re-admitting gives them back.
-    fn readmit_retained(&mut self) {
+    /// function of the event alone, so re-admitting gives them back —
+    /// from `bank`'s index for a bank's matcher, from its own otherwise.
+    fn readmit_retained(&mut self, bank: Option<(&PatternIndex, usize)>) {
         let pattern = self.automaton.pattern();
         if !pattern.is_satisfiable() {
             return;
         }
+        let (index, id) = bank.unwrap_or_else(|| (own_index(&self.index), 0));
         let first = self.relation.first_index();
         for (i, event) in self.relation.events().iter().enumerate() {
-            let mask = admission_mask(&self.index, &mut self.admitted, event);
+            let mask = index.verdict(id, event).unwrap_or(0);
+            debug_assert_eq!(
+                mask,
+                scalar_mask(pattern, event),
+                "the index's mask differs from the scalar reference"
+            );
             self.adjudicator
                 .admit(pattern, EventId::from(first + i), event, mask);
         }
@@ -759,12 +785,24 @@ impl StreamMatcher {
     }
 }
 
-/// The variable mask `index`, an index over one pattern, gives `event`:
-/// bit *v* set iff the event satisfies every constant condition of
-/// `VarId(v)`, `0` when it can bind nothing.
-fn admission_mask(index: &PatternIndex, admitted: &mut Vec<(usize, u64)>, event: &Event) -> u64 {
-    index.admitted_into(event, admitted);
+/// The variable mask `index`, a lone matcher's index over its one
+/// pattern, gives `event`: bit *v* set iff the event satisfies every
+/// constant condition of `VarId(v)`, `0` when it can bind nothing.
+fn admission_mask(
+    index: &Option<PatternIndex>,
+    admitted: &mut Vec<(usize, u64)>,
+    event: &Event,
+) -> u64 {
+    own_index(index).admitted_into(event, admitted);
     admitted.first().map_or(0, |&(_, mask)| mask)
+}
+
+/// A lone matcher's own index. A bank's matcher has none and is only
+/// pushed and restored through its bank, which brings the masks.
+fn own_index(index: &Option<PatternIndex>) -> &PatternIndex {
+    index
+        .as_ref()
+        .expect("a bank's matcher takes its masks from the bank's index")
 }
 
 /// The scalar reference a debug build holds every pushed mask to: one

@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-use crate::{AttrId, Event, EventId, Value};
+use crate::{AttrId, Event, Value};
 
 /// One `Str` attribute of a relation's retained events, dictionary-coded.
 #[derive(Debug, Clone)]
@@ -114,52 +114,6 @@ impl Hasher for BytesHasher {
     }
 }
 
-/// An [`crate::EventSource`]'s reading of one [`StrColumn`]: the
-/// dictionary, and one code per event of the source in source order.
-#[derive(Debug, Clone, Copy)]
-pub struct StrCodes<'a> {
-    column: &'a StrColumn,
-    /// `None` when the source is the relation itself. A view reads its
-    /// parent's column through its member ids: `(ids, parent's
-    /// first_index)`.
-    members: Option<(&'a [EventId], usize)>,
-}
-
-impl<'a> StrCodes<'a> {
-    pub(crate) fn of_relation(column: &'a StrColumn) -> StrCodes<'a> {
-        StrCodes {
-            column,
-            members: None,
-        }
-    }
-
-    pub(crate) fn of_view(column: &'a StrColumn, ids: &'a [EventId], base: usize) -> StrCodes<'a> {
-        StrCodes {
-            column,
-            members: Some((ids, base)),
-        }
-    }
-
-    /// The distinct strings the codes index.
-    pub fn dict(&self) -> &'a [Arc<str>] {
-        &self.column.dict
-    }
-
-    /// Calls `f(position, code)` for every event of the source, in source
-    /// order: `position` counts from the source's first accessible event,
-    /// whose id is [`crate::EventSource::first_index`].
-    pub fn for_each(&self, mut f: impl FnMut(usize, u32)) {
-        let codes = &self.column.codes;
-        match self.members {
-            None => codes.iter().enumerate().for_each(|(i, &c)| f(i, c)),
-            Some((ids, base)) => ids
-                .iter()
-                .enumerate()
-                .for_each(|(i, id)| f(i, codes[id.index() - base])),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,19 +143,6 @@ mod tests {
         let col = StrColumn::build(&evs, AttrId(0));
         assert_eq!(col.codes(), &[0, StrColumn::NOT_STR]);
         assert_eq!(col.dict().len(), 1);
-    }
-
-    #[test]
-    fn a_view_reads_through_its_ids() {
-        let col = StrColumn::build(&events(&["A", "B", "C", "B"]), AttrId(0));
-        // A parent that evicted 10 events: ids 10..14.
-        let ids = [EventId(11), EventId(13)];
-        let mut seen = Vec::new();
-        StrCodes::of_view(&col, &ids, 10).for_each(|i, c| seen.push((i, c)));
-        assert_eq!(seen, [(0, 1), (1, 1)]);
-        let mut all = Vec::new();
-        StrCodes::of_relation(&col).for_each(|i, c| all.push((i, c)));
-        assert_eq!(all, [(0, 0), (1, 1), (2, 2), (3, 1)]);
     }
 
     #[test]

@@ -44,13 +44,11 @@ mod relation;
 mod schema;
 mod time;
 mod value;
-mod view;
 
-pub use column::{BuildBytesHasher, BytesHasher, StrCodes, StrColumn};
+pub use column::{BuildBytesHasher, BytesHasher, StrColumn};
 pub use error::EventError;
 pub use event::{Event, EventId};
 pub use relation::{Relation, RelationBuilder};
 pub use schema::{AttrDef, AttrId, AttrType, Schema, SchemaBuilder};
 pub use time::{Duration, Timestamp};
 pub use value::{CmpOp, Value};
-pub use view::{partition_views, EventSource, PartitionKey, RelationView};

@@ -5,7 +5,7 @@
 //! (`find`, `scan`, and so the key split) takes the columnar lane pass
 //! over the whole relation — at any length, with or without constant
 //! conditions, its `Str` lanes reading the relation's dictionary-coded
-//! columns (a view reads its parent's) — and a push (`push`, and
+//! columns — and a push (`push`, and
 //! `push_batch`, which pushes each event in turn) takes the per-event
 //! mask. The per-event `push` is therefore the reference. Relation and
 //! chunk lengths are drawn from short relations and around the 64-bit
@@ -21,8 +21,7 @@
 //!    batch boundaries never change emission timing.
 //! 3. **`find` ≡ `push_batch` ≡ `push`** on relations from every
 //!    constructor (`push_values`, `builder`, `duplicate`, an evicted
-//!    prefix, `restore`) and on key and contiguous views of them,
-//!    under all six operators on `Str` constants.
+//!    prefix, `restore`), under all six operators on `Str` constants.
 //!
 //! Plus bitmask edge cases the generators cannot force: matches on
 //! either side of a word boundary, empty batches, atomically rejected
@@ -35,8 +34,6 @@ mod common;
 use proptest::prelude::*;
 
 use common::{pattern_strategy, schema, TYPES};
-use ses::core::scan;
-use ses::event::{partition_views, RelationView};
 use ses::prelude::*;
 
 const MODES: [MatchSemantics; 3] = [
@@ -543,41 +540,6 @@ proptest! {
         assert_executors_agree(&pat, &rel, &opts);
     }
 
-    /// Property 3 on views: a view reads its parent's column through its
-    /// id list. Key views pick scattered positions, the contiguous view a
-    /// run of them, and the parent may have evicted a prefix; each must
-    /// scan exactly like a relation of its own holding the same events,
-    /// with a column of its own.
-    #[test]
-    fn views_read_their_parents_columns(
-        rows in rows_strategy(),
-        evict in proptest::bool::ANY,
-        pat in either_pattern_strategy(),
-        from in 0usize..40,
-        len in 1usize..90,
-    ) {
-        let parent = build(if evict { Built::Evicted } else { Built::PushValues }, &rows);
-        let id_attr = schema().attr_id("ID").unwrap();
-        let mut views: Vec<RelationView<'_>> = partition_views(&parent, id_attr)
-            .into_iter()
-            .map(|(_, view)| view)
-            .collect();
-        let lo = parent.first_index() + from.min(parent.len());
-        let hi = (lo + len).min(parent.first_index() + parent.len());
-        views.push(RelationView::new(&parent, (lo..hi).map(EventId::from).collect()));
-
-        let matcher = Matcher::compile(&pat, &schema()).unwrap();
-        for view in &views {
-            let mut own = Relation::new(schema());
-            for (_, event) in view.iter() {
-                own.push_event(event.clone()).unwrap();
-            }
-            prop_assert_eq!(
-                scan(matcher.automaton(), view, EventSelection::default(), &mut NoProbe),
-                scan(matcher.automaton(), &own, EventSelection::default(), &mut NoProbe)
-            );
-        }
-    }
 }
 
 /// `find` over a relation that evicted half of itself is `find` over the

@@ -1,6 +1,8 @@
 //! End-to-end pipelines across crates: generator → CSV store → query
 //! language → matcher, on all three domain workloads.
 
+use std::collections::BTreeMap;
+
 use ses::prelude::*;
 use ses::workload::{chemo, finance, rfid};
 
@@ -77,14 +79,15 @@ fn rfid_pipeline_partitioned_equals_global() {
     let global = matcher.find(&tape);
 
     let tag_attr = tape.schema().attr_id("TAG").unwrap();
-    let mut partitioned_total = 0;
-    for (_, view) in ses::event::partition_views(&tape, tag_attr) {
-        let mut part = Relation::new(tape.schema().clone());
-        for (_, event) in view.iter() {
-            part.push_event(event.clone()).unwrap();
-        }
-        partitioned_total += matcher.find(&part).len();
+    let mut parts: BTreeMap<String, Relation> = BTreeMap::new();
+    for (_, event) in tape.iter() {
+        parts
+            .entry(event.value(tag_attr).to_string())
+            .or_insert_with(|| Relation::new(tape.schema().clone()))
+            .push_event(event.clone())
+            .unwrap();
     }
+    let partitioned_total: usize = parts.values().map(|part| matcher.find(part).len()).sum();
     assert_eq!(global.len(), partitioned_total);
     assert_eq!(global.len(), cfg.complete_parcels);
 }

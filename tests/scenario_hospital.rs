@@ -62,16 +62,15 @@ fn end_to_end_hospital_monitoring() {
 
     // --- Global correlated == per-patient partitioned. -----------------
     let id_attr = schema.attr_id("ID").unwrap();
-    let per_patient: usize = ses::event::partition_views(&ward, id_attr)
-        .iter()
-        .map(|(_, view)| {
-            let mut part = Relation::new(schema.clone());
-            for (_, event) in view.iter() {
-                part.push_event(event.clone()).unwrap();
-            }
-            matcher.find(&part).len()
-        })
-        .sum();
+    let mut patients: BTreeMap<String, Relation> = BTreeMap::new();
+    for (_, event) in ward.iter() {
+        patients
+            .entry(event.value(id_attr).to_string())
+            .or_insert_with(|| Relation::new(schema.clone()))
+            .push_event(event.clone())
+            .unwrap();
+    }
+    let per_patient: usize = patients.values().map(|part| matcher.find(part).len()).sum();
     assert_eq!(per_patient, matches.len());
 
     // --- Per-patient report with dose measures. ------------------------
